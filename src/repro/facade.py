@@ -13,7 +13,7 @@ breakdown (local/cloud/cpu seconds) that sums to its wall-clock elapsed time.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 
 from repro.lsm.db import DB, Snapshot
@@ -26,6 +26,24 @@ from repro.sim.clock import SimClock, StopwatchRegion
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
+
+
+def take_rows(
+    rows: Generator[tuple[bytes, bytes], None, None], limit: int | None
+) -> list[tuple[bytes, bytes]]:
+    """Take up to ``limit`` rows of a scan and close its generator.
+
+    Closing here, not at garbage collection, makes a limited scan's cleanup
+    (version unpin, prefetch-pipeline finish + waste accounting) run
+    deterministically inside the caller's span.
+    """
+    out: list[tuple[bytes, bytes]] = []
+    with closing(rows):
+        for i, kv in enumerate(rows):
+            if limit is not None and i >= limit:
+                break
+            out.append(kv)
+    return out
 
 
 class StoreFacade:
@@ -139,19 +157,16 @@ class StoreFacade:
         begin: bytes | None = None,
         end: bytes | None = None,
         limit: int | None = None,
+        *,
+        reverse: bool = False,
     ) -> list[tuple[bytes, bytes]]:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
-            # Close the generator inside the span: a limited scan's cleanup
-            # (version unpin, prefetch-pipeline finish + waste accounting)
-            # then runs deterministically here, not at garbage collection.
-            with closing(self.db.scan(begin, end)) as it:
-                results = []
-                for i, kv in enumerate(it):
-                    if limit is not None and i >= limit:
-                        break
-                    results.append(kv)
+        """Range scan over user keys in [begin, end), descending when
+        ``reverse`` (then timed and counted as ``scan_reverse``)."""
+        kind = "scan_reverse" if reverse else "scan"
+        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
+            results = take_rows(self.db.scan(begin, end, reverse=reverse), limit)
         self.read_latency.record(sw.elapsed)
-        self._note_op("scan", sum(len(k) + len(v) for k, v in results))
+        self._note_op(kind, sum(len(k) + len(v) for k, v in results))
         return results
 
     def scan_reverse(
@@ -161,16 +176,7 @@ class StoreFacade:
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Descending-order range scan over user keys in [begin, end)."""
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan_reverse"):
-            with closing(self.db.scan_reverse(begin, end)) as it:
-                results = []
-                for i, kv in enumerate(it):
-                    if limit is not None and i >= limit:
-                        break
-                    results.append(kv)
-        self.read_latency.record(sw.elapsed)
-        self._note_op("scan_reverse", sum(len(k) + len(v) for k, v in results))
-        return results
+        return self.scan(begin, end, limit, reverse=True)
 
     def flush(self) -> None:
         with self.tracer.span("flush"):

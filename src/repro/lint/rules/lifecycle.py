@@ -11,7 +11,7 @@ Two resource kinds with real leak consequences in this tree:
   ``sorted``), ``return``/``yield from`` (ownership transfer), a name
   that is closed or returned, or being passed directly to a callee —
   resolved here, cross-file, against the callee's summary — that closes
-  that parameter (the ``_consume_scan`` finally-close idiom).
+  that parameter (``facade.take_rows``' ``with closing(rows)`` idiom).
 * **fork/join regions** — a ``ForkJoinRegion`` that entered ``branch()``
   must either ``join()`` in the same function or be *stored* (assigned
   into an attribute/container, passed on, or returned) for deferred

@@ -99,7 +99,7 @@ def check_table(
     first_key: bytes | None = None
     count = 0
     try:
-        for ikey, value in reader:
+        for ikey, value in reader.entries():
             if first_key is None:
                 first_key = ikey
             if prev_key is not None and compare_internal(prev_key, ikey) >= 0:

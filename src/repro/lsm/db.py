@@ -22,7 +22,7 @@ Extension points used by :mod:`repro.mash`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -37,7 +37,12 @@ from repro.lsm.compaction import (
     CompactionStats,
 )
 from repro.lsm.format import BlockHandle, log_file_name, parse_file_name, table_file_name
-from repro.lsm.iterator import clamp_to_range, merge_internal, visible_user_entries
+from repro.lsm.iterator import (
+    clamp_to_range,
+    merge_internal,
+    visible_user_entries,
+    visible_user_entries_reverse,
+)
 from repro.lsm.memtable import GetResult, MemTable
 from repro.lsm.options import Options
 from repro.lsm.sortedview import (
@@ -64,7 +69,6 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
-    compare_internal,
     make_internal_key,
     parse_internal_key,
 )
@@ -119,6 +123,48 @@ class ViewStore(Protocol):
     def load(self, stamp: int) -> bytes | None: ...
 
 
+class ScanPipeline(Protocol):
+    """Per-scan prefetch state a store variant attaches to a scan.
+
+    Built by ``DB.scan_pipeline_factory`` when the scan starts (see
+    :class:`repro.mash.prefetch.ScanPrefetcher`). ``target`` is the
+    internal key every source is seeked to — the scan's ``begin``, or its
+    exclusive ``end`` when ``reverse`` — and ``None`` means unbounded.
+    """
+
+    def seek_fanout(
+        self, metas: Sequence[FileMetaData], target: bytes | None, *, reverse: bool = False
+    ) -> None:
+        """:meth:`DB.scan`, merge path, before any source is built:
+        ``metas`` are the tables the merge opens on its first pull."""
+
+    def table_started(
+        self,
+        files: Sequence[FileMetaData],
+        index: int,
+        target: bytes | None,
+        *,
+        reverse: bool = False,
+    ) -> None:
+        """A level source, just before it consumes ``files[index]``
+        (``files`` in scan order)."""
+
+    def view_fanout(
+        self,
+        initial: Sequence[tuple[int, BlockHandle]],
+        upcoming: Sequence[tuple[int, BlockHandle]],
+    ) -> None:
+        """:meth:`DB.scan`, view path, before the view stream is built:
+        the exact ``(table number, block)`` plan from
+        :meth:`SortedView.prefetch_plan`."""
+
+    def view_started(self, number: int) -> None:
+        """The view's block source, on its first fetch from run ``number``."""
+
+    def finish(self) -> None:
+        """:meth:`DB.scan`, when the scan ends or its generator is closed."""
+
+
 class DB:
     """An LSM-tree key–value store over an :class:`Env`."""
 
@@ -146,12 +192,12 @@ class DB:
         self.block_fetch_hook = None
         """Optional callable ``(path, file_name)`` observing block-read
         outcomes (e.g. ``("dram_hit", name)``); set by the store facade."""
-        self.scan_pipeline_factory = None
+        self.scan_pipeline_factory: (
+            Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
+        ) = None
         """Optional ``(begin, end) -> pipeline | None`` building per-scan
-        prefetch state (see :class:`repro.mash.prefetch.ScanPrefetcher`);
-        the pipeline gets ``seek_fanout``/``table_started`` hooks during
-        iteration and ``finish`` when the scan ends. Set by store
-        variants — the base engine scans without one."""
+        prefetch state (see :class:`ScanPipeline`). Set by store variants
+        — the base engine scans without one."""
         self.maintenance_hook: Callable[[], None] | None = None
         """Optional deferral hook for write-triggered maintenance. When
         set, a write that fills the memtable calls this instead of running
@@ -478,7 +524,7 @@ class DB:
             and self._view_version is self.versions.current
         )
 
-    def _view_block_source(self, pipeline: Any | None = None) -> BlockSource:
+    def _view_block_source(self, pipeline: ScanPipeline | None) -> BlockSource:
         """Data-block fetches for view scans, bypassing TableReader.
 
         The view already holds every block's handle, so view scans never
@@ -488,13 +534,12 @@ class DB:
         ``view_started`` so speculative branches are joined (hit) instead
         of rotting into waste.
         """
-        notify = getattr(pipeline, "view_started", None)
         started: set[int] = set()
 
         def fetch(number: int, ref: BlockRef) -> bytes:
-            if notify is not None and number not in started:
+            if pipeline is not None and number not in started:
                 started.add(number)
-                notify(number)
+                pipeline.view_started(number)
             name, loader = self.table_cache.data_loader(number)
             return loader(name, BlockHandle(ref.offset, ref.size), "data")
 
@@ -686,7 +731,7 @@ class DB:
         lo, hi = keys[0], keys[-1]
         if len(self.memtable) > 0:
             probe = make_internal_key(lo, MAX_SEQUENCE, TYPE_VALUE)
-            for ikey, _ in self.memtable.seek(probe):
+            for ikey, _ in self.memtable.entries(probe):
                 if parse_internal_key(ikey).user_key <= hi:
                     self._flush_memtable()
                 break
@@ -975,29 +1020,26 @@ class DB:
         if result.state == GetResult.DELETED:
             return None
         lookup = make_internal_key(key, sequence, TYPE_VALUE)
-        if self._view_usable():
+        view = self._sorted_view if self._view_usable() else None
+        candidates: Iterable[tuple[int, FileMetaData | TableRun]]
+        blocks: dict[int, BlockHandle] = {}
+        if view is not None:
             # One binary search over the anchors yields the candidate
             # (run, block) pairs in files_for_user_key order; the reader's
             # bloom/partition probes still apply, but its index seek is
             # replaced by the view's block map.
-            assert self._sorted_view is not None
             self.view_stats["get_hits"] += 1
-            for run, ref in self._sorted_view.point_candidates(key, lookup):
-                reader = self.table_cache.get_reader(run.number)
-                entry = reader.get_at(lookup, BlockHandle(ref.offset, ref.size))
-                if entry is None:
-                    continue
-                ikey, value = entry
-                parsed = parse_internal_key(ikey)
-                if parsed.user_key != key:
-                    continue
-                if parsed.value_type == TYPE_DELETION:
-                    return None
-                return value
-            return None
-        for _level, meta in self.versions.current.files_for_user_key(key):
-            reader = self.table_cache.get_reader(meta.number)
-            entry = reader.get(lookup)
+            found = view.point_candidates(key, lookup)
+            candidates = [(run.level, run) for run, _ in found]
+            blocks = {run.number: BlockHandle(ref.offset, ref.size) for run, ref in found}
+        else:
+            candidates = self.versions.current.files_for_user_key(key)
+        for _level, table in candidates:
+            reader = self.table_cache.get_reader(table.number)
+            if view is None:
+                entry = reader.get(lookup)
+            else:
+                entry = reader.get_at(lookup, blocks[table.number])
             if entry is None:
                 continue
             ikey, value = entry
@@ -1021,9 +1063,7 @@ class DB:
         self, entries: Iterator[tuple[bytes, bytes]]
     ) -> Iterator[tuple[bytes, bytes]]:
         """Lazily resolve blob pointers in a scan's (key, value) stream."""
-        if self.blob_store is None:
-            yield from entries
-            return
+        assert self.blob_store is not None
         for key, value in entries:
             pointer = maybe_pointer(value)
             if pointer is not None:
@@ -1047,16 +1087,36 @@ class DB:
         end: bytes | None = None,
         *,
         snapshot: Snapshot | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Ordered iteration over user keys in [begin, end).
+        reverse: bool = False,
+    ) -> Generator[tuple[bytes, bytes], None, None]:
+        """Ordered iteration over user keys in [begin, end); descending
+        when ``reverse``.
 
         The version is *pinned* for the iterator's lifetime: compactions
         that run while the caller consumes the scan defer deleting the
         pinned files, so live iterators are never broken.
+
+        Direction is resolved here, once: every source is seeked to the
+        bound the scan enters at (``begin``, or the exclusive ``end`` going
+        backward — so a tight-``end`` reverse scan never fetches the
+        out-of-range tail blocks of its tables) and yields in scan order;
+        one merge → visibility → clamp → blob-resolve chain consumes them,
+        and the clamp stops consumption at the far bound. The scan
+        pipeline (when installed) fans out the initial reader opens and
+        prefetches upcoming tables in scan order either way.
         """
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
-        seek_key = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE) if begin else None
+        if reverse:
+            target = (
+                make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
+                if end is not None
+                else None
+            )
+            visible = visible_user_entries_reverse
+        else:
+            target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE) if begin else None
+            visible = visible_user_entries
         version = self._pin_version()
         pipeline = (
             self.scan_pipeline_factory(begin, end)
@@ -1064,24 +1124,20 @@ class DB:
             else None
         )
         try:
-            sources = []
-            if seek_key is not None:
-                sources.append(self.memtable.seek(seek_key))
-            else:
-                sources.append(iter(self.memtable))
-            if self._view_usable():
-                assert self._sorted_view is not None
+            sources = [self.memtable.entries(target, reverse=reverse)]
+            view = self._sorted_view if self._view_usable() else None
+            if view is not None:
                 self.view_stats["scan_hits"] += 1
                 self._view_event("view_hit")
-                if pipeline is not None and hasattr(pipeline, "view_fanout"):
-                    initial_plan, upcoming_plan = self._view_prefetch_plan(
-                        self._sorted_view, seek_key, end
+                if pipeline is not None:
+                    pipeline.view_fanout(
+                        *view.prefetch_plan(target, end, reverse=reverse)
                     )
-                    pipeline.view_fanout(initial_plan, upcoming_plan)
+                fetch = self._view_block_source(pipeline)
                 sources.append(
-                    self._sorted_view.stream(
-                        seek_key, self._view_block_source(pipeline)
-                    )
+                    view.stream_reverse(target, fetch)
+                    if reverse
+                    else view.stream(target, fetch)
                 )
             else:
                 if self.options.sorted_view:
@@ -1094,71 +1150,34 @@ class DB:
                 ]
                 if pipeline is not None:
                     # Seek fan-out: every reader the merge heap opens on its
-                    # first pull, opened as parallel branches instead of a
-                    # serial chain of cloud round trips.
+                    # first pull — all L0 tables plus each level's first
+                    # in-range table in scan order — opened as parallel
+                    # branches instead of a serial chain of cloud round trips.
+                    edge = -1 if reverse else 0
                     initial = list(l0_files) + [
-                        files[0] for files in level_files if files
+                        files[edge] for files in level_files if files
                     ]
-                    pipeline.seek_fanout(initial, seek_key)
+                    pipeline.seek_fanout(initial, target, reverse=reverse)
                 for meta in l0_files:
-                    sources.append(self._table_iter(meta, seek_key))
+                    sources.append(self._table_entries(meta, target, reverse))
                 for files in level_files:
                     if files:
-                        sources.append(self._level_iter(files, seek_key, pipeline))
-            merged = merge_internal(sources)
-            yield from self._resolve_entries(
-                clamp_to_range(visible_user_entries(merged, sequence), begin, end)
+                        sources.append(
+                            self._level_entries(files, target, reverse, pipeline)
+                        )
+            rows = clamp_to_range(
+                visible(merge_internal(sources, reverse=reverse), sequence),
+                begin,
+                end,
+                reverse=reverse,
             )
+            if self.blob_store is not None:
+                rows = self._resolve_entries(rows)
+            yield from rows
         finally:
             if pipeline is not None:
                 pipeline.finish()
             self._unpin_version(version)
-
-    def _view_prefetch_plan(
-        self, view: SortedView, seek_key: bytes | None, end: bytes | None
-    ) -> tuple[list[tuple[int, BlockHandle]], list[tuple[int, BlockHandle]]]:
-        """(initial, upcoming) block plans for a view scan's prefetcher.
-
-        ``initial`` is the first block each run of the seek's segment will
-        fetch — the view-path analogue of the merging iterator's seek
-        fan-out, but with the exact block handles so no reader (footer/
-        index/filter I/O) is ever opened. ``upcoming`` lists the entry
-        blocks of runs that join in later segments of the range, in
-        first-touched order, for depth-bounded speculative priming.
-        """
-        initial: list[tuple[int, BlockHandle]] = []
-        upcoming: list[tuple[int, BlockHandle]] = []
-        if not view.segments:
-            return initial, upcoming
-        start = view.locate(seek_key) if seek_key is not None else 0
-        end_ikey = (
-            make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
-            if end is not None
-            else None
-        )
-        seen: set[int] = set()
-        for i in range(start, len(view.segments)):
-            seg = view.segments[i]
-            if (
-                i > start
-                and end_ikey is not None
-                and compare_internal(seg.anchor, end_ikey) >= 0
-            ):
-                break
-            for cur in seg.cursors:
-                if cur.number in seen:
-                    continue
-                seen.add(cur.number)
-                run = view.tables[cur.number]
-                if i == start and seek_key is not None:
-                    ref = run.block_for(seek_key)
-                    if ref is None:
-                        continue
-                else:
-                    ref = run.blocks[cur.ordinal]
-                entry = (cur.number, BlockHandle(ref.offset, ref.size))
-                (initial if i == start else upcoming).append(entry)
-        return initial, upcoming
 
     def scan_reverse(
         self,
@@ -1166,108 +1185,9 @@ class DB:
         end: bytes | None = None,
         *,
         snapshot: Snapshot | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Ordered iteration over user keys in [begin, end), *descending*.
-
-        Mirrors :meth:`scan` but walks every source backward. Every source
-        is reverse-seeked to the ``end`` bound first (``seek_reverse``), so
-        a tight-``end`` reverse scan never fetches the out-of-range tail
-        blocks of its tables; the range clamp stops consumption once keys
-        drop below ``begin``. The scan pipeline (when installed) fans out
-        the initial reader opens and prefetches upcoming tables in reverse
-        level order, exactly like the forward path.
-        """
-        from repro.lsm.iterator import (
-            clamp_to_range_reverse,
-            merge_internal_reverse,
-            visible_user_entries_reverse,
-        )
-
-        self._check_open()
-        sequence = snapshot.sequence if snapshot else self.versions.last_sequence
-        bound = (
-            make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
-            if end is not None
-            else None
-        )
-        version = self._pin_version()
-        pipeline = (
-            self.scan_pipeline_factory(begin, end)
-            if self.scan_pipeline_factory is not None
-            else None
-        )
-        try:
-            if bound is not None:
-                sources = [self.memtable.seek_reverse(bound)]
-            else:
-                sources = [self.memtable.reverse_iter()]
-            if self._view_usable():
-                assert self._sorted_view is not None
-                self.view_stats["scan_hits"] += 1
-                self._view_event("view_hit")
-                if pipeline is not None and hasattr(pipeline, "view_fanout"):
-                    plan = self._view_reverse_prefetch_plan(self._sorted_view, bound)
-                    pipeline.view_fanout(plan, [])
-                sources.append(
-                    self._sorted_view.stream_reverse(
-                        bound, self._view_block_source(pipeline)
-                    )
-                )
-            else:
-                if self.options.sorted_view:
-                    self.view_stats["scan_fallbacks"] += 1
-                    self._view_event("view_fallback")
-                l0_files = self._files_in_scan_range(version.files[0], begin, end)
-                level_files = [
-                    self._files_in_scan_range(version.files[level], begin, end)
-                    for level in range(1, self.options.num_levels)
-                ]
-                if pipeline is not None:
-                    # Reverse seek fan-out: all L0 tables plus the *last*
-                    # in-range table of each level — the readers the reverse
-                    # merge opens on its first pull.
-                    initial = list(l0_files) + [
-                        files[-1] for files in level_files if files
-                    ]
-                    pipeline.seek_fanout(initial, bound, reverse=True)
-                for meta in l0_files:
-                    sources.append(self._table_reverse_iter(meta, bound))
-                for files in level_files:
-                    if files:
-                        sources.append(
-                            self._level_reverse_iter(files, bound, pipeline)
-                        )
-            merged = merge_internal_reverse(sources)
-            yield from self._resolve_entries(
-                clamp_to_range_reverse(
-                    visible_user_entries_reverse(merged, sequence), begin, end
-                )
-            )
-        finally:
-            if pipeline is not None:
-                pipeline.finish()
-            self._unpin_version(version)
-
-    def _view_reverse_prefetch_plan(
-        self, view: SortedView, bound: bytes | None
-    ) -> list[tuple[int, BlockHandle]]:
-        """First block each run of the bound's segment fetches (reverse).
-
-        ``stream_reverse`` reads a segment's member runs forward from their
-        cursors, so the entry block per run is the cursor block itself.
-        """
-        plan: list[tuple[int, BlockHandle]] = []
-        if not view.segments:
-            return plan
-        if bound is not None and compare_internal(bound, view.segments[0].anchor) <= 0:
-            return plan
-        seg = view.segments[
-            view.locate(bound) if bound is not None else len(view.segments) - 1
-        ]
-        for cur in seg.cursors:
-            ref = view.tables[cur.number].blocks[cur.ordinal]
-            plan.append((cur.number, BlockHandle(ref.offset, ref.size)))
-        return plan
+    ) -> Generator[tuple[bytes, bytes], None, None]:
+        """Ordered iteration over user keys in [begin, end), *descending*."""
+        return self.scan(begin, end, snapshot=snapshot, reverse=True)
 
     @staticmethod
     def _files_in_scan_range(
@@ -1286,50 +1206,25 @@ class DB:
             and not (end is not None and meta.smallest_user_key >= end)
         ]
 
-    def _table_reverse_iter(
-        self, meta: FileMetaData, bound: bytes | None
+    def _table_entries(
+        self, meta: FileMetaData, target: bytes | None, reverse: bool
     ) -> Iterator[tuple[bytes, bytes]]:
-        reader = self.table_cache.get_reader(meta.number)
-        if bound is None:
-            return reader.reverse_iter()
-        return reader.seek_reverse(bound)
+        return self.table_cache.get_reader(meta.number).entries(target, reverse=reverse)
 
-    def _level_reverse_iter(
+    def _level_entries(
         self,
         files: list[FileMetaData],
-        bound: bytes | None,
-        pipeline: Any = None,
+        target: bytes | None,
+        reverse: bool,
+        pipeline: ScanPipeline | None,
     ) -> Iterator[tuple[bytes, bytes]]:
-        def gen() -> Iterator[tuple[bytes, bytes]]:
-            ordered = list(reversed(files))
-            for index, meta in enumerate(ordered):
-                if pipeline is not None:
-                    pipeline.table_started(ordered, index, bound, reverse=True)
-                yield from self._table_reverse_iter(meta, bound)
-
-        return gen()
-
-    def _table_iter(
-        self, meta: FileMetaData, seek_key: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        reader = self.table_cache.get_reader(meta.number)
-        if seek_key is None:
-            return iter(reader)
-        return reader.seek(seek_key)
-
-    def _level_iter(
-        self,
-        files: list[FileMetaData],
-        seek_key: bytes | None,
-        pipeline: Any = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        def gen() -> Iterator[tuple[bytes, bytes]]:
-            for index, meta in enumerate(files):
-                if pipeline is not None:
-                    pipeline.table_started(files, index, seek_key)
-                yield from self._table_iter(meta, seek_key)
-
-        return gen()
+        """One level's disjoint in-range tables as a single sorted source,
+        each opened only when the scan reaches it."""
+        ordered = files[::-1] if reverse else files
+        for index, meta in enumerate(ordered):
+            if pipeline is not None:
+                pipeline.table_started(ordered, index, target, reverse=reverse)
+            yield from self._table_entries(meta, target, reverse)
 
     # -- snapshots ----------------------------------------------------------------------------
 

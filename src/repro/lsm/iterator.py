@@ -5,6 +5,11 @@ Internal iterators yield ``(internal_key, value)`` in internal-key order
 heap-based k-way merge; :func:`visible_user_entries` collapses the merged
 stream into the user-visible view at a snapshot sequence — newest visible
 entry per user key, tombstones suppressing older values.
+
+A reverse scan runs the same chain over descending sources: the merge and
+the clamp take ``reverse``, tested once before their loops start, while
+visibility keeps a descending implementation of its own — a different
+algorithm (the *last* visible entry wins), not a mirror image.
 """
 
 from __future__ import annotations
@@ -43,19 +48,38 @@ class _HeapKey:
         return self.index < other.index
 
 
-def merge_internal(sources: list[Iterator[InternalEntry]]) -> Iterator[InternalEntry]:
-    """K-way merge of internal iterators into one ordered stream."""
+class _DescendingHeapKey(_HeapKey):
+    """Max-heap adaptor: largest internal key first."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_HeapKey") -> bool:
+        c = compare_internal(self.ikey, other.ikey)
+        if c != 0:
+            return c > 0
+        return self.index < other.index
+
+
+def merge_internal(
+    sources: list[Iterator[InternalEntry]], *, reverse: bool = False
+) -> Iterator[InternalEntry]:
+    """K-way merge of internal iterators into one ordered stream.
+
+    With ``reverse`` the sources must yield entries in *descending*
+    internal-key order, and the merged stream does too.
+    """
+    key_of = _DescendingHeapKey if reverse else _HeapKey
     heap: list[tuple[_HeapKey, bytes, Iterator[InternalEntry]]] = []
     for index, source in enumerate(sources):
         for ikey, value in source:
-            heap.append((_HeapKey(ikey, index), value, source))
+            heap.append((key_of(ikey, index), value, source))
             break
     heapq.heapify(heap)
     while heap:
         heap_key, value, source = heap[0]
         yield heap_key.ikey, value
         for ikey, next_value in source:
-            heapq.heapreplace(heap, (_HeapKey(ikey, heap_key.index), next_value, source))
+            heapq.heapreplace(heap, (key_of(ikey, heap_key.index), next_value, source))
             break
         else:
             heapq.heappop(heap)
@@ -80,44 +104,6 @@ def visible_user_entries(
         if parsed.value_type == TYPE_DELETION:
             continue
         yield parsed.user_key, value
-
-
-def merge_internal_reverse(
-    sources: list[Iterator[InternalEntry]],
-) -> Iterator[InternalEntry]:
-    """K-way merge of *reverse* internal iterators (descending order).
-
-    Sources must yield entries in descending internal-key order; the merged
-    stream does too.
-    """
-    heap: list[tuple[_ReverseHeapKey, bytes, Iterator[InternalEntry]]] = []
-    for index, source in enumerate(sources):
-        for ikey, value in source:
-            heap.append((_ReverseHeapKey(ikey, index), value, source))
-            break
-    heapq.heapify(heap)
-    while heap:
-        heap_key, value, source = heap[0]
-        yield heap_key.ikey, value
-        for ikey, next_value in source:
-            heapq.heapreplace(
-                heap, (_ReverseHeapKey(ikey, heap_key.index), next_value, source)
-            )
-            break
-        else:
-            heapq.heappop(heap)
-
-
-class _ReverseHeapKey(_HeapKey):
-    """Max-heap adaptor: largest internal key first."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c > 0
-        return self.index < other.index
 
 
 def visible_user_entries_reverse(
@@ -157,26 +143,26 @@ def visible_user_entries_reverse(
         yield out
 
 
-def clamp_to_range_reverse(
-    entries: Iterator[tuple[bytes, bytes]],
-    begin: bytes | None = None,
-    end: bytes | None = None,
-) -> Iterator[tuple[bytes, bytes]]:
-    """Restrict a descending user-entry stream to user keys in [begin, end)."""
-    for user_key, value in entries:
-        if end is not None and user_key >= end:
-            continue
-        if begin is not None and user_key < begin:
-            return
-        yield user_key, value
-
-
 def clamp_to_range(
     entries: Iterator[tuple[bytes, bytes]],
     begin: bytes | None = None,
     end: bytes | None = None,
+    *,
+    reverse: bool = False,
 ) -> Iterator[tuple[bytes, bytes]]:
-    """Restrict a user-entry stream to user keys in [begin, end)."""
+    """Restrict a user-entry stream to user keys in [begin, end).
+
+    Keys before the range (in stream order) are skipped and the first key
+    past it ends consumption; ``reverse`` says the stream is descending.
+    """
+    if reverse:
+        for user_key, value in entries:
+            if end is not None and user_key >= end:
+                continue
+            if begin is not None and user_key < begin:
+                return
+            yield user_key, value
+        return
     for user_key, value in entries:
         if begin is not None and user_key < begin:
             continue

@@ -85,35 +85,29 @@ class MemTable:
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """(internal_key, value) pairs in internal-key order."""
-        for entry in self._table:
-            yield _decode_entry(entry)
+        return self.entries()
 
-    def seek(self, target_ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key >= ``target_ikey``."""
-        lookup = _encode_entry(target_ikey, b"")
-        for entry in self._table.seek(lookup):
-            yield _decode_entry(entry)
+    def entries(
+        self, target: bytes | None = None, *, reverse: bool = False
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Entries from internal key ``target`` on, in scan order.
 
-    def reverse_iter(self) -> Iterator[tuple[bytes, bytes]]:
-        """Entries in descending internal-key order.
-
-        Materializes the (bounded, write-buffer-sized) memtable — the
-        skiplist is singly linked, so true backward traversal would need
-        back-pointers for no practical gain at memtable scale.
+        Forward: entries with internal key >= ``target``, ascending.
+        Reverse: entries with internal key < ``target``, descending. The
+        skiplist is singly linked — true backward traversal would need
+        back-pointers for no practical gain at memtable scale — so the
+        (bounded, write-buffer-sized) prefix below ``target`` is
+        materialized; a tight-bound reverse scan never touches the
+        memtable's tail. ``None`` means no bound in either direction.
         """
-        entries = [_decode_entry(e) for e in self._table]
-        return iter(reversed(entries))
-
-    def seek_reverse(self, bound: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key < ``bound``, descending.
-
-        Like :meth:`reverse_iter` but stops materializing at the bound, so
-        a tight-bound reverse scan never touches the memtable's tail.
-        """
+        if not reverse:
+            if target is None:
+                return map(_decode_entry, self._table)
+            return map(_decode_entry, self._table.seek(_encode_entry(target, b"")))
         out: list[tuple[bytes, bytes]] = []
         for entry in self._table:
             ikey, value = _decode_entry(entry)
-            if compare_internal(ikey, bound) >= 0:
+            if target is not None and compare_internal(ikey, target) >= 0:
                 break
             out.append((ikey, value))
         return iter(reversed(out))

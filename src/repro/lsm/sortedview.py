@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
+from repro.lsm.format import BlockHandle
 from repro.lsm.table_builder import BlockMeta
 from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
@@ -77,14 +78,8 @@ class TableRun:
 
     def block_for(self, target: bytes) -> BlockRef | None:
         """First block whose last key is >= ``target`` (None past the end)."""
-        lo, hi = 0, len(self.blocks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(self.blocks[mid].last_key, target) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.blocks[lo] if lo < len(self.blocks) else None
+        ordinal = _cursor_ordinal(self, target)
+        return self.blocks[ordinal] if ordinal < len(self.blocks) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,25 +166,65 @@ class SortedView:
                 hi = mid
         return max(lo - 1, 0)
 
-    def tables_for_range(
-        self, target: bytes | None, upper: bytes | None = None
-    ) -> list[int]:
-        """Table numbers a scan from ``target`` (to ``upper``) can touch,
-        in first-touched order — the prefetcher's exact fan-out list."""
+    def prefetch_plan(
+        self, target: bytes | None, end: bytes | None = None, *, reverse: bool = False
+    ) -> tuple[list[tuple[int, BlockHandle]], list[tuple[int, BlockHandle]]]:
+        """(initial, upcoming) block plans for a scan's prefetcher.
+
+        ``initial`` is the first block each run of the seek's segment will
+        fetch — the view-path analogue of the merging iterator's seek
+        fan-out, but with the exact block handles so no reader (footer/
+        index/filter I/O) is ever opened. ``upcoming`` lists the entry
+        blocks of runs that join in later segments up to the user key
+        ``end``, in first-touched order, for depth-bounded speculative
+        priming.
+
+        ``reverse`` plans :meth:`stream_reverse` from the exclusive bound
+        ``target``: it reads a segment's member runs forward from their
+        cursors, so the entry block per run is the cursor block itself,
+        and the plan stops at the bound's segment (nothing upcoming).
+        """
+        initial: list[tuple[int, BlockHandle]] = []
+        upcoming: list[tuple[int, BlockHandle]] = []
         if not self.segments:
-            return []
-        start = self.locate(target) if target is not None else 0
+            return initial, upcoming
+        end_ikey: bytes | None = None
+        if reverse:
+            if (
+                target is not None
+                and compare_internal(target, self.segments[0].anchor) <= 0
+            ):
+                return initial, upcoming
+            start = self.locate(target) if target is not None else len(self.segments) - 1
+            stop = start + 1
+        else:
+            start = self.locate(target) if target is not None else 0
+            stop = len(self.segments)
+            if end is not None:
+                end_ikey = make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
         seen: set[int] = set()
-        out: list[int] = []
-        for i in range(start, len(self.segments)):
+        for i in range(start, stop):
             seg = self.segments[i]
-            if upper is not None and compare_internal(seg.anchor, upper) >= 0:
+            if (
+                i > start
+                and end_ikey is not None
+                and compare_internal(seg.anchor, end_ikey) >= 0
+            ):
                 break
             for cur in seg.cursors:
-                if cur.number not in seen:
-                    seen.add(cur.number)
-                    out.append(cur.number)
-        return out
+                if cur.number in seen:
+                    continue
+                seen.add(cur.number)
+                run = self.tables[cur.number]
+                if i == start and target is not None and not reverse:
+                    ref = run.block_for(target)
+                    if ref is None:
+                        continue
+                else:
+                    ref = run.blocks[cur.ordinal]
+                entry = (cur.number, BlockHandle(ref.offset, ref.size))
+                (initial if i == start else upcoming).append(entry)
+        return initial, upcoming
 
     def stream(
         self, target: bytes | None, block_source: BlockSource
@@ -500,7 +535,8 @@ def _segment(
 
 
 def _cursor_ordinal(run: TableRun, anchor: bytes) -> int:
-    """First block whose last key is >= ``anchor`` (exists for members)."""
+    """Ordinal of the first block whose last key is >= ``anchor`` (exists
+    for a segment's member runs; ``len(run.blocks)`` past the end)."""
     lo, hi = 0, len(run.blocks)
     while lo < hi:
         mid = (lo + hi) // 2

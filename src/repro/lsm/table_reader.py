@@ -51,6 +51,22 @@ def direct_block_loader(file: RandomAccessFile, *, verify: bool = True) -> Block
     return load
 
 
+def _boundary_block(index_entries: list[tuple[bytes, bytes]], target: bytes) -> int:
+    """Position of the first index entry (block last key) >= ``target``.
+
+    That block may still hold keys below ``target``; every block after it
+    cannot. ``len(index_entries)`` when every key sorts below ``target``.
+    """
+    lo, hi = 0, len(index_entries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if compare_internal(index_entries[mid][0], target) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class TableReader:
     """Random access into one immutable SSTable."""
 
@@ -241,104 +257,73 @@ class TableReader:
             out.append((last_key, handle))
         return out
 
-    def first_data_handle(self, target: bytes | None = None) -> BlockHandle | None:
-        """Handle of the first data block a scan from ``target`` reads.
+    def edge_data_handle(
+        self, target: bytes | None = None, *, reverse: bool = False
+    ) -> BlockHandle | None:
+        """Handle of the first data block :meth:`entries` would read.
 
         Index-only (no data-block I/O): used by the scan-prefetch pipeline
-        to prime a table's opening range ahead of consumption. ``None``
-        target means iteration from the table's start; a table with no
-        block at/after ``target`` returns None.
-        """
-        index_iter = self._index.seek(target) if target is not None else iter(self._index)
-        for _, handle_bytes in index_iter:
-            handle, _ = decode_handle(handle_bytes)
-            return handle
-        return None
-
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        """All entries in internal-key order."""
-        for _, handle_bytes in self._index:
-            handle, _ = decode_handle(handle_bytes)
-            yield from self._load_data_block(handle)
-
-    def reverse_iter(self) -> Iterator[tuple[bytes, bytes]]:
-        """All entries in *descending* internal-key order.
-
-        Blocks are visited back to front; each block's entries (forward
-        prefix-compressed) are materialized and reversed — O(one block) of
-        memory.
-        """
-        index_entries = list(self._index)
-        for _, handle_bytes in reversed(index_entries):
-            handle, _ = decode_handle(handle_bytes)
-            block_entries = list(self._load_data_block(handle))
-            yield from reversed(block_entries)
-
-    def seek_reverse(self, bound: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key < ``bound`` in *descending* order.
-
-        Binary-searches the index for the boundary block — the last block
-        that can hold a key below ``bound`` — and walks back to front from
-        there. Blocks wholly at/above ``bound`` are never fetched, unlike
-        :meth:`reverse_iter`, which always reads the table's entire tail.
-        """
-        index_entries = list(self._index)
-        lo, hi = 0, len(index_entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(index_entries[mid][0], bound) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo = first block whose last key >= bound (it may still hold keys
-        # below the bound; everything after it cannot).
-        start = lo if lo < len(index_entries) else len(index_entries) - 1
-        for i in range(start, -1, -1):
-            handle, _ = decode_handle(index_entries[i][1])
-            block_entries = list(self._load_data_block(handle))
-            if i == lo:
-                block_entries = [
-                    entry
-                    for entry in block_entries
-                    if compare_internal(entry[0], bound) < 0
-                ]
-            yield from reversed(block_entries)
-
-    def last_data_handle(self, bound: bytes | None = None) -> BlockHandle | None:
-        """Handle of the first block a reverse scan bounded by ``bound`` reads.
-
-        Index-only, mirroring :meth:`first_data_handle` for reverse scans:
-        the boundary block when ``bound`` is given, else the table's last
-        block.
+        to prime a table's opening range ahead of consumption. Forward
+        that is the boundary block of ``target`` (None when every key
+        sorts below it) or the table's first block; reverse, the boundary
+        block of the exclusive bound ``target`` or the table's last block.
         """
         index_entries = list(self._index)
         if not index_entries:
             return None
-        idx = len(index_entries) - 1
-        if bound is not None:
-            lo, hi = 0, len(index_entries)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if compare_internal(index_entries[mid][0], bound) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(index_entries):
-                idx = lo
-        handle, _ = decode_handle(index_entries[idx][1])
+        last = len(index_entries) - 1
+        if target is None:
+            position = last if reverse else 0
+        else:
+            position = _boundary_block(index_entries, target)
+            if position > last:
+                if not reverse:
+                    return None
+                position = last
+        handle, _ = decode_handle(index_entries[position][1])
         return handle
 
-    def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key >= ``target`` in order."""
-        first_block = True
-        for _, handle_bytes in self._index.seek(target):
-            handle, _ = decode_handle(handle_bytes)
-            block = self._load_data_block(handle)
-            if first_block:
-                yield from block.seek(target)
-                first_block = False
-            else:
-                yield from block
+    def entries(
+        self, target: bytes | None = None, *, reverse: bool = False
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Entries from internal key ``target`` on, in scan order.
+
+        Forward: entries with internal key >= ``target``, ascending, one
+        lazily fetched block at a time. Reverse: entries with internal key
+        < ``target``, descending — blocks are visited back to front from
+        the boundary block (blocks wholly at/above the bound are never
+        fetched), and each block's entries (forward prefix-compressed) are
+        materialized and reversed, O(one block) of memory. ``None`` means
+        no bound: the whole table in that direction.
+        """
+        if not reverse:
+            index_iter = self._index.seek(target) if target is not None else iter(self._index)
+            seek_target = target  # applies to the first block only
+            for _, handle_bytes in index_iter:
+                handle, _ = decode_handle(handle_bytes)
+                block = self._load_data_block(handle)
+                if seek_target is not None:
+                    yield from block.seek(seek_target)
+                    seek_target = None
+                else:
+                    yield from block
+            return
+        index_entries = list(self._index)
+        boundary = (
+            _boundary_block(index_entries, target)
+            if target is not None
+            else len(index_entries)
+        )
+        for i in range(min(boundary, len(index_entries) - 1), -1, -1):
+            handle, _ = decode_handle(index_entries[i][1])
+            block_entries = list(self._load_data_block(handle))
+            if target is not None and i == boundary:
+                block_entries = [
+                    entry
+                    for entry in block_entries
+                    if compare_internal(entry[0], target) < 0
+                ]
+            yield from reversed(block_entries)
 
     # -- compaction support -------------------------------------------------
 

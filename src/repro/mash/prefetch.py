@@ -10,8 +10,9 @@ work runs under a :class:`~repro.sim.clock.ForkJoinRegion` on forked child
 clocks, so its simulated latency overlaps consumption of the current table
 and only the *uncovered* remainder reaches the parent clock at join.
 
-One :class:`ScanPrefetcher` exists per forward scan (built by
-``RocksMashStore`` via ``DB.scan_pipeline_factory``):
+One :class:`ScanPrefetcher` exists per scan, forward or reverse (built by
+``RocksMashStore`` via ``DB.scan_pipeline_factory``); it implements the
+engine's :class:`~repro.lsm.db.ScanPipeline` protocol:
 
 * **Seek fan-out** — at scan start the opens of all in-range L0 readers and
   each level's first in-range table run as parallel branches of one region
@@ -65,7 +66,7 @@ class PrefetchStats:
 
 
 class ScanPrefetcher:
-    """Prefetch state for one forward scan (see module docstring)."""
+    """Prefetch state for one scan (see module docstring)."""
 
     def __init__(
         self,
@@ -102,7 +103,7 @@ class ScanPrefetcher:
         self._view_upcoming: deque[tuple[int, BlockHandle]] = deque()
         self._finished = False
 
-    # -- hooks called from DB.scan / DB._level_iter -------------------------
+    # -- ScanPipeline protocol: hooks called from DB.scan and its sources -----
 
     def seek_fanout(
         self,
@@ -121,33 +122,12 @@ class ScanPrefetcher:
         of them. For reverse scans ``target`` is the exclusive upper
         bound and priming starts at each table's boundary block.
         """
-        todo = [m for m in metas if m.number not in self._seen]
-        if not todo:
-            return
-        for meta in todo:
-            self._seen.add(meta.number)
-        region = ForkJoinRegion(self.clock, self.hosts)
-        for meta in todo:
-            with region.branch():
-                # The fan-out joins strictly (the seek *waits* on it), so
-                # prime only the small initial window — enough to cover the
-                # first block without making a short scan pay for a large
-                # speculative transfer. Pipelined prefetches, which never
-                # block, prime the full ``prime_bytes``.
-                self._open_and_prime(
-                    meta,
-                    target,
-                    prime_limit=ReadaheadBuffer.INITIAL_READAHEAD,
-                    reverse=reverse,
-                )
-        region.join()
-        self.stats.fanout_opens += len(todo)
-        self.tracer.event("seek_fanout")
+        self._fan_out([(m.number, None) for m in metas], target, reverse)
 
     def view_fanout(
         self,
         initial: Sequence[tuple[int, BlockHandle]],
-        upcoming: Sequence[tuple[int, BlockHandle]] = (),
+        upcoming: Sequence[tuple[int, BlockHandle]],
     ) -> None:
         """Fan out a sorted-view scan from its exact block plan.
 
@@ -160,20 +140,38 @@ class ScanPrefetcher:
         order) is primed speculatively up to ``depth`` in flight and
         joined — or written off as waste — via :meth:`view_started`.
         """
-        todo = [(n, h) for n, h in initial if n not in self._seen]
-        if todo:
-            region = ForkJoinRegion(self.clock, self.hosts)
-            for number, handle in todo:
-                self._seen.add(number)
-                with region.branch():
-                    self._prime_handle(
-                        number, handle, prime_limit=ReadaheadBuffer.INITIAL_READAHEAD
-                    )
-            region.join()
-            self.stats.fanout_opens += len(todo)
-            self.tracer.event("seek_fanout")
+        self._fan_out(initial)
         self._view_upcoming.extend(upcoming)
         self._view_top_up()
+
+    def _fan_out(
+        self,
+        entries: Sequence[tuple[int, BlockHandle | None]],
+        target: bytes | None = None,
+        reverse: bool = False,
+    ) -> None:
+        todo = [(n, h) for n, h in entries if n not in self._seen]
+        if not todo:
+            return
+        region = ForkJoinRegion(self.clock, self.hosts)
+        for number, handle in todo:
+            self._seen.add(number)
+            with region.branch():
+                # The fan-out joins strictly (the seek *waits* on it), so
+                # prime only the small initial window — enough to cover the
+                # first block without making a short scan pay for a large
+                # speculative transfer. Pipelined prefetches, which never
+                # block, prime the full ``prime_bytes``.
+                self._prime(
+                    number,
+                    handle,
+                    target,
+                    prime_limit=ReadaheadBuffer.INITIAL_READAHEAD,
+                    reverse=reverse,
+                )
+        region.join()
+        self.stats.fanout_opens += len(todo)
+        self.tracer.event("seek_fanout")
 
     def _view_top_up(self) -> None:
         """Keep up to ``depth`` of the view plan's upcoming runs in flight."""
@@ -182,14 +180,9 @@ class ScanPrefetcher:
             if number in self._seen:
                 continue
             self._seen.add(number)
-            if not self.is_cloud(self._name_of_number(number)):
+            if not self.is_cloud(self._name_of(number)):
                 continue  # local opens are cheap; open on demand
-            region = ForkJoinRegion(self.clock, self.hosts)
-            with region.branch():
-                self._prime_handle(number, handle)
-            self._pending[number] = region
-            self.stats.issued += 1
-            self.tracer.event("prefetch_issue")
+            self._issue(number, handle)
 
     def view_started(self, number: int) -> None:
         """The view stream fetched its first block of run ``number``.
@@ -197,23 +190,9 @@ class ScanPrefetcher:
         The view-scan analogue of :meth:`table_started`'s join half: the
         run's speculative branch (if any) is merged — hidden latency costs
         the parent nothing — and fully-hidden branches are reaped to free
-        pipeline slots.
+        pipeline slots; later primed runs inherit the scan's grown window.
         """
-        if number in self._ripe:
-            self._ripe.discard(number)
-            self.stats.hits += 1
-            self.tracer.event("prefetch_hit")
-        else:
-            region = self._pending.pop(number, None)
-            if region is not None:
-                region.join(strict=False)
-                self.stats.hits += 1
-                self.tracer.event("prefetch_hit")
-        self._reap_ripe()
-        source = self.buffers.get(self._name_of_number(number))
-        if source is not None:
-            # Later primed runs inherit the scan's grown window.
-            self._carry_source = source
+        self._arrive(number)
         self._view_top_up()
 
     def table_started(
@@ -231,34 +210,20 @@ class ScanPrefetcher:
         tops the pipeline back up to ``depth`` in-flight prefetches from
         this level's upcoming cloud tables.
         """
-        number = files[index].number
-        if number in self._ripe:
-            # Prefetched, completed while other tables were consumed, and
-            # now reached: a hit that never moved the parent clock.
-            self._ripe.discard(number)
-            self.stats.hits += 1
-            self.tracer.event("prefetch_hit")
-        else:
-            self._join_if_pending(files[index])
-        self._reap_ripe()
-        name = self._name_of(files[index])
-        source = self.buffers.get(name)
-        if source is not None:
-            # New primed buffers inherit this level's grown window.
-            self._carry_source = source
+        self._arrive(files[index].number)
         for meta in files[index + 1 :]:
             if len(self._pending) >= self.depth:
                 break
             if meta.number in self._seen:
                 continue
             self._seen.add(meta.number)
-            if not self.is_cloud(self._name_of(meta)):
+            if not self.is_cloud(self._name_of(meta.number)):
                 continue  # local opens are cheap; open on demand
             if self.table_cache.has_reader(meta.number) and (
                 self.prime_bytes <= 0 or self.readahead_bytes <= 0
             ):
                 continue  # already open and nothing to prime: free handoff
-            self._issue(meta, target, reverse=reverse)
+            self._issue(meta.number, None, target, reverse)
 
     def finish(self) -> None:
         """Scan ended: abandon outstanding prefetches and unregister.
@@ -280,21 +245,45 @@ class ScanPrefetcher:
 
     # -- internals ----------------------------------------------------------
 
-    def _name_of(self, meta: FileMetaData) -> str:
-        return table_file_name(self.table_cache.prefix, meta.number)
-
-    def _name_of_number(self, number: int) -> str:
+    def _name_of(self, number: int) -> str:
         return table_file_name(self.table_cache.prefix, number)
 
     def _issue(
-        self, meta: FileMetaData, target: bytes | None, *, reverse: bool = False
+        self,
+        number: int,
+        handle: BlockHandle | None,
+        target: bytes | None = None,
+        reverse: bool = False,
     ) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._open_and_prime(meta, target, reverse=reverse)
-        self._pending[meta.number] = region
+            self._prime(number, handle, target, reverse=reverse)
+        self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
+
+    def _arrive(self, number: int) -> None:
+        """The scan reached table ``number``: settle its speculative branch."""
+        if number in self._ripe:
+            # Prefetched, completed while other tables were consumed, and
+            # now reached: a hit that never moved the parent clock.
+            self._ripe.discard(number)
+            self.stats.hits += 1
+            self.tracer.event("prefetch_hit")
+        else:
+            region = self._pending.pop(number, None)
+            if region is not None:
+                # Merge semantics: the branch started in the past (when the
+                # previous tables began consuming); work that finished
+                # before `now` is fully hidden and the parent does not move.
+                region.join(strict=False)
+                self.stats.hits += 1
+                self.tracer.event("prefetch_hit")
+        self._reap_ripe()
+        source = self.buffers.get(self._name_of(number))
+        if source is not None:
+            # New primed buffers inherit this scan's grown window.
+            self._carry_source = source
 
     def _reap_ripe(self) -> None:
         """Free-join pending branches that finished in the parent's past.
@@ -318,27 +307,27 @@ class ScanPrefetcher:
             region.join(strict=False)  # delta 0: no parent movement
             self._ripe.add(number)
 
-    def _join_if_pending(self, meta: FileMetaData) -> None:
-        region = self._pending.pop(meta.number, None)
-        if region is None:
-            return
-        # Merge semantics: the branch started in the past (when the
-        # previous tables began consuming); work that finished before `now`
-        # is fully hidden and the parent does not move.
-        region.join(strict=False)
-        self.stats.hits += 1
-        self.tracer.event("prefetch_hit")
-
-    def _open_and_prime(
+    def _prime(
         self,
-        meta: FileMetaData,
+        number: int,
+        handle: BlockHandle | None,
         target: bytes | None,
-        prime_limit: int | None = None,
         *,
+        prime_limit: int | None = None,
         reverse: bool = False,
     ) -> None:
-        reader = self.table_cache.get_reader(meta.number)
-        name = self._name_of(meta)
+        """Pull the range table ``number``'s scan enters at into a primed
+        :class:`ReadaheadBuffer` the store's loader chain serves from.
+
+        A sorted-view plan passes the exact ``handle``: the file is opened
+        directly, with no footer/index/filter reads. Without one
+        (``None``) the table's reader is opened into the shared
+        :class:`TableCache` — the round trips a fan-out or prefetch branch
+        exists to hide, paid even when there is nothing to prime — and
+        the entry block of a scan from ``target`` is read off its index.
+        """
+        reader = self.table_cache.get_reader(number) if handle is None else None
+        name = self._name_of(number)
         prime_bytes = self.prime_bytes
         if prime_limit is not None:
             prime_bytes = min(prime_bytes, prime_limit)
@@ -349,52 +338,13 @@ class ScanPrefetcher:
             or not self.is_cloud(name)
         ):
             return
-        handle = (
-            reader.last_data_handle(target)
-            if reverse
-            else reader.first_data_handle(target)
-        )
+        if reader is not None:
+            file = reader.file
+            handle = reader.edge_data_handle(target, reverse=reverse)
+        else:
+            file = self.table_cache.env.new_random_access_file(name)
         if handle is None:
             return
-        carry = (
-            self._carry_source.current_window
-            if self._carry_source is not None
-            else None
-        )
-        buffer = ReadaheadBuffer(
-            reader.file,
-            readahead_bytes=self.readahead_bytes,
-            verify=self.verify,
-            initial_window=carry,
-        )
-        if reverse:
-            buffer.prime_reverse(handle, prime_bytes)
-        else:
-            buffer.prime(handle, prime_bytes)
-        self.buffers[name] = buffer
-
-    def _prime_handle(
-        self, number: int, handle: BlockHandle, prime_limit: int | None = None
-    ) -> None:
-        """Prime a known data block without constructing a TableReader.
-
-        The sorted view already resolved the exact handle, so the file is
-        opened directly — no footer/index/filter reads — and the block
-        range is pulled into a primed :class:`ReadaheadBuffer` that the
-        store's loader chain serves from when the stream arrives.
-        """
-        name = self._name_of_number(number)
-        prime_bytes = self.prime_bytes
-        if prime_limit is not None:
-            prime_bytes = min(prime_bytes, prime_limit)
-        if (
-            prime_bytes <= 0
-            or self.readahead_bytes <= 0
-            or name in self.buffers
-            or not self.is_cloud(name)
-        ):
-            return
-        file = self.table_cache.env.new_random_access_file(name)
         carry = (
             self._carry_source.current_window
             if self._carry_source is not None
@@ -406,5 +356,5 @@ class ScanPrefetcher:
             verify=self.verify,
             initial_window=carry,
         )
-        buffer.prime(handle, prime_bytes)
+        buffer.prime(handle, prime_bytes, reverse=reverse)
         self.buffers[name] = buffer

@@ -95,7 +95,20 @@ class ReadaheadBuffer:
             return None
         return unseal_block(self._buffer[start:end], verify=self.verify)
 
-    def prime(self, handle: BlockHandle, length: int) -> None:
+    def _fetch(self, handle: BlockHandle, length: int, reverse: bool) -> None:
+        """One ranged read of ``length`` bytes into the buffer: the range
+        starting at ``handle``'s block, or (``reverse``) *ending* at it."""
+        start = handle.offset
+        if reverse:
+            block_end = handle.offset + handle.size + BLOCK_TRAILER_SIZE
+            start = max(0, block_end - length)
+            length = block_end - start
+        self._buffer = self.file.read(start, length)
+        self._buffer_base = start
+        self.stats.fetches += 1
+        self.stats.fetched_bytes += len(self._buffer)
+
+    def prime(self, handle: BlockHandle, length: int, *, reverse: bool = False) -> None:
         """Speculatively fetch ``length`` bytes starting at ``handle``.
 
         Used by the scan-prefetch pipeline: the first ranged GET of a table
@@ -103,35 +116,15 @@ class ReadaheadBuffer:
         buffer is left in established-streak state so the scan both serves
         its opening blocks from the primed bytes and continues fetching at
         the carried window without re-proving sequentiality.
-        """
-        raw_len = handle.size + BLOCK_TRAILER_SIZE
-        length = max(length, raw_len)
-        self._buffer = self.file.read(handle.offset, length)
-        self._buffer_base = handle.offset
-        self.stats.fetches += 1
-        self.stats.fetched_bytes += len(self._buffer)
-        self._expected_fwd = handle.offset  # first get() continues the run
-        self._expected_rev = -1
-        self._streak = 2
 
-    def prime_reverse(self, handle: BlockHandle, length: int) -> None:
-        """:meth:`prime` for a reverse scan entering at ``handle``.
-
-        A reverse scan consumes *downward* from its boundary block, so the
-        speculative fetch covers the range that **ends** at the block (the
-        same shape the descending streak detector fetches) — priming
+        A ``reverse`` scan consumes *downward* from its boundary block, so
+        the speculative fetch covers the range that **ends** at the block
+        (the same shape the descending streak detector fetches) — priming
         forward from the table's last block would buffer bytes past the
         end of the file and hide nothing.
         """
-        raw_len = handle.size + BLOCK_TRAILER_SIZE
-        length = max(length, raw_len)
-        end = handle.offset + raw_len
-        start = max(0, end - length)
-        self._buffer = self.file.read(start, end - start)
-        self._buffer_base = start
-        self.stats.fetches += 1
-        self.stats.fetched_bytes += len(self._buffer)
-        self._expected_fwd = handle.offset  # first get() serves the boundary
+        self._fetch(handle, max(length, handle.size + BLOCK_TRAILER_SIZE), reverse)
+        self._expected_fwd = handle.offset  # first get() serves this block
         self._expected_rev = -1
         self._streak = 2
 
@@ -172,16 +165,7 @@ class ReadaheadBuffer:
         # streak fetches the range that *ends* at the current block.
         length = max(self._current_readahead, raw_len)
         self._current_readahead = min(self._current_readahead * 2, self.readahead_bytes)
-        if reverse:
-            block_end = handle.offset + raw_len
-            start = max(0, block_end - length)
-            self._buffer = self.file.read(start, block_end - start)
-            self._buffer_base = start
-        else:
-            self._buffer = self.file.read(handle.offset, length)
-            self._buffer_base = handle.offset
-        self.stats.fetches += 1
-        self.stats.fetched_bytes += len(self._buffer)
+        self._fetch(handle, length, reverse)
         return self._slice_from_buffer(handle)
 
     def invalidate(self) -> None:

@@ -80,14 +80,6 @@ class StoreConfig:
     :mod:`repro.mash.readahead`. Read at use time — the tuning controller
     moves it live."""
 
-    scan_pipeline_enabled: bool = True
-    """Whether the per-scan prefetch pipeline hook is installed at all.
-    When True the pipeline activates whenever the *live* value of
-    ``Options.scan_prefetch_depth`` is positive — so the controller can
-    switch prefetch on and off at runtime. The serving layer sets this
-    False on its per-shard stores (shard-local pipelines fight the
-    router's fan-out branches)."""
-
     tuning: TuningConfig | None = None
     """Enable the workload-adaptive controller (:mod:`repro.tune`): the
     store feeds it every facade op and it re-tunes filter allocation,
@@ -300,10 +292,9 @@ class RocksMashStore(StoreFacade):
         self.last_recovery_seconds = sw.elapsed
         self.db.block_fetch_hook = self._on_block_fetch
         self.db.view_event_hook = self.tracer.event
-        if config.scan_pipeline_enabled:
-            # Installed unconditionally so the *live* depth knob governs
-            # each scan: the factory returns None while depth is 0.
-            self.db.scan_pipeline_factory = self._make_scan_prefetcher
+        # Installed unconditionally so the *live* depth knob governs each
+        # scan: the factory returns None while depth is 0.
+        self.db.scan_pipeline_factory = self._make_scan_prefetcher
 
         # Event order matters: the heat tracker must see compaction outputs
         # (and pre-warm from their still-local files) before placement
@@ -504,12 +495,13 @@ class RocksMashStore(StoreFacade):
     ) -> ScanPrefetcher | None:
         """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook).
 
-        One :class:`ScanPrefetcher` per forward scan: seek fan-out of the
-        initial reader opens, then up to ``scan_prefetch_depth`` cloud
-        tables speculatively opened + primed ahead of the merge iterator
-        on forked child clocks (see :mod:`repro.mash.prefetch`). Returns
-        None while the live depth knob is 0 (the controller may have
-        switched prefetch off for this phase of the workload).
+        One :class:`ScanPrefetcher` per scan, forward or reverse: seek
+        fan-out of the initial reader opens, then up to
+        ``scan_prefetch_depth`` cloud tables speculatively opened + primed
+        ahead of the merge iterator on forked child clocks (see
+        :mod:`repro.mash.prefetch`). Returns None while the live depth
+        knob is 0 (the controller may have switched prefetch off for this
+        phase of the workload).
         """
         del begin, end  # pruning happens in DB.scan; the pipeline sees files
         if self.config.options.scan_prefetch_depth <= 0:

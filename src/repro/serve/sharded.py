@@ -34,6 +34,7 @@ from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
+from repro.facade import take_rows
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.metrics.counters import CounterSet
@@ -118,24 +119,6 @@ class ServeConfig:
     trace_capacity: int = 4096
 
 
-def _consume_scan(
-    it: Iterator[tuple[bytes, bytes]], limit: int | None
-) -> list[tuple[bytes, bytes]]:
-    """Take up to ``limit`` entries, closing the generator deterministically
-    (version unpin happens here, not at garbage collection)."""
-    out: list[tuple[bytes, bytes]] = []
-    try:
-        for kv in it:
-            if limit is not None and len(out) >= limit:
-                break
-            out.append(kv)
-    finally:
-        close = getattr(it, "close", None)
-        if close is not None:
-            close()
-    return out
-
-
 class ShardedDB:
     """N-way sharded serving facade over RocksMash stores.
 
@@ -170,7 +153,8 @@ class ShardedDB:
         # Per-shard tuning controllers may run, but must never grow a
         # shard-local prefetch pipeline: those fork from the *store-level*
         # clock and would fight the router's own fan-out branches. The
-        # pipeline hook stays uninstalled and the depth knob untunable.
+        # depth knob is pinned at 0 (no pipeline is ever built) and
+        # untunable.
         shard_tuning = (
             replace(base.tuning, tune_prefetch_depth=False)
             if base.tuning is not None
@@ -182,7 +166,6 @@ class ShardedDB:
                 db_prefix=f"db/s{index:02d}/",
                 options=replace(base.options, scan_prefetch_depth=0),
                 pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
-                scan_pipeline_enabled=False,
                 tuning=shard_tuning,
             )
             self.shards.append(
@@ -394,6 +377,8 @@ class ShardedDB:
         begin: bytes | None = None,
         end: bytes | None = None,
         limit: int | None = None,
+        *,
+        reverse: bool = False,
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan, scatter-gathered across the touched shards.
 
@@ -401,19 +386,26 @@ class ShardedDB:
         ``limit`` in a parallel branch (the router cannot know how many
         entries earlier shards hold until they answer); the gather step
         concatenates in shard order — which *is* global key order under
-        range partitioning — and truncates.
+        range partitioning — and truncates. ``reverse`` walks the shards
+        from the top of the range downward (timed and counted as
+        ``scan_reverse``).
         """
+        kind = "scan_reverse" if reverse else "scan"
         touched = list(self.router.shards_for_range(begin, end))
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
+        if reverse:
+            touched.reverse()
+        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
             if len(touched) == 1:
-                results = _consume_scan(self.shards[touched[0]].db.scan(begin, end), limit)
+                results = take_rows(
+                    self.shards[touched[0]].db.scan(begin, end, reverse=reverse), limit
+                )
             else:
                 gathered: dict[int, list[tuple[bytes, bytes]]] = {}
                 region = ForkJoinRegion(self.op_clock, self._hosts)
                 for index in touched:
                     with region.branch():
-                        gathered[index] = _consume_scan(
-                            self.shards[index].db.scan(begin, end), limit
+                        gathered[index] = take_rows(
+                            self.shards[index].db.scan(begin, end, reverse=reverse), limit
                         )
                 region.join()
                 results = [kv for index in touched for kv in gathered[index]]
@@ -422,7 +414,7 @@ class ShardedDB:
         self.read_latency.record(sw.elapsed)
         result_bytes = sum(len(k) + len(v) for k, v in results)
         for index in touched:
-            self._note_shard_op(index, "scan", result_bytes // len(touched))
+            self._note_shard_op(index, kind, result_bytes // len(touched))
         self._drain_inline()
         return results
 
@@ -432,33 +424,8 @@ class ShardedDB:
         end: bytes | None = None,
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        """Descending-order scan: same scatter-gather, shards walked from
-        the top of the range downward."""
-        touched = list(self.router.shards_for_range(begin, end))
-        touched.reverse()
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan_reverse"):
-            if len(touched) == 1:
-                results = _consume_scan(
-                    self.shards[touched[0]].db.scan_reverse(begin, end), limit
-                )
-            else:
-                gathered: dict[int, list[tuple[bytes, bytes]]] = {}
-                region = ForkJoinRegion(self.op_clock, self._hosts)
-                for index in touched:
-                    with region.branch():
-                        gathered[index] = _consume_scan(
-                            self.shards[index].db.scan_reverse(begin, end), limit
-                        )
-                region.join()
-                results = [kv for index in touched for kv in gathered[index]]
-                if limit is not None:
-                    results = results[:limit]
-        self.read_latency.record(sw.elapsed)
-        result_bytes = sum(len(k) + len(v) for k, v in results)
-        for index in touched:
-            self._note_shard_op(index, "scan_reverse", result_bytes // len(touched))
-        self._drain_inline()
-        return results
+        """Descending-order scan over user keys in [begin, end)."""
+        return self.scan(begin, end, limit, reverse=True)
 
     def flush(self) -> None:
         """Flush every shard (parallel branches), plus anything deferred."""

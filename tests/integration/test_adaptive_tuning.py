@@ -132,10 +132,16 @@ class TestShardedTuning:
             node.put(make_key(i), b"v" * 64)
         for i in range(400):
             node.get(make_key(i))
+        # A cross-shard scan (both directions) after the tuners have run.
+        assert len(node.scan(make_key(150), make_key(250))) == 100
+        assert len(node.scan_reverse(make_key(150), make_key(250))) == 100
         for shard in node.shards:
             assert shard.tuner is not None
             assert shard.tuner.config.tune_prefetch_depth is False
-            assert shard.db.scan_pipeline_factory is None
+            # Depth stays pinned at 0, so no shard ever builds a pipeline.
+            assert shard.db.scan_pipeline_factory(None, None) is None
             assert shard.tuner.tracer is node.tracer
+        assert node.tracer.event_count("seek_fanout") == 0
+        assert node.tracer.event_count("prefetch_issue") == 0
         # Both shards saw traffic, so both controllers evaluated.
         assert all(shard.tuner.trajectory for shard in node.shards)

@@ -111,9 +111,10 @@ class TestReverseScan:
 class TestReverseSeekBlockReads:
     """A bounded reverse scan must not fetch blocks above its bound.
 
-    Before ``TableReader.seek_reverse``, ``scan_reverse`` walked every
-    table's whole tail through ``reverse_iter`` regardless of ``end`` —
-    this pins the fix with an exact per-block assertion.
+    Before the reverse table iterator (``TableReader.entries(bound,
+    reverse=True)``) seeked to its bound, ``scan_reverse`` walked every
+    table's whole tail regardless of ``end`` — this pins the fix with an
+    exact per-block assertion.
     """
 
     def _open_counting_db(self):

@@ -1,10 +1,12 @@
-"""Property tests: the scan-prefetch pipeline never changes scan results.
+"""Property tests: no scan configuration ever changes scan results.
 
 For any random workload — and any crash-free storm of transient cloud
-read faults — scans must return byte-identical results at every
-``scan_prefetch_depth``, and tier attribution must still conserve elapsed
-time on every span even when prefetch branches are joined late, reaped,
-or abandoned.
+read faults — scans must return exactly what a dict model says, in both
+directions, with and without the global sorted view, at every
+``scan_prefetch_depth``, bounded by begin/end/limit and at a snapshot
+taken mid-stream; and tier attribution must still conserve elapsed time on
+every span even when prefetch branches are joined late, reaped, or
+abandoned.
 """
 
 from dataclasses import replace
@@ -16,7 +18,12 @@ from repro.mash.pcache import PCacheConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
 
-DEPTHS = (0, 1, 4)
+# (sorted view, scan_prefetch_depth): every source of sorted runs the one
+# scan path can be fed from, each with the pipeline off, shallow and deep.
+CONFIGS = tuple((view, depth) for view in (False, True) for depth in (0, 2)) + (
+    (False, 1),
+    (False, 4),
+)
 
 ops = st.lists(
     st.one_of(
@@ -39,12 +46,12 @@ def key_of(i: int) -> bytes:
     return b"key%04d" % i
 
 
-def build_store(depth: int, error_rate: float, seed: int) -> RocksMashStore:
+def build_store(view: bool, depth: int, error_rate: float, seed: int) -> RocksMashStore:
     """Cloud-heavy small store; faults (if any) hit only read requests."""
     config = StoreConfig().small()
     config = replace(
         config,
-        options=replace(config.options, scan_prefetch_depth=depth),
+        options=replace(config.options, scan_prefetch_depth=depth, sorted_view=view),
         placement=PlacementConfig(cloud_level=1),
         pcache=PCacheConfig(data_budget_bytes=4 << 10),
         cloud_error_rate=error_rate,
@@ -54,31 +61,57 @@ def build_store(depth: int, error_rate: float, seed: int) -> RocksMashStore:
     return RocksMashStore.create(config)
 
 
-def run_workload(store: RocksMashStore, workload, scan_reqs):
-    for op, i, value in workload:
+def model_scan(model, begin=None, end=None, limit=None, *, reverse=False):
+    rows = sorted(
+        (k, v)
+        for k, v in model.items()
+        if (begin is None or k >= begin) and (end is None or k < end)
+    )
+    if reverse:
+        rows.reverse()
+    return rows if limit is None else rows[:limit]
+
+
+def check_workload(store: RocksMashStore, workload, scan_reqs) -> None:
+    """Apply ``workload`` and check every scan shape against the model."""
+    model = {}
+    snapshot = frozen = None
+    for step, (op, i, value) in enumerate(workload):
+        if step == len(workload) // 2:
+            snapshot, frozen = store.snapshot(), dict(model)
         if op == "put":
             store.put(key_of(i), value)
+            model[key_of(i)] = value
         elif op == "delete":
             store.delete(key_of(i))
+            model.pop(key_of(i), None)
         elif op == "flush":
             store.flush()
-    out = [store.scan()]
-    for start, span in scan_reqs:
-        out.append(store.scan(key_of(start), key_of(start + span)))
-        out.append(store.scan(key_of(start), None, limit=5))
-    return out
+    for reverse in (False, True):
+        assert store.scan(reverse=reverse) == model_scan(model, reverse=reverse)
+        for start, span in scan_reqs:
+            begin, end = key_of(start), key_of(start + span)
+            for bounds in ((begin, end, None), (begin, None, 5), (None, end, 5)):
+                assert store.scan(*bounds, reverse=reverse) == model_scan(
+                    model, *bounds, reverse=reverse
+                ), (bounds, reverse)
+            # The engine-level scan at the mid-stream snapshot ignores
+            # everything written after it.
+            assert list(
+                store.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
+            ) == model_scan(frozen, begin, end, reverse=reverse)
+    store.release_snapshot(snapshot)
 
 
 @settings(max_examples=15, deadline=None)
 @given(ops=ops, scan_reqs=scans, error=st.sampled_from((0.0, 0.02, 0.05)), seed=st.integers(0, 2**16))
 def test_depths_agree_and_spans_conserve(ops, scan_reqs, error, seed):
-    results = {}
-    for depth in DEPTHS:
-        store = build_store(depth, error, seed)
-        results[depth] = run_workload(store, ops, scan_reqs)
+    for view, depth in CONFIGS:
+        store = build_store(view, depth, error, seed)
+        check_workload(store, ops, scan_reqs)
         for span in store.tracer.spans:
             assert span_conserved(span), (
-                f"depth={depth} span {span.op} leaks time:"
+                f"view={view} depth={depth} span {span.op} leaks time:"
                 f" tiers={span.tiers.as_dict()} elapsed={span.elapsed}"
             )
         # Speculation is bounded: every issued prefetch is consumed or
@@ -89,4 +122,3 @@ def test_depths_agree_and_spans_conserve(ops, scan_reqs, error, seed):
         assert hits + waste == issued
         if depth == 0:
             assert issued == 0
-    assert results[0] == results[1] == results[4]

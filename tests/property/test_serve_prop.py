@@ -36,6 +36,7 @@ serve_ops = st.lists(
         st.tuples(st.just("del"), boundary_indices, st.just(b"")),
         st.tuples(st.just("get"), boundary_indices, st.just(b"")),
         st.tuples(st.just("scan"), boundary_indices, st.integers(1, 20)),
+        st.tuples(st.just("scan_reverse"), boundary_indices, st.integers(1, 20)),
         st.tuples(st.just("flush"), st.just(0), st.just(b"")),
     ),
     max_size=60,
@@ -53,6 +54,8 @@ def apply(store, kind, idx, extra):
         return store.get(make_key(idx))
     if kind == "scan":
         return store.scan(make_key(idx), None, limit=extra)
+    if kind == "scan_reverse":
+        return store.scan_reverse(None, make_key(idx), limit=extra)
     store.flush()
     return None
 
@@ -73,13 +76,21 @@ class TestShardedEquivalence:
             assert apply(single, kind, idx, extra) == apply(node, kind, idx, extra), (
                 f"divergence at {kind} {idx}"
             )
-        # Full-range and boundary-straddling scans agree at the end too.
+        # Full-range and boundary-straddling scans agree at the end too,
+        # in both directions.
         assert node.scan(None, None) == single.scan(None, None)
+        assert node.scan_reverse(None, None) == single.scan_reverse(None, None)
         for boundary in node.router.boundaries:
             assert node.scan(boundary, None, limit=5) == single.scan(
                 boundary, None, limit=5
             )
             assert node.scan(None, boundary) == single.scan(None, boundary)
+            assert node.scan_reverse(None, boundary, limit=5) == single.scan_reverse(
+                None, boundary, limit=5
+            )
+            assert node.scan_reverse(boundary, None) == single.scan_reverse(
+                boundary, None
+            )
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
     @settings(

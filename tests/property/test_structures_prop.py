@@ -103,7 +103,7 @@ class TestTable:
             builder.add(ik, v)
         builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
-        assert list(reader) == items
+        assert list(reader.entries()) == items
         for user_key, v in entries.items():
             found = reader.get(make_internal_key(user_key, 100, TYPE_VALUE))
             assert found is not None and found[1] == v

@@ -87,7 +87,7 @@ class TestCompressedTables:
 
     def test_reads_transparent(self):
         _, reader, entries = self.build("zlib")
-        assert list(reader) == entries
+        assert list(reader.entries()) == entries
         found = reader.get(make_internal_key(b"key000123", 100, TYPE_VALUE))
         assert found is not None and found[1] == b"repetitive " * 20
 

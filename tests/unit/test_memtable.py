@@ -50,19 +50,35 @@ class TestMemTable:
         mt.add(3, TYPE_VALUE, b"b", b"v3")
         mt.add(1, TYPE_VALUE, b"a", b"v1")
         mt.add(2, TYPE_VALUE, b"b", b"v2")
-        entries = list(mt)
-        user_keys = [parse_internal_key(ik).user_key for ik, _ in entries]
-        seqs = [parse_internal_key(ik).sequence for ik, _ in entries]
-        assert user_keys == [b"a", b"b", b"b"]
-        assert seqs == [1, 3, 2]  # newest first within a user key
+        assert list(mt) == list(mt.entries())
+        for reverse in (False, True):
+            entries = list(mt.entries(reverse=reverse))
+            user_keys = [parse_internal_key(ik).user_key for ik, _ in entries]
+            seqs = [parse_internal_key(ik).sequence for ik, _ in entries]
+            # newest first within a user key (oldest first going backward)
+            assert user_keys == ([b"b", b"b", b"a"] if reverse else [b"a", b"b", b"b"])
+            assert seqs == ([2, 3, 1] if reverse else [1, 3, 2])
 
     def test_seek(self):
         mt = MemTable()
         for i, key in enumerate([b"a", b"c", b"e"]):
             mt.add(i + 1, TYPE_VALUE, key, b"v")
-        target = make_internal_key(b"b", 2**50, TYPE_VALUE)
-        got = [parse_internal_key(ik).user_key for ik, _ in mt.seek(target)]
-        assert got == [b"c", b"e"]
+        # Forward: entries at/after the target; reverse: entries strictly
+        # below it, descending. Targets between, before and past the keys.
+        cases = [
+            (b"b", [b"c", b"e"], [b"a"]),
+            (b"c", [b"c", b"e"], [b"a"]),
+            (b"0", [b"a", b"c", b"e"], []),
+            (b"z", [], [b"e", b"c", b"a"]),
+        ]
+        for user_key, at_or_after, below in cases:
+            target = make_internal_key(user_key, 2**50, TYPE_VALUE)
+            for reverse, expected in ((False, at_or_after), (True, below)):
+                got = [
+                    parse_internal_key(ik).user_key
+                    for ik, _ in mt.entries(target, reverse=reverse)
+                ]
+                assert got == expected, (user_key, reverse)
 
     def test_memory_usage_grows(self):
         mt = MemTable()

@@ -87,7 +87,7 @@ class TestPartitionedTables:
 
     def test_iteration_unaffected(self):
         _, _, reader = build("block")
-        entries = list(reader)
+        entries = list(reader.entries())
         assert len(entries) == 400
         keys = [k for k, _ in entries]
         assert keys == sorted(keys, key=lambda ik: ik[:-8])

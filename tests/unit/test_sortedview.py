@@ -149,21 +149,34 @@ class TestStreamEquivalence:
                     break
             assert found == b"v%d:%s" % (newest, user_key)
 
-    @given(run_sets, user_keys)
+    @given(run_sets, user_keys, st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_tables_for_range_covers_every_touched_run(self, key_sets, begin):
+    def test_prefetch_plan_covers_every_touched_run(self, key_sets, key, reverse):
+        """The plan names the exact block each run is entered at: every run
+        the stream touches is planned, in first-touched order. (A reverse
+        plan covers the bound's segment only, so there the planned runs
+        are the *first* ones touched.)"""
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
-        target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
-        fanout = view.tables_for_range(target)
-        touched = set()
+        target = make_internal_key(key, MAX_SEQUENCE, TYPE_VALUE)
+        initial, upcoming = view.prefetch_plan(target, reverse=reverse)
+        planned = initial + upcoming
+        first_fetch = {}  # run number -> offset of its first fetched block
 
         def counting(number, ref):
-            touched.add(number)
+            first_fetch.setdefault(number, ref.offset)
             return source(number, ref)
 
-        list(view.stream(target, counting))
-        assert touched <= set(fanout)
+        stream = view.stream_reverse if reverse else view.stream
+        list(stream(target, counting))
+        touched = list(first_fetch)
+        if reverse:
+            assert upcoming == []
+            assert touched[: len(planned)] == [number for number, _ in planned]
+        else:
+            assert touched == [number for number, _ in planned]
+        for number, handle in planned:
+            assert first_fetch[number] == handle.offset
 
 
 class TestRebuild:

@@ -15,7 +15,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
-from repro.lsm.table_reader import TableReader
+from repro.lsm.table_reader import TableReader, direct_block_loader
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -122,7 +122,8 @@ class TestTableReader:
     def test_full_iteration(self, env):
         entries = make_entries(300)
         _, reader = build_table(env, entries, Options(block_size=512))
-        assert list(reader) == entries
+        assert list(reader.entries()) == entries
+        assert list(reader.entries(reverse=True)) == entries[::-1]
 
     def test_get_present(self, env):
         entries = make_entries(200)
@@ -160,10 +161,40 @@ class TestTableReader:
 
     def test_seek_iteration(self, env):
         entries = make_entries(100)
-        _, reader = build_table(env, entries, Options(block_size=256))
-        target = make_internal_key(b"key000050", 2**40, TYPE_VALUE)
-        got = list(reader.seek(target))
-        assert got == entries[50:]
+        options = Options(block_size=256)
+        build_table(env, entries, options)
+        file = env.new_random_access_file("000007.sst")
+        direct = direct_block_loader(file)
+        fetched = []
+
+        def recording(name, handle, kind):
+            if kind == "data":
+                fetched.append(handle)
+            return direct(name, handle, kind)
+
+        reader = TableReader(options, file, block_loader=recording)
+        # Forward: entries at/after the target; reverse: entries strictly
+        # below it, descending. Targets mid-table, on the first key, before
+        # it (reverse range empty) and past the last (forward range empty).
+        for user_key, split in [
+            (b"key000050", 50),
+            (b"key000000", 0),
+            (b"a", 0),
+            (b"key000099", 99),
+            (b"z", 100),
+        ]:
+            target = make_internal_key(user_key, 2**40, TYPE_VALUE)
+            for reverse in (False, True):
+                expected = entries[:split][::-1] if reverse else entries[split:]
+                del fetched[:]
+                assert list(reader.entries(target, reverse=reverse)) == expected
+                # The index-only edge lookup names the block read first
+                # (for an empty range the scan may still probe one block).
+                edge = reader.edge_data_handle(target, reverse=reverse)
+                if expected:
+                    assert edge == fetched[0], (user_key, reverse)
+                else:
+                    assert fetched == ([] if edge is None else [edge])
 
     def test_no_bloom_filter_option(self, env):
         options = Options(bloom_bits_per_key=0)
