@@ -33,16 +33,7 @@ class CloudOnlyConfig:
     db_prefix: str = "db/"
 
     def small(self) -> "CloudOnlyConfig":
-        return replace(
-            self,
-            options=Options(
-                write_buffer_size=4 << 10,
-                block_size=512,
-                max_bytes_for_level_base=16 << 10,
-                target_file_size_base=4 << 10,
-                block_cache_bytes=8 << 10,
-            ),
-        )
+        return replace(self, options=Options.small())
 
 
 class CloudOnlyStore(StoreFacade):

@@ -44,13 +44,7 @@ class RocksDBCloudConfig:
     def small(self) -> "RocksDBCloudConfig":
         return replace(
             self,
-            options=Options(
-                write_buffer_size=4 << 10,
-                block_size=512,
-                max_bytes_for_level_base=16 << 10,
-                target_file_size_base=4 << 10,
-                block_cache_bytes=8 << 10,
-            ),
+            options=Options.small(),
             file_cache_budget_bytes=64 << 10,
         )
 
@@ -229,7 +223,7 @@ class RocksDBCloudStore(StoreFacade):
                     raw = self.file_cache.read(
                         file_name, handle.offset, handle.size + BLOCK_TRAILER_SIZE
                     )
-                    return unseal_block(raw, verify=self.config.options.paranoid_checks)
+                    return unseal_block(raw)
                 return next_loader(file_name, handle, kind)
             if file_size is None:
                 file_size = file.size()
@@ -237,7 +231,7 @@ class RocksDBCloudStore(StoreFacade):
                 raw = self.file_cache.read(
                     file_name, handle.offset, handle.size + BLOCK_TRAILER_SIZE
                 )
-                return unseal_block(raw, verify=self.config.options.paranoid_checks)
+                return unseal_block(raw)
             return next_loader(file_name, handle, kind)
 
         return load

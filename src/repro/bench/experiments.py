@@ -1725,8 +1725,7 @@ def e25_adaptive_tuning(
         version = store.db.versions.current
         filter_memory[mode] = sum(
             store.db.table_cache.get_reader(meta.number).footer.filter_handle.size
-            for level in range(store.db.options.num_levels)
-            for meta in version.files[level]
+            for _level, meta in version.all_files()
         )
         store.close()
     table.extra["filter_memory"] = filter_memory

@@ -32,21 +32,20 @@ from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
 
 SYSTEMS = ("local-only", "cloud-only", "rocksdb-cloud", "rocksmash")
 
+CLOUD_BANDWIDTH = 200e3
+"""Bytes/s of the simulated cloud link. The engine runs with KB-scale files
+instead of RocksDB's 64 MB files, so the bandwidth is scaled down in the
+same proportion (≈200 KB/s instead of ~80 MB/s). This keeps the ratio of
+whole-file transfer time to request RTT at real-deployment values
+(downloading a table ≫ one ranged block GET), which is the ratio the
+whole-file-vs-block-grain caching comparison depends on."""
+
 
 @dataclass(frozen=True)
 class HarnessKnobs:
-    """Cross-cutting parameters an experiment may sweep.
-
-    Scaling note: the engine runs with KB-scale files instead of RocksDB's
-    64 MB files, so ``cloud_bandwidth`` is scaled down in the same
-    proportion (≈200 KB/s instead of ~80 MB/s). This keeps the ratio of
-    whole-file transfer time to request RTT at real-deployment values
-    (downloading a table ≫ one ranged block GET), which is the ratio the
-    whole-file-vs-block-grain caching comparison depends on.
-    """
+    """Cross-cutting parameters an experiment may sweep."""
 
     cloud_rtt: float = 15e-3
-    cloud_bandwidth: float = 200e3
     block_cache_bytes: int = 32 << 10
     pcache_budget_bytes: int = 128 << 10
     file_cache_budget_bytes: int = 256 << 10
@@ -87,8 +86,8 @@ class HarnessKnobs:
         return LatencyModel(
             read_latency=self.cloud_rtt,
             write_latency=self.cloud_rtt,
-            read_bandwidth=self.cloud_bandwidth,
-            write_bandwidth=self.cloud_bandwidth,
+            read_bandwidth=CLOUD_BANDWIDTH,
+            write_bandwidth=CLOUD_BANDWIDTH,
         )
 
 

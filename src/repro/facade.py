@@ -64,7 +64,7 @@ class StoreFacade:
     cloud_store: CloudObjectStore | None
     cost_model: CostModel
 
-    def _init_facade(self, *, trace_capacity: int = 2048) -> None:
+    def _init_facade(self) -> None:
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
         self.op_hook: Callable[[str, int], None] | None = None
@@ -74,7 +74,7 @@ class StoreFacade:
         workload mix through this — it is *outside* the op's stopwatch, so
         an evaluation's CPU charge lands between requests, not inside one."""
         self._request_clock: SimClock | None = None
-        self.tracer = Tracer(self.clock, capacity=trace_capacity)
+        self.tracer = Tracer(self.clock)
         for dev in (self.local_device, getattr(self, "cloud_store", None)):
             if dev is not None and hasattr(dev, "tracer"):
                 dev.tracer = self.tracer

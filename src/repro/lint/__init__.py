@@ -25,15 +25,10 @@ Usage::
 
     python -m repro.lint src                 # exit 0 = clean, 1 = findings
     python -m repro.lint src --format json
-    python -m repro.lint src --write-baseline
 
 Per-line suppression (same line or the comment line directly above)::
 
     something_flagged()  # reprolint: ignore[RL005] -- deliberate, reason
-
-A committed baseline file (``reprolint.baseline.json``) grandfathers
-pre-existing findings so new code is gated strictly while legacy debt is
-paid down incrementally; this repo's baseline is empty.
 """
 
 from repro.lint.config import SIM_SCOPES, LintConfig

@@ -2,10 +2,9 @@
 
 Exit codes are stable API for CI:
 
-* ``0`` — no (non-baselined) findings.
+* ``0`` — no findings.
 * ``1`` — at least one finding.
-* ``2`` — usage or configuration error (bad arguments, missing path,
-  unreadable baseline).
+* ``2`` — usage or configuration error (bad arguments, missing path).
 """
 
 from __future__ import annotations
@@ -14,13 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import CorruptionError
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.config import LintConfig
 from repro.lint.engine import DEFAULT_CACHE_DIR, LintEngine
 from repro.lint.registry import all_rules
@@ -56,22 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RL001,RL002",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_NAME,
-        metavar="PATH",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--cache-dir",
@@ -147,43 +123,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{stats['cache_hits']} cached, {stats['cache_misses']} analyzed\n"
         )
 
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        sys.stdout.write(
-            f"wrote {len(findings)} finding(s) to {baseline_path}\n"
-        )
-        return EXIT_CLEAN
-
-    baselined = 0
-    if not args.no_baseline and baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except CorruptionError as exc:
-            sys.stderr.write(f"{exc}\n")
-            return EXIT_USAGE
-        findings, matched = apply_baseline(
-            findings, baseline.counts, version=baseline.version
-        )
-        baselined = len(matched)
-        if baseline.version == 1:
-            # One-time in-place migration: rewrite the matched debt with
-            # version-2 fingerprints (stale entries drop out here).
-            try:
-                write_baseline(baseline_path, matched)
-                sys.stderr.write(
-                    f"migrated baseline {baseline_path} to version 2 "
-                    f"({baselined} finding(s) carried over)\n"
-                )
-            except OSError as exc:
-                sys.stderr.write(f"could not migrate baseline: {exc}\n")
-
     if args.format == "json":
-        report = render_json(findings, baselined=baselined)
+        report = render_json(findings)
     elif args.format == "sarif":
-        report = render_sarif(findings, baselined=baselined)
+        report = render_sarif(findings)
     else:
-        report = render_text(findings, baselined=baselined)
+        report = render_text(findings)
     if args.output is not None:
         Path(args.output).write_text(report, encoding="utf-8")
     else:

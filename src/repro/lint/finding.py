@@ -1,4 +1,4 @@
-"""Lint findings and their baseline fingerprints."""
+"""Lint findings and their content fingerprints."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ class Finding:
         line: 1-based line of the offending node (0 for whole-file findings).
         col: 0-based column of the offending node.
         message: human-readable description of the violation.
-        snippet: the stripped source line, used for fingerprinting so
-            baselines survive unrelated edits that only shift line numbers.
+        snippet: the stripped source line, used for fingerprinting so a
+            finding keeps its identity across edits that only shift lines.
         end_line: 1-based last line of the offending node (0 = same as
             ``line``); suppressions on any line of a multi-line statement
             apply to the finding.
@@ -35,24 +35,17 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Content hash identifying this finding across edits (version 2).
+        """Content hash identifying this finding across edits (SARIF
+        ``partialFingerprints``).
 
         Hashes (rule, path, whitespace-normalized snippet) — no line
-        numbers, so edits above the finding don't churn the baseline, and
-        no message, so rewording a rule's diagnostics doesn't either. Two
+        numbers, so edits above the finding don't change it, and no
+        message, so rewording a rule's diagnostics doesn't either. Two
         findings of one rule on identical source lines in the same file
-        share a fingerprint; the baseline stores per-fingerprint *counts*
-        to keep matching exact.
+        share a fingerprint.
         """
         normalized = " ".join(self.snippet.split())
         basis = "\x1f".join((self.rule, self.path, normalized))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-    @property
-    def fingerprint_v1(self) -> str:
-        """The version-1 fingerprint basis (included the message), kept
-        only to migrate version-1 baseline files in place."""
-        basis = "\x1f".join((self.rule, self.path, self.snippet, self.message))
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:

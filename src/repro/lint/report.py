@@ -10,7 +10,7 @@ from repro.lint.finding import Finding
 from repro.lint.registry import all_rules
 
 
-def render_text(findings: list[Finding], *, baselined: int = 0) -> str:
+def render_text(findings: list[Finding]) -> str:
     """Compiler-style lines plus a per-rule summary."""
     lines = [
         f"{f.location()}: {f.rule} {f.message}"
@@ -23,18 +23,15 @@ def render_text(findings: list[Finding], *, baselined: int = 0) -> str:
         lines.append(f"{len(findings)} finding(s) ({summary})")
     else:
         lines.append("reprolint: clean")
-    if baselined:
-        lines.append(f"{baselined} baselined finding(s) suppressed")
     return "\n".join(lines) + "\n"
 
 
-def render_json(findings: list[Finding], *, baselined: int = 0) -> str:
+def render_json(findings: list[Finding]) -> str:
     """Stable JSON document (sorted keys, newline-terminated)."""
     doc: dict[str, Any] = {
         "version": 1,
         "findings": [f.to_dict() for f in findings],
         "counts": dict(sorted(Counter(f.rule for f in findings).items())),
-        "baselined": baselined,
         "clean": not findings,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -44,14 +41,14 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 SARIF_VERSION = "2.1.0"
 
 
-def render_sarif(findings: list[Finding], *, baselined: int = 0) -> str:
+def render_sarif(findings: list[Finding]) -> str:
     """SARIF 2.1.0 document — what GitHub code scanning ingests.
 
     Every registered rule is described in the tool section (so CI
     annotations link to the catalog entry even for rules with zero
-    results); each result carries the version-2 fingerprint as a
+    results); each result carries :attr:`Finding.fingerprint` as a
     ``partialFingerprints`` entry, letting SARIF consumers dedupe across
-    runs the same way the baseline does.
+    runs.
     """
     rules_meta = [
         {
@@ -102,7 +99,6 @@ def render_sarif(findings: list[Finding], *, baselined: int = 0) -> str:
                     }
                 },
                 "results": results,
-                "properties": {"baselined": baselined},
             }
         ],
     }

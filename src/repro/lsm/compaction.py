@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.lsm.blob import maybe_pointer
 from repro.lsm.format import table_file_name
 from repro.lsm.iterator import merge_internal
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.table_builder import TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData, Version, VersionEdit
@@ -207,7 +207,7 @@ class CompactionPicker:
         scores: list[tuple[float, int]] = []
         trigger = self.options.level0_file_num_compaction_trigger
         scores.append((version.num_files(0) / trigger, 0))
-        for level in range(1, self.options.num_levels - 1):
+        for level in range(1, NUM_LEVELS - 1):
             target = self.options.max_bytes_for_level(level)
             scores.append((version.level_bytes(level) / target, level))
         scores.sort(reverse=True)
@@ -425,12 +425,7 @@ class CompactionJob:
                 # Bypasses the cache chain deliberately — compaction scans
                 # are one-shot and must not evict the point-read working
                 # set.
-                buffer = ReadaheadBuffer(
-                    reader.file,
-                    readahead_bytes=readahead,
-                    verify=self.options.paranoid_checks,
-                    eager=True,
-                )
+                buffer = ReadaheadBuffer(reader.file, readahead_bytes=readahead, eager=True)
                 buffers.append(buffer)
                 block_fetch = buffer.get
             sources.append(reader.range_iter(lo, hi, block_fetch=block_fetch))

@@ -44,7 +44,7 @@ from repro.lsm.iterator import (
     visible_user_entries_reverse,
 )
 from repro.lsm.memtable import GetResult, MemTable
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.sortedview import (
     BlockRef,
     BlockSource,
@@ -744,12 +744,12 @@ class DB:
         # filter policy.)
         version = self.versions.current
         shallowest_overlap = None
-        for level in range(self.options.num_levels):
+        for level in range(NUM_LEVELS):
             if any(f.overlaps_user_range(lo, hi) for f in version.files[level]):
                 shallowest_overlap = level
                 break
         if shallowest_overlap is None:
-            target = self.options.num_levels - 1
+            target = NUM_LEVELS - 1
         elif shallowest_overlap == 0:
             target = 0  # L0 tolerates overlap; file number orders recency
         else:
@@ -902,7 +902,7 @@ class DB:
 
         self._check_open()
         self.flush()
-        for level in range(self.options.num_levels - 1):
+        for level in range(NUM_LEVELS - 1):
             inputs = self.versions.current.overlapping_files(level, begin, end)
             if not inputs:
                 continue
@@ -913,7 +913,7 @@ class DB:
                 Compaction(level, inputs, overlaps, score=1.0, force_rewrite=True)
             )
         # Bottommost pass: rewrite the deepest level with data in the range.
-        for level in range(self.options.num_levels - 1, 0, -1):
+        for level in range(NUM_LEVELS - 1, 0, -1):
             inputs = self.versions.current.overlapping_files(level, begin, end)
             if inputs:
                 self._run_compaction(
@@ -1146,7 +1146,7 @@ class DB:
                 l0_files = self._files_in_scan_range(version.files[0], begin, end)
                 level_files = [
                     self._files_in_scan_range(version.files[level], begin, end)
-                    for level in range(1, self.options.num_levels)
+                    for level in range(1, NUM_LEVELS)
                 ]
                 if pipeline is not None:
                     # Seek fan-out: every reader the merge heap opens on its
@@ -1271,7 +1271,7 @@ class DB:
                 level = int(key[len("num-files-at-level") :])
             except ValueError as exc:
                 raise InvalidArgumentError(f"bad level in {name!r}") from exc
-            if not 0 <= level < self.options.num_levels:
+            if not 0 <= level < NUM_LEVELS:
                 raise InvalidArgumentError(f"level out of range in {name!r}")
             return self.versions.current.num_files(level)
         if key == "total-sst-bytes":
@@ -1345,7 +1345,7 @@ class DB:
         version = self.versions.current
         return [
             (level, version.num_files(level), version.level_bytes(level))
-            for level in range(self.options.num_levels)
+            for level in range(NUM_LEVELS)
             if version.num_files(level)
         ]
 

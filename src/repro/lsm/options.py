@@ -8,36 +8,33 @@ LSM behaviour (level fanout 10, L0 trigger 4, 4 KB blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lsm.filters import FilterAllocation
 from repro.util.bloom import BloomFilterPolicy
 
+#: Levels in the tree, L0 to L6 (RocksDB's default).
 NUM_LEVELS = 7
-
-#: The sentinel the ``filter_policy`` field defaults to. ``__post_init__``
-#: only synthesizes a policy from ``bloom_bits_per_key`` when the field
-#: still holds this default — an explicitly passed policy always wins.
-DEFAULT_FILTER_POLICY = BloomFilterPolicy(bits_per_key=10)
 
 
 @dataclass
 class Options:
-    """Engine configuration, shared by the core DB and all store variants."""
+    """Engine configuration, shared by the core DB and all store variants.
+
+    Only values some caller sets are fields. What has one value everywhere
+    is a constant beside the code that reads it: :data:`NUM_LEVELS` here,
+    ``BLOCK_RESTART_INTERVAL`` in :mod:`repro.lsm.table_builder`, the
+    universal picker's ratios in :mod:`repro.lsm.universal`. Block checksums
+    are always verified.
+    """
 
     # Memtable / WAL
     write_buffer_size: int = 1 << 20
     """Bytes of memtable data before a flush is triggered."""
 
-    wal_bytes_per_sync: int = 0
-    """0 = sync the WAL on every write batch (full durability)."""
-
     # SSTable format
     block_size: int = 4096
     """Target uncompressed size of a data block."""
-
-    block_restart_interval: int = 16
-    """Keys between restart points inside a block."""
 
     bloom_bits_per_key: int = 10
     """Bits per key for the per-table bloom filter (0 disables filters)."""
@@ -60,13 +57,6 @@ class Options:
     level0_file_num_compaction_trigger: int = 4
     """Number of L0 files/runs that triggers a compaction."""
 
-    universal_size_ratio: int = 20
-    """Universal rule 3: extend the merge while the next run is no larger
-    than (100 + this)% of the accumulated candidate size."""
-
-    universal_min_merge_width: int = 2
-    universal_max_size_amplification_percent: int = 200
-
     max_bytes_for_level_base: int = 4 << 20
     """Target size of L1; deeper levels grow by ``level_size_multiplier``."""
 
@@ -74,8 +64,6 @@ class Options:
 
     target_file_size_base: int = 1 << 20
     """Compaction output files roll over at this size."""
-
-    num_levels: int = NUM_LEVELS
 
     max_subcompactions: int = 1
     """Upper bound on parallel subcompactions per compaction (RocksDB's
@@ -150,18 +138,10 @@ class Options:
     block_cache_bytes: int = 8 << 20
     """In-memory (DRAM) block cache budget; 0 disables it."""
 
-    # Misc
-    paranoid_checks: bool = True
-    """Verify block checksums on every read."""
-
-    filter_policy: BloomFilterPolicy = field(
-        default_factory=lambda: DEFAULT_FILTER_POLICY
-    )
-
     filter_allocation: FilterAllocation | None = None
     """Per-level bloom bits-per-key vector (Monkey-style allocation; see
     :mod:`repro.lsm.filters`). When set it overrides the flat
-    ``bloom_bits_per_key``/``filter_policy`` pair at table-build time:
+    ``bloom_bits_per_key`` at table-build time:
     every flush/ingest/compaction resolves its output level's policy via
     :meth:`table_filter_policy`, so filters migrate to the current
     allocation as tables rewrite. ``None`` keeps the uniform behaviour.
@@ -174,10 +154,6 @@ class Options:
             raise ValueError("write_buffer_size must be positive")
         if self.block_size < 64:
             raise ValueError("block_size too small to hold a record")
-        if self.block_restart_interval < 1:
-            raise ValueError("block_restart_interval must be >= 1")
-        if self.num_levels < 2:
-            raise ValueError("need at least 2 levels")
         if self.level_size_multiplier < 2:
             raise ValueError("level_size_multiplier must be >= 2")
         if self.compression not in ("none", "zlib"):
@@ -186,8 +162,6 @@ class Options:
             raise ValueError(f"unknown compaction_style {self.compaction_style!r}")
         if self.filter_partitioning not in ("table", "block"):
             raise ValueError(f"unknown filter_partitioning {self.filter_partitioning!r}")
-        if self.universal_min_merge_width < 2:
-            raise ValueError("universal_min_merge_width must be >= 2")
         if self.max_subcompactions < 1:
             raise ValueError("max_subcompactions must be >= 1")
         if self.compaction_readahead_bytes < 0:
@@ -200,10 +174,19 @@ class Options:
             raise ValueError("blob_segment_bytes must be positive")
         if not 0.0 < self.blob_gc_dead_ratio <= 1.0:
             raise ValueError("blob_gc_dead_ratio must be in (0, 1]")
-        if self.bloom_bits_per_key and self.filter_policy == DEFAULT_FILTER_POLICY:
-            # Only synthesize from bloom_bits_per_key when the caller left
-            # filter_policy at its default; an explicit policy is kept.
-            self.filter_policy = BloomFilterPolicy(bits_per_key=self.bloom_bits_per_key)
+
+    @classmethod
+    def small(cls) -> "Options":
+        """Scaled-down thresholds for tests and quick experiments: KB-sized
+        memtables, blocks and files, so a few hundred keys build a real
+        multi-level tree."""
+        return cls(
+            write_buffer_size=4 << 10,
+            block_size=512,
+            max_bytes_for_level_base=16 << 10,
+            target_file_size_base=4 << 10,
+            block_cache_bytes=8 << 10,
+        )
 
     def table_filter_policy(self, level: int) -> BloomFilterPolicy | None:
         """Effective filter policy for a table built at ``level``.
@@ -218,7 +201,7 @@ class Options:
             return self.filter_allocation.policy_for(level)
         if self.bloom_bits_per_key <= 0:
             return None
-        return self.filter_policy
+        return BloomFilterPolicy(bits_per_key=self.bloom_bits_per_key)
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size target for ``level`` (level 0 is count-triggered, not size)."""

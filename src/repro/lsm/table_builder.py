@@ -26,6 +26,9 @@ from repro.lsm.options import Options
 from repro.storage.env import WritableFile
 from repro.util.encoding import compare_internal, extract_user_key
 
+BLOCK_RESTART_INTERVAL = 16
+"""Keys between restart points inside a data block (LevelDB's default)."""
+
 
 @dataclass(frozen=True, slots=True)
 class BlockMeta:
@@ -63,7 +66,7 @@ class TableBuilder:
         self.level = level
         self._filter_policy = options.table_filter_policy(level)
         self._file = file
-        self._data_block = BlockBuilder(options.block_restart_interval)
+        self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
         self._props = TableProperties()
         self._block_first_key: bytes | None = None

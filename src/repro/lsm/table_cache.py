@@ -48,7 +48,7 @@ class TableCache:
         if reader is None:
             name = table_file_name(self.prefix, number)
             file = self.env.new_random_access_file(name)
-            loader = direct_block_loader(file, verify=self.options.paranoid_checks)
+            loader = direct_block_loader(file)
             if self.loader_wrapper is not None:
                 loader = self.loader_wrapper(name, file, loader)
             footer_bytes = (
@@ -84,7 +84,7 @@ class TableCache:
             self._loaders[number] = entry
             return entry
         file = self.env.new_random_access_file(name)
-        loader = direct_block_loader(file, verify=self.options.paranoid_checks)
+        loader = direct_block_loader(file)
         if self.loader_wrapper is not None:
             loader = self.loader_wrapper(name, file, loader)
         entry = (name, loader)

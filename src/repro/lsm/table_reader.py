@@ -36,8 +36,8 @@ from repro.util.encoding import (
 BlockLoader = Callable[[str, BlockHandle, str], bytes]
 
 
-def direct_block_loader(file: RandomAccessFile, *, verify: bool = True) -> BlockLoader:
-    """The default loader: a ranged read of payload + CRC trailer."""
+def direct_block_loader(file: RandomAccessFile) -> BlockLoader:
+    """The default loader: a ranged read of payload + CRC trailer, verified."""
 
     def load(_name: str, handle: BlockHandle, _kind: str) -> bytes:
         raw = file.read(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
@@ -46,7 +46,7 @@ def direct_block_loader(file: RandomAccessFile, *, verify: bool = True) -> Block
                 f"short block read: wanted {handle.size + BLOCK_TRAILER_SIZE},"
                 f" got {len(raw)}"
             )
-        return unseal_block(raw, verify=verify)
+        return unseal_block(raw)
 
     return load
 
@@ -97,9 +97,7 @@ class TableReader:
         increments (``bloom_checked``/``bloom_useful``/
         ``bloom_false_positive``); the DB wires it so probe outcomes
         aggregate store-wide and surface as tracer events."""
-        self._loader = block_loader or direct_block_loader(
-            file, verify=options.paranoid_checks
-        )
+        self._loader = block_loader or direct_block_loader(file)
         if footer_bytes is not None:
             # Pinned footer (e.g. from the persistent cache): skips both the
             # size probe and the footer read against the backing file.

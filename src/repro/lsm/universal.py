@@ -13,14 +13,15 @@ Picking rules (simplified from RocksDB):
 1. No compaction until there are ``level0_file_num_compaction_trigger``
    runs.
 2. **Space amplification**: if the runs outside the bottom level exceed
-   ``universal_max_size_amplification_percent`` of the bottom level's size
+   ``MAX_SIZE_AMPLIFICATION_PERCENT`` of the bottom level's size
    (or there is no bottom level and twice the trigger has accumulated),
    merge *everything* into the bottom level — the only merge allowed to
    drop tombstones.
 3. **Size ratio**: otherwise greedily extend the candidate set from the
    newest run while the next (older) run is no larger than
-   ``(100 + universal_size_ratio) %`` of the accumulated size.
-4. Fall back to merging the newest ``trigger`` runs ("width" merge).
+   ``(100 + SIZE_RATIO) %`` of the accumulated size.
+4. Fall back to merging the newest ``trigger`` runs ("width" merge) when
+   rule 3 selected fewer than ``MIN_MERGE_WIDTH``.
 
 Partial merges output back to L0 and must keep tombstones (an older run or
 the bottom level may still hold shadowed values).
@@ -33,19 +34,29 @@ tiered compaction naturally maps onto tiered storage.
 from __future__ import annotations
 
 from repro.lsm.compaction import Compaction
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.version import FileMetaData, Version
+
+SIZE_RATIO = 20
+"""Rule 3: extend the merge while the next run is no larger than
+(100 + this)% of the accumulated candidate size."""
+
+MIN_MERGE_WIDTH = 2
+"""Rule 4: a merge of fewer runs than this rewrites data without reducing
+the run count."""
+
+MAX_SIZE_AMPLIFICATION_PERCENT = 200
+"""Rule 2: the runs above the base may hold this percentage of its size
+before everything is merged into the bottom level."""
 
 
 class UniversalCompactionPicker:
     """Chooses tiered merges; drop-in for :class:`CompactionPicker`."""
 
+    bottom_level = NUM_LEVELS - 1
+
     def __init__(self, options: Options) -> None:
         self.options = options
-
-    @property
-    def bottom_level(self) -> int:
-        return self.options.num_levels - 1
 
     def _runs_newest_first(self, version: Version) -> list[FileMetaData]:
         return sorted(version.files[0], key=lambda m: -m.number)
@@ -78,27 +89,25 @@ class UniversalCompactionPicker:
         # Rule 2 — space amplification: everything above the base (the
         # bottom level, or the oldest run when no bottom exists yet) is
         # potential duplication; merge fully when it exceeds the limit.
-        amp_limit = self.options.universal_max_size_amplification_percent
         if bottom_bytes:
             base, above = bottom_bytes, run_bytes
         else:
             base = runs[-1].file_size
             above = run_bytes - base
-        if above * 100 > amp_limit * max(base, 1):
+        if above * 100 > MAX_SIZE_AMPLIFICATION_PERCENT * max(base, 1):
             return full_compaction()
 
         # Rule 3 — size ratio: extend from the newest run.
-        ratio = self.options.universal_size_ratio
         selected = [runs[0]]
         total = runs[0].file_size
         for run in runs[1:]:
-            if run.file_size * 100 <= (100 + ratio) * total:
+            if run.file_size * 100 <= (100 + SIZE_RATIO) * total:
                 selected.append(run)
                 total += run.file_size
             else:
                 break
         # Rule 4 — width merge fallback.
-        if len(selected) < self.options.universal_min_merge_width:
+        if len(selected) < MIN_MERGE_WIDTH:
             selected = runs[:trigger]
 
         # A merge that swallows every run *and* there is no bottom level yet

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.lsm.format import current_file_name, manifest_file_name
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
@@ -320,7 +320,7 @@ class VersionSet:
         self.env = env
         self.prefix = prefix
         self.options = options
-        self.current = Version(options.num_levels)
+        self.current = Version(NUM_LEVELS)
         self.blob_segments: dict[int, tuple[int, int]] = {}
         """Sealed blob-log segments: number -> (total_bytes, dead_bytes)."""
         self.blob_separation_enabled = False
@@ -369,7 +369,7 @@ class VersionSet:
             raise RecoveryError("CURRENT file is garbled") from exc
         self._manifest_number = manifest_number
         name = manifest_file_name(self.prefix, manifest_number)
-        version = Version(self.options.num_levels)
+        version = Version(NUM_LEVELS)
         reader = read_log_file(self.env, name)
         applied = 0
         self.blob_segments = {}

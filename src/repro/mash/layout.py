@@ -30,6 +30,9 @@ from repro.lsm.compaction import CompactionEvent
 from repro.lsm.table_builder import BlockMeta
 from repro.util.encoding import extract_user_key
 
+HEAT_DECAY = 0.5
+"""Multiplier applied to inherited heat (older heat counts for less)."""
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -43,9 +46,6 @@ class LayoutConfig:
 
     prewarm_budget_blocks: int = 256
     """Cap on blocks pre-warmed per compaction (bounds write burst)."""
-
-    heat_decay: float = 0.5
-    """Multiplier applied to inherited heat (older heat counts for less)."""
 
 
 @dataclass
@@ -116,7 +116,7 @@ class BlockHeatTracker:
         ``name_of(file_number)`` maps a table number to the file name the
         tracker was registered under. Each input block's heat is split
         evenly across the output blocks it overlaps, then scaled by
-        ``heat_decay``. Returns pre-warm candidates sorted hottest-first,
+        :data:`HEAT_DECAY`. Returns pre-warm candidates sorted hottest-first,
         thresholded and capped by the budget.
         """
         if not self.config.aware or event.trivial_move:
@@ -151,7 +151,7 @@ class BlockHeatTracker:
                 overlapping = fb.blocks_overlapping(lo, hi)
                 if not overlapping:
                     continue
-                share = heat * self.config.heat_decay / len(overlapping)
+                share = heat * HEAT_DECAY / len(overlapping)
                 for block in overlapping:
                     inherited[block.handle.offset] = (
                         inherited.get(block.handle.offset, 0.0) + share

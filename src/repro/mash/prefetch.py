@@ -20,7 +20,7 @@ engine's :class:`~repro.lsm.db.ScanPipeline` protocol:
 * **Pipelined prefetch** — when a level iterator starts consuming table
   *i*, the next cloud tables of that level (up to ``scan_prefetch_depth``
   outstanding across the whole scan) are opened and *primed* — their first
-  ``scan_prefetch_prime_bytes`` fetched into a
+  :data:`PRIME_BYTES` fetched into a
   :class:`~repro.mash.readahead.ReadaheadBuffer` — each on its own
   back-datable branch. The branch is joined with merge semantics when the
   iterator reaches that table: latency that fit inside the consumption of
@@ -54,6 +54,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
 
+PRIME_BYTES = 64 << 10
+"""Bytes of each speculatively opened table fetched by its priming GET
+(the strictly joined seek fan-out primes only the 4 KiB initial window)."""
+
 
 @dataclass
 class PrefetchStats:
@@ -77,9 +81,7 @@ class ScanPrefetcher:
         table_cache: TableCache,
         is_cloud: Callable[[str], bool],
         depth: int,
-        prime_bytes: int,
         readahead_bytes: int,
-        verify: bool = True,
         on_finish: Callable[["ScanPrefetcher"], None] | None = None,
     ) -> None:
         if depth < 1:
@@ -90,9 +92,7 @@ class ScanPrefetcher:
         self.table_cache = table_cache
         self.is_cloud = is_cloud
         self.depth = depth
-        self.prime_bytes = prime_bytes
         self.readahead_bytes = readahead_bytes
-        self.verify = verify
         self.on_finish = on_finish
         self.stats = PrefetchStats()
         self.buffers: dict[str, ReadaheadBuffer] = {}
@@ -161,12 +161,12 @@ class ScanPrefetcher:
                 # prime only the small initial window — enough to cover the
                 # first block without making a short scan pay for a large
                 # speculative transfer. Pipelined prefetches, which never
-                # block, prime the full ``prime_bytes``.
+                # block, prime the full ``PRIME_BYTES``.
                 self._prime(
                     number,
                     handle,
                     target,
-                    prime_limit=ReadaheadBuffer.INITIAL_READAHEAD,
+                    ReadaheadBuffer.INITIAL_READAHEAD,
                     reverse=reverse,
                 )
         region.join()
@@ -219,9 +219,7 @@ class ScanPrefetcher:
             self._seen.add(meta.number)
             if not self.is_cloud(self._name_of(meta.number)):
                 continue  # local opens are cheap; open on demand
-            if self.table_cache.has_reader(meta.number) and (
-                self.prime_bytes <= 0 or self.readahead_bytes <= 0
-            ):
+            if self.table_cache.has_reader(meta.number) and self.readahead_bytes <= 0:
                 continue  # already open and nothing to prime: free handoff
             self._issue(meta.number, None, target, reverse)
 
@@ -257,7 +255,7 @@ class ScanPrefetcher:
     ) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._prime(number, handle, target, reverse=reverse)
+            self._prime(number, handle, target, PRIME_BYTES, reverse=reverse)
         self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
@@ -312,8 +310,8 @@ class ScanPrefetcher:
         number: int,
         handle: BlockHandle | None,
         target: bytes | None,
+        prime_bytes: int,
         *,
-        prime_limit: int | None = None,
         reverse: bool = False,
     ) -> None:
         """Pull the range table ``number``'s scan enters at into a primed
@@ -328,15 +326,7 @@ class ScanPrefetcher:
         """
         reader = self.table_cache.get_reader(number) if handle is None else None
         name = self._name_of(number)
-        prime_bytes = self.prime_bytes
-        if prime_limit is not None:
-            prime_bytes = min(prime_bytes, prime_limit)
-        if (
-            prime_bytes <= 0
-            or self.readahead_bytes <= 0
-            or name in self.buffers
-            or not self.is_cloud(name)
-        ):
+        if self.readahead_bytes <= 0 or name in self.buffers or not self.is_cloud(name):
             return
         if reader is not None:
             file = reader.file
@@ -353,7 +343,6 @@ class ScanPrefetcher:
         buffer = ReadaheadBuffer(
             file,
             readahead_bytes=self.readahead_bytes,
-            verify=self.verify,
             initial_window=carry,
         )
         buffer.prime(handle, prime_bytes, reverse=reverse)

@@ -52,7 +52,6 @@ class ReadaheadBuffer:
         file: RandomAccessFile,
         *,
         readahead_bytes: int = 128 << 10,
-        verify: bool = True,
         eager: bool = False,
         initial_window: int | None = None,
     ) -> None:
@@ -60,7 +59,6 @@ class ReadaheadBuffer:
             raise ValueError("readahead_bytes must be positive")
         self.file = file
         self.readahead_bytes = readahead_bytes
-        self.verify = verify
         self.eager = eager
         self.stats = ReadaheadStats()
         self._buffer = b""
@@ -93,7 +91,7 @@ class ReadaheadBuffer:
         end = start + handle.size + BLOCK_TRAILER_SIZE
         if start < 0 or end > len(self._buffer):
             return None
-        return unseal_block(self._buffer[start:end], verify=self.verify)
+        return unseal_block(self._buffer[start:end])
 
     def _fetch(self, handle: BlockHandle, length: int, reverse: bool) -> None:
         """One ranged read of ``length`` bytes into the buffer: the range

@@ -86,12 +86,6 @@ class StoreConfig:
     prefetch depth, readahead, compaction readahead/width, and the blob
     threshold every ``tuning.interval_ops`` operations."""
 
-    scan_prefetch_prime_bytes: int = 64 << 10
-    """Bytes of each speculatively opened table fetched by its priming GET
-    when the scan-prefetch pipeline is active (``Options.
-    scan_prefetch_depth > 0``); see :mod:`repro.mash.prefetch`. 0 opens
-    readers ahead of time without priming data."""
-
     multi_get_parallelism: int = 8
     """Concurrent cloud fetches per multi_get wave (1 = sequential)."""
 
@@ -110,13 +104,7 @@ class StoreConfig:
         """Scaled-down engine thresholds for tests and quick experiments."""
         return replace(
             self,
-            options=Options(
-                write_buffer_size=4 << 10,
-                block_size=512,
-                max_bytes_for_level_base=16 << 10,
-                target_file_size_base=4 << 10,
-                block_cache_bytes=8 << 10,
-            ),
+            options=Options.small(),
             pcache=replace(self.pcache, data_budget_bytes=64 << 10),
         )
 
@@ -303,7 +291,6 @@ class RocksMashStore(StoreFacade):
         self.db.listeners.on_compaction.insert(0, self._on_compaction)
         self.db.listeners.on_table_delete.append(self._on_table_delete)
         self.placement = PlacementManager(self.db, self.env, config.placement)
-        self.placement_pre_demote = self._pin_metadata
         # Monkey-point: PlacementManager demotes via _demote; wrap it so the
         # metadata of a table is pinned from its cheap local copy first.
         original_demote = self.placement._demote
@@ -513,9 +500,7 @@ class RocksMashStore(StoreFacade):
             table_cache=self.db.table_cache,
             is_cloud=self._is_cloud_file,
             depth=self.config.options.scan_prefetch_depth,
-            prime_bytes=self.config.scan_prefetch_prime_bytes,
             readahead_bytes=self.config.scan_readahead_bytes,
-            verify=self.config.options.paranoid_checks,
             on_finish=self._scan_prefetchers.remove,
         )
         self._scan_prefetchers.append(prefetcher)
@@ -546,11 +531,7 @@ class RocksMashStore(StoreFacade):
             if wanted <= 0:
                 readahead = None
             elif readahead is None or readahead.readahead_bytes != wanted:
-                readahead = ReadaheadBuffer(
-                    file,
-                    readahead_bytes=wanted,
-                    verify=self.config.options.paranoid_checks,
-                )
+                readahead = ReadaheadBuffer(file, readahead_bytes=wanted)
             return readahead
 
         def load(file_name: str, handle: BlockHandle, kind: str) -> bytes:

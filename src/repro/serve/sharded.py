@@ -108,15 +108,16 @@ class ServeConfig:
     base: StoreConfig
     num_shards: int = 4
     key_space: int = 10_000
-    """Key-index space the default uniform router splits (ignored when an
-    explicit ``router`` is given)."""
+    """Key-index space the uniform router splits."""
 
-    router: KeyRangeRouter | None = None
     defer_maintenance: bool = True
     """Defer write-triggered flush/compaction past the triggering request
     (see module docstring). ``False`` keeps the engine's inline behaviour."""
 
-    trace_capacity: int = 4096
+
+TRACE_CAPACITY = 4096
+"""Span ring of the node-wide tracer all shards record into (a single
+store's tracer keeps 2048)."""
 
 
 class ShardedDB:
@@ -131,11 +132,7 @@ class ShardedDB:
     def __init__(self, config: ServeConfig, *, clock: SimClock | None = None) -> None:
         self.config = config
         self.clock = clock if clock is not None else SimClock()
-        self.router = (
-            config.router
-            if config.router is not None
-            else KeyRangeRouter.uniform(config.num_shards, config.key_space)
-        )
+        self.router = KeyRangeRouter.uniform(config.num_shards, config.key_space)
         self.num_shards = self.router.num_shards
         self.name = f"rocksmash-x{self.num_shards}"
         self.counters = CounterSet()
@@ -182,7 +179,7 @@ class ShardedDB:
         # rewire devices *and* shards to a single server-level tracer —
         # shard-internal closures (demotion/promotion events) look the
         # attribute up dynamically and follow.
-        self.tracer = Tracer(self.clock, capacity=config.trace_capacity)
+        self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
         self.local_device.tracer = self.tracer
         self.cloud_store.tracer = self.tracer
         for shard in self.shards:

@@ -8,10 +8,10 @@ leaks into results); what changes is durability: a store built on this
 device survives *process* restarts, not just object restarts, so it can be
 inspected with ordinary tools and reopened across Python runs.
 
-Crash semantics mirror the in-memory device: appends buffer in memory until
-``sync`` writes them through (with a real ``flush`` + ``os.fsync``);
-``crash()`` discards unsynced tails and deletes never-synced files both in
-memory and on disk.
+Crash semantics *are* the in-memory device's (it is a subclass that only
+mirrors durable mutations): appends buffer in memory until ``sync`` writes
+them through (with a real ``flush`` + ``os.fsync``); ``crash()`` discards
+unsynced tails and never-synced files, neither of which reached the host.
 
 File names may contain ``/`` (e.g. ``db/000001.sst``); they map to
 subdirectories under the root.
@@ -24,12 +24,12 @@ import random
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import IOErrorSim, NotFoundError
+from repro.errors import IOErrorSim
 from repro.metrics.counters import CounterSet
 from repro.sim.clock import SimClock
 from repro.sim.failure import FaultInjector
 from repro.sim.latency import LatencyModel
-from repro.storage.local import LocalDevice
+from repro.storage.local import LocalDevice, _FileState
 
 if TYPE_CHECKING:
     from repro.storage.cloud import CloudObjectStore
@@ -93,7 +93,12 @@ def directory_backed_object_store(
 
 
 class DirectoryBackedDevice(LocalDevice):
-    """A LocalDevice whose durable state lives in a host directory."""
+    """A LocalDevice whose durable state is mirrored to a host directory.
+
+    Existing host files are loaded at construction as fully durable; reads,
+    checks, charges and counters are the inherited in-memory ones, and only
+    the mutations that change *durable* state are written through.
+    """
 
     def __init__(
         self,
@@ -114,12 +119,12 @@ class DirectoryBackedDevice(LocalDevice):
         )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._pending: dict[str, bytearray] = {}
-        self._never_synced: set[str] = set()
-        self._sizes: dict[str, int] = {}
-        self._load_existing()
-
-    # -- host-path mapping ---------------------------------------------------
+        for path in self.root.rglob("*"):
+            if path.is_file():
+                data = bytearray(path.read_bytes())
+                self._files[str(path.relative_to(self.root))] = _FileState(
+                    data, durable_len=len(data), synced_once=True
+                )
 
     def _path(self, name: str) -> Path:
         path = (self.root / name).resolve()
@@ -127,151 +132,55 @@ class DirectoryBackedDevice(LocalDevice):
             raise IOErrorSim(f"file name escapes device root: {name}")
         return path
 
-    def _load_existing(self) -> None:
-        for path in self.root.rglob("*"):
-            if path.is_file():
-                name = str(path.relative_to(self.root))
-                self._sizes[name] = path.stat().st_size
+    def _mirror(self, name: str, durable_before: int) -> None:
+        """Write ``name``'s bytes past ``durable_before`` through to the host."""
+        state = self._files[name]
+        path = self._path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Nothing durable before means the file is new or was replaced by
+        # ``write_file``: write it whole beside the target and swap it in
+        # (atomic on POSIX). Otherwise append what the sync added.
+        target = path if durable_before else path.with_suffix(path.suffix + ".tmp")
+        with open(target, "ab" if durable_before else "wb") as fh:
+            fh.write(memoryview(state.data)[durable_before : state.durable_len])
+            fh.flush()
+            os.fsync(fh.fileno())
+        if target != path:
+            os.replace(target, path)
 
-    # -- write path ------------------------------------------------------------
+    # Names enter the device through create, write_file and rename: checking
+    # there keeps every later mutation inside the root.
 
     def create(self, name: str) -> None:
-        if name in self._sizes or name in self._pending:
-            raise IOErrorSim(f"local file already exists: {name}")
-        self._pending[name] = bytearray()
-        self._never_synced.add(name)
-
-    def append(self, name: str, data: bytes) -> None:
-        if name not in self._sizes and name not in self._pending:
-            raise NotFoundError(f"local file not found: {name}")
-        if self.capacity_bytes is not None and self.used_bytes() + len(data) > self.capacity_bytes:
-            raise IOErrorSim("local device over capacity")
-        self._pending.setdefault(name, bytearray()).extend(data)
-
-    def sync(self, name: str) -> None:
-        if self.faults is not None:
-            self.faults.check(f"local.sync({name})")
-        if name not in self._sizes and name not in self._pending:
-            raise NotFoundError(f"local file not found: {name}")
-        pending = self._pending.pop(name, bytearray())
-        cost = self.model.write_cost(len(pending))
-        self.clock.advance(cost)
-        if self.tracer is not None:
-            self.tracer.charge("local", cost)
-        self.counters.inc("local.sync_ops")
-        self.counters.inc("local.write_bytes", len(pending))
-        path = self._path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "ab") as fh:
-            fh.write(bytes(pending))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._sizes[name] = self._sizes.get(name, 0) + len(pending)
-        self._never_synced.discard(name)
+        self._path(name)
+        super().create(name)
 
     def write_file(self, name: str, data: bytes) -> None:
-        self._pending.pop(name, None)
-        self._never_synced.discard(name)
-        path = self._path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        cost = self.model.write_cost(len(data))
-        self.clock.advance(cost)
-        if self.tracer is not None:
-            self.tracer.charge("local", cost)
-        self.counters.inc("local.sync_ops")
-        self.counters.inc("local.write_bytes", len(data))
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)  # atomic on POSIX
-        self._sizes[name] = len(data)
+        self._path(name)
+        super().write_file(name, data)  # fresh state, so sync mirrors it whole
 
-    # -- read path ------------------------------------------------------------
-
-    def read(self, name: str, offset: int = 0, length: int | None = None) -> bytes:
-        if self.faults is not None:
-            self.faults.check(f"local.read({name})")
-        if name not in self._sizes and name not in self._pending:
-            raise NotFoundError(f"local file not found: {name}")
-        durable = b""
-        if name in self._sizes:
-            with open(self._path(name), "rb") as fh:
-                durable = fh.read()
-        data = durable + bytes(self._pending.get(name, b""))
-        end = len(data) if length is None else min(len(data), offset + length)
-        chunk = data[offset:end]
-        cost = self.model.read_cost(len(chunk))
-        self.clock.advance(cost)
-        if self.tracer is not None:
-            self.tracer.charge("local", cost)
-        self.counters.inc("local.read_ops")
-        self.counters.inc("local.read_bytes", len(chunk))
-        return chunk
-
-    # -- namespace ---------------------------------------------------------------
-
-    def exists(self, name: str) -> bool:
-        return name in self._sizes or name in self._pending
-
-    def size(self, name: str) -> int:
-        if not self.exists(name):
-            raise NotFoundError(f"local file not found: {name}")
-        return self._sizes.get(name, 0) + len(self._pending.get(name, b""))
+    def sync(self, name: str) -> None:
+        state = self._files.get(name)
+        durable_before = state.durable_len if state is not None else 0
+        super().sync(name)  # raises for a missing name or an injected fault
+        self._mirror(name, durable_before)
 
     def delete(self, name: str) -> None:
-        if not self.exists(name):
-            raise NotFoundError(f"local file not found: {name}")
-        self._pending.pop(name, None)
-        self._never_synced.discard(name)
-        if name in self._sizes:
-            del self._sizes[name]
-            self._path(name).unlink(missing_ok=True)
+        super().delete(name)
+        self._path(name).unlink(missing_ok=True)
 
     def rename(self, old: str, new: str) -> None:
-        if not self.exists(old):
-            raise NotFoundError(f"local file not found: {old}")
-        pending = self._pending.pop(old, None)
-        if pending is not None:
-            self._pending[new] = pending
-        if old in self._never_synced:
-            self._never_synced.discard(old)
-            self._never_synced.add(new)
-        if old in self._sizes:
-            new_path = self._path(new)
+        new_path = self._path(new)
+        super().rename(old, new)
+        if self._files[new].synced_once:
             new_path.parent.mkdir(parents=True, exist_ok=True)
             os.replace(self._path(old), new_path)
-            self._sizes[new] = self._sizes.pop(old)
-
-    def list_files(self, prefix: str = "") -> list[str]:
-        names = set(self._sizes) | set(self._pending)
-        return sorted(n for n in names if n.startswith(prefix))
-
-    def used_bytes(self) -> int:
-        return sum(self._sizes.values()) + sum(len(b) for b in self._pending.values())
-
-    # -- failure semantics ------------------------------------------------------
+        else:  # nothing of ``old`` is on the host; a replaced ``new`` must go
+            new_path.unlink(missing_ok=True)
 
     def crash(self, *, torn_tail: bool = False, rng: random.Random | None = None) -> None:
-        if rng is None:
-            rng = random.Random(0)
-        if torn_tail:
-            for name, pending in list(self._pending.items()):
-                if not pending:
-                    continue
-                keep = rng.randrange(len(pending) + 1)
-                if keep == 0:
-                    continue
-                path = self._path(name)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path, "ab") as fh:
-                    fh.write(bytes(pending[:keep]))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._sizes[name] = self._sizes.get(name, 0) + keep
-                self._never_synced.discard(name)
-        for name in list(self._never_synced):
-            self._pending.pop(name, None)
-        self._never_synced.clear()
-        self._pending.clear()
+        before = {name: state.durable_len for name, state in self._files.items()}
+        super().crash(torn_tail=torn_tail, rng=rng)
+        for name, state in self._files.items():
+            if state.durable_len > before[name]:  # a torn-tail prefix survived
+                self._mirror(name, before[name])

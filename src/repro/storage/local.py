@@ -1,8 +1,9 @@
 """Simulated local block device (SSD-like) with crash semantics.
 
-Files are byte arrays split into a *durable* part and an *unsynced* tail.
-``append`` is cheap (page-cache write); ``sync`` pays the device's write
-latency plus transfer time for the pending bytes and makes them durable.
+Each file is one byte array with a *durable mark*: bytes below it survive a
+crash, the unsynced tail above it may not. ``append`` is cheap (page-cache
+write); ``sync`` pays the device's write latency plus transfer time for the
+tail and moves the mark to the end.
 :meth:`LocalDevice.crash` discards every unsynced tail — recovery tests use
 this to assert that acknowledged (synced) writes survive a crash and
 unacknowledged ones may not.
@@ -29,18 +30,9 @@ if TYPE_CHECKING:
 
 @dataclass
 class _FileState:
-    durable: bytearray = field(default_factory=bytearray)
-    pending: bytearray = field(default_factory=bytearray)
+    data: bytearray = field(default_factory=bytearray)
+    durable_len: int = 0  # data[:durable_len] survives a crash
     synced_once: bool = False  # creation itself is durable only after a sync
-
-    @property
-    def size(self) -> int:
-        return len(self.durable) + len(self.pending)
-
-    def view(self) -> bytes:
-        if not self.pending:
-            return bytes(self.durable)
-        return bytes(self.durable) + bytes(self.pending)
 
 
 class LocalDevice(ClockCharged):
@@ -90,22 +82,21 @@ class LocalDevice(ClockCharged):
                 f"local device over capacity: {self.used_bytes() + len(data)}"
                 f" > {self.capacity_bytes}"
             )
-        state.pending += data
+        state.data += data
 
     def sync(self, name: str) -> None:
         """Make all buffered bytes of ``name`` durable; charges write cost."""
         if self.faults is not None:
             self.faults.check(f"local.sync({name})")
         state = self._require(name)
-        nbytes = len(state.pending)
+        nbytes = len(state.data) - state.durable_len
         cost = self.model.write_cost(nbytes)
         self.clock.advance(cost)
         if self.tracer is not None:
             self.tracer.charge("local", cost)
         self.counters.inc("local.sync_ops")
         self.counters.inc("local.write_bytes", nbytes)
-        state.durable += state.pending
-        state.pending.clear()
+        state.durable_len = len(state.data)
         state.synced_once = True
 
     def write_file(self, name: str, data: bytes) -> None:
@@ -120,16 +111,16 @@ class LocalDevice(ClockCharged):
         """Positional read; charges read cost for the returned bytes."""
         if self.faults is not None:
             self.faults.check(f"local.read({name})")
-        state = self._require(name)
-        data = state.view()
-        end = len(data) if length is None else min(len(data), offset + length)
-        chunk = data[offset:end]
-        cost = self.model.read_cost(len(chunk))
+        data = self._require(name).data
+        end = None if length is None else offset + length
+        chunk = bytes(memoryview(data)[offset:end])  # copies the range, not the file
+        nbytes = len(chunk)
+        cost = self.model.read_cost(nbytes)
         self.clock.advance(cost)
         if self.tracer is not None:
             self.tracer.charge("local", cost)
         self.counters.inc("local.read_ops")
-        self.counters.inc("local.read_bytes", len(chunk))
+        self.counters.inc("local.read_bytes", nbytes)
         return chunk
 
     # -- namespace --------------------------------------------------------
@@ -138,7 +129,7 @@ class LocalDevice(ClockCharged):
         return name in self._files
 
     def size(self, name: str) -> int:
-        return self._require(name).size
+        return len(self._require(name).data)
 
     def delete(self, name: str) -> None:
         if name not in self._files:
@@ -156,7 +147,7 @@ class LocalDevice(ClockCharged):
 
     def used_bytes(self) -> int:
         """Total bytes across all files (durable + pending)."""
-        return sum(state.size for state in self._files.values())
+        return sum(len(state.data) for state in self._files.values())
 
     # -- failure semantics --------------------------------------------------
 
@@ -174,11 +165,12 @@ class LocalDevice(ClockCharged):
             rng = random.Random(0)
         doomed = []
         for name, state in self._files.items():
-            if torn_tail and state.pending:
-                keep = rng.randrange(len(state.pending) + 1)
-                state.durable += state.pending[:keep]
+            pending = len(state.data) - state.durable_len
+            if torn_tail and pending:
+                keep = rng.randrange(pending + 1)
+                state.durable_len += keep
                 state.synced_once = state.synced_once or keep > 0
-            state.pending.clear()
+            del state.data[state.durable_len :]
             if not state.synced_once:
                 doomed.append(name)
         for name in doomed:

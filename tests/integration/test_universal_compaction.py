@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.lsm.db import DB
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.universal import UniversalCompactionPicker
 from repro.lsm.version import FileMetaData, Version, VersionEdit
 from repro.sim.clock import SimClock
@@ -85,8 +85,6 @@ class TestPicker:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             Options(compaction_style="fifo")
-        with pytest.raises(ValueError):
-            Options(universal_min_merge_width=1)
 
 
 class TestEndToEnd:
@@ -122,7 +120,7 @@ class TestEndToEnd:
         for i in range(8000):
             db.put(f"key{i % 1000:05d}".encode(), b"x" * 60)
         db.flush()
-        assert db.versions.current.num_files(options.num_levels - 1) > 0
+        assert db.versions.current.num_files(NUM_LEVELS - 1) > 0
         db.close()
 
     def test_tombstones_not_resurrected(self, env):

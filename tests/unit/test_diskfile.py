@@ -1,11 +1,14 @@
 """Unit tests for the directory-backed local device."""
 
+import random
+
 import pytest
 
 from repro.errors import IOErrorSim, NotFoundError
 from repro.sim.clock import SimClock
 from repro.storage.diskfile import DirectoryBackedDevice
 from repro.storage.env import LocalEnv
+from repro.storage.local import LocalDevice
 
 
 @pytest.fixture
@@ -126,3 +129,42 @@ class TestTiming:
         assert t_write > 0
         device.read("f")
         assert clock.now > t_write
+
+
+class TestMatchesInMemoryDevice:
+    def test_scripted_sequence_is_indistinguishable(self, tmp_path):
+        """Bytes, clock, counters and namespace equal LocalDevice's after
+        every step; a fresh device on the directory holds the durable bytes."""
+        root = tmp_path / "dev"
+        memory = LocalDevice(SimClock())
+        disk = DirectoryBackedDevice(root, SimClock())
+        script = [
+            lambda d: d.create("db/a"),
+            lambda d: d.append("db/a", b"0123456789" * 50),
+            lambda d: d.sync("db/a"),
+            lambda d: d.append("db/a", b"unsynced tail"),
+            lambda d: d.read("db/a", 495, 10),  # spans the durable mark
+            lambda d: d.rename("db/a", "db/sub/b"),
+            lambda d: d.write_file("db/c", b"first"),
+            lambda d: d.write_file("db/c", b"second, replacing the first"),
+            lambda d: d.create("db/never-synced"),
+            lambda d: d.append("db/never-synced", b"x" * 40),
+            lambda d: d.write_file("db/d", b"doomed"),
+            lambda d: d.delete("db/d"),
+            lambda d: d.crash(torn_tail=True, rng=random.Random(3)),
+        ]
+        for step in script:
+            assert step(memory) == step(disk)
+            assert disk.clock.now == memory.clock.now
+            assert disk.counters.snapshot() == memory.counters.snapshot()
+            assert disk.list_files() == memory.list_files()
+            assert disk.used_bytes() == memory.used_bytes()
+            for name in memory.list_files():
+                assert disk.read(name) == memory.read(name)
+        assert memory.size("db/sub/b") > 500  # the crash kept part of the tail
+        reopened = DirectoryBackedDevice(root, SimClock())
+        assert reopened.list_files() == memory.list_files()
+        for name in memory.list_files():
+            assert reopened.read(name) == memory.read(name)
+            reopened.crash()  # loaded bytes are durable
+            assert reopened.size(name) == memory.size(name)

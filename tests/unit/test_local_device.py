@@ -1,5 +1,8 @@
 """Unit tests for the simulated local device."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.errors import IOErrorSim, NotFoundError
@@ -97,6 +100,17 @@ class TestTimeAccounting:
         big_cost = clock.now - t1
         assert big_cost > small_cost
 
+    def test_ranged_read_does_not_copy_the_file(self, device):
+        size = 4 << 20
+        device.write_file("slab", bytes(size))
+        tracemalloc.start()
+        try:
+            assert device.read("slab", size // 2, 64) == bytes(64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 64
+
 
 class TestCrashSemantics:
     def test_unsynced_tail_lost(self, device):
@@ -117,6 +131,23 @@ class TestCrashSemantics:
         device.write_file("f", b"safe")
         device.crash()
         assert device.read("f") == b"safe"
+
+    def test_torn_tail_keeps_a_prefix_of_the_unsynced_bytes(self, device):
+        tail = b" volatile tail"
+        kept = set()
+        for seed in range(20):
+            name = f"f{seed}"
+            device.write_file(name, b"durable")
+            device.append(name, tail)
+            device.crash(torn_tail=True, rng=random.Random(seed))
+            survivor = device.read(name)
+            assert survivor.startswith(b"durable")
+            assert (b"durable" + tail).startswith(survivor)
+            assert device.size(name) == len(survivor)
+            kept.add(len(survivor) - len(b"durable"))
+            device.crash()  # the surviving prefix is durable now
+            assert device.read(name) == survivor
+        assert len(kept) > 2 and min(kept) < len(tail)
 
 
 class TestCapacityAndFaults:

@@ -1,13 +1,10 @@
-"""CLI, reporter, and baseline tests for ``python -m repro.lint``."""
+"""CLI, reporter, and fingerprint tests for ``python -m repro.lint``."""
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.errors import CorruptionError
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.lint.finding import Finding
 from repro.lint.report import render_json, render_text
@@ -33,12 +30,12 @@ def tree(tmp_path):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tree, capsys):
         root = tree({"bench/x.py": CLEAN_SRC})
-        assert main([str(root), "--no-baseline"]) == EXIT_CLEAN
+        assert main([str(root)]) == EXIT_CLEAN
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tree, capsys):
         root = tree({"bench/x.py": DIRTY_SRC})
-        assert main([str(root), "--no-baseline"]) == EXIT_FINDINGS
+        assert main([str(root)]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "RL001" in out and "bench/x.py:2" in out
 
@@ -53,8 +50,8 @@ class TestExitCodes:
 
     def test_rules_filter_applies(self, tree):
         root = tree({"bench/x.py": DIRTY_SRC})
-        assert main([str(root), "--no-baseline", "--rules", "RL005"]) == EXIT_CLEAN
-        assert main([str(root), "--no-baseline", "--rules", "RL001"]) == EXIT_FINDINGS
+        assert main([str(root), "--rules", "RL005"]) == EXIT_CLEAN
+        assert main([str(root), "--rules", "RL001"]) == EXIT_FINDINGS
 
     def test_list_rules_catalogs_every_rule(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
@@ -66,7 +63,7 @@ class TestExitCodes:
 class TestJsonFormat:
     def test_json_output_is_machine_readable(self, tree, capsys):
         root = tree({"bench/x.py": DIRTY_SRC})
-        assert main([str(root), "--no-baseline", "--format", "json"]) == EXIT_FINDINGS
+        assert main([str(root), "--format", "json"]) == EXIT_FINDINGS
         doc = json.loads(capsys.readouterr().out)
         assert doc["clean"] is False
         assert doc["counts"] == {"RL001": 1}
@@ -77,107 +74,31 @@ class TestJsonFormat:
 
     def test_json_clean(self, tree, capsys):
         root = tree({"bench/x.py": CLEAN_SRC})
-        assert main([str(root), "--no-baseline", "--format", "json"]) == EXIT_CLEAN
+        assert main([str(root), "--format", "json"]) == EXIT_CLEAN
         doc = json.loads(capsys.readouterr().out)
         assert doc["clean"] is True and doc["findings"] == []
 
 
 class TestBaselineFlow:
-    def test_write_then_gate_passes(self, tree, tmp_path, capsys):
-        root = tree({"bench/x.py": DIRTY_SRC})
-        baseline = tmp_path / "base.json"
-        assert (
-            main([str(root), "--baseline", str(baseline), "--write-baseline"])
-            == EXIT_CLEAN
-        )
-        assert baseline.is_file()
-        capsys.readouterr()
-        # Grandfathered finding no longer fails the gate …
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_CLEAN
-        assert "baselined" in capsys.readouterr().out
-        # … but a new violation still does.
-        (root / "bench" / "y.py").write_text(DIRTY_SRC, encoding="utf-8")
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_FINDINGS
+    """``Finding.fingerprint``, the identity SARIF ``partialFingerprints`` carry."""
 
-    def test_no_baseline_flag_ignores_file(self, tree, tmp_path):
-        root = tree({"bench/x.py": DIRTY_SRC})
-        baseline = tmp_path / "base.json"
-        main([str(root), "--baseline", str(baseline), "--write-baseline"])
-        assert main([str(root), "--baseline", str(baseline), "--no-baseline"]) == (
-            EXIT_FINDINGS
-        )
-
-    def test_corrupt_baseline_exits_two(self, tree, tmp_path, capsys):
-        root = tree({"bench/x.py": CLEAN_SRC})
-        baseline = tmp_path / "base.json"
-        baseline.write_text("{not json", encoding="utf-8")
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_USAGE
-        assert "baseline" in capsys.readouterr().err
-
-    def test_load_rejects_bad_documents(self, tmp_path):
-        path = tmp_path / "b.json"
-        for bad in ('{"version": 3, "findings": {}}', '{"version": 2, "findings": []}',
-                    '{"version": 2, "findings": {"fp": 0}}'):
-            path.write_text(bad, encoding="utf-8")
-            with pytest.raises(CorruptionError):
-                load_baseline(path)
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
+    def test_fingerprint_survives_line_drift(self):
         # Identical code on a different line keeps its fingerprint, so
-        # unrelated edits above a baselined finding do not break the gate.
+        # unrelated edits above a finding do not change its identity.
         a = Finding(rule="RL001", path="bench/x.py", line=2, col=4,
                     message="m", snippet="t = time.time()")
         b = Finding(rule="RL001", path="bench/x.py", line=40, col=4,
                     message="m", snippet="t = time.time()")
         assert a.fingerprint == b.fingerprint
-        fresh, matched = apply_baseline([b], Counter({a.fingerprint: 1}))
-        assert fresh == [] and matched == [b]
 
     def test_fingerprint_survives_message_rewording(self):
-        # Version 2 drops the message from the basis: rewording a rule's
-        # diagnostics must not churn committed baselines.
+        # The message is not part of the basis: rewording a rule's
+        # diagnostics must not change a finding's identity.
         a = Finding(rule="RL001", path="x.py", line=2, col=4,
                     message="old wording", snippet="t = time.time()")
         b = Finding(rule="RL001", path="x.py", line=2, col=4,
                     message="new wording", snippet="t = time.time()")
         assert a.fingerprint == b.fingerprint
-        assert a.fingerprint_v1 != b.fingerprint_v1
-
-    def test_budget_is_consumed_per_occurrence(self, tmp_path):
-        f = Finding(rule="RL001", path="p.py", line=1, col=0,
-                    message="m", snippet="s")
-        fresh, matched = apply_baseline([f, f, f], Counter({f.fingerprint: 2}))
-        assert len(matched) == 2 and len(fresh) == 1
-
-    def test_write_baseline_round_trips(self, tmp_path):
-        f = Finding(rule="RL002", path="p.py", line=3, col=0,
-                    message="m", snippet="s")
-        path = tmp_path / "b.json"
-        write_baseline(path, [f, f])
-        loaded = load_baseline(path)
-        assert loaded.version == 2
-        assert loaded.counts == Counter({f.fingerprint: 2})
-
-    def test_version1_baseline_gates_and_migrates_in_place(self, tree, tmp_path):
-        # A version-1 file still grandfathers its findings (matched through
-        # the v1 fingerprint) and is rewritten as version 2 on first use.
-        from repro.lint import lint_paths
-
-        root = tree({"bench/x.py": DIRTY_SRC})
-        (finding,) = lint_paths([root])
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {"version": 1, "findings": {finding.fingerprint_v1: 1}}
-            ),
-            encoding="utf-8",
-        )
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_CLEAN
-        doc = json.loads(baseline.read_text(encoding="utf-8"))
-        assert doc["version"] == 2
-        assert doc["findings"] == {finding.fingerprint: 1}
-        # The migrated file keeps gating.
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_CLEAN
 
 
 class TestReporters:
@@ -185,13 +106,12 @@ class TestReporters:
                       message="import os: banned", snippet="import os")
 
     def test_text_report_is_compiler_style(self):
-        text = render_text([self.FINDING], baselined=0)
+        text = render_text([self.FINDING])
         assert "lsm/x.py:1:0: RL005 import os: banned" in text
 
     def test_text_report_clean(self):
-        assert "clean" in render_text([], baselined=0)
+        assert "clean" in render_text([])
 
     def test_json_report_counts(self):
-        doc = json.loads(render_json([self.FINDING, self.FINDING], baselined=1))
+        doc = json.loads(render_json([self.FINDING, self.FINDING]))
         assert doc["counts"] == {"RL005": 2}
-        assert doc["baselined"] == 1

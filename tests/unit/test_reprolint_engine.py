@@ -121,8 +121,7 @@ class TestSarif:
         root = make_tree(tmp_path, {"bench/x.py": DIRTY_SRC})
         out = tmp_path / "lint.sarif"
         code = main(
-            [str(root), "--no-baseline", "--no-cache",
-             "--format", "sarif", "--output", str(out)]
+            [str(root), "--no-cache", "--format", "sarif", "--output", str(out)]
         )
         assert code == EXIT_FINDINGS
         doc = json.loads(out.read_text(encoding="utf-8"))
@@ -181,7 +180,7 @@ class TestSuppressionEdgeCases:
 class TestStatsFlag:
     def test_stats_go_to_stderr(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"bench/x.py": CLEAN_SRC})
-        code = main([str(root), "--no-baseline", "--no-cache", "--stats"])
+        code = main([str(root), "--no-cache", "--stats"])
         assert code == EXIT_CLEAN
         err = capsys.readouterr().err
         assert "1 file(s)" in err and "1 analyzed" in err

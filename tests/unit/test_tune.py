@@ -1,8 +1,7 @@
 """Unit tests for the workload-adaptive tuning subsystem (repro.tune).
 
 Covers the Monkey allocation math, the per-level FilterAllocation plumbing
-object, the Options filter-policy resolution (including the regression
-where ``bloom_bits_per_key`` clobbered an explicit ``filter_policy``), and
+object, the Options filter-policy resolution, and
 the controller's knob rules + two-window confirmation behaviour against a
 stub engine.
 """
@@ -15,7 +14,14 @@ from repro.lsm.options import Options
 from repro.obs.trace import Tracer
 from repro.sim.clock import SimClock
 from repro.tune import TuningConfig, TuningController, monkey_allocation
-from repro.tune.controller import WindowStats
+from repro.tune.controller import (
+    BLOB_THRESHOLD_FLOOR,
+    COMPACTION_READAHEAD_TARGET,
+    MAX_PREFETCH_DEPTH,
+    READAHEAD_LADDER,
+    WRITE_SHARE_FLOOR,
+    WindowStats,
+)
 from repro.util.bloom import BloomFilterPolicy
 
 
@@ -141,18 +147,10 @@ class TestMonkeyAllocation:
 
 
 class TestOptionsFilterPolicy:
-    def test_explicit_policy_not_clobbered_by_bits_per_key(self):
-        # Regression: __post_init__ used to overwrite any explicit policy
-        # whenever bloom_bits_per_key was nonzero (the default!).
-        options = Options(
-            bloom_bits_per_key=8, filter_policy=BloomFilterPolicy(bits_per_key=12)
-        )
-        assert options.filter_policy == BloomFilterPolicy(bits_per_key=12)
-
     def test_bits_per_key_synthesizes_default_policy(self):
-        assert Options(bloom_bits_per_key=8).filter_policy == BloomFilterPolicy(
-            bits_per_key=8
-        )
+        assert Options(bloom_bits_per_key=8).table_filter_policy(
+            3
+        ) == BloomFilterPolicy(bits_per_key=8)
 
     def test_table_filter_policy_prefers_allocation(self):
         options = Options(
@@ -239,16 +237,10 @@ class TestKnobRules:
         assert controller._prefetch_target(wasteful, 3) == 2
         clean = stationary(prefetch_hits=9, prefetch_waste=1, **scanning)
         assert controller._prefetch_target(clean, 3) == 4
-        assert (
-            controller._prefetch_target(
-                clean, controller.config.max_prefetch_depth
-            )
-            == controller.config.max_prefetch_depth
-        )
+        assert controller._prefetch_target(clean, MAX_PREFETCH_DEPTH) == MAX_PREFETCH_DEPTH
 
     def test_readahead_tracks_scan_footprint(self):
         controller, _ = make_controller()
-        ladder = controller.config.readahead_ladder
         # No scan signal: hold the current setting rather than churn.
         assert controller._readahead_target(stationary(), 64 << 10) == 64 << 10
         # Tiny scans: every speculative byte beyond the result is waste.
@@ -270,11 +262,11 @@ class TestKnobRules:
             cloud_seconds=1.0,
         )
         assert controller._readahead_target(slow, 0) == 256 << 10
-        assert ladder[0] == 4 << 10  # bottom rung bounds the "tiny" cutoff
+        assert READAHEAD_LADDER[0] == 4 << 10  # bottom rung bounds the "tiny" cutoff
 
     def test_compaction_readahead_requires_writes_and_cloud(self):
         controller, _ = make_controller()
-        target = controller.config.compaction_readahead_target
+        target = COMPACTION_READAHEAD_TARGET
         busy = stationary(write_share=0.5, cloud_ops=5, level_bytes=(0, 1, 1))
         assert controller._compaction_readahead_target(busy, 0) == target
         read_only = stationary(write_share=0.0, cloud_ops=5)
@@ -287,8 +279,8 @@ class TestKnobRules:
         # A workload hovering right at the floor (a 5%-insert YCSB phase)
         # must not flip the knob on alternating windows.
         controller, _ = make_controller()
-        target = controller.config.compaction_readahead_target
-        floor = controller.config.write_share_floor
+        target = COMPACTION_READAHEAD_TARGET
+        floor = WRITE_SHARE_FLOOR
         at_floor = stationary(write_share=floor, cloud_ops=5, level_bytes=(0, 1, 1))
         just_below = stationary(
             write_share=floor * 0.8, cloud_ops=5, level_bytes=(0, 1, 1)
@@ -327,10 +319,7 @@ class TestKnobRules:
         small = stationary(
             write_share=1.0, write_bytes=10_000, value_hist=((64, 10_000),)
         )
-        assert (
-            controller._blob_threshold_target(small, 4096)
-            == controller.config.blob_threshold_floor
-        )
+        assert controller._blob_threshold_target(small, 4096) == BLOB_THRESHOLD_FLOOR
 
 
 class TestControllerMechanics:
