@@ -17,21 +17,20 @@ from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.bloom import BloomFilterPolicy
 from repro.util.encoding import TYPE_VALUE, make_internal_key
-from repro.util.skiplist import SkipList, default_compare
 
 
-def test_skiplist_insert(benchmark):
+def test_memtable_shuffled_insert_and_seek(benchmark):
     keys = [f"key{i:08d}".encode() for i in range(2000)]
     random.Random(1).shuffle(keys)
+    target = make_internal_key(b"key00001000", 1 << 40, TYPE_VALUE)
 
-    def insert_all():
-        sl = SkipList()
-        for k in keys:
-            sl.insert(k)
-        return sl
+    def insert_all_then_seek():
+        mt = MemTable()
+        for seq, k in enumerate(keys, start=1):
+            mt.add(seq, TYPE_VALUE, k, b"v")
+        return len(mt), sum(1 for _ in mt.entries(target))
 
-    sl = benchmark(insert_all)
-    assert len(sl) == 2000
+    assert benchmark(insert_all_then_seek) == (2000, 1000)
 
 
 def test_memtable_add_and_get(benchmark):
@@ -54,7 +53,7 @@ def test_block_build_and_seek(benchmark):
         builder = BlockBuilder(16)
         for k, v in entries:
             builder.add(k, v)
-        block = Block(builder.finish(), default_compare)
+        block = Block(builder.finish(), lambda key: key)  # plain byte order
         return sum(1 for _ in block.seek(b"key000250"))
 
     assert benchmark(run) == 250

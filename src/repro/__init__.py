@@ -3,7 +3,7 @@ cloud storage (Wan et al., CLUSTER 2021 / ACM TOS 2022).
 
 The package is layered bottom-up:
 
-* :mod:`repro.util` — encodings, checksums, bloom filters, skiplist.
+* :mod:`repro.util` — encodings, internal-key order, checksums, bloom filters.
 * :mod:`repro.sim` — simulated clock, latency models, fault injection.
 * :mod:`repro.storage` — local device, cloud object store, Env, cost model.
 * :mod:`repro.lsm` — a complete from-scratch LSM-tree engine (memtable,

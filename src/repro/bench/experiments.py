@@ -1,7 +1,8 @@
-"""Experiment definitions E1–E20: the reconstructed evaluation (E1–E12)
-plus extensions (E13–E20: compression, batched reads, fault injection,
+"""Experiment definitions E1–E25: the reconstructed evaluation (E1–E12)
+plus extensions (E13–E25: compression, batched reads, fault injection,
 up-tiering, compaction style, the parallel compaction pipeline,
-reliability, and the tier-attributed read-path anatomy).
+reliability, the tier-attributed read-path anatomy, the scan pipeline,
+sharded serving, the blob log, the sorted view and adaptive tuning).
 
 Each function regenerates one table/figure (see DESIGN.md §3) and returns a
 :class:`~repro.bench.report.Table` whose rows are the series the paper

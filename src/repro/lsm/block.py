@@ -3,7 +3,7 @@
 LevelDB's block encoding: each entry stores how many leading key bytes it
 shares with the previous entry, so sorted keys compress well; every
 ``restart_interval`` entries a *restart point* stores the full key, and the
-block trailer lists restart offsets so :meth:`Block.seek` can binary-search.
+block trailer lists restart offsets so :meth:`Block.seek` can ``bisect``.
 
 The same encoding serves data blocks (internal key → value) and index
 blocks (separator key → encoded BlockHandle).
@@ -11,13 +11,13 @@ blocks (separator key → encoded BlockHandle).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
+from typing import Any
 
 from repro.errors import CorruptionError
 from repro.util.encoding import decode_fixed32, encode_fixed32
 from repro.util.varint import decode_varint, encode_varint
-
-Comparator = Callable[[bytes, bytes], int]
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
@@ -83,13 +83,17 @@ class BlockBuilder:
 
 
 class Block:
-    """Read-side view of an encoded block."""
+    """Read-side view of an encoded block.
 
-    def __init__(self, data: bytes, comparator: Comparator) -> None:
+    Keys ascend under the sort key ``order`` — in a table,
+    :func:`~repro.util.encoding.internal_order`.
+    """
+
+    def __init__(self, data: bytes, order: Callable[[bytes], Any]) -> None:
         if len(data) < 4:
             raise CorruptionError("block too small for restart count")
         self._data = data
-        self._cmp = comparator
+        self._order = order
         num_restarts = decode_fixed32(data, len(data) - 4)
         trailer = 4 + 4 * num_restarts
         if trailer > len(data):
@@ -127,33 +131,31 @@ class Block:
         return self._iter_from(0, b"")
 
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with key >= ``target`` under the block's comparator.
+        """Entries with key >= ``target`` in the block's key order.
 
         Binary search over restart points (full keys), then linear scan.
         """
         if not self._restarts:
             return iter(())
-        # Find the last restart whose key is < target.
-        lo, hi = 0, len(self._restarts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            key, _, _ = self._parse_entry(self._restarts[mid], b"")
-            if self._cmp(key, target) < 0:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._scan_ge(self._restarts[lo], target)
+        goal = self._order(target)
+        # The last restart whose key is < target; restart 0 when none is.
+        at = bisect_left(
+            self._restarts,
+            goal,
+            1,
+            key=lambda offset: self._order(self._parse_entry(offset, b"")[0]),
+        )
+        return self._scan_ge(self._restarts[at - 1], goal)
 
-    def _scan_ge(self, offset: int, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        prev_key = b""
+    def _scan_ge(self, offset: int, goal: Any) -> Iterator[tuple[bytes, bytes]]:
         emitting = False
-        for key, value in self._iter_from(offset, prev_key):
-            if emitting or self._cmp(key, target) >= 0:
+        for key, value in self._iter_from(offset, b""):
+            if emitting or self._order(key) >= goal:
                 emitting = True
                 yield key, value
 
     def get(self, target: bytes) -> bytes | None:
-        """Exact-match lookup (comparator equality)."""
+        """Exact-match lookup (equal sort keys)."""
         for key, value in self.seek(target):
-            return value if self._cmp(key, target) == 0 else None
+            return value if self._order(key) == self._order(target) else None
         return None

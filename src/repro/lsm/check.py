@@ -38,7 +38,7 @@ from repro.lsm.version import FileMetaData, VersionSet
 from repro.lsm.wal import LogReader
 from repro.storage.env import Env
 from repro.util.crc import masked_crc32
-from repro.util.encoding import compare_internal, extract_user_key
+from repro.util.encoding import extract_user_key, internal_order
 
 
 @dataclass
@@ -102,7 +102,7 @@ def check_table(
         for ikey, value in reader.entries():
             if first_key is None:
                 first_key = ikey
-            if prev_key is not None and compare_internal(prev_key, ikey) >= 0:
+            if prev_key is not None and internal_order(prev_key) >= internal_order(ikey):
                 report.error(f"{name}: entries out of internal-key order")
                 return
             if not reader.may_contain(extract_user_key(ikey)):

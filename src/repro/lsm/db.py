@@ -808,7 +808,7 @@ class DB:
         edit.add_file(0, meta)
         self.versions.log_and_apply(edit)
         crash_points.reach("flush.after_manifest")
-        self.memtable = MemTable(seed=number)
+        self.memtable = MemTable()
         self.flush_count += 1
         for name_ in self._wal_file_names(old_wal_number):
             if self.env.file_exists(name_):

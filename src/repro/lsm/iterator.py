@@ -1,10 +1,10 @@
 """Iterator machinery: k-way merge over memtables and tables, user view.
 
 Internal iterators yield ``(internal_key, value)`` in internal-key order
-(user key ascending, sequence descending). :func:`merge_internal` performs a
-heap-based k-way merge; :func:`visible_user_entries` collapses the merged
-stream into the user-visible view at a snapshot sequence — newest visible
-entry per user key, tombstones suppressing older values.
+(user key ascending, sequence descending). :func:`merge_internal` is
+``heapq.merge`` keyed on that order; :func:`visible_user_entries` collapses
+the merged stream into the user-visible view at a snapshot sequence —
+newest visible entry per user key, tombstones suppressing older values.
 
 A reverse scan runs the same chain over descending sources: the merge and
 the clamp take ``reverse``, tested once before their loops start, while
@@ -20,44 +20,11 @@ from collections.abc import Iterator
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
-    compare_internal,
+    internal_order,
     parse_internal_key,
 )
 
 InternalEntry = tuple[bytes, bytes]  # (internal_key, value)
-
-
-class _HeapKey:
-    """Orders heap items by internal-key comparator, then source index.
-
-    Ties on identical internal keys cannot happen across live sources
-    (sequence numbers are unique), but the source index keeps the heap
-    total-ordered regardless.
-    """
-
-    __slots__ = ("ikey", "index")
-
-    def __init__(self, ikey: bytes, index: int) -> None:
-        self.ikey = ikey
-        self.index = index
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c < 0
-        return self.index < other.index
-
-
-class _DescendingHeapKey(_HeapKey):
-    """Max-heap adaptor: largest internal key first."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c > 0
-        return self.index < other.index
 
 
 def merge_internal(
@@ -66,23 +33,14 @@ def merge_internal(
     """K-way merge of internal iterators into one ordered stream.
 
     With ``reverse`` the sources must yield entries in *descending*
-    internal-key order, and the merged stream does too.
+    internal-key order, and the merged stream does too. Lazy: nothing is
+    pulled before the first ``next``, which takes one entry per source;
+    after that only the source whose entry was just yielded advances —
+    block fetch order, and so the simulated clock, depends on it.
     """
-    key_of = _DescendingHeapKey if reverse else _HeapKey
-    heap: list[tuple[_HeapKey, bytes, Iterator[InternalEntry]]] = []
-    for index, source in enumerate(sources):
-        for ikey, value in source:
-            heap.append((key_of(ikey, index), value, source))
-            break
-    heapq.heapify(heap)
-    while heap:
-        heap_key, value, source = heap[0]
-        yield heap_key.ikey, value
-        for ikey, next_value in source:
-            heapq.heapreplace(heap, (key_of(ikey, heap_key.index), next_value, source))
-            break
-        else:
-            heapq.heappop(heap)
+    return iter(
+        heapq.merge(*sources, key=lambda entry: internal_order(entry[0]), reverse=reverse)
+    )
 
 
 def visible_user_entries(

@@ -1,23 +1,23 @@
-"""Memtable: the in-memory write buffer, a skiplist of internal keys.
+"""Memtable: the in-memory write buffer, a sorted list of internal keys.
 
-Entries are stored as a single skiplist key encoding both the internal key
-and the value (length-prefixed), so the skiplist's ordering over the prefix
-is exactly internal-key ordering and lookups need no auxiliary map.
+Two parallel lists in internal-key order: ``_order`` holds each row's
+:func:`~repro.util.encoding.internal_order` sort key, which ``bisect``
+compares natively, and ``_rows`` the ``(internal_key, value)`` pair that
+flush and scans yield as stored.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 
 from repro.util.encoding import (
     TYPE_DELETION,
     TYPE_VALUE,
-    compare_internal,
+    internal_order,
     make_internal_key,
     parse_internal_key,
 )
-from repro.util.skiplist import SkipList
-from repro.util.varint import decode_varint, encode_varint
 
 
 class GetResult:
@@ -33,38 +33,31 @@ class GetResult:
         self.value = value
 
 
-def _encode_entry(ikey: bytes, value: bytes) -> bytes:
-    # [varint ikey_len][ikey][value] — comparator only inspects the ikey.
-    return encode_varint(len(ikey)) + ikey + value
-
-
-def _decode_entry(entry: bytes) -> tuple[bytes, bytes]:
-    ikey_len, pos = decode_varint(entry)
-    return entry[pos : pos + ikey_len], entry[pos + ikey_len :]
-
-
-def _entry_compare(a: bytes, b: bytes) -> int:
-    return compare_internal(_decode_entry(a)[0], _decode_entry(b)[0])
-
-
 class MemTable:
     """Sorted in-memory buffer of the most recent writes."""
 
-    def __init__(self, *, seed: int = 0) -> None:
-        self._table = SkipList(comparator=_entry_compare, seed=seed)
+    def __init__(self) -> None:
+        self._order: list[tuple[bytes, int]] = []
+        self._rows: list[tuple[bytes, bytes]] = []
         self._bytes = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._rows)
 
     def approximate_memory_usage(self) -> int:
         """Bytes of key+value payload held (flush-trigger metric)."""
         return self._bytes
 
     def add(self, sequence: int, value_type: int, user_key: bytes, value: bytes) -> None:
-        """Insert a PUT or DELETE entry."""
+        """Insert a PUT or DELETE entry; raises ``ValueError`` on duplicates."""
         ikey = make_internal_key(user_key, sequence, value_type)
-        self._table.insert(_encode_entry(ikey, value))
+        order = internal_order(ikey)
+        at = bisect_left(self._order, order)
+        if at < len(self._order) and self._order[at] == order:
+            # Unreachable in a healthy store: sequence numbers are unique.
+            raise ValueError("duplicate internal key inserted into MemTable")
+        self._order.insert(at, order)
+        self._rows.insert(at, (ikey, value))
         self._bytes += len(user_key) + len(value) + 16
 
     def get(self, user_key: bytes, sequence: int) -> GetResult:
@@ -72,16 +65,14 @@ class MemTable:
         # Seek to the newest entry <= (user_key, sequence): internal order
         # puts higher sequences first, so the lookup key uses `sequence`
         # with the highest type so any entry at that sequence qualifies.
-        lookup = _encode_entry(make_internal_key(user_key, sequence, TYPE_VALUE), b"")
-        for entry in self._table.seek(lookup):
-            ikey, value = _decode_entry(entry)
-            parsed = parse_internal_key(ikey)
-            if parsed.user_key != user_key:
-                return GetResult(GetResult.ABSENT)
-            if parsed.value_type == TYPE_DELETION:
-                return GetResult(GetResult.DELETED)
-            return GetResult(GetResult.FOUND, value)
-        return GetResult(GetResult.ABSENT)
+        lookup = internal_order(make_internal_key(user_key, sequence, TYPE_VALUE))
+        at = bisect_left(self._order, lookup)
+        if at == len(self._order) or self._order[at][0] != user_key:
+            return GetResult(GetResult.ABSENT)
+        ikey, value = self._rows[at]
+        if parse_internal_key(ikey).value_type == TYPE_DELETION:
+            return GetResult(GetResult.DELETED)
+        return GetResult(GetResult.FOUND, value)
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """(internal_key, value) pairs in internal-key order."""
@@ -93,21 +84,14 @@ class MemTable:
         """Entries from internal key ``target`` on, in scan order.
 
         Forward: entries with internal key >= ``target``, ascending.
-        Reverse: entries with internal key < ``target``, descending. The
-        skiplist is singly linked — true backward traversal would need
-        back-pointers for no practical gain at memtable scale — so the
-        (bounded, write-buffer-sized) prefix below ``target`` is
-        materialized; a tight-bound reverse scan never touches the
-        memtable's tail. ``None`` means no bound in either direction.
+        Reverse: entries with internal key < ``target``, descending.
+        ``None`` means no bound in either direction. The rows are copied
+        (a write-buffer-bounded slice): a scan is a generator its caller
+        interleaves with writes, and an index into a list that ``add``
+        shifts would skip or repeat rows.
         """
-        if not reverse:
-            if target is None:
-                return map(_decode_entry, self._table)
-            return map(_decode_entry, self._table.seek(_encode_entry(target, b"")))
-        out: list[tuple[bytes, bytes]] = []
-        for entry in self._table:
-            ikey, value = _decode_entry(entry)
-            if target is not None and compare_internal(ikey, target) >= 0:
-                break
-            out.append((ikey, value))
-        return iter(reversed(out))
+        if target is not None:
+            at = bisect_left(self._order, internal_order(target))
+        else:
+            at = len(self._rows) if reverse else 0
+        return reversed(self._rows[:at]) if reverse else iter(self._rows[at:])

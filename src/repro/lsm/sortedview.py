@@ -28,7 +28,9 @@ and ``repro.lsm.db``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CorruptionError
@@ -39,11 +41,10 @@ from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
-    InternalKeyOrder,
-    compare_internal,
     decode_fixed32,
     encode_fixed32,
     extract_user_key,
+    internal_order,
     make_internal_key,
 )
 from repro.util.varint import (
@@ -55,6 +56,9 @@ from repro.util.varint import (
 
 _VIEW_MAGIC = 0x9E
 _VIEW_FORMAT_VERSION = 1
+
+_SEGMENT_ORDER = attrgetter("order")
+"""``key=`` for bisecting a segment list by :attr:`ViewSegment.order`."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +80,10 @@ class TableRun:
     largest: bytes
     blocks: tuple[BlockRef, ...]
 
-    def block_for(self, target: bytes) -> BlockRef | None:
-        """First block whose last key is >= ``target`` (None past the end)."""
-        ordinal = _cursor_ordinal(self, target)
+    def block_for(self, goal: tuple[bytes, int]) -> BlockRef | None:
+        """First block whose last key sorts at or after ``goal``, the
+        :func:`internal_order` of the target (None past the end)."""
+        ordinal = _cursor_ordinal(self, goal)
         return self.blocks[ordinal] if ordinal < len(self.blocks) else None
 
 
@@ -96,6 +101,11 @@ class ViewSegment:
 
     anchor: bytes
     cursors: tuple[SegmentCursor, ...]
+    order: tuple[bytes, int] = field(init=False, repr=False, compare=False)
+    """The anchor's :func:`internal_order`, derived once per segment."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", internal_order(self.anchor))
 
 
 @dataclass(slots=True)
@@ -151,20 +161,13 @@ class SortedView:
     tables: dict[int, TableRun] = field(default_factory=dict)
     segments: list[ViewSegment] = field(default_factory=list)
 
-    def locate(self, target: bytes) -> int:
-        """Index of the segment whose range contains ``target``.
+    def locate(self, goal: tuple[bytes, int]) -> int:
+        """Index of the segment whose range contains the key ordered ``goal``.
 
         Greatest ``i`` with ``anchor[i] <= target``, clamped to 0 for
         targets below the first anchor (no keys live there anyway).
         """
-        lo, hi = 0, len(self.segments)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(self.segments[mid].anchor, target) <= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return max(lo - 1, 0)
+        return max(bisect_right(self.segments, goal, key=_SEGMENT_ORDER) - 1, 0)
 
     def prefetch_plan(
         self, target: bytes | None, end: bytes | None = None, *, reverse: bool = False
@@ -188,36 +191,30 @@ class SortedView:
         upcoming: list[tuple[int, BlockHandle]] = []
         if not self.segments:
             return initial, upcoming
-        end_ikey: bytes | None = None
+        goal = internal_order(target) if target is not None else None
+        limit: tuple[bytes, int] | None = None
         if reverse:
-            if (
-                target is not None
-                and compare_internal(target, self.segments[0].anchor) <= 0
-            ):
+            if goal is not None and goal <= self.segments[0].order:
                 return initial, upcoming
-            start = self.locate(target) if target is not None else len(self.segments) - 1
+            start = self.locate(goal) if goal is not None else len(self.segments) - 1
             stop = start + 1
         else:
-            start = self.locate(target) if target is not None else 0
+            start = self.locate(goal) if goal is not None else 0
             stop = len(self.segments)
             if end is not None:
-                end_ikey = make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
+                limit = internal_order(make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE))
         seen: set[int] = set()
         for i in range(start, stop):
             seg = self.segments[i]
-            if (
-                i > start
-                and end_ikey is not None
-                and compare_internal(seg.anchor, end_ikey) >= 0
-            ):
+            if i > start and limit is not None and seg.order >= limit:
                 break
             for cur in seg.cursors:
                 if cur.number in seen:
                     continue
                 seen.add(cur.number)
                 run = self.tables[cur.number]
-                if i == start and target is not None and not reverse:
-                    ref = run.block_for(target)
+                if i == start and goal is not None and not reverse:
+                    ref = run.block_for(goal)
                     if ref is None:
                         continue
                 else:
@@ -239,12 +236,12 @@ class SortedView:
         """
         if not self.segments:
             return
-        start = self.locate(target) if target is not None else 0
+        start = self.locate(internal_order(target)) if target is not None else 0
         streams: dict[int, _RunStream] = {}
         for i in range(start, len(self.segments)):
             seg = self.segments[i]
             upper = (
-                self.segments[i + 1].anchor if i + 1 < len(self.segments) else None
+                self.segments[i + 1].order if i + 1 < len(self.segments) else None
             )
             active: list[_RunStream] = []
             carried: dict[int, _RunStream] = {}
@@ -263,24 +260,18 @@ class SortedView:
                 continue
             if len(active) == 1:
                 only = active[0]
-                while only.head is not None and (
-                    upper is None or compare_internal(only.head[0], upper) < 0
-                ):
+                while only.head is not None and (upper is None or only.order < upper):
                     yield only.head
                     only.step()
                 continue
             while True:
                 best: _RunStream | None = None
                 for run_stream in active:
-                    head = run_stream.head
-                    if head is None:
+                    if run_stream.head is None:
                         continue
-                    if upper is not None and compare_internal(head[0], upper) >= 0:
+                    if upper is not None and run_stream.order >= upper:
                         continue
-                    if best is None or (
-                        best.head is not None
-                        and compare_internal(head[0], best.head[0]) < 0
-                    ):
+                    if best is None or run_stream.order < best.order:
                         best = run_stream
                 if best is None or best.head is None:
                     break
@@ -299,34 +290,32 @@ class SortedView:
         """
         if not self.segments:
             return
-        first_anchor = self.segments[0].anchor
-        if bound is not None and compare_internal(bound, first_anchor) <= 0:
+        limit = internal_order(bound) if bound is not None else None
+        if limit is not None and limit <= self.segments[0].order:
             return
-        start = self.locate(bound) if bound is not None else len(self.segments) - 1
+        start = self.locate(limit) if limit is not None else len(self.segments) - 1
         for i in range(start, -1, -1):
             seg = self.segments[i]
             upper = (
-                self.segments[i + 1].anchor if i + 1 < len(self.segments) else None
+                self.segments[i + 1].order if i + 1 < len(self.segments) else None
             )
-            if bound is not None and (
-                upper is None or compare_internal(bound, upper) < 0
-            ):
-                upper = bound
+            if limit is not None and (upper is None or limit < upper):
+                upper = limit
             entries: list[tuple[bytes, bytes]] = []
             for cur in seg.cursors:
                 run = self.tables[cur.number]
                 for idx, ref in enumerate(run.blocks[cur.ordinal :]):
-                    block = Block(block_source(run.number, ref), compare_internal)
+                    block = Block(block_source(run.number, ref), internal_order)
                     pairs = block.seek(seg.anchor) if idx == 0 else iter(block)
                     clipped = False
                     for key, value in pairs:
-                        if upper is not None and compare_internal(key, upper) >= 0:
+                        if upper is not None and internal_order(key) >= upper:
                             clipped = True
                             break
                         entries.append((key, value))
                     if clipped:
                         break
-            entries.sort(key=lambda pair: InternalKeyOrder(pair[0]))
+            entries.sort(key=lambda pair: internal_order(pair[0]))
             yield from reversed(entries)
 
     def point_candidates(
@@ -344,8 +333,9 @@ class SortedView:
         if not self.segments:
             return []
         seg = self.segments[
-            self.locate(make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE))
+            self.locate(internal_order(make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE)))
         ]
+        goal = internal_order(lookup)
         ordered = sorted(
             seg.cursors,
             key=lambda cur: (
@@ -363,7 +353,7 @@ class SortedView:
                 <= extract_user_key(run.largest)
             ):
                 continue
-            ref = run.block_for(lookup)
+            ref = run.block_for(goal)
             if ref is not None:
                 out.append((run, ref))
         return out
@@ -376,7 +366,7 @@ class _RunStream:
     blocks below the seek target are skipped without being fetched.
     """
 
-    __slots__ = ("head", "_entries")
+    __slots__ = ("head", "order", "_entries")
 
     def __init__(
         self,
@@ -386,7 +376,10 @@ class _RunStream:
         block_source: BlockSource,
     ) -> None:
         self._entries = self._walk(run, ordinal, seek, block_source)
-        self.head: tuple[bytes, bytes] | None = next(self._entries, None)
+        self.head: tuple[bytes, bytes] | None = None
+        self.order: tuple[bytes, int] = (b"", 0)
+        """:func:`internal_order` of ``head``; meaningless once it is None."""
+        self.step()
 
     @staticmethod
     def _walk(
@@ -395,12 +388,13 @@ class _RunStream:
         seek: bytes | None,
         block_source: BlockSource,
     ) -> Iterator[tuple[bytes, bytes]]:
+        goal = internal_order(seek) if seek is not None else None
         emitted = False
         for ref in run.blocks[ordinal:]:
             seeking = not emitted and seek is not None
-            if seeking and compare_internal(ref.last_key, seek or b"") < 0:
+            if seeking and goal is not None and internal_order(ref.last_key) < goal:
                 continue  # whole block below the seek target: never fetched
-            block = Block(block_source(run.number, ref), compare_internal)
+            block = Block(block_source(run.number, ref), internal_order)
             pairs = block.seek(seek) if seeking and seek is not None else iter(block)
             for key, value in pairs:
                 emitted = True
@@ -408,6 +402,8 @@ class _RunStream:
 
     def step(self) -> None:
         self.head = next(self._entries, None)
+        if self.head is not None:
+            self.order = internal_order(self.head[0])
 
 
 def rebuild_view(
@@ -450,47 +446,42 @@ def rebuild_view(
         return SortedView(stamp, dict(tables), list(old.segments)), stats
 
     window_lo = min(
-        (user_key_anchor(run.smallest) for run in changed), key=InternalKeyOrder
+        (user_key_anchor(run.smallest) for run in changed), key=internal_order
     )
-    window_hi = max((run.largest for run in changed), key=InternalKeyOrder)
-    anchors = [seg.anchor for seg in old.segments]
-    count = len(anchors)
-    prefix_end = 0
-    for i in range(count):
-        nxt = anchors[i + 1] if i + 1 < count else None
-        if nxt is None or compare_internal(nxt, window_lo) > 0:
-            prefix_end = i
-            break
-    suffix_start = count
-    for i in range(count - 1, -1, -1):
-        if compare_internal(anchors[i], window_hi) > 0:
-            suffix_start = i
-        else:
-            break
-    suffix_start = max(suffix_start, prefix_end)
+    window_hi = max((run.largest for run in changed), key=internal_order)
+    count = len(old.segments)
+    # The window opens at the segment holding ``window_lo`` and closes before
+    # the first anchor above ``window_hi``.
+    window_order = internal_order(window_lo)
+    prefix_end = old.locate(window_order)
+    suffix_start = max(
+        bisect_right(old.segments, internal_order(window_hi), key=_SEGMENT_ORDER),
+        prefix_end,
+    )
 
-    mid_lo = anchors[prefix_end]
-    if prefix_end == 0 and compare_internal(window_lo, mid_lo) < 0:
+    mid_lo = old.segments[prefix_end].anchor
+    if prefix_end == 0 and window_order < old.segments[0].order:
         # A changed run extends below the view's first anchor: the window's
         # lower edge must move down with it, else keys below the old first
         # anchor belong to no segment and vanish from the view.
         mid_lo = window_lo
-    mid_hi = anchors[suffix_start] if suffix_start < count else None
+    mid_hi = old.segments[suffix_start].anchor if suffix_start < count else None
+    lo = internal_order(mid_lo)
+    hi = internal_order(mid_hi) if mid_hi is not None else None
     runs = sorted(tables.values(), key=lambda run: run.number)
     mid_anchor_set = {mid_lo}
     for run in runs:
-        if compare_internal(run.largest, mid_lo) < 0:
+        if internal_order(run.largest) < lo:
             continue
-        if mid_hi is not None and compare_internal(run.smallest, mid_hi) >= 0:
+        if hi is not None and internal_order(run.smallest) >= hi:
             continue
         candidates = [user_key_anchor(run.smallest)]
         candidates.extend(user_key_anchor(ref.last_key) for ref in run.blocks)
         for anchor in candidates:
-            if compare_internal(anchor, mid_lo) >= 0 and (
-                mid_hi is None or compare_internal(anchor, mid_hi) < 0
-            ):
+            order = internal_order(anchor)
+            if order >= lo and (hi is None or order < hi):
                 mid_anchor_set.add(anchor)
-    mid_anchors = sorted(mid_anchor_set, key=InternalKeyOrder)
+    mid_anchors = sorted(mid_anchor_set, key=internal_order)
     mid_segments: list[ViewSegment] = []
     for i, anchor in enumerate(mid_anchors):
         nxt = mid_anchors[i + 1] if i + 1 < len(mid_anchors) else mid_hi
@@ -513,7 +504,7 @@ def _full_build(stamp: int, tables: dict[int, TableRun]) -> SortedView:
         anchor_set.add(user_key_anchor(run.smallest))
         for ref in run.blocks:
             anchor_set.add(user_key_anchor(ref.last_key))
-    anchors = sorted(anchor_set, key=InternalKeyOrder)
+    anchors = sorted(anchor_set, key=internal_order)
     segments = []
     for i, anchor in enumerate(anchors):
         nxt = anchors[i + 1] if i + 1 < len(anchors) else None
@@ -524,27 +515,22 @@ def _full_build(stamp: int, tables: dict[int, TableRun]) -> SortedView:
 def _segment(
     anchor: bytes, next_anchor: bytes | None, runs: Sequence[TableRun]
 ) -> ViewSegment:
+    lo = internal_order(anchor)
+    hi = internal_order(next_anchor) if next_anchor is not None else None
     cursors: list[SegmentCursor] = []
     for run in runs:
-        if compare_internal(run.largest, anchor) < 0:
+        if internal_order(run.largest) < lo:
             continue
-        if next_anchor is not None and compare_internal(run.smallest, next_anchor) >= 0:
+        if hi is not None and internal_order(run.smallest) >= hi:
             continue
-        cursors.append(SegmentCursor(run.number, _cursor_ordinal(run, anchor)))
+        cursors.append(SegmentCursor(run.number, _cursor_ordinal(run, lo)))
     return ViewSegment(anchor, tuple(cursors))
 
 
-def _cursor_ordinal(run: TableRun, anchor: bytes) -> int:
-    """Ordinal of the first block whose last key is >= ``anchor`` (exists
-    for a segment's member runs; ``len(run.blocks)`` past the end)."""
-    lo, hi = 0, len(run.blocks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_internal(run.blocks[mid].last_key, anchor) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _cursor_ordinal(run: TableRun, goal: tuple[bytes, int]) -> int:
+    """Ordinal of the first block whose last key sorts at or after ``goal``
+    (exists for a segment's member runs; ``len(run.blocks)`` past the end)."""
+    return bisect_left(run.blocks, goal, key=lambda ref: internal_order(ref.last_key))
 
 
 def view_matches_files(

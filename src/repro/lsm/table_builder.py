@@ -24,7 +24,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
-from repro.util.encoding import compare_internal, extract_user_key
+from repro.util.encoding import extract_user_key, internal_order
 
 BLOCK_RESTART_INTERVAL = 16
 """Keys between restart points inside a data block (LevelDB's default)."""
@@ -71,6 +71,7 @@ class TableBuilder:
         self._props = TableProperties()
         self._block_first_key: bytes | None = None
         self._last_key: bytes | None = None
+        self._last_order: tuple[bytes, int] | None = None
         self._filter_keys: list[bytes] = []
         self._block_filter_keys: list[bytes] = []
         self._partition_filters: list[bytes] = []
@@ -88,7 +89,8 @@ class TableBuilder:
         """Append an entry; internal keys must be strictly increasing."""
         if self._finished:
             raise InvalidArgumentError("add() after finish()")
-        if self._last_key is not None and compare_internal(self._last_key, key) >= 0:
+        order = internal_order(key)
+        if self._last_order is not None and self._last_order >= order:
             raise InvalidArgumentError("keys added out of order")
         if self._block_first_key is None:
             self._block_first_key = key
@@ -99,6 +101,7 @@ class TableBuilder:
         self._filter_keys.append(user_key)
         self._block_filter_keys.append(user_key)
         self._last_key = key
+        self._last_order = order
         self._props.num_entries += 1
         self._props.largest_key = key
         if self._data_block.current_size_estimate() >= self.options.block_size:

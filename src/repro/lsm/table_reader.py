@@ -9,6 +9,7 @@ persistent cache (and the plain DRAM block cache) intercept reads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 
 from repro.errors import CorruptionError
@@ -27,8 +28,8 @@ from repro.util.bloom import BloomFilterPolicy
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
-    compare_internal,
     extract_user_key,
+    internal_order,
     make_internal_key,
 )
 
@@ -51,20 +52,16 @@ def direct_block_loader(file: RandomAccessFile) -> BlockLoader:
     return load
 
 
-def _boundary_block(index_entries: list[tuple[bytes, bytes]], target: bytes) -> int:
-    """Position of the first index entry (block last key) >= ``target``.
+def _boundary(entries: list[tuple[bytes, bytes]], target: bytes) -> int:
+    """Position of the first entry whose internal key is >= ``target``.
 
-    That block may still hold keys below ``target``; every block after it
-    cannot. ``len(index_entries)`` when every key sorts below ``target``.
+    Over index entries (block last keys) that is the boundary block: it may
+    still hold keys below ``target``; every block after it cannot.
+    ``len(entries)`` when every key sorts below ``target``.
     """
-    lo, hi = 0, len(index_entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_internal(index_entries[mid][0], target) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_left(
+        entries, internal_order(target), key=lambda entry: internal_order(entry[0])
+    )
 
 
 class TableReader:
@@ -113,7 +110,7 @@ class TableReader:
             footer = Footer.decode(file.read(size - FOOTER_SIZE, FOOTER_SIZE))
         self.footer = footer
         self._index = Block(
-            self._loader(self.name, footer.index_handle, "index"), compare_internal
+            self._loader(self.name, footer.index_handle, "index"), internal_order
         )
         self._filter: bytes | None = None
         self._partitions: list[bytes] | None = None
@@ -174,7 +171,7 @@ class TableReader:
         return BloomFilterPolicy.key_may_match(user_key, self._partitions[ordinal])
 
     def _load_data_block(self, handle: BlockHandle) -> Block:
-        return Block(self._loader(self.name, handle, "data"), compare_internal)
+        return Block(self._loader(self.name, handle, "data"), internal_order)
 
     def get(self, target: bytes) -> tuple[bytes, bytes] | None:
         """First entry with internal key >= ``target``, or None.
@@ -273,7 +270,7 @@ class TableReader:
         if target is None:
             position = last if reverse else 0
         else:
-            position = _boundary_block(index_entries, target)
+            position = _boundary(index_entries, target)
             if position > last:
                 if not reverse:
                     return None
@@ -308,7 +305,7 @@ class TableReader:
             return
         index_entries = list(self._index)
         boundary = (
-            _boundary_block(index_entries, target)
+            _boundary(index_entries, target)
             if target is not None
             else len(index_entries)
         )
@@ -316,11 +313,7 @@ class TableReader:
             handle, _ = decode_handle(index_entries[i][1])
             block_entries = list(self._load_data_block(handle))
             if target is not None and i == boundary:
-                block_entries = [
-                    entry
-                    for entry in block_entries
-                    if compare_internal(entry[0], target) < 0
-                ]
+                del block_entries[_boundary(block_entries, target) :]
             yield from reversed(block_entries)
 
     # -- compaction support -------------------------------------------------
@@ -364,7 +357,7 @@ class TableReader:
             payload = block_fetch(handle) if block_fetch is not None else None
             if payload is None:
                 payload = self._loader(self.name, handle, "data")
-            block = Block(payload, compare_internal)
+            block = Block(payload, internal_order)
             entries = block.seek(target) if first_block else iter(block)
             first_block = False
             for ikey, value in entries:

@@ -22,7 +22,7 @@ from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import compare_internal, extract_user_key
+from repro.util.encoding import extract_user_key, internal_order
 from repro.util.varint import decode_varint, encode_varint, get_length_prefixed, put_length_prefixed
 
 # VersionEdit field tags.
@@ -193,7 +193,7 @@ class Version:
             files = self.files[level]
             for i in range(1, len(files)):
                 prev, cur = files[i - 1], files[i]
-                if compare_internal(prev.largest, cur.smallest) >= 0:
+                if internal_order(prev.largest) >= internal_order(cur.smallest):
                     raise CorruptionError(
                         f"L{level} files overlap: #{prev.number} and #{cur.number}"
                     )
@@ -236,7 +236,7 @@ class Version:
         files = self.files[level]
         if not files:
             return None
-        idx = bisect_left([f.largest_user_key for f in files], user_key)
+        idx = bisect_left(files, user_key, key=lambda f: f.largest_user_key)
         if idx < len(files) and files[idx].smallest_user_key <= user_key:
             return files[idx]
         return None
@@ -295,22 +295,10 @@ class Version:
             if level == 0:
                 keep.sort(key=lambda m: m.number)
             else:
-                keep.sort(key=lambda m: InternalSortKey(m.smallest))
+                keep.sort(key=lambda m: internal_order(m.smallest))
             new.files[level] = keep
         new.check_invariants()
         return new
-
-
-class InternalSortKey:
-    """``sorted`` adaptor for internal keys (module-local convenience)."""
-
-    __slots__ = ("ikey",)
-
-    def __init__(self, ikey: bytes) -> None:
-        self.ikey = ikey
-
-    def __lt__(self, other: "InternalSortKey") -> bool:
-        return compare_internal(self.ikey, other.ikey) < 0
 
 
 class VersionSet:

@@ -9,6 +9,7 @@ error with the default growth factor).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 
@@ -51,18 +52,9 @@ class LatencyHistogram:
         self.total += seconds
         self.min_seen = min(self.min_seen, seconds)
         self.max_seen = max(self.max_seen, seconds)
-        self._counts[self._bucket_of(seconds)] += 1
-
-    def _bucket_of(self, seconds: float) -> int:
-        # Binary search over bucket upper bounds.
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if seconds <= self._bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        # Bucket i holds samples in (bounds[i-1], bounds[i]]; the last one
+        # everything past the final bound.
+        self._counts[bisect_left(self._bounds, seconds)] += 1
 
     @property
     def mean(self) -> float:

@@ -1,4 +1,4 @@
-"""Low-level building blocks: encodings, checksums, filters, skiplist."""
+"""Low-level building blocks: encodings, key order, checksums, filters."""
 
 from repro.util.bloom import BloomFilterPolicy
 from repro.util.crc import crc32, masked_crc32, verify_masked_crc32
@@ -6,25 +6,23 @@ from repro.util.encoding import (
     TYPE_DELETION,
     TYPE_VALUE,
     ParsedInternalKey,
-    compare_internal,
     extract_user_key,
+    internal_order,
     make_internal_key,
     parse_internal_key,
 )
-from repro.util.skiplist import SkipList
 from repro.util.varint import decode_varint, encode_varint
 
 __all__ = [
     "BloomFilterPolicy",
     "ParsedInternalKey",
-    "SkipList",
     "TYPE_DELETION",
     "TYPE_VALUE",
-    "compare_internal",
     "crc32",
     "decode_varint",
     "encode_varint",
     "extract_user_key",
+    "internal_order",
     "make_internal_key",
     "masked_crc32",
     "parse_internal_key",

@@ -3,9 +3,9 @@
 The LSM engine stores *internal keys*: the user key followed by an 8-byte
 trailer packing a 56-bit sequence number and an 8-bit value type, exactly as
 LevelDB/RocksDB do. Internal keys sort by user key ascending, then sequence
-number **descending** (newest first), then type descending — which the
-byte-level trailer encoding below preserves when compared with the custom
-comparator :func:`compare_internal`.
+number **descending** (newest first), then type descending. That order is
+defined once, as the sort key :func:`internal_order`, which ``sorted``,
+``bisect`` and ``heapq.merge`` take as ``key=``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.errors import CorruptionError
 
 # Value types (trailer low byte). Order matters: for equal (user_key, seq)
-# a higher type sorts first under the internal comparator.
+# a higher type sorts first in internal-key order.
 TYPE_DELETION = 0x0
 TYPE_VALUE = 0x1
 
@@ -82,42 +82,14 @@ def extract_user_key(ikey: bytes) -> bytes:
     return ikey[:-8]
 
 
-def compare_internal(a: bytes, b: bytes) -> int:
-    """Three-way comparison of two internal keys.
+def internal_order(ikey: bytes) -> tuple[bytes, int]:
+    """Sort key of an internal key: ``(user_key, -trailer)``.
 
-    Orders by user key ascending, then by sequence/type *descending* so the
-    newest entry for a user key is encountered first during iteration.
+    Tuples compare by user key ascending, then by sequence/type *descending*
+    so the newest entry for a user key is encountered first during
+    iteration. An in-memory sort key only — never stored.
     """
-    ua, ub = extract_user_key(a), extract_user_key(b)
-    if ua < ub:
-        return -1
-    if ua > ub:
-        return 1
-    ta = decode_fixed64(a, len(a) - 8)
-    tb = decode_fixed64(b, len(b) - 8)
-    if ta > tb:  # larger (seq, type) sorts first
-        return -1
-    if ta < tb:
-        return 1
-    return 0
-
-
-class InternalKeyOrder:
-    """Key-function adaptor making internal keys usable with ``sorted``.
-
-    ``sorted(keys, key=InternalKeyOrder)`` yields internal-comparator order.
-    """
-
-    __slots__ = ("ikey",)
-
-    def __init__(self, ikey: bytes) -> None:
-        self.ikey = ikey
-
-    def __lt__(self, other: "InternalKeyOrder") -> bool:
-        return compare_internal(self.ikey, other.ikey) < 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InternalKeyOrder) and compare_internal(self.ikey, other.ikey) == 0
-
-    def __hash__(self) -> int:
-        return hash(self.ikey)
+    size = len(ikey)
+    if size < 8:
+        raise CorruptionError(f"internal key too short: {size} bytes")
+    return ikey[:-8], -_FIXED64.unpack_from(ikey, size - 8)[0]

@@ -13,7 +13,7 @@ from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
-from repro.util.encoding import MAX_SEQUENCE, TYPE_VALUE, compare_internal, make_internal_key
+from repro.util.encoding import MAX_SEQUENCE, TYPE_VALUE, internal_order, make_internal_key
 from repro.workloads import dbbench
 from repro.workloads.generator import make_key
 
@@ -166,7 +166,7 @@ class TestReverseSeekBlockReads:
                 # fetching it is justified only if that last key is below the
                 # bound; otherwise the whole block is out of range.
                 if j > 0:
-                    assert compare_internal(blocks[j - 1][0], bound) < 0, (
+                    assert internal_order(blocks[j - 1][0]) < internal_order(bound), (
                         f"{name} fetched out-of-range block at {offset}"
                     )
             # And the bounded scan reads a small fraction of the tail walk.

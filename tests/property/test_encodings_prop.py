@@ -12,7 +12,7 @@ from repro.util.crc import crc32, mask, masked_crc32, unmask, verify_masked_crc3
 from repro.util.encoding import (
     TYPE_DELETION,
     TYPE_VALUE,
-    compare_internal,
+    internal_order,
     make_internal_key,
     parse_internal_key,
 )
@@ -87,11 +87,9 @@ class TestInternalKey:
         )
     )
     def test_order_matches_reference(self, parts):
-        """compare_internal == (user_key asc, (seq, type) desc)."""
-        import functools
-
+        """internal_order == (user_key asc, (seq, type) desc)."""
         ikeys = [make_internal_key(k, s, t) for k, s, t in parts]
-        got = sorted(ikeys, key=functools.cmp_to_key(compare_internal))
+        got = sorted(ikeys, key=internal_order)
         ref = sorted(ikeys, key=lambda ik: (
             parse_internal_key(ik).user_key,
             -((parse_internal_key(ik).sequence << 8) | parse_internal_key(ik).value_type),

@@ -1,5 +1,5 @@
-"""Property-based tests for core data structures (skiplist, bloom, block,
-table, memtable, histogram, cache)."""
+"""Property-based tests for core data structures (bloom, block, table,
+memtable, histogram, cache)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,36 +15,15 @@ from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.bloom import BloomFilterPolicy
-from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key
-from repro.util.skiplist import SkipList, default_compare
+from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, internal_order, make_internal_key
 
 keys = st.binary(min_size=0, max_size=40)
 values = st.binary(min_size=0, max_size=120)
 
 
-class TestSkipList:
-    @given(st.sets(keys, max_size=200), st.integers(0, 2**16))
-    def test_matches_sorted_set(self, key_set, seed):
-        sl = SkipList(seed=seed)
-        for k in key_set:
-            sl.insert(k)
-        assert list(sl) == sorted(key_set)
-        assert len(sl) == len(key_set)
-
-    @given(st.sets(keys, min_size=1, max_size=100), keys)
-    def test_seek_matches_bisect(self, key_set, target):
-        sl = SkipList()
-        for k in key_set:
-            sl.insert(k)
-        expected = sorted(k for k in key_set if k >= target)
-        assert list(sl.seek(target)) == expected
-
-    @given(st.sets(keys, min_size=1, max_size=100), keys)
-    def test_contains_exact(self, key_set, probe):
-        sl = SkipList()
-        for k in key_set:
-            sl.insert(k)
-        assert sl.contains(probe) == (probe in key_set)
+def bytewise(key):
+    """Sort key for plain byte order."""
+    return key
 
 
 class TestBloom:
@@ -65,7 +44,7 @@ class TestBlock:
         builder = BlockBuilder(restart_interval)
         for k, v in items:
             builder.add(k, v)
-        block = Block(builder.finish(), default_compare)
+        block = Block(builder.finish(), bytewise)
         assert list(block) == items
 
     @given(
@@ -78,7 +57,7 @@ class TestBlock:
         builder = BlockBuilder(restart_interval)
         for k, v in items:
             builder.add(k, v)
-        block = Block(builder.finish(), default_compare)
+        block = Block(builder.finish(), bytewise)
         expected = [(k, v) for k, v in items if k >= target]
         assert list(block.seek(target)) == expected
 
@@ -90,13 +69,11 @@ class TestTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_and_point_lookups(self, entries, block_size):
-        from repro.util.encoding import InternalKeyOrder
-
         env = LocalEnv(LocalDevice(SimClock()))
         options = Options(block_size=block_size, block_cache_bytes=0)
         items = sorted(
             ((make_internal_key(k, 7, TYPE_VALUE), v) for k, v in entries.items()),
-            key=lambda item: InternalKeyOrder(item[0]),
+            key=lambda item: internal_order(item[0]),
         )
         builder = TableBuilder(options, env.new_writable_file("t.sst"))
         for ik, v in items:
@@ -150,6 +127,31 @@ class TestMemTable:
             result = mt.get(k, at)
             assert result.state == GetResult.FOUND
             assert result.value == expected
+
+    @given(
+        st.sets(
+            st.tuples(keys, st.integers(0, 500), st.sampled_from([TYPE_VALUE, TYPE_DELETION])),
+            max_size=120,
+        ),
+        st.tuples(keys, st.integers(0, 500), st.sampled_from([TYPE_VALUE, TYPE_DELETION])),
+    )
+    def test_entries_match_sorted_model_slices(self, parts, target_parts):
+        """``entries(target)`` is the suffix of the sorted model from the
+        target on; reversed, the prefix below it, descending."""
+        mt = MemTable()
+        for k, seq, vtype in parts:
+            mt.add(seq, vtype, k, k + b"=%d" % seq)
+        model = sorted(
+            ((make_internal_key(k, seq, vtype), k + b"=%d" % seq) for k, seq, vtype in parts),
+            key=lambda row: internal_order(row[0]),
+        )
+        assert list(mt) == model
+        assert list(mt.entries(reverse=True)) == model[::-1]
+        assert len(mt) == len(model)
+        target = make_internal_key(*target_parts)
+        below = [row for row in model if internal_order(row[0]) < internal_order(target)]
+        assert list(mt.entries(target)) == model[len(below) :]
+        assert list(mt.entries(target, reverse=True)) == below[::-1]
 
 
 class TestLatencyHistogram:

@@ -4,20 +4,24 @@ import pytest
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
-from repro.util.skiplist import default_compare
+
+
+def bytewise(key):
+    """Sort key for plain byte order."""
+    return key
 
 
 def build(entries, restart_interval=16):
     builder = BlockBuilder(restart_interval)
     for k, v in entries:
         builder.add(k, v)
-    return Block(builder.finish(), default_compare)
+    return Block(builder.finish(), bytewise)
 
 
 class TestBlockBuilder:
     def test_empty_finish(self):
         builder = BlockBuilder()
-        block = Block(builder.finish(), default_compare)
+        block = Block(builder.finish(), bytewise)
         assert list(block) == []
 
     def test_size_estimate_grows(self):
@@ -32,7 +36,7 @@ class TestBlockBuilder:
         builder.reset()
         assert builder.empty()
         builder.add(b"b", b"2")
-        block = Block(builder.finish(), default_compare)
+        block = Block(builder.finish(), bytewise)
         assert list(block) == [(b"b", b"2")]
 
     def test_invalid_restart_interval(self):
@@ -98,7 +102,7 @@ class TestBlockRead:
 
     def test_corrupt_restart_count(self):
         with pytest.raises(CorruptionError):
-            Block(b"\x01", default_compare)
+            Block(b"\x01", bytewise)
 
     def test_corrupt_truncated_entry(self):
         builder = BlockBuilder()
@@ -106,7 +110,7 @@ class TestBlockRead:
         data = builder.finish()
         # Chop bytes from the middle of the entry body, keep trailer intact.
         bad = data[:10] + data[-8:]
-        block = Block(bad, default_compare)
+        block = Block(bad, bytewise)
         with pytest.raises(CorruptionError):
             list(block)
 

@@ -7,13 +7,12 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
-    InternalKeyOrder,
-    compare_internal,
     decode_fixed32,
     decode_fixed64,
     encode_fixed32,
     encode_fixed64,
     extract_user_key,
+    internal_order,
     make_internal_key,
     parse_internal_key,
 )
@@ -67,28 +66,32 @@ class TestInternalOrder:
     def test_user_key_ascending(self):
         a = make_internal_key(b"a", 5, TYPE_VALUE)
         b = make_internal_key(b"b", 5, TYPE_VALUE)
-        assert compare_internal(a, b) < 0
-        assert compare_internal(b, a) > 0
+        assert internal_order(a) < internal_order(b)
+        assert internal_order(b) > internal_order(a)
 
     def test_sequence_descending_within_user_key(self):
         newer = make_internal_key(b"k", 10, TYPE_VALUE)
         older = make_internal_key(b"k", 5, TYPE_VALUE)
-        assert compare_internal(newer, older) < 0  # newer sorts first
+        assert internal_order(newer) < internal_order(older)  # newer sorts first
 
     def test_type_breaks_ties(self):
         put = make_internal_key(b"k", 5, TYPE_VALUE)
         delete = make_internal_key(b"k", 5, TYPE_DELETION)
-        assert compare_internal(put, delete) < 0  # higher type first
+        assert internal_order(put) < internal_order(delete)  # higher type first
 
     def test_equal(self):
         a = make_internal_key(b"k", 5, TYPE_VALUE)
-        assert compare_internal(a, bytes(a)) == 0
+        assert internal_order(a) == internal_order(bytes(a))
 
     def test_prefix_user_keys(self):
         # b"a" < b"ab" as user keys regardless of trailer bytes
         short = make_internal_key(b"a", 1, TYPE_VALUE)
         long = make_internal_key(b"ab", 9999, TYPE_VALUE)
-        assert compare_internal(short, long) < 0
+        assert internal_order(short) < internal_order(long)
+
+    def test_too_short_raises(self):
+        with pytest.raises(CorruptionError):
+            internal_order(b"short")
 
     def test_sorted_adaptor(self):
         keys = [
@@ -96,5 +99,5 @@ class TestInternalOrder:
             make_internal_key(b"a", 2, TYPE_VALUE),
             make_internal_key(b"a", 9, TYPE_VALUE),
         ]
-        ordered = sorted(keys, key=InternalKeyOrder)
+        ordered = sorted(keys, key=internal_order)
         assert ordered == [keys[2], keys[1], keys[0]]

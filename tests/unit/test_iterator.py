@@ -70,6 +70,43 @@ class TestMergeInternal:
             assert len(keys) == 20
             assert keys == sorted(keys, reverse=reverse)
 
+    def test_pulls_lazily_and_only_from_the_source_just_yielded(self):
+        # Block fetch order — and so the simulated clock, cloud request
+        # counts and prefetch events — rides on the merge's pull order.
+        runs = [
+            [(ik(b"a", 1), b"0"), (ik(b"c", 1), b"0"), (ik(b"e", 1), b"0")],
+            [(ik(b"b", 1), b"1"), (ik(b"d", 1), b"1")],
+            [(ik(b"f", 1), b"2")],
+        ]
+        for reverse in DIRECTIONS:
+            pulls = []
+
+            def tracked(index, entries):
+                for entry in in_scan_order(entries, reverse):
+                    pulls.append(index)
+                    yield entry
+
+            stream = merge_internal(
+                [tracked(i, run) for i, run in enumerate(runs)], reverse=reverse
+            )
+            assert pulls == []  # nothing before the first next
+            previous = next(stream)
+            assert pulls == [0, 1, 2]  # one entry per source seeds the merge
+            left = [len(run) - 1 for run in runs]
+            yielded = [previous]
+            while True:
+                seen = len(pulls)
+                entry = next(stream, None)
+                source = int(previous[1])  # each value names its source
+                expected = [source] if left[source] else []
+                left[source] -= len(expected)
+                assert pulls[seen:] == expected, (reverse, yielded)
+                if entry is None:
+                    break
+                yielded.append(entry)
+                previous = entry
+            assert yielded == sorted((e for run in runs for e in run), reverse=reverse)
+
 
 class TestVisibility:
     def test_newest_wins(self):

@@ -1,5 +1,7 @@
 """Unit tests for the memtable."""
 
+import pytest
+
 from repro.lsm.memtable import GetResult, MemTable
 from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key, parse_internal_key
 
@@ -79,6 +81,32 @@ class TestMemTable:
                     for ik, _ in mt.entries(target, reverse=reverse)
                 ]
                 assert got == expected, (user_key, reverse)
+
+    def test_live_iterators_do_not_see_later_inserts(self):
+        # DB.scan is a generator its caller interleaves with writes: rows
+        # added mid-scan must neither shift nor join what is left to yield.
+        mt = MemTable()
+        for i, key in enumerate([b"b", b"d", b"f", b"h"]):
+            mt.add(i + 1, TYPE_VALUE, key, b"v")
+        forward, backward = mt.entries(), mt.entries(reverse=True)
+        rest_forward = list(mt.entries())[2:]
+        rest_backward = list(mt.entries(reverse=True))[2:]
+        for it in (forward, backward):
+            next(it), next(it)
+        for seq, key in enumerate([b"a", b"c", b"e", b"g", b"i"], start=10):
+            mt.add(seq, TYPE_VALUE, key, b"late")
+        assert list(forward) == rest_forward
+        assert list(backward) == rest_backward
+        assert len(list(mt)) == 9
+
+    def test_duplicate_internal_key_raises(self):
+        mt = MemTable()
+        mt.add(7, TYPE_VALUE, b"k", b"v")
+        with pytest.raises(ValueError):
+            mt.add(7, TYPE_VALUE, b"k", b"other")
+        mt.add(7, TYPE_DELETION, b"k", b"")  # another type is another key
+        mt.add(8, TYPE_VALUE, b"k", b"v")
+        assert len(mt) == 3
 
     def test_memory_usage_grows(self):
         mt = MemTable()

@@ -134,6 +134,15 @@ class TestLatencyHistogram:
         assert h.count == 2
         assert h.percentile(100) <= 50.0
 
+    def test_bucket_edges(self):
+        # A sample exactly on a bound belongs to that bound's bucket (upper
+        # edges are inclusive); one past the last bound to the overflow one.
+        h = LatencyHistogram(min_value=1.0, max_value=4.0, growth=2.0)
+        assert h._bounds == [1.0, 2.0, 4.0]
+        for sample in (2.0, 2.0000001, 4.0, 4.0000001, 1e9, 0.5, 1.0):
+            h.record(sample)
+        assert h._counts == [2, 1, 2, 2]
+
     def test_percentile_zero_is_observed_min(self):
         # Regression: p=0 used to return the first bucket's edge (the
         # zero threshold is satisfied before any sample is counted),

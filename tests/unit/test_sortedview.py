@@ -26,9 +26,8 @@ from repro.lsm.sortedview import (
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
-    InternalKeyOrder,
-    compare_internal,
     extract_user_key,
+    internal_order,
     make_internal_key,
 )
 
@@ -51,7 +50,7 @@ def build_runs(key_sets, entries_per_block=3):
                 (make_internal_key(k, number, TYPE_VALUE), b"v%d:%s" % (number, k))
                 for k in key_set
             ),
-            key=lambda e: InternalKeyOrder(e[0]),
+            key=lambda e: internal_order(e[0]),
         )
         if not entries:
             continue
@@ -79,7 +78,7 @@ def build_runs(key_sets, entries_per_block=3):
             for i, key_set in enumerate(key_sets)
             for k in key_set
         ),
-        key=lambda e: InternalKeyOrder(e[0]),
+        key=lambda e: internal_order(e[0]),
     )
     return tables, source, merged
 
@@ -103,7 +102,7 @@ class TestStreamEquivalence:
         expected = [
             e
             for e in merged
-            if target is None or compare_internal(e[0], target) >= 0
+            if target is None or internal_order(e[0]) >= internal_order(target)
         ]
         assert list(view.stream(target, source)) == expected
 
@@ -120,7 +119,7 @@ class TestStreamEquivalence:
         expected = [
             e
             for e in reversed(merged)
-            if bound is None or compare_internal(e[0], bound) < 0
+            if bound is None or internal_order(e[0]) < internal_order(bound)
         ]
         assert list(view.stream_reverse(bound, source)) == expected
 
@@ -140,7 +139,7 @@ class TestStreamEquivalence:
             lookup = make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE)
             found = None
             for run, ref in view.point_candidates(user_key, lookup):
-                block = Block(source(run.number, ref), compare_internal)
+                block = Block(source(run.number, ref), internal_order)
                 for ikey, value in block.seek(lookup):
                     if extract_user_key(ikey) == user_key:
                         found = value
@@ -241,7 +240,7 @@ class TestRebuild:
         view, _ = rebuild_view(1, None, tables)
         anchors = [seg.anchor for seg in view.segments]
         for prev, nxt in zip(anchors, anchors[1:]):
-            assert compare_internal(prev, nxt) < 0
+            assert internal_order(prev) < internal_order(nxt)
         for anchor in anchors:
             assert anchor == user_key_anchor(anchor)
 
@@ -293,7 +292,7 @@ class TestAnchors:
         ikey = make_internal_key(key, seq, TYPE_VALUE)
         anchor = user_key_anchor(ikey)
         assert extract_user_key(anchor) == key
-        assert compare_internal(anchor, ikey) <= 0
+        assert internal_order(anchor) <= internal_order(ikey)
 
 
 class TestViewMatchesFiles:

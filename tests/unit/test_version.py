@@ -99,6 +99,35 @@ class TestVersion:
         assert [m.number for _, m in v1.files_for_user_key(b"h")] == [2]
         assert list(v1.files_for_user_key(b"fz")) == []  # gap between files
 
+    def test_files_for_user_key_searches_without_reading_every_file(self, monkeypatch):
+        # 64 disjoint L1 files covering k000..k002, k010..k012, ... k630..k632.
+        edit = VersionEdit()
+        for i in range(64):
+            edit.add_file(1, fmd(i + 1, b"k%02d0" % i, b"k%02d2" % i))
+        v = Version(7).apply(edit)
+
+        reads = []
+        plain = FileMetaData.largest_user_key
+        monkeypatch.setattr(
+            FileMetaData,
+            "largest_user_key",
+            property(lambda meta: reads.append(meta.number) or plain.fget(meta)),
+        )
+
+        def linear(user_key):
+            return [
+                (1, f)
+                for f in v.files[1]
+                if f.smallest_user_key <= user_key <= plain.fget(f)
+            ]
+
+        # below, inside (both edges and middle), between and above the files
+        probes = [b"a", b"k000", b"k311", b"k632", b"k315", b"k005", b"k633", b"z"]
+        for user_key in probes:
+            del reads[:]
+            assert list(v.files_for_user_key(user_key)) == linear(user_key), user_key
+            assert len(reads) <= 8, (user_key, len(reads))
+
     def test_overlapping_files_range(self):
         v = Version(7)
         edit = VersionEdit()
