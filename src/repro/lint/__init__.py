@@ -13,13 +13,20 @@ RL002     charge attribution: every ``clock.advance`` in ``storage/``,
           ``mash/``, ``lsm/`` is lexically paired with a tracer tier charge
 RL003     crash-point hygiene: no except handler can swallow
           ``CrashPointFired``; every ``reach("<site>")`` literal matches the
-          ``CRASH_SITES`` registry and vice versa
+          ``CRASH_SITES`` registry and vice versa; a function that commits
+          a MANIFEST edit names a crash site
 RL004     error taxonomy: raised exceptions derive from ``ReproError``
           (explicit whitelist for Python-idiom types)
 RL005     no real I/O on simulated paths: ``lsm/``, ``mash/``, ``storage/``,
           ``sim/`` never touch ``open()``/``os``/``threading``/``socket``
           outside whitelisted device modules
+RL010     suppression hygiene: ``ignore[...]`` names rule ids that exist
 ========  ==================================================================
+
+RL006–RL009 (fork/join races, durability ordering, crash-window
+annotations, resource lifecycle) were retired once tier-1 was shown to
+catch their seeded defects dynamically; DESIGN.md §7 has the audit. The
+ids are not reused.
 
 Usage::
 
@@ -31,14 +38,13 @@ Per-line suppression (same line or the comment line directly above)::
     something_flagged()  # reprolint: ignore[RL005] -- deliberate, reason
 """
 
-from repro.lint.config import SIM_SCOPES, LintConfig
+from repro.lint.config import SIM_SCOPES
 from repro.lint.engine import LintEngine, lint_paths
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, all_rules, get_rule, register
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "LintEngine",
     "Rule",
     "SIM_SCOPES",

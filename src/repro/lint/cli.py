@@ -13,10 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.config import LintConfig
-from repro.lint.engine import DEFAULT_CACHE_DIR, LintEngine
+from repro.lint.engine import LintEngine
 from repro.lint.registry import all_rules
-from repro.lint.report import render_json, render_rules, render_sarif, render_text
+from repro.lint.report import render_json, render_rules, render_text
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -33,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -48,32 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RL001,RL002",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=(
-            "per-file summary cache; warm runs re-analyze only changed "
-            f"files (default: ./{DEFAULT_CACHE_DIR})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="analyze every file from scratch, write no cache",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for per-file analysis (default: 1)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache hit/miss counters to stderr",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -106,29 +79,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"no such path: {', '.join(missing)}\n")
         return EXIT_USAGE
 
-    if args.jobs < 1:
-        sys.stderr.write("--jobs must be >= 1\n")
-        return EXIT_USAGE
-
-    engine = LintEngine(
-        LintConfig(enabled_rules=enabled),
-        cache_dir=None if args.no_cache else Path(args.cache_dir),
-        jobs=args.jobs,
-    )
-    findings = engine.run(paths)
-    if args.stats:
-        stats = engine.stats
-        sys.stderr.write(
-            f"reprolint: {stats['files']} file(s), "
-            f"{stats['cache_hits']} cached, {stats['cache_misses']} analyzed\n"
-        )
-
-    if args.format == "json":
-        report = render_json(findings)
-    elif args.format == "sarif":
-        report = render_sarif(findings)
-    else:
-        report = render_text(findings)
+    findings = LintEngine(enabled).run(paths)
+    report = render_json(findings) if args.format == "json" else render_text(findings)
     if args.output is not None:
         Path(args.output).write_text(report, encoding="utf-8")
     else:

@@ -1,4 +1,4 @@
-"""Configuration for a reprolint run.
+"""This repository's lint policy: scopes, whitelists and windows.
 
 Scopes are *package-relative* paths: the engine maps every linted file to
 its path below the ``repro`` package (``src/repro/storage/local.py`` →
@@ -8,10 +8,8 @@ miniature fixture trees the self-tests build under ``tmp/repro/…``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 #: Package-relative directories that run purely on the simulated clock.
-#: RL002 (charge pairing) and RL005 (no real I/O) scope to these.
+#: RL005 (no real I/O) scopes to these.
 SIM_SCOPES: tuple[str, ...] = ("lsm/", "mash/", "storage/", "sim/", "tune/")
 
 #: Modules allowed to do real I/O inside the simulated scopes: the
@@ -37,117 +35,25 @@ RAISE_WHITELIST: tuple[str, ...] = (
     "ValueError",
 )
 
-#: Call tokens that commit durable metadata (RL007/RL008 anchor on these).
+#: Call tokens that commit durable metadata (RL003's commit-bracket check
+#: anchors on these).
 COMMIT_TOKENS: tuple[str, ...] = ("log_and_apply",)
 
-#: Call tokens that acknowledge a value append to the caller (RL007 S1).
-APPEND_TOKENS: tuple[str, ...] = ("add_record",)
-
-#: Call tokens that directly mutate durable state. A call is *transitively*
-#: durable when any of these appears in its callee's event closure.
-DURABLE_TOKENS: tuple[str, ...] = (
-    "complete_multipart",
-    "delete_file",
-    "put",
-    "rename_file",
-    "upload_part",
-    "write_file",
-)
-
-#: Package-relative scopes for RL008 (crash-window bracketing). The crash
+#: Package-relative scopes for RL003's commit-bracket check. The crash
 #: protocol lives in the LSM core and the hybrid layer; sim/storage device
 #: code and serving glue never commit MANIFEST edits of their own.
 CRASH_WINDOW_SCOPES: tuple[str, ...] = ("lsm/", "mash/")
 
-#: Package-relative scopes for RL009's scan-lifecycle check. Bench and
-#: workload drivers call the list-returning facade scan, which owns no
-#: resources, so they are deliberately out of scope.
-LIFECYCLE_SCOPES: tuple[str, ...] = ("lsm/", "mash/", "serve/", "facade.py")
+#: RL002: a ``.charge(`` this many lines *above* an ``.advance(`` still
+#: counts as its pair (charge-then-advance ordering).
+CHARGE_WINDOW_BEFORE = 2
 
-#: Call tokens that never resolve to project functions: builtin
-#: container/str/bytearray method names whose collisions with same-named
-#: project methods (e.g. ``bytearray.append`` vs a device ``append``)
-#: would otherwise make every function's event closure "durable".
-AMBIENT_TOKENS: tuple[str, ...] = (
-    "add",
-    "append",
-    "clear",
-    "copy",
-    "decode",
-    "discard",
-    "encode",
-    "extend",
-    "get",
-    "insert",
-    "items",
-    "join",
-    "keys",
-    "pop",
-    "popitem",
-    "remove",
-    "reverse",
-    "setdefault",
-    "sort",
-    "split",
-    "strip",
-    "update",
-    "values",
-)
+#: RL002: a ``.charge(`` this many lines *below* an ``.advance(`` still
+#: counts as its pair (the common advance-then-mirror ordering).
+CHARGE_WINDOW_AFTER = 6
 
-#: Builtins whose call fully consumes (and therefore closes) a generator
-#: passed as an argument.
-CONSUMING_BUILTINS: tuple[str, ...] = (
-    "all",
-    "any",
-    "dict",
-    "list",
-    "max",
-    "min",
-    "set",
-    "sorted",
-    "sum",
-    "tuple",
-)
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Knobs for one engine run; defaults match this repository's policy."""
-
-    enabled_rules: tuple[str, ...] | None = None
-    """Rule ids to run; ``None`` runs every registered rule."""
-
-    sim_scopes: tuple[str, ...] = SIM_SCOPES
-    real_io_whitelist: tuple[str, ...] = REAL_IO_WHITELIST
-    raise_whitelist: tuple[str, ...] = RAISE_WHITELIST
-
-    commit_tokens: tuple[str, ...] = COMMIT_TOKENS
-    append_tokens: tuple[str, ...] = APPEND_TOKENS
-    durable_tokens: tuple[str, ...] = DURABLE_TOKENS
-    crash_window_scopes: tuple[str, ...] = CRASH_WINDOW_SCOPES
-    lifecycle_scopes: tuple[str, ...] = LIFECYCLE_SCOPES
-    ambient_tokens: tuple[str, ...] = AMBIENT_TOKENS
-
-    charge_window_before: int = 2
-    """RL002: a ``.charge(`` this many lines *above* an ``.advance(`` still
-    counts as its pair (charge-then-advance ordering)."""
-
-    charge_window_after: int = 6
-    """RL002: a ``.charge(`` this many lines *below* an ``.advance(`` still
-    counts as its pair (the common advance-then-mirror ordering)."""
-
-    exclude_parts: tuple[str, ...] = ("__pycache__",)
-    """Path components that exclude a file from collection."""
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        return self.enabled_rules is None or rule_id in self.enabled_rules
-
-    def digest(self) -> str:
-        """Stable hash of every knob — part of the summary-cache key, so a
-        config change invalidates cached per-file results."""
-        import hashlib
-
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
+#: Path components that exclude a file from collection.
+EXCLUDE_PARTS: tuple[str, ...] = ("__pycache__",)
 
 
 def in_scopes(pkg_path: str, scopes: tuple[str, ...]) -> bool:

@@ -5,48 +5,30 @@ them with :mod:`ast`, and hands immutable :class:`ModuleInfo` records to
 the rules. Nothing is imported or executed, so linting a broken tree is
 safe.
 
-Since the interprocedural rules landed, a run has two phases:
-
-* **Phase one — per file, cacheable.** Parse, run every per-module rule
-  hook, and extract the file's :class:`~repro.lint.summaries.FileFacts`.
-  The result (findings + facts, both plain JSON) is cached keyed by the
-  content hash, the config digest, and the schema versions, so a warm run
-  re-analyzes only changed files. With ``jobs > 1`` the cache misses are
-  analyzed in a process pool.
-* **Phase two — project-wide, always runs.** The cross-file rules
-  (``check_facts``) see every file's facts — cached or fresh — through a
-  :class:`~repro.lint.callgraph.ProjectFacts`, never an AST, so phase two
-  is fast and cache-friendly by construction.
-
-Suppressions are applied last, over the facts' serialized suppression
-maps, so inline ``# reprolint: ignore`` comments keep working for
-findings produced from cached files. A finding spanning multiple lines
-(``end_line``) is suppressed by a comment on any of them.
+A run is one in-memory pass: collect the files; parse each one once and
+run every per-file rule hook on it, keeping the few cross-file facts
+(:class:`~repro.lint.summaries.FileFacts`) and dropping the tree; join
+those facts in the three cross-file rules; drop findings of rules that
+were not asked for and findings an inline ``# reprolint: ignore`` covers
+(a finding spanning several lines is suppressed by a comment on any of
+them); sort.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+import functools
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
-from repro.lint.config import LintConfig
-from repro.lint.finding import Finding, FindingCollector
+from repro.lint.config import EXCLUDE_PARTS
+from repro.lint.finding import Finding, Site
 from repro.lint.registry import all_rules
-from repro.lint.suppress import parse_suppressions
-from repro.lint.summaries import FACTS_SCHEMA, FileFacts, extract_file_facts
+from repro.lint.summaries import FileFacts, extract_file_facts
+from repro.lint.suppress import is_suppressed, parse_suppressions
 
 PARSE_ERROR_RULE = "RL000"
-
-#: Bump when the cached record layout changes (finding dict shape, record
-#: envelope); FACTS_SCHEMA covers the facts payload itself.
-CACHE_SCHEMA = 1
-
-DEFAULT_CACHE_DIR = ".reprolint-cache"
 
 
 @dataclass(frozen=True)
@@ -54,21 +36,17 @@ class ModuleInfo:
     """One parsed source file, as seen by the rules.
 
     Attributes:
-        path: absolute path on disk.
         rel_path: path relative to the linted root (for reporting).
         pkg_path: path relative to the innermost ``repro`` package
             directory (``storage/local.py``), which rule scopes key on; for
             files outside any ``repro`` directory this equals ``rel_path``.
-        source: raw text.
-        lines: ``source.splitlines()`` (1-based indexing via ``line(n)``).
+        lines: the source split into lines (1-based via ``line(n)``).
         tree: parsed AST.
         suppressions: 1-based line → suppressed rule ids (``"*"`` = all).
     """
 
-    path: Path
     rel_path: str
     pkg_path: str
-    source: str
     lines: list[str]
     tree: ast.Module
     suppressions: dict[int, frozenset[str]]
@@ -79,33 +57,20 @@ class ModuleInfo:
             return self.lines[lineno - 1]
         return ""
 
-    def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
-        """Build a finding anchored at ``node``."""
+    def site(self, node: ast.AST) -> Site:
+        """The location of ``node``, detached from the tree."""
         lineno = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        return Finding(
-            rule=rule_id,
+        return Site(
             path=self.rel_path,
             line=lineno,
-            col=col,
-            message=message,
-            snippet=self.line(lineno).strip(),
+            col=getattr(node, "col_offset", 0),
             end_line=getattr(node, "end_lineno", 0) or lineno,
+            snippet=self.line(lineno).strip(),
         )
 
-
-@dataclass
-class LintContext:
-    """Everything the per-module rules can see during one run."""
-
-    config: LintConfig
-    modules: list[ModuleInfo] = field(default_factory=list)
-
-    def by_pkg_path(self, pkg_path: str) -> ModuleInfo | None:
-        for module in self.modules:
-            if module.pkg_path == pkg_path:
-                return module
-        return None
+    def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
+        """Build a finding anchored at ``node``."""
+        return self.site(node).finding(rule_id, message)
 
 
 def _pkg_path(path: Path, root: Path) -> str:
@@ -118,13 +83,16 @@ def _pkg_path(path: Path, root: Path) -> str:
     for idx in range(len(parts) - 1, -1, -1):
         if parts[idx] == "repro":
             return "/".join(parts[idx + 1 :])
-    try:
+    return _rel_path(path, root)
+
+
+def _rel_path(path: Path, root: Path) -> str:
+    if path.is_relative_to(root):
         return path.relative_to(root).as_posix()
-    except ValueError:
-        return path.name
+    return str(path)
 
 
-def collect_files(paths: list[Path], config: LintConfig) -> list[tuple[Path, Path]]:
+def collect_files(paths: list[Path]) -> list[tuple[Path, Path]]:
     """Expand files/directories into (file, root) pairs, sorted, deduped."""
     seen: set[Path] = set()
     out: list[tuple[Path, Path]] = []
@@ -139,248 +107,95 @@ def collect_files(paths: list[Path], config: LintConfig) -> list[tuple[Path, Pat
         for file in candidates:
             if file in seen:
                 continue
-            if any(part in config.exclude_parts for part in file.parts):
+            if any(part in EXCLUDE_PARTS for part in file.parts):
                 continue
             seen.add(file)
             out.append((file, base))
     return out
 
 
-# -- phase one ---------------------------------------------------------------
-
-
-def _rel_path(path: Path, root: Path) -> str:
-    if path.is_relative_to(root):
-        return path.relative_to(root).as_posix()
-    return str(path)
-
-
-def cache_key(source: str, rel_path: str, config: LintConfig) -> str:
-    """Cache-file stem for one file's phase-one record."""
-    basis = "\x1f".join(
-        (
-            str(CACHE_SCHEMA),
-            str(FACTS_SCHEMA),
-            config.digest(),
-            rel_path,
-            hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        )
+def _parse_error(rel_path: str, exc: Exception) -> Finding:
+    return Finding(
+        rule=PARSE_ERROR_RULE,
+        path=rel_path,
+        line=getattr(exc, "lineno", 0) or 0,
+        col=getattr(exc, "offset", 0) or 0,
+        message=f"could not parse file: {exc}",
     )
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:32]
 
 
+# Memoised on the text itself so a process that lints two nearly identical
+# trees (the mutation self-tests) re-analyses only the files that differ.
+# The result is shared between calls: callers must not mutate it.
+@functools.lru_cache(maxsize=1024)
 def analyze_source(
-    path: Path, root: Path, source: str, config: LintConfig
-) -> dict[str, Any]:
-    """Phase one for one file: parse, per-module rules, fact extraction.
-
-    Returns a plain-JSON record ``{"rel_path", "findings", "facts"}`` —
-    exactly what the summary cache stores, and everything phase two needs.
-    Module-level (not a method) so a process pool can pickle it.
-    """
-    rel = _rel_path(path, root)
-    pkg = _pkg_path(path, root)
+    rel_path: str, pkg_path: str, source: str
+) -> tuple[tuple[Finding, ...], FileFacts]:
+    """Everything one file contributes: its per-file findings (every rule,
+    unfiltered, unsuppressed) and its cross-file facts."""
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=rel_path)
     except (SyntaxError, ValueError) as exc:
-        finding = Finding(
-            rule=PARSE_ERROR_RULE,
-            path=rel,
-            line=getattr(exc, "lineno", 0) or 0,
-            col=getattr(exc, "offset", 0) or 0,
-            message=f"could not parse file: {exc}",
-        )
-        facts = FileFacts(rel_path=rel, pkg_path=pkg)
-        return {
-            "rel_path": rel,
-            "findings": [finding.to_dict()],
-            "facts": facts.to_dict(),
-        }
+        return (_parse_error(rel_path, exc),), FileFacts(rel_path=rel_path)
     lines = source.splitlines()
     module = ModuleInfo(
-        path=path,
-        rel_path=rel,
-        pkg_path=pkg,
-        source=source,
+        rel_path=rel_path,
+        pkg_path=pkg_path,
         lines=lines,
         tree=tree,
         suppressions=parse_suppressions(lines),
     )
-    ctx = LintContext(config=config, modules=[module])
     findings: list[Finding] = []
     for rule in all_rules():
-        if config.rule_enabled(rule.id):
-            findings.extend(rule.check_module(module, ctx))
-    facts = extract_file_facts(
-        module, config.commit_tokens, config.append_tokens, config.lifecycle_scopes
-    )
-    return {
-        "rel_path": rel,
-        "findings": [f.to_dict() for f in findings],
-        "facts": facts.to_dict(),
-    }
-
-
-def _analyze_job(
-    job: tuple[str, str, str, LintConfig]
-) -> dict[str, Any]:
-    """Process-pool entry point (must be a picklable top-level function)."""
-    path_s, root_s, source, config = job
-    return analyze_source(Path(path_s), Path(root_s), source, config)
-
-
-# -- suppression over facts --------------------------------------------------
-
-
-def _suppressed(
-    suppressions: dict[int, list[str]], finding: Finding
-) -> bool:
-    end = max(finding.end_line, finding.line)
-    for line in range(finding.line, end + 1):
-        rules = suppressions.get(line)
-        if rules is not None and ("*" in rules or finding.rule in rules):
-            return True
-    return False
-
-
-# -- the engine --------------------------------------------------------------
+        findings.extend(rule.check_module(module))
+    return tuple(findings), extract_file_facts(module)
 
 
 class LintEngine:
-    """Runs every enabled rule over a set of paths.
+    """Runs the rules over a set of paths.
 
     Args:
-        config: rule knobs; defaults to this repository's policy.
-        cache_dir: directory for phase-one records (``None`` disables
-            caching — the library default, so tests on throwaway trees
-            leave nothing behind; the CLI passes ``.reprolint-cache``).
-        jobs: worker processes for phase one. ``1`` analyzes in-process.
-
-    After :meth:`run`, :attr:`stats` holds ``{"files", "cache_hits",
-    "cache_misses"}`` for the warm/cold-cache self-tests and ``--stats``.
+        rules: rule ids to report; ``None`` reports every registered rule.
     """
 
-    def __init__(
-        self,
-        config: LintConfig | None = None,
-        *,
-        cache_dir: Path | None = None,
-        jobs: int = 1,
-    ) -> None:
-        self.config = config or LintConfig()
-        self.cache_dir = cache_dir
-        self.jobs = max(1, jobs)
-        self.stats: dict[str, int] = {"files": 0, "cache_hits": 0, "cache_misses": 0}
-
-    # -- cache I/O ---------------------------------------------------------
-
-    def _cache_load(self, key: str, rel_path: str) -> dict[str, Any] | None:
-        if self.cache_dir is None:
-            return None
-        try:
-            doc = json.loads(
-                (self.cache_dir / f"{key}.json").read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(doc, dict) or doc.get("rel_path") != rel_path:
-            return None
-        if "findings" not in doc or "facts" not in doc:
-            return None
-        return doc
-
-    def _cache_store(self, key: str, record: dict[str, Any]) -> None:
-        if self.cache_dir is None:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            (self.cache_dir / f"{key}.json").write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-        except OSError:
-            pass  # caching is best-effort; a read-only tree still lints
-
-    # -- running -----------------------------------------------------------
+    def __init__(self, rules: Iterable[str] | None = None) -> None:
+        self.rules = None if rules is None else frozenset(rules)
 
     def run(self, paths: list[Path]) -> list[Finding]:
-        """Lint ``paths``; returns findings with suppressions applied."""
-        from repro.lint.callgraph import ProjectFacts
-
-        collector = FindingCollector()
-        self.stats = {"files": 0, "cache_hits": 0, "cache_misses": 0}
-
-        records: list[dict[str, Any] | None] = []
-        misses: list[tuple[int, Path, Path, str, str]] = []
-        for file, root in collect_files(paths, self.config):
-            self.stats["files"] += 1
+        """Lint ``paths``; returns sorted findings with suppressions applied."""
+        findings: list[Finding] = []
+        files: list[FileFacts] = []
+        for file, root in collect_files(paths):
             rel = _rel_path(file, root)
             try:
                 source = file.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                collector.add(
-                    Finding(
-                        rule=PARSE_ERROR_RULE,
-                        path=rel,
-                        line=0,
-                        col=0,
-                        message=f"could not parse file: {exc}",
-                    )
-                )
+                findings.append(_parse_error(rel, exc))
                 continue
-            key = cache_key(source, rel, self.config)
-            cached = self._cache_load(key, rel)
-            if cached is not None:
-                self.stats["cache_hits"] += 1
-                records.append(cached)
-            else:
-                self.stats["cache_misses"] += 1
-                records.append(None)
-                misses.append((len(records) - 1, file, root, source, key))
+            file_findings, facts = analyze_source(rel, _pkg_path(file, root), source)
+            findings.extend(file_findings)
+            files.append(facts)
 
-        if misses:
-            if self.jobs > 1 and len(misses) > 1:
-                jobs = [
-                    (str(file), str(root), source, self.config)
-                    for _, file, root, source, _ in misses
-                ]
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    fresh = list(pool.map(_analyze_job, jobs))
-            else:
-                fresh = [
-                    analyze_source(file, root, source, self.config)
-                    for _, file, root, source, _ in misses
-                ]
-            for (slot, _, _, _, key), record in zip(misses, fresh):
-                records[slot] = record
-                self._cache_store(key, record)
-
-        files_facts: list[FileFacts] = []
-        for record in records:
-            assert record is not None  # every miss slot was filled above
-            for doc in record["findings"]:
-                collector.add(Finding.from_dict(doc))
-            files_facts.append(FileFacts.from_dict(record["facts"]))
-
-        project = ProjectFacts(config=self.config, files=files_facts)
         for rule in all_rules():
-            if self.config.rule_enabled(rule.id):
-                for finding in rule.check_facts(project):
-                    collector.add(finding)
+            findings.extend(rule.check_facts(files))
 
-        suppressions = {f.rel_path: f.suppressions for f in files_facts}
-        kept: list[Finding] = []
-        for finding in collector.sorted():
-            file_suppressions = suppressions.get(finding.path)
-            if file_suppressions is not None and _suppressed(
-                file_suppressions, finding
-            ):
-                continue
-            kept.append(finding)
-        return kept
+        suppressions = {facts.rel_path: facts.suppressions for facts in files}
+        return sorted(
+            (
+                finding
+                for finding in findings
+                if self._wanted(finding.rule)
+                and not is_suppressed(suppressions.get(finding.path, {}), finding)
+            ),
+            key=Finding.sort_key,
+        )
+
+    def _wanted(self, rule_id: str) -> bool:
+        return self.rules is None or rule_id in self.rules or rule_id == PARSE_ERROR_RULE
 
 
 def lint_paths(
-    paths: list[str | Path], config: LintConfig | None = None
+    paths: list[str | Path], rules: Iterable[str] | None = None
 ) -> list[Finding]:
     """Convenience wrapper: lint files/directories, return findings."""
-    return LintEngine(config).run([Path(p) for p in paths])
+    return LintEngine(rules).run([Path(p) for p in paths])

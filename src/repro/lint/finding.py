@@ -1,9 +1,8 @@
-"""Lint findings and their content fingerprints."""
+"""Lint findings and the source locations they anchor on."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -18,8 +17,7 @@ class Finding:
         line: 1-based line of the offending node (0 for whole-file findings).
         col: 0-based column of the offending node.
         message: human-readable description of the violation.
-        snippet: the stripped source line, used for fingerprinting so a
-            finding keeps its identity across edits that only shift lines.
+        snippet: the stripped source line, shown by the JSON report.
         end_line: 1-based last line of the offending node (0 = same as
             ``line``); suppressions on any line of a multi-line statement
             apply to the finding.
@@ -33,21 +31,6 @@ class Finding:
     snippet: str = ""
     end_line: int = 0
 
-    @property
-    def fingerprint(self) -> str:
-        """Content hash identifying this finding across edits (SARIF
-        ``partialFingerprints``).
-
-        Hashes (rule, path, whitespace-normalized snippet) — no line
-        numbers, so edits above the finding don't change it, and no
-        message, so rewording a rule's diagnostics doesn't either. Two
-        findings of one rule on identical source lines in the same file
-        share a fingerprint.
-        """
-        normalized = " ".join(self.snippet.split())
-        basis = "\x1f".join((self.rule, self.path, normalized))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
@@ -57,36 +40,34 @@ class Finding:
             "end_line": self.end_line or self.line,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (summary cache)."""
-        return cls(
-            rule=doc["rule"],
-            path=doc["path"],
-            line=doc["line"],
-            col=doc["col"],
-            message=doc["message"],
-            snippet=doc.get("snippet", ""),
-            end_line=doc.get("end_line", 0),
-        )
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
+    def sort_key(self) -> tuple[str, int, int, str, str]:
+        """Report order: by location, then rule, then message."""
+        return (self.path, self.line, self.col, self.rule, self.message)
 
-@dataclass
-class FindingCollector:
-    """Accumulates findings for one lint run."""
 
-    findings: list[Finding] = field(default_factory=list)
+@dataclass(frozen=True, slots=True)
+class Site:
+    """A source location remembered after its AST is gone — what a
+    cross-file rule needs to anchor a finding on another file's line."""
 
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
+    path: str
+    line: int
+    col: int
+    end_line: int
+    snippet: str
 
-    def sorted(self) -> list[Finding]:
-        return sorted(
-            self.findings, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
+    def finding(self, rule_id: str, message: str) -> Finding:
+        return Finding(
+            rule=rule_id,
+            path=self.path,
+            line=self.line,
+            col=self.col,
+            message=message,
+            snippet=self.snippet,
+            end_line=self.end_line,
         )

@@ -14,33 +14,29 @@ from typing import TYPE_CHECKING, TypeVar
 from repro.lint.finding import Finding
 
 if TYPE_CHECKING:
-    from repro.lint.callgraph import ProjectFacts
-    from repro.lint.engine import LintContext, ModuleInfo
+    from repro.lint.engine import ModuleInfo
+    from repro.lint.summaries import FileFacts
 
 
 class Rule:
     """One static check. Subclass, set the metadata, implement a hook.
 
-    ``check_module`` runs once per parsed file (phase one — its findings
-    are cached with the file). ``check_facts`` runs once per engine run
-    over the serialized :class:`~repro.lint.summaries.FileFacts` of every
-    file — cached or fresh — and is where cross-file invariants live
-    (RL003's registry consistency, RL004's class-hierarchy resolution, the
-    RL006–RL010 interprocedural and hygiene rules). Cross-file rules must
-    not hold ASTs: cache hits are never re-parsed, so facts are all a
-    warm run has. Either hook may be omitted.
+    ``check_module`` runs once per parsed file. ``check_facts`` runs once
+    per engine run over the :class:`~repro.lint.summaries.FileFacts` of
+    every file and is where cross-file invariants live (RL003's registry
+    consistency, RL004's class-hierarchy resolution, RL010's suppression
+    hygiene); the ASTs are gone by then, so facts are all it sees. Either
+    hook may be omitted.
     """
 
     id: str = ""
     name: str = ""
     description: str = ""
 
-    def check_module(
-        self, module: "ModuleInfo", ctx: "LintContext"
-    ) -> Iterable[Finding]:
+    def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
         return ()
 
-    def check_facts(self, project: "ProjectFacts") -> Iterable[Finding]:
+    def check_facts(self, files: list["FileFacts"]) -> Iterable[Finding]:
         return ()
 
 

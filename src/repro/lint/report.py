@@ -1,4 +1,4 @@
-"""Finding reporters: human text, machine JSON, and SARIF for CI."""
+"""Finding reporters: human text and machine JSON."""
 
 from __future__ import annotations
 
@@ -33,74 +33,6 @@ def render_json(findings: list[Finding]) -> str:
         "findings": [f.to_dict() for f in findings],
         "counts": dict(sorted(Counter(f.rule for f in findings).items())),
         "clean": not findings,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-SARIF_VERSION = "2.1.0"
-
-
-def render_sarif(findings: list[Finding]) -> str:
-    """SARIF 2.1.0 document — what GitHub code scanning ingests.
-
-    Every registered rule is described in the tool section (so CI
-    annotations link to the catalog entry even for rules with zero
-    results); each result carries :attr:`Finding.fingerprint` as a
-    ``partialFingerprints`` entry, letting SARIF consumers dedupe across
-    runs.
-    """
-    rules_meta = [
-        {
-            "id": rule.id,
-            "name": rule.name,
-            "shortDescription": {"text": rule.description},
-        }
-        for rule in all_rules()
-    ]
-    results = []
-    for f in findings:
-        region: dict[str, Any] = {
-            "startLine": max(f.line, 1),
-            "startColumn": f.col + 1,
-        }
-        if f.end_line and f.end_line > f.line:
-            region["endLine"] = f.end_line
-        if f.snippet:
-            region["snippet"] = {"text": f.snippet}
-        results.append(
-            {
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f.path,
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": region,
-                        }
-                    }
-                ],
-                "partialFingerprints": {"reprolintFingerprint/v2": f.fingerprint},
-            }
-        )
-    doc: dict[str, Any] = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

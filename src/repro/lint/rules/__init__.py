@@ -4,10 +4,7 @@ from repro.lint.rules import (  # noqa: F401
     charges,
     crashpoints,
     determinism,
-    durability,
-    forkjoin,
     hygiene,
-    lifecycle,
     realio,
     taxonomy,
 )
@@ -16,10 +13,7 @@ __all__ = [
     "charges",
     "crashpoints",
     "determinism",
-    "durability",
-    "forkjoin",
     "hygiene",
-    "lifecycle",
     "realio",
     "taxonomy",
 ]

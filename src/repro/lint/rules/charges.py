@@ -22,13 +22,13 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.lint.config import in_scopes
+from repro.lint.config import CHARGE_WINDOW_AFTER, CHARGE_WINDOW_BEFORE, in_scopes
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
 from repro.lint.rules._ast_util import walk_calls
 
 if TYPE_CHECKING:
-    from repro.lint.engine import LintContext, ModuleInfo
+    from repro.lint.engine import ModuleInfo
 
 #: Package-relative scopes whose advance sites must be tier-attributed.
 CHARGE_SCOPES: tuple[str, ...] = ("storage/", "mash/", "lsm/", "tune/")
@@ -51,23 +51,19 @@ class ChargeAttributionRule(Rule):
         "paired with a tracer tier charge"
     )
 
-    def check_module(
-        self, module: "ModuleInfo", ctx: "LintContext"
-    ) -> Iterable[Finding]:
+    def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
         if not in_scopes(module.pkg_path, CHARGE_SCOPES):
             return ()
-        return list(self._scan(module, ctx))
+        return list(self._scan(module))
 
-    def _scan(self, module: "ModuleInfo", ctx: "LintContext") -> Iterator[Finding]:
+    def _scan(self, module: "ModuleInfo") -> Iterator[Finding]:
         advances = _attr_call_lines(module.tree, "advance")
         if not advances:
             return
         charge_lines = sorted(line for line, _ in _attr_call_lines(module.tree, "charge"))
-        before = ctx.config.charge_window_before
-        after = ctx.config.charge_window_after
         for line, call in advances:
             paired = any(
-                line - before <= charge_line <= line + after
+                line - CHARGE_WINDOW_BEFORE <= charge_line <= line + CHARGE_WINDOW_AFTER
                 for charge_line in charge_lines
             )
             if not paired:

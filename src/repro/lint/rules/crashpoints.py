@@ -2,8 +2,8 @@
 
 :class:`~repro.sim.failure.CrashPointFired` is deliberately not a
 ``ReproError``: the whole reliability story (PR 2) rests on it propagating
-from an armed site to the harness unconditionally. Two ways code can break
-that contract, both checked here:
+from an armed site to the harness unconditionally. Three ways code can
+break that contract, all checked here:
 
 **Swallowing handlers** (per module). An ``except`` clause that catches
 ``Exception``/``BaseException``/everything — or names ``CrashPointFired``
@@ -18,6 +18,14 @@ re-raises it.
 name a site in the ``CRASH_SITES`` registry, and every registered site must
 be reached by some call site — otherwise the crashmonkey matrix either
 crashes on an unknown name at runtime or quietly stops covering a site.
+
+**Unbracketed commits** (per module, lexical). A function under ``lsm/`` or
+``mash/`` that commits a MANIFEST edit (``log_and_apply``) must contain a
+``crash_points.reach(...)`` site in its own body: a new commit path with no
+site is a window the crashmonkey matrix cannot explore, and no test run
+can notice a site that was never written. Where in the function the site
+sits is not judged — crashmonkey fires every registered site and checks
+what recovery finds.
 """
 
 from __future__ import annotations
@@ -26,14 +34,15 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
+from repro.lint.config import COMMIT_TOKENS, CRASH_WINDOW_SCOPES, in_scopes
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
 from repro.lint.rules._ast_util import last_name
 
 if TYPE_CHECKING:
-    from repro.lint.callgraph import ProjectFacts
-    from repro.lint.engine import LintContext, ModuleInfo
-    from repro.lint.summaries import SiteRef
+    from repro.lint.engine import ModuleInfo
+    from repro.lint.finding import Site
+    from repro.lint.summaries import FileFacts
 
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
 CRASH_EXC = "CrashPointFired"
@@ -54,21 +63,25 @@ def _handler_names(handler: ast.ExceptHandler) -> set[str]:
     return names
 
 
-def _reraises(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler body contains a bare ``raise``.
-
-    Nested functions defined inside the handler do not count — their
-    ``raise`` runs later, if ever — so the walk stops at scope boundaries.
-    """
-    pending: list[ast.AST] = list(handler.body)
+def _own_nodes(body: list[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node of ``body`` that runs in its scope. Nested functions do
+    not count — their code runs later, if ever — so the walk stops at
+    scope boundaries."""
+    pending: list[ast.AST] = list(body)
     while pending:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.Raise) and node.exc is None:
-            return True
+        yield node
         pending.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def _reraises(handler: ast.ExceptHandler) -> bool:
+    """Whether the handler body contains a bare ``raise`` of its own."""
+    return any(
+        isinstance(node, ast.Raise) and node.exc is None
+        for node in _own_nodes(handler.body)
+    )
 
 
 def _catches_all(handler: ast.ExceptHandler) -> bool:
@@ -81,15 +94,17 @@ class CrashPointHygieneRule(Rule):
     name = "crash-point-hygiene"
     description = (
         "no except handler may swallow CrashPointFired; reach() sites and "
-        "the CRASH_SITES registry must agree"
+        "the CRASH_SITES registry must agree; a function that commits a "
+        "MANIFEST edit names a crash site"
     )
 
-    # -- per-module: swallowing handlers --------------------------------------
+    def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
+        findings = list(self._scan_handlers(module))
+        if in_scopes(module.pkg_path, CRASH_WINDOW_SCOPES):
+            findings.extend(self._scan_commits(module))
+        return findings
 
-    def check_module(
-        self, module: "ModuleInfo", ctx: "LintContext"
-    ) -> Iterable[Finding]:
-        return list(self._scan_handlers(module))
+    # -- per-module: swallowing handlers --------------------------------------
 
     def _scan_handlers(self, module: "ModuleInfo") -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -122,59 +137,63 @@ class CrashPointHygieneRule(Rule):
                         "in an earlier handler",
                     )
 
+    # -- per-module: unbracketed commits --------------------------------------
+
+    def _scan_commits(self, module: "ModuleInfo") -> Iterator[Finding]:
+        for fn in ast.walk(module.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method_calls = [
+                (node.func.attr, node)
+                for node in _own_nodes(fn.body)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            ]
+            if any(method == "reach" for method, _ in method_calls):
+                continue
+            for method, call in method_calls:
+                if method in COMMIT_TOKENS:
+                    yield module.finding(
+                        self.id,
+                        call,
+                        f"MANIFEST commit in {fn.name}() with no reach() crash "
+                        "site in the function's own body — the crashmonkey "
+                        "matrix cannot explore the window this commit closes "
+                        "(crash-coverage gap)",
+                    )
+
     # -- cross-file: registry consistency -------------------------------------
 
-    def check_facts(self, project: "ProjectFacts") -> Iterable[Finding]:
-        """Registry drift, over cached facts (runs every phase two)."""
-        registry_facts = None
-        registered: dict[str, "SiteRef"] = {}
-        for facts in project.files:
-            if facts.registry is not None:
-                registry_facts = facts
-                registered = facts.registry
-                break
-        if registry_facts is None:
+    def check_facts(self, files: list["FileFacts"]) -> Iterable[Finding]:
+        registered: dict[str, "Site"] | None = next(
+            (facts.registry for facts in files if facts.registry is not None), None
+        )
+        if registered is None:
             return ()  # no CRASH_SITES in the linted tree: nothing to check
         findings: list[Finding] = []
         reached: set[str] = set()
         dynamic: set[str] = set()
-        for facts in project.files:
+        for facts in files:
             dynamic.update(facts.registers)
-        for facts in project.files:
-            for site, ref in sorted(facts.reaches.items()):
-                reached.add(site)
-                if site not in registered and site not in dynamic:
+        for facts in files:
+            for name, site in sorted(facts.reaches.items()):
+                reached.add(name)
+                if name not in registered and name not in dynamic:
                     findings.append(
-                        Finding(
-                            rule=self.id,
-                            path=facts.rel_path,
-                            line=ref.line,
-                            col=ref.col,
-                            end_line=ref.end_line,
-                            snippet=ref.snippet,
-                            message=(
-                                f"reach({site!r}) names a crash point missing "
-                                f"from {REGISTRY_NAME} — arming and matrix "
-                                "enumeration cannot see it"
-                            ),
+                        site.finding(
+                            self.id,
+                            f"reach({name!r}) names a crash point missing "
+                            f"from {REGISTRY_NAME} — arming and matrix "
+                            "enumeration cannot see it",
                         )
                     )
-        for site in sorted(registered):
-            if site not in reached:
-                ref = registered[site]
+        for name in sorted(registered):
+            if name not in reached:
                 findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=registry_facts.rel_path,
-                        line=ref.line,
-                        col=ref.col,
-                        end_line=ref.end_line,
-                        snippet=ref.snippet,
-                        message=(
-                            f"{REGISTRY_NAME} registers {site!r} but no "
-                            "reach() call site exists — the crashmonkey matrix "
-                            "silently stopped covering it"
-                        ),
+                    registered[name].finding(
+                        self.id,
+                        f"{REGISTRY_NAME} registers {name!r} but no "
+                        "reach() call site exists — the crashmonkey matrix "
+                        "silently stopped covering it",
                     )
                 )
         return findings

@@ -27,7 +27,7 @@ from repro.lint.registry import Rule, register
 from repro.lint.rules._ast_util import dotted_name, walk_calls
 
 if TYPE_CHECKING:
-    from repro.lint.engine import LintContext, ModuleInfo
+    from repro.lint.engine import ModuleInfo
 
 #: (qualified call, why it is banned). Matched on the trailing components of
 #: the dotted call chain, so ``datetime.datetime.now`` hits ``datetime.now``.
@@ -78,9 +78,7 @@ class DeterminismRule(Rule):
         "listings everywhere under repro"
     )
 
-    def check_module(
-        self, module: "ModuleInfo", ctx: "LintContext"
-    ) -> Iterable[Finding]:
+    def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
         return list(self._scan(module))
 
     def _scan(self, module: "ModuleInfo") -> Iterator[Finding]:

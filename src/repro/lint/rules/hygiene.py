@@ -18,10 +18,10 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.lint.finding import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.registry import Rule, all_rules, register
 
 if TYPE_CHECKING:
-    from repro.lint.callgraph import ProjectFacts
+    from repro.lint.summaries import FileFacts
 
 
 @register
@@ -33,28 +33,20 @@ class SuppressionHygieneRule(Rule):
         "a stale or misspelled id suppresses nothing"
     )
 
-    def check_facts(self, project: "ProjectFacts") -> Iterable[Finding]:
-        from repro.lint.registry import all_rules
-
+    def check_facts(self, files: list["FileFacts"]) -> Iterable[Finding]:
         known = {rule.id for rule in all_rules()} | {"RL000"}
         findings: list[Finding] = []
-        for facts in project.files:
-            for line, ids, snippet in facts.suppression_comments:
+        for facts in files:
+            for site, ids in facts.suppression_comments:
                 for rule_id in ids:
                     if rule_id in known:
                         continue
                     findings.append(
-                        Finding(
-                            rule=self.id,
-                            path=facts.rel_path,
-                            line=line,
-                            col=0,
-                            snippet=snippet,
-                            message=(
-                                f"suppression names unknown rule {rule_id} "
-                                "(stale or misspelled?) — it suppresses "
-                                "nothing; fix the id or delete it"
-                            ),
+                        site.finding(
+                            self.id,
+                            f"suppression names unknown rule {rule_id} "
+                            "(stale or misspelled?) — it suppresses "
+                            "nothing; fix the id or delete it",
                         )
                     )
         return findings

@@ -13,7 +13,7 @@ Banned inside the simulated scopes:
   ``subprocess``, ``mmap``, ``asyncio``);
 * calling the ``open()`` builtin.
 
-Whitelisted modules (``LintConfig.real_io_whitelist``) opt out wholesale:
+Whitelisted modules (``config.REAL_IO_WHITELIST``) opt out wholesale:
 ``storage/diskfile.py`` is the deliberate exception — the directory-backed
 device keeps simulated *timing* while persisting real bytes so a store can
 be inspected and reopened across processes. Anything else needs an inline
@@ -26,13 +26,13 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.lint.config import in_scopes
+from repro.lint.config import REAL_IO_WHITELIST, SIM_SCOPES, in_scopes
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
 from repro.lint.rules._ast_util import walk_calls
 
 if TYPE_CHECKING:
-    from repro.lint.engine import LintContext, ModuleInfo
+    from repro.lint.engine import ModuleInfo
 
 BANNED_MODULES = frozenset(
     {
@@ -59,12 +59,10 @@ class RealIORule(Rule):
         "touch sockets (whitelist: the directory-backed device)"
     )
 
-    def check_module(
-        self, module: "ModuleInfo", ctx: "LintContext"
-    ) -> Iterable[Finding]:
-        if not in_scopes(module.pkg_path, ctx.config.sim_scopes):
+    def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
+        if not in_scopes(module.pkg_path, SIM_SCOPES):
             return ()
-        if module.pkg_path in ctx.config.real_io_whitelist:
+        if module.pkg_path in REAL_IO_WHITELIST:
             return ()
         return list(self._scan(module))
 

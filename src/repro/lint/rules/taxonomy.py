@@ -25,11 +25,12 @@ import builtins
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
+from repro.lint.config import RAISE_WHITELIST
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:
-    from repro.lint.callgraph import ProjectFacts
+    from repro.lint.summaries import FileFacts
 
 ROOT_EXC = "ReproError"
 
@@ -73,30 +74,23 @@ class ErrorTaxonomyRule(Rule):
         "Python-idiom types and CrashPointFired)"
     )
 
-    def check_facts(self, project: "ProjectFacts") -> Iterable[Finding]:
+    def check_facts(self, files: list["FileFacts"]) -> Iterable[Finding]:
         table: dict[str, list[str]] = {}
-        for facts in project.files:
+        for facts in files:
             for name, bases in facts.classes.items():
                 table.setdefault(name, bases)
-        whitelist = frozenset(project.config.raise_whitelist)
+        whitelist = frozenset(RAISE_WHITELIST)
         findings: list[Finding] = []
-        for facts in project.files:
-            for name, ref in facts.raises:
+        for facts in files:
+            for name, site in facts.raises:
                 verdict = _derives_from_root(name, table, whitelist)
                 if verdict is False:
                     findings.append(
-                        Finding(
-                            rule=self.id,
-                            path=facts.rel_path,
-                            line=ref.line,
-                            col=ref.col,
-                            end_line=ref.end_line,
-                            snippet=ref.snippet,
-                            message=(
-                                f"raise {name}: not a ReproError subclass and "
-                                "not whitelisted — callers are promised a "
-                                "single catchable ReproError root"
-                            ),
+                        site.finding(
+                            self.id,
+                            f"raise {name}: not a ReproError subclass and "
+                            "not whitelisted — callers are promised a "
+                            "single catchable ReproError root",
                         )
                     )
         return findings

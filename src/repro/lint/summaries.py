@@ -1,960 +1,86 @@
-"""Per-file fact extraction: everything the project-wide rules need.
+"""Per-file summaries: the facts the cross-file rules join on.
 
-The two-phase engine (see :mod:`repro.lint.engine`) analyzes each file
-once — parse, per-module rules, and this extractor — and caches the result
-keyed by content hash. Phase two (cross-file rules) then runs over
-:class:`FileFacts` alone: plain, JSON-serializable records, never ASTs, so
-a warm run re-analyzes only changed files.
+Most rules judge one file at a time. Three need the whole tree, and each
+joins on one small fact per file, extracted here while the file's AST is
+in hand so the engine never holds more than one tree:
 
-What gets extracted:
-
-* **function summaries** — per function: calls made, ``self`` attributes
-  rebound, parameters closed, plus the RL007/RL008 flow sites (commit and
-  append calls with their may-before token sets, durable-write candidates
-  inside crash windows) computed by :mod:`repro.lint.dataflow`;
-* **fork/join regions** (RL006) — per region: branch blocks with their
-  shared-state writes/reads and parent-clock bypasses;
-* **scan lifecycle sites** (RL009) — ``.scan()`` calls whose disposition
-  needs cross-file resolution or is already a violation;
-* **crash-point facts** (RL003) — ``reach()`` sites, dynamic registrations
-  and the ``CRASH_SITES`` registry literal;
+* **crash-point facts** (RL003) — ``reach()`` sites, dynamic
+  ``register()`` calls and the ``CRASH_SITES`` registry literal;
 * **taxonomy facts** (RL004) — class tables and ``raise`` sites;
-* the file's suppression map, so phase-two findings on cached files still
-  honor inline suppressions.
+* **suppression comments** (RL010) — the rule ids each
+  ``# reprolint: ignore[...]`` names, un-propagated.
+
+The file's propagated suppression map rides along so findings a
+cross-file rule anchors here still honor inline suppressions.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.lint.dataflow import FlowAtom, flow_function
-from repro.lint.rules._ast_util import dotted_name, last_name, str_const
+from repro.lint.finding import Site
+from repro.lint.rules._ast_util import last_name, str_const
+from repro.lint.suppress import iter_suppression_comments
 
 if TYPE_CHECKING:
     from repro.lint.engine import ModuleInfo
 
-FACTS_SCHEMA = 1
-
-#: ``X.method(...)`` calls that mutate a container in place — the
-#: sanctioned in-branch accumulation idiom, exempt from RL006.
-_ACCUMULATORS = frozenset(
-    {"add", "append", "extend", "update", "discard", "remove", "setdefault", "pop"}
-)
-
-
-@dataclass(frozen=True, slots=True)
-class SiteRef:
-    """A serializable source location (enough to rebuild a Finding)."""
-
-    line: int
-    col: int
-    end_line: int
-    snippet: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "SiteRef":
-        return cls(doc["line"], doc["col"], doc["end_line"], doc["snippet"])
-
-
-@dataclass(frozen=True, slots=True)
-class FlowSite:
-    """A commit/append call with its may-before event tokens (RL007/8)."""
-
-    token: str
-    site: SiteRef
-    before: tuple[str, ...]
-    reach_before: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "token": self.token,
-            "site": self.site.to_dict(),
-            "before": list(self.before),
-            "reach_before": self.reach_before,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "FlowSite":
-        return cls(
-            doc["token"],
-            SiteRef.from_dict(doc["site"]),
-            tuple(doc["before"]),
-            doc["reach_before"],
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class WindowCall:
-    """A call between a ``reach()`` crash site and a later commit (RL008)."""
-
-    token: str
-    site: SiteRef
-    annotated: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "token": self.token,
-            "site": self.site.to_dict(),
-            "annotated": self.annotated,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "WindowCall":
-        return cls(doc["token"], SiteRef.from_dict(doc["site"]), doc["annotated"])
-
-
-@dataclass(frozen=True, slots=True)
-class BranchWrite:
-    """A shared-state write inside a fork/join branch (RL006).
-
-    ``scope`` is ``"self"`` (attribute of the host object), ``"global"``
-    (declared-global name) or ``"local"`` (function-level name shared with
-    code outside the branch). ``kind`` is ``"rebind"`` or ``"aug"``.
-    """
-
-    kind: str
-    scope: str
-    target: str
-    site: SiteRef
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scope": self.scope,
-            "target": self.target,
-            "site": self.site.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "BranchWrite":
-        return cls(
-            doc["kind"], doc["scope"], doc["target"], SiteRef.from_dict(doc["site"])
-        )
-
-
-@dataclass
-class BranchFacts:
-    """One ``with region.branch()`` block."""
-
-    site: SiteRef
-    in_loop: bool
-    writes: list[BranchWrite] = field(default_factory=list)
-    #: shared local names read in the branch → earliest read line.
-    read_lines: dict[str, int] = field(default_factory=dict)
-    #: shared local names written in the branch → earliest write line.
-    write_lines: dict[str, int] = field(default_factory=dict)
-    #: tokens of ``self.x(...)`` / same-module bare calls (for summary
-    #: propagation of callee self-rebinds), with call sites.
-    prop_calls: list[tuple[str, SiteRef]] = field(default_factory=list)
-    #: parent-clock ``advance``/``child`` calls bypassing the branch clock.
-    bypass: list[SiteRef] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "site": self.site.to_dict(),
-            "in_loop": self.in_loop,
-            "writes": [w.to_dict() for w in self.writes],
-            "read_lines": self.read_lines,
-            "write_lines": self.write_lines,
-            "prop_calls": [[t, s.to_dict()] for t, s in self.prop_calls],
-            "bypass": [s.to_dict() for s in self.bypass],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "BranchFacts":
-        return cls(
-            site=SiteRef.from_dict(doc["site"]),
-            in_loop=doc["in_loop"],
-            writes=[BranchWrite.from_dict(w) for w in doc["writes"]],
-            read_lines={k: int(v) for k, v in doc["read_lines"].items()},
-            write_lines={k: int(v) for k, v in doc["write_lines"].items()},
-            prop_calls=[(t, SiteRef.from_dict(s)) for t, s in doc["prop_calls"]],
-            bypass=[SiteRef.from_dict(s) for s in doc["bypass"]],
-        )
-
-
-@dataclass
-class RegionFacts:
-    """One ``ForkJoinRegion`` variable and its branch/join structure."""
-
-    var: str
-    parent_expr: str | None
-    site: SiteRef
-    joined: bool
-    stored: bool
-    branches: list[BranchFacts] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "var": self.var,
-            "parent_expr": self.parent_expr,
-            "site": self.site.to_dict(),
-            "joined": self.joined,
-            "stored": self.stored,
-            "branches": [b.to_dict() for b in self.branches],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "RegionFacts":
-        return cls(
-            var=doc["var"],
-            parent_expr=doc["parent_expr"],
-            site=SiteRef.from_dict(doc["site"]),
-            joined=doc["joined"],
-            stored=doc["stored"],
-            branches=[BranchFacts.from_dict(b) for b in doc["branches"]],
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class ScanSite:
-    """A ``.scan()`` call whose lifecycle is unresolved or violated.
-
-    ``disposition`` is ``"arg"`` (passed to callee ``callee`` at position
-    ``arg_pos`` — phase two checks the callee closes that parameter) or
-    ``"open"`` (no close on some path — a finding unless suppressed).
-    """
-
-    disposition: str
-    site: SiteRef
-    callee: str = ""
-    arg_pos: int = -1
-    detail: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "disposition": self.disposition,
-            "site": self.site.to_dict(),
-            "callee": self.callee,
-            "arg_pos": self.arg_pos,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "ScanSite":
-        return cls(
-            doc["disposition"],
-            SiteRef.from_dict(doc["site"]),
-            doc["callee"],
-            doc["arg_pos"],
-            doc["detail"],
-        )
-
-
-@dataclass
-class FunctionFacts:
-    """Summary of one top-level function or method."""
-
-    name: str
-    qualname: str
-    cls: str | None
-    params: list[str]
-    calls: list[str]
-    self_rebinds: list[str]
-    closes_params: list[str]
-    commits: list[FlowSite] = field(default_factory=list)
-    appends: list[FlowSite] = field(default_factory=list)
-    windows: list[WindowCall] = field(default_factory=list)
-    regions: list[RegionFacts] = field(default_factory=list)
-    scans: list[ScanSite] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "params": self.params,
-            "calls": self.calls,
-            "self_rebinds": self.self_rebinds,
-            "closes_params": self.closes_params,
-            "commits": [s.to_dict() for s in self.commits],
-            "appends": [s.to_dict() for s in self.appends],
-            "windows": [w.to_dict() for w in self.windows],
-            "regions": [r.to_dict() for r in self.regions],
-            "scans": [s.to_dict() for s in self.scans],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            name=doc["name"],
-            qualname=doc["qualname"],
-            cls=doc["cls"],
-            params=doc["params"],
-            calls=doc["calls"],
-            self_rebinds=doc["self_rebinds"],
-            closes_params=doc["closes_params"],
-            commits=[FlowSite.from_dict(s) for s in doc["commits"]],
-            appends=[FlowSite.from_dict(s) for s in doc["appends"]],
-            windows=[WindowCall.from_dict(w) for w in doc["windows"]],
-            regions=[RegionFacts.from_dict(r) for r in doc["regions"]],
-            scans=[ScanSite.from_dict(s) for s in doc["scans"]],
-        )
+_REGISTRY_NAME = "CRASH_SITES"
 
 
 @dataclass
 class FileFacts:
-    """Everything phase two needs to know about one source file."""
+    """Everything the cross-file rules need to know about one source file."""
 
     rel_path: str
-    pkg_path: str
-    functions: list[FunctionFacts] = field(default_factory=list)
-    #: every ``reach("<site>")`` literal: site name → first SiteRef.
-    reaches: dict[str, SiteRef] = field(default_factory=dict)
+    #: every ``reach("<site>")`` literal: site name → first location.
+    reaches: dict[str, Site] = field(default_factory=dict)
     #: ``register("<site>")`` dynamic registrations.
     registers: list[str] = field(default_factory=list)
-    #: the ``CRASH_SITES`` literal keys (site → SiteRef) when defined here.
-    registry: dict[str, SiteRef] | None = None
+    #: the ``CRASH_SITES`` literal keys (site → location) when defined here.
+    registry: dict[str, Site] | None = None
     #: class name → base-class names.
     classes: dict[str, list[str]] = field(default_factory=dict)
-    #: ``raise X`` sites: (exception name, SiteRef).
-    raises: list[tuple[str, SiteRef]] = field(default_factory=list)
-    #: suppression map (1-based line → rule ids), mirroring the module's.
-    suppressions: dict[int, list[str]] = field(default_factory=dict)
-    #: raw ``# reprolint: ignore[...]`` comments: (line, ids, snippet) —
-    #: un-propagated, for the RL010 stale-suppression check.
-    suppression_comments: list[tuple[int, list[str], str]] = field(
-        default_factory=list
-    )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rel_path": self.rel_path,
-            "pkg_path": self.pkg_path,
-            "functions": [f.to_dict() for f in self.functions],
-            "reaches": {k: v.to_dict() for k, v in self.reaches.items()},
-            "registers": self.registers,
-            "registry": (
-                None
-                if self.registry is None
-                else {k: v.to_dict() for k, v in self.registry.items()}
-            ),
-            "classes": self.classes,
-            "raises": [[n, s.to_dict()] for n, s in self.raises],
-            "suppressions": {str(k): v for k, v in self.suppressions.items()},
-            "suppression_comments": [
-                [line, ids, snippet]
-                for line, ids, snippet in self.suppression_comments
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "FileFacts":
-        registry = doc["registry"]
-        return cls(
-            rel_path=doc["rel_path"],
-            pkg_path=doc["pkg_path"],
-            functions=[FunctionFacts.from_dict(f) for f in doc["functions"]],
-            reaches={k: SiteRef.from_dict(v) for k, v in doc["reaches"].items()},
-            registers=doc["registers"],
-            registry=(
-                None
-                if registry is None
-                else {k: SiteRef.from_dict(v) for k, v in registry.items()}
-            ),
-            classes=doc["classes"],
-            raises=[(n, SiteRef.from_dict(s)) for n, s in doc["raises"]],
-            suppressions={int(k): v for k, v in doc["suppressions"].items()},
-            suppression_comments=[
-                (int(line), list(ids), snippet)
-                for line, ids, snippet in doc.get("suppression_comments", [])
-            ],
-        )
+    #: ``raise X`` sites: (exception name, location).
+    raises: list[tuple[str, Site]] = field(default_factory=list)
+    #: suppression map (1-based line → rule ids), as the module parsed it.
+    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
+    #: ``# reprolint: ignore[...]`` comments that name rules: (location,
+    #: sorted ids) — for the RL010 stale-suppression check.
+    suppression_comments: list[tuple[Site, list[str]]] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# extraction
-# ---------------------------------------------------------------------------
+def _registry_keys(module: "ModuleInfo", node: ast.AST) -> dict[str, Site] | None:
+    """The literal keys of a ``CRASH_SITES = {...}`` assignment, else None."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return None
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    if not isinstance(node.value, ast.Dict) or not any(
+        isinstance(t, ast.Name) and t.id == _REGISTRY_NAME for t in targets
+    ):
+        return None
+    keys: dict[str, Site] = {}
+    for key in node.value.keys:
+        name = str_const(key) if key is not None else None
+        if name is not None:
+            keys[name] = module.site(key)
+    return keys
 
 
-def _site(module: "ModuleInfo", node: ast.AST) -> SiteRef:
-    line = getattr(node, "lineno", 0)
-    end = getattr(node, "end_lineno", None) or line
-    return SiteRef(
-        line=line,
-        col=getattr(node, "col_offset", 0),
-        end_line=end,
-        snippet=module.line(line).strip(),
-    )
-
-
-def _annotation_lines(lines: list[str], marker: str = "crash-idempotent") -> set[int]:
-    """Lines covered by a ``# crash-idempotent`` annotation comment.
-
-    Like suppressions, a comment-only annotation line also covers the next
-    source line, so wrapped statements stay annotatable.
-    """
-    covered: set[int] = set()
-    for lineno, text in enumerate(lines, start=1):
-        if marker in text and "#" in text:
-            covered.add(lineno)
-            if text.lstrip().startswith("#"):
-                # Cover the rest of the comment block and the source line
-                # it introduces, so multi-line explanations work.
-                target = lineno + 1
-                while (
-                    target <= len(lines)
-                    and lines[target - 1].lstrip().startswith("#")
-                ):
-                    covered.add(target)
-                    target += 1
-                covered.add(target)
-    return covered
-
-
-def _iter_functions(
-    tree: ast.Module,
-) -> list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None]]:
-    """(function node, enclosing class name) for module- and class-level
-    defs. Nested defs are summarized with their enclosing function."""
-    out: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None]] = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((node, None))
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out.append((sub, node.name))
-    return out
-
-
-def _self_rebinds(fn: ast.AST) -> list[str]:
-    """Attributes of ``self`` rebound by plain assignment (not augmented —
-    augmented writes are counters, which the RL006 propagation
-    deliberately ignores; see rules/forkjoin.py)."""
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
-            continue
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    out.add(target.attr)
-    return sorted(out)
-
-
-def _closes_params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    """Parameters this function provably closes.
-
-    Recognized shapes: ``with closing(p)``, a direct ``p.close()`` call,
-    and the duck-typed ``c = getattr(p, "close", None) … c()`` idiom.
-    """
-    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-    closed: set[str] = set()
-    getattr_close: dict[str, str] = {}  # alias name -> param
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            call = node.value
-            if (
-                isinstance(call.func, ast.Name)
-                and call.func.id == "getattr"
-                and len(call.args) >= 2
-                and isinstance(call.args[0], ast.Name)
-                and call.args[0].id in params
-                and str_const(call.args[1]) == "close"
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        getattr_close[target.id] = call.args[0].id
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "close"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in params
-        ):
-            closed.add(func.value.id)
-        elif (
-            isinstance(func, ast.Name)
-            and func.id == "closing"
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id in params
-        ):
-            closed.add(node.args[0].id)
-        elif isinstance(func, ast.Name) and func.id in getattr_close:
-            closed.add(getattr_close[func.id])
-    return sorted(closed)
-
-
-class _FunctionExtractor:
-    """Extracts one FunctionFacts from one function node."""
-
-    def __init__(
-        self,
-        module: "ModuleInfo",
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        cls: str | None,
-        annotated_lines: set[int],
-        commit_tokens: frozenset[str],
-        append_tokens: frozenset[str],
-        lifecycle_scoped: bool,
-    ) -> None:
-        self.module = module
-        self.fn = fn
-        self.cls = cls
-        self.annotated_lines = annotated_lines
-        self.commit_tokens = commit_tokens
-        self.append_tokens = append_tokens
-        self.lifecycle_scoped = lifecycle_scoped
-        self.module_functions = {
-            f.name for f, _ in _iter_functions(module.tree) if _ is None
-        }
-
-    def extract(self) -> FunctionFacts:
-        fn = self.fn
-        flow = flow_function(fn)
-        facts = FunctionFacts(
-            name=fn.name,
-            qualname=f"{self.cls}.{fn.name}" if self.cls else fn.name,
-            cls=self.cls,
-            params=[a.arg for a in fn.args.args + fn.args.kwonlyargs],
-            calls=sorted(
-                {a.token for a in flow.atoms if a.kind == "call"}
-            ),
-            self_rebinds=_self_rebinds(fn),
-            closes_params=_closes_params(fn),
-        )
-        self._flow_sites(flow, facts)
-        facts.regions = _extract_regions(self.module, fn, self.module_functions)
-        if self.lifecycle_scoped:
-            facts.scans = _extract_scans(self.module, fn)
-        return facts
-
-    def _flow_sites(self, flow: Any, facts: FunctionFacts) -> None:
-        atoms: list[FlowAtom] = flow.atoms
-        commit_atoms = [
-            a for a in atoms if a.kind == "call" and a.token in self.commit_tokens
-        ]
-        reach_indices = {
-            a.index for a in atoms if a.kind == "call" and a.token == "reach"
-        }
-        # Indices that may precede some commit (for window detection).
-        before_some_commit: set[int] = set()
-        for commit in commit_atoms:
-            before_some_commit |= flow.before[commit.index]
-        for atom in atoms:
-            if atom.kind != "call":
-                continue
-            interesting = atom.token in self.commit_tokens or (
-                atom.token in self.append_tokens
-            )
-            if interesting:
-                tokens = tuple(sorted(flow.tokens_before(atom.index)))
-                site = FlowSite(
-                    token=atom.token,
-                    site=self._site(atom),
-                    before=tokens,
-                    reach_before=bool(flow.before[atom.index] & reach_indices),
-                )
-                if atom.token in self.commit_tokens:
-                    facts.commits.append(site)
-                else:
-                    facts.appends.append(site)
-                continue
-            if atom.token == "reach":
-                continue
-            # Window candidate: a reach may precede it AND it may precede
-            # a commit — the classic leave-behind window.
-            if (
-                atom.index in before_some_commit
-                and flow.before[atom.index] & reach_indices
-            ):
-                annotated = any(
-                    line in self.annotated_lines
-                    for line in range(atom.line, atom.end_line + 1)
-                )
-                facts.windows.append(
-                    WindowCall(
-                        token=atom.token, site=self._site(atom), annotated=annotated
-                    )
-                )
-
-    def _site(self, atom: FlowAtom) -> SiteRef:
-        return SiteRef(
-            line=atom.line,
-            col=atom.col,
-            end_line=atom.end_line,
-            snippet=self.module.line(atom.line).strip(),
-        )
-
-
-# -- RL006: fork/join regions ------------------------------------------------
-
-
-def _names_stored(node: ast.AST, *, skip: ast.AST | None = None) -> set[str]:
-    """Plain names assigned anywhere under ``node`` (excluding ``skip``)."""
-    out: set[str] = set()
-    pending: list[ast.AST] = [node]
-    while pending:
-        cur = pending.pop()
-        if cur is skip:
-            continue
-        if isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Store):
-            out.add(cur.id)
-        pending.extend(ast.iter_child_nodes(cur))
-    return out
-
-
-def _extract_regions(
-    module: "ModuleInfo",
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    module_functions: set[str],
-) -> list[RegionFacts]:
-    regions: dict[str, RegionFacts] = {}
-    # Pass 1: region constructions.
-    for node in ast.walk(fn):
-        if not (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and last_name(node.value.func) == "ForkJoinRegion"
-        ):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                parent = (
-                    dotted_name(node.value.args[0]) if node.value.args else None
-                )
-                regions[target.id] = RegionFacts(
-                    var=target.id,
-                    parent_expr=parent,
-                    site=_site(module, node),
-                    joined=False,
-                    stored=False,
-                )
-    if not regions:
-        return []
-
-    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-    # Pass 2: joins, stores, and branch blocks (with loop-ancestry).
-    branch_bodies: list[tuple[RegionFacts, ast.With, bool]] = []
-
-    def visit(node: ast.AST, in_loop: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_in_loop = in_loop or isinstance(
-                child, (ast.For, ast.AsyncFor, ast.While)
-            )
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                for item in child.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and isinstance(expr.func, ast.Attribute)
-                        and expr.func.attr == "branch"
-                        and isinstance(expr.func.value, ast.Name)
-                        and expr.func.value.id in regions
-                    ):
-                        branch_bodies.append(
-                            (regions[expr.func.value.id], child, child_in_loop)
-                        )
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "join"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in regions
-                ):
-                    regions[func.value.id].joined = True
-                # A region passed to another call is handed off.
-                for arg in child.args:
-                    if isinstance(arg, ast.Name) and arg.id in regions:
-                        regions[arg.id].stored = True
-            if isinstance(child, ast.Assign):
-                if isinstance(child.value, ast.Name) and child.value.id in regions:
-                    for target in child.targets:
-                        if isinstance(target, (ast.Subscript, ast.Attribute)):
-                            regions[child.value.id].stored = True
-            if isinstance(child, ast.Return):
-                if (
-                    isinstance(child.value, ast.Name)
-                    and child.value.id in regions
-                ):
-                    regions[child.value.id].stored = True
-            visit(child, child_in_loop)
-
-    visit(fn, False)
-
-    # Pass 3: per-branch shared-state analysis.
-    global_names: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Global):
-            global_names.update(node.names)
-
-    for region, with_node, in_loop in branch_bodies:
-        branch = BranchFacts(site=_site(module, with_node), in_loop=in_loop)
-        aliases = {
-            item.optional_vars.id
-            for item in with_node.items
-            if isinstance(item.optional_vars, ast.Name)
-        }
-        # Names shared with code outside this branch: params plus any name
-        # stored elsewhere in the function.
-        shared = params | _names_stored(fn, skip=with_node)
-        branch_local = _names_stored(with_node) - shared
-
-        def record_write(
-            kind: str, scope: str, target: str, node: ast.AST, line: int
-        ) -> None:
-            branch.writes.append(
-                BranchWrite(
-                    kind=kind, scope=scope, target=target, site=_site(module, node)
-                )
-            )
-            if scope == "local":
-                prev = branch.write_lines.get(target)
-                branch.write_lines[target] = min(prev, line) if prev else line
-
-        pending: list[ast.AST] = list(with_node.body)
-        while pending:
-            node = pending.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            pending.extend(ast.iter_child_nodes(node))
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                kind = "aug" if isinstance(node, ast.AugAssign) else "rebind"
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    elts = (
-                        target.elts
-                        if isinstance(target, (ast.Tuple, ast.List))
-                        else [target]
-                    )
-                    for elt in elts:
-                        if isinstance(elt, ast.Subscript):
-                            continue  # keyed scatter: sanctioned
-                        if (
-                            isinstance(elt, ast.Attribute)
-                            and isinstance(elt.value, ast.Name)
-                            and elt.value.id == "self"
-                        ):
-                            record_write(
-                                kind, "self", f"self.{elt.attr}", node, node.lineno
-                            )
-                        elif isinstance(elt, ast.Name):
-                            name = elt.id
-                            if name in aliases or name in branch_local:
-                                continue
-                            if name in global_names:
-                                record_write(kind, "global", name, node, node.lineno)
-                            elif name in shared:
-                                record_write(kind, "local", name, node, node.lineno)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in shared and node.id not in aliases:
-                    prev = branch.read_lines.get(node.id)
-                    line = node.lineno
-                    branch.read_lines[node.id] = min(prev, line) if prev else line
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    receiver = dotted_name(func.value)
-                    if receiver == "self" and func.attr not in _ACCUMULATORS:
-                        branch.prop_calls.append((func.attr, _site(module, node)))
-                    if (
-                        region.parent_expr is not None
-                        and receiver == region.parent_expr
-                        and func.attr in ("advance", "child")
-                    ):
-                        branch.bypass.append(_site(module, node))
-                elif isinstance(func, ast.Name) and func.id in module_functions:
-                    branch.prop_calls.append((func.id, _site(module, node)))
-        region.branches.append(branch)
-
-    out = list(regions.values())
-    for region in out:
-        region.branches.sort(key=lambda b: (b.site.line, b.site.col))
-    return out
-
-
-# -- RL009: scan lifecycle ---------------------------------------------------
-
-_SCAN_TOKENS = frozenset({"scan", "scan_reverse"})
-
-
-def _extract_scans(
-    module: "ModuleInfo", fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> list[ScanSite]:
-    from repro.lint.config import CONSUMING_BUILTINS
-
-    parent_of: dict[int, ast.AST] = {}
-    for node in ast.walk(fn):
-        for child in ast.iter_child_nodes(node):
-            parent_of[id(child)] = node
-
-    def loop_interrupted(loop: ast.For) -> bool:
-        """Whether the loop can exit before exhausting its iterator."""
-        pending: list[ast.AST] = list(loop.body)
-        while pending:
-            node = pending.pop()
-            if isinstance(
-                node,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.For, ast.While),
-            ):
-                continue
-            if isinstance(node, (ast.Break, ast.Return)):
-                return True
-            pending.extend(ast.iter_child_nodes(node))
-        return False
-
-    def name_closed(name: str) -> bool:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "close"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == name
-                ):
-                    return True
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id == "closing"
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id == name
-                ):
-                    return True
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                if node.value.id == name:
-                    return True
-        return False
-
-    out: list[ScanSite] = []
-    for node in ast.walk(fn):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SCAN_TOKENS
-        ):
-            continue
-        parent = parent_of.get(id(node))
-        site = _site(module, node)
-        if isinstance(parent, ast.Call):
-            callee = last_name(parent.func)
-            if callee == "closing":
-                continue
-            if callee in CONSUMING_BUILTINS:
-                continue
-            if callee is not None and node in parent.args:
-                out.append(
-                    ScanSite(
-                        disposition="arg",
-                        site=site,
-                        callee=callee,
-                        arg_pos=parent.args.index(node),
-                    )
-                )
-                continue
-            out.append(
-                ScanSite(
-                    disposition="open",
-                    site=site,
-                    detail="scan generator passed to an unrecognized callee",
-                )
-            )
-        elif isinstance(parent, ast.For) and parent.iter is node:
-            if loop_interrupted(parent):
-                out.append(
-                    ScanSite(
-                        disposition="open",
-                        site=site,
-                        detail=(
-                            "loop over the scan generator can exit early "
-                            "(break/return) without closing it"
-                        ),
-                    )
-                )
-        elif isinstance(parent, (ast.Return, ast.YieldFrom)):
-            continue  # ownership transfers to the caller
-        elif isinstance(parent, ast.Assign):
-            closed = any(
-                isinstance(t, ast.Name) and name_closed(t.id)
-                for t in parent.targets
-            )
-            if not closed:
-                out.append(
-                    ScanSite(
-                        disposition="open",
-                        site=site,
-                        detail=(
-                            "scan generator bound to a name that is never "
-                            "closed, returned, or wrapped in closing()"
-                        ),
-                    )
-                )
-        else:
-            out.append(
-                ScanSite(
-                    disposition="open",
-                    site=site,
-                    detail="scan generator is never consumed or closed",
-                )
-            )
-    return out
-
-
-# -- module-level facts ------------------------------------------------------
-
-_REGISTRY_NAME = "CRASH_SITES"
-
-
-def extract_file_facts(
-    module: "ModuleInfo",
-    commit_tokens: tuple[str, ...],
-    append_tokens: tuple[str, ...],
-    lifecycle_scopes: tuple[str, ...],
-) -> FileFacts:
+def extract_file_facts(module: "ModuleInfo") -> FileFacts:
     """Extract every cross-file fact from one parsed module."""
-    from repro.lint.config import in_scopes
-
-    facts = FileFacts(rel_path=module.rel_path, pkg_path=module.pkg_path)
-    annotated = _annotation_lines(module.lines)
-    lifecycle_scoped = in_scopes(module.pkg_path, lifecycle_scopes)
-
-    for fn, cls in _iter_functions(module.tree):
-        facts.functions.append(
-            _FunctionExtractor(
-                module,
-                fn,
-                cls,
-                annotated,
-                frozenset(commit_tokens),
-                frozenset(append_tokens),
-                lifecycle_scoped,
-            ).extract()
-        )
-
+    facts = FileFacts(rel_path=module.rel_path, suppressions=module.suppressions)
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "reach" and node.args:
-                name = str_const(node.args[0])
-                if name is not None:
-                    facts.reaches.setdefault(name, _site(module, node))
-            elif node.func.attr == "register" and node.args:
-                name = str_const(node.args[0])
-                if name is not None:
-                    facts.registers.append(name)
+            name = str_const(node.args[0]) if node.args else None
+            if name is None:
+                continue
+            if node.func.attr == "reach":
+                facts.reaches.setdefault(name, module.site(node))
+            elif node.func.attr == "register":
+                facts.registers.append(name)
         elif isinstance(node, ast.ClassDef):
             facts.classes.setdefault(
                 node.name,
@@ -962,46 +88,20 @@ def extract_file_facts(
             )
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc
-            target = exc.func if isinstance(exc, ast.Call) else exc
-            name = last_name(target)
+            name = last_name(exc.func if isinstance(exc, ast.Call) else exc)
             if name is not None:
-                facts.raises.append((name, _site(module, node)))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
+                facts.raises.append((name, module.site(node)))
+        elif facts.registry is None:
+            facts.registry = _registry_keys(module, node)
+
+    for lineno, named in iter_suppression_comments(module.lines):
+        if named:  # a bare ``ignore`` names no rules — nothing to go stale
+            site = Site(
+                path=module.rel_path,
+                line=lineno,
+                col=0,
+                end_line=lineno,
+                snippet=module.line(lineno).strip(),
             )
-            if (
-                any(
-                    isinstance(t, ast.Name) and t.id == _REGISTRY_NAME
-                    for t in targets
-                )
-                and isinstance(node.value, ast.Dict)
-                and facts.registry is None
-            ):
-                registry: dict[str, SiteRef] = {}
-                for key in node.value.keys:
-                    if key is None:
-                        continue
-                    name = str_const(key)
-                    if name is not None:
-                        registry[name] = _site(module, key)
-                facts.registry = registry
-
-    facts.suppressions = {
-        line: sorted(rules) for line, rules in module.suppressions.items()
-    }
-
-    from repro.lint.suppress import _SUPPRESS_RE
-
-    for lineno, text in enumerate(module.lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        rules_text = match.group("rules")
-        if rules_text is None:
-            continue  # bare ``ignore`` names no rules — nothing to go stale
-        ids = sorted(
-            {t.strip().upper() for t in rules_text.split(",") if t.strip()}
-        )
-        facts.suppression_comments.append((lineno, ids, text.strip()))
+            facts.suppression_comments.append((site, sorted(named)))
     return facts

@@ -14,6 +14,9 @@ to the next source line, so wrapped statements stay suppressible.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+
+from repro.lint.finding import Finding
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?"
@@ -21,6 +24,22 @@ _SUPPRESS_RE = re.compile(
 
 #: Sentinel set meaning "every rule suppressed on this line".
 ALL_RULES = frozenset({"*"})
+
+
+def iter_suppression_comments(lines: list[str]) -> Iterator[tuple[int, frozenset[str]]]:
+    """(1-based line, rule ids named there) for every suppression comment.
+
+    The id set is empty for a bare ``ignore``, which names no rules.
+    """
+    for lineno, text in enumerate(lines, start=1):
+        match = _SUPPRESS_RE.search(text)
+        if match is not None:
+            rules_text = match.group("rules") or ""
+            yield lineno, frozenset(
+                token.strip().upper()
+                for token in rules_text.split(",")
+                if token.strip()
+            )
 
 
 def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
@@ -34,21 +53,10 @@ def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
     its decorators.
     """
     suppressed: dict[int, frozenset[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        rules_text = match.group("rules")
-        if rules_text is None:
-            rules = ALL_RULES
-        else:
-            rules = frozenset(
-                token.strip().upper()
-                for token in rules_text.split(",")
-                if token.strip()
-            ) or ALL_RULES
+    for lineno, named in iter_suppression_comments(lines):
+        rules = named or ALL_RULES
         targets = [lineno]
-        if text.lstrip().startswith("#"):
+        if lines[lineno - 1].lstrip().startswith("#"):
             target = lineno + 1
             targets.append(target)
             # Skip over a decorator stack to the definition it decorates.
@@ -65,10 +73,12 @@ def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
 
 
 def is_suppressed(
-    suppressions: dict[int, frozenset[str]], line: int, rule_id: str
+    suppressions: dict[int, frozenset[str]], finding: Finding
 ) -> bool:
-    """Whether ``rule_id`` is suppressed at 1-based ``line``."""
-    rules = suppressions.get(line)
-    if rules is None:
-        return False
-    return "*" in rules or rule_id.upper() in rules
+    """Whether a suppression on any line the finding spans names its rule."""
+    end = max(finding.end_line, finding.line)
+    for line in range(finding.line, end + 1):
+        rules = suppressions.get(line)
+        if rules is not None and ("*" in rules or finding.rule in rules):
+            return True
+    return False

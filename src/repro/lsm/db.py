@@ -340,7 +340,7 @@ class DB:
                 # magic and be misread as a pointer (see _recover).
                 edit = VersionEdit()
                 edit.blob_separation = True
-                # reprolint: ignore[RL008] -- creation-time brand: no acked state precedes it
+                # reprolint: ignore[RL003] -- creation-time brand: no acked state precedes it
                 db.versions.log_and_apply(edit)
             db._rotate_wal()
             if db.options.sorted_view:

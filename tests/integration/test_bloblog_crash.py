@@ -1,6 +1,6 @@
 """Blob-log crash-protocol regressions.
 
-Three invariants the review of the blob log hardened:
+Four invariants the review of the blob log hardened:
 
 * recovery's re-seal of a crashed active segment is itself crash-idempotent
   — a second crash anywhere inside it (including mid multipart upload, where
@@ -8,6 +8,9 @@ Three invariants the review of the blob log hardened:
 * a sync=True WAL append makes *every* earlier unsynced WAL record durable,
   so the blob bytes behind pointers from prior sync=False batches must be
   synced first, even by a batch that diverts nothing itself;
+* the MANIFEST only ever records a segment whose object is already in the
+  cloud — a commit that ran ahead of its upload would, after a crash in
+  between, leave live pointers into a segment that exists nowhere durable;
 * key-value separation is a store-lifetime choice: the MANIFEST brands
   separated stores at creation and an unbranded store refuses to open with
   separation enabled (a raw value starting with the pointer magic would be
@@ -21,6 +24,7 @@ import pytest
 from repro.errors import InvalidArgumentError
 from repro.lsm.check import check_db
 from repro.lsm.format import blob_file_name
+from repro.lsm.version import VersionEdit, VersionSet
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.mash.xwal import XWalConfig
 from repro.sim.failure import CrashPointFired, crash_points
@@ -139,6 +143,56 @@ class TestUnsyncedBlobBeforeWalSync:
         store.put(key_of(0), big_value(0), sync=False)
         store = store.reopen(crash=True)
         assert store.get(key_of(0)) is None
+        store.close()
+
+
+class TestSegmentUploadedBeforeManifest:
+    def test_every_recorded_segment_is_already_in_the_cloud(self, monkeypatch):
+        """Check the order at the commit itself, on every path that records
+        a segment: flush-time seal, recovery's re-seal of a crashed active
+        segment, and the seal of GC-rewritten residue. No crash schedule
+        sees a reordering (the uninterrupted run ends in the same state),
+        so the commit is intercepted instead. Patched on the class because
+        the re-seal commits inside ``reopen``, on a VersionSet the test
+        never holds."""
+        recorded: list[int] = []
+        real_log_and_apply = VersionSet.log_and_apply
+
+        def checked_log_and_apply(versions: VersionSet, edit: VersionEdit) -> None:
+            for number, _total, _dead in edit.blob_segments:
+                name = blob_file_name(versions.prefix, number)
+                assert versions.env.cloud.store.exists(name), (
+                    f"MANIFEST edit records blob segment {number} before "
+                    f"{name} exists in the cloud"
+                )
+                recorded.append(number)
+            real_log_and_apply(versions, edit)
+
+        monkeypatch.setattr(VersionSet, "log_and_apply", checked_log_and_apply)
+
+        store = RocksMashStore.create(blob_config())
+        for i in range(8):
+            store.put(key_of(i), big_value(i), sync=True)
+        store.flush()  # seals the active segment
+        assert len(set(recorded)) == 1
+
+        for i in range(8, 12):
+            store.put(key_of(i), big_value(i), sync=True)
+        store = store.reopen(crash=True)  # recovery re-seals the crashed segment
+        assert len(set(recorded)) == 2
+
+        # Kill most of the first segment so GC rewrites its live residue,
+        # which the next flush seals into a third segment.
+        for i in range(6):
+            store.delete(key_of(i))
+        store.flush()
+        store.compact_range()
+        assert store.db.blob_store.gc_rewrites > 0
+        store.flush()
+        assert len(set(recorded)) >= 3
+
+        for i in range(6, 12):
+            assert store.get(key_of(i)) == big_value(i)
         store.close()
 
 

@@ -1,15 +1,22 @@
 """reprolint self-tests against the real tree.
 
-Two halves:
+Three parts:
 
 * the shipped tree is clean — ``python -m repro.lint src`` would exit 0;
-* **mutation self-tests** — seeding one violation per rule into a copy of
-  the real package makes the linter fail. This is the guard's guard: a
-  refactor that quietly breaks a rule's detection (or its scoping) fails
-  here, not months later when the invariant silently rots.
+* **static mutation self-tests** — seeding one violation per rule into a
+  copy of the real package makes the linter fail. This is the guard's
+  guard: a refactor that quietly breaks a rule's detection (or its
+  scoping) fails here, not months later when the invariant silently rots;
+* **retired-rule mutations** — the defects RL006, RL007 and RL009 used to
+  catch statically (plus the two escapes their audit found) are seeded the
+  same way, and the *dynamic* test that now owns each invariant must fail
+  on the mutated copy. The guard moved; its guard moved with it.
 """
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,12 +40,16 @@ class TestRealTree:
 
 @pytest.fixture
 def tree_copy(tmp_path):
-    """A scratch copy of src/repro the mutation tests can deface."""
+    """A scratch copy of src/repro the mutation tests can deface.
+
+    The copy is byte-identical to the tree ``TestRealTree`` proves clean,
+    and the engine memoises per-file analysis on the text, so a test pays
+    for parsing only the file it mutates.
+    """
     dst = tmp_path / "repro"
     shutil.copytree(
         SRC / "repro", dst, ignore=shutil.ignore_patterns("__pycache__")
     )
-    assert findings_for(tmp_path) == []  # the copy starts clean
     return dst
 
 
@@ -96,11 +107,15 @@ class TestMutationSelfTests:
             "pass",
         )
         findings = findings_for(tree_copy.parent)
-        # RL003 flags the registry drift; RL008 independently flags the
-        # MANIFEST commit that lost its crash-site bracket (coverage gap).
-        assert sorted({f.rule for f in findings}) == ["RL003", "RL008"]
+        # Twice RL003: the registry drift, and run_gc()'s MANIFEST commit,
+        # which lost the only crash site in its function.
+        assert [f.rule for f in findings] == ["RL003", "RL003"]
         assert any(
             "bloblog.gc_before_segment_delete" in f.message for f in findings
+        )
+        assert any(
+            "run_gc()" in f.message and "crash-coverage gap" in f.message
+            for f in findings
         )
 
     def test_deleting_view_persist_tier_charge_fails_rl002(self, tree_copy):
@@ -176,9 +191,10 @@ class TestMutationSelfTests:
             "pass",
         )
         findings = findings_for(tree_copy.parent)
-        # Registry drift (RL003) plus the de-bracketed flush commit (RL008).
-        assert sorted({f.rule for f in findings}) == ["RL003", "RL008"]
-        assert any("flush.before_manifest" in f.message for f in findings)
+        # Registry drift only: _flush_memtable() keeps its second site
+        # (flush.after_manifest), so the commit-bracket check stays quiet.
+        assert [f.rule for f in findings] == ["RL003"]
+        assert "flush.before_manifest" in findings[0].message
 
     def test_ad_hoc_runtime_error_fails_rl004(self, tree_copy):
         path = tree_copy / "util" / "varint.py"
@@ -212,121 +228,26 @@ class TestMutationSelfTests:
 
 
 class TestInterproceduralMutations:
-    """RL006–RL010 mutation self-tests: each seeded interprocedural bug is
-    caught by exactly the expected rule on the expected file."""
+    """The two static cases that outlived the interprocedural rules
+    (RL006–RL009, retired — DESIGN.md §7): RL008's coverage check, now
+    RL003's lexical commit-bracket check, and RL010."""
 
-    def test_branch_write_to_shared_self_state_fails_rl006(self, tree_copy):
-        # Re-introduce the race this PR fixed: counting corrupt shards
-        # inside a fork/join branch instead of folding after the join.
-        mutate(
-            tree_copy / "mash" / "xwal.py",
-            "                collected.append((shard_ops, reader.tail_corrupt))\n",
-            "                if reader.tail_corrupt:\n"
-            "                    self.corrupt_shards += 1\n"
-            "                collected.append((shard_ops, reader.tail_corrupt))\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [(f.rule, f.path.endswith("mash/xwal.py")) for f in findings] == [
-            ("RL006", True)
-        ]
-        assert "corrupt_shards" in findings[0].message
-
-    def test_branch_charging_parent_clock_fails_rl006(self, tree_copy):
-        # Branch work must charge the branch's child clock; charging the
-        # region's parent clock directly breaks the join-barrier math.
-        mutate(
-            tree_copy / "mash" / "xwal.py",
-            "                child.advance(apply_cost)\n",
-            "                self.device.clock.advance(apply_cost)\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL006"]
-        assert "parent clock" in findings[0].message
-
-    def test_deleting_blob_sync_before_wal_sync_fails_rl007(self, tree_copy):
-        # A sync=True WAL append durably acks earlier pointer records, so
-        # the blob bytes they reference must be synced first (S1).
-        mutate(
-            tree_copy / "mash" / "bloblog.py",
-            "            if sync:\n"
-            "                # A sync=True WAL append makes *every* earlier unsynced WAL\n"
-            "                # record durable, including pointers from prior sync=False\n"
-            "                # batches — their blob bytes must become durable first.\n"
-            "                self.sync_active()\n",
-            "            if sync:\n"
-            "                pass\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL007"]
-        assert "sync_active" in findings[0].message
-
-    def test_deleting_view_persist_before_commit_fails_rl007(self, tree_copy):
-        # The tag-9 sorted-view commit must be preceded by the view persist
-        # (S3), else recovery records a stamp whose payload never existed.
-        mutate(
-            tree_copy / "lsm" / "db.py",
-            "            self.view_store.persist(stamp, encode_view(view))\n",
-            "            pass\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL007"]
-        assert "persist" in findings[0].message
-
-    def test_removing_crash_idempotent_annotation_fails_rl008(self, tree_copy):
-        # A durable write inside a crash window must carry its recovery
-        # contract; stripping the annotation resurfaces the obligation.
-        mutate(
-            tree_copy / "mash" / "bloblog.py",
-            "                # crash-idempotent: the MANIFEST already forgot the segment;\n"
-            "                # recovery's orphan sweep redoes a lost delete.\n"
-            "                host.drop_blob_segment(number)\n",
-            "                host.drop_blob_segment(number)\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL008"]
-        assert "drop_blob_segment" in findings[0].message
-
-    def test_removing_ingest_reach_bracket_fails_rl008(self, tree_copy):
+    def test_removing_ingest_reach_bracket_fails_rl003(self, tree_copy):
         # Deleting the reach() that brackets the ingest commit reopens the
-        # crash-coverage gap this PR closed (plus RL003 registry drift).
+        # crash-coverage gap RL008 once found: registry drift, plus a
+        # commit in a function left with no crash site at all.
         mutate(
             tree_copy / "lsm" / "db.py",
             'crash_points.reach("ingest.before_manifest")',
             "pass",
         )
         findings = findings_for(tree_copy.parent)
-        assert sorted({f.rule for f in findings}) == ["RL003", "RL008"]
-        assert any("crash-coverage gap" in f.message for f in findings)
-
-    def test_leaked_scan_generator_fails_rl009(self, tree_copy):
-        # A scan generator bound to a name and dropped pins table readers
-        # and iterator state for the rest of the process.
-        path = tree_copy / "lsm" / "db.py"
-        path.write_text(
-            path.read_text(encoding="utf-8")
-            + "\n\ndef _debug_first(db):\n"
-            "    it = db.scan(None, None)\n"
-            "    return next(it)\n",
-            encoding="utf-8",
+        assert [f.rule for f in findings] == ["RL003", "RL003"]
+        assert any("ingest.before_manifest" in f.message for f in findings)
+        assert any(
+            "ingest()" in f.message and "crash-coverage gap" in f.message
+            for f in findings
         )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL009"]
-        assert "never" in findings[0].message
-
-    def test_dropped_fork_join_region_fails_rl009(self, tree_copy):
-        # A region whose branches run but whose join() is deleted silently
-        # loses the branches' clock contributions.
-        mutate(
-            tree_copy / "mash" / "xwal.py",
-            "                collected.append((shard_ops, reader.tail_corrupt))\n"
-            "        region.join()\n",
-            "                collected.append((shard_ops, reader.tail_corrupt))\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [(f.rule, f.path.endswith("mash/xwal.py")) for f in findings] == [
-            ("RL009", True)
-        ]
-        assert "join" in findings[0].message
 
     def test_stale_suppression_id_fails_rl010(self, tree_copy):
         # A suppression naming a rule that does not exist suppresses
@@ -334,8 +255,134 @@ class TestInterproceduralMutations:
         mutate(
             tree_copy / "bench" / "__main__.py",
             "# reprolint: ignore[RL001] -- host-side progress report only",
-            "# reprolint: ignore[RL001, RL099] -- host-side progress report only",
+            "# reprolint: ignore[RL001, RL008] -- host-side progress report only",
         )
         findings = findings_for(tree_copy.parent)
         assert [f.rule for f in findings] == ["RL010"]
-        assert "RL099" in findings[0].message
+        assert "RL008" in findings[0].message
+
+
+#: (file under src/repro, [(old, new), ...], pytest node that must fail).
+#: The first four are the behavioural mutations of the retired rules' own
+#: self-tests; the last two are the escapes the retirement audit found in
+#: the dynamic suite and closed (DESIGN.md §7 has the table).
+RETIRED_RULE_MUTATIONS = [
+    # RL006: a shared counter read-modify-written inside a replay branch.
+    pytest.param(
+        "mash/xwal.py",
+        [
+            (
+                "                collected.append((shard_ops, reader.tail_corrupt))\n",
+                "                if reader.tail_corrupt:\n"
+                "                    self.corrupt_shards += 1\n"
+                "                collected.append((shard_ops, reader.tail_corrupt))\n",
+            )
+        ],
+        "tests/unit/test_xwal.py::TestWriteReplay::test_corrupt_shard_tolerated",
+        id="rl006-rmw",
+    ),
+    # RL007 S1: the blob sync ahead of a sync=True WAL append is deleted.
+    pytest.param(
+        "mash/bloblog.py",
+        [
+            (
+                "                # batches — their blob bytes must become durable first.\n"
+                "                self.sync_active()\n",
+                "                # batches — their blob bytes must become durable first.\n"
+                "                pass\n",
+            )
+        ],
+        "tests/integration/test_bloblog_crash.py::TestUnsyncedBlobBeforeWalSync"
+        "::test_later_sync_batch_syncs_earlier_blob_bytes",
+        id="rl007-s1-sync",
+    ),
+    # RL007 S3: the view persist ahead of the tag-9 commit is deleted.
+    pytest.param(
+        "lsm/db.py",
+        [
+            (
+                "            self.view_store.persist(stamp, encode_view(view))\n",
+                "            pass\n",
+            )
+        ],
+        "tests/integration/test_sorted_view_equivalence.py::TestFaultStormEquivalence",
+        id="rl007-s3-view",
+    ),
+    # RL009: the replay region's join() is deleted.
+    pytest.param(
+        "mash/xwal.py",
+        [
+            (
+                "                collected.append((shard_ops, reader.tail_corrupt))\n"
+                "        region.join()\n",
+                "                collected.append((shard_ops, reader.tail_corrupt))\n",
+            )
+        ],
+        "tests/unit/test_xwal.py::TestParallelTiming::test_more_shards_recover_faster",
+        id="rl009-join",
+    ),
+    # RL007 S2: the segment is recorded in the MANIFEST before its upload.
+    pytest.param(
+        "mash/bloblog.py",
+        [
+            # Commit the segment record first …
+            (
+                "        store = self.env.cloud.store\n"
+                "        if len(data) <= self.part_bytes:\n",
+                "        store = self.env.cloud.store\n"
+                "        edit = VersionEdit()\n"
+                "        edit.set_blob_segment(number, len(data), dead)\n"
+                "        self.versions.log_and_apply(edit)\n"
+                "        if len(data) <= self.part_bytes:\n",
+            ),
+            # … and no longer after the upload.
+            (
+                '        crash_points.reach("bloblog.seal_before_manifest")\n'
+                "        edit = VersionEdit()\n"
+                "        edit.set_blob_segment(number, len(data), dead)\n"
+                "        self.versions.log_and_apply(edit)\n",
+                '        crash_points.reach("bloblog.seal_before_manifest")\n',
+            ),
+        ],
+        "tests/integration/test_bloblog_crash.py::TestSegmentUploadedBeforeManifest",
+        id="rl007-s2-upload",
+    ),
+    # RL002's escape: the blob-decode cpu charge is dropped.
+    pytest.param(
+        "mash/bloblog.py",
+        [
+            (
+                "        self.device.clock.advance(cost)\n"
+                "        if tracer is not None:\n"
+                '            tracer.charge("cpu", cost)\n',
+                "        self.device.clock.advance(cost)\n",
+            )
+        ],
+        "tests/property/test_obs_conservation_prop.py::test_all_spans_conserved",
+        id="rl002-blob-cpu",
+    ),
+]
+
+
+class TestRetiredRuleMutations:
+    """Each protocol a retired rule guarded now belongs to a dynamic test;
+    deleting or weakening that test must fail here."""
+
+    @pytest.mark.parametrize("rel_path, edits, node", RETIRED_RULE_MUTATIONS)
+    def test_owner_fails(self, tree_copy, rel_path, edits, node):
+        for old, new in edits:
+            mutate(tree_copy / rel_path, old, new)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", node],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(tree_copy.parent)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        # Exactly "tests ran and failed": a node that no longer exists
+        # (exit 4) or a copy that no longer imports (exit 2) is not a catch.
+        assert proc.returncode == pytest.ExitCode.TESTS_FAILED, (
+            f"{node} did not fail on the mutated tree "
+            f"(exit {proc.returncode}):\n{proc.stdout}{proc.stderr}"
+        )

@@ -33,7 +33,7 @@ TOTAL_FIELDS = 102
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",
-    "local_capacity_bytes": "ROADMAP item 4 gives the full device defined behaviour",
+    "local_capacity_bytes": "ROADMAP item 2 gives the full device defined behaviour",
 }
 """Fields nothing sets that stay fields, each with the reason."""
 

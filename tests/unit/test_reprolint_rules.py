@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths
+from repro.lint import lint_paths
 from repro.lint.engine import PARSE_ERROR_RULE
 
 
@@ -24,10 +24,8 @@ def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def rule_ids(tmp_path: Path, files: dict[str, str], **config) -> list[str]:
-    root = make_tree(tmp_path, files)
-    findings = lint_paths([root], LintConfig(**config) if config else None)
-    return [f.rule for f in findings]
+def rule_ids(tmp_path: Path, files: dict[str, str]) -> list[str]:
+    return [f.rule for f in lint_paths([make_tree(tmp_path, files)])]
 
 
 # -- RL001: determinism -----------------------------------------------------
@@ -222,6 +220,64 @@ class TestCrashPointRegistry:
         assert rule_ids(tmp_path, files) == []
 
 
+class TestCommitBracket:
+    """RL003's lexical half of the retired RL008: a function that commits
+    a MANIFEST edit names a crash site in its own body."""
+
+    UNBRACKETED = (
+        "def install(self, edit):\n"
+        "    self.versions.log_and_apply(edit)\n"
+    )
+
+    def test_commit_without_reach_flagged(self, tmp_path):
+        findings = lint_paths([make_tree(tmp_path, {"lsm/db.py": self.UNBRACKETED})])
+        assert [(f.rule, f.line) for f in findings] == [("RL003", 2)]
+        assert "install()" in findings[0].message
+        assert "crash-coverage gap" in findings[0].message
+
+    def test_commit_with_reach_in_same_function_clean(self, tmp_path):
+        # Where the site sits is not judged (run_gc reaches *after* its
+        # commit): crashmonkey fires it and checks what recovery finds.
+        src = (
+            "def install(self, edit, cp):\n"
+            "    self.versions.log_and_apply(edit)\n"
+            '    cp.reach("gc.after_commit")\n'
+        )
+        assert rule_ids(tmp_path, {"mash/gc.py": src}) == []
+
+    def test_reach_in_another_function_does_not_count(self, tmp_path):
+        src = (
+            "def prepare(cp):\n"
+            '    cp.reach("install.before")\n'
+            + self.UNBRACKETED
+        )
+        assert rule_ids(tmp_path, {"mash/x.py": src}) == ["RL003"]
+
+    def test_nested_function_is_judged_on_its_own(self, tmp_path):
+        src = (
+            "def outer(self, cp):\n"
+            '    cp.reach("outer.site")\n'
+            "    def commit(edit):\n"
+            "        self.versions.log_and_apply(edit)\n"
+            "    return commit\n"
+        )
+        findings = lint_paths([make_tree(tmp_path, {"lsm/x.py": src})])
+        assert [(f.rule, f.line) for f in findings] == [("RL003", 4)]
+        assert "commit()" in findings[0].message
+
+    def test_out_of_scope_commit_ignored(self, tmp_path):
+        # bench/ and serve/ drive stores; they own no MANIFEST protocol.
+        assert rule_ids(tmp_path, {"bench/x.py": self.UNBRACKETED}) == []
+
+    def test_suppressed_commit_clean(self, tmp_path):
+        src = (
+            "def create(db, edit):\n"
+            "    # reprolint: ignore[RL003] -- creation-time brand\n"
+            "    db.versions.log_and_apply(edit)\n"
+        )
+        assert rule_ids(tmp_path, {"lsm/db.py": src}) == []
+
+
 # -- RL004: error taxonomy ---------------------------------------------------
 
 
@@ -356,7 +412,7 @@ class TestRuleSelection:
         root = make_tree(tmp_path, files)
         all_ids = {f.rule for f in lint_paths([root])}
         assert all_ids == {"RL004", "RL005"}
-        only = lint_paths([root], LintConfig(enabled_rules=("RL005",)))
+        only = lint_paths([root], rules=("RL005",))
         assert {f.rule for f in only} == {"RL005"}
 
     def test_findings_are_deterministically_ordered(self, tmp_path):
