@@ -8,10 +8,15 @@ engine itself.
 import random
 
 from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.compaction import Compaction, CompactionEvent, CompactionOutput
+from repro.lsm.db import DB
+from repro.lsm.format import BlockHandle
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
-from repro.lsm.table_builder import TableBuilder
+from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
 from repro.lsm.table_reader import TableReader
+from repro.lsm.version import FileMetaData
+from repro.mash.layout import BlockHeatTracker
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -84,3 +89,75 @@ def test_table_point_lookups(benchmark):
         return sum(reader.get(p) is not None for p in probes)
 
     assert benchmark(run) == len(probes)
+
+
+def test_compaction_merge(benchmark):
+    """One L0 -> L1 compaction: four overlapping runs of 500 entries each,
+    through block decode, the heap merge, block encode and the bloom filter."""
+    options = Options(
+        write_buffer_size=1 << 20,
+        block_size=512,
+        target_file_size_base=16 << 10,
+        level0_file_num_compaction_trigger=1000,  # the benchmark compacts, not put()
+        block_cache_bytes=0,
+    )
+    keys = [f"key{i:08d}".encode() for i in range(1000)]
+    rng = random.Random(3)
+
+    def four_runs():
+        db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", options)
+        for _ in range(4):
+            for key in rng.sample(keys, 500):
+                db.put(key, b"v" * 100, sync=False)
+            db.flush()
+        return (db,), {}
+
+    def compact(db):
+        db._run_compaction(Compaction(0, list(db.versions.current.files[0]), [], 1.0))
+        return db
+
+    db = benchmark.pedantic(compact, setup=four_runs, rounds=5)
+    assert db.compaction_stats.entries_dropped + sum(1 for _ in db.scan()) == 2000
+
+
+def test_plan_inheritance(benchmark):
+    """Heat inheritance for one wide compaction: 8 input tables of 200 blocks,
+    every third block hot, onto 40 output tables of 40 blocks."""
+    ikey = lambda i: make_internal_key(f"key{i:08d}".encode(), 7, TYPE_VALUE)
+    name_of = lambda number: f"db/{number:06d}.sst"
+    file_meta = lambda number: FileMetaData(number, 1 << 20, b"", b"")
+
+    def blocks(first, count, stride, width):
+        return [
+            BlockMeta(
+                ikey(first + i * stride), ikey(first + i * stride + width), BlockHandle(i * 600, 512)
+            )
+            for i in range(count)
+        ]
+
+    inputs = {number: blocks(number, 200, 8, 7) for number in range(1, 9)}
+    outputs = {100 + n: blocks(n * 40, 40, 1, 0) for n in range(40)}
+    event = CompactionEvent(
+        level=0,
+        output_level=1,
+        input_files=[file_meta(number) for number in inputs],
+        outputs=[
+            CompactionOutput(file_meta(number), TableProperties(blocks=metas))
+            for number, metas in outputs.items()
+        ],
+        dropped_entries=0,
+    )
+
+    def heated_tracker():
+        tracker = BlockHeatTracker()
+        for number, metas in (inputs | outputs).items():
+            tracker.register_file(name_of(number), metas)
+        for number, metas in inputs.items():
+            for meta in metas[::3]:
+                tracker.record_access(name_of(number), meta.handle.offset, weight=9.0)
+        return (tracker,), {}
+
+    def plan(tracker):
+        return len(tracker.plan_inheritance(event, name_of))
+
+    assert benchmark.pedantic(plan, setup=heated_tracker, rounds=5) == 256

@@ -11,75 +11,78 @@ blocks (separator key → encoded BlockHandle).
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from typing import Any
 
 from repro.errors import CorruptionError
-from repro.util.encoding import decode_fixed32, encode_fixed32
+from repro.util.encoding import decode_fixed32
 from repro.util.varint import decode_varint, encode_varint
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    """Length of the longest common prefix, found by one big-integer XOR."""
+    n = len(a)
+    if n != len(b):
+        n = min(n, len(b))
+        a, b = a[:n], b[:n]
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    # The highest set bit of the XOR lies in the first differing byte.
+    return n - (diff.bit_length() + 7) // 8
 
 
 class BlockBuilder:
-    """Accumulates sorted key/value entries into one encoded block."""
+    """Accumulates sorted key/value entries into one encoded block.
+
+    ``size_estimate`` is the encoded size if finished now (entries, restart
+    array, restart count), kept current by :meth:`add`.
+    """
 
     def __init__(self, restart_interval: int = 16) -> None:
         if restart_interval < 1:
             raise ValueError("restart_interval must be >= 1")
         self.restart_interval = restart_interval
         self._buffer = bytearray()
-        self._restarts: list[int] = [0]
-        self._counter = 0
-        self._last_key = b""
-        self.num_entries = 0
+        self.reset()
 
     def add(self, key: bytes, value: bytes) -> None:
         """Append an entry; keys must arrive in non-decreasing order."""
-        if self._counter >= self.restart_interval:
-            self._restarts.append(len(self._buffer))
-            self._counter = 0
+        buffer = self._buffer
+        if self.num_entries and self.num_entries % self.restart_interval == 0:
+            self._restarts.append(len(buffer))
+            self.size_estimate += 4
             shared = 0
         else:
             shared = _shared_prefix_len(self._last_key, key)
         non_shared = len(key) - shared
-        self._buffer += encode_varint(shared)
-        self._buffer += encode_varint(non_shared)
-        self._buffer += encode_varint(len(value))
-        self._buffer += key[shared:]
-        self._buffer += value
+        value_len = len(value)
+        if shared | non_shared | value_len < 0x80:
+            # A varint below 0x80 is the byte itself: same encoding, no calls.
+            header = bytes((shared, non_shared, value_len))
+        else:
+            header = encode_varint(shared) + encode_varint(non_shared) + encode_varint(value_len)
+        buffer += header
+        buffer += key[shared:]
+        buffer += value
+        self.size_estimate += len(header) + non_shared + value_len
         self._last_key = key
-        self._counter += 1
         self.num_entries += 1
-
-    def current_size_estimate(self) -> int:
-        """Encoded size if finished now."""
-        return len(self._buffer) + 4 * len(self._restarts) + 4
 
     def empty(self) -> bool:
         return self.num_entries == 0
 
     def finish(self) -> bytes:
         """Encode restart trailer and return the finished block payload."""
-        out = bytearray(self._buffer)
-        for offset in self._restarts:
-            out += encode_fixed32(offset)
-        out += encode_fixed32(len(self._restarts))
-        return bytes(out)
+        restarts = self._restarts
+        return bytes(self._buffer) + struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
 
     def reset(self) -> None:
         self._buffer.clear()
         self._restarts = [0]
-        self._counter = 0
         self._last_key = b""
         self.num_entries = 0
+        self.size_estimate = 8
 
 
 class Block:
@@ -99,60 +102,66 @@ class Block:
         if trailer > len(data):
             raise CorruptionError("restart array larger than block")
         self._restart_base = len(data) - trailer
-        self._restarts = [
-            decode_fixed32(data, self._restart_base + 4 * i) for i in range(num_restarts)
-        ]
-        if self._restarts and self._restarts[0] != 0:
-            raise CorruptionError("first restart must be at offset 0")
+        self._restarts = list(struct.unpack_from(f"<{num_restarts}I", data, self._restart_base))
+        if self._restarts and (self._restarts[0] or max(self._restarts) > self._restart_base):
+            raise CorruptionError("restart points must start at 0, inside the entry area")
 
-    def _parse_entry(self, offset: int, prev_key: bytes) -> tuple[bytes, bytes, int]:
-        """Decode the entry at ``offset``; returns (key, value, next_offset)."""
-        shared, pos = decode_varint(self._data, offset)
-        non_shared, pos = decode_varint(self._data, pos)
-        value_len, pos = decode_varint(self._data, pos)
-        if shared > len(prev_key):
-            raise CorruptionError("shared prefix longer than previous key")
-        key_end = pos + non_shared
-        value_end = key_end + value_len
-        if value_end > self._restart_base:
-            raise CorruptionError("entry overruns block body")
-        key = prev_key[:shared] + self._data[pos:key_end]
-        value = self._data[key_end:value_end]
-        return key, value, value_end
+    def _decode(self, offset: int, stop: int) -> list[tuple[bytes, bytes]]:
+        """Decode the entries that start in ``[offset, stop)``.
 
-    def _iter_from(self, offset: int, prev_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        while offset < self._restart_base:
-            key, value, offset = self._parse_entry(offset, prev_key)
-            yield key, value
-            prev_key = key
+        ``offset`` is a restart point (the first key is stored whole) and
+        ``stop`` is at most the end of the entry area, so the three length
+        bytes read ahead always lie inside ``data``.
+        """
+        data = self._data
+        limit = self._restart_base
+        key = b""
+        entries: list[tuple[bytes, bytes]] = []
+        while offset < stop:
+            shared, non_shared, value_len = data[offset], data[offset + 1], data[offset + 2]
+            if shared | non_shared | value_len < 0x80:
+                pos = offset + 3  # three one-byte varints
+            else:
+                shared, pos = decode_varint(data, offset)
+                non_shared, pos = decode_varint(data, pos)
+                value_len, pos = decode_varint(data, pos)
+            if shared > len(key):
+                raise CorruptionError("shared prefix longer than previous key")
+            key_end = pos + non_shared
+            offset = key_end + value_len
+            if offset > limit:
+                raise CorruptionError("entry overruns block body")
+            key = key[:shared] + data[pos:key_end]
+            entries.append((key, data[key_end:offset]))
+        return entries
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in key order."""
-        return self._iter_from(0, b"")
+        return iter(self._decode(0, self._restart_base))
 
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with key >= ``target`` in the block's key order.
 
-        Binary search over restart points (full keys), then linear scan.
+        Binary search over restart points (full keys), then one restart
+        run decoded at a time, so a point lookup pays for one run.
         """
-        if not self._restarts:
-            return iter(())
-        goal = self._order(target)
+        restarts = self._restarts
+        if not restarts:
+            return
+        order = self._order
+        goal = order(target)
         # The last restart whose key is < target; restart 0 when none is.
         at = bisect_left(
-            self._restarts,
-            goal,
-            1,
-            key=lambda offset: self._order(self._parse_entry(offset, b"")[0]),
+            restarts, goal, 1, key=lambda offset: order(self._decode(offset, offset + 1)[0][0])
         )
-        return self._scan_ge(self._restarts[at - 1], goal)
-
-    def _scan_ge(self, offset: int, goal: Any) -> Iterator[tuple[bytes, bytes]]:
         emitting = False
-        for key, value in self._iter_from(offset, b""):
-            if emitting or self._order(key) >= goal:
-                emitting = True
-                yield key, value
+        for i in range(at, len(restarts) + 1):
+            stop = restarts[i] if i < len(restarts) else self._restart_base
+            run = self._decode(restarts[i - 1], stop)
+            if not emitting:
+                run = run[bisect_left(run, goal, key=lambda entry: order(entry[0])) :]
+                emitting = bool(run)
+            yield from run
 
     def get(self, target: bytes) -> bytes | None:
         """Exact-match lookup (equal sort keys)."""

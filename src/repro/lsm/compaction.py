@@ -437,6 +437,8 @@ class CompactionJob:
         dropped = 0
         prev_user_key: bytes | None = None
         last_seq_for_key = MAX_SEQUENCE
+        user_filter = self.options.compaction_filter
+        target_file_size = self.options.target_file_size_base
 
         def finish_builder() -> None:
             nonlocal builder
@@ -462,9 +464,9 @@ class CompactionJob:
             crash_points.reach("compaction.mid_output")
 
         for ikey, value in merged:
-            parsed = parse_internal_key(ikey)
-            if parsed.user_key != prev_user_key:
-                prev_user_key = parsed.user_key
+            user_key, sequence, value_type = parse_internal_key(ikey)
+            if user_key != prev_user_key:
+                prev_user_key = user_key
                 last_seq_for_key = MAX_SEQUENCE
 
             drop = False
@@ -474,36 +476,35 @@ class CompactionJob:
                 drop = True
             elif (
                 compaction.allow_tombstone_drop
-                and parsed.value_type == TYPE_DELETION
-                and parsed.sequence <= smallest_snapshot
-                and version.is_base_level_for_key(compaction.output_level, parsed.user_key)
+                and value_type == TYPE_DELETION
+                and sequence <= smallest_snapshot
+                and version.is_base_level_for_key(compaction.output_level, user_key)
             ):
                 drop = True
-            last_seq_for_key = parsed.sequence
+            last_seq_for_key = sequence
 
             if drop:
                 dropped += 1
-                self._account_blob_drop(parsed.value_type, value, blob_drops)
+                self._account_blob_drop(value_type, value, blob_drops)
                 continue
 
-            user_filter = self.options.compaction_filter
             if (
                 user_filter is not None
-                and parsed.value_type == TYPE_VALUE
-                and parsed.sequence > newest_snapshot
-                and not user_filter(parsed.user_key, value)
+                and value_type == TYPE_VALUE
+                and sequence > newest_snapshot
+                and not user_filter(user_key, value)
             ):
                 # The filter retired this entry. At the key's base level it
                 # can vanish outright; elsewhere it becomes a tombstone so
                 # older buried versions stay hidden.
                 self.stats.entries_filtered += 1
-                self._account_blob_drop(parsed.value_type, value, blob_drops)
+                self._account_blob_drop(value_type, value, blob_drops)
                 if compaction.allow_tombstone_drop and version.is_base_level_for_key(
-                    compaction.output_level, parsed.user_key
+                    compaction.output_level, user_key
                 ):
                     dropped += 1
                     continue
-                ikey = make_internal_key(parsed.user_key, parsed.sequence, TYPE_DELETION)
+                ikey = make_internal_key(user_key, sequence, TYPE_DELETION)
                 value = b""
 
             if builder is None:
@@ -517,7 +518,7 @@ class CompactionJob:
                     level=compaction.output_level,
                 )
             builder.add(ikey, value)
-            if builder.estimated_size >= self.options.target_file_size_base:
+            if builder.estimated_size >= target_file_size:
                 finish_builder()
 
         finish_builder()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.errors import InvalidArgumentError
 from repro.lsm.block import BlockBuilder
 from repro.lsm.format import (
+    BLOCK_TRAILER_SIZE,
     FILTER_WHOLE_TABLE,
     BlockHandle,
     Footer,
@@ -24,7 +25,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
-from repro.util.encoding import extract_user_key, internal_order
+from repro.util.encoding import internal_order
 
 BLOCK_RESTART_INTERVAL = 16
 """Keys between restart points inside a data block (LevelDB's default)."""
@@ -65,15 +66,16 @@ class TableBuilder:
         self.options = options
         self.level = level
         self._filter_policy = options.table_filter_policy(level)
+        self._filter_per_block = options.filter_partitioning == "block"
         self._file = file
         self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
         self._props = TableProperties()
         self._block_first_key: bytes | None = None
-        self._last_key: bytes | None = None
         self._last_order: tuple[bytes, int] | None = None
+        # User keys awaiting a filter: the whole table's, or in "block" mode
+        # the open data block's. Left empty when the level has no filter.
         self._filter_keys: list[bytes] = []
-        self._block_filter_keys: list[bytes] = []
         self._partition_filters: list[bytes] = []
         self._finished = False
 
@@ -83,7 +85,7 @@ class TableBuilder:
 
     @property
     def estimated_size(self) -> int:
-        return self._offset + self._data_block.current_size_estimate()
+        return self._offset + self._data_block.size_estimate
 
     def add(self, key: bytes, value: bytes) -> None:
         """Append an entry; internal keys must be strictly increasing."""
@@ -94,22 +96,16 @@ class TableBuilder:
             raise InvalidArgumentError("keys added out of order")
         if self._block_first_key is None:
             self._block_first_key = key
-        if self._props.num_entries == 0:
-            self._props.smallest_key = key
         self._data_block.add(key, value)
-        user_key = extract_user_key(key)
-        self._filter_keys.append(user_key)
-        self._block_filter_keys.append(user_key)
-        self._last_key = key
+        if self._filter_policy is not None:
+            self._filter_keys.append(order[0])
         self._last_order = order
         self._props.num_entries += 1
         self._props.largest_key = key
-        if self._data_block.current_size_estimate() >= self.options.block_size:
+        if self._data_block.size_estimate >= self.options.block_size:
             self._flush_data_block()
 
     def _write_raw_block(self, payload: bytes, *, compression: str = "none") -> BlockHandle:
-        from repro.lsm.format import BLOCK_TRAILER_SIZE
-
         sealed = seal_block(payload, compression=compression)
         handle = BlockHandle(self._offset, len(sealed) - BLOCK_TRAILER_SIZE)
         self._file.append(sealed)
@@ -121,18 +117,16 @@ class TableBuilder:
             return
         payload = self._data_block.finish()
         handle = self._write_raw_block(payload, compression=self.options.compression)
-        assert self._block_first_key is not None and self._last_key is not None
+        assert self._block_first_key is not None
         self._props.blocks.append(
-            BlockMeta(self._block_first_key, self._last_key, handle)
+            BlockMeta(self._block_first_key, self._props.largest_key, handle)
         )
         self._props.data_bytes += len(payload)
         self._data_block.reset()
         self._block_first_key = None
-        if self.options.filter_partitioning == "block" and self._filter_policy is not None:
-            self._partition_filters.append(
-                self._filter_policy.create_filter(self._block_filter_keys)
-            )
-        self._block_filter_keys = []
+        if self._filter_per_block and self._filter_policy is not None:
+            self._partition_filters.append(self._filter_policy.create_filter(self._filter_keys))
+            self._filter_keys = []
 
     def finish(self) -> TableProperties:
         """Flush remaining data, write filter/index/footer, close the file."""
@@ -141,13 +135,14 @@ class TableBuilder:
         self._flush_data_block()
         if not self._props.blocks:
             raise InvalidArgumentError("cannot finish an empty table")
+        self._props.smallest_key = self._props.blocks[0].first_key
 
         # Filter block: whole-table bloom filter, or one per data block.
         # The policy was resolved for this table's level at construction
         # (per-level allocations hand different levels different budgets).
         if self._filter_policy is None:
             filter_payload = b""
-        elif self.options.filter_partitioning == "block":
+        elif self._filter_per_block:
             filter_payload = encode_partitioned_filter(self._partition_filters)
         else:
             filter_payload = bytes([FILTER_WHOLE_TABLE]) + self._filter_policy.create_filter(

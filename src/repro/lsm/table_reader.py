@@ -16,10 +16,13 @@ from repro.errors import CorruptionError
 from repro.lsm.block import Block
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
+    FILTER_PARTITIONED,
+    FILTER_WHOLE_TABLE,
     FOOTER_SIZE,
     BlockHandle,
     Footer,
     decode_handle,
+    decode_partitioned_filter,
     unseal_block,
 )
 from repro.lsm.options import Options
@@ -125,12 +128,6 @@ class TableReader:
         return self._loader
 
     def _parse_filter(self, payload: bytes) -> None:
-        from repro.lsm.format import (
-            FILTER_PARTITIONED,
-            FILTER_WHOLE_TABLE,
-            decode_partitioned_filter,
-        )
-
         if not payload:
             return
         tag = payload[0]
@@ -360,7 +357,10 @@ class TableReader:
             block = Block(payload, internal_order)
             entries = block.seek(target) if first_block else iter(block)
             first_block = False
+            if end is None:
+                yield from entries
+                continue
             for ikey, value in entries:
-                if end is not None and extract_user_key(ikey) >= end:
+                if extract_user_key(ikey) >= end:
                     return
                 yield ikey, value

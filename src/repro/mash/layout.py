@@ -22,9 +22,9 @@ exactly the ablation of experiment E8/E12b.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lsm.compaction import CompactionEvent
 from repro.lsm.table_builder import BlockMeta
@@ -48,25 +48,21 @@ class LayoutConfig:
     """Cap on blocks pre-warmed per compaction (bounds write burst)."""
 
 
-@dataclass
 class _FileBlocks:
-    """Sorted block ranges of one table (user-key space)."""
+    """Sorted block ranges of one table (user-key space).
 
-    metas: list[BlockMeta]
-    last_user_keys: list[bytes] = field(default_factory=list)
+    A table's blocks ascend and are disjoint in internal-key order, so
+    ``firsts`` and ``lasts`` are each non-decreasing (one user key's
+    versions may straddle a block boundary, making a last equal the next
+    first) and both can be bisected.
+    """
 
-    def __post_init__(self) -> None:
-        self.last_user_keys = [extract_user_key(m.last_key) for m in self.metas]
+    __slots__ = ("metas", "firsts", "lasts")
 
-    def blocks_overlapping(self, lo: bytes, hi: bytes) -> list[BlockMeta]:
-        """Blocks whose user-key range intersects [lo, hi]."""
-        start = bisect_left(self.last_user_keys, lo)
-        out = []
-        for meta in self.metas[start:]:
-            if extract_user_key(meta.first_key) > hi:
-                break
-            out.append(meta)
-        return out
+    def __init__(self, metas: list[BlockMeta]) -> None:
+        self.metas = metas
+        self.firsts = [extract_user_key(m.first_key) for m in metas]
+        self.lasts = [extract_user_key(m.last_key) for m in metas]
 
 
 class BlockHeatTracker:
@@ -75,7 +71,8 @@ class BlockHeatTracker:
     def __init__(self, config: LayoutConfig | None = None) -> None:
         self.config = config or LayoutConfig()
         self._files: dict[str, _FileBlocks] = {}
-        self._heat: dict[tuple[str, int], float] = {}
+        # file -> block offset -> heat, for any file read: registered or not.
+        self._heat: dict[str, dict[int, float]] = {}
         self.prewarmed_blocks = 0
         self.inherited_heat_total = 0.0
 
@@ -90,21 +87,20 @@ class BlockHeatTracker:
 
     def forget_file(self, file_name: str) -> None:
         self._files.pop(file_name, None)
-        for key in [k for k in self._heat if k[0] == file_name]:
-            del self._heat[key]
+        self._heat.pop(file_name, None)
 
     # -- heat --------------------------------------------------------------
 
     def record_access(self, file_name: str, block_offset: int, weight: float = 1.0) -> None:
-        key = (file_name, block_offset)
-        self._heat[key] = self._heat.get(key, 0.0) + weight
+        heat = self._heat.setdefault(file_name, {})
+        heat[block_offset] = heat.get(block_offset, 0.0) + weight
 
     def heat_of(self, file_name: str, block_offset: int) -> float:
-        return self._heat.get((file_name, block_offset), 0.0)
+        return self._heat.get(file_name, {}).get(block_offset, 0.0)
 
     def file_heat(self, file_name: str) -> float:
         """Total heat across a file's blocks (drives up-tier promotion)."""
-        return sum(v for (name, _), v in self._heat.items() if name == file_name)
+        return sum(self._heat.get(file_name, {}).values(), 0.0)
 
     # -- inheritance ------------------------------------------------------------
 
@@ -118,47 +114,58 @@ class BlockHeatTracker:
         evenly across the output blocks it overlaps, then scaled by
         :data:`HEAT_DECAY`. Returns pre-warm candidates sorted hottest-first,
         thresholded and capped by the budget.
+
+        Shares reach an output block in input-file-then-block order: float
+        addition does not commute in the last bit, a candidate's place at
+        the threshold and in the budget cut depends on that bit, and so
+        does every pre-warm figure downstream.
         """
         if not self.config.aware or event.trivial_move:
             return []
-        contributions: list[tuple[bytes, bytes, float]] = []  # (lo, hi, heat)
+        # Per registered input file that holds heat: its block ranges and a
+        # heat list parallel to them.
+        hot: list[tuple[_FileBlocks, list[float]]] = []
         for meta in event.input_files:
             file_name = name_of(meta.number)
             fb = self._files.get(file_name)
-            if fb is None:
+            heat_by_offset = self._heat.get(file_name)
+            if fb is None or not heat_by_offset:
                 continue
-            for block in fb.metas:
-                heat = self.heat_of(file_name, block.handle.offset)
-                if heat > 0:
-                    contributions.append(
-                        (
-                            extract_user_key(block.first_key),
-                            extract_user_key(block.last_key),
-                            heat,
-                        )
-                    )
-        if not contributions:
+            heats = [heat_by_offset.get(block.handle.offset, 0.0) for block in fb.metas]
+            if max(heats, default=0.0) > 0:
+                hot.append((fb, heats))
+        if not hot:
             return []
 
         candidates: list[tuple[str, BlockMeta, float]] = []
+        threshold = self.config.prewarm_heat_threshold
         for output in event.outputs:
             out_name = name_of(output.meta.number)
             fb = self._files.get(out_name)
-            if fb is None:
+            if fb is None or not fb.metas:
                 continue
-            inherited: dict[int, float] = {}
-            for lo, hi, heat in contributions:
-                overlapping = fb.blocks_overlapping(lo, hi)
-                if not overlapping:
-                    continue
-                share = heat * HEAT_DECAY / len(overlapping)
-                for block in overlapping:
-                    inherited[block.handle.offset] = (
-                        inherited.get(block.handle.offset, 0.0) + share
-                    )
-            for block in fb.metas:
-                h = inherited.get(block.handle.offset, 0.0)
-                if h >= self.config.prewarm_heat_threshold:
+            firsts, lasts = fb.firsts, fb.lasts
+            inherited = [0.0] * len(firsts)
+            for source, heats in hot:
+                # Only input blocks reaching into [firsts[0], lasts[-1]] can
+                # overlap a block of this output.
+                reach = range(
+                    bisect_left(source.lasts, firsts[0]), bisect_right(source.firsts, lasts[-1])
+                )
+                for i in reach:
+                    if heats[i] <= 0:
+                        continue
+                    # Output blocks it intersects: from the first ending at or
+                    # after its first key to the last starting at or before its
+                    # last key; none when it fell into a gap between two.
+                    start = bisect_left(lasts, source.firsts[i])
+                    stop = bisect_right(firsts, source.lasts[i])
+                    if stop > start:
+                        share = heats[i] * HEAT_DECAY / (stop - start)
+                        for j in range(start, stop):
+                            inherited[j] += share
+            for block, h in zip(fb.metas, inherited):
+                if h >= threshold:
                     candidates.append((out_name, block, h))
                 if h > 0:
                     # Seed the new block's heat so future compactions keep

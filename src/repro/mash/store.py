@@ -31,7 +31,9 @@ from repro.lsm.compaction import CompactionEvent
 from repro.lsm.db import DB, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
+    FOOTER_SIZE,
     BlockHandle,
+    Footer,
     table_file_name,
     unseal_block,
 )
@@ -653,8 +655,6 @@ class RocksMashStore(StoreFacade):
             and self.pcache.get_meta(file_name, "footer") is not None
         ):
             return
-        from repro.lsm.format import FOOTER_SIZE, Footer
-
         file = self.env.new_random_access_file(file_name)
         size = file.size()
         footer_raw = file.read(size - FOOTER_SIZE, FOOTER_SIZE)

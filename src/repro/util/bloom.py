@@ -8,6 +8,7 @@ it before touching data blocks. The guarantee tested by the property suite is
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 
@@ -24,22 +25,13 @@ def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
     rates then track the ``0.6185^bits`` theory at every size.
     """
     m = 0xC6A4A793
-    h = (seed ^ (len(data) * m)) & 0xFFFFFFFF
-    i, n = 0, len(data)
-    while n - i >= 4:
-        w = int.from_bytes(data[i : i + 4], "little")
-        h = (h + w) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    n = len(data)
+    h = (seed ^ (n * m)) & 0xFFFFFFFF
+    for w in struct.unpack_from(f"<{n >> 2}I", data):
+        h = ((h + w) * m) & 0xFFFFFFFF
         h ^= h >> 16
-        i += 4
-    rest = n - i
-    if rest >= 3:
-        h = (h + (data[i + 2] << 16)) & 0xFFFFFFFF
-    if rest >= 2:
-        h = (h + (data[i + 1] << 8)) & 0xFFFFFFFF
-    if rest >= 1:
-        h = (h + data[i]) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    if n & 3:  # the 1-3 bytes after the last whole word, as one short word
+        h = ((h + int.from_bytes(data[n & ~3 :], "little")) * m) & 0xFFFFFFFF
         h ^= h >> 24
     # murmur3 fmix32: full avalanche over the 32-bit state.
     h ^= h >> 16

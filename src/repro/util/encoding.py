@@ -11,7 +11,7 @@ defined once, as the sort key :func:`internal_order`, which ``sorted``,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CorruptionError
 
@@ -54,8 +54,7 @@ def make_internal_key(user_key: bytes, sequence: int, value_type: int) -> bytes:
     return user_key + pack_trailer(sequence, value_type)
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedInternalKey:
+class ParsedInternalKey(NamedTuple):
     """Decoded form of an internal key."""
 
     user_key: bytes
@@ -65,14 +64,11 @@ class ParsedInternalKey:
 
 def parse_internal_key(ikey: bytes) -> ParsedInternalKey:
     """Split an internal key into user key, sequence, and type."""
-    if len(ikey) < 8:
-        raise CorruptionError(f"internal key too short: {len(ikey)} bytes")
-    trailer = decode_fixed64(ikey, len(ikey) - 8)
-    return ParsedInternalKey(
-        user_key=ikey[:-8],
-        sequence=trailer >> 8,
-        value_type=trailer & 0xFF,
-    )
+    size = len(ikey)
+    if size < 8:
+        raise CorruptionError(f"internal key too short: {size} bytes")
+    trailer = _FIXED64.unpack_from(ikey, size - 8)[0]
+    return ParsedInternalKey(ikey[:-8], trailer >> 8, trailer & 0xFF)
 
 
 def extract_user_key(ikey: bytes) -> bytes:

@@ -3,11 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lsm.block import Block, BlockBuilder, _shared_prefix_len
 from repro.lsm.format import BlockHandle, decode_handle, encode_handle
 from repro.lsm.version import FileMetaData, VersionEdit
 from repro.lsm.wal import LogReader, RECORD_HEADER_SIZE
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.xwal import decode_shard_record, encode_shard_record
+from repro.util.bloom import _bloom_hash
 from repro.util.crc import crc32, mask, masked_crc32, unmask, verify_masked_crc32
 from repro.util.encoding import (
     TYPE_DELETION,
@@ -95,6 +97,89 @@ class TestInternalKey:
             -((parse_internal_key(ik).sequence << 8) | parse_internal_key(ik).value_type),
         ))
         assert got == ref
+
+
+def varint_only_decode(data):
+    """A block's entries, every length read with ``decode_varint``."""
+    body_end = len(data) - 4 - 4 * int.from_bytes(data[-4:], "little")
+    entries, pos, key = [], 0, b""
+    while pos < body_end:
+        shared, pos = decode_varint(data, pos)
+        non_shared, pos = decode_varint(data, pos)
+        value_len, pos = decode_varint(data, pos)
+        key = key[:shared] + data[pos : pos + non_shared]
+        pos += non_shared
+        entries.append((key, data[pos : pos + value_len]))
+        pos += value_len
+    return entries
+
+
+# Keys and values straddle 128 bytes, so one block mixes entries whose three
+# lengths fit a byte each with entries that need a longer varint.
+block_keys = st.lists(
+    st.tuples(st.sampled_from([b"", b"p" * 120, b"q" * 140]), st.binary(max_size=12)).map(b"".join),
+    min_size=1,
+    max_size=40,
+    unique=True,
+).map(sorted)
+block_values = st.one_of(st.binary(max_size=8), st.binary(min_size=120, max_size=135))
+
+
+class TestBlockCodec:
+    @given(st.binary(max_size=40), st.binary(max_size=8), st.binary(max_size=8))
+    def test_shared_prefix_len_matches_naive_loop(self, prefix, a, b):
+        for x, y in ((prefix + a, prefix + b), (prefix, prefix + b), (a, b)):
+            n = 0
+            while n < min(len(x), len(y)) and x[n] == y[n]:
+                n += 1
+            assert _shared_prefix_len(x, y) == n
+
+    @given(block_keys, st.data(), st.integers(1, 16))
+    def test_one_byte_lengths_are_varints(self, sorted_keys, data, restart_interval):
+        entries = [(key, data.draw(block_values)) for key in sorted_keys]
+        builder = BlockBuilder(restart_interval)
+        for key, value in entries:
+            builder.add(key, value)
+        assert builder.size_estimate == len(builder.finish())
+        encoded = builder.finish()
+        assert varint_only_decode(encoded) == entries
+
+        block = Block(encoded, lambda key: key)
+        assert list(block) == entries
+        target = data.draw(st.one_of(st.sampled_from(sorted_keys), st.binary(max_size=150)))
+        assert list(block.seek(target)) == [e for e in entries if e[0] >= target]
+        assert block.get(target) == dict(entries).get(target)
+
+
+class TestBloomHash:
+    @given(st.binary(max_size=64), st.sampled_from([0xBC9F1D34, 0, 0xFFFFFFFF]))
+    def test_matches_byte_slicing_loop(self, data, seed):
+        """The hash as first written: one ``int.from_bytes`` per 4-byte word,
+        masked after every step."""
+        m = 0xC6A4A793
+        h = (seed ^ (len(data) * m)) & 0xFFFFFFFF
+        i, n = 0, len(data)
+        while n - i >= 4:
+            w = int.from_bytes(data[i : i + 4], "little")
+            h = (h + w) & 0xFFFFFFFF
+            h = (h * m) & 0xFFFFFFFF
+            h ^= h >> 16
+            i += 4
+        rest = n - i
+        if rest >= 3:
+            h = (h + (data[i + 2] << 16)) & 0xFFFFFFFF
+        if rest >= 2:
+            h = (h + (data[i + 1] << 8)) & 0xFFFFFFFF
+        if rest >= 1:
+            h = (h + data[i]) & 0xFFFFFFFF
+            h = (h * m) & 0xFFFFFFFF
+            h ^= h >> 24
+        h ^= h >> 16
+        h = (h * 0x85EBCA6B) & 0xFFFFFFFF
+        h ^= h >> 13
+        h = (h * 0xC2B2AE35) & 0xFFFFFFFF
+        h ^= h >> 16
+        assert _bloom_hash(data, seed) == h
 
 
 class TestHandles:

@@ -1,14 +1,52 @@
 """Unit tests for block building/reading (restart points, prefix compression)."""
 
+import itertools
+
 import pytest
 
 from repro.errors import CorruptionError
-from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.block import Block, BlockBuilder, _shared_prefix_len
+from repro.util.encoding import encode_fixed32
+from repro.util.varint import encode_varint
 
 
 def bytewise(key):
     """Sort key for plain byte order."""
     return key
+
+
+def naive_shared_prefix_len(a, b):
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def reference_encode(entries, restart_interval=16):
+    """The block format spelled out: every length a varint, one at a time."""
+    buffer = bytearray()
+    restarts = [0]
+    counter = 0
+    last_key = b""
+    for key, value in entries:
+        if counter >= restart_interval:
+            restarts.append(len(buffer))
+            counter = 0
+            shared = 0
+        else:
+            shared = naive_shared_prefix_len(last_key, key)
+        buffer += encode_varint(shared)
+        buffer += encode_varint(len(key) - shared)
+        buffer += encode_varint(len(value))
+        buffer += key[shared:]
+        buffer += value
+        last_key = key
+        counter += 1
+    for offset in restarts:
+        buffer += encode_fixed32(offset)
+    buffer += encode_fixed32(len(restarts))
+    return bytes(buffer)
 
 
 def build(entries, restart_interval=16):
@@ -26,9 +64,9 @@ class TestBlockBuilder:
 
     def test_size_estimate_grows(self):
         builder = BlockBuilder()
-        before = builder.current_size_estimate()
+        before = builder.size_estimate
         builder.add(b"key", b"value")
-        assert builder.current_size_estimate() > before
+        assert builder.size_estimate > before
 
     def test_reset(self):
         builder = BlockBuilder()
@@ -119,3 +157,123 @@ class TestBlockRead:
         # collide, but the layer should not silently drop entries).
         block = build([(b"k", b"1"), (b"k", b"2")])
         assert list(block) == [(b"k", b"1"), (b"k", b"2")]
+
+
+EDGE_LENGTHS = (0, 127, 128, 16384)  # either side of the one-byte varint limit
+
+
+class TestOneByteLengthFastPath:
+    """Lengths below 0x80 are written and read as single bytes; that is an
+    identity of the varint encoding, not a second format."""
+
+    @pytest.mark.parametrize(
+        "shared,non_shared,value_len", itertools.product(EDGE_LENGTHS, repeat=3)
+    )
+    def test_edge_lengths_encode_and_decode_alike(self, shared, non_shared, value_len):
+        first = (b"a" * shared, b"w" * non_shared)
+        second = (b"a" * shared + b"c" * non_shared, b"v" * value_len)
+        entries = [first, second, (second[0] + b"d", b"")]
+        builder = BlockBuilder()
+        for key, value in entries:
+            builder.add(key, value)
+        assert builder.size_estimate == len(reference_encode(entries))
+        data = builder.finish()
+        assert data == reference_encode(entries)
+
+        block = Block(data, bytewise)
+        assert list(block) == entries
+        for i, (key, value) in enumerate(entries):
+            at = 0 if entries[0][0] == key else i  # seek lands on the first equal key
+            assert list(block.seek(key)) == entries[at:]
+            assert block.get(key) == entries[at][1]
+
+    @pytest.mark.parametrize("restart_interval", [1, 2, 16])
+    def test_mixed_paths_across_restart_runs(self, restart_interval):
+        entries = [
+            (b"k%04d" % i + b"x" * (150 if i % 5 == 0 else 3), b"v" * (200 if i % 7 == 0 else i))
+            for i in range(60)
+        ]
+        builder = BlockBuilder(restart_interval)
+        for key, value in entries:
+            builder.add(key, value)
+        data = builder.finish()
+        assert data == reference_encode(entries, restart_interval)
+        block = Block(data, bytewise)
+        assert list(block) == entries
+        for i, (key, value) in enumerate(entries):
+            assert list(block.seek(key)) == entries[i:]
+            assert list(block.seek(key + b"\x00")) == entries[i + 1 :]
+            assert block.get(key) == value
+
+    def test_seek_is_lazy_past_the_run_it_needs(self):
+        """A lookup decodes one restart run: damage in a later run is not
+        its business (a full iteration still finds it)."""
+        entries = [(b"k%02d" % i, b"v") for i in range(8)]
+        data = bytearray(reference_encode(entries, restart_interval=4))
+        second_run = int.from_bytes(data[-8:-4], "little")
+        data[second_run + 7] = 99  # k05 claims 99 bytes of the 3-byte k04
+        block = Block(bytes(data), bytewise)
+        assert block.get(b"k01") == b"v"
+        assert next(block.seek(b"k02")) == (b"k02", b"v")
+        with pytest.raises(CorruptionError):
+            list(block)
+        with pytest.raises(CorruptionError):
+            list(block.seek(b"k02"))
+
+
+def corrupt_body(body):
+    """``body`` as the entry area of a block with one restart point."""
+    return body + encode_fixed32(0) + encode_fixed32(1)
+
+
+class TestCorruptEntries:
+    """Each check fires whether the lengths were read as bytes or varints."""
+
+    CASES = {
+        "header cut short, one-byte lengths": b"\x00",
+        "varint runs off the entry area": b"\x00\x01\x80",
+        "shared exceeds previous key, one-byte": bytes((5, 1, 0)) + b"x",
+        "shared exceeds previous key, varint": encode_varint(200) + bytes((1, 0)) + b"x",
+        "shared exceeds a real previous key": bytes((0, 2, 0)) + b"ab" + bytes((3, 1, 0)) + b"c",
+        "key overruns the restart array, one-byte": bytes((0, 100, 0)) + b"x",
+        "key overruns the restart array, varint": b"\x00" + encode_varint(200) + b"\x00x",
+        "value overruns the restart array, one-byte": bytes((0, 1, 50)) + b"x",
+        "value overruns the restart array, varint": bytes((0, 1)) + encode_varint(5000) + b"x",
+    }
+
+    @pytest.mark.parametrize("body", CASES.values(), ids=CASES.keys())
+    def test_raises_corruption_error(self, body):
+        block = Block(corrupt_body(body), bytewise)
+        with pytest.raises(CorruptionError):
+            list(block)
+        with pytest.raises(CorruptionError):
+            list(block.seek(b""))
+        with pytest.raises(CorruptionError):
+            block.get(b"x")
+
+    def test_restart_point_outside_the_entry_area(self):
+        data = bytes((0, 1, 1)) + b"kv" + encode_fixed32(0) + encode_fixed32(6) + encode_fixed32(2)
+        with pytest.raises(CorruptionError):
+            Block(data, bytewise)
+
+
+class TestSharedPrefixLen:
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (b"", b""),
+            (b"", b"abc"),
+            (b"abc", b""),
+            (b"abc", b"abc"),
+            (b"abc", b"abcdef"),
+            (b"abcdef", b"abc"),
+            (b"abc", b"abd"),
+            (b"xbc", b"abc"),
+            (b"\x00\x00", b"\x00\x00\x00"),
+            (b"\x00\x01", b"\x00\x00\x01"),
+            (b"a" * 300 + b"\x01", b"a" * 300 + b"\x02"),
+            (b"a" * 300 + b"\x80", b"a" * 300 + b"\x00" + b"z" * 40),
+        ],
+    )
+    def test_matches_naive_loop(self, a, b):
+        assert _shared_prefix_len(a, b) == naive_shared_prefix_len(a, b)

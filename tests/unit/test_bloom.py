@@ -1,6 +1,8 @@
 """Unit tests for the bloom filter policy."""
 
-from repro.util.bloom import BloomFilterPolicy
+import hashlib
+
+from repro.util.bloom import BloomFilterPolicy, _bloom_hash
 
 
 class TestBloom:
@@ -51,3 +53,26 @@ class TestBloom:
     def test_probe_count_bounds(self):
         assert BloomFilterPolicy(bits_per_key=1).num_probes == 1
         assert BloomFilterPolicy(bits_per_key=100).num_probes == 30
+
+
+class TestSerializedFormIsPinned:
+    """Filters are on disk: a change to a hash or probe bit is a format change."""
+
+    def test_hash_golden_values(self):
+        # One per tail length (0-3 bytes after 0, 1 and 2 whole words).
+        assert [_bloom_hash(b"abcdefghi"[:n]) for n in range(10)] == [
+            0x3F177186, 0xC550CB8F, 0x5BB998E4, 0x6D747A10, 0xD76FA46F,
+            0x50674C98, 0x03DE6246, 0xE2432852, 0xF5434319, 0xD99864F2,
+        ]  # fmt: skip
+        assert _bloom_hash(b"\xff" * 7) == 0xEDB29991
+        assert _bloom_hash(b"user0000000012345678") == 0x360F043A
+
+    def test_filter_bytes_by_digest(self):
+        keys = [b"user%012d" % (i * 7919 % 100003) for i in range(1000)]
+        digests = {
+            10: "76ca13ec1ec1192bf00ada1d0e0459d563a0eea228752d88d1e14c8b32bc7c8c",
+            13: "f1d752a666f1d99e311f94a0658d0d80c7fc424daf06c2971408c0f2e2b703ae",
+        }
+        for bits, digest in digests.items():
+            filt = BloomFilterPolicy(bits).create_filter(keys)
+            assert hashlib.sha256(filt).hexdigest() == digest

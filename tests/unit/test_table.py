@@ -4,10 +4,12 @@ import pytest
 
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.format import (
+    FILTER_WHOLE_TABLE,
     BlockHandle,
     Footer,
     decode_handle,
     encode_handle,
+    encode_partitioned_filter,
     parse_file_name,
     seal_block,
     table_file_name,
@@ -19,7 +21,14 @@ from repro.lsm.table_reader import TableReader, direct_block_loader
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
-from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key
+from repro.util.bloom import BloomFilterPolicy
+from repro.util.encoding import (
+    TYPE_DELETION,
+    TYPE_VALUE,
+    extract_user_key,
+    internal_order,
+    make_internal_key,
+)
 
 
 @pytest.fixture
@@ -116,6 +125,67 @@ class TestTableBuilder:
         builder.finish()
         with pytest.raises(InvalidArgumentError):
             builder.finish()
+
+
+class TestFilterBlock:
+    """The builder keeps one list of user keys — the table's, or in "block"
+    mode the open block's — and the filter bytes are what a filter built
+    from the entries by hand would be."""
+
+    def entries(self):
+        # Two versions of every third key: a user key enters a filter once
+        # per entry, and one may straddle a block boundary.
+        out = []
+        for i in range(300):
+            key = f"key{i:06d}".encode()
+            if i % 3 == 0:
+                out.append((make_internal_key(key, 200, TYPE_VALUE), b"new"))
+            out.append((make_internal_key(key, 100, TYPE_VALUE), f"val{i}".encode()))
+        return out
+
+    def filter_payload(self, env, reader):
+        file = env.new_random_access_file(reader.name)
+        return direct_block_loader(file)(reader.name, reader.footer.filter_handle, "filter")
+
+    def test_whole_table_filter_bytes(self, env):
+        entries = self.entries()
+        props, reader = build_table(env, entries, Options(block_size=256))
+        expected = bytes([FILTER_WHOLE_TABLE]) + BloomFilterPolicy(10).create_filter(
+            [extract_user_key(ikey) for ikey, _ in entries]
+        )
+        assert self.filter_payload(env, reader) == expected
+        assert props.filter_bytes == len(expected)
+
+    def test_per_block_filter_bytes(self, env):
+        entries = self.entries()
+        options = Options(block_size=256, filter_partitioning="block")
+        props, reader = build_table(env, entries, options)
+        assert len(props.blocks) > 10
+        policy = BloomFilterPolicy(10)
+        expected = encode_partitioned_filter(
+            [
+                policy.create_filter(
+                    [
+                        extract_user_key(ikey)
+                        for ikey, _ in entries
+                        if internal_order(block.first_key)
+                        <= internal_order(ikey)
+                        <= internal_order(block.last_key)
+                    ]
+                )
+                for block in props.blocks
+            ]
+        )
+        assert self.filter_payload(env, reader) == expected
+        assert props.filter_bytes == len(expected)
+
+    @pytest.mark.parametrize("partitioning", ["table", "block"])
+    def test_no_policy_no_filter(self, env, partitioning):
+        options = Options(block_size=256, bloom_bits_per_key=0, filter_partitioning=partitioning)
+        props, reader = build_table(env, self.entries(), options)
+        assert props.filter_bytes == 0
+        assert reader.footer.filter_handle.size == 0
+        assert reader.may_contain(b"anything")
 
 
 class TestTableReader:
