@@ -91,6 +91,44 @@ def test_table_point_lookups(benchmark):
     assert benchmark(run) == len(probes)
 
 
+def _read_db():
+    """A flushed 5 000-key DB whose 64 KiB block cache holds the hot range."""
+    options = Options(write_buffer_size=4 << 20, block_size=512, block_cache_bytes=64 << 10)
+    db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", options)
+    for i in range(5000):
+        db.put(f"key{i:08d}".encode(), b"v" * 100, sync=False)
+    db.flush()
+    return db
+
+
+def test_point_get_cached_block(benchmark):
+    """Point reads served by a block already parsed in the DRAM cache: fence
+    routing, bloom probe, parsed-index bisect, cached-block seek."""
+    db = _read_db()
+    probes = [f"key{i:08d}".encode() for i in range(1000, 1400, 4)]
+    for key in probes:
+        db.get(key)  # the 100 blocks fit the cache
+    misses = db.block_cache.misses
+
+    def run():
+        return sum(db.get(key) is not None for key in probes)
+
+    assert benchmark(run) == len(probes)
+    assert db.block_cache.misses == misses
+
+
+def test_seek_then_scan(benchmark):
+    """Bounded scans: one index seek, one block seek, then twenty rows."""
+    db = _read_db()
+    starts = [f"key{i:08d}".encode() for i in range(1000, 1400, 8)]
+    ends = [f"key{i + 20:08d}".encode() for i in range(1000, 1400, 8)]
+
+    def run():
+        return sum(len(list(db.scan(begin, end))) for begin, end in zip(starts, ends))
+
+    assert benchmark(run) == 20 * len(starts)
+
+
 def test_compaction_merge(benchmark):
     """One L0 -> L1 compaction: four overlapping runs of 500 entries each,
     through block decode, the heap merge, block encode and the bloom filter."""

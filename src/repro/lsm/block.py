@@ -97,6 +97,8 @@ class Block:
             raise CorruptionError("block too small for restart count")
         self._data = data
         self._order = order
+        self.size = len(data)
+        """Length of the encoded payload — what a cache holding the block charges."""
         num_restarts = decode_fixed32(data, len(data) - 4)
         trailer = 4 + 4 * num_restarts
         if trailer > len(data):
@@ -105,6 +107,8 @@ class Block:
         self._restarts = list(struct.unpack_from(f"<{num_restarts}I", data, self._restart_base))
         if self._restarts and (self._restarts[0] or max(self._restarts) > self._restart_base):
             raise CorruptionError("restart points must start at 0, inside the entry area")
+        self._restart_keys: list[Any] | None = None
+        """Sort keys of the restart points after the first, filled by the first seek."""
 
     def _decode(self, offset: int, stop: int) -> list[tuple[bytes, bytes]]:
         """Decode the entries that start in ``[offset, stop)``.
@@ -142,18 +146,23 @@ class Block:
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with key >= ``target`` in the block's key order.
 
-        Binary search over restart points (full keys), then one restart
-        run decoded at a time, so a point lookup pays for one run.
+        The first seek decodes the (full) key at every restart point after
+        the first into a list of sort keys the block keeps; a seek is then
+        one native ``bisect_left`` over that list plus one restart run
+        decoded at a time, so a point lookup pays for one run. Entries
+        past a restart point are decoded only when their run is reached.
         """
         restarts = self._restarts
         if not restarts:
             return
         order = self._order
         goal = order(target)
+        keys = self._restart_keys
+        if keys is None:
+            decode = self._decode
+            keys = self._restart_keys = [order(decode(at, at + 1)[0][0]) for at in restarts[1:]]
         # The last restart whose key is < target; restart 0 when none is.
-        at = bisect_left(
-            restarts, goal, 1, key=lambda offset: order(self._decode(offset, offset + 1)[0][0])
-        )
+        at = bisect_left(keys, goal) + 1
         emitting = False
         for i in range(at, len(restarts) + 1):
             stop = restarts[i] if i < len(restarts) else self._restart_base

@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ClosedError, CorruptionError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
-from repro.lsm.block_cache import LRUBlockCache
+from repro.lsm.block import Block
+from repro.lsm.block_cache import LRUBlockCache, load_data_block
 from repro.lsm.compaction import (
     Compaction,
     CompactionEvent,
@@ -59,12 +60,11 @@ from repro.lsm.sortedview import (
 )
 from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
 from repro.lsm.table_cache import LoaderWrapper, TableCache
-from repro.lsm.table_reader import BlockLoader
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.failure import crash_points
-from repro.storage.env import Env, RandomAccessFile
+from repro.storage.env import Env
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
@@ -188,7 +188,8 @@ class DB:
             if self.options.block_cache_bytes > 0
             else None
         )
-        self._user_loader_wrapper = loader_wrapper
+        if self.block_cache is not None:
+            self.block_cache.on_hit = self._on_dram_hit
         self.block_fetch_hook = None
         """Optional callable ``(path, file_name)`` observing block-read
         outcomes (e.g. ``("dram_hit", name)``); set by the store facade."""
@@ -222,7 +223,8 @@ class DB:
             env,
             prefix,
             self.options,
-            loader_wrapper=self._compose_loader_wrapper(),
+            loader_wrapper=loader_wrapper,
+            block_cache=self.block_cache,
             footer_source=footer_source,
             filter_hook=self._on_filter_probe,
         )
@@ -272,37 +274,9 @@ class DB:
             "get_hits": 0,
         }
 
-    # -- loader composition -------------------------------------------------
-
-    def _compose_loader_wrapper(self) -> LoaderWrapper:
-        """Chain: direct I/O → user wrapper (persistent cache) → DRAM cache."""
-
-        def wrapper(name: str, file: RandomAccessFile, direct: BlockLoader) -> BlockLoader:
-            loader = direct
-            if self._user_loader_wrapper is not None:
-                loader = self._user_loader_wrapper(name, file, loader)
-            if self.block_cache is not None:
-                loader = self._dram_cached_loader(name, loader)
-            return loader
-
-        return wrapper
-
-    def _dram_cached_loader(self, name: str, next_loader: BlockLoader) -> BlockLoader:
-        cache = self.block_cache
-        assert cache is not None
-
-        def load(file_name: str, handle: BlockHandle, kind: str) -> bytes:
-            if kind != "data":
-                return next_loader(file_name, handle, kind)
-            payload = cache.get(file_name, handle.offset)
-            if payload is None:
-                payload = next_loader(file_name, handle, kind)
-                cache.put(file_name, handle.offset, payload)
-            elif self.block_fetch_hook is not None:
-                self.block_fetch_hook("dram_hit", file_name)
-            return payload
-
-        return load
+    def _on_dram_hit(self, file_name: str) -> None:
+        if self.block_fetch_hook is not None:
+            self.block_fetch_hook("dram_hit", file_name)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -536,12 +510,14 @@ class DB:
         """
         started: set[int] = set()
 
-        def fetch(number: int, ref: BlockRef) -> bytes:
+        def fetch(number: int, ref: BlockRef) -> Block:
             if pipeline is not None and number not in started:
                 started.add(number)
                 pipeline.view_started(number)
             name, loader = self.table_cache.data_loader(number)
-            return loader(name, BlockHandle(ref.offset, ref.size), "data")
+            return load_data_block(
+                self.block_cache, loader, name, BlockHandle(ref.offset, ref.size)
+            )
 
         return fetch
 
@@ -853,10 +829,11 @@ class DB:
             hook(name)
 
     def _purge_deferred_deletes(self) -> None:
-        protected = self._protected_file_numbers()
-        for number in sorted(self._deferred_deletes - protected):
-            self._deferred_deletes.discard(number)
-            self._delete_table_file(number)
+        if self._deferred_deletes:
+            protected = self._protected_file_numbers()
+            for number in sorted(self._deferred_deletes - protected):
+                self._deferred_deletes.discard(number)
+                self._delete_table_file(number)
         if self.blob_store is not None and not self._pinned_versions:
             for number in sorted(self._deferred_blob_deletes):
                 self._deferred_blob_deletes.discard(number)
@@ -1036,10 +1013,7 @@ class DB:
             candidates = self.versions.current.files_for_user_key(key)
         for _level, table in candidates:
             reader = self.table_cache.get_reader(table.number)
-            if view is None:
-                entry = reader.get(lookup)
-            else:
-                entry = reader.get_at(lookup, blocks[table.number])
+            entry = reader.get(lookup, blocks.get(table.number))
             if entry is None:
                 continue
             ikey, value = entry

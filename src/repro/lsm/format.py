@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from repro.errors import CorruptionError
 from repro.util.crc import masked_crc32, verify_masked_crc32
+from repro.util.encoding import decode_fixed32, encode_fixed32
+from repro.util.varint import decode_varint, encode_varint
 
 TABLE_MAGIC = 0x88E241B785F4CF57  # RocksDB's BlockBasedTable magic
 BLOCK_TRAILER_SIZE = 5  # compression type byte + masked crc32
@@ -42,8 +44,6 @@ def encode_partitioned_filter(partitions: list[bytes]) -> bytes:
     Layout: tag byte, then each partition's bytes back to back, then a
     fixed32 offset per partition and a fixed32 partition count.
     """
-    from repro.util.encoding import encode_fixed32
-
     out = bytearray([FILTER_PARTITIONED])
     offsets = []
     for part in partitions:
@@ -57,8 +57,6 @@ def encode_partitioned_filter(partitions: list[bytes]) -> bytes:
 
 def decode_partitioned_filter(payload: bytes) -> list[bytes]:
     """Inverse of :func:`encode_partitioned_filter` (tag already checked)."""
-    from repro.util.encoding import decode_fixed32
-
     if len(payload) < 5:
         raise CorruptionError("partitioned filter too small")
     count = decode_fixed32(payload, len(payload) - 4)
@@ -92,15 +90,11 @@ class BlockHandle:
 
 def encode_handle(handle: BlockHandle) -> bytes:
     """Varint encoding of a handle (used as index-block entry values)."""
-    from repro.util.varint import encode_varint
-
     return encode_varint(handle.offset) + encode_varint(handle.size)
 
 
 def decode_handle(data: bytes, offset: int = 0) -> tuple[BlockHandle, int]:
     """Inverse of :func:`encode_handle`; returns ``(handle, next_offset)``."""
-    from repro.util.varint import decode_varint
-
     off, pos = decode_varint(data, offset)
     size, pos = decode_varint(data, pos)
     return BlockHandle(off, size), pos

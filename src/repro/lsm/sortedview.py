@@ -119,8 +119,8 @@ class ViewBuildStats:
     (rather than arriving via flush/compaction properties or the old view)."""
 
 
-BlockSource = Callable[[int, "BlockRef"], bytes]
-"""``(table_number, block_ref) -> verified block payload``."""
+BlockSource = Callable[[int, "BlockRef"], Block]
+"""``(table_number, block_ref) -> parsed data block``."""
 
 
 def user_key_anchor(ikey: bytes) -> bytes:
@@ -305,7 +305,7 @@ class SortedView:
             for cur in seg.cursors:
                 run = self.tables[cur.number]
                 for idx, ref in enumerate(run.blocks[cur.ordinal :]):
-                    block = Block(block_source(run.number, ref), internal_order)
+                    block = block_source(run.number, ref)
                     pairs = block.seek(seg.anchor) if idx == 0 else iter(block)
                     clipped = False
                     for key, value in pairs:
@@ -394,7 +394,7 @@ class _RunStream:
             seeking = not emitted and seek is not None
             if seeking and goal is not None and internal_order(ref.last_key) < goal:
                 continue  # whole block below the seek target: never fetched
-            block = Block(block_source(run.number, ref), internal_order)
+            block = block_source(run.number, ref)
             pairs = block.seek(seek) if seeking and seek is not None else iter(block)
             for key, value in pairs:
                 emitted = True

@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterator
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
+from repro.lsm.block_cache import LRUBlockCache, load_data_block
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
     FILTER_PARTITIONED,
@@ -55,18 +56,6 @@ def direct_block_loader(file: RandomAccessFile) -> BlockLoader:
     return load
 
 
-def _boundary(entries: list[tuple[bytes, bytes]], target: bytes) -> int:
-    """Position of the first entry whose internal key is >= ``target``.
-
-    Over index entries (block last keys) that is the boundary block: it may
-    still hold keys below ``target``; every block after it cannot.
-    ``len(entries)`` when every key sorts below ``target``.
-    """
-    return bisect_left(
-        entries, internal_order(target), key=lambda entry: internal_order(entry[0])
-    )
-
-
 class TableReader:
     """Random access into one immutable SSTable."""
 
@@ -76,6 +65,7 @@ class TableReader:
         file: RandomAccessFile,
         *,
         block_loader: BlockLoader | None = None,
+        block_cache: LRUBlockCache | None = None,
         footer_bytes: bytes | None = None,
         filter_hook: Callable[[str], None] | None = None,
     ) -> None:
@@ -97,7 +87,9 @@ class TableReader:
         increments (``bloom_checked``/``bloom_useful``/
         ``bloom_false_positive``); the DB wires it so probe outcomes
         aggregate store-wide and surface as tracer events."""
-        self._loader = block_loader or direct_block_loader(file)
+        self.loader = block_loader or direct_block_loader(file)
+        """The reader's (possibly wrapped) bytes-returning block loader chain."""
+        self._block_cache = block_cache
         if footer_bytes is not None:
             # Pinned footer (e.g. from the persistent cache): skips both the
             # size probe and the footer read against the backing file.
@@ -113,19 +105,15 @@ class TableReader:
             footer = Footer.decode(file.read(size - FOOTER_SIZE, FOOTER_SIZE))
         self.footer = footer
         self._index = Block(
-            self._loader(self.name, footer.index_handle, "index"), internal_order
+            self.loader(self.name, footer.index_handle, "index"), internal_order
         )
+        self._parsed: tuple[list[tuple[bytes, int]], list[BlockHandle]] | None = None
         self._filter: bytes | None = None
         self._partitions: list[bytes] | None = None
         self._block_ordinals: dict[int, int] = {}
         if footer.filter_handle.size > 0:
-            payload = self._loader(self.name, footer.filter_handle, "filter")
+            payload = self.loader(self.name, footer.filter_handle, "filter")
             self._parse_filter(payload)
-
-    @property
-    def loader(self) -> BlockLoader:
-        """The reader's (possibly wrapped) block loader chain."""
-        return self._loader
 
     def _parse_filter(self, payload: bytes) -> None:
         if not payload:
@@ -135,11 +123,50 @@ class TableReader:
             self._filter = payload[1:]
         elif tag == FILTER_PARTITIONED:
             self._partitions = decode_partitioned_filter(payload)
-            for ordinal, (_key, handle_bytes) in enumerate(self._index):
-                handle, _ = decode_handle(handle_bytes)
+            for ordinal, (_key, handle) in enumerate(self.block_refs()):
                 self._block_ordinals[handle.offset] = ordinal
         else:
             raise CorruptionError(f"unknown filter-block tag {tag:#x}")
+
+    # -- index -----------------------------------------------------------
+
+    def block_refs(self) -> list[tuple[bytes, BlockHandle]]:
+        """(last_key, handle) per data block, decoded for this one call.
+
+        No data-block I/O — this is how the sorted view derives a run's
+        block map for tables whose flush/compaction metadata is gone.
+        """
+        return [(key, decode_handle(encoded)[0]) for key, encoded in self._index]
+
+    def _seek_index(self) -> tuple[list[tuple[bytes, int]], list[BlockHandle]]:
+        """The index parsed for seeks, ``(orders, handles)``: parallel lists,
+        one slot per data block, built by the reader's first seek and kept.
+        ``orders[i]`` is the sort key of block ``i``'s last key, so
+        ``bisect_left(orders, internal_order(target))`` is the *boundary
+        block* of ``target`` — it may hold keys below ``target``, no later
+        block can — or ``len(orders)`` when every key sorts below ``target``.
+        Whole-table walks do not come here: a compaction input is read once
+        and must not leave a sort key per block behind.
+        """
+        parsed = self._parsed
+        if parsed is None:
+            refs = self.block_refs()
+            parsed = self._parsed = (
+                [internal_order(key) for key, _ in refs],
+                [handle for _, handle in refs],
+            )
+        return parsed
+
+    def _handles_from(self, target: bytes | None) -> list[BlockHandle]:
+        """Handles a forward read from ``target`` visits: the boundary block
+        on, or (``None``) every block — decoded for this walk only, unless
+        a seek has parsed them already."""
+        if target is None:
+            if self._parsed is not None:
+                return self._parsed[1]
+            return [handle for _, handle in self.block_refs()]
+        orders, handles = self._seek_index()
+        return handles[bisect_left(orders, internal_order(target)) :]
 
     # -- lookups ---------------------------------------------------------
 
@@ -168,13 +195,20 @@ class TableReader:
         return BloomFilterPolicy.key_may_match(user_key, self._partitions[ordinal])
 
     def _load_data_block(self, handle: BlockHandle) -> Block:
-        return Block(self._loader(self.name, handle, "data"), internal_order)
+        return load_data_block(self._block_cache, self.loader, self.name, handle)
 
-    def get(self, target: bytes) -> tuple[bytes, bytes] | None:
+    def get(
+        self, target: bytes, handle: BlockHandle | None = None
+    ) -> tuple[bytes, bytes] | None:
         """First entry with internal key >= ``target``, or None.
 
         The caller (DB/version) decides whether the returned entry's user
-        key matches and whether it is a value or tombstone.
+        key matches and whether it is a value or tombstone. ``handle`` names
+        the candidate block when the caller already knows it: the sorted
+        view's per-run block maps replicate the index, so a lookup routed
+        through the view skips the index search and goes straight to the
+        one data block that can hold ``target`` — bloom and partition
+        probes still apply.
         """
         user_key = extract_user_key(target)
         probed = False
@@ -184,8 +218,13 @@ class TableReader:
             if not BloomFilterPolicy.key_may_match(user_key, self._filter):
                 self._note_filter("useful")
                 return None
-        for index_key, handle_bytes in self._index.seek(target):
-            handle, _ = decode_handle(handle_bytes)
+        if handle is not None:
+            handles, start = [handle], 0
+        else:
+            orders, handles = self._seek_index()
+            start = bisect_left(orders, internal_order(target))
+        for position in range(start, len(handles)):
+            handle = handles[position]
             if self._partitions is not None and not probed:
                 probed = True
                 self._note_filter("checked")
@@ -204,50 +243,11 @@ class TableReader:
             # Target sorts after every entry of this block (can happen when
             # target > block's last key only via index separator equality);
             # fall through to the next index entry.
-            _ = index_key
-        if probed:
-            self._note_filter("false_positive")
-        return None
-
-    def get_at(self, target: bytes, handle: BlockHandle) -> tuple[bytes, bytes] | None:
-        """:meth:`get`, with the candidate block already known.
-
-        The sorted view's per-run block maps replicate the index block, so
-        a point lookup routed through the view skips the index seek and
-        jumps straight to the one data block that can hold ``target`` —
-        bloom and partition probes still apply.
-        """
-        user_key = extract_user_key(target)
-        probed = self._filter is not None or self._partitions is not None
-        if probed:
-            self._note_filter("checked")
-        if not self.may_contain(user_key):
-            self._note_filter("useful")
-            return None
-        if not self._partition_may_contain(user_key, handle):
-            self._note_filter("useful")
-            return None
-        for key, value in self._load_data_block(handle).seek(target):
-            if probed and extract_user_key(key) != user_key:
-                self._note_filter("false_positive")
-            return key, value
         if probed:
             self._note_filter("false_positive")
         return None
 
     # -- iteration ----------------------------------------------------------
-
-    def block_refs(self) -> list[tuple[bytes, BlockHandle]]:
-        """(last_key, handle) per data block, decoded from the index.
-
-        No data-block I/O — this is how the sorted view derives a run's
-        block map for tables whose flush/compaction metadata is gone.
-        """
-        out = []
-        for last_key, handle_bytes in self._index:
-            handle, _ = decode_handle(handle_bytes)
-            out.append((last_key, handle))
-        return out
 
     def edge_data_handle(
         self, target: bytes | None = None, *, reverse: bool = False
@@ -260,20 +260,15 @@ class TableReader:
         sorts below it) or the table's first block; reverse, the boundary
         block of the exclusive bound ``target`` or the table's last block.
         """
-        index_entries = list(self._index)
-        if not index_entries:
+        orders, handles = self._seek_index()
+        if not handles:
             return None
-        last = len(index_entries) - 1
         if target is None:
-            position = last if reverse else 0
-        else:
-            position = _boundary(index_entries, target)
-            if position > last:
-                if not reverse:
-                    return None
-                position = last
-        handle, _ = decode_handle(index_entries[position][1])
-        return handle
+            return handles[-1 if reverse else 0]
+        position = bisect_left(orders, internal_order(target))
+        if position == len(handles):
+            return handles[-1] if reverse else None
+        return handles[position]
 
     def entries(
         self, target: bytes | None = None, *, reverse: bool = False
@@ -289,28 +284,19 @@ class TableReader:
         no bound: the whole table in that direction.
         """
         if not reverse:
-            index_iter = self._index.seek(target) if target is not None else iter(self._index)
-            seek_target = target  # applies to the first block only
-            for _, handle_bytes in index_iter:
-                handle, _ = decode_handle(handle_bytes)
+            for handle in self._handles_from(target):
                 block = self._load_data_block(handle)
-                if seek_target is not None:
-                    yield from block.seek(seek_target)
-                    seek_target = None
-                else:
-                    yield from block
+                yield from block.seek(target) if target is not None else block
+                target = None  # the seek applies to the first block only
             return
-        index_entries = list(self._index)
-        boundary = (
-            _boundary(index_entries, target)
-            if target is not None
-            else len(index_entries)
-        )
-        for i in range(min(boundary, len(index_entries) - 1), -1, -1):
-            handle, _ = decode_handle(index_entries[i][1])
-            block_entries = list(self._load_data_block(handle))
-            if target is not None and i == boundary:
-                del block_entries[_boundary(block_entries, target) :]
+        orders, handles = self._seek_index()
+        goal = internal_order(target) if target is not None else None
+        boundary = bisect_left(orders, goal) if goal is not None else len(handles)
+        for position in range(min(boundary, len(handles) - 1), -1, -1):
+            block_entries = list(self._load_data_block(handles[position]))
+            if goal is not None and position == boundary:
+                cut = bisect_left(block_entries, goal, key=lambda entry: internal_order(entry[0]))
+                del block_entries[cut:]
             yield from reversed(block_entries)
 
     # -- compaction support -------------------------------------------------
@@ -344,19 +330,19 @@ class TableReader:
         (one large ranged GET instead of one per block). A ``None`` return
         falls back to the normal loader.
         """
-        target = None
+        seek_target = None  # applies to the first block only
         if begin is not None:
-            target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
-        index_iter = self._index.seek(target) if target is not None else iter(self._index)
-        first_block = target is not None
-        for _, handle_bytes in index_iter:
-            handle, _ = decode_handle(handle_bytes)
+            seek_target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
+        for handle in self._handles_from(seek_target):
             payload = block_fetch(handle) if block_fetch is not None else None
             if payload is None:
-                payload = self._loader(self.name, handle, "data")
-            block = Block(payload, internal_order)
-            entries = block.seek(target) if first_block else iter(block)
-            first_block = False
+                block = self._load_data_block(handle)
+            else:
+                # Served from the caller's readahead buffer: a strictly
+                # sequential read-once block, parsed here and never cached.
+                block = Block(payload, internal_order)
+            entries = block.seek(seek_target) if seek_target is not None else iter(block)
+            seek_target = None
             if end is None:
                 yield from entries
                 continue

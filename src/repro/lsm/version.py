@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.lsm.format import current_file_name, manifest_file_name
@@ -46,11 +47,12 @@ class FileMetaData:
     smallest: bytes  # internal key
     largest: bytes  # internal key
 
-    @property
+    # Sliced once per instance: lookups and scans read these per file per op.
+    @cached_property
     def smallest_user_key(self) -> bytes:
         return extract_user_key(self.smallest)
 
-    @property
+    @cached_property
     def largest_user_key(self) -> bytes:
         return extract_user_key(self.largest)
 
@@ -184,6 +186,10 @@ class Version:
 
     def __init__(self, num_levels: int) -> None:
         self.files: list[list[FileMetaData]] = [[] for _ in range(num_levels)]
+        # Point-lookup routing, built once by ``apply`` (a version never
+        # changes afterwards): ``(level, files, fences)`` per populated level
+        # below L0, a fence being a file's largest user key.
+        self._fenced_levels: list[tuple[int, list[FileMetaData], list[bytes]]] = []
 
     # -- invariants & queries -----------------------------------------------
 
@@ -221,25 +227,17 @@ class Version:
         """Files that may contain ``user_key``, newest data first.
 
         L0 files can overlap; they are searched newest-first (highest file
-        number). Deeper levels are sorted and disjoint, so binary search
-        picks at most one file per level.
+        number — ``apply`` keeps L0 in ascending number order). Deeper levels
+        are sorted and disjoint, so binary search picks at most one file per
+        level.
         """
-        for meta in sorted(self.files[0], key=lambda m: -m.number):
+        for meta in reversed(self.files[0]):
             if meta.smallest_user_key <= user_key <= meta.largest_user_key:
                 yield 0, meta
-        for level in range(1, len(self.files)):
-            meta = self._find_file(level, user_key)
-            if meta is not None:
-                yield level, meta
-
-    def _find_file(self, level: int, user_key: bytes) -> FileMetaData | None:
-        files = self.files[level]
-        if not files:
-            return None
-        idx = bisect_left(files, user_key, key=lambda f: f.largest_user_key)
-        if idx < len(files) and files[idx].smallest_user_key <= user_key:
-            return files[idx]
-        return None
+        for level, files, fences in self._fenced_levels:
+            idx = bisect_left(fences, user_key)
+            if idx < len(files) and files[idx].smallest_user_key <= user_key:
+                yield level, files[idx]
 
     def overlapping_files(
         self, level: int, begin: bytes | None, end: bytes | None
@@ -298,6 +296,11 @@ class Version:
                 keep.sort(key=lambda m: internal_order(m.smallest))
             new.files[level] = keep
         new.check_invariants()
+        new._fenced_levels = [
+            (level, files, [f.largest_user_key for f in files])
+            for level, files in enumerate(new.files)
+            if level and files
+        ]
         return new
 
 

@@ -223,7 +223,7 @@ class XWalReplayer:
                 collected.append((shard_ops, reader.tail_corrupt))
         region.join()
         # Shared counters fold *after* the join: branches model concurrent
-        # readers, and sibling read-modify-write on self would race (RL006).
+        # readers, and sibling read-modify-write on self would race.
         for shard_ops, tail_corrupt in collected:
             if tail_corrupt:
                 self.corrupt_shards += 1

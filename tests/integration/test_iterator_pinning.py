@@ -5,6 +5,7 @@ import pytest
 from repro.lsm.db import DB
 from repro.lsm.format import table_file_name
 from repro.lsm.options import Options
+from repro.lsm.version import Version
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
@@ -74,6 +75,28 @@ class TestIteratorPinning:
             for _, m in db.versions.current.all_files()
         }
         assert on_disk == live
+
+    def test_scan_with_nothing_deferred_builds_no_live_file_set(self, db, monkeypatch):
+        """Closing a scan purges deferred deletes; with none pending it must
+        not rebuild the live-file set of every pinned version to find that
+        out (the deferring case is the test above)."""
+        for i in range(1000):
+            db.put(f"k{i:04d}".encode(), b"x" * 40)
+        db.flush()
+        assert not db._deferred_deletes
+        calls = []
+        plain = Version.live_file_numbers
+        monkeypatch.setattr(
+            Version, "live_file_numbers", lambda version: calls.append(1) or plain(version)
+        )
+        assert len(list(db.scan())) == 1000
+        assert len(list(db.scan_reverse(b"k0100", b"k0200"))) == 100
+        outer = db.scan()
+        next(outer)
+        assert len(list(db.scan(b"k0500"))) == 500  # closes while ``outer`` is pinned
+        outer.close()
+        assert calls == []
+        assert not db._pinned_versions
 
     def test_nested_iterators(self, db):
         for i in range(1000):

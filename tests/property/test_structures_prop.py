@@ -223,15 +223,21 @@ class TestLRUCache:
         st.integers(16, 200),
     )
     def test_never_exceeds_budget_and_serves_exact_bytes(self, ops, budget):
+        key = make_internal_key(b"k", 1, TYPE_VALUE)
         cache = LRUBlockCache(budget)
-        shadow: dict[int, bytes] = {}
-        for offset, payload in ops:
-            cache.put("f", offset, payload)
-            if len(payload) <= budget:
-                shadow[offset] = payload
-            # An oversized payload is not admitted and must not disturb an
+        shadow: dict[int, tuple[Block, bytes]] = {}
+        for offset, value in ops:
+            builder = BlockBuilder()
+            builder.add(key, value)
+            block = Block(builder.finish(), internal_order)
+            cache.put("f", offset, block)
+            if block.size <= budget:
+                shadow[offset] = (block, value)
+            # An oversized block is not admitted and must not disturb an
             # existing entry (real blocks are immutable, so a conflicting
             # payload at the same offset cannot occur in practice).
             assert cache.used_bytes <= budget
             got = cache.get("f", offset)
-            assert got is None or got == shadow[offset]
+            if got is not None:
+                assert got is shadow[offset][0]
+                assert list(got) == [(key, shadow[offset][1])]

@@ -220,6 +220,42 @@ class TestOneByteLengthFastPath:
         with pytest.raises(CorruptionError):
             list(block.seek(b"k02"))
 
+    def test_first_seek_decodes_every_restart_key(self):
+        """The first seek builds the block's restart sort keys — it decodes
+        the (whole) key at every restart point after the first — so damage
+        in a later run's *first* entry surfaces on that first seek, wherever
+        the target lies. Entries past a restart point stay lazy (above)."""
+        entries = [(b"k%02d" % i, b"v") for i in range(12)]
+        data = bytearray(reference_encode(entries, restart_interval=4))
+        third_run = int.from_bytes(data[-8:-4], "little")
+        data[third_run + 1] = 120  # k08, a restart entry, claims a 120-byte key
+        block = Block(bytes(data), bytewise)
+        with pytest.raises(CorruptionError):
+            block.get(b"k01")
+        with pytest.raises(CorruptionError):
+            list(block)
+
+    def test_restart_keys_are_decoded_once(self, monkeypatch):
+        entries = [(b"k%02d" % i, b"v") for i in range(12)]
+        block = build(entries, restart_interval=4)
+        decoded = []
+        plain = Block._decode
+        monkeypatch.setattr(
+            Block, "_decode", lambda self, at, stop: decoded.append(at) or plain(self, at, stop)
+        )
+        assert block.get(b"k05") == b"v"
+        first_seek = len(decoded)
+        assert block.get(b"k05") == b"v"
+        assert block.get(b"k09") == b"v"
+        # Later seeks decode the one run they need, nothing else.
+        assert len(decoded) == first_seek + 2
+        assert first_seek == 2 + 1  # restart keys of runs two and three, then k05's run
+
+    def test_empty_block_seeks_to_nothing(self):
+        block = Block(BlockBuilder().finish(), bytewise)
+        assert list(block.seek(b"")) == []
+        assert block.get(b"k") is None
+
 
 def corrupt_body(body):
     """``body`` as the entry area of a block with one restart point."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
-from repro.lsm.block import BlockBuilder
+from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.sortedview import (
     BlockRef,
     SortedView,
@@ -70,7 +70,7 @@ def build_runs(key_sets, entries_per_block=3):
         )
 
     def source(number, ref):
-        return payloads[(number, ref.offset)]
+        return Block(payloads[(number, ref.offset)], internal_order)
 
     merged = sorted(
         (
@@ -127,8 +127,6 @@ class TestStreamEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_point_candidates_find_newest_entry(self, key_sets):
         """Emulating ``_get_at`` over the candidates equals the model."""
-        from repro.lsm.block import Block
-
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
         all_keys = {k for key_set in key_sets for k in key_set}
@@ -139,8 +137,7 @@ class TestStreamEquivalence:
             lookup = make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE)
             found = None
             for run, ref in view.point_candidates(user_key, lookup):
-                block = Block(source(run.number, ref), internal_order)
-                for ikey, value in block.seek(lookup):
+                for ikey, value in source(run.number, ref).seek(lookup):
                     if extract_user_key(ikey) == user_key:
                         found = value
                     break

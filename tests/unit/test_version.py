@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.lsm.options import Options
+from repro.lsm import version as version_module
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
@@ -100,33 +101,44 @@ class TestVersion:
         assert list(v1.files_for_user_key(b"fz")) == []  # gap between files
 
     def test_files_for_user_key_searches_without_reading_every_file(self, monkeypatch):
+        # Count how often a file's internal key is sliced into a user key.
+        reads = []
+        plain = version_module.extract_user_key
+        monkeypatch.setattr(
+            version_module, "extract_user_key", lambda ikey: reads.append(ikey) or plain(ikey)
+        )
         # 64 disjoint L1 files covering k000..k002, k010..k012, ... k630..k632.
         edit = VersionEdit()
         for i in range(64):
             edit.add_file(1, fmd(i + 1, b"k%02d0" % i, b"k%02d2" % i))
         v = Version(7).apply(edit)
-
-        reads = []
-        plain = FileMetaData.largest_user_key
-        monkeypatch.setattr(
-            FileMetaData,
-            "largest_user_key",
-            property(lambda meta: reads.append(meta.number) or plain.fget(meta)),
-        )
+        # Building the fences read each file's largest key, once.
+        assert sorted(reads) == sorted(f.largest for f in v.files[1])
 
         def linear(user_key):
             return [
                 (1, f)
                 for f in v.files[1]
-                if f.smallest_user_key <= user_key <= plain.fget(f)
+                if plain(f.smallest) <= user_key <= plain(f.largest)
             ]
 
         # below, inside (both edges and middle), between and above the files
         probes = [b"a", b"k000", b"k311", b"k632", b"k315", b"k005", b"k633", b"z"]
+        del reads[:]
         for user_key in probes:
-            del reads[:]
             assert list(v.files_for_user_key(user_key)) == linear(user_key), user_key
-            assert len(reads) <= 8, (user_key, len(reads))
+        # A lookup bisects the fences and reads only its one candidate's
+        # smallest key, which the file then keeps ...
+        assert len(reads) == len(set(reads)) <= len(probes)
+        assert set(reads) <= {f.smallest for f in v.files[1]}
+        # ... so the same lookups again read nothing, here or in a child
+        # version that shares the files.
+        del reads[:]
+        child = v.apply(VersionEdit())
+        for user_key in probes:
+            assert list(v.files_for_user_key(user_key)) == linear(user_key), user_key
+            assert list(child.files_for_user_key(user_key)) == linear(user_key), user_key
+        assert reads == []
 
     def test_overlapping_files_range(self):
         v = Version(7)
