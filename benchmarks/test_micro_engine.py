@@ -21,13 +21,13 @@ from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.bloom import BloomFilterPolicy
-from repro.util.encoding import TYPE_VALUE, make_internal_key
+from repro.util.encoding import TYPE_VALUE, make_internal_key, seek_goal
 
 
 def test_memtable_shuffled_insert_and_seek(benchmark):
     keys = [f"key{i:08d}".encode() for i in range(2000)]
     random.Random(1).shuffle(keys)
-    target = make_internal_key(b"key00001000", 1 << 40, TYPE_VALUE)
+    target = seek_goal(b"key00001000", 1 << 40)
 
     def insert_all_then_seek():
         mt = MemTable()
@@ -52,14 +52,15 @@ def test_memtable_add_and_get(benchmark):
 
 
 def test_block_build_and_seek(benchmark):
-    entries = [(f"key{i:06d}".encode(), b"v" * 64) for i in range(500)]
+    entries = [
+        (make_internal_key(f"key{i:06d}".encode(), 7, TYPE_VALUE), b"v" * 64) for i in range(500)
+    ]
 
     def run():
         builder = BlockBuilder(16)
         for k, v in entries:
             builder.add(k, v)
-        block = Block(builder.finish(), lambda key: key)  # plain byte order
-        return sum(1 for _ in block.seek(b"key000250"))
+        return sum(1 for _ in Block(builder.finish()).seek(seek_goal(b"key000250")))
 
     assert benchmark(run) == 250
 
@@ -75,15 +76,22 @@ def test_bloom_create_and_probe(benchmark):
     assert benchmark(run) == 500
 
 
+def test_bloom_build(benchmark):
+    """One filter over 260 sixteen-byte keys: a compaction output's here."""
+    policy = BloomFilterPolicy(10)
+    keys = [f"user{i * 7919:012d}".encode() for i in range(260)]
+    assert len(benchmark(policy.create_filter, keys)) == 326
+
+
 def test_table_point_lookups(benchmark):
     env = LocalEnv(LocalDevice(SimClock()))
     options = Options(block_size=4096, block_cache_bytes=0)
     builder = TableBuilder(options, env.new_writable_file("bench.sst"))
     for i in range(5000):
-        builder.add(make_internal_key(f"key{i:08d}".encode(), 7, TYPE_VALUE), b"v" * 100)
+        builder.add(f"key{i:08d}".encode(), -((7 << 8) | TYPE_VALUE), b"v" * 100)
     builder.finish()
     reader = TableReader(options, env.new_random_access_file("bench.sst"))
-    probes = [make_internal_key(f"key{i:08d}".encode(), 100, TYPE_VALUE) for i in range(0, 5000, 50)]
+    probes = [seek_goal(f"key{i:08d}".encode(), 100) for i in range(0, 5000, 50)]
 
     def run():
         return sum(reader.get(p) is not None for p in probes)

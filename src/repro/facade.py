@@ -158,13 +158,15 @@ class StoreFacade:
         end: bytes | None = None,
         limit: int | None = None,
         *,
+        snapshot: Snapshot | None = None,
         reverse: bool = False,
     ) -> list[tuple[bytes, bytes]]:
         """Range scan over user keys in [begin, end), descending when
         ``reverse`` (then timed and counted as ``scan_reverse``)."""
         kind = "scan_reverse" if reverse else "scan"
         with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
-            results = take_rows(self.db.scan(begin, end, reverse=reverse), limit)
+            rows = self.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
+            results = take_rows(rows, limit)
         self.read_latency.record(sw.elapsed)
         self._note_op(kind, sum(len(k) + len(v) for k, v in results))
         return results

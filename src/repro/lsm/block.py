@@ -6,18 +6,19 @@ shares with the previous entry, so sorted keys compress well; every
 block trailer lists restart offsets so :meth:`Block.seek` can ``bisect``.
 
 The same encoding serves data blocks (internal key → value) and index
-blocks (separator key → encoded BlockHandle).
+blocks (separator internal key → encoded BlockHandle). The builder takes
+internal-key bytes; the reader splits each key once as it rebuilds it and
+hands out :data:`~repro.util.encoding.Entry` tuples, which sort natively.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
-from typing import Any
+from collections.abc import Iterator
 
 from repro.errors import CorruptionError
-from repro.util.encoding import decode_fixed32
+from repro.util.encoding import TRAILER, Entry, SeekGoal, decode_fixed32
 from repro.util.varint import decode_varint, encode_varint
 
 
@@ -86,17 +87,12 @@ class BlockBuilder:
 
 
 class Block:
-    """Read-side view of an encoded block.
+    """Read-side view of an encoded block of internal keys, ascending."""
 
-    Keys ascend under the sort key ``order`` — in a table,
-    :func:`~repro.util.encoding.internal_order`.
-    """
-
-    def __init__(self, data: bytes, order: Callable[[bytes], Any]) -> None:
+    def __init__(self, data: bytes) -> None:
         if len(data) < 4:
             raise CorruptionError("block too small for restart count")
         self._data = data
-        self._order = order
         self.size = len(data)
         """Length of the encoded payload — what a cache holding the block charges."""
         num_restarts = decode_fixed32(data, len(data) - 4)
@@ -107,10 +103,10 @@ class Block:
         self._restarts = list(struct.unpack_from(f"<{num_restarts}I", data, self._restart_base))
         if self._restarts and (self._restarts[0] or max(self._restarts) > self._restart_base):
             raise CorruptionError("restart points must start at 0, inside the entry area")
-        self._restart_keys: list[Any] | None = None
+        self._restart_keys: list[SeekGoal] | None = None
         """Sort keys of the restart points after the first, filled by the first seek."""
 
-    def _decode(self, offset: int, stop: int) -> list[tuple[bytes, bytes]]:
+    def _decode(self, offset: int, stop: int) -> list[Entry]:
         """Decode the entries that start in ``[offset, stop)``.
 
         ``offset`` is a restart point (the first key is stored whole) and
@@ -119,8 +115,9 @@ class Block:
         """
         data = self._data
         limit = self._restart_base
+        trailer_at = TRAILER.unpack_from
         key = b""
-        entries: list[tuple[bytes, bytes]] = []
+        entries: list[Entry] = []
         while offset < stop:
             shared, non_shared, value_len = data[offset], data[offset + 1], data[offset + 2]
             if shared | non_shared | value_len < 0x80:
@@ -136,15 +133,18 @@ class Block:
             if offset > limit:
                 raise CorruptionError("entry overruns block body")
             key = key[:shared] + data[pos:key_end]
-            entries.append((key, data[key_end:offset]))
+            split = len(key) - 8
+            if split < 0:
+                raise CorruptionError(f"internal key too short: {len(key)} bytes")
+            entries.append((key[:split], -trailer_at(key, split)[0], data[key_end:offset]))
         return entries
 
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
+    def __iter__(self) -> Iterator[Entry]:
         """All entries in key order."""
         return iter(self._decode(0, self._restart_base))
 
-    def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with key >= ``target`` in the block's key order.
+    def seek(self, goal: SeekGoal) -> Iterator[Entry]:
+        """Entries at or after ``goal`` in internal-key order.
 
         The first seek decodes the (full) key at every restart point after
         the first into a list of sort keys the block keeps; a seek is then
@@ -155,25 +155,24 @@ class Block:
         restarts = self._restarts
         if not restarts:
             return
-        order = self._order
-        goal = order(target)
         keys = self._restart_keys
         if keys is None:
             decode = self._decode
-            keys = self._restart_keys = [order(decode(at, at + 1)[0][0]) for at in restarts[1:]]
-        # The last restart whose key is < target; restart 0 when none is.
+            keys = self._restart_keys = [decode(at, at + 1)[0][:2] for at in restarts[1:]]
+        # The last restart whose key is < goal; restart 0 when none is.
         at = bisect_left(keys, goal) + 1
         emitting = False
         for i in range(at, len(restarts) + 1):
             stop = restarts[i] if i < len(restarts) else self._restart_base
             run = self._decode(restarts[i - 1], stop)
             if not emitting:
-                run = run[bisect_left(run, goal, key=lambda entry: order(entry[0])) :]
+                # A goal sorts just before the entry it prefixes.
+                run = run[bisect_left(run, goal) :]
                 emitting = bool(run)
             yield from run
 
-    def get(self, target: bytes) -> bytes | None:
+    def get(self, goal: SeekGoal) -> bytes | None:
         """Exact-match lookup (equal sort keys)."""
-        for key, value in self.seek(target):
-            return value if self._order(key) == self._order(target) else None
+        for entry in self.seek(goal):
+            return entry[2] if entry[:2] == goal else None
         return None

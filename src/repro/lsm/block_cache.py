@@ -17,7 +17,6 @@ from collections.abc import Callable
 
 from repro.lsm.block import Block
 from repro.lsm.format import BlockHandle
-from repro.util.encoding import internal_order
 
 
 class LRUBlockCache:
@@ -96,10 +95,10 @@ def load_data_block(
     ``loader`` chain (pcache → primed → readahead → direct). A payload that
     does not parse raises before ``put``: a corrupt block is never cached."""
     if cache is None:
-        return Block(loader(file_name, handle, "data"), internal_order)
+        return Block(loader(file_name, handle, "data"))
     block = cache.get(file_name, handle.offset)
     if block is None:
-        block = Block(loader(file_name, handle, "data"), internal_order)
+        block = Block(loader(file_name, handle, "data"))
         cache.put(file_name, handle.offset, block)
     elif cache.on_hit is not None:
         cache.on_hit(file_name)

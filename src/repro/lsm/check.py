@@ -38,7 +38,7 @@ from repro.lsm.version import FileMetaData, VersionSet
 from repro.lsm.wal import LogReader
 from repro.storage.env import Env
 from repro.util.crc import masked_crc32
-from repro.util.encoding import extract_user_key, internal_order
+from repro.util.encoding import SeekGoal, entry_key
 
 
 @dataclass
@@ -95,24 +95,25 @@ def check_table(
     except (CorruptionError, NotFoundError, ReproError) as exc:
         report.error(f"{name}: unreadable table: {exc}")
         return
-    prev_key: bytes | None = None
-    first_key: bytes | None = None
+    prev_key: SeekGoal | None = None
+    first_key: SeekGoal | None = None
     count = 0
     try:
-        for ikey, value in reader.entries():
-            if first_key is None:
-                first_key = ikey
-            if prev_key is not None and internal_order(prev_key) >= internal_order(ikey):
+        for user_key, neg_trailer, value in reader.entries():
+            key = (user_key, neg_trailer)
+            if prev_key is None:
+                first_key = key
+            elif prev_key >= key:
                 report.error(f"{name}: entries out of internal-key order")
                 return
-            if not reader.may_contain(extract_user_key(ikey)):
+            if not reader.may_contain(user_key):
                 report.error(f"{name}: bloom filter misses a stored key (false negative)")
                 return
             if blob_refs is not None:
                 pointer = maybe_pointer(value)
                 if pointer is not None:
                     blob_refs.append((name, pointer))
-            prev_key = ikey
+            prev_key = key
             count += 1
     except CorruptionError as exc:
         report.error(f"{name}: corrupt block during scan: {exc}")
@@ -122,9 +123,10 @@ def check_table(
         return
     report.entries_checked += count
     if meta is not None:
-        if first_key != meta.smallest:
+        assert first_key is not None and prev_key is not None  # count > 0
+        if entry_key(*first_key) != meta.smallest:
             report.error(f"{name}: smallest key mismatch vs manifest")
-        if prev_key != meta.largest:
+        if entry_key(*prev_key) != meta.largest:
             report.error(f"{name}: largest key mismatch vs manifest")
         try:
             actual = env.file_size(name)

@@ -51,13 +51,7 @@ from repro.lsm.version import FileMetaData, Version, VersionEdit
 from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import (
-    MAX_SEQUENCE,
-    TYPE_DELETION,
-    TYPE_VALUE,
-    make_internal_key,
-    parse_internal_key,
-)
+from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE
 
 
 @dataclass
@@ -436,6 +430,7 @@ class CompactionJob:
         builder_number = 0
         dropped = 0
         prev_user_key: bytes | None = None
+        prev_neg_trailer = 1  # no entry's: a neg_trailer is <= 0
         last_seq_for_key = MAX_SEQUENCE
         user_filter = self.options.compaction_filter
         target_file_size = self.options.target_file_size_base
@@ -463,16 +458,20 @@ class CompactionJob:
             # classic partial-compaction crash (orphans, inputs live).
             crash_points.reach("compaction.mid_output")
 
-        for ikey, value in merged:
-            user_key, sequence, value_type = parse_internal_key(ikey)
+        for user_key, neg_trailer, value in merged:
+            sequence = -neg_trailer >> 8
+            value_type = -neg_trailer & 0xFF
             if user_key != prev_user_key:
                 prev_user_key = user_key
+                prev_neg_trailer = 1
                 last_seq_for_key = MAX_SEQUENCE
 
             drop = False
-            if last_seq_for_key <= smallest_snapshot:
+            if last_seq_for_key <= smallest_snapshot or neg_trailer == prev_neg_trailer:
                 # A newer entry for this key is already visible to every
-                # live snapshot; this one can never be read again.
+                # live snapshot, so this one can never be read again — or
+                # it is the previous entry over again (a WAL replayed over
+                # a flush that had committed leaves one copy per source).
                 drop = True
             elif (
                 compaction.allow_tombstone_drop
@@ -482,6 +481,7 @@ class CompactionJob:
             ):
                 drop = True
             last_seq_for_key = sequence
+            prev_neg_trailer = neg_trailer
 
             if drop:
                 dropped += 1
@@ -504,7 +504,7 @@ class CompactionJob:
                 ):
                     dropped += 1
                     continue
-                ikey = make_internal_key(user_key, sequence, TYPE_DELETION)
+                neg_trailer = -((sequence << 8) | TYPE_DELETION)
                 value = b""
 
             if builder is None:
@@ -517,7 +517,7 @@ class CompactionJob:
                     self.env.new_writable_file(name),
                     level=compaction.output_level,
                 )
-            builder.add(ikey, value)
+            builder.add(user_key, neg_trailer, value)
             if builder.estimated_size >= target_file_size:
                 finish_builder()
 

@@ -65,13 +65,7 @@ from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import (
-    MAX_SEQUENCE,
-    TYPE_DELETION,
-    TYPE_VALUE,
-    make_internal_key,
-    parse_internal_key,
-)
+from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, Entry, SeekGoal, seek_goal
 
 if TYPE_CHECKING:
     from repro.mash.bloblog import BlobLog
@@ -128,12 +122,12 @@ class ScanPipeline(Protocol):
 
     Built by ``DB.scan_pipeline_factory`` when the scan starts (see
     :class:`repro.mash.prefetch.ScanPrefetcher`). ``target`` is the
-    internal key every source is seeked to — the scan's ``begin``, or its
+    seek goal every source is seeked to — the scan's ``begin``, or its
     exclusive ``end`` when ``reverse`` — and ``None`` means unbounded.
     """
 
     def seek_fanout(
-        self, metas: Sequence[FileMetaData], target: bytes | None, *, reverse: bool = False
+        self, metas: Sequence[FileMetaData], target: SeekGoal | None, *, reverse: bool = False
     ) -> None:
         """:meth:`DB.scan`, merge path, before any source is built:
         ``metas`` are the tables the merge opens on its first pull."""
@@ -142,7 +136,7 @@ class ScanPipeline(Protocol):
         self,
         files: Sequence[FileMetaData],
         index: int,
-        target: bytes | None,
+        target: SeekGoal | None,
         *,
         reverse: bool = False,
     ) -> None:
@@ -706,9 +700,8 @@ class DB:
         # file number: within L0, higher numbers must mean newer data.
         lo, hi = keys[0], keys[-1]
         if len(self.memtable) > 0:
-            probe = make_internal_key(lo, MAX_SEQUENCE, TYPE_VALUE)
-            for ikey, _ in self.memtable.entries(probe):
-                if parse_internal_key(ikey).user_key <= hi:
+            for user_key, _, _ in self.memtable.entries(seek_goal(lo)):
+                if user_key <= hi:
                     self._flush_memtable()
                 break
         # The ingested data carries the newest sequence, so it must sit
@@ -734,8 +727,9 @@ class DB:
         number = self.versions.new_file_number()
         name = table_file_name(self.prefix, number)
         builder = TableBuilder(self.options, self.env.new_writable_file(name), level=target)
+        neg_trailer = -((sequence << 8) | TYPE_VALUE)
         for key, value in entries:
-            builder.add(make_internal_key(key, sequence, TYPE_VALUE), value)
+            builder.add(key, neg_trailer, value)
         props = builder.finish()
         meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
         edit = VersionEdit(last_sequence=sequence)
@@ -768,8 +762,8 @@ class DB:
         number = self.versions.new_file_number()
         name = table_file_name(self.prefix, number)
         builder = TableBuilder(self.options, self.env.new_writable_file(name), level=0)
-        for ikey, value in self.memtable:
-            builder.add(ikey, value)
+        for entry in self.memtable:
+            builder.add(*entry)
         props = builder.finish()
         meta = FileMetaData(
             number=number,
@@ -996,7 +990,7 @@ class DB:
             return result.value
         if result.state == GetResult.DELETED:
             return None
-        lookup = make_internal_key(key, sequence, TYPE_VALUE)
+        goal = seek_goal(key, sequence)
         view = self._sorted_view if self._view_usable() else None
         candidates: Iterable[tuple[int, FileMetaData | TableRun]]
         blocks: dict[int, BlockHandle] = {}
@@ -1006,23 +1000,19 @@ class DB:
             # bloom/partition probes still apply, but its index seek is
             # replaced by the view's block map.
             self.view_stats["get_hits"] += 1
-            found = view.point_candidates(key, lookup)
+            found = view.point_candidates(goal)
             candidates = [(run.level, run) for run, _ in found]
             blocks = {run.number: BlockHandle(ref.offset, ref.size) for run, ref in found}
         else:
             candidates = self.versions.current.files_for_user_key(key)
         for _level, table in candidates:
             reader = self.table_cache.get_reader(table.number)
-            entry = reader.get(lookup, blocks.get(table.number))
-            if entry is None:
+            entry = reader.get(goal, blocks.get(table.number))
+            if entry is None or entry[0] != key:
                 continue
-            ikey, value = entry
-            parsed = parse_internal_key(ikey)
-            if parsed.user_key != key:
-                continue
-            if parsed.value_type == TYPE_DELETION:
+            if -entry[1] & 0xFF == TYPE_DELETION:
                 return None
-            return value
+            return entry[2]
         return None
 
     def _resolve_value(self, key: bytes, value: bytes | None) -> bytes | None:
@@ -1082,14 +1072,10 @@ class DB:
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
         if reverse:
-            target = (
-                make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
-                if end is not None
-                else None
-            )
+            target = seek_goal(end) if end is not None else None
             visible = visible_user_entries_reverse
         else:
-            target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE) if begin else None
+            target = seek_goal(begin) if begin else None
             visible = visible_user_entries
         version = self._pin_version()
         pipeline = (
@@ -1181,17 +1167,17 @@ class DB:
         ]
 
     def _table_entries(
-        self, meta: FileMetaData, target: bytes | None, reverse: bool
-    ) -> Iterator[tuple[bytes, bytes]]:
+        self, meta: FileMetaData, target: SeekGoal | None, reverse: bool
+    ) -> Iterator[Entry]:
         return self.table_cache.get_reader(meta.number).entries(target, reverse=reverse)
 
     def _level_entries(
         self,
         files: list[FileMetaData],
-        target: bytes | None,
+        target: SeekGoal | None,
         reverse: bool,
         pipeline: ScanPipeline | None,
-    ) -> Iterator[tuple[bytes, bytes]]:
+    ) -> Iterator[Entry]:
         """One level's disjoint in-range tables as a single sorted source,
         each opened only when the scan reaches it."""
         ordered = files[::-1] if reverse else files

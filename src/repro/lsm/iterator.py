@@ -1,10 +1,11 @@
 """Iterator machinery: k-way merge over memtables and tables, user view.
 
-Internal iterators yield ``(internal_key, value)`` in internal-key order
-(user key ascending, sequence descending). :func:`merge_internal` is
-``heapq.merge`` keyed on that order; :func:`visible_user_entries` collapses
-the merged stream into the user-visible view at a snapshot sequence —
-newest visible entry per user key, tombstones suppressing older values.
+Internal iterators yield :data:`~repro.util.encoding.Entry` tuples
+``(user_key, neg_trailer, value)``, which sort natively in internal-key
+order (user key ascending, sequence descending). :func:`merge_internal` is
+``heapq.merge`` over them; :func:`visible_user_entries` collapses the merged
+stream into the user-visible view at a snapshot sequence — newest visible
+entry per user key, tombstones suppressing older values.
 
 A reverse scan runs the same chain over descending sources: the merge and
 the clamp take ``reverse``, tested once before their loops start, while
@@ -17,34 +18,25 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 
-from repro.util.encoding import (
-    MAX_SEQUENCE,
-    TYPE_DELETION,
-    internal_order,
-    parse_internal_key,
-)
-
-InternalEntry = tuple[bytes, bytes]  # (internal_key, value)
+from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, Entry
 
 
-def merge_internal(
-    sources: list[Iterator[InternalEntry]], *, reverse: bool = False
-) -> Iterator[InternalEntry]:
+def merge_internal(sources: list[Iterator[Entry]], *, reverse: bool = False) -> Iterator[Entry]:
     """K-way merge of internal iterators into one ordered stream.
 
     With ``reverse`` the sources must yield entries in *descending*
     internal-key order, and the merged stream does too. Lazy: nothing is
     pulled before the first ``next``, which takes one entry per source;
     after that only the source whose entry was just yielded advances —
-    block fetch order, and so the simulated clock, depends on it.
+    block fetch order, and so the simulated clock, depends on it. One
+    internal key present in two sources (a WAL replayed over a flush that
+    already committed) comes out twice, the earlier source's copy first.
     """
-    return iter(
-        heapq.merge(*sources, key=lambda entry: internal_order(entry[0]), reverse=reverse)
-    )
+    return iter(heapq.merge(*sources, reverse=reverse))
 
 
 def visible_user_entries(
-    merged: Iterator[InternalEntry], sequence: int = MAX_SEQUENCE
+    merged: Iterator[Entry], sequence: int = MAX_SEQUENCE
 ) -> Iterator[tuple[bytes, bytes]]:
     """User-visible ``(user_key, value)`` pairs at snapshot ``sequence``.
 
@@ -52,20 +44,20 @@ def visible_user_entries(
     order puts newer entries first); a winning tombstone hides the key.
     """
     current_user_key: bytes | None = None
-    for ikey, value in merged:
-        parsed = parse_internal_key(ikey)
-        if parsed.sequence > sequence:
+    newest_visible = -((sequence << 8) | 0xFF)
+    for user_key, neg_trailer, value in merged:
+        if neg_trailer < newest_visible:
             continue  # not yet visible at this snapshot
-        if parsed.user_key == current_user_key:
+        if user_key == current_user_key:
             continue  # older shadowed entry
-        current_user_key = parsed.user_key
-        if parsed.value_type == TYPE_DELETION:
+        current_user_key = user_key
+        if -neg_trailer & 0xFF == TYPE_DELETION:
             continue
-        yield parsed.user_key, value
+        yield user_key, value
 
 
 def visible_user_entries_reverse(
-    merged: Iterator[InternalEntry], sequence: int = MAX_SEQUENCE
+    merged: Iterator[Entry], sequence: int = MAX_SEQUENCE
 ) -> Iterator[tuple[bytes, bytes]]:
     """User-visible pairs in *descending* user-key order.
 
@@ -86,16 +78,16 @@ def visible_user_entries_reverse(
             return (current_key, candidate[1])
         return None
 
-    for ikey, value in merged:
-        parsed = parse_internal_key(ikey)
-        if parsed.user_key != current_key:
+    newest_visible = -((sequence << 8) | 0xFF)
+    for user_key, neg_trailer, value in merged:
+        if user_key != current_key:
             out = emit()
             if out is not None:
                 yield out
-            current_key = parsed.user_key
+            current_key = user_key
             candidate = None
-        if parsed.sequence <= sequence:
-            candidate = (parsed.value_type, value)
+        if neg_trailer >= newest_visible:
+            candidate = (-neg_trailer & 0xFF, value)
     out = emit()
     if out is not None:
         yield out

@@ -41,11 +41,14 @@ from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
+    Entry,
+    SeekGoal,
     decode_fixed32,
     encode_fixed32,
     extract_user_key,
     internal_order,
     make_internal_key,
+    seek_goal,
 )
 from repro.util.varint import (
     decode_varint,
@@ -80,9 +83,9 @@ class TableRun:
     largest: bytes
     blocks: tuple[BlockRef, ...]
 
-    def block_for(self, goal: tuple[bytes, int]) -> BlockRef | None:
-        """First block whose last key sorts at or after ``goal``, the
-        :func:`internal_order` of the target (None past the end)."""
+    def block_for(self, goal: SeekGoal) -> BlockRef | None:
+        """First block whose last key sorts at or after ``goal`` (None past
+        the end)."""
         ordinal = _cursor_ordinal(self, goal)
         return self.blocks[ordinal] if ordinal < len(self.blocks) else None
 
@@ -101,7 +104,7 @@ class ViewSegment:
 
     anchor: bytes
     cursors: tuple[SegmentCursor, ...]
-    order: tuple[bytes, int] = field(init=False, repr=False, compare=False)
+    order: SeekGoal = field(init=False, repr=False, compare=False)
     """The anchor's :func:`internal_order`, derived once per segment."""
 
     def __post_init__(self) -> None:
@@ -161,7 +164,7 @@ class SortedView:
     tables: dict[int, TableRun] = field(default_factory=dict)
     segments: list[ViewSegment] = field(default_factory=list)
 
-    def locate(self, goal: tuple[bytes, int]) -> int:
+    def locate(self, goal: SeekGoal) -> int:
         """Index of the segment whose range contains the key ordered ``goal``.
 
         Greatest ``i`` with ``anchor[i] <= target``, clamped to 0 for
@@ -170,7 +173,7 @@ class SortedView:
         return max(bisect_right(self.segments, goal, key=_SEGMENT_ORDER) - 1, 0)
 
     def prefetch_plan(
-        self, target: bytes | None, end: bytes | None = None, *, reverse: bool = False
+        self, goal: SeekGoal | None, end: bytes | None = None, *, reverse: bool = False
     ) -> tuple[list[tuple[int, BlockHandle]], list[tuple[int, BlockHandle]]]:
         """(initial, upcoming) block plans for a scan's prefetcher.
 
@@ -183,7 +186,7 @@ class SortedView:
         priming.
 
         ``reverse`` plans :meth:`stream_reverse` from the exclusive bound
-        ``target``: it reads a segment's member runs forward from their
+        ``goal``: it reads a segment's member runs forward from their
         cursors, so the entry block per run is the cursor block itself,
         and the plan stops at the bound's segment (nothing upcoming).
         """
@@ -191,8 +194,7 @@ class SortedView:
         upcoming: list[tuple[int, BlockHandle]] = []
         if not self.segments:
             return initial, upcoming
-        goal = internal_order(target) if target is not None else None
-        limit: tuple[bytes, int] | None = None
+        limit: SeekGoal | None = None
         if reverse:
             if goal is not None and goal <= self.segments[0].order:
                 return initial, upcoming
@@ -202,7 +204,7 @@ class SortedView:
             start = self.locate(goal) if goal is not None else 0
             stop = len(self.segments)
             if end is not None:
-                limit = internal_order(make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE))
+                limit = seek_goal(end)
         seen: set[int] = set()
         for i in range(start, stop):
             seg = self.segments[i]
@@ -223,10 +225,8 @@ class SortedView:
                 (initial if i == start else upcoming).append(entry)
         return initial, upcoming
 
-    def stream(
-        self, target: bytes | None, block_source: BlockSource
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """All internal entries >= ``target`` in internal-key order.
+    def stream(self, goal: SeekGoal | None, block_source: BlockSource) -> Iterator[Entry]:
+        """All entries at or after ``goal`` in internal-key order.
 
         Equivalent to ``merge_internal`` over seeked table iterators, but
         with no per-key heap: within a segment at most the member runs are
@@ -236,7 +236,7 @@ class SortedView:
         """
         if not self.segments:
             return
-        start = self.locate(internal_order(target)) if target is not None else 0
+        start = self.locate(goal) if goal is not None else 0
         streams: dict[int, _RunStream] = {}
         for i in range(start, len(self.segments)):
             seg = self.segments[i]
@@ -248,9 +248,11 @@ class SortedView:
             for cur in seg.cursors:
                 run_stream = streams.get(cur.number)
                 if run_stream is None:
-                    seek = target if (i == start and target is not None) else None
                     run_stream = _RunStream(
-                        self.tables[cur.number], cur.ordinal, seek, block_source
+                        self.tables[cur.number],
+                        cur.ordinal,
+                        goal if i == start else None,
+                        block_source,
                     )
                 carried[cur.number] = run_stream
                 if run_stream.head is not None:
@@ -260,37 +262,34 @@ class SortedView:
                 continue
             if len(active) == 1:
                 only = active[0]
-                while only.head is not None and (upper is None or only.order < upper):
+                while only.head is not None and (upper is None or only.head < upper):
                     yield only.head
                     only.step()
                 continue
             while True:
                 best: _RunStream | None = None
+                best_head: Entry | None = None
                 for run_stream in active:
-                    if run_stream.head is None:
+                    head = run_stream.head
+                    if head is None or (upper is not None and head >= upper):
                         continue
-                    if upper is not None and run_stream.order >= upper:
-                        continue
-                    if best is None or run_stream.order < best.order:
-                        best = run_stream
-                if best is None or best.head is None:
+                    if best_head is None or head < best_head:
+                        best, best_head = run_stream, head
+                if best is None or best_head is None:
                     break
-                yield best.head
+                yield best_head
                 best.step()
 
-    def stream_reverse(
-        self, bound: bytes | None, block_source: BlockSource
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """All internal entries < ``bound`` in descending internal-key order.
+    def stream_reverse(self, limit: SeekGoal | None, block_source: BlockSource) -> Iterator[Entry]:
+        """All entries before ``limit`` in descending internal-key order.
 
-        Walks segments from :meth:`locate`\\ (``bound``) downward; within a
+        Walks segments from :meth:`locate`\\ (``limit``) downward; within a
         segment, member runs are read forward from their cursors, clipped at
         the segment/bound upper limit (blocks past the clip are never
         fetched), sorted once, and yielded reversed.
         """
         if not self.segments:
             return
-        limit = internal_order(bound) if bound is not None else None
         if limit is not None and limit <= self.segments[0].order:
             return
         start = self.locate(limit) if limit is not None else len(self.segments) - 1
@@ -301,30 +300,28 @@ class SortedView:
             )
             if limit is not None and (upper is None or limit < upper):
                 upper = limit
-            entries: list[tuple[bytes, bytes]] = []
+            entries: list[Entry] = []
             for cur in seg.cursors:
                 run = self.tables[cur.number]
                 for idx, ref in enumerate(run.blocks[cur.ordinal :]):
                     block = block_source(run.number, ref)
-                    pairs = block.seek(seg.anchor) if idx == 0 else iter(block)
                     clipped = False
-                    for key, value in pairs:
-                        if upper is not None and internal_order(key) >= upper:
+                    for entry in block.seek(seg.order) if idx == 0 else iter(block):
+                        if upper is not None and entry >= upper:
                             clipped = True
                             break
-                        entries.append((key, value))
+                        entries.append(entry)
                     if clipped:
                         break
-            entries.sort(key=lambda pair: internal_order(pair[0]))
+            entries.sort()
             yield from reversed(entries)
 
-    def point_candidates(
-        self, user_key: bytes, lookup: bytes
-    ) -> list[tuple[TableRun, BlockRef]]:
-        """Candidate (run, block) pairs for a point lookup, newest first.
+    def point_candidates(self, goal: SeekGoal) -> list[tuple[TableRun, BlockRef]]:
+        """Candidate (run, block) pairs for the point lookup that seeks to
+        ``goal``, newest first.
 
         One binary search locates the single segment holding every internal
-        entry of ``user_key`` (anchors are user-key starts), then member
+        entry of the goal's user key (anchors are user-key starts), then member
         runs are filtered by user-key range and ordered exactly like
         ``Version.files_for_user_key``: L0 newest-first, then levels
         ascending (levels > 0 are non-overlapping, so at most one run per
@@ -332,10 +329,8 @@ class SortedView:
         """
         if not self.segments:
             return []
-        seg = self.segments[
-            self.locate(internal_order(make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE)))
-        ]
-        goal = internal_order(lookup)
+        user_key = goal[0]
+        seg = self.segments[self.locate(seek_goal(user_key))]
         ordered = sorted(
             seg.cursors,
             key=lambda cur: (
@@ -366,44 +361,36 @@ class _RunStream:
     blocks below the seek target are skipped without being fetched.
     """
 
-    __slots__ = ("head", "order", "_entries")
+    __slots__ = ("head", "_entries")
 
     def __init__(
         self,
         run: TableRun,
         ordinal: int,
-        seek: bytes | None,
+        goal: SeekGoal | None,
         block_source: BlockSource,
     ) -> None:
-        self._entries = self._walk(run, ordinal, seek, block_source)
-        self.head: tuple[bytes, bytes] | None = None
-        self.order: tuple[bytes, int] = (b"", 0)
-        """:func:`internal_order` of ``head``; meaningless once it is None."""
+        self._entries = self._walk(run, ordinal, goal, block_source)
+        self.head: Entry | None = None
         self.step()
 
     @staticmethod
     def _walk(
         run: TableRun,
         ordinal: int,
-        seek: bytes | None,
+        goal: SeekGoal | None,
         block_source: BlockSource,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        goal = internal_order(seek) if seek is not None else None
-        emitted = False
+    ) -> Iterator[Entry]:
         for ref in run.blocks[ordinal:]:
-            seeking = not emitted and seek is not None
-            if seeking and goal is not None and internal_order(ref.last_key) < goal:
-                continue  # whole block below the seek target: never fetched
+            if goal is not None and internal_order(ref.last_key) < goal:
+                continue  # whole block below the seek goal: never fetched
             block = block_source(run.number, ref)
-            pairs = block.seek(seek) if seeking and seek is not None else iter(block)
-            for key, value in pairs:
-                emitted = True
-                yield key, value
+            for entry in block.seek(goal) if goal is not None else iter(block):
+                goal = None  # the seek applies until the first entry comes out
+                yield entry
 
     def step(self) -> None:
         self.head = next(self._entries, None)
-        if self.head is not None:
-            self.order = internal_order(self.head[0])
 
 
 def rebuild_view(
@@ -527,7 +514,7 @@ def _segment(
     return ViewSegment(anchor, tuple(cursors))
 
 
-def _cursor_ordinal(run: TableRun, goal: tuple[bytes, int]) -> int:
+def _cursor_ordinal(run: TableRun, goal: SeekGoal) -> int:
     """Ordinal of the first block whose last key sorts at or after ``goal``
     (exists for a segment's member runs; ``len(run.blocks)`` past the end)."""
     return bisect_left(run.blocks, goal, key=lambda ref: internal_order(ref.last_key))

@@ -1,6 +1,6 @@
 """SSTable writer.
 
-Streams sorted internal-key/value pairs into data blocks, then appends the
+Streams sorted entries into data blocks, then appends the
 filter block, index block, and footer (see :mod:`repro.lsm.format` for the
 layout). Besides the table bytes, :meth:`TableBuilder.finish` returns
 :class:`TableProperties` including the per-block key ranges — the hook that
@@ -25,7 +25,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
-from repro.util.encoding import internal_order
+from repro.util.encoding import TRAILER, SeekGoal
 
 BLOCK_RESTART_INTERVAL = 16
 """Keys between restart points inside a data block (LevelDB's default)."""
@@ -70,9 +70,11 @@ class TableBuilder:
         self._file = file
         self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
+        self.estimated_size = 0
+        """File bytes written so far plus the open data block's, as of the last ``add``."""
         self._props = TableProperties()
         self._block_first_key: bytes | None = None
-        self._last_order: tuple[bytes, int] | None = None
+        self._last_order: SeekGoal | None = None
         # User keys awaiting a filter: the whole table's, or in "block" mode
         # the open data block's. Left empty when the level has no filter.
         self._filter_keys: list[bytes] = []
@@ -83,27 +85,31 @@ class TableBuilder:
     def num_entries(self) -> int:
         return self._props.num_entries
 
-    @property
-    def estimated_size(self) -> int:
-        return self._offset + self._data_block.size_estimate
+    def add(self, user_key: bytes, neg_trailer: int, value: bytes) -> None:
+        """Append an entry; ``(user_key, neg_trailer)`` must strictly increase.
 
-    def add(self, key: bytes, value: bytes) -> None:
-        """Append an entry; internal keys must be strictly increasing."""
+        Internal-key bytes are rebuilt here, for the block encoder and the
+        block/file boundaries, and nowhere earlier.
+        """
         if self._finished:
             raise InvalidArgumentError("add() after finish()")
-        order = internal_order(key)
+        if not -(1 << 64) < neg_trailer <= 0:
+            raise InvalidArgumentError(f"neg_trailer {neg_trailer} outside (-2**64, 0]")
+        order = (user_key, neg_trailer)
         if self._last_order is not None and self._last_order >= order:
             raise InvalidArgumentError("keys added out of order")
+        key = user_key + TRAILER.pack(-neg_trailer)
         if self._block_first_key is None:
             self._block_first_key = key
         self._data_block.add(key, value)
         if self._filter_policy is not None:
-            self._filter_keys.append(order[0])
+            self._filter_keys.append(user_key)
         self._last_order = order
         self._props.num_entries += 1
         self._props.largest_key = key
         if self._data_block.size_estimate >= self.options.block_size:
             self._flush_data_block()
+        self.estimated_size = self._offset + self._data_block.size_estimate
 
     def _write_raw_block(self, payload: bytes, *, compression: str = "none") -> BlockHandle:
         sealed = seal_block(payload, compression=compression)

@@ -29,13 +29,7 @@ from repro.lsm.format import (
 from repro.lsm.options import Options
 from repro.storage.env import RandomAccessFile
 from repro.util.bloom import BloomFilterPolicy
-from repro.util.encoding import (
-    MAX_SEQUENCE,
-    TYPE_VALUE,
-    extract_user_key,
-    internal_order,
-    make_internal_key,
-)
+from repro.util.encoding import Entry, SeekGoal, entry_key, seek_goal
 
 # (file_name, handle, kind) -> raw block payload. kind in {data, index, filter}.
 BlockLoader = Callable[[str, BlockHandle, str], bytes]
@@ -104,10 +98,8 @@ class TableReader:
                 raise CorruptionError(f"table {self.name} smaller than footer")
             footer = Footer.decode(file.read(size - FOOTER_SIZE, FOOTER_SIZE))
         self.footer = footer
-        self._index = Block(
-            self.loader(self.name, footer.index_handle, "index"), internal_order
-        )
-        self._parsed: tuple[list[tuple[bytes, int]], list[BlockHandle]] | None = None
+        self._index = Block(self.loader(self.name, footer.index_handle, "index"))
+        self._parsed: tuple[list[SeekGoal], list[BlockHandle]] | None = None
         self._filter: bytes | None = None
         self._partitions: list[bytes] | None = None
         self._block_ordinals: dict[int, int] = {}
@@ -136,37 +128,40 @@ class TableReader:
         No data-block I/O — this is how the sorted view derives a run's
         block map for tables whose flush/compaction metadata is gone.
         """
-        return [(key, decode_handle(encoded)[0]) for key, encoded in self._index]
+        return [
+            (entry_key(user_key, neg_trailer), decode_handle(encoded)[0])
+            for user_key, neg_trailer, encoded in self._index
+        ]
 
-    def _seek_index(self) -> tuple[list[tuple[bytes, int]], list[BlockHandle]]:
+    def _seek_index(self) -> tuple[list[SeekGoal], list[BlockHandle]]:
         """The index parsed for seeks, ``(orders, handles)``: parallel lists,
         one slot per data block, built by the reader's first seek and kept.
         ``orders[i]`` is the sort key of block ``i``'s last key, so
-        ``bisect_left(orders, internal_order(target))`` is the *boundary
-        block* of ``target`` — it may hold keys below ``target``, no later
-        block can — or ``len(orders)`` when every key sorts below ``target``.
-        Whole-table walks do not come here: a compaction input is read once
-        and must not leave a sort key per block behind.
+        ``bisect_left(orders, goal)`` is the *boundary block* of ``goal`` —
+        it may hold keys below ``goal``, no later block can — or
+        ``len(orders)`` when every key sorts below ``goal``. Whole-table
+        walks do not come here: a compaction input is read once and must
+        not leave a sort key per block behind.
         """
         parsed = self._parsed
         if parsed is None:
-            refs = self.block_refs()
+            index = list(self._index)
             parsed = self._parsed = (
-                [internal_order(key) for key, _ in refs],
-                [handle for _, handle in refs],
+                [entry[:2] for entry in index],
+                [decode_handle(entry[2])[0] for entry in index],
             )
         return parsed
 
-    def _handles_from(self, target: bytes | None) -> list[BlockHandle]:
-        """Handles a forward read from ``target`` visits: the boundary block
+    def _handles_from(self, goal: SeekGoal | None) -> list[BlockHandle]:
+        """Handles a forward read from ``goal`` visits: the boundary block
         on, or (``None``) every block — decoded for this walk only, unless
         a seek has parsed them already."""
-        if target is None:
+        if goal is None:
             if self._parsed is not None:
                 return self._parsed[1]
-            return [handle for _, handle in self.block_refs()]
+            return [decode_handle(entry[2])[0] for entry in self._index]
         orders, handles = self._seek_index()
-        return handles[bisect_left(orders, internal_order(target)) :]
+        return handles[bisect_left(orders, goal) :]
 
     # -- lookups ---------------------------------------------------------
 
@@ -197,20 +192,18 @@ class TableReader:
     def _load_data_block(self, handle: BlockHandle) -> Block:
         return load_data_block(self._block_cache, self.loader, self.name, handle)
 
-    def get(
-        self, target: bytes, handle: BlockHandle | None = None
-    ) -> tuple[bytes, bytes] | None:
-        """First entry with internal key >= ``target``, or None.
+    def get(self, goal: SeekGoal, handle: BlockHandle | None = None) -> Entry | None:
+        """First entry at or after ``goal``, or None.
 
         The caller (DB/version) decides whether the returned entry's user
         key matches and whether it is a value or tombstone. ``handle`` names
         the candidate block when the caller already knows it: the sorted
         view's per-run block maps replicate the index, so a lookup routed
         through the view skips the index search and goes straight to the
-        one data block that can hold ``target`` — bloom and partition
+        one data block that can hold ``goal`` — bloom and partition
         probes still apply.
         """
-        user_key = extract_user_key(target)
+        user_key = goal[0]
         probed = False
         if self._filter is not None:
             probed = True
@@ -222,7 +215,7 @@ class TableReader:
             handles, start = [handle], 0
         else:
             orders, handles = self._seek_index()
-            start = bisect_left(orders, internal_order(target))
+            start = bisect_left(orders, goal)
         for position in range(start, len(handles)):
             handle = handles[position]
             if self._partitions is not None and not probed:
@@ -234,14 +227,14 @@ class TableReader:
                 self._note_filter("useful")
                 return None
             block = self._load_data_block(handle)
-            for key, value in block.seek(target):
-                if probed and extract_user_key(key) != user_key:
+            for entry in block.seek(goal):
+                if probed and entry[0] != user_key:
                     # The filter passed but the block holds no entry for
                     # this user key: the data fetch was a bloom miss.
                     self._note_filter("false_positive")
-                return key, value
-            # Target sorts after every entry of this block (can happen when
-            # target > block's last key only via index separator equality);
+                return entry
+            # The goal sorts after every entry of this block (can happen when
+            # goal > block's last key only via index separator equality);
             # fall through to the next index entry.
         if probed:
             self._note_filter("false_positive")
@@ -250,53 +243,49 @@ class TableReader:
     # -- iteration ----------------------------------------------------------
 
     def edge_data_handle(
-        self, target: bytes | None = None, *, reverse: bool = False
+        self, goal: SeekGoal | None = None, *, reverse: bool = False
     ) -> BlockHandle | None:
         """Handle of the first data block :meth:`entries` would read.
 
         Index-only (no data-block I/O): used by the scan-prefetch pipeline
         to prime a table's opening range ahead of consumption. Forward
-        that is the boundary block of ``target`` (None when every key
+        that is the boundary block of ``goal`` (None when every key
         sorts below it) or the table's first block; reverse, the boundary
-        block of the exclusive bound ``target`` or the table's last block.
+        block of the exclusive bound ``goal`` or the table's last block.
         """
         orders, handles = self._seek_index()
         if not handles:
             return None
-        if target is None:
+        if goal is None:
             return handles[-1 if reverse else 0]
-        position = bisect_left(orders, internal_order(target))
+        position = bisect_left(orders, goal)
         if position == len(handles):
             return handles[-1] if reverse else None
         return handles[position]
 
-    def entries(
-        self, target: bytes | None = None, *, reverse: bool = False
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Entries from internal key ``target`` on, in scan order.
+    def entries(self, goal: SeekGoal | None = None, *, reverse: bool = False) -> Iterator[Entry]:
+        """Entries from ``goal`` on, in scan order.
 
-        Forward: entries with internal key >= ``target``, ascending, one
-        lazily fetched block at a time. Reverse: entries with internal key
-        < ``target``, descending — blocks are visited back to front from
-        the boundary block (blocks wholly at/above the bound are never
-        fetched), and each block's entries (forward prefix-compressed) are
-        materialized and reversed, O(one block) of memory. ``None`` means
-        no bound: the whole table in that direction.
+        Forward: entries at or after ``goal``, ascending, one lazily
+        fetched block at a time. Reverse: entries before ``goal``,
+        descending — blocks are visited back to front from the boundary
+        block (blocks wholly at/above the bound are never fetched), and each
+        block's entries (forward prefix-compressed) are materialized and
+        reversed, O(one block) of memory. ``None`` means no bound: the whole
+        table in that direction.
         """
         if not reverse:
-            for handle in self._handles_from(target):
+            for handle in self._handles_from(goal):
                 block = self._load_data_block(handle)
-                yield from block.seek(target) if target is not None else block
-                target = None  # the seek applies to the first block only
+                yield from block.seek(goal) if goal is not None else block
+                goal = None  # the seek applies to the first block only
             return
         orders, handles = self._seek_index()
-        goal = internal_order(target) if target is not None else None
         boundary = bisect_left(orders, goal) if goal is not None else len(handles)
         for position in range(min(boundary, len(handles) - 1), -1, -1):
             block_entries = list(self._load_data_block(handles[position]))
             if goal is not None and position == boundary:
-                cut = bisect_left(block_entries, goal, key=lambda entry: internal_order(entry[0]))
-                del block_entries[cut:]
+                del block_entries[bisect_left(block_entries, goal) :]
             yield from reversed(block_entries)
 
     # -- compaction support -------------------------------------------------
@@ -309,7 +298,7 @@ class TableReader:
         samples to place subcompaction boundaries inside files that span
         the whole key range (e.g. every L0 file).
         """
-        separators = [extract_user_key(key) for key, _ in self._index]
+        separators = [entry[0] for entry in self._index]
         if len(separators) <= max_anchors:
             return separators
         step = len(separators) / max_anchors
@@ -321,7 +310,7 @@ class TableReader:
         end: bytes | None = None,
         *,
         block_fetch: Callable[[BlockHandle], bytes | None] | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
+    ) -> Iterator[Entry]:
         """Entries whose *user* key lies in ``[begin, end)``, in order.
 
         ``block_fetch(handle)`` lets a caller intercept data-block reads
@@ -330,23 +319,21 @@ class TableReader:
         (one large ranged GET instead of one per block). A ``None`` return
         falls back to the normal loader.
         """
-        seek_target = None  # applies to the first block only
-        if begin is not None:
-            seek_target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
-        for handle in self._handles_from(seek_target):
+        goal = seek_goal(begin) if begin is not None else None  # first block only
+        for handle in self._handles_from(goal):
             payload = block_fetch(handle) if block_fetch is not None else None
             if payload is None:
                 block = self._load_data_block(handle)
             else:
                 # Served from the caller's readahead buffer: a strictly
                 # sequential read-once block, parsed here and never cached.
-                block = Block(payload, internal_order)
-            entries = block.seek(seek_target) if seek_target is not None else iter(block)
-            seek_target = None
+                block = Block(payload)
+            entries = block.seek(goal) if goal is not None else iter(block)
+            goal = None
             if end is None:
                 yield from entries
                 continue
-            for ikey, value in entries:
-                if extract_user_key(ikey) >= end:
+            for entry in entries:
+                if entry[0] >= end:
                     return
-                yield ikey, value
+                yield entry

@@ -228,32 +228,34 @@ class Version:
 
         L0 files can overlap; they are searched newest-first (highest file
         number — ``apply`` keeps L0 in ascending number order). Deeper levels
-        are sorted and disjoint, so binary search picks at most one file per
-        level.
+        are sorted and disjoint, so binary search finds the one file — or, when
+        a compaction cut its output between two versions of the key, the run.
         """
         for meta in reversed(self.files[0]):
             if meta.smallest_user_key <= user_key <= meta.largest_user_key:
                 yield 0, meta
         for level, files, fences in self._fenced_levels:
             idx = bisect_left(fences, user_key)
-            if idx < len(files) and files[idx].smallest_user_key <= user_key:
+            while idx < len(files) and files[idx].smallest_user_key <= user_key:
                 yield level, files[idx]
+                idx += 1
 
     def overlapping_files(
         self, level: int, begin: bytes | None, end: bytes | None
     ) -> list[FileMetaData]:
         """Files at ``level`` intersecting the user-key range [begin, end].
 
-        For L0 the range is *expanded* until closed under overlap (LevelDB's
-        rule): an L0 compaction must take every transitively-overlapping
-        file or newer updates could be buried under older ones.
+        The range is *expanded* until closed under overlap (LevelDB's rule):
+        a compaction must take every transitively-overlapping L0 file, and
+        below L0 the neighbour a user key's versions were cut across, or
+        newer updates could be buried under older ones.
         """
         files = [f for f in self.files[level] if f.overlaps_user_range(begin, end)]
-        if level == 0 and files:
+        if files:
             while True:
                 lo = min((f.smallest_user_key for f in files))
                 hi = max((f.largest_user_key for f in files))
-                expanded = [f for f in self.files[0] if f.overlaps_user_range(lo, hi)]
+                expanded = [f for f in self.files[level] if f.overlaps_user_range(lo, hi)]
                 if len(expanded) == len(files):
                     return expanded
                 files = expanded

@@ -62,7 +62,7 @@ from repro.sim.failure import crash_points
 from repro.storage.env import CLOUD, HybridEnv, WritableFile
 from repro.storage.local import LocalDevice
 from repro.util.crc import masked_crc32
-from repro.util.encoding import TYPE_VALUE, parse_internal_key
+from repro.util.encoding import TYPE_VALUE, Entry
 
 if TYPE_CHECKING:
     from repro.mash.pcache import PersistentCache
@@ -393,13 +393,11 @@ class BlobLog:
 
     # -- recovery -------------------------------------------------------------
 
-    def recover(
-        self, listing: list[str], entries: list[tuple[bytes, bytes]]
-    ) -> None:
+    def recover(self, listing: list[str], entries: list[Entry]) -> None:
         """Reconcile on-disk segment files with the recovered MANIFEST.
 
-        ``entries`` are the replayed memtable's ``(internal_key, value)``
-        pairs; blob pointers in them are the only live references a
+        ``entries`` are the replayed memtable's rows; blob pointers in
+        them are the only live references a
         MANIFEST-unknown segment can have. MANIFEST-known segments are kept
         (a leftover local copy of an uploaded segment is dropped); unknown
         ones are deleted when unreferenced, else truncated to their clean
@@ -476,16 +474,13 @@ class BlobLog:
 
 
 def memtable_blob_references(
-    entries: "list[tuple[bytes, bytes]]",
+    entries: list[Entry],
 ) -> dict[int, set[tuple[int, int]]]:
-    """Harvest blob references from replayed memtable entries.
-
-    ``entries`` are ``(internal_key, value)`` pairs; only live values that
-    parse as pointers count.
-    """
+    """Harvest blob references from replayed memtable entries; only live
+    values that parse as pointers count."""
     references: dict[int, set[tuple[int, int]]] = {}
-    for internal_key, value in entries:
-        if parse_internal_key(internal_key).value_type != TYPE_VALUE:
+    for _user_key, neg_trailer, value in entries:
+        if -neg_trailer & 0xFF != TYPE_VALUE:
             continue
         pointer = maybe_pointer(value)
         if pointer is None:

@@ -48,6 +48,7 @@ from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData
 from repro.mash.readahead import ReadaheadBuffer
 from repro.sim.clock import ClockCharged, ForkJoinRegion, SimClock
+from repro.util.encoding import SeekGoal
 
 from typing import TYPE_CHECKING
 
@@ -108,7 +109,7 @@ class ScanPrefetcher:
     def seek_fanout(
         self,
         metas: Sequence[FileMetaData],
-        target: bytes | None,
+        target: SeekGoal | None,
         *,
         reverse: bool = False,
     ) -> None:
@@ -147,7 +148,7 @@ class ScanPrefetcher:
     def _fan_out(
         self,
         entries: Sequence[tuple[int, BlockHandle | None]],
-        target: bytes | None = None,
+        target: SeekGoal | None = None,
         reverse: bool = False,
     ) -> None:
         todo = [(n, h) for n, h in entries if n not in self._seen]
@@ -199,7 +200,7 @@ class ScanPrefetcher:
         self,
         files: Sequence[FileMetaData],
         index: int,
-        target: bytes | None,
+        target: SeekGoal | None,
         *,
         reverse: bool = False,
     ) -> None:
@@ -250,7 +251,7 @@ class ScanPrefetcher:
         self,
         number: int,
         handle: BlockHandle | None,
-        target: bytes | None = None,
+        target: SeekGoal | None = None,
         reverse: bool = False,
     ) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
@@ -309,7 +310,7 @@ class ScanPrefetcher:
         self,
         number: int,
         handle: BlockHandle | None,
-        target: bytes | None,
+        target: SeekGoal | None,
         prime_bytes: int,
         *,
         reverse: bool = False,

@@ -5,17 +5,14 @@ from repro.util.crc import crc32, masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
     TYPE_DELETION,
     TYPE_VALUE,
-    ParsedInternalKey,
     extract_user_key,
     internal_order,
     make_internal_key,
-    parse_internal_key,
 )
 from repro.util.varint import decode_varint, encode_varint
 
 __all__ = [
     "BloomFilterPolicy",
-    "ParsedInternalKey",
     "TYPE_DELETION",
     "TYPE_VALUE",
     "crc32",
@@ -25,6 +22,5 @@ __all__ = [
     "internal_order",
     "make_internal_key",
     "masked_crc32",
-    "parse_internal_key",
     "verify_masked_crc32",
 ]

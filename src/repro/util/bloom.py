@@ -12,7 +12,11 @@ import struct
 from dataclasses import dataclass
 
 
-def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
+_SEED = 0xBC9F1D34
+_MULTIPLIER = 0xC6A4A793
+
+
+def _bloom_hash(data: bytes, seed: int = _SEED) -> int:
     """32-bit multiplicative hash (LevelDB's ``BloomHash``), finalized.
 
     The raw LevelDB hash leaves the trailing 1–3 bytes weakly mixed. For
@@ -24,7 +28,7 @@ def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
     finalizer restores full avalanche for two extra multiplies; measured
     rates then track the ``0.6185^bits`` theory at every size.
     """
-    m = 0xC6A4A793
+    m = _MULTIPLIER
     n = len(data)
     h = (seed ^ (n * m)) & 0xFFFFFFFF
     for w in struct.unpack_from(f"<{n >> 2}I", data):
@@ -40,6 +44,44 @@ def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
     h = (h * 0xC2B2AE35) & 0xFFFFFFFF
     h ^= h >> 16
     return h
+
+
+def _bloom_hash_lanes(keys: list[bytes]) -> tuple[int, int, struct.Struct]:
+    """:func:`_bloom_hash` of equal-length ``keys``, all at once.
+
+    Returns ``(hashes, low32, lanes)``. The keys are laid side by side in
+    one integer, one zero-padded lane per key (a multiple of 4 bytes, at
+    least 16); ``hashes`` carries key ``i``'s hash in the low 32 bits of
+    lane ``i`` and ``low32`` is the mask selecting those bits in every
+    lane. Each step of the scalar hash runs once over the whole integer. A
+    lane is at least 128 bits wide, so the 33-bit sum times the 32-bit
+    multiplier (65 bits) cannot carry into the next lane; a right shift
+    does bring the next lane's low bits into this lane's top, which is why
+    every shift is re-masked. ``lanes.unpack(x.to_bytes(lanes.size,
+    "little"))`` reads the low 32 bits of every lane of ``x``, first key
+    first; byte order is spelled out on both sides, so the host's does not
+    matter.
+    """
+    n = len(keys[0])
+    lane_bytes = max(16, (n + 3) & ~3)
+    pad = bytes(lane_bytes - n)
+    packed = int.from_bytes(pad.join(keys) + pad, "little")
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * len(keys), "little")
+    low32 = ones * 0xFFFFFFFF
+    m = _MULTIPLIER
+    h = ones * ((_SEED ^ (n * m)) & 0xFFFFFFFF)
+    for word in range(n >> 2):
+        h = ((h + ((packed >> (32 * word)) & low32)) * m) & low32
+        h = (h ^ (h >> 16)) & low32
+    if n & 3:  # the zero padding makes the 1-3 tail bytes one short word
+        h = ((h + ((packed >> (8 * (n & ~3))) & low32)) * m) & low32
+        h = (h ^ (h >> 24)) & low32
+    h = (h ^ (h >> 16)) & low32
+    h = (h * 0x85EBCA6B) & low32
+    h = (h ^ (h >> 13)) & low32
+    h = (h * 0xC2B2AE35) & low32
+    h = (h ^ (h >> 16)) & low32
+    return h, low32, struct.Struct("<" + f"I{lane_bytes - 4}x" * len(keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,22 +100,28 @@ class BloomFilterPolicy:
         """Serialize a filter matching every key in ``keys``.
 
         Layout: filter bit array followed by one byte holding the probe
-        count, as in LevelDB.
+        count, as in LevelDB. Keys are hashed a length group at a time
+        (:func:`_bloom_hash_lanes`); the double-hashing rounds advance all
+        of a group's lanes together and extract them once per round.
         """
-        bits = max(64, len(keys) * self.bits_per_key)
-        nbytes = (bits + 7) // 8
+        nbytes = (max(64, len(keys) * self.bits_per_key) + 7) // 8
         bits = nbytes * 8
-        array = bytearray(nbytes)
         k = self.num_probes
+        # One ASCII digit per filter bit, bit 0 first; reversed into a
+        # binary numeral at the end — no shift-and-or per probe.
+        flags = bytearray(b"0" * bits)
+        by_length: dict[int, list[bytes]] = {}
         for key in keys:
-            h = _bloom_hash(key)
-            delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
+            by_length.setdefault(len(key), []).append(key)
+        for group in by_length.values():
+            h, low32, lanes = _bloom_hash_lanes(group)
+            delta = ((h >> 17) | (h << 15)) & low32
             for _ in range(k):
-                bitpos = h % bits
-                array[bitpos // 8] |= 1 << (bitpos % 8)
-                h = (h + delta) & 0xFFFFFFFF
-        array.append(k)
-        return bytes(array)
+                for probe in lanes.unpack(h.to_bytes(lanes.size, "little")):
+                    flags[probe % bits] = 0x31
+                h = (h + delta) & low32
+        flags.reverse()
+        return int(flags, 2).to_bytes(nbytes, "little") + bytes((k,))
 
     @staticmethod
     def key_may_match(key: bytes, filter_data: bytes) -> bool:

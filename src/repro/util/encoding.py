@@ -3,15 +3,20 @@
 The LSM engine stores *internal keys*: the user key followed by an 8-byte
 trailer packing a 56-bit sequence number and an 8-bit value type, exactly as
 LevelDB/RocksDB do. Internal keys sort by user key ascending, then sequence
-number **descending** (newest first), then type descending. That order is
-defined once, as the sort key :func:`internal_order`, which ``sorted``,
-``bisect`` and ``heapq.merge`` take as ``key=``.
+number **descending** (newest first), then type descending.
+
+In memory an entry is split once, where its block is decoded, into
+``(user_key, neg_trailer, value)`` with ``neg_trailer = -((sequence << 8) |
+type)`` (:data:`Entry`): such tuples sort in internal-key order natively, so
+``sorted``, ``bisect`` and ``heapq.merge`` need no ``key=``, and a
+:data:`SeekGoal` ``(user_key, neg_trailer)`` bisects straight to the entry it
+prefixes. Internal-key *bytes* remain the stored form (blocks, file and block
+boundaries, the MANIFEST); :func:`internal_order` gives them the same sort key.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
 
 from repro.errors import CorruptionError
 
@@ -24,6 +29,12 @@ MAX_SEQUENCE = (1 << 56) - 1
 
 _FIXED64 = struct.Struct("<Q")
 _FIXED32 = struct.Struct("<I")
+
+TRAILER = _FIXED64  # for the two loops that split and rejoin keys
+SeekGoal = tuple[bytes, int]
+"""``(user_key, neg_trailer)``: the sort key of an internal key."""
+Entry = tuple[bytes, int, bytes]
+"""``(user_key, neg_trailer, value)``: one decoded entry."""
 
 
 def encode_fixed32(value: int) -> bytes:
@@ -54,21 +65,15 @@ def make_internal_key(user_key: bytes, sequence: int, value_type: int) -> bytes:
     return user_key + pack_trailer(sequence, value_type)
 
 
-class ParsedInternalKey(NamedTuple):
-    """Decoded form of an internal key."""
-
-    user_key: bytes
-    sequence: int
-    value_type: int
+def seek_goal(user_key: bytes, sequence: int = MAX_SEQUENCE) -> SeekGoal:
+    """Where a read of ``user_key`` at snapshot ``sequence`` starts: ahead of
+    every entry of the key with a sequence at or below it, after all newer."""
+    return user_key, -((sequence << 8) | TYPE_VALUE)
 
 
-def parse_internal_key(ikey: bytes) -> ParsedInternalKey:
-    """Split an internal key into user key, sequence, and type."""
-    size = len(ikey)
-    if size < 8:
-        raise CorruptionError(f"internal key too short: {size} bytes")
-    trailer = _FIXED64.unpack_from(ikey, size - 8)[0]
-    return ParsedInternalKey(ikey[:-8], trailer >> 8, trailer & 0xFF)
+def entry_key(user_key: bytes, neg_trailer: int) -> bytes:
+    """Internal-key bytes of a decoded entry (inverse of :func:`internal_order`)."""
+    return user_key + TRAILER.pack(-neg_trailer)
 
 
 def extract_user_key(ikey: bytes) -> bytes:

@@ -109,14 +109,17 @@ class TestCorruptionDetected:
         # Rebuild a *valid* but different (smaller) table at the same name.
         data = env.read_file(name)
         from repro.lsm.table_builder import TableBuilder
-        from repro.util.encoding import TYPE_VALUE, make_internal_key
+        from repro.util.encoding import seek_goal
 
         env.delete_file(name)
         builder = TableBuilder(small_options(), env.new_writable_file(name))
-        builder.add(make_internal_key(b"zzz", 1, TYPE_VALUE), b"v")
+        builder.add(*seek_goal(b"zzz", 1), b"v")
         builder.finish()
         report = check_db(env, "db/", small_options())
         assert not report.ok
+        # A table that reads back whole but is not the one the MANIFEST names.
+        assert any("smallest key mismatch" in e for e in report.errors)
+        assert any("largest key mismatch" in e for e in report.errors)
 
     def test_garbled_manifest_detected(self, env):
         build_db(env, 100)

@@ -4,8 +4,9 @@ The sibling of ``test_compaction_call_budget``. What caps the reading
 workloads' wall time in this engine is the number of Python calls between
 ``StoreFacade.get`` and the bytes of a block: routing through the version's
 fences, the bloom probe, the index search, the block search. Each of those
-structures is decoded once and searched with a native ``bisect``; a change
-that puts a decode or a ``key=`` callback back on the per-lookup path fails
+structures is decoded once — entries already split into ``(user_key,
+neg_trailer, value)`` — and searched with a native ``bisect``; a change that
+puts a decode or a ``key=`` callback back on the per-lookup path fails
 here, before a benchmark run. Call counts repeat exactly for fixed inputs,
 so tier-1 can hold them to a ceiling where a wall-clock assertion could not
 be trusted.
@@ -29,12 +30,13 @@ GETS = 500
 SCANS = 50
 ROWS_PER_SCAN = 20
 
-# Measured when the read path was last tuned: 199.6 calls per get and 65.3
-# per scanned row (at the parent of that change, where every lookup re-parsed
-# the index, the cached block and the version's fences: 281.8 and 87.8).
-# Ceilings sit 10 % above.
-CALLS_PER_GET_CEILING = 219.6
-CALLS_PER_ROW_CEILING = 71.8
+# Measured when the read path was last tuned: 171.3 calls per get and 51.8
+# per scanned row (at the parent of that change, where a block handed out
+# internal-key bytes and every layer above split them again: 199.6 and 65.3;
+# before the index, cached blocks and fences were parsed once: 281.8 and
+# 87.8). Ceilings sit 10 % above.
+CALLS_PER_GET_CEILING = 188.4
+CALLS_PER_ROW_CEILING = 57.0
 
 
 def build_store():

@@ -9,14 +9,15 @@ from repro.lsm.version import FileMetaData, VersionEdit
 from repro.lsm.wal import LogReader, RECORD_HEADER_SIZE
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.xwal import decode_shard_record, encode_shard_record
-from repro.util.bloom import _bloom_hash
+from repro.util.bloom import BloomFilterPolicy, _bloom_hash, _bloom_hash_lanes
 from repro.util.crc import crc32, mask, masked_crc32, unmask, verify_masked_crc32
 from repro.util.encoding import (
     TYPE_DELETION,
     TYPE_VALUE,
+    entry_key,
     internal_order,
     make_internal_key,
-    parse_internal_key,
+    seek_goal,
 )
 from repro.util.varint import (
     decode_varint,
@@ -74,12 +75,10 @@ class TestCrc:
 class TestInternalKey:
     @given(keys, sequences, st.sampled_from([TYPE_VALUE, TYPE_DELETION]))
     def test_roundtrip(self, user_key, seq, vtype):
-        parsed = parse_internal_key(make_internal_key(user_key, seq, vtype))
-        assert (parsed.user_key, parsed.sequence, parsed.value_type) == (
-            user_key,
-            seq,
-            vtype,
-        )
+        ikey = make_internal_key(user_key, seq, vtype)
+        got_key, neg_trailer = internal_order(ikey)
+        assert (got_key, -neg_trailer >> 8, -neg_trailer & 0xFF) == (user_key, seq, vtype)
+        assert entry_key(got_key, neg_trailer) == ikey
 
     @given(
         st.lists(
@@ -92,11 +91,8 @@ class TestInternalKey:
         """internal_order == (user_key asc, (seq, type) desc)."""
         ikeys = [make_internal_key(k, s, t) for k, s, t in parts]
         got = sorted(ikeys, key=internal_order)
-        ref = sorted(ikeys, key=lambda ik: (
-            parse_internal_key(ik).user_key,
-            -((parse_internal_key(ik).sequence << 8) | parse_internal_key(ik).value_type),
-        ))
-        assert got == ref
+        ref = sorted(parts, key=lambda part: (part[0], -((part[1] << 8) | part[2])))
+        assert got == [make_internal_key(k, s, t) for k, s, t in ref]
 
 
 def varint_only_decode(data):
@@ -136,7 +132,10 @@ class TestBlockCodec:
 
     @given(block_keys, st.data(), st.integers(1, 16))
     def test_one_byte_lengths_are_varints(self, sorted_keys, data, restart_interval):
-        entries = [(key, data.draw(block_values)) for key in sorted_keys]
+        # Stored keys are internal keys; one sequence keeps user-key order.
+        entries = [
+            (make_internal_key(key, 5, TYPE_VALUE), data.draw(block_values)) for key in sorted_keys
+        ]
         builder = BlockBuilder(restart_interval)
         for key, value in entries:
             builder.add(key, value)
@@ -144,11 +143,15 @@ class TestBlockCodec:
         encoded = builder.finish()
         assert varint_only_decode(encoded) == entries
 
-        block = Block(encoded, lambda key: key)
-        assert list(block) == entries
-        target = data.draw(st.one_of(st.sampled_from(sorted_keys), st.binary(max_size=150)))
-        assert list(block.seek(target)) == [e for e in entries if e[0] >= target]
-        assert block.get(target) == dict(entries).get(target)
+        split = [(*internal_order(key), value) for key, value in entries]
+        block = Block(encoded)
+        assert list(block) == split
+        user_key = data.draw(st.one_of(st.sampled_from(sorted_keys), st.binary(max_size=150)))
+        sequence = data.draw(st.sampled_from([4, 5, 6]))
+        target = seek_goal(user_key, sequence)
+        assert list(block.seek(target)) == [e for e in split if e[:2] >= target]
+        found = dict(zip(sorted_keys, (value for _, value in entries))).get(user_key)
+        assert block.get(target) == (found if sequence == 5 else None)
 
 
 class TestBloomHash:
@@ -180,6 +183,74 @@ class TestBloomHash:
         h = (h * 0xC2B2AE35) & 0xFFFFFFFF
         h ^= h >> 16
         assert _bloom_hash(data, seed) == h
+
+
+def scalar_create_filter(keys, bits_per_key):
+    """The filter build as it was before the lane-parallel one: scalar hash,
+    one shift-and-or per probe. Kept verbatim as the reference."""
+    k = max(1, min(30, int(bits_per_key * 0.69)))
+    bits = max(64, len(keys) * bits_per_key)
+    nbytes = (bits + 7) // 8
+    bits = nbytes * 8
+    array = bytearray(nbytes)
+    for key in keys:
+        h = _bloom_hash(key)
+        delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
+        for _ in range(k):
+            bitpos = h % bits
+            array[bitpos // 8] |= 1 << (bitpos % 8)
+            h = (h + delta) & 0xFFFFFFFF
+    array.append(k)
+    return bytes(array)
+
+
+def lane_hashes(group):
+    hashes, _low32, lanes = _bloom_hash_lanes(group)
+    return list(lanes.unpack(hashes.to_bytes(lanes.size, "little")))
+
+
+class TestBloomLanes:
+    """The lane-parallel group hash is the scalar hash, and the filter built
+    from it is byte for byte the scalar build's."""
+
+    @given(st.lists(st.binary(max_size=40), min_size=1))
+    def test_every_lane_is_the_scalar_hash(self, keys):
+        by_length = {}
+        for key in keys:
+            by_length.setdefault(len(key), []).append(key)
+        for group in by_length.values():
+            assert lane_hashes(group) == [_bloom_hash(key) for key in group]
+
+    def test_lengths_tails_and_group_sizes(self):
+        """Lengths 0-3 (no whole word), tails of 1-3 bytes after whole words,
+        lengths past one 16-byte lane, a lone key, and 2 000 keys at once."""
+        for length in (*range(0, 21), 31, 32, 33, 40, 64, 65):
+            group = [bytes((i * 37 + j * 11) & 0xFF for j in range(length)) for i in range(5)]
+            assert lane_hashes(group) == [_bloom_hash(key) for key in group], length
+            assert lane_hashes(group[:1]) == [_bloom_hash(group[0])]
+        # No carry out of a lane.
+        assert lane_hashes([b"\xff" * 16] * 3) == [_bloom_hash(b"\xff" * 16)] * 3
+        many = [b"user%012d" % (i * 7919) for i in range(2000)]
+        assert lane_hashes(many) == [_bloom_hash(key) for key in many]
+
+    @given(
+        st.lists(st.binary(max_size=40), max_size=60),
+        st.sampled_from([1, 5, 10, 13, 30]),
+    )
+    def test_create_filter_is_the_scalar_build(self, keys, bits_per_key):
+        policy = BloomFilterPolicy(bits_per_key)
+        built = policy.create_filter(keys)
+        assert built == scalar_create_filter(keys, bits_per_key)
+        assert all(policy.key_may_match(key, built) for key in keys)
+
+    def test_create_filter_edge_shapes(self):
+        mixed = [b"", b"a", b"ab", b"abc", b"abcd", b"k" * 16, b"k" * 17, b"", b"a"] + [
+            b"user%012d" % i for i in range(260)
+        ]
+        for bits_per_key in (1, 5, 10, 13, 30):
+            policy = BloomFilterPolicy(bits_per_key)
+            for keys in ([], [b""], [b"x"], mixed, mixed[::-1]):
+                assert policy.create_filter(keys) == scalar_create_filter(keys, bits_per_key)
 
 
 class TestHandles:

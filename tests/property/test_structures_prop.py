@@ -15,15 +15,26 @@ from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.bloom import BloomFilterPolicy
-from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, internal_order, make_internal_key
+from repro.util.encoding import (
+    TYPE_DELETION,
+    TYPE_VALUE,
+    internal_order,
+    make_internal_key,
+    seek_goal,
+)
 
 keys = st.binary(min_size=0, max_size=40)
 values = st.binary(min_size=0, max_size=120)
 
 
-def bytewise(key):
-    """Sort key for plain byte order."""
-    return key
+def ik(user_key, seq=1):
+    """Internal-key bytes: what a block stores for a test's user key."""
+    return make_internal_key(user_key, seq, TYPE_VALUE)
+
+
+def rows(items, seq=1):
+    """``(user_key, value)`` pairs written at ``seq``, as readers decode them."""
+    return [(k, -((seq << 8) | TYPE_VALUE), v) for k, v in items]
 
 
 class TestBloom:
@@ -43,9 +54,9 @@ class TestBlock:
         items = sorted(entries.items())
         builder = BlockBuilder(restart_interval)
         for k, v in items:
-            builder.add(k, v)
-        block = Block(builder.finish(), bytewise)
-        assert list(block) == items
+            builder.add(ik(k), v)
+        block = Block(builder.finish())
+        assert list(block) == rows(items)
 
     @given(
         st.dictionaries(keys, values, min_size=1, max_size=100),
@@ -56,10 +67,14 @@ class TestBlock:
         items = sorted(entries.items())
         builder = BlockBuilder(restart_interval)
         for k, v in items:
-            builder.add(k, v)
-        block = Block(builder.finish(), bytewise)
-        expected = [(k, v) for k, v in items if k >= target]
-        assert list(block.seek(target)) == expected
+            builder.add(ik(k), v)
+        block = Block(builder.finish())
+        expected = rows((k, v) for k, v in items if k >= target)
+        assert list(block.seek(seek_goal(target))) == expected
+        # A goal below the stored sequence lands past the target's own entry.
+        assert list(block.seek(seek_goal(target, 0))) == rows(
+            (k, v) for k, v in items if k > target
+        )
 
 
 class TestTable:
@@ -71,19 +86,15 @@ class TestTable:
     def test_roundtrip_and_point_lookups(self, entries, block_size):
         env = LocalEnv(LocalDevice(SimClock()))
         options = Options(block_size=block_size, block_cache_bytes=0)
-        items = sorted(
-            ((make_internal_key(k, 7, TYPE_VALUE), v) for k, v in entries.items()),
-            key=lambda item: internal_order(item[0]),
-        )
+        items = rows(sorted(entries.items()), seq=7)
         builder = TableBuilder(options, env.new_writable_file("t.sst"))
-        for ik, v in items:
-            builder.add(ik, v)
+        for item in items:
+            builder.add(*item)
         builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
         assert list(reader.entries()) == items
         for user_key, v in entries.items():
-            found = reader.get(make_internal_key(user_key, 100, TYPE_VALUE))
-            assert found is not None and found[1] == v
+            assert reader.get(seek_goal(user_key, 100)) == (user_key, -((7 << 8) | TYPE_VALUE), v)
 
 
 class TestMemTable:
@@ -141,15 +152,16 @@ class TestMemTable:
         mt = MemTable()
         for k, seq, vtype in parts:
             mt.add(seq, vtype, k, k + b"=%d" % seq)
-        model = sorted(
+        by_bytes = sorted(
             ((make_internal_key(k, seq, vtype), k + b"=%d" % seq) for k, seq, vtype in parts),
             key=lambda row: internal_order(row[0]),
         )
+        model = [(*internal_order(ikey), value) for ikey, value in by_bytes]
         assert list(mt) == model
         assert list(mt.entries(reverse=True)) == model[::-1]
         assert len(mt) == len(model)
-        target = make_internal_key(*target_parts)
-        below = [row for row in model if internal_order(row[0]) < internal_order(target)]
+        target = internal_order(make_internal_key(*target_parts))
+        below = [row for row in model if row[:2] < target]
         assert list(mt.entries(target)) == model[len(below) :]
         assert list(mt.entries(target, reverse=True)) == below[::-1]
 
@@ -229,7 +241,7 @@ class TestLRUCache:
         for offset, value in ops:
             builder = BlockBuilder()
             builder.add(key, value)
-            block = Block(builder.finish(), internal_order)
+            block = Block(builder.finish())
             cache.put("f", offset, block)
             if block.size <= budget:
                 shadow[offset] = (block, value)
@@ -240,4 +252,4 @@ class TestLRUCache:
             got = cache.get("f", offset)
             if got is not None:
                 assert got is shadow[offset][0]
-                assert list(got) == [(key, shadow[offset][1])]
+                assert list(got) == [(*internal_order(key), shadow[offset][1])]

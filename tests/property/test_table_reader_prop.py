@@ -6,7 +6,11 @@ The references here are the lookups those replaced (``get_at`` is now
 ``get(target, handle)``), kept verbatim: every
 probe re-seeks the index *block* through ``Block.seek`` (a ``key=`` bisect
 that re-decodes a restart entry per step), and a version is filtered file by
-file. Hypothesis drives both over the cases the lists could get wrong — one
+file. The references still speak the interface they were written against —
+byte targets in, ``(internal_key, value)`` pairs out, ``Block(data, order)`` —
+through the adapter below; the reader under test takes seek goals and hands
+out decoded entries, converted where the two are compared.
+Hypothesis drives both over the cases the lists could get wrong — one
 user key's versions straddling block boundaries, targets below the first key,
 above the last, and equal to an index separator, whole-table and partitioned
 filters, and a reader walked end to end *before* its first seek.
@@ -17,7 +21,7 @@ from bisect import bisect_left
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.block import Block
+from repro.lsm.block import Block as DecodedBlock
 from repro.lsm.format import decode_handle
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
@@ -31,10 +35,37 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
+    entry_key,
     extract_user_key,
     internal_order,
     make_internal_key,
 )
+
+
+class Block:
+    """The read-side block as the references knew it, over today's decoder:
+    the boundary where byte targets become goals and entries become pairs."""
+
+    def __init__(self, data, order):
+        assert order is internal_order
+        self._block = DecodedBlock(data)
+
+    def __iter__(self):
+        return ((entry_key(key, neg), value) for key, neg, value in self._block)
+
+    def seek(self, target):
+        found = self._block.seek(internal_order(target))
+        return ((entry_key(key, neg), value) for key, neg, value in found)
+
+
+def split(pairs):
+    """Reference ``(internal_key, value)`` pairs as decoded entries."""
+    return [(*internal_order(ikey), value) for ikey, value in pairs]
+
+
+def split_one(pair):
+    return None if pair is None else split([pair])[0]
+
 
 # -- the replaced TableReader lookups, verbatim (self -> reader) ------------
 
@@ -197,11 +228,13 @@ def build_readers(table, block_size, partitioning):
     )
     builder = TableBuilder(options, env.new_writable_file("t.sst"))
     for ikey, value in entries:
-        builder.add(ikey, value)
+        builder.add(*internal_order(ikey), value)
     builder.finish()
-    return entries, *(
+    reader, reference = (
         TableReader(options, env.new_random_access_file("t.sst")) for _ in range(2)
     )
+    reference._index = Block(reference._index._data, internal_order)
+    return entries, reader, reference
 
 
 def probe_targets(entries, reference, extra_keys):
@@ -234,8 +267,8 @@ class TestParsedIndexMatchesIndexBlockSeeks:
         if walk_first:
             # A whole-table walk (compaction input) must leave no parsed index
             # behind, and must not disturb the seeks that follow.
-            assert list(reader.entries()) == entries
-            assert list(reader.range_iter()) == entries
+            assert list(reader.entries()) == split(entries)
+            assert list(reader.range_iter()) == split(entries)
             assert reader._parsed is None
         assert reader.block_refs() == ref_block_refs(reference)
         assert reader._parsed is None
@@ -243,29 +276,30 @@ class TestParsedIndexMatchesIndexBlockSeeks:
             assert reader.edge_data_handle(reverse=reverse) == ref_edge_data_handle(
                 reference, reverse=reverse
             )
-            assert list(reader.entries(reverse=reverse)) == list(
+            assert list(reader.entries(reverse=reverse)) == split(
                 ref_entries(reference, reverse=reverse)
             )
         for target in probe_targets(entries, reference, extra_keys):
-            assert reader.get(target) == ref_get(reference, target), target
+            goal = internal_order(target)
+            assert reader.get(goal) == split_one(ref_get(reference, target)), target
             assert reader.filter_stats == reference.filter_stats, target
             # ... and with the candidate block named by the caller (the
             # sorted view's path), whichever block that is.
             for _, handle in ref_block_refs(reference)[:3]:
-                assert reader.get(target, handle) == ref_get_at(reference, target, handle)
+                assert reader.get(goal, handle) == split_one(ref_get_at(reference, target, handle))
                 assert reader.filter_stats == reference.filter_stats, (target, handle)
             for reverse in (False, True):
-                assert reader.edge_data_handle(target, reverse=reverse) == ref_edge_data_handle(
+                assert reader.edge_data_handle(goal, reverse=reverse) == ref_edge_data_handle(
                     reference, target, reverse=reverse
                 ), (target, reverse)
-                assert list(reader.entries(target, reverse=reverse)) == list(
+                assert list(reader.entries(goal, reverse=reverse)) == split(
                     ref_entries(reference, target, reverse=reverse)
                 ), (target, reverse)
         bounds = [None, b"", *sorted({extract_user_key(ikey) for ikey, _ in entries}), b"c"]
         bounds += extra_keys
         for begin in bounds:
             for end in (None, b"ab", b"b", b"c"):
-                assert list(reader.range_iter(begin, end)) == list(
+                assert list(reader.range_iter(begin, end)) == split(
                     ref_range_iter(reference, begin, end)
                 ), (begin, end)
 

@@ -22,7 +22,7 @@ def payload_of(size: int, fill: bytes = b"x") -> bytes:
 
 def block(size: int, fill: bytes = b"x") -> Block:
     """The parsed block the cache holds, charged ``size`` bytes."""
-    return Block(payload_of(size, fill), internal_order)
+    return Block(payload_of(size, fill))
 
 
 class TestLRUBlockCache:
@@ -107,7 +107,7 @@ class TestLoadDataBlock:
             return payload_of(30)
 
         first = load_data_block(cache, loader, "f", self.HANDLE)
-        assert list(first) == [(KEY, b"x" * 10)]
+        assert list(first) == [(*internal_order(KEY), b"x" * 10)]
         assert (len(cache), cache.used_bytes, hits) == (1, 30, [])
         assert load_data_block(cache, loader, "f", self.HANDLE) is first
         assert loads == [("f", self.HANDLE, "data")]

@@ -16,7 +16,7 @@ from repro.lsm.table_reader import TableReader
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
-from repro.util.encoding import TYPE_VALUE, make_internal_key
+from repro.util.encoding import TYPE_VALUE, seek_goal
 
 
 class TestSealUnseal:
@@ -71,11 +71,11 @@ class TestCompressedTables:
         options = Options(block_size=1024, compression=compression, block_cache_bytes=0)
         builder = TableBuilder(options, env.new_writable_file("t.sst"))
         entries = [
-            (make_internal_key(f"key{i:06d}".encode(), 7, TYPE_VALUE), b"repetitive " * 20)
+            (f"key{i:06d}".encode(), -((7 << 8) | TYPE_VALUE), b"repetitive " * 20)
             for i in range(500)
         ]
-        for ik, v in entries:
-            builder.add(ik, v)
+        for entry in entries:
+            builder.add(*entry)
         props = builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
         return props, reader, entries
@@ -88,8 +88,7 @@ class TestCompressedTables:
     def test_reads_transparent(self):
         _, reader, entries = self.build("zlib")
         assert list(reader.entries()) == entries
-        found = reader.get(make_internal_key(b"key000123", 100, TYPE_VALUE))
-        assert found is not None and found[1] == b"repetitive " * 20
+        assert reader.get(seek_goal(b"key000123", 100)) == entries[123]
 
     def test_invalid_option_rejected(self):
         with pytest.raises(ValueError):

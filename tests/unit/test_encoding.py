@@ -11,11 +11,18 @@ from repro.util.encoding import (
     decode_fixed64,
     encode_fixed32,
     encode_fixed64,
+    entry_key,
     extract_user_key,
     internal_order,
     make_internal_key,
-    parse_internal_key,
+    seek_goal,
 )
+
+
+def split(ikey):
+    """(user_key, sequence, type) read off the in-memory sort key."""
+    user_key, neg_trailer = internal_order(ikey)
+    return user_key, -neg_trailer >> 8, -neg_trailer & 0xFF
 
 
 class TestFixed:
@@ -34,21 +41,19 @@ class TestFixed:
 class TestInternalKey:
     def test_roundtrip(self):
         ikey = make_internal_key(b"user", 42, TYPE_VALUE)
-        parsed = parse_internal_key(ikey)
-        assert parsed.user_key == b"user"
-        assert parsed.sequence == 42
-        assert parsed.value_type == TYPE_VALUE
+        assert split(ikey) == (b"user", 42, TYPE_VALUE)
+        assert internal_order(ikey) == (b"user", -((42 << 8) | TYPE_VALUE))
+        assert entry_key(*internal_order(ikey)) == ikey
 
     def test_empty_user_key(self):
         ikey = make_internal_key(b"", 7, TYPE_DELETION)
-        parsed = parse_internal_key(ikey)
-        assert parsed.user_key == b""
-        assert parsed.sequence == 7
-        assert parsed.value_type == TYPE_DELETION
+        assert split(ikey) == (b"", 7, TYPE_DELETION)
+        assert entry_key(*internal_order(ikey)) == ikey
 
     def test_max_sequence(self):
         ikey = make_internal_key(b"k", MAX_SEQUENCE, TYPE_VALUE)
-        assert parse_internal_key(ikey).sequence == MAX_SEQUENCE
+        assert split(ikey) == (b"k", MAX_SEQUENCE, TYPE_VALUE)
+        assert entry_key(*internal_order(ikey)) == ikey
 
     def test_sequence_out_of_range(self):
         with pytest.raises(ValueError):
@@ -56,10 +61,22 @@ class TestInternalKey:
 
     def test_too_short_raises(self):
         with pytest.raises(CorruptionError):
-            parse_internal_key(b"short")
+            extract_user_key(b"short")
 
     def test_extract_user_key(self):
         assert extract_user_key(make_internal_key(b"abc", 1, TYPE_VALUE)) == b"abc"
+
+    def test_seek_goal_sits_at_the_snapshot_boundary(self):
+        """Ahead of every entry of the key at or below the sequence, of either
+        type; behind every newer one; default: ahead of all of the key's."""
+        goal = seek_goal(b"k", 5)
+        assert goal == internal_order(make_internal_key(b"k", 5, TYPE_VALUE))
+        assert internal_order(make_internal_key(b"k", 6, TYPE_DELETION)) < goal
+        assert goal < internal_order(make_internal_key(b"k", 5, TYPE_DELETION))
+        assert goal < internal_order(make_internal_key(b"k", 4, TYPE_VALUE))
+        assert seek_goal(b"k") == internal_order(make_internal_key(b"k", MAX_SEQUENCE, TYPE_VALUE))
+        # A goal sorts just before the decoded entry it prefixes.
+        assert goal < (*goal, b"") and not (*goal, b"") < goal
 
 
 class TestInternalOrder:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsm.memtable import GetResult, MemTable
-from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key, parse_internal_key
+from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key, seek_goal
 
 
 class TestMemTable:
@@ -55,8 +55,8 @@ class TestMemTable:
         assert list(mt) == list(mt.entries())
         for reverse in (False, True):
             entries = list(mt.entries(reverse=reverse))
-            user_keys = [parse_internal_key(ik).user_key for ik, _ in entries]
-            seqs = [parse_internal_key(ik).sequence for ik, _ in entries]
+            user_keys = [user_key for user_key, _, _ in entries]
+            seqs = [-neg_trailer >> 8 for _, neg_trailer, _ in entries]
             # newest first within a user key (oldest first going backward)
             assert user_keys == ([b"b", b"b", b"a"] if reverse else [b"a", b"b", b"b"])
             assert seqs == ([2, 3, 1] if reverse else [1, 3, 2])
@@ -74,12 +74,9 @@ class TestMemTable:
             (b"z", [], [b"e", b"c", b"a"]),
         ]
         for user_key, at_or_after, below in cases:
-            target = make_internal_key(user_key, 2**50, TYPE_VALUE)
+            target = seek_goal(user_key, 2**50)
             for reverse, expected in ((False, at_or_after), (True, below)):
-                got = [
-                    parse_internal_key(ik).user_key
-                    for ik, _ in mt.entries(target, reverse=reverse)
-                ]
+                got = [entry[0] for entry in mt.entries(target, reverse=reverse)]
                 assert got == expected, (user_key, reverse)
 
     def test_live_iterators_do_not_see_later_inserts(self):
@@ -107,6 +104,33 @@ class TestMemTable:
         mt.add(7, TYPE_DELETION, b"k", b"")  # another type is another key
         mt.add(8, TYPE_VALUE, b"k", b"v")
         assert len(mt) == 3
+
+    def test_rows_are_decoded_entries_in_one_list(self):
+        """One row list of ``(user_key, neg_trailer, value)``; a lookup is a
+        bisect on the ``(user_key, neg_trailer)`` pair, so a key that is a
+        prefix of its neighbour, or a lookup between two versions, lands on
+        the right row and not merely on the right user key."""
+        mt = MemTable()
+        mt.add(4, TYPE_VALUE, b"k", b"v4")
+        mt.add(9, TYPE_DELETION, b"k", b"")
+        mt.add(2, TYPE_VALUE, b"k", b"v2")
+        mt.add(6, TYPE_VALUE, b"kk", b"other")
+        assert list(mt) == [
+            (b"k", -((9 << 8) | TYPE_DELETION), b""),
+            (b"k", -((4 << 8) | TYPE_VALUE), b"v4"),
+            (b"k", -((2 << 8) | TYPE_VALUE), b"v2"),
+            (b"kk", -((6 << 8) | TYPE_VALUE), b"other"),
+        ]
+        assert not hasattr(mt, "_order")
+        seen = [mt.get(b"k", seq).value for seq in (1, 2, 3, 4, 8)]
+        assert seen == [None, b"v2", b"v2", b"v4", b"v4"]
+        assert mt.get(b"k", 1).state == GetResult.ABSENT
+        assert mt.get(b"k", 9).state == GetResult.DELETED
+        assert mt.get(b"kk", 5).state == GetResult.ABSENT
+
+    def test_sequence_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            MemTable().add(1 << 56, TYPE_VALUE, b"k", b"v")
 
     def test_memory_usage_grows(self):
         mt = MemTable()

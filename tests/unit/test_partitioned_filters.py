@@ -10,7 +10,7 @@ from repro.lsm.table_reader import TableReader
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
-from repro.util.encoding import TYPE_VALUE, make_internal_key
+from repro.util.encoding import TYPE_VALUE, seek_goal
 
 
 def build(partitioning, n=400, block_size=512):
@@ -22,9 +22,7 @@ def build(partitioning, n=400, block_size=512):
     )
     builder = TableBuilder(options, env.new_writable_file("t.sst"))
     for i in range(n):
-        builder.add(
-            make_internal_key(f"key{i:06d}".encode(), 7, TYPE_VALUE), b"v" * 50
-        )
+        builder.add(f"key{i:06d}".encode(), -((7 << 8) | TYPE_VALUE), b"v" * 50)
     props = builder.finish()
     reader = TableReader(options, env.new_random_access_file("t.sst"))
     return env, props, reader
@@ -50,8 +48,8 @@ class TestPartitionedTables:
         _, props, reader = build("block")
         assert len(props.blocks) > 1
         for i in range(0, 400, 13):
-            found = reader.get(make_internal_key(f"key{i:06d}".encode(), 100, TYPE_VALUE))
-            assert found is not None and found[1] == b"v" * 50
+            found = reader.get(seek_goal(f"key{i:06d}".encode(), 100))
+            assert found == (f"key{i:06d}".encode(), -((7 << 8) | TYPE_VALUE), b"v" * 50)
 
     def test_absent_keys_rejected_without_data_read(self):
         env, _, reader = build("block")
@@ -59,28 +57,24 @@ class TestPartitionedTables:
         device.counters.reset()
         misses = 0
         for i in range(300):
-            target = make_internal_key(f"zzz-absent-{i}".encode(), 100, TYPE_VALUE)
-            if reader.get(target) is None:
+            if reader.get(seek_goal(f"zzz-absent-{i}".encode(), 100)) is None:
                 misses += 1
         assert misses == 300
         # Partition probes answer from memory: no data-block reads at all.
         assert device.counters.get("local.read_ops") == 0
 
     def test_absent_keys_inside_key_range_rejected(self):
-        from repro.util.encoding import parse_internal_key
-
         env, _, reader = build("block")
         device = env.device
         device.counters.reset()
         for i in range(400):
             # Keys that fall between existing keys (same format, odd suffix).
             user_key = f"key{i:06d}x".encode()
-            target = make_internal_key(user_key, 100, TYPE_VALUE)
-            found = reader.get(target)
+            found = reader.get(seek_goal(user_key, 100))
             if found is not None:
                 # A bloom false positive read the block and returned the
                 # *neighbouring* entry; the caller detects the mismatch.
-                assert parse_internal_key(found[0]).user_key != user_key
+                assert found[0] != user_key
         # Bloom rejects most probes from memory; only false positives
         # (~1% at 10 bits/key) cost a data-block read.
         assert device.counters.get("local.read_ops") < 40
@@ -89,15 +83,15 @@ class TestPartitionedTables:
         _, _, reader = build("block")
         entries = list(reader.entries())
         assert len(entries) == 400
-        keys = [k for k, _ in entries]
-        assert keys == sorted(keys, key=lambda ik: ik[:-8])
+        assert entries == sorted(entries)
+        assert [k for k, _, _ in entries] == [f"key{i:06d}".encode() for i in range(400)]
 
     def test_whole_table_mode_still_works(self):
         _, _, reader = build("table")
         assert reader._partitions is None
         assert not reader.may_contain(b"definitely-absent-qqq")
-        found = reader.get(make_internal_key(b"key000100", 100, TYPE_VALUE))
-        assert found is not None
+        found = reader.get(seek_goal(b"key000100", 100))
+        assert found is not None and found[0] == b"key000100"
 
     def test_option_validated(self):
         with pytest.raises(ValueError):

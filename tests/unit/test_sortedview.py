@@ -29,6 +29,7 @@ from repro.util.encoding import (
     extract_user_key,
     internal_order,
     make_internal_key,
+    seek_goal,
 )
 
 user_keys = st.binary(min_size=1, max_size=6)
@@ -70,15 +71,12 @@ def build_runs(key_sets, entries_per_block=3):
         )
 
     def source(number, ref):
-        return Block(payloads[(number, ref.offset)], internal_order)
+        return Block(payloads[(number, ref.offset)])
 
     merged = sorted(
-        (
-            (make_internal_key(k, i + 1, TYPE_VALUE), b"v%d:%s" % (i + 1, k))
-            for i, key_set in enumerate(key_sets)
-            for k in key_set
-        ),
-        key=lambda e: internal_order(e[0]),
+        (k, -(((i + 1) << 8) | TYPE_VALUE), b"v%d:%s" % (i + 1, k))
+        for i, key_set in enumerate(key_sets)
+        for k in key_set
     )
     return tables, source, merged
 
@@ -94,16 +92,8 @@ class TestStreamEquivalence:
     def test_stream_matches_brute_force_merge(self, key_sets, seek_user):
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
-        target = (
-            make_internal_key(seek_user, MAX_SEQUENCE, TYPE_VALUE)
-            if seek_user is not None
-            else None
-        )
-        expected = [
-            e
-            for e in merged
-            if target is None or internal_order(e[0]) >= internal_order(target)
-        ]
+        target = seek_goal(seek_user) if seek_user is not None else None
+        expected = [e for e in merged if target is None or e >= target]
         assert list(view.stream(target, source)) == expected
 
     @given(run_sets, st.one_of(st.none(), user_keys))
@@ -111,16 +101,8 @@ class TestStreamEquivalence:
     def test_stream_reverse_matches_brute_force_merge(self, key_sets, bound_user):
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
-        bound = (
-            make_internal_key(bound_user, MAX_SEQUENCE, TYPE_VALUE)
-            if bound_user is not None
-            else None
-        )
-        expected = [
-            e
-            for e in reversed(merged)
-            if bound is None or internal_order(e[0]) < internal_order(bound)
-        ]
+        bound = seek_goal(bound_user) if bound_user is not None else None
+        expected = [e for e in reversed(merged) if bound is None or e < bound]
         assert list(view.stream_reverse(bound, source)) == expected
 
     @given(run_sets)
@@ -134,11 +116,11 @@ class TestStreamEquivalence:
             newest = max(
                 i + 1 for i, key_set in enumerate(key_sets) if user_key in key_set
             )
-            lookup = make_internal_key(user_key, MAX_SEQUENCE, TYPE_VALUE)
+            lookup = seek_goal(user_key)
             found = None
-            for run, ref in view.point_candidates(user_key, lookup):
-                for ikey, value in source(run.number, ref).seek(lookup):
-                    if extract_user_key(ikey) == user_key:
+            for run, ref in view.point_candidates(lookup):
+                for found_key, _, value in source(run.number, ref).seek(lookup):
+                    if found_key == user_key:
                         found = value
                     break
                 if found is not None:
@@ -154,7 +136,7 @@ class TestStreamEquivalence:
         are the *first* ones touched.)"""
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
-        target = make_internal_key(key, MAX_SEQUENCE, TYPE_VALUE)
+        target = seek_goal(key)
         initial, upcoming = view.prefetch_plan(target, reverse=reverse)
         planned = initial + upcoming
         first_fetch = {}  # run number -> offset of its first fetched block

@@ -28,6 +28,7 @@ from repro.util.encoding import (
     extract_user_key,
     internal_order,
     make_internal_key,
+    seek_goal,
 )
 
 
@@ -40,10 +41,15 @@ def build_table(env, entries, options=None, name="000007.sst"):
     options = options or Options()
     builder = TableBuilder(options, env.new_writable_file(name))
     for ikey, value in entries:
-        builder.add(ikey, value)
+        builder.add(*internal_order(ikey), value)
     props = builder.finish()
     reader = TableReader(options, env.new_random_access_file(name))
     return props, reader
+
+
+def decoded(entries):
+    """``(internal_key, value)`` pairs as a reader hands them out."""
+    return [(*internal_order(ikey), value) for ikey, value in entries]
 
 
 def make_entries(n, *, start=0, seq=100):
@@ -110,9 +116,36 @@ class TestTableBuilder:
 
     def test_out_of_order_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
-        builder.add(make_internal_key(b"b", 1, TYPE_VALUE), b"v")
-        with pytest.raises(InvalidArgumentError):
-            builder.add(make_internal_key(b"a", 1, TYPE_VALUE), b"v")
+        newest = -((9 << 8) | TYPE_VALUE)
+        builder.add(b"b", newest, b"v")
+        for user_key, neg_trailer in [
+            (b"a", newest),  # smaller user key
+            (b"b", newest - 1),  # newer entry of the last user key
+            (b"b", newest),  # the last entry over again: the pair, never the value
+        ]:
+            with pytest.raises(InvalidArgumentError, match="out of order"):
+                builder.add(user_key, neg_trailer, b"w")
+        builder.add(b"b", newest + 1, b"")  # an older entry of the same key is in order
+        assert builder.num_entries == 2
+
+    @pytest.mark.parametrize("neg_trailer", [1, 1 << 56, -(1 << 64), -(1 << 70)])
+    def test_trailer_out_of_range_is_the_callers_error(self, env, neg_trailer):
+        """A bad entry handed to ``add`` is an argument bug on the write side,
+        not damaged bytes on the read side."""
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        with pytest.raises(InvalidArgumentError, match="neg_trailer") as raised:
+            builder.add(b"k", neg_trailer, b"v")
+        assert not isinstance(raised.value, CorruptionError)
+        builder.add(b"k", 0, b"v")  # both ends of the range are entries
+        builder.add(b"l", -(1 << 64) + 1, b"v")
+        assert builder.finish().num_entries == 2
+
+    def test_add_after_finish_rejected(self, env):
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        builder.add(b"a", -((1 << 8) | TYPE_VALUE), b"v")
+        builder.finish()
+        with pytest.raises(InvalidArgumentError, match=r"add\(\) after finish\(\)"):
+            builder.add(b"b", -((1 << 8) | TYPE_VALUE), b"v")
 
     def test_empty_table_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
@@ -121,7 +154,7 @@ class TestTableBuilder:
 
     def test_double_finish_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
-        builder.add(make_internal_key(b"a", 1, TYPE_VALUE), b"v")
+        builder.add(b"a", -((1 << 8) | TYPE_VALUE), b"v")
         builder.finish()
         with pytest.raises(InvalidArgumentError):
             builder.finish()
@@ -192,17 +225,14 @@ class TestTableReader:
     def test_full_iteration(self, env):
         entries = make_entries(300)
         _, reader = build_table(env, entries, Options(block_size=512))
-        assert list(reader.entries()) == entries
-        assert list(reader.entries(reverse=True)) == entries[::-1]
+        assert list(reader.entries()) == decoded(entries)
+        assert list(reader.entries(reverse=True)) == decoded(entries)[::-1]
 
     def test_get_present(self, env):
         entries = make_entries(200)
         _, reader = build_table(env, entries, Options(block_size=512))
-        target = make_internal_key(b"key000123", 200, TYPE_VALUE)
-        found = reader.get(target)
-        assert found is not None
-        ikey, value = found
-        assert value == b"val123"
+        found = reader.get(seek_goal(b"key000123", 200))
+        assert found == (b"key000123", -((100 << 8) | TYPE_VALUE), b"val123")
 
     def test_get_absent_via_bloom(self, env):
         entries = make_entries(100)
@@ -217,17 +247,16 @@ class TestTableReader:
             (make_internal_key(k, 5, TYPE_VALUE), b"old"),
         ]
         _, reader = build_table(env, entries)
-        at7 = reader.get(make_internal_key(k, 7, TYPE_VALUE))
-        assert at7 is not None and at7[1] == b"old"
-        at10 = reader.get(make_internal_key(k, 10, TYPE_VALUE))
-        assert at10 is not None and at10[1] == b"new"
+        at7 = reader.get(seek_goal(k, 7))
+        assert at7 is not None and at7[2] == b"old"
+        at10 = reader.get(seek_goal(k, 10))
+        assert at10 is not None and at10[2] == b"new"
 
     def test_tombstones_returned_not_interpreted(self, env):
         entries = [(make_internal_key(b"gone", 9, TYPE_DELETION), b"")]
         _, reader = build_table(env, entries)
-        found = reader.get(make_internal_key(b"gone", 100, TYPE_VALUE))
-        assert found is not None
-        assert found[1] == b""
+        found = reader.get(seek_goal(b"gone", 100))
+        assert found == (b"gone", -((9 << 8) | TYPE_DELETION), b"")
 
     def test_seek_iteration(self, env):
         entries = make_entries(100)
@@ -253,9 +282,9 @@ class TestTableReader:
             (b"key000099", 99),
             (b"z", 100),
         ]:
-            target = make_internal_key(user_key, 2**40, TYPE_VALUE)
+            target = seek_goal(user_key, 2**40)
             for reverse in (False, True):
-                expected = entries[:split][::-1] if reverse else entries[split:]
+                expected = decoded(entries[:split][::-1] if reverse else entries[split:])
                 del fetched[:]
                 assert list(reader.entries(target, reverse=reverse)) == expected
                 # The index-only edge lookup names the block read first
@@ -287,5 +316,5 @@ class TestTableReader:
         props, reader = build_table(env, entries, options)
         device = env.device
         device.counters.reset()
-        reader.get(make_internal_key(b"key000700", 2**40, TYPE_VALUE))
+        reader.get(seek_goal(b"key000700", 2**40))
         assert device.counters.get("local.read_bytes") < props.file_size / 4

@@ -21,6 +21,10 @@ def fmd(number, lo, hi, size=1000, seq=10):
     )
 
 
+def ikey(user_key, seq):
+    return make_internal_key(user_key, seq, TYPE_VALUE)
+
+
 @pytest.fixture
 def env():
     return LocalEnv(LocalDevice(SimClock()))
@@ -100,6 +104,23 @@ class TestVersion:
         assert [m.number for _, m in v1.files_for_user_key(b"h")] == [2]
         assert list(v1.files_for_user_key(b"fz")) == []  # gap between files
 
+    def test_files_for_user_key_follows_a_key_cut_across_files(self):
+        """A compaction cuts its output by size, so with a snapshot keeping two
+        versions of a key alive the cut can fall between them: the level then
+        holds the key in two adjacent files, newer versions first, and a
+        lookup that misses in the first must be offered the second."""
+        edit = VersionEdit()
+        edit.add_file(1, FileMetaData(1, 100, ikey(b"a", 9), ikey(b"k", 6)))
+        edit.add_file(1, FileMetaData(2, 100, ikey(b"k", 1), ikey(b"k", 1)))
+        edit.add_file(1, FileMetaData(3, 100, ikey(b"k", 0), ikey(b"p", 1)))
+        edit.add_file(1, fmd(4, b"q", b"z"))
+        v = Version(7).apply(edit)
+        v.check_invariants()
+        assert [m.number for _, m in v.files_for_user_key(b"k")] == [1, 2, 3]
+        assert [m.number for _, m in v.files_for_user_key(b"j")] == [1]
+        assert [m.number for _, m in v.files_for_user_key(b"l")] == [3]
+        assert [m.number for _, m in v.files_for_user_key(b"q")] == [4]
+
     def test_files_for_user_key_searches_without_reading_every_file(self, monkeypatch):
         # Count how often a file's internal key is sliced into a user key.
         reads = []
@@ -149,6 +170,20 @@ class TestVersion:
         v1 = v.apply(edit)
         assert [m.number for m in v1.overlapping_files(1, b"h", b"r")] == [2, 3]
         assert [m.number for m in v1.overlapping_files(1, None, None)] == [1, 2, 3]
+
+    def test_overlap_expansion_below_l0_takes_the_files_a_key_was_cut_across(self):
+        """Taking the file with a key's newer versions and leaving the one
+        with its older versions would bury the newer beneath the older."""
+        edit = VersionEdit()
+        edit.add_file(1, FileMetaData(1, 100, ikey(b"a", 9), ikey(b"k", 6)))
+        edit.add_file(1, FileMetaData(2, 100, ikey(b"k", 1), ikey(b"k", 1)))
+        edit.add_file(1, FileMetaData(3, 100, ikey(b"k", 0), ikey(b"p", 1)))
+        edit.add_file(1, fmd(4, b"q", b"z"))
+        v = Version(7).apply(edit)
+        assert [m.number for m in v.overlapping_files(1, None, b"a")] == [1, 2, 3]
+        assert [m.number for m in v.overlapping_files(1, b"l", b"m")] == [1, 2, 3]
+        assert [m.number for m in v.overlapping_files(1, b"q", None)] == [4]
+        assert v.overlapping_files(1, b"pp", b"pz") == []
 
     def test_l0_overlap_expansion(self):
         # Picking file 1 must drag in transitively overlapping L0 files.
