@@ -15,17 +15,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.facade import StoreFacade
+from repro.lsm.block_cache import BlockPath, BlockStack
 from repro.lsm.db import DB
-from repro.lsm.format import BLOCK_TRAILER_SIZE, unseal_block
+from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
 from repro.sim.clock import SimClock, StopwatchRegion
 from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
-from repro.storage.env import CLOUD, LOCAL, CloudEnv, HybridEnv, LocalEnv
+from repro.storage.env import CLOUD, LOCAL, CloudEnv, HybridEnv, LocalEnv, RandomAccessFile
 from repro.storage.local import LocalDevice
 
 
@@ -141,6 +143,42 @@ class WholeFileCache:
         return self._used
 
 
+class FileCacheStack(BlockStack):
+    """``dram → pcache → demand`` where the persistent cache is the
+    whole-file cache: a table it holds serves every block from its local
+    copy, and an access may download the table first (see
+    :meth:`WholeFileCache.ensure`)."""
+
+    __slots__ = ("cache", "_file_size")
+
+    def __init__(
+        self, name: str, file: RandomAccessFile, path: BlockPath, *, cache: WholeFileCache
+    ) -> None:
+        super().__init__(name, file, path)
+        self.cache = cache
+        self._file_size: int | None = None
+
+    def fetch(self, handle: BlockHandle) -> bytes:
+        if self._file_size is None:
+            self._file_size = self.file.size()
+        if self.cache.ensure(self.name, self._file_size):
+            self.path.hits["pcache"] += 1
+            self.path.event("pcache_hit")
+            return self._cached(handle)
+        return super().fetch(handle)
+
+    def meta(self, handle: BlockHandle, kind: str) -> bytes:
+        # Table-open metadata reads don't count toward admission (readers
+        # retain index/filter in memory once opened).
+        if self.cache.contains(self.name):
+            return self._cached(handle)
+        return self.read(handle)
+
+    def _cached(self, handle: BlockHandle) -> bytes:
+        raw = self.cache.read(self.name, handle.offset, handle.size + BLOCK_TRAILER_SIZE)
+        return unseal_block(raw)
+
+
 class RocksDBCloudStore(StoreFacade):
     """WAL/manifest local, SSTs in the cloud, whole-file local cache."""
 
@@ -176,7 +214,7 @@ class RocksDBCloudStore(StoreFacade):
                 env,
                 config.db_prefix,
                 config.options,
-                loader_wrapper=self._file_cache_wrapper,
+                stack_factory=partial(FileCacheStack, cache=self.file_cache),
             )
         self.last_recovery_seconds = sw.elapsed
         self.db.listeners.on_table_delete.append(self.file_cache.drop)
@@ -206,35 +244,6 @@ class RocksDBCloudStore(StoreFacade):
             cloud_store=self.cloud_store,
             counters=self.counters,
         )
-
-    # -- block loading through the whole-file cache ------------------------
-
-    def _file_cache_wrapper(self, name, file, next_loader):
-        file_size = None
-
-        def load(file_name: str, handle, kind: str) -> bytes:
-            nonlocal file_size
-            if not file_name.endswith(".sst"):
-                return next_loader(file_name, handle, kind)
-            if kind != "data":
-                # Table-open metadata reads don't count toward admission
-                # (readers retain index/filter in memory once opened).
-                if self.file_cache.contains(file_name):
-                    raw = self.file_cache.read(
-                        file_name, handle.offset, handle.size + BLOCK_TRAILER_SIZE
-                    )
-                    return unseal_block(raw)
-                return next_loader(file_name, handle, kind)
-            if file_size is None:
-                file_size = file.size()
-            if self.file_cache.ensure(file_name, file_size):
-                raw = self.file_cache.read(
-                    file_name, handle.offset, handle.size + BLOCK_TRAILER_SIZE
-                )
-                return unseal_block(raw)
-            return next_loader(file_name, handle, kind)
-
-        return load
 
     def stats(self) -> dict:
         return {

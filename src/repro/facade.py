@@ -15,14 +15,17 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
+from dataclasses import dataclass
 
+from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
+from repro.lsm.memtable import GetResult
 from repro.lsm.write_batch import WriteBatch
 from repro.metrics.counters import CounterSet
 from repro.metrics.latency import LatencyHistogram
 from repro.obs.prom import render_prometheus
 from repro.obs.trace import Tracer
-from repro.sim.clock import SimClock, StopwatchRegion
+from repro.sim.clock import SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
@@ -39,11 +42,35 @@ def take_rows(
     """
     out: list[tuple[bytes, bytes]] = []
     with closing(rows):
+        if limit == 0:
+            # Closing a generator that never started runs none of its body:
+            # no version pinned, no I/O for an empty answer.
+            return out
         for i, kv in enumerate(rows):
             if limit is not None and i >= limit:
                 break
             out.append(kv)
     return out
+
+
+@dataclass(frozen=True)
+class Explanation:
+    """Where one ``get`` went (:meth:`StoreFacade.explain`)."""
+
+    value: bytes | None
+    path: list[tuple[str, str]]
+    """Ordered ``(layer, outcome)`` rows: ``memtable``, then per table probed
+    ``bloom`` and the block sources tried in :data:`BLOCK_SOURCES` order,
+    the last one named for the tier it read (``cloud`` / ``local``);
+    ``open`` rows are the metadata reads of a table opened on the way."""
+    local_s: float
+    cloud_s: float
+    cpu_s: float
+    bytes_fetched: int
+    """Bytes read from the local device and the cloud, caches included."""
+
+
+_DEMAND_TIER = {"cloud_get": "cloud", "local_read": "local", "demand_read": "demand"}
 
 
 class StoreFacade:
@@ -118,37 +145,86 @@ class StoreFacade:
             self.op_hook(kind, nbytes)
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("put"):
+        with self.tracer.span("put") as span:
             self.db.put(key, value, sync=sync)
-        self.write_latency.record(sw.elapsed)
+        self.write_latency.record(span.elapsed)
         self._note_op("put", len(value))
 
     def delete(self, key: bytes, *, sync: bool = True) -> None:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("delete"):
+        with self.tracer.span("delete") as span:
             self.db.delete(key, sync=sync)
-        self.write_latency.record(sw.elapsed)
+        self.write_latency.record(span.elapsed)
         self._note_op("delete")
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("write"):
+        with self.tracer.span("write") as span:
             self.db.write(batch, sync=sync)
-        self.write_latency.record(sw.elapsed)
+        self.write_latency.record(span.elapsed)
         self._note_op("write", batch.byte_size())
 
     def get(self, key: bytes, *, snapshot: Snapshot | None = None) -> bytes | None:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("get"):
+        with self.tracer.span("get") as span:
             value = self.db.get(key, snapshot=snapshot)
-        self.read_latency.record(sw.elapsed)
+        self.read_latency.record(span.elapsed)
         self._note_op("get")
         return value
+
+    def explain(self, key: bytes) -> Explanation:
+        """One :meth:`get`, under its own span, as the layers it visited.
+
+        Every block source posts its event after counting the block in
+        ``block_path.hits``, so listening to the events with the counters
+        beside them tells which source served each block; the simulated
+        seconds are the span's, by tier.
+        """
+        db = self.db
+        block_path = db.block_path
+        in_memtable = db.memtable.get(key, db.versions.last_sequence).state != GetResult.ABSENT
+        rows = [("memtable", "hit" if in_memtable else "miss")]
+        trail: list[tuple[str, tuple[int, ...]]] = []
+        sink = block_path.event
+
+        def listen(label: str) -> None:
+            trail.append((label, tuple(block_path.hits.values())))
+            sink(label)
+
+        def bytes_read() -> int:
+            return self.counters.get("cloud.get_bytes") + self.counters.get("local.read_bytes")
+
+        before = bytes_read()
+        served = tuple(block_path.hits.values())
+        block_path.event = listen
+        try:
+            value = self.get(key)
+        finally:
+            block_path.event = sink
+        for label, hits in trail:
+            if label == "bloom_checked":
+                rows.append(("bloom", "pass"))
+            elif label == "bloom_useful":
+                rows[-1] = ("bloom", "reject")
+            elif label == "bloom_false_positive":
+                rows.append(("bloom", "false_positive"))
+            elif hits == served:
+                rows.append(("open", label))
+            else:
+                tried = next(i for i, (a, b) in enumerate(zip(served, hits)) if a != b)
+                rows += [(source, "miss") for source in BLOCK_SOURCES[:tried]]
+                tier = _DEMAND_TIER.get(label)
+                rows.append((tier, "read") if tier else (BLOCK_SOURCES[tried], "hit"))
+                served = hits
+        tiers = self.tracer.spans[-1].tiers
+        return Explanation(
+            value, rows, tiers.local, tiers.cloud, tiers.cpu, bytes_read() - before
+        )
 
     def multi_get(
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups (sequential by default)."""
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("multi_get"):
+        with self.tracer.span("multi_get") as span:
             results = self.db.multi_get(keys, snapshot=snapshot)
-        self.read_latency.record(sw.elapsed)
+        self.read_latency.record(span.elapsed)
         self._note_op("multi_get")
         return results
 
@@ -164,10 +240,10 @@ class StoreFacade:
         """Range scan over user keys in [begin, end), descending when
         ``reverse`` (then timed and counted as ``scan_reverse``)."""
         kind = "scan_reverse" if reverse else "scan"
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
+        with self.tracer.span(kind) as span:
             rows = self.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
             results = take_rows(rows, limit)
-        self.read_latency.record(sw.elapsed)
+        self.read_latency.record(span.elapsed)
         self._note_op(kind, sum(len(k) + len(v) for k, v in results))
         return results
 
@@ -226,4 +302,5 @@ class StoreFacade:
                 "write_latency_seconds": self.write_latency,
             },
             tracer=getattr(self, "tracer", None),
+            block_hits=self.db.block_path.hits,
         )

@@ -18,8 +18,12 @@ from bisect import bisect_left
 from collections.abc import Iterator
 
 from repro.errors import CorruptionError
-from repro.util.encoding import TRAILER, Entry, SeekGoal, decode_fixed32
+from repro.util.encoding import TRAILER, Entry, SeekGoal
 from repro.util.varint import decode_varint, encode_varint
+
+
+_ONE_RESTART = [0]  # shared, never mutated
+_ZERO32 = bytes(4)
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
@@ -90,21 +94,29 @@ class Block:
     """Read-side view of an encoded block of internal keys, ascending."""
 
     def __init__(self, data: bytes) -> None:
-        if len(data) < 4:
+        size = len(data)
+        if size < 4:
             raise CorruptionError("block too small for restart count")
         self._data = data
-        self.size = len(data)
+        self.size = size
         """Length of the encoded payload — what a cache holding the block charges."""
-        num_restarts = decode_fixed32(data, len(data) - 4)
-        trailer = 4 + 4 * num_restarts
-        if trailer > len(data):
+        num_restarts = int.from_bytes(data[size - 4 :], "little")
+        base = self._restart_base = size - 4 - 4 * num_restarts
+        if base < 0:
             raise CorruptionError("restart array larger than block")
-        self._restart_base = len(data) - trailer
-        self._restarts = list(struct.unpack_from(f"<{num_restarts}I", data, self._restart_base))
-        if self._restarts and (self._restarts[0] or max(self._restarts) > self._restart_base):
-            raise CorruptionError("restart points must start at 0, inside the entry area")
+        if num_restarts == 1 and data[base : base + 4] == _ZERO32:
+            self._restarts = _ONE_RESTART  # a block of up to one restart interval
+        else:
+            self._restarts = list(struct.unpack_from(f"<{num_restarts}I", data, base))
+            if self._restarts and (self._restarts[0] or max(self._restarts) > base):
+                raise CorruptionError("restart points must start at 0, inside the entry area")
         self._restart_keys: list[SeekGoal] | None = None
         """Sort keys of the restart points after the first, filled by the first seek."""
+        self.runs: dict[int, list[Entry]] | None = None
+        """Restart runs a seek has decoded, by restart index. ``None`` — the
+        state of every block but one the DRAM cache holds — keeps nothing: a
+        block read once (a compaction input, an index walk) must not leave
+        its entries behind."""
 
     def _decode(self, offset: int, stop: int) -> list[Entry]:
         """Decode the entries that start in ``[offset, stop)``.
@@ -117,6 +129,7 @@ class Block:
         limit = self._restart_base
         trailer_at = TRAILER.unpack_from
         key = b""
+        split = -8  # len(key) - 8: where the key's trailer starts
         entries: list[Entry] = []
         while offset < stop:
             shared, non_shared, value_len = data[offset], data[offset + 1], data[offset + 2]
@@ -126,16 +139,16 @@ class Block:
                 shared, pos = decode_varint(data, offset)
                 non_shared, pos = decode_varint(data, pos)
                 value_len, pos = decode_varint(data, pos)
-            if shared > len(key):
+            if shared > split + 8:
                 raise CorruptionError("shared prefix longer than previous key")
             key_end = pos + non_shared
             offset = key_end + value_len
             if offset > limit:
                 raise CorruptionError("entry overruns block body")
             key = key[:shared] + data[pos:key_end]
-            split = len(key) - 8
+            split = shared + non_shared - 8
             if split < 0:
-                raise CorruptionError(f"internal key too short: {len(key)} bytes")
+                raise CorruptionError(f"internal key too short: {split + 8} bytes")
             entries.append((key[:split], -trailer_at(key, split)[0], data[key_end:offset]))
         return entries
 
@@ -143,36 +156,63 @@ class Block:
         """All entries in key order."""
         return iter(self._decode(0, self._restart_base))
 
-    def seek(self, goal: SeekGoal) -> Iterator[Entry]:
-        """Entries at or after ``goal`` in internal-key order.
+    def _run(self, index: int) -> list[Entry]:
+        """The entries of restart run ``index`` (1-based: the run that starts
+        at ``restarts[index - 1]``), from :attr:`runs` when it is kept."""
+        runs = self.runs
+        if runs is not None:
+            run = runs.get(index)
+            if run is not None:
+                return run
+        restarts = self._restarts
+        stop = restarts[index] if index < len(restarts) else self._restart_base
+        run = self._decode(restarts[index - 1], stop)
+        if runs is not None:
+            runs[index] = run
+        return run
+
+    def _seek_run(self, goal: SeekGoal) -> int:
+        """Index of the one run that can hold the first entry at or after
+        ``goal``: the last whose restart key is < goal, the first when none is.
 
         The first seek decodes the (full) key at every restart point after
         the first into a list of sort keys the block keeps; a seek is then
         one native ``bisect_left`` over that list plus one restart run
-        decoded at a time, so a point lookup pays for one run. Entries
-        past a restart point are decoded only when their run is reached.
+        decoded at a time, so a point lookup pays for one run.
         """
-        restarts = self._restarts
-        if not restarts:
-            return
         keys = self._restart_keys
         if keys is None:
             decode = self._decode
-            keys = self._restart_keys = [decode(at, at + 1)[0][:2] for at in restarts[1:]]
-        # The last restart whose key is < goal; restart 0 when none is.
-        at = bisect_left(keys, goal) + 1
+            keys = self._restart_keys = [decode(at, at + 1)[0][:2] for at in self._restarts[1:]]
+        return bisect_left(keys, goal) + 1
+
+    def seek(self, goal: SeekGoal) -> Iterator[Entry]:
+        """Entries at or after ``goal`` in internal-key order. Entries
+        past a restart point are decoded only when their run is reached."""
+        if not self._restarts:
+            return
         emitting = False
-        for i in range(at, len(restarts) + 1):
-            stop = restarts[i] if i < len(restarts) else self._restart_base
-            run = self._decode(restarts[i - 1], stop)
+        for index in range(self._seek_run(goal), len(self._restarts) + 1):
+            run = self._run(index)
             if not emitting:
                 # A goal sorts just before the entry it prefixes.
                 run = run[bisect_left(run, goal) :]
                 emitting = bool(run)
             yield from run
 
+    def first(self, goal: SeekGoal) -> Entry | None:
+        """The first entry at or after ``goal`` — ``next(seek(goal), None)``
+        without the generator."""
+        last = len(self._restarts)
+        # With one restart there is one run: no restart keys to search.
+        for index in range(self._seek_run(goal) if last > 1 else 1, last + 1):
+            run = self._run(index)
+            at = bisect_left(run, goal)
+            if at < len(run):
+                return run[at]
+        return None
+
     def get(self, goal: SeekGoal) -> bytes | None:
         """Exact-match lookup (equal sort keys)."""
-        for entry in self.seek(goal):
-            return entry[2] if entry[:2] == goal else None
-        return None
+        entry = self.first(goal)
+        return entry[2] if entry is not None and entry[:2] == goal else None

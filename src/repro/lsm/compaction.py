@@ -405,24 +405,24 @@ class CompactionJob:
             # Late import: repro.mash packages the full store (which imports
             # the DB, which imports this module); binding it at module load
             # would be a cycle.
-            from repro.mash.readahead import ReadaheadBuffer
+            from repro.mash.readahead import ReadaheadBuffer, SequentialStack
         for meta in compaction.inputs + compaction.overlaps:
             if hi is not None and meta.smallest_user_key >= hi:
                 continue
             if lo is not None and meta.largest_user_key < lo:
                 continue
             reader = self.table_cache.get_reader(meta.number)
-            block_fetch = None
+            stack = None
             if readahead > 0:
                 # Eager: a compaction reads the file strictly sequentially,
                 # so skip the two-access rampup and coalesce from block one.
-                # Bypasses the cache chain deliberately — compaction scans
-                # are one-shot and must not evict the point-read working
-                # set.
+                # Bypasses the table's caches deliberately — compaction
+                # scans are one-shot and must not evict the point-read
+                # working set.
                 buffer = ReadaheadBuffer(reader.file, readahead_bytes=readahead, eager=True)
                 buffers.append(buffer)
-                block_fetch = buffer.get
-            sources.append(reader.range_iter(lo, hi, block_fetch=block_fetch))
+                stack = SequentialStack(reader.stack, buffer)
+            sources.append(reader.range_iter(lo, hi, stack=stack))
         merged = merge_internal(sources)
 
         outputs: list[CompactionOutput] = []

@@ -14,7 +14,8 @@ A single-process, deterministic engine with RocksDB's structure:
 Extension points used by :mod:`repro.mash`:
 
 * the Env decides where every file lives (local/cloud/hybrid);
-* ``loader_wrapper`` intercepts block fetches (persistent cache);
+* ``stack_factory`` builds each table's block stack (persistent cache,
+  readahead — see :mod:`repro.lsm.block_cache`);
 * ``listeners`` observe flushes, compactions, and file deletions;
 * the ``_open_wal`` / ``_replay_wal`` / ``_wal_file_names`` trio is
   overridden by the extended-WAL store to shard the log.
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Protocol
 from repro.errors import ClosedError, CorruptionError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
 from repro.lsm.block import Block
-from repro.lsm.block_cache import LRUBlockCache, load_data_block
+from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache, StackFactory
 from repro.lsm.compaction import (
     Compaction,
     CompactionEvent,
@@ -59,7 +60,7 @@ from repro.lsm.sortedview import (
     view_matches_files,
 )
 from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
-from repro.lsm.table_cache import LoaderWrapper, TableCache
+from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
@@ -168,8 +169,8 @@ class DB:
         prefix: str,
         options: Options | None = None,
         *,
-        loader_wrapper: LoaderWrapper | None = None,
-        footer_source: Callable[[str], bytes | None] | None = None,
+        stack_factory: StackFactory = BlockStack,
+        event_sink: Callable[[str], None] | None = None,
         view_store: ViewStore | None = None,
     ) -> None:
         """Use :meth:`DB.open` instead of constructing directly."""
@@ -182,11 +183,11 @@ class DB:
             if self.options.block_cache_bytes > 0
             else None
         )
-        if self.block_cache is not None:
-            self.block_cache.on_hit = self._on_dram_hit
-        self.block_fetch_hook = None
-        """Optional callable ``(path, file_name)`` observing block-read
-        outcomes (e.g. ``("dram_hit", name)``); set by the store facade."""
+        self.block_path = BlockPath(self.block_cache, event_sink)
+        """What every table's block stack shares: the DRAM cache, per-source
+        hit counters, the bloom tally and ``event_sink`` — the tracer's
+        ``event`` in a traced store, which then sees one event per block
+        served and per bloom-probe outcome."""
         self.scan_pipeline_factory: (
             Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
         ) = None
@@ -203,24 +204,16 @@ class DB:
         timeline, where it surfaces as queueing interference. Explicit
         :meth:`flush`/:meth:`ingest`/:meth:`compact_range` calls always
         run maintenance inline regardless of the hook."""
-        self.bloom_stats: dict[str, int] = {
-            "bloom_checked": 0,
-            "bloom_useful": 0,
-            "bloom_false_positive": 0,
-        }
-        """Store-wide bloom-probe outcomes, aggregated across every reader
-        (readers come and go with their files; this dict is the durable
-        tally). Mirrored as tracer events via ``block_fetch_hook`` and
+        self.bloom_stats = self.block_path.bloom
+        """Store-wide bloom-probe outcomes (see :attr:`BlockPath.bloom`),
         exported through ``get_property("repro.bloom-stats")`` — the live
         tuner reads it to judge the current filter allocation."""
         self.table_cache = TableCache(
             env,
             prefix,
             self.options,
-            loader_wrapper=loader_wrapper,
-            block_cache=self.block_cache,
-            footer_source=footer_source,
-            filter_hook=self._on_filter_probe,
+            path=self.block_path,
+            stack_factory=stack_factory,
         )
         self.versions = VersionSet(env, prefix, self.options)
         self.memtable = MemTable()
@@ -268,10 +261,6 @@ class DB:
             "get_hits": 0,
         }
 
-    def _on_dram_hit(self, file_name: str) -> None:
-        if self.block_fetch_hook is not None:
-            self.block_fetch_hook("dram_hit", file_name)
-
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
@@ -283,15 +272,15 @@ class DB:
         *,
         create_if_missing: bool = True,
         error_if_exists: bool = False,
-        loader_wrapper: LoaderWrapper | None = None,
         **subclass_kwargs: Any,
     ) -> "DB":
         """Open (recovering) or create a database under ``prefix``.
 
         Extra keyword arguments are forwarded to the (sub)class constructor
-        (e.g. the extended-WAL configuration of :class:`MashDB`).
+        (``stack_factory``, ``event_sink``, the extended-WAL configuration
+        of :class:`MashDB`, ...).
         """
-        db = cls(env, prefix, options, loader_wrapper=loader_wrapper, **subclass_kwargs)
+        db = cls(env, prefix, options, **subclass_kwargs)
         exists = env.file_exists(f"{prefix}CURRENT")
         if exists and error_if_exists:
             raise InvalidArgumentError(f"DB already exists at {prefix!r}")
@@ -497,7 +486,7 @@ class DB:
 
         The view already holds every block's handle, so view scans never
         construct a reader — no footer/index/filter reads — and go straight
-        through the table cache's wrapped loader chain. When a prefetch
+        through the table's block stack. When a prefetch
         ``pipeline`` is attached, the first fetch against each run notifies
         ``view_started`` so speculative branches are joined (hit) instead
         of rotting into waste.
@@ -508,10 +497,8 @@ class DB:
             if pipeline is not None and number not in started:
                 started.add(number)
                 pipeline.view_started(number)
-            name, loader = self.table_cache.data_loader(number)
-            return load_data_block(
-                self.block_cache, loader, name, BlockHandle(ref.offset, ref.size)
-            )
+            stack = self.table_cache.block_stack(number)
+            return stack.block(BlockHandle(ref.offset, ref.size))
 
         return fetch
 
@@ -958,14 +945,6 @@ class DB:
         for hook in self.listeners.on_version_change:
             hook()
 
-    def _on_filter_probe(self, event: str) -> None:
-        """Aggregate a reader's bloom-probe outcome (see ``bloom_stats``)."""
-        self.bloom_stats[event] += 1
-        if self.block_fetch_hook is not None:
-            # Reuse the block-outcome channel so the store facade mirrors
-            # probe outcomes as tracer events without extra wiring.
-            self.block_fetch_hook(event, "")
-
     # -- read path ------------------------------------------------------------------------
 
     def get(self, key: bytes, *, snapshot: Snapshot | None = None) -> bytes | None:
@@ -1295,6 +1274,8 @@ class DB:
                 f" snapshots={len(self._snapshots)}",
                 f"block_cache_hit_ratio="
                 f"{self.block_cache.hit_ratio if self.block_cache else 0.0:.4f}",
+                "block_source_hits "
+                + " ".join(f"{source}={n}" for source, n in self.block_path.hits.items()),
                 str(self.get_property("repro.bloom-stats")),
             ]
             return "\n".join(lines)

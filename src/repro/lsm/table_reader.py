@@ -2,21 +2,20 @@
 
 Opens a table through the Env's :class:`RandomAccessFile` — which may sit on
 the local device *or* the cloud store — and serves point lookups and range
-iteration with per-block ranged reads. Every block fetch funnels through a
-pluggable :class:`BlockLoader`, the integration point where RocksMash's
-persistent cache (and the plain DRAM block cache) intercept reads.
+iteration with per-block ranged reads. Every block read goes through the
+table's :class:`~repro.lsm.block_cache.BlockStack`, the ordered list of
+sources (DRAM cache, RocksMash's persistent cache, readahead, the file).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
-from repro.lsm.block_cache import LRUBlockCache, load_data_block
+from repro.lsm.block_cache import BlockStack
 from repro.lsm.format import (
-    BLOCK_TRAILER_SIZE,
     FILTER_PARTITIONED,
     FILTER_WHOLE_TABLE,
     FOOTER_SIZE,
@@ -24,30 +23,11 @@ from repro.lsm.format import (
     Footer,
     decode_handle,
     decode_partitioned_filter,
-    unseal_block,
 )
 from repro.lsm.options import Options
 from repro.storage.env import RandomAccessFile
 from repro.util.bloom import BloomFilterPolicy
 from repro.util.encoding import Entry, SeekGoal, entry_key, seek_goal
-
-# (file_name, handle, kind) -> raw block payload. kind in {data, index, filter}.
-BlockLoader = Callable[[str, BlockHandle, str], bytes]
-
-
-def direct_block_loader(file: RandomAccessFile) -> BlockLoader:
-    """The default loader: a ranged read of payload + CRC trailer, verified."""
-
-    def load(_name: str, handle: BlockHandle, _kind: str) -> bytes:
-        raw = file.read(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
-        if len(raw) != handle.size + BLOCK_TRAILER_SIZE:
-            raise CorruptionError(
-                f"short block read: wanted {handle.size + BLOCK_TRAILER_SIZE},"
-                f" got {len(raw)}"
-            )
-        return unseal_block(raw)
-
-    return load
 
 
 class TableReader:
@@ -58,10 +38,7 @@ class TableReader:
         options: Options,
         file: RandomAccessFile,
         *,
-        block_loader: BlockLoader | None = None,
-        block_cache: LRUBlockCache | None = None,
-        footer_bytes: bytes | None = None,
-        filter_hook: Callable[[str], None] | None = None,
+        stack: BlockStack | None = None,
     ) -> None:
         self.options = options
         self.file = file
@@ -75,15 +52,12 @@ class TableReader:
         counts lookups that consulted a filter, ``useful`` the ones the
         filter rejected (a data-block fetch saved), ``false_positive`` the
         ones the filter passed but the candidate block did not hold the
-        key (a wasted fetch — on a cloud-resident table, a wasted GET)."""
-        self.filter_hook = filter_hook
-        """Optional ``(event)`` observer mirroring ``filter_stats``
-        increments (``bloom_checked``/``bloom_useful``/
-        ``bloom_false_positive``); the DB wires it so probe outcomes
-        aggregate store-wide and surface as tracer events."""
-        self.loader = block_loader or direct_block_loader(file)
-        """The reader's (possibly wrapped) bytes-returning block loader chain."""
-        self._block_cache = block_cache
+        key (a wasted fetch — on a cloud-resident table, a wasted GET).
+        Mirrored store-wide, and as ``bloom_*`` tracer events, through the
+        stack's :class:`~repro.lsm.block_cache.BlockPath`."""
+        self.stack = stack if stack is not None else BlockStack(file.name, file)
+        """The ordered block sources every read of this table goes through."""
+        footer_bytes = self.stack.footer()
         if footer_bytes is not None:
             # Pinned footer (e.g. from the persistent cache): skips both the
             # size probe and the footer read against the backing file.
@@ -98,14 +72,13 @@ class TableReader:
                 raise CorruptionError(f"table {self.name} smaller than footer")
             footer = Footer.decode(file.read(size - FOOTER_SIZE, FOOTER_SIZE))
         self.footer = footer
-        self._index = Block(self.loader(self.name, footer.index_handle, "index"))
+        self._index = Block(self.stack.meta(footer.index_handle, "index"))
         self._parsed: tuple[list[SeekGoal], list[BlockHandle]] | None = None
         self._filter: bytes | None = None
         self._partitions: list[bytes] | None = None
         self._block_ordinals: dict[int, int] = {}
         if footer.filter_handle.size > 0:
-            payload = self.loader(self.name, footer.filter_handle, "filter")
-            self._parse_filter(payload)
+            self._parse_filter(self.stack.meta(footer.filter_handle, "filter"))
 
     def _parse_filter(self, payload: bytes) -> None:
         if not payload:
@@ -167,8 +140,10 @@ class TableReader:
 
     def _note_filter(self, outcome: str) -> None:
         self.filter_stats[outcome] += 1
-        if self.filter_hook is not None:
-            self.filter_hook("bloom_" + outcome)
+        label = "bloom_" + outcome
+        path = self.stack.path
+        path.bloom[label] += 1
+        path.event(label)
 
     def may_contain(self, user_key: bytes) -> bool:
         """Bloom-filter probe; False means the key is definitely absent.
@@ -188,9 +163,6 @@ class TableReader:
         if ordinal is None or ordinal >= len(self._partitions):
             return True
         return BloomFilterPolicy.key_may_match(user_key, self._partitions[ordinal])
-
-    def _load_data_block(self, handle: BlockHandle) -> Block:
-        return load_data_block(self._block_cache, self.loader, self.name, handle)
 
     def get(self, goal: SeekGoal, handle: BlockHandle | None = None) -> Entry | None:
         """First entry at or after ``goal``, or None.
@@ -226,8 +198,8 @@ class TableReader:
                 # would return belongs to a different user key anyway.
                 self._note_filter("useful")
                 return None
-            block = self._load_data_block(handle)
-            for entry in block.seek(goal):
+            entry = self.stack.block(handle).first(goal)
+            if entry is not None:
                 if probed and entry[0] != user_key:
                     # The filter passed but the block holds no entry for
                     # this user key: the data fetch was a bloom miss.
@@ -275,15 +247,16 @@ class TableReader:
         table in that direction.
         """
         if not reverse:
+            load = self.stack.block
             for handle in self._handles_from(goal):
-                block = self._load_data_block(handle)
+                block = load(handle)
                 yield from block.seek(goal) if goal is not None else block
                 goal = None  # the seek applies to the first block only
             return
         orders, handles = self._seek_index()
         boundary = bisect_left(orders, goal) if goal is not None else len(handles)
         for position in range(min(boundary, len(handles) - 1), -1, -1):
-            block_entries = list(self._load_data_block(handles[position]))
+            block_entries = list(self.stack.block(handles[position]))
             if goal is not None and position == boundary:
                 del block_entries[bisect_left(block_entries, goal) :]
             yield from reversed(block_entries)
@@ -309,25 +282,19 @@ class TableReader:
         begin: bytes | None = None,
         end: bytes | None = None,
         *,
-        block_fetch: Callable[[BlockHandle], bytes | None] | None = None,
+        stack: BlockStack | None = None,
     ) -> Iterator[Entry]:
         """Entries whose *user* key lies in ``[begin, end)``, in order.
 
-        ``block_fetch(handle)`` lets a caller intercept data-block reads
-        before the loader chain — the hook the compaction pipeline uses to
-        serve strictly-sequential scans from a coalesced readahead buffer
-        (one large ranged GET instead of one per block). A ``None`` return
-        falls back to the normal loader.
+        ``stack`` replaces the table's own stack for this one pass: the
+        compaction pipeline reads its strictly-sequential inputs through a
+        :class:`~repro.mash.readahead.SequentialStack` (one large ranged
+        GET instead of one per block, nothing cached).
         """
+        load = (stack or self.stack).block
         goal = seek_goal(begin) if begin is not None else None  # first block only
         for handle in self._handles_from(goal):
-            payload = block_fetch(handle) if block_fetch is not None else None
-            if payload is None:
-                block = self._load_data_block(handle)
-            else:
-                # Served from the caller's readahead buffer: a strictly
-                # sequential read-once block, parsed here and never cached.
-                block = Block(payload)
+            block = load(handle)
             entries = block.seek(goal) if goal is not None else iter(block)
             goal = None
             if end is None:

@@ -23,12 +23,13 @@ compaction").
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CorruptionError, NotFoundError
 from repro.storage.local import LocalDevice
-from repro.util.crc import masked_crc32, verify_masked_crc32
+from repro.util.crc import mask, verify_masked_crc32
 from repro.util.varint import decode_varint, encode_varint
 
 _KIND_META = 0x4D  # 'M' — pinned metadata block (index/filter/footer/view)
@@ -68,10 +69,8 @@ class PCacheConfig:
     """Bound on the admission counter map (FIFO-evicted)."""
 
 
-@dataclass
-class _Entry:
-    slab_offset: int  # offset of the payload within the slab file
-    length: int
+_Entry = tuple[int, int]
+"""``(offset of the payload within the slab file, payload length)``."""
 
 
 @dataclass
@@ -93,16 +92,18 @@ class PCacheStats:
 
 
 def _encode_record(kind: int, name: bytes, block_offset: int, payload: bytes) -> tuple[bytes, int]:
-    """Serialize one slab record; returns (record_bytes, payload_pos_in_record)."""
-    body = bytearray()
-    body += encode_varint(len(name))
-    body += name
-    body += encode_varint(block_offset)
-    body += encode_varint(len(payload))
-    payload_pos = 1 + 4 + len(body)
-    body += payload
-    header = bytes([kind]) + masked_crc32(bytes(body)).to_bytes(4, "little")
-    return header + bytes(body), payload_pos
+    """Serialize one slab record; returns (record_bytes, payload_pos_in_record).
+
+    ``kind · masked crc32(prefix + payload) · prefix · payload`` with prefix =
+    ``varint(len(name)) · name · varint(block_offset) · varint(len(payload))``;
+    the CRC is chained over the two parts, so the payload is copied once.
+    """
+    prefix = b"".join(
+        (encode_varint(len(name)), name, encode_varint(block_offset), encode_varint(len(payload)))
+    )
+    crc = mask(zlib.crc32(payload, zlib.crc32(prefix)))
+    record = b"".join((bytes((kind,)), crc.to_bytes(4, "little"), prefix, payload))
+    return record, 5 + len(prefix)
 
 
 class PersistentCache:
@@ -117,6 +118,7 @@ class PersistentCache:
         self._slab_name = self.config.prefix + self.SLAB
         self._meta: dict[tuple[str, str], _Entry] = {}
         self._data: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+        self._data_offsets: dict[str, set[int]] = {}  # file -> offsets in _data, for drop_file
         self._slab_size = 0
         self._live_bytes = 0
         self._data_bytes = 0
@@ -170,10 +172,10 @@ class PersistentCache:
             elif kind == _KIND_META:
                 dropped.discard(name)
                 kind_str = _META_KINDS.get(block_offset, "index")
-                self._index_meta(name, kind_str, _Entry(payload_start, payload_len))
+                self._index_meta(name, kind_str, (payload_start, payload_len))
             elif kind == _KIND_DATA:
                 dropped.discard(name)
-                self._index_data(name, block_offset, _Entry(payload_start, payload_len))
+                self._index_data(name, block_offset, (payload_start, payload_len))
             pos = end
             valid_upto = end
         self._slab_size = valid_upto
@@ -191,7 +193,7 @@ class PersistentCache:
 
     def _append_record(self, kind: int, name: str, block_offset: int, payload: bytes) -> _Entry:
         record, payload_pos = _encode_record(kind, name.encode(), block_offset, payload)
-        entry = _Entry(self._slab_size + payload_pos, len(payload))
+        entry = (self._slab_size + payload_pos, len(payload))
         self.device.append(self._slab_name, record)
         self._slab_size += len(record)
         self._pending_appends += 1
@@ -229,11 +231,11 @@ class PersistentCache:
     def _index_meta(self, file_name: str, kind: str, entry: _Entry) -> None:
         old = self._meta.get((file_name, kind))
         if old is not None:
-            self._live_bytes -= old.length
-            self._meta_bytes -= old.length
+            self._live_bytes -= old[1]
+            self._meta_bytes -= old[1]
         self._meta[(file_name, kind)] = entry
-        self._live_bytes += entry.length
-        self._meta_bytes += entry.length
+        self._live_bytes += entry[1]
+        self._meta_bytes += entry[1]
 
     def get_meta(self, file_name: str, kind: str) -> bytes | None:
         entry = self._meta.get((file_name, kind))
@@ -280,11 +282,13 @@ class PersistentCache:
         key = (file_name, block_offset)
         old = self._data.pop(key, None)
         if old is not None:
-            self._live_bytes -= old.length
-            self._data_bytes -= old.length
+            self._live_bytes -= old[1]
+            self._data_bytes -= old[1]
+        else:
+            self._data_offsets.setdefault(file_name, set()).add(block_offset)
         self._data[key] = entry
-        self._live_bytes += entry.length
-        self._data_bytes += entry.length
+        self._live_bytes += entry[1]
+        self._data_bytes += entry[1]
 
     def get_data(self, file_name: str, block_offset: int) -> bytes | None:
         key = (file_name, block_offset)
@@ -302,40 +306,43 @@ class PersistentCache:
 
     def _read_entry(self, entry: _Entry) -> bytes:
         # Unsynced appends are readable too (page cache semantics).
-        return self.device.read(self._slab_name, entry.slab_offset, entry.length)
+        return self.device.read(self._slab_name, *entry)
 
     # -- invalidation ------------------------------------------------------------------
 
     def drop_file(self, file_name: str) -> None:
-        """Invalidate every block of a deleted SSTable (persistently)."""
-        if not self._has_file(file_name):
+        """Invalidate every block of a deleted SSTable (persistently); a file
+        the cache holds nothing of costs no tombstone."""
+        if file_name not in self._data_offsets and not any(
+            (file_name, kind) in self._meta for kind in _META_OFFSETS
+        ):
             return
         self._append_record(_KIND_TOMB, file_name, 0, b"")
         self._forget_file(file_name)
         self._maybe_compact_slab()
 
-    def _has_file(self, file_name: str) -> bool:
-        if any(name == file_name for name, _ in self._meta):
-            return True
-        return any(name == file_name for name, _ in self._data)
-
     def _forget_file(self, file_name: str) -> None:
-        for key in [k for k in self._meta if k[0] == file_name]:
-            entry = self._meta.pop(key)
-            self._live_bytes -= entry.length
-            self._meta_bytes -= entry.length
-        for key in [k for k in self._data if k[0] == file_name]:
-            entry = self._data.pop(key)
-            self._live_bytes -= entry.length
-            self._data_bytes -= entry.length
+        for kind in _META_OFFSETS:
+            entry = self._meta.pop((file_name, kind), None)
+            if entry is not None:
+                self._live_bytes -= entry[1]
+                self._meta_bytes -= entry[1]
+        for block_offset in self._data_offsets.pop(file_name, ()):
+            length = self._data.pop((file_name, block_offset))[1]
+            self._live_bytes -= length
+            self._data_bytes -= length
 
     # -- budget & slab hygiene -------------------------------------------------------------
 
     def _enforce_budget(self) -> None:
         while self._data_bytes > self.config.data_budget_bytes and self._data:
-            _, entry = self._data.popitem(last=False)
-            self._live_bytes -= entry.length
-            self._data_bytes -= entry.length
+            (file_name, block_offset), (_, length) = self._data.popitem(last=False)
+            offsets = self._data_offsets[file_name]
+            offsets.discard(block_offset)
+            if not offsets:
+                del self._data_offsets[file_name]
+            self._live_bytes -= length
+            self._data_bytes -= length
             self.stats.evictions += 1
 
     def _maybe_compact_slab(self) -> None:
@@ -361,25 +368,15 @@ class PersistentCache:
             pass
         self.device.create(self._slab_name)
         self._slab_size = 0
-        self._live_bytes = 0
-        self._data_bytes = 0
-        self._meta_bytes = 0
-        meta_index: dict[tuple[str, str], _Entry] = {}
+        self._live_bytes = self._data_bytes = self._meta_bytes = 0
+        self._meta = {}
+        self._data = OrderedDict()  # refilled in the same (LRU) order
         for (file_name, kind), payload in live_meta.items():
-            meta_index[(file_name, kind)] = self._append_record(
-                _KIND_META, file_name, _META_OFFSETS[kind], payload
-            )
-        data_index: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+            entry = self._append_record(_KIND_META, file_name, _META_OFFSETS[kind], payload)
+            self._index_meta(file_name, kind, entry)
         for (file_name, block_offset), payload in live_data.items():
-            data_index[(file_name, block_offset)] = self._append_record(
-                _KIND_DATA, file_name, block_offset, payload
-            )
-        self._meta = meta_index
-        self._data = data_index
-        for entry in list(meta_index.values()) + list(data_index.values()):
-            self._live_bytes += entry.length
-        self._meta_bytes = sum(e.length for e in meta_index.values())
-        self._data_bytes = sum(e.length for e in data_index.values())
+            entry = self._append_record(_KIND_DATA, file_name, block_offset, payload)
+            self._index_data(file_name, block_offset, entry)
         self.sync()
         self.stats.slab_compactions += 1
 

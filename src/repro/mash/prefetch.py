@@ -316,7 +316,8 @@ class ScanPrefetcher:
         reverse: bool = False,
     ) -> None:
         """Pull the range table ``number``'s scan enters at into a primed
-        :class:`ReadaheadBuffer` the store's loader chain serves from.
+        :class:`ReadaheadBuffer` the table's block stack serves from (its
+        ``primed`` source).
 
         A sorted-view plan passes the exact ``handle``: the file is opened
         directly, with no footer/index/filter reads. Without one

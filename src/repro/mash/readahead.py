@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.lsm.block import Block
+from repro.lsm.block_cache import BlockStack
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.storage.env import RandomAccessFile
 
@@ -171,3 +173,24 @@ class ReadaheadBuffer:
         self._buffer_base = -1
         self._streak = 0
         self._current_readahead = self._initial_window
+
+
+class SequentialStack(BlockStack):
+    """One declared-sequential pass over a table (a compaction input).
+
+    Blocks come out of the pass's own eager buffer — one large ranged read
+    instead of one per block — parsed and never cached: a one-shot read must
+    not evict the point-read working set. What the buffer cannot serve falls
+    to the table's own stack.
+    """
+
+    __slots__ = ("table", "readahead")
+
+    def __init__(self, table: BlockStack, readahead: ReadaheadBuffer) -> None:
+        super().__init__(table.name, table.file, table.path)
+        self.table = table
+        self.readahead = readahead
+
+    def block(self, handle: BlockHandle) -> Block:
+        payload = self.readahead.get(handle)
+        return Block(payload) if payload is not None else self.table.block(handle)

@@ -12,9 +12,10 @@ Composition (each piece is a separately tested module):
   output blocks inherit input heat and are pre-warmed into the persistent
   cache *before* demotion, so compactions do not empty the cache.
 
-Block-fetch path for a cloud-resident table::
+Block path of a table (:class:`MashBlockStack`)::
 
-    DRAM block cache → persistent cache → cloud ranged GET
+    DRAM block cache → persistent cache → primed scan buffer → readahead
+    → demand read (a cloud ranged GET, or a local read)
 
 Use :meth:`RocksMashStore.create` for a fresh deployment and
 :meth:`RocksMashStore.reopen` to simulate a restart (optionally after a
@@ -24,9 +25,11 @@ crash) over the same simulated devices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import NotFoundError
+from repro.lsm.block_cache import BlockPath, BlockStack
 from repro.lsm.compaction import CompactionEvent
 from repro.lsm.db import DB, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
@@ -38,7 +41,6 @@ from repro.lsm.format import (
     unseal_block,
 )
 from repro.lsm.options import Options
-from repro.lsm.table_reader import BlockLoader
 from repro.facade import StoreFacade
 from repro.mash.layout import BlockHeatTracker, LayoutConfig
 from repro.mash.pcache import PCacheConfig, PersistentCache
@@ -230,6 +232,111 @@ class PCacheViewStore:
         return payload
 
 
+class MashBlockStack(BlockStack):
+    """``dram → pcache → primed → readahead → demand`` for one table.
+
+    Per-block side effects are ordered, and simulated figures hang on the
+    order: heat is recorded before the persistent-cache lookup (a pcache hit
+    still heats the block); the readahead state machine sees every miss on a
+    cloud-resident table, point reads included (that is how it tells a scan
+    from a coincidence); and a block is admitted to the persistent cache only
+    after a demand read from the cloud — a block readahead served is not
+    (scan-resistant caching). The tier is looked up per miss, not per stack:
+    a table can be demoted under a reader a live iterator still holds.
+    """
+
+    __slots__ = ("store", "_buffer")
+
+    def __init__(
+        self, name: str, file: RandomAccessFile, path: BlockPath, *, store: RocksMashStore
+    ) -> None:
+        super().__init__(name, file, path)
+        self.store = store
+        self._buffer: ReadaheadBuffer | None = None
+
+    def fetch(self, handle: BlockHandle) -> bytes:
+        store = self.store
+        store.heat.record_access(self.name, handle.offset)
+        payload = self._pcache(handle)
+        if payload is None:
+            cloud = store._is_cloud_file(self.name)
+            if cloud:
+                # A scan-prefetch pipeline's primed buffer takes priority
+                # over the table's own: it already holds the table's opening
+                # range and the level's carried window.
+                primed = store._prefetched_buffer(self.name) if store._scan_prefetchers else None
+                if primed is not None:
+                    payload = self._primed(primed, handle)
+                else:
+                    payload = self._readahead(handle)
+            if payload is None:
+                payload = self._demand(handle, cloud)
+        return payload
+
+    def _pcache(self, handle: BlockHandle) -> bytes | None:
+        payload = self.store.pcache.get_data(self.name, handle.offset)
+        if payload is not None:
+            self.path.hits["pcache"] += 1
+            self.path.event("pcache_hit")
+        return payload
+
+    def _primed(self, primed: ReadaheadBuffer, handle: BlockHandle) -> bytes | None:
+        payload = primed.get(handle)
+        if payload is not None:
+            self.path.hits["primed"] += 1
+            self.path.event("readahead_hit")
+        return payload
+
+    def _readahead(self, handle: BlockHandle) -> bytes | None:
+        # The buffer is built against the *live* knob value, and rebuilt when
+        # the tuning controller moves it — so readahead can be switched on,
+        # resized, or switched off after the table is already open.
+        wanted = self.store.config.scan_readahead_bytes
+        buffer = self._buffer
+        if wanted <= 0:
+            self._buffer = None
+            return None
+        if buffer is None or buffer.readahead_bytes != wanted:
+            buffer = self._buffer = ReadaheadBuffer(self.file, readahead_bytes=wanted)
+        payload = buffer.get(handle)
+        if payload is not None:
+            self.path.hits["readahead"] += 1
+            self.path.event("readahead_hit")
+        return payload
+
+    def _demand(self, handle: BlockHandle, cloud: bool) -> bytes:
+        payload = self.read(handle)
+        self.path.hits["demand"] += 1
+        if cloud:
+            self.path.event("cloud_get")
+            self.store.pcache.put_data(self.name, handle.offset, payload)
+        else:
+            self.path.event("local_read")
+        return payload
+
+    def footer(self) -> bytes | None:
+        # Lets a cold table open skip the footer read entirely — for a
+        # cloud-resident table that is one fewer round trip.
+        cached = self.store.pcache.get_meta(self.name, "footer")
+        if cached is not None:
+            self.path.event("pcache_footer_hit")
+        return cached
+
+    def meta(self, handle: BlockHandle, kind: str) -> bytes:
+        store = self.store
+        cached = store.pcache.get_meta(self.name, kind)
+        if cached is not None:
+            self.path.event("pcache_meta_hit")
+            return cached
+        payload = self.read(handle)
+        if store._is_cloud_file(self.name):
+            self.path.event("cloud_get")
+            store.pcache.put_meta(self.name, kind, payload)
+        else:
+            self.path.event("local_read")
+        return payload
+
+
 class RocksMashStore(StoreFacade):
     """Public facade over the assembled system."""
 
@@ -256,10 +363,10 @@ class RocksMashStore(StoreFacade):
         )
         self.pcache = PersistentCache.open(local_device, config.pcache)
         self.heat = BlockHeatTracker(config.layout)
-        # Active scan-prefetch pipelines (newest last): the block-loader
-        # wrapper serves data blocks from their primed buffers, so a
-        # prefetched range is handed off to the consuming scan instead of
-        # being re-fetched. Must exist before MashDB.open builds loaders.
+        # Active scan-prefetch pipelines (newest last): the block stacks
+        # serve data blocks from their primed buffers, so a prefetched range
+        # is handed off to the consuming scan instead of being re-fetched.
+        # Must exist before MashDB.open builds stacks.
         self._scan_prefetchers: list[ScanPrefetcher] = []
         self._init_facade()
         self.view_store = PCacheViewStore(
@@ -271,8 +378,8 @@ class RocksMashStore(StoreFacade):
                 self.env,
                 config.db_prefix,
                 config.options,
-                loader_wrapper=self._pcache_loader_wrapper,
-                footer_source=self._footer_source,
+                stack_factory=partial(MashBlockStack, store=self),
+                event_sink=self.tracer.event,
                 xwal_config=config.xwal,
                 local_device=local_device,
                 placement_config=config.placement,
@@ -280,7 +387,6 @@ class RocksMashStore(StoreFacade):
                 view_store=self.view_store,
             )
         self.last_recovery_seconds = sw.elapsed
-        self.db.block_fetch_hook = self._on_block_fetch
         self.db.view_event_hook = self.tracer.event
         # Installed unconditionally so the *live* depth knob governs each
         # scan: the factory returns None while depth is 0.
@@ -463,7 +569,7 @@ class RocksMashStore(StoreFacade):
         if width == 1 or len(keys) <= 1:
             return super().multi_get(keys, snapshot=snapshot)
         results: dict[bytes, bytes | None] = {}
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("multi_get"):
+        with self.tracer.span("multi_get") as span:
             for start in range(0, len(keys), width):
                 wave = keys[start : start + width]
                 region = ForkJoinRegion(
@@ -473,7 +579,7 @@ class RocksMashStore(StoreFacade):
                     with region.branch():
                         results[key] = self.db.get(key, snapshot=snapshot)
                 region.join()
-        self.read_latency.record(sw.elapsed)
+        self.read_latency.record(span.elapsed)
         self._note_op("multi_get")
         return results
 
@@ -516,89 +622,7 @@ class RocksMashStore(StoreFacade):
                 return buffer
         return None
 
-    # -- block-fetch interception ------------------------------------------------
-
-    def _pcache_loader_wrapper(
-        self, name: str, file: RandomAccessFile, next_loader: BlockLoader
-    ) -> BlockLoader:
-        # The per-reader readahead buffer is built lazily against the
-        # *live* knob value, and rebuilt when the tuning controller moves
-        # it — so readahead can be switched on, resized, or switched off
-        # after the reader is already open.
-        readahead: ReadaheadBuffer | None = None
-
-        def current_readahead() -> ReadaheadBuffer | None:
-            nonlocal readahead
-            wanted = self.config.scan_readahead_bytes
-            if wanted <= 0:
-                readahead = None
-            elif readahead is None or readahead.readahead_bytes != wanted:
-                readahead = ReadaheadBuffer(file, readahead_bytes=wanted)
-            return readahead
-
-        def load(file_name: str, handle: BlockHandle, kind: str) -> bytes:
-            if kind in ("index", "filter"):
-                cached = self.pcache.get_meta(file_name, kind)
-                if cached is not None:
-                    self.tracer.event("pcache_meta_hit")
-                    return cached
-                payload = next_loader(file_name, handle, kind)
-                if self._is_cloud_file(file_name):
-                    self.tracer.event("cloud_get")
-                    self.pcache.put_meta(file_name, kind, payload)
-                else:
-                    self.tracer.event("local_read")
-                return payload
-            # data block
-            self.heat.record_access(file_name, handle.offset)
-            cached = self.pcache.get_data(file_name, handle.offset)
-            if cached is not None:
-                self.tracer.event("pcache_hit")
-                return cached
-            if self._is_cloud_file(file_name):
-                # A scan-prefetch pipeline's primed buffer takes priority
-                # over the per-reader buffer: it already holds the table's
-                # opening range and the level's carried window.
-                primed = self._prefetched_buffer(file_name)
-                if primed is not None:
-                    payload = primed.get(handle)
-                    if payload is not None:
-                        self.tracer.event("readahead_hit")
-                        return payload
-                else:
-                    buffer = current_readahead()
-                    if buffer is not None:
-                        payload = buffer.get(handle)
-                        if payload is not None:
-                            # Scan-resistant: readahead blocks skip pcache
-                            # admission.
-                            self.tracer.event("readahead_hit")
-                            return payload
-            payload = next_loader(file_name, handle, kind)
-            if self._is_cloud_file(file_name):
-                self.tracer.event("cloud_get")
-                self.pcache.put_data(file_name, handle.offset, payload)
-            else:
-                self.tracer.event("local_read")
-            return payload
-
-        return load
-
-    def _on_block_fetch(self, path: str, file_name: str) -> None:
-        """DB-level block-read outcomes (currently only DRAM hits, which
-        never reach the persistent-cache wrapper)."""
-        self.tracer.event(path)
-
-    def _footer_source(self, file_name: str) -> bytes | None:
-        """Pinned raw footer for a table, if present in the persistent cache.
-
-        Lets a cold table open skip the footer read entirely — for a
-        cloud-resident table that is one fewer round trip.
-        """
-        cached = self.pcache.get_meta(file_name, "footer")
-        if cached is not None:
-            self.tracer.event("pcache_footer_hit")
-        return cached
+    # -- block-path support ------------------------------------------------------
 
     def _is_cloud_file(self, file_name: str) -> bool:
         # Only "file missing from both tiers" may be treated as not-cloud;

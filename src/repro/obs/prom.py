@@ -38,6 +38,7 @@ def render_prometheus(
     counters: CounterSet | None = None,
     histograms: dict[str, LatencyHistogram] | None = None,
     tracer: Tracer | None = None,
+    block_hits: dict[str, int] | None = None,
     prefix: str = "repro",
 ) -> str:
     """Render metrics in the Prometheus text exposition format.
@@ -45,7 +46,8 @@ def render_prometheus(
     ``counters`` is a CounterSet (iterable of (name, value)); ``histograms``
     maps a metric base name to a LatencyHistogram; ``tracer`` contributes
     tier-busy seconds, cloud request totals, event counts, and ring-buffer
-    health.
+    health; ``block_hits`` is the store's data blocks served by source
+    (``DB.block_path.hits``, in block-path order).
     """
     lines: list[str] = []
 
@@ -64,6 +66,12 @@ def render_prometheus(
             )
         lines.append(f"{metric}_sum {_fmt(histogram.total)}")
         lines.append(f"{metric}_count {histogram.count}")
+
+    if block_hits is not None:
+        blocks = f"{prefix}_blocks_served_total"
+        lines.append(f"# TYPE {blocks} counter")
+        for source, count in block_hits.items():
+            lines.append(f'{blocks}{{source="{source}"}} {count}')
 
     if tracer is not None:
         busy = f"{prefix}_tier_busy_seconds_total"

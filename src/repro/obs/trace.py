@@ -35,7 +35,7 @@ from repro.sim.clock import SimClock
 TIERS = ("local", "cloud", "cpu")
 
 
-@dataclass
+@dataclass(slots=True)
 class TierTimes:
     """Simulated seconds split by where they were spent."""
 
@@ -65,7 +65,7 @@ class TierTimes:
         return {"local": self.local, "cloud": self.cloud, "cpu": self.cpu}
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceSpan:
     """One traced operation; ``parent_id == 0`` marks a root span."""
 
@@ -148,15 +148,65 @@ def summarize_spans(spans: Iterable[TraceSpan]) -> dict[str, Any]:
     }
 
 
-@dataclass
 class _Frame:
-    """Accumulator for one open span or branch scope."""
+    """Accumulator for one open span or branch scope.
 
-    span: TraceSpan | None  # None for fork/join branch frames
-    tiers: TierTimes = field(default_factory=TierTimes)
-    cloud_ops: int = 0
-    events: list[str] = field(default_factory=list)
-    pending: list["_Branch"] = field(default_factory=list)
+    Returned by :meth:`Tracer.span` it is also the span's context manager:
+    entering stamps the span and pushes the frame, leaving folds it into the
+    enclosing frame. The span shares the frame's ``tiers`` and ``events``,
+    so nothing is copied when it closes.
+    """
+
+    __slots__ = ("tracer", "op", "span", "tiers", "cloud_ops", "events", "pending")
+
+    def __init__(self, tracer: "Tracer | None" = None, op: str = "") -> None:
+        self.tracer = tracer
+        self.op = op
+        self.span: TraceSpan | None = None  # stays None for fork/join branch frames
+        self.tiers = TierTimes()
+        self.cloud_ops = 0
+        self.events: list[str] = []
+        self.pending: list[_Branch] = []
+
+    def __enter__(self) -> TraceSpan:
+        tracer = self.tracer
+        assert tracer is not None
+        parent = None
+        for frame in reversed(tracer._stack):
+            if frame.span is not None:  # branch frames carry no span
+                parent = frame.span
+                break
+        span = self.span = TraceSpan(
+            self.op,
+            tracer._next_id,
+            parent.span_id if parent is not None else 0,
+            parent.depth + 1 if parent is not None else 0,
+            tracer.clock.now,
+            0.0,
+            self.tiers,
+            0,
+            self.events,
+        )
+        tracer._next_id += 1
+        tracer._stack.append(self)
+        return span
+
+    def __exit__(self, *exc: object) -> None:
+        tracer = self.tracer
+        span = self.span
+        assert tracer is not None and span is not None
+        stack = tracer._stack
+        stack.pop()
+        span.end = tracer.clock.now
+        span.cloud_ops = self.cloud_ops
+        if stack:
+            # Child time is part of the parent's elapsed time too.
+            top = stack[-1]
+            top.tiers.merge(self.tiers)
+            top.cloud_ops += self.cloud_ops
+        if len(tracer.spans) == tracer.capacity:
+            tracer.dropped_spans += 1
+        tracer.spans.append(span)
 
 
 @dataclass
@@ -196,11 +246,20 @@ class Tracer:
         """Mirror one ``clock.advance(seconds)`` with its tier label."""
         if seconds < 0:
             raise ValueError(f"negative charge {seconds}")
-        self.totals.add(tier, seconds)
-        if self._stack:
-            self._stack[-1].tiers.add(tier, seconds)
+        stack = self._stack
+        totals = self.totals
+        frame = stack[-1].tiers if stack else self.unattributed
+        if tier == "local":
+            totals.local += seconds
+            frame.local += seconds
+        elif tier == "cloud":
+            totals.cloud += seconds
+            frame.cloud += seconds
+        elif tier == "cpu":
+            totals.cpu += seconds
+            frame.cpu += seconds
         else:
-            self.unattributed.add(tier, seconds)
+            raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
 
     def count_cloud_op(self) -> None:
         """Tally one cloud request (a round trip, retries included)."""
@@ -225,37 +284,10 @@ class Tracer:
 
     # -- spans --------------------------------------------------------------
 
-    @contextmanager
-    def span(self, op: str) -> Iterator[TraceSpan]:
-        parent = next(
-            (f.span for f in reversed(self._stack) if f.span is not None), None
-        )
-        span = TraceSpan(
-            op=op,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else 0,
-            depth=parent.depth + 1 if parent is not None else 0,
-            start=self.clock.now,
-        )
-        self._next_id += 1
-        frame = _Frame(span=span)
-        self._stack.append(frame)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
-            span.end = self.clock.now
-            span.tiers = frame.tiers
-            span.cloud_ops = frame.cloud_ops
-            span.events = frame.events
-            if self._stack:
-                # Child time is part of the parent's elapsed time too.
-                top = self._stack[-1]
-                top.tiers.merge(frame.tiers)
-                top.cloud_ops += frame.cloud_ops
-            if len(self.spans) == self.capacity:
-                self.dropped_spans += 1
-            self.spans.append(span)
+    def span(self, op: str) -> _Frame:
+        """A context manager recording one :class:`TraceSpan` named ``op``
+        (``with tracer.span("get") as span``), stamped when it is entered."""
+        return _Frame(self, op)
 
     # -- per-request reentrancy --------------------------------------------
 
@@ -291,7 +323,7 @@ class Tracer:
         """Collect charges made inside a fork/join branch on a branch frame."""
         saved = self.clock
         self.clock = clock
-        frame = _Frame(span=None)
+        frame = _Frame()
         start = clock.now
         self._stack.append(frame)
         try:

@@ -176,14 +176,15 @@ class ShardedDB:
             )
         # One tracer for the whole node: each shard's constructor pointed
         # the shared devices at its private tracer (last one wins), so
-        # rewire devices *and* shards to a single server-level tracer —
-        # shard-internal closures (demotion/promotion events) look the
-        # attribute up dynamically and follow.
+        # rewire devices, shards *and* their block paths to a single
+        # server-level tracer — shard-internal closures (demotion/promotion
+        # events) look the attribute up dynamically and follow.
         self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
         self.local_device.tracer = self.tracer
         self.cloud_store.tracer = self.tracer
         for shard in self.shards:
             shard.tracer = self.tracer
+            shard.db.block_path.event = self.tracer.event
             if shard.tuner is not None:
                 # The tuner captured the shard's private tracer at
                 # construction; repoint it at the node tracer (where the

@@ -53,11 +53,13 @@ class CloudObjectStore(ClockCharged):
 
     # -- request plumbing ---------------------------------------------------
 
-    def _attempt(self, op: str, cost: float) -> None:
+    def _attempt(self, op: str, key: str | None, cost: float) -> None:
         """Charge one request and possibly raise an injected fault.
 
         Retries up to ``retry.max_attempts`` times; each failed attempt
-        charges its cost (the bytes were in flight) plus backoff.
+        charges its cost (the bytes were in flight) plus backoff. The fault
+        injector sees the request as ``op(key)``, a label built only when
+        one is installed.
         """
         if self.tracer is not None:
             self.tracer.count_cloud_op()
@@ -68,7 +70,7 @@ class CloudObjectStore(ClockCharged):
             if self.faults is None:
                 return
             try:
-                self.faults.check(op)
+                self.faults.check(op if key is None else f"{op}({key})")
                 return
             except IOErrorSim:
                 self.counters.inc("cloud.retries")
@@ -83,7 +85,7 @@ class CloudObjectStore(ClockCharged):
 
     def put(self, key: str, data: bytes) -> None:
         """Create or replace object ``key`` (atomic, durable on return)."""
-        self._attempt(f"cloud.put({key})", self.model.write_cost(len(data)))
+        self._attempt("cloud.put", key, self.model.write_cost(len(data)))
         self._objects[key] = bytes(data)
         self.counters.inc("cloud.put_ops")
         self.counters.inc("cloud.put_bytes", len(data))
@@ -91,7 +93,7 @@ class CloudObjectStore(ClockCharged):
     def get(self, key: str) -> bytes:
         """Fetch a whole object."""
         data = self._require(key)
-        self._attempt(f"cloud.get({key})", self.model.read_cost(len(data)))
+        self._attempt("cloud.get", key, self.model.read_cost(len(data)))
         self.counters.inc("cloud.get_ops")
         self.counters.inc("cloud.get_bytes", len(data))
         return data
@@ -107,7 +109,7 @@ class CloudObjectStore(ClockCharged):
             raise ValueError("offset/length must be non-negative")
         data = self._require(key)
         chunk = data[offset : offset + length]
-        self._attempt(f"cloud.get_range({key})", self.model.read_cost(len(chunk)))
+        self._attempt("cloud.get_range", key, self.model.read_cost(len(chunk)))
         self.counters.inc("cloud.get_ops")
         self.counters.inc("cloud.get_bytes", len(chunk))
         return chunk
@@ -115,7 +117,7 @@ class CloudObjectStore(ClockCharged):
     def head(self, key: str) -> int:
         """Object size without the body (HEAD); charges one round trip."""
         data = self._require(key)
-        self._attempt(f"cloud.head({key})", self.model.read_cost(0))
+        self._attempt("cloud.head", key, self.model.read_cost(0))
         self.counters.inc("cloud.head_ops")
         return len(data)
 
@@ -124,7 +126,7 @@ class CloudObjectStore(ClockCharged):
 
     def delete(self, key: str) -> None:
         """Delete an object (idempotent, like S3)."""
-        self._attempt(f"cloud.delete({key})", self.model.write_cost(0))
+        self._attempt("cloud.delete", key, self.model.write_cost(0))
         self._objects.pop(key, None)
         self.counters.inc("cloud.delete_ops")
 
@@ -137,7 +139,7 @@ class CloudObjectStore(ClockCharged):
         no-egress portion separately).
         """
         data = self._require(src)
-        self._attempt(f"cloud.copy({src})", self.model.write_cost(0))
+        self._attempt("cloud.copy", src, self.model.write_cost(0))
         self._objects[dst] = data
         self.counters.inc("cloud.put_ops")
         self.counters.inc("cloud.put_bytes", len(data))
@@ -152,14 +154,14 @@ class CloudObjectStore(ClockCharged):
         exist until :meth:`complete_multipart`; a crash before completion
         loses the upload. This is how cloud-backed writable files stream.
         """
-        self._attempt(f"cloud.upload_part({key})", self.model.write_cost(len(data)))
+        self._attempt("cloud.upload_part", key, self.model.write_cost(len(data)))
         self._multiparts.setdefault(key, []).append(bytes(data))
         self.counters.inc("cloud.put_ops")
         self.counters.inc("cloud.put_bytes", len(data))
 
     def complete_multipart(self, key: str, data: bytes) -> None:
         """Make a multipart object visible. Parts were charged separately."""
-        self._attempt(f"cloud.complete_multipart({key})", self.model.write_cost(0))
+        self._attempt("cloud.complete_multipart", key, self.model.write_cost(0))
         self._objects[key] = bytes(data)
         self._multiparts.pop(key, None)
         self.counters.inc("cloud.put_ops")
@@ -173,7 +175,7 @@ class CloudObjectStore(ClockCharged):
         keys = sorted(k for k in self._objects if k.startswith(prefix))
         pages = max(1, (len(keys) + 999) // 1000)
         for _ in range(pages):
-            self._attempt("cloud.list", self.model.read_cost(0))
+            self._attempt("cloud.list", None, self.model.read_cost(0))
         self.counters.inc("cloud.list_ops", pages)
         return keys
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable
-from typing import TypeVar
 
 from repro.errors import ClosedError, NotFoundError
 from repro.sim.clock import ClockCharged, SimClock
@@ -30,8 +29,6 @@ from repro.storage.local import LocalDevice
 
 LOCAL = "local"
 CLOUD = "cloud"
-
-_T = TypeVar("_T")
 
 
 class WritableFile(ABC):
@@ -407,9 +404,6 @@ class HybridEnv(Env):
         """Open the tier-local random-access file for ``name`` (internal)."""
         return self._env(self.tier_of(name)).new_random_access_file(name)
 
-    # (continued) migration helper below; see _HybridRandomAccessFile for
-    # how open readers survive it.
-
     def migrate(self, name: str, to_tier: str) -> None:
         """Move a file between tiers (read + write + delete, fully charged)."""
         from_tier = self.tier_of(name)
@@ -437,15 +431,16 @@ class _HybridRandomAccessFile(RandomAccessFile):
         self._hybrid = hybrid
         self._inner = hybrid._resolve_raf(name)
 
-    def _retry(self, action: Callable[[RandomAccessFile], _T]) -> _T:
+    def read(self, offset: int, length: int) -> bytes:
         try:
-            return action(self._inner)
+            return self._inner.read(offset, length)
         except NotFoundError:
             self._inner = self._hybrid._resolve_raf(self.name)
-            return action(self._inner)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self._retry(lambda f: f.read(offset, length))
+            return self._inner.read(offset, length)
 
     def size(self) -> int:
-        return self._retry(lambda f: f.size())
+        try:
+            return self._inner.size()
+        except NotFoundError:
+            self._inner = self._hybrid._resolve_raf(self.name)
+            return self._inner.size()

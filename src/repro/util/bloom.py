@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 _SEED = 0xBC9F1D34
 _MULTIPLIER = 0xC6A4A793
+# The whole little-endian words of a key, by key length (longer keys compile theirs).
+_WORDS = tuple(struct.Struct(f"<{n >> 2}I") for n in range(64))
 
 
 def _bloom_hash(data: bytes, seed: int = _SEED) -> int:
@@ -31,7 +33,8 @@ def _bloom_hash(data: bytes, seed: int = _SEED) -> int:
     m = _MULTIPLIER
     n = len(data)
     h = (seed ^ (n * m)) & 0xFFFFFFFF
-    for w in struct.unpack_from(f"<{n >> 2}I", data):
+    words = _WORDS[n] if n < 64 else struct.Struct(f"<{n >> 2}I")
+    for w in words.unpack_from(data):
         h = ((h + w) * m) & 0xFFFFFFFF
         h ^= h >> 16
     if n & 3:  # the 1-3 bytes after the last whole word, as one short word
@@ -126,18 +129,19 @@ class BloomFilterPolicy:
     @staticmethod
     def key_may_match(key: bytes, filter_data: bytes) -> bool:
         """Probe a serialized filter. False means *definitely absent*."""
-        if len(filter_data) < 2:
+        size = len(filter_data)
+        if size < 2:
             return True  # degenerate filter: claim potential match
         k = filter_data[-1]
         if k > 30:
             # Reserved for future encodings; behave conservatively.
             return True
-        bits = (len(filter_data) - 1) * 8
+        bits = (size - 1) * 8
         h = _bloom_hash(key)
         delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
         for _ in range(k):
             bitpos = h % bits
-            if not filter_data[bitpos // 8] & (1 << (bitpos % 8)):
+            if not filter_data[bitpos >> 3] >> (bitpos & 7) & 1:
                 return False
             h = (h + delta) & 0xFFFFFFFF
         return True

@@ -15,8 +15,11 @@ MAX_VARINT64_LEN = 10
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a varint."""
-    if value < 0:
-        raise ValueError(f"varint cannot encode negative value {value}")
+    if value < 0x4000:
+        if value < 0:
+            raise ValueError(f"varint cannot encode negative value {value}")
+        # One or two bytes — lengths, and offsets inside a table's first 16 KiB.
+        return bytes((value,)) if value < 0x80 else bytes((value & 0x7F | 0x80, value >> 7))
     out = bytearray()
     while True:
         byte = value & 0x7F

@@ -9,12 +9,21 @@ events after every step. The expected values were captured at the commit
 *before* the cache began holding parsed blocks (raw payloads, charged
 ``len(payload)``); a change in what is cached, when, or at what charge fails
 here rather than surfacing as a drift in an E-series table.
+
+The second script pins the whole stack below DRAM the same way — persistent
+cache, scan-primed buffers, per-table readahead, demand reads — with both
+caches starved (2 KiB DRAM, 16 KiB pcache) so that admission, eviction and
+slab compaction all fire. Its literals were recorded at the commit *before*
+the loader closures became the block stack (``repro.lsm.block_cache``); the
+closures are gone, so the numbers are the oracle.
 """
 
 import dataclasses
+import zlib
 
 import pytest
 
+from repro.mash.readahead import ReadaheadBuffer
 from repro.mash.store import RocksMashStore, StoreConfig
 
 EVENTS = ("dram_hit", "pcache_hit", "local_read", "cloud_get")
@@ -101,3 +110,210 @@ EXPECTED = {
 @pytest.mark.parametrize("sorted_view", [False, True])
 def test_cache_counters_match_the_raw_payload_cache(sorted_view):
     assert run_script(sorted_view) == EXPECTED[sorted_view]
+
+
+# -- every source below DRAM ------------------------------------------------
+
+STACK_EVENTS = (
+    "dram_hit", "pcache_hit", "readahead_hit", "local_read", "cloud_get",
+    "pcache_meta_hit", "pcache_footer_hit",
+    "bloom_checked", "bloom_useful", "bloom_false_positive",
+    "demotion", "compaction", "seek_fanout", "prefetch_issue", "prefetch_hit", "prefetch_waste",
+)  # fmt: skip
+COUNTERS = ("cloud.get_ops", "local.read_ops", "local.read_bytes", "local.write_bytes")
+
+
+def run_stack_script(prefetch_depth, sorted_view, buffers):
+    """Per step: (pcache data hits, data misses, meta hits, meta misses,
+    admissions, evictions, slab compactions), (readahead sequential hits,
+    fetches — summed over ``buffers``, every buffer built), COUNTERS,
+    STACK_EVENTS counts, crc32 of the step's ``(op, events)`` span list, and
+    the simulated clock. Labelled steps also keep their span list."""
+    config = StoreConfig().small()
+    config = dataclasses.replace(
+        config,
+        options=dataclasses.replace(
+            config.options,
+            block_cache_bytes=2 << 10,
+            scan_prefetch_depth=prefetch_depth,
+            sorted_view=sorted_view,
+        ),
+        pcache=dataclasses.replace(config.pcache, data_budget_bytes=16 << 10, sync_every_n_appends=4),
+    )
+    store = RocksMashStore.create(config)
+    store.tracer.capacity = 1 << 16  # no step may outrun the span ring
+    store.tracer.spans = type(store.tracer.spans)(maxlen=store.tracer.capacity)
+    trace = []
+    spans_of = {}
+
+    def snap(label=None):
+        stats = store.pcache.stats
+        spans = [(span.op, span.events) for span in store.tracer.spans]
+        store.tracer.spans.clear()
+        if label is not None:
+            spans_of[label] = spans
+        trace.append(
+            (
+                (stats.data_hits, stats.data_misses, stats.meta_hits, stats.meta_misses,
+                 stats.admissions, stats.evictions, stats.slab_compactions),
+                (sum(b.stats.sequential_hits for b in buffers), sum(b.stats.fetches for b in buffers)),
+                tuple(store.counters.get(name) for name in COUNTERS),
+                tuple(store.tracer.event_count(event) for event in STACK_EVENTS),
+                zlib.crc32(repr(spans).encode()),
+                store.clock.now,
+            )
+        )  # fmt: skip
+
+    for i in range(1500):
+        store.put(key(i * 7 % 1500), b"a%04d" % i * 12, sync=False)
+    store.flush()
+    snap()
+    for i in range(500):  # cold point reads in no block order: every source down to the cloud
+        assert store.get(key(i * 611 % 1500)) is not None
+    snap()
+    assert store.get(key(700)) is not None
+    snap("cold get")
+    assert store.get(key(700)) is not None
+    snap("dram-warm get")
+    for _ in range(3):  # a hot subset: pcache and DRAM hits beside evictions
+        for i in range(100):
+            assert store.get(key(i * 37 % 200)) is not None
+    assert store.get(b"absent") is None
+    snap()
+    assert store.get(key(37)) is not None
+    snap("pcache-warm get")
+    assert len(store.scan(key(100), key(500))) == 400
+    snap()
+    assert len(store.scan(key(800), key(812))) == 12
+    snap("short scan")
+    assert len(store.scan(key(40), None, 30)) == 30
+    snap("limited scan")
+    assert len(store.scan(key(900), key(1300), reverse=True)) == 400
+    snap()
+    assert len(store.multi_get([key(i) for i in range(5, 1500, 50)])) == 30
+    snap()
+    for i in range(0, 1500, 3):  # overwrite a third: flushes, compactions, demotions
+        store.put(key(i), b"b%04d" % i * 12, sync=False)
+    store.flush()
+    snap()
+    store.compact_range(None, None)
+    snap()
+    for i in range(0, 1500, 4):
+        assert store.get(key(i)) is not None
+    snap()
+    assert len(store.scan(key(0), key(300))) == 300
+    assert len(store.scan(key(1200), None, reverse=True)) == 300
+    snap()
+    for i in range(2500):  # churn: enough admissions for slab compactions
+        assert store.get(key(i * 611 % 1500)) is not None
+    snap()
+    store.close()
+    return trace, spans_of
+
+
+# fmt: off
+STACK_EXPECTED = {
+    (0, False): [
+        ((5, 809, 276, 276, 274, 0, 1), (186, 38), (114, 1343, 640602, 815127),
+         (0, 5, 224, 651, 76, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 2978374683, 2.7721108864999926),
+        ((188, 1126, 351, 285, 482, 181, 3), (187, 90), (374, 1879, 821914, 980440),
+         (0, 188, 277, 713, 284, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 6.728490201166656),
+        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
+         (0, 188, 277, 713, 285, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 6.743496801166656),
+        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
+         (1, 188, 277, 713, 285, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 6.743496801166656),
+        ((462, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2259, 987953, 1020371),
+         (1, 462, 277, 713, 311, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 7.167474891333289),
+        ((463, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2260, 988475, 1020371),
+         (1, 463, 277, 713, 311, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 7.167555152333289),
+        ((478, 1198, 351, 285, 520, 219, 4), (212, 96), (418, 2278, 997748, 1026758),
+         (1, 478, 308, 716, 322, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 7.42460843433329),
+        ((478, 1202, 351, 285, 522, 221, 4), (212, 96), (420, 2280, 998805, 1028866),
+         (1, 478, 308, 718, 324, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 7.454882655666625),
+        ((479, 1208, 351, 285, 525, 224, 4), (212, 98), (425, 2282, 999858, 1028866),
+         (1, 479, 310, 719, 327, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 7.530116107166625),
+        ((479, 1269, 351, 285, 538, 236, 4), (246, 105), (445, 2289, 1003497, 1037145),
+         (1, 479, 351, 726, 340, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3729071296, 7.831433620999964),
+        ((485, 1293, 351, 285, 558, 256, 4), (246, 106), (466, 2298, 1007924, 1047964),
+         (1, 485, 352, 729, 360, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 2236116211, 7.891865707333299),
+        ((533, 1519, 450, 351, 811, 382, 7), (298, 119), (519, 3173, 1360323, 1458997),
+         (1, 533, 417, 878, 400, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 1321188797, 9.153935100166638),
+        ((549, 2878, 1419, 549, 1904, 907, 17), (1090, 287), (1024, 6399, 2698335, 2890406),
+         (1, 549, 1377, 960, 737, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 4074515055, 19.566131026166804),
+        ((549, 3096, 1503, 549, 1960, 932, 18), (1225, 314), (1107, 6589, 2728793, 2943037),
+         (158, 549, 1539, 960, 793, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 20.83201223000022),
+        ((559, 3175, 1503, 549, 1984, 955, 18), (1268, 326), (1143, 6599, 2734008, 2955738),
+         (158, 559, 1594, 960, 817, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 4076676325, 21.37403481733356),
+        ((1559, 4675, 1503, 549, 3079, 2051, 34), (1270, 729), (2641, 9448, 3656624, 3992071),
+         (158, 1559, 1999, 960, 1912, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 747270562, 44.165903238999334),
+    ],
+    (2, True): [
+        ((5, 809, 276, 276, 339, 0, 9), (186, 38), (114, 1723, 768116, 1403291),
+         (0, 5, 224, 651, 76, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 1420034664, 2.833223971666646),
+        ((188, 1126, 351, 285, 547, 181, 12), (187, 90), (374, 2355, 1003984, 1635930),
+         (0, 188, 277, 713, 284, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 6.799855448333308),
+        ((188, 1127, 351, 285, 548, 182, 12), (187, 90), (375, 2355, 1003984, 1638107),
+         (0, 188, 277, 713, 285, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 6.814963499666642),
+        ((188, 1127, 351, 285, 548, 182, 12), (187, 90), (375, 2355, 1003984, 1638107),
+         (1, 188, 277, 713, 285, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 6.814963499666642),
+        ((462, 1153, 351, 285, 574, 208, 13), (187, 90), (401, 2736, 1182283, 1690791),
+         (1, 462, 277, 713, 311, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 7.239136221833274),
+        ((463, 1153, 351, 285, 574, 208, 13), (187, 90), (401, 2737, 1182805, 1690791),
+         (1, 463, 277, 713, 311, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 7.239216482833274),
+        ((478, 1198, 351, 285, 576, 210, 13), (226, 99), (412, 2755, 1192078, 1690791),
+         (1, 478, 317, 716, 313, 126, 63, 1010, 207, 0, 63, 33, 1, 7, 7, 0), 2786313616, 7.345548777833272),
+        ((478, 1203, 351, 285, 577, 211, 13), (228, 100), (414, 2757, 1193135, 1692896),
+         (1, 478, 319, 718, 314, 126, 63, 1010, 207, 0, 63, 33, 2, 7, 7, 0), 2695198614, 7.375834034666607),
+        ((483, 1204, 351, 285, 578, 212, 13), (228, 105), (420, 2762, 1195672, 1692896),
+         (1, 483, 319, 718, 315, 126, 63, 1010, 207, 0, 63, 33, 3, 11, 8, 3), 1217588575, 7.406265178166606),
+        ((495, 1277, 351, 285, 607, 240, 13), (250, 117), (461, 2785, 1207696, 1707717),
+         (81, 495, 352, 729, 344, 126, 63, 1010, 207, 0, 63, 33, 4, 11, 8, 3), 2874055950, 8.024319683333282),
+        ((496, 1306, 351, 285, 632, 266, 14), (250, 118), (487, 2896, 1246261, 1759505),
+         (81, 496, 353, 732, 369, 126, 63, 1053, 220, 0, 63, 33, 4, 11, 8, 3), 1686421092, 8.09605599316664),
+        ((543, 1533, 450, 351, 910, 397, 23), (302, 131), (541, 4417, 1857187, 2723094),
+         (81, 543, 418, 881, 410, 144, 72, 1053, 220, 0, 87, 42, 4, 11, 8, 3), 4044123642, 9.445757074000069),
+        ((560, 2891, 1419, 549, 2013, 925, 37), (1093, 299), (1046, 8104, 3449466, 4504537),
+         (81, 560, 1377, 963, 747, 454, 227, 1053, 220, 0, 255, 49, 4, 11, 8, 3), 614417177, 19.905487004333775),
+        ((560, 3109, 1503, 549, 2069, 950, 37), (1228, 326), (1129, 8188, 3458958, 4535004),
+         (238, 560, 1539, 963, 803, 510, 255, 1428, 220, 0, 255, 49, 4, 11, 8, 3), 2620722385, 21.16016294916715),
+        ((572, 3187, 1503, 549, 2081, 961, 37), (1287, 340), (1155, 8200, 3465216, 4541107),
+         (283, 572, 1605, 963, 815, 510, 255, 1428, 220, 0, 255, 49, 6, 16, 13, 3), 810297800, 21.50696370933382),
+        ((1575, 4684, 1503, 549, 3175, 2056, 54), (1288, 742), (2651, 11183, 4616788, 5806670),
+         (283, 1575, 2008, 963, 1909, 510, 255, 3928, 220, 0, 255, 49, 6, 16, 13, 3), 808407023, 44.28259967899941),
+    ],
+}
+
+STACK_SPANS = {
+    (0, False): {
+        'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
+        'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
+        'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
+        'short scan': [('scan', ['local_read', 'cloud_get', 'cloud_get', 'local_read'])],
+        'limited scan': [('scan', ['local_read', 'pcache_hit', 'cloud_get', 'readahead_hit', 'cloud_get', 'cloud_get', 'readahead_hit'])],
+    },
+    (2, True): {
+        'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
+        'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
+        'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
+        'short scan': [('scan', ['view_hit', 'seek_fanout', 'readahead_hit', 'local_read', 'readahead_hit', 'local_read', 'cloud_get'])],
+        'limited scan': [('scan', ['view_hit', 'seek_fanout', 'prefetch_issue', 'prefetch_issue', 'pcache_hit', 'cloud_get', 'pcache_hit', 'prefetch_hit', 'prefetch_issue', 'prefetch_issue', 'pcache_hit', 'pcache_hit', 'pcache_hit', 'prefetch_waste', 'prefetch_waste', 'prefetch_waste'])],
+    },
+}
+# fmt: on
+
+
+@pytest.mark.parametrize("prefetch_depth, sorted_view", list(STACK_EXPECTED))
+def test_every_source_below_dram_matches_the_loader_chain(prefetch_depth, sorted_view, monkeypatch):
+    buffers = []
+    build = ReadaheadBuffer.__init__
+
+    def recording(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        buffers.append(self)
+
+    monkeypatch.setattr(ReadaheadBuffer, "__init__", recording)
+    trace, spans_of = run_stack_script(prefetch_depth, sorted_view, buffers)
+    for step, (got, expected) in enumerate(zip(trace, STACK_EXPECTED[prefetch_depth, sorted_view])):
+        assert got == expected, step
+    assert len(trace) == len(STACK_EXPECTED[prefetch_depth, sorted_view])
+    assert spans_of == STACK_SPANS[prefetch_depth, sorted_view]

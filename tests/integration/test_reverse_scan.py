@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.harness import HarnessKnobs, make_store
 from repro.errors import InvalidArgumentError
+from repro.lsm.block_cache import BlockStack
 from repro.lsm.db import DB
 from repro.lsm.format import table_file_name
 from repro.lsm.options import Options
@@ -120,17 +121,14 @@ class TestReverseSeekBlockReads:
     def _open_counting_db(self):
         fetches = []
 
-        def wrapper(name, file, next_loader):
-            def load(n, handle, kind):
-                if kind == "data":
-                    fetches.append((n, handle.offset))
-                return next_loader(n, handle, kind)
-
-            return load
+        class CountingStack(BlockStack):
+            def fetch(self, handle):
+                fetches.append((self.name, handle.offset))
+                return super().fetch(handle)
 
         database = DB.open(
             LocalEnv(LocalDevice(SimClock())), "db/", small_options(),
-            loader_wrapper=wrapper,
+            stack_factory=CountingStack,
         )
         return database, fetches
 

@@ -49,6 +49,22 @@ class TestCorrectness:
         got = store.scan(b"key001000", b"key001050")
         assert [k for k, _ in got] == [f"key{i:06d}".encode() for i in range(1000, 1050)]
 
+    def test_scan_with_limit_zero_reads_nothing(self, store):
+        """An empty answer costs no I/O and pins no version (it used to start
+        the scan — 1 cloud GET and 3 local reads here — before testing the
+        limit)."""
+        fill(store, 3000)
+        assert store.cloud_bytes() > 0
+        io = [store.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")]
+        now = store.clock.now
+        for reverse in (False, True):
+            assert store.scan(b"key001000", None, 0, reverse=reverse) == []
+        assert [store.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")] == io
+        assert store.clock.now == now
+        assert store.db._pinned_versions == []
+        assert len(store.scan(b"key001000", None, 1)) == 1
+        assert store.counters.get("local.read_ops") > io[1]
+
     def test_snapshot_across_demotion(self, store):
         fill(store, 1500)
         snap = store.snapshot()

@@ -33,6 +33,32 @@ def serve(server, workload="B", rate=500.0, capacity=0, operations=OPERATIONS):
     )
 
 
+class TestShardedReads:
+    def test_scan_with_limit_zero_reads_nothing(self):
+        node = sharded_node(4)
+        ycsb.load_phase(node, ycsb.ALL_WORKLOADS["B"].scaled(RECORDS, 1))
+        io = [node.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")]
+        assert node.scan(None, None, 0) == []  # every shard touched, none read
+        assert node.scan(ycsb.make_key(5), ycsb.make_key(6), 0, reverse=True) == []
+        assert [node.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")] == io
+        assert len(node.scan(None, None, 3)) == 3
+        assert node.counters.get("local.read_ops") > io[1]
+
+    def test_block_path_events_reach_the_node_tracer(self):
+        """The shards are built with private tracers and repointed at the
+        node's; the block path has to follow, or its events are lost."""
+        node = sharded_node(2)
+        ycsb.load_phase(node, ycsb.ALL_WORKLOADS["B"].scaled(RECORDS, 1))
+        before = dict(node.tracer.event_counts)
+        for index in range(0, RECORDS, 7):
+            assert node.get(ycsb.make_key(index)) is not None
+        grown = {k for k, v in node.tracer.event_counts.items() if v > before.get(k, 0)}
+        assert "bloom_checked" in grown
+        assert grown & {"cloud_get", "pcache_hit", "readahead_hit"}
+        served = sum(sum(shard.db.block_path.hits.values()) for shard in node.shards)
+        assert served > 0
+
+
 class TestServingEndToEnd:
     def test_sharded_and_single_agree_under_load(self):
         sharded = serve(sharded_node(4))

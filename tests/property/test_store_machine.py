@@ -1,13 +1,21 @@
 """Stateful oracle over the store facade (the first slice of ROADMAP item 1).
 
 One hypothesis ``RuleBasedStateMachine`` drives a :class:`RocksMashStore`
-through its facade — put / delete / write-batch / get / scan (both
-directions, ``limit``, optional snapshot) / take and release snapshot / flush
-/ ``compact_range`` / ``reopen(crash=True)`` — with the configuration drawn
-once per run from {sorted view on, off} × {blob separation on, off}. After
-every step the store equals a dict model, and every live snapshot equals the
-frozen copy taken with it; after flush, compact and reopen ``check_db`` is
-clean.
+through its facade — put / delete / write-batch / get / multi_get / scan
+(both directions, ``limit``, optional snapshot) / take and release snapshot /
+flush / ``compact_range`` / ``reopen(crash=True)`` — with the configuration
+drawn once per run from {sorted view on, off} × {blob separation on, off} ×
+{caches roomy, starved} × {scan readahead on, off}. After every step the
+store equals a dict model, every live snapshot equals the frozen copy taken
+with it, and every span the step recorded conserves its simulated time
+(``local + cloud + cpu == elapsed``); after flush, compact and reopen
+``check_db`` is clean.
+
+Starved means a 512 B DRAM block cache, a 1 KiB persistent-cache data budget
+and everything below L0 in the cloud: a step's reads then go down the whole
+block path — pcache admission and eviction, readahead (or, with it off, one
+GET per block) and demand reads from the cloud — where the roomy caches
+answer nearly everything from DRAM.
 
 The tree is tiny (1 KiB memtable, 256 B blocks, 1 KiB files) and the keys are
 few and prefix-heavy, so a run of a few dozen steps has every key in several
@@ -17,13 +25,15 @@ off-by-one in the snapshot floor of ``visible_user_entries``, a tombstone
 read off the wrong byte of the trailer, and a ``MemTable.get`` that bisects
 on ``(user_key,)`` alone.
 
-Still open under item 1: delete_range / ingest / multi_get / checkpoint /
-crash-at-site / cloud faults, and the shard, tuner and universal axes.
+Still open under item 1: delete_range / ingest / checkpoint / crash-at-site /
+cloud faults, and the shard, tuner and universal axes.
+
+Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
+× 50 steps in tier-1, 400 × 80 under ``--hypothesis-profile=long``.
 """
 
 from dataclasses import replace
 
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -36,6 +46,7 @@ from hypothesis.stateful import (
 from repro.lsm.check import check_db
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
+from repro.obs.trace import span_conserved
 
 # Prefix-related and adjacent keys: seeks land between a key and its
 # extension, and one key's versions share blocks with its neighbours'.
@@ -57,8 +68,10 @@ class StoreMachine(RuleBasedStateMachine):
         self.model = {}
         self.snapshots = []  # (Snapshot, the model when it was taken)
 
-    @initialize(sorted_view=st.booleans(), blob=st.booleans())
-    def open_store(self, sorted_view, blob):
+    @initialize(
+        sorted_view=st.booleans(), blob=st.booleans(), starved=st.booleans(), readahead=st.booleans()
+    )
+    def open_store(self, sorted_view, blob, starved=False, readahead=True):
         config = StoreConfig().small()
         options = replace(
             config.options,
@@ -69,7 +82,17 @@ class StoreMachine(RuleBasedStateMachine):
             sorted_view=sorted_view,
             blob_value_threshold=BLOB_THRESHOLD if blob else 0,
         )
-        self.store = RocksMashStore.create(replace(config, options=options))
+        config = replace(
+            config, options=options, scan_readahead_bytes=(128 << 10) if readahead else 0
+        )
+        if starved:
+            config = replace(
+                config,
+                options=replace(options, block_cache_bytes=512),
+                pcache=replace(config.pcache, data_budget_bytes=1 << 10),
+                placement=replace(config.placement, cloud_level=1),
+            )
+        self.store = RocksMashStore.create(config)
 
     # -- writes -------------------------------------------------------------
 
@@ -107,6 +130,12 @@ class StoreMachine(RuleBasedStateMachine):
     def get(self, key, data):
         snapshot, model = self._view(data)
         assert self.store.get(key, snapshot=snapshot) == model.get(key)
+
+    @rule(wanted=st.lists(keys, max_size=10), data=st.data())
+    def multi_get(self, wanted, data):
+        snapshot, model = self._view(data)
+        got = self.store.multi_get(wanted, snapshot=snapshot)
+        assert got == {key: model.get(key) for key in wanted}
 
     @rule(
         begin=bounds,
@@ -182,13 +211,24 @@ class StoreMachine(RuleBasedStateMachine):
             for key in KEYS:
                 assert self.store.get(key, snapshot=snapshot) == model.get(key), key
 
+    @invariant()
+    def spans_conserve_time(self):
+        """Every facade op since the last check — the step's and the oracle's
+        own reads — attributes exactly its elapsed simulated time to tiers."""
+        if self.store is None:
+            return
+        spans = self.store.tracer.spans
+        for span in spans:
+            assert span_conserved(span), (span.op, span.events, span.tiers, span.elapsed)
+        assert self.store.tracer.dropped_spans == 0  # none escaped the check
+        spans.clear()
+
     def teardown(self):
         if self.store is not None:
             self.store.close()
 
 
 TestStoreMachine = StoreMachine.TestCase
-TestStoreMachine.settings = settings(max_examples=60, stateful_step_count=50, deadline=None)
 
 
 def test_pinned_key_cut_across_compaction_output_files():

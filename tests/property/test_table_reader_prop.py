@@ -77,7 +77,7 @@ def _ref_boundary(entries, target):
 
 
 def _ref_load_data_block(reader, handle):
-    return Block(reader.loader(reader.name, handle, "data"), internal_order)
+    return Block(reader.stack.read(handle), internal_order)
 
 
 def ref_get(reader, target):

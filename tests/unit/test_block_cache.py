@@ -1,11 +1,17 @@
-"""Unit tests for the DRAM LRU block cache and the one data-block loader."""
+"""Unit tests for the DRAM LRU block cache and the block stack above the file."""
 
 import pytest
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
-from repro.lsm.block_cache import LRUBlockCache, load_data_block
-from repro.lsm.format import BlockHandle
+from repro.lsm.block_cache import (
+    BLOCK_SOURCES,
+    BlockPath,
+    BlockStack,
+    LRUBlockCache,
+)
+from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, seal_block
+from repro.mash.readahead import SequentialStack
 from repro.util.encoding import TYPE_VALUE, internal_order, make_internal_key
 
 KEY = make_internal_key(b"k", 1, TYPE_VALUE)
@@ -73,12 +79,29 @@ class TestLRUBlockCache:
         assert cache.get("f2", 0) is kept
         assert cache.used_bytes == 22
 
+    def test_evict_file_leaves_the_lru_order_of_the_rest(self):
+        cache = LRUBlockCache(100)
+        for name, offset in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("b", 1)]:
+            cache.put(name, offset, block(20))
+        cache.get("b", 0)  # order now: a0 a1 c0 b1 b0
+        assert cache.evict_file("a") == 2
+        assert cache.evict_file("a") == 0
+        assert list(cache._entries) == [("c", 0), ("b", 1), ("b", 0)]
+        assert cache._offsets == {"b": {0, 1}, "c": {0}}
+        cache.put("d", 0, block(20))
+        cache.put("d", 1, block(20))
+        cache.put("d", 2, block(20))  # over budget: evicts c0, the oldest
+        assert list(cache._entries) == [("b", 1), ("b", 0), ("d", 0), ("d", 1), ("d", 2)]
+        assert cache._offsets == {"b": {0, 1}, "d": {0, 1, 2}}  # no empty set left for c
+        assert cache.used_bytes == 100
+
     def test_clear(self):
         cache = LRUBlockCache(1000)
         cache.put("f", 0, block(20))
         cache.clear()
         assert len(cache) == 0
         assert cache.used_bytes == 0
+        assert cache.evict_file("f") == 0
 
     def test_budget_respected(self):
         cache = LRUBlockCache(250)
@@ -92,39 +115,60 @@ class TestLRUBlockCache:
             LRUBlockCache(-1)
 
 
+class FakeFile:
+    """A table file whose every block is ``payload``, sealed; counts reads."""
+
+    name = "f"
+
+    def __init__(self, payload):
+        self.raw = seal_block(payload)
+        self.reads = []
+
+    def read(self, offset, length):
+        self.reads.append((offset, length))
+        return self.raw[:length]
+
+
 class TestLoadDataBlock:
-    """``load_data_block``: parsed cache above a bytes-returning loader."""
+    """``BlockStack.block``: the parsed DRAM cache above the demand read."""
 
     HANDLE = BlockHandle(64, 30)
 
+    def stack(self, cache, payload=None):
+        events = []
+        file = FakeFile(payload_of(30) if payload is None else payload)
+        return BlockStack("f", file, BlockPath(cache, events.append)), file, events
+
     def test_miss_parses_and_caches_then_hit_skips_the_loader(self):
         cache = LRUBlockCache(1000)
-        loads, hits = [], []
-        cache.on_hit = hits.append
-
-        def loader(name, handle, kind):
-            loads.append((name, handle, kind))
-            return payload_of(30)
-
-        first = load_data_block(cache, loader, "f", self.HANDLE)
+        stack, file, events = self.stack(cache)
+        first = stack.block(self.HANDLE)
         assert list(first) == [(*internal_order(KEY), b"x" * 10)]
-        assert (len(cache), cache.used_bytes, hits) == (1, 30, [])
-        assert load_data_block(cache, loader, "f", self.HANDLE) is first
-        assert loads == [("f", self.HANDLE, "data")]
-        assert hits == ["f"]
+        assert (len(cache), cache.used_bytes, events) == (1, 30, ["demand_read"])
+        assert stack.block(self.HANDLE) is first
+        assert file.reads == [(64, 30 + BLOCK_TRAILER_SIZE)]
+        assert events == ["demand_read", "dram_hit"]
         assert (cache.hits, cache.misses) == (1, 1)
+        assert stack.path.hits == {"dram": 1, "pcache": 0, "primed": 0, "readahead": 0, "demand": 1}
+        assert tuple(stack.path.hits) == BLOCK_SOURCES
 
     def test_without_a_cache_every_call_loads(self):
-        loads = []
-
-        def loader(name, handle, kind):
-            loads.append(handle)
-            return payload_of(30)
-
-        a = load_data_block(None, loader, "f", self.HANDLE)
-        b = load_data_block(None, loader, "f", self.HANDLE)
+        stack, file, _ = self.stack(None)
+        a = stack.block(self.HANDLE)
+        b = stack.block(self.HANDLE)
         assert a is not b and list(a) == list(b)
-        assert len(loads) == 2
+        assert len(file.reads) == 2
+        assert a.runs is None  # nothing holds the block: it keeps no decoded runs
+
+    def test_a_held_block_decodes_a_run_once(self):
+        stack, _, _ = self.stack(LRUBlockCache(1000))
+        block = stack.block(self.HANDLE)
+        assert block.runs == {}
+        goal = internal_order(KEY)
+        assert block.first(goal) == (*goal, b"x" * 10)
+        (run,) = block.runs.values()
+        assert next(block.seek(goal)) is run[0]  # the kept run, not a second decode
+        assert list(block) == run and block.runs == {1: run}  # a walk keeps nothing more
 
     @pytest.mark.parametrize(
         "payload",
@@ -137,10 +181,34 @@ class TestLoadDataBlock:
     def test_corrupt_payload_raises_and_is_never_cached(self, payload):
         cache = LRUBlockCache(1000)
         cache.put("g", 0, block(25))
+        stack, _, _ = self.stack(cache, payload)
+        handle = BlockHandle(0, len(payload))
         with pytest.raises(CorruptionError):
-            load_data_block(cache, lambda *_: payload, "f", self.HANDLE)
+            stack.block(handle)
         assert (len(cache), cache.used_bytes) == (1, 25)
-        # and again: nothing was cached, so the loader is asked a second time
+        # and again: nothing was cached, so the file is read a second time
         with pytest.raises(CorruptionError):
-            load_data_block(cache, lambda *_: payload, "f", self.HANDLE)
+            stack.block(handle)
         assert cache.misses == 2
+
+    def test_a_payload_failing_its_crc_is_never_cached(self):
+        cache = LRUBlockCache(1000)
+        stack, file, _ = self.stack(cache)
+        file.raw = file.raw[:-1] + bytes([file.raw[-1] ^ 1])
+        with pytest.raises(CorruptionError, match="checksum"):
+            stack.block(self.HANDLE)
+        assert len(cache) == 0
+
+    def test_a_sequential_pass_reads_its_buffer_and_caches_nothing(self):
+        cache = LRUBlockCache(1000)
+        stack, file, _ = self.stack(cache)
+
+        class Buffer:
+            def get(self, handle):
+                return payload_of(30) if handle.offset == 64 else None
+
+        pass_stack = SequentialStack(stack, Buffer())
+        assert list(pass_stack.block(self.HANDLE)) == [(*internal_order(KEY), b"x" * 10)]
+        assert (len(cache), file.reads) == (0, [])
+        pass_stack.block(BlockHandle(128, 30))  # not buffered: the table's own stack
+        assert (len(cache), len(file.reads)) == (1, 1)

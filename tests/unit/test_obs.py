@@ -300,3 +300,112 @@ class TestStoreSurfaces:
         recovery = [s for s in store.tracer.spans if s.op == "recovery"]
         assert len(recovery) == 1
         assert span_conserved(recovery[0])
+
+    def test_block_sources_are_spelled_one_way_on_every_surface(self):
+        from repro.lsm.block_cache import BLOCK_SOURCES
+
+        store = self.make_store()
+        for i in range(400):
+            store.put(b"key%03d" % i, b"v" * 64, sync=False)
+        store.flush()
+        for i in range(0, 400, 9):
+            store.get(b"key%03d" % i)
+            store.get(b"key%03d" % i)
+        hits = store.db.block_path.hits
+        assert tuple(hits) == BLOCK_SOURCES and hits["dram"] > 0 and hits["demand"] > 0
+        stats = store.db.get_property("repro.stats")
+        assert "block_source_hits " + " ".join(f"{s}={hits[s]}" for s in BLOCK_SOURCES) in stats
+        text = store.dump_metrics()
+        for source in BLOCK_SOURCES:
+            assert f'repro_blocks_served_total{{source="{source}"}} {hits[source]}' in text
+        # ... and the tracer's per-event counts say the same, event by event.
+        events = store.tracer.event_count
+        assert hits["dram"] == events("dram_hit")
+        assert hits["pcache"] == events("pcache_hit")
+        assert hits["primed"] + hits["readahead"] == events("readahead_hit")
+
+
+class TestExplain:
+    """``StoreFacade.explain``: one get, as the ordered layers it visited."""
+
+    COLD = [("dram", "miss"), ("pcache", "miss"), ("primed", "miss"), ("readahead", "miss")]
+
+    def make_store(self):
+        from dataclasses import replace
+
+        from repro.mash.store import RocksMashStore, StoreConfig
+
+        config = StoreConfig().small()  # one 512 B block fits the DRAM cache, two do not
+        store = RocksMashStore.create(
+            replace(config, options=replace(config.options, block_cache_bytes=600))
+        )
+        for i in range(2000):
+            store.put(b"key%04d" % i, b"v" * 64, sync=False)
+        store.flush()
+        return store
+
+    def test_cold_then_dram_warm_then_pcache_warm(self):
+        store = self.make_store()
+        assert store.cloud_bytes() > 0
+        key = b"key0500"  # on the deepest, cloud-resident level, its table not yet open
+
+        cold = store.explain(key)
+        assert cold.value == b"v" * 64
+        opened = ["pcache_footer_hit", "pcache_meta_hit", "pcache_meta_hit"]  # footer, index, filter
+        assert cold.path == [
+            ("memtable", "miss"),
+            *[("open", event) for event in opened],
+            ("bloom", "pass"),
+            *self.COLD,
+            ("cloud", "read"),
+        ]
+        assert cold.cloud_s > 0 and cold.bytes_fetched > 500
+        span = store.tracer.spans[-1]
+        assert (span.op, span.events) == ("get", [*opened, "bloom_checked", "cloud_get"])
+        assert (cold.local_s, cold.cloud_s, cold.cpu_s) == (
+            span.tiers.local, span.tiers.cloud, span.tiers.cpu
+        )  # fmt: skip
+
+        dram_warm = store.explain(key)
+        assert dram_warm.path == [("memtable", "miss"), ("bloom", "pass"), ("dram", "hit")]
+        assert (dram_warm.local_s, dram_warm.cloud_s, dram_warm.bytes_fetched) == (0.0, 0.0, 0)
+
+        assert store.get(b"key1999") is not None  # another block takes the DRAM cache
+        pcache_warm = store.explain(key)
+        assert pcache_warm.path == [
+            ("memtable", "miss"), ("bloom", "pass"), ("dram", "miss"), ("pcache", "hit")
+        ]  # fmt: skip
+        assert pcache_warm.cloud_s == 0.0 and pcache_warm.local_s > 0
+        assert pcache_warm.value == cold.value
+
+    def test_memtable_answers_and_bloom_rejections_are_rows_too(self):
+        store = self.make_store()
+        store.put(b"key0003", b"fresh")
+        assert store.explain(b"key0003").path == [("memtable", "hit")]
+        store.delete(b"key0004")
+        deleted = store.explain(b"key0004")
+        assert (deleted.value, deleted.path) == (None, [("memtable", "hit")])
+        absent = store.explain(b"key0003-absent")
+        assert absent.value is None
+        assert absent.path[0] == ("memtable", "miss")
+        probes = [row for row in absent.path[1:] if row[0] != "open"]
+        assert probes and set(probes) == {("bloom", "reject")}  # no block source was asked
+
+    def test_the_listener_is_removed_and_the_tracer_still_hears_everything(self):
+        store = self.make_store()
+        sink = store.db.block_path.event
+        before = store.tracer.event_count("bloom_checked")
+        store.explain(b"key0100")
+        assert store.db.block_path.event == sink
+        assert store.tracer.event_count("bloom_checked") == before + 1
+
+    def test_a_baseline_explains_itself_through_the_same_sources(self):
+        from repro.baselines.local_only import LocalOnlyConfig, LocalOnlyStore
+
+        store = LocalOnlyStore.create(LocalOnlyConfig().small())
+        for i in range(300):
+            store.put(b"key%04d" % i, b"v" * 64, sync=False)
+        store.flush()
+        first = store.explain(b"key0100")
+        assert first.path[-5:] == [*self.COLD, ("demand", "read")]
+        assert store.explain(b"key0100").path[-1] == ("dram", "hit")

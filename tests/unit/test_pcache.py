@@ -1,10 +1,21 @@
 """Unit tests for the LSM-aware persistent cache."""
 
+import random
+
 import pytest
 
-from repro.mash.pcache import PCacheConfig, PersistentCache
+from repro.mash.pcache import (
+    _KIND_DATA,
+    _KIND_META,
+    _KIND_TOMB,
+    PCacheConfig,
+    PersistentCache,
+    _encode_record,
+)
 from repro.sim.clock import SimClock
 from repro.storage.local import LocalDevice
+from repro.util.crc import masked_crc32
+from repro.util.varint import encode_varint
 
 
 @pytest.fixture
@@ -104,6 +115,38 @@ class TestInvalidation:
     def test_drop_missing_file_noop(self, cache):
         cache.drop_file("never-seen.sst")  # must not raise or write
 
+    def test_tombstone_written_only_for_a_file_the_cache_holds(self, cache):
+        cache.put_meta("m.sst", "filter", b"meta-only")
+        cache.put_data("d.sst", 7, b"data-only")
+        cache.put_data("gone.sst", 0, bytes(990))
+        cache.put_data("big.sst", 0, bytes(990))  # evicts the blocks of d.sst and gone.sst
+        size = cache.slab_bytes
+        for absent in ("never-seen.sst", "d.sst", "gone.sst"):  # nothing held: no record
+            cache.drop_file(absent)
+            assert cache.slab_bytes == size
+        cache.drop_file("m.sst")  # held by its metadata alone
+        assert cache.slab_bytes > size and cache.get_meta("m.sst", "filter") is None
+        size = cache.slab_bytes
+        cache.drop_file("big.sst")  # held by a data block alone
+        assert cache.slab_bytes > size and not cache.contains_data("big.sst", 0)
+        size = cache.slab_bytes
+        cache.drop_file("big.sst")  # already forgotten
+        assert cache.slab_bytes == size
+        assert (len(cache), cache.data_bytes, cache.meta_bytes) == (0, 0, 0)
+
+    def test_drop_file_leaves_the_eviction_order_of_the_rest(self, cache):
+        for name, offset in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("b", 1)]:
+            cache.put_data(name, offset, bytes(190))
+        assert cache.get_data("b", 0) is not None  # order now: a0 a1 c0 b1 b0
+        cache.drop_file("a")
+        assert list(cache._data) == [("c", 0), ("b", 1), ("b", 0)]
+        assert cache._data_offsets == {"b": {0, 1}, "c": {0}}
+        for offset in range(3):
+            cache.put_data("d", offset, bytes(190))  # the third evicts c0, the oldest
+        assert list(cache._data) == [("b", 1), ("b", 0), ("d", 0), ("d", 1), ("d", 2)]
+        assert cache._data_offsets == {"b": {0, 1}, "d": {0, 1, 2}}  # no empty set left for c
+        assert cache.stats.evictions == 1 and cache.data_bytes == 950
+
     def test_drop_survives_restart(self, device, cache):
         cache.put_data("t.sst", 0, b"payload")
         cache.drop_file("t.sst")
@@ -194,3 +237,48 @@ class TestSlabCompaction:
         before = cache.slab_bytes
         cache._compact_slab()
         assert cache.slab_bytes < before
+
+
+def reference_record(kind, name, block_offset, payload):
+    """``_encode_record`` as it stood before the one-join encoding."""
+    body = bytearray()
+    body += encode_varint(len(name))
+    body += name
+    body += encode_varint(block_offset)
+    body += encode_varint(len(payload))
+    payload_pos = 1 + 4 + len(body)
+    body += payload
+    header = bytes([kind]) + masked_crc32(bytes(body)).to_bytes(4, "little")
+    return header + bytes(body), payload_pos
+
+
+class TestSlabRecordFormat:
+    """A slab either encoder wrote is a slab the other's store recovers."""
+
+    def records(self):
+        rng = random.Random(5)
+        sizes = [0, 1, 127, 128, 300, 16383, 16384, 70000]
+        for kind in (_KIND_META, _KIND_DATA, _KIND_TOMB):
+            for size in sizes:
+                name = ("db/%06d.sst" % rng.randrange(10**6)).encode() * rng.choice([1, 9])
+                yield kind, name, rng.choice(sizes) + rng.randrange(3), rng.randbytes(size)
+
+    def test_record_bytes_are_unchanged(self):
+        for record in self.records():
+            assert _encode_record(*record) == reference_record(*record), record[:3]
+
+    def test_a_slab_of_reference_records_recovers(self, device):
+        config = PCacheConfig(data_budget_bytes=1 << 20)
+        name = config.prefix + PersistentCache.SLAB
+        device.create(name)
+        device.append(name, reference_record(_KIND_META, b"t.sst", 1, b"filter-bytes")[0])
+        device.append(name, reference_record(_KIND_DATA, b"t.sst", 4096, b"block" * 40)[0])
+        device.append(name, reference_record(_KIND_DATA, b"old.sst", 0, b"stale")[0])
+        device.append(name, reference_record(_KIND_TOMB, b"old.sst", 0, b"")[0])
+        device.sync(name)
+        cache = PersistentCache.open(device, config)
+        assert cache.stats.recovered_entries == 2
+        assert cache.get_meta("t.sst", "filter") == b"filter-bytes"
+        assert cache.get_data("t.sst", 4096) == b"block" * 40
+        assert cache.get_data("old.sst", 0) is None
+        assert cache.slab_bytes == device.size(name)  # every record parsed: no torn tail

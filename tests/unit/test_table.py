@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CorruptionError, InvalidArgumentError
+from repro.lsm.block_cache import BlockStack
 from repro.lsm.format import (
     FILTER_WHOLE_TABLE,
     BlockHandle,
@@ -17,7 +18,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
-from repro.lsm.table_reader import TableReader, direct_block_loader
+from repro.lsm.table_reader import TableReader
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -178,7 +179,7 @@ class TestFilterBlock:
 
     def filter_payload(self, env, reader):
         file = env.new_random_access_file(reader.name)
-        return direct_block_loader(file)(reader.name, reader.footer.filter_handle, "filter")
+        return BlockStack(reader.name, file).read(reader.footer.filter_handle)
 
     def test_whole_table_filter_bytes(self, env):
         entries = self.entries()
@@ -263,15 +264,14 @@ class TestTableReader:
         options = Options(block_size=256)
         build_table(env, entries, options)
         file = env.new_random_access_file("000007.sst")
-        direct = direct_block_loader(file)
         fetched = []
 
-        def recording(name, handle, kind):
-            if kind == "data":
+        class Recording(BlockStack):
+            def fetch(self, handle):
                 fetched.append(handle)
-            return direct(name, handle, kind)
+                return super().fetch(handle)
 
-        reader = TableReader(options, file, block_loader=recording)
+        reader = TableReader(options, file, stack=Recording(file.name, file))
         # Forward: entries at/after the target; reverse: entries strictly
         # below it, descending. Targets mid-table, on the first key, before
         # it (reverse range empty) and past the last (forward range empty).
