@@ -1568,6 +1568,7 @@ def e25_adaptive_tuning(
     import hashlib
     import random
 
+    from repro.lsm.options import BLOOM_BITS_PER_KEY, LEVEL_SIZE_MULTIPLIER
     from repro.tune import monkey_allocation
 
     table = Table(
@@ -1677,8 +1678,8 @@ def e25_adaptive_tuning(
             # is built under the per-level policy.
             store.config.options.filter_allocation = monkey_allocation(
                 shape,
-                budget_bits_per_key=store.config.options.bloom_bits_per_key,
-                size_multiplier=store.config.options.level_size_multiplier,
+                budget_bits_per_key=BLOOM_BITS_PER_KEY,
+                size_multiplier=LEVEL_SIZE_MULTIPLIER,
             )
         rng = random.Random(25)
         even_keys = [2 * i for i in range(filter_records)]

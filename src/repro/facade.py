@@ -80,7 +80,8 @@ class StoreFacade:
     ``counters``, ``local_device``, ``cloud_store`` (may be None),
     ``cost_model``, and a class-level ``name``. ``_init_facade`` must be
     called after ``clock``/``local_device``/``cloud_store`` exist so the
-    tracer can be wired onto the devices.
+    tracer can be wired onto the devices; a store that is one part of a
+    larger node passes the node's ``tracer`` instead of getting its own.
     """
 
     name = "store"
@@ -91,7 +92,7 @@ class StoreFacade:
     cloud_store: CloudObjectStore | None
     cost_model: CostModel
 
-    def _init_facade(self) -> None:
+    def _init_facade(self, tracer: Tracer | None = None) -> None:
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
         self.op_hook: Callable[[str, int], None] | None = None
@@ -101,7 +102,7 @@ class StoreFacade:
         workload mix through this — it is *outside* the op's stopwatch, so
         an evaluation's CPU charge lands between requests, not inside one."""
         self._request_clock: SimClock | None = None
-        self.tracer = Tracer(self.clock)
+        self.tracer = tracer if tracer is not None else Tracer(self.clock)
         for dev in (self.local_device, getattr(self, "cloud_store", None)):
             if dev is not None and hasattr(dev, "tracer"):
                 dev.tracer = self.tracer

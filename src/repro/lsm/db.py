@@ -23,7 +23,7 @@ Extension points used by :mod:`repro.mash`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -46,7 +46,7 @@ from repro.lsm.iterator import (
     visible_user_entries_reverse,
 )
 from repro.lsm.memtable import GetResult, MemTable
-from repro.lsm.options import NUM_LEVELS, Options
+from repro.lsm.options import BLOOM_BITS_PER_KEY, NUM_LEVELS, Options
 from repro.lsm.sortedview import (
     BlockRef,
     BlockSource,
@@ -247,10 +247,6 @@ class DB:
         self._view_version = None
         """The Version the current view was built for; pointer identity
         against ``versions.current`` is the O(1) freshness check."""
-        self.view_event_hook: Callable[[str], None] | None = None
-        """Optional ``(label)`` observer for view lifecycle events
-        (``view_build``/``view_load``/``view_hit``/``view_fallback``);
-        wired to the obs tracer by the store facade."""
         self.view_stats: dict[str, int] = {
             "builds": 0,
             "segments_reused": 0,
@@ -258,7 +254,6 @@ class DB:
             "tables_derived": 0,
             "scan_hits": 0,
             "scan_fallbacks": 0,
-            "get_hits": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -464,10 +459,6 @@ class DB:
 
     # -- sorted view lifecycle ---------------------------------------------------
 
-    def _view_event(self, label: str) -> None:
-        if self.view_event_hook is not None:
-            self.view_event_hook(label)
-
     def _view_usable(self) -> bool:
         """Is the sorted view present and built for the current version?
 
@@ -561,7 +552,7 @@ class DB:
         self.view_stats["segments_reused"] += stats.segments_reused
         self.view_stats["segments_rebuilt"] += stats.segments_rebuilt
         self.view_stats["tables_derived"] += stats.tables_derived
-        self._view_event("view_build")
+        self.block_path.event("view_build")
         crash_points.reach("view.before_persist")
         if self.view_store is not None:
             # crash-idempotent: a half-written or stale view fails its CRC
@@ -603,7 +594,6 @@ class DB:
                 ):
                     self._sorted_view = view
                     self._view_version = self.versions.current
-                    self._view_event("view_load")
                     return
         if not live:
             # Nothing flushed yet: the empty view is trivially current.
@@ -970,23 +960,8 @@ class DB:
         if result.state == GetResult.DELETED:
             return None
         goal = seek_goal(key, sequence)
-        view = self._sorted_view if self._view_usable() else None
-        candidates: Iterable[tuple[int, FileMetaData | TableRun]]
-        blocks: dict[int, BlockHandle] = {}
-        if view is not None:
-            # One binary search over the anchors yields the candidate
-            # (run, block) pairs in files_for_user_key order; the reader's
-            # bloom/partition probes still apply, but its index seek is
-            # replaced by the view's block map.
-            self.view_stats["get_hits"] += 1
-            found = view.point_candidates(goal)
-            candidates = [(run.level, run) for run, _ in found]
-            blocks = {run.number: BlockHandle(ref.offset, ref.size) for run, ref in found}
-        else:
-            candidates = self.versions.current.files_for_user_key(key)
-        for _level, table in candidates:
-            reader = self.table_cache.get_reader(table.number)
-            entry = reader.get(goal, blocks.get(table.number))
+        for _level, meta in self.versions.current.files_for_user_key(key):
+            entry = self.table_cache.get_reader(meta.number).get(goal)
             if entry is None or entry[0] != key:
                 continue
             if -entry[1] & 0xFF == TYPE_DELETION:
@@ -1067,7 +1042,7 @@ class DB:
             view = self._sorted_view if self._view_usable() else None
             if view is not None:
                 self.view_stats["scan_hits"] += 1
-                self._view_event("view_hit")
+                self.block_path.event("view_hit")
                 if pipeline is not None:
                     pipeline.view_fanout(
                         *view.prefetch_plan(target, end, reverse=reverse)
@@ -1081,7 +1056,7 @@ class DB:
             else:
                 if self.options.sorted_view:
                     self.view_stats["scan_fallbacks"] += 1
-                    self._view_event("view_fallback")
+                    self.block_path.event("view_fallback")
                 l0_files = self._files_in_scan_range(version.files[0], begin, end)
                 level_files = [
                     self._files_in_scan_range(version.files[level], begin, end)
@@ -1231,7 +1206,7 @@ class DB:
             allocation = (
                 self.options.filter_allocation.describe()
                 if self.options.filter_allocation is not None
-                else f"uniform:{self.options.bloom_bits_per_key}"
+                else f"uniform:{BLOOM_BITS_PER_KEY}"
             )
             counts = " ".join(f"{k}={v}" for k, v in self.bloom_stats.items())
             return f"allocation={allocation} {counts}"

@@ -1,6 +1,6 @@
 """Per-level bloom-filter allocation (Monkey, SIGMOD 2017).
 
-A uniform ``bloom_bits_per_key`` spends the same filter memory on every
+A uniform bits-per-key spends the same filter memory on every
 level even though a point lookup probes the *upper* levels far more often
 than it finds anything there: under leveling, a read walks L0 and one table
 per deeper level until the key turns up, so every level above the key's
@@ -24,7 +24,6 @@ the data shape the LSM core consumes (the engine never imports the tuner).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.util.bloom import BloomFilterPolicy
 
@@ -52,7 +51,7 @@ class FilterAllocation:
 
     @classmethod
     def uniform(cls, bits: int, num_levels: int = 1) -> "FilterAllocation":
-        """The degenerate allocation equal to a flat ``bloom_bits_per_key``."""
+        """The degenerate allocation equal to a flat bits-per-key."""
         return cls(bits_per_level=(bits,) * max(1, num_levels))
 
     def bits_for(self, level: int) -> int:
@@ -68,13 +67,6 @@ class FilterAllocation:
         if bits <= 0:
             return None
         return BloomFilterPolicy(bits_per_key=bits)
-
-    def memory_bits(self, level_entries: Sequence[int]) -> int:
-        """Total filter memory (bits) for ``level_entries[i]`` keys per level."""
-        return sum(
-            entries * self.bits_for(level)
-            for level, entries in enumerate(level_entries)
-        )
 
     def describe(self) -> str:
         return "/".join(str(b) for b in self.bits_per_level)

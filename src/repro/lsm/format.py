@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.errors import CorruptionError
 from repro.util.crc import masked_crc32, verify_masked_crc32
-from repro.util.encoding import decode_fixed32, encode_fixed32
 from repro.util.varint import decode_varint, encode_varint
 
 TABLE_MAGIC = 0x88E241B785F4CF57  # RocksDB's BlockBasedTable magic
@@ -33,44 +32,9 @@ FOOTER_SIZE = 8 * 4 + 8  # two handles (offset,size as fixed64 pairs) + magic
 COMPRESSION_NONE = 0x0
 COMPRESSION_ZLIB = 0x1
 
-# Filter-block layout tags (first payload byte).
+# Filter-block layout tag (first payload byte). One layout exists; a reader
+# rejects any other tag as corruption.
 FILTER_WHOLE_TABLE = 0x0
-FILTER_PARTITIONED = 0x1
-
-
-def encode_partitioned_filter(partitions: list[bytes]) -> bytes:
-    """Serialize per-data-block filters into one filter-block payload.
-
-    Layout: tag byte, then each partition's bytes back to back, then a
-    fixed32 offset per partition and a fixed32 partition count.
-    """
-    out = bytearray([FILTER_PARTITIONED])
-    offsets = []
-    for part in partitions:
-        offsets.append(len(out))
-        out += part
-    for offset in offsets:
-        out += encode_fixed32(offset)
-    out += encode_fixed32(len(partitions))
-    return bytes(out)
-
-
-def decode_partitioned_filter(payload: bytes) -> list[bytes]:
-    """Inverse of :func:`encode_partitioned_filter` (tag already checked)."""
-    if len(payload) < 5:
-        raise CorruptionError("partitioned filter too small")
-    count = decode_fixed32(payload, len(payload) - 4)
-    table_start = len(payload) - 4 - 4 * count
-    if table_start < 1:
-        raise CorruptionError("partitioned filter offset table overruns payload")
-    offsets = [decode_fixed32(payload, table_start + 4 * i) for i in range(count)]
-    offsets.append(table_start)
-    parts = []
-    for i in range(count):
-        if not 1 <= offsets[i] <= offsets[i + 1] <= len(payload):
-            raise CorruptionError("partitioned filter offsets out of order")
-        parts.append(payload[offsets[i] : offsets[i + 1]])
-    return parts
 
 _FOOTER = struct.Struct("<QQQQQ")
 

@@ -16,6 +16,14 @@ from repro.util.bloom import BloomFilterPolicy
 #: Levels in the tree, L0 to L6 (RocksDB's default).
 NUM_LEVELS = 7
 
+LEVEL_SIZE_MULTIPLIER = 10
+"""Size ratio between adjacent levels from L1 down (RocksDB's default)."""
+
+BLOOM_BITS_PER_KEY = 10
+"""Bits per key of a table's bloom filter where no per-level
+``Options.filter_allocation`` says otherwise; also the memory budget a
+Monkey allocation redistributes."""
+
 
 @dataclass
 class Options:
@@ -36,18 +44,9 @@ class Options:
     block_size: int = 4096
     """Target uncompressed size of a data block."""
 
-    bloom_bits_per_key: int = 10
-    """Bits per key for the per-table bloom filter (0 disables filters)."""
-
     compression: str = "none"
     """Data-block compression: "none" or "zlib". Compression shrinks cloud
     bytes and egress at CPU cost; experiment E13 quantifies the trade."""
-
-    filter_partitioning: str = "table"
-    """"table" = one bloom filter over the whole table; "block" = one
-    filter per data block (RocksDB partitioned filters): a point lookup
-    probes only the candidate block's partition, rejecting absent keys
-    after the index without fetching the data block."""
 
     # Compaction shape
     compaction_style: str = "leveled"
@@ -58,9 +57,7 @@ class Options:
     """Number of L0 files/runs that triggers a compaction."""
 
     max_bytes_for_level_base: int = 4 << 20
-    """Target size of L1; deeper levels grow by ``level_size_multiplier``."""
-
-    level_size_multiplier: int = 10
+    """Target size of L1; deeper levels grow by :data:`LEVEL_SIZE_MULTIPLIER`."""
 
     target_file_size_base: int = 1 << 20
     """Compaction output files roll over at this size."""
@@ -96,7 +93,8 @@ class Options:
     version's runs (:mod:`repro.lsm.sortedview`): seeks binary-search a
     segmented anchor array and scans walk per-run cursors instead of
     heap-merging every source, at the cost of an incremental view rebuild
-    on every flush/compaction. Reads fall back to the merging iterator
+    on every flush/compaction; point lookups do not use it. Scans fall back
+    to the merging iterator
     whenever the view is stale (e.g. after a crash between a compaction
     commit and the view persist), so results are identical either way."""
 
@@ -141,7 +139,7 @@ class Options:
     filter_allocation: FilterAllocation | None = None
     """Per-level bloom bits-per-key vector (Monkey-style allocation; see
     :mod:`repro.lsm.filters`). When set it overrides the flat
-    ``bloom_bits_per_key`` at table-build time:
+    :data:`BLOOM_BITS_PER_KEY` at table-build time:
     every flush/ingest/compaction resolves its output level's policy via
     :meth:`table_filter_policy`, so filters migrate to the current
     allocation as tables rewrite. ``None`` keeps the uniform behaviour.
@@ -154,14 +152,10 @@ class Options:
             raise ValueError("write_buffer_size must be positive")
         if self.block_size < 64:
             raise ValueError("block_size too small to hold a record")
-        if self.level_size_multiplier < 2:
-            raise ValueError("level_size_multiplier must be >= 2")
         if self.compression not in ("none", "zlib"):
             raise ValueError(f"unknown compression {self.compression!r}")
         if self.compaction_style not in ("leveled", "universal"):
             raise ValueError(f"unknown compaction_style {self.compaction_style!r}")
-        if self.filter_partitioning not in ("table", "block"):
-            raise ValueError(f"unknown filter_partitioning {self.filter_partitioning!r}")
         if self.max_subcompactions < 1:
             raise ValueError("max_subcompactions must be >= 1")
         if self.compaction_readahead_bytes < 0:
@@ -199,12 +193,10 @@ class Options:
         """
         if self.filter_allocation is not None:
             return self.filter_allocation.policy_for(level)
-        if self.bloom_bits_per_key <= 0:
-            return None
-        return BloomFilterPolicy(bits_per_key=self.bloom_bits_per_key)
+        return BloomFilterPolicy(bits_per_key=BLOOM_BITS_PER_KEY)
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size target for ``level`` (level 0 is count-triggered, not size)."""
         if level < 1:
             raise ValueError("level targets start at L1")
-        return self.max_bytes_for_level_base * self.level_size_multiplier ** (level - 1)
+        return self.max_bytes_for_level_base * LEVEL_SIZE_MULTIPLIER ** (level - 1)

@@ -10,9 +10,9 @@ intersects instead of heap-merging every open source per key.
 
 Anchors are *normalized*: every anchor is ``user_key + trailer(MAX_SEQUENCE,
 TYPE_VALUE)`` — the smallest possible internal key for its user key — so all
-internal entries of one user key land in exactly one segment.  This is what
-makes single-segment point lookups (:meth:`SortedView.point_candidates`)
-correct for snapshot reads at any sequence number.
+internal entries of one user key land in exactly one segment.  The view
+serves seeks and scans only; a point lookup routes by
+``Version.files_for_user_key`` whether or not a view exists.
 
 The view is rebuilt *incrementally* at flush/compaction time
 (:func:`rebuild_view`): only the anchor window spanned by added/removed
@@ -315,43 +315,6 @@ class SortedView:
                         break
             entries.sort()
             yield from reversed(entries)
-
-    def point_candidates(self, goal: SeekGoal) -> list[tuple[TableRun, BlockRef]]:
-        """Candidate (run, block) pairs for the point lookup that seeks to
-        ``goal``, newest first.
-
-        One binary search locates the single segment holding every internal
-        entry of the goal's user key (anchors are user-key starts), then member
-        runs are filtered by user-key range and ordered exactly like
-        ``Version.files_for_user_key``: L0 newest-first, then levels
-        ascending (levels > 0 are non-overlapping, so at most one run per
-        level survives the range filter).
-        """
-        if not self.segments:
-            return []
-        user_key = goal[0]
-        seg = self.segments[self.locate(seek_goal(user_key))]
-        ordered = sorted(
-            seg.cursors,
-            key=lambda cur: (
-                (0, -cur.number)
-                if self.tables[cur.number].level == 0
-                else (self.tables[cur.number].level, 0)
-            ),
-        )
-        out: list[tuple[TableRun, BlockRef]] = []
-        for cur in ordered:
-            run = self.tables[cur.number]
-            if not (
-                extract_user_key(run.smallest)
-                <= user_key
-                <= extract_user_key(run.largest)
-            ):
-                continue
-            ref = run.block_for(goal)
-            if ref is not None:
-                out.append((run, ref))
-        return out
 
 
 class _RunStream:

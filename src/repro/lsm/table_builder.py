@@ -20,7 +20,6 @@ from repro.lsm.format import (
     BlockHandle,
     Footer,
     encode_handle,
-    encode_partitioned_filter,
     seal_block,
 )
 from repro.lsm.options import Options
@@ -53,11 +52,6 @@ class TableProperties:
     filter_bytes: int = 0
     blocks: list[BlockMeta] = field(default_factory=list)
 
-    @property
-    def metadata_bytes(self) -> int:
-        """Bytes a reader must hold to serve point lookups (index + filter)."""
-        return self.index_bytes + self.filter_bytes
-
 
 class TableBuilder:
     """Builds one SSTable onto a writable file."""
@@ -66,7 +60,6 @@ class TableBuilder:
         self.options = options
         self.level = level
         self._filter_policy = options.table_filter_policy(level)
-        self._filter_per_block = options.filter_partitioning == "block"
         self._file = file
         self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
@@ -75,10 +68,9 @@ class TableBuilder:
         self._props = TableProperties()
         self._block_first_key: bytes | None = None
         self._last_order: SeekGoal | None = None
-        # User keys awaiting a filter: the whole table's, or in "block" mode
-        # the open data block's. Left empty when the level has no filter.
+        # The table's user keys, awaiting the filter. Left empty when the
+        # level has no filter.
         self._filter_keys: list[bytes] = []
-        self._partition_filters: list[bytes] = []
         self._finished = False
 
     @property
@@ -130,9 +122,6 @@ class TableBuilder:
         self._props.data_bytes += len(payload)
         self._data_block.reset()
         self._block_first_key = None
-        if self._filter_per_block and self._filter_policy is not None:
-            self._partition_filters.append(self._filter_policy.create_filter(self._filter_keys))
-            self._filter_keys = []
 
     def finish(self) -> TableProperties:
         """Flush remaining data, write filter/index/footer, close the file."""
@@ -143,13 +132,11 @@ class TableBuilder:
             raise InvalidArgumentError("cannot finish an empty table")
         self._props.smallest_key = self._props.blocks[0].first_key
 
-        # Filter block: whole-table bloom filter, or one per data block.
-        # The policy was resolved for this table's level at construction
-        # (per-level allocations hand different levels different budgets).
+        # Filter block: one bloom filter over the whole table. The policy
+        # was resolved for this table's level at construction (per-level
+        # allocations hand different levels different budgets).
         if self._filter_policy is None:
             filter_payload = b""
-        elif self._filter_per_block:
-            filter_payload = encode_partitioned_filter(self._partition_filters)
         else:
             filter_payload = bytes([FILTER_WHOLE_TABLE]) + self._filter_policy.create_filter(
                 self._filter_keys

@@ -16,13 +16,11 @@ from repro.errors import CorruptionError
 from repro.lsm.block import Block
 from repro.lsm.block_cache import BlockStack
 from repro.lsm.format import (
-    FILTER_PARTITIONED,
     FILTER_WHOLE_TABLE,
     FOOTER_SIZE,
     BlockHandle,
     Footer,
     decode_handle,
-    decode_partitioned_filter,
 )
 from repro.lsm.options import Options
 from repro.storage.env import RandomAccessFile
@@ -75,23 +73,12 @@ class TableReader:
         self._index = Block(self.stack.meta(footer.index_handle, "index"))
         self._parsed: tuple[list[SeekGoal], list[BlockHandle]] | None = None
         self._filter: bytes | None = None
-        self._partitions: list[bytes] | None = None
-        self._block_ordinals: dict[int, int] = {}
         if footer.filter_handle.size > 0:
-            self._parse_filter(self.stack.meta(footer.filter_handle, "filter"))
-
-    def _parse_filter(self, payload: bytes) -> None:
-        if not payload:
-            return
-        tag = payload[0]
-        if tag == FILTER_WHOLE_TABLE:
-            self._filter = payload[1:]
-        elif tag == FILTER_PARTITIONED:
-            self._partitions = decode_partitioned_filter(payload)
-            for ordinal, (_key, handle) in enumerate(self.block_refs()):
-                self._block_ordinals[handle.offset] = ordinal
-        else:
-            raise CorruptionError(f"unknown filter-block tag {tag:#x}")
+            payload = self.stack.meta(footer.filter_handle, "filter")
+            if payload:
+                if payload[0] != FILTER_WHOLE_TABLE:
+                    raise CorruptionError(f"unknown filter-block tag {payload[0]:#x}")
+                self._filter = payload[1:]
 
     # -- index -----------------------------------------------------------
 
@@ -146,59 +133,28 @@ class TableReader:
         path.event(label)
 
     def may_contain(self, user_key: bytes) -> bool:
-        """Bloom-filter probe; False means the key is definitely absent.
-
-        With partitioned filters a whole-table answer would require probing
-        every partition, so this conservatively returns True; the per-block
-        probe happens inside :meth:`get`.
-        """
+        """Bloom-filter probe; False means the key is definitely absent."""
         if self._filter is None:
             return True
         return BloomFilterPolicy.key_may_match(user_key, self._filter)
 
-    def _partition_may_contain(self, user_key: bytes, handle: BlockHandle) -> bool:
-        if self._partitions is None:
-            return True
-        ordinal = self._block_ordinals.get(handle.offset)
-        if ordinal is None or ordinal >= len(self._partitions):
-            return True
-        return BloomFilterPolicy.key_may_match(user_key, self._partitions[ordinal])
-
-    def get(self, goal: SeekGoal, handle: BlockHandle | None = None) -> Entry | None:
-        """First entry at or after ``goal``, or None.
+    def get(self, goal: SeekGoal) -> Entry | None:
+        """First entry at or after ``goal``, or None: bloom probe, index
+        bisect, block.
 
         The caller (DB/version) decides whether the returned entry's user
-        key matches and whether it is a value or tombstone. ``handle`` names
-        the candidate block when the caller already knows it: the sorted
-        view's per-run block maps replicate the index, so a lookup routed
-        through the view skips the index search and goes straight to the
-        one data block that can hold ``goal`` — bloom and partition
-        probes still apply.
+        key matches and whether it is a value or tombstone.
         """
         user_key = goal[0]
-        probed = False
-        if self._filter is not None:
-            probed = True
+        probed = self._filter is not None
+        if probed:
             self._note_filter("checked")
             if not BloomFilterPolicy.key_may_match(user_key, self._filter):
                 self._note_filter("useful")
                 return None
-        if handle is not None:
-            handles, start = [handle], 0
-        else:
-            orders, handles = self._seek_index()
-            start = bisect_left(orders, goal)
-        for position in range(start, len(handles)):
-            handle = handles[position]
-            if self._partitions is not None and not probed:
-                probed = True
-                self._note_filter("checked")
-            if not self._partition_may_contain(user_key, handle):
-                # The candidate block definitely lacks the key; any entry it
-                # would return belongs to a different user key anyway.
-                self._note_filter("useful")
-                return None
-            entry = self.stack.block(handle).first(goal)
+        orders, handles = self._seek_index()
+        for position in range(bisect_left(orders, goal), len(handles)):
+            entry = self.stack.block(handles[position]).first(goal)
             if entry is not None:
                 if probed and entry[0] != user_key:
                     # The filter passed but the block holds no entry for

@@ -261,13 +261,6 @@ class Version:
                 files = expanded
         return files
 
-    def deepest_nonempty_level(self) -> int:
-        deepest = 0
-        for level in range(len(self.files)):
-            if self.files[level]:
-                deepest = level
-        return deepest
-
     def is_base_level_for_key(self, level: int, user_key: bytes) -> bool:
         """True if no level deeper than ``level`` may contain ``user_key``.
 

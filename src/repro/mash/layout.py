@@ -33,6 +33,9 @@ from repro.util.encoding import extract_user_key
 HEAT_DECAY = 0.5
 """Multiplier applied to inherited heat (older heat counts for less)."""
 
+PREWARM_BUDGET_BLOCKS = 256
+"""Cap on blocks pre-warmed per compaction (bounds the write burst)."""
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -43,9 +46,6 @@ class LayoutConfig:
 
     prewarm_heat_threshold: float = 2.0
     """Minimum inherited heat for an output block to be pre-warmed."""
-
-    prewarm_budget_blocks: int = 256
-    """Cap on blocks pre-warmed per compaction (bounds write burst)."""
 
 
 class _FileBlocks:
@@ -172,6 +172,6 @@ class BlockHeatTracker:
                     # propagating it.
                     self.record_access(out_name, block.handle.offset, h)
         candidates.sort(key=lambda item: -item[2])
-        capped = candidates[: self.config.prewarm_budget_blocks]
+        capped = candidates[:PREWARM_BUDGET_BLOCKS]
         self.inherited_heat_total += sum(h for _, _, h in capped)
         return capped

@@ -42,6 +42,9 @@ _KIND_TOMB = 0x54  # 'T' — whole-file tombstone
 _META_OFFSETS = {"index": 0, "filter": 1, "footer": 2, "view": 3}
 _META_KINDS = {offset: kind for kind, offset in _META_OFFSETS.items()}
 
+SLAB_GARBAGE_RATIO = 0.5
+"""Rewrite the slab when dead bytes exceed this fraction of it."""
+
 
 @dataclass(frozen=True)
 class PCacheConfig:
@@ -55,18 +58,6 @@ class PCacheConfig:
     sync_every_n_appends: int = 16
     """Fsync cadence for slab appends; a crash loses at most this many
     unsynced admissions (harmless: it is a cache)."""
-
-    slab_garbage_ratio: float = 0.5
-    """Rewrite the slab when dead bytes exceed this fraction."""
-
-    admit_after_accesses: int = 1
-    """Admit a data block only on its Nth miss (1 = always admit). Values
-    above 1 make the cache frequency-biased ("popular blocks"), protecting
-    it from one-off reads at the cost of an extra cloud fetch per newly-hot
-    block."""
-
-    ghost_entries: int = 4096
-    """Bound on the admission counter map (FIFO-evicted)."""
 
 
 _Entry = tuple[int, int]
@@ -83,7 +74,6 @@ class PCacheStats:
     evictions: int = 0
     slab_compactions: int = 0
     recovered_entries: int = 0
-    admission_rejections: int = 0
 
     @property
     def data_hit_ratio(self) -> float:
@@ -124,7 +114,6 @@ class PersistentCache:
         self._data_bytes = 0
         self._meta_bytes = 0
         self._pending_appends = 0
-        self._ghost: dict[tuple[str, int], int] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -202,14 +191,7 @@ class PersistentCache:
         return entry
 
     def sync(self) -> None:
-        """Flush pending slab appends to durable storage.
-
-        Ghost admission counters are deliberately untouched: they are
-        in-memory policy state with no durability relationship, and wiping
-        them here would silently defeat ``admit_after_accesses > 1`` under
-        steady traffic (a block re-offered after any intervening sync would
-        start its count from zero again, forever).
-        """
+        """Flush pending slab appends to durable storage."""
         if self._pending_appends:
             self.device.sync(self._slab_name)
             self._pending_appends = 0
@@ -247,31 +229,15 @@ class PersistentCache:
 
     # -- data region ------------------------------------------------------------------
 
-    def put_data(
-        self, file_name: str, block_offset: int, payload: bytes, *, force: bool = False
-    ) -> None:
-        """Admit a data block; may evict LRU victims to stay under budget.
-
-        With ``admit_after_accesses > 1`` a block must be offered that many
-        times before it is stored (frequency-biased admission); ``force``
-        bypasses the policy (used by compaction-aware pre-warming, whose
-        heat signal already proved popularity).
-        """
+    def put_data(self, file_name: str, block_offset: int, payload: bytes) -> None:
+        """Admit a data block the first time it is offered; may evict LRU
+        victims to stay under budget."""
         if len(payload) > self.config.data_budget_bytes:
             return
         key = (file_name, block_offset)
         if key in self._data:
             self._data.move_to_end(key)
             return
-        if not force and self.config.admit_after_accesses > 1:
-            seen = self._ghost.get(key, 0) + 1
-            self._ghost[key] = seen
-            while len(self._ghost) > self.config.ghost_entries:
-                self._ghost.pop(next(iter(self._ghost)))
-            if seen < self.config.admit_after_accesses:
-                self.stats.admission_rejections += 1
-                return
-            self._ghost.pop(key, None)
         entry = self._append_record(_KIND_DATA, file_name, block_offset, payload)
         self._index_data(file_name, block_offset, entry)
         self.stats.admissions += 1
@@ -349,7 +315,7 @@ class PersistentCache:
         garbage = self._slab_size - self._live_bytes
         if self._slab_size < (64 << 10):
             return
-        if garbage / self._slab_size <= self.config.slab_garbage_ratio:
+        if garbage / self._slab_size <= SLAB_GARBAGE_RATIO:
             return
         self._compact_slab()
 

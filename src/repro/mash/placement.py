@@ -36,6 +36,9 @@ from repro.sim.clock import ForkJoinRegion
 from repro.sim.failure import crash_points
 from repro.storage.env import CLOUD, LOCAL, HybridEnv
 
+PROMOTION_HEADROOM = 0.9
+"""Promotions stop once local bytes exceed this fraction of the budget."""
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -55,9 +58,6 @@ class PlacementConfig:
     promotion_heat_threshold: float = 8.0
     """Minimum accumulated block heat for a file to qualify."""
 
-    promotion_headroom: float = 0.9
-    """Promotions stop once local bytes exceed this fraction of the budget."""
-
     upload_parallelism: int = 4
     """Concurrent upload slots for demotions. Cloud-bound compaction
     outputs start uploading the moment their builder finishes (overlapping
@@ -76,8 +76,6 @@ class PlacementConfig:
             raise ValueError("upload_parallelism must be >= 1")
         if self.multipart_part_bytes < 1:
             raise ValueError("multipart_part_bytes must be >= 1")
-        if not 0.0 < self.promotion_headroom <= 1.0:
-            raise ValueError("promotion_headroom must be in (0, 1]")
         if self.promotion_enabled and self.local_bytes_budget is None:
             raise ValueError("promotion requires local_bytes_budget")
 
@@ -99,10 +97,20 @@ def make_router(prefix: str) -> Callable[[str], str]:
 class PlacementManager:
     """Subscribes to DB events and enforces the placement policy."""
 
-    def __init__(self, db: DB, env: HybridEnv, config: PlacementConfig) -> None:
+    def __init__(
+        self,
+        db: DB,
+        env: HybridEnv,
+        config: PlacementConfig,
+        *,
+        before_demote: Callable[[int], None] | None = None,
+    ) -> None:
         self.db = db
         self.env = env
         self.config = config
+        self.before_demote = before_demote
+        """``(file number)``, called while the table's local copy still
+        exists — the store pins the table's metadata from it."""
         self.demotions = 0
         self.budget_demotions = 0
         self.promotions = 0
@@ -182,32 +190,35 @@ class PlacementManager:
         completion, so a crash mid-upload leaves the local copy authoritative
         and the abandoned parts reclaimable. Either way the local delete
         happens only after the cloud object is fully visible.
+        ``before_demote`` runs first and the ``demotion`` event is posted
+        last, also for a table a later compaction already deleted or one
+        that is in the cloud already.
         """
+        if self.before_demote is not None:
+            self.before_demote(number)
         name = table_file_name(self.db.prefix, number)
-        if not self.env.file_exists(name):
-            return  # already deleted by a later compaction
-        if self.env.tier_of(name) == CLOUD:
-            return
-        data = self.env.local.read_file(name)
-        store = self.env.cloud.store
-        part_bytes = self.config.multipart_part_bytes
-        if len(data) <= part_bytes:
-            # Small-table fast path: exactly one PUT request, never the
-            # multipart initiate/complete overhead.
-            store.put(name, data)
-            self.single_put_uploads += 1
-        else:
-            for offset in range(0, len(data), part_bytes):
-                store.upload_part(name, data[offset : offset + part_bytes])
-                crash_points.reach("demote.mid_upload")
-            store.complete_multipart(name, data)
-            self.multipart_uploads += 1
-        self.env.note_tier(name, CLOUD)
-        crash_points.reach("demote.before_local_delete")
-        self.env.local.delete_file(name)
-        self.demotions += 1
-        # The reader (if open) holds a local-tier file handle; reopen lazily.
-        self.db.table_cache.evict(number)
+        if self.env.file_exists(name) and self.env.tier_of(name) != CLOUD:
+            data = self.env.local.read_file(name)
+            store = self.env.cloud.store
+            part_bytes = self.config.multipart_part_bytes
+            if len(data) <= part_bytes:
+                # Small-table fast path: exactly one PUT request, never the
+                # multipart initiate/complete overhead.
+                store.put(name, data)
+                self.single_put_uploads += 1
+            else:
+                for offset in range(0, len(data), part_bytes):
+                    store.upload_part(name, data[offset : offset + part_bytes])
+                    crash_points.reach("demote.mid_upload")
+                store.complete_multipart(name, data)
+                self.multipart_uploads += 1
+            self.env.note_tier(name, CLOUD)
+            crash_points.reach("demote.before_local_delete")
+            self.env.local.delete_file(name)
+            self.demotions += 1
+            # The reader (if open) holds a local-tier file handle; reopen lazily.
+            self.db.table_cache.evict(number)
+        self.db.block_path.event("demotion")
 
     def _enforce_budget(self) -> None:
         budget = self.config.local_bytes_budget
@@ -251,12 +262,12 @@ class PlacementManager:
         ``heat_of_file(name) -> float`` supplies access heat (typically
         :meth:`BlockHeatTracker.file_heat`). Returns how many tables were
         promoted. Demotion always wins ties: promotions never push local
-        usage past ``promotion_headroom * budget``.
+        usage past ``PROMOTION_HEADROOM * budget``.
         """
         config = self.config
         if not config.promotion_enabled or config.local_bytes_budget is None:
             return 0
-        ceiling = config.local_bytes_budget * config.promotion_headroom
+        ceiling = config.local_bytes_budget * PROMOTION_HEADROOM
         candidates = []
         for _level, meta in self.db.versions.current.all_files():
             name = table_file_name(self.db.prefix, meta.number)

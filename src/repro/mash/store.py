@@ -192,27 +192,24 @@ class PCacheViewStore:
     costs local reads only, never a cloud round trip.
     """
 
-    def __init__(
-        self,
-        pcache: PersistentCache,
-        prefix: str,
-        *,
-        clock: SimClock,
-        tracer: Tracer,
-    ) -> None:
+    def __init__(self, pcache: PersistentCache, prefix: str, *, tracer: Tracer) -> None:
         self.pcache = pcache
         self.prefix = prefix
-        self.clock = clock
         self.tracer = tracer
         self._last_stamp: int | None = None
 
     def _name(self, stamp: int) -> str:
         return f"{self.prefix}view-{stamp:06d}"
 
-    def persist(self, stamp: int, payload: bytes) -> None:
+    def _charge_codec(self, payload: bytes) -> None:
+        # On the device's clock of the moment: inside a fork/join branch or a
+        # request scope that is the branch's clock, where the span's time is.
         cost = _VIEW_CODEC_BASE_COST + _VIEW_CODEC_COST_PER_BYTE * len(payload)
-        self.clock.advance(cost)
+        self.pcache.device.clock.advance(cost)
         self.tracer.charge("cpu", cost)
+
+    def persist(self, stamp: int, payload: bytes) -> None:
+        self._charge_codec(payload)
         self.pcache.put_meta(self._name(stamp), "view", payload)
         if self._last_stamp is not None and self._last_stamp != stamp:
             self.pcache.drop_file(self._name(self._last_stamp))
@@ -223,9 +220,7 @@ class PCacheViewStore:
         payload = self.pcache.get_meta(self._name(stamp), "view")
         if payload is None:
             return None
-        cost = _VIEW_CODEC_BASE_COST + _VIEW_CODEC_COST_PER_BYTE * len(payload)
-        self.clock.advance(cost)
-        self.tracer.charge("cpu", cost)
+        self._charge_codec(payload)
         # Remember the recovered generation so the next persist tombstones it.
         self._last_stamp = stamp
         self.tracer.event("view_load")
@@ -350,8 +345,10 @@ class RocksMashStore(StoreFacade):
         local_device: LocalDevice,
         cloud_store: CloudObjectStore,
         counters: CounterSet,
+        tracer: Tracer | None = None,
     ) -> None:
-        """Internal wiring — use :meth:`create` / :meth:`reopen`."""
+        """Internal wiring — use :meth:`create` / :meth:`reopen`. ``tracer``
+        is the node's when the store is one shard of a serving node."""
         self.config = config
         self.clock = clock
         self.local_device = local_device
@@ -368,10 +365,8 @@ class RocksMashStore(StoreFacade):
         # is handed off to the consuming scan instead of being re-fetched.
         # Must exist before MashDB.open builds stacks.
         self._scan_prefetchers: list[ScanPrefetcher] = []
-        self._init_facade()
-        self.view_store = PCacheViewStore(
-            self.pcache, config.db_prefix, clock=clock, tracer=self.tracer
-        )
+        self._init_facade(tracer)
+        self.view_store = PCacheViewStore(self.pcache, config.db_prefix, tracer=self.tracer)
 
         with StopwatchRegion(clock) as sw, self.tracer.span("recovery"):
             self.db = MashDB.open(
@@ -387,7 +382,6 @@ class RocksMashStore(StoreFacade):
                 view_store=self.view_store,
             )
         self.last_recovery_seconds = sw.elapsed
-        self.db.view_event_hook = self.tracer.event
         # Installed unconditionally so the *live* depth knob governs each
         # scan: the factory returns None while depth is 0.
         self.db.scan_pipeline_factory = self._make_scan_prefetcher
@@ -398,17 +392,9 @@ class RocksMashStore(StoreFacade):
         self.db.listeners.on_flush.insert(0, self._on_flush)
         self.db.listeners.on_compaction.insert(0, self._on_compaction)
         self.db.listeners.on_table_delete.append(self._on_table_delete)
-        self.placement = PlacementManager(self.db, self.env, config.placement)
-        # Monkey-point: PlacementManager demotes via _demote; wrap it so the
-        # metadata of a table is pinned from its cheap local copy first.
-        original_demote = self.placement._demote
-
-        def demote_with_pin(number: int) -> None:
-            self._pin_metadata(table_file_name(config.db_prefix, number))
-            original_demote(number)
-            self.tracer.event("demotion")
-
-        self.placement._demote = demote_with_pin
+        self.placement = PlacementManager(
+            self.db, self.env, config.placement, before_demote=self._before_demote
+        )
 
         if config.placement.promotion_enabled:
             # Re-evaluate up-tiering whenever the file topology changes;
@@ -650,9 +636,7 @@ class RocksMashStore(StoreFacade):
         for out_name, block, _heat in plan:
             payload = self._read_local_block(out_name, block.handle)
             if payload is not None:
-                self.pcache.put_data(
-                    out_name, block.handle.offset, payload, force=True
-                )
+                self.pcache.put_data(out_name, block.handle.offset, payload)
                 self.heat.prewarmed_blocks += 1
             # Pre-warmed blocks imply the table will be demoted; pin its
             # metadata eagerly too (idempotent).
@@ -668,6 +652,10 @@ class RocksMashStore(StoreFacade):
         if len(raw) != handle.size + BLOCK_TRAILER_SIZE:
             return None
         return unseal_block(raw, verify=False)
+
+    def _before_demote(self, number: int) -> None:
+        # Pinned from the cheap local copy, which the demotion then drops.
+        self._pin_metadata(table_file_name(self.config.db_prefix, number))
 
     def _pin_metadata(self, file_name: str) -> None:
         """Pin a table's footer + index + filter blocks from its (local) copy."""

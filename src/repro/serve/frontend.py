@@ -134,12 +134,6 @@ class ServingResult:
             return 0.0
         return self.completed / self.elapsed_seconds
 
-    @property
-    def drop_rate(self) -> float:
-        if self.operations == 0:
-            return 0.0
-        return self.dropped / self.operations
-
 
 def run_open_loop(
     server: RequestServer, spec: YCSBSpec, config: FrontendConfig

@@ -16,11 +16,11 @@ each shard's I/O accumulates on a forked child clock and the operation
 completes at the slowest shard, exactly like the store's own parallel
 cloud fetches.
 
-Maintenance deferral: with ``ServeConfig.defer_maintenance`` (the default)
-each shard's write-triggered flush+compaction is *deferred* — the engine's
-``maintenance_hook`` marks the shard dirty instead of flushing inline —
-and :meth:`ShardedDB.run_pending_maintenance` replays it after the
-triggering request's response. Under the open-loop front-end this puts
+Maintenance deferral: each shard's write-triggered flush+compaction is
+*deferred* — the engine's ``maintenance_hook`` marks the shard dirty instead
+of flushing inline — and :meth:`ShardedDB.run_pending_maintenance` replays
+it after the triggering request's response. Under the open-loop front-end
+this puts
 compaction work on the shard's busy timeline where it surfaces as
 *queueing* interference on later requests (the realistic tail-latency
 mechanism) instead of inflating one unlucky request's service time.
@@ -110,10 +110,6 @@ class ServeConfig:
     key_space: int = 10_000
     """Key-index space the uniform router splits."""
 
-    defer_maintenance: bool = True
-    """Defer write-triggered flush/compaction past the triggering request
-    (see module docstring). ``False`` keeps the engine's inline behaviour."""
-
 
 TRACE_CAPACITY = 4096
 """Span ring of the node-wide tracer all shards record into (a single
@@ -136,15 +132,20 @@ class ShardedDB:
         self.num_shards = self.router.num_shards
         self.name = f"rocksmash-x{self.num_shards}"
         self.counters = CounterSet()
+        self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
+        """One tracer for the whole node, handed to the shared devices and to
+        every shard: each shard's block path, view store, placement and
+        tuner post to it from their first instruction."""
         base = config.base
         self.local_device = LocalDevice(
             self.clock,
             base.local_model,
             capacity_bytes=base.local_capacity_bytes,
             counters=self.counters,
+            tracer=self.tracer,
         )
         self.cloud_store = CloudObjectStore(
-            self.clock, base.cloud_model, counters=self.counters
+            self.clock, base.cloud_model, counters=self.counters, tracer=self.tracer
         )
         self.shards: list[RocksMashStore] = []
         # Per-shard tuning controllers may run, but must never grow a
@@ -157,44 +158,29 @@ class ShardedDB:
             if base.tuning is not None
             else None
         )
-        for index in range(self.num_shards):
-            shard_config = replace(
-                base,
-                db_prefix=f"db/s{index:02d}/",
-                options=replace(base.options, scan_prefetch_depth=0),
-                pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
-                tuning=shard_tuning,
-            )
-            self.shards.append(
-                RocksMashStore(
-                    shard_config,
-                    clock=self.clock,
-                    local_device=self.local_device,
-                    cloud_store=self.cloud_store,
-                    counters=self.counters,
+        # Under a span, so that what opening the shards costs is attributed.
+        with self.tracer.span("open"):
+            for index in range(self.num_shards):
+                shard_config = replace(
+                    base,
+                    db_prefix=f"db/s{index:02d}/",
+                    options=replace(base.options, scan_prefetch_depth=0),
+                    pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
+                    tuning=shard_tuning,
                 )
-            )
-        # One tracer for the whole node: each shard's constructor pointed
-        # the shared devices at its private tracer (last one wins), so
-        # rewire devices, shards *and* their block paths to a single
-        # server-level tracer — shard-internal closures (demotion/promotion
-        # events) look the attribute up dynamically and follow.
-        self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
-        self.local_device.tracer = self.tracer
-        self.cloud_store.tracer = self.tracer
-        for shard in self.shards:
-            shard.tracer = self.tracer
-            shard.db.block_path.event = self.tracer.event
-            if shard.tuner is not None:
-                # The tuner captured the shard's private tracer at
-                # construction; repoint it at the node tracer (where the
-                # shared devices now charge) and rebase its window deltas.
-                shard.tuner.tracer = self.tracer
-                shard.tuner._snapshot_baselines()
+                self.shards.append(
+                    RocksMashStore(
+                        shard_config,
+                        clock=self.clock,
+                        local_device=self.local_device,
+                        cloud_store=self.cloud_store,
+                        counters=self.counters,
+                        tracer=self.tracer,
+                    )
+                )
         self._pending: set[int] = set()
-        if config.defer_maintenance:
-            for index, shard in enumerate(self.shards):
-                shard.db.maintenance_hook = self._defer_hook(index)
+        for index, shard in enumerate(self.shards):
+            shard.db.maintenance_hook = self._defer_hook(index)
         self._in_request = False
         self._request_clock: SimClock | None = None
         self.read_latency = LatencyHistogram()

@@ -38,13 +38,14 @@ class CloudObjectStore(ClockCharged):
         counters: CounterSet | None = None,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.model = model or cloud_object_storage()
         self.counters = counters if counters is not None else CounterSet()
         self.faults = faults
         self.retry = retry or RetryPolicy()
-        self.tracer: Tracer | None = None  # set by the store facade for tier attribution
+        self.tracer = tracer  # tier attribution; a store facade points it at its own
         self._objects: dict[str, bytes] = {}
         # In-flight multipart uploads: key -> parts received so far. Parts
         # are durable server-side but invisible until complete_multipart;

@@ -57,13 +57,14 @@ class LocalDevice(ClockCharged):
         capacity_bytes: int | None = None,
         counters: CounterSet | None = None,
         faults: FaultInjector | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.model = model or nvme_ssd()
         self.capacity_bytes = capacity_bytes
         self.counters = counters if counters is not None else CounterSet()
         self.faults = faults
-        self.tracer: Tracer | None = None  # set by the store facade for tier attribution
+        self.tracer = tracer  # tier attribution; a store facade points it at its own
         self._files: dict[str, _FileState] = {}
 
     # -- write path -------------------------------------------------------

@@ -82,7 +82,7 @@ def monkey_allocation(
         Σ w_i · bits_i  ≤  budget_bits_per_key
 
     i.e. the allocation never spends more filter memory on the observed
-    tree shape than ``bloom_bits_per_key = budget`` would. Levels holding
+    tree shape than a uniform ``budget`` bits per key would. Levels holding
     no data yet still get an entry (flushes land on L0 before the
     controller has seen bytes there); they carry zero weight in the budget
     and inherit the Δ-rule bits for their depth.

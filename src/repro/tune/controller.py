@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.lsm.filters import FilterAllocation
-from repro.lsm.options import NUM_LEVELS
+from repro.lsm.options import BLOOM_BITS_PER_KEY, LEVEL_SIZE_MULTIPLIER, NUM_LEVELS
 from repro.tune.allocation import monkey_allocation
 
 if TYPE_CHECKING:
@@ -353,19 +353,18 @@ class TuningController:
         options = self.db.options
         changed: list[str] = []
 
-        if options.bloom_bits_per_key > 0:
-            target = monkey_allocation(
-                stats.level_bytes,
-                budget_bits_per_key=options.bloom_bits_per_key,
-                size_multiplier=options.level_size_multiplier,
-                point_read_share=stats.point_share,
-            )
-            current = options.filter_allocation or FilterAllocation.uniform(
-                options.bloom_bits_per_key, len(stats.level_bytes)
-            )
-            if self._confirm("filter_allocation", current, target):
-                options.filter_allocation = target
-                changed.append("filter_allocation")
+        target = monkey_allocation(
+            stats.level_bytes,
+            budget_bits_per_key=BLOOM_BITS_PER_KEY,
+            size_multiplier=LEVEL_SIZE_MULTIPLIER,
+            point_read_share=stats.point_share,
+        )
+        current = options.filter_allocation or FilterAllocation.uniform(
+            BLOOM_BITS_PER_KEY, len(stats.level_bytes)
+        )
+        if self._confirm("filter_allocation", current, target):
+            options.filter_allocation = target
+            changed.append("filter_allocation")
 
         if self.config.tune_prefetch_depth:
             depth = options.scan_prefetch_depth
@@ -490,7 +489,7 @@ class TuningController:
         alloc = options.filter_allocation
         return {
             "filter_allocation": (
-                alloc.describe() if alloc is not None else f"uniform:{options.bloom_bits_per_key}"
+                alloc.describe() if alloc is not None else f"uniform:{BLOOM_BITS_PER_KEY}"
             ),
             "scan_prefetch_depth": str(options.scan_prefetch_depth),
             "scan_readahead_bytes": (

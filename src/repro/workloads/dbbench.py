@@ -34,12 +34,6 @@ class BenchResult:
             return 0.0
         return self.operations / self.elapsed_seconds
 
-    @property
-    def micros_per_op(self) -> float:
-        if self.operations == 0:
-            return 0.0
-        return self.elapsed_seconds / self.operations * 1e6
-
 
 def _timed_loop(
     store: StoreFacade,

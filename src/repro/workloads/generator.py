@@ -8,7 +8,6 @@ hotness is not correlated with key order.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Protocol
 
@@ -135,27 +134,3 @@ def make_request_generator(
     if distribution == "sequential":
         return SequentialGenerator(count)
     raise ValueError(f"unknown distribution {distribution!r}")
-
-
-def hot_cold_fraction(samples: list[int], count: int, hot_fraction: float = 0.1) -> float:
-    """Fraction of samples that fall in the hottest ``hot_fraction`` of ranks
-    (diagnostic used by tests to validate skew)."""
-    if not samples:
-        return 0.0
-    threshold = max(1, int(count * hot_fraction))
-    ranked = sorted(range(count), key=lambda k: -samples.count(k))  # small n only
-    hot = set(ranked[:threshold])
-    return sum(s in hot for s in samples) / len(samples)
-
-
-def perceived_skew(samples: list[int]) -> float:
-    """Normalized entropy deficit in [0, 1]; 0 = uniform, 1 = single key."""
-    if not samples:
-        return 0.0
-    counts: dict[int, int] = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    n = len(samples)
-    entropy = -sum((c / n) * math.log2(c / n) for c in counts.values())
-    max_entropy = math.log2(len(counts)) if len(counts) > 1 else 1.0
-    return 1.0 - entropy / max_entropy if max_entropy else 1.0

@@ -64,7 +64,7 @@ class TestPCacheRecoverySite:
         device = LocalDevice(SimClock())
         cache = PersistentCache.open(device)
         cache.put_meta("t1.sst", "index", b"index-bytes")
-        cache.put_data("t1.sst", 0, b"block-bytes", force=True)
+        cache.put_data("t1.sst", 0, b"block-bytes")
         cache.close()
         return device
 

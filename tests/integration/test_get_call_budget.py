@@ -34,14 +34,14 @@ GETS = 500
 SCANS = 50
 ROWS_PER_SCAN = 20
 
-# Measured when the read path was last tuned — one block stack per table in
-# place of loader closures and hook relays: 131.2 calls per warm get, 42.8 per
-# scanned row, 215.1 per cold get (at the parent of that change, counted the
-# same way: 174.9, 51.9 and 270.8; it recorded 171.3 and 51.8 through
-# ``pstats``, see ``profiled``). Ceilings sit 10 % above.
-CALLS_PER_GET_CEILING = 144.3
+# Measured when the read path last changed — ``TableReader.get`` lost its
+# per-block filter probe and ``DB._get_at`` its second candidate source: 127.7
+# calls per warm get, 42.8 per scanned row, 211.1 per cold get (at the parent
+# of that change, counted the same way: 132.2, 42.8 and 216.1). Ceilings sit
+# 10 % above.
+CALLS_PER_GET_CEILING = 140.5
 CALLS_PER_ROW_CEILING = 47.0
-CALLS_PER_COLD_GET_CEILING = 236.6
+CALLS_PER_COLD_GET_CEILING = 232.2
 
 
 def build_store(*, dram_bytes=None, pcache_bytes=1 << 20):

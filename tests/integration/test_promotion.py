@@ -77,8 +77,7 @@ class TestPromotion:
         store.put(b"trigger", b"flush")
         store.flush()
         budget = store.config.placement.local_bytes_budget
-        headroom = store.config.placement.promotion_headroom
-        assert store.placement.local_table_bytes() <= budget * max(headroom, 1.0)
+        assert store.placement.local_table_bytes() <= budget
 
     def test_cold_files_not_promoted(self):
         store = promo_store(threshold=1e9)  # unreachable threshold
@@ -91,12 +90,6 @@ class TestPromotion:
     def test_promotion_requires_budget(self):
         with pytest.raises(ValueError):
             PlacementConfig(promotion_enabled=True)
-
-    def test_invalid_headroom(self):
-        with pytest.raises(ValueError):
-            PlacementConfig(
-                local_bytes_budget=1000, promotion_enabled=True, promotion_headroom=0.0
-            )
 
     def test_promotion_speeds_up_hot_reads(self):
         from repro.mash.pcache import PCacheConfig

@@ -123,13 +123,9 @@ class TestMutationSelfTests:
         # dropping the tracer mirror must trip the charge-attribution gate.
         mutate(
             tree_copy / "mash" / "store.py",
-            "        cost = _VIEW_CODEC_BASE_COST + _VIEW_CODEC_COST_PER_BYTE * len(payload)\n"
-            "        self.clock.advance(cost)\n"
-            '        self.tracer.charge("cpu", cost)\n'
-            '        self.pcache.put_meta(self._name(stamp), "view", payload)\n',
-            "        cost = _VIEW_CODEC_BASE_COST + _VIEW_CODEC_COST_PER_BYTE * len(payload)\n"
-            "        self.clock.advance(cost)\n"
-            '        self.pcache.put_meta(self._name(stamp), "view", payload)\n',
+            "        self.pcache.device.clock.advance(cost)\n"
+            '        self.tracer.charge("cpu", cost)\n',
+            "        self.pcache.device.clock.advance(cost)\n",
         )
         findings = findings_for(tree_copy.parent)
         assert [(f.rule, f.path.endswith("mash/store.py")) for f in findings] == [

@@ -1,8 +1,6 @@
 """End-to-end serving-layer integration: open-loop load against sharded
 and unsharded RocksMash nodes built from the experiment harness config."""
 
-import pytest
-
 from repro.bench.harness import HarnessKnobs, make_store, rocksmash_config
 from repro.obs.trace import span_conserved
 from repro.serve import (
@@ -110,9 +108,6 @@ class TestServingEndToEnd:
         bounded = serve(sharded_node(2), workload="C", rate=5000.0, capacity=16)
         assert unbounded.dropped == 0 and bounded.dropped > 0
         assert bounded.queue_wait.max_seen < unbounded.queue_wait.max_seen
-        assert bounded.drop_rate == pytest.approx(
-            bounded.dropped / bounded.operations
-        )
 
     def test_closed_loop_runner_drives_sharded_node_unchanged(self):
         # Facade parity: run_phase treats a ShardedDB like any store.

@@ -1,6 +1,6 @@
 """Kitchen-sink soak tests: every feature enabled at once, long op streams.
 
-These runs combine compression, partitioned filters, scan readahead,
+These runs combine compression, scan readahead,
 promotion, multi_get, checkpoints, reverse scans, delete_range, crash
 cycles, and the consistency checker against a single dict model — the
 closest thing to a production burn-in the simulation allows.
@@ -30,7 +30,6 @@ def everything_on_config(style="leveled"):
             target_file_size_base=(1 << 20) if style == "universal" else 4 << 10,
             block_cache_bytes=8 << 10,
             compression="zlib",
-            filter_partitioning="block",
             compaction_style=style,
             max_manifest_file_size=8 << 10,
         ),
@@ -40,7 +39,7 @@ def everything_on_config(style="leveled"):
             promotion_enabled=True,
             promotion_heat_threshold=20.0,
         ),
-        pcache=PCacheConfig(data_budget_bytes=32 << 10, admit_after_accesses=2),
+        pcache=PCacheConfig(data_budget_bytes=32 << 10),
         layout=LayoutConfig(aware=True, prewarm_heat_threshold=1.0),
         xwal=XWalConfig(num_shards=4),
     )

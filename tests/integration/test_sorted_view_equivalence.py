@@ -177,6 +177,44 @@ class TestFaultStormEquivalence:
             store.close()
 
 
+class TestPointLookupsIgnoreTheView:
+    @pytest.mark.parametrize("cloud_level", [1, 2])
+    def test_get_same_values_bloom_tallies_and_events(self, cloud_level):
+        """The view serves seeks and scans; a ``get`` routes by the version's
+        fences either way, so a view-enabled store probes the same filters and
+        reads the same blocks from the same sources as its view-less twin."""
+
+        def twin(sorted_view):
+            cfg = StoreConfig().small()
+            store = RocksMashStore.create(
+                replace(
+                    cfg,
+                    options=replace(cfg.options, sorted_view=sorted_view),
+                    placement=replace(cfg.placement, cloud_level=cloud_level),
+                )
+            )
+            for step in range(600):
+                k = b"key%04d" % (step * 7 % 150)
+                if step % 11 == 3:
+                    store.delete(k)
+                else:
+                    store.put(k, b"v%d" % step * 8)
+            store.flush()
+            return store
+
+        viewed, plain = twin(True), twin(False)
+        assert "usable=yes" in viewed.db.get_property("repro.sorted-view-stats")
+        for i in range(0, 200, 3):  # stored, deleted and never-written keys
+            key = b"key%04d" % i
+            assert viewed.get(key) == plain.get(key)
+            span_v, span_p = viewed.tracer.spans[-1], plain.tracer.spans[-1]
+            assert span_v.op == span_p.op == "get"
+            assert span_v.events == span_p.events, key
+        assert viewed.db.bloom_stats == plain.db.bloom_stats
+        assert viewed.db.bloom_stats["bloom_checked"] > 0
+        assert viewed.db.block_path.hits == plain.db.block_path.hits
+
+
 class TestStaleViewFallback:
     @pytest.mark.parametrize("site", ["view.before_persist", "view.before_manifest"])
     def test_crash_in_view_commit_window_falls_back_then_heals(self, site):

@@ -133,13 +133,8 @@ class TestFormatVariantsProp:
     @given(ops_strategy)
     @settings(**PROP_SETTINGS)
     def test_all_format_variants_agree(self, ops):
-        """Compression and filter layout must never change visible state."""
-        variants = [
-            tiny_options(),
-            tiny_options(compression="zlib"),
-            tiny_options(filter_partitioning="block"),
-            tiny_options(compression="zlib", filter_partitioning="block"),
-        ]
+        """Compression must never change visible state."""
+        variants = [tiny_options(), tiny_options(compression="zlib")]
         states = []
         for options in variants:
             db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", options)

@@ -11,6 +11,7 @@ cut that one ulp can move.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from repro.lsm.compaction import CompactionEvent, CompactionOutput
 from repro.lsm.format import BlockHandle
 from repro.lsm.table_builder import BlockMeta, TableProperties
 from repro.lsm.version import FileMetaData
+from repro.mash import layout
 from repro.mash.layout import HEAT_DECAY, BlockHeatTracker, LayoutConfig
 from repro.util.encoding import TYPE_VALUE, extract_user_key, internal_order, make_internal_key
 
@@ -119,7 +121,7 @@ class ReferenceTracker:
                     # propagating it.
                     self.record_access(out_name, block.handle.offset, h)
         candidates.sort(key=lambda item: -item[2])
-        capped = candidates[: self.config.prewarm_budget_blocks]
+        capped = candidates[: layout.PREWARM_BUDGET_BLOCKS]
         self.inherited_heat_total += sum(h for _, _, h in capped)
         return capped
 
@@ -154,8 +156,10 @@ configs = st.builds(
     LayoutConfig,
     aware=st.sampled_from([True, True, True, False]),
     prewarm_heat_threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1e9]),
-    prewarm_budget_blocks=st.sampled_from([0, 1, 2, 3, 256]),
 )
+budgets = st.sampled_from([0, 1, 2, 3, 256])
+"""Values ``layout.PREWARM_BUDGET_BLOCKS`` is patched to: the cut has to
+land inside a plan of a handful of blocks to be seen."""
 mostly = st.integers(0, 9).map(bool)
 
 
@@ -255,27 +259,29 @@ def assert_same_heat(new, ref, tables):
 
 
 class TestInheritanceMatchesReference:
-    @given(configs, st.data())
+    @given(configs, budgets, st.data())
     @settings(max_examples=300, deadline=None)
-    def test_one_compaction(self, config, data):
+    def test_one_compaction(self, config, budget, data):
         new, ref = BlockHeatTracker(config), ReferenceTracker(config)
         inputs = data.draw(input_tables(1))
         heat_up(data.draw, (new, ref), inputs)
         outputs = data.draw(merged_outputs(inputs, 50))
-        got, want = compact((new, ref), inputs, outputs)
+        with mock.patch.object(layout, "PREWARM_BUDGET_BLOCKS", budget):
+            got, want = compact((new, ref), inputs, outputs)
         assert got == want
         assert_same_heat(new, ref, inputs + outputs)
 
-    @given(configs, st.data())
+    @given(configs, budgets, st.data())
     @settings(max_examples=200, deadline=None)
-    def test_two_chained_compactions(self, config, data):
+    def test_two_chained_compactions(self, config, budget, data):
         """The second compaction merges the first one's outputs — whose only
         heat is what the first seeded — with fresh, heated tables."""
         new, ref = BlockHeatTracker(config), ReferenceTracker(config)
         inputs = data.draw(input_tables(1))
         heat_up(data.draw, (new, ref), inputs)
         outputs = data.draw(merged_outputs(inputs, 50))
-        got, want = compact((new, ref), inputs, outputs)
+        with mock.patch.object(layout, "PREWARM_BUDGET_BLOCKS", budget):
+            got, want = compact((new, ref), inputs, outputs)
         assert got == want
         for table in inputs:  # what the store does when a table is deleted
             new.forget_file(table.name)
@@ -285,6 +291,7 @@ class TestInheritanceMatchesReference:
         fresh = data.draw(input_tables(100, min_files=0))
         heat_up(data.draw, (new, ref), fresh)
         second = data.draw(merged_outputs(outputs + fresh, 150))
-        got, want = compact((new, ref), outputs + fresh, second)
+        with mock.patch.object(layout, "PREWARM_BUDGET_BLOCKS", budget):
+            got, want = compact((new, ref), outputs + fresh, second)
         assert got == want
         assert_same_heat(new, ref, inputs + outputs + fresh + second)

@@ -4,7 +4,10 @@ For any sequence of store operations, each recorded span's tier vector
 (local + cloud + cpu seconds) must sum to its stopwatch elapsed time —
 including operations whose I/O runs through fork/join regions (multi_get
 waves, xWAL shard syncs, parallel subcompactions, demotion batches) and,
-with key–value separation drawn on, reads that resolve a blob pointer.
+with key–value separation drawn on, reads that resolve a blob pointer. The
+store is drawn too: one store or a two-shard serving node (whose cross-shard
+ops fork a branch per shard), with or without the sorted view (whose every
+rebuild charges CPU time inside a flush).
 """
 
 from dataclasses import replace
@@ -13,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
+from repro.serve import ServeConfig, ShardedDB
+from repro.workloads.generator import make_key
 
 ops = st.lists(
     st.one_of(
@@ -28,8 +33,7 @@ ops = st.lists(
 )
 
 
-def key_of(i: int) -> bytes:
-    return b"key%04d" % i
+key_of = make_key  # the keys a node's router splits: 0-24 on shard 0, 25- on shard 1
 
 
 # Threshold 1, not a realistic 64: every value then goes through the blob
@@ -38,7 +42,12 @@ def key_of(i: int) -> bytes:
 # pinned example does it on every run: from the active local segment, then
 # (after the flush seals it) from the cloud, then from the pcache.
 @settings(max_examples=25, deadline=None)
-@given(ops=ops, blob_value_threshold=st.sampled_from([0, 1]))
+@given(
+    ops=ops,
+    blob_value_threshold=st.sampled_from([0, 1]),
+    shards=st.sampled_from([1, 2]),
+    sorted_view=st.booleans(),
+)
 @example(
     ops=[
         ("put", 0, b"v"),
@@ -50,15 +59,29 @@ def key_of(i: int) -> bytes:
         ("multi_get", 0, b""),
     ],
     blob_value_threshold=1,
+    shards=1,
+    sorted_view=False,
 )
-def test_all_spans_conserved(ops, blob_value_threshold):
+@example(  # a node-wide flush persists one view per shard, each inside a branch
+    ops=[("put", 0, b"v"), ("put", 30, b"v"), ("flush", 0, b""), ("scan", 20, b"")],
+    blob_value_threshold=0,
+    shards=2,
+    sorted_view=True,
+)
+def test_all_spans_conserved(ops, blob_value_threshold, shards, sorted_view):
     config = StoreConfig().small()
-    store = RocksMashStore.create(
-        replace(
-            config,
-            options=replace(config.options, blob_value_threshold=blob_value_threshold),
-        )
+    config = replace(
+        config,
+        options=replace(
+            config.options,
+            blob_value_threshold=blob_value_threshold,
+            sorted_view=sorted_view,
+        ),
     )
+    if shards == 1:
+        store = RocksMashStore.create(config)
+    else:
+        store = ShardedDB(ServeConfig(base=config, num_shards=shards, key_space=50))
     for op, i, value in ops:
         if op == "put":
             store.put(key_of(i), value)

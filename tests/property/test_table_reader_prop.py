@@ -82,46 +82,19 @@ def _ref_load_data_block(reader, handle):
 
 def ref_get(reader, target):
     user_key = extract_user_key(target)
-    probed = False
-    if reader._filter is not None:
-        probed = True
+    probed = reader._filter is not None
+    if probed:
         reader._note_filter("checked")
         if not BloomFilterPolicy.key_may_match(user_key, reader._filter):
             reader._note_filter("useful")
             return None
     for _index_key, handle_bytes in reader._index.seek(target):
         handle, _ = decode_handle(handle_bytes)
-        if reader._partitions is not None and not probed:
-            probed = True
-            reader._note_filter("checked")
-        if not reader._partition_may_contain(user_key, handle):
-            reader._note_filter("useful")
-            return None
         block = _ref_load_data_block(reader, handle)
         for key, value in block.seek(target):
             if probed and extract_user_key(key) != user_key:
                 reader._note_filter("false_positive")
             return key, value
-    if probed:
-        reader._note_filter("false_positive")
-    return None
-
-
-def ref_get_at(reader, target, handle):
-    user_key = extract_user_key(target)
-    probed = reader._filter is not None or reader._partitions is not None
-    if probed:
-        reader._note_filter("checked")
-    if not reader.may_contain(user_key):
-        reader._note_filter("useful")
-        return None
-    if not reader._partition_may_contain(user_key, handle):
-        reader._note_filter("useful")
-        return None
-    for key, value in _ref_load_data_block(reader, handle).seek(target):
-        if probed and extract_user_key(key) != user_key:
-            reader._note_filter("false_positive")
-        return key, value
     if probed:
         reader._note_filter("false_positive")
     return None
@@ -212,7 +185,7 @@ versions = st.lists(
 tables = st.dictionaries(user_keys, versions, min_size=1, max_size=12)
 
 
-def build_readers(table, block_size, partitioning):
+def build_readers(table, block_size):
     """The same table file opened twice: (entries, reader, reference reader)."""
     entries = sorted(
         (
@@ -223,9 +196,7 @@ def build_readers(table, block_size, partitioning):
         key=lambda entry: internal_order(entry[0]),
     )
     env = LocalEnv(LocalDevice(SimClock()))
-    options = Options(
-        block_size=block_size, block_cache_bytes=0, filter_partitioning=partitioning
-    )
+    options = Options(block_size=block_size, block_cache_bytes=0)
     builder = TableBuilder(options, env.new_writable_file("t.sst"))
     for ikey, value in entries:
         builder.add(*internal_order(ikey), value)
@@ -257,13 +228,12 @@ class TestParsedIndexMatchesIndexBlockSeeks:
     @given(
         tables,
         st.sampled_from([64, 160, 4096]),
-        st.sampled_from(["table", "block"]),
         st.lists(user_keys, max_size=6),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_lookup_agrees(self, table, block_size, partitioning, extra_keys, walk_first):
-        entries, reader, reference = build_readers(table, block_size, partitioning)
+    def test_every_lookup_agrees(self, table, block_size, extra_keys, walk_first):
+        entries, reader, reference = build_readers(table, block_size)
         if walk_first:
             # A whole-table walk (compaction input) must leave no parsed index
             # behind, and must not disturb the seeks that follow.
@@ -283,11 +253,6 @@ class TestParsedIndexMatchesIndexBlockSeeks:
             goal = internal_order(target)
             assert reader.get(goal) == split_one(ref_get(reference, target)), target
             assert reader.filter_stats == reference.filter_stats, target
-            # ... and with the candidate block named by the caller (the
-            # sorted view's path), whichever block that is.
-            for _, handle in ref_block_refs(reference)[:3]:
-                assert reader.get(goal, handle) == split_one(ref_get_at(reference, target, handle))
-                assert reader.filter_stats == reference.filter_stats, (target, handle)
             for reverse in (False, True):
                 assert reader.edge_data_handle(goal, reverse=reverse) == ref_edge_data_handle(
                     reference, target, reverse=reverse

@@ -30,7 +30,6 @@ def options():
     return Options(
         level0_file_num_compaction_trigger=4,
         max_bytes_for_level_base=10_000,
-        level_size_multiplier=10,
     )
 
 

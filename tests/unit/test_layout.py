@@ -168,8 +168,9 @@ class TestInheritance:
         event = compaction_event([fmd(1, b"a", b"p")], [output_of(9, out)])
         assert tracker.plan_inheritance(event, NAME_OF) == []
 
-    def test_budget_caps_plan(self):
-        config = LayoutConfig(prewarm_heat_threshold=0.1, prewarm_budget_blocks=2)
+    def test_budget_caps_plan(self, monkeypatch):
+        monkeypatch.setattr("repro.mash.layout.PREWARM_BUDGET_BLOCKS", 2)
+        config = LayoutConfig(prewarm_heat_threshold=0.1)
         tracker = BlockHeatTracker(config)
         in_blocks = [block(bytes([c]), bytes([c]), c * 100) for c in range(97, 107)]
         tracker.register_file(NAME_OF(1), in_blocks)

@@ -201,10 +201,9 @@ class TestPersistence:
 
 
 class TestSlabCompaction:
-    def test_garbage_triggers_compaction(self, device):
-        config = PCacheConfig(
-            data_budget_bytes=100 << 10, sync_every_n_appends=1, slab_garbage_ratio=0.3
-        )
+    def test_garbage_triggers_compaction(self, device, monkeypatch):
+        monkeypatch.setattr("repro.mash.pcache.SLAB_GARBAGE_RATIO", 0.3)
+        config = PCacheConfig(data_budget_bytes=100 << 10, sync_every_n_appends=1)
         cache = PersistentCache.open(device, config)
         # Create then drop lots of entries -> garbage accumulates.
         for round_ in range(10):

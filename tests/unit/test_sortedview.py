@@ -39,8 +39,8 @@ def build_runs(key_sets, entries_per_block=3):
     """Fabricate L0 runs + a block source from per-run user-key sets.
 
     Run ``i`` (1-based numbers) writes every key of ``key_sets[i-1]`` at
-    sequence ``i`` — later runs are newer, matching the L0 invariant that
-    ``point_candidates`` orders by. Internal keys are globally unique.
+    sequence ``i`` — later runs are newer, the L0 invariant. Internal keys
+    are globally unique.
     """
     payloads = {}
     tables = {}
@@ -104,28 +104,6 @@ class TestStreamEquivalence:
         bound = seek_goal(bound_user) if bound_user is not None else None
         expected = [e for e in reversed(merged) if bound is None or e < bound]
         assert list(view.stream_reverse(bound, source)) == expected
-
-    @given(run_sets)
-    @settings(max_examples=80, deadline=None)
-    def test_point_candidates_find_newest_entry(self, key_sets):
-        """Emulating ``_get_at`` over the candidates equals the model."""
-        tables, source, merged = build_runs(key_sets)
-        view, _ = rebuild_view(1, None, tables)
-        all_keys = {k for key_set in key_sets for k in key_set}
-        for user_key in all_keys:
-            newest = max(
-                i + 1 for i, key_set in enumerate(key_sets) if user_key in key_set
-            )
-            lookup = seek_goal(user_key)
-            found = None
-            for run, ref in view.point_candidates(lookup):
-                for found_key, _, value in source(run.number, ref).seek(lookup):
-                    if found_key == user_key:
-                        found = value
-                    break
-                if found is not None:
-                    break
-            assert found == b"v%d:%s" % (newest, user_key)
 
     @given(run_sets, user_keys, st.booleans())
     @settings(max_examples=60, deadline=None)

@@ -10,12 +10,12 @@ from repro.lsm.format import (
     Footer,
     decode_handle,
     encode_handle,
-    encode_partitioned_filter,
     parse_file_name,
     seal_block,
     table_file_name,
     unseal_block,
 )
+from repro.lsm.filters import FilterAllocation
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_reader import TableReader
@@ -105,7 +105,6 @@ class TestTableBuilder:
         assert props.largest_key == entries[-1][0]
         assert props.file_size > 0
         assert props.blocks, "expected at least one data block"
-        assert props.metadata_bytes == props.index_bytes + props.filter_bytes
 
     def test_multiple_blocks(self, env):
         options = Options(block_size=256)
@@ -162,9 +161,8 @@ class TestTableBuilder:
 
 
 class TestFilterBlock:
-    """The builder keeps one list of user keys — the table's, or in "block"
-    mode the open block's — and the filter bytes are what a filter built
-    from the entries by hand would be."""
+    """The builder keeps one list of user keys, the table's, and the filter
+    bytes are what a filter built from the entries by hand would be."""
 
     def entries(self):
         # Two versions of every third key: a user key enters a filter once
@@ -190,32 +188,23 @@ class TestFilterBlock:
         assert self.filter_payload(env, reader) == expected
         assert props.filter_bytes == len(expected)
 
-    def test_per_block_filter_bytes(self, env):
-        entries = self.entries()
-        options = Options(block_size=256, filter_partitioning="block")
-        props, reader = build_table(env, entries, options)
-        assert len(props.blocks) > 10
-        policy = BloomFilterPolicy(10)
-        expected = encode_partitioned_filter(
-            [
-                policy.create_filter(
-                    [
-                        extract_user_key(ikey)
-                        for ikey, _ in entries
-                        if internal_order(block.first_key)
-                        <= internal_order(ikey)
-                        <= internal_order(block.last_key)
-                    ]
-                )
-                for block in props.blocks
-            ]
-        )
-        assert self.filter_payload(env, reader) == expected
-        assert props.filter_bytes == len(expected)
+    def test_unknown_filter_tag_rejected_at_open(self, env):
+        # 0x01 once tagged a per-block filter layout; one layout exists now,
+        # and a block that passes its CRC under any other tag is corruption.
+        _, reader = build_table(env, self.entries(), name="t.sst")
+        handle = reader.footer.filter_handle
+        payload = self.filter_payload(env, reader)
+        assert payload[0] == FILTER_WHOLE_TABLE
+        data = bytearray(env.read_file("t.sst"))
+        resealed = seal_block(b"\x01" + payload[1:])
+        data[handle.offset : handle.offset + len(resealed)] = resealed
+        env.delete_file("t.sst")
+        env.write_file("t.sst", bytes(data))
+        with pytest.raises(CorruptionError, match="unknown filter-block tag 0x1"):
+            TableReader(Options(), env.new_random_access_file("t.sst"))
 
-    @pytest.mark.parametrize("partitioning", ["table", "block"])
-    def test_no_policy_no_filter(self, env, partitioning):
-        options = Options(block_size=256, bloom_bits_per_key=0, filter_partitioning=partitioning)
+    def test_no_policy_no_filter(self, env):
+        options = Options(block_size=256, filter_allocation=FilterAllocation((0,)))
         props, reader = build_table(env, self.entries(), options)
         assert props.filter_bytes == 0
         assert reader.footer.filter_handle.size == 0
@@ -296,7 +285,7 @@ class TestTableReader:
                     assert fetched == ([] if edge is None else [edge])
 
     def test_no_bloom_filter_option(self, env):
-        options = Options(bloom_bits_per_key=0)
+        options = Options(filter_allocation=FilterAllocation((0,)))
         _, reader = build_table(env, make_entries(50), options)
         assert reader.may_contain(b"anything")  # no filter: conservative
 

@@ -147,19 +147,14 @@ class TestMonkeyAllocation:
 
 
 class TestOptionsFilterPolicy:
-    def test_bits_per_key_synthesizes_default_policy(self):
-        assert Options(bloom_bits_per_key=8).table_filter_policy(
-            3
-        ) == BloomFilterPolicy(bits_per_key=8)
+    def test_bits_per_key_synthesizes_default_policy(self, monkeypatch):
+        monkeypatch.setattr("repro.lsm.options.BLOOM_BITS_PER_KEY", 8)
+        assert Options().table_filter_policy(3) == BloomFilterPolicy(bits_per_key=8)
 
     def test_table_filter_policy_prefers_allocation(self):
-        options = Options(
-            bloom_bits_per_key=10,
-            filter_allocation=FilterAllocation(bits_per_level=(12, 6, 0)),
-        )
+        options = Options(filter_allocation=FilterAllocation(bits_per_level=(12, 6, 0)))
         assert options.table_filter_policy(0) == BloomFilterPolicy(bits_per_key=12)
         assert options.table_filter_policy(2) is None
-        assert Options(bloom_bits_per_key=0).table_filter_policy(0) is None
 
 
 def point_read_window(controller):

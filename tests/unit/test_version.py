@@ -216,7 +216,6 @@ class TestVersion:
         assert v1.level_bytes(1) == 100
         assert v1.total_bytes() == 300
         assert v1.live_file_numbers() == {1, 2}
-        assert v1.deepest_nonempty_level() == 2
 
 
 class TestVersionSet:
