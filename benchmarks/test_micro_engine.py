@@ -65,6 +65,25 @@ def test_block_build_and_seek(benchmark):
     assert benchmark(run) == 250
 
 
+def test_table_build(benchmark):
+    """The write side of a flush or a merge: 2 000 sorted entries (24 B keys,
+    100 B values) through ``TableBuilder.fill`` at 512 B blocks — order check,
+    key rebuild, prefix encode, seal and CRC per block, filter, index."""
+    env = LocalEnv(LocalDevice(SimClock()))
+    options = Options(block_size=512)
+    entries = [
+        (f"user{i * 7919:020d}".encode(), -(((i % 50 + 1) << 8) | TYPE_VALUE), b"v" * 100)
+        for i in range(2000)
+    ]
+
+    def run():
+        builder = TableBuilder(options, env.new_writable_file("bench.sst"))
+        builder.fill(iter(entries))
+        return builder.finish().num_entries
+
+    assert benchmark(run) == 2000
+
+
 def test_bloom_create_and_probe(benchmark):
     policy = BloomFilterPolicy(10)
     keys = [f"key{i}".encode() for i in range(2000)]

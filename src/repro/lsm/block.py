@@ -14,8 +14,9 @@ hands out :data:`~repro.util.encoding.Entry` tuples, which sort natively.
 from __future__ import annotations
 
 import struct
+import sys
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.errors import CorruptionError
 from repro.util.encoding import TRAILER, Entry, SeekGoal
@@ -41,7 +42,9 @@ class BlockBuilder:
     """Accumulates sorted key/value entries into one encoded block.
 
     ``size_estimate`` is the encoded size if finished now (entries, restart
-    array, restart count), kept current by :meth:`add`.
+    array, restart count); ``first_key`` and ``last_key`` bound the entries
+    taken. :meth:`fill` keeps all of them current, and ``last_key`` outlives
+    :meth:`reset` — a table's next block continues after it.
     """
 
     def __init__(self, restart_interval: int = 16) -> None:
@@ -49,43 +52,78 @@ class BlockBuilder:
             raise ValueError("restart_interval must be >= 1")
         self.restart_interval = restart_interval
         self._buffer = bytearray()
+        self.first_key = self.last_key = b""
         self.reset()
 
-    def add(self, key: bytes, value: bytes) -> None:
-        """Append an entry; keys must arrive in non-decreasing order."""
-        buffer = self._buffer
-        if self.num_entries and self.num_entries % self.restart_interval == 0:
-            self._restarts.append(len(buffer))
-            self.size_estimate += 4
-            shared = 0
-        else:
-            shared = _shared_prefix_len(self._last_key, key)
-        non_shared = len(key) - shared
-        value_len = len(value)
-        if shared | non_shared | value_len < 0x80:
-            # A varint below 0x80 is the byte itself: same encoding, no calls.
-            header = bytes((shared, non_shared, value_len))
-        else:
-            header = encode_varint(shared) + encode_varint(non_shared) + encode_varint(value_len)
-        buffer += header
-        buffer += key[shared:]
-        buffer += value
-        self.size_estimate += len(header) + non_shared + value_len
-        self._last_key = key
-        self.num_entries += 1
+    def fill(self, pairs: Iterable[tuple[bytes, bytes]], limit: int = sys.maxsize) -> bool:
+        """Append ``(key, value)`` pairs, keys non-decreasing, until
+        ``size_estimate`` reaches ``limit``: True when it did, ``pairs`` left on
+        the next pair; False when ``pairs`` ran out.
 
-    def empty(self) -> bool:
-        return self.num_entries == 0
+        The one prefix-compression loop, entered per block and not per entry:
+        its state lives in locals, and the previous key is carried as a big
+        integer so that two keys of equal length cost one XOR. Whatever
+        ``pairs`` raises passes through with every earlier pair in the block.
+        """
+        buffer = self._buffer
+        interval = self.restart_interval
+        count = self.num_entries
+        size = self.size_estimate
+        last_key = self.last_key
+        last_len = len(last_key)
+        last_int = int.from_bytes(last_key, "big")
+        try:
+            for key, value in pairs:
+                key_len = len(key)
+                key_int = int.from_bytes(key, "big")
+                if count % interval:
+                    if key_len == last_len:
+                        # The highest set bit of the XOR lies in the first differing byte.
+                        shared = key_len - (((key_int ^ last_int).bit_length() + 7) >> 3)
+                    else:
+                        shared = _shared_prefix_len(last_key, key)
+                else:
+                    shared = 0
+                    if count:
+                        self._restarts.append(len(buffer))
+                        size += 4
+                    else:
+                        self.first_key = key
+                non_shared = key_len - shared
+                value_len = len(value)
+                if shared | non_shared | value_len < 0x80:
+                    # A varint below 0x80 is the byte itself: same encoding, no calls.
+                    buffer += bytes((shared, non_shared, value_len))
+                    size += 3 + non_shared + value_len
+                else:
+                    header = encode_varint(shared) + encode_varint(non_shared) + encode_varint(value_len)
+                    buffer += header
+                    size += len(header) + non_shared + value_len
+                buffer += key[shared:]
+                buffer += value
+                count += 1
+                last_key, last_len, last_int = key, key_len, key_int
+                if size >= limit:
+                    return True
+            return False
+        finally:
+            self.num_entries = count
+            self.size_estimate = size
+            self.last_key = last_key
+
+    def add(self, key: bytes, value: bytes) -> None:
+        """Append one entry: a one-pair :meth:`fill`."""
+        self.fill(((key, value),))
 
     def finish(self) -> bytes:
         """Encode restart trailer and return the finished block payload."""
         restarts = self._restarts
-        return bytes(self._buffer) + struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
+        trailer = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
+        return b"".join((self._buffer, trailer))  # one copy of the entries
 
     def reset(self) -> None:
         self._buffer.clear()
         self._restarts = [0]
-        self._last_key = b""
         self.num_entries = 0
         self.size_estimate = 8
 

@@ -38,8 +38,10 @@ cloud uploads with the remainder of the merge.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 from repro.lsm.blob import maybe_pointer
 from repro.lsm.format import table_file_name
@@ -51,7 +53,7 @@ from repro.lsm.version import FileMetaData, Version, VersionEdit
 from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE
+from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE, Entry
 
 
 @dataclass
@@ -275,6 +277,14 @@ class CompactionJob:
         feed. Drops respect snapshots, so a pointer counted here is provably
         unreachable by any reader.
         """
+
+        def announce(
+            inputs: list[FileMetaData], outputs: list[CompactionOutput], dropped: int, trivial: bool
+        ) -> None:
+            if listener is not None:
+                level, output_level = compaction.level, compaction.output_level
+                listener(CompactionEvent(level, output_level, inputs, outputs, dropped, trivial))
+
         edit = VersionEdit()
         for meta in compaction.inputs:
             edit.delete_file(compaction.level, meta.number)
@@ -285,24 +295,22 @@ class CompactionJob:
             moved = compaction.inputs[0]
             edit.add_file(compaction.output_level, moved)
             self.stats.trivial_moves += 1
-            if listener is not None:
-                listener(
-                    CompactionEvent(
-                        level=compaction.level,
-                        output_level=compaction.output_level,
-                        input_files=list(compaction.inputs),
-                        outputs=[],
-                        dropped_entries=0,
-                        trivial_move=True,
-                    )
-                )
+            announce(list(compaction.inputs), [], 0, True)
             return edit
 
         partitions = self._plan_partitions(compaction)
         clock = self.env.sim_clock()
         outputs: list[CompactionOutput] = []
+        merge = partial(
+            self._merge_partition,
+            compaction,
+            version,
+            outputs,
+            smallest_snapshot=smallest_snapshot,
+            newest_snapshot=newest_snapshot,
+            blob_drops=blob_drops,
+        )
         dropped = 0
-
         if len(partitions) > 1 and clock is not None:
             # Each partition merges on a forked child clock; real execution
             # stays sequential (deterministic file numbers and bytes), only
@@ -310,36 +318,13 @@ class CompactionJob:
             region = ForkJoinRegion(clock, self.env.clock_hosts())
             for lo, hi in partitions:
                 with region.branch() as child:
-                    part_outputs, part_dropped = self._merge_partition(
-                        compaction,
-                        version,
-                        lo,
-                        hi,
-                        smallest_snapshot=smallest_snapshot,
-                        newest_snapshot=newest_snapshot,
-                        clock=child,
-                        blob_drops=blob_drops,
-                    )
-                outputs.extend(part_outputs)
-                dropped += part_dropped
+                    dropped += merge(lo, hi, clock=child)
             region.join()
-            self.stats.subcompactions_run += len(partitions)
         else:
             for lo, hi in partitions:
-                part_outputs, part_dropped = self._merge_partition(
-                    compaction,
-                    version,
-                    lo,
-                    hi,
-                    smallest_snapshot=smallest_snapshot,
-                    newest_snapshot=newest_snapshot,
-                    clock=clock,
-                    blob_drops=blob_drops,
-                )
-                outputs.extend(part_outputs)
-                dropped += part_dropped
-            if len(partitions) > 1:
-                self.stats.subcompactions_run += len(partitions)
+                dropped += merge(lo, hi, clock=clock)
+        if len(partitions) > 1:
+            self.stats.subcompactions_run += len(partitions)
 
         for output in outputs:
             edit.add_file(compaction.output_level, output.meta)
@@ -349,16 +334,7 @@ class CompactionJob:
             meta.file_size for meta in compaction.inputs + compaction.overlaps
         )
 
-        if listener is not None:
-            listener(
-                CompactionEvent(
-                    level=compaction.level,
-                    output_level=compaction.output_level,
-                    input_files=list(compaction.inputs) + list(compaction.overlaps),
-                    outputs=outputs,
-                    dropped_entries=dropped,
-                )
-            )
+        announce(compaction.inputs + compaction.overlaps, outputs, dropped, False)
         return edit
 
     def _plan_partitions(
@@ -383,6 +359,7 @@ class CompactionJob:
         self,
         compaction: Compaction,
         version: Version,
+        outputs: list[CompactionOutput],
         lo: bytes | None,
         hi: bytes | None,
         *,
@@ -390,13 +367,13 @@ class CompactionJob:
         newest_snapshot: int,
         clock: SimClock | None,
         blob_drops: dict[int, int] | None = None,
-    ) -> tuple[list[CompactionOutput], int]:
+    ) -> int:
         """Merge the inputs restricted to user keys in ``[lo, hi)``.
 
-        Returns the outputs written for this partition and the number of
-        entries dropped. Output files never straddle a partition boundary,
-        so partitions compose into the same total ordering regardless of
-        how the range was split.
+        Appends the tables written for this partition to ``outputs`` and
+        returns the number of entries dropped. Output files never straddle
+        a partition boundary, so partitions compose into the same total
+        ordering regardless of how the range was split.
         """
         readahead = self.options.compaction_readahead_bytes
         buffers = []
@@ -425,108 +402,93 @@ class CompactionJob:
             sources.append(reader.range_iter(lo, hi, stack=stack))
         merged = merge_internal(sources)
 
-        outputs: list[CompactionOutput] = []
-        builder: TableBuilder | None = None
-        builder_number = 0
         dropped = 0
-        prev_user_key: bytes | None = None
-        prev_neg_trailer = 1  # no entry's: a neg_trailer is <= 0
-        last_seq_for_key = MAX_SEQUENCE
         user_filter = self.options.compaction_filter
-        target_file_size = self.options.target_file_size_base
 
-        def finish_builder() -> None:
-            nonlocal builder
-            if builder is None or builder.num_entries == 0:
-                builder = None
-                return
-            props = builder.finish()
-            meta = FileMetaData(
-                number=builder_number,
-                file_size=props.file_size,
-                smallest=props.smallest_key,
-                largest=props.largest_key,
-            )
-            outputs.append(
-                CompactionOutput(
-                    meta, props, finished_at=clock.now if clock is not None else 0.0
+        def visible() -> Iterator[Entry]:
+            """The merged entries an output keeps: shadowed versions, repeated
+            entries and base-level tombstones dropped, the user filter applied."""
+            nonlocal dropped
+            prev_user_key: bytes | None = None
+            prev_neg_trailer = 1  # no entry's: a neg_trailer is <= 0
+            last_seq_for_key = MAX_SEQUENCE
+            for entry in merged:
+                user_key, neg_trailer, value = entry
+                sequence = -neg_trailer >> 8
+                value_type = -neg_trailer & 0xFF
+                if user_key != prev_user_key:
+                    prev_user_key = user_key
+                    prev_neg_trailer = 1
+                    last_seq_for_key = MAX_SEQUENCE
+
+                # Dropped: a newer entry for this key is already visible to
+                # every live snapshot, so this one can never be read again; or
+                # it is the previous entry over again (a WAL replayed over a
+                # flush that had committed leaves one copy per source); or it
+                # is a tombstone with nothing left beneath it to hide.
+                drop = (
+                    last_seq_for_key <= smallest_snapshot
+                    or neg_trailer == prev_neg_trailer
+                    or (
+                        compaction.allow_tombstone_drop
+                        and value_type == TYPE_DELETION
+                        and sequence <= smallest_snapshot
+                        and version.is_base_level_for_key(compaction.output_level, user_key)
+                    )
                 )
+                last_seq_for_key = sequence
+                prev_neg_trailer = neg_trailer
+
+                if drop:
+                    dropped += 1
+                    self._account_blob_drop(value_type, value, blob_drops)
+                    continue
+
+                if (
+                    user_filter is not None
+                    and value_type == TYPE_VALUE
+                    and sequence > newest_snapshot
+                    and not user_filter(user_key, value)
+                ):
+                    # The filter retired this entry. At the key's base level it
+                    # can vanish outright; elsewhere it becomes a tombstone so
+                    # older buried versions stay hidden.
+                    self.stats.entries_filtered += 1
+                    self._account_blob_drop(value_type, value, blob_drops)
+                    if compaction.allow_tombstone_drop and version.is_base_level_for_key(
+                        compaction.output_level, user_key
+                    ):
+                        dropped += 1
+                        continue
+                    entry = (user_key, -((sequence << 8) | TYPE_DELETION), b"")
+                yield entry
+
+        # The builder pulls the stream: one ``fill`` per output, which leaves
+        # ``kept`` on the first entry of the next one. File number and
+        # writable file are allocated once an entry is there to write.
+        kept = visible()
+        for first in kept:
+            number = self.new_file_number()
+            # Outputs carry the *output level's* filter policy, so a
+            # per-level allocation migrates filters as tables rewrite.
+            builder = TableBuilder(
+                self.options,
+                self.env.new_writable_file(table_file_name(self.prefix, number)),
+                level=compaction.output_level,
             )
+            builder.fill(chain((first,), kept), self.options.target_file_size_base)
+            props = builder.finish()
+            meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
+            outputs.append(CompactionOutput(meta, props, clock.now if clock is not None else 0.0))
             self.stats.bytes_written += props.file_size
-            builder = None
             # One output is fully on disk, later ones not started: the
             # classic partial-compaction crash (orphans, inputs live).
             crash_points.reach("compaction.mid_output")
 
-        for user_key, neg_trailer, value in merged:
-            sequence = -neg_trailer >> 8
-            value_type = -neg_trailer & 0xFF
-            if user_key != prev_user_key:
-                prev_user_key = user_key
-                prev_neg_trailer = 1
-                last_seq_for_key = MAX_SEQUENCE
-
-            drop = False
-            if last_seq_for_key <= smallest_snapshot or neg_trailer == prev_neg_trailer:
-                # A newer entry for this key is already visible to every
-                # live snapshot, so this one can never be read again — or
-                # it is the previous entry over again (a WAL replayed over
-                # a flush that had committed leaves one copy per source).
-                drop = True
-            elif (
-                compaction.allow_tombstone_drop
-                and value_type == TYPE_DELETION
-                and sequence <= smallest_snapshot
-                and version.is_base_level_for_key(compaction.output_level, user_key)
-            ):
-                drop = True
-            last_seq_for_key = sequence
-            prev_neg_trailer = neg_trailer
-
-            if drop:
-                dropped += 1
-                self._account_blob_drop(value_type, value, blob_drops)
-                continue
-
-            if (
-                user_filter is not None
-                and value_type == TYPE_VALUE
-                and sequence > newest_snapshot
-                and not user_filter(user_key, value)
-            ):
-                # The filter retired this entry. At the key's base level it
-                # can vanish outright; elsewhere it becomes a tombstone so
-                # older buried versions stay hidden.
-                self.stats.entries_filtered += 1
-                self._account_blob_drop(value_type, value, blob_drops)
-                if compaction.allow_tombstone_drop and version.is_base_level_for_key(
-                    compaction.output_level, user_key
-                ):
-                    dropped += 1
-                    continue
-                neg_trailer = -((sequence << 8) | TYPE_DELETION)
-                value = b""
-
-            if builder is None:
-                builder_number = self.new_file_number()
-                name = table_file_name(self.prefix, builder_number)
-                # Outputs carry the *output level's* filter policy, so a
-                # per-level allocation migrates filters as tables rewrite.
-                builder = TableBuilder(
-                    self.options,
-                    self.env.new_writable_file(name),
-                    level=compaction.output_level,
-                )
-            builder.add(user_key, neg_trailer, value)
-            if builder.estimated_size >= target_file_size:
-                finish_builder()
-
-        finish_builder()
-
         for buffer in buffers:
             self.stats.coalesced_fetches += buffer.stats.fetches
             self.stats.coalesced_fetched_bytes += buffer.stats.fetched_bytes
-        return outputs, dropped
+        return dropped
 
     def _account_blob_drop(
         self, value_type: int, value: bytes, blob_drops: dict[int, int] | None

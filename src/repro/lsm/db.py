@@ -705,8 +705,7 @@ class DB:
         name = table_file_name(self.prefix, number)
         builder = TableBuilder(self.options, self.env.new_writable_file(name), level=target)
         neg_trailer = -((sequence << 8) | TYPE_VALUE)
-        for key, value in entries:
-            builder.add(key, neg_trailer, value)
+        builder.fill((key, neg_trailer, value) for key, value in entries)
         props = builder.finish()
         meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
         edit = VersionEdit(last_sequence=sequence)
@@ -739,15 +738,9 @@ class DB:
         number = self.versions.new_file_number()
         name = table_file_name(self.prefix, number)
         builder = TableBuilder(self.options, self.env.new_writable_file(name), level=0)
-        for entry in self.memtable:
-            builder.add(*entry)
+        builder.fill(self.memtable)
         props = builder.finish()
-        meta = FileMetaData(
-            number=number,
-            file_size=props.file_size,
-            smallest=props.smallest_key,
-            largest=props.largest_key,
-        )
+        meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
         old_wal_number = self._wal_number
         new_wal_number = self._rotate_wal()
         crash_points.reach("flush.before_manifest")

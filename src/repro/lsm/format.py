@@ -19,9 +19,10 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CorruptionError
-from repro.util.crc import masked_crc32, verify_masked_crc32
+from repro.util.crc import mask, verify_masked_crc32
 from repro.util.varint import decode_varint, encode_varint
 
 TABLE_MAGIC = 0x88E241B785F4CF57  # RocksDB's BlockBasedTable magic
@@ -31,6 +32,8 @@ FOOTER_SIZE = 8 * 4 + 8  # two handles (offset,size as fixed64 pairs) + magic
 # Compression type bytes stored in the block trailer.
 COMPRESSION_NONE = 0x0
 COMPRESSION_ZLIB = 0x1
+_TYPE_NONE = bytes([COMPRESSION_NONE])
+_TYPE_ZLIB = bytes([COMPRESSION_ZLIB])
 
 # Filter-block layout tag (first payload byte). One layout exists; a reader
 # rejects any other tag as corruption.
@@ -39,17 +42,14 @@ FILTER_WHOLE_TABLE = 0x0
 _FOOTER = struct.Struct("<QQQQQ")
 
 
-@dataclass(frozen=True, slots=True)
-class BlockHandle:
-    """Location of a block within an SSTable file."""
+class BlockHandle(NamedTuple):
+    """Location of a block within an SSTable file. A tuple: one is built per
+    block written and per index entry read; a stored handle is unsigned by
+    construction (varints, the footer's ``<Q``), so no field is checked."""
 
     offset: int
     size: int
     """Payload size, excluding the 4-byte CRC trailer."""
-
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.size < 0:
-            raise ValueError("block handle fields must be non-negative")
 
 
 def encode_handle(handle: BlockHandle) -> bytes:
@@ -61,7 +61,7 @@ def decode_handle(data: bytes, offset: int = 0) -> tuple[BlockHandle, int]:
     """Inverse of :func:`encode_handle`; returns ``(handle, next_offset)``."""
     off, pos = decode_varint(data, offset)
     size, pos = decode_varint(data, pos)
-    return BlockHandle(off, size), pos
+    return tuple.__new__(BlockHandle, (off, size)), pos
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +72,7 @@ class Footer:
     index_handle: BlockHandle
 
     def encode(self) -> bytes:
-        return _FOOTER.pack(
-            self.filter_handle.offset,
-            self.filter_handle.size,
-            self.index_handle.offset,
-            self.index_handle.size,
-            TABLE_MAGIC,
-        )
+        return _FOOTER.pack(*self.filter_handle, *self.index_handle, TABLE_MAGIC)
 
     @classmethod
     def decode(cls, data: bytes) -> "Footer":
@@ -98,25 +92,26 @@ def seal_block(payload: bytes, *, compression: str = "none") -> bytes:
     NONE type byte, like RocksDB's min-ratio rule).
     """
     if compression == "none":
-        data, ctype = payload, COMPRESSION_NONE
+        data, ctype = payload, _TYPE_NONE
     elif compression == "zlib":
         compressed = zlib.compress(payload, level=1)
         if len(compressed) < len(payload):
-            data, ctype = compressed, COMPRESSION_ZLIB
+            data, ctype = compressed, _TYPE_ZLIB
         else:
-            data, ctype = payload, COMPRESSION_NONE
+            data, ctype = payload, _TYPE_NONE
     else:
         raise ValueError(f"unknown compression {compression!r}")
-    body = data + bytes([ctype])
-    return body + masked_crc32(body).to_bytes(4, "little")
+    # The CRC is chained over the two parts so the block is copied once.
+    crc = mask(zlib.crc32(ctype, zlib.crc32(data)))
+    return b"".join((data, ctype, crc.to_bytes(4, "little")))
 
 
 def unseal_block(raw: bytes, *, verify: bool = True) -> bytes:
     """Decode a stored block: verify CRC, decompress, return the payload."""
     if len(raw) < BLOCK_TRAILER_SIZE:
         raise CorruptionError("block shorter than its trailer")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if verify and not verify_masked_crc32(body, int.from_bytes(crc_bytes, "little")):
+    body = raw[:-4]
+    if verify and not verify_masked_crc32(body, int.from_bytes(raw[-4:], "little")):
         raise CorruptionError("block checksum mismatch")
     data, ctype = body[:-1], body[-1]
     if ctype == COMPRESSION_NONE:
@@ -158,43 +153,27 @@ def current_file_name(prefix: str) -> str:
     return f"{prefix}CURRENT"
 
 
+_KIND_OF_SUFFIX = {"log": "log", "xlog": "xlog", "sst": "table", "blob": "blob"}
+
+
 def parse_file_name(prefix: str, name: str) -> tuple[str, int] | None:
     """Classify a file name; returns ``(kind, number)`` or None.
 
-    Kinds: ``"log"``, ``"table"``, ``"blob"``, ``"manifest"``, ``"current"``
-    (number 0).
+    Kinds: ``"log"``, ``"xlog"``, ``"table"``, ``"blob"``, ``"manifest"``,
+    ``"current"`` (number 0).
     """
     if not name.startswith(prefix):
         return None
     rest = name[len(prefix) :]
     if rest == "CURRENT":
         return ("current", 0)
-    if rest.startswith("MANIFEST-"):
-        try:
+    try:
+        if rest.startswith("MANIFEST-"):
             return ("manifest", int(rest[len("MANIFEST-") :]))
-        except ValueError:
-            return None
-    if rest.endswith(".log"):
-        try:
-            return ("log", int(rest[:-4]))
-        except ValueError:
-            return None
-    if rest.endswith(".xlog"):
-        # Extended-WAL shard: NNNNNN-SS.xlog -> ("xlog", N)
-        stem = rest[:-5]
-        try:
-            number, _shard = stem.split("-", 1)
-            return ("xlog", int(number))
-        except ValueError:
-            return None
-    if rest.endswith(".sst"):
-        try:
-            return ("table", int(rest[:-4]))
-        except ValueError:
-            return None
-    if rest.endswith(".blob"):
-        try:
-            return ("blob", int(rest[:-5]))
-        except ValueError:
-            return None
-    return None
+        stem, _, suffix = rest.rpartition(".")
+        kind = _KIND_OF_SUFFIX[suffix]
+        if kind == "xlog":  # extended-WAL shard: NNNNNN-SS.xlog -> ("xlog", N)
+            stem, _shard = stem.split("-", 1)
+        return (kind, int(stem))
+    except (KeyError, ValueError):
+        return None

@@ -10,7 +10,11 @@ input blocks onto output blocks.
 
 from __future__ import annotations
 
+import struct
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import InvalidArgumentError
 from repro.lsm.block import BlockBuilder
@@ -24,14 +28,13 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
-from repro.util.encoding import TRAILER, SeekGoal
+from repro.util.encoding import TRAILER, Entry, internal_order
 
 BLOCK_RESTART_INTERVAL = 16
 """Keys between restart points inside a data block (LevelDB's default)."""
 
 
-@dataclass(frozen=True, slots=True)
-class BlockMeta:
+class BlockMeta(NamedTuple):
     """Key range and location of one data block within a table."""
 
     first_key: bytes
@@ -47,9 +50,6 @@ class TableProperties:
     num_entries: int = 0
     smallest_key: bytes = b""
     largest_key: bytes = b""
-    data_bytes: int = 0
-    index_bytes: int = 0
-    filter_bytes: int = 0
     blocks: list[BlockMeta] = field(default_factory=list)
 
 
@@ -58,70 +58,85 @@ class TableBuilder:
 
     def __init__(self, options: Options, file: WritableFile, *, level: int = 0) -> None:
         self.options = options
-        self.level = level
         self._filter_policy = options.table_filter_policy(level)
         self._file = file
         self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
-        self.estimated_size = 0
-        """File bytes written so far plus the open data block's, as of the last ``add``."""
         self._props = TableProperties()
-        self._block_first_key: bytes | None = None
-        self._last_order: SeekGoal | None = None
         # The table's user keys, awaiting the filter. Left empty when the
         # level has no filter.
         self._filter_keys: list[bytes] = []
         self._finished = False
 
-    @property
-    def num_entries(self) -> int:
-        return self._props.num_entries
+    def fill(self, entries: Iterable[Entry], max_file_size: int | None = None) -> bool:
+        """Append a stream of entries; ``(user_key, neg_trailer)`` must
+        strictly increase, through every call.
 
-    def add(self, user_key: bytes, neg_trailer: int, value: bytes) -> None:
-        """Append an entry; ``(user_key, neg_trailer)`` must strictly increase.
-
-        Internal-key bytes are rebuilt here, for the block encoder and the
-        block/file boundaries, and nowhere earlier.
+        A data block is cut when its ``size_estimate`` reaches ``block_size``.
+        True: file bytes written plus the open block's reached
+        ``max_file_size`` and ``entries`` is left on the next entry not taken;
+        False: ``entries`` ran out. A bad entry raises with every earlier one
+        in the table.
         """
         if self._finished:
             raise InvalidArgumentError("add() after finish()")
-        if not -(1 << 64) < neg_trailer <= 0:
-            raise InvalidArgumentError(f"neg_trailer {neg_trailer} outside (-2**64, 0]")
-        order = (user_key, neg_trailer)
-        if self._last_order is not None and self._last_order >= order:
-            raise InvalidArgumentError("keys added out of order")
-        key = user_key + TRAILER.pack(-neg_trailer)
-        if self._block_first_key is None:
-            self._block_first_key = key
-        self._data_block.add(key, value)
-        if self._filter_policy is not None:
-            self._filter_keys.append(user_key)
-        self._last_order = order
-        self._props.num_entries += 1
-        self._props.largest_key = key
-        if self._data_block.size_estimate >= self.options.block_size:
-            self._flush_data_block()
-        self.estimated_size = self._offset + self._data_block.size_estimate
+        block = self._data_block
+        block_size = self.options.block_size
+        room = sys.maxsize if max_file_size is None else max_file_size
+        keyed = self._keyed(entries)
+        while block.fill(keyed, min(block_size, room - self._offset)):
+            if block.size_estimate >= block_size:
+                self._flush_data_block()
+            if self._offset + block.size_estimate >= room:
+                return True
+        return False
 
-    def _write_raw_block(self, payload: bytes, *, compression: str = "none") -> BlockHandle:
-        sealed = seal_block(payload, compression=compression)
+    def add(self, user_key: bytes, neg_trailer: int, value: bytes) -> None:
+        """Append one entry: a one-entry :meth:`fill`."""
+        self.fill(((user_key, neg_trailer, value),))
+
+    def _keyed(self, entries: Iterable[Entry]) -> Iterator[tuple[bytes, bytes]]:
+        """``(internal key bytes, value)`` per entry, for the block encoder:
+        order and ``neg_trailer`` range checked, the filter's key collected,
+        the key bytes rebuilt — here and nowhere earlier."""
+        last_key = self._data_block.last_key
+        last_user_key, last_neg = internal_order(last_key) if last_key else (b"", -(1 << 64))
+        collect = self._filter_keys.append if self._filter_policy is not None else None
+        pack = TRAILER.pack
+        for user_key, neg_trailer, value in entries:
+            try:
+                key = user_key + pack(-neg_trailer)  # "<Q": the range check
+            except struct.error:
+                raise InvalidArgumentError(f"neg_trailer {neg_trailer} not in (-2**64, 0]") from None
+            if user_key <= last_user_key and (user_key < last_user_key or neg_trailer <= last_neg):
+                raise InvalidArgumentError("keys added out of order")
+            if collect is not None:
+                collect(user_key)
+            last_user_key, last_neg = user_key, neg_trailer
+            yield key, value
+
+    def _write_raw_block(self, payload: bytes) -> BlockHandle:
+        """Seal and append a filter or index block, stored as it is."""
+        sealed = seal_block(payload)
         handle = BlockHandle(self._offset, len(sealed) - BLOCK_TRAILER_SIZE)
         self._file.append(sealed)
         self._offset += len(sealed)
         return handle
 
     def _flush_data_block(self) -> None:
-        if self._data_block.empty():
+        """The open block's tail: restart trailer, seal, append, handle, meta, reset."""
+        block = self._data_block
+        if not block.num_entries:
             return
-        payload = self._data_block.finish()
-        handle = self._write_raw_block(payload, compression=self.options.compression)
-        assert self._block_first_key is not None
-        self._props.blocks.append(
-            BlockMeta(self._block_first_key, self._props.largest_key, handle)
-        )
-        self._props.data_bytes += len(payload)
-        self._data_block.reset()
-        self._block_first_key = None
+        sealed = seal_block(block.finish(), compression=self.options.compression)
+        offset = self._offset
+        self._file.append(sealed)
+        self._offset = offset + len(sealed)
+        handle = tuple.__new__(BlockHandle, (offset, len(sealed) - BLOCK_TRAILER_SIZE))
+        props = self._props
+        props.blocks.append(tuple.__new__(BlockMeta, (block.first_key, block.last_key, handle)))
+        props.num_entries += block.num_entries
+        block.reset()
 
     def finish(self) -> TableProperties:
         """Flush remaining data, write filter/index/footer, close the file."""
@@ -131,6 +146,7 @@ class TableBuilder:
         if not self._props.blocks:
             raise InvalidArgumentError("cannot finish an empty table")
         self._props.smallest_key = self._props.blocks[0].first_key
+        self._props.largest_key = self._data_block.last_key
 
         # Filter block: one bloom filter over the whole table. The policy
         # was resolved for this table's level at construction (per-level
@@ -142,15 +158,11 @@ class TableBuilder:
                 self._filter_keys
             )
         filter_handle = self._write_raw_block(filter_payload)
-        self._props.filter_bytes = len(filter_payload)
 
         # Index block: last key of each data block -> handle.
         index = BlockBuilder(restart_interval=1)  # full keys: binary-search friendly
-        for meta in self._props.blocks:
-            index.add(meta.last_key, encode_handle(meta.handle))
-        index_payload = index.finish()
-        index_handle = self._write_raw_block(index_payload)
-        self._props.index_bytes = len(index_payload)
+        index.fill([(meta.last_key, encode_handle(meta.handle)) for meta in self._props.blocks])
+        index_handle = self._write_raw_block(index.finish())
 
         footer = Footer(filter_handle, index_handle).encode()
         self._file.append(footer)

@@ -10,7 +10,8 @@ sources (DRAM cache, RocksMash's persistent cache, readahead, the file).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from itertools import chain
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
@@ -248,6 +249,15 @@ class TableReader:
         GET instead of one per block, nothing cached).
         """
         load = (stack or self.stack).block
+        if begin is None and end is None:
+            # Whole blocks, whole table: each block's decoded list is handed
+            # to the consumer as it is — no frame of this module per entry.
+            return chain.from_iterable(map(load, self._handles_from(None)))
+        return self._bounded_iter(load, begin, end)
+
+    def _bounded_iter(
+        self, load: Callable[[BlockHandle], Block], begin: bytes | None, end: bytes | None
+    ) -> Iterator[Entry]:
         goal = seek_goal(begin) if begin is not None else None  # first block only
         for handle in self._handles_from(goal):
             block = load(handle)

@@ -32,10 +32,14 @@ def unmask(masked: int) -> int:
 
 
 def masked_crc32(data: bytes) -> int:
-    """CRC-32 of ``data``, masked for storage alongside the data."""
-    return mask(crc32(data))
+    """CRC-32 of ``data``, masked for storage alongside the data (:func:`mask`
+    written out: a record framed or verified pays one call)."""
+    crc = zlib.crc32(data)
+    return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & _U32
 
 
 def verify_masked_crc32(data: bytes, stored: int) -> bool:
-    """Check ``data`` against a stored masked CRC."""
-    return unmask(stored) == crc32(data)
+    """Check ``data`` against a stored masked CRC (masking is one-to-one on
+    32 bits, so the masked forms are compared)."""
+    crc = zlib.crc32(data)
+    return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & _U32 == stored

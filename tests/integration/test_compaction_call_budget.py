@@ -24,13 +24,15 @@ from repro.mash.store import RocksMashStore, StoreConfig
 
 ENTRIES_PER_PASS = 2000
 
-# Measured when the inner loop was last tuned: 70.1 calls per entry over the
-# two compactions, 0.60 of them in mash/layout.py (at the parent of that
-# change, which split every merged key three times and hashed filter keys
-# one by one: 79.6; before heat inheritance bisected ranges: 138.1 and
-# 13.5). Ceilings sit 10 % above.
-CALLS_PER_ENTRY_CEILING = 77.2
-LAYOUT_CALLS_PER_ENTRY_CEILING = 0.665
+# Measured when the inner loop was last tuned — the table builder pulling the
+# merged stream, one frame per block sealed: 53.16 calls per entry over the
+# two compactions, 0.626 of them in mash/layout.py (at the parent of that
+# change, one ``add`` chain per entry and a frozen-dataclass ``__init__`` per
+# block: 58.27 and 0.626; before keys were split once and filter keys hashed
+# in lanes: 79.6; before heat inheritance bisected ranges: 138.1 and 13.5).
+# Ceilings sit 10 % above.
+CALLS_PER_ENTRY_CEILING = 58.5
+LAYOUT_CALLS_PER_ENTRY_CEILING = 0.688
 
 
 def build_store():

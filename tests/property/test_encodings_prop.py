@@ -1,14 +1,31 @@
 """Property-based tests for encodings and on-disk record formats."""
 
+import dataclasses
+import struct
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidArgumentError
 from repro.lsm.block import Block, BlockBuilder, _shared_prefix_len
-from repro.lsm.format import BlockHandle, decode_handle, encode_handle
+from repro.lsm.format import (
+    BLOCK_TRAILER_SIZE,
+    BlockHandle,
+    decode_handle,
+    encode_handle,
+    seal_block,
+    unseal_block,
+)
+from repro.lsm.options import Options
+from repro.lsm.table_builder import TableBuilder
 from repro.lsm.version import FileMetaData, VersionEdit
 from repro.lsm.wal import LogReader, RECORD_HEADER_SIZE
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.xwal import decode_shard_record, encode_shard_record
+from repro.sim.clock import SimClock
+from repro.storage.env import LocalEnv
+from repro.storage.local import LocalDevice
 from repro.util.bloom import BloomFilterPolicy, _bloom_hash, _bloom_hash_lanes
 from repro.util.crc import crc32, mask, masked_crc32, unmask, verify_masked_crc32
 from repro.util.encoding import (
@@ -152,6 +169,154 @@ class TestBlockCodec:
         assert list(block.seek(target)) == [e for e in split if e[:2] >= target]
         found = dict(zip(sorted_keys, (value for _, value in entries))).get(user_key)
         assert block.get(target) == (found if sequence == 5 else None)
+
+
+# Sorted entries as a flush or a merge hands them over: user keys that prefix
+# one another and differ in length, several versions of one key, tombstones,
+# values on both sides of the one-byte varint.
+table_user_keys = st.lists(
+    st.tuples(
+        st.sampled_from([b"", b"k", b"key", b"key\x00", b"p" * 125]), st.binary(max_size=5)
+    ).map(b"".join),
+    min_size=1,
+    max_size=24,
+    unique=True,
+)
+table_versions = st.lists(
+    st.tuples(
+        st.integers(1, 40),
+        st.one_of(st.none(), st.binary(max_size=20), st.binary(min_size=120, max_size=300)),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda version: version[0],
+)
+
+
+@st.composite
+def table_entries(draw):
+    entries = []
+    for user_key in draw(table_user_keys):
+        for sequence, value in draw(table_versions):
+            if value is None:
+                entries.append((user_key, -((sequence << 8) | TYPE_DELETION), b""))
+            else:
+                entries.append((user_key, -((sequence << 8) | TYPE_VALUE), value))
+    return sorted(entries)
+
+
+def restart_trailer(restarts):
+    return struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
+
+
+def reference_data_blocks(entries, options, max_file_size):
+    """``(data block payloads, entries taken, stopped by size)`` by the entry-at-a-time logic
+    the stream builder replaced, straight-line: ``BlockBuilder.add`` with every
+    length a varint, ``TableBuilder.add``'s cut at ``block_size`` and the
+    merge loop's stop at ``max_file_size``."""
+    blocks, offset, taken, stopped = [], 0, 0, False
+    buffer, restarts, last_key, count = bytearray(), [0], b"", 0
+    for user_key, neg_trailer, value in entries:
+        key = user_key + struct.pack("<Q", -neg_trailer)
+        shared = 0
+        if count and count % 16 == 0:
+            restarts.append(len(buffer))
+        else:
+            while shared < min(len(last_key), len(key)) and last_key[shared] == key[shared]:
+                shared += 1
+        for length in (shared, len(key) - shared, len(value)):
+            buffer += encode_varint(length)
+        buffer += key[shared:] + value
+        last_key, count, taken = key, count + 1, taken + 1
+        size = len(buffer) + 4 * len(restarts) + 4
+        if size >= options.block_size:
+            blocks.append(bytes(buffer) + restart_trailer(restarts))
+            offset += len(seal_block(blocks[-1], compression=options.compression))
+            buffer, restarts, last_key, count, size = bytearray(), [0], b"", 0, 8
+        if max_file_size is not None and offset + size >= max_file_size:
+            stopped = True
+            break
+    if count:
+        blocks.append(bytes(buffer) + restart_trailer(restarts))
+    return blocks, taken, stopped
+
+
+class TestTableStream:
+    """``TableBuilder.fill`` writes the bytes ``add`` per entry wrote."""
+
+    @staticmethod
+    def table(options, feed):
+        """Build one table with ``feed(builder)``; its bytes and properties."""
+        env = LocalEnv(LocalDevice(SimClock()))
+        builder = TableBuilder(options, env.new_writable_file("t.sst"), level=1)
+        feed(builder)
+        props = builder.finish()
+        return env.new_random_access_file("t.sst").read(0, props.file_size), props
+
+    @settings(max_examples=60)
+    @given(
+        table_entries(),
+        st.sampled_from([64, 512, 4096]),
+        st.sampled_from(["none", "zlib"]),
+        st.one_of(st.none(), st.integers(64, 4096)),
+        st.data(),
+    )
+    def test_fill_writes_what_add_wrote(self, entries, block_size, compression, max_file_size, data):
+        options = dataclasses.replace(Options(), block_size=block_size, compression=compression)
+        payloads, taken, stopped = reference_data_blocks(entries, options, max_file_size)
+
+        def one_fill(builder):
+            stream = iter(entries)
+            assert builder.fill(stream, max_file_size) == stopped
+            # Stopped by the size, the stream is on the next entry not taken.
+            assert list(stream) == entries[taken:]
+
+        def add_each(builder):
+            for entry in entries[:taken]:
+                builder.add(*entry)
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(entries)), max_size=4)))
+
+        def chunked_fill(builder):
+            for begin, end in zip([0, *cuts], [*cuts, len(entries)]):
+                if builder.fill(iter(entries[begin:end]), max_file_size):
+                    break
+
+        file_bytes, props = self.table(options, one_fill)
+        assert self.table(options, add_each) == (file_bytes, props)
+        assert self.table(options, chunked_fill) == (file_bytes, props)
+
+        assert props.num_entries == taken
+        stored = [
+            unseal_block(file_bytes[meta.handle.offset :][: meta.handle.size + BLOCK_TRAILER_SIZE])
+            for meta in props.blocks
+        ]
+        assert stored == payloads
+
+    @settings(max_examples=40)
+    @given(table_entries(), st.sampled_from([64, 512]), st.data())
+    def test_bad_entry_mid_stream_leaves_the_earlier_ones(self, entries, block_size, data):
+        options = dataclasses.replace(Options(), block_size=block_size)
+        at = data.draw(st.integers(1, len(entries)))
+        user_key, neg_trailer, value = entries[at - 1]
+        bad, message = data.draw(
+            st.sampled_from(
+                [
+                    ((user_key, neg_trailer, b"again"), "out of order"),
+                    ((user_key, neg_trailer - 1, value), "out of order"),
+                    ((user_key + b"\xff", 1, value), "neg_trailer"),
+                    ((user_key + b"\xff", -(1 << 64), value), "neg_trailer"),
+                ]
+            )
+        )
+
+        def poisoned(builder):
+            with pytest.raises(InvalidArgumentError, match=message):
+                builder.fill(iter([*entries[:at], bad, *entries[at:]]))
+
+        assert self.table(options, poisoned) == self.table(
+            options, lambda builder: builder.fill(iter(entries[:at]))
+        )
 
 
 class TestBloomHash:

@@ -3,7 +3,8 @@
 One hypothesis ``RuleBasedStateMachine`` drives a :class:`RocksMashStore`
 through its facade — put / delete / write-batch / get / multi_get / scan
 (both directions, ``limit``, optional snapshot) / take and release snapshot /
-flush / ``compact_range`` / ``reopen(crash=True)`` — with the configuration
+flush / ``compact_range`` / ``reopen(crash=True)`` / a crash armed at a flush or
+compaction site — with the configuration
 drawn once per run from {sorted view on, off} × {blob separation on, off} ×
 {caches roomy, starved} × {scan readahead on, off}. After every step the
 store equals a dict model, every live snapshot equals the frozen copy taken
@@ -25,8 +26,8 @@ off-by-one in the snapshot floor of ``visible_user_entries``, a tombstone
 read off the wrong byte of the trailer, and a ``MemTable.get`` that bisects
 on ``(user_key,)`` alone.
 
-Still open under item 1: delete_range / ingest / checkpoint / crash-at-site /
-cloud faults, and the shard, tuner and universal axes.
+Still open under item 1: delete_range / ingest / checkpoint / cloud faults,
+and the shard, tuner and universal axes.
 
 Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
 × 50 steps in tier-1, 400 × 80 under ``--hypothesis-profile=long``.
@@ -47,6 +48,7 @@ from repro.lsm.check import check_db
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
+from repro.sim.failure import CrashPointFired, armed
 
 # Prefix-related and adjacent keys: seeks land between a key and its
 # extension, and one key's versions share blocks with its neighbours'.
@@ -59,6 +61,16 @@ values = st.one_of(st.binary(max_size=6), st.binary(min_size=12, max_size=40), s
 bounds = st.one_of(st.none(), keys, st.sampled_from([b"", b"a\x01", b"c", b"key05\x00", b"z"]))
 
 BLOB_THRESHOLD = 8
+
+# Where a table is half written, written but not yet in the MANIFEST, or in it
+# with its inputs still on disk.
+CRASH_SITES = [
+    "flush.before_manifest",
+    "flush.after_manifest",
+    "compaction.mid_output",
+    "compaction.after_outputs",
+    "compaction.before_input_delete",
+]
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -197,6 +209,19 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = self.store.reopen(crash=True)
         self.snapshots.clear()
         self._check_clean()
+
+    @rule(site=st.sampled_from(CRASH_SITES), skip=st.integers(0, 3))
+    def crash_at_site(self, site, skip):
+        """Die at the ``skip + 1``-th reach of ``site`` inside a flush and a
+        full compaction (or after them, when they never get there); recovery
+        finds every acknowledged write and leaves a clean tree."""
+        try:
+            with armed(site, skip=skip):
+                self.store.flush()
+                self.store.compact_range(None, None)
+        except CrashPointFired:
+            pass
+        self.crash_and_reopen()
 
     # -- the oracle -----------------------------------------------------------
 

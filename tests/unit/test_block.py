@@ -82,7 +82,7 @@ class TestBlockBuilder:
         builder = BlockBuilder()
         builder.add(ik(b"a"), b"1")
         builder.reset()
-        assert builder.empty()
+        assert builder.num_entries == 0
         builder.add(ik(b"b"), b"2")
         block = Block(builder.finish())
         assert list(block) == rows([(b"b", b"2")])

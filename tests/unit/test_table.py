@@ -126,7 +126,7 @@ class TestTableBuilder:
             with pytest.raises(InvalidArgumentError, match="out of order"):
                 builder.add(user_key, neg_trailer, b"w")
         builder.add(b"b", newest + 1, b"")  # an older entry of the same key is in order
-        assert builder.num_entries == 2
+        assert builder.finish().num_entries == 2
 
     @pytest.mark.parametrize("neg_trailer", [1, 1 << 56, -(1 << 64), -(1 << 70)])
     def test_trailer_out_of_range_is_the_callers_error(self, env, neg_trailer):
@@ -181,12 +181,12 @@ class TestFilterBlock:
 
     def test_whole_table_filter_bytes(self, env):
         entries = self.entries()
-        props, reader = build_table(env, entries, Options(block_size=256))
+        _, reader = build_table(env, entries, Options(block_size=256))
         expected = bytes([FILTER_WHOLE_TABLE]) + BloomFilterPolicy(10).create_filter(
             [extract_user_key(ikey) for ikey, _ in entries]
         )
         assert self.filter_payload(env, reader) == expected
-        assert props.filter_bytes == len(expected)
+        assert reader.footer.filter_handle.size == len(expected)
 
     def test_unknown_filter_tag_rejected_at_open(self, env):
         # 0x01 once tagged a per-block filter layout; one layout exists now,
@@ -205,8 +205,7 @@ class TestFilterBlock:
 
     def test_no_policy_no_filter(self, env):
         options = Options(block_size=256, filter_allocation=FilterAllocation((0,)))
-        props, reader = build_table(env, self.entries(), options)
-        assert props.filter_bytes == 0
+        _, reader = build_table(env, self.entries(), options)
         assert reader.footer.filter_handle.size == 0
         assert reader.may_contain(b"anything")
 
