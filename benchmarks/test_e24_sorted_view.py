@@ -8,8 +8,9 @@ its anchor array and fetches data blocks directly — so the view wins cold
 seek+scan latency by ~3x, wins cold long-scan latency, and issues fewer
 cloud GETs per long scan. The ``digest`` column proves every scan returns
 byte-identical results in both modes, and the YCSB-A rows bound the
-view-maintenance overhead (incremental rebuild + persist at every flush
-and compaction) on an update-heavy workload.
+view-maintenance overhead (an in-memory incremental rebuild at every flush
+and compaction, which the simulated clock does not charge) on an
+update-heavy workload.
 
 Writes ``BENCH_e24.json`` so CI archives a machine-readable artifact
 alongside the table.
@@ -62,8 +63,8 @@ def test_e24_sorted_view(benchmark):
     assert warm_view[idx("long_scan_s")] <= warm_merge[idx("long_scan_s")] * 1.10
     assert warm_view[idx("gets_long")] <= warm_merge[idx("gets_long")]
 
-    # View maintenance (rebuild + persist at every flush/compaction) costs
-    # at most a modest slice of update-heavy throughput.
+    # View maintenance (an in-memory rebuild at every flush/compaction, never
+    # persisted) costs at most a modest slice of update-heavy throughput.
     merge_kops = rows[("ycsb-a", "merge")][idx("Kops/s")]
     view_kops = rows[("ycsb-a", "view")][idx("Kops/s")]
     assert view_kops >= merge_kops * 0.85

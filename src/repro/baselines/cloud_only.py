@@ -82,14 +82,3 @@ class CloudOnlyStore(StoreFacade):
             cloud_store=self.cloud_store,
             counters=self.counters,
         )
-
-    def stats(self) -> dict:
-        return {
-            "local_bytes": 0,
-            "cloud_bytes": self.cloud_bytes(),
-            "compactions": self.db.compaction_stats.compactions,
-            "trivial_moves": self.db.compaction_stats.trivial_moves,
-            "cloud_get_ops": self.counters.get("cloud.get_ops"),
-            "cloud_put_ops": self.counters.get("cloud.put_ops"),
-            "read_p99": self.read_latency.percentile(99),
-        }

@@ -78,12 +78,3 @@ class LocalOnlyStore(StoreFacade):
             local_device=self.local_device,
             counters=self.counters,
         )
-
-    def stats(self) -> dict:
-        return {
-            "local_bytes": self.local_bytes(),
-            "cloud_bytes": 0,
-            "compactions": self.db.compaction_stats.compactions,
-            "trivial_moves": self.db.compaction_stats.trivial_moves,
-            "read_p99": self.read_latency.percentile(99),
-        }

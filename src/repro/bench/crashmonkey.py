@@ -52,9 +52,8 @@ def crashmonkey_config() -> StoreConfig:
     cap forces rewrites mid-run. Blob separation is on with a 2 KiB
     segment cap so blob values seal multi-part segments, and hot-key
     overwrites in the workload drive segments fully dead for GC. The
-    sorted view is on so every flush/compaction runs the two-edit view
-    commit, exposing the ``view.*`` crash window between the file edit
-    and the view persist.
+    sorted view is on so every recovery rebuilds it over the crash state
+    it finds (the view is never persisted, so it has no crash site).
     """
     return StoreConfig(
         options=Options(

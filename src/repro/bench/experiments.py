@@ -1416,7 +1416,7 @@ def e24_sorted_view(
     """Table E24: the global sorted view vs the merging iterator.
 
     Reads on a hybrid store whose lower levels are cloud-resident, with and
-    without the REMIX-style persistent sorted view, at equal prefetch
+    without the REMIX-style global sorted view, at equal prefetch
     depth. Metadata pinning is off (the cold-cluster-restart / pin-budget-
     exceeded regime): a cold table open costs the merging iterator
     footer + index + filter cloud round trips per table, while the view
@@ -1430,8 +1430,8 @@ def e24_sorted_view(
       once), isolating the view's residual win: no per-table index-block
       binary searches and no per-key heap.
     * ``ycsb-a`` rows — the maintenance price: update-heavy YCSB-A where
-      every flush/compaction rebuilds (incrementally) and re-persists the
-      view; throughput must stay within a few percent of the baseline.
+      every flush/compaction rebuilds the view (incrementally, in memory);
+      throughput must stay within a few percent of the baseline.
 
     The ``digest`` column hashes every scanned key/value byte (scan rows)
     or every operation outcome (YCSB rows): view-on and view-off must be

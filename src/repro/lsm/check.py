@@ -13,9 +13,6 @@ Walks a database without opening it for writes and verifies:
   every record in it parses with a valid checksum;
 * every blob pointer stored in a live table resolves to a record boundary
   in a MANIFEST-recorded segment with matching length and value checksum;
-* the MANIFEST's sorted-view record (if any) carries a file-set CRC that
-  matches the live tables (a mismatch is a *warning* — crash-legal — and
-  means recovery serves reads through the merging iterator instead);
 * WAL generations scan cleanly (a torn tail is a *warning* — crash-legal —
   mid-log corruption is an error);
 * unreferenced table/manifest/blob files are reported as orphans (warnings).
@@ -32,7 +29,6 @@ from repro.errors import CorruptionError, NotFoundError, ReproError
 from repro.lsm.blob import BlobPointer, iter_blob_records, maybe_pointer
 from repro.lsm.format import blob_file_name, parse_file_name, table_file_name
 from repro.lsm.options import Options
-from repro.lsm.sortedview import files_crc
 from repro.lsm.table_reader import TableReader
 from repro.lsm.version import FileMetaData, VersionSet
 from repro.lsm.wal import LogReader
@@ -196,33 +192,6 @@ def check_blob_segments(
             )
 
 
-def check_sorted_view(versions: VersionSet, report: CheckReport) -> None:
-    """Cross-validate the MANIFEST's sorted-view record against the live set.
-
-    The view edit records the CRC of the file-number set it was built over.
-    A matching CRC means recovery will adopt the persisted view; a mismatch
-    is crash-legal (the process died in the window between a file edit and
-    its view edit) and recovery falls back to the merging iterator, so it
-    is reported as a warning, never an error.
-    """
-    stamp = versions.sorted_view_stamp
-    if not stamp:
-        return
-    if stamp >= versions.next_file_number:
-        report.error(
-            f"sorted view stamp {stamp} not covered by next file number"
-            f" {versions.next_file_number} (stamp reuse possible)"
-        )
-    recorded = versions.sorted_view_crc
-    actual = files_crc(versions.current.live_file_numbers())
-    if recorded != actual:
-        report.warn(
-            f"sorted view stamp {stamp}: recorded file-set CRC {recorded:#010x}"
-            f" != live set {actual:#010x} (crash-legal stale view; reads fall"
-            " back to the merging iterator until the next rebuild)"
-        )
-
-
 def check_db(env: Env, prefix: str, options: Options | None = None) -> CheckReport:
     """Run a full offline consistency check of the DB under ``prefix``."""
     options = options or Options()
@@ -252,7 +221,6 @@ def check_db(env: Env, prefix: str, options: Options | None = None) -> CheckRepo
         check_table(env, name, options, report, meta=meta, blob_refs=blob_refs)
 
     check_blob_segments(env, prefix, versions, blob_refs, report)
-    check_sorted_view(versions, report)
 
     for name in env.list_files(prefix):
         parsed = parse_file_name(prefix, name)

@@ -27,7 +27,7 @@ from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol
 
-from repro.errors import ClosedError, CorruptionError, InvalidArgumentError, RecoveryError
+from repro.errors import ClosedError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
 from repro.lsm.block import Block
 from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache, StackFactory
@@ -52,12 +52,8 @@ from repro.lsm.sortedview import (
     BlockSource,
     SortedView,
     TableRun,
-    decode_view,
-    encode_view,
-    files_crc,
     rebuild_view,
     run_from_blocks,
-    view_matches_files,
 )
 from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
@@ -108,14 +104,6 @@ class WalWriter(Protocol):
     def sync(self) -> None: ...
 
     def close(self) -> None: ...
-
-
-class ViewStore(Protocol):
-    """Durable home for sorted-view generations (see PCacheViewStore)."""
-
-    def persist(self, stamp: int, payload: bytes) -> None: ...
-
-    def load(self, stamp: int) -> bytes | None: ...
 
 
 class ScanPipeline(Protocol):
@@ -171,7 +159,6 @@ class DB:
         *,
         stack_factory: StackFactory = BlockStack,
         event_sink: Callable[[str], None] | None = None,
-        view_store: ViewStore | None = None,
     ) -> None:
         """Use :meth:`DB.open` instead of constructing directly."""
         self.env = env
@@ -237,12 +224,6 @@ class DB:
         """Key-value separation backend (see :mod:`repro.mash.bloblog`);
         None in the base engine. Subclasses with a hybrid env override
         :meth:`_open_blob_store` to enable it."""
-        self.view_store = view_store
-        """Persistence backend for the global sorted view: an object with
-        ``persist(stamp, payload)`` and ``load(stamp) -> payload | None``
-        (see ``PCacheViewStore`` in :mod:`repro.mash.store`). None keeps
-        the view in memory only — recovery then rebuilds instead of
-        reloading."""
         self._sorted_view: SortedView | None = None
         self._view_version = None
         """The Version the current view was built for; pointer identity
@@ -295,11 +276,10 @@ class DB:
                 # reprolint: ignore[RL003] -- creation-time brand: no acked state precedes it
                 db.versions.log_and_apply(edit)
             db._rotate_wal()
-            if db.options.sorted_view:
-                # A brand-new store has no runs: the empty view is trivially
-                # current, so the first reads need no fallback.
-                db._sorted_view = SortedView(0)
-                db._view_version = db.versions.current
+        if not db._view_usable():
+            # Derived state: built here over whatever the store holds, so
+            # the first scan after a create or a recovery goes through it.
+            db._refresh_sorted_view()
         return db
 
     def close(self) -> None:
@@ -400,7 +380,6 @@ class DB:
                 max_on_disk = max(max_on_disk, parsed[1])
         self.versions.next_file_number = max(self.versions.next_file_number, max_on_disk + 1)
         self._purge_orphans(listing)
-        self._recover_sorted_view()
         replayed_max = 0
         old_numbers = self._live_wal_numbers(listing)
         for number in old_numbers:
@@ -498,18 +477,15 @@ class DB:
     ) -> None:
         """Rebuild the view for the (just-committed) current version.
 
-        Called after every flush/compaction/ingest edit. ``new_blocks``
-        carries the builder's block metadata for freshly written tables, so
-        their runs are derived without I/O; unchanged tables reuse the old
-        view's runs, and only tables absent from both (e.g. after a
-        recovery rebuild) are re-derived from their index blocks.
-
-        Commit protocol (two edits): the flush/compaction edit is already
-        durable before this runs, then the view payload is persisted, then
-        a small MANIFEST edit records ``(stamp, files_crc)``. A crash in
-        that window leaves a committed version with a stale view record —
-        recovery detects the crc mismatch and reads fall back to the
-        merging iterator until the next refresh.
+        Called when the store opens and after every flush/compaction/ingest
+        edit. ``new_blocks`` carries the builder's block metadata for
+        freshly written tables, so their runs are derived without I/O;
+        unchanged tables reuse the old view's runs, and only tables absent
+        from both (every table, when the store opens) are re-derived from
+        their index blocks. The view is never persisted: a version change
+        no refresh followed (a blob-GC edit, or a fault between a commit
+        and its refresh) leaves it stale, and scans take the merging
+        iterator until the next refresh.
         """
         if not self.options.sorted_view:
             return
@@ -543,62 +519,14 @@ class DB:
                 meta.number, level, meta.smallest, meta.largest, refs
             )
             derived += 1
-        stamp = self.versions.new_file_number()
-        view, stats = rebuild_view(stamp, old, tables)
-        stats.tables_derived = derived
+        view, stats = rebuild_view(old, tables)
         self._sorted_view = view
         self._view_version = version
         self.view_stats["builds"] += 1
         self.view_stats["segments_reused"] += stats.segments_reused
         self.view_stats["segments_rebuilt"] += stats.segments_rebuilt
-        self.view_stats["tables_derived"] += stats.tables_derived
+        self.view_stats["tables_derived"] += derived
         self.block_path.event("view_build")
-        crash_points.reach("view.before_persist")
-        if self.view_store is not None:
-            # crash-idempotent: a half-written or stale view fails its CRC
-            # gate on recovery and the next flush/compaction rebuilds it.
-            self.view_store.persist(stamp, encode_view(view))
-        crash_points.reach("view.before_manifest")
-        edit = VersionEdit()
-        edit.sorted_view = (stamp, files_crc(view.tables.keys()))
-        self.versions.log_and_apply(edit)
-        # The view edit itself produced a fresh (identical-files) Version;
-        # re-point the freshness marker at it.
-        self._view_version = self.versions.current
-
-    def _recover_sorted_view(self) -> None:
-        """Reload the persisted view if it still matches the recovered state.
-
-        A stale or unloadable view (crash between a flush/compaction commit
-        and the view persist, or a store opened without a view store) is
-        simply dropped: reads fall back to the merging iterator and the
-        next flush/compaction rebuilds from scratch.
-        """
-        if not self.options.sorted_view:
-            return
-        stamp = self.versions.sorted_view_stamp
-        live = self.versions.current.live_file_numbers()
-        if (
-            stamp
-            and self.view_store is not None
-            and self.versions.sorted_view_crc == files_crc(live)
-        ):
-            payload = self.view_store.load(stamp)
-            if payload is not None:
-                try:
-                    view = decode_view(payload)
-                except CorruptionError:
-                    view = None
-                if view is not None and view_matches_files(
-                    view, self.versions.current.files
-                ):
-                    self._sorted_view = view
-                    self._view_version = self.versions.current
-                    return
-        if not live:
-            # Nothing flushed yet: the empty view is trivially current.
-            self._sorted_view = SortedView(0)
-            self._view_version = self.versions.current
 
     # -- write path --------------------------------------------------------------
 

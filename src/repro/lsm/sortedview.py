@@ -1,4 +1,4 @@
-"""REMIX-style persistent global sorted view over a version's runs.
+"""REMIX-style global sorted view over a version's runs.
 
 A :class:`SortedView` partitions the internal-key space into *segments*
 bounded by an ascending anchor-key array.  Each segment records, for every
@@ -20,10 +20,9 @@ tables is re-derived from index-block metadata, and segments strictly
 before/after that window are spliced in from the previous view unchanged.
 Trivial moves (level-only changes) reuse every segment.
 
-The view is a pure in-memory structure plus a serialization
-(:func:`encode_view`/:func:`decode_view`); persistence through the pcache,
-MANIFEST versioning, and read-path integration live in ``repro.mash.store``
-and ``repro.lsm.db``.
+The view is derived state, never persisted: ``repro.lsm.db`` builds it when
+a store opens and after every file change, and serves scans from it only
+while it describes the current version.
 """
 
 from __future__ import annotations
@@ -33,32 +32,19 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.errors import CorruptionError
 from repro.lsm.block import Block
 from repro.lsm.format import BlockHandle
 from repro.lsm.table_builder import BlockMeta
-from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
     Entry,
     SeekGoal,
-    decode_fixed32,
-    encode_fixed32,
     extract_user_key,
     internal_order,
     make_internal_key,
     seek_goal,
 )
-from repro.util.varint import (
-    decode_varint,
-    encode_varint,
-    get_length_prefixed,
-    put_length_prefixed,
-)
-
-_VIEW_MAGIC = 0x9E
-_VIEW_FORMAT_VERSION = 1
 
 _SEGMENT_ORDER = attrgetter("order")
 """``key=`` for bisecting a segment list by :attr:`ViewSegment.order`."""
@@ -117,9 +103,6 @@ class ViewBuildStats:
 
     segments_reused: int = 0
     segments_rebuilt: int = 0
-    tables_derived: int = 0
-    """Tables whose block map had to be re-read from their index block
-    (rather than arriving via flush/compaction properties or the old view)."""
 
 
 BlockSource = Callable[[int, "BlockRef"], Block]
@@ -145,22 +128,10 @@ def run_from_blocks(
     return TableRun(number, level, smallest, largest, refs)
 
 
-def files_crc(numbers: Iterable[int]) -> int:
-    """Order-independent checksum of a live-file-number set.
-
-    Stored beside the view's stamp in the MANIFEST so recovery (and
-    ``check_db``) can tell whether a persisted view describes the current
-    version's exact file set without loading it.
-    """
-    payload = b"".join(encode_varint(n) for n in sorted(numbers))
-    return masked_crc32(payload)
-
-
 @dataclass(slots=True)
 class SortedView:
     """Immutable-by-convention snapshot of the global sorted view."""
 
-    stamp: int
     tables: dict[int, TableRun] = field(default_factory=dict)
     segments: list[ViewSegment] = field(default_factory=list)
 
@@ -357,7 +328,7 @@ class _RunStream:
 
 
 def rebuild_view(
-    stamp: int, old: SortedView | None, tables: dict[int, TableRun]
+    old: SortedView | None, tables: dict[int, TableRun]
 ) -> tuple[SortedView, ViewBuildStats]:
     """Build the view for a new version, splicing in unchanged segments.
 
@@ -373,9 +344,9 @@ def rebuild_view(
     """
     stats = ViewBuildStats()
     if not tables:
-        return SortedView(stamp), stats
+        return SortedView(), stats
     if old is None or not old.segments:
-        view = _full_build(stamp, tables)
+        view = _full_build(tables)
         stats.segments_rebuilt = len(view.segments)
         return view, stats
 
@@ -393,7 +364,7 @@ def rebuild_view(
             changed.append(prev)
     if not changed:
         stats.segments_reused = len(old.segments)
-        return SortedView(stamp, dict(tables), list(old.segments)), stats
+        return SortedView(dict(tables), list(old.segments)), stats
 
     window_lo = min(
         (user_key_anchor(run.smallest) for run in changed), key=internal_order
@@ -444,10 +415,10 @@ def rebuild_view(
     )
     stats.segments_reused = prefix_end + (count - suffix_start)
     stats.segments_rebuilt = len(mid_segments)
-    return SortedView(stamp, dict(tables), segments), stats
+    return SortedView(dict(tables), segments), stats
 
 
-def _full_build(stamp: int, tables: dict[int, TableRun]) -> SortedView:
+def _full_build(tables: dict[int, TableRun]) -> SortedView:
     runs = sorted(tables.values(), key=lambda run: run.number)
     anchor_set: set[bytes] = set()
     for run in runs:
@@ -459,7 +430,7 @@ def _full_build(stamp: int, tables: dict[int, TableRun]) -> SortedView:
     for i, anchor in enumerate(anchors):
         nxt = anchors[i + 1] if i + 1 < len(anchors) else None
         segments.append(_segment(anchor, nxt, runs))
-    return SortedView(stamp, dict(tables), segments)
+    return SortedView(dict(tables), segments)
 
 
 def _segment(
@@ -481,96 +452,3 @@ def _cursor_ordinal(run: TableRun, goal: SeekGoal) -> int:
     """Ordinal of the first block whose last key sorts at or after ``goal``
     (exists for a segment's member runs; ``len(run.blocks)`` past the end)."""
     return bisect_left(run.blocks, goal, key=lambda ref: internal_order(ref.last_key))
-
-
-def view_matches_files(
-    view: SortedView, files: Sequence[Sequence[object]]
-) -> bool:
-    """True when the view describes exactly ``files`` (a version's levels)."""
-    expected: dict[int, tuple[int, bytes, bytes]] = {}
-    for level, metas in enumerate(files):
-        for meta in metas:
-            number = getattr(meta, "number")
-            expected[int(number)] = (
-                level,
-                getattr(meta, "smallest"),
-                getattr(meta, "largest"),
-            )
-    actual = {
-        number: (run.level, run.smallest, run.largest)
-        for number, run in view.tables.items()
-    }
-    return expected == actual
-
-
-def encode_view(view: SortedView) -> bytes:
-    """Serialize a view: versioned header, runs, segments, CRC trailer."""
-    out = bytearray()
-    out.append(_VIEW_MAGIC)
-    out.append(_VIEW_FORMAT_VERSION)
-    out += encode_varint(view.stamp)
-    out += encode_varint(len(view.tables))
-    for number in sorted(view.tables):
-        run = view.tables[number]
-        out += encode_varint(number)
-        out += encode_varint(run.level)
-        put_length_prefixed(out, run.smallest)
-        put_length_prefixed(out, run.largest)
-        out += encode_varint(len(run.blocks))
-        for ref in run.blocks:
-            put_length_prefixed(out, ref.last_key)
-            out += encode_varint(ref.offset)
-            out += encode_varint(ref.size)
-    out += encode_varint(len(view.segments))
-    for seg in view.segments:
-        put_length_prefixed(out, seg.anchor)
-        out += encode_varint(len(seg.cursors))
-        for cur in seg.cursors:
-            out += encode_varint(cur.number)
-            out += encode_varint(cur.ordinal)
-    out += encode_fixed32(masked_crc32(bytes(out)))
-    return bytes(out)
-
-
-def decode_view(data: bytes) -> SortedView:
-    """Inverse of :func:`encode_view`; raises ``CorruptionError`` on damage."""
-    if len(data) < 6:
-        raise CorruptionError("sorted view payload truncated")
-    body, trailer = data[:-4], data[-4:]
-    if not verify_masked_crc32(body, decode_fixed32(trailer)):
-        raise CorruptionError("sorted view checksum mismatch")
-    if body[0] != _VIEW_MAGIC:
-        raise CorruptionError("bad sorted view magic")
-    if body[1] != _VIEW_FORMAT_VERSION:
-        raise CorruptionError(f"unsupported sorted view format {body[1]}")
-    pos = 2
-    stamp, pos = decode_varint(body, pos)
-    table_count, pos = decode_varint(body, pos)
-    tables: dict[int, TableRun] = {}
-    for _ in range(table_count):
-        number, pos = decode_varint(body, pos)
-        level, pos = decode_varint(body, pos)
-        smallest, pos = get_length_prefixed(body, pos)
-        largest, pos = get_length_prefixed(body, pos)
-        block_count, pos = decode_varint(body, pos)
-        refs: list[BlockRef] = []
-        for _ in range(block_count):
-            last_key, pos = get_length_prefixed(body, pos)
-            offset, pos = decode_varint(body, pos)
-            size, pos = decode_varint(body, pos)
-            refs.append(BlockRef(last_key, offset, size))
-        tables[number] = TableRun(number, level, smallest, largest, tuple(refs))
-    segment_count, pos = decode_varint(body, pos)
-    segments: list[ViewSegment] = []
-    for _ in range(segment_count):
-        anchor, pos = get_length_prefixed(body, pos)
-        cursor_count, pos = decode_varint(body, pos)
-        cursors: list[SegmentCursor] = []
-        for _ in range(cursor_count):
-            number, pos = decode_varint(body, pos)
-            ordinal, pos = decode_varint(body, pos)
-            cursors.append(SegmentCursor(number, ordinal))
-        segments.append(ViewSegment(anchor, tuple(cursors)))
-    if pos != len(body):
-        raise CorruptionError("sorted view payload has trailing bytes")
-    return SortedView(stamp, tables, segments)

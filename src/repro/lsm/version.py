@@ -35,7 +35,9 @@ _TAG_NEW_FILE = 5
 _TAG_BLOB_SEGMENT = 6
 _TAG_BLOB_SEGMENT_DELETE = 7
 _TAG_BLOB_SEPARATION = 8
-_TAG_SORTED_VIEW = 9
+_TAG_RETIRED_SORTED_VIEW = 9
+"""Once recorded a persisted sorted view; read and discarded so a MANIFEST
+holding it still opens."""
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,6 @@ class VersionEdit:
     separation enabled refuse (a raw value stored verbatim while separation
     was off could start with the pointer magic and be misread as a pointer).
     The flag is sticky — never cleared once set."""
-    sorted_view: tuple[int, int] | None = None
-    """(stamp, files_crc) of the persisted global sorted view
-    (:mod:`repro.lsm.sortedview`). The crc covers the live file-number set
-    the view was built for; recovery reloads the view only when the crc
-    still matches the recovered version (a crash between a flush/compaction
-    commit and the view persist legally leaves them out of sync, and reads
-    then fall back to the merging iterator)."""
 
     def add_file(self, level: int, meta: FileMetaData) -> None:
         self.new_files.append((level, meta))
@@ -132,10 +127,6 @@ class VersionEdit:
             out += encode_varint(_TAG_BLOB_SEGMENT_DELETE) + encode_varint(number)
         if self.blob_separation:
             out += encode_varint(_TAG_BLOB_SEPARATION) + encode_varint(1)
-        if self.sorted_view is not None:
-            stamp, crc = self.sorted_view
-            out += encode_varint(_TAG_SORTED_VIEW)
-            out += encode_varint(stamp) + encode_varint(crc)
         return bytes(out)
 
     @classmethod
@@ -172,10 +163,9 @@ class VersionEdit:
             elif tag == _TAG_BLOB_SEPARATION:
                 flag, pos = decode_varint(data, pos)
                 edit.blob_separation = bool(flag)
-            elif tag == _TAG_SORTED_VIEW:
-                stamp, pos = decode_varint(data, pos)
-                crc, pos = decode_varint(data, pos)
-                edit.sorted_view = (stamp, crc)
+            elif tag == _TAG_RETIRED_SORTED_VIEW:
+                _stamp, pos = decode_varint(data, pos)
+                _files_crc, pos = decode_varint(data, pos)
             else:
                 raise CorruptionError(f"unknown VersionEdit tag {tag}")
         return edit
@@ -312,10 +302,6 @@ class VersionSet:
         self.blob_separation_enabled = False
         """True once the MANIFEST records that this store was created with
         key-value separation (see :attr:`VersionEdit.blob_separation`)."""
-        self.sorted_view_stamp = 0
-        """Stamp (file number) of the last persisted sorted view; 0 = none."""
-        self.sorted_view_crc = 0
-        """files_crc the persisted view was built against."""
         self.next_file_number = 2  # 1 is reserved for the first manifest
         self.last_sequence = 0
         self.log_number = 0
@@ -360,13 +346,10 @@ class VersionSet:
         applied = 0
         self.blob_segments = {}
         self.blob_separation_enabled = False
-        self.sorted_view_stamp = 0
-        self.sorted_view_crc = 0
         for record in reader:
             edit = VersionEdit.decode(record)
             version = version.apply(edit)
             self._apply_blob(edit)
-            self._apply_view(edit)
             if edit.log_number is not None:
                 self.log_number = edit.log_number
             if edit.next_file_number is not None:
@@ -381,7 +364,7 @@ class VersionSet:
         # live WAL) are not in the manifest; never re-issue anything at or
         # below what the recovered state references.
         max_ref = max(
-            [self.log_number, manifest_number, self.sorted_view_stamp]
+            [self.log_number, manifest_number]
             + [meta.number for _, meta in version.all_files()]
             + list(self.blob_segments)
         )
@@ -409,7 +392,6 @@ class VersionSet:
         self._manifest.add_record(edit.encode())
         self.current = self.current.apply(edit)
         self._apply_blob(edit)
-        self._apply_view(edit)
 
     def _apply_blob(self, edit: VersionEdit) -> None:
         for number, total, dead in edit.blob_segments:
@@ -418,10 +400,6 @@ class VersionSet:
             self.blob_segments.pop(number, None)
         if edit.blob_separation:
             self.blob_separation_enabled = True
-
-    def _apply_view(self, edit: VersionEdit) -> None:
-        if edit.sorted_view is not None:
-            self.sorted_view_stamp, self.sorted_view_crc = edit.sorted_view
 
     def manifest_bytes(self) -> int:
         """Current manifest size — the metadata-overhead metric of E5."""
@@ -458,8 +436,6 @@ class VersionSet:
         for number, (total, dead) in sorted(self.blob_segments.items()):
             snapshot.set_blob_segment(number, total, dead)
         snapshot.blob_separation = self.blob_separation_enabled
-        if self.sorted_view_stamp:
-            snapshot.sorted_view = (self.sorted_view_stamp, self.sorted_view_crc)
         writer.add_record(snapshot.encode())
         crash_points.reach("manifest.rewrite_before_current")
         self.env.write_file(current_file_name(self.prefix), f"{new_number}".encode())

@@ -32,14 +32,13 @@ from repro.storage.local import LocalDevice
 from repro.util.crc import mask, verify_masked_crc32
 from repro.util.varint import decode_varint, encode_varint
 
-_KIND_META = 0x4D  # 'M' — pinned metadata block (index/filter/footer/view)
+_KIND_META = 0x4D  # 'M' — pinned metadata block (index/filter/footer)
 _KIND_DATA = 0x44  # 'D' — evictable data block
 _KIND_TOMB = 0x54  # 'T' — whole-file tombstone
 
 # Metadata records reuse the block_offset field as a kind disambiguator.
-# "view" holds a serialized sorted-view payload (one pseudo-file per view
-# stamp — put_meta pins first-write-wins, so stamps never collide).
-_META_OFFSETS = {"index": 0, "filter": 1, "footer": 2, "view": 3}
+# Offset 3 once held a persisted sorted view; recovery skips such records.
+_META_OFFSETS = {"index": 0, "filter": 1, "footer": 2}
 _META_KINDS = {offset: kind for kind, offset in _META_OFFSETS.items()}
 
 SLAB_GARBAGE_RATIO = 0.5
@@ -160,8 +159,9 @@ class PersistentCache:
                 self._forget_file(name)
             elif kind == _KIND_META:
                 dropped.discard(name)
-                kind_str = _META_KINDS.get(block_offset, "index")
-                self._index_meta(name, kind_str, (payload_start, payload_len))
+                kind_str = _META_KINDS.get(block_offset)
+                if kind_str is not None:
+                    self._index_meta(name, kind_str, (payload_start, payload_len))
             elif kind == _KIND_DATA:
                 dropped.discard(name)
                 self._index_data(name, block_offset, (payload_start, payload_len))

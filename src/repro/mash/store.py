@@ -177,56 +177,6 @@ class MashDB(DB):
     _WAL_KIND = "xlog"
 
 
-# Serializing / decoding a view payload is a memory walk, not I/O.
-_VIEW_CODEC_BASE_COST = 20e-6
-_VIEW_CODEC_COST_PER_BYTE = 2e-9
-
-
-class PCacheViewStore:
-    """Sorted-view persistence on the pcache's pinned-metadata slab.
-
-    Each view generation lands under a per-stamp pseudo-file name (the
-    pcache pins metadata first-write-wins, so stamps never collide) and
-    the previous generation's record is tombstoned on the next persist.
-    Payloads live on the local device: reloading the view at recovery
-    costs local reads only, never a cloud round trip.
-    """
-
-    def __init__(self, pcache: PersistentCache, prefix: str, *, tracer: Tracer) -> None:
-        self.pcache = pcache
-        self.prefix = prefix
-        self.tracer = tracer
-        self._last_stamp: int | None = None
-
-    def _name(self, stamp: int) -> str:
-        return f"{self.prefix}view-{stamp:06d}"
-
-    def _charge_codec(self, payload: bytes) -> None:
-        # On the device's clock of the moment: inside a fork/join branch or a
-        # request scope that is the branch's clock, where the span's time is.
-        cost = _VIEW_CODEC_BASE_COST + _VIEW_CODEC_COST_PER_BYTE * len(payload)
-        self.pcache.device.clock.advance(cost)
-        self.tracer.charge("cpu", cost)
-
-    def persist(self, stamp: int, payload: bytes) -> None:
-        self._charge_codec(payload)
-        self.pcache.put_meta(self._name(stamp), "view", payload)
-        if self._last_stamp is not None and self._last_stamp != stamp:
-            self.pcache.drop_file(self._name(self._last_stamp))
-        self._last_stamp = stamp
-        self.tracer.event("view_persist")
-
-    def load(self, stamp: int) -> bytes | None:
-        payload = self.pcache.get_meta(self._name(stamp), "view")
-        if payload is None:
-            return None
-        self._charge_codec(payload)
-        # Remember the recovered generation so the next persist tombstones it.
-        self._last_stamp = stamp
-        self.tracer.event("view_load")
-        return payload
-
-
 class MashBlockStack(BlockStack):
     """``dram → pcache → primed → readahead → demand`` for one table.
 
@@ -366,7 +316,6 @@ class RocksMashStore(StoreFacade):
         # Must exist before MashDB.open builds stacks.
         self._scan_prefetchers: list[ScanPrefetcher] = []
         self._init_facade(tracer)
-        self.view_store = PCacheViewStore(self.pcache, config.db_prefix, tracer=self.tracer)
 
         with StopwatchRegion(clock) as sw, self.tracer.span("recovery"):
             self.db = MashDB.open(
@@ -379,7 +328,6 @@ class RocksMashStore(StoreFacade):
                 local_device=local_device,
                 placement_config=config.placement,
                 blob_pcache=self.pcache,
-                view_store=self.view_store,
             )
         self.last_recovery_seconds = sw.elapsed
         # Installed unconditionally so the *live* depth knob governs each

@@ -195,17 +195,6 @@ CRASH_SITES: dict[str, str] = {
         "MANIFEST blob-segment delete committed, segment object not yet "
         "deleted (orphan segment collected at recovery)"
     ),
-    "view.before_persist": (
-        "flush/compaction committed but the rebuilt sorted view not yet "
-        "persisted (MANIFEST still carries the previous view stamp; its "
-        "files_crc no longer matches, so recovery falls back to the "
-        "merging iterator and rebuilds)"
-    ),
-    "view.before_manifest": (
-        "sorted view payload persisted to the pcache but the MANIFEST "
-        "sorted-view edit not yet committed (orphan view payload; the "
-        "stale recorded stamp mismatches and recovery rebuilds)"
-    ),
     "ingest.before_manifest": (
         "ingested table file fully written, manifest edit not yet committed "
         "(orphan table purged at recovery; the ingest was never acked)"

@@ -118,20 +118,6 @@ class TestMutationSelfTests:
             for f in findings
         )
 
-    def test_deleting_view_persist_tier_charge_fails_rl002(self, tree_copy):
-        # Sorted-view persistence models its codec cost on the CPU tier;
-        # dropping the tracer mirror must trip the charge-attribution gate.
-        mutate(
-            tree_copy / "mash" / "store.py",
-            "        self.pcache.device.clock.advance(cost)\n"
-            '        self.tracer.charge("cpu", cost)\n',
-            "        self.pcache.device.clock.advance(cost)\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [(f.rule, f.path.endswith("mash/store.py")) for f in findings] == [
-            ("RL002", True)
-        ]
-
     def test_wall_clock_read_in_sortedview_fails_rl001(self, tree_copy):
         # The view module is pure (no clock), but it still lives on the
         # simulated path: a wall-clock read sneaking in must be caught.
@@ -144,18 +130,6 @@ class TestMutationSelfTests:
         findings = findings_for(tree_copy.parent)
         assert {f.rule for f in findings} == {"RL001"}
         assert all(f.path.endswith("lsm/sortedview.py") for f in findings)
-
-    def test_removing_view_persist_reach_site_fails_rl003(self, tree_copy):
-        # The before-persist site is what proves a crash between the file
-        # edit and the view persist leaves a recoverable (fallback) store.
-        mutate(
-            tree_copy / "lsm" / "db.py",
-            'crash_points.reach("view.before_persist")',
-            "pass",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL003"]
-        assert "view.before_persist" in findings[0].message
 
     def test_wall_clock_read_fails_rl001(self, tree_copy):
         path = tree_copy / "util" / "crc.py"
@@ -259,7 +233,7 @@ class TestInterproceduralMutations:
 
 
 #: (file under src/repro, [(old, new), ...], pytest node that must fail).
-#: The first four are the behavioural mutations of the retired rules' own
+#: The first three are the behavioural mutations of the retired rules' own
 #: self-tests; the last two are the escapes the retirement audit found in
 #: the dynamic suite and closed (DESIGN.md §7 has the table).
 RETIRED_RULE_MUTATIONS = [
@@ -291,18 +265,6 @@ RETIRED_RULE_MUTATIONS = [
         "tests/integration/test_bloblog_crash.py::TestUnsyncedBlobBeforeWalSync"
         "::test_later_sync_batch_syncs_earlier_blob_bytes",
         id="rl007-s1-sync",
-    ),
-    # RL007 S3: the view persist ahead of the tag-9 commit is deleted.
-    pytest.param(
-        "lsm/db.py",
-        [
-            (
-                "            self.view_store.persist(stamp, encode_view(view))\n",
-                "            pass\n",
-            )
-        ],
-        "tests/integration/test_sorted_view_equivalence.py::TestFaultStormEquivalence",
-        id="rl007-s3-view",
     ),
     # RL009: the replay region's join() is deleted.
     pytest.param(

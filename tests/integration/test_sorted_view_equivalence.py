@@ -9,11 +9,11 @@ Three layers of proof:
   compared;
 * the same twin drive on whole :class:`RocksMashStore` deployments under a
   cloud fault storm (every request can fail transiently and be retried);
-* deterministic stale-view fallback — a crash injected between the
-  flush/compaction commit and the view persist (or the MANIFEST view edit)
-  must leave a store that *reports* the view unusable, serves exactly the
-  committed data through the merging-iterator fallback, and repairs itself
-  on the next flush.
+* the view's lifecycle — it is derived state, rebuilt when the store opens:
+  a crash right after a flush or compaction commits reopens with a usable
+  view that serves the committed data at once; and a version change no
+  rebuild followed (a blob-GC edit) sends scans down the merging iterator
+  until the next flush.
 """
 
 from dataclasses import replace
@@ -27,7 +27,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
-from repro.sim.failure import CrashPointFired, crash_points
+from repro.sim.failure import CrashPointFired, armed
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 
@@ -98,9 +98,8 @@ class TestTwinDBEquivalence:
                     viewed.compact_range()
                     baseline.compact_range()
                 else:
-                    # A plain DB has no view store: after reopen the view is
-                    # stale by construction, which forces the fallback path
-                    # until the next flush rebuilds it.
+                    # Reopening rebuilds the view from the tables' index
+                    # blocks, so the reads after it go through the view.
                     viewed.close()
                     baseline.close()
                     viewed = DB.open(env_v, "db/", tiny_options(sorted_view=True))
@@ -167,7 +166,7 @@ class TestFaultStormEquivalence:
         assert "usable=yes" in stores[True].db.get_property(
             "repro.sorted-view-stats"
         )
-        # Clean restart: the view reloads from the pcache and still agrees.
+        # Clean restart: the view is rebuilt at open and still agrees.
         reopened = {on: store.reopen() for on, store in stores.items()}
         assert "usable=yes" in reopened[True].db.get_property(
             "repro.sorted-view-stats"
@@ -215,12 +214,25 @@ class TestPointLookupsIgnoreTheView:
         assert viewed.db.block_path.hits == plain.db.block_path.hits
 
 
+def scan_counts(store):
+    stats = store.db.view_stats
+    return stats["scan_hits"], stats["scan_fallbacks"]
+
+
 class TestStaleViewFallback:
-    @pytest.mark.parametrize("site", ["view.before_persist", "view.before_manifest"])
-    def test_crash_in_view_commit_window_falls_back_then_heals(self, site):
-        crash_points.reset()
-        cfg = storm_config(sorted_view=True, seed=0)
-        cfg = replace(cfg, cloud_error_rate=0.0)
+    """A view built for an older version never serves a scan. The window
+    between a version commit and its view refresh closes at the next open,
+    which rebuilds the view; a version change no refresh follows sends
+    scans down the merging iterator until the next flush."""
+
+    @pytest.mark.parametrize(
+        "site", ["flush.after_manifest", "compaction.before_input_delete"]
+    )
+    def test_crash_in_view_commit_window_reopens_with_a_rebuilt_view(self, site):
+        """A crash after a flush or compaction commits but before its view
+        refresh: the reopened store rebuilds the view before its first read,
+        and that read goes through it."""
+        cfg = replace(storm_config(sorted_view=True, seed=0), cloud_error_rate=0.0)
         store = RocksMashStore.create(cfg)
         model = {}
         for i in range(40):
@@ -228,11 +240,7 @@ class TestStaleViewFallback:
             model[k] = v
             store.put(k, v)
         store.flush()
-        assert "usable=yes" in store.db.get_property("repro.sorted-view-stats")
-
-        crash_points.arm(site)
-        fired = False
-        try:
+        with pytest.raises(CrashPointFired), armed(site):
             for i in range(40, 60):
                 k, v = b"key%03d" % i, b"new%03d" % i
                 # The WAL append commits before the flush that reaches the
@@ -240,32 +248,54 @@ class TestStaleViewFallback:
                 model[k] = v
                 store.put(k, v)
             store.flush()
-        except CrashPointFired:
-            fired = True
-        finally:
-            crash_points.disarm()
-        assert fired
+            store.compact_range(None, None)
 
         store = store.reopen(crash=True)
-        stats = store.db.get_property("repro.sorted-view-stats")
-        assert "usable=no" in stats
-        # The flush itself committed; only the view record is stale, and the
-        # merging-iterator fallback serves the full committed state.
+        assert "usable=yes" in store.db.get_property("repro.sorted-view-stats")
+        assert scan_counts(store) == (0, 0)
+        assert dict(store.scan()) == model
+        assert scan_counts(store) == (1, 0)
+        assert store.scan_reverse() == sorted(model.items(), reverse=True)
+        report = check_db(store.env, store.config.db_prefix, store.config.options)
+        assert report.errors == [] and report.warnings == []
+        store.close()
+
+    def test_blob_gc_edit_sends_scans_to_the_merging_iterator(self):
+        """A blob-GC edit makes a new version no view refresh follows: scans
+        fall back to the merging iterator, serve the same rows, and the next
+        flush makes the view usable again."""
+        cfg = StoreConfig().small()
+        cfg = replace(
+            cfg,
+            options=replace(
+                cfg.options,
+                sorted_view=True,
+                blob_value_threshold=64,
+                blob_segment_bytes=1 << 10,
+            ),
+        )
+        store = RocksMashStore.create(cfg)
+        model = {}
+        for round_ in range(2):
+            for i in range(60):
+                model[b"key%03d" % i] = b"v%d-%03d" % (round_, i) + b"x" * 150
+                store.put(b"key%03d" % i, model[b"key%03d" % i])
+            store.flush()
+        # The compaction drops the first round's pointers, so the GC pass
+        # after it deletes their segments in MANIFEST edits of its own.
+        store.compact_range(None, None)
+        assert store.db.blob_store.stats()["segments_deleted"] > 0
+        assert "usable=no" in store.db.get_property("repro.sorted-view-stats")
+
+        hits, fallbacks = scan_counts(store)
         assert dict(store.scan()) == model
         assert store.scan_reverse() == sorted(model.items(), reverse=True)
-        fallbacks = store.db.view_stats["scan_fallbacks"]
-        assert fallbacks >= 2
-        report = check_db(store.env, store.config.db_prefix, store.config.options)
-        assert report.errors == []
-        # check_db flags the crash-legal staleness as a warning, not an error.
-        assert any("sorted view" in w for w in report.warnings)
+        assert scan_counts(store) == (hits, fallbacks + 2)
 
-        # The next flush rebuilds and re-persists the view.
-        store.put(b"key999", b"heal")
         model[b"key999"] = b"heal"
+        store.put(b"key999", b"heal")
         store.flush()
         assert "usable=yes" in store.db.get_property("repro.sorted-view-stats")
         assert dict(store.scan()) == model
-        assert store.scan_reverse() == sorted(model.items(), reverse=True)
+        assert scan_counts(store) == (hits + 1, fallbacks + 2)
         store.close()
-        crash_points.reset()

@@ -10,7 +10,8 @@ drawn once per run from {sorted view on, off} × {blob separation on, off} ×
 store equals a dict model, every live snapshot equals the frozen copy taken
 with it, and every span the step recorded conserves its simulated time
 (``local + cloud + cpu == elapsed``); after flush, compact and reopen
-``check_db`` is clean.
+``check_db`` is clean, and a reopened store with the view on scans through
+it from its first read (the view is rebuilt at open, never reloaded).
 
 Starved means a 512 B DRAM block cache, a 1 KiB persistent-cache data budget
 and everything below L0 in the cloud: a step's reads then go down the whole
@@ -77,6 +78,7 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = None
+        self.sorted_view = False
         self.model = {}
         self.snapshots = []  # (Snapshot, the model when it was taken)
 
@@ -84,6 +86,7 @@ class StoreMachine(RuleBasedStateMachine):
         sorted_view=st.booleans(), blob=st.booleans(), starved=st.booleans(), readahead=st.booleans()
     )
     def open_store(self, sorted_view, blob, starved=False, readahead=True):
+        self.sorted_view = sorted_view
         config = StoreConfig().small()
         options = replace(
             config.options,
@@ -209,6 +212,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = self.store.reopen(crash=True)
         self.snapshots.clear()
         self._check_clean()
+        if self.sorted_view:
+            assert "usable=yes" in self.store.db.get_property("repro.sorted-view-stats")
 
     @rule(site=st.sampled_from(CRASH_SITES), skip=st.integers(0, 3))
     def crash_at_site(self, site, skip):

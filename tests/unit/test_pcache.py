@@ -274,9 +274,13 @@ class TestSlabRecordFormat:
         device.append(name, reference_record(_KIND_DATA, b"t.sst", 4096, b"block" * 40)[0])
         device.append(name, reference_record(_KIND_DATA, b"old.sst", 0, b"stale")[0])
         device.append(name, reference_record(_KIND_TOMB, b"old.sst", 0, b"")[0])
+        # A sorted-view payload (metadata offset 3) that earlier builds
+        # persisted: parsed past, never indexed.
+        device.append(name, reference_record(_KIND_META, b"db/view-000042", 3, b"view")[0])
         device.sync(name)
         cache = PersistentCache.open(device, config)
         assert cache.stats.recovered_entries == 2
+        assert cache.meta_bytes == len(b"filter-bytes")
         assert cache.get_meta("t.sst", "filter") == b"filter-bytes"
         assert cache.get_data("t.sst", 4096) == b"block" * 40
         assert cache.get_data("old.sst", 0) is None

@@ -173,10 +173,9 @@ class TestShardedDB:
         assert all(shard.tracer is node.tracer for shard in node.shards)
 
     def test_sorted_view_on_shards_charges_and_posts_to_the_node_tracer(self):
-        """Regression: a shard's view store and view lifecycle events kept the
-        private tracer the shard was built with, so the CPU time of every view
-        persist went missing from the node's flush and maintenance spans and
-        no ``view_*`` event reached the node."""
+        """Regression: a shard's view lifecycle events kept the private tracer
+        the shard was built with, so no ``view_*`` event reached the node;
+        every span the view's builds and scans run in must still conserve."""
         base = StoreConfig().small()
         base = replace(
             base,
@@ -196,7 +195,6 @@ class TestShardedDB:
         assert leaks == []
         assert node.tracer.unattributed.total() == 0.0
         assert node.tracer.event_counts["view_build"] > 0
-        assert node.tracer.event_counts["view_persist"] > 0
         assert node.tracer.event_counts["view_hit"] > 0
 
     def test_shards_touched(self):

@@ -6,22 +6,15 @@ everything here runs against fabricated runs: entries are chunked into real
 The reference model is the brute-force merge of every run's entries.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.sortedview import (
     BlockRef,
-    SortedView,
     TableRun,
-    decode_view,
-    encode_view,
-    files_crc,
     rebuild_view,
     user_key_anchor,
-    view_matches_files,
 )
 from repro.util.encoding import (
     MAX_SEQUENCE,
@@ -91,7 +84,7 @@ class TestStreamEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_stream_matches_brute_force_merge(self, key_sets, seek_user):
         tables, source, merged = build_runs(key_sets)
-        view, _ = rebuild_view(1, None, tables)
+        view, _ = rebuild_view(None, tables)
         target = seek_goal(seek_user) if seek_user is not None else None
         expected = [e for e in merged if target is None or e >= target]
         assert list(view.stream(target, source)) == expected
@@ -100,7 +93,7 @@ class TestStreamEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_stream_reverse_matches_brute_force_merge(self, key_sets, bound_user):
         tables, source, merged = build_runs(key_sets)
-        view, _ = rebuild_view(1, None, tables)
+        view, _ = rebuild_view(None, tables)
         bound = seek_goal(bound_user) if bound_user is not None else None
         expected = [e for e in reversed(merged) if bound is None or e < bound]
         assert list(view.stream_reverse(bound, source)) == expected
@@ -113,7 +106,7 @@ class TestStreamEquivalence:
         plan covers the bound's segment only, so there the planned runs
         are the *first* ones touched.)"""
         tables, source, merged = build_runs(key_sets)
-        view, _ = rebuild_view(1, None, tables)
+        view, _ = rebuild_view(None, tables)
         target = seek_goal(key)
         initial, upcoming = view.prefetch_plan(target, reverse=reverse)
         planned = initial + upcoming
@@ -140,10 +133,10 @@ class TestRebuild:
     @settings(max_examples=80, deadline=None)
     def test_incremental_rebuild_equals_full_build(self, key_sets, extra):
         old_tables, _, _ = build_runs(key_sets)
-        old, _ = rebuild_view(1, None, old_tables)
+        old, _ = rebuild_view(None, old_tables)
         new_tables, source, merged = build_runs(key_sets + [extra])
-        incremental, stats = rebuild_view(2, old, new_tables)
-        full, _ = rebuild_view(2, None, new_tables)
+        incremental, stats = rebuild_view(old, new_tables)
+        full, _ = rebuild_view(None, new_tables)
         assert list(incremental.stream(None, source)) == merged
         assert list(incremental.stream(None, source)) == list(
             full.stream(None, source)
@@ -156,10 +149,10 @@ class TestRebuild:
     @settings(max_examples=40, deadline=None)
     def test_removal_rebuild_equals_full_build(self, key_sets):
         tables, _, _ = build_runs(key_sets)
-        old, _ = rebuild_view(1, None, tables)
+        old, _ = rebuild_view(None, tables)
         survivors = dict(list(tables.items())[:-1])
-        incremental, _ = rebuild_view(2, old, survivors)
-        full, _ = rebuild_view(2, None, survivors)
+        incremental, _ = rebuild_view(old, survivors)
+        full, _ = rebuild_view(None, survivors)
         _, source, _ = build_runs(key_sets)
         assert list(incremental.stream(None, source)) == list(
             full.stream(None, source)
@@ -167,8 +160,8 @@ class TestRebuild:
 
     def test_unchanged_tables_reuse_every_segment(self):
         tables, _, _ = build_runs([{b"a", b"b", b"c"}, {b"b", b"d"}])
-        old, _ = rebuild_view(1, None, tables)
-        view, stats = rebuild_view(2, old, dict(tables))
+        old, _ = rebuild_view(None, tables)
+        view, stats = rebuild_view(old, dict(tables))
         assert stats.segments_reused == len(old.segments)
         assert stats.segments_rebuilt == 0
         assert view.segments == old.segments
@@ -178,15 +171,15 @@ class TestRebuild:
         from dataclasses import replace
 
         tables, _, _ = build_runs([{b"a", b"b", b"c"}, {b"x", b"y"}])
-        old, _ = rebuild_view(1, None, tables)
+        old, _ = rebuild_view(None, tables)
         moved = {n: replace(run, level=run.level + 1) for n, run in tables.items()}
-        view, stats = rebuild_view(2, old, moved)
+        view, stats = rebuild_view(old, moved)
         assert stats.segments_rebuilt == 0
         assert view.segments == old.segments
         assert view.tables[1].level == 1
 
     def test_empty_table_set_builds_empty_view(self):
-        view, stats = rebuild_view(7, None, {})
+        view, stats = rebuild_view(None, {})
         assert view.segments == [] and view.tables == {}
         assert stats.segments_rebuilt == 0
 
@@ -194,53 +187,12 @@ class TestRebuild:
     @settings(max_examples=40, deadline=None)
     def test_anchors_strictly_ascending_and_normalized(self, key_sets):
         tables, _, _ = build_runs(key_sets)
-        view, _ = rebuild_view(1, None, tables)
+        view, _ = rebuild_view(None, tables)
         anchors = [seg.anchor for seg in view.segments]
         for prev, nxt in zip(anchors, anchors[1:]):
             assert internal_order(prev) < internal_order(nxt)
         for anchor in anchors:
             assert anchor == user_key_anchor(anchor)
-
-
-class TestSerde:
-    @given(run_sets)
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, key_sets):
-        tables, _, _ = build_runs(key_sets)
-        view, _ = rebuild_view(9, None, tables)
-        assert decode_view(encode_view(view)) == view
-
-    @given(run_sets, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_any_flipped_byte_is_detected(self, key_sets, data):
-        tables, _, _ = build_runs(key_sets)
-        view, _ = rebuild_view(9, None, tables)
-        payload = bytearray(encode_view(view))
-        pos = data.draw(st.integers(0, len(payload) - 1))
-        payload[pos] ^= 0xFF
-        with pytest.raises(CorruptionError):
-            decode_view(bytes(payload))
-
-    def test_truncation_and_trailing_junk_are_detected(self):
-        tables, _, _ = build_runs([{b"a", b"b"}])
-        payload = encode_view(rebuild_view(1, None, tables)[0])
-        for cut in (0, 3, len(payload) - 1):
-            with pytest.raises(CorruptionError):
-                decode_view(payload[:cut])
-        with pytest.raises(CorruptionError):
-            decode_view(payload + b"\x00")
-
-
-class TestFilesCrc:
-    @given(st.lists(st.integers(1, 1 << 20), max_size=30))
-    def test_order_independent(self, numbers):
-        assert files_crc(numbers) == files_crc(list(reversed(numbers)))
-        assert files_crc(numbers) == files_crc(sorted(numbers))
-
-    @given(st.sets(st.integers(1, 1 << 20), min_size=1, max_size=30))
-    def test_sensitive_to_membership(self, numbers):
-        smaller = set(list(numbers)[1:])
-        assert files_crc(numbers) != files_crc(smaller)
 
 
 class TestAnchors:
@@ -251,22 +203,3 @@ class TestAnchors:
         assert extract_user_key(anchor) == key
         assert internal_order(anchor) <= internal_order(ikey)
 
-
-class TestViewMatchesFiles:
-    def test_detects_membership_and_range_drift(self):
-        from dataclasses import replace
-
-        tables, _, _ = build_runs([{b"a", b"b"}, {b"c"}])
-        view, _ = rebuild_view(1, None, tables)
-
-        class Meta:
-            def __init__(self, run):
-                self.number = run.number
-                self.smallest = run.smallest
-                self.largest = run.largest
-
-        files = [[Meta(run) for run in tables.values()]]
-        assert view_matches_files(view, files)
-        assert not view_matches_files(view, [[Meta(tables[1])]])
-        drifted = replace(tables[1], largest=b"zzz\x00\x00\x00\x00\x00\x00\x00\x00\x00")
-        assert not view_matches_files(view, [[Meta(drifted), Meta(tables[2])]])

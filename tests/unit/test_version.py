@@ -10,6 +10,7 @@ from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.encoding import TYPE_VALUE, make_internal_key
+from repro.util.varint import encode_varint
 
 
 def fmd(number, lo, hi, size=1000, seq=10):
@@ -264,6 +265,25 @@ class TestVersionSet:
         vs3 = VersionSet(env, "db/", options)
         vs3.recover()
         assert vs3.current.num_files(1) == 2
+
+    def test_retired_sorted_view_tag_is_read_and_discarded(self, env):
+        """Earlier builds persisted the sorted view and recorded it in the
+        MANIFEST as tag 9, ``(stamp, file-set CRC)``. Such a MANIFEST still
+        opens, and the record leaves no state behind: the view is derived
+        in memory when the store opens."""
+        edit = VersionEdit(last_sequence=7)
+        edit.add_file(1, fmd(3, b"a", b"m"))
+        legacy = edit.encode() + encode_varint(9) + encode_varint(4) + encode_varint(0x9ABCDEF0)
+        assert VersionEdit.decode(legacy).encode() == edit.encode()
+        vs = VersionSet(env, "db/", Options())
+        vs.create()
+        vs._manifest.add_record(legacy)
+        vs.close()
+        vs2 = VersionSet(env, "db/", Options())
+        vs2.recover()
+        assert vs2.current.num_files(1) == 1 and vs2.last_sequence == 7
+        assert vs2.next_file_number == 4
+        assert not [name for name in vars(vs2) if "view" in name]
 
     def test_manifest_bytes_grow(self, env):
         vs = VersionSet(env, "db/", Options())
