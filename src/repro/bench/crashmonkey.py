@@ -11,6 +11,11 @@ the devices (optionally with a torn local tail), reopens, and verifies:
 * crash-specific postconditions (a partial checkpoint is invisible and
   unrestorable; the store accepts and persists writes after recovery).
 
+The sites are the commit windows of flush, compaction, manifest rewrite,
+demotion, xWAL multi-shard sync, checkpointing and the blob log; every write
+the workload makes goes through the facade or a checkpoint, so it reaches
+each of them without an engine-only entry point.
+
 Two modes compose the matrix (named after the OSDI'18 CrashMonkey tool,
 which explored crash states of real filesystems the same way):
 
@@ -98,13 +103,6 @@ def run_workload(store: RocksMashStore, oracle: RecoveryOracle, *, steps: int) -
     for i in range(steps):
         if i == steps // 2:
             create_checkpoint(store, CHECKPOINT_NAME)
-        if i == steps // 3:
-            # Bulk-load a disjoint key range so the WAL-bypassing ingest
-            # commit path (ingest.before_manifest) is exercised too.
-            entries = [(f"ingest-{j:04d}".encode(), _value(j)) for j in range(8)]
-            oracle.begin({key: value for key, value in entries})
-            store.db.ingest(entries)
-            oracle.commit()
         if i % 7 == 3:
             batch = WriteBatch()
             for j in range(4):

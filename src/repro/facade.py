@@ -13,9 +13,10 @@ breakdown (local/cloud/cpu seconds) that sums to its wall-clock elapsed time.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
@@ -29,6 +30,9 @@ from repro.sim.clock import SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
+
+if TYPE_CHECKING:
+    from repro.tune import TuningController
 
 
 def take_rows(
@@ -91,16 +95,13 @@ class StoreFacade:
     local_device: LocalDevice
     cloud_store: CloudObjectStore | None
     cost_model: CostModel
+    tuner: TuningController | None = None
+    """The workload-adaptive controller (:mod:`repro.tune`), when the store
+    runs one; every timed op is recorded into it."""
 
     def _init_facade(self, tracer: Tracer | None = None) -> None:
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
-        self.op_hook: Callable[[str, int], None] | None = None
-        """Called as ``op_hook(kind, nbytes)`` after every timed operation
-        (kind = facade method name, nbytes = written value bytes for write
-        kinds). The tuning controller (:mod:`repro.tune`) observes the
-        workload mix through this — it is *outside* the op's stopwatch, so
-        an evaluation's CPU charge lands between requests, not inside one."""
         self._request_clock: SimClock | None = None
         self.tracer = tracer if tracer is not None else Tracer(self.clock)
         for dev in (self.local_device, getattr(self, "cloud_store", None)):
@@ -142,8 +143,11 @@ class StoreFacade:
     # -- KV API -----------------------------------------------------------
 
     def _note_op(self, kind: str, nbytes: int = 0) -> None:
-        if self.op_hook is not None:
-            self.op_hook(kind, nbytes)
+        """Feed the tuner one finished op (kind = facade method name, nbytes =
+        written value bytes for write kinds). It runs *outside* the op's
+        stopwatch, so an evaluation's CPU charge lands between requests."""
+        if self.tuner is not None:
+            self.tuner.record_op(kind, nbytes)
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
         with self.tracer.span("put") as span:
@@ -294,14 +298,32 @@ class StoreFacade:
             window_seconds=window_seconds,
         )
 
+    def metrics(self) -> dict[str, int | float]:
+        """Every number the store keeps, flat: the counters, the engine's
+        :meth:`DB.metrics`, the tracer's event counts (``event.<label>``) and
+        busy seconds by tier (``sim.<tier>``)."""
+        out: dict[str, int | float] = dict(self.counters.snapshot())
+        out.update(self.db.metrics())
+        out.update({f"event.{label}": n for label, n in self.tracer.event_counts.items()})
+        out.update({f"sim.{tier}": t for tier, t in self.tracer.totals.as_dict().items()})
+        return out
+
     def dump_metrics(self) -> str:
-        """All store metrics in Prometheus text exposition format."""
+        """:meth:`metrics` in Prometheus text exposition format — counters and
+        the tracer's totals as counters, every other number as a gauge — plus
+        the two latency summaries and the span ring's health."""
+        counted = self.counters.snapshot()
+        gauges = {
+            name: value
+            for name, value in self.metrics().items()
+            if name not in counted and not name.startswith(("event.", "sim."))
+        }
         return render_prometheus(
             counters=self.counters,
             histograms={
                 "read_latency_seconds": self.read_latency,
                 "write_latency_seconds": self.write_latency,
             },
-            tracer=getattr(self, "tracer", None),
-            block_hits=self.db.block_path.hits,
+            tracer=self.tracer,
+            gauges=gauges,
         )

@@ -31,8 +31,8 @@ from repro.storage.env import RandomAccessFile
 
 BLOCK_SOURCES = ("dram", "pcache", "primed", "readahead", "demand")
 """The sources of a data block, in the order a read tries them — the one
-spelling used by hit counters, ``repro.stats``, ``dump_metrics`` and
-``explain``."""
+spelling used by hit counters, ``metrics()`` (``blocks.<source>``),
+``dump_metrics`` and ``explain``."""
 
 
 class LRUBlockCache:

@@ -24,7 +24,7 @@ Extension points used by :mod:`repro.mash`:
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ClosedError, InvalidArgumentError, RecoveryError
@@ -46,7 +46,7 @@ from repro.lsm.iterator import (
     visible_user_entries_reverse,
 )
 from repro.lsm.memtable import GetResult, MemTable
-from repro.lsm.options import BLOOM_BITS_PER_KEY, NUM_LEVELS, Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.sortedview import (
     BlockRef,
     BlockSource,
@@ -62,7 +62,7 @@ from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, Entry, SeekGoal, seek_goal
+from repro.util.encoding import TYPE_DELETION, Entry, SeekGoal, seek_goal
 
 if TYPE_CHECKING:
     from repro.mash.bloblog import BlobLog
@@ -159,6 +159,10 @@ class DB:
         *,
         stack_factory: StackFactory = BlockStack,
         event_sink: Callable[[str], None] | None = None,
+        scan_pipeline_factory: (
+            Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
+        ) = None,
+        maintenance_hook: Callable[[], None] | None = None,
     ) -> None:
         """Use :meth:`DB.open` instead of constructing directly."""
         self.env = env
@@ -175,13 +179,11 @@ class DB:
         hit counters, the bloom tally and ``event_sink`` — the tracer's
         ``event`` in a traced store, which then sees one event per block
         served and per bloom-probe outcome."""
-        self.scan_pipeline_factory: (
-            Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
-        ) = None
+        self.scan_pipeline_factory = scan_pipeline_factory
         """Optional ``(begin, end) -> pipeline | None`` building per-scan
-        prefetch state (see :class:`ScanPipeline`). Set by store variants
+        prefetch state (see :class:`ScanPipeline`). Passed by store variants
         — the base engine scans without one."""
-        self.maintenance_hook: Callable[[], None] | None = None
+        self.maintenance_hook = maintenance_hook
         """Optional deferral hook for write-triggered maintenance. When
         set, a write that fills the memtable calls this instead of running
         the flush (and any resulting compactions) inline, and the owner is
@@ -189,12 +191,12 @@ class DB:
         layer (:mod:`repro.serve`) uses it to move flush/compaction off
         the triggering request's latency path and onto the shard's busy
         timeline, where it surfaces as queueing interference. Explicit
-        :meth:`flush`/:meth:`ingest`/:meth:`compact_range` calls always
-        run maintenance inline regardless of the hook."""
+        :meth:`flush`/:meth:`compact_range` calls always run maintenance
+        inline regardless of the hook."""
         self.bloom_stats = self.block_path.bloom
         """Store-wide bloom-probe outcomes (see :attr:`BlockPath.bloom`),
-        exported through ``get_property("repro.bloom-stats")`` — the live
-        tuner reads it to judge the current filter allocation."""
+        exported through :meth:`metrics` — the live tuner reads it to judge
+        the current filter allocation."""
         self.table_cache = TableCache(
             env,
             prefix,
@@ -228,7 +230,7 @@ class DB:
         self._view_version = None
         """The Version the current view was built for; pointer identity
         against ``versions.current`` is the O(1) freshness check."""
-        self.view_stats: dict[str, int] = {
+        self._view_stats: dict[str, int] = {
             "builds": 0,
             "segments_reused": 0,
             "segments_rebuilt": 0,
@@ -253,8 +255,9 @@ class DB:
         """Open (recovering) or create a database under ``prefix``.
 
         Extra keyword arguments are forwarded to the (sub)class constructor
-        (``stack_factory``, ``event_sink``, the extended-WAL configuration
-        of :class:`MashDB`, ...).
+        (``stack_factory``, ``event_sink``, ``scan_pipeline_factory``,
+        ``maintenance_hook``, the extended-WAL configuration of
+        :class:`MashDB`, ...).
         """
         db = cls(env, prefix, options, **subclass_kwargs)
         exists = env.file_exists(f"{prefix}CURRENT")
@@ -477,9 +480,9 @@ class DB:
     ) -> None:
         """Rebuild the view for the (just-committed) current version.
 
-        Called when the store opens and after every flush/compaction/ingest
-        edit. ``new_blocks`` carries the builder's block metadata for
-        freshly written tables, so their runs are derived without I/O;
+        Called when the store opens and after every flush/compaction edit.
+        ``new_blocks`` carries the builder's block metadata for freshly
+        written tables, so their runs are derived without I/O;
         unchanged tables reuse the old view's runs, and only tables absent
         from both (every table, when the store opens) are re-derived from
         their index blocks. The view is never persisted: a version change
@@ -522,10 +525,10 @@ class DB:
         view, stats = rebuild_view(old, tables)
         self._sorted_view = view
         self._view_version = version
-        self.view_stats["builds"] += 1
-        self.view_stats["segments_reused"] += stats.segments_reused
-        self.view_stats["segments_rebuilt"] += stats.segments_rebuilt
-        self.view_stats["tables_derived"] += derived
+        self._view_stats["builds"] += 1
+        self._view_stats["segments_reused"] += stats.segments_reused
+        self._view_stats["segments_rebuilt"] += stats.segments_rebuilt
+        self._view_stats["tables_derived"] += derived
         self.block_path.event("view_build")
 
     # -- write path --------------------------------------------------------------
@@ -539,25 +542,6 @@ class DB:
         batch = WriteBatch()
         batch.delete(key)
         self.write(batch, sync=sync)
-
-    def delete_range(self, begin: bytes, end: bytes, *, sync: bool = True) -> int:
-        """Delete every key in [begin, end); returns how many were deleted.
-
-        Implemented as a snapshot-consistent scan emitting one tombstone per
-        live key in one atomic batch — O(range size), unlike RocksDB's O(1)
-        range tombstones, but with identical visible semantics. Adequate for
-        the workloads this reproduction runs; documented as a deliberate
-        simplification.
-        """
-        self._check_open()
-        if begin >= end:
-            raise InvalidArgumentError("delete_range requires begin < end")
-        batch = WriteBatch()
-        for user_key, _value in self.scan(begin, end):
-            batch.delete(user_key)
-        if len(batch):
-            self.write(batch, sync=sync)
-        return len(batch)
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
         """Apply a batch atomically: WAL first, then memtable."""
@@ -585,71 +569,6 @@ class DB:
                 self._maybe_compact()
 
     # -- flush ----------------------------------------------------------------------
-
-    def ingest(self, entries: list[tuple[bytes, bytes]], *, sync_unused: bool = True) -> int:
-        """Bulk-load sorted (key, value) pairs as one SSTable, bypassing the
-        WAL and memtable (RocksDB's external-file ingestion).
-
-        The table is placed at the deepest level where it fits without
-        overlapping existing data or shadowing newer entries, so reads stay
-        correct; falls back to L0. Keys must be unique and sorted ascending.
-        Returns the number of ingested entries.
-        """
-        self._check_open()
-        if not entries:
-            return 0
-        keys = [k for k, _ in entries]
-        if any(b >= a for a, b in zip(keys[1:], keys)):
-            raise InvalidArgumentError("ingest requires strictly ascending unique keys")
-        # Flush overlapping memtable entries *before* allocating the ingest
-        # file number: within L0, higher numbers must mean newer data.
-        lo, hi = keys[0], keys[-1]
-        if len(self.memtable) > 0:
-            for user_key, _, _ in self.memtable.entries(seek_goal(lo)):
-                if user_key <= hi:
-                    self._flush_memtable()
-                break
-        # The ingested data carries the newest sequence, so it must sit
-        # *above* (shallower than) any existing overlapping data — the read
-        # path walks memtable, L0 (newest first), L1, ... and must find it
-        # before older versions. Any overlapping memtable entries are
-        # flushed first so L0 ordering by file number stays truthful.
-        # (Placed before the build so the table gets its target level's
-        # filter policy.)
-        version = self.versions.current
-        shallowest_overlap = None
-        for level in range(NUM_LEVELS):
-            if any(f.overlaps_user_range(lo, hi) for f in version.files[level]):
-                shallowest_overlap = level
-                break
-        if shallowest_overlap is None:
-            target = NUM_LEVELS - 1
-        elif shallowest_overlap == 0:
-            target = 0  # L0 tolerates overlap; file number orders recency
-        else:
-            target = shallowest_overlap - 1
-        sequence = self.versions.last_sequence + 1
-        number = self.versions.new_file_number()
-        name = table_file_name(self.prefix, number)
-        builder = TableBuilder(self.options, self.env.new_writable_file(name), level=target)
-        neg_trailer = -((sequence << 8) | TYPE_VALUE)
-        builder.fill((key, neg_trailer, value) for key, value in entries)
-        props = builder.finish()
-        meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
-        edit = VersionEdit(last_sequence=sequence)
-        edit.add_file(target, meta)
-        self.versions.last_sequence = sequence
-        # Leave-behind: the ingested table file exists on disk but no
-        # MANIFEST entry references it; recovery's orphan purge removes it.
-        crash_points.reach("ingest.before_manifest")
-        self.versions.log_and_apply(edit)
-        self._refresh_sorted_view({meta.number: props.blocks})
-        event = FlushEvent(meta=meta, properties=props, level=target)
-        for hook in self.listeners.on_flush:
-            hook(event)
-        self._notify_version_change()
-        self._maybe_compact()
-        return len(entries)
 
     def flush(self) -> None:
         """Force the memtable to an SSTable (no-op when empty)."""
@@ -687,8 +606,6 @@ class DB:
         for hook in self.listeners.on_flush:
             hook(event)
         self._notify_version_change()
-
-    # -- compaction ------------------------------------------------------------------
 
     # -- version pinning (live iterators vs compaction) -------------------
 
@@ -767,8 +684,6 @@ class DB:
         — RocksDB's ``bottommost_level_compaction`` — so tombstones and
         compaction-filtered entries are fully reclaimed.
         """
-        from repro.lsm.compaction import Compaction
-
         self._check_open()
         self.flush()
         for level in range(NUM_LEVELS - 1):
@@ -962,7 +877,7 @@ class DB:
             sources = [self.memtable.entries(target, reverse=reverse)]
             view = self._sorted_view if self._view_usable() else None
             if view is not None:
-                self.view_stats["scan_hits"] += 1
+                self._view_stats["scan_hits"] += 1
                 self.block_path.event("view_hit")
                 if pipeline is not None:
                     pipeline.view_fanout(
@@ -976,7 +891,7 @@ class DB:
                 )
             else:
                 if self.options.sorted_view:
-                    self.view_stats["scan_fallbacks"] += 1
+                    self._view_stats["scan_fallbacks"] += 1
                     self.block_path.event("view_fallback")
                 l0_files = self._files_in_scan_range(version.files[0], begin, end)
                 level_files = [
@@ -1075,107 +990,39 @@ class DB:
 
     # -- introspection -------------------------------------------------------------------------
 
-    def get_property(self, name: str) -> int | float | str:
-        """RocksDB-style introspection properties.
-
-        Supported names (prefix ``repro.``):
-
-        * ``num-files-at-level<N>`` — file count at level N (int)
-        * ``total-sst-bytes`` — bytes across all live tables (int)
-        * ``num-entries-memtable`` — entries buffered in the memtable (int)
-        * ``approximate-memory-usage`` — memtable payload bytes (int)
-        * ``last-sequence`` — newest committed sequence number (int)
-        * ``manifest-bytes`` — current MANIFEST size (int)
-        * ``num-snapshots`` — live snapshots (int)
-        * ``block-cache-hit-ratio`` — DRAM cache hit ratio (float)
-        * ``bloom-stats`` — bloom probe outcomes + live allocation (str)
-        * ``blob-stats`` — blob value-log counters (str)
-        * ``sorted-view-stats`` — global sorted view state + counters (str)
-        * ``compaction-stats`` — human-readable summary (str)
-        * ``levels`` — human-readable per-level table (str)
-        * ``stats`` — combined dump: levels + compaction + misc (str)
-
-        Raises :class:`InvalidArgumentError` for unknown names.
-        """
-        self._check_open()
-        if not name.startswith("repro."):
-            raise InvalidArgumentError(f"unknown property {name!r}")
-        key = name[len("repro.") :]
-        if key.startswith("num-files-at-level"):
-            try:
-                level = int(key[len("num-files-at-level") :])
-            except ValueError as exc:
-                raise InvalidArgumentError(f"bad level in {name!r}") from exc
-            if not 0 <= level < NUM_LEVELS:
-                raise InvalidArgumentError(f"level out of range in {name!r}")
-            return self.versions.current.num_files(level)
-        if key == "total-sst-bytes":
-            return self.versions.current.total_bytes()
-        if key == "num-entries-memtable":
-            return len(self.memtable)
-        if key == "approximate-memory-usage":
-            return self.memtable.approximate_memory_usage()
-        if key == "last-sequence":
-            return self.versions.last_sequence
-        if key == "manifest-bytes":
-            return self.versions.manifest_bytes()
-        if key == "num-snapshots":
-            return len(self._snapshots)
-        if key == "block-cache-hit-ratio":
-            return self.block_cache.hit_ratio if self.block_cache else 0.0
-        if key == "bloom-stats":
-            allocation = (
-                self.options.filter_allocation.describe()
-                if self.options.filter_allocation is not None
-                else f"uniform:{BLOOM_BITS_PER_KEY}"
-            )
-            counts = " ".join(f"{k}={v}" for k, v in self.bloom_stats.items())
-            return f"allocation={allocation} {counts}"
-        if key == "blob-stats":
-            if self.blob_store is None:
-                return "blob log disabled"
-            return " ".join(
-                f"{k}={v}" for k, v in self.blob_store.stats().items()
-            )
-        if key == "sorted-view-stats":
-            usable = "yes" if self._view_usable() else "no"
-            segments = (
-                len(self._sorted_view.segments) if self._sorted_view is not None else 0
-            )
-            counters = " ".join(f"{k}={v}" for k, v in self.view_stats.items())
-            return f"usable={usable} segments={segments} {counters}"
-        if key == "compaction-stats":
-            s = self.compaction_stats
-            return (
-                f"compactions={s.compactions} trivial_moves={s.trivial_moves}"
-                f" bytes_read={s.bytes_read} bytes_written={s.bytes_written}"
-                f" entries_dropped={s.entries_dropped} flushes={self.flush_count}"
-                f" subcompactions={s.subcompactions_run}"
-                f" coalesced_fetches={s.coalesced_fetches}"
-            )
-        if key == "levels":
-            lines = ["level  files  bytes"]
-            for level, files, size in self.level_summary():
-                lines.append(f"L{level:<5} {files:<6} {size}")
-            return "\n".join(lines)
-        if key == "stats":
-            lines = [
-                "** DB Stats **",
-                self.get_property("repro.levels"),
-                self.get_property("repro.compaction-stats"),
-                f"memtable_entries={len(self.memtable)}"
-                f" memtable_bytes={self.memtable.approximate_memory_usage()}",
-                f"last_sequence={self.versions.last_sequence}"
-                f" manifest_bytes={self.versions.manifest_bytes()}"
-                f" snapshots={len(self._snapshots)}",
-                f"block_cache_hit_ratio="
-                f"{self.block_cache.hit_ratio if self.block_cache else 0.0:.4f}",
-                "block_source_hits "
-                + " ".join(f"{source}={n}" for source, n in self.block_path.hits.items()),
-                str(self.get_property("repro.bloom-stats")),
-            ]
-            return "\n".join(lines)
-        raise InvalidArgumentError(f"unknown property {name!r}")
+    def metrics(self) -> dict[str, int | float]:
+        """Every number the engine keeps, flat. A name never comes and goes
+        with a flush, a compaction or a reopen: every level has its
+        ``level.<n>.*`` pair, and ``view.*`` / ``blob.*`` are there exactly
+        when the store has a view / a blob log. Reading them does no I/O."""
+        version = self.versions.current
+        cache = self.block_cache
+        out: dict[str, int | float] = {
+            f"compaction.{name}": value for name, value in asdict(self.compaction_stats).items()
+        }
+        out.update(self.bloom_stats)
+        out["block_cache.hits"] = cache.hits if cache is not None else 0
+        out["block_cache.misses"] = cache.misses if cache is not None else 0
+        out["flushes"] = self.flush_count
+        for level in range(NUM_LEVELS):
+            out[f"level.{level}.files"] = version.num_files(level)
+            out[f"level.{level}.bytes"] = version.level_bytes(level)
+        out["sst.bytes"] = version.total_bytes()
+        out["memtable.entries"] = len(self.memtable)
+        out["memtable.bytes"] = self.memtable.approximate_memory_usage()
+        out["last_sequence"] = self.versions.last_sequence
+        out["manifest.bytes"] = self.versions.manifest_bytes()
+        out["snapshots"] = len(self._snapshots)
+        out["orphans_purged"] = self.orphans_purged
+        out.update({f"blocks.{source}": n for source, n in self.block_path.hits.items()})
+        if self.options.sorted_view:
+            view = self._sorted_view
+            out["view.usable"] = int(self._view_usable())
+            out["view.segments"] = len(view.segments) if view is not None else 0
+            out.update({f"view.{name}": n for name, n in self._view_stats.items()})
+        if self.blob_store is not None:
+            out.update({f"blob.{name}": n for name, n in self.blob_store.stats().items()})
+        return out
 
     def level_summary(self) -> list[tuple[int, int, int]]:
         """(level, file_count, bytes) per non-empty level."""

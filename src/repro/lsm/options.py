@@ -140,7 +140,7 @@ class Options:
     """Per-level bloom bits-per-key vector (Monkey-style allocation; see
     :mod:`repro.lsm.filters`). When set it overrides the flat
     :data:`BLOOM_BITS_PER_KEY` at table-build time:
-    every flush/ingest/compaction resolves its output level's policy via
+    every flush/compaction resolves its output level's policy via
     :meth:`table_filter_policy`, so filters migrate to the current
     allocation as tables rewrite. ``None`` keeps the uniform behaviour.
     The live tuner (:mod:`repro.tune`) updates this field between
@@ -186,10 +186,10 @@ class Options:
         """Effective filter policy for a table built at ``level``.
 
         ``None`` disables the filter block for that table. This is *the*
-        resolution point for per-level allocations: flush (level 0),
-        ingest (target level), and compaction (output level) all route
-        through it, and it reads the live option fields at call time so a
-        tuner's updates apply to the next table built.
+        resolution point for per-level allocations: flush (level 0) and
+        compaction (output level) both route through it, and it reads the
+        live option fields at call time so a tuner's updates apply to the
+        next table built.
         """
         if self.filter_allocation is not None:
             return self.filter_allocation.policy_for(level)

@@ -32,7 +32,6 @@ from repro.lsm.format import (
 )
 from repro.lsm.version import VersionEdit
 from repro.lsm.wal import LogReader, LogWriter
-from repro.metrics.counters import CounterSet
 from repro.sim.failure import crash_points
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.env import CLOUD
@@ -41,7 +40,6 @@ from repro.util.crc import masked_crc32
 from repro.util.encoding import encode_fixed32
 
 if TYPE_CHECKING:
-    from repro.sim.clock import SimClock
     from repro.mash.store import RocksMashStore, StoreConfig
 
 CHECKPOINT_PREFIX = "checkpoints/"
@@ -91,6 +89,8 @@ def create_checkpoint(store: RocksMashStore, name: str) -> CheckpointInfo:
         log_number=0,
         next_file_number=store.db.versions.next_file_number,
         last_sequence=store.db.versions.last_sequence,
+        # Without the brand a separated store's clone refuses to open.
+        blob_separation=store.db.versions.blob_separation_enabled,
     )
     total = 0
     uploaded = 0
@@ -163,14 +163,7 @@ def delete_checkpoint(cloud: CloudObjectStore, name: str) -> int:
     return len(keys)
 
 
-def restore_checkpoint(
-    cloud: CloudObjectStore,
-    name: str,
-    config: StoreConfig,
-    *,
-    clock: SimClock | None = None,
-    counters: CounterSet | None = None,
-) -> RocksMashStore:
+def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) -> RocksMashStore:
     """Materialize a new RocksMash store from checkpoint ``name``.
 
     Tables are server-side copied into the new store's namespace (still in
@@ -188,13 +181,11 @@ def restore_checkpoint(
         raise RecoveryError(f"checkpoint {name}: garbled manifest")
     snapshot = VersionEdit.decode(records[0])
 
-    clock = clock if clock is not None else cloud.clock
-    counters = counters if counters is not None else cloud.counters
     local_device = LocalDevice(
-        clock,
+        cloud.clock,
         config.local_model,
         capacity_bytes=config.local_capacity_bytes,
-        counters=counters,
+        counters=cloud.counters,
     )
 
     prefix = config.db_prefix
@@ -215,10 +206,13 @@ def restore_checkpoint(
 
     return RocksMashStore(
         config,
-        clock=clock,
+        clock=cloud.clock,
         local_device=local_device,
         cloud_store=cloud,
-        counters=counters,
+        counters=cloud.counters,
+        # Joins the tracer the shared cloud reports to, as a shard joins its
+        # node's, rather than taking it away from the store it came from.
+        tracer=cloud.tracer,
     )
 
 

@@ -24,7 +24,8 @@ crash) over the same simulated devices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
@@ -296,9 +297,12 @@ class RocksMashStore(StoreFacade):
         cloud_store: CloudObjectStore,
         counters: CounterSet,
         tracer: Tracer | None = None,
+        maintenance_hook: Callable[[], None] | None = None,
     ) -> None:
         """Internal wiring — use :meth:`create` / :meth:`reopen`. ``tracer``
-        is the node's when the store is one shard of a serving node."""
+        is the node's when the store is one shard of a serving node, and
+        ``maintenance_hook`` the node's deferral of write-triggered
+        maintenance (``DB(maintenance_hook=)``)."""
         self.config = config
         self.clock = clock
         self.local_device = local_device
@@ -324,15 +328,16 @@ class RocksMashStore(StoreFacade):
                 config.options,
                 stack_factory=partial(MashBlockStack, store=self),
                 event_sink=self.tracer.event,
+                # Passed unconditionally so the *live* depth knob governs
+                # each scan: the factory returns None while depth is 0.
+                scan_pipeline_factory=self._make_scan_prefetcher,
+                maintenance_hook=maintenance_hook,
                 xwal_config=config.xwal,
                 local_device=local_device,
                 placement_config=config.placement,
                 blob_pcache=self.pcache,
             )
         self.last_recovery_seconds = sw.elapsed
-        # Installed unconditionally so the *live* depth knob governs each
-        # scan: the factory returns None while depth is 0.
-        self.db.scan_pipeline_factory = self._make_scan_prefetcher
 
         # Event order matters: the heat tracker must see compaction outputs
         # (and pre-warm from their still-local files) before placement
@@ -354,7 +359,6 @@ class RocksMashStore(StoreFacade):
 
             self.db.listeners.on_version_change.append(_maybe_promote)
 
-        self.tuner: TuningController | None = None
         if config.tuning is not None:
             self.tuner = TuningController(
                 db=self.db,
@@ -364,7 +368,6 @@ class RocksMashStore(StoreFacade):
                 read_knobs=config,
                 cloud_level=config.placement.cloud_level,
             )
-            self.op_hook = self.tuner.record_op
 
     # -- construction -----------------------------------------------------
 
@@ -634,71 +637,14 @@ class RocksMashStore(StoreFacade):
 
     # -- reporting -----------------------------------------------------------------
 
-    def describe(self) -> str:
-        """Human-readable operational dashboard (tiering, caches, engine)."""
-        tiers = self.placement.tier_summary()
-        pc = self.pcache.stats
-        cs = self.db.compaction_stats
-        lines = [
-            f"RocksMash store @ {self.config.db_prefix!r}  (simulated t={self.clock.now:.3f}s)",
-            "-- tiering --",
-            f"  local SSTables : {tiers['local_bytes']:>12,} B",
-            f"  cloud SSTables : {tiers['cloud_bytes']:>12,} B"
-            f"   (demotions={tiers['demotions']}, budget={tiers['budget_demotions']},"
-            f" promotions={tiers['promotions']})",
-            "-- persistent cache --",
-            f"  pinned metadata: {self.pcache.meta_bytes:>12,} B",
-            f"  data blocks    : {self.pcache.data_bytes:>12,} B"
-            f"   (hit ratio {pc.data_hit_ratio:.3f}, evictions {pc.evictions},"
-            f" prewarmed {self.heat.prewarmed_blocks})",
-            f"  slab footprint : {self.pcache.slab_bytes:>12,} B"
-            f"   ({pc.slab_compactions} slab compactions)",
-            "-- engine --",
-            f"  {self.db.get_property('repro.compaction-stats')}",
-            f"  memtable {self.db.get_property('repro.approximate-memory-usage'):,} B,"
-            f" last_seq {self.db.get_property('repro.last-sequence')},"
-            f" manifest {self.db.get_property('repro.manifest-bytes'):,} B",
-            "-- cloud traffic --",
-            f"  GET {self.counters.get('cloud.get_ops'):,} ops"
-            f" / {self.counters.get('cloud.get_bytes'):,} B;"
-            f" PUT {self.counters.get('cloud.put_ops'):,} ops"
-            f" / {self.counters.get('cloud.put_bytes'):,} B;"
-            f" retries {self.counters.get('cloud.retries'):,}",
-        ]
-        if self.db.blob_store is not None:
-            lines.extend(
-                [
-                    "-- blob value log --",
-                    f"  {self.db.get_property('repro.blob-stats')}",
-                ]
-            )
-        if self.tuner is not None:
-            lines.extend(["-- tuning --", f"  {self.tuner.describe()}"])
-        return "\n".join(lines)
-
-    def stats(self) -> dict:
-        """Consolidated statistics for experiment tables."""
-        return {
-            "local_bytes": self.local_bytes(),
-            "cloud_bytes": self.cloud_bytes(),
-            "pcache_meta_bytes": self.pcache.meta_bytes,
-            "pcache_data_bytes": self.pcache.data_bytes,
-            "pcache_data_hit_ratio": self.pcache.stats.data_hit_ratio,
-            "prewarmed_blocks": self.heat.prewarmed_blocks,
-            "demotions": self.placement.demotions,
-            "compactions": self.db.compaction_stats.compactions,
-            "trivial_moves": self.db.compaction_stats.trivial_moves,
-            "cloud_get_ops": self.counters.get("cloud.get_ops"),
-            "cloud_put_ops": self.counters.get("cloud.put_ops"),
-            "read_p99": self.read_latency.percentile(99),
-            "blob": self.db.blob_store.stats() if self.db.blob_store else None,
-            "tuning": (
-                {
-                    "evals": len(self.tuner.trajectory),
-                    "knobs": self.tuner.knobs(),
-                    "trajectory_digest": self.tuner.trajectory_digest(),
-                }
-                if self.tuner is not None
-                else None
-            ),
-        }
+    def metrics(self) -> dict[str, int | float]:
+        """:meth:`StoreFacade.metrics` plus the persistent cache
+        (``pcache.<PCacheStats field>``, ``pcache.meta_bytes`` /
+        ``data_bytes``), ``demotions`` and ``prewarmed_blocks``."""
+        out = super().metrics()
+        out.update({f"pcache.{name}": n for name, n in asdict(self.pcache.stats).items()})
+        out["pcache.meta_bytes"] = self.pcache.meta_bytes
+        out["pcache.data_bytes"] = self.pcache.data_bytes
+        out["demotions"] = self.placement.demotions
+        out["prewarmed_blocks"] = self.heat.prewarmed_blocks
+        return out

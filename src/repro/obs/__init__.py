@@ -5,7 +5,8 @@ simulated clock and attributes every charged second to a tier (local device,
 cloud, CPU/apply), with exact conservation even across fork/join regions.
 
 :mod:`repro.obs.prom` — Prometheus text exposition of counters, latency
-histograms, and tracer totals (``StoreFacade.dump_metrics``).
+histograms, tracer totals and, as gauges, the rest of the store's flat
+``metrics()`` (``StoreFacade.dump_metrics``).
 """
 
 from repro.obs.trace import (

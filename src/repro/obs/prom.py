@@ -1,8 +1,9 @@
 """Prometheus text-format exposition of a store's metrics.
 
 Renders the store's :class:`~repro.metrics.counters.CounterSet`, its latency
-histograms (as Prometheus summaries with p50/p90/p99 quantiles), and the
-tracer's tier-busy totals into the plain text format a ``/metrics`` endpoint
+histograms (as Prometheus summaries with p50/p90/p99 quantiles), the
+tracer's tier-busy totals and, as gauges, every other number of
+``StoreFacade.metrics`` into the plain text format a ``/metrics`` endpoint
 would serve. Everything is derived from simulated time, so two identical
 runs produce byte-identical expositions.
 """
@@ -38,7 +39,7 @@ def render_prometheus(
     counters: CounterSet | None = None,
     histograms: dict[str, LatencyHistogram] | None = None,
     tracer: Tracer | None = None,
-    block_hits: dict[str, int] | None = None,
+    gauges: dict[str, int | float] | None = None,
     prefix: str = "repro",
 ) -> str:
     """Render metrics in the Prometheus text exposition format.
@@ -46,8 +47,8 @@ def render_prometheus(
     ``counters`` is a CounterSet (iterable of (name, value)); ``histograms``
     maps a metric base name to a LatencyHistogram; ``tracer`` contributes
     tier-busy seconds, cloud request totals, event counts, and ring-buffer
-    health; ``block_hits`` is the store's data blocks served by source
-    (``DB.block_path.hits``, in block-path order).
+    health; ``gauges`` maps a flat metric name (``blocks.dram``) to its
+    current value, rendered as ``<prefix>_blocks_dram``.
     """
     lines: list[str] = []
 
@@ -67,11 +68,10 @@ def render_prometheus(
         lines.append(f"{metric}_sum {_fmt(histogram.total)}")
         lines.append(f"{metric}_count {histogram.count}")
 
-    if block_hits is not None:
-        blocks = f"{prefix}_blocks_served_total"
-        lines.append(f"# TYPE {blocks} counter")
-        for source, count in block_hits.items():
-            lines.append(f'{blocks}{{source="{source}"}} {count}')
+    for name, value in (gauges or {}).items():
+        metric = f"{prefix}_{_sanitize(name)}"
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_fmt(value)}")
 
     if tracer is not None:
         busy = f"{prefix}_tier_busy_seconds_total"

@@ -158,6 +158,7 @@ class ShardedDB:
             if base.tuning is not None
             else None
         )
+        self._pending: set[int] = set()
         # Under a span, so that what opening the shards costs is attributed.
         with self.tracer.span("open"):
             for index in range(self.num_shards):
@@ -176,11 +177,9 @@ class ShardedDB:
                         cloud_store=self.cloud_store,
                         counters=self.counters,
                         tracer=self.tracer,
+                        maintenance_hook=self._defer_hook(index),
                     )
                 )
-        self._pending: set[int] = set()
-        for index, shard in enumerate(self.shards):
-            shard.db.maintenance_hook = self._defer_hook(index)
         self._in_request = False
         self._request_clock: SimClock | None = None
         self.read_latency = LatencyHistogram()
@@ -273,7 +272,7 @@ class ShardedDB:
 
     def _note_shard_op(self, index: int, kind: str, nbytes: int = 0) -> None:
         """Feed a shard's tuning controller (ops here bypass the shard's
-        facade, so its ``op_hook`` never fires on its own)."""
+        facade, so it never records them on its own)."""
         tuner = self.shards[index].tuner
         if tuner is not None:
             tuner.record_op(kind, nbytes)

@@ -195,10 +195,6 @@ CRASH_SITES: dict[str, str] = {
         "MANIFEST blob-segment delete committed, segment object not yet "
         "deleted (orphan segment collected at recovery)"
     ),
-    "ingest.before_manifest": (
-        "ingested table file fully written, manifest edit not yet committed "
-        "(orphan table purged at recovery; the ingest was never acked)"
-    ),
 }
 
 

@@ -514,10 +514,3 @@ class TuningController:
                 f"{d.at_seconds:.9f}|{d.op_index}|{','.join(d.changed)}|{d.knobs}\n".encode()
             )
         return h.hexdigest()
-
-    def describe(self) -> str:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(self.knobs().items()))
-        return (
-            f"tune: evals={len(self.trajectory)} pending={len(self._pending)} "
-            f"{knobs}"
-        )

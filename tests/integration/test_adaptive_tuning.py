@@ -4,7 +4,7 @@ The unit suite proves the controller's rules in isolation; these tests
 prove the *wiring*: facade ops feed the controller, applied knobs actually
 change engine behaviour (filters migrate at flush/compaction, prefetch
 pipelines appear and disappear), bloom probe outcomes surface as tracer
-events and properties, and a tuned run is bit-for-bit reproducible.
+events and ``metrics()``, and a tuned run is bit-for-bit reproducible.
 """
 
 import hashlib
@@ -42,13 +42,11 @@ class TestBloomCounters:
         for i in range(1, 100, 2):  # absent keys: the filter must reject
             assert store.get(make_key(i)) is None
         assert store.db.bloom_stats["bloom_useful"] > useful_before
-        # Exported through the tracer event stream and the property.
-        assert store.tracer.event_count("bloom_checked") == store.db.bloom_stats[
-            "bloom_checked"
-        ]
-        prop = store.db.get_property("repro.bloom-stats")
-        assert "bloom_useful=" in prop and "allocation=uniform:10" in prop
-        assert "bloom" in store.db.get_property("repro.stats")
+        # Exported through the tracer event stream and metrics().
+        metrics = store.metrics()
+        for outcome, count in store.db.bloom_stats.items():
+            assert metrics[outcome] == metrics[f"event.{outcome}"] == count
+        assert store.config.options.filter_allocation is None  # uniform bits
 
     def test_useful_rejects_save_cloud_gets(self):
         store = RocksMashStore.create(StoreConfig().small())
@@ -84,14 +82,13 @@ class TestLiveKnobMigration:
         assert alloc.bits_for(0) > alloc.bits_for(2)
         # New tables built after the change carry the per-level policy
         # (the controller may keep refining as the mix shifts back to
-        # writes — the property always reports the live allocation).
+        # writes — its knobs always report the live allocation).
         for i in range(400, 800):
             store.put(make_key(i), b"v" * 80, sync=False)
         store.flush()
         live = store.config.options.filter_allocation
         assert live is not None
-        prop = store.db.get_property("repro.bloom-stats")
-        assert f"allocation={live.describe()}" in prop
+        assert store.tuner.knobs()["filter_allocation"] == live.describe()
 
     def test_prefetch_pipeline_follows_live_depth(self):
         store = RocksMashStore.create(tuned_config())

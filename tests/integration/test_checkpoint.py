@@ -1,5 +1,7 @@
 """Integration tests for cloud checkpoints and restores."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import NotFoundError
@@ -113,6 +115,43 @@ class TestRestore:
         restored.close()
         report = check_db(restored.env, "db/", store.config.options)
         assert report.ok, report.errors
+
+
+class TestCloneRegressions:
+    """Found by the stateful oracle's ``checkpoint`` rule
+    (``tests/property/test_store_machine.py``)."""
+
+    def test_separated_store_checkpoint_restores_with_its_brand(self):
+        """The checkpoint manifest left out the key-value separation brand, so
+        restoring a blob-on store raised instead of opening the clone."""
+        config = StoreConfig().small()
+        config = replace(config, options=replace(config.options, blob_value_threshold=8))
+        store = RocksMashStore.create(config)
+        store.put(b"big", b"v" * 300)
+        store.put(b"small", b"v")
+        create_checkpoint(store, "x")
+        clone = restore_checkpoint(
+            store.cloud_store, "x", replace(store.config, db_prefix="clone/")
+        )
+        assert clone.db.blob_store is not None
+        assert clone.scan() == [(b"big", b"v" * 300), (b"small", b"v")]
+
+    def test_clone_leaves_the_source_spans_their_cloud_time(self, store):
+        """Restoring repointed the shared cloud store at the clone's tracer:
+        the source's later cloud reads went unattributed in its own spans."""
+        from repro.obs.trace import span_conserved
+
+        store.compact_range()  # the deep levels now live in the cloud
+        create_checkpoint(store, "x")
+        clone = restore_checkpoint(
+            store.cloud_store, "x", replace(store.config, db_prefix="clone/")
+        )
+        clone.close()
+        store.tracer.spans.clear()
+        store.db.table_cache.clear()
+        assert store.get(b"key000100") is not None
+        (span,) = store.tracer.spans
+        assert span.tiers.cloud > 0 and span_conserved(span)
 
 
 class TestDelete:

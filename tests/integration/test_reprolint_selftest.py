@@ -202,20 +202,18 @@ class TestInterproceduralMutations:
     (RL006–RL009, retired — DESIGN.md §7): RL008's coverage check, now
     RL003's lexical commit-bracket check, and RL010."""
 
-    def test_removing_ingest_reach_bracket_fails_rl003(self, tree_copy):
-        # Deleting the reach() that brackets the ingest commit reopens the
-        # crash-coverage gap RL008 once found: registry drift, plus a
-        # commit in a function left with no crash site at all.
-        mutate(
-            tree_copy / "lsm" / "db.py",
-            'crash_points.reach("ingest.before_manifest")',
-            "pass",
-        )
+    def test_removing_flush_reach_brackets_fails_rl003(self, tree_copy):
+        # Deleting both reach() calls that bracket the flush commit reopens
+        # the crash-coverage gap RL008 once found: registry drift for each
+        # site, plus a commit in a function left with no crash site at all.
+        for site in ("flush.before_manifest", "flush.after_manifest"):
+            mutate(tree_copy / "lsm" / "db.py", f'crash_points.reach("{site}")', "pass")
         findings = findings_for(tree_copy.parent)
-        assert [f.rule for f in findings] == ["RL003", "RL003"]
-        assert any("ingest.before_manifest" in f.message for f in findings)
+        assert [f.rule for f in findings] == ["RL003", "RL003", "RL003"]
+        for site in ("flush.before_manifest", "flush.after_manifest"):
+            assert any(site in f.message for f in findings)
         assert any(
-            "ingest()" in f.message and "crash-coverage gap" in f.message
+            "_flush_memtable()" in f.message and "crash-coverage gap" in f.message
             for f in findings
         )
 

@@ -1,15 +1,14 @@
-"""Integration tests for reverse scans and the properties API."""
+"""Integration tests for reverse scans and the engine's ``metrics()``."""
 
 import random
 
 import pytest
 
 from repro.bench.harness import HarnessKnobs, make_store
-from repro.errors import InvalidArgumentError
 from repro.lsm.block_cache import BlockStack
 from repro.lsm.db import DB
 from repro.lsm.format import table_file_name
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
@@ -237,38 +236,27 @@ class TestReverseScanPrefetchPipeline:
         assert hits + waste == issued
 
 
-class TestProperties:
-    def test_int_properties(self, db):
-        fill(db, 300)
-        db.flush()
-        assert db.get_property("repro.num-files-at-level0") >= 1
-        assert db.get_property("repro.total-sst-bytes") > 0
-        assert db.get_property("repro.num-entries-memtable") == 0
-        assert db.get_property("repro.last-sequence") == 300
-        assert db.get_property("repro.manifest-bytes") > 0
-        snap = db.snapshot()
-        assert db.get_property("repro.num-snapshots") == 1
-        db.release_snapshot(snap)
-
-    def test_string_properties(self, db):
-        fill(db, 300)
-        db.flush()
-        stats = db.get_property("repro.compaction-stats")
-        assert "flushes=" in stats
-        levels = db.get_property("repro.levels")
-        assert levels.startswith("level")
-
-    def test_memtable_properties(self, db):
+class TestMetrics:
+    def test_engine_numbers(self, db):
         db.put(b"k", b"v" * 100)
-        assert db.get_property("repro.num-entries-memtable") == 1
-        assert db.get_property("repro.approximate-memory-usage") > 100
-
-    def test_unknown_property_raises(self, db):
-        with pytest.raises(InvalidArgumentError):
-            db.get_property("repro.nonsense")
-        with pytest.raises(InvalidArgumentError):
-            db.get_property("rocksdb.stats")
-        with pytest.raises(InvalidArgumentError):
-            db.get_property("repro.num-files-at-levelX")
-        with pytest.raises(InvalidArgumentError):
-            db.get_property("repro.num-files-at-level99")
+        metrics = db.metrics()
+        assert metrics["memtable.entries"] == 1 and metrics["memtable.bytes"] > 100
+        fill(db, 300)
+        db.flush()
+        snap = db.snapshot()
+        metrics = db.metrics()
+        db.release_snapshot(snap)
+        assert metrics["snapshots"] == 1 and db.metrics()["snapshots"] == 0
+        assert metrics["memtable.entries"] == 0 and metrics["flushes"] >= 1
+        assert metrics["last_sequence"] == 301
+        assert metrics["manifest.bytes"] > 0
+        levels = [
+            (level, metrics[f"level.{level}.files"], metrics[f"level.{level}.bytes"])
+            for level in range(NUM_LEVELS)
+        ]
+        assert [row for row in levels if row[1]] == db.level_summary()
+        assert metrics["level.0.files"] >= 1
+        assert metrics["sst.bytes"] == sum(size for _, _, size in levels) > 0
+        # No DRAM cache, no view, no blob log: their names are zeros or absent.
+        assert metrics["block_cache.hits"] == metrics["block_cache.misses"] == 0
+        assert not [name for name in metrics if name.startswith(("view.", "blob."))]

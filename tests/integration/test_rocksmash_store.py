@@ -201,15 +201,20 @@ class TestXWalIntegration:
 
     def test_stats_shape(self, store):
         fill(store, 500)
-        stats = store.stats()
+        metrics = store.metrics()
         for key in [
-            "local_bytes",
-            "cloud_bytes",
-            "pcache_meta_bytes",
+            "cloud.put_ops",
+            "pcache.meta_bytes",
+            "pcache.data_hits",
             "demotions",
-            "compactions",
+            "prewarmed_blocks",
+            "compaction.compactions",
+            "level.0.files",
+            "blocks.demand",
+            "sim.cloud",
         ]:
-            assert key in stats
+            assert key in metrics
+        assert all(isinstance(value, int | float) for value in metrics.values())
 
     def test_cost_report(self, store):
         fill(store, 2000)

@@ -42,7 +42,7 @@ class TestScanRangePruning:
 
     def test_forward_scan_opens_only_intersecting_l0(self, db):
         fill_chunks(db)
-        assert db.get_property("repro.num-files-at-level0") == 8
+        assert db.metrics()["level.0.files"] == 8
         db.table_cache.clear()
         got = list(db.scan(b"03", b"04"))
         assert len(got) == 50

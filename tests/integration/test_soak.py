@@ -1,8 +1,8 @@
 """Kitchen-sink soak tests: every feature enabled at once, long op streams.
 
-These runs combine compression, scan readahead,
-promotion, multi_get, checkpoints, reverse scans, delete_range, crash
-cycles, and the consistency checker against a single dict model — the
+These runs combine compression, scan readahead, promotion, multi_get,
+checkpoints, reverse scans, a range of deletes in one batch, crash cycles,
+and the consistency checker against a single dict model — the
 closest thing to a production burn-in the simulation allows.
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from repro.lsm.check import check_db
 from repro.lsm.options import Options
+from repro.lsm.write_batch import WriteBatch
 from repro.mash.checkpoint import create_checkpoint, restore_checkpoint
 from repro.mash.layout import LayoutConfig
 from repro.mash.pcache import PCacheConfig
@@ -85,11 +86,12 @@ def test_soak_all_features(style):
         if step in (2000, 4500):
             store = store.reopen(crash=True)
         if step == 3000:
-            deleted = store.db.delete_range(b"key00100", b"key00150")
-            doomed = [k for k in model if b"key00100" <= k < b"key00150"]
-            assert deleted == len(doomed)
-            for k in doomed:
+            # One big tombstone batch: every live key of a range, atomically.
+            tombstones = WriteBatch()
+            for k in [k for k in model if b"key00100" <= k < b"key00150"]:
+                tombstones.delete(k)
                 model.pop(k)
+            store.write(tombstones)
         if step == 3500:
             create_checkpoint(store, f"soak-{style}")
             snapshot_model = dict(model)

@@ -112,11 +112,10 @@ class TestTwinDBEquivalence:
             baseline.put(b"\x00seal", b"s")
             viewed.flush()
             baseline.flush()
-            stats = viewed.get_property("repro.sorted-view-stats")
-            assert "usable=yes" in stats
-            before = viewed.view_stats["scan_hits"]
+            metrics = viewed.metrics()
+            assert metrics["view.usable"] == 1
             compare_all_reads(viewed, baseline, keys)
-            assert viewed.view_stats["scan_hits"] > before
+            assert viewed.metrics()["view.scan_hits"] > metrics["view.scan_hits"]
         finally:
             viewed.close()
             baseline.close()
@@ -163,14 +162,10 @@ class TestFaultStormEquivalence:
             )
 
         assert all_reads(stores[True]) == all_reads(stores[False])
-        assert "usable=yes" in stores[True].db.get_property(
-            "repro.sorted-view-stats"
-        )
+        assert stores[True].db.metrics()["view.usable"] == 1
         # Clean restart: the view is rebuilt at open and still agrees.
         reopened = {on: store.reopen() for on, store in stores.items()}
-        assert "usable=yes" in reopened[True].db.get_property(
-            "repro.sorted-view-stats"
-        )
+        assert reopened[True].db.metrics()["view.usable"] == 1
         assert all_reads(reopened[True]) == all_reads(reopened[False])
         for store in reopened.values():
             store.close()
@@ -202,7 +197,7 @@ class TestPointLookupsIgnoreTheView:
             return store
 
         viewed, plain = twin(True), twin(False)
-        assert "usable=yes" in viewed.db.get_property("repro.sorted-view-stats")
+        assert viewed.db.metrics()["view.usable"] == 1
         for i in range(0, 200, 3):  # stored, deleted and never-written keys
             key = b"key%04d" % i
             assert viewed.get(key) == plain.get(key)
@@ -215,8 +210,8 @@ class TestPointLookupsIgnoreTheView:
 
 
 def scan_counts(store):
-    stats = store.db.view_stats
-    return stats["scan_hits"], stats["scan_fallbacks"]
+    metrics = store.db.metrics()
+    return metrics["view.scan_hits"], metrics["view.scan_fallbacks"]
 
 
 class TestStaleViewFallback:
@@ -251,7 +246,7 @@ class TestStaleViewFallback:
             store.compact_range(None, None)
 
         store = store.reopen(crash=True)
-        assert "usable=yes" in store.db.get_property("repro.sorted-view-stats")
+        assert store.db.metrics()["view.usable"] == 1
         assert scan_counts(store) == (0, 0)
         assert dict(store.scan()) == model
         assert scan_counts(store) == (1, 0)
@@ -285,7 +280,7 @@ class TestStaleViewFallback:
         # after it deletes their segments in MANIFEST edits of its own.
         store.compact_range(None, None)
         assert store.db.blob_store.stats()["segments_deleted"] > 0
-        assert "usable=no" in store.db.get_property("repro.sorted-view-stats")
+        assert store.db.metrics()["view.usable"] == 0
 
         hits, fallbacks = scan_counts(store)
         assert dict(store.scan()) == model
@@ -295,7 +290,7 @@ class TestStaleViewFallback:
         model[b"key999"] = b"heal"
         store.put(b"key999", b"heal")
         store.flush()
-        assert "usable=yes" in store.db.get_property("repro.sorted-view-stats")
+        assert store.db.metrics()["view.usable"] == 1
         assert dict(store.scan()) == model
         assert scan_counts(store) == (hits + 1, fallbacks + 2)
         store.close()

@@ -1,5 +1,5 @@
 """Property-based tests for the engine extensions: reverse scans,
-delete_range, universal compaction, compression, partitioned filters,
+universal compaction, compression, partitioned filters,
 checkpoints."""
 
 from hypothesis import HealthCheck, given, settings
@@ -73,24 +73,6 @@ class TestReverseScanProp:
             ((k, v) for k, v in model.items() if begin <= k < end), reverse=True
         )
         assert list(db.scan_reverse(begin, end)) == expected
-        db.close()
-
-
-class TestDeleteRangeProp:
-    @given(ops_strategy, small_keys, small_keys)
-    @settings(**PROP_SETTINGS)
-    def test_matches_model(self, ops, a, b):
-        if a == b:
-            return
-        begin, end = min(a, b), max(a, b)
-        db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", tiny_options())
-        model = apply_ops(db, ops)
-        deleted = db.delete_range(begin, end)
-        expected_deleted = [k for k in model if begin <= k < end]
-        assert deleted == len(expected_deleted)
-        for k in expected_deleted:
-            model.pop(k)
-        assert dict(db.scan()) == model
         db.close()
 
 

@@ -27,8 +27,15 @@ off-by-one in the snapshot floor of ``visible_user_entries``, a tombstone
 read off the wrong byte of the trailer, and a ``MemTable.get`` that bisects
 on ``(user_key,)`` alone.
 
-Still open under item 1: delete_range / ingest / checkpoint / cloud faults,
-and the shard, tuner and universal axes.
+A ``checkpoint`` rule snapshots the store into the cloud and restores it
+under a fresh prefix on the same devices: the clone equals the model frozen
+at that step and checks clean. Every step also checks that ``metrics()``
+counts each block the tracer saw served, source by source. The engine's
+range-delete and bulk-ingest entry points are gone (nothing but tests reached
+them), so no rule stands in for them.
+
+Still open under item 1: cloud faults, and the shard, tuner and universal
+axes.
 
 Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
 × 50 steps in tier-1, 400 × 80 under ``--hypothesis-profile=long``.
@@ -45,8 +52,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.check import check_db
 from repro.lsm.write_batch import WriteBatch
+from repro.mash.checkpoint import create_checkpoint, restore_checkpoint
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
 from repro.sim.failure import CrashPointFired, armed
@@ -81,6 +90,10 @@ class StoreMachine(RuleBasedStateMachine):
         self.sorted_view = False
         self.model = {}
         self.snapshots = []  # (Snapshot, the model when it was taken)
+        self.checkpoints = 0
+        # Blocks served by restored clones, which report to this store's
+        # tracer (they share its devices); a reopen starts a fresh tracer.
+        self.clone_blocks = dict.fromkeys(BLOCK_SOURCES, 0)
 
     @initialize(
         sorted_view=st.booleans(), blob=st.booleans(), starved=st.booleans(), readahead=st.booleans()
@@ -188,9 +201,9 @@ class StoreMachine(RuleBasedStateMachine):
 
     # -- maintenance ------------------------------------------------------------
 
-    def _check_clean(self):
-        config = self.store.config
-        report = check_db(self.store.env, config.db_prefix, config.options)
+    def _check_clean(self, store=None):
+        store = store or self.store
+        report = check_db(store.env, store.config.db_prefix, store.config.options)
         assert report.ok, report.errors
 
     @rule()
@@ -211,9 +224,10 @@ class StoreMachine(RuleBasedStateMachine):
         # snapshots belonged to the instance that died.
         self.store = self.store.reopen(crash=True)
         self.snapshots.clear()
+        self.clone_blocks = dict.fromkeys(BLOCK_SOURCES, 0)
         self._check_clean()
         if self.sorted_view:
-            assert "usable=yes" in self.store.db.get_property("repro.sorted-view-stats")
+            assert self.store.metrics()["view.usable"] == 1
 
     @rule(site=st.sampled_from(CRASH_SITES), skip=st.integers(0, 3))
     def crash_at_site(self, site, skip):
@@ -227,6 +241,30 @@ class StoreMachine(RuleBasedStateMachine):
         except CrashPointFired:
             pass
         self.crash_and_reopen()
+
+    @precondition(lambda self: self.checkpoints < 2)
+    @rule()
+    def checkpoint(self):
+        """Snapshot into the cloud, restore under a fresh prefix on the same
+        devices: the clone holds exactly the model of this step."""
+        n = self.checkpoints
+        self.checkpoints += 1
+        create_checkpoint(self.store, f"cp{n}")
+        self._check_clean()
+        config = replace(self.store.config, db_prefix=f"clone{n}/")
+        clone = restore_checkpoint(self.store.cloud_store, f"cp{n}", config)
+        try:
+            rows = sorted(self.model.items())
+            assert clone.scan() == rows
+            assert clone.scan(reverse=True) == rows[::-1]
+            for key in KEYS:
+                assert clone.get(key) == self.model.get(key), key
+            self._check_clean(clone)
+        finally:
+            clone.close()
+        served = clone.metrics()
+        for source in BLOCK_SOURCES:
+            self.clone_blocks[source] += served[f"blocks.{source}"]
 
     # -- the oracle -----------------------------------------------------------
 
@@ -252,6 +290,20 @@ class StoreMachine(RuleBasedStateMachine):
             assert span_conserved(span), (span.op, span.events, span.tiers, span.elapsed)
         assert self.store.tracer.dropped_spans == 0  # none escaped the check
         spans.clear()
+
+    @invariant()
+    def metrics_count_the_blocks_the_tracer_saw(self):
+        """Each block source counts a block in ``metrics()`` and posts one
+        tracer event for it; the primed buffer and the table's own readahead
+        share the ``readahead_hit`` event."""
+        if self.store is None:
+            return
+        metrics = self.store.metrics()
+        served = {s: metrics[f"blocks.{s}"] + self.clone_blocks[s] for s in BLOCK_SOURCES}
+        events = self.store.tracer.event_count
+        assert served["dram"] == events("dram_hit")
+        assert served["pcache"] == events("pcache_hit")
+        assert served["primed"] + served["readahead"] == events("readahead_hit")
 
     def teardown(self):
         if self.store is not None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lsm.options import NUM_LEVELS
 from repro.obs.prom import render_prometheus
 from repro.obs.trace import (
     TierTimes,
@@ -253,15 +254,25 @@ class TestPrometheusRender:
     def test_empty_render(self):
         assert render_prometheus() == "\n" or render_prometheus() == ""
 
+    def test_gauges_render_one_line_each_in_order(self):
+        text = render_prometheus(gauges={"level.0.files": 3, "sim.local": 0.5})
+        assert text == (
+            "# TYPE repro_level_0_files gauge\nrepro_level_0_files 3\n"
+            "# TYPE repro_sim_local gauge\nrepro_sim_local 0.5\n"
+        )
+
 
 class TestStoreSurfaces:
-    def make_store(self):
+    def make_store(self, **options):
+        from dataclasses import replace
+
         from repro.mash.store import RocksMashStore, StoreConfig
 
-        return RocksMashStore.create(StoreConfig().small())
+        config = StoreConfig().small()
+        return RocksMashStore.create(replace(config, options=replace(config.options, **options)))
 
     def test_dump_metrics_exposition(self):
-        store = self.make_store()
+        store = self.make_store(sorted_view=True)
         for i in range(50):
             store.put(b"key%03d" % i, b"v" * 64)
         store.flush()
@@ -272,6 +283,23 @@ class TestStoreSurfaces:
         assert "repro_write_latency_seconds_count" in text
         assert 'repro_tier_busy_seconds_total{tier="local"}' in text
         assert "repro_trace_spans" in text
+        # Every other number of metrics() is a gauge: compaction, bloom,
+        # levels, the view and the persistent cache among them.
+        metrics = store.metrics()
+        for name in (
+            "compaction.compactions",
+            "bloom_checked",
+            "level.0.files",
+            "view.usable",
+            "pcache.data_hits",
+            "prewarmed_blocks",
+        ):
+            metric = "repro_" + name.replace(".", "_")
+            assert f"# TYPE {metric} gauge\n{metric} {metrics[name]}\n" in text
+        assert "repro_view_usable 1\n" in text
+        # Counters and the tracer's totals render as counters only, once.
+        assert "repro_local_sync_ops\n" not in text and "repro_event_" not in text
+        assert "repro_sim_" not in text
 
     def test_facade_spans_attribute_device_time(self):
         store = self.make_store()
@@ -281,17 +309,50 @@ class TestStoreSurfaces:
         assert span.tiers.local > 0  # WAL sync hit the local device
         assert span_conserved(span)
 
-    def test_repro_stats_property(self):
+    def test_engine_numbers_in_metrics_and_exposition(self):
         store = self.make_store()
         for i in range(50):
             store.put(b"key%03d" % i, b"v" * 64)
         store.flush()
-        stats = store.db.get_property("repro.stats")
-        assert "** DB Stats **" in stats
-        assert "level  files  bytes" in stats
-        assert "compactions=" in stats
-        assert "last_sequence=" in stats
-        assert "block_cache_hit_ratio=" in stats
+        metrics = store.db.metrics()
+        assert metrics["last_sequence"] == 50 and metrics["flushes"] >= 1
+        assert metrics["block_cache.hits"] == store.db.block_cache.hits
+        assert sum(metrics[f"level.{n}.files"] for n in range(NUM_LEVELS)) >= 1
+        text = store.dump_metrics()
+        for name in ("last_sequence", "flushes", "compaction.compactions", "level.0.bytes"):
+            assert f"repro_{name.replace('.', '_')} {metrics[name]}\n" in text
+
+    def test_every_benchmark_observation_is_a_metric_of_the_same_value(self):
+        """``benchmarks/perf`` builds its observation by hand from the
+        attributes under ``metrics()``; one spelling means reading
+        ``metrics()`` instead is a pure swap."""
+        from benchmarks.perf.runner import observe
+
+        store = self.make_store()
+        for i in range(300):
+            store.put(b"key%03d" % i, b"v" * 64, sync=False)
+        for i in range(0, 300, 7):
+            store.get(b"key%03d" % i)
+        store.flush()
+        seen, metrics = observe(store), store.metrics()
+        assert seen and {name: metrics.get(name) for name in seen} == seen
+
+    @pytest.mark.parametrize("options", [{}, {"sorted_view": True, "blob_value_threshold": 32}])
+    def test_engine_metric_names_do_not_come_and_go(self, options):
+        """Counter and event names appear on first use; an engine name is
+        there from open to close, in the same order."""
+        store = self.make_store(**options)
+        names = list(store.db.metrics())
+        for i in range(200):
+            store.put(b"key%03d" % i, b"v" * 64, sync=False)
+        assert list(store.db.metrics()) == names
+        store.flush()
+        assert list(store.db.metrics()) == names
+        store.compact_range(None, None)
+        assert list(store.db.metrics()) == names
+        store = store.reopen()
+        assert list(store.db.metrics()) == names
+        assert store.get(b"key007") == b"v" * 64
 
     def test_recovery_span_recorded(self):
         store = self.make_store()
@@ -313,11 +374,13 @@ class TestStoreSurfaces:
             store.get(b"key%03d" % i)
         hits = store.db.block_path.hits
         assert tuple(hits) == BLOCK_SOURCES and hits["dram"] > 0 and hits["demand"] > 0
-        stats = store.db.get_property("repro.stats")
-        assert "block_source_hits " + " ".join(f"{s}={hits[s]}" for s in BLOCK_SOURCES) in stats
+        metrics = store.metrics()
+        blocks = [name for name in metrics if name.startswith("blocks.")]
+        assert blocks == [f"blocks.{source}" for source in BLOCK_SOURCES]
+        assert [metrics[name] for name in blocks] == list(hits.values())
         text = store.dump_metrics()
         for source in BLOCK_SOURCES:
-            assert f'repro_blocks_served_total{{source="{source}"}} {hits[source]}' in text
+            assert f"# TYPE repro_blocks_{source} gauge\nrepro_blocks_{source} {hits[source]}\n" in text
         # ... and the tracer's per-event counts say the same, event by event.
         events = store.tracer.event_count
         assert hits["dram"] == events("dram_hit")

@@ -127,7 +127,9 @@ class TestPartitionedCompaction:
         db = self.fill_db(4)
         try:
             assert db.compaction_stats.subcompactions_run >= 2
-            assert "subcompactions=" in db.get_property("repro.compaction-stats")
+            assert db.metrics()["compaction.subcompactions_run"] == (
+                db.compaction_stats.subcompactions_run
+            )
         finally:
             db.close()
 

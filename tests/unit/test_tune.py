@@ -343,8 +343,7 @@ class TestControllerMechanics:
         assert run(ops) == run(ops)
         assert run(ops) != run(["get"] * 12)
 
-    def test_describe_and_knobs_render(self):
+    def test_knobs_render(self):
         controller, _ = make_controller()
         knobs = controller.knobs()
         assert knobs["filter_allocation"].startswith("uniform:")
-        assert "tune:" in controller.describe()
