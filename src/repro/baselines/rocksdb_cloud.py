@@ -19,7 +19,7 @@ from functools import partial
 
 from repro.facade import StoreFacade
 from repro.lsm.block_cache import BlockPath, BlockStack
-from repro.lsm.db import DB
+from repro.lsm.db import DB, DBListeners
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
@@ -215,9 +215,9 @@ class RocksDBCloudStore(StoreFacade):
                 config.db_prefix,
                 config.options,
                 stack_factory=partial(FileCacheStack, cache=self.file_cache),
+                listeners=DBListeners(on_table_delete=[self.file_cache.drop]),
             )
         self.last_recovery_seconds = sw.elapsed
-        self.db.listeners.on_table_delete.append(self.file_cache.drop)
 
     @classmethod
     def create(

@@ -56,9 +56,7 @@ def crashmonkey_config() -> StoreConfig:
     multi-part; 4 xWAL shards give multi-shard batches; a small manifest
     cap forces rewrites mid-run. Blob separation is on with a 2 KiB
     segment cap so blob values seal multi-part segments, and hot-key
-    overwrites in the workload drive segments fully dead for GC. The
-    sorted view is on so every recovery rebuilds it over the crash state
-    it finds (the view is never persisted, so it has no crash site).
+    overwrites in the workload drive segments fully dead for GC.
     """
     return StoreConfig(
         options=Options(
@@ -71,7 +69,6 @@ def crashmonkey_config() -> StoreConfig:
             blob_value_threshold=256,
             blob_segment_bytes=2 << 10,
             blob_gc_dead_ratio=0.5,
-            sorted_view=True,
         ),
         placement=PlacementConfig(cloud_level=1, multipart_part_bytes=1 << 10),
         xwal=XWalConfig(num_shards=4),

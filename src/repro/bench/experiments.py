@@ -2,7 +2,8 @@
 plus extensions (E13–E25: compression, batched reads, fault injection,
 up-tiering, compaction style, the parallel compaction pipeline,
 reliability, the tier-attributed read-path anatomy, the scan pipeline,
-sharded serving, the blob log, the sorted view and adaptive tuning).
+sharded serving, the blob log and adaptive tuning; E24, the sorted view,
+is retired).
 
 Each function regenerates one table/figure (see DESIGN.md §3) and returns a
 :class:`~repro.bench.report.Table` whose rows are the series the paper
@@ -1406,128 +1407,6 @@ def e23_bloblog(
     return table
 
 
-def e24_sorted_view(
-    records: int = 2600,
-    long_scans: int = 4,
-    seeks: int = 24,
-    ycsb_records: int = 800,
-    ycsb_operations: int = 600,
-) -> Table:
-    """Table E24: the global sorted view vs the merging iterator.
-
-    Reads on a hybrid store whose lower levels are cloud-resident, with and
-    without the REMIX-style global sorted view, at equal prefetch
-    depth. Metadata pinning is off (the cold-cluster-restart / pin-budget-
-    exceeded regime): a cold table open costs the merging iterator
-    footer + index + filter cloud round trips per table, while the view
-    seeks straight into data blocks from its in-memory block map and never
-    opens a reader at all — its numbers are identical with pinning on.
-
-    * ``cold`` rows — the open-table cache is cleared before every
-      operation. ``seek_scan_ms`` is a seek + 20-row scan;
-      ``long_scan_s``/``gets_long`` are full-table scans.
-    * ``warm`` rows — readers stay open (metadata fetched and parsed
-      once), isolating the view's residual win: no per-table index-block
-      binary searches and no per-key heap.
-    * ``ycsb-a`` rows — the maintenance price: update-heavy YCSB-A where
-      every flush/compaction rebuilds the view (incrementally, in memory);
-      throughput must stay within a few percent of the baseline.
-
-    The ``digest`` column hashes every scanned key/value byte (scan rows)
-    or every operation outcome (YCSB rows): view-on and view-off must be
-    byte-identical — the view moves requests and simulated time, never
-    data.
-    """
-    import hashlib
-
-    from repro.mash.store import RocksMashStore, StoreConfig
-
-    table = Table(
-        "E24: global sorted view vs merging iterator (cloud-resident reads)",
-        [
-            "phase",
-            "mode",
-            "seek_scan_ms",
-            "long_scan_s",
-            "gets_long",
-            "Kops/s",
-            "digest",
-        ],
-        notes=[
-            f"{records} records, cloud_level=1, DRAM cache off, 4 KiB pcache data",
-            "budget, metadata pinning off, prefetch depth 2 both modes;",
-            f"{seeks} seek+20-row scans, {long_scans} full scans; cold clears the",
-            "open-table cache per op; ycsb-a = update-heavy maintenance overhead",
-        ],
-    )
-    stride = max(1, records // seeks)
-    for mode, sorted_view in (("merge", False), ("view", True)):
-        knobs = HarnessKnobs(
-            scan_prefetch_depth=2,
-            cloud_level=1,
-            block_cache_bytes=0,
-            pcache_budget_bytes=4 << 10,
-            pin_metadata=False,
-            sorted_view=sorted_view,
-        )
-        store = make_store("rocksmash", knobs)
-        dbbench.fill_database(store, records)
-        for phase in ("cold", "warm"):
-            if phase == "warm":
-                store.scan(None, None)  # warm the open-table cache
-            t0 = store.clock.now
-            for i in range(seeks):
-                if phase == "cold":
-                    store.db.table_cache.clear()
-                store.scan(make_key(i * stride), None, limit=20)
-            seek_ms = (store.clock.now - t0) / seeks * 1e3
-            t1 = store.clock.now
-            gets0 = store.counters.get("cloud.get_ops")
-            digest = ""
-            for _ in range(long_scans):
-                if phase == "cold":
-                    store.db.table_cache.clear()
-                hasher = hashlib.sha256()
-                for key, value in store.scan(None, None):
-                    hasher.update(key)
-                    hasher.update(value)
-                digest = hasher.hexdigest()[:12]
-            long_s = (store.clock.now - t1) / long_scans
-            gets = (store.counters.get("cloud.get_ops") - gets0) / long_scans
-            table.add_row(phase, mode, seek_ms, long_s, gets, "-", digest)
-        store.close()
-
-    for mode, sorted_view in (("merge", False), ("view", True)):
-        config = StoreConfig().small()
-        config = replace(
-            config, options=replace(config.options, sorted_view=sorted_view)
-        )
-        store = RocksMashStore.create(config)
-        spec = ycsb.WORKLOAD_A.scaled(ycsb_records, ycsb_operations)
-        ycsb.load_phase(store, spec)
-        hasher = hashlib.sha256()
-        start = store.clock.now
-        for op in ycsb.iter_ops(spec, seed=24):
-            ycsb.outcome_digest_update(hasher, op, ycsb.apply_op(store, op))
-        window = max(store.clock.now - start, 1e-9)
-        table.add_row(
-            "ycsb-a",
-            mode,
-            "-",
-            "-",
-            "-",
-            ycsb_operations / window / 1e3,
-            hasher.hexdigest()[:12],
-        )
-        store.close()
-    return table
-
-
-# --------------------------------------------------------------------------
-# E25 — workload-adaptive self-tuning
-# --------------------------------------------------------------------------
-
-
 def e25_adaptive_tuning(
     records: int = 2600,
     phase_ops: int = 700,
@@ -1764,6 +1643,5 @@ ALL_EXPERIMENTS = {
     "e21": e21_scan_pipeline,
     "e22": e22_sharded_serving,
     "e23": e23_bloblog,
-    "e24": e24_sorted_view,
     "e25": e25_adaptive_tuning,
 }

@@ -72,9 +72,6 @@ class HarnessKnobs:
     """Outstanding speculative table prefetches per scan (E21 sweeps
     0/1/2/4); only rocksmash installs the pipeline, other systems ignore
     it."""
-    sorted_view: bool = False
-    """Maintain the REMIX-style global sorted view (E24 compares reads
-    through the view against the merging iterator)."""
     upload_parallelism: int = 4
     """Concurrent demotion-upload slots (overlapped with the merge)."""
     tuning_interval: int = 0
@@ -103,7 +100,6 @@ def engine_options(knobs: HarnessKnobs) -> Options:
         max_subcompactions=knobs.max_subcompactions,
         compaction_readahead_bytes=knobs.compaction_readahead_bytes,
         scan_prefetch_depth=knobs.scan_prefetch_depth,
-        sorted_view=knobs.sorted_view,
     )
 
 

@@ -75,11 +75,12 @@ class Compaction:
     trivial move would do, so tombstone dropping and the user compaction
     filter actually run."""
 
-    disallow_subcompactions: bool = False
-    """Universal *partial* merges set this: their output is a single sorted
-    run on L0, and splitting it into several disjoint files would inflate
-    the run count that triggers the next merge. Full compactions and all
-    leveled compactions may partition freely."""
+    single_output: bool = False
+    """Universal *partial* merges set this: their output is one sorted run
+    on L0, written as one file. Splitting it — into subcompactions, or at
+    ``target_file_size_base`` — would raise the run count that triggers the
+    next merge, and with a small target the merges would never stop. Full
+    compactions and all leveled compactions may partition freely."""
 
     @property
     def output_level(self) -> int:
@@ -342,7 +343,7 @@ class CompactionJob:
     ) -> list[tuple[bytes | None, bytes | None]]:
         """Half-open user-key ranges to merge; ``[(None, None)]`` = serial."""
         max_parts = self.options.max_subcompactions
-        if max_parts <= 1 or compaction.disallow_subcompactions:
+        if max_parts <= 1 or compaction.single_output:
             return [(None, None)]
         files = compaction.inputs + compaction.overlaps
 
@@ -467,6 +468,7 @@ class CompactionJob:
         # ``kept`` on the first entry of the next one. File number and
         # writable file are allocated once an entry is there to write.
         kept = visible()
+        max_file_size = None if compaction.single_output else self.options.target_file_size_base
         for first in kept:
             number = self.new_file_number()
             # Outputs carry the *output level's* filter policy, so a
@@ -476,7 +478,7 @@ class CompactionJob:
                 self.env.new_writable_file(table_file_name(self.prefix, number)),
                 level=compaction.output_level,
             )
-            builder.fill(chain((first,), kept), self.options.target_file_size_base)
+            builder.fill(chain((first,), kept), max_file_size)
             props = builder.finish()
             meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
             outputs.append(CompactionOutput(meta, props, clock.now if clock is not None else 0.0))

@@ -24,12 +24,11 @@ Extension points used by :mod:`repro.mash`:
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterator, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ClosedError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
-from repro.lsm.block import Block
 from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache, StackFactory
 from repro.lsm.compaction import (
     Compaction,
@@ -38,7 +37,7 @@ from repro.lsm.compaction import (
     CompactionPicker,
     CompactionStats,
 )
-from repro.lsm.format import BlockHandle, log_file_name, parse_file_name, table_file_name
+from repro.lsm.format import log_file_name, parse_file_name, table_file_name
 from repro.lsm.iterator import (
     clamp_to_range,
     merge_internal,
@@ -47,16 +46,9 @@ from repro.lsm.iterator import (
 )
 from repro.lsm.memtable import GetResult, MemTable
 from repro.lsm.options import NUM_LEVELS, Options
-from repro.lsm.sortedview import (
-    BlockRef,
-    BlockSource,
-    SortedView,
-    TableRun,
-    rebuild_view,
-    run_from_blocks,
-)
-from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
+from repro.lsm.table_builder import TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
+from repro.lsm.universal import UniversalCompactionPicker
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
@@ -118,7 +110,7 @@ class ScanPipeline(Protocol):
     def seek_fanout(
         self, metas: Sequence[FileMetaData], target: SeekGoal | None, *, reverse: bool = False
     ) -> None:
-        """:meth:`DB.scan`, merge path, before any source is built:
+        """:meth:`DB.scan`, before any table source is built:
         ``metas`` are the tables the merge opens on its first pull."""
 
     def table_started(
@@ -131,18 +123,6 @@ class ScanPipeline(Protocol):
     ) -> None:
         """A level source, just before it consumes ``files[index]``
         (``files`` in scan order)."""
-
-    def view_fanout(
-        self,
-        initial: Sequence[tuple[int, BlockHandle]],
-        upcoming: Sequence[tuple[int, BlockHandle]],
-    ) -> None:
-        """:meth:`DB.scan`, view path, before the view stream is built:
-        the exact ``(table number, block)`` plan from
-        :meth:`SortedView.prefetch_plan`."""
-
-    def view_started(self, number: int) -> None:
-        """The view's block source, on its first fetch from run ``number``."""
 
     def finish(self) -> None:
         """:meth:`DB.scan`, when the scan ends or its generator is closed."""
@@ -163,12 +143,16 @@ class DB:
             Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
         ) = None,
         maintenance_hook: Callable[[], None] | None = None,
+        listeners: DBListeners | None = None,
     ) -> None:
-        """Use :meth:`DB.open` instead of constructing directly."""
+        """Use :meth:`DB.open` instead of constructing directly. A store
+        variant passes its ``listeners`` here, not after :meth:`open`
+        returns: recovery already deletes orphaned tables and flushes the
+        replayed log, and a hook wired later misses those events."""
         self.env = env
         self.prefix = prefix
         self.options = options or Options()
-        self.listeners = DBListeners()
+        self.listeners = listeners if listeners is not None else DBListeners()
         self.block_cache = (
             LRUBlockCache(self.options.block_cache_bytes)
             if self.options.block_cache_bytes > 0
@@ -206,12 +190,11 @@ class DB:
         )
         self.versions = VersionSet(env, prefix, self.options)
         self.memtable = MemTable()
-        if self.options.compaction_style == "universal":
-            from repro.lsm.universal import UniversalCompactionPicker
-
-            self._picker = UniversalCompactionPicker(self.options)
-        else:
-            self._picker = CompactionPicker(self.options)
+        self._picker: CompactionPicker | UniversalCompactionPicker = (
+            UniversalCompactionPicker(self.options)
+            if self.options.compaction_style == "universal"
+            else CompactionPicker(self.options)
+        )
         self.compaction_stats = CompactionStats()
         self._snapshots: list[int] = []
         self._wal: WalWriter | None = None
@@ -226,18 +209,6 @@ class DB:
         """Key-value separation backend (see :mod:`repro.mash.bloblog`);
         None in the base engine. Subclasses with a hybrid env override
         :meth:`_open_blob_store` to enable it."""
-        self._sorted_view: SortedView | None = None
-        self._view_version = None
-        """The Version the current view was built for; pointer identity
-        against ``versions.current`` is the O(1) freshness check."""
-        self._view_stats: dict[str, int] = {
-            "builds": 0,
-            "segments_reused": 0,
-            "segments_rebuilt": 0,
-            "tables_derived": 0,
-            "scan_hits": 0,
-            "scan_fallbacks": 0,
-        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -256,7 +227,7 @@ class DB:
 
         Extra keyword arguments are forwarded to the (sub)class constructor
         (``stack_factory``, ``event_sink``, ``scan_pipeline_factory``,
-        ``maintenance_hook``, the extended-WAL configuration of
+        ``maintenance_hook``, ``listeners``, the extended-WAL configuration of
         :class:`MashDB`, ...).
         """
         db = cls(env, prefix, options, **subclass_kwargs)
@@ -279,10 +250,6 @@ class DB:
                 # reprolint: ignore[RL003] -- creation-time brand: no acked state precedes it
                 db.versions.log_and_apply(edit)
             db._rotate_wal()
-        if not db._view_usable():
-            # Derived state: built here over whatever the store holds, so
-            # the first scan after a create or a recovery goes through it.
-            db._refresh_sorted_view()
         return db
 
     def close(self) -> None:
@@ -439,98 +406,6 @@ class DB:
         if limit and self.versions.manifest_bytes() > limit:
             self.versions.rewrite_manifest()
 
-    # -- sorted view lifecycle ---------------------------------------------------
-
-    def _view_usable(self) -> bool:
-        """Is the sorted view present and built for the current version?
-
-        Pointer identity against ``versions.current`` makes staleness an
-        O(1) check: every ``log_and_apply`` produces a new Version object,
-        and the view refresh records the one it was built for.
-        """
-        return (
-            self.options.sorted_view
-            and self._sorted_view is not None
-            and self._view_version is self.versions.current
-        )
-
-    def _view_block_source(self, pipeline: ScanPipeline | None) -> BlockSource:
-        """Data-block fetches for view scans, bypassing TableReader.
-
-        The view already holds every block's handle, so view scans never
-        construct a reader — no footer/index/filter reads — and go straight
-        through the table's block stack. When a prefetch
-        ``pipeline`` is attached, the first fetch against each run notifies
-        ``view_started`` so speculative branches are joined (hit) instead
-        of rotting into waste.
-        """
-        started: set[int] = set()
-
-        def fetch(number: int, ref: BlockRef) -> Block:
-            if pipeline is not None and number not in started:
-                started.add(number)
-                pipeline.view_started(number)
-            stack = self.table_cache.block_stack(number)
-            return stack.block(BlockHandle(ref.offset, ref.size))
-
-        return fetch
-
-    def _refresh_sorted_view(
-        self, new_blocks: dict[int, list[BlockMeta]] | None = None
-    ) -> None:
-        """Rebuild the view for the (just-committed) current version.
-
-        Called when the store opens and after every flush/compaction edit.
-        ``new_blocks`` carries the builder's block metadata for freshly
-        written tables, so their runs are derived without I/O;
-        unchanged tables reuse the old view's runs, and only tables absent
-        from both (every table, when the store opens) are re-derived from
-        their index blocks. The view is never persisted: a version change
-        no refresh followed (a blob-GC edit, or a fault between a commit
-        and its refresh) leaves it stale, and scans take the merging
-        iterator until the next refresh.
-        """
-        if not self.options.sorted_view:
-            return
-        version = self.versions.current
-        old = self._sorted_view
-        tables: dict[int, TableRun] = {}
-        derived = 0
-        for level, meta in version.all_files():
-            prev = old.tables.get(meta.number) if old is not None else None
-            if (
-                prev is not None
-                and prev.smallest == meta.smallest
-                and prev.largest == meta.largest
-            ):
-                tables[meta.number] = (
-                    prev if prev.level == level else replace(prev, level=level)
-                )
-                continue
-            metas = None if new_blocks is None else new_blocks.get(meta.number)
-            if metas is not None:
-                tables[meta.number] = run_from_blocks(
-                    meta.number, level, meta.smallest, meta.largest, metas
-                )
-                continue
-            reader = self.table_cache.get_reader(meta.number)
-            refs = tuple(
-                BlockRef(last_key, handle.offset, handle.size)
-                for last_key, handle in reader.block_refs()
-            )
-            tables[meta.number] = TableRun(
-                meta.number, level, meta.smallest, meta.largest, refs
-            )
-            derived += 1
-        view, stats = rebuild_view(old, tables)
-        self._sorted_view = view
-        self._view_version = version
-        self._view_stats["builds"] += 1
-        self._view_stats["segments_reused"] += stats.segments_reused
-        self._view_stats["segments_rebuilt"] += stats.segments_rebuilt
-        self._view_stats["tables_derived"] += derived
-        self.block_path.event("view_build")
-
     # -- write path --------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
@@ -601,7 +476,6 @@ class DB:
             if self.env.file_exists(name_):
                 self.env.delete_file(name_)
         self._maybe_rewrite_manifest()
-        self._refresh_sorted_view({meta.number: props.blocks})
         event = FlushEvent(meta=meta, properties=props, level=0)
         for hook in self.listeners.on_flush:
             hook(event)
@@ -682,35 +556,42 @@ class DB:
         Forces real rewrites (no trivial moves), and finishes with an
         in-place rewrite of the bottommost level holding data in the range
         — RocksDB's ``bottommost_level_compaction`` — so tombstones and
-        compaction-filtered entries are fully reclaimed.
+        compaction-filtered entries are fully reclaimed. A universal tree
+        merges every run into its bottom level instead, whatever the range
+        (see :meth:`UniversalCompactionPicker.manual_compaction`).
         """
         self._check_open()
         self.flush()
-        for level in range(NUM_LEVELS - 1):
-            inputs = self.versions.current.overlapping_files(level, begin, end)
-            if not inputs:
-                continue
-            lo = min(f.smallest_user_key for f in inputs)
-            hi = max(f.largest_user_key for f in inputs)
-            overlaps = self.versions.current.overlapping_files(level + 1, lo, hi)
-            self._run_compaction(
-                Compaction(level, inputs, overlaps, score=1.0, force_rewrite=True)
-            )
-        # Bottommost pass: rewrite the deepest level with data in the range.
-        for level in range(NUM_LEVELS - 1, 0, -1):
-            inputs = self.versions.current.overlapping_files(level, begin, end)
-            if inputs:
+        if isinstance(self._picker, UniversalCompactionPicker):
+            compaction = self._picker.manual_compaction(self.versions.current)
+            if compaction is not None:
+                self._run_compaction(compaction)
+        else:
+            for level in range(NUM_LEVELS - 1):
+                inputs = self.versions.current.overlapping_files(level, begin, end)
+                if not inputs:
+                    continue
+                lo = min(f.smallest_user_key for f in inputs)
+                hi = max(f.largest_user_key for f in inputs)
+                overlaps = self.versions.current.overlapping_files(level + 1, lo, hi)
                 self._run_compaction(
-                    Compaction(
-                        level,
-                        inputs,
-                        [],
-                        score=1.0,
-                        output_level_override=level,
-                        force_rewrite=True,
-                    )
+                    Compaction(level, inputs, overlaps, score=1.0, force_rewrite=True)
                 )
-                break
+            # Bottommost pass: rewrite the deepest level with data in the range.
+            for level in range(NUM_LEVELS - 1, 0, -1):
+                inputs = self.versions.current.overlapping_files(level, begin, end)
+                if inputs:
+                    self._run_compaction(
+                        Compaction(
+                            level,
+                            inputs,
+                            [],
+                            score=1.0,
+                            output_level_override=level,
+                            force_rewrite=True,
+                        )
+                    )
+                    break
         if self.blob_store is not None:
             self.blob_store.run_gc(self)
 
@@ -724,13 +605,7 @@ class DB:
             stats=self.compaction_stats,
         )
 
-        output_blocks: dict[int, list[BlockMeta]] = {}
-
         def listener(event: CompactionEvent) -> None:
-            for output in event.outputs:
-                # Capture block maps for the view refresh: new outputs get
-                # their runs from builder metadata, not index-block I/O.
-                output_blocks[output.meta.number] = output.properties.blocks
             for hook in self.listeners.on_compaction:
                 hook(event)
 
@@ -764,7 +639,6 @@ class DB:
                 continue
             self._delete_table_file(number)
         self._maybe_rewrite_manifest()
-        self._refresh_sorted_view(output_blocks)
         self._notify_version_change()
 
     def _notify_version_change(self) -> None:
@@ -875,46 +749,24 @@ class DB:
         )
         try:
             sources = [self.memtable.entries(target, reverse=reverse)]
-            view = self._sorted_view if self._view_usable() else None
-            if view is not None:
-                self._view_stats["scan_hits"] += 1
-                self.block_path.event("view_hit")
-                if pipeline is not None:
-                    pipeline.view_fanout(
-                        *view.prefetch_plan(target, end, reverse=reverse)
-                    )
-                fetch = self._view_block_source(pipeline)
-                sources.append(
-                    view.stream_reverse(target, fetch)
-                    if reverse
-                    else view.stream(target, fetch)
-                )
-            else:
-                if self.options.sorted_view:
-                    self._view_stats["scan_fallbacks"] += 1
-                    self.block_path.event("view_fallback")
-                l0_files = self._files_in_scan_range(version.files[0], begin, end)
-                level_files = [
-                    self._files_in_scan_range(version.files[level], begin, end)
-                    for level in range(1, NUM_LEVELS)
-                ]
-                if pipeline is not None:
-                    # Seek fan-out: every reader the merge heap opens on its
-                    # first pull — all L0 tables plus each level's first
-                    # in-range table in scan order — opened as parallel
-                    # branches instead of a serial chain of cloud round trips.
-                    edge = -1 if reverse else 0
-                    initial = list(l0_files) + [
-                        files[edge] for files in level_files if files
-                    ]
-                    pipeline.seek_fanout(initial, target, reverse=reverse)
-                for meta in l0_files:
-                    sources.append(self._table_entries(meta, target, reverse))
-                for files in level_files:
-                    if files:
-                        sources.append(
-                            self._level_entries(files, target, reverse, pipeline)
-                        )
+            l0_files = self._files_in_scan_range(version.files[0], begin, end)
+            level_files = [
+                self._files_in_scan_range(version.files[level], begin, end)
+                for level in range(1, NUM_LEVELS)
+            ]
+            if pipeline is not None:
+                # Seek fan-out: every reader the merge heap opens on its
+                # first pull — all L0 tables plus each level's first
+                # in-range table in scan order — opened as parallel
+                # branches instead of a serial chain of cloud round trips.
+                edge = -1 if reverse else 0
+                initial = list(l0_files) + [files[edge] for files in level_files if files]
+                pipeline.seek_fanout(initial, target, reverse=reverse)
+            for meta in l0_files:
+                sources.append(self._table_entries(meta, target, reverse))
+            for files in level_files:
+                if files:
+                    sources.append(self._level_entries(files, target, reverse, pipeline))
             rows = clamp_to_range(
                 visible(merge_internal(sources, reverse=reverse), sequence),
                 begin,
@@ -993,8 +845,8 @@ class DB:
     def metrics(self) -> dict[str, int | float]:
         """Every number the engine keeps, flat. A name never comes and goes
         with a flush, a compaction or a reopen: every level has its
-        ``level.<n>.*`` pair, and ``view.*`` / ``blob.*`` are there exactly
-        when the store has a view / a blob log. Reading them does no I/O."""
+        ``level.<n>.*`` pair, and ``blob.*`` is there exactly when the store
+        has a blob log. Reading them does no I/O."""
         version = self.versions.current
         cache = self.block_cache
         out: dict[str, int | float] = {
@@ -1015,11 +867,6 @@ class DB:
         out["snapshots"] = len(self._snapshots)
         out["orphans_purged"] = self.orphans_purged
         out.update({f"blocks.{source}": n for source, n in self.block_path.hits.items()})
-        if self.options.sorted_view:
-            view = self._sorted_view
-            out["view.usable"] = int(self._view_usable())
-            out["view.segments"] = len(view.segments) if view is not None else 0
-            out.update({f"view.{name}": n for name, n in self._view_stats.items()})
         if self.blob_store is not None:
             out.update({f"blob.{name}": n for name, n in self.blob_store.stats().items()})
         return out

@@ -88,16 +88,6 @@ class Options:
     Scan *results* are identical at any depth — only simulated timing and
     request counts change."""
 
-    sorted_view: bool = False
-    """Maintain a REMIX-style persistent global sorted view over each
-    version's runs (:mod:`repro.lsm.sortedview`): seeks binary-search a
-    segmented anchor array and scans walk per-run cursors instead of
-    heap-merging every source, at the cost of an incremental view rebuild
-    on every flush/compaction; point lookups do not use it. Scans fall back
-    to the merging iterator
-    whenever the view is stale (e.g. after a crash between a compaction
-    commit and the view persist), so results are identical either way."""
-
     max_manifest_file_size: int = 256 << 10
     """Rewrite (compact) the MANIFEST once its edit log exceeds this size;
     0 disables rewriting."""

@@ -34,28 +34,14 @@ class TableCache:
         self.path = path if path is not None else BlockPath()
         self.stack_factory = stack_factory
         self._readers: dict[int, TableReader] = {}
-        self._stacks: dict[int, BlockStack] = {}
 
     def get_reader(self, number: int) -> TableReader:
         reader = self._readers.get(number)
         if reader is None:
-            stack = self.block_stack(number)
+            name = table_file_name(self.prefix, number)
+            stack = self.stack_factory(name, self.env.new_random_access_file(name), self.path)
             reader = self._readers[number] = TableReader(self.options, stack.file, stack=stack)
         return reader
-
-    def block_stack(self, number: int) -> BlockStack:
-        """The table's one stack, built on first use — by its reader, or
-        before any reader exists: the sorted view already knows every block's
-        handle, so view scans skip reader construction entirely (no
-        footer/index/filter I/O) and read data blocks through the same
-        sources, and the same readahead state, a reader would."""
-        stack = self._stacks.get(number)
-        if stack is None:
-            name = table_file_name(self.prefix, number)
-            stack = self._stacks[number] = self.stack_factory(
-                name, self.env.new_random_access_file(name), self.path
-            )
-        return stack
 
     def has_reader(self, number: int) -> bool:
         """Is a reader for this table already open (no I/O either way)?
@@ -68,11 +54,9 @@ class TableCache:
     def evict(self, number: int) -> None:
         """Forget a deleted table's reader."""
         self._readers.pop(number, None)
-        self._stacks.pop(number, None)
 
     def clear(self) -> None:
         self._readers.clear()
-        self._stacks.clear()
 
     def __len__(self) -> int:
         return len(self._readers)

@@ -26,7 +26,7 @@ from repro.lsm.format import (
 from repro.lsm.options import Options
 from repro.storage.env import RandomAccessFile
 from repro.util.bloom import BloomFilterPolicy
-from repro.util.encoding import Entry, SeekGoal, entry_key, seek_goal
+from repro.util.encoding import Entry, SeekGoal, seek_goal
 
 
 class TableReader:
@@ -82,17 +82,6 @@ class TableReader:
                 self._filter = payload[1:]
 
     # -- index -----------------------------------------------------------
-
-    def block_refs(self) -> list[tuple[bytes, BlockHandle]]:
-        """(last_key, handle) per data block, decoded for this one call.
-
-        No data-block I/O — this is how the sorted view derives a run's
-        block map for tables whose flush/compaction metadata is gone.
-        """
-        return [
-            (entry_key(user_key, neg_trailer), decode_handle(encoded)[0])
-            for user_key, neg_trailer, encoded in self._index
-        ]
 
     def _seek_index(self) -> tuple[list[SeekGoal], list[BlockHandle]]:
         """The index parsed for seeks, ``(orders, handles)``: parallel lists,

@@ -83,7 +83,6 @@ class UniversalCompactionPicker:
                 overlaps=list(bottom),
                 score=float(len(runs)),
                 output_level_override=self.bottom_level,
-                allow_tombstone_drop=True,
             )
 
         # Rule 2 — space amplification: everything above the base (the
@@ -125,5 +124,29 @@ class UniversalCompactionPicker:
             score=len(runs) / trigger,
             output_level_override=0,
             allow_tombstone_drop=False,  # older runs may hold shadowed data
-            disallow_subcompactions=True,  # output must stay one L0 run
+            single_output=True,  # one L0 run, one file
+        )
+
+    def manual_compaction(self, version: Version) -> Compaction | None:
+        """``DB.compact_range`` on a universal tree: every run merged into the
+        bottom level in one rewrite, whatever the range — RocksDB's rule for
+        a manual compaction of a tiered tree.
+
+        Pushing runs down one level at a time, as a leveled tree is compacted,
+        strands output in the middle levels whenever it stops early (a bounded
+        range, a crash between two steps). The picker never reads those
+        levels, so its next full merge would bury their newer neighbours under
+        them and drop the tombstones that shadowed them.
+        """
+        runs = self._runs_newest_first(version)
+        bottom = list(version.files[self.bottom_level])
+        if not runs and not bottom:
+            return None
+        return Compaction(
+            level=0 if runs else self.bottom_level,
+            inputs=runs or bottom,
+            overlaps=bottom if runs else [],
+            score=1.0,
+            output_level_override=self.bottom_level,
+            force_rewrite=True,
         )

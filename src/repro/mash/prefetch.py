@@ -39,11 +39,10 @@ at any time, so a short scan abandons at most ``depth`` tables.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.lsm.format import BlockHandle, table_file_name
+from repro.lsm.format import table_file_name
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData
 from repro.mash.readahead import ReadaheadBuffer
@@ -101,7 +100,6 @@ class ScanPrefetcher:
         self._ripe: set[int] = set()
         self._seen: set[int] = set()
         self._carry_source: ReadaheadBuffer | None = None
-        self._view_upcoming: deque[tuple[int, BlockHandle]] = deque()
         self._finished = False
 
     # -- ScanPipeline protocol: hooks called from DB.scan and its sources -----
@@ -123,39 +121,11 @@ class ScanPrefetcher:
         of them. For reverse scans ``target`` is the exclusive upper
         bound and priming starts at each table's boundary block.
         """
-        self._fan_out([(m.number, None) for m in metas], target, reverse)
-
-    def view_fanout(
-        self,
-        initial: Sequence[tuple[int, BlockHandle]],
-        upcoming: Sequence[tuple[int, BlockHandle]],
-    ) -> None:
-        """Fan out a sorted-view scan from its exact block plan.
-
-        The view names the precise ``(table_number, block_handle)`` each
-        run fetches first, so — unlike :meth:`seek_fanout` — no TableReader
-        is ever constructed: an open costs one primed data GET instead of
-        footer+index+filter round trips. ``initial`` (the seek segment's
-        runs) is opened as parallel branches and joined strictly;
-        ``upcoming`` (runs that join in later segments, first-touched
-        order) is primed speculatively up to ``depth`` in flight and
-        joined — or written off as waste — via :meth:`view_started`.
-        """
-        self._fan_out(initial)
-        self._view_upcoming.extend(upcoming)
-        self._view_top_up()
-
-    def _fan_out(
-        self,
-        entries: Sequence[tuple[int, BlockHandle | None]],
-        target: SeekGoal | None = None,
-        reverse: bool = False,
-    ) -> None:
-        todo = [(n, h) for n, h in entries if n not in self._seen]
+        todo = [meta.number for meta in metas if meta.number not in self._seen]
         if not todo:
             return
         region = ForkJoinRegion(self.clock, self.hosts)
-        for number, handle in todo:
+        for number in todo:
             self._seen.add(number)
             with region.branch():
                 # The fan-out joins strictly (the seek *waits* on it), so
@@ -163,38 +133,10 @@ class ScanPrefetcher:
                 # first block without making a short scan pay for a large
                 # speculative transfer. Pipelined prefetches, which never
                 # block, prime the full ``PRIME_BYTES``.
-                self._prime(
-                    number,
-                    handle,
-                    target,
-                    ReadaheadBuffer.INITIAL_READAHEAD,
-                    reverse=reverse,
-                )
+                self._prime(number, target, ReadaheadBuffer.INITIAL_READAHEAD, reverse=reverse)
         region.join()
         self.stats.fanout_opens += len(todo)
         self.tracer.event("seek_fanout")
-
-    def _view_top_up(self) -> None:
-        """Keep up to ``depth`` of the view plan's upcoming runs in flight."""
-        while self._view_upcoming and len(self._pending) < self.depth:
-            number, handle = self._view_upcoming.popleft()
-            if number in self._seen:
-                continue
-            self._seen.add(number)
-            if not self.is_cloud(self._name_of(number)):
-                continue  # local opens are cheap; open on demand
-            self._issue(number, handle)
-
-    def view_started(self, number: int) -> None:
-        """The view stream fetched its first block of run ``number``.
-
-        The view-scan analogue of :meth:`table_started`'s join half: the
-        run's speculative branch (if any) is merged — hidden latency costs
-        the parent nothing — and fully-hidden branches are reaped to free
-        pipeline slots; later primed runs inherit the scan's grown window.
-        """
-        self._arrive(number)
-        self._view_top_up()
 
     def table_started(
         self,
@@ -222,7 +164,7 @@ class ScanPrefetcher:
                 continue  # local opens are cheap; open on demand
             if self.table_cache.has_reader(meta.number) and self.readahead_bytes <= 0:
                 continue  # already open and nothing to prime: free handoff
-            self._issue(meta.number, None, target, reverse)
+            self._issue(meta.number, target, reverse)
 
     def finish(self) -> None:
         """Scan ended: abandon outstanding prefetches and unregister.
@@ -247,16 +189,10 @@ class ScanPrefetcher:
     def _name_of(self, number: int) -> str:
         return table_file_name(self.table_cache.prefix, number)
 
-    def _issue(
-        self,
-        number: int,
-        handle: BlockHandle | None,
-        target: SeekGoal | None = None,
-        reverse: bool = False,
-    ) -> None:
+    def _issue(self, number: int, target: SeekGoal | None, reverse: bool) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._prime(number, handle, target, PRIME_BYTES, reverse=reverse)
+            self._prime(number, target, PRIME_BYTES, reverse=reverse)
         self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
@@ -309,7 +245,6 @@ class ScanPrefetcher:
     def _prime(
         self,
         number: int,
-        handle: BlockHandle | None,
         target: SeekGoal | None,
         prime_bytes: int,
         *,
@@ -319,22 +254,16 @@ class ScanPrefetcher:
         :class:`ReadaheadBuffer` the table's block stack serves from (its
         ``primed`` source).
 
-        A sorted-view plan passes the exact ``handle``: the file is opened
-        directly, with no footer/index/filter reads. Without one
-        (``None``) the table's reader is opened into the shared
-        :class:`TableCache` — the round trips a fan-out or prefetch branch
-        exists to hide, paid even when there is nothing to prime — and
-        the entry block of a scan from ``target`` is read off its index.
+        The table's reader is opened into the shared :class:`TableCache` —
+        the round trips a fan-out or prefetch branch exists to hide, paid
+        even when there is nothing to prime — and the entry block of a scan
+        from ``target`` is read off its index.
         """
-        reader = self.table_cache.get_reader(number) if handle is None else None
+        reader = self.table_cache.get_reader(number)
         name = self._name_of(number)
         if self.readahead_bytes <= 0 or name in self.buffers or not self.is_cloud(name):
             return
-        if reader is not None:
-            file = reader.file
-            handle = reader.edge_data_handle(target, reverse=reverse)
-        else:
-            file = self.table_cache.env.new_random_access_file(name)
+        handle = reader.edge_data_handle(target, reverse=reverse)
         if handle is None:
             return
         carry = (
@@ -343,7 +272,7 @@ class ScanPrefetcher:
             else None
         )
         buffer = ReadaheadBuffer(
-            file,
+            reader.file,
             readahead_bytes=self.readahead_bytes,
             initial_window=carry,
         )

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import NotFoundError
 from repro.lsm.block_cache import BlockPath, BlockStack
 from repro.lsm.compaction import CompactionEvent
-from repro.lsm.db import DB, FlushEvent, Snapshot, WalWriter
+from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
     FOOTER_SIZE,
@@ -332,19 +332,25 @@ class RocksMashStore(StoreFacade):
                 # each scan: the factory returns None while depth is 0.
                 scan_pipeline_factory=self._make_scan_prefetcher,
                 maintenance_hook=maintenance_hook,
+                # Event order matters: the heat tracker must see compaction
+                # outputs (and pre-warm from their still-local files) before
+                # placement, which appends its hooks later, demotes them.
+                listeners=DBListeners(
+                    on_flush=[self._on_flush],
+                    on_compaction=[self._on_compaction],
+                    on_table_delete=[self._on_table_delete],
+                ),
                 xwal_config=config.xwal,
                 local_device=local_device,
                 placement_config=config.placement,
                 blob_pcache=self.pcache,
             )
+            # Recovery's purge may have unpinned orphaned tables, whose file
+            # numbers were never committed and will be handed out again: a
+            # crash must not bring their pinned footer and index back.
+            self.pcache.sync()
         self.last_recovery_seconds = sw.elapsed
 
-        # Event order matters: the heat tracker must see compaction outputs
-        # (and pre-warm from their still-local files) before placement
-        # demotes them to the cloud.
-        self.db.listeners.on_flush.insert(0, self._on_flush)
-        self.db.listeners.on_compaction.insert(0, self._on_compaction)
-        self.db.listeners.on_table_delete.append(self._on_table_delete)
         self.placement = PlacementManager(
             self.db, self.env, config.placement, before_demote=self._before_demote
         )

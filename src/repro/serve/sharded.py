@@ -134,7 +134,7 @@ class ShardedDB:
         self.counters = CounterSet()
         self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
         """One tracer for the whole node, handed to the shared devices and to
-        every shard: each shard's block path, view store, placement and
+        every shard: each shard's block path, persistent cache, placement and
         tuner post to it from their first instruction."""
         base = config.base
         self.local_device = LocalDevice(

@@ -3,32 +3,23 @@
 The cache's hits, misses and evictions decide which reads reach the
 persistent cache, the local device and the cloud, and so every simulated
 figure the experiments publish. One scripted stream (point reads, a forward
-and a reverse scan, a flush and a full compaction in the middle, sorted view
-off and on) records the cache's counters and the tracer's block-source
-events after every step. The expected values were captured at the commit
-*before* the cache began holding parsed blocks (raw payloads, charged
-``len(payload)``); a change in what is cached, when, or at what charge fails
-here rather than surfacing as a drift in an E-series table.
+and a reverse scan, a flush and a full compaction in the middle) records the
+cache's counters and the tracer's block-source events after every step. The
+expected values were captured at the commit *before* the cache began holding
+parsed blocks (raw payloads, charged ``len(payload)``); a change in what is
+cached, when, or at what charge fails here rather than surfacing as a drift
+in an E-series table.
 
 The second script pins the whole stack below DRAM the same way — persistent
 cache, scan-primed buffers, per-table readahead, demand reads — with both
 caches starved (2 KiB DRAM, 16 KiB pcache) so that admission, eviction and
 slab compaction all fire. Its literals were recorded at the commit *before*
 the loader closures became the block stack (``repro.lsm.block_cache``); the
-closures are gone, so the numbers are the oracle. The view-on rows were
-re-recorded once, when the sorted view stopped being persisted: its payloads
-no longer pass through the persistent cache's slab, so admissions, slab
-compactions, the local read/write counters, the clock and the CRCs of the
-steps that flushed or compacted moved. Nothing on the block path did: hits
-and misses by source, evictions, readahead, cloud GETs, event counts and the
-labelled spans are the loader chain's, and the first step now equals the
-view-off row's.
+closures are gone, so the numbers are the oracle.
 """
 
 import dataclasses
 import zlib
-
-import pytest
 
 from repro.mash.readahead import ReadaheadBuffer
 from repro.mash.store import RocksMashStore, StoreConfig
@@ -40,13 +31,9 @@ def key(i):
     return b"user%06d" % i
 
 
-def run_script(sorted_view):
+def run_script():
     """Per step: (hits, misses, len, used_bytes, dram_hit, pcache_hit, local_read, cloud_get)."""
-    config = StoreConfig().small()
-    config = dataclasses.replace(
-        config, options=dataclasses.replace(config.options, sorted_view=sorted_view)
-    )
-    store = RocksMashStore.create(config)
+    store = RocksMashStore.create(StoreConfig().small())
     cache = store.db.block_cache
     trace = []
 
@@ -88,35 +75,21 @@ def run_script(sorted_view):
     return trace
 
 
-EXPECTED = {
-    False: [
-        (0, 492, 0, 0, 0, 1, 464, 32),
-        (70, 664, 16, 7936, 70, 6, 509, 72),
-        (108, 746, 15, 7692, 108, 48, 521, 88),
-        (108, 791, 16, 8141, 108, 74, 527, 95),
-        (108, 822, 15, 7763, 108, 78, 540, 99),
-        (109, 1124, 0, 0, 109, 170, 693, 135),
-        (109, 2167, 0, 0, 109, 308, 757, 391),
-        (235, 2341, 15, 7679, 235, 308, 757, 435),
-        (235, 2408, 15, 7682, 235, 325, 757, 451),
-    ],
-    True: [
-        (0, 492, 0, 0, 0, 1, 464, 32),
-        (70, 664, 16, 7936, 70, 6, 509, 72),
-        (108, 746, 15, 7692, 108, 48, 521, 88),
-        (108, 791, 16, 8141, 108, 74, 527, 95),
-        (173, 823, 15, 7761, 173, 78, 540, 99),
-        (174, 1125, 0, 0, 174, 170, 693, 135),
-        (174, 2168, 0, 0, 174, 309, 757, 391),
-        (300, 2342, 15, 7679, 300, 309, 757, 435),
-        (330, 2410, 15, 7754, 330, 327, 757, 451),
-    ],
-}
+EXPECTED = [
+    (0, 492, 0, 0, 0, 1, 464, 32),
+    (70, 664, 16, 7936, 70, 6, 509, 72),
+    (108, 746, 15, 7692, 108, 48, 521, 88),
+    (108, 791, 16, 8141, 108, 74, 527, 95),
+    (108, 822, 15, 7763, 108, 78, 540, 99),
+    (109, 1124, 0, 0, 109, 170, 693, 135),
+    (109, 2167, 0, 0, 109, 308, 757, 391),
+    (235, 2341, 15, 7679, 235, 308, 757, 435),
+    (235, 2408, 15, 7682, 235, 325, 757, 451),
+]
 
 
-@pytest.mark.parametrize("sorted_view", [False, True])
-def test_cache_counters_match_the_raw_payload_cache(sorted_view):
-    assert run_script(sorted_view) == EXPECTED[sorted_view]
+def test_cache_counters_match_the_raw_payload_cache():
+    assert run_script() == EXPECTED
 
 
 # -- every source below DRAM ------------------------------------------------
@@ -130,7 +103,7 @@ STACK_EVENTS = (
 COUNTERS = ("cloud.get_ops", "local.read_ops", "local.read_bytes", "local.write_bytes")
 
 
-def run_stack_script(prefetch_depth, sorted_view, buffers):
+def run_stack_script(buffers):
     """Per step: (pcache data hits, data misses, meta hits, meta misses,
     admissions, evictions, slab compactions), (readahead sequential hits,
     fetches — summed over ``buffers``, every buffer built), COUNTERS,
@@ -139,12 +112,7 @@ def run_stack_script(prefetch_depth, sorted_view, buffers):
     config = StoreConfig().small()
     config = dataclasses.replace(
         config,
-        options=dataclasses.replace(
-            config.options,
-            block_cache_bytes=2 << 10,
-            scan_prefetch_depth=prefetch_depth,
-            sorted_view=sorted_view,
-        ),
+        options=dataclasses.replace(config.options, block_cache_bytes=2 << 10),
         pcache=dataclasses.replace(config.pcache, data_budget_bytes=16 << 10, sync_every_n_appends=4),
     )
     store = RocksMashStore.create(config)
@@ -219,98 +187,52 @@ def run_stack_script(prefetch_depth, sorted_view, buffers):
 
 
 # fmt: off
-STACK_EXPECTED = {
-    (0, False): [
-        ((5, 809, 276, 276, 274, 0, 1), (186, 38), (114, 1343, 640602, 815127),
-         (0, 5, 224, 651, 76, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 2978374683, 2.7721108864999926),
-        ((188, 1126, 351, 285, 482, 181, 3), (187, 90), (374, 1879, 821914, 980440),
-         (0, 188, 277, 713, 284, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 6.728490201166656),
-        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
-         (0, 188, 277, 713, 285, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 6.743496801166656),
-        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
-         (1, 188, 277, 713, 285, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 6.743496801166656),
-        ((462, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2259, 987953, 1020371),
-         (1, 462, 277, 713, 311, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 7.167474891333289),
-        ((463, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2260, 988475, 1020371),
-         (1, 463, 277, 713, 311, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 7.167555152333289),
-        ((478, 1198, 351, 285, 520, 219, 4), (212, 96), (418, 2278, 997748, 1026758),
-         (1, 478, 308, 716, 322, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 7.42460843433329),
-        ((478, 1202, 351, 285, 522, 221, 4), (212, 96), (420, 2280, 998805, 1028866),
-         (1, 478, 308, 718, 324, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 7.454882655666625),
-        ((479, 1208, 351, 285, 525, 224, 4), (212, 98), (425, 2282, 999858, 1028866),
-         (1, 479, 310, 719, 327, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 7.530116107166625),
-        ((479, 1269, 351, 285, 538, 236, 4), (246, 105), (445, 2289, 1003497, 1037145),
-         (1, 479, 351, 726, 340, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3729071296, 7.831433620999964),
-        ((485, 1293, 351, 285, 558, 256, 4), (246, 106), (466, 2298, 1007924, 1047964),
-         (1, 485, 352, 729, 360, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 2236116211, 7.891865707333299),
-        ((533, 1519, 450, 351, 811, 382, 7), (298, 119), (519, 3173, 1360323, 1458997),
-         (1, 533, 417, 878, 400, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 1321188797, 9.153935100166638),
-        ((549, 2878, 1419, 549, 1904, 907, 17), (1090, 287), (1024, 6399, 2698335, 2890406),
-         (1, 549, 1377, 960, 737, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 4074515055, 19.566131026166804),
-        ((549, 3096, 1503, 549, 1960, 932, 18), (1225, 314), (1107, 6589, 2728793, 2943037),
-         (158, 549, 1539, 960, 793, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 20.83201223000022),
-        ((559, 3175, 1503, 549, 1984, 955, 18), (1268, 326), (1143, 6599, 2734008, 2955738),
-         (158, 559, 1594, 960, 817, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 4076676325, 21.37403481733356),
-        ((1559, 4675, 1503, 549, 3079, 2051, 34), (1270, 729), (2641, 9448, 3656624, 3992071),
-         (158, 1559, 1999, 960, 1912, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 747270562, 44.165903238999334),
-    ],
-    (2, True): [
-        ((5, 809, 276, 276, 274, 0, 1), (186, 38), (114, 1343, 640602, 815127),
-         (0, 5, 224, 651, 76, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 2229902607, 2.7721108864999926),
-        ((188, 1126, 351, 285, 482, 181, 3), (187, 90), (374, 1879, 821914, 980440),
-         (0, 188, 277, 713, 284, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 6.728490201166656),
-        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
-         (0, 188, 277, 713, 285, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 6.743496801166656),
-        ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
-         (1, 188, 277, 713, 285, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 6.743496801166656),
-        ((462, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2259, 987953, 1020371),
-         (1, 462, 277, 713, 311, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 7.167474891333289),
-        ((463, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2260, 988475, 1020371),
-         (1, 463, 277, 713, 311, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 7.167555152333289),
-        ((478, 1198, 351, 285, 511, 210, 4), (226, 99), (412, 2278, 997748, 1022404),
-         (1, 478, 317, 716, 313, 126, 63, 1010, 207, 0, 63, 33, 1, 7, 7, 0), 2786313616, 7.273988802666621),
-        ((478, 1203, 351, 285, 512, 211, 4), (228, 100), (414, 2280, 998805, 1022404),
-         (1, 478, 319, 718, 314, 126, 63, 1010, 207, 0, 63, 33, 2, 7, 7, 0), 2695198614, 7.304172656166622),
-        ((483, 1204, 351, 285, 513, 212, 4), (228, 105), (420, 2285, 1001342, 1022404),
-         (1, 483, 319, 718, 315, 126, 63, 1010, 207, 0, 63, 33, 3, 11, 8, 3), 1217588575, 7.334603799666621),
-        ((495, 1277, 351, 285, 542, 240, 4), (250, 117), (461, 2308, 1013366, 1039405),
-         (81, 495, 352, 729, 344, 126, 63, 1010, 207, 0, 63, 33, 4, 11, 8, 3), 2874055950, 7.95275975816663),
-        ((496, 1306, 351, 285, 567, 266, 4), (250, 118), (487, 2312, 1015329, 1052257),
-         (81, 496, 353, 732, 369, 126, 63, 1053, 220, 0, 63, 33, 4, 11, 8, 3), 1686421092, 8.013191830666631),
-        ((543, 1533, 450, 351, 825, 397, 7), (302, 131), (541, 3183, 1365008, 1462070),
-         (81, 543, 418, 881, 410, 144, 72, 1053, 220, 0, 87, 42, 4, 11, 8, 3), 2934847723, 9.29071289516661),
-        ((560, 2891, 1419, 549, 1921, 925, 17), (1093, 299), (1046, 6324, 2692157, 2880263),
-         (81, 560, 1377, 963, 747, 454, 227, 1053, 220, 0, 255, 49, 4, 11, 8, 3), 3363490868, 19.690877342500098),
-        ((560, 3109, 1503, 549, 1977, 950, 18), (1228, 326), (1129, 6514, 2722615, 2932894),
-         (238, 560, 1539, 963, 803, 510, 255, 1428, 220, 0, 255, 49, 4, 11, 8, 3), 2620722385, 20.956758546333514),
-        ((572, 3187, 1503, 549, 1989, 961, 18), (1287, 340), (1155, 6526, 2728873, 2939067),
-         (283, 572, 1605, 963, 815, 510, 255, 1428, 220, 0, 255, 49, 6, 16, 13, 3), 810297800, 21.30355935316685),
-        ((1575, 4684, 1503, 549, 3083, 2056, 34), (1288, 742), (2651, 9378, 3653334, 3976754),
-         (283, 1575, 2008, 963, 1909, 510, 255, 3928, 220, 0, 255, 49, 6, 16, 13, 3), 808407023, 44.06544984999907),
-    ],
-}
+STACK_EXPECTED = [
+    ((5, 809, 276, 276, 274, 0, 1), (186, 38), (114, 1343, 640602, 815127),
+     (0, 5, 224, 651, 76, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 2978374683, 2.7721108864999926),
+    ((188, 1126, 351, 285, 482, 181, 3), (187, 90), (374, 1879, 821914, 980440),
+     (0, 188, 277, 713, 284, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 6.728490201166656),
+    ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
+     (0, 188, 277, 713, 285, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 6.743496801166656),
+    ((188, 1127, 351, 285, 483, 182, 3), (187, 90), (375, 1879, 821914, 980440),
+     (1, 188, 277, 713, 285, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 6.743496801166656),
+    ((462, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2259, 987953, 1020371),
+     (1, 462, 277, 713, 311, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 7.167474891333289),
+    ((463, 1153, 351, 285, 509, 208, 4), (187, 90), (401, 2260, 988475, 1020371),
+     (1, 463, 277, 713, 311, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 7.167555152333289),
+    ((478, 1198, 351, 285, 520, 219, 4), (212, 96), (418, 2278, 997748, 1026758),
+     (1, 478, 308, 716, 322, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 7.42460843433329),
+    ((478, 1202, 351, 285, 522, 221, 4), (212, 96), (420, 2280, 998805, 1028866),
+     (1, 478, 308, 718, 324, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 7.454882655666625),
+    ((479, 1208, 351, 285, 525, 224, 4), (212, 98), (425, 2282, 999858, 1028866),
+     (1, 479, 310, 719, 327, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 7.530116107166625),
+    ((479, 1269, 351, 285, 538, 236, 4), (246, 105), (445, 2289, 1003497, 1037145),
+     (1, 479, 351, 726, 340, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3729071296, 7.831433620999964),
+    ((485, 1293, 351, 285, 558, 256, 4), (246, 106), (466, 2298, 1007924, 1047964),
+     (1, 485, 352, 729, 360, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 2236116211, 7.891865707333299),
+    ((533, 1519, 450, 351, 811, 382, 7), (298, 119), (519, 3173, 1360323, 1458997),
+     (1, 533, 417, 878, 400, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 1321188797, 9.153935100166638),
+    ((549, 2878, 1419, 549, 1904, 907, 17), (1090, 287), (1024, 6399, 2698335, 2890406),
+     (1, 549, 1377, 960, 737, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 4074515055, 19.566131026166804),
+    ((549, 3096, 1503, 549, 1960, 932, 18), (1225, 314), (1107, 6589, 2728793, 2943037),
+     (158, 549, 1539, 960, 793, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 20.83201223000022),
+    ((559, 3175, 1503, 549, 1984, 955, 18), (1268, 326), (1143, 6599, 2734008, 2955738),
+     (158, 559, 1594, 960, 817, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 4076676325, 21.37403481733356),
+    ((1559, 4675, 1503, 549, 3079, 2051, 34), (1270, 729), (2641, 9448, 3656624, 3992071),
+     (158, 1559, 1999, 960, 1912, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 747270562, 44.165903238999334),
+]
 
 STACK_SPANS = {
-    (0, False): {
-        'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
-        'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
-        'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
-        'short scan': [('scan', ['local_read', 'cloud_get', 'cloud_get', 'local_read'])],
-        'limited scan': [('scan', ['local_read', 'pcache_hit', 'cloud_get', 'readahead_hit', 'cloud_get', 'cloud_get', 'readahead_hit'])],
-    },
-    (2, True): {
-        'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
-        'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
-        'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
-        'short scan': [('scan', ['view_hit', 'seek_fanout', 'readahead_hit', 'local_read', 'readahead_hit', 'local_read', 'cloud_get'])],
-        'limited scan': [('scan', ['view_hit', 'seek_fanout', 'prefetch_issue', 'prefetch_issue', 'pcache_hit', 'cloud_get', 'pcache_hit', 'prefetch_hit', 'prefetch_issue', 'prefetch_issue', 'pcache_hit', 'pcache_hit', 'pcache_hit', 'prefetch_waste', 'prefetch_waste', 'prefetch_waste'])],
-    },
+    'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
+    'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
+    'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
+    'short scan': [('scan', ['local_read', 'cloud_get', 'cloud_get', 'local_read'])],
+    'limited scan': [('scan', ['local_read', 'pcache_hit', 'cloud_get', 'readahead_hit', 'cloud_get', 'cloud_get', 'readahead_hit'])],
 }
 # fmt: on
 
 
-@pytest.mark.parametrize("prefetch_depth, sorted_view", list(STACK_EXPECTED))
-def test_every_source_below_dram_matches_the_loader_chain(prefetch_depth, sorted_view, monkeypatch):
+def test_every_source_below_dram_matches_the_loader_chain(monkeypatch):
     buffers = []
     build = ReadaheadBuffer.__init__
 
@@ -319,8 +241,8 @@ def test_every_source_below_dram_matches_the_loader_chain(prefetch_depth, sorted
         buffers.append(self)
 
     monkeypatch.setattr(ReadaheadBuffer, "__init__", recording)
-    trace, spans_of = run_stack_script(prefetch_depth, sorted_view, buffers)
-    for step, (got, expected) in enumerate(zip(trace, STACK_EXPECTED[prefetch_depth, sorted_view])):
+    trace, spans_of = run_stack_script(buffers)
+    for step, (got, expected) in enumerate(zip(trace, STACK_EXPECTED)):
         assert got == expected, step
-    assert len(trace) == len(STACK_EXPECTED[prefetch_depth, sorted_view])
-    assert spans_of == STACK_SPANS[prefetch_depth, sorted_view]
+    assert len(trace) == len(STACK_EXPECTED)
+    assert spans_of == STACK_SPANS

@@ -8,24 +8,14 @@ xWAL shards, the persistent cache's slab — hashed with its name. Equal
 digests mean a store written on either side of that change opens on the
 other; the reopen at the end reads it back.
 A change that means to move a format re-records them and says so.
-
-The view-on digest was re-recorded when the sorted view stopped being
-persisted: no tag-9 MANIFEST edits, no view records in the slab, and no file
-number spent per view rebuild. The view now writes nothing to either tier, so
-a view-on store leaves exactly the bytes a view-off store does.
 """
 
 import hashlib
 from dataclasses import replace
 
-import pytest
-
 from repro.mash.store import RocksMashStore, StoreConfig
 
-DIGESTS = {
-    False: "717139a2fd46cd044af343a4132f7e39ee506cbca84b19a80b40c73bfcb75ba0",
-    True: "717139a2fd46cd044af343a4132f7e39ee506cbca84b19a80b40c73bfcb75ba0",
-}
+DIGEST = "717139a2fd46cd044af343a4132f7e39ee506cbca84b19a80b40c73bfcb75ba0"
 
 
 def bytes_on_both_tiers(store) -> str:
@@ -37,14 +27,9 @@ def bytes_on_both_tiers(store) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("sorted_view", [False, True])
-def test_store_bytes_match_the_parent_commit(sorted_view):
+def test_store_bytes_match_the_parent_commit():
     config = StoreConfig().small()
-    config = replace(
-        config,
-        options=replace(config.options, sorted_view=sorted_view),
-        placement=replace(config.placement, cloud_level=1),
-    )
+    config = replace(config, placement=replace(config.placement, cloud_level=1))
     store = RocksMashStore.create(config)
     model = {}
     for step in range(900):
@@ -60,7 +45,7 @@ def test_store_bytes_match_the_parent_commit(sorted_view):
         assert store.get(key) == model[key]
     store.close()
     assert store.cloud_store.list_keys(), "nothing was demoted: the fixture is too small"
-    assert bytes_on_both_tiers(store) == DIGESTS[sorted_view]
+    assert bytes_on_both_tiers(store) == DIGEST
     reopened = store.reopen()
     assert dict(reopened.scan()) == model
     reopened.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lsm.db import DB
+from repro.lsm.db import DB, DBListeners
 from repro.lsm.format import manifest_file_name, table_file_name
 from repro.lsm.options import Options
 from repro.sim.clock import SimClock
@@ -60,9 +60,9 @@ class TestOrphanPurge:
         orphan = table_file_name("db/", 7777)
         env.write_file(orphan, b"junk")
         deleted = []
-        db2 = DB(env, "db/", small_options())
-        db2.listeners.on_table_delete.append(deleted.append)
-        db2._recover()
+        listeners = DBListeners(on_table_delete=[deleted.append])
+        db2 = DB.open(env, "db/", small_options(), listeners=listeners)
+        assert db2.listeners is listeners
         assert orphan in deleted
         db2.close()
 

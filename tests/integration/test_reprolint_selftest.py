@@ -118,18 +118,18 @@ class TestMutationSelfTests:
             for f in findings
         )
 
-    def test_wall_clock_read_in_sortedview_fails_rl001(self, tree_copy):
-        # The view module is pure (no clock), but it still lives on the
+    def test_wall_clock_in_iterator_rl001(self, tree_copy):
+        # The merge module is pure (no clock), but it still lives on the
         # simulated path: a wall-clock read sneaking in must be caught.
-        path = tree_copy / "lsm" / "sortedview.py"
+        path = tree_copy / "lsm" / "iterator.py"
         path.write_text(
             path.read_text(encoding="utf-8")
-            + "\nimport time\n\n_VIEW_T0 = time.time()\n",
+            + "\nimport time\n\n_MERGE_T0 = time.time()\n",
             encoding="utf-8",
         )
         findings = findings_for(tree_copy.parent)
         assert {f.rule for f in findings} == {"RL001"}
-        assert all(f.path.endswith("lsm/sortedview.py") for f in findings)
+        assert all(f.path.endswith("lsm/iterator.py") for f in findings)
 
     def test_wall_clock_read_fails_rl001(self, tree_copy):
         path = tree_copy / "util" / "crc.py"

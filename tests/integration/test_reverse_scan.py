@@ -140,7 +140,7 @@ class TestReverseSeekBlockReads:
             refs = {}
             for _level, meta in db.versions.current.all_files():
                 reader = db.table_cache.get_reader(meta.number)
-                refs[table_file_name("db/", meta.number)] = reader.block_refs()
+                refs[table_file_name("db/", meta.number)] = reader._seek_index()
 
             fetches.clear()
             full = list(db.scan_reverse())
@@ -155,15 +155,13 @@ class TestReverseSeekBlockReads:
             ]
             bound = make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
             for name, offset in fetches:
-                blocks = refs[name]
-                j = next(
-                    i for i, (_k, h) in enumerate(blocks) if h.offset == offset
-                )
+                last_keys, handles = refs[name]
+                j = next(i for i, h in enumerate(handles) if h.offset == offset)
                 # Block j holds keys strictly above block j-1's last key, so
                 # fetching it is justified only if that last key is below the
                 # bound; otherwise the whole block is out of range.
                 if j > 0:
-                    assert internal_order(blocks[j - 1][0]) < internal_order(bound), (
+                    assert last_keys[j - 1] < internal_order(bound), (
                         f"{name} fetched out-of-range block at {offset}"
                     )
             # And the bounded scan reads a small fraction of the tail walk.
@@ -257,6 +255,6 @@ class TestMetrics:
         assert [row for row in levels if row[1]] == db.level_summary()
         assert metrics["level.0.files"] >= 1
         assert metrics["sst.bytes"] == sum(size for _, _, size in levels) > 0
-        # No DRAM cache, no view, no blob log: their names are zeros or absent.
+        # No DRAM cache, no blob log: their names are zeros or absent.
         assert metrics["block_cache.hits"] == metrics["block_cache.misses"] == 0
-        assert not [name for name in metrics if name.startswith(("view.", "blob."))]
+        assert not [name for name in metrics if name.startswith("blob.")]

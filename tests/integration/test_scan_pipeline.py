@@ -1,10 +1,14 @@
 """Integration tests for scan range pruning and the prefetch pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import HarnessKnobs, make_store
 from repro.lsm.db import DB
+from repro.lsm.format import FOOTER_SIZE, table_file_name
 from repro.lsm.options import Options
+from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -152,3 +156,58 @@ class TestScanPrefetchPipeline:
         # The descending-streak detector turns the reverse scan's block
         # loads into buffered readahead hits instead of per-block GETs.
         assert store.tracer.event_count("readahead_hit") - hits0 > 50
+
+
+class TestPinnedMetadataOpensCloudTables:
+    """The fact the single scan path rests on (DESIGN.md §10): with the
+    paper's metadata pinning, a cold open of a cloud table costs no cloud
+    round trip — its footer, index and filter come from the persistent
+    cache's pinned region — so the merging iterator pays nothing per table
+    that a precomputed block map would save."""
+
+    def test_cold_seek_scan_reads_no_table_metadata_from_the_cloud(self, monkeypatch):
+        config = StoreConfig().small()
+        store = RocksMashStore.create(
+            replace(config, placement=replace(config.placement, cloud_level=1))
+        )
+        for i in range(1500):
+            store.put(make_key(i * 7 % 1500), b"v" * 64, sync=False)
+        store.compact_range(None, None)
+        cloud = store.cloud_store
+        requests = []
+        get_range, head = cloud.get_range, cloud.head
+
+        def spy_get_range(key, offset, length):
+            requests.append((key, offset))
+            return get_range(key, offset, length)
+
+        def spy_head(key):
+            requests.append((key, "HEAD"))
+            return head(key)
+
+        monkeypatch.setattr(cloud, "get_range", spy_get_range)
+        monkeypatch.setattr(cloud, "head", spy_head)
+        store.db.table_cache.clear()
+        footer_hits = store.tracer.event_count("pcache_footer_hit")
+        meta_hits = store.tracer.event_count("pcache_meta_hit")
+
+        assert len(store.scan(make_key(300), None, limit=20)) == 20
+
+        opened = []
+        for _level, meta in store.db.versions.current.all_files():
+            name = table_file_name(store.config.db_prefix, meta.number)
+            if store.db.table_cache.has_reader(meta.number) and store._is_cloud_file(name):
+                opened.append((name, meta, store.db.table_cache.get_reader(meta.number).footer))
+        assert opened, "the scan opened no cloud table: the fixture is too small"
+        metadata_reads = {(name, meta.file_size - FOOTER_SIZE) for name, meta, _ in opened}
+        metadata_reads |= {(name, "HEAD") for name, _, _ in opened}
+        for name, _, footer in opened:
+            metadata_reads |= {
+                (name, footer.index_handle.offset),
+                (name, footer.filter_handle.offset),
+            }
+        assert not metadata_reads & set(requests)
+        assert requests, "the scan's data blocks still come from the cloud"
+        assert store.tracer.event_count("pcache_footer_hit") - footer_hits == len(opened)
+        filters = sum(footer.filter_handle.size > 0 for _, _, footer in opened)
+        assert store.tracer.event_count("pcache_meta_hit") - meta_hits == len(opened) + filters

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.lsm.db import DB
+from repro.lsm.db import DB, DBListeners
 from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.universal import UniversalCompactionPicker
 from repro.lsm.version import FileMetaData, Version, VersionEdit
@@ -140,6 +140,31 @@ class TestEndToEnd:
                 alive[k] = v
         for k in [f"key{i:04d}".encode() for i in range(200)]:
             assert db.get(k) == alive.get(k), k
+        db.close()
+
+    def test_partial_merge_writes_one_run_at_any_file_target(self, env):
+        """Found by the store machine's universal axis. A partial merge split
+        its output at ``target_file_size_base``: with a 1 KiB target, four
+        runs merged into four files — four runs again — and the merges never
+        stopped. A partial merge's output is one run, one file."""
+        merges = []
+
+        def count(event):
+            merges.append(event)
+            if len(merges) > 50:
+                raise AssertionError("universal merges do not stop")
+
+        options = universal_options(write_buffer_size=1 << 10, target_file_size_base=1 << 10)
+        listeners = DBListeners(on_compaction=[count])
+        db = DB.open(env, "db/", options, listeners=listeners)
+        keys = [b"key%02d" % i for i in range(20)]
+        for key in keys:
+            db.put(key, b"v" * 300)
+        db.compact_range()
+        for key in keys:
+            db.put(key, b"w" * 300)
+        assert db.versions.current.num_files(0) < options.level0_file_num_compaction_trigger
+        assert dict(db.scan()) == dict.fromkeys(keys, b"w" * 300)
         db.close()
 
     def test_recovery(self, env):

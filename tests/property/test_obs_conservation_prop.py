@@ -6,8 +6,7 @@ including operations whose I/O runs through fork/join regions (multi_get
 waves, xWAL shard syncs, parallel subcompactions, demotion batches) and,
 with key–value separation drawn on, reads that resolve a blob pointer. The
 store is drawn too: one store or a two-shard serving node (whose cross-shard
-ops fork a branch per shard), with or without the sorted view (whose every
-rebuild charges CPU time inside a flush).
+ops fork a branch per shard).
 """
 
 from dataclasses import replace
@@ -46,7 +45,6 @@ key_of = make_key  # the keys a node's router splits: 0-24 on shard 0, 25- on sh
     ops=ops,
     blob_value_threshold=st.sampled_from([0, 1]),
     shards=st.sampled_from([1, 2]),
-    sorted_view=st.booleans(),
 )
 @example(
     ops=[
@@ -60,23 +58,16 @@ key_of = make_key  # the keys a node's router splits: 0-24 on shard 0, 25- on sh
     ],
     blob_value_threshold=1,
     shards=1,
-    sorted_view=False,
 )
-@example(  # a node-wide flush persists one view per shard, each inside a branch
+@example(  # a node-wide flush runs one flush per shard, each inside a branch
     ops=[("put", 0, b"v"), ("put", 30, b"v"), ("flush", 0, b""), ("scan", 20, b"")],
     blob_value_threshold=0,
     shards=2,
-    sorted_view=True,
 )
-def test_all_spans_conserved(ops, blob_value_threshold, shards, sorted_view):
+def test_all_spans_conserved(ops, blob_value_threshold, shards):
     config = StoreConfig().small()
     config = replace(
-        config,
-        options=replace(
-            config.options,
-            blob_value_threshold=blob_value_threshold,
-            sorted_view=sorted_view,
-        ),
+        config, options=replace(config.options, blob_value_threshold=blob_value_threshold)
     )
     if shards == 1:
         store = RocksMashStore.create(config)

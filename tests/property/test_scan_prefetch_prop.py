@@ -2,11 +2,10 @@
 
 For any random workload — and any crash-free storm of transient cloud
 read faults — scans must return exactly what a dict model says, in both
-directions, with and without the global sorted view, at every
-``scan_prefetch_depth``, bounded by begin/end/limit and at a snapshot
-taken mid-stream; and tier attribution must still conserve elapsed time on
-every span even when prefetch branches are joined late, reaped, or
-abandoned.
+directions, at every ``scan_prefetch_depth``, bounded by begin/end/limit and
+at a snapshot taken mid-stream; and tier attribution must still conserve
+elapsed time on every span even when prefetch branches are joined late,
+reaped, or abandoned.
 """
 
 from dataclasses import replace
@@ -18,12 +17,8 @@ from repro.mash.pcache import PCacheConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
 
-# (sorted view, scan_prefetch_depth): every source of sorted runs the one
-# scan path can be fed from, each with the pipeline off, shallow and deep.
-CONFIGS = tuple((view, depth) for view in (False, True) for depth in (0, 2)) + (
-    (False, 1),
-    (False, 4),
-)
+# The pipeline off, shallow and deep.
+DEPTHS = (0, 1, 2, 4)
 
 ops = st.lists(
     st.one_of(
@@ -46,12 +41,12 @@ def key_of(i: int) -> bytes:
     return b"key%04d" % i
 
 
-def build_store(view: bool, depth: int, error_rate: float, seed: int) -> RocksMashStore:
+def build_store(depth: int, error_rate: float, seed: int) -> RocksMashStore:
     """Cloud-heavy small store; faults (if any) hit only read requests."""
     config = StoreConfig().small()
     config = replace(
         config,
-        options=replace(config.options, scan_prefetch_depth=depth, sorted_view=view),
+        options=replace(config.options, scan_prefetch_depth=depth),
         placement=PlacementConfig(cloud_level=1),
         pcache=PCacheConfig(data_budget_bytes=4 << 10),
         cloud_error_rate=error_rate,
@@ -106,12 +101,12 @@ def check_workload(store: RocksMashStore, workload, scan_reqs) -> None:
 @settings(max_examples=15, deadline=None)
 @given(ops=ops, scan_reqs=scans, error=st.sampled_from((0.0, 0.02, 0.05)), seed=st.integers(0, 2**16))
 def test_depths_agree_and_spans_conserve(ops, scan_reqs, error, seed):
-    for view, depth in CONFIGS:
-        store = build_store(view, depth, error, seed)
+    for depth in DEPTHS:
+        store = build_store(depth, error, seed)
         check_workload(store, ops, scan_reqs)
         for span in store.tracer.spans:
             assert span_conserved(span), (
-                f"view={view} depth={depth} span {span.op} leaks time:"
+                f"depth={depth} span {span.op} leaks time:"
                 f" tiers={span.tiers.as_dict()} elapsed={span.elapsed}"
             )
         # Speculation is bounded: every issued prefetch is consumed or

@@ -5,13 +5,17 @@ through its facade — put / delete / write-batch / get / multi_get / scan
 (both directions, ``limit``, optional snapshot) / take and release snapshot /
 flush / ``compact_range`` / ``reopen(crash=True)`` / a crash armed at a flush or
 compaction site — with the configuration
-drawn once per run from {sorted view on, off} × {blob separation on, off} ×
-{caches roomy, starved} × {scan readahead on, off}. After every step the
-store equals a dict model, every live snapshot equals the frozen copy taken
-with it, and every span the step recorded conserves its simulated time
-(``local + cloud + cpu == elapsed``); after flush, compact and reopen
-``check_db`` is clean, and a reopened store with the view on scans through
-it from its first read (the view is rebuilt at open, never reloaded).
+drawn once per run from {blob separation on, off} × {caches roomy, starved}
+× {scan readahead on, off} × {scan prefetch off, depth 2} × {leveled,
+universal compaction}. After every step the store equals a dict model, every
+live snapshot equals the frozen copy taken with it, and every span the step
+recorded conserves its simulated time (``local + cloud + cpu == elapsed``);
+after flush, compact and reopen ``check_db`` is clean.
+
+Prefetch at depth 2 puts every scan through the scan pipeline (seek fan-out,
+speculative opens, waste at the end of a short scan) on the one path a scan
+takes over on-disk runs. Universal keeps the 1 KiB file target, so
+``compact_range`` rewrites a universal tree too.
 
 Starved means a 512 B DRAM block cache, a 1 KiB persistent-cache data budget
 and everything below L0 in the cloud: a step's reads then go down the whole
@@ -34,8 +38,7 @@ counts each block the tracer saw served, source by source. The engine's
 range-delete and bulk-ingest entry points are gone (nothing but tests reached
 them), so no rule stands in for them.
 
-Still open under item 1: cloud faults, and the shard, tuner and universal
-axes.
+Still open under item 1: cloud faults, and the shard and tuner axes.
 
 Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
 × 50 steps in tier-1, 400 × 80 under ``--hypothesis-profile=long``.
@@ -87,7 +90,6 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = None
-        self.sorted_view = False
         self.model = {}
         self.snapshots = []  # (Snapshot, the model when it was taken)
         self.checkpoints = 0
@@ -96,10 +98,13 @@ class StoreMachine(RuleBasedStateMachine):
         self.clone_blocks = dict.fromkeys(BLOCK_SOURCES, 0)
 
     @initialize(
-        sorted_view=st.booleans(), blob=st.booleans(), starved=st.booleans(), readahead=st.booleans()
+        blob=st.booleans(),
+        starved=st.booleans(),
+        readahead=st.booleans(),
+        prefetch=st.booleans(),
+        universal=st.booleans(),
     )
-    def open_store(self, sorted_view, blob, starved=False, readahead=True):
-        self.sorted_view = sorted_view
+    def open_store(self, blob, starved=False, readahead=True, prefetch=False, universal=False):
         config = StoreConfig().small()
         options = replace(
             config.options,
@@ -107,7 +112,8 @@ class StoreMachine(RuleBasedStateMachine):
             block_size=256,
             target_file_size_base=1 << 10,
             max_bytes_for_level_base=4 << 10,
-            sorted_view=sorted_view,
+            compaction_style="universal" if universal else "leveled",
+            scan_prefetch_depth=2 if prefetch else 0,
             blob_value_threshold=BLOB_THRESHOLD if blob else 0,
         )
         config = replace(
@@ -226,8 +232,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.snapshots.clear()
         self.clone_blocks = dict.fromkeys(BLOCK_SOURCES, 0)
         self._check_clean()
-        if self.sorted_view:
-            assert self.store.metrics()["view.usable"] == 1
 
     @rule(site=st.sampled_from(CRASH_SITES), skip=st.integers(0, 3))
     def crash_at_site(self, site, skip):
@@ -327,7 +331,7 @@ def test_pinned_key_cut_across_compaction_output_files():
     ]
     for ops, end in cases:
         state = StoreMachine()
-        state.open_store(sorted_view=False, blob=False)
+        state.open_store(blob=False)
         state.put(key=b"key00", value=b"")
         state.take_snapshot()
         state.write_batch(ops=ops)
@@ -337,3 +341,47 @@ def test_pinned_key_cut_across_compaction_output_files():
         assert [meta.largest_user_key for meta in level].count(b"key00") == 2
         state.store_equals_model()
         state.teardown()
+
+
+def test_recovery_drops_the_pinned_metadata_of_the_tables_it_purges():
+    """Found by the machine's long profile. A crash after a compaction wrote
+    its outputs but before the MANIFEST took them orphans two tables whose
+    footer, index and filter the store had already pinned in the persistent
+    cache. Recovery purged the files before the store had wired its delete
+    hook, so the pinned entries outlived them; the next recovery handed out
+    the same file number again, and the new table opened with the orphan's
+    footer and index — block handles into the wrong bytes, a checksum
+    mismatch on the next compaction."""
+    big = b"v" * 300
+    state = StoreMachine()
+    state.open_store(blob=False, starved=False, readahead=False)
+    state.write_batch(ops=[(b"b", big)])
+    state.write_batch(ops=[(b"key05", big)])
+    state.write_batch(ops=[(b"a", big), (b"a\x00", None), (b"aa", big), (b"a\x00", big)])
+    state.crash_at_site(site="compaction.after_outputs", skip=2)
+    state.crash_and_reopen()
+    state.compact_range(begin=None, end=None)
+    state.store_equals_model()
+    state.teardown()
+
+
+def test_universal_manual_compaction_strands_no_run_in_a_middle_level():
+    """Found by the machine's universal axis on its first runs.
+    ``compact_range`` pushed a universal tree down one level at a time, as it
+    does a leveled one, and a crash after the first step left a run on L1,
+    which the universal picker never reads. The picker's next full merge put
+    newer runs under it on the bottom level and dropped the tombstone that
+    shadowed it, so a deleted key came back."""
+    big = b"v" * 300
+    state = StoreMachine()
+    state.open_store(blob=False, universal=True)
+    state.put(key=b"key10", value=big)
+    state.put(key=b"a", value=big)
+    state.crash_at_site(site="compaction.after_outputs", skip=1)
+    state.delete(key=b"key10")
+    for _ in range(4):  # enough runs for the picker's next full merge
+        state.put(key=b"b", value=big)
+        state.flush()
+    assert not any(state.store.db.versions.current.files[1:-1])
+    state.store_equals_model()
+    state.teardown()

@@ -240,8 +240,6 @@ class TestParsedIndexMatchesIndexBlockSeeks:
             assert list(reader.entries()) == split(entries)
             assert list(reader.range_iter()) == split(entries)
             assert reader._parsed is None
-        assert reader.block_refs() == ref_block_refs(reference)
-        assert reader._parsed is None
         for reverse in (False, True):
             assert reader.edge_data_handle(reverse=reverse) == ref_edge_data_handle(
                 reference, reverse=reverse

@@ -36,7 +36,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 93
+TOTAL_FIELDS = 91
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",

@@ -272,7 +272,7 @@ class TestStoreSurfaces:
         return RocksMashStore.create(replace(config, options=replace(config.options, **options)))
 
     def test_dump_metrics_exposition(self):
-        store = self.make_store(sorted_view=True)
+        store = self.make_store()
         for i in range(50):
             store.put(b"key%03d" % i, b"v" * 64)
         store.flush()
@@ -284,19 +284,18 @@ class TestStoreSurfaces:
         assert 'repro_tier_busy_seconds_total{tier="local"}' in text
         assert "repro_trace_spans" in text
         # Every other number of metrics() is a gauge: compaction, bloom,
-        # levels, the view and the persistent cache among them.
+        # levels and the persistent cache among them.
         metrics = store.metrics()
         for name in (
             "compaction.compactions",
             "bloom_checked",
             "level.0.files",
-            "view.usable",
+            "sst.bytes",
             "pcache.data_hits",
             "prewarmed_blocks",
         ):
             metric = "repro_" + name.replace(".", "_")
             assert f"# TYPE {metric} gauge\n{metric} {metrics[name]}\n" in text
-        assert "repro_view_usable 1\n" in text
         # Counters and the tracer's totals render as counters only, once.
         assert "repro_local_sync_ops\n" not in text and "repro_event_" not in text
         assert "repro_sim_" not in text
@@ -337,7 +336,7 @@ class TestStoreSurfaces:
         seen, metrics = observe(store), store.metrics()
         assert seen and {name: metrics.get(name) for name in seen} == seen
 
-    @pytest.mark.parametrize("options", [{}, {"sorted_view": True, "blob_value_threshold": 32}])
+    @pytest.mark.parametrize("options", [{}, {"blob_value_threshold": 32}])
     def test_engine_metric_names_do_not_come_and_go(self, options):
         """Counter and event names appear on first use; an engine name is
         there from open to close, in the same order."""

@@ -1,11 +1,8 @@
 """Unit tests for the sharded serving layer (router, node, front-end)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.mash.store import StoreConfig
-from repro.obs.trace import span_conserved
 from repro.serve import (
     FrontendConfig,
     KeyRangeRouter,
@@ -171,31 +168,6 @@ class TestShardedDB:
         assert "put" in ops and "get" in ops
         assert node.local_device.tracer is node.tracer
         assert all(shard.tracer is node.tracer for shard in node.shards)
-
-    def test_sorted_view_on_shards_charges_and_posts_to_the_node_tracer(self):
-        """Regression: a shard's view lifecycle events kept the private tracer
-        the shard was built with, so no ``view_*`` event reached the node;
-        every span the view's builds and scans run in must still conserve."""
-        base = StoreConfig().small()
-        base = replace(
-            base,
-            options=replace(base.options, sorted_view=True),
-            placement=replace(base.placement, cloud_level=1),
-        )
-        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=200))
-        for i in range(600):
-            node.put(make_key(i % 200), b"v%03d" % i * 16)
-        node.flush()
-        for i in range(0, 200, 7):
-            assert node.get(make_key(i)) is not None
-        assert len(node.scan(make_key(90), make_key(110))) == 20
-        ops = {span.op for span in node.tracer.spans}
-        assert {"open", "put", "maintenance", "flush", "get", "scan"} <= ops
-        leaks = [s.op for s in node.tracer.spans if not span_conserved(s)]
-        assert leaks == []
-        assert node.tracer.unattributed.total() == 0.0
-        assert node.tracer.event_counts["view_build"] > 0
-        assert node.tracer.event_counts["view_hit"] > 0
 
     def test_shards_touched(self):
         node = make_node()
