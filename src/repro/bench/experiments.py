@@ -2,8 +2,8 @@
 plus extensions (E13–E25: compression, batched reads, fault injection,
 up-tiering, compaction style, the parallel compaction pipeline,
 reliability, the tier-attributed read-path anatomy, the scan pipeline,
-sharded serving, the blob log and adaptive tuning; E24, the sorted view,
-is retired).
+sharded serving, the blob log and Monkey filter allocation; E24, the
+sorted view, is retired).
 
 Each function regenerates one table/figure (see DESIGN.md §3) and returns a
 :class:`~repro.bench.report.Table` whose rows are the series the paper
@@ -1407,135 +1407,30 @@ def e23_bloblog(
     return table
 
 
-def e25_adaptive_tuning(
-    records: int = 2600,
-    phase_ops: int = 700,
-    scan_ops: int = 600,
-    tuning_interval: int = 25,
-    filter_records: int = 8000,
-) -> Table:
-    """E25: the feedback controller vs static configs across phase shifts.
+def e25_monkey_filters(filter_records: int = 8000) -> Table:
+    """E25: Monkey filter allocation vs uniform at equal filter memory.
 
-    Three RocksMash instances replay the *identical* operation stream on a
-    cache-starved, cloud-heavy deployment (cloud_level=1): YCSB phases
-    A (update-heavy) → C (point reads) → E (short zipfian scans) →
-    S (long uniform scans, the E21 regime). The static configs are each
-    optimal somewhere and pathological elsewhere:
-
-    * ``static-point`` (prefetch 0, readahead 0) wins the zipfian phases —
-      for short scans every speculative byte is waste — but pays one
-      round trip per block on the long cold scans;
-    * ``static-scan`` (prefetch 2, readahead 128 KiB) wins phase S by a
-      wide margin and drags a ~10x penalty through phase E;
-    * ``adaptive`` starts from mediocre knobs (prefetch 0, readahead
-      32 KiB) and must *discover* both optima from observed scan
-      footprints and prefetch waste — and un-discover them at the next
-      phase boundary.
-
-    Adaptation must not change answers: per-phase outcome digests must be
-    identical across all three configs. The adaptive knob trajectory is
-    attached as ``knob_trajectory`` in the table extras (committed in the BENCH
-    artifact) so convergence — and the absence of oscillation — is
-    reviewable.
-
-    The second section isolates the Monkey filter allocation: uniform
-    10 bits/key vs a Monkey allocation at the *same* weighted
+    Uniform 10 bits/key vs a Monkey allocation at the *same* weighted
     filter-memory budget over a three-level cloud-resident tree, probed
     with absent keys inside every table's key range — each false positive
     is a billable cloud GET.
     """
-    import hashlib
     import random
 
+    from repro.lsm.filters import monkey_allocation
     from repro.lsm.options import BLOOM_BITS_PER_KEY, LEVEL_SIZE_MULTIPLIER
-    from repro.tune import monkey_allocation
 
     table = Table(
-        "E25: adaptive tuning vs static configs across YCSB phase shifts (A-C-E-S)",
+        "E25: Monkey filter allocation vs uniform at equal filter memory",
         ["config", "phase", "elapsed_s", "Kops/s", "cloud_gets", "bloom_fp", "digest"],
         notes=[
-            f"{records} records, {phase_ops} ops/phase (S: {scan_ops}), window",
-            f"{tuning_interval} ops, cloud_level=1, 8 KiB DRAM / 16 KiB pcache;",
-            "S = uniform scans, max length 800; static configs never move;",
+            "cloud_level=1, 8 KiB DRAM / 16 KiB pcache;",
             "pointmiss: monkey vs uniform filters at equal weighted memory",
         ],
     )
     common = dict(
         cloud_level=1, pcache_budget_bytes=16 << 10, block_cache_bytes=8 << 10
     )
-    configs = {
-        "adaptive": HarnessKnobs(
-            scan_prefetch_depth=0,
-            scan_readahead_bytes=32 << 10,
-            tuning_interval=tuning_interval,
-            **common,
-        ),
-        "static-scan": HarnessKnobs(
-            scan_prefetch_depth=2, scan_readahead_bytes=128 << 10, **common
-        ),
-        "static-point": HarnessKnobs(
-            scan_prefetch_depth=0, scan_readahead_bytes=0, **common
-        ),
-    }
-    phases = [
-        ("A", ycsb.WORKLOAD_A.scaled(records, phase_ops)),
-        ("C", ycsb.WORKLOAD_C.scaled(records, phase_ops)),
-        ("E", ycsb.WORKLOAD_E.scaled(records, phase_ops)),
-        (
-            "S",
-            replace(
-                ycsb.WORKLOAD_E.scaled(records, scan_ops),
-                request_distribution="uniform",
-                max_scan_length=800,
-            ),
-        ),
-    ]
-    for config_name, knobs in configs.items():
-        store = make_store("rocksmash", knobs)
-        ycsb.load_phase(store, phases[0][1], sync=False)
-        total_elapsed = 0.0
-        total_gets = 0
-        for phase_name, spec in phases:
-            start = store.clock.now
-            gets0 = store.counters.get("cloud.get_ops")
-            fp0 = store.db.bloom_stats["bloom_false_positive"]
-            hasher = hashlib.sha256()
-            for op in ycsb.iter_ops(spec, seed=25):
-                ycsb.outcome_digest_update(hasher, op, ycsb.apply_op(store, op))
-            elapsed = max(store.clock.now - start, 1e-9)
-            gets = store.counters.get("cloud.get_ops") - gets0
-            total_elapsed += elapsed
-            total_gets += gets
-            table.add_row(
-                config_name,
-                phase_name,
-                elapsed,
-                spec.operation_count / elapsed / 1e3,
-                gets,
-                store.db.bloom_stats["bloom_false_positive"] - fp0,
-                hasher.hexdigest()[:12],
-            )
-        table.add_row(
-            config_name, "total", total_elapsed, "-", total_gets, "-", "-"
-        )
-        if store.tuner is not None:
-            trajectory = [
-                {
-                    "op_index": d.op_index,
-                    "at_seconds": round(d.at_seconds, 6),
-                    "changed": list(d.changed),
-                    "knobs": dict(d.knobs),
-                }
-                for d in store.tuner.trajectory
-                if d.changed
-            ]
-            table.extra["knob_trajectory"] = trajectory
-            table.extra["final_knobs"] = store.tuner.knobs()
-            table.notes.append(
-                f"adaptive: {len(trajectory)} knob changes over "
-                f"{len(store.tuner.trajectory)} evaluations"
-            )
-        store.close()
 
     # -- Monkey vs uniform filter allocation at the same memory budget ----
     # The load must *overwrite in random order*: a sequential load produces
@@ -1548,8 +1443,8 @@ def e25_adaptive_tuning(
     shape: list[int] = []
     filter_memory: dict[str, int] = {}
     for mode in ("uniform-10", "monkey-10"):
-        # Cache-starved like the phase section, so every false positive
-        # pays a cloud GET instead of hiding in a warm block cache.
+        # Cache-starved, so every false positive pays a cloud GET instead
+        # of hiding in a warm block cache.
         store = make_store("rocksmash", HarnessKnobs(**common))
         if mode == "monkey-10":
             # Same data => same tree shape as the uniform run: compute the
@@ -1643,5 +1538,5 @@ ALL_EXPERIMENTS = {
     "e21": e21_scan_pipeline,
     "e22": e22_sharded_serving,
     "e23": e23_bloblog,
-    "e25": e25_adaptive_tuning,
+    "e25": e25_monkey_filters,
 }

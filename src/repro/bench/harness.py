@@ -27,7 +27,6 @@ from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.mash.xwal import XWalConfig
 from repro.facade import StoreFacade
-from repro.tune import TuningConfig
 from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
 
 SYSTEMS = ("local-only", "cloud-only", "rocksdb-cloud", "rocksmash")
@@ -74,10 +73,6 @@ class HarnessKnobs:
     it."""
     upload_parallelism: int = 4
     """Concurrent demotion-upload slots (overlapped with the merge)."""
-    tuning_interval: int = 0
-    """Feedback-controller evaluation interval in facade operations; 0
-    disables the controller (static knobs). Only rocksmash wires the
-    controller — E25 compares it against static configurations."""
 
     def cloud_model(self) -> LatencyModel:
         return LatencyModel(
@@ -128,11 +123,6 @@ def rocksmash_config(knobs: HarnessKnobs | None = None) -> StoreConfig:
         scan_readahead_bytes=knobs.scan_readahead_bytes,
         multi_get_parallelism=knobs.multi_get_parallelism,
         cloud_error_rate=knobs.cloud_error_rate,
-        tuning=(
-            TuningConfig(interval_ops=knobs.tuning_interval)
-            if knobs.tuning_interval > 0
-            else None
-        ),
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
@@ -30,9 +29,6 @@ from repro.sim.clock import SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
-
-if TYPE_CHECKING:
-    from repro.tune import TuningController
 
 
 def take_rows(
@@ -95,9 +91,6 @@ class StoreFacade:
     local_device: LocalDevice
     cloud_store: CloudObjectStore | None
     cost_model: CostModel
-    tuner: TuningController | None = None
-    """The workload-adaptive controller (:mod:`repro.tune`), when the store
-    runs one; every timed op is recorded into it."""
 
     def _init_facade(self, tracer: Tracer | None = None) -> None:
         self.read_latency = LatencyHistogram()
@@ -142,36 +135,25 @@ class StoreFacade:
 
     # -- KV API -----------------------------------------------------------
 
-    def _note_op(self, kind: str, nbytes: int = 0) -> None:
-        """Feed the tuner one finished op (kind = facade method name, nbytes =
-        written value bytes for write kinds). It runs *outside* the op's
-        stopwatch, so an evaluation's CPU charge lands between requests."""
-        if self.tuner is not None:
-            self.tuner.record_op(kind, nbytes)
-
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
         with self.tracer.span("put") as span:
             self.db.put(key, value, sync=sync)
         self.write_latency.record(span.elapsed)
-        self._note_op("put", len(value))
 
     def delete(self, key: bytes, *, sync: bool = True) -> None:
         with self.tracer.span("delete") as span:
             self.db.delete(key, sync=sync)
         self.write_latency.record(span.elapsed)
-        self._note_op("delete")
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
         with self.tracer.span("write") as span:
             self.db.write(batch, sync=sync)
         self.write_latency.record(span.elapsed)
-        self._note_op("write", batch.byte_size())
 
     def get(self, key: bytes, *, snapshot: Snapshot | None = None) -> bytes | None:
         with self.tracer.span("get") as span:
             value = self.db.get(key, snapshot=snapshot)
         self.read_latency.record(span.elapsed)
-        self._note_op("get")
         return value
 
     def explain(self, key: bytes) -> Explanation:
@@ -230,7 +212,6 @@ class StoreFacade:
         with self.tracer.span("multi_get") as span:
             results = self.db.multi_get(keys, snapshot=snapshot)
         self.read_latency.record(span.elapsed)
-        self._note_op("multi_get")
         return results
 
     def scan(
@@ -249,7 +230,6 @@ class StoreFacade:
             rows = self.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
             results = take_rows(rows, limit)
         self.read_latency.record(span.elapsed)
-        self._note_op(kind, sum(len(k) + len(v) for k, v in results))
         return results
 
     def scan_reverse(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 #: Package-relative directories that run purely on the simulated clock.
 #: RL005 (no real I/O) scopes to these.
-SIM_SCOPES: tuple[str, ...] = ("lsm/", "mash/", "storage/", "sim/", "tune/")
+SIM_SCOPES: tuple[str, ...] = ("lsm/", "mash/", "storage/", "sim/")
 
 #: Modules allowed to do real I/O inside the simulated scopes: the
 #: directory-backed device is *deliberately* host-filesystem-backed (same

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from repro.lint.engine import ModuleInfo
 
 #: Package-relative scopes whose advance sites must be tier-attributed.
-CHARGE_SCOPES: tuple[str, ...] = ("storage/", "mash/", "lsm/", "tune/")
+CHARGE_SCOPES: tuple[str, ...] = ("storage/", "mash/", "lsm/")
 
 
 def _attr_call_lines(tree: ast.AST, attr: str) -> list[tuple[int, ast.Call]]:

@@ -140,7 +140,7 @@ class DB:
         stack_factory: StackFactory = BlockStack,
         event_sink: Callable[[str], None] | None = None,
         scan_pipeline_factory: (
-            Callable[[bytes | None, bytes | None], ScanPipeline | None] | None
+            Callable[[bytes | None, bytes | None], ScanPipeline] | None
         ) = None,
         maintenance_hook: Callable[[], None] | None = None,
         listeners: DBListeners | None = None,
@@ -164,7 +164,7 @@ class DB:
         ``event`` in a traced store, which then sees one event per block
         served and per bloom-probe outcome."""
         self.scan_pipeline_factory = scan_pipeline_factory
-        """Optional ``(begin, end) -> pipeline | None`` building per-scan
+        """Optional ``(begin, end) -> pipeline`` building per-scan
         prefetch state (see :class:`ScanPipeline`). Passed by store variants
         — the base engine scans without one."""
         self.maintenance_hook = maintenance_hook
@@ -179,8 +179,7 @@ class DB:
         inline regardless of the hook."""
         self.bloom_stats = self.block_path.bloom
         """Store-wide bloom-probe outcomes (see :attr:`BlockPath.bloom`),
-        exported through :meth:`metrics` — the live tuner reads it to judge
-        the current filter allocation."""
+        exported through :meth:`metrics`."""
         self.table_cache = TableCache(
             env,
             prefix,
@@ -196,7 +195,7 @@ class DB:
             else CompactionPicker(self.options)
         )
         self.compaction_stats = CompactionStats()
-        self._snapshots: list[int] = []
+        self._snapshots: list[Snapshot] = []
         self._wal: WalWriter | None = None
         self._wal_number = 0
         self._closed = False
@@ -537,7 +536,7 @@ class DB:
 
     def _smallest_snapshot(self) -> int:
         if self._snapshots:
-            return min(self._snapshots)
+            return min(snap.sequence for snap in self._snapshots)
         return self.versions.last_sequence
 
     def _maybe_compact(self) -> None:
@@ -616,7 +615,7 @@ class DB:
             compaction,
             self.versions.current,
             smallest_snapshot=self._smallest_snapshot(),
-            newest_snapshot=max(self._snapshots, default=0),
+            newest_snapshot=max((snap.sequence for snap in self._snapshots), default=0),
             listener=listener,
             blob_drops=blob_drops,
         )
@@ -834,11 +833,16 @@ class DB:
         """Capture a consistent read point (pin it until released)."""
         self._check_open()
         snap = Snapshot(self.versions.last_sequence)
-        self._snapshots.append(snap.sequence)
+        self._snapshots.append(snap)
         return snap
 
     def release_snapshot(self, snap: Snapshot) -> None:
-        self._snapshots.remove(snap.sequence)
+        """Unpin ``snap``. Held snapshots are tracked by identity: two taken
+        with no write between them share a sequence number, and releasing
+        one must not unpin the other."""
+        if snap not in self._snapshots:
+            raise InvalidArgumentError("snapshot is not held by this DB (released twice?)")
+        self._snapshots.remove(snap)
 
     # -- introspection -------------------------------------------------------------------------
 

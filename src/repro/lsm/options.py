@@ -131,11 +131,7 @@ class Options:
     :mod:`repro.lsm.filters`). When set it overrides the flat
     :data:`BLOOM_BITS_PER_KEY` at table-build time:
     every flush/compaction resolves its output level's policy via
-    :meth:`table_filter_policy`, so filters migrate to the current
-    allocation as tables rewrite. ``None`` keeps the uniform behaviour.
-    The live tuner (:mod:`repro.tune`) updates this field between
-    operations; tables already on disk keep the filters they were built
-    with."""
+    :meth:`table_filter_policy`. ``None`` keeps the uniform behaviour."""
 
     def __post_init__(self) -> None:
         if self.write_buffer_size <= 0:
@@ -177,9 +173,8 @@ class Options:
 
         ``None`` disables the filter block for that table. This is *the*
         resolution point for per-level allocations: flush (level 0) and
-        compaction (output level) both route through it, and it reads the
-        live option fields at call time so a tuner's updates apply to the
-        next table built.
+        compaction (output level) both route through it when they build a
+        table.
         """
         if self.filter_allocation is not None:
             return self.filter_allocation.policy_for(level)

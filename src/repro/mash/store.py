@@ -49,7 +49,6 @@ from repro.mash.placement import PlacementConfig, PlacementManager, make_router
 from repro.mash.prefetch import ScanPrefetcher
 from repro.mash.readahead import ReadaheadBuffer
 from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
-from repro.tune import TuningConfig, TuningController
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
 from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
@@ -82,14 +81,7 @@ class StoreConfig:
     local_capacity_bytes: int | None = None
     scan_readahead_bytes: int = 128 << 10
     """Sequential readahead for cloud-resident tables (0 disables); see
-    :mod:`repro.mash.readahead`. Read at use time — the tuning controller
-    moves it live."""
-
-    tuning: TuningConfig | None = None
-    """Enable the workload-adaptive controller (:mod:`repro.tune`): the
-    store feeds it every facade op and it re-tunes filter allocation,
-    prefetch depth, readahead, compaction readahead/width, and the blob
-    threshold every ``tuning.interval_ops`` operations."""
+    :mod:`repro.mash.readahead`."""
 
     multi_get_parallelism: int = 8
     """Concurrent cloud fetches per multi_get wave (1 = sequential)."""
@@ -234,16 +226,12 @@ class MashBlockStack(BlockStack):
         return payload
 
     def _readahead(self, handle: BlockHandle) -> bytes | None:
-        # The buffer is built against the *live* knob value, and rebuilt when
-        # the tuning controller moves it — so readahead can be switched on,
-        # resized, or switched off after the table is already open.
-        wanted = self.store.config.scan_readahead_bytes
         buffer = self._buffer
-        if wanted <= 0:
-            self._buffer = None
-            return None
-        if buffer is None or buffer.readahead_bytes != wanted:
-            buffer = self._buffer = ReadaheadBuffer(self.file, readahead_bytes=wanted)
+        if buffer is None:
+            size = self.store.config.scan_readahead_bytes
+            if size <= 0:
+                return None
+            buffer = self._buffer = ReadaheadBuffer(self.file, readahead_bytes=size)
         payload = buffer.get(handle)
         if payload is not None:
             self.path.hits["readahead"] += 1
@@ -328,9 +316,11 @@ class RocksMashStore(StoreFacade):
                 config.options,
                 stack_factory=partial(MashBlockStack, store=self),
                 event_sink=self.tracer.event,
-                # Passed unconditionally so the *live* depth knob governs
-                # each scan: the factory returns None while depth is 0.
-                scan_pipeline_factory=self._make_scan_prefetcher,
+                scan_pipeline_factory=(
+                    self._make_scan_prefetcher
+                    if config.options.scan_prefetch_depth > 0
+                    else None
+                ),
                 maintenance_hook=maintenance_hook,
                 # Event order matters: the heat tracker must see compaction
                 # outputs (and pre-warm from their still-local files) before
@@ -364,16 +354,6 @@ class RocksMashStore(StoreFacade):
                     self.tracer.event("promotion")
 
             self.db.listeners.on_version_change.append(_maybe_promote)
-
-        if config.tuning is not None:
-            self.tuner = TuningController(
-                db=self.db,
-                tracer=self.tracer,
-                clock=clock,
-                config=config.tuning,
-                read_knobs=config,
-                cloud_level=config.placement.cloud_level,
-            )
 
     # -- construction -----------------------------------------------------
 
@@ -523,27 +503,23 @@ class RocksMashStore(StoreFacade):
                         results[key] = self.db.get(key, snapshot=snapshot)
                 region.join()
         self.read_latency.record(span.elapsed)
-        self._note_op("multi_get")
         return results
 
     # -- pipelined scan prefetch ---------------------------------------------------
 
     def _make_scan_prefetcher(
         self, begin: bytes | None, end: bytes | None
-    ) -> ScanPrefetcher | None:
-        """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook).
+    ) -> ScanPrefetcher:
+        """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook,
+        installed only when ``scan_prefetch_depth > 0``).
 
         One :class:`ScanPrefetcher` per scan, forward or reverse: seek
         fan-out of the initial reader opens, then up to
         ``scan_prefetch_depth`` cloud tables speculatively opened + primed
         ahead of the merge iterator on forked child clocks (see
-        :mod:`repro.mash.prefetch`). Returns None while the live depth
-        knob is 0 (the controller may have switched prefetch off for this
-        phase of the workload).
+        :mod:`repro.mash.prefetch`).
         """
         del begin, end  # pruning happens in DB.scan; the pipeline sees files
-        if self.config.options.scan_prefetch_depth <= 0:
-            return None
         prefetcher = ScanPrefetcher(
             clock=self.op_clock,
             hosts=self.env.clock_hosts(),

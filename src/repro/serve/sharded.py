@@ -134,8 +134,8 @@ class ShardedDB:
         self.counters = CounterSet()
         self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
         """One tracer for the whole node, handed to the shared devices and to
-        every shard: each shard's block path, persistent cache, placement and
-        tuner post to it from their first instruction."""
+        every shard: each shard's block path, persistent cache and placement
+        post to it from their first instruction."""
         base = config.base
         self.local_device = LocalDevice(
             self.clock,
@@ -148,16 +148,6 @@ class ShardedDB:
             self.clock, base.cloud_model, counters=self.counters, tracer=self.tracer
         )
         self.shards: list[RocksMashStore] = []
-        # Per-shard tuning controllers may run, but must never grow a
-        # shard-local prefetch pipeline: those fork from the *store-level*
-        # clock and would fight the router's own fan-out branches. The
-        # depth knob is pinned at 0 (no pipeline is ever built) and
-        # untunable.
-        shard_tuning = (
-            replace(base.tuning, tune_prefetch_depth=False)
-            if base.tuning is not None
-            else None
-        )
         self._pending: set[int] = set()
         # Under a span, so that what opening the shards costs is attributed.
         with self.tracer.span("open"):
@@ -165,9 +155,11 @@ class ShardedDB:
                 shard_config = replace(
                     base,
                     db_prefix=f"db/s{index:02d}/",
+                    # A shard never grows its own prefetch pipeline: those
+                    # fork from the store-level clock and would fight the
+                    # router's fan-out branches.
                     options=replace(base.options, scan_prefetch_depth=0),
                     pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
-                    tuning=shard_tuning,
                 )
                 self.shards.append(
                     RocksMashStore(
@@ -270,29 +262,18 @@ class ShardedDB:
 
     # -- KV API (facade-compatible) ---------------------------------------
 
-    def _note_shard_op(self, index: int, kind: str, nbytes: int = 0) -> None:
-        """Feed a shard's tuning controller (ops here bypass the shard's
-        facade, so it never records them on its own)."""
-        tuner = self.shards[index].tuner
-        if tuner is not None:
-            tuner.record_op(kind, nbytes)
-
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
-        index = self.router.shard_of(key)
-        shard = self.shards[index]
+        shard = self.shards[self.router.shard_of(key)]
         with StopwatchRegion(self.op_clock) as sw, self.tracer.span("put"):
             shard.db.put(key, value, sync=sync)
         self.write_latency.record(sw.elapsed)
-        self._note_shard_op(index, "put", len(value))
         self._drain_inline()
 
     def delete(self, key: bytes, *, sync: bool = True) -> None:
-        index = self.router.shard_of(key)
-        shard = self.shards[index]
+        shard = self.shards[self.router.shard_of(key)]
         with StopwatchRegion(self.op_clock) as sw, self.tracer.span("delete"):
             shard.db.delete(key, sync=sync)
         self.write_latency.record(sw.elapsed)
-        self._note_shard_op(index, "delete")
         self._drain_inline()
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
@@ -323,17 +304,13 @@ class ShardedDB:
                         self.shards[index].db.write(groups[index], sync=sync)
                 region.join()
         self.write_latency.record(sw.elapsed)
-        for index in sorted(groups):
-            self._note_shard_op(index, "write", groups[index].byte_size())
         self._drain_inline()
 
     def get(self, key: bytes) -> bytes | None:
-        index = self.router.shard_of(key)
-        shard = self.shards[index]
+        shard = self.shards[self.router.shard_of(key)]
         with StopwatchRegion(self.op_clock) as sw, self.tracer.span("get"):
             value = shard.db.get(key)
         self.read_latency.record(sw.elapsed)
-        self._note_shard_op(index, "get")
         self._drain_inline()
         return value
 
@@ -350,8 +327,6 @@ class ShardedDB:
                     results.update(self.shards[index].db.multi_get(groups[index]))
             region.join()
         self.read_latency.record(sw.elapsed)
-        for index in sorted(groups):
-            self._note_shard_op(index, "multi_get")
         self._drain_inline()
         return {key: results[key] for key in keys}
 
@@ -395,9 +370,6 @@ class ShardedDB:
                 if limit is not None:
                     results = results[:limit]
         self.read_latency.record(sw.elapsed)
-        result_bytes = sum(len(k) + len(v) for k, v in results)
-        for index in touched:
-            self._note_shard_op(index, kind, result_bytes // len(touched))
         self._drain_inline()
         return results
 

@@ -136,12 +136,10 @@ class TestScanPrefetchPipeline:
         assert hits + waste == issued
 
     def test_depth_zero_builds_no_pipeline(self):
-        # The factory hook stays installed (the tuning controller may
-        # raise the depth live), but at depth 0 it builds no pipeline and
-        # a scan runs without any speculation.
+        # At depth 0 the store installs no factory hook, and a scan runs
+        # without any speculation.
         store = cold_cloud_store(depth=0)
-        assert store.db.scan_pipeline_factory is not None
-        assert store.db.scan_pipeline_factory(None, None) is None
+        assert store.db.scan_pipeline_factory is None
         store.scan()
         for label in ("prefetch_issue", "prefetch_hit", "prefetch_waste"):
             assert store.tracer.event_count(label) == 0

@@ -2,12 +2,12 @@
 
 One hypothesis ``RuleBasedStateMachine`` drives a :class:`RocksMashStore`
 through its facade — put / delete / write-batch / get / multi_get / scan
-(both directions, ``limit``, optional snapshot) / take and release snapshot /
-flush / ``compact_range`` / ``reopen(crash=True)`` / a crash armed at a flush or
-compaction site — with the configuration
-drawn once per run from {blob separation on, off} × {caches roomy, starved}
-× {scan readahead on, off} × {scan prefetch off, depth 2} × {leveled,
-universal compaction}. After every step the store equals a dict model, every
+(both directions, ``limit``, optional snapshot) / take and release snapshot
+(a second release is refused) / flush / ``compact_range`` /
+``reopen(crash=True)`` / a crash armed at a flush or compaction site — with
+the configuration drawn once per run from {blob separation on, off} ×
+{caches roomy, starved} × {scan readahead on, off} × {scan prefetch off,
+depth 2} × {leveled, universal compaction}. After every step the store equals a dict model, every
 live snapshot equals the frozen copy taken with it, and every span the step
 recorded conserves its simulated time (``local + cloud + cpu == elapsed``);
 after flush, compact and reopen ``check_db`` is clean.
@@ -38,7 +38,7 @@ counts each block the tracer saw served, source by source. The engine's
 range-delete and bulk-ingest entry points are gone (nothing but tests reached
 them), so no rule stands in for them.
 
-Still open under item 1: cloud faults, and the shard and tuner axes.
+Still open under item 1: cloud faults, and the shard axis.
 
 Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
 × 50 steps in tier-1, 400 × 80 under ``--hypothesis-profile=long``.
@@ -46,6 +46,7 @@ Budgets come from the hypothesis profile (``tests/conftest.py``): 60 examples
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -55,6 +56,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.errors import InvalidArgumentError
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.check import check_db
 from repro.lsm.write_batch import WriteBatch
@@ -204,6 +206,11 @@ class StoreMachine(RuleBasedStateMachine):
         index = data.draw(st.integers(0, len(self.snapshots) - 1), label="snapshot")
         snapshot, _ = self.snapshots.pop(index)
         self.store.release_snapshot(snapshot)
+        # A second release is refused and unpins nothing: the oracle still
+        # finds every remaining snapshot's frozen copy.
+        with pytest.raises(InvalidArgumentError):
+            self.store.release_snapshot(snapshot)
+        assert self.store.metrics()["snapshots"] == len(self.snapshots)
 
     # -- maintenance ------------------------------------------------------------
 

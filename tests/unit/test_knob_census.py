@@ -27,7 +27,6 @@ CONFIG_CLASSES = {
     "PCacheConfig": "src/repro/mash/pcache.py",
     "LayoutConfig": "src/repro/mash/layout.py",
     "XWalConfig": "src/repro/mash/xwal.py",
-    "TuningConfig": "src/repro/tune/controller.py",
     "ServeConfig": "src/repro/serve/sharded.py",
     "FrontendConfig": "src/repro/serve/frontend.py",
     "HarnessKnobs": "src/repro/bench/harness.py",
@@ -36,7 +35,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 91
+TOTAL_FIELDS = 87
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",

@@ -1,5 +1,7 @@
 """Unit tests for the sharded serving layer (router, node, front-end)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.mash.store import StoreConfig
@@ -168,6 +170,21 @@ class TestShardedDB:
         assert "put" in ops and "get" in ops
         assert node.local_device.tracer is node.tracer
         assert all(shard.tracer is node.tracer for shard in node.shards)
+
+    def test_shards_never_build_a_prefetch_pipeline(self):
+        # A shard-local pipeline would fork from the store clock and fight
+        # the router's fan-out branches, so the node pins the depth at 0
+        # whatever the base config asks for.
+        base = StoreConfig().small()
+        base = replace(base, options=replace(base.options, scan_prefetch_depth=2))
+        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=400))
+        for i in range(400):
+            node.put(make_key(i), b"v" * 64)
+        assert len(node.scan(make_key(150), make_key(250))) == 100
+        assert len(node.scan_reverse(make_key(150), make_key(250))) == 100
+        assert all(shard.db.scan_pipeline_factory is None for shard in node.shards)
+        assert node.tracer.event_count("seek_fanout") == 0
+        assert node.tracer.event_count("prefetch_issue") == 0
 
     def test_shards_touched(self):
         node = make_node()
