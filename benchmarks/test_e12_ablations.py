@@ -4,8 +4,10 @@ Expected shape: removing metadata pinning costs read throughput (extra
 cloud round trips for index/filter); shrinking the local share
 (cloud-level-1) costs heavily; disabling scan readahead costs on the
 scan-heavy workload; the xWAL shard count is throughput-neutral (its
-benefit is recovery, E6); naive invalidation is ≈neutral on this mix — its
-effect shows between compaction bursts (E8).
+benefit is recovery, E6); naive invalidation costs on this mix too —
+compaction's input reads leave the caches alone, so what serves the reads is
+the working set the layout carries across compactions (E8 isolates it
+between compaction bursts).
 """
 
 from benchmarks.conftest import run_experiment
@@ -26,4 +28,4 @@ def test_e12_ablations(benchmark):
     assert pct("cloud-level-1 (less local)") < 70.0
     assert pct("no-scan-readahead") < 95.0
     assert 90.0 < pct("xwal-1-shard") < 110.0  # throughput-neutral
-    assert 90.0 < pct("naive-invalidation") < 115.0  # see E8 for its effect
+    assert pct("naive-invalidation") < 95.0  # the layout keeps the working set

@@ -1,7 +1,7 @@
 """E18 (extension) — parallel subcompactions + coalesced compaction I/O.
 
-Expected shape: coalescing per-block GETs into large ranges removes the
-RTT-per-block tax on cloud-resident inputs; partitioning the merge across
+Expected shape: every input is read in one sequential pass (one ranged GET
+per cloud input, not one per block); partitioning the merge across
 subcompaction clocks then divides the remaining transfer/merge time. The
 DB contents are byte-identical in every configuration (the digest column),
 and the whole pipeline is deterministic — running a configuration twice
@@ -23,20 +23,14 @@ ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_e18.json"
 def test_e18_parallel_compaction(benchmark):
     table = run_experiment(benchmark, e18_parallel_compaction)
     idx = table.headers.index
-    baseline = table.row_by("config", "serial, per-block GETs")
     rows = {
-        parallelism: table.row_by(
-            "config", f"subcompactions={parallelism}, readahead=128K"
-        )
+        parallelism: table.row_by("config", f"subcompactions={parallelism}")
         for parallelism in (1, 2, 4, 8)
     }
 
     # Identical DB contents in every configuration.
-    digests = {row[idx("content_digest")] for row in [baseline, *rows.values()]}
+    digests = {row[idx("content_digest")] for row in rows.values()}
     assert len(digests) == 1
-
-    # Coalescing alone must cut compaction-time cloud GETs by >= 2x.
-    assert rows[1][idx("cloud_gets")] * 2 <= baseline[idx("cloud_gets")]
     assert rows[1][idx("coalesced_fetches")] > 0
 
     # Subcompactions: >= 1.5x simulated speedup at parallelism 4 vs 1.
@@ -47,7 +41,7 @@ def test_e18_parallel_compaction(benchmark):
     assert seconds[8] < seconds[1]
 
     # Upload overlap recovered simulated time in every configuration.
-    assert baseline[idx("upload_overlap_saved_s")] > 0
+    assert all(row[idx("upload_overlap_saved_s")] > 0 for row in rows.values())
 
     # Determinism: a second run reproduces the table exactly.
     again = e18_parallel_compaction()
@@ -58,14 +52,13 @@ def test_e18_parallel_compaction(benchmark):
             {
                 "experiment": "e18_parallel_compaction",
                 "unit": "simulated seconds for compact_range",
-                "baseline_serial_per_block_gets": baseline[idx("compact_seconds")],
                 "compact_seconds_by_parallelism": {
                     str(p): seconds[p] for p in sorted(seconds)
                 },
                 "cloud_gets_by_parallelism": {
                     str(p): rows[p][idx("cloud_gets")] for p in sorted(rows)
                 },
-                "content_digest": baseline[idx("content_digest")],
+                "content_digest": rows[1][idx("content_digest")],
             },
             indent=2,
         )

@@ -69,7 +69,6 @@ def test_table_build(benchmark):
     """The write side of a flush or a merge: 2 000 sorted entries (24 B keys,
     100 B values) through ``TableBuilder.fill`` at 512 B blocks — order check,
     key rebuild, prefix encode, seal and CRC per block, filter, index."""
-    env = LocalEnv(LocalDevice(SimClock()))
     options = Options(block_size=512)
     entries = [
         (f"user{i * 7919:020d}".encode(), -(((i % 50 + 1) << 8) | TYPE_VALUE), b"v" * 100)
@@ -77,6 +76,8 @@ def test_table_build(benchmark):
     ]
 
     def run():
+        # A fresh device per round: a device refuses to create a file twice.
+        env = LocalEnv(LocalDevice(SimClock()))
         builder = TableBuilder(options, env.new_writable_file("bench.sst"))
         builder.fill(iter(entries))
         return builder.finish().num_entries

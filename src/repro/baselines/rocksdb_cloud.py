@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro.facade import StoreFacade
-from repro.lsm.block_cache import BlockPath, BlockStack
+from repro.lsm.block_cache import BlockPath, BlockStack, SequentialStack
 from repro.lsm.db import DB, DBListeners
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.lsm.options import Options
@@ -128,6 +128,13 @@ class WholeFileCache:
         """Presence check that does not affect admission counters."""
         return name in self._lru
 
+    def local_copy(self, name: str) -> RandomAccessFile | None:
+        """The cached copy of ``name`` as a file, or None when not cached;
+        like :meth:`contains`, it leaves admission counters alone."""
+        if name not in self._lru:
+            return None
+        return LocalEnv(self.device).new_random_access_file(self._local_path(name))
+
     def read(self, name: str, offset: int, length: int) -> bytes:
         return self.device.read(self._local_path(name), offset, length)
 
@@ -147,7 +154,7 @@ class FileCacheStack(BlockStack):
     """``dram → pcache → demand`` where the persistent cache is the
     whole-file cache: a table it holds serves every block from its local
     copy, and an access may download the table first (see
-    :meth:`WholeFileCache.ensure`)."""
+    :meth:`WholeFileCache.ensure`). A compaction's pass only reads."""
 
     __slots__ = ("cache", "_file_size")
 
@@ -166,6 +173,12 @@ class FileCacheStack(BlockStack):
             self.path.event("pcache_hit")
             return self._cached(handle)
         return super().fetch(handle)
+
+    def sequential(self, window: int) -> SequentialStack:
+        # A compaction reads a table the cache holds from its local copy,
+        # and never downloads one it is about to delete.
+        file = self.cache.local_copy(self.name) or self.file
+        return SequentialStack(self.name, file, self.path, window)
 
     def meta(self, handle: BlockHandle, kind: str) -> bytes:
         # Table-open metadata reads don't count toward admission (readers

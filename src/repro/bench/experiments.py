@@ -771,15 +771,14 @@ def e17_compaction_style(records: int = 6000, keyspace: int = 1500, reads: int =
 
 
 def e18_parallel_compaction(records: int = 4000, value_size: int = 50) -> Table:
-    """Table E18: the compaction pipeline — subcompactions × coalesced reads.
+    """Table E18: the compaction pipeline — subcompactions over coalesced reads.
 
     fillrandom, then a full manual ``compact_range``; the table sweeps
-    ``max_subcompactions`` 1/2/4/8 with coalesced readahead on, plus the
-    pre-pipeline baseline (serial, per-block GETs). Columns report the
-    simulated compaction time, the cloud GETs the compaction issued, and a
-    digest of the resulting DB contents — identical in every row, because
-    partitioning only changes *where* output files are cut, never what
-    they contain.
+    ``max_subcompactions`` 1/2/4/8, every input read in one sequential pass.
+    Columns report the simulated compaction time, the cloud GETs the
+    compaction issued, and a digest of the resulting DB contents — identical
+    in every row, because partitioning only changes *where* output files are
+    cut, never what they contain.
     """
     import hashlib
     import random
@@ -796,18 +795,14 @@ def e18_parallel_compaction(records: int = 4000, value_size: int = 50) -> Table:
         ],
         notes=[
             f"{records} random puts then compact_range(None, None)",
-            "readahead coalesces per-block GETs into 128K ranges; subcompactions",
+            "each input is read in 2 MiB ranges, not one GET per block; subcompactions",
             "merge key partitions on forked clocks; demotion uploads overlap the",
             "merge. Digest equality shows parallelism never changes contents.",
         ],
     )
 
-    def run(parallelism: int, readahead: int) -> tuple[float, int, int, float, str]:
-        knobs = HarnessKnobs(
-            max_subcompactions=parallelism,
-            compaction_readahead_bytes=readahead,
-        )
-        store = make_store("rocksmash", knobs)
+    def run(parallelism: int) -> tuple[float, int, int, float, str]:
+        store = make_store("rocksmash", HarnessKnobs(max_subcompactions=parallelism))
         rng = random.Random(42)
         keys = [make_key(rng.randrange(10**9)) for _ in range(records)]
         for i, key in enumerate(keys):
@@ -828,11 +823,8 @@ def e18_parallel_compaction(records: int = 4000, value_size: int = 50) -> Table:
         fetches = store.db.compaction_stats.coalesced_fetches
         return seconds, gets, fetches, saved / 1e6, digest.hexdigest()[:12]
 
-    baseline = run(1, 0)
-    table.add_row("serial, per-block GETs", *baseline)
     for parallelism in (1, 2, 4, 8):
-        row = run(parallelism, 128 << 10)
-        table.add_row(f"subcompactions={parallelism}, readahead=128K", *row)
+        table.add_row(f"subcompactions={parallelism}", *run(parallelism))
     return table
 
 

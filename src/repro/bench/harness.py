@@ -65,8 +65,6 @@ class HarnessKnobs:
     pin_metadata: bool = True
     max_subcompactions: int = 1
     """Parallel subcompactions per compaction (E18 sweeps 1/2/4/8)."""
-    compaction_readahead_bytes: int = 0
-    """Coalesced readahead for compaction input scans; 0 = per-block GETs."""
     scan_prefetch_depth: int = 0
     """Outstanding speculative table prefetches per scan (E21 sweeps
     0/1/2/4); only rocksmash installs the pipeline, other systems ignore
@@ -93,7 +91,6 @@ def engine_options(knobs: HarnessKnobs) -> Options:
         block_cache_bytes=knobs.block_cache_bytes,
         compression=knobs.compression,
         max_subcompactions=knobs.max_subcompactions,
-        compaction_readahead_bytes=knobs.compaction_readahead_bytes,
         scan_prefetch_depth=knobs.scan_prefetch_depth,
     )
 

@@ -15,21 +15,21 @@ Two structural hooks matter for the paper's mechanisms:
   (:class:`~repro.lsm.table_builder.BlockMeta`), which the compaction-aware
   cache layout (:mod:`repro.mash.layout`) consumes to inherit block heat.
 
-Execution is a **parallel pipeline** (both stages default off; see
-:class:`~repro.lsm.options.Options`):
+Execution is a **parallel pipeline**:
 
-* ``max_subcompactions > 1`` partitions the compaction's key range at
-  boundaries sampled from input-file fences and index anchors
+* ``max_subcompactions > 1`` (default off; see
+  :class:`~repro.lsm.options.Options`) partitions the compaction's key
+  range at boundaries sampled from input-file fences and index anchors
   (:func:`pick_subcompaction_boundaries`); each partition merges on a
   forked child of the simulated clock and the compaction joins on the
   slowest — RocksDB's subcompactions, timed with the same fork/join
   machinery the xWAL's parallel recovery uses. Partitions execute
   sequentially in real time, so outputs, file numbers, and results are
   bit-for-bit deterministic.
-* ``compaction_readahead_bytes > 0`` serves each input file's strictly
-  sequential block reads from a coalesced readahead buffer — one large
-  ranged GET per window instead of one per block — which is what keeps
-  cloud-resident inputs from making compaction RTT-bound.
+* Every input is read in one pass its table's stack builds
+  (:meth:`~repro.lsm.block_cache.BlockStack.sequential`): one ranged read
+  per :data:`COMPACTION_READAHEAD_BYTES`, not one RTT per block, and no
+  block cache looked up or filled.
 
 Each output records the simulated time its builder finished
 (``CompactionOutput.finished_at``); the placement layer uses it to overlap
@@ -54,6 +54,10 @@ from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
 from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE, Entry
+
+COMPACTION_READAHEAD_BYTES = 2 << 20
+"""Bytes per ranged read of compaction's pass over an input: a whole table
+at the experiments' 32 KiB files, one read per input."""
 
 
 @dataclass
@@ -376,30 +380,16 @@ class CompactionJob:
         a partition boundary, so partitions compose into the same total
         ordering regardless of how the range was split.
         """
-        readahead = self.options.compaction_readahead_bytes
-        buffers = []
+        passes = []
         sources = []
-        if readahead > 0:
-            # Late import: repro.mash packages the full store (which imports
-            # the DB, which imports this module); binding it at module load
-            # would be a cycle.
-            from repro.mash.readahead import ReadaheadBuffer, SequentialStack
         for meta in compaction.inputs + compaction.overlaps:
             if hi is not None and meta.smallest_user_key >= hi:
                 continue
             if lo is not None and meta.largest_user_key < lo:
                 continue
             reader = self.table_cache.get_reader(meta.number)
-            stack = None
-            if readahead > 0:
-                # Eager: a compaction reads the file strictly sequentially,
-                # so skip the two-access rampup and coalesce from block one.
-                # Bypasses the table's caches deliberately — compaction
-                # scans are one-shot and must not evict the point-read
-                # working set.
-                buffer = ReadaheadBuffer(reader.file, readahead_bytes=readahead, eager=True)
-                buffers.append(buffer)
-                stack = SequentialStack(reader.stack, buffer)
+            stack = reader.stack.sequential(COMPACTION_READAHEAD_BYTES)
+            passes.append(stack)
             sources.append(reader.range_iter(lo, hi, stack=stack))
         merged = merge_internal(sources)
 
@@ -487,9 +477,9 @@ class CompactionJob:
             # classic partial-compaction crash (orphans, inputs live).
             crash_points.reach("compaction.mid_output")
 
-        for buffer in buffers:
-            self.stats.coalesced_fetches += buffer.stats.fetches
-            self.stats.coalesced_fetched_bytes += buffer.stats.fetched_bytes
+        for stack in passes:
+            self.stats.coalesced_fetches += stack.readahead.stats.fetches
+            self.stats.coalesced_fetched_bytes += stack.readahead.stats.fetched_bytes
         return dropped
 
     def _account_blob_drop(

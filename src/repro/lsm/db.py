@@ -630,8 +630,9 @@ class DB:
         # files still referenced by a pinned version — a live iterator —
         # are deferred until the pin is released).
         protected = self._protected_file_numbers()
+        live = self.versions.current.live_file_numbers()
         for _, number in edit.deleted_files:
-            if number in self.versions.current.live_file_numbers():
+            if number in live:
                 continue
             if number in protected:
                 self._deferred_deletes.add(number)

@@ -71,13 +71,6 @@ class Options:
     identical at any setting — only file cut points and simulated timing
     change."""
 
-    compaction_readahead_bytes: int = 0
-    """Coalesced readahead for compaction input scans (0 disables).
-    Compaction reads tables strictly sequentially, so instead of one ranged
-    GET per block, input files are fetched in contiguous ranges of up to
-    this many bytes — turning an RTT-per-block scan of cloud-resident
-    inputs into a few large transfers."""
-
     scan_prefetch_depth: int = 0
     """Pipelined scan prefetch: while a range scan consumes one table of a
     level, speculatively open and readahead-prime up to this many upcoming
@@ -144,8 +137,6 @@ class Options:
             raise ValueError(f"unknown compaction_style {self.compaction_style!r}")
         if self.max_subcompactions < 1:
             raise ValueError("max_subcompactions must be >= 1")
-        if self.compaction_readahead_bytes < 0:
-            raise ValueError("compaction_readahead_bytes must be >= 0")
         if self.scan_prefetch_depth < 0:
             raise ValueError("scan_prefetch_depth must be >= 0")
         if self.blob_value_threshold < 0:

@@ -234,7 +234,7 @@ class TableReader:
 
         ``stack`` replaces the table's own stack for this one pass: the
         compaction pipeline reads its strictly-sequential inputs through a
-        :class:`~repro.mash.readahead.SequentialStack` (one large ranged
+        :class:`~repro.lsm.block_cache.SequentialStack` (one large ranged
         GET instead of one per block, nothing cached).
         """
         load = (stack or self.stack).block

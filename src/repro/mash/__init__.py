@@ -17,7 +17,6 @@ from repro.mash.checkpoint import (
     restore_checkpoint,
 )
 from repro.mash.layout import BlockHeatTracker, LayoutConfig
-from repro.mash.readahead import ReadaheadBuffer
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.placement import PlacementConfig, PlacementManager
 from repro.mash.store import MashDB, RocksMashStore, StoreConfig
@@ -26,7 +25,6 @@ from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 __all__ = [
     "BlockHeatTracker",
     "CheckpointInfo",
-    "ReadaheadBuffer",
     "create_checkpoint",
     "delete_checkpoint",
     "list_checkpoints",

@@ -21,7 +21,7 @@ engine's :class:`~repro.lsm.db.ScanPipeline` protocol:
   *i*, the next cloud tables of that level (up to ``scan_prefetch_depth``
   outstanding across the whole scan) are opened and *primed* — their first
   :data:`PRIME_BYTES` fetched into a
-  :class:`~repro.mash.readahead.ReadaheadBuffer` — each on its own
+  :class:`~repro.lsm.block_cache.ReadaheadBuffer` — each on its own
   back-datable branch. The branch is joined with merge semantics when the
   iterator reaches that table: latency that fit inside the consumption of
   earlier tables costs the parent clock nothing (``prefetch_hit``), and a
@@ -42,10 +42,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from repro.lsm.block_cache import ReadaheadBuffer
 from repro.lsm.format import table_file_name
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData
-from repro.mash.readahead import ReadaheadBuffer
 from repro.sim.clock import ClockCharged, ForkJoinRegion, SimClock
 from repro.util.encoding import SeekGoal
 

@@ -30,7 +30,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import NotFoundError
-from repro.lsm.block_cache import BlockPath, BlockStack
+from repro.lsm.block_cache import BlockPath, BlockStack, ReadaheadBuffer, SequentialStack
 from repro.lsm.compaction import CompactionEvent
 from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
@@ -47,7 +47,6 @@ from repro.mash.layout import BlockHeatTracker, LayoutConfig
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.placement import PlacementConfig, PlacementManager, make_router
 from repro.mash.prefetch import ScanPrefetcher
-from repro.mash.readahead import ReadaheadBuffer
 from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
@@ -81,7 +80,7 @@ class StoreConfig:
     local_capacity_bytes: int | None = None
     scan_readahead_bytes: int = 128 << 10
     """Sequential readahead for cloud-resident tables (0 disables); see
-    :mod:`repro.mash.readahead`."""
+    :class:`~repro.lsm.block_cache.ReadaheadBuffer`."""
 
     multi_get_parallelism: int = 8
     """Concurrent cloud fetches per multi_get wave (1 = sequential)."""
@@ -181,6 +180,9 @@ class MashBlockStack(BlockStack):
     after a demand read from the cloud — a block readahead served is not
     (scan-resistant caching). The tier is looked up per miss, not per stack:
     a table can be demoted under a reader a live iterator still holds.
+
+    A compaction's pass (:meth:`sequential`) skips every source but heats
+    each block it reads: heat inheritance and pre-warm are planned from it.
     """
 
     __slots__ = ("store", "_buffer")
@@ -247,6 +249,11 @@ class MashBlockStack(BlockStack):
         else:
             self.path.event("local_read")
         return payload
+
+    def sequential(self, window: int) -> SequentialStack:
+        return SequentialStack(
+            self.name, self.file, self.path, window, on_block=self.store.heat.record_access
+        )
 
     def footer(self) -> bytes | None:
         # Lets a cold table open skip the footer read entirely — for a

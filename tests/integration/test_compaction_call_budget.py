@@ -24,14 +24,15 @@ from repro.mash.store import RocksMashStore, StoreConfig
 
 ENTRIES_PER_PASS = 2000
 
-# Measured when the inner loop was last tuned — the table builder pulling the
-# merged stream, one frame per block sealed: 53.16 calls per entry over the
-# two compactions, 0.626 of them in mash/layout.py (at the parent of that
-# change, one ``add`` chain per entry and a frozen-dataclass ``__init__`` per
-# block: 58.27 and 0.626; before keys were split once and filter keys hashed
-# in lanes: 79.6; before heat inheritance bisected ranges: 138.1 and 13.5).
-# Ceilings sit 10 % above.
-CALLS_PER_ENTRY_CEILING = 58.5
+# Measured when compaction last changed how it reads — each input in one
+# sequential pass that skips the block caches, and the live-file set of the
+# input deletes computed once: 43.91 calls per entry over the two
+# compactions, 0.626 of them in mash/layout.py (at the parent of that change,
+# every input block through the table's stack: 53.09; before the table
+# builder pulled the merged stream: 58.27; before keys were split once and
+# filter keys hashed in lanes: 79.6; before heat inheritance bisected ranges:
+# 138.1 and 13.5). Ceilings sit 10 % above.
+CALLS_PER_ENTRY_CEILING = 48.3
 LAYOUT_CALLS_PER_ENTRY_CEILING = 0.688
 
 

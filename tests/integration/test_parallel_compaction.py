@@ -1,8 +1,9 @@
 """Integration: the parallel compaction pipeline on the full hybrid store.
 
 Covers the three pipeline stages end to end — subcompaction partitioning,
-coalesced cloud reads, and overlapped demotion uploads — plus the clock
-hygiene the fork/join machinery guarantees.
+coalesced cloud reads (every input is read in one sequential pass), and
+overlapped demotion uploads — plus the clock hygiene the fork/join machinery
+guarantees.
 """
 
 import random
@@ -14,12 +15,8 @@ from repro.mash.store import RocksMashStore, StoreConfig
 from repro.workloads.generator import make_key, make_value
 
 
-def build_store(parallelism, readahead, records=2500):
-    knobs = HarnessKnobs(
-        max_subcompactions=parallelism,
-        compaction_readahead_bytes=readahead,
-    )
-    store = make_store("rocksmash", knobs)
+def build_store(parallelism, records=2500):
+    store = make_store("rocksmash", HarnessKnobs(max_subcompactions=parallelism))
     rng = random.Random(7)
     for i in range(records):
         store.put(make_key(rng.randrange(10**8)), make_value(i, 60))
@@ -35,26 +32,33 @@ def compact_and_measure(store):
 
 class TestParallelCompactionPipeline:
     def test_contents_identical_and_faster(self):
-        serial = build_store(1, 0)
-        parallel = build_store(4, 128 << 10)
+        serial = build_store(1)
+        parallel = build_store(4)
+        blocks_written = []
+        serial.db.listeners.on_compaction.append(
+            lambda event: blocks_written.extend(out.properties.blocks for out in event.outputs)
+        )
         serial_seconds, serial_gets = compact_and_measure(serial)
         parallel_seconds, parallel_gets = compact_and_measure(parallel)
 
         assert list(parallel.db.scan(None, None)) == list(serial.db.scan(None, None))
         assert parallel_seconds * 1.5 <= serial_seconds
-        assert parallel_gets * 2 <= serial_gets
+        # Each partition restarts its inputs' passes at its seek, so four
+        # issue more ranged GETs than one; both issue far fewer than blocks.
+        assert 0 < serial_gets < parallel_gets
+        assert parallel_gets * 4 < sum(map(len, blocks_written))
         assert parallel.db.compaction_stats.subcompactions_run >= 2
-        assert parallel.db.compaction_stats.coalesced_fetches > 0
+        assert serial.db.compaction_stats.subcompactions_run == 0
 
     def test_deterministic_across_runs(self):
-        first = build_store(4, 128 << 10)
-        second = build_store(4, 128 << 10)
+        first = build_store(4)
+        second = build_store(4)
         assert compact_and_measure(first) == compact_and_measure(second)
         assert list(first.db.scan(None, None)) == list(second.db.scan(None, None))
         assert first.clock.now == second.clock.now
 
     def test_upload_overlap_recovers_time(self):
-        store = build_store(4, 128 << 10)
+        store = build_store(4)
         store.compact_range(None, None)
         assert store.counters.get("compaction.upload_overlap_us_saved") > 0
 
@@ -95,14 +99,14 @@ class TestParallelCompactionPipeline:
 
 class TestClockHygiene:
     def test_multi_get_restores_clocks(self):
-        store = build_store(1, 0, records=600)
+        store = build_store(1, records=600)
         keys = [make_key(i) for i in range(0, 64)]
         store.multi_get(keys)
         assert store.local_device.clock is store.clock
         assert store.cloud_store.clock is store.clock
 
     def test_multi_get_restores_clocks_on_error(self):
-        store = build_store(1, 0, records=600)
+        store = build_store(1, records=600)
         original_get = store.db.get
 
         def explode(key, **kwargs):
@@ -116,7 +120,7 @@ class TestClockHygiene:
         assert store.cloud_store.clock is store.clock
 
     def test_compaction_restores_clocks(self):
-        store = build_store(4, 128 << 10)
+        store = build_store(4)
         store.compact_range(None, None)
         assert store.local_device.clock is store.clock
         assert store.cloud_store.clock is store.clock

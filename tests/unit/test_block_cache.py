@@ -9,9 +9,9 @@ from repro.lsm.block_cache import (
     BlockPath,
     BlockStack,
     LRUBlockCache,
+    SequentialStack,
 )
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, seal_block
-from repro.mash.readahead import SequentialStack
 from repro.util.encoding import TYPE_VALUE, internal_order, make_internal_key
 
 KEY = make_internal_key(b"k", 1, TYPE_VALUE)
@@ -201,14 +201,26 @@ class TestLoadDataBlock:
 
     def test_a_sequential_pass_reads_its_buffer_and_caches_nothing(self):
         cache = LRUBlockCache(1000)
-        stack, file, _ = self.stack(cache)
-
-        class Buffer:
-            def get(self, handle):
-                return payload_of(30) if handle.offset == 64 else None
-
-        pass_stack = SequentialStack(stack, Buffer())
+        stack, file, events = self.stack(cache)
+        pass_stack = stack.sequential(4096)
         assert list(pass_stack.block(self.HANDLE)) == [(*internal_order(KEY), b"x" * 10)]
-        assert (len(cache), file.reads) == (0, [])
-        pass_stack.block(BlockHandle(128, 30))  # not buffered: the table's own stack
-        assert (len(cache), len(file.reads)) == (1, 1)
+        assert file.reads == [(64, 4096)]  # one window, from the first block on
+        assert (len(cache), cache.hits, cache.misses, events) == (0, 0, 0, [])
+        assert not any(stack.path.hits.values())
+
+    def test_a_sequential_pass_reports_every_block_it_serves(self):
+        stack, file, _ = self.stack(LRUBlockCache(1000))
+        served = []
+        pass_stack = SequentialStack("f", file, stack.path, 4096, on_block=lambda *a: served.append(a))
+        pass_stack.block(self.HANDLE)
+        pass_stack.block(BlockHandle(128, 30))  # a jump restarts the window
+        assert served == [("f", 64), ("f", 128)]
+        assert len(file.reads) == 2
+
+    def test_a_short_read_in_a_sequential_pass_raises(self):
+        cache = LRUBlockCache(1000)
+        stack, file, _ = self.stack(cache)
+        file.raw = file.raw[:-1]
+        with pytest.raises(CorruptionError, match="short block read"):
+            stack.sequential(4096).block(self.HANDLE)
+        assert len(cache) == 0

@@ -35,7 +35,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 87
+TOTAL_FIELDS = 85
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",

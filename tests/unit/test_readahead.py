@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, seal_block
-from repro.mash.readahead import ReadaheadBuffer
+from repro.lsm.block_cache import ReadaheadBuffer
 from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel
 from repro.storage.cloud import CloudObjectStore
