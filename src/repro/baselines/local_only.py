@@ -14,7 +14,6 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
 from repro.sim.clock import SimClock, StopwatchRegion
-from repro.sim.latency import LatencyModel, nvme_ssd
 from repro.storage.cost import CostModel
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -25,7 +24,6 @@ class LocalOnlyConfig:
     """Configuration for the local-only baseline."""
 
     options: Options = field(default_factory=Options)
-    local_model: LatencyModel = field(default_factory=nvme_ssd)
     cost_model: CostModel = field(default_factory=CostModel)
     db_prefix: str = "db/"
 
@@ -64,7 +62,7 @@ class LocalOnlyStore(StoreFacade):
         config = config or LocalOnlyConfig()
         clock = clock or SimClock()
         counters = CounterSet()
-        device = LocalDevice(clock, config.local_model, counters=counters)
+        device = LocalDevice(clock, counters=counters)
         return cls(config, clock=clock, local_device=device, counters=counters)
 
     def reopen(self, *, crash: bool = False) -> "LocalOnlyStore":

@@ -24,7 +24,7 @@ from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
 from repro.sim.clock import SimClock, StopwatchRegion
-from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
+from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
 from repro.storage.env import CLOUD, LOCAL, CloudEnv, HybridEnv, LocalEnv, RandomAccessFile
@@ -36,7 +36,6 @@ class RocksDBCloudConfig:
     """Configuration for the rocksdb-cloud-like baseline."""
 
     options: Options = field(default_factory=Options)
-    local_model: LatencyModel = field(default_factory=nvme_ssd)
     cloud_model: LatencyModel = field(default_factory=cloud_object_storage)
     cost_model: CostModel = field(default_factory=CostModel)
     db_prefix: str = "db/"
@@ -239,7 +238,7 @@ class RocksDBCloudStore(StoreFacade):
         config = config or RocksDBCloudConfig()
         clock = clock or SimClock()
         counters = CounterSet()
-        device = LocalDevice(clock, config.local_model, counters=counters)
+        device = LocalDevice(clock, counters=counters)
         cloud = CloudObjectStore(clock, config.cloud_model, counters=counters)
         return cls(
             config, clock=clock, local_device=device, cloud_store=cloud, counters=counters

@@ -68,7 +68,6 @@ def crashmonkey_config() -> StoreConfig:
             max_manifest_file_size=1 << 10,
             blob_value_threshold=256,
             blob_segment_bytes=2 << 10,
-            blob_gc_dead_ratio=0.5,
         ),
         placement=PlacementConfig(cloud_level=1, multipart_part_bytes=1 << 10),
         xwal=XWalConfig(num_shards=4),

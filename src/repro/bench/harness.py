@@ -8,9 +8,7 @@ in seconds while preserving LSM shape (multiple levels, real compactions).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
-from typing import TypeVar
+from dataclasses import dataclass
 
 from repro.baselines import (
     CloudOnlyConfig,
@@ -27,7 +25,7 @@ from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.mash.xwal import XWalConfig
 from repro.facade import StoreFacade
-from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
+from repro.sim.latency import LatencyModel
 
 SYSTEMS = ("local-only", "cloud-only", "rocksdb-cloud", "rocksmash")
 
@@ -38,6 +36,10 @@ same proportion (≈200 KB/s instead of ~80 MB/s). This keeps the ratio of
 whole-file transfer time to request RTT at real-deployment values
 (downloading a table ≫ one ranged block GET), which is the ratio the
 whole-file-vs-block-grain caching comparison depends on."""
+
+BLOCK_SIZE = 512
+"""Data-block size of every harness store: KB-scale files want sub-KB
+blocks to keep several blocks per table."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,6 @@ class HarnessKnobs:
     write_buffer_size: int = 8 << 10
     scan_readahead_bytes: int = 128 << 10
     compression: str = "none"
-    multi_get_parallelism: int = 8
-    cloud_error_rate: float = 0.0
-    block_size: int = 512
     pin_metadata: bool = True
     max_subcompactions: int = 1
     """Parallel subcompactions per compaction (E18 sweeps 1/2/4/8)."""
@@ -69,8 +68,6 @@ class HarnessKnobs:
     """Outstanding speculative table prefetches per scan (E21 sweeps
     0/1/2/4); only rocksmash installs the pipeline, other systems ignore
     it."""
-    upload_parallelism: int = 4
-    """Concurrent demotion-upload slots (overlapped with the merge)."""
 
     def cloud_model(self) -> LatencyModel:
         return LatencyModel(
@@ -85,7 +82,7 @@ def engine_options(knobs: HarnessKnobs) -> Options:
     """Scaled-down engine options shared by every system."""
     return Options(
         write_buffer_size=knobs.write_buffer_size,
-        block_size=knobs.block_size,
+        block_size=BLOCK_SIZE,
         max_bytes_for_level_base=128 << 10,
         target_file_size_base=32 << 10,
         block_cache_bytes=knobs.block_cache_bytes,
@@ -106,7 +103,6 @@ def rocksmash_config(knobs: HarnessKnobs | None = None) -> StoreConfig:
         placement=PlacementConfig(
             cloud_level=knobs.cloud_level,
             local_bytes_budget=knobs.local_bytes_budget,
-            upload_parallelism=knobs.upload_parallelism,
         ),
         pcache=PCacheConfig(data_budget_bytes=knobs.pcache_budget_bytes),
         layout=LayoutConfig(
@@ -118,8 +114,6 @@ def rocksmash_config(knobs: HarnessKnobs | None = None) -> StoreConfig:
             apply_cost_per_record=knobs.xwal_apply_cost,
         ),
         scan_readahead_bytes=knobs.scan_readahead_bytes,
-        multi_get_parallelism=knobs.multi_get_parallelism,
-        cloud_error_rate=knobs.cloud_error_rate,
     )
 
 
@@ -129,9 +123,7 @@ def make_store(system: str, knobs: HarnessKnobs | None = None) -> StoreFacade:
     options = engine_options(knobs)
     cloud_model = knobs.cloud_model()
     if system == "local-only":
-        return LocalOnlyStore.create(
-            LocalOnlyConfig(options=options, local_model=nvme_ssd())
-        )
+        return LocalOnlyStore.create(LocalOnlyConfig(options=options))
     if system == "cloud-only":
         return CloudOnlyStore.create(
             CloudOnlyConfig(options=options, cloud_model=cloud_model)
@@ -157,20 +149,3 @@ def _disable_metadata_pinning(store: RocksMashStore) -> None:
     store.pcache.put_meta = lambda *_a, **_k: None  # type: ignore[method-assign]
     store._pin_metadata = lambda *_a, **_k: None  # type: ignore[method-assign]
 
-
-_V = TypeVar("_V")
-_S = TypeVar("_S")
-_R = TypeVar("_R")
-
-
-def sweep(
-    values: Iterable[_V],
-    build: Callable[[_V], _S],
-    measure: Callable[[_S], _R],
-) -> list[tuple[_V, _R]]:
-    """Tiny sweep helper: ``[(value, measure(build(value))) ...]``."""
-    out: list[tuple[_V, _R]] = []
-    for value in values:
-        subject = build(value)
-        out.append((value, measure(subject)))
-    return out

@@ -232,15 +232,6 @@ class StoreFacade:
         self.read_latency.record(span.elapsed)
         return results
 
-    def scan_reverse(
-        self,
-        begin: bytes | None = None,
-        end: bytes | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[bytes, bytes]]:
-        """Descending-order range scan over user keys in [begin, end)."""
-        return self.scan(begin, end, limit, reverse=True)
-
     def flush(self) -> None:
         with self.tracer.span("flush"):
             self.db.flush()

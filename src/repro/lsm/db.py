@@ -781,16 +781,6 @@ class DB:
                 pipeline.finish()
             self._unpin_version(version)
 
-    def scan_reverse(
-        self,
-        begin: bytes | None = None,
-        end: bytes | None = None,
-        *,
-        snapshot: Snapshot | None = None,
-    ) -> Generator[tuple[bytes, bytes], None, None]:
-        """Ordered iteration over user keys in [begin, end), *descending*."""
-        return self.scan(begin, end, snapshot=snapshot, reverse=True)
-
     @staticmethod
     def _files_in_scan_range(
         files: list[FileMetaData], begin: bytes | None, end: bytes | None

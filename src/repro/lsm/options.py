@@ -110,11 +110,6 @@ class Options:
     """Seal and upload the active blob segment once it reaches this size
     (flushes also seal it, so SSTables only reference durable segments)."""
 
-    blob_gc_dead_ratio: float = 0.5
-    """Rewrite a sealed segment's live residue once compaction-dropped
-    bytes reach this fraction of the segment; 1.0 = only reclaim segments
-    that are entirely dead."""
-
     # Caching
     block_cache_bytes: int = 8 << 20
     """In-memory (DRAM) block cache budget; 0 disables it."""
@@ -143,8 +138,6 @@ class Options:
             raise ValueError("blob_value_threshold must be >= 0")
         if self.blob_segment_bytes <= 0:
             raise ValueError("blob_segment_bytes must be positive")
-        if not 0.0 < self.blob_gc_dead_ratio <= 1.0:
-            raise ValueError("blob_gc_dead_ratio must be in (0, 1]")
 
     @classmethod
     def small(cls) -> "Options":

@@ -61,12 +61,6 @@ class UniversalCompactionPicker:
     def _runs_newest_first(self, version: Version) -> list[FileMetaData]:
         return sorted(version.files[0], key=lambda m: -m.number)
 
-    def compute_scores(self, version: Version) -> list[tuple[float, int]]:
-        """Single score: run count against the trigger (for introspection)."""
-        runs = len(version.files[0])
-        trigger = self.options.level0_file_num_compaction_trigger
-        return [(runs / trigger, 0)]
-
     def pick(self, version: Version) -> Compaction | None:
         runs = self._runs_newest_first(version)
         trigger = self.options.level0_file_num_compaction_trigger

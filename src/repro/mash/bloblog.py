@@ -27,7 +27,7 @@ Lifecycle and crash protocol:
   state is exact across crashes.
 - ``run_gc``: segments whose records are all dead are unlinked (MANIFEST
   delete first, object delete second — a crash in between leaves an orphan
-  that recovery collects); segments past ``blob_gc_dead_ratio`` get their
+  that recovery collects); segments past :data:`GC_DEAD_RATIO` get their
   live residue re-put through the front door, which re-diverts the values
   into the current active segment and lets compaction retire the old copies.
 - ``recover``: MANIFEST-unknown segment files with no memtable references
@@ -70,6 +70,11 @@ if TYPE_CHECKING:
 # Modelled CPU cost of decoding one blob record on resolve (framing + CRC).
 _DECODE_BASE_COST = 1e-6
 _DECODE_COST_PER_BYTE = 2e-9
+
+GC_DEAD_RATIO = 0.5
+"""Rewrite a sealed segment's live residue once compaction-dropped bytes
+reach this fraction of the segment; 1.0 = only reclaim segments that are
+entirely dead."""
 
 
 class BlobHost(Protocol):
@@ -337,17 +342,17 @@ class BlobLog:
                 self._rewritten.discard(number)
                 self.bytes_reclaimed += total
                 self.segments_deleted += 1
-            ratio = self.options.blob_gc_dead_ratio
-            if ratio < 1.0:
-                candidates = sorted(
-                    number
-                    for number, (total, dead) in self.versions.blob_segments.items()
-                    if number not in self._rewritten
-                    and total > 0
-                    and dead / total >= ratio
-                )
-                for number in candidates:
-                    self._rewrite_segment(number, host)
+            # Every fully-dead segment is gone by now, so a ratio of 1.0
+            # selects nothing.
+            candidates = sorted(
+                number
+                for number, (total, dead) in self.versions.blob_segments.items()
+                if number not in self._rewritten
+                and total > 0
+                and dead / total >= GC_DEAD_RATIO
+            )
+            for number in candidates:
+                self._rewrite_segment(number, host)
         finally:
             self._in_gc = False
 

@@ -182,10 +182,7 @@ def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) 
     snapshot = VersionEdit.decode(records[0])
 
     local_device = LocalDevice(
-        cloud.clock,
-        config.local_model,
-        capacity_bytes=config.local_capacity_bytes,
-        counters=cloud.counters,
+        cloud.clock, capacity_bytes=config.local_capacity_bytes, counters=cloud.counters
     )
 
     prefix = config.db_prefix

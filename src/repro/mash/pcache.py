@@ -74,11 +74,6 @@ class PCacheStats:
     slab_compactions: int = 0
     recovered_entries: int = 0
 
-    @property
-    def data_hit_ratio(self) -> float:
-        total = self.data_hits + self.data_misses
-        return self.data_hits / total if total else 0.0
-
 
 def _encode_record(kind: int, name: bytes, block_offset: int, payload: bytes) -> tuple[bytes, int]:
     """Serialize one slab record; returns (record_bytes, payload_pos_in_record).

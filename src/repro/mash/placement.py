@@ -18,7 +18,7 @@ local tables when the device fills up — this is what experiment E11 sweeps.
 Uploads *overlap* the compaction that produced them: each output records
 when its builder finished (``CompactionOutput.finished_at``), and the
 demotion batch replays the uploads on back-dated child clocks through up to
-``upload_parallelism`` slots — modelling a real implementation that starts
+:data:`UPLOAD_SLOTS` slots — modelling a real implementation that starts
 PUTting a finished output while the merge keeps producing the next one.
 The simulated time this recovers versus strictly-serial post-compaction
 uploads is ticked as ``compaction.upload_overlap_us_saved``.
@@ -39,6 +39,11 @@ from repro.storage.env import CLOUD, LOCAL, HybridEnv
 PROMOTION_HEADROOM = 0.9
 """Promotions stop once local bytes exceed this fraction of the budget."""
 
+UPLOAD_SLOTS = 4
+"""Concurrent upload slots for demotions. Cloud-bound compaction outputs
+start uploading the moment their builder finishes (overlapping the rest of
+the merge), queueing behind a free slot when all are busy."""
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -58,12 +63,6 @@ class PlacementConfig:
     promotion_heat_threshold: float = 8.0
     """Minimum accumulated block heat for a file to qualify."""
 
-    upload_parallelism: int = 4
-    """Concurrent upload slots for demotions. Cloud-bound compaction
-    outputs start uploading the moment their builder finishes (overlapping
-    the rest of the merge), queueing behind a free slot when all are busy.
-    1 = serial uploads after the compaction, the pre-overlap behaviour."""
-
     multipart_part_bytes: int = 8 << 20
     """Demotion uploads larger than one part stream as a multipart upload
     (parts invisible until completed; a crash abandons them). Tables at or
@@ -72,8 +71,6 @@ class PlacementConfig:
     def __post_init__(self) -> None:
         if self.cloud_level < 1:
             raise ValueError("cloud_level must be >= 1 (L0 is always local)")
-        if self.upload_parallelism < 1:
-            raise ValueError("upload_parallelism must be >= 1")
         if self.multipart_part_bytes < 1:
             raise ValueError("multipart_part_bytes must be >= 1")
         if self.promotion_enabled and self.local_bytes_budget is None:
@@ -148,23 +145,22 @@ class PlacementManager:
         ``items`` is ``(file number, ready_at)`` where ``ready_at`` is the
         simulated instant the file became uploadable (``None`` = now). Each
         upload runs on a child clock back-dated to ``max(ready_at, slot
-        free time)`` across ``upload_parallelism`` slots; the parent clock
+        free time)`` across :data:`UPLOAD_SLOTS` slots; the parent clock
         then merges, so fully-overlapped uploads cost no wall time at all.
         The difference versus serially uploading after the barrier is
         ticked as ``compaction.upload_overlap_us_saved``.
         """
         clock = self.env.sim_clock()
-        width = self.config.upload_parallelism
-        if clock is None or width <= 1 or len(items) <= 1:
+        if clock is None or len(items) <= 1:
             for number, _ in items:
                 self._demote(number)
             return
         base_now = clock.now
         region = ForkJoinRegion(clock, self.env.clock_hosts())
-        slot_free = [0.0] * width
+        slot_free = [0.0] * UPLOAD_SLOTS
         serial_cost = 0.0
         for number, ready_at in items:
-            slot = min(range(width), key=lambda i: slot_free[i])
+            slot = min(range(UPLOAD_SLOTS), key=lambda i: slot_free[i])
             start = max(ready_at if ready_at is not None else base_now, slot_free[slot])
             with region.branch(start=start) as child:
                 self._demote(number)

@@ -51,7 +51,7 @@ from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
 from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
-from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
+from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
 from repro.storage.env import CLOUD, CloudEnv, HybridEnv, LocalEnv, RandomAccessFile
@@ -63,6 +63,10 @@ if TYPE_CHECKING:
 
     from repro.mash.bloblog import BlobLog
 
+MULTI_GET_WAVE = 8
+"""Keys per :meth:`RocksMashStore.multi_get` wave: their cloud fetches run
+concurrently, and the wave joins on the slowest."""
+
 
 @dataclass
 class StoreConfig:
@@ -73,7 +77,6 @@ class StoreConfig:
     pcache: PCacheConfig = field(default_factory=PCacheConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     xwal: XWalConfig = field(default_factory=XWalConfig)
-    local_model: LatencyModel = field(default_factory=nvme_ssd)
     cloud_model: LatencyModel = field(default_factory=cloud_object_storage)
     cost_model: CostModel = field(default_factory=CostModel)
     db_prefix: str = "db/"
@@ -81,20 +84,6 @@ class StoreConfig:
     scan_readahead_bytes: int = 128 << 10
     """Sequential readahead for cloud-resident tables (0 disables); see
     :class:`~repro.lsm.block_cache.ReadaheadBuffer`."""
-
-    multi_get_parallelism: int = 8
-    """Concurrent cloud fetches per multi_get wave (1 = sequential)."""
-
-    cloud_error_rate: float = 0.0
-    """Probability each cloud request fails transiently (retried with
-    backoff); experiment E15 sweeps this for the reliability figure."""
-
-    cloud_fault_seed: int = 0
-
-    cloud_fault_op_prefixes: tuple[str, ...] | None = None
-    """Restrict injected cloud faults to requests whose op name starts with
-    one of these prefixes (e.g. ``("cloud.put", "cloud.upload_part")`` to
-    storm writes while reads stay healthy). ``None`` = all requests."""
 
     def small(self) -> "StoreConfig":
         """Scaled-down engine thresholds for tests and quick experiments."""
@@ -366,28 +355,19 @@ class RocksMashStore(StoreFacade):
 
     @classmethod
     def create(cls, config: StoreConfig | None = None, *, clock: SimClock | None = None) -> "RocksMashStore":
-        """Stand up a fresh deployment on fresh simulated devices."""
+        """Stand up a fresh deployment on fresh simulated devices.
+
+        Nothing here issues a cloud request, so transient cloud faults are
+        injected by attaching an injector afterwards:
+        ``store.cloud_store.faults = FaultInjector(...)``.
+        """
         config = config or StoreConfig()
         clock = clock or SimClock()
         counters = CounterSet()
         local_device = LocalDevice(
-            clock,
-            config.local_model,
-            capacity_bytes=config.local_capacity_bytes,
-            counters=counters,
+            clock, capacity_bytes=config.local_capacity_bytes, counters=counters
         )
-        faults = None
-        if config.cloud_error_rate > 0:
-            from repro.sim.failure import FaultInjector
-
-            faults = FaultInjector(
-                error_rate=config.cloud_error_rate,
-                seed=config.cloud_fault_seed,
-                op_prefixes=config.cloud_fault_op_prefixes,
-            )
-        cloud = CloudObjectStore(
-            clock, config.cloud_model, counters=counters, faults=faults
-        )
+        cloud = CloudObjectStore(clock, config.cloud_model, counters=counters)
         return cls(
             config,
             clock=clock,
@@ -429,7 +409,6 @@ class RocksMashStore(StoreFacade):
         local_device = DirectoryBackedDevice(
             root / "local",
             clock,
-            config.local_model,
             capacity_bytes=config.local_capacity_bytes,
             counters=counters,
         )
@@ -489,19 +468,18 @@ class RocksMashStore(StoreFacade):
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups with concurrent cloud fetches.
 
-        Keys are served in waves of ``multi_get_parallelism``; within a
+        Keys are served in waves of :data:`MULTI_GET_WAVE`; within a
         wave each key's I/O is charged to a forked child clock and the
         wave joins on the slowest key — modelling the parallel ranged GETs
         a real implementation issues (cache lookups and updates still
         happen, so warm keys cost nothing extra).
         """
-        width = max(1, self.config.multi_get_parallelism)
-        if width == 1 or len(keys) <= 1:
+        if len(keys) <= 1:
             return super().multi_get(keys, snapshot=snapshot)
         results: dict[bytes, bytes | None] = {}
         with self.tracer.span("multi_get") as span:
-            for start in range(0, len(keys), width):
-                wave = keys[start : start + width]
+            for start in range(0, len(keys), MULTI_GET_WAVE):
+                wave = keys[start : start + MULTI_GET_WAVE]
                 region = ForkJoinRegion(
                     self.op_clock, [self.local_device, self.cloud_store]
                 )

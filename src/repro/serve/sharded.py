@@ -139,7 +139,6 @@ class ShardedDB:
         base = config.base
         self.local_device = LocalDevice(
             self.clock,
-            base.local_model,
             capacity_bytes=base.local_capacity_bytes,
             counters=self.counters,
             tracer=self.tracer,
@@ -372,15 +371,6 @@ class ShardedDB:
         self.read_latency.record(sw.elapsed)
         self._drain_inline()
         return results
-
-    def scan_reverse(
-        self,
-        begin: bytes | None = None,
-        end: bytes | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[bytes, bytes]]:
-        """Descending-order scan over user keys in [begin, end)."""
-        return self.scan(begin, end, limit, reverse=True)
 
     def flush(self) -> None:
         """Flush every shard (parallel branches), plus anything deferred."""

@@ -12,19 +12,15 @@ import pytest
 from repro.lsm.blob import encode_blob_record
 from repro.lsm.check import check_db
 from repro.lsm.format import parse_file_name
+from repro.mash import bloblog
 from repro.mash.store import RocksMashStore, StoreConfig
 
 
-def blob_config(*, ratio: float = 0.5) -> StoreConfig:
+def blob_config() -> StoreConfig:
     config = StoreConfig().small()
     return replace(
         config,
-        options=replace(
-            config.options,
-            blob_value_threshold=64,
-            blob_segment_bytes=1 << 10,
-            blob_gc_dead_ratio=ratio,
-        ),
+        options=replace(config.options, blob_value_threshold=64, blob_segment_bytes=1 << 10),
     )
 
 
@@ -68,12 +64,13 @@ class TestFullReclamation:
 
 
 class TestDeadAccounting:
-    def test_dead_bytes_match_oracle(self):
+    def test_dead_bytes_match_oracle(self, monkeypatch):
         """Manifest-recorded dead bytes (plus bytes of fully-dead deleted
         segments) must equal an exact shadow account of every record whose
-        pointer compaction dropped. ``ratio=1.0`` disables rewrites so the
-        ledger is undisturbed."""
-        store = RocksMashStore.create(blob_config(ratio=1.0))
+        pointer compaction dropped. A dead ratio of 1.0 disables rewrites so
+        the ledger is undisturbed."""
+        monkeypatch.setattr(bloblog, "GC_DEAD_RATIO", 1.0)
+        store = RocksMashStore.create(blob_config())
         live: dict[bytes, bytes] = {}
         oracle_dead = 0
         for i in range(80):
@@ -160,10 +157,11 @@ class TestConcurrentReaders:
 
 
 class TestRewrites:
-    def test_partially_dead_segment_is_rewritten_once(self):
+    def test_partially_dead_segment_is_rewritten_once(self, monkeypatch):
         """A segment past the dead ratio gets its live residue re-put and
         is not rewritten again; the re-put values stay readable."""
-        store = RocksMashStore.create(blob_config(ratio=0.3))
+        monkeypatch.setattr(bloblog, "GC_DEAD_RATIO", 0.3)
+        store = RocksMashStore.create(blob_config())
         for i in range(12):
             store.put(key_of(i), big_value(i), sync=True)
         store.flush()

@@ -66,7 +66,7 @@ def run_script():
     snap()
     assert len(list(store.scan(key(100), key(400)))) == 300
     snap()
-    assert len(list(store.db.scan_reverse(key(700), key(900)))) == 200
+    assert len(list(store.db.scan(key(700), key(900), reverse=True))) == 200
     snap()
     for i in range(0, 1200, 3):  # overwrite a third, then flush + compact
         store.put(key(i), b"b%04d" % i * 12, sync=False)
@@ -78,7 +78,7 @@ def run_script():
         assert store.get(key(i)) is not None
     snap()
     assert len(list(store.scan(key(0), key(250)))) == 250
-    assert len(list(store.db.scan_reverse(key(1000), None))) == 200
+    assert len(list(store.db.scan(key(1000), None, reverse=True))) == 200
     snap()
     store.close()
     return trace

@@ -62,16 +62,6 @@ class TestParallelCompactionPipeline:
         store.compact_range(None, None)
         assert store.counters.get("compaction.upload_overlap_us_saved") > 0
 
-    def test_serial_uploads_when_parallelism_one(self):
-        knobs = HarnessKnobs(upload_parallelism=1)
-        store = make_store("rocksmash", knobs)
-        for i in range(1200):
-            store.put(make_key(i), make_value(i, 60))
-        store.compact_range(None, None)
-        # Demotions still happen; no overlap accounting is claimed.
-        assert store.placement.demotions > 0
-        assert store.counters.get("compaction.upload_overlap_us_saved") == 0
-
     def test_universal_partial_merges_refuse_to_split(self):
         import dataclasses
 

@@ -46,12 +46,12 @@ class TestReverseScan:
         db.flush()
         fill(db, 50)  # overwrite a prefix, keep some in the memtable
         forward = list(db.scan())
-        backward = list(db.scan_reverse())
+        backward = list(db.scan(reverse=True))
         assert backward == forward[::-1]
 
     def test_range_bounds(self, db):
         fill(db, 100)
-        got = list(db.scan_reverse(b"key00010", b"key00020"))
+        got = list(db.scan(b"key00010", b"key00020", reverse=True))
         assert [k for k, _ in got] == [
             f"key{i:05d}".encode() for i in range(19, 9, -1)
         ]
@@ -60,7 +60,7 @@ class TestReverseScan:
         fill(db, 50)
         db.flush()
         db.delete(b"key00025")
-        keys = [k for k, _ in db.scan_reverse()]
+        keys = [k for k, _ in db.scan(reverse=True)]
         assert b"key00025" not in keys
         assert len(keys) == 49
 
@@ -68,14 +68,14 @@ class TestReverseScan:
         db.put(b"k", b"old")
         db.flush()
         db.put(b"k", b"new")
-        assert list(db.scan_reverse()) == [(b"k", b"new")]
+        assert list(db.scan(reverse=True)) == [(b"k", b"new")]
 
     def test_snapshot_respected(self, db):
         db.put(b"a", b"1")
         snap = db.snapshot()
         db.put(b"a", b"2")
         db.put(b"b", b"3")
-        assert list(db.scan_reverse(snapshot=snap)) == [(b"a", b"1")]
+        assert list(db.scan(snapshot=snap, reverse=True)) == [(b"a", b"1")]
         db.release_snapshot(snap)
 
     def test_across_compacted_levels(self, db):
@@ -83,10 +83,10 @@ class TestReverseScan:
             db.put(f"key{i % 600:05d}".encode(), f"gen{i}".encode())
         db.compact_range()
         forward = list(db.scan())
-        assert list(db.scan_reverse()) == forward[::-1]
+        assert list(db.scan(reverse=True)) == forward[::-1]
 
     def test_empty_db(self, db):
-        assert list(db.scan_reverse()) == []
+        assert list(db.scan(reverse=True)) == []
 
     def test_random_ops_mirror_property(self, db):
         rng = random.Random(3)
@@ -96,13 +96,13 @@ class TestReverseScan:
                 db.put(k, f"v{step}".encode())
             else:
                 db.delete(k)
-        assert list(db.scan_reverse()) == list(db.scan())[::-1]
+        assert list(db.scan(reverse=True)) == list(db.scan())[::-1]
 
     def test_store_facade_reverse(self):
         store = RocksMashStore.create(StoreConfig().small())
         for i in range(1000):
             store.put(f"key{i:05d}".encode(), b"v")
-        got = store.scan_reverse(limit=5)
+        got = store.scan(limit=5, reverse=True)
         assert [k for k, _ in got] == [
             f"key{i:05d}".encode() for i in range(999, 994, -1)
         ]
@@ -112,7 +112,7 @@ class TestReverseSeekBlockReads:
     """A bounded reverse scan must not fetch blocks above its bound.
 
     Before the reverse table iterator (``TableReader.entries(bound,
-    reverse=True)``) seeked to its bound, ``scan_reverse`` walked every
+    reverse=True)``) seeked to its bound, a reverse scan walked every
     table's whole tail regardless of ``end`` — this pins the fix with an
     exact per-block assertion.
     """
@@ -143,13 +143,13 @@ class TestReverseSeekBlockReads:
                 refs[table_file_name("db/", meta.number)] = reader._seek_index()
 
             fetches.clear()
-            full = list(db.scan_reverse())
+            full = list(db.scan(reverse=True))
             assert len(full) == 2000
             full_fetches = len(fetches)
 
             fetches.clear()
             end = b"key00012"
-            got = list(db.scan_reverse(None, end))
+            got = list(db.scan(None, end, reverse=True))
             assert [k for k, _ in got] == [
                 f"key{i:05d}".encode() for i in range(11, -1, -1)
             ]
@@ -174,7 +174,7 @@ class TestReverseSeekBlockReads:
         try:
             for i in range(100):
                 db.put(f"key{i:05d}".encode(), b"v")
-            got = list(db.scan_reverse(b"key00003", b"key00007"))
+            got = list(db.scan(b"key00003", b"key00007", reverse=True))
             assert [k for k, _ in got] == [
                 f"key{i:05d}".encode() for i in range(6, 2, -1)
             ]
@@ -199,7 +199,7 @@ def cold_cloud_store(depth, records=600):
 
 
 class TestReverseScanPrefetchPipeline:
-    """``scan_reverse`` consults ``scan_pipeline_factory`` like ``scan``.
+    """``scan(reverse=True)`` consults ``scan_pipeline_factory`` like a forward scan.
 
     The forward path gained the prefetch pipeline in an earlier PR but the
     reverse path silently ignored the factory; these pin the wiring and
@@ -211,11 +211,11 @@ class TestReverseScanPrefetchPipeline:
         piped = cold_cloud_store(depth=2)
 
         t0 = base.clock.now
-        expect = base.scan_reverse()
+        expect = base.scan(reverse=True)
         base_elapsed = base.clock.now - t0
 
         t0 = piped.clock.now
-        got = piped.scan_reverse()
+        got = piped.scan(reverse=True)
         piped_elapsed = piped.clock.now - t0
 
         assert got == expect
@@ -225,7 +225,7 @@ class TestReverseScanPrefetchPipeline:
 
     def test_bounded_reverse_scan_waste_stays_bounded(self):
         store = cold_cloud_store(depth=4)
-        got = store.scan_reverse(None, make_key(40))
+        got = store.scan(None, make_key(40), reverse=True)
         assert len(got) == 40
         waste = store.tracer.event_count("prefetch_waste")
         issued = store.tracer.event_count("prefetch_issue")

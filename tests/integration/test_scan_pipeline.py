@@ -56,7 +56,7 @@ class TestScanRangePruning:
     def test_reverse_scan_opens_only_intersecting_l0(self, db):
         fill_chunks(db)
         db.table_cache.clear()
-        got = list(db.scan_reverse(b"03", b"05"))
+        got = list(db.scan(b"03", b"05", reverse=True))
         assert len(got) == 100
         assert [k for k, _ in got] == sorted(
             (k for k, _ in got), reverse=True
@@ -149,7 +149,7 @@ class TestScanPrefetchPipeline:
         expect = store.scan()
         store.db.table_cache.clear()
         hits0 = store.tracer.event_count("readahead_hit")
-        got = store.scan_reverse()
+        got = store.scan(reverse=True)
         assert got == expect[::-1]
         # The descending-streak detector turns the reverse scan's block
         # loads into buffered readahead hits instead of per-block GETs.

@@ -77,7 +77,7 @@ def test_soak_all_features(style):
             assert got == expected, step
         else:
             hi = rng.choice(keyspace)
-            got = store.scan_reverse(None, hi, limit=20)
+            got = store.scan(None, hi, limit=20, reverse=True)
             expected = sorted(
                 ((k, v) for k, v in model.items() if k < hi), reverse=True
             )[:20]
@@ -98,7 +98,7 @@ def test_soak_all_features(style):
 
     # Final full agreement.
     assert dict(store.scan()) == model
-    assert list(store.scan_reverse()) == sorted(model.items(), reverse=True)
+    assert list(store.scan(reverse=True)) == sorted(model.items(), reverse=True)
 
     # The checkpoint replays the exact mid-run state.
     restored = restore_checkpoint(store.cloud_store, f"soak-{style}", store.config)

@@ -13,6 +13,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.mash.store import RocksMashStore, StoreConfig
+from repro.sim.failure import FaultInjector
 from repro.workloads.ycsb import (
     WORKLOAD_A,
     WORKLOAD_F,
@@ -47,21 +48,21 @@ def key_of(i: int) -> bytes:
 
 
 def build_store(threshold: int, *, error: float = 0.0, seed: int = 0) -> RocksMashStore:
-    """Small store; ``threshold=0`` disables separation (the baseline)."""
+    """Small store; ``threshold=0`` disables separation (the baseline), and
+    ``error > 0`` fails that share of cloud reads (retried internally)."""
     config = StoreConfig().small()
     config = replace(
         config,
         options=replace(
-            config.options,
-            blob_value_threshold=threshold,
-            blob_segment_bytes=1 << 10,
-            blob_gc_dead_ratio=0.5,
+            config.options, blob_value_threshold=threshold, blob_segment_bytes=1 << 10
         ),
-        cloud_error_rate=error,
-        cloud_fault_seed=seed,
-        cloud_fault_op_prefixes=("cloud.get",),
     )
-    return RocksMashStore.create(config)
+    store = RocksMashStore.create(config)
+    if error > 0:
+        store.cloud_store.faults = FaultInjector(
+            error_rate=error, seed=seed, op_prefixes=("cloud.get",)
+        )
+    return store
 
 
 def observe(store: RocksMashStore, workload) -> tuple:

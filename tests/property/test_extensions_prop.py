@@ -60,7 +60,7 @@ class TestReverseScanProp:
     def test_reverse_is_mirror_of_forward(self, ops):
         db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", tiny_options())
         apply_ops(db, ops)
-        assert list(db.scan_reverse()) == list(db.scan())[::-1]
+        assert list(db.scan(reverse=True)) == list(db.scan())[::-1]
         db.close()
 
     @given(ops_strategy, small_keys, small_keys)
@@ -72,7 +72,7 @@ class TestReverseScanProp:
         expected = sorted(
             ((k, v) for k, v in model.items() if begin <= k < end), reverse=True
         )
-        assert list(db.scan_reverse(begin, end)) == expected
+        assert list(db.scan(begin, end, reverse=True)) == expected
         db.close()
 
 

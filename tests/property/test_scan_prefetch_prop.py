@@ -16,6 +16,7 @@ from repro.mash.placement import PlacementConfig
 from repro.mash.pcache import PCacheConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
+from repro.sim.failure import FaultInjector
 
 # The pipeline off, shallow and deep.
 DEPTHS = (0, 1, 2, 4)
@@ -49,11 +50,13 @@ def build_store(depth: int, error_rate: float, seed: int) -> RocksMashStore:
         options=replace(config.options, scan_prefetch_depth=depth),
         placement=PlacementConfig(cloud_level=1),
         pcache=PCacheConfig(data_budget_bytes=4 << 10),
-        cloud_error_rate=error_rate,
-        cloud_fault_seed=seed,
-        cloud_fault_op_prefixes=("cloud.get",),
     )
-    return RocksMashStore.create(config)
+    store = RocksMashStore.create(config)
+    if error_rate > 0:
+        store.cloud_store.faults = FaultInjector(
+            error_rate=error_rate, seed=seed, op_prefixes=("cloud.get",)
+        )
+    return store
 
 
 def model_scan(model, begin=None, end=None, limit=None, *, reverse=False):

@@ -11,12 +11,16 @@ invariant ``local + cloud + cpu == elapsed``.
 import hashlib
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.mash.pcache import PCacheConfig
+from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
 from repro.serve import FrontendConfig, ServeConfig, ShardedDB, run_open_loop
+from repro.sim.failure import FaultInjector
 from repro.workloads import ycsb
 from repro.workloads.generator import make_key
 
@@ -55,7 +59,7 @@ def apply(store, kind, idx, extra):
     if kind == "scan":
         return store.scan(make_key(idx), None, limit=extra)
     if kind == "scan_reverse":
-        return store.scan_reverse(None, make_key(idx), limit=extra)
+        return store.scan(None, make_key(idx), limit=extra, reverse=True)
     store.flush()
     return None
 
@@ -79,17 +83,17 @@ class TestShardedEquivalence:
         # Full-range and boundary-straddling scans agree at the end too,
         # in both directions.
         assert node.scan(None, None) == single.scan(None, None)
-        assert node.scan_reverse(None, None) == single.scan_reverse(None, None)
+        assert node.scan(None, None, reverse=True) == single.scan(None, None, reverse=True)
         for boundary in node.router.boundaries:
             assert node.scan(boundary, None, limit=5) == single.scan(
                 boundary, None, limit=5
             )
             assert node.scan(None, boundary) == single.scan(None, boundary)
-            assert node.scan_reverse(None, boundary, limit=5) == single.scan_reverse(
-                None, boundary, limit=5
+            assert node.scan(None, boundary, limit=5, reverse=True) == single.scan(
+                None, boundary, limit=5, reverse=True
             )
-            assert node.scan_reverse(boundary, None) == single.scan_reverse(
-                boundary, None
+            assert node.scan(boundary, None, reverse=True) == single.scan(
+                boundary, None, reverse=True
             )
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
@@ -151,6 +155,38 @@ class TestShardedEquivalence:
                 shard.db.blob_store.stats()["records_diverted"]
                 for shard in node.shards
             ) > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sharded_matches_single_store_under_cloud_read_faults(self, seed):
+        """Cloud faults reach a node the way they reach one store: through an
+        injector on ``node.cloud_store``, which every shard shares. The shards
+        retry the failed reads, and every get and scan still answers what an
+        unsharded, fault-free store answers."""
+        base = replace(
+            StoreConfig().small(),
+            placement=PlacementConfig(cloud_level=1),
+            pcache=PCacheConfig(data_budget_bytes=4 << 10),
+        )
+        keys = 200  # enough that reads miss the small caches and go to the cloud
+        single = RocksMashStore.create(base)
+        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=keys))
+        node.cloud_store.faults = FaultInjector(
+            error_rate=0.1, seed=seed, op_prefixes=("cloud.get",)
+        )
+        for round_no in range(3):
+            for idx in range(keys):
+                value = b"%d-%d-" % (round_no, idx) + b"v" * 120
+                apply(single, "put", idx, value)
+                apply(node, "put", idx, value)
+            single.flush()
+            node.flush()
+            for idx in range(0, keys + 8, 3):
+                for kind, extra in (("get", b""), ("scan", 9), ("scan_reverse", 9)):
+                    assert apply(node, kind, idx, extra) == apply(single, kind, idx, extra), (
+                        f"divergence at {kind} {idx} in round {round_no}"
+                    )
+        assert node.scan(None, None) == single.scan(None, None)
+        assert node.counters.get("cloud.retries") > 0
 
     def test_blob_gc_runs_through_deferred_maintenance(self):
         """With ``defer_maintenance`` on, blob GC happens when the deferred

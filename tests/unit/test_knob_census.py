@@ -1,11 +1,26 @@
-"""Knob census: every config field is set by something, and the count is fixed.
+"""Knob census: every config field is given a value by something, and the count is fixed.
 
-A field of a config dataclass that no code, benchmark, example or test ever
-sets is not a setting — it is a constant with plumbing. This test walks the
-ASTs of ``src/repro``, ``benchmarks``, ``examples`` and ``tests`` and fails
-when such a field appears, or when the number of settable values changes:
-a new option has to raise ``TOTAL_FIELDS`` in the same diff, where a reviewer
-sees it.
+A field of a config dataclass that nothing gives a value of its own is not a
+setting — it is a constant with plumbing. This test walks the ASTs of
+``src/repro``, ``benchmarks``, ``examples`` and ``tests`` and counts a field
+``C.f`` as set only where
+
+* ``C(...)`` is called with ``f=`` (or ``f`` in its positional slot), and
+  ``cls(...)`` inside ``C``'s own body counts as ``C(...)``;
+* ``dataclasses.replace(...)`` is called with ``f=`` — this counts for every
+  class that declares ``f``;
+* ``x.f`` is assigned on something other than ``self`` — also for every class
+  that declares ``f``;
+
+and only with a value that is neither a literal equal to the declared default
+(``field(default_factory=g)`` declares ``g()``) nor a forward ``y.f`` from a
+same-named field that is itself unset. A mirror such as
+``upload_parallelism=knobs.upload_parallelism`` is therefore traffic only if
+something gives ``knobs.upload_parallelism`` a value.
+
+The test fails when a field nothing sets appears, or when the number of
+fields changes: a new option has to raise ``TOTAL_FIELDS`` in the same diff,
+where a reviewer sees it.
 
 The same walk enforces DESIGN.md's rule for forks without traffic: a field
 that only ``tests`` or ``examples`` set — nothing in ``src/repro``, no
@@ -16,6 +31,7 @@ of waiting for the next audit.
 
 import ast
 import functools
+import operator
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,7 +51,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 85
+TOTAL_FIELDS = 72
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",
@@ -44,12 +60,10 @@ EXEMPT = {
 """Fields nothing sets that stay fields, each with the reason."""
 
 TEST_ONLY = {
-    "cloud_fault_seed": "fuzz axis: the property suites draw the fault stream's seed",
-    "cloud_fault_op_prefixes": "fuzz axis: ROADMAP item 1's cloud-fault-burst rule aims faults at writes",
-    "sync_every_n_appends": "fuzz axis: how much of the pcache slab a crash may tear",
-    "arrival_seed": "fuzz axis: the open-loop front-end's arrival stream",
-    "op_seed": "fuzz axis: the open-loop front-end's op stream",
-    "compaction_filter": "a user callback, not a setting; examples/session_ttl.py shows it",
+    "PCacheConfig.sync_every_n_appends": "fuzz axis: how much of the pcache slab a crash may tear",
+    "FrontendConfig.arrival_seed": "fuzz axis: the open-loop front-end's arrival stream",
+    "FrontendConfig.op_seed": "fuzz axis: the open-loop front-end's op stream",
+    "Options.compaction_filter": "a user callback, not a setting; examples/session_ttl.py shows it",
 }
 """Fields set from ``tests`` or ``examples`` and from nowhere in ``src/repro``
 or ``benchmarks`` — pinned exactly, each with the reason it stays a field."""
@@ -57,61 +71,225 @@ or ``benchmarks`` — pinned exactly, each with the reason it stays a field."""
 TRAFFIC = ("src/repro", "benchmarks")
 TESTS = ("examples", "tests")
 
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.LShift: operator.lshift,
+}
 
-def declared_fields(class_name: str, rel_path: str) -> list[str]:
-    tree = ast.parse((REPO_ROOT / rel_path).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return [
-                stmt.target.id
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            ]
-    raise AssertionError(f"{class_name} not found in {rel_path}")
+
+def _fold(node: ast.expr) -> object:
+    """The constant a literal expression folds to; ``ValueError`` otherwise."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_fold(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_fold(node.left), _fold(node.right))
+    if isinstance(node, ast.Tuple):
+        return tuple(_fold(element) for element in node.elts)
+    raise ValueError(ast.dump(node))
+
+
+def _value_key(node: ast.expr | None) -> tuple | None:
+    """A comparable stand-in for a value: its folded literal, ``("call", g)``
+    for a call ``g()`` with no arguments, ``None`` for anything else."""
+    if node is None:
+        return None
+    try:
+        return ("literal", _fold(node))
+    except ValueError:
+        pass
+    if isinstance(node, ast.Call) and not node.args and not node.keywords:
+        if isinstance(node.func, ast.Name):
+            return ("call", node.func.id)
+    return None
+
+
+def _default_key(stmt: ast.AnnAssign) -> tuple | None:
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        for keyword in value.keywords:
+            if keyword.arg == "default":
+                return _value_key(keyword.value)
+            if keyword.arg == "default_factory" and isinstance(keyword.value, ast.Name):
+                return ("call", keyword.value.id)
+        return None
+    return _value_key(value)
 
 
 @functools.cache
-def _names_set_in(top: str) -> frozenset[str]:
-    names: set[str] = set()
-    for path in sorted((REPO_ROOT / top).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.keyword) and node.arg is not None:
-                names.add(node.arg)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
-                    names.add(node.attr)
-    return frozenset(names)
+def declared() -> dict[str, dict[str, tuple | None]]:
+    """``{class: {field: default key}}`` in declaration order."""
+    out: dict[str, dict[str, tuple | None]] = {}
+    for class_name, rel_path in CONFIG_CLASSES.items():
+        tree = ast.parse((REPO_ROOT / rel_path).read_text(encoding="utf-8"))
+        node = next(
+            (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == class_name),
+            None,
+        )
+        assert node is not None, f"{class_name} not found in {rel_path}"
+        out[class_name] = {
+            stmt.target.id: _default_key(stmt)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+    return out
 
 
-def names_set_under(tops: tuple[str, ...]) -> set[str]:
-    """Every keyword-argument name and every non-``self`` attribute store."""
-    return set().union(*map(_names_set_in, tops))
+def _declaring(field_name: str) -> list[str]:
+    return [cls for cls, fields in declared().items() if field_name in fields]
+
+
+def _constructed(call: ast.Call, owner: str | None) -> str | None:
+    """The config class a call constructs, if any; ``cls(...)`` inside a
+    class body constructs that class."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "cls":
+        name = owner
+    return name if name in CONFIG_CLASSES else None
+
+
+def _is_replace(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "replace"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "replace"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "dataclasses"
+    )
+
+
+def _assignments(tree: ast.Module) -> list[tuple[list[str], str, ast.expr | None]]:
+    """Every ``(classes, field, value)`` the tree gives a config field;
+    ``value`` is ``None`` where the assigned expression is not one node."""
+    owners = {
+        id(call): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+    found: list[tuple[list[str], str, ast.expr | None]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords = [kw for kw in node.keywords if kw.arg is not None]
+            cls = _constructed(node, owners.get(id(node)))
+            if cls is not None:
+                positional = zip(declared()[cls], node.args)
+                found += [
+                    ([cls], f, arg) for f, arg in positional if not isinstance(arg, ast.Starred)
+                ]
+                found += [([cls], kw.arg, kw.value) for kw in keywords]
+            elif _is_replace(node):
+                found += [(_declaring(kw.arg), kw.arg, kw.value) for kw in keywords]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            plain = not isinstance(node, ast.AugAssign)
+            for target in targets:
+                for attr in ast.walk(target):
+                    if not (isinstance(attr, ast.Attribute) and isinstance(attr.ctx, ast.Store)):
+                        continue
+                    if isinstance(attr.value, ast.Name) and attr.value.id == "self":
+                        continue
+                    value = node.value if plain and attr is target else None
+                    found.append((_declaring(attr.attr), attr.attr, value))
+    return found
+
+
+def fields_set(trees: list[ast.Module]) -> set[str]:
+    """``C.f`` for every field the trees give a value other than its default."""
+    real: set[str] = set()
+    forwards: set[str] = set()
+    for tree in trees:
+        for classes, field_name, value in _assignments(tree):
+            key = _value_key(value)
+            is_forward = isinstance(value, ast.Attribute) and value.attr == field_name
+            for cls in classes:
+                if field_name not in declared()[cls]:
+                    continue
+                if key is not None and key == declared()[cls][field_name]:
+                    continue
+                (forwards if is_forward else real).add(f"{cls}.{field_name}")
+    settled = set(real)
+    pending = forwards - settled
+    while True:
+        resolved = {
+            qual
+            for qual in pending
+            if any(
+                other != qual and other.split(".")[1] == qual.split(".")[1]
+                for other in settled
+            )
+        }
+        if not resolved:
+            return settled
+        settled |= resolved
+        pending -= resolved
+
+
+@functools.cache
+def _trees_under(top: str) -> tuple[ast.Module, ...]:
+    return tuple(
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+    )
+
+
+def fields_set_under(tops: tuple[str, ...]) -> set[str]:
+    return fields_set([tree for top in tops for tree in _trees_under(top)])
+
+
+def all_fields() -> list[str]:
+    return [f"{cls}.{f}" for cls, fields in declared().items() for f in fields]
 
 
 def test_every_config_field_is_set_somewhere_and_the_total_is_pinned():
-    fields = {
-        name: declared_fields(name, rel) for name, rel in CONFIG_CLASSES.items()
-    }
-    set_names = names_set_under(TRAFFIC + TESTS)
+    set_fields = fields_set_under(TRAFFIC + TESTS)
     never_set = sorted(
-        f"{cls}.{f}"
-        for cls, names in fields.items()
-        for f in names
-        if f not in set_names and f not in EXEMPT
+        qual
+        for qual in all_fields()
+        if qual not in set_fields and qual.split(".")[1] not in EXEMPT
     )
     assert never_set == [], (
-        "fields nothing sets (make each a module constant beside the code "
-        f"that reads it): {never_set}"
+        "fields nothing gives a value of their own (make each a module "
+        f"constant beside the code that reads it): {never_set}"
     )
-    assert not set(EXEMPT) & set_names, "an exempt field is set now: drop its exemption"
-    per_class = {cls: len(names) for cls, names in fields.items()}
+    assert not {q for q in set_fields if q.split(".")[1] in EXEMPT}, (
+        "an exempt field is set now: drop its exemption"
+    )
+    per_class = {cls: len(fields) for cls, fields in declared().items()}
     assert sum(per_class.values()) == TOTAL_FIELDS, per_class
 
 
-def test_fields_only_tests_set_are_the_pinned_six():
-    fields = {f for name, rel in CONFIG_CLASSES.items() for f in declared_fields(name, rel)}
-    test_only = fields & names_set_under(TESTS) - names_set_under(TRAFFIC)
-    assert test_only == set(TEST_ONLY), (
+def test_fields_only_tests_set_are_pinned():
+    test_only = fields_set_under(TRAFFIC + TESTS) - fields_set_under(TRAFFIC)
+    assert sorted(test_only) == sorted(TEST_ONLY), (
         "a field only tests or examples set selects a path no experiment or "
         "benchmark runs: make it a constant, or give it traffic"
     )
+
+
+def test_the_census_counts_values_not_names():
+    """A literal equal to the default, a ``default_factory`` call and a
+    forward from an unset field are not traffic; a forward from a set one
+    is."""
+    source = (
+        "HarnessKnobs(cloud_level=2, cloud_rtt=rtt)\n"
+        "StoreConfig(cost_model=CostModel())\n"
+        "StoreConfig(scan_readahead_bytes=knobs.scan_readahead_bytes)\n"
+        "Options(write_buffer_size=knobs.write_buffer_size)\n"
+        "HarnessKnobs(write_buffer_size=4 << 10)\n"
+    )
+    got = fields_set([ast.parse(source)])
+    assert got == {
+        "HarnessKnobs.cloud_rtt",
+        "HarnessKnobs.write_buffer_size",
+        "Options.write_buffer_size",
+    }
