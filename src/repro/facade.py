@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
@@ -38,19 +39,12 @@ def take_rows(
 
     Closing here, not at garbage collection, makes a limited scan's cleanup
     (version unpin, prefetch-pipeline finish + waste accounting) run
-    deterministically inside the caller's span.
+    deterministically inside the caller's span. ``islice`` stops at the
+    ``limit``-th row without pulling another, and a ``limit`` of 0 never
+    starts the generator: no version pinned, no I/O for an empty answer.
     """
-    out: list[tuple[bytes, bytes]] = []
     with closing(rows):
-        if limit == 0:
-            # Closing a generator that never started runs none of its body:
-            # no version pinned, no I/O for an empty answer.
-            return out
-        for i, kv in enumerate(rows):
-            if limit is not None and i >= limit:
-                break
-            out.append(kv)
-    return out
+        return list(islice(rows, limit))
 
 
 @dataclass(frozen=True)
