@@ -1,8 +1,9 @@
 """E18 (extension) — parallel subcompactions + coalesced compaction I/O.
 
 Expected shape: every input is read in one sequential pass (one ranged GET
-per cloud input, not one per block); partitioning the merge across
-subcompaction clocks then divides the remaining transfer/merge time. The
+per cloud input, not one per block), and a merge issues those reads as
+concurrent requests before it starts; partitioning the merge across
+subcompaction clocks then divides the remaining merge and write time. The
 DB contents are byte-identical in every configuration (the digest column),
 and the whole pipeline is deterministic — running a configuration twice
 reproduces the same simulated seconds to the femtosecond.
@@ -33,11 +34,15 @@ def test_e18_parallel_compaction(benchmark):
     assert len(digests) == 1
     assert rows[1][idx("coalesced_fetches")] > 0
 
-    # Subcompactions: >= 1.5x simulated speedup at parallelism 4 vs 1.
+    # Subcompactions: >= 1.3x simulated speedup at parallelism 4 vs 1
+    # (1.51x measured). It was 2.29x while a serial merge fetched its inputs
+    # one after another; now every merge fetches them concurrently, so
+    # partitions divide only the merge and writes, and each partition
+    # re-fetches the opening range of every input it spans.
     seconds = {p: row[idx("compact_seconds")] for p, row in rows.items()}
-    assert seconds[4] * 1.5 <= seconds[1]
-    # More parallelism never makes it drastically worse (diminishing returns
-    # at 8 are fine; regression past the serial time is not).
+    assert seconds[4] * 1.3 <= seconds[1]
+    # More parallelism never makes it worse than serial (8 is slower than 4:
+    # diminishing returns are fine, regression past the serial time is not).
     assert seconds[8] < seconds[1]
 
     # Upload overlap recovered simulated time in every configuration.

@@ -194,6 +194,10 @@ class Block:
         """All entries in key order."""
         return iter(self._decode(0, self._restart_base))
 
+    def head(self) -> Entry | None:
+        """The first entry, decoding none after it (None for an empty block)."""
+        return self._decode(0, 1)[0] if self._restart_base else None
+
     def _run(self, index: int) -> list[Entry]:
         """The entries of restart run ``index`` (1-based: the run that starts
         at ``restarts[index - 1]``), from :attr:`runs` when it is kept."""

@@ -395,6 +395,11 @@ class SequentialStack(BlockStack):
         self.readahead = ReadaheadBuffer(file, readahead_bytes=window, eager=True)
         self.on_block = on_block
 
+    def prime(self, handle: BlockHandle) -> None:
+        """Issue now the read the pass's first :meth:`block` (of ``handle``)
+        would issue: several passes then fetch at once, before any is read."""
+        self.readahead.prime(handle, self.readahead.readahead_bytes)
+
     def block(self, handle: BlockHandle) -> Block:
         payload = self.readahead.get(handle)
         if payload is None:

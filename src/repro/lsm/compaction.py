@@ -29,7 +29,8 @@ Execution is a **parallel pipeline**:
 * Every input is read in one pass its table's stack builds
   (:meth:`~repro.lsm.block_cache.BlockStack.sequential`): one ranged read
   per :data:`COMPACTION_READAHEAD_BYTES`, not one RTT per block, and no
-  block cache looked up or filled.
+  block cache looked up or filled. Every pass's first read is issued before
+  the merge, concurrently (:data:`~repro.storage.cloud.REQUEST_SLOTS` slots).
 
 Each output records the simulated time its builder finished
 (``CompactionOutput.finished_at``); the placement layer uses it to overlap
@@ -52,8 +53,9 @@ from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData, Version, VersionEdit
 from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.sim.failure import crash_points
+from repro.storage.cloud import REQUEST_SLOTS
 from repro.storage.env import Env
-from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE, Entry
+from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, TYPE_VALUE, Entry, seek_goal
 
 COMPACTION_READAHEAD_BYTES = 2 << 20
 """Bytes per ranged read of compaction's pass over an input: a whole table
@@ -382,6 +384,7 @@ class CompactionJob:
         """
         passes = []
         sources = []
+        primes = []
         for meta in compaction.inputs + compaction.overlaps:
             if hi is not None and meta.smallest_user_key >= hi:
                 continue
@@ -391,6 +394,18 @@ class CompactionJob:
             stack = reader.stack.sequential(COMPACTION_READAHEAD_BYTES)
             passes.append(stack)
             sources.append(reader.range_iter(lo, hi, stack=stack))
+            first = reader.edge_data_handle(seek_goal(lo) if lo is not None else None)
+            if first is not None:
+                primes.append((stack, first))
+        if clock is not None:
+            # The merge's first pull would fetch each input's opening range in
+            # turn; issue those reads first, concurrently. Same requests in the
+            # same order: only the clock sees the overlap.
+            region = ForkJoinRegion(clock, self.env.clock_hosts(), slots=REQUEST_SLOTS)
+            for stack, first in primes:
+                with region.branch():
+                    stack.prime(first)
+            region.join()
         merged = merge_internal(sources)
 
         dropped = 0

@@ -166,16 +166,21 @@ class TableReader:
         """Handle of the first data block :meth:`entries` would read.
 
         Index-only (no data-block I/O): used by the scan-prefetch pipeline
-        to prime a table's opening range ahead of consumption. Forward
-        that is the boundary block of ``goal`` (None when every key
-        sorts below it) or the table's first block; reverse, the boundary
-        block of the exclusive bound ``goal`` or the table's last block.
+        and by compaction to prime a table's opening range ahead of
+        consumption. Forward that is the boundary block of ``goal`` (None
+        when every key sorts below it) or the table's first block, read off
+        the first index entry alone (no sort keys kept); reverse, the
+        boundary block of the exclusive bound ``goal`` or the table's last
+        block.
         """
+        if goal is None and not reverse:
+            first = self._index.head()
+            return decode_handle(first[2])[0] if first is not None else None
         orders, handles = self._seek_index()
         if not handles:
             return None
         if goal is None:
-            return handles[-1 if reverse else 0]
+            return handles[-1]
         position = bisect_left(orders, goal)
         if position == len(handles):
             return handles[-1] if reverse else None

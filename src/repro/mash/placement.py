@@ -18,8 +18,9 @@ local tables when the device fills up — this is what experiment E11 sweeps.
 Uploads *overlap* the compaction that produced them: each output records
 when its builder finished (``CompactionOutput.finished_at``), and the
 demotion batch replays the uploads on back-dated child clocks through up to
-:data:`UPLOAD_SLOTS` slots — modelling a real implementation that starts
-PUTting a finished output while the merge keeps producing the next one.
+:data:`~repro.storage.cloud.REQUEST_SLOTS` slots — modelling a real
+implementation that starts PUTting a finished output while the merge keeps
+producing the next one.
 The simulated time this recovers versus strictly-serial post-compaction
 uploads is ticked as ``compaction.upload_overlap_us_saved``.
 """
@@ -34,15 +35,11 @@ from repro.lsm.db import DB, FlushEvent
 from repro.lsm.format import table_file_name
 from repro.sim.clock import ForkJoinRegion
 from repro.sim.failure import crash_points
+from repro.storage.cloud import REQUEST_SLOTS
 from repro.storage.env import CLOUD, LOCAL, HybridEnv
 
 PROMOTION_HEADROOM = 0.9
 """Promotions stop once local bytes exceed this fraction of the budget."""
-
-UPLOAD_SLOTS = 4
-"""Concurrent upload slots for demotions. Cloud-bound compaction outputs
-start uploading the moment their builder finishes (overlapping the rest of
-the merge), queueing behind a free slot when all are busy."""
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,8 @@ class PlacementManager:
         ``items`` is ``(file number, ready_at)`` where ``ready_at`` is the
         simulated instant the file became uploadable (``None`` = now). Each
         upload runs on a child clock back-dated to ``max(ready_at, slot
-        free time)`` across :data:`UPLOAD_SLOTS` slots; the parent clock
-        then merges, so fully-overlapped uploads cost no wall time at all.
+        free time)`` across the request slots; the parent clock then
+        merges, so fully-overlapped uploads cost no wall time at all.
         The difference versus serially uploading after the barrier is
         ticked as ``compaction.upload_overlap_us_saved``.
         """
@@ -156,15 +153,12 @@ class PlacementManager:
                 self._demote(number)
             return
         base_now = clock.now
-        region = ForkJoinRegion(clock, self.env.clock_hosts())
-        slot_free = [0.0] * UPLOAD_SLOTS
+        region = ForkJoinRegion(clock, self.env.clock_hosts(), slots=REQUEST_SLOTS)
         serial_cost = 0.0
         for number, ready_at in items:
-            slot = min(range(UPLOAD_SLOTS), key=lambda i: slot_free[i])
-            start = max(ready_at if ready_at is not None else base_now, slot_free[slot])
-            with region.branch(start=start) as child:
+            with region.branch(start=ready_at) as child:
+                start = child.now
                 self._demote(number)
-            slot_free[slot] = child.now
             serial_cost += child.now - start
         region.join(strict=False)
         saved = (base_now + serial_cost) - clock.now

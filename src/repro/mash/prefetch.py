@@ -4,11 +4,11 @@ A range scan merges one iterator per L0 file plus one per deeper level;
 each level walks its disjoint tables in key order. Without prefetch the
 merge pays every cloud-resident table's open (footer/index/filter) and
 first ranged GET only when the heap *reaches* that table — strictly
-serially, one RTT chain per table. This module hides those round trips the
-same way the compaction pipeline (PR 1) hides input fetches: speculative
-work runs under a :class:`~repro.sim.clock.ForkJoinRegion` on forked child
-clocks, so its simulated latency overlaps consumption of the current table
-and only the *uncovered* remainder reaches the parent clock at join.
+serially, one RTT chain per table. This module hides those round trips as
+compaction hides its input fetches, but speculatively: work runs under a
+:class:`~repro.sim.clock.ForkJoinRegion` on forked child clocks, so its
+simulated latency overlaps consumption of the current table and only the
+*uncovered* remainder reaches the parent clock at join.
 
 One :class:`ScanPrefetcher` exists per scan, forward or reverse (built by
 ``RocksMashStore`` via ``DB.scan_pipeline_factory``); it implements the

@@ -14,6 +14,7 @@ without real threads, keeping every figure deterministic.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
@@ -127,7 +128,9 @@ class ForkJoinRegion:
     the child. :meth:`join` advances the parent to the slowest child.
     Branches run one after another in real execution — determinism — while
     the clock accounting models them as concurrent. Regions nest: a branch
-    may open its own ``ForkJoinRegion`` on the child clock.
+    may open its own ``ForkJoinRegion`` on the child clock. With ``slots=n``
+    at most ``n`` branches overlap: a branch queues for the earliest free
+    slot, as a client's requests queue for a free connection.
 
     Example::
 
@@ -138,10 +141,11 @@ class ForkJoinRegion:
         region.join()           # parent advances to the slowest branch
     """
 
-    def __init__(self, parent: SimClock, hosts: list[ClockCharged]) -> None:
+    def __init__(self, parent: SimClock, hosts: list[ClockCharged], *, slots: int = 0) -> None:
         self.parent = parent
         self.hosts = hosts
         self.children: list[SimClock] = []
+        self._free_at = [0.0] * slots  # a min-heap of the slots' free times
         # Tier-attribution tracers ride along with their devices: any host
         # carrying a ``tracer`` joins branch scopes too, so charges made
         # inside a branch collect per-branch and fold back at join with
@@ -155,7 +159,10 @@ class ForkJoinRegion:
     @contextmanager
     def branch(self, start: float | None = None) -> Iterator[SimClock]:
         """Run one concurrent task; ``start`` may back-date it (see
-        :meth:`SimClock.child`)."""
+        :meth:`SimClock.child`); with ``slots``, it waits for the earliest
+        free slot and holds it until the task ends."""
+        if self._free_at:
+            start = max(self.parent.now if start is None else start, self._free_at[0])
         child = self.parent.child(start)
         self.children.append(child)
         with ExitStack() as stack:
@@ -164,6 +171,8 @@ class ForkJoinRegion:
             for tracer in self._tracers:
                 stack.enter_context(tracer.clock_scope(child))
             yield child
+        if self._free_at:
+            heapq.heapreplace(self._free_at, child.now)
 
     def join(self, *, strict: bool = True) -> float:
         """Advance the parent to the slowest branch.

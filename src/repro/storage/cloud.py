@@ -26,6 +26,10 @@ from repro.sim.latency import LatencyModel, cloud_object_storage
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
+REQUEST_SLOTS = 4
+"""Requests one client keeps in flight (``ForkJoinRegion(..., slots=)``): a
+compaction's input fetches, and a demotion batch's uploads, queue for these."""
+
 
 class CloudObjectStore(ClockCharged):
     """An in-memory object store with S3-like semantics and accounting."""

@@ -25,6 +25,11 @@ compaction reads left the counters, and the reads after them met other cache
 contents. The labelled steps' span lists and the read-only steps' span
 checksums came out unchanged. Only the stack's own readahead buffers are
 summed; a compaction's pass is not one of its sources.
+
+The stack script's clock field (the last of each step) was re-recorded once
+more, alone, when compaction began issuing its inputs' first reads as
+concurrent requests before the merge: every request, counter, event and
+span list stayed equal on all 16 steps, and only the simulated time moved.
 """
 
 import dataclasses
@@ -198,37 +203,37 @@ def run_stack_script(buffers):
 # fmt: off
 STACK_EXPECTED = [
     ((0, 0, 276, 276, 198, 0, 0), (0, 0), (38, 821, 648825, 759166),
-     (0, 0, 0, 142, 0, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 3757877503, 1.6244509156666613),
+     (0, 0, 0, 142, 0, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 3757877503, 1.3037603096666646),
     ((183, 317, 351, 285, 406, 181, 2), (1, 52), (298, 1356, 829971, 923221),
-     (0, 183, 53, 204, 208, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 5.580849308666649),
+     (0, 183, 53, 204, 208, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1988501149, 5.260158702666651),
     ((183, 318, 351, 285, 407, 182, 2), (1, 52), (299, 1356, 829971, 923221),
-     (0, 183, 53, 204, 209, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 5.59585590866665),
+     (0, 183, 53, 204, 209, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 5.275165302666651),
     ((183, 318, 351, 285, 407, 182, 2), (1, 52), (299, 1356, 829971, 923221),
-     (1, 183, 53, 204, 209, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 5.59585590866665),
+     (1, 183, 53, 204, 209, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 5.275165302666651),
     ((457, 344, 351, 285, 433, 208, 3), (1, 52), (325, 1736, 995869, 965115),
-     (1, 457, 53, 204, 235, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 6.019935236999948),
+     (1, 457, 53, 204, 235, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 5.699244630999949),
     ((458, 344, 351, 285, 433, 208, 3), (1, 52), (325, 1737, 996391, 965115),
-     (1, 458, 53, 204, 235, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 6.020015497999948),
+     (1, 458, 53, 204, 235, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 5.699324891999949),
     ((473, 389, 351, 285, 444, 219, 3), (26, 58), (342, 1755, 1005664, 971574),
-     (1, 473, 84, 207, 246, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 6.277068827999949),
+     (1, 473, 84, 207, 246, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 5.956378221999951),
     ((473, 393, 351, 285, 446, 221, 3), (26, 58), (344, 1757, 1006721, 971574),
-     (1, 473, 84, 209, 248, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 6.307241643999951),
+     (1, 473, 84, 209, 248, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 5.986551037999952),
     ((474, 399, 351, 285, 449, 224, 3), (26, 60), (349, 1759, 1007774, 973681),
-     (1, 474, 86, 210, 251, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 6.382576500166618),
+     (1, 474, 86, 210, 251, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 6.061885894166619),
     ((474, 460, 351, 285, 462, 236, 3), (60, 67), (369, 1766, 1011413, 979855),
-     (1, 474, 127, 217, 264, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3729071296, 6.6837926106666234),
+     (1, 474, 127, 217, 264, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3729071296, 6.363102004666625),
     ((480, 484, 351, 285, 482, 256, 4), (60, 68), (390, 1882, 1040484, 1018122),
-     (1, 480, 128, 220, 284, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 2236116211, 6.755513987999951),
+     (1, 480, 128, 220, 284, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 2236116211, 6.434823381999952),
     ((480, 484, 450, 351, 695, 372, 6), (60, 68), (411, 2500, 1351029, 1383085),
-     (1, 480, 128, 248, 284, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 7.513369421666623),
+     (1, 480, 128, 248, 284, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 6.981038821166622),
     ((480, 484, 1419, 549, 1451, 623, 11), (60, 68), (579, 5063, 2545366, 2480058),
-     (1, 480, 128, 268, 284, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 13.274906085666691),
+     (1, 480, 128, 268, 284, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 10.845165954666681),
     ((480, 702, 1503, 549, 1507, 648, 12), (195, 95), (662, 5262, 2580518, 2537103),
-     (158, 480, 290, 268, 340, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 14.541712579166703),
+     (158, 480, 290, 268, 340, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 12.111972448166693),
     ((490, 781, 1503, 549, 1531, 671, 12), (238, 107), (698, 5272, 2585733, 2549805),
-     (158, 490, 345, 268, 364, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 4076676325, 15.083735167166704),
+     (158, 490, 345, 268, 364, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 4076676325, 12.653995036166695),
     ((1490, 2281, 1503, 549, 2626, 1767, 27), (240, 510), (2196, 8004, 3482429, 3559290),
-     (158, 1490, 750, 268, 1459, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 747270562, 37.86301273016698),
+     (158, 1490, 750, 268, 1459, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 747270562, 35.43327259916732),
 ]
 
 STACK_SPANS = {

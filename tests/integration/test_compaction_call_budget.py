@@ -31,7 +31,9 @@ ENTRIES_PER_PASS = 2000
 # every input block through the table's stack: 53.09; before the table
 # builder pulled the merged stream: 58.27; before keys were split once and
 # filter keys hashed in lanes: 79.6; before heat inheritance bisected ranges:
-# 138.1 and 13.5). Ceilings sit 10 % above.
+# 138.1 and 13.5). Ceilings sit 10 % above. Issuing every input's first read
+# on a fork/join branch before the merge (one branch per input, its context
+# managers included) brought the first figure to 45.60 under the same ceiling.
 CALLS_PER_ENTRY_CEILING = 48.3
 LAYOUT_CALLS_PER_ENTRY_CEILING = 0.688
 

@@ -32,6 +32,14 @@ def compact_and_measure(store):
 
 class TestParallelCompactionPipeline:
     def test_contents_identical_and_faster(self):
+        """Four subcompactions beat one by 1.2x or more (1.30x measured).
+
+        The margin was 1.5x while a serial merge fetched its inputs one
+        after another: partitioning then overlapped those fetches too. Now
+        every merge issues its inputs' first reads as concurrent requests,
+        so partitions divide only the merge and the local writes, and each
+        partition fetches its own opening range of every input it spans.
+        """
         serial = build_store(1)
         parallel = build_store(4)
         blocks_written = []
@@ -42,7 +50,7 @@ class TestParallelCompactionPipeline:
         parallel_seconds, parallel_gets = compact_and_measure(parallel)
 
         assert list(parallel.db.scan(None, None)) == list(serial.db.scan(None, None))
-        assert parallel_seconds * 1.5 <= serial_seconds
+        assert parallel_seconds * 1.2 <= serial_seconds
         # Each partition restarts its inputs' passes at its seek, so four
         # issue more ranged GETs than one; both issue far fewer than blocks.
         assert 0 < serial_gets < parallel_gets

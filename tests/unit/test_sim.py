@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IOErrorSim
-from repro.sim.clock import SimClock, StopwatchRegion
+from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
 from repro.sim.failure import FaultInjector, RetryPolicy
 from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
 
@@ -58,6 +58,45 @@ class TestSimClock:
         with StopwatchRegion(clock) as sw:
             clock.advance(0.25)
         assert sw.elapsed == pytest.approx(0.25)
+
+
+class TestSlottedRegion:
+    # (ready_at, duration): back-dated and current entries, more than the
+    # slots, so some branches queue behind a busy slot.
+    TASKS = [(None, 0.3), (2.0, 0.5), (9.5, 0.2), (None, 1.0), (3.0, 0.4), (None, 0.1), (12.0, 0.2)]
+
+    def old_slot_loop(self, now, slots):
+        """Where the demotion batch's hand-written slot loop started each task."""
+        slot_free = [0.0] * slots
+        starts = []
+        for ready_at, duration in self.TASKS:
+            slot = min(range(slots), key=lambda i: slot_free[i])
+            start = max(ready_at if ready_at is not None else now, slot_free[slot])
+            starts.append(start)
+            slot_free[slot] = start + duration
+        return starts
+
+    @pytest.mark.parametrize("slots", [1, 2, 4])
+    def test_branches_start_where_the_slot_loop_started_them(self, slots):
+        clock = SimClock(now=10.0)
+        region = ForkJoinRegion(clock, [], slots=slots)
+        starts = []
+        for ready_at, duration in self.TASKS:
+            with region.branch(start=ready_at) as child:
+                starts.append(child.now)
+                child.advance(duration)
+        region.join(strict=False)
+        assert starts == self.old_slot_loop(10.0, slots)
+        assert clock.now == max(start + d for start, (_, d) in zip(starts, self.TASKS))
+
+    def test_without_slots_every_branch_starts_at_once(self):
+        clock = SimClock(now=1.0)
+        region = ForkJoinRegion(clock, [])
+        for _ in range(6):
+            with region.branch() as child:
+                assert child.now == 1.0
+                child.advance(0.5)
+        assert region.join() == 1.5
 
 
 class TestLatencyModel:
