@@ -8,7 +8,7 @@ break that contract, all checked here:
 **Swallowing handlers** (per module). An ``except`` clause that catches
 ``Exception``/``BaseException``/everything — or names ``CrashPointFired``
 itself — and does not re-raise can eat a fired crash point, making the
-injected crash silently *not happen* and the recovery matrix vacuous. A
+injected crash silently *not happen* and the crash tests vacuous. A
 broad handler is accepted only when a crash point provably cannot escape
 it: either it re-raises (a bare ``raise`` anywhere in its body) or an
 earlier handler on the same ``try`` catches ``CrashPointFired`` and
@@ -16,16 +16,17 @@ re-raises it.
 
 **Registry drift** (cross file). Every ``reach("<site>")`` literal must
 name a site in the ``CRASH_SITES`` registry, and every registered site must
-be reached by some call site — otherwise the crashmonkey matrix either
-crashes on an unknown name at runtime or quietly stops covering a site.
+be reached by some call site — otherwise arming crashes on an unknown name
+at runtime, or the store machine's site test quietly loses a site it can
+fire.
 
 **Unbracketed commits** (per module, lexical). A function under ``lsm/`` or
 ``mash/`` that commits a MANIFEST edit (``log_and_apply``) must contain a
 ``crash_points.reach(...)`` site in its own body: a new commit path with no
-site is a window the crashmonkey matrix cannot explore, and no test run
-can notice a site that was never written. Where in the function the site
-sits is not judged — crashmonkey fires every registered site and checks
-what recovery finds.
+site is a window no crash test can explore, and no test run can notice a
+site that was never written. Where in the function the site sits is not
+judged — the stateful store oracle (``tests/property/test_store_machine.py``)
+fires every registered site and checks what recovery finds.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ class CrashPointHygieneRule(Rule):
                         self.id,
                         call,
                         f"MANIFEST commit in {fn.name}() with no reach() crash "
-                        "site in the function's own body — the crashmonkey "
-                        "matrix cannot explore the window this commit closes "
+                        "site in the function's own body — no crash test "
+                        "can explore the window this commit closes "
                         "(crash-coverage gap)",
                     )
 
@@ -171,18 +172,15 @@ class CrashPointHygieneRule(Rule):
             return ()  # no CRASH_SITES in the linted tree: nothing to check
         findings: list[Finding] = []
         reached: set[str] = set()
-        dynamic: set[str] = set()
-        for facts in files:
-            dynamic.update(facts.registers)
         for facts in files:
             for name, site in sorted(facts.reaches.items()):
                 reached.add(name)
-                if name not in registered and name not in dynamic:
+                if name not in registered:
                     findings.append(
                         site.finding(
                             self.id,
                             f"reach({name!r}) names a crash point missing "
-                            f"from {REGISTRY_NAME} — arming and matrix "
+                            f"from {REGISTRY_NAME} — arming and site "
                             "enumeration cannot see it",
                         )
                     )
@@ -192,8 +190,8 @@ class CrashPointHygieneRule(Rule):
                     registered[name].finding(
                         self.id,
                         f"{REGISTRY_NAME} registers {name!r} but no "
-                        "reach() call site exists — the crashmonkey matrix "
-                        "silently stopped covering it",
+                        "reach() call site exists — no crash test can "
+                        "fire it",
                     )
                 )
         return findings

@@ -4,8 +4,8 @@ Most rules judge one file at a time. Three need the whole tree, and each
 joins on one small fact per file, extracted here while the file's AST is
 in hand so the engine never holds more than one tree:
 
-* **crash-point facts** (RL003) — ``reach()`` sites, dynamic
-  ``register()`` calls and the ``CRASH_SITES`` registry literal;
+* **crash-point facts** (RL003) — ``reach()`` sites and the
+  ``CRASH_SITES`` registry literal;
 * **taxonomy facts** (RL004) — class tables and ``raise`` sites;
 * **suppression comments** (RL010) — the rule ids each
   ``# reprolint: ignore[...]`` names, un-propagated.
@@ -37,8 +37,6 @@ class FileFacts:
     rel_path: str
     #: every ``reach("<site>")`` literal: site name → first location.
     reaches: dict[str, Site] = field(default_factory=dict)
-    #: ``register("<site>")`` dynamic registrations.
-    registers: list[str] = field(default_factory=list)
     #: the ``CRASH_SITES`` literal keys (site → location) when defined here.
     registry: dict[str, Site] | None = None
     #: class name → base-class names.
@@ -75,12 +73,8 @@ def extract_file_facts(module: "ModuleInfo") -> FileFacts:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name = str_const(node.args[0]) if node.args else None
-            if name is None:
-                continue
-            if node.func.attr == "reach":
+            if name is not None and node.func.attr == "reach":
                 facts.reaches.setdefault(name, module.site(node))
-            elif node.func.attr == "register":
-                facts.registers.append(name)
         elif isinstance(node, ast.ClassDef):
             facts.classes.setdefault(
                 node.name,

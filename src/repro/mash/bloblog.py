@@ -168,6 +168,8 @@ class BlobLog:
 
     def _append(self, sequence: int, key: bytes, value: bytes, *, sync: bool) -> bytes:
         if self.active_file is None:
+            if self.active_number is not None:
+                self.seal_active()  # a seal a cloud error interrupted
             self.active_number = self.versions.new_file_number()
             name = blob_file_name(self.prefix, self.active_number)
             self.active_file = self.env.new_writable_file(name)
@@ -215,20 +217,23 @@ class BlobLog:
     def on_flush_begin(self) -> None:
         """Seal before a memtable flush so the resulting SSTable only
         references durable, MANIFEST-recorded segments."""
-        if self.active_file is not None and self.active_offset > 0:
+        if self.active_number is not None and self.active_offset > 0:
             self.seal_active()
 
     def seal_active(self) -> None:
-        assert self.active_file is not None and self.active_number is not None
+        assert self.active_number is not None
         number = self.active_number
         name = blob_file_name(self.prefix, number)
-        self.active_file.sync()
-        self.active_file.close()
-        self.active_file = None
-        self.active_number = None
-        self.active_unsynced = False
+        if self.active_file is not None:
+            self.active_file.sync()
+            self.active_file.close()
+            self.active_file = None
+            self.active_unsynced = False
         data = self.env.local.read_file(name)
+        # A cloud error here leaves the closed segment active, so the next
+        # seal retries it before the next append or flush.
         self._upload_and_record(number, name, data, 0)
+        self.active_number = None
         self.active_offset = 0
         self.segments_sealed += 1
 

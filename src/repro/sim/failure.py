@@ -19,21 +19,17 @@ Three failure modes matter for the paper's reliability story:
   next pass through it raise :class:`CrashPointFired`, after which a
   harness crashes the devices and re-opens the store to check recovery.
 
-:class:`RecoveryOracle` is the companion checker: it shadows every
-*acknowledged* write/delete during a workload and, after crash + reopen,
-verifies durability (every acked write readable), per-key prefix
-consistency (a key may only hold its last acked value or the single
-in-flight value the crash interrupted), and no resurrection of deleted or
-never-written keys.
+The harness is the stateful store oracle
+(``tests/property/test_store_machine.py``): it arms every registered site
+and checks the reopened store against its dict model.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Protocol
 
 from repro.errors import IOErrorSim
 
@@ -125,8 +121,8 @@ class CrashPointFired(Exception):
 
 
 #: Every instrumented mid-operation crash site, with what a crash there
-#: leaves behind. Central so harnesses can enumerate the full matrix even
-#: before the instrumented modules are imported.
+#: leaves behind. Central so a harness can enumerate every site even before
+#: the instrumented modules are imported.
 CRASH_SITES: dict[str, str] = {
     "flush.before_manifest": (
         "L0 table written and WAL rotated, manifest edit not yet committed "
@@ -209,25 +205,15 @@ class CrashPointRegistry:
     again.
     """
 
-    def __init__(self, sites: dict[str, str] | None = None) -> None:
-        self._sites = dict(CRASH_SITES if sites is None else sites)
+    def __init__(self) -> None:
         self.hits: dict[str, int] = {}
         self.fired: str | None = None
         self._armed: str | None = None
         self._skip = 0
 
-    # -- site catalogue -----------------------------------------------------
-
-    def register(self, site: str, description: str = "") -> None:
-        """Add a site (idempotent); harness matrices pick it up automatically."""
-        self._sites.setdefault(site, description)
-
     def sites(self) -> list[str]:
         """All registered site names, sorted."""
-        return sorted(self._sites)
-
-    def describe(self, site: str) -> str:
-        return self._sites[site]
+        return sorted(CRASH_SITES)
 
     # -- arming -------------------------------------------------------------
 
@@ -237,7 +223,7 @@ class CrashPointRegistry:
 
     def arm(self, site: str, *, skip: int = 0) -> None:
         """Fire at the (skip+1)-th reach of ``site``."""
-        if site not in self._sites:
+        if site not in CRASH_SITES:
             raise ValueError(f"unknown crash point {site!r}")
         if skip < 0:
             raise ValueError("skip must be >= 0")
@@ -259,7 +245,7 @@ class CrashPointRegistry:
 
     def reach(self, site: str) -> None:
         """Mark ``site`` reached; raise :class:`CrashPointFired` if armed."""
-        if site not in self._sites:
+        if site not in CRASH_SITES:
             raise ValueError(f"crash point {site!r} was never registered")
         self.hits[site] = self.hits.get(site, 0) + 1
         if self._armed != site:
@@ -286,146 +272,3 @@ def armed(site: str, *, skip: int = 0) -> Iterator[CrashPointRegistry]:
         yield crash_points
     finally:
         crash_points.disarm()
-
-
-# --------------------------------------------------------------------------
-# Recovery oracle
-# --------------------------------------------------------------------------
-
-
-class OracleStore(Protocol):
-    """The store surface the oracle drives and verifies against.
-
-    Satisfied structurally by :class:`~repro.mash.store.RocksMashStore`
-    and every baseline store.
-    """
-
-    def put(self, key: bytes, value: bytes) -> None: ...
-
-    def delete(self, key: bytes) -> None: ...
-
-    def write(self, batch: Any) -> None: ...
-
-    def get(self, key: bytes) -> bytes | None: ...
-
-    def scan(self) -> Iterable[tuple[bytes, bytes]]: ...
-
-
-class RecoveryOracle:
-    """Shadow model of acknowledged state for crash-recovery verification.
-
-    Usage: route every mutation through :meth:`put` / :meth:`delete` /
-    :meth:`write` (they mark the op in-flight, issue it, and acknowledge it
-    when the store returns). If a :class:`CrashPointFired` interrupts an
-    op, call :meth:`crash` — the interrupted op's keys become *maybe*
-    values (the crash may or may not have persisted them; either outcome is
-    legal, anything else is a bug). After reopening, :meth:`verify` checks
-    the recovered store against the shadow.
-    """
-
-    def __init__(self) -> None:
-        #: key -> last acknowledged value (None = acknowledged delete).
-        self.acked: dict[bytes, bytes | None] = {}
-        #: keys of the op currently being issued (cleared on commit/crash).
-        self.in_flight: dict[bytes, bytes | None] = {}
-        #: key -> value of the op a crash interrupted (may have persisted).
-        self.maybe: dict[bytes, bytes | None] = {}
-        self.crashed = False
-        self.ops_acked = 0
-
-    # -- issuing operations -------------------------------------------------
-
-    def begin(self, ops: dict[bytes, bytes | None]) -> None:
-        """Mark an atomic batch of (key -> value-or-delete) as in flight."""
-        self.in_flight = dict(ops)
-
-    def commit(self) -> None:
-        """The store acknowledged the in-flight op: it is now durable."""
-        self.acked.update(self.in_flight)
-        self.in_flight = {}
-        self.ops_acked += 1
-
-    def crash(self) -> None:
-        """A crash interrupted the in-flight op: its effect is now 'maybe'."""
-        self.maybe = dict(self.in_flight)
-        self.in_flight = {}
-        self.crashed = True
-
-    # -- convenience wrappers ------------------------------------------------
-
-    def put(self, store: OracleStore, key: bytes, value: bytes) -> None:
-        self.begin({key: value})
-        store.put(key, value)
-        self.commit()
-
-    def delete(self, store: OracleStore, key: bytes) -> None:
-        self.begin({key: None})
-        store.delete(key)
-        self.commit()
-
-    def write(self, store: OracleStore, batch: Any) -> None:
-        """Issue a :class:`~repro.lsm.write_batch.WriteBatch` atomically."""
-        from repro.util.encoding import TYPE_VALUE
-
-        ops: dict[bytes, bytes | None] = {}
-        for op in batch:
-            ops[op.key] = op.value if op.value_type == TYPE_VALUE else None
-        self.begin(ops)
-        store.write(batch)
-        self.commit()
-
-    # -- verification --------------------------------------------------------
-
-    def tracked_keys(self) -> set[bytes]:
-        return set(self.acked) | set(self.maybe)
-
-    def verify(self, store: OracleStore) -> list[str]:
-        """Check the (recovered) store against the shadow; return problems.
-
-        Invariants:
-
-        * **durability** — every key holds its last acknowledged value …
-        * **prefix consistency** — … or, only if the crash interrupted a
-          write of that key, the interrupted value. Never anything older,
-          newer, or fabricated.
-        * **no resurrection** — an acknowledged delete stays deleted, and a
-          scan surfaces no keys the workload never wrote.
-        * **scan fidelity** — a scanned value must byte-match an allowed
-          value for its key. This is what catches broken value *indirection*
-          (e.g. a blob pointer resolved against the wrong segment bytes
-          after recovery): the key survives, but the value is wrong.
-        """
-        problems: list[str] = []
-        for key in sorted(self.tracked_keys()):
-            actual = store.get(key)
-            allowed = {self.acked.get(key)}
-            if key in self.maybe:
-                allowed.add(self.maybe[key])
-            if actual not in allowed:
-                want = " or ".join(repr(v) for v in sorted(allowed, key=repr))
-                problems.append(
-                    f"key {key!r}: recovered {actual!r}, expected {want}"
-                )
-        live = {key for key, value in self.acked.items() if value is not None}
-        live |= {key for key, value in self.maybe.items() if value is not None}
-        for key, value in store.scan():
-            if key not in live:
-                problems.append(
-                    f"key {key!r}: surfaced by scan but never durably written "
-                    "(resurrected delete or fabricated key)"
-                )
-                continue
-            allowed_values = {
-                v
-                for v in (
-                    self.acked.get(key),
-                    self.maybe.get(key) if key in self.maybe else None,
-                )
-                if v is not None
-            }
-            if value not in allowed_values:
-                problems.append(
-                    f"key {key!r}: scan surfaced {value!r}, expected one of "
-                    f"{sorted(allowed_values, key=repr)!r}"
-                )
-        return problems

@@ -153,8 +153,8 @@ class TestMutationSelfTests:
         assert {f.rule for f in findings} == {"RL003"}
 
     def test_removing_reach_site_fails_rl003_registry_check(self, tree_copy):
-        # Deleting the only reach() of a registered site means the
-        # crashmonkey matrix silently stops covering it.
+        # Deleting the only reach() of a registered site means the store
+        # machine's site test can no longer fire it.
         mutate(
             tree_copy / "lsm" / "db.py",
             'crash_points.reach("flush.before_manifest")',

@@ -1,5 +1,4 @@
-"""Unit tests for the crash-point registry, torn-tail crashes, and the
-recovery oracle's shadow-model semantics."""
+"""Unit tests for the crash-point registry and torn-tail crashes."""
 
 import random
 
@@ -10,7 +9,6 @@ from repro.sim.failure import (
     CRASH_SITES,
     CrashPointFired,
     CrashPointRegistry,
-    RecoveryOracle,
     armed,
     crash_points,
 )
@@ -61,14 +59,6 @@ class TestCrashPointRegistry:
             reg.arm("no.such.site")
         with pytest.raises(ValueError):
             reg.reach("no.such.site")
-
-    def test_register_extends_catalogue(self):
-        reg = CrashPointRegistry()
-        reg.register("custom.site", "docs")
-        assert "custom.site" in reg.sites()
-        reg.arm("custom.site")
-        with pytest.raises(CrashPointFired):
-            reg.reach("custom.site")
 
     def test_at_least_eight_distinct_sites_registered(self):
         assert len(CRASH_SITES) >= 8
@@ -131,64 +121,3 @@ class TestTornTailCrash:
                 break
         else:
             pytest.fail("no seed kept a prefix of the unsynced file")
-
-
-class TestRecoveryOracle:
-    class _FakeStore:
-        def __init__(self, contents):
-            self.contents = dict(contents)
-
-        def put(self, key, value):
-            self.contents[key] = value
-
-        def delete(self, key):
-            self.contents.pop(key, None)
-
-        def get(self, key):
-            return self.contents.get(key)
-
-        def scan(self):
-            return sorted(self.contents.items())
-
-    def test_acked_writes_must_survive(self):
-        oracle = RecoveryOracle()
-        store = self._FakeStore({})
-        oracle.put(store, b"k", b"v")
-        assert oracle.verify(store) == []
-        store.contents.pop(b"k")  # simulate lost acked write
-        problems = oracle.verify(store)
-        assert problems and "k" in problems[0]
-
-    def test_in_flight_value_may_or_may_not_persist(self):
-        oracle = RecoveryOracle()
-        oracle.put(self._FakeStore({}), b"k", b"old")
-        oracle.begin({b"k": b"new"})
-        oracle.crash()
-        assert oracle.verify(self._FakeStore({b"k": b"old"})) == []
-        assert oracle.verify(self._FakeStore({b"k": b"new"})) == []
-        assert oracle.verify(self._FakeStore({b"k": b"other"})) != []
-
-    def test_deleted_keys_must_not_resurrect(self):
-        oracle = RecoveryOracle()
-        store = self._FakeStore({})
-        oracle.put(store, b"k", b"v")
-        oracle.delete(store, b"k")
-        assert oracle.verify(store) == []
-        problems = oracle.verify(self._FakeStore({b"k": b"v"}))
-        assert problems
-
-    def test_fabricated_keys_detected(self):
-        oracle = RecoveryOracle()
-        store = self._FakeStore({})
-        oracle.put(store, b"k", b"v")
-        problems = oracle.verify(self._FakeStore({b"k": b"v", b"ghost": b"x"}))
-        assert any(b"ghost" in p.encode() or "ghost" in p for p in problems)
-
-    def test_interrupted_delete_allows_both_outcomes(self):
-        oracle = RecoveryOracle()
-        store = self._FakeStore({})
-        oracle.put(store, b"k", b"v")
-        oracle.begin({b"k": None})
-        oracle.crash()
-        assert oracle.verify(self._FakeStore({b"k": b"v"})) == []
-        assert oracle.verify(self._FakeStore({})) == []

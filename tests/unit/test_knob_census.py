@@ -64,6 +64,14 @@ TEST_ONLY = {
     "FrontendConfig.arrival_seed": "fuzz axis: the open-loop front-end's arrival stream",
     "FrontendConfig.op_seed": "fuzz axis: the open-loop front-end's op stream",
     "Options.compaction_filter": "a user callback, not a setting; examples/session_ttl.py shows it",
+    "Options.max_manifest_file_size": (
+        "crash-window axis: the only way a small store reaches the two "
+        "manifest.rewrite_* crash sites"
+    ),
+    "PlacementConfig.multipart_part_bytes": (
+        "crash-window axis: the only way a small store reaches the "
+        "demote.mid_upload and bloblog.seal_mid_upload crash sites"
+    ),
 }
 """Fields set from ``tests`` or ``examples`` and from nowhere in ``src/repro``
 or ``benchmarks`` — pinned exactly, each with the reason it stays a field."""

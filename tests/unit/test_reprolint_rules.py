@@ -202,18 +202,6 @@ class TestCrashPointRegistry:
         assert [f.rule for f in findings] == ["RL003"]
         assert "flush.b" in findings[0].message
 
-    def test_dynamically_registered_site_clean(self, tmp_path):
-        files = {
-            "sim/failure.py": self.REGISTRY,
-            "lsm/db.py": (
-                'def setup(cp):\n'
-                '    cp.register("ext.site", "added at runtime")\n'
-                '    cp.reach("ext.site")\n'
-                '    cp.reach("flush.a")\n'
-            ),
-        }
-        assert rule_ids(tmp_path, files) == []
-
     def test_no_registry_in_tree_skips_check(self, tmp_path):
         # Linting a subtree without sim/failure.py must not flag reaches.
         files = {"lsm/db.py": 'def flush(cp):\n    cp.reach("flush.a")\n'}
@@ -237,7 +225,7 @@ class TestCommitBracket:
 
     def test_commit_with_reach_in_same_function_clean(self, tmp_path):
         # Where the site sits is not judged (run_gc reaches *after* its
-        # commit): crashmonkey fires it and checks what recovery finds.
+        # commit): the store machine fires it and checks what recovery finds.
         src = (
             "def install(self, edit, cp):\n"
             "    self.versions.log_and_apply(edit)\n"
