@@ -668,7 +668,6 @@ def e16_promotion(records: int = 2500, rounds: int = 8, span: int = 150) -> Tabl
                 cloud_level=1,
                 local_bytes_budget=96 << 10,
                 promotion_enabled=enabled,
-                promotion_heat_threshold=5.0,
             ),
             pcache=PCacheConfig(data_budget_bytes=2 << 10),
         )

@@ -215,13 +215,10 @@ class StoreFacade:
         limit: int | None = None,
         *,
         snapshot: Snapshot | None = None,
-        reverse: bool = False,
     ) -> list[tuple[bytes, bytes]]:
-        """Range scan over user keys in [begin, end), descending when
-        ``reverse`` (then timed and counted as ``scan_reverse``)."""
-        kind = "scan_reverse" if reverse else "scan"
-        with self.tracer.span(kind) as span:
-            rows = self.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
+        """Range scan over user keys in [begin, end)."""
+        with self.tracer.span("scan") as span:
+            rows = self.db.scan(begin, end, snapshot=snapshot)
             results = take_rows(rows, limit)
         self.read_latency.record(span.elapsed)
         return results

@@ -19,7 +19,6 @@ RL004     error taxonomy: raised exceptions derive from ``ReproError``
           (explicit whitelist for Python-idiom types)
 RL005     no real I/O on simulated paths: ``lsm/``, ``mash/``, ``storage/``,
           ``sim/`` never touch ``open()``/``os``/``threading``/``socket``
-          outside whitelisted device modules
 RL010     suppression hygiene: ``ignore[...]`` names rule ids that exist
 ========  ==================================================================
 

@@ -12,11 +12,6 @@ from __future__ import annotations
 #: RL005 (no real I/O) scopes to these.
 SIM_SCOPES: tuple[str, ...] = ("lsm/", "mash/", "storage/", "sim/")
 
-#: Modules allowed to do real I/O inside the simulated scopes: the
-#: directory-backed device is *deliberately* host-filesystem-backed (same
-#: simulated timing, real bytes — see its module docstring).
-REAL_IO_WHITELIST: tuple[str, ...] = ("storage/diskfile.py",)
-
 #: Exception names that may be raised without deriving from ReproError.
 #: Python-idiom programming-error types plus CrashPointFired, which is
 #: deliberately *not* a ReproError so nothing can catch-and-survive it.

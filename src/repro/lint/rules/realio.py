@@ -13,10 +13,7 @@ Banned inside the simulated scopes:
   ``subprocess``, ``mmap``, ``asyncio``);
 * calling the ``open()`` builtin.
 
-Whitelisted modules (``config.REAL_IO_WHITELIST``) opt out wholesale:
-``storage/diskfile.py`` is the deliberate exception — the directory-backed
-device keeps simulated *timing* while persisting real bytes so a store can
-be inspected and reopened across processes. Anything else needs an inline
+No module opts out; a site that must needs an inline
 ``# reprolint: ignore[RL005]`` with a reason.
 """
 
@@ -26,7 +23,7 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.lint.config import REAL_IO_WHITELIST, SIM_SCOPES, in_scopes
+from repro.lint.config import SIM_SCOPES, in_scopes
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
 from repro.lint.rules._ast_util import walk_calls
@@ -56,13 +53,11 @@ class RealIORule(Rule):
     name = "no-real-io"
     description = (
         "lsm/, mash/, storage/, sim/ must not open files, spawn threads, or "
-        "touch sockets (whitelist: the directory-backed device)"
+        "touch sockets"
     )
 
     def check_module(self, module: "ModuleInfo") -> Iterable[Finding]:
         if not in_scopes(module.pkg_path, SIM_SCOPES):
-            return ()
-        if module.pkg_path in REAL_IO_WHITELIST:
             return ()
         return list(self._scan(module))
 

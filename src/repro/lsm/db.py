@@ -42,7 +42,6 @@ from repro.lsm.iterator import (
     clamp_to_range,
     merge_internal,
     visible_user_entries,
-    visible_user_entries_reverse,
 )
 from repro.lsm.memtable import GetResult, MemTable
 from repro.lsm.options import NUM_LEVELS, Options
@@ -103,26 +102,18 @@ class ScanPipeline(Protocol):
 
     Built by ``DB.scan_pipeline_factory`` when the scan starts (see
     :class:`repro.mash.prefetch.ScanPrefetcher`). ``target`` is the
-    seek goal every source is seeked to — the scan's ``begin``, or its
-    exclusive ``end`` when ``reverse`` — and ``None`` means unbounded.
+    seek goal every source is seeked to — the scan's ``begin`` — and
+    ``None`` means unbounded.
     """
 
-    def seek_fanout(
-        self, metas: Sequence[FileMetaData], target: SeekGoal | None, *, reverse: bool = False
-    ) -> None:
+    def seek_fanout(self, metas: Sequence[FileMetaData], target: SeekGoal | None) -> None:
         """:meth:`DB.scan`, before any table source is built:
         ``metas`` are the tables the merge opens on its first pull."""
 
     def table_started(
-        self,
-        files: Sequence[FileMetaData],
-        index: int,
-        target: SeekGoal | None,
-        *,
-        reverse: bool = False,
+        self, files: Sequence[FileMetaData], index: int, target: SeekGoal | None
     ) -> None:
-        """A level source, just before it consumes ``files[index]``
-        (``files`` in scan order)."""
+        """A level source, just before it consumes ``files[index]``."""
 
     def finish(self) -> None:
         """:meth:`DB.scan`, when the scan ends or its generator is closed."""
@@ -715,32 +706,22 @@ class DB:
         end: bytes | None = None,
         *,
         snapshot: Snapshot | None = None,
-        reverse: bool = False,
     ) -> Generator[tuple[bytes, bytes], None, None]:
-        """Ordered iteration over user keys in [begin, end); descending
-        when ``reverse``.
+        """Ordered iteration over user keys in [begin, end).
 
         The version is *pinned* for the iterator's lifetime: compactions
         that run while the caller consumes the scan defer deleting the
         pinned files, so live iterators are never broken.
 
-        Direction is resolved here, once: every source is seeked to the
-        bound the scan enters at (``begin``, or the exclusive ``end`` going
-        backward — so a tight-``end`` reverse scan never fetches the
-        out-of-range tail blocks of its tables) and yields in scan order;
-        one merge → visibility → clamp → blob-resolve chain consumes them,
-        and the clamp stops consumption at the far bound. The scan
-        pipeline (when installed) fans out the initial reader opens and
-        prefetches upcoming tables in scan order either way.
+        Every source is seeked to ``begin`` and yields ascending; one
+        merge → visibility → clamp → blob-resolve chain consumes them, and
+        the clamp stops consumption at ``end``. The scan pipeline (when
+        installed) fans out the initial reader opens and prefetches
+        upcoming tables in scan order.
         """
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
-        if reverse:
-            target = seek_goal(end) if end is not None else None
-            visible = visible_user_entries_reverse
-        else:
-            target = seek_goal(begin) if begin else None
-            visible = visible_user_entries
+        target = seek_goal(begin) if begin else None
         version = self._pin_version()
         pipeline = (
             self.scan_pipeline_factory(begin, end)
@@ -748,7 +729,7 @@ class DB:
             else None
         )
         try:
-            sources = [self.memtable.entries(target, reverse=reverse)]
+            sources = [self.memtable.entries(target)]
             l0_files = self._files_in_scan_range(version.files[0], begin, end)
             level_files = [
                 self._files_in_scan_range(version.files[level], begin, end)
@@ -757,21 +738,17 @@ class DB:
             if pipeline is not None:
                 # Seek fan-out: every reader the merge heap opens on its
                 # first pull — all L0 tables plus each level's first
-                # in-range table in scan order — opened as parallel
-                # branches instead of a serial chain of cloud round trips.
-                edge = -1 if reverse else 0
-                initial = list(l0_files) + [files[edge] for files in level_files if files]
-                pipeline.seek_fanout(initial, target, reverse=reverse)
+                # in-range table — opened as parallel branches instead of
+                # a serial chain of cloud round trips.
+                initial = list(l0_files) + [files[0] for files in level_files if files]
+                pipeline.seek_fanout(initial, target)
             for meta in l0_files:
-                sources.append(self._table_entries(meta, target, reverse))
+                sources.append(self._table_entries(meta, target))
             for files in level_files:
                 if files:
-                    sources.append(self._level_entries(files, target, reverse, pipeline))
+                    sources.append(self._level_entries(files, target, pipeline))
             rows = clamp_to_range(
-                visible(merge_internal(sources, reverse=reverse), sequence),
-                begin,
-                end,
-                reverse=reverse,
+                visible_user_entries(merge_internal(sources), sequence), begin, end
             )
             if self.blob_store is not None:
                 rows = self._resolve_entries(rows)
@@ -798,25 +775,21 @@ class DB:
             and not (end is not None and meta.smallest_user_key >= end)
         ]
 
-    def _table_entries(
-        self, meta: FileMetaData, target: SeekGoal | None, reverse: bool
-    ) -> Iterator[Entry]:
-        return self.table_cache.get_reader(meta.number).entries(target, reverse=reverse)
+    def _table_entries(self, meta: FileMetaData, target: SeekGoal | None) -> Iterator[Entry]:
+        return self.table_cache.get_reader(meta.number).entries(target)
 
     def _level_entries(
         self,
         files: list[FileMetaData],
         target: SeekGoal | None,
-        reverse: bool,
         pipeline: ScanPipeline | None,
     ) -> Iterator[Entry]:
         """One level's disjoint in-range tables as a single sorted source,
         each opened only when the scan reaches it."""
-        ordered = files[::-1] if reverse else files
-        for index, meta in enumerate(ordered):
+        for index, meta in enumerate(files):
             if pipeline is not None:
-                pipeline.table_started(ordered, index, target, reverse=reverse)
-            yield from self._table_entries(meta, target, reverse)
+                pipeline.table_started(files, index, target)
+            yield from self._table_entries(meta, target)
 
     # -- snapshots ----------------------------------------------------------------------------
 

@@ -6,11 +6,6 @@ order (user key ascending, sequence descending). :func:`merge_internal` is
 ``heapq.merge`` over them; :func:`visible_user_entries` collapses the merged
 stream into the user-visible view at a snapshot sequence — newest visible
 entry per user key, tombstones suppressing older values.
-
-A reverse scan runs the same chain over descending sources: the merge and
-the clamp take ``reverse``, tested once before their loops start, while
-visibility keeps a descending implementation of its own — a different
-algorithm (the *last* visible entry wins), not a mirror image.
 """
 
 from __future__ import annotations
@@ -21,18 +16,17 @@ from collections.abc import Iterator
 from repro.util.encoding import MAX_SEQUENCE, TYPE_DELETION, Entry
 
 
-def merge_internal(sources: list[Iterator[Entry]], *, reverse: bool = False) -> Iterator[Entry]:
+def merge_internal(sources: list[Iterator[Entry]]) -> Iterator[Entry]:
     """K-way merge of internal iterators into one ordered stream.
 
-    With ``reverse`` the sources must yield entries in *descending*
-    internal-key order, and the merged stream does too. Lazy: nothing is
-    pulled before the first ``next``, which takes one entry per source;
-    after that only the source whose entry was just yielded advances —
-    block fetch order, and so the simulated clock, depends on it. One
+    Lazy: nothing is pulled before the first ``next``, which takes one
+    entry per source; after that only the source whose entry was just
+    yielded advances — block fetch order, and so the simulated clock,
+    depends on it. One
     internal key present in two sources (a WAL replayed over a flush that
     already committed) comes out twice, the earlier source's copy first.
     """
-    return iter(heapq.merge(*sources, reverse=reverse))
+    return iter(heapq.merge(*sources))
 
 
 def visible_user_entries(
@@ -56,63 +50,16 @@ def visible_user_entries(
         yield user_key, value
 
 
-def visible_user_entries_reverse(
-    merged: Iterator[Entry], sequence: int = MAX_SEQUENCE
-) -> Iterator[tuple[bytes, bytes]]:
-    """User-visible pairs in *descending* user-key order.
-
-    The reversed internal stream delivers each user key's entries oldest
-    first (sequence ascending), so the winner for a key is the *last*
-    visible entry seen before the key changes; it is emitted at the key
-    boundary.
-    """
-    current_key: bytes | None = None
-    candidate: tuple[int, bytes] | None = None  # (value_type, value)
-
-    def emit() -> tuple[bytes, bytes] | None:
-        if (
-            current_key is not None
-            and candidate is not None
-            and candidate[0] != TYPE_DELETION
-        ):
-            return (current_key, candidate[1])
-        return None
-
-    newest_visible = -((sequence << 8) | 0xFF)
-    for user_key, neg_trailer, value in merged:
-        if user_key != current_key:
-            out = emit()
-            if out is not None:
-                yield out
-            current_key = user_key
-            candidate = None
-        if neg_trailer >= newest_visible:
-            candidate = (-neg_trailer & 0xFF, value)
-    out = emit()
-    if out is not None:
-        yield out
-
-
 def clamp_to_range(
     entries: Iterator[tuple[bytes, bytes]],
     begin: bytes | None = None,
     end: bytes | None = None,
-    *,
-    reverse: bool = False,
 ) -> Iterator[tuple[bytes, bytes]]:
     """Restrict a user-entry stream to user keys in [begin, end).
 
-    Keys before the range (in stream order) are skipped and the first key
-    past it ends consumption; ``reverse`` says the stream is descending.
+    Keys before the range are skipped and the first key past it ends
+    consumption.
     """
-    if reverse:
-        for user_key, value in entries:
-            if end is not None and user_key >= end:
-                continue
-            if begin is not None and user_key < begin:
-                return
-            yield user_key, value
-        return
     for user_key, value in entries:
         if begin is not None and user_key < begin:
             continue

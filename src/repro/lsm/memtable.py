@@ -71,18 +71,13 @@ class MemTable:
         """Entries in internal-key order."""
         return self.entries()
 
-    def entries(self, goal: SeekGoal | None = None, *, reverse: bool = False) -> Iterator[Entry]:
-        """Entries from ``goal`` on, in scan order.
+    def entries(self, goal: SeekGoal | None = None) -> Iterator[Entry]:
+        """Entries at or after ``goal``, ascending (``None``: every entry).
 
-        Forward: entries at or after ``goal``, ascending. Reverse: entries
-        before ``goal``, descending. ``None`` means no bound in either
-        direction. The rows are copied (a write-buffer-bounded slice): a
-        scan is a generator its caller interleaves with writes, and an
-        index into a list that ``add`` shifts would skip or repeat rows.
+        The rows are copied (a write-buffer-bounded slice): a scan is a
+        generator its caller interleaves with writes, and an index into a
+        list that ``add`` shifts would skip or repeat rows.
         """
         rows = self._rows
-        if goal is not None:
-            at = bisect_left(rows, goal)
-        else:
-            at = len(rows) if reverse else 0
-        return reversed(rows[:at]) if reverse else iter(rows[at:])
+        at = bisect_left(rows, goal) if goal is not None else 0
+        return iter(rows[at:])

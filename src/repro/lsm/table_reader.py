@@ -160,57 +160,30 @@ class TableReader:
 
     # -- iteration ----------------------------------------------------------
 
-    def edge_data_handle(
-        self, goal: SeekGoal | None = None, *, reverse: bool = False
-    ) -> BlockHandle | None:
+    def edge_data_handle(self, goal: SeekGoal | None = None) -> BlockHandle | None:
         """Handle of the first data block :meth:`entries` would read.
 
         Index-only (no data-block I/O): used by the scan-prefetch pipeline
         and by compaction to prime a table's opening range ahead of
-        consumption. Forward that is the boundary block of ``goal`` (None
-        when every key sorts below it) or the table's first block, read off
-        the first index entry alone (no sort keys kept); reverse, the
-        boundary block of the exclusive bound ``goal`` or the table's last
-        block.
+        consumption. That is the boundary block of ``goal`` (None when
+        every key sorts below it) or the table's first block, read off the
+        first index entry alone (no sort keys kept).
         """
-        if goal is None and not reverse:
+        if goal is None:
             first = self._index.head()
             return decode_handle(first[2])[0] if first is not None else None
         orders, handles = self._seek_index()
-        if not handles:
-            return None
-        if goal is None:
-            return handles[-1]
         position = bisect_left(orders, goal)
-        if position == len(handles):
-            return handles[-1] if reverse else None
-        return handles[position]
+        return handles[position] if position < len(handles) else None
 
-    def entries(self, goal: SeekGoal | None = None, *, reverse: bool = False) -> Iterator[Entry]:
-        """Entries from ``goal`` on, in scan order.
-
-        Forward: entries at or after ``goal``, ascending, one lazily
-        fetched block at a time. Reverse: entries before ``goal``,
-        descending — blocks are visited back to front from the boundary
-        block (blocks wholly at/above the bound are never fetched), and each
-        block's entries (forward prefix-compressed) are materialized and
-        reversed, O(one block) of memory. ``None`` means no bound: the whole
-        table in that direction.
-        """
-        if not reverse:
-            load = self.stack.block
-            for handle in self._handles_from(goal):
-                block = load(handle)
-                yield from block.seek(goal) if goal is not None else block
-                goal = None  # the seek applies to the first block only
-            return
-        orders, handles = self._seek_index()
-        boundary = bisect_left(orders, goal) if goal is not None else len(handles)
-        for position in range(min(boundary, len(handles) - 1), -1, -1):
-            block_entries = list(self.stack.block(handles[position]))
-            if goal is not None and position == boundary:
-                del block_entries[bisect_left(block_entries, goal) :]
-            yield from reversed(block_entries)
+    def entries(self, goal: SeekGoal | None = None) -> Iterator[Entry]:
+        """Entries at or after ``goal``, ascending, one lazily fetched
+        block at a time. ``None`` means no bound: the whole table."""
+        load = self.stack.block
+        for handle in self._handles_from(goal):
+            block = load(handle)
+            yield from block.seek(goal) if goal is not None else block
+            goal = None  # the seek applies to the first block only
 
     # -- compaction support -------------------------------------------------
 

@@ -41,6 +41,9 @@ from repro.storage.env import CLOUD, LOCAL, HybridEnv
 PROMOTION_HEADROOM = 0.9
 """Promotions stop once local bytes exceed this fraction of the budget."""
 
+PROMOTION_HEAT_THRESHOLD = 5.0
+"""Minimum accumulated block heat for a cloud table to be promoted."""
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -56,9 +59,6 @@ class PlacementConfig:
     """Promote hot cloud-resident tables back to the local device
     (up-tiering). Requires ``local_bytes_budget``; promotions only use the
     budget's headroom so they never fight the demotion path."""
-
-    promotion_heat_threshold: float = 8.0
-    """Minimum accumulated block heat for a file to qualify."""
 
     multipart_part_bytes: int = 8 << 20
     """Demotion uploads larger than one part stream as a multipart upload
@@ -264,7 +264,7 @@ class PlacementManager:
             if not self.env.file_exists(name) or self.env.tier_of(name) != CLOUD:
                 continue
             heat = heat_of_file(name)
-            if heat >= config.promotion_heat_threshold:
+            if heat >= PROMOTION_HEAT_THRESHOLD:
                 candidates.append((heat, meta))
         candidates.sort(key=lambda item: -item[0])
         promoted = 0

@@ -10,7 +10,7 @@ compaction hides its input fetches, but speculatively: work runs under a
 simulated latency overlaps consumption of the current table and only the
 *uncovered* remainder reaches the parent clock at join.
 
-One :class:`ScanPrefetcher` exists per scan, forward or reverse (built by
+One :class:`ScanPrefetcher` exists per scan (built by
 ``RocksMashStore`` via ``DB.scan_pipeline_factory``); it implements the
 engine's :class:`~repro.lsm.db.ScanPipeline` protocol:
 
@@ -104,22 +104,14 @@ class ScanPrefetcher:
 
     # -- ScanPipeline protocol: hooks called from DB.scan and its sources -----
 
-    def seek_fanout(
-        self,
-        metas: Sequence[FileMetaData],
-        target: SeekGoal | None,
-        *,
-        reverse: bool = False,
-    ) -> None:
+    def seek_fanout(self, metas: Sequence[FileMetaData], target: SeekGoal | None) -> None:
         """Open the scan's initial readers as parallel branches.
 
         ``metas`` are the in-range L0 files plus each level's first
-        in-range table (its *last* for a reverse scan) — exactly the
-        readers the merge heap touches on its first pull. All opens are
-        charged concurrently and joined strictly before consumption
-        starts: the seek pays one slowest open instead of a serial chain
-        of them. For reverse scans ``target`` is the exclusive upper
-        bound and priming starts at each table's boundary block.
+        in-range table — exactly the readers the merge heap touches on its
+        first pull. All opens are charged concurrently and joined strictly
+        before consumption starts: the seek pays one slowest open instead
+        of a serial chain of them.
         """
         todo = [meta.number for meta in metas if meta.number not in self._seen]
         if not todo:
@@ -133,18 +125,13 @@ class ScanPrefetcher:
                 # first block without making a short scan pay for a large
                 # speculative transfer. Pipelined prefetches, which never
                 # block, prime the full ``PRIME_BYTES``.
-                self._prime(number, target, ReadaheadBuffer.INITIAL_READAHEAD, reverse=reverse)
+                self._prime(number, target, ReadaheadBuffer.INITIAL_READAHEAD)
         region.join()
         self.stats.fanout_opens += len(todo)
         self.tracer.event("seek_fanout")
 
     def table_started(
-        self,
-        files: Sequence[FileMetaData],
-        index: int,
-        target: SeekGoal | None,
-        *,
-        reverse: bool = False,
+        self, files: Sequence[FileMetaData], index: int, target: SeekGoal | None
     ) -> None:
         """A level iterator is about to consume ``files[index]``.
 
@@ -164,7 +151,7 @@ class ScanPrefetcher:
                 continue  # local opens are cheap; open on demand
             if self.table_cache.has_reader(meta.number) and self.readahead_bytes <= 0:
                 continue  # already open and nothing to prime: free handoff
-            self._issue(meta.number, target, reverse)
+            self._issue(meta.number, target)
 
     def finish(self) -> None:
         """Scan ended: abandon outstanding prefetches and unregister.
@@ -189,10 +176,10 @@ class ScanPrefetcher:
     def _name_of(self, number: int) -> str:
         return table_file_name(self.table_cache.prefix, number)
 
-    def _issue(self, number: int, target: SeekGoal | None, reverse: bool) -> None:
+    def _issue(self, number: int, target: SeekGoal | None) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._prime(number, target, PRIME_BYTES, reverse=reverse)
+            self._prime(number, target, PRIME_BYTES)
         self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
@@ -242,14 +229,7 @@ class ScanPrefetcher:
             region.join(strict=False)  # delta 0: no parent movement
             self._ripe.add(number)
 
-    def _prime(
-        self,
-        number: int,
-        target: SeekGoal | None,
-        prime_bytes: int,
-        *,
-        reverse: bool = False,
-    ) -> None:
+    def _prime(self, number: int, target: SeekGoal | None, prime_bytes: int) -> None:
         """Pull the range table ``number``'s scan enters at into a primed
         :class:`ReadaheadBuffer` the table's block stack serves from (its
         ``primed`` source).
@@ -263,7 +243,7 @@ class ScanPrefetcher:
         name = self._name_of(number)
         if self.readahead_bytes <= 0 or name in self.buffers or not self.is_cloud(name):
             return
-        handle = reader.edge_data_handle(target, reverse=reverse)
+        handle = reader.edge_data_handle(target)
         if handle is None:
             return
         carry = (
@@ -276,5 +256,5 @@ class ScanPrefetcher:
             readahead_bytes=self.readahead_bytes,
             initial_window=carry,
         )
-        buffer.prime(handle, prime_bytes, reverse=reverse)
+        buffer.prime(handle, prime_bytes)
         self.buffers[name] = buffer

@@ -58,9 +58,6 @@ from repro.storage.env import CLOUD, CloudEnv, HybridEnv, LocalEnv, RandomAccess
 from repro.storage.local import LocalDevice
 
 if TYPE_CHECKING:
-    # reprolint: ignore[RL005] -- annotation-only import, never executed
-    from pathlib import Path
-
     from repro.mash.bloblog import BlobLog
 
 MULTI_GET_WAVE = 8
@@ -376,53 +373,6 @@ class RocksMashStore(StoreFacade):
             counters=counters,
         )
 
-    @classmethod
-    def at_directory(
-        cls,
-        path: str | Path,
-        config: StoreConfig | None = None,
-        *,
-        clock: SimClock | None = None,
-    ) -> "RocksMashStore":
-        """Open (or create) a deployment persisted under a host directory.
-
-        ``<path>/local`` backs the simulated local device and
-        ``<path>/cloud`` the simulated object store, so the whole store —
-        data, WAL, persistent cache, checkpoints — survives *process*
-        restarts: calling ``at_directory`` again on the same path recovers
-        it. Timing still comes from the simulated clock.
-        """
-        # Factory for the deliberately host-backed deployment; timing stays
-        # simulated, only durability is real (DirectoryBackedDevice docs).
-        # reprolint: ignore[RL005] -- host persistence is the feature here
-        from pathlib import Path
-
-        from repro.storage.diskfile import (
-            DirectoryBackedDevice,
-            directory_backed_object_store,
-        )
-
-        config = config or StoreConfig()
-        clock = clock or SimClock()
-        counters = CounterSet()
-        root = Path(path)
-        local_device = DirectoryBackedDevice(
-            root / "local",
-            clock,
-            capacity_bytes=config.local_capacity_bytes,
-            counters=counters,
-        )
-        cloud = directory_backed_object_store(
-            root / "cloud", clock, config.cloud_model, counters=counters
-        )
-        return cls(
-            config,
-            clock=clock,
-            local_device=local_device,
-            cloud_store=cloud,
-            counters=counters,
-        )
-
     def reopen(
         self, *, crash: bool = False, torn_tail_seed: int | None = None
     ) -> "RocksMashStore":
@@ -498,7 +448,7 @@ class RocksMashStore(StoreFacade):
         """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook,
         installed only when ``scan_prefetch_depth > 0``).
 
-        One :class:`ScanPrefetcher` per scan, forward or reverse: seek
+        One :class:`ScanPrefetcher` per scan: seek
         fan-out of the initial reader opens, then up to
         ``scan_prefetch_depth`` cloud tables speculatively opened + primed
         ahead of the merge iterator on forked child clocks (see

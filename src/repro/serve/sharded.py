@@ -330,12 +330,7 @@ class ShardedDB:
         return {key: results[key] for key in keys}
 
     def scan(
-        self,
-        begin: bytes | None = None,
-        end: bytes | None = None,
-        limit: int | None = None,
-        *,
-        reverse: bool = False,
+        self, begin: bytes | None = None, end: bytes | None = None, limit: int | None = None
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan, scatter-gathered across the touched shards.
 
@@ -343,27 +338,18 @@ class ShardedDB:
         ``limit`` in a parallel branch (the router cannot know how many
         entries earlier shards hold until they answer); the gather step
         concatenates in shard order — which *is* global key order under
-        range partitioning — and truncates. ``reverse`` walks the shards
-        from the top of the range downward (timed and counted as
-        ``scan_reverse``).
+        range partitioning — and truncates.
         """
-        kind = "scan_reverse" if reverse else "scan"
         touched = list(self.router.shards_for_range(begin, end))
-        if reverse:
-            touched.reverse()
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
+        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
             if len(touched) == 1:
-                results = take_rows(
-                    self.shards[touched[0]].db.scan(begin, end, reverse=reverse), limit
-                )
+                results = take_rows(self.shards[touched[0]].db.scan(begin, end), limit)
             else:
                 gathered: dict[int, list[tuple[bytes, bytes]]] = {}
                 region = ForkJoinRegion(self.op_clock, self._hosts)
                 for index in touched:
                     with region.branch():
-                        gathered[index] = take_rows(
-                            self.shards[index].db.scan(begin, end, reverse=reverse), limit
-                        )
+                        gathered[index] = take_rows(self.shards[index].db.scan(begin, end), limit)
                 region.join()
                 results = [kv for index in touched for kv in gathered[index]]
                 if limit is not None:

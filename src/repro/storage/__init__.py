@@ -2,7 +2,6 @@
 
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
-from repro.storage.diskfile import DirectoryBackedDevice
 from repro.storage.env import (
     CLOUD,
     LOCAL,
@@ -21,7 +20,6 @@ __all__ = [
     "CloudEnv",
     "CloudObjectStore",
     "CostModel",
-    "DirectoryBackedDevice",
     "Env",
     "HybridEnv",
     "LocalDevice",

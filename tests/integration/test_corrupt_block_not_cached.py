@@ -60,7 +60,7 @@ def test_corrupt_block_reaches_every_reader_and_is_never_cached():
     with pytest.raises(CorruptionError, match="restart array"):
         list(db.scan())
     with pytest.raises(CorruptionError, match="restart array"):
-        list(db.scan(None, b"k0003", reverse=True))
+        list(db.scan(None, b"k0003"))
     assert (len(cache), cache.used_bytes) == held
     assert db.get(b"k0399") == b"v" * 40
     db.close()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ClosedError, InvalidArgumentError
 from repro.lsm.db import DB
-from repro.lsm.options import Options
+from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
@@ -282,3 +282,30 @@ class TestOpenSemantics:
         assert db2.get(b"k") == b"from-db2"
         db1.close()
         db2.close()
+
+
+class TestMetrics:
+    def test_engine_numbers(self, db):
+        db.put(b"k", b"v" * 100)
+        metrics = db.metrics()
+        assert metrics["memtable.entries"] == 1 and metrics["memtable.bytes"] > 100
+        for i in range(300):
+            db.put(f"key{i:05d}".encode(), f"v{i}".encode())
+        db.flush()
+        snap = db.snapshot()
+        metrics = db.metrics()
+        db.release_snapshot(snap)
+        assert metrics["snapshots"] == 1 and db.metrics()["snapshots"] == 0
+        assert metrics["memtable.entries"] == 0 and metrics["flushes"] >= 1
+        assert metrics["last_sequence"] == 301
+        assert metrics["manifest.bytes"] > 0
+        levels = [
+            (level, metrics[f"level.{level}.files"], metrics[f"level.{level}.bytes"])
+            for level in range(NUM_LEVELS)
+        ]
+        assert [row for row in levels if row[1]] == db.level_summary()
+        assert metrics["level.0.files"] >= 1
+        assert metrics["sst.bytes"] == sum(size for _, _, size in levels) > 0
+        # No DRAM cache, no blob log: their names are zeros or absent.
+        assert metrics["block_cache.hits"] == metrics["block_cache.misses"] == 0
+        assert not [name for name in metrics if name.startswith("blob.")]

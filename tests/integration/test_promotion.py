@@ -4,19 +4,19 @@ import dataclasses
 
 import pytest
 
+from repro.mash import placement
 from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.storage.env import LOCAL
 
 
-def promo_store(budget=96 << 10, threshold=5.0, enabled=True):
+def promo_store(budget=96 << 10, enabled=True):
     config = dataclasses.replace(
         StoreConfig().small(),
         placement=PlacementConfig(
             cloud_level=1,  # everything below L0 demotes -> cloud-heavy
             local_bytes_budget=budget,
             promotion_enabled=enabled,
-            promotion_heat_threshold=threshold,
         ),
     )
     return RocksMashStore.create(config)
@@ -79,8 +79,9 @@ class TestPromotion:
         budget = store.config.placement.local_bytes_budget
         assert store.placement.local_table_bytes() <= budget
 
-    def test_cold_files_not_promoted(self):
-        store = promo_store(threshold=1e9)  # unreachable threshold
+    def test_cold_files_not_promoted(self, monkeypatch):
+        monkeypatch.setattr(placement, "PROMOTION_HEAT_THRESHOLD", 1e9)  # unreachable
+        store = promo_store()
         fill(store)
         hammer(store, 100, 200)
         store.put(b"trigger", b"flush")

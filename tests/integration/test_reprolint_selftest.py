@@ -62,11 +62,10 @@ def mutate(path: Path, old: str, new: str) -> None:
 class TestMutationSelfTests:
     """Each seeded violation must be caught by exactly the right rule."""
 
-    def test_deleting_diskfile_tier_charge_fails_rl002(self, tree_copy):
-        # The issue's canonical mutation: drop one tracer mirror from the
-        # directory-backed device's sync path — which it inherits from
-        # ``LocalDevice``, the one place a local sync is charged — and the
-        # charge-attribution gate must fail on that file.
+    def test_deleting_local_sync_tier_charge_fails_rl002(self, tree_copy):
+        # Drop the tracer mirror from ``LocalDevice``'s sync path, the one
+        # place a local sync is charged, and the charge-attribution gate
+        # must fail on that file.
         mutate(
             tree_copy / "storage" / "local.py",
             "        cost = self.model.write_cost(nbytes)\n"

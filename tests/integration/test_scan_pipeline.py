@@ -53,16 +53,6 @@ class TestScanRangePruning:
         assert all(k.startswith(b"03") for k, _ in got)
         assert len(db.table_cache) == 1
 
-    def test_reverse_scan_opens_only_intersecting_l0(self, db):
-        fill_chunks(db)
-        db.table_cache.clear()
-        got = list(db.scan(b"03", b"05", reverse=True))
-        assert len(got) == 100
-        assert [k for k, _ in got] == sorted(
-            (k for k, _ in got), reverse=True
-        )
-        assert len(db.table_cache) == 2
-
     def test_end_boundary_is_exclusive(self, db):
         fill_chunks(db)
         db.table_cache.clear()
@@ -144,15 +134,12 @@ class TestScanPrefetchPipeline:
         for label in ("prefetch_issue", "prefetch_hit", "prefetch_waste"):
             assert store.tracer.event_count(label) == 0
 
-    def test_reverse_scan_readahead_fires_on_cloud_tables(self):
+    def test_scan_readahead_fires_on_cloud_tables(self):
         store = cold_cloud_store(depth=0)
-        expect = store.scan()
-        store.db.table_cache.clear()
         hits0 = store.tracer.event_count("readahead_hit")
-        got = store.scan(reverse=True)
-        assert got == expect[::-1]
-        # The descending-streak detector turns the reverse scan's block
-        # loads into buffered readahead hits instead of per-block GETs.
+        assert len(store.scan()) == 600
+        # The ascending-streak detector turns the scan's block loads into
+        # buffered readahead hits instead of per-block GETs.
         assert store.tracer.event_count("readahead_hit") - hits0 > 50
 
 

@@ -37,7 +37,7 @@ class TestShardedReads:
         ycsb.load_phase(node, ycsb.ALL_WORKLOADS["B"].scaled(RECORDS, 1))
         io = [node.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")]
         assert node.scan(None, None, 0) == []  # every shard touched, none read
-        assert node.scan(ycsb.make_key(5), ycsb.make_key(6), 0, reverse=True) == []
+        assert node.scan(ycsb.make_key(5), ycsb.make_key(6), 0) == []
         assert [node.counters.get(name) for name in ("cloud.get_ops", "local.read_ops")] == io
         assert len(node.scan(None, None, 3)) == 3
         assert node.counters.get("local.read_ops") > io[1]

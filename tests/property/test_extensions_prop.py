@@ -1,6 +1,5 @@
-"""Property-based tests for the engine extensions: reverse scans,
-universal compaction, compression, partitioned filters,
-checkpoints."""
+"""Property-based tests for the engine extensions: universal compaction,
+compression, partitioned filters, checkpoints."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -52,28 +51,6 @@ def apply_ops(db, ops):
         else:
             db.flush()
     return model
-
-
-class TestReverseScanProp:
-    @given(ops_strategy)
-    @settings(**PROP_SETTINGS)
-    def test_reverse_is_mirror_of_forward(self, ops):
-        db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", tiny_options())
-        apply_ops(db, ops)
-        assert list(db.scan(reverse=True)) == list(db.scan())[::-1]
-        db.close()
-
-    @given(ops_strategy, small_keys, small_keys)
-    @settings(**PROP_SETTINGS)
-    def test_reverse_range_matches_model(self, ops, a, b):
-        begin, end = min(a, b), max(a, b)
-        db = DB.open(LocalEnv(LocalDevice(SimClock())), "db/", tiny_options())
-        model = apply_ops(db, ops)
-        expected = sorted(
-            ((k, v) for k, v in model.items() if begin <= k < end), reverse=True
-        )
-        assert list(db.scan(begin, end, reverse=True)) == expected
-        db.close()
 
 
 class TestUniversalProp:

@@ -1,8 +1,8 @@
 """Property tests: no scan configuration ever changes scan results.
 
 For any random workload — and any crash-free storm of transient cloud
-read faults — scans must return exactly what a dict model says, in both
-directions, at every ``scan_prefetch_depth``, bounded by begin/end/limit and
+read faults — scans must return exactly what a dict model says, at every
+``scan_prefetch_depth``, bounded by begin/end/limit and
 at a snapshot taken mid-stream; and tier attribution must still conserve
 elapsed time on every span even when prefetch branches are joined late,
 reaped, or abandoned.
@@ -59,14 +59,12 @@ def build_store(depth: int, error_rate: float, seed: int) -> RocksMashStore:
     return store
 
 
-def model_scan(model, begin=None, end=None, limit=None, *, reverse=False):
+def model_scan(model, begin=None, end=None, limit=None):
     rows = sorted(
         (k, v)
         for k, v in model.items()
         if (begin is None or k >= begin) and (end is None or k < end)
     )
-    if reverse:
-        rows.reverse()
     return rows if limit is None else rows[:limit]
 
 
@@ -85,19 +83,16 @@ def check_workload(store: RocksMashStore, workload, scan_reqs) -> None:
             model.pop(key_of(i), None)
         elif op == "flush":
             store.flush()
-    for reverse in (False, True):
-        assert store.scan(reverse=reverse) == model_scan(model, reverse=reverse)
-        for start, span in scan_reqs:
-            begin, end = key_of(start), key_of(start + span)
-            for bounds in ((begin, end, None), (begin, None, 5), (None, end, 5)):
-                assert store.scan(*bounds, reverse=reverse) == model_scan(
-                    model, *bounds, reverse=reverse
-                ), (bounds, reverse)
-            # The engine-level scan at the mid-stream snapshot ignores
-            # everything written after it.
-            assert list(
-                store.db.scan(begin, end, snapshot=snapshot, reverse=reverse)
-            ) == model_scan(frozen, begin, end, reverse=reverse)
+    assert store.scan() == model_scan(model)
+    for start, span in scan_reqs:
+        begin, end = key_of(start), key_of(start + span)
+        for bounds in ((begin, end, None), (begin, None, 5), (None, end, 5)):
+            assert store.scan(*bounds) == model_scan(model, *bounds), bounds
+        # The engine-level scan at the mid-stream snapshot ignores
+        # everything written after it.
+        assert list(store.db.scan(begin, end, snapshot=snapshot)) == model_scan(
+            frozen, begin, end
+        )
     store.release_snapshot(snapshot)
 
 

@@ -2,7 +2,7 @@
 
 One hypothesis ``RuleBasedStateMachine`` drives a :class:`RocksMashStore`
 through its facade — put (synced or not) / delete / write-batch / get /
-multi_get / scan (both directions, ``limit``, optional snapshot) / take and
+multi_get / scan (``limit``, optional snapshot) / take and
 release snapshot (a second release is refused) / flush / ``compact_range`` /
 ``reopen(crash=True)`` with or without a torn tail / a crash armed at any
 registered crash site / a burst of cloud faults / checkpoint — with the
@@ -224,21 +224,16 @@ class StoreMachine(RuleBasedStateMachine):
         begin=bounds,
         end=bounds,
         limit=st.one_of(st.none(), st.integers(0, 5)),
-        reverse=st.booleans(),
         data=st.data(),
     )
-    def scan(self, begin, end, limit, reverse, data):
+    def scan(self, begin, end, limit, data):
         snapshot, model = self._view(data)
         expected = sorted(
-            (
-                (key, value)
-                for key, value in model.items()
-                if (begin is None or key >= begin) and (end is None or key < end)
-            ),
-            reverse=reverse,
+            (key, value)
+            for key, value in model.items()
+            if (begin is None or key >= begin) and (end is None or key < end)
         )
-        got = self.store.scan(begin, end, limit, snapshot=snapshot, reverse=reverse)
-        assert got == expected[:limit]
+        assert self.store.scan(begin, end, limit, snapshot=snapshot) == expected[:limit]
 
     # -- snapshots ------------------------------------------------------------
 
@@ -391,7 +386,6 @@ class StoreMachine(RuleBasedStateMachine):
         try:
             rows = sorted(self.model.items())
             assert clone.scan() == rows
-            assert clone.scan(reverse=True) == rows[::-1]
             for key in KEYS:
                 assert clone.get(key) == self.model.get(key), key
             self._check_clean(clone)
@@ -410,7 +404,6 @@ class StoreMachine(RuleBasedStateMachine):
         for snapshot, model in [(None, self.model), *self.snapshots]:
             rows = sorted(model.items())
             assert self.store.scan(snapshot=snapshot) == rows
-            assert self.store.scan(snapshot=snapshot, reverse=True) == rows[::-1]
             for key in KEYS:
                 assert self.store.get(key, snapshot=snapshot) == model.get(key), key
 

@@ -108,46 +108,26 @@ def ref_block_refs(reader):
     return out
 
 
-def ref_edge_data_handle(reader, target=None, *, reverse=False):
+def ref_edge_data_handle(reader, target=None):
     index_entries = list(reader._index)
-    if not index_entries:
+    position = 0 if target is None else _ref_boundary(index_entries, target)
+    if position >= len(index_entries):
         return None
-    last = len(index_entries) - 1
-    if target is None:
-        position = last if reverse else 0
-    else:
-        position = _ref_boundary(index_entries, target)
-        if position > last:
-            if not reverse:
-                return None
-            position = last
     handle, _ = decode_handle(index_entries[position][1])
     return handle
 
 
-def ref_entries(reader, target=None, *, reverse=False):
-    if not reverse:
-        index_iter = reader._index.seek(target) if target is not None else iter(reader._index)
-        seek_target = target  # applies to the first block only
-        for _, handle_bytes in index_iter:
-            handle, _ = decode_handle(handle_bytes)
-            block = _ref_load_data_block(reader, handle)
-            if seek_target is not None:
-                yield from block.seek(seek_target)
-                seek_target = None
-            else:
-                yield from block
-        return
-    index_entries = list(reader._index)
-    boundary = (
-        _ref_boundary(index_entries, target) if target is not None else len(index_entries)
-    )
-    for i in range(min(boundary, len(index_entries) - 1), -1, -1):
-        handle, _ = decode_handle(index_entries[i][1])
-        block_entries = list(_ref_load_data_block(reader, handle))
-        if target is not None and i == boundary:
-            del block_entries[_ref_boundary(block_entries, target) :]
-        yield from reversed(block_entries)
+def ref_entries(reader, target=None):
+    index_iter = reader._index.seek(target) if target is not None else iter(reader._index)
+    seek_target = target  # applies to the first block only
+    for _, handle_bytes in index_iter:
+        handle, _ = decode_handle(handle_bytes)
+        block = _ref_load_data_block(reader, handle)
+        if seek_target is not None:
+            yield from block.seek(seek_target)
+            seek_target = None
+        else:
+            yield from block
 
 
 def ref_range_iter(reader, begin=None, end=None):
@@ -240,24 +220,16 @@ class TestParsedIndexMatchesIndexBlockSeeks:
             assert list(reader.entries()) == split(entries)
             assert list(reader.range_iter()) == split(entries)
             assert reader._parsed is None
-        for reverse in (False, True):
-            assert reader.edge_data_handle(reverse=reverse) == ref_edge_data_handle(
-                reference, reverse=reverse
-            )
-            assert list(reader.entries(reverse=reverse)) == split(
-                ref_entries(reference, reverse=reverse)
-            )
+        assert reader.edge_data_handle() == ref_edge_data_handle(reference)
+        assert list(reader.entries()) == split(ref_entries(reference))
         for target in probe_targets(entries, reference, extra_keys):
             goal = internal_order(target)
             assert reader.get(goal) == split_one(ref_get(reference, target)), target
             assert reader.filter_stats == reference.filter_stats, target
-            for reverse in (False, True):
-                assert reader.edge_data_handle(goal, reverse=reverse) == ref_edge_data_handle(
-                    reference, target, reverse=reverse
-                ), (target, reverse)
-                assert list(reader.entries(goal, reverse=reverse)) == split(
-                    ref_entries(reference, target, reverse=reverse)
-                ), (target, reverse)
+            assert reader.edge_data_handle(goal) == ref_edge_data_handle(
+                reference, target
+            ), target
+            assert list(reader.entries(goal)) == split(ref_entries(reference, target)), target
         bounds = [None, b"", *sorted({extract_user_key(ikey) for ikey, _ in entries}), b"c"]
         bounds += extra_keys
         for begin in bounds:

@@ -1,15 +1,6 @@
-"""Unit tests for the merge/visibility iterator machinery.
+"""Unit tests for the merge/visibility iterator machinery."""
 
-Every case runs in both scan directions: the inputs are written ascending,
-and the reverse run feeds them reversed and expects the reversed answer.
-"""
-
-from repro.lsm.iterator import (
-    clamp_to_range,
-    merge_internal,
-    visible_user_entries,
-    visible_user_entries_reverse,
-)
+from repro.lsm.iterator import clamp_to_range, merge_internal, visible_user_entries
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
@@ -18,64 +9,44 @@ from repro.util.encoding import (
     make_internal_key,
 )
 
-DIRECTIONS = (False, True)
-
 
 def ik(user_key: bytes, seq: int, vtype: int = TYPE_VALUE) -> tuple[bytes, int]:
     """The ``(user_key, neg_trailer)`` head of a decoded entry."""
     return user_key, -((seq << 8) | vtype)
 
 
-def in_scan_order(entries, reverse):
-    return entries[::-1] if reverse else entries
+def merged(sources):
+    return list(merge_internal([iter(source) for source in sources]))
 
 
-def merged(sources, reverse):
-    return list(
-        merge_internal(
-            [iter(in_scan_order(source, reverse)) for source in sources],
-            reverse=reverse,
-        )
-    )
-
-
-def visible(entries, reverse, sequence=MAX_SEQUENCE):
-    collapse = visible_user_entries_reverse if reverse else visible_user_entries
-    return list(collapse(iter(in_scan_order(entries, reverse)), sequence))
+def visible(entries, sequence=MAX_SEQUENCE):
+    return list(visible_user_entries(iter(entries), sequence))
 
 
 class TestMergeInternal:
     def test_empty_sources(self):
-        for reverse in DIRECTIONS:
-            assert merged([], reverse) == []
-            assert merged([[], []], reverse) == []
+        assert merged([]) == []
+        assert merged([[], []]) == []
 
     def test_single_source_passthrough(self):
         entries = [(*ik(b"a", 2), b"1"), (*ik(b"b", 1), b"2")]
-        for reverse in DIRECTIONS:
-            assert merged([entries], reverse) == in_scan_order(entries, reverse)
+        assert merged([entries]) == entries
 
     def test_interleaved_merge(self):
         s1 = [(*ik(b"a", 1), b"a1"), (*ik(b"c", 1), b"c1")]
         s2 = [(*ik(b"b", 1), b"b1"), (*ik(b"d", 1), b"d1")]
-        expected = [b"a1", b"b1", b"c1", b"d1"]
-        for reverse in DIRECTIONS:
-            values = [e[2] for e in merged([s1, s2], reverse)]
-            assert values == in_scan_order(expected, reverse)
+        assert [e[2] for e in merged([s1, s2])] == [b"a1", b"b1", b"c1", b"d1"]
 
     def test_same_user_key_newest_first(self):
         s1 = [(*ik(b"k", 5), b"old")]
         s2 = [(*ik(b"k", 9), b"new")]
-        for reverse in DIRECTIONS:
-            values = [e[2] for e in merged([s1, s2], reverse)]
-            assert values == in_scan_order([b"new", b"old"], reverse)
+        assert [e[2] for e in merged([s1, s2])] == [b"new", b"old"]
 
     def test_many_sources(self):
         sources = [[(*ik(bytes([97 + i]), 1), bytes([i]))] for i in range(20)]
-        for reverse in DIRECTIONS:
-            keys = [e[:2] for e in merged(sources, reverse)]
-            assert len(keys) == 20
-            assert keys == sorted(keys, reverse=reverse)
+        keys = [e[:2] for e in merged(sources)]
+        assert len(keys) == 20
+        assert keys == sorted(keys)
 
     def test_pulls_lazily_and_only_from_the_source_just_yielded(self):
         # Block fetch order — and so the simulated clock, cloud request
@@ -85,34 +56,31 @@ class TestMergeInternal:
             [(*ik(b"b", 1), b"1"), (*ik(b"d", 1), b"1")],
             [(*ik(b"f", 1), b"2")],
         ]
-        for reverse in DIRECTIONS:
-            pulls = []
+        pulls = []
 
-            def tracked(index, entries):
-                for entry in in_scan_order(entries, reverse):
-                    pulls.append(index)
-                    yield entry
+        def tracked(index, entries):
+            for entry in entries:
+                pulls.append(index)
+                yield entry
 
-            stream = merge_internal(
-                [tracked(i, run) for i, run in enumerate(runs)], reverse=reverse
-            )
-            assert pulls == []  # nothing before the first next
-            previous = next(stream)
-            assert pulls == [0, 1, 2]  # one entry per source seeds the merge
-            left = [len(run) - 1 for run in runs]
-            yielded = [previous]
-            while True:
-                seen = len(pulls)
-                entry = next(stream, None)
-                source = int(previous[2])  # each value names its source
-                expected = [source] if left[source] else []
-                left[source] -= len(expected)
-                assert pulls[seen:] == expected, (reverse, yielded)
-                if entry is None:
-                    break
-                yielded.append(entry)
-                previous = entry
-            assert yielded == sorted((e for run in runs for e in run), reverse=reverse)
+        stream = merge_internal([tracked(i, run) for i, run in enumerate(runs)])
+        assert pulls == []  # nothing before the first next
+        previous = next(stream)
+        assert pulls == [0, 1, 2]  # one entry per source seeds the merge
+        left = [len(run) - 1 for run in runs]
+        yielded = [previous]
+        while True:
+            seen = len(pulls)
+            entry = next(stream, None)
+            source = int(previous[2])  # each value names its source
+            expected = [source] if left[source] else []
+            left[source] -= len(expected)
+            assert pulls[seen:] == expected, yielded
+            if entry is None:
+                break
+            yielded.append(entry)
+            previous = entry
+        assert yielded == sorted(e for run in runs for e in run)
 
     def test_entries_sort_natively_like_their_internal_key_bytes(self):
         """No ``key=``: tuple order is internal-key order."""
@@ -125,16 +93,15 @@ class TestMergeInternal:
         rows = [(*ik(*shape), b"v") for shape in shapes]
         by_bytes = sorted(shapes, key=lambda shape: internal_order(make_internal_key(*shape)))
         assert sorted(rows) == [(*ik(*shape), b"v") for shape in by_bytes]
-        for reverse in DIRECTIONS:
-            halves = [sorted(rows[0::2]), sorted(rows[1::2])]
-            assert merged(halves, reverse) == sorted(rows, reverse=reverse)
+        halves = [sorted(rows[0::2]), sorted(rows[1::2])]
+        assert merged(halves) == sorted(rows)
 
     def test_one_internal_key_in_two_sources_comes_out_twice_earlier_source_first(self):
         """A WAL replayed over a memtable whose flush already committed leaves
         the same ``(user_key, sequence, type)``, with the same value, in the
         memtable and in an L0 table. Both copies come out, adjacent, the
-        earlier source's first, in either direction; sources are told apart
-        here by identity, the copies being equal."""
+        earlier source's first; sources are told apart here by identity,
+        the copies being equal."""
         copies = [(*ik(b"k", 7), bytes(bytearray(b"same"))) for _ in range(3)]
         assert copies[0] == copies[1] and copies[0][2] is not copies[1][2]
         sources = [
@@ -142,18 +109,13 @@ class TestMergeInternal:
             [copies[1], (*ik(b"k", 3), b"older")],
             [(*ik(b"k", 9), b"newer"), copies[2]],
         ]
-        for reverse in DIRECTIONS:
-            out = merged(sources, reverse)
-            assert len(out) == 7
-            at = out.index(copies[0])
-            assert [id(e[2]) for e in out[at : at + 3]] == [id(c[2]) for c in copies]
-            assert out == sorted(out, reverse=reverse)
-            # Visibility collapses the copies like any shadowed entry.
-            assert visible(in_scan_order(out, reverse), reverse, sequence=8) == [
-                (b"a", b"a"),
-                (b"k", b"same"),
-                (b"z", b"z"),
-            ][:: -1 if reverse else 1]
+        out = merged(sources)
+        assert len(out) == 7
+        at = out.index(copies[0])
+        assert [id(e[2]) for e in out[at : at + 3]] == [id(c[2]) for c in copies]
+        assert out == sorted(out)
+        # Visibility collapses the copies like any shadowed entry.
+        assert visible(out, sequence=8) == [(b"a", b"a"), (b"k", b"same"), (b"z", b"z")]
 
 
 class TestOneInternalKeyInTwoTables:
@@ -201,29 +163,24 @@ class TestOneInternalKeyInTwoTables:
 class TestVisibility:
     def test_newest_wins(self):
         entries = [(*ik(b"k", 9), b"new"), (*ik(b"k", 5), b"old")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse) == [(b"k", b"new")]
+        assert visible(entries) == [(b"k", b"new")]
 
     def test_tombstone_hides(self):
         entries = [(*ik(b"k", 9, TYPE_DELETION), b""), (*ik(b"k", 5), b"old")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse) == []
+        assert visible(entries) == []
 
     def test_snapshot_skips_future(self):
         entries = [(*ik(b"k", 9), b"future"), (*ik(b"k", 5), b"past")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse, sequence=6) == [(b"k", b"past")]
+        assert visible(entries, sequence=6) == [(b"k", b"past")]
 
     def test_snapshot_before_any_entry(self):
         entries = [(*ik(b"k", 9), b"v")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse, sequence=3) == []
+        assert visible(entries, sequence=3) == []
 
     def test_tombstone_then_older_put_at_snapshot(self):
         # Delete at seq 9, put at seq 5; snapshot at 7 sees the put.
         entries = [(*ik(b"k", 9, TYPE_DELETION), b""), (*ik(b"k", 5), b"v")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse, sequence=7) == [(b"k", b"v")]
+        assert visible(entries, sequence=7) == [(b"k", b"v")]
 
     def test_multiple_keys(self):
         entries = [
@@ -233,48 +190,35 @@ class TestVisibility:
             (*ik(b"b", 1), b"b1"),
             (*ik(b"c", 1), b"c1"),
         ]
-        expected = [(b"a", b"a3"), (b"c", b"c1")]
-        for reverse in DIRECTIONS:
-            assert visible(entries, reverse) == in_scan_order(expected, reverse)
+        assert visible(entries) == [(b"a", b"a3"), (b"c", b"c1")]
 
 
 class TestClamp:
     ENTRIES = [(b"a", b"1"), (b"c", b"2"), (b"e", b"3"), (b"g", b"4")]
 
-    def clamped_keys(self, reverse, **bounds):
-        stream = iter(in_scan_order(self.ENTRIES, reverse))
-        return [k for k, _ in clamp_to_range(stream, reverse=reverse, **bounds)]
+    def clamped_keys(self, **bounds):
+        return [k for k, _ in clamp_to_range(iter(self.ENTRIES), **bounds)]
 
     def test_no_bounds(self):
-        for reverse in DIRECTIONS:
-            assert len(self.clamped_keys(reverse)) == 4
+        assert len(self.clamped_keys()) == 4
 
     def test_begin_inclusive(self):
-        for reverse in DIRECTIONS:
-            got = self.clamped_keys(reverse, begin=b"c")
-            assert got == in_scan_order([b"c", b"e", b"g"], reverse)
+        assert self.clamped_keys(begin=b"c") == [b"c", b"e", b"g"]
 
     def test_end_exclusive(self):
-        for reverse in DIRECTIONS:
-            got = self.clamped_keys(reverse, end=b"e")
-            assert got == in_scan_order([b"a", b"c"], reverse)
+        assert self.clamped_keys(end=b"e") == [b"a", b"c"]
 
     def test_both_bounds(self):
-        for reverse in DIRECTIONS:
-            got = self.clamped_keys(reverse, begin=b"b", end=b"g")
-            assert got == in_scan_order([b"c", b"e"], reverse)
+        assert self.clamped_keys(begin=b"b", end=b"g") == [b"c", b"e"]
 
     def test_early_termination(self):
-        # clamp must stop consuming once past the bound the scan runs into:
-        # `end` going forward, `begin` going backward.
-        for reverse in DIRECTIONS:
-            consumed = []
+        # clamp must stop consuming once past `end`.
+        consumed = []
 
-            def source():
-                for k in in_scan_order([b"a", b"b", b"c", b"d"], reverse):
-                    consumed.append(k)
-                    yield k, b"v"
+        def source():
+            for k in [b"a", b"b", b"c", b"d"]:
+                consumed.append(k)
+                yield k, b"v"
 
-            bounds = {"begin": b"c"} if reverse else {"end": b"b"}
-            list(clamp_to_range(source(), reverse=reverse, **bounds))
-            assert (b"a" if reverse else b"d") not in consumed
+        list(clamp_to_range(source(), end=b"b"))
+        assert b"d" not in consumed

@@ -53,31 +53,26 @@ class TestMemTable:
         mt.add(1, TYPE_VALUE, b"a", b"v1")
         mt.add(2, TYPE_VALUE, b"b", b"v2")
         assert list(mt) == list(mt.entries())
-        for reverse in (False, True):
-            entries = list(mt.entries(reverse=reverse))
-            user_keys = [user_key for user_key, _, _ in entries]
-            seqs = [-neg_trailer >> 8 for _, neg_trailer, _ in entries]
-            # newest first within a user key (oldest first going backward)
-            assert user_keys == ([b"b", b"b", b"a"] if reverse else [b"a", b"b", b"b"])
-            assert seqs == ([2, 3, 1] if reverse else [1, 3, 2])
+        entries = list(mt.entries())
+        # newest first within a user key
+        assert [user_key for user_key, _, _ in entries] == [b"a", b"b", b"b"]
+        assert [-neg_trailer >> 8 for _, neg_trailer, _ in entries] == [1, 3, 2]
 
     def test_seek(self):
         mt = MemTable()
         for i, key in enumerate([b"a", b"c", b"e"]):
             mt.add(i + 1, TYPE_VALUE, key, b"v")
-        # Forward: entries at/after the target; reverse: entries strictly
-        # below it, descending. Targets between, before and past the keys.
+        # Entries at/after the target. Targets between, before and past
+        # the keys.
         cases = [
-            (b"b", [b"c", b"e"], [b"a"]),
-            (b"c", [b"c", b"e"], [b"a"]),
-            (b"0", [b"a", b"c", b"e"], []),
-            (b"z", [], [b"e", b"c", b"a"]),
+            (b"b", [b"c", b"e"]),
+            (b"c", [b"c", b"e"]),
+            (b"0", [b"a", b"c", b"e"]),
+            (b"z", []),
         ]
-        for user_key, at_or_after, below in cases:
+        for user_key, at_or_after in cases:
             target = seek_goal(user_key, 2**50)
-            for reverse, expected in ((False, at_or_after), (True, below)):
-                got = [entry[0] for entry in mt.entries(target, reverse=reverse)]
-                assert got == expected, (user_key, reverse)
+            assert [entry[0] for entry in mt.entries(target)] == at_or_after, user_key
 
     def test_live_iterators_do_not_see_later_inserts(self):
         # DB.scan is a generator its caller interleaves with writes: rows
@@ -85,15 +80,15 @@ class TestMemTable:
         mt = MemTable()
         for i, key in enumerate([b"b", b"d", b"f", b"h"]):
             mt.add(i + 1, TYPE_VALUE, key, b"v")
-        forward, backward = mt.entries(), mt.entries(reverse=True)
-        rest_forward = list(mt.entries())[2:]
-        rest_backward = list(mt.entries(reverse=True))[2:]
-        for it in (forward, backward):
+        live, sought = mt.entries(), mt.entries(seek_goal(b"d", 2**50))
+        rest_live = list(mt.entries())[2:]
+        rest_sought = list(mt.entries(seek_goal(b"d", 2**50)))[2:]
+        for it in (live, sought):
             next(it), next(it)
         for seq, key in enumerate([b"a", b"c", b"e", b"g", b"i"], start=10):
             mt.add(seq, TYPE_VALUE, key, b"late")
-        assert list(forward) == rest_forward
-        assert list(backward) == rest_backward
+        assert list(live) == rest_live
+        assert list(sought) == rest_sought
         assert len(list(mt)) == 9
 
     def test_duplicate_internal_key_raises(self):

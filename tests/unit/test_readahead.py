@@ -103,13 +103,17 @@ class TestReadahead:
             ReadaheadBuffer(file, readahead_bytes=0)
 
 
-class TestReverseReadahead:
+class TestDescendingReadahead:
+    """Point gets and short scans whose block reads on one table step down
+    through adjacent blocks: the only guard on the descending detector
+    (``_expected_rev``), which ``benchmarks.perf``'s ``scan_e`` relies on."""
+
     def test_descending_run_triggers_fetch_and_serves(self):
         file, _, handles, _ = build_file(num_blocks=60)
         ra = ReadaheadBuffer(file, readahead_bytes=64 << 10)
         assert ra.get(handles[59]) is None  # first touch
         assert ra.get(handles[58]) is None  # streak=1, not yet
-        payload = ra.get(handles[57])  # streak=2 -> reverse fetch
+        payload = ra.get(handles[57])  # streak=2 -> descending fetch
         assert payload == bytes([57]) * 100
         assert ra.stats.fetches == 1
         for i in range(56, 20, -1):
@@ -145,7 +149,7 @@ class TestReverseReadahead:
         ra = ReadaheadBuffer(file, eager=True)
         assert ra.get(handles[10]) is not None  # eager: first access fetches
         fetches = ra.stats.fetches
-        # Eager (compaction) mode has no reverse streak: a backward step
+        # Eager (compaction) mode has no descending streak: a backward step
         # drops the buffer and re-fetches forward from the new position.
         assert ra.get(handles[9]) is not None
         assert ra.stats.fetches == fetches + 1

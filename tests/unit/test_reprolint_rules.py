@@ -343,11 +343,6 @@ class TestRealIO:
         src = "def f(store):\n    return store.open('x')\n"
         assert rule_ids(tmp_path, {"sim/x.py": src}) == []
 
-    def test_whitelisted_module_clean(self, tmp_path):
-        # storage/diskfile.py is the deliberate real-I/O exception.
-        src = "import os\nfrom pathlib import Path\n"
-        assert rule_ids(tmp_path, {"storage/diskfile.py": src}) == []
-
     def test_outside_sim_scope_clean(self, tmp_path):
         assert rule_ids(tmp_path, {"bench/x.py": "import os\n"}) == []
 

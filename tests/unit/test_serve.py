@@ -103,13 +103,6 @@ class TestShardedDB:
         limited = node.scan(make_key(40), None, limit=30)
         assert [k for k, _ in limited] == [make_key(i) for i in range(40, 70)]
 
-    def test_scan_reverse_descends_across_shards(self):
-        node = make_node()
-        for i in range(120):
-            node.put(make_key(i), b"x")
-        results = node.scan(make_key(10), make_key(110), limit=25, reverse=True)
-        assert [k for k, _ in results] == [make_key(i) for i in range(109, 84, -1)]
-
     def test_multi_get_spans_shards(self):
         node = make_node()
         for i in range(200):
@@ -181,7 +174,6 @@ class TestShardedDB:
         for i in range(400):
             node.put(make_key(i), b"v" * 64)
         assert len(node.scan(make_key(150), make_key(250))) == 100
-        assert len(node.scan(make_key(150), make_key(250), reverse=True)) == 100
         assert all(shard.db.scan_pipeline_factory is None for shard in node.shards)
         assert node.tracer.event_count("seek_fanout") == 0
         assert node.tracer.event_count("prefetch_issue") == 0

@@ -215,7 +215,6 @@ class TestTableReader:
         entries = make_entries(300)
         _, reader = build_table(env, entries, Options(block_size=512))
         assert list(reader.entries()) == decoded(entries)
-        assert list(reader.entries(reverse=True)) == decoded(entries)[::-1]
 
     def test_get_present(self, env):
         entries = make_entries(200)
@@ -260,9 +259,8 @@ class TestTableReader:
                 return super().fetch(handle)
 
         reader = TableReader(options, file, stack=Recording(file.name, file))
-        # Forward: entries at/after the target; reverse: entries strictly
-        # below it, descending. Targets mid-table, on the first key, before
-        # it (reverse range empty) and past the last (forward range empty).
+        # Entries at/after the target. Targets mid-table, on the first key,
+        # before it and past the last (empty range).
         for user_key, split in [
             (b"key000050", 50),
             (b"key000000", 0),
@@ -271,17 +269,16 @@ class TestTableReader:
             (b"z", 100),
         ]:
             target = seek_goal(user_key, 2**40)
-            for reverse in (False, True):
-                expected = decoded(entries[:split][::-1] if reverse else entries[split:])
-                del fetched[:]
-                assert list(reader.entries(target, reverse=reverse)) == expected
-                # The index-only edge lookup names the block read first
-                # (for an empty range the scan may still probe one block).
-                edge = reader.edge_data_handle(target, reverse=reverse)
-                if expected:
-                    assert edge == fetched[0], (user_key, reverse)
-                else:
-                    assert fetched == ([] if edge is None else [edge])
+            expected = decoded(entries[split:])
+            del fetched[:]
+            assert list(reader.entries(target)) == expected
+            # The index-only edge lookup names the block read first; past
+            # the last key there is none, and nothing is read.
+            edge = reader.edge_data_handle(target)
+            if expected:
+                assert edge == fetched[0], user_key
+            else:
+                assert edge is None and fetched == []
 
     def test_no_bloom_filter_option(self, env):
         options = Options(filter_allocation=FilterAllocation((0,)))
