@@ -1,9 +1,8 @@
-"""Experiment definitions E1–E25: the reconstructed evaluation (E1–E12)
-plus extensions (E13–E25: compression, batched reads, fault injection,
+"""Experiment definitions E1–E23: the reconstructed evaluation (E1–E12)
+plus extensions (E13–E23: compression, batched reads, fault injection,
 up-tiering, compaction style, the parallel compaction pipeline,
 reliability, the tier-attributed read-path anatomy, the scan pipeline,
-sharded serving, the blob log and Monkey filter allocation; E24, the
-sorted view, is retired).
+sharded serving and the blob log).
 
 Each function regenerates one table/figure (see DESIGN.md §3) and returns a
 :class:`~repro.bench.report.Table` whose rows are the series the paper
@@ -1398,111 +1397,6 @@ def e23_bloblog(
     return table
 
 
-def e25_monkey_filters(filter_records: int = 8000) -> Table:
-    """E25: Monkey filter allocation vs uniform at equal filter memory.
-
-    Uniform 10 bits/key vs a Monkey allocation at the *same* weighted
-    filter-memory budget over a three-level cloud-resident tree, probed
-    with absent keys inside every table's key range — each false positive
-    is a billable cloud GET.
-    """
-    import random
-
-    from repro.lsm.filters import monkey_allocation
-    from repro.lsm.options import BLOOM_BITS_PER_KEY, LEVEL_SIZE_MULTIPLIER
-
-    table = Table(
-        "E25: Monkey filter allocation vs uniform at equal filter memory",
-        ["config", "phase", "elapsed_s", "Kops/s", "cloud_gets", "bloom_fp", "digest"],
-        notes=[
-            "cloud_level=1, 8 KiB DRAM / 16 KiB pcache;",
-            "pointmiss: monkey vs uniform filters at equal weighted memory",
-        ],
-    )
-    common = dict(
-        cloud_level=1, pcache_budget_bytes=16 << 10, block_cache_bytes=8 << 10
-    )
-
-    # -- Monkey vs uniform filter allocation at the same memory budget ----
-    # The load must *overwrite in random order*: a sequential load produces
-    # non-overlapping flushes that trivially move to the bottom level still
-    # wearing their L0 filters, which silently inflates the filter memory
-    # and voids the comparison. Shuffled update rounds force real rewrites,
-    # so every resting table carries its own level's policy; a final
-    # uncompacted tail of recent writes leaves full-keyspace tables in the
-    # upper tree — the levels Monkey spends its saved bits on.
-    shape: list[int] = []
-    filter_memory: dict[str, int] = {}
-    for mode in ("uniform-10", "monkey-10"):
-        # Cache-starved, so every false positive pays a cloud GET instead
-        # of hiding in a warm block cache.
-        store = make_store("rocksmash", HarnessKnobs(**common))
-        if mode == "monkey-10":
-            # Same data => same tree shape as the uniform run: compute the
-            # allocation from that shape *before* loading so every table
-            # is built under the per-level policy.
-            store.config.options.filter_allocation = monkey_allocation(
-                shape,
-                budget_bits_per_key=BLOOM_BITS_PER_KEY,
-                size_multiplier=LEVEL_SIZE_MULTIPLIER,
-            )
-        rng = random.Random(25)
-        even_keys = [2 * i for i in range(filter_records)]
-        for round_no in range(3):
-            rng.shuffle(even_keys)
-            for i in even_keys:
-                store.put(make_key(i), make_value(i + round_no, 600), sync=False)
-        rng.shuffle(even_keys)
-        for i in even_keys[: filter_records // 10]:
-            store.put(make_key(i), make_value(i + 99, 600), sync=False)
-        store.flush()
-        if mode == "uniform-10":
-            summary = store.db.level_summary()
-            shape = [0] * (max(level for level, _, _ in summary) + 1)
-            for level, _files, nbytes in summary:
-                shape[level] = nbytes
-            table.notes.append(
-                "pointmiss tree (bytes/level): "
-                + "/".join(str(b) for b in shape)
-            )
-        else:
-            alloc = store.config.options.filter_allocation
-            assert alloc is not None
-            table.notes.append(f"monkey allocation: {alloc.describe()}")
-        # Point-miss phase: odd keys are absent but *inside* every table's
-        # key range, so each lookup runs the full filter gauntlet and any
-        # false positive pays a cloud block fetch.
-        fp0 = store.db.bloom_stats["bloom_false_positive"]
-        gets0 = store.counters.get("cloud.get_ops")
-        t0 = store.clock.now
-        for i in range(1, 2 * filter_records, 2):
-            store.get(make_key(i))
-        elapsed = max(store.clock.now - t0, 1e-9)
-        table.add_row(
-            mode,
-            "pointmiss",
-            elapsed,
-            filter_records / elapsed / 1e3,
-            store.counters.get("cloud.get_ops") - gets0,
-            store.db.bloom_stats["bloom_false_positive"] - fp0,
-            "-",
-        )
-        # Actual filter bytes across live tables (from the table footers):
-        # the honesty check that Monkey stays within the uniform budget.
-        version = store.db.versions.current
-        filter_memory[mode] = sum(
-            store.db.table_cache.get_reader(meta.number).footer.filter_handle.size
-            for _level, meta in version.all_files()
-        )
-        store.close()
-    table.extra["filter_memory"] = filter_memory
-    table.notes.append(
-        "live filter bytes: "
-        + ", ".join(f"{k}={v}" for k, v in filter_memory.items())
-    )
-    return table
-
-
 ALL_EXPERIMENTS = {
     "e1": e1_write_micro,
     "e2": e2_read_micro,
@@ -1529,5 +1423,4 @@ ALL_EXPERIMENTS = {
     "e21": e21_scan_pipeline,
     "e22": e22_sharded_serving,
     "e23": e23_bloblog,
-    "e25": e25_monkey_filters,
 }

@@ -476,12 +476,8 @@ class CompactionJob:
         max_file_size = None if compaction.single_output else self.options.target_file_size_base
         for first in kept:
             number = self.new_file_number()
-            # Outputs carry the *output level's* filter policy, so a
-            # per-level allocation migrates filters as tables rewrite.
             builder = TableBuilder(
-                self.options,
-                self.env.new_writable_file(table_file_name(self.prefix, number)),
-                level=compaction.output_level,
+                self.options, self.env.new_writable_file(table_file_name(self.prefix, number))
             )
             builder.fill(chain((first,), kept), max_file_size)
             props = builder.finish()

@@ -449,7 +449,7 @@ class DB:
             self.blob_store.on_flush_begin()
         number = self.versions.new_file_number()
         name = table_file_name(self.prefix, number)
-        builder = TableBuilder(self.options, self.env.new_writable_file(name), level=0)
+        builder = TableBuilder(self.options, self.env.new_writable_file(name))
         builder.fill(self.memtable)
         props = builder.finish()
         meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lsm.filters import FilterAllocation
-from repro.util.bloom import BloomFilterPolicy
-
 #: Levels in the tree, L0 to L6 (RocksDB's default).
 NUM_LEVELS = 7
 
 LEVEL_SIZE_MULTIPLIER = 10
 """Size ratio between adjacent levels from L1 down (RocksDB's default)."""
-
-BLOOM_BITS_PER_KEY = 10
-"""Bits per key of a table's bloom filter where no per-level
-``Options.filter_allocation`` says otherwise; also the memory budget a
-Monkey allocation redistributes."""
 
 
 @dataclass
@@ -114,13 +106,6 @@ class Options:
     block_cache_bytes: int = 8 << 20
     """In-memory (DRAM) block cache budget; 0 disables it."""
 
-    filter_allocation: FilterAllocation | None = None
-    """Per-level bloom bits-per-key vector (Monkey-style allocation; see
-    :mod:`repro.lsm.filters`). When set it overrides the flat
-    :data:`BLOOM_BITS_PER_KEY` at table-build time:
-    every flush/compaction resolves its output level's policy via
-    :meth:`table_filter_policy`. ``None`` keeps the uniform behaviour."""
-
     def __post_init__(self) -> None:
         if self.write_buffer_size <= 0:
             raise ValueError("write_buffer_size must be positive")
@@ -151,18 +136,6 @@ class Options:
             target_file_size_base=4 << 10,
             block_cache_bytes=8 << 10,
         )
-
-    def table_filter_policy(self, level: int) -> BloomFilterPolicy | None:
-        """Effective filter policy for a table built at ``level``.
-
-        ``None`` disables the filter block for that table. This is *the*
-        resolution point for per-level allocations: flush (level 0) and
-        compaction (output level) both route through it when they build a
-        table.
-        """
-        if self.filter_allocation is not None:
-            return self.filter_allocation.policy_for(level)
-        return BloomFilterPolicy(bits_per_key=BLOOM_BITS_PER_KEY)
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size target for ``level`` (level 0 is count-triggered, not size)."""

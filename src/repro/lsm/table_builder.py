@@ -28,10 +28,16 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
+from repro.util.bloom import BloomFilterPolicy
 from repro.util.encoding import TRAILER, Entry, internal_order
 
 BLOCK_RESTART_INTERVAL = 16
 """Keys between restart points inside a data block (LevelDB's default)."""
+
+BLOOM_BITS_PER_KEY = 10
+"""Bits per key of every table's bloom filter (RocksDB's default)."""
+
+_FILTER_POLICY = BloomFilterPolicy(bits_per_key=BLOOM_BITS_PER_KEY)
 
 
 class BlockMeta(NamedTuple):
@@ -56,15 +62,13 @@ class TableProperties:
 class TableBuilder:
     """Builds one SSTable onto a writable file."""
 
-    def __init__(self, options: Options, file: WritableFile, *, level: int = 0) -> None:
+    def __init__(self, options: Options, file: WritableFile) -> None:
         self.options = options
-        self._filter_policy = options.table_filter_policy(level)
         self._file = file
         self._data_block = BlockBuilder(BLOCK_RESTART_INTERVAL)
         self._offset = 0
         self._props = TableProperties()
-        # The table's user keys, awaiting the filter. Left empty when the
-        # level has no filter.
+        # The table's user keys, awaiting the filter.
         self._filter_keys: list[bytes] = []
         self._finished = False
 
@@ -101,7 +105,7 @@ class TableBuilder:
         the key bytes rebuilt — here and nowhere earlier."""
         last_key = self._data_block.last_key
         last_user_key, last_neg = internal_order(last_key) if last_key else (b"", -(1 << 64))
-        collect = self._filter_keys.append if self._filter_policy is not None else None
+        collect = self._filter_keys.append
         pack = TRAILER.pack
         for user_key, neg_trailer, value in entries:
             try:
@@ -110,8 +114,7 @@ class TableBuilder:
                 raise InvalidArgumentError(f"neg_trailer {neg_trailer} not in (-2**64, 0]") from None
             if user_key <= last_user_key and (user_key < last_user_key or neg_trailer <= last_neg):
                 raise InvalidArgumentError("keys added out of order")
-            if collect is not None:
-                collect(user_key)
+            collect(user_key)
             last_user_key, last_neg = user_key, neg_trailer
             yield key, value
 
@@ -148,16 +151,10 @@ class TableBuilder:
         self._props.smallest_key = self._props.blocks[0].first_key
         self._props.largest_key = self._data_block.last_key
 
-        # Filter block: one bloom filter over the whole table. The policy
-        # was resolved for this table's level at construction (per-level
-        # allocations hand different levels different budgets).
-        if self._filter_policy is None:
-            filter_payload = b""
-        else:
-            filter_payload = bytes([FILTER_WHOLE_TABLE]) + self._filter_policy.create_filter(
-                self._filter_keys
-            )
-        filter_handle = self._write_raw_block(filter_payload)
+        # Filter block: one bloom filter over the whole table.
+        filter_handle = self._write_raw_block(
+            bytes([FILTER_WHOLE_TABLE]) + _FILTER_POLICY.create_filter(self._filter_keys)
+        )
 
         # Index block: last key of each data block -> handle.
         index = BlockBuilder(restart_interval=1)  # full keys: binary-search friendly

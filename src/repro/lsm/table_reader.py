@@ -73,13 +73,15 @@ class TableReader:
         self.footer = footer
         self._index = Block(self.stack.meta(footer.index_handle, "index"))
         self._parsed: tuple[list[SeekGoal], list[BlockHandle]] | None = None
-        self._filter: bytes | None = None
-        if footer.filter_handle.size > 0:
-            payload = self.stack.meta(footer.filter_handle, "filter")
-            if payload:
-                if payload[0] != FILTER_WHOLE_TABLE:
-                    raise CorruptionError(f"unknown filter-block tag {payload[0]:#x}")
-                self._filter = payload[1:]
+        # Every table carries a filter block (the builder always writes
+        # one), so a missing one is corruption, like an unknown tag.
+        handle = footer.filter_handle
+        payload = self.stack.meta(handle, "filter") if handle.size else b""
+        if not payload:
+            raise CorruptionError(f"table {self.name} has an empty filter block")
+        if payload[0] != FILTER_WHOLE_TABLE:
+            raise CorruptionError(f"unknown filter-block tag {payload[0]:#x}")
+        self._filter = payload[1:]
 
     # -- index -----------------------------------------------------------
 
@@ -124,8 +126,6 @@ class TableReader:
 
     def may_contain(self, user_key: bytes) -> bool:
         """Bloom-filter probe; False means the key is definitely absent."""
-        if self._filter is None:
-            return True
         return BloomFilterPolicy.key_may_match(user_key, self._filter)
 
     def get(self, goal: SeekGoal) -> Entry | None:
@@ -136,17 +136,15 @@ class TableReader:
         key matches and whether it is a value or tombstone.
         """
         user_key = goal[0]
-        probed = self._filter is not None
-        if probed:
-            self._note_filter("checked")
-            if not BloomFilterPolicy.key_may_match(user_key, self._filter):
-                self._note_filter("useful")
-                return None
+        self._note_filter("checked")
+        if not BloomFilterPolicy.key_may_match(user_key, self._filter):
+            self._note_filter("useful")
+            return None
         orders, handles = self._seek_index()
         for position in range(bisect_left(orders, goal), len(handles)):
             entry = self.stack.block(handles[position]).first(goal)
             if entry is not None:
-                if probed and entry[0] != user_key:
+                if entry[0] != user_key:
                     # The filter passed but the block holds no entry for
                     # this user key: the data fetch was a bloom miss.
                     self._note_filter("false_positive")
@@ -154,8 +152,7 @@ class TableReader:
             # The goal sorts after every entry of this block (can happen when
             # goal > block's last key only via index separator equality);
             # fall through to the next index entry.
-        if probed:
-            self._note_filter("false_positive")
+        self._note_filter("false_positive")
         return None
 
     # -- iteration ----------------------------------------------------------

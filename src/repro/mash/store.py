@@ -543,8 +543,6 @@ class RocksMashStore(StoreFacade):
         # footer round trip against the cloud copy entirely.
         self.pcache.put_meta(file_name, "footer", footer_raw)
         for kind, handle in (("index", footer.index_handle), ("filter", footer.filter_handle)):
-            if handle.size == 0:
-                continue
             raw = file.read(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
             self.pcache.put_meta(file_name, kind, unseal_block(raw, verify=False))
 

@@ -1,8 +1,8 @@
 """Bloom filter, LevelDB-compatible double hashing.
 
-Used for SSTable filter blocks: a filter is built once per table (or per
-block) from the set of user keys and serialized into the file; readers probe
-it before touching data blocks. The guarantee tested by the property suite is
+Used for SSTable filter blocks: a filter is built once per table from the
+set of user keys and serialized into the file; readers probe it before
+touching data blocks. The guarantee tested by the property suite is
 *no false negatives*: every key added always matches.
 """
 

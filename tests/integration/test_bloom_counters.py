@@ -29,7 +29,6 @@ class TestBloomCounters:
         metrics = store.metrics()
         for outcome, count in store.db.bloom_stats.items():
             assert metrics[outcome] == metrics[f"event.{outcome}"] == count
-        assert store.config.options.filter_allocation is None  # uniform bits
 
     def test_useful_rejects_save_cloud_gets(self):
         store = RocksMashStore.create(StoreConfig().small())

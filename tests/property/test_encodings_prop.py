@@ -248,7 +248,7 @@ class TestTableStream:
     def table(options, feed):
         """Build one table with ``feed(builder)``; its bytes and properties."""
         env = LocalEnv(LocalDevice(SimClock()))
-        builder = TableBuilder(options, env.new_writable_file("t.sst"), level=1)
+        builder = TableBuilder(options, env.new_writable_file("t.sst"))
         feed(builder)
         props = builder.finish()
         return env.new_random_access_file("t.sst").read(0, props.file_size), props

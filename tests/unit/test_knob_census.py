@@ -51,7 +51,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 71
+TOTAL_FIELDS = 70
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",

@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block_cache import BlockStack
+from repro.lsm.db import DB
 from repro.lsm.format import (
     FILTER_WHOLE_TABLE,
+    FOOTER_SIZE,
     BlockHandle,
     Footer,
     decode_handle,
@@ -15,7 +17,6 @@ from repro.lsm.format import (
     table_file_name,
     unseal_block,
 )
-from repro.lsm.filters import FilterAllocation
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_reader import TableReader
@@ -203,11 +204,35 @@ class TestFilterBlock:
         with pytest.raises(CorruptionError, match="unknown filter-block tag 0x1"):
             TableReader(Options(), env.new_random_access_file("t.sst"))
 
-    def test_no_policy_no_filter(self, env):
-        options = Options(block_size=256, filter_allocation=FilterAllocation((0,)))
-        _, reader = build_table(env, self.entries(), options)
-        assert reader.footer.filter_handle.size == 0
-        assert reader.may_contain(b"anything")
+    def test_empty_filter_block_rejected_at_open(self, env):
+        # Every table is written with a filter; a footer that points at an
+        # empty (CRC-valid) filter block is corruption.
+        _, reader = build_table(env, self.entries(), name="t.sst")
+        footer = reader.footer
+        data = bytearray(env.read_file("t.sst"))
+        empty = seal_block(b"")
+        offset = footer.filter_handle.offset
+        data[offset : offset + len(empty)] = empty
+        emptied = Footer(BlockHandle(offset, 0), footer.index_handle)
+        data[-FOOTER_SIZE:] = emptied.encode()
+        env.delete_file("t.sst")
+        env.write_file("t.sst", bytes(data))
+        with pytest.raises(CorruptionError, match="empty filter block"):
+            TableReader(Options(), env.new_random_access_file("t.sst"))
+
+    def test_every_compacted_table_carries_a_whole_table_filter(self, env):
+        options = Options.small()
+        db = DB.open(env, "db/", options)
+        for i in range(600):
+            db.put(f"key{i * 7 % 600:06d}".encode(), b"v" * 60)
+        db.compact_range()
+        live = list(db.versions.current.all_files())
+        assert live
+        for _level, meta in live:
+            file = env.new_random_access_file(table_file_name("db/", meta.number))
+            reader = TableReader(options, file)
+            assert self.filter_payload(env, reader)[0] == FILTER_WHOLE_TABLE
+        db.close()
 
 
 class TestTableReader:
@@ -279,11 +304,6 @@ class TestTableReader:
                 assert edge == fetched[0], user_key
             else:
                 assert edge is None and fetched == []
-
-    def test_no_bloom_filter_option(self, env):
-        options = Options(filter_allocation=FilterAllocation((0,)))
-        _, reader = build_table(env, make_entries(50), options)
-        assert reader.may_contain(b"anything")  # no filter: conservative
 
     def test_truncated_file_detected(self, env):
         entries = make_entries(10)
