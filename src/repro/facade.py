@@ -218,7 +218,7 @@ class StoreFacade:
     ) -> list[tuple[bytes, bytes]]:
         """Range scan over user keys in [begin, end)."""
         with self.tracer.span("scan") as span:
-            rows = self.db.scan(begin, end, snapshot=snapshot)
+            rows = self.db.scan(begin, end, limit, snapshot=snapshot)
             results = take_rows(rows, limit)
         self.read_latency.record(span.elapsed)
         return results

@@ -8,10 +8,19 @@ first that has the block (DESIGN.md, "The block path"):
   length of its encoded payload: every hit, miss and eviction is what a cache
   of raw payloads would see, and a hit skips the re-parse;
 * ``pcache``, ``primed``, ``readahead`` — a store variant's persistent cache
-  on the local device, the scan-prefetch pipeline's primed buffers and the
-  table's own sequential readahead; the base engine has none of the three,
-  :class:`repro.mash.store.MashBlockStack` all of them;
+  on the local device, then a range of the table already in memory: one the
+  scan-prefetch pipeline fetched (``primed``), or one the scan's own miss or
+  the point-read detector fetched (``readahead``); the base engine has none
+  of the three, :class:`repro.mash.store.MashBlockStack` all of them;
 * ``demand`` — a ranged read of the table file, CRC-verified.
+
+A scan reads through the same stack with its :class:`ScanReads`: every
+cloud table the scan misses on gets one :class:`ScanBuffer`, filled by one
+ranged read that runs from the missed block to whatever the scan can still
+need (:meth:`repro.lsm.table_reader.TableReader.scan_span`). The buffer
+belongs to the scan, not to the table, so a block served from DRAM or the
+persistent cache between two misses costs it nothing, and a point get never
+sees it.
 
 A source counts each block it serves under its own name in
 :attr:`BlockPath.hits` and posts one event for it. The payload a lower source
@@ -28,11 +37,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.storage.env import RandomAccessFile
+from repro.util.encoding import SeekGoal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lsm.table_reader import TableReader
 
 BLOCK_SOURCES = ("dram", "pcache", "primed", "readahead", "demand")
 """The sources of a data block, in the order a read tries them — the one
@@ -158,12 +172,13 @@ class BlockStack:
         self.file = file
         self.path = path if path is not None else BlockPath()
 
-    def block(self, handle: BlockHandle) -> Block:
-        """The parsed data block at ``handle``, from the first source that has it."""
+    def block(self, handle: BlockHandle, scan: ScanBuffer | None = None) -> Block:
+        """The parsed data block at ``handle``, from the first source that has
+        it; ``scan`` is the asking scan's buffer of this table."""
         path = self.path
         dram = path.dram
         if dram is None:
-            return Block(self.fetch(handle))
+            return Block(self.fetch(handle) if scan is None else self.scan_fetch(handle, scan))
         # LRUBlockCache.get, inlined: the dram source costs no frame of its own.
         key = (self.name, handle.offset)
         block = dram._entries.get(key)
@@ -174,7 +189,8 @@ class BlockStack:
             path.event("dram_hit")
             return block
         dram.misses += 1
-        block = Block(self.fetch(handle))  # raises before put: never cached corrupt
+        # Block() raises before put: a corrupt payload is never cached.
+        block = Block(self.fetch(handle) if scan is None else self.scan_fetch(handle, scan))
         dram.put(self.name, handle.offset, block)
         return block
 
@@ -184,6 +200,11 @@ class BlockStack:
         self.path.hits["demand"] += 1
         self.path.event("demand_read")
         return payload
+
+    def scan_fetch(self, handle: BlockHandle, scan: ScanBuffer) -> bytes:
+        """:meth:`fetch` for a scan: a store variant whose tables may sit in
+        the cloud serves the scan from ``scan`` (see :class:`ScanBuffer`)."""
+        return self.fetch(handle)
 
     def meta(self, handle: BlockHandle, kind: str) -> bytes:
         """An ``"index"`` or ``"filter"`` block's payload (read at table open)."""
@@ -230,26 +251,28 @@ class ReadaheadBuffer:
 
     Like RocksDB's iterator readahead, it turns a run of per-block ranged
     reads into one large read. The streak detector recognizes ascending
-    offsets (a scan walking a table) and descending block-adjacent offsets,
-    whose fetch covers the range *ending* at the current block.
+    offsets and descending block-adjacent offsets, whose fetch covers the
+    range *ending* at the current block. Two uses: a compaction's pass
+    (``eager``, :class:`SequentialStack`), and a cloud table's point gets —
+    a scan reads through its own :class:`ScanBuffer` and never reaches a
+    table's detector.
 
-    Nothing walks a table backwards: the descending case is reached by
-    forward traffic — point gets and short scans whose successive block
-    reads on one table step down through adjacent blocks. It earns its
-    place by measurement: at seed 42, ``benchmarks.perf``'s ``scan_e``
-    detects 242 descending streaks and issues 28 range fetches for them,
-    and without the detector its ``sim_ops_s`` falls 12.734 → 12.598
-    (−1.1 %), its cloud requests per kop rise 595.75 → 605.63 (+1.7 %)
-    and its write amplification rises 9.164 → 9.345 (+2.0 %).
+    What still reaches the detector is point-get traffic, so its figures
+    come from there. Per ``benchmarks.perf --workload`` run at seed 42 (two
+    replicas), the non-eager buffers issue 283 / 0 / 68 / 336 / 0 range
+    fetches on ``fill_random`` / ``read_local`` / ``read_cloud`` /
+    ``mixed_a`` / ``scan_e`` (the first and fourth from ascending
+    read-backs), and the descending case fires 0 / 30 / 1 274 / 64 / 0
+    times for 0 / 0 / 36 / 2 / 0 of those fetches. Without it,
+    ``read_cloud``'s ``sim_ops_s`` moves 62.422 → 62.462 (+0.06 %) and its
+    write amplification 22.083 → 22.091, ``mixed_a``'s cloud requests per
+    kop 143.27 → 143.31; the other three workloads are bit-equal. It no
+    longer earns a measurable win; whether it goes is ROADMAP item 10's
+    call, since deleting it moves ``read_cloud``'s figures.
 
     ``get(handle)`` returns the unsealed block payload when it can serve it
     (buffered, or by issuing a readahead fetch after two sequential
     accesses), else None — the caller falls back to its normal path.
-
-    ``initial_window`` seeds the adaptive window (clamped to
-    ``readahead_bytes``): the scan-prefetch pipeline passes the previous
-    file's grown window so a level iteration does not restart the rampup
-    at 4 KiB on every file boundary.
     """
 
     INITIAL_READAHEAD = 4 << 10
@@ -260,7 +283,6 @@ class ReadaheadBuffer:
         *,
         readahead_bytes: int = 128 << 10,
         eager: bool = False,
-        initial_window: int | None = None,
     ) -> None:
         if readahead_bytes <= 0:
             raise ValueError("readahead_bytes must be positive")
@@ -273,23 +295,15 @@ class ReadaheadBuffer:
         self._expected_fwd = -1  # next forward-sequential offset
         self._expected_rev = -1  # offset the next descending-adjacent block ends at
         self._streak = 0
-        # Adaptive sizing (RocksDB-style): start small so short scans are
+        # Adaptive sizing (RocksDB-style): start small so a coincidence is
         # not penalized by overfetch, double on each consecutive fetch.
         # Eager mode (compaction inputs: the whole file *will* be read)
         # skips the rampup and fetches full-size ranges from the first
         # access.
-        if eager:
-            self._initial_window = readahead_bytes
-        elif initial_window is not None and initial_window > 0:
-            self._initial_window = min(initial_window, readahead_bytes)
-        else:
-            self._initial_window = min(self.INITIAL_READAHEAD, readahead_bytes)
-        self._current_readahead = self._initial_window
-
-    @property
-    def current_window(self) -> int:
-        """The adaptive window as grown so far (for cross-file carry)."""
-        return self._current_readahead
+        self._start_window = (
+            readahead_bytes if eager else min(self.INITIAL_READAHEAD, readahead_bytes)
+        )
+        self._current_readahead = self._start_window
 
     def _slice_from_buffer(self, handle: BlockHandle) -> bytes | None:
         if self._buffer_base < 0:
@@ -314,13 +328,10 @@ class ReadaheadBuffer:
         self.stats.fetched_bytes += len(self._buffer)
 
     def prime(self, handle: BlockHandle, length: int) -> None:
-        """Speculatively fetch ``length`` bytes starting at ``handle``.
-
-        Used by the scan-prefetch pipeline: the first ranged GET of a table
-        is issued ahead of consumption (on a forked child clock), and the
-        buffer is left in established-streak state so the scan both serves
-        its opening blocks from the primed bytes and continues fetching at
-        the carried window without re-proving sequentiality.
+        """Fetch ``length`` bytes starting at ``handle`` ahead of the first
+        :meth:`get`, leaving the buffer in established-streak state so the
+        pass serves its opening blocks from the primed bytes and continues
+        without re-proving sequentiality (:meth:`SequentialStack.prime`).
         """
         self._fetch(handle, max(length, handle.size + BLOCK_TRAILER_SIZE), descending=False)
         self._expected_fwd = handle.offset  # first get() serves this block
@@ -371,7 +382,73 @@ class ReadaheadBuffer:
         self._buffer = b""
         self._buffer_base = -1
         self._streak = 0
-        self._current_readahead = self._initial_window
+        self._current_readahead = self._start_window
+
+
+class ScanBuffer:
+    """One scan's buffered range of one table (see :class:`ScanReads`).
+
+    :meth:`get` serves any block the range holds, in any order: DRAM or
+    persistent-cache hits between two of the scan's misses leave it intact.
+    :meth:`fill` replaces the range with one ranged read from a block to what
+    the scan can still need; ``primed`` says whether the scan-prefetch
+    pipeline issued it, ahead of the scan, or the scan's own miss did.
+    """
+
+    __slots__ = ("reader", "reads", "base", "data", "primed")
+
+    def __init__(self, reader: TableReader, reads: ScanReads) -> None:
+        self.reader = reader
+        self.reads = reads
+        self.base = -1
+        self.data = b""
+        self.primed = False
+
+    def get(self, handle: BlockHandle) -> bytes | None:
+        """``handle``'s unsealed payload if the range holds it, else None."""
+        start = handle.offset - self.base
+        end = start + handle.size + BLOCK_TRAILER_SIZE
+        if start < 0 or end > len(self.data):  # an empty buffer holds nothing
+            return None
+        return unseal_block(self.data[start:end])
+
+    def fill(self, handle: BlockHandle, window: int, *, primed: bool = False) -> bytes:
+        """One ranged read from ``handle``'s block, at most ``window`` bytes
+        long and cut to what the scan can still need; returns ``handle``'s
+        payload, CRC-verified."""
+        reads = self.reads
+        length = self.reader.scan_span(handle, reads.remaining, reads.end, window)
+        self.data = self.reader.file.read(handle.offset, length)
+        self.base = handle.offset
+        self.primed = primed
+        payload = self.get(handle)
+        if payload is None:
+            raise CorruptionError(
+                f"short block read: wanted {handle.size + BLOCK_TRAILER_SIZE},"
+                f" got {len(self.data)}"
+            )
+        return payload
+
+
+class ScanReads:
+    """What one scan's reads share: how many rows it may still yield
+    (``remaining``, None when unlimited — ``DB.scan`` counts it down per
+    row), where it stops (``end``, the seek goal of its end key) and one
+    :class:`ScanBuffer` per table it has read or primed."""
+
+    __slots__ = ("remaining", "end", "buffers")
+
+    def __init__(self, limit: int | None = None, end: SeekGoal | None = None) -> None:
+        self.remaining: int | None = limit
+        self.end = end
+        self.buffers: dict[str, ScanBuffer] = {}
+
+    def buffer(self, reader: TableReader) -> ScanBuffer:
+        """The scan's buffer of ``reader``'s table, made empty on first ask."""
+        buffer = self.buffers.get(reader.name)
+        if buffer is None:
+            buffer = self.buffers[reader.name] = ScanBuffer(reader, self)
+        return buffer
 
 
 class SequentialStack(BlockStack):

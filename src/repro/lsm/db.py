@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ClosedError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
-from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache, StackFactory
+from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache, ScanReads, StackFactory
 from repro.lsm.compaction import (
     Compaction,
     CompactionEvent,
@@ -100,10 +100,11 @@ class WalWriter(Protocol):
 class ScanPipeline(Protocol):
     """Per-scan prefetch state a store variant attaches to a scan.
 
-    Built by ``DB.scan_pipeline_factory`` when the scan starts (see
-    :class:`repro.mash.prefetch.ScanPrefetcher`). ``target`` is the
-    seek goal every source is seeked to — the scan's ``begin`` — and
-    ``None`` means unbounded.
+    Built by ``DB.scan_pipeline_factory`` from the scan's
+    :class:`~repro.lsm.block_cache.ScanReads` when the scan starts (see
+    :class:`repro.mash.prefetch.ScanPrefetcher`), so what it fetches lands
+    in the scan's own buffers. ``target`` is the seek goal every source is
+    seeked to — the scan's ``begin`` — and ``None`` means unbounded.
     """
 
     def seek_fanout(self, metas: Sequence[FileMetaData], target: SeekGoal | None) -> None:
@@ -130,9 +131,7 @@ class DB:
         *,
         stack_factory: StackFactory = BlockStack,
         event_sink: Callable[[str], None] | None = None,
-        scan_pipeline_factory: (
-            Callable[[bytes | None, bytes | None], ScanPipeline] | None
-        ) = None,
+        scan_pipeline_factory: Callable[[ScanReads], ScanPipeline] | None = None,
         maintenance_hook: Callable[[], None] | None = None,
         listeners: DBListeners | None = None,
     ) -> None:
@@ -155,7 +154,7 @@ class DB:
         ``event`` in a traced store, which then sees one event per block
         served and per bloom-probe outcome."""
         self.scan_pipeline_factory = scan_pipeline_factory
-        """Optional ``(begin, end) -> pipeline`` building per-scan
+        """Optional ``(reads) -> pipeline`` building per-scan
         prefetch state (see :class:`ScanPipeline`). Passed by store variants
         — the base engine scans without one."""
         self.maintenance_hook = maintenance_hook
@@ -704,10 +703,12 @@ class DB:
         self,
         begin: bytes | None = None,
         end: bytes | None = None,
+        limit: int | None = None,
         *,
         snapshot: Snapshot | None = None,
     ) -> Generator[tuple[bytes, bytes], None, None]:
-        """Ordered iteration over user keys in [begin, end).
+        """Ordered iteration over user keys in [begin, end), at most
+        ``limit`` rows (None: no limit).
 
         The version is *pinned* for the iterator's lifetime: compactions
         that run while the caller consumes the scan defer deleting the
@@ -715,16 +716,20 @@ class DB:
 
         Every source is seeked to ``begin`` and yields ascending; one
         merge → visibility → clamp → blob-resolve chain consumes them, and
-        the clamp stops consumption at ``end``. The scan pipeline (when
-        installed) fans out the initial reader opens and prefetches
-        upcoming tables in scan order.
+        the clamp stops consumption at ``end``. Every table read goes through
+        one :class:`~repro.lsm.block_cache.ScanReads`, which knows ``end``
+        and counts ``limit`` down row by row, so a miss on a cloud table
+        reads no further than the scan can still need. The scan pipeline
+        (when installed) fans out the initial reader opens and prefetches
+        upcoming tables in scan order, into the same buffers.
         """
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
         target = seek_goal(begin) if begin else None
+        reads = ScanReads(limit, seek_goal(end) if end is not None else None)
         version = self._pin_version()
         pipeline = (
-            self.scan_pipeline_factory(begin, end)
+            self.scan_pipeline_factory(reads)
             if self.scan_pipeline_factory is not None
             else None
         )
@@ -743,19 +748,30 @@ class DB:
                 initial = list(l0_files) + [files[0] for files in level_files if files]
                 pipeline.seek_fanout(initial, target)
             for meta in l0_files:
-                sources.append(self._table_entries(meta, target))
+                sources.append(self._table_entries(meta, target, reads))
             for files in level_files:
                 if files:
-                    sources.append(self._level_entries(files, target, pipeline))
+                    sources.append(self._level_entries(files, target, reads, pipeline))
             rows = clamp_to_range(
                 visible_user_entries(merge_internal(sources), sequence), begin, end
             )
             if self.blob_store is not None:
                 rows = self._resolve_entries(rows)
-            yield from rows
+            if limit is None:
+                yield from rows
+            elif limit > 0:
+                for row in rows:
+                    limit -= 1
+                    reads.remaining = limit
+                    yield row
+                    if not limit:
+                        break
         finally:
             if pipeline is not None:
                 pipeline.finish()
+            # Each buffer refers back to ``reads``: free the bytes now, not
+            # at the next cyclic collection.
+            reads.buffers.clear()
             self._unpin_version(version)
 
     @staticmethod
@@ -775,13 +791,16 @@ class DB:
             and not (end is not None and meta.smallest_user_key >= end)
         ]
 
-    def _table_entries(self, meta: FileMetaData, target: SeekGoal | None) -> Iterator[Entry]:
-        return self.table_cache.get_reader(meta.number).entries(target)
+    def _table_entries(
+        self, meta: FileMetaData, target: SeekGoal | None, reads: ScanReads
+    ) -> Iterator[Entry]:
+        return self.table_cache.get_reader(meta.number).entries(target, reads)
 
     def _level_entries(
         self,
         files: list[FileMetaData],
         target: SeekGoal | None,
+        reads: ScanReads,
         pipeline: ScanPipeline | None,
     ) -> Iterator[Entry]:
         """One level's disjoint in-range tables as a single sorted source,
@@ -789,7 +808,7 @@ class DB:
         for index, meta in enumerate(files):
             if pipeline is not None:
                 pipeline.table_started(files, index, target)
-            yield from self._table_entries(meta, target)
+            yield from self._table_entries(meta, target, reads)
 
     # -- snapshots ----------------------------------------------------------------------------
 

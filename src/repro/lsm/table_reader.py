@@ -5,6 +5,9 @@ the local device *or* the cloud store — and serves point lookups and range
 iteration with per-block ranged reads. Every block read goes through the
 table's :class:`~repro.lsm.block_cache.BlockStack`, the ordered list of
 sources (DRAM cache, RocksMash's persistent cache, readahead, the file).
+A scan hands its :class:`~repro.lsm.block_cache.ScanReads` down with each
+read, and :meth:`TableReader.scan_span` sizes the one ranged read a scan's
+miss on a cloud table issues.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from itertools import chain
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
-from repro.lsm.block_cache import BlockStack
+from repro.lsm.block_cache import BlockStack, ScanReads
 from repro.lsm.format import (
+    BLOCK_TRAILER_SIZE,
     FILTER_WHOLE_TABLE,
     FOOTER_SIZE,
     BlockHandle,
@@ -24,6 +28,7 @@ from repro.lsm.format import (
     decode_handle,
 )
 from repro.lsm.options import Options
+from repro.lsm.table_builder import BLOOM_BITS_PER_KEY
 from repro.storage.env import RandomAccessFile
 from repro.util.bloom import BloomFilterPolicy
 from repro.util.encoding import Entry, SeekGoal, seek_goal
@@ -173,12 +178,48 @@ class TableReader:
         position = bisect_left(orders, goal)
         return handles[position] if position < len(handles) else None
 
-    def entries(self, goal: SeekGoal | None = None) -> Iterator[Entry]:
+    @property
+    def num_entries(self) -> int:
+        """Entries in the table, read off its filter's length (no I/O).
+
+        The filter holds ``ceil(max(64, n * BLOOM_BITS_PER_KEY) / 8)`` bytes
+        plus the probe byte for ``n`` entries, so this is exact from 7
+        entries up at 10 bits per key; below that the 64-bit floor reads as
+        6 entries.
+        """
+        return (len(self._filter) - 1) * 8 // BLOOM_BITS_PER_KEY
+
+    def scan_span(
+        self, handle: BlockHandle, rows: int | None, end: SeekGoal | None, window: int
+    ) -> int:
+        """Bytes from ``handle``'s block on that a scan may still need: up to
+        the end of the block holding ``end`` (the last data block when None),
+        at most ``rows`` entries of this table's mean size past ``handle``'s
+        block, and at most ``window`` — but never less than the block."""
+        data_bytes = self.footer.filter_handle.offset  # the data blocks come first
+        stop = data_bytes
+        if end is not None:
+            orders, handles = self._seek_index()
+            position = bisect_left(orders, end)
+            if position < len(handles):
+                last = handles[position]
+                stop = last.offset + last.size + BLOCK_TRAILER_SIZE
+        length = min(window, stop - handle.offset)
+        block = handle.size + BLOCK_TRAILER_SIZE
+        if rows is not None:
+            length = min(length, block + rows * data_bytes // self.num_entries)
+        return max(length, block)
+
+    def entries(
+        self, goal: SeekGoal | None = None, reads: ScanReads | None = None
+    ) -> Iterator[Entry]:
         """Entries at or after ``goal``, ascending, one lazily fetched
-        block at a time. ``None`` means no bound: the whole table."""
+        block at a time. ``None`` means no bound: the whole table.
+        ``reads`` is the asking scan's, when a scan asks."""
         load = self.stack.block
+        scan = reads.buffer(self) if reads is not None else None
         for handle in self._handles_from(goal):
-            block = load(handle)
+            block = load(handle, scan)
             yield from block.seek(goal) if goal is not None else block
             goal = None  # the seek applies to the first block only
 

@@ -19,19 +19,22 @@ engine's :class:`~repro.lsm.db.ScanPipeline` protocol:
   (strict join: the seek costs the *slowest* open, not the sum).
 * **Pipelined prefetch** — when a level iterator starts consuming table
   *i*, the next cloud tables of that level (up to ``scan_prefetch_depth``
-  outstanding across the whole scan) are opened and *primed* — their first
-  :data:`PRIME_BYTES` fetched into a
-  :class:`~repro.lsm.block_cache.ReadaheadBuffer` — each on its own
-  back-datable branch. The branch is joined with merge semantics when the
-  iterator reaches that table: latency that fit inside the consumption of
-  earlier tables costs the parent clock nothing (``prefetch_hit``), and a
-  branch the scan never reaches is abandoned without ever charging the
+  outstanding across the whole scan) are opened and *primed*, each on its
+  own back-datable branch. The branch is joined with merge semantics when
+  the iterator reaches that table: latency that fit inside the consumption
+  of earlier tables costs the parent clock nothing (``prefetch_hit``), and
+  a branch the scan never reaches is abandoned without ever charging the
   parent (``prefetch_waste`` — the wasted GETs still count in the request
   counters and the cost model, because they really were issued).
-* **Window carry** — primed buffers inherit the level's grown adaptive
-  readahead window instead of restarting the 4 KiB rampup per file, and
-  prefetched readers land in the shared :class:`TableCache`, so handoff to
-  the consuming iterator is free.
+
+Priming a table issues exactly the read the scan's first miss in it would
+issue — one ranged GET from the scan's entry block, sized by the scan's
+``limit`` and ``end`` (:meth:`~repro.lsm.table_reader.TableReader.scan_span`)
+— into the scan's own :class:`~repro.lsm.block_cache.ScanBuffer` of the
+table, only earlier and on a forked clock. The pipeline therefore issues the
+requests a plain scan would, never more on a scan that reaches every table it
+primes; prefetched readers land in the shared :class:`TableCache`, so handoff
+to the consuming iterator is free.
 
 Waste is bounded: at most ``depth`` speculative prefetches are outstanding
 at any time, so a short scan abandons at most ``depth`` tables.
@@ -42,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.lsm.block_cache import ReadaheadBuffer
+from repro.lsm.block_cache import ScanReads
 from repro.lsm.format import table_file_name
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData
@@ -53,10 +56,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
-
-PRIME_BYTES = 64 << 10
-"""Bytes of each speculatively opened table fetched by its priming GET
-(the strictly joined seek fan-out primes only the 4 KiB initial window)."""
 
 
 @dataclass
@@ -75,6 +74,7 @@ class ScanPrefetcher:
     def __init__(
         self,
         *,
+        reads: ScanReads,
         clock: SimClock,
         hosts: Sequence[ClockCharged],
         tracer: "Tracer",
@@ -82,10 +82,10 @@ class ScanPrefetcher:
         is_cloud: Callable[[str], bool],
         depth: int,
         readahead_bytes: int,
-        on_finish: Callable[["ScanPrefetcher"], None] | None = None,
     ) -> None:
         if depth < 1:
             raise ValueError("scan prefetch depth must be >= 1")
+        self.reads = reads
         self.clock = clock
         self.hosts = list(hosts)
         self.tracer = tracer
@@ -93,13 +93,10 @@ class ScanPrefetcher:
         self.is_cloud = is_cloud
         self.depth = depth
         self.readahead_bytes = readahead_bytes
-        self.on_finish = on_finish
         self.stats = PrefetchStats()
-        self.buffers: dict[str, ReadaheadBuffer] = {}
         self._pending: dict[int, ForkJoinRegion] = {}
         self._ripe: set[int] = set()
         self._seen: set[int] = set()
-        self._carry_source: ReadaheadBuffer | None = None
         self._finished = False
 
     # -- ScanPipeline protocol: hooks called from DB.scan and its sources -----
@@ -120,12 +117,7 @@ class ScanPrefetcher:
         for number in todo:
             self._seen.add(number)
             with region.branch():
-                # The fan-out joins strictly (the seek *waits* on it), so
-                # prime only the small initial window — enough to cover the
-                # first block without making a short scan pay for a large
-                # speculative transfer. Pipelined prefetches, which never
-                # block, prime the full ``PRIME_BYTES``.
-                self._prime(number, target, ReadaheadBuffer.INITIAL_READAHEAD)
+                self._prime(number, target)
         region.join()
         self.stats.fanout_opens += len(todo)
         self.tracer.event("seek_fanout")
@@ -154,7 +146,7 @@ class ScanPrefetcher:
             self._issue(meta.number, target)
 
     def finish(self) -> None:
-        """Scan ended: abandon outstanding prefetches and unregister.
+        """Scan ended: abandon outstanding prefetches.
 
         Abandoned branches are *not* joined — the client never waited for
         them, so their latency stays off the parent clock. Their requests
@@ -168,8 +160,6 @@ class ScanPrefetcher:
             self.tracer.event("prefetch_waste")
         self._pending.clear()
         self._ripe.clear()
-        if self.on_finish is not None:
-            self.on_finish(self)
 
     # -- internals ----------------------------------------------------------
 
@@ -179,7 +169,7 @@ class ScanPrefetcher:
     def _issue(self, number: int, target: SeekGoal | None) -> None:
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._prime(number, target, PRIME_BYTES)
+            self._prime(number, target)
         self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
@@ -202,10 +192,6 @@ class ScanPrefetcher:
                 self.stats.hits += 1
                 self.tracer.event("prefetch_hit")
         self._reap_ripe()
-        source = self.buffers.get(self._name_of(number))
-        if source is not None:
-            # New primed buffers inherit this scan's grown window.
-            self._carry_source = source
 
     def _reap_ripe(self) -> None:
         """Free-join pending branches that finished in the parent's past.
@@ -229,10 +215,10 @@ class ScanPrefetcher:
             region.join(strict=False)  # delta 0: no parent movement
             self._ripe.add(number)
 
-    def _prime(self, number: int, target: SeekGoal | None, prime_bytes: int) -> None:
-        """Pull the range table ``number``'s scan enters at into a primed
-        :class:`ReadaheadBuffer` the table's block stack serves from (its
-        ``primed`` source).
+    def _prime(self, number: int, target: SeekGoal | None) -> None:
+        """Issue the read the scan's first miss in table ``number`` would
+        issue, into the scan's buffer of it (served as the ``primed``
+        source).
 
         The table's reader is opened into the shared :class:`TableCache` —
         the round trips a fan-out or prefetch branch exists to hide, paid
@@ -240,21 +226,9 @@ class ScanPrefetcher:
         from ``target`` is read off its index.
         """
         reader = self.table_cache.get_reader(number)
-        name = self._name_of(number)
-        if self.readahead_bytes <= 0 or name in self.buffers or not self.is_cloud(name):
+        if self.readahead_bytes <= 0 or not self.is_cloud(reader.name):
             return
         handle = reader.edge_data_handle(target)
         if handle is None:
             return
-        carry = (
-            self._carry_source.current_window
-            if self._carry_source is not None
-            else None
-        )
-        buffer = ReadaheadBuffer(
-            reader.file,
-            readahead_bytes=self.readahead_bytes,
-            initial_window=carry,
-        )
-        buffer.prime(handle, prime_bytes)
-        self.buffers[name] = buffer
+        self.reads.buffer(reader).fill(handle, self.readahead_bytes, primed=True)

@@ -17,6 +17,11 @@ Block path of a table (:class:`MashBlockStack`)::
     DRAM block cache → persistent cache → primed scan buffer → readahead
     → demand read (a cloud ranged GET, or a local read)
 
+A scan's miss on a cloud table reads through the scan's own buffer of it
+(:class:`~repro.lsm.block_cache.ScanBuffer`), one ranged GET sized by the
+scan's ``limit`` and ``end``; a point get's goes through the table's
+readahead detector.
+
 Use :meth:`RocksMashStore.create` for a fresh deployment and
 :meth:`RocksMashStore.reopen` to simulate a restart (optionally after a
 crash) over the same simulated devices.
@@ -30,7 +35,14 @@ from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import NotFoundError
-from repro.lsm.block_cache import BlockPath, BlockStack, ReadaheadBuffer, SequentialStack
+from repro.lsm.block_cache import (
+    BlockPath,
+    BlockStack,
+    ReadaheadBuffer,
+    ScanBuffer,
+    ScanReads,
+    SequentialStack,
+)
 from repro.lsm.compaction import CompactionEvent
 from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
@@ -79,8 +91,10 @@ class StoreConfig:
     db_prefix: str = "db/"
     local_capacity_bytes: int | None = None
     scan_readahead_bytes: int = 128 << 10
-    """Sequential readahead for cloud-resident tables (0 disables); see
-    :class:`~repro.lsm.block_cache.ReadaheadBuffer`."""
+    """The longest ranged read a scan's miss on a cloud-resident table
+    issues (:class:`~repro.lsm.block_cache.ScanBuffer`), and the window a
+    table's point-get readahead grows to
+    (:class:`~repro.lsm.block_cache.ReadaheadBuffer`); 0 disables both."""
 
     def small(self) -> "StoreConfig":
         """Scaled-down engine thresholds for tests and quick experiments."""
@@ -160,12 +174,16 @@ class MashBlockStack(BlockStack):
 
     Per-block side effects are ordered, and simulated figures hang on the
     order: heat is recorded before the persistent-cache lookup (a pcache hit
-    still heats the block); the readahead state machine sees every miss on a
-    cloud-resident table, point reads included (that is how it tells a scan
-    from a coincidence); and a block is admitted to the persistent cache only
-    after a demand read from the cloud — a block readahead served is not
-    (scan-resistant caching). The tier is looked up per miss, not per stack:
-    a table can be demoted under a reader a live iterator still holds.
+    still heats the block); and a block is admitted to the persistent cache
+    only when its own miss read it from the cloud — the rest of a range read
+    with it is not (scan-resistant caching). A scan's miss on a
+    cloud-resident table is served from the scan's buffer of the table
+    (``primed`` when the scan pipeline filled it, ``readahead`` when an
+    earlier miss of the scan did) or fills it with one ranged GET
+    (:meth:`scan_fetch`); a point get's miss goes through the table's own
+    readahead detector, which sees point reads only. The tier is looked up
+    per miss, not per stack: a table can be demoted under a reader a live
+    iterator still holds.
 
     A compaction's pass (:meth:`sequential`) skips every source but heats
     each block it reads: heat inheritance and pre-warm are planned from it.
@@ -187,16 +205,27 @@ class MashBlockStack(BlockStack):
         if payload is None:
             cloud = store._is_cloud_file(self.name)
             if cloud:
-                # A scan-prefetch pipeline's primed buffer takes priority
-                # over the table's own: it already holds the table's opening
-                # range and the level's carried window.
-                primed = store._prefetched_buffer(self.name) if store._scan_prefetchers else None
-                if primed is not None:
-                    payload = self._primed(primed, handle)
-                else:
-                    payload = self._readahead(handle)
+                payload = self._readahead(handle)
             if payload is None:
                 payload = self._demand(handle, cloud)
+        return payload
+
+    def scan_fetch(self, handle: BlockHandle, scan: ScanBuffer) -> bytes:
+        store = self.store
+        store.heat.record_access(self.name, handle.offset)
+        payload = self._pcache(handle)
+        if payload is None:
+            cloud = store._is_cloud_file(self.name)
+            window = store.config.scan_readahead_bytes
+            if not cloud or window <= 0:
+                return self._demand(handle, cloud)
+            payload = scan.get(handle)
+            if payload is None:
+                # The scan's miss: one GET of what the scan can still need,
+                # counted and admitted as this block's demand read.
+                return self._demand(handle, cloud, scan.fill(handle, window))
+            self.path.hits["primed" if scan.primed else "readahead"] += 1
+            self.path.event("readahead_hit")
         return payload
 
     def _pcache(self, handle: BlockHandle) -> bytes | None:
@@ -204,13 +233,6 @@ class MashBlockStack(BlockStack):
         if payload is not None:
             self.path.hits["pcache"] += 1
             self.path.event("pcache_hit")
-        return payload
-
-    def _primed(self, primed: ReadaheadBuffer, handle: BlockHandle) -> bytes | None:
-        payload = primed.get(handle)
-        if payload is not None:
-            self.path.hits["primed"] += 1
-            self.path.event("readahead_hit")
         return payload
 
     def _readahead(self, handle: BlockHandle) -> bytes | None:
@@ -226,8 +248,11 @@ class MashBlockStack(BlockStack):
             self.path.event("readahead_hit")
         return payload
 
-    def _demand(self, handle: BlockHandle, cloud: bool) -> bytes:
-        payload = self.read(handle)
+    def _demand(self, handle: BlockHandle, cloud: bool, payload: bytes | None = None) -> bytes:
+        """The demand read of ``handle``'s block, or ``payload`` when a
+        scan's ranged read has just fetched the block."""
+        if payload is None:
+            payload = self.read(handle)
         self.path.hits["demand"] += 1
         if cloud:
             self.path.event("cloud_get")
@@ -295,11 +320,6 @@ class RocksMashStore(StoreFacade):
         )
         self.pcache = PersistentCache.open(local_device, config.pcache)
         self.heat = BlockHeatTracker(config.layout)
-        # Active scan-prefetch pipelines (newest last): the block stacks
-        # serve data blocks from their primed buffers, so a prefetched range
-        # is handed off to the consuming scan instead of being re-fetched.
-        # Must exist before MashDB.open builds stacks.
-        self._scan_prefetchers: list[ScanPrefetcher] = []
         self._init_facade(tracer)
 
         with StopwatchRegion(clock) as sw, self.tracer.span("recovery"):
@@ -442,20 +462,18 @@ class RocksMashStore(StoreFacade):
 
     # -- pipelined scan prefetch ---------------------------------------------------
 
-    def _make_scan_prefetcher(
-        self, begin: bytes | None, end: bytes | None
-    ) -> ScanPrefetcher:
+    def _make_scan_prefetcher(self, reads: ScanReads) -> ScanPrefetcher:
         """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook,
         installed only when ``scan_prefetch_depth > 0``).
 
-        One :class:`ScanPrefetcher` per scan: seek
-        fan-out of the initial reader opens, then up to
-        ``scan_prefetch_depth`` cloud tables speculatively opened + primed
-        ahead of the merge iterator on forked child clocks (see
-        :mod:`repro.mash.prefetch`).
+        One :class:`ScanPrefetcher` per scan: seek fan-out of the initial
+        reader opens, then up to ``scan_prefetch_depth`` cloud tables
+        speculatively opened ahead of the merge iterator on forked child
+        clocks, each primed with the read the scan's first miss in it would
+        issue, into the scan's own buffers (see :mod:`repro.mash.prefetch`).
         """
-        del begin, end  # pruning happens in DB.scan; the pipeline sees files
-        prefetcher = ScanPrefetcher(
+        return ScanPrefetcher(
+            reads=reads,
             clock=self.op_clock,
             hosts=self.env.clock_hosts(),
             tracer=self.tracer,
@@ -463,18 +481,7 @@ class RocksMashStore(StoreFacade):
             is_cloud=self._is_cloud_file,
             depth=self.config.options.scan_prefetch_depth,
             readahead_bytes=self.config.scan_readahead_bytes,
-            on_finish=self._scan_prefetchers.remove,
         )
-        self._scan_prefetchers.append(prefetcher)
-        return prefetcher
-
-    def _prefetched_buffer(self, file_name: str) -> ReadaheadBuffer | None:
-        """The active scan pipeline's primed buffer for a file, if any."""
-        for prefetcher in reversed(self._scan_prefetchers):
-            buffer = prefetcher.buffers.get(file_name)
-            if buffer is not None:
-                return buffer
-        return None
 
     # -- block-path support ------------------------------------------------------
 

@@ -343,13 +343,14 @@ class ShardedDB:
         touched = list(self.router.shards_for_range(begin, end))
         with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
             if len(touched) == 1:
-                results = take_rows(self.shards[touched[0]].db.scan(begin, end), limit)
+                results = take_rows(self.shards[touched[0]].db.scan(begin, end, limit), limit)
             else:
                 gathered: dict[int, list[tuple[bytes, bytes]]] = {}
                 region = ForkJoinRegion(self.op_clock, self._hosts)
                 for index in touched:
                     with region.branch():
-                        gathered[index] = take_rows(self.shards[index].db.scan(begin, end), limit)
+                        rows = self.shards[index].db.scan(begin, end, limit)
+                        gathered[index] = take_rows(rows, limit)
                 region.join()
                 results = [kv for index in touched for kv in gathered[index]]
                 if limit is not None:

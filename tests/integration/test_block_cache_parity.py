@@ -36,6 +36,18 @@ When reverse scans were deleted, both scripts lost their reverse-scan steps
 The steps after them were re-recorded by running the shortened scripts on
 the code *before* the deletion: every step up to the first removed one came
 out equal to the old literals, so the forward path is the oracle still.
+
+Both scripts' scan steps moved once more, on purpose, when a scan began
+reading each cloud table through a buffer of its own: a scan's miss on a
+cloud table now issues one ranged GET sized by the scan's ``limit`` and
+``end``, where the table's readahead detector used to spend two block-sized
+GETs proving the scan before its 4 KiB ramp began. The literals were
+re-recorded by running both scripts on that change: every step before the
+first scan step (the first script's steps 0–2, the stack script's 0–5) came
+out equal to the old literals, and the first scan step is the first to move
+(``cloud_get`` 63 → 62 in the first script). From there on the stack
+script's readahead column sums only the tables' own detectors, which point
+gets alone reach; the scan's buffers are not among them.
 """
 
 import dataclasses
@@ -96,11 +108,11 @@ EXPECTED = [
     (0, 0, 0, 0, 0, 0, 100, 0),
     (70, 172, 16, 7936, 70, 5, 145, 40),
     (108, 254, 15, 7692, 108, 47, 157, 56),
-    (108, 299, 16, 8141, 108, 73, 163, 63),
-    (108, 299, 0, 0, 108, 73, 191, 63),
-    (108, 299, 0, 0, 108, 73, 207, 63),
-    (234, 473, 15, 7679, 234, 73, 207, 107),
-    (234, 510, 15, 7679, 234, 83, 207, 117),
+    (108, 299, 16, 8141, 108, 73, 163, 62),
+    (108, 299, 0, 0, 108, 73, 191, 62),
+    (108, 299, 0, 0, 108, 73, 207, 62),
+    (234, 473, 15, 7679, 234, 73, 207, 106),
+    (234, 510, 15, 7679, 234, 83, 207, 111),
 ]
 
 
@@ -122,7 +134,7 @@ COUNTERS = ("cloud.get_ops", "local.read_ops", "local.read_bytes", "local.write_
 def run_stack_script(buffers):
     """Per step: (pcache data hits, data misses, meta hits, meta misses,
     admissions, evictions, slab compactions), (readahead sequential hits,
-    fetches — summed over ``buffers``, every scan buffer built), COUNTERS,
+    fetches — summed over ``buffers``, every table's readahead detector), COUNTERS,
     STACK_EVENTS counts, crc32 of the step's ``(op, events)`` span list, and
     the simulated clock. Labelled steps also keep their span list."""
     config = StoreConfig().small()
@@ -213,32 +225,32 @@ STACK_EXPECTED = [
      (1, 457, 53, 204, 235, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 4293987834, 5.699244630999949),
     ((458, 344, 351, 285, 433, 208, 3), (1, 52), (325, 1737, 996391, 965115),
      (1, 458, 53, 204, 235, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 5.699324891999949),
-    ((473, 389, 351, 285, 444, 219, 3), (26, 58), (342, 1755, 1005664, 971574),
-     (1, 473, 84, 207, 246, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3622360756, 5.956378221999951),
-    ((473, 393, 351, 285, 446, 221, 3), (26, 58), (344, 1757, 1006721, 971574),
-     (1, 473, 84, 209, 248, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3692700350, 5.986551037999952),
-    ((474, 399, 351, 285, 449, 224, 3), (26, 60), (349, 1759, 1007774, 973681),
-     (1, 474, 86, 210, 251, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3855473776, 6.061885894166619),
-    ((479, 424, 351, 285, 469, 244, 3), (26, 62), (371, 1767, 1011824, 984355),
-     (1, 479, 88, 213, 271, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 4218092678, 6.122317967999955),
-    ((479, 424, 450, 351, 675, 350, 5), (26, 62), (392, 2371, 1318951, 1345693),
-     (1, 479, 88, 241, 271, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 6.66883441183329),
-    ((479, 424, 1419, 549, 1405, 571, 11), (26, 62), (560, 5186, 2544109, 2478957),
-     (1, 479, 88, 261, 271, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 10.574207805833352),
-    ((479, 642, 1503, 549, 1461, 596, 12), (161, 89), (643, 5385, 2579261, 2536002),
-     (158, 479, 250, 261, 327, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 11.841014299333363),
-    ((479, 686, 1503, 549, 1473, 608, 12), (187, 95), (661, 5385, 2579261, 2542530),
-     (158, 479, 282, 261, 339, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 1810447631, 12.111655913833358),
-    ((1489, 2176, 1503, 549, 2561, 1696, 27), (187, 497), (2151, 8128, 3481418, 3547471),
-     (158, 1489, 684, 261, 1427, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 1917169469, 34.7714539405007),
+    ((473, 389, 351, 285, 439, 214, 3), (1, 52), (331, 1755, 1005664, 967218),
+     (1, 473, 89, 207, 241, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 970909070, 5.791142930499948),
+    ((473, 393, 351, 285, 440, 215, 3), (1, 52), (332, 1757, 1006721, 969395),
+     (1, 473, 90, 209, 242, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 2312438077, 5.806417197833282),
+    ((476, 397, 351, 285, 442, 217, 3), (1, 52), (334, 1761, 1008817, 969395),
+     (1, 476, 91, 210, 244, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3594308096, 5.836758033333282),
+    ((482, 421, 351, 285, 461, 236, 3), (1, 54), (355, 1770, 1013387, 980072),
+     (1, 482, 93, 213, 263, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 15188744, 5.897190071666616),
+    ((482, 421, 450, 351, 667, 342, 5), (1, 54), (376, 2378, 1319012, 1339985),
+     (1, 482, 93, 241, 263, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 6.455674920499944),
+    ((482, 421, 1419, 549, 1397, 563, 11), (1, 54), (544, 5216, 2545092, 2474657),
+     (1, 482, 93, 261, 263, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 10.375801417666668),
+    ((482, 639, 1503, 549, 1453, 588, 11), (136, 81), (627, 5300, 2554584, 2503554),
+     (158, 482, 255, 261, 319, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2620722385, 11.630476315833315),
+    ((482, 683, 1503, 549, 1459, 594, 11), (136, 81), (633, 5300, 2554584, 2507904),
+     (158, 482, 293, 261, 325, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2051873902, 11.720964365833318),
+    ((1496, 2169, 1503, 549, 2542, 1677, 27), (136, 484), (2119, 8162, 3484111, 3536812),
+     (158, 1496, 696, 261, 1408, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 3138060380, 34.333382555500705),
 ]
 
 STACK_SPANS = {
     'cold get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'cloud_get'])],
     'dram-warm get': [('get', ['bloom_checked', 'bloom_useful', 'bloom_checked', 'dram_hit'])],
     'pcache-warm get': [('get', ['bloom_checked', 'pcache_hit'])],
-    'short scan': [('scan', ['local_read', 'cloud_get', 'cloud_get', 'local_read'])],
-    'limited scan': [('scan', ['local_read', 'pcache_hit', 'cloud_get', 'readahead_hit', 'cloud_get', 'cloud_get', 'readahead_hit'])],
+    'short scan': [('scan', ['local_read', 'cloud_get', 'readahead_hit', 'local_read'])],
+    'limited scan': [('scan', ['local_read', 'pcache_hit', 'cloud_get', 'readahead_hit', 'pcache_hit', 'pcache_hit', 'cloud_get'])],
 }
 # fmt: on
 

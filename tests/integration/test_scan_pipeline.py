@@ -6,12 +6,13 @@ import pytest
 
 from repro.bench.harness import HarnessKnobs, make_store
 from repro.lsm.db import DB
-from repro.lsm.format import FOOTER_SIZE, table_file_name
+from repro.lsm.format import BLOCK_TRAILER_SIZE, FOOTER_SIZE, table_file_name
 from repro.lsm.options import Options
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
+from repro.util.encoding import seek_goal
 from repro.workloads import dbbench
 from repro.workloads.generator import make_key
 
@@ -111,9 +112,9 @@ class TestScanPrefetchPipeline:
         piped.scan()
         base_gets = base.counters.get("cloud.get_ops") - gets0
         piped_gets = piped.counters.get("cloud.get_ops") - gets1
-        # Speculation is work-conserving on a full scan: every prefetched
-        # table is consumed, so request counts do not inflate.
-        assert piped_gets <= base_gets
+        # The pipeline issues the scan's own reads, only earlier: on a full
+        # scan, which reaches every table it primes, the counts are equal.
+        assert piped_gets == base_gets
         assert piped.tracer.event_count("prefetch_waste") == 0
 
     def test_short_scan_waste_bounded_by_depth(self):
@@ -138,9 +139,107 @@ class TestScanPrefetchPipeline:
         store = cold_cloud_store(depth=0)
         hits0 = store.tracer.event_count("readahead_hit")
         assert len(store.scan()) == 600
-        # The ascending-streak detector turns the scan's block loads into
-        # buffered readahead hits instead of per-block GETs.
+        # Each miss fills the scan's buffer of the table with one ranged
+        # GET, and the blocks after it are buffered hits, not GETs.
         assert store.tracer.event_count("readahead_hit") - hits0 > 50
+
+
+def compacted_cloud_store():
+    """Every key on one cloud level, 51 keys a table, nothing opened and no
+    data block cached: a scan's cloud requests are its data reads alone."""
+    config = StoreConfig().small()
+    store = RocksMashStore.create(
+        replace(config, placement=replace(config.placement, cloud_level=1))
+    )
+    for i in range(1500):
+        store.put(make_key(i * 7 % 1500), b"v" * 64, sync=False)
+    store.compact_range(None, None)
+    store.db.table_cache.clear()
+    assert store.pcache.data_bytes == 0
+    return store
+
+
+def spy_gets(monkeypatch, store):
+    """Record every ranged GET as ``(object, offset, length)``."""
+    gets = []
+    get_range = store.cloud_store.get_range
+
+    def spy(key, offset, length):
+        gets.append((key, offset, length))
+        return get_range(key, offset, length)
+
+    monkeypatch.setattr(store.cloud_store, "get_range", spy)
+    return gets
+
+
+def middle_table(store):
+    """A cloud table in the middle of the key space, its name, its open
+    reader and its keys (known from the fill, so nothing is read)."""
+    files = sorted(store.db.versions.current.files[-1], key=lambda meta: meta.smallest)
+    meta = files[len(files) // 2]
+    name = table_file_name(store.config.db_prefix, meta.number)
+    assert store._is_cloud_file(name)
+    reader = store.db.table_cache.get_reader(meta.number)  # pinned metadata: no GET
+    keys = [make_key(i) for i in range(1500)]
+    keys = [k for k in keys if meta.smallest_user_key <= k <= meta.largest_user_key]
+    return meta, name, reader, keys
+
+
+def block_end(handle):
+    return handle.offset + handle.size + BLOCK_TRAILER_SIZE
+
+
+class TestOneReadPerCloudTable:
+    """A scan's miss on a cloud table issues one ranged GET, from the missed
+    block to what the scan can still need (its ``limit`` and ``end``), and
+    keeps the range for the rest of the scan."""
+
+    def test_cold_limited_scan_issues_one_get_sized_by_its_limit(self, monkeypatch):
+        store = compacted_cloud_store()
+        meta, name, reader, keys = middle_table(store)
+        limit = 12
+        gets = spy_gets(monkeypatch, store)
+        rows = store.scan(meta.smallest_user_key, None, limit)
+        assert len(rows) == limit and rows[-1][0] <= meta.largest_user_key
+        assert len(gets) == 1
+        key, offset, length = gets[0]
+        seek_block = reader.edge_data_handle(seek_goal(meta.smallest_user_key))
+        assert key == name and offset == seek_block.offset
+        assert offset + length >= block_end(seek_block)
+        data_bytes = reader.footer.filter_handle.offset
+        assert length <= block_end(seek_block) - offset + limit * data_bytes / len(keys)
+        assert length < data_bytes  # the limit, not the table, bounded it
+
+    def test_end_bounded_scan_stops_at_the_block_holding_end(self, monkeypatch):
+        store = compacted_cloud_store()
+        meta, name, reader, keys = middle_table(store)
+        begin, end = keys[0], keys[30]
+        gets = spy_gets(monkeypatch, store)
+        assert len(store.scan(begin, end)) == 30
+        assert len(gets) == 1
+        key, offset, length = gets[0]
+        last = reader.edge_data_handle(seek_goal(end))
+        assert key == name and offset == reader.edge_data_handle(seek_goal(begin)).offset
+        assert offset + length == block_end(last) < reader.footer.filter_handle.offset
+
+    def test_cached_block_between_misses_costs_no_second_get(self, monkeypatch):
+        store = compacted_cloud_store()
+        meta, name, reader, keys = middle_table(store)
+        begin, warm, end = keys[0], keys[20], keys[40]
+        assert store.get(warm) is not None  # its block now in DRAM and pcache
+        warm_block = reader.edge_data_handle(seek_goal(warm))
+        assert reader.edge_data_handle(seek_goal(begin)).offset < warm_block.offset
+        assert warm_block.offset < reader.edge_data_handle(seek_goal(end)).offset
+        cached = store.tracer.event_count("dram_hit") + store.tracer.event_count("pcache_hit")
+        buffered = store.tracer.event_count("readahead_hit")
+        gets = spy_gets(monkeypatch, store)
+        assert len(store.scan(begin, end)) == 40
+        # The warm block came from a cache, the blocks on either side of it
+        # from the scan's one range: no second GET for bytes it holds.
+        hits = store.tracer.event_count("dram_hit") + store.tracer.event_count("pcache_hit")
+        assert hits > cached
+        assert store.tracer.event_count("readahead_hit") > buffered
+        assert [key for key, _, _ in gets] == [name]
 
 
 class TestPinnedMetadataOpensCloudTables:

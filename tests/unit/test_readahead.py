@@ -104,9 +104,9 @@ class TestReadahead:
 
 
 class TestDescendingReadahead:
-    """Point gets and short scans whose block reads on one table step down
-    through adjacent blocks: the only guard on the descending detector
-    (``_expected_rev``), which ``benchmarks.perf``'s ``scan_e`` relies on."""
+    """Point gets whose block reads on one table step down through adjacent
+    blocks: the only guard on the descending detector (``_expected_rev``),
+    which ``benchmarks.perf``'s ``read_cloud`` and ``mixed_a`` reach."""
 
     def test_descending_run_triggers_fetch_and_serves(self):
         file, _, handles, _ = build_file(num_blocks=60)
@@ -172,15 +172,3 @@ class TestPrime:
         ra = ReadaheadBuffer(file, readahead_bytes=64 << 10)
         ra.prime(handles[5], 16)  # smaller than the block: rounded up
         assert ra.get(handles[5]) == bytes([5]) * 3000
-
-    def test_initial_window_carries_growth(self):
-        file, _, _, _ = build_file(num_blocks=2)
-        ra = ReadaheadBuffer(file, readahead_bytes=64 << 10, initial_window=32 << 10)
-        assert ra.current_window == 32 << 10
-        ra.invalidate()  # resets to the carried window, not 4 KiB
-        assert ra.current_window == 32 << 10
-
-    def test_initial_window_clamped_to_max(self):
-        file, _, _, _ = build_file(num_blocks=2)
-        ra = ReadaheadBuffer(file, readahead_bytes=8 << 10, initial_window=1 << 20)
-        assert ra.current_window == 8 << 10

@@ -220,6 +220,16 @@ class TestFilterBlock:
         with pytest.raises(CorruptionError, match="empty filter block"):
             TableReader(Options(), env.new_random_access_file("t.sst"))
 
+    @pytest.mark.parametrize("n", [7, 100, 1000])
+    def test_entry_count_read_off_the_filter_length(self, env, n):
+        # A filter holds ceil(max(64, n * 10) / 8) bytes plus the probe
+        # byte, so its length gives n back to within one byte's worth of
+        # keys at 10 bits per key. Below 7 entries the 64-bit floor hides n
+        # (it reads as 6), which is why the smallest size here is 7.
+        props, reader = build_table(env, make_entries(n), name=f"n{n}.sst")
+        assert props.num_entries == n
+        assert abs(reader.num_entries - props.num_entries) <= 1
+
     def test_every_compacted_table_carries_a_whole_table_filter(self, env):
         options = Options.small()
         db = DB.open(env, "db/", options)
