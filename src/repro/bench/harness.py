@@ -66,8 +66,7 @@ class HarnessKnobs:
     """Parallel subcompactions per compaction (E18 sweeps 1/2/4/8)."""
     scan_prefetch_depth: int = 0
     """Outstanding speculative table prefetches per scan (E21 sweeps
-    0/1/2/4); only rocksmash installs the pipeline, other systems ignore
-    it."""
+    0/1/2/4 on rocksmash; no experiment sets it for another system)."""
 
     def cloud_model(self) -> LatencyModel:
         return LatencyModel(

@@ -38,7 +38,7 @@ def take_rows(
     """Take up to ``limit`` rows of a scan and close its generator.
 
     Closing here, not at garbage collection, makes a limited scan's cleanup
-    (version unpin, prefetch-pipeline finish + waste accounting) run
+    (version unpin, the prefetch schedule's finish + waste accounting) run
     deterministically inside the caller's span. ``islice`` stops at the
     ``limit``-th row without pulling another, and a ``limit`` of 0 never
     starts the generator: no version pinned, no I/O for an empty answer.

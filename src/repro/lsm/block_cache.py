@@ -8,19 +8,22 @@ first that has the block (DESIGN.md, "The block path"):
   length of its encoded payload: every hit, miss and eviction is what a cache
   of raw payloads would see, and a hit skips the re-parse;
 * ``pcache``, ``primed``, ``readahead`` — a store variant's persistent cache
-  on the local device, then a range of the table already in memory: one the
-  scan-prefetch pipeline fetched (``primed``), or one the scan's own miss or
-  the point-read detector fetched (``readahead``); the base engine has none
-  of the three, :class:`repro.mash.store.MashBlockStack` all of them;
+  on the local device, then the scan's range of the table already in memory:
+  one its prefetch schedule read ahead of it (``primed``), or one its own
+  miss read (``readahead``); the base engine has none of the three,
+  :class:`repro.mash.store.MashBlockStack` all of them;
 * ``demand`` — a ranged read of the table file, CRC-verified.
 
-A scan reads through the same stack with its :class:`ScanReads`: every
-cloud table the scan misses on gets one :class:`ScanBuffer`, filled by one
-ranged read that runs from the missed block to whatever the scan can still
-need (:meth:`repro.lsm.table_reader.TableReader.scan_span`). The buffer
-belongs to the scan, not to the table, so a block served from DRAM or the
-persistent cache between two misses costs it nothing, and a point get never
-sees it.
+A point get reads one block per miss and never reads ahead (DESIGN.md §2,
+"Forks without traffic", records the measurement). A scan reads through the
+same stack with its :class:`ScanReads`: every cloud table the scan misses on
+gets one :class:`ScanBuffer`, filled by one ranged read that runs from the
+missed block to whatever the scan can still need
+(:meth:`repro.lsm.table_reader.TableReader.scan_span`). The buffer belongs
+to the scan, not to the table, so a block served from DRAM or the persistent
+cache between two misses costs it nothing. With a prefetch depth the same
+:class:`ScanReads` fans the scan's seek out and reads its next tables ahead,
+into the same buffers.
 
 A source counts each block it serves under its own name in
 :attr:`BlockPath.hits` and posts one event for it. The payload a lower source
@@ -35,18 +38,20 @@ not evict the point-read working set.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block
-from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
+from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, table_file_name, unseal_block
+from repro.sim.clock import ForkJoinRegion
 from repro.storage.env import RandomAccessFile
 from repro.util.encoding import SeekGoal
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.lsm.table_cache import TableCache
     from repro.lsm.table_reader import TableReader
+    from repro.lsm.version import FileMetaData
 
 BLOCK_SOURCES = ("dram", "pcache", "primed", "readahead", "demand")
 """The sources of a data block, in the order a read tries them — the one
@@ -206,6 +211,12 @@ class BlockStack:
         the cloud serves the scan from ``scan`` (see :class:`ScanBuffer`)."""
         return self.fetch(handle)
 
+    def scan_window(self) -> int:
+        """The longest ranged read a scan's miss on this table issues into
+        its :class:`ScanBuffer`; 0 (the base engine): the scan reads block
+        by block, and its prefetch only opens the table."""
+        return 0
+
     def meta(self, handle: BlockHandle, kind: str) -> bytes:
         """An ``"index"`` or ``"filter"`` block's payload (read at table open)."""
         return self.read(handle)
@@ -236,163 +247,14 @@ StackFactory = Callable[[str, RandomAccessFile, BlockPath], BlockStack]
 """``(file_name, file, path)`` → a table's stack (``DB.open(stack_factory=...)``)."""
 
 
-# -- sequential readahead -----------------------------------------------------
-
-
-@dataclass
-class ReadaheadStats:
-    sequential_hits: int = 0
-    fetches: int = 0
-    fetched_bytes: int = 0
-
-
-class ReadaheadBuffer:
-    """Per-file sequential-read detector + prefetch buffer.
-
-    Like RocksDB's iterator readahead, it turns a run of per-block ranged
-    reads into one large read. The streak detector recognizes ascending
-    offsets and descending block-adjacent offsets, whose fetch covers the
-    range *ending* at the current block. Two uses: a compaction's pass
-    (``eager``, :class:`SequentialStack`), and a cloud table's point gets —
-    a scan reads through its own :class:`ScanBuffer` and never reaches a
-    table's detector.
-
-    What still reaches the detector is point-get traffic, so its figures
-    come from there. Per ``benchmarks.perf --workload`` run at seed 42 (two
-    replicas), the non-eager buffers issue 283 / 0 / 68 / 336 / 0 range
-    fetches on ``fill_random`` / ``read_local`` / ``read_cloud`` /
-    ``mixed_a`` / ``scan_e`` (the first and fourth from ascending
-    read-backs), and the descending case fires 0 / 30 / 1 274 / 64 / 0
-    times for 0 / 0 / 36 / 2 / 0 of those fetches. Without it,
-    ``read_cloud``'s ``sim_ops_s`` moves 62.422 → 62.462 (+0.06 %) and its
-    write amplification 22.083 → 22.091, ``mixed_a``'s cloud requests per
-    kop 143.27 → 143.31; the other three workloads are bit-equal. It no
-    longer earns a measurable win; whether it goes is ROADMAP item 10's
-    call, since deleting it moves ``read_cloud``'s figures.
-
-    ``get(handle)`` returns the unsealed block payload when it can serve it
-    (buffered, or by issuing a readahead fetch after two sequential
-    accesses), else None — the caller falls back to its normal path.
-    """
-
-    INITIAL_READAHEAD = 4 << 10
-
-    def __init__(
-        self,
-        file: RandomAccessFile,
-        *,
-        readahead_bytes: int = 128 << 10,
-        eager: bool = False,
-    ) -> None:
-        if readahead_bytes <= 0:
-            raise ValueError("readahead_bytes must be positive")
-        self.file = file
-        self.readahead_bytes = readahead_bytes
-        self.eager = eager
-        self.stats = ReadaheadStats()
-        self._buffer = b""
-        self._buffer_base = -1
-        self._expected_fwd = -1  # next forward-sequential offset
-        self._expected_rev = -1  # offset the next descending-adjacent block ends at
-        self._streak = 0
-        # Adaptive sizing (RocksDB-style): start small so a coincidence is
-        # not penalized by overfetch, double on each consecutive fetch.
-        # Eager mode (compaction inputs: the whole file *will* be read)
-        # skips the rampup and fetches full-size ranges from the first
-        # access.
-        self._start_window = (
-            readahead_bytes if eager else min(self.INITIAL_READAHEAD, readahead_bytes)
-        )
-        self._current_readahead = self._start_window
-
-    def _slice_from_buffer(self, handle: BlockHandle) -> bytes | None:
-        if self._buffer_base < 0:
-            return None
-        start = handle.offset - self._buffer_base
-        end = start + handle.size + BLOCK_TRAILER_SIZE
-        if start < 0 or end > len(self._buffer):
-            return None
-        return unseal_block(self._buffer[start:end])
-
-    def _fetch(self, handle: BlockHandle, length: int, descending: bool) -> None:
-        """One ranged read of ``length`` bytes into the buffer: the range
-        starting at ``handle``'s block, or (``descending``) *ending* at it."""
-        start = handle.offset
-        if descending:
-            block_end = handle.offset + handle.size + BLOCK_TRAILER_SIZE
-            start = max(0, block_end - length)
-            length = block_end - start
-        self._buffer = self.file.read(start, length)
-        self._buffer_base = start
-        self.stats.fetches += 1
-        self.stats.fetched_bytes += len(self._buffer)
-
-    def prime(self, handle: BlockHandle, length: int) -> None:
-        """Fetch ``length`` bytes starting at ``handle`` ahead of the first
-        :meth:`get`, leaving the buffer in established-streak state so the
-        pass serves its opening blocks from the primed bytes and continues
-        without re-proving sequentiality (:meth:`SequentialStack.prime`).
-        """
-        self._fetch(handle, max(length, handle.size + BLOCK_TRAILER_SIZE), descending=False)
-        self._expected_fwd = handle.offset  # first get() serves this block
-        self._expected_rev = -1
-        self._streak = 2
-
-    def get(self, handle: BlockHandle) -> bytes | None:
-        """Serve a data-block read if it continues a sequential run.
-
-        A non-sequential access *discards* the buffer: the prefetched bytes
-        only live for the scan that triggered them (per-iterator semantics,
-        like RocksDB's prefetch buffer) — otherwise the buffer would act as
-        an unaccounted, never-evicted extra cache.
-        """
-        raw_len = handle.size + BLOCK_TRAILER_SIZE
-        first_access = self._expected_fwd < 0 and self._expected_rev < 0
-        forward = handle.offset == self._expected_fwd
-        descending = (
-            not self.eager
-            and self._expected_rev >= 0
-            and handle.offset + raw_len == self._expected_rev
-        )
-        self._expected_fwd = handle.offset + raw_len
-        self._expected_rev = handle.offset
-        if not forward and not descending and not (self.eager and first_access):
-            self.invalidate()
-            if not self.eager:
-                return None
-            # Eager scans are declared-sequential: a jump (subcompaction
-            # seek) restarts the run at the new offset instead of falling
-            # back to per-block fetches.
-        buffered = self._slice_from_buffer(handle)
-        if buffered is not None:
-            self.stats.sequential_hits += 1
-            return buffered
-        self._streak += 1
-        if not self.eager and self._streak < 2:
-            return None  # one coincidence is not a scan yet
-        # Established sequential pattern: fetch a range in one request,
-        # growing geometrically while the scan keeps going. A descending
-        # streak fetches the range that *ends* at the current block.
-        length = max(self._current_readahead, raw_len)
-        self._current_readahead = min(self._current_readahead * 2, self.readahead_bytes)
-        self._fetch(handle, length, descending)
-        return self._slice_from_buffer(handle)
-
-    def invalidate(self) -> None:
-        self._buffer = b""
-        self._buffer_base = -1
-        self._streak = 0
-        self._current_readahead = self._start_window
-
-
 class ScanBuffer:
     """One scan's buffered range of one table (see :class:`ScanReads`).
 
     :meth:`get` serves any block the range holds, in any order: DRAM or
     persistent-cache hits between two of the scan's misses leave it intact.
     :meth:`fill` replaces the range with one ranged read from a block to what
-    the scan can still need; ``primed`` says whether the scan-prefetch
-    pipeline issued it, ahead of the scan, or the scan's own miss did.
+    the scan can still need; ``primed`` says whether the scan's prefetch
+    schedule issued it, ahead of the scan, or the scan's own miss did.
     """
 
     __slots__ = ("reader", "reads", "base", "data", "primed")
@@ -433,15 +295,57 @@ class ScanBuffer:
 class ScanReads:
     """What one scan's reads share: how many rows it may still yield
     (``remaining``, None when unlimited — ``DB.scan`` counts it down per
-    row), where it stops (``end``, the seek goal of its end key) and one
-    :class:`ScanBuffer` per table it has read or primed."""
+    row), where it stops (``end``, the seek goal of its end key), one
+    :class:`ScanBuffer` per table it has read or primed, and the schedule
+    that issues its reads ahead of it.
 
-    __slots__ = ("remaining", "end", "buffers")
+    The schedule runs when the scan has a prefetch ``depth``
+    (``Options.scan_prefetch_depth``) and its tables' Env a clock. Work runs
+    on branches forked from the Env's clock (the request's clock inside a
+    request scope), so its latency overlaps the scan and only the uncovered
+    remainder reaches the scan's clock:
 
-    def __init__(self, limit: int | None = None, end: SeekGoal | None = None) -> None:
+    * :meth:`fan_out` opens and primes the tables the merge reads on its
+      first pull as parallel branches of one region, joined strictly: the
+      seek costs the slowest of them, not their sum (``seek_fanout``);
+    * :meth:`table_started`, when a level reaches a table, joins that
+      table's branch with merge semantics (``prefetch_hit``: what finished
+      in the scan's past costs nothing) and keeps up to ``depth`` of the
+      level's next cloud tables in flight, each opened and primed on a
+      branch of its own (``prefetch_issue``);
+    * :meth:`finish` abandons the branches the scan never reached
+      (``prefetch_waste``): their requests were issued and count, their
+      latency never reaches the scan.
+
+    Priming a table is the read the scan's first miss in it would issue
+    (:meth:`ScanBuffer.fill`, ``primed``), only earlier, so a scan that
+    reaches every table it primes issues the requests a plain scan would.
+    A local table is opened when the scan reaches it: the Env says where a
+    table lives without opening it, and its stack gives the window
+    (:meth:`BlockStack.scan_window`).
+    """
+
+    __slots__ = (
+        "tables", "remaining", "end", "buffers", "clock", "depth", "_pending", "_ripe", "_seen",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        tables: TableCache,
+        limit: int | None = None,
+        end: SeekGoal | None = None,
+        depth: int = 0,
+    ) -> None:
+        self.tables = tables
         self.remaining: int | None = limit
         self.end = end
         self.buffers: dict[str, ScanBuffer] = {}
+        self.clock = tables.env.sim_clock() if depth > 0 else None
+        self.depth = depth if self.clock is not None else 0
+        """In-flight prefetches the schedule keeps; 0: it does nothing."""
+        self._pending: dict[int, ForkJoinRegion] = {}
+        self._ripe: set[int] = set()  # reaped branches the scan has not reached
+        self._seen: set[int] = set()  # tables fanned out to or prefetched
 
     def buffer(self, reader: TableReader) -> ScanBuffer:
         """The scan's buffer of ``reader``'s table, made empty on first ask."""
@@ -450,18 +354,100 @@ class ScanReads:
             buffer = self.buffers[reader.name] = ScanBuffer(reader, self)
         return buffer
 
+    def fan_out(self, metas: Sequence[FileMetaData], target: SeekGoal | None) -> None:
+        """Open and prime ``metas`` — every table the merge reads on its first
+        pull — on the branches of one region, before the scan starts."""
+        if not metas:
+            return
+        region = self._region()
+        for meta in metas:
+            self._seen.add(meta.number)
+            with region.branch():
+                self._prime(meta.number, target)
+        region.join()
+        self.tables.path.event("seek_fanout")
+
+    def table_started(
+        self, files: Sequence[FileMetaData], index: int, target: SeekGoal | None
+    ) -> None:
+        """A level is about to read ``files[index]``: settle its branch, then
+        top the schedule up from the level's next cloud tables."""
+        tables = self.tables
+        self._arrive(files[index].number)
+        for meta in files[index + 1 :]:
+            if len(self._pending) >= self.depth:
+                break
+            number = meta.number
+            if number in self._seen:
+                continue
+            self._seen.add(number)
+            if not tables.env.is_cloud(table_file_name(tables.prefix, number)):
+                continue
+            if tables.has_reader(number) and tables.get_reader(number).stack.scan_window() <= 0:
+                continue  # already open and nothing to prime: free handoff
+            region = self._region()
+            with region.branch():
+                self._prime(number, target)
+            self._pending[number] = region
+            tables.path.event("prefetch_issue")
+
+    def finish(self) -> None:
+        """The scan ended: every branch it did not reach is waste, and none
+        is joined — the scan never waited for it."""
+        for _ in range(len(self._pending) + len(self._ripe)):
+            self.tables.path.event("prefetch_waste")
+        self._pending.clear()
+        self._ripe.clear()
+
+    def _arrive(self, number: int) -> None:
+        """The scan reached table ``number``: settle its branch, then reap.
+
+        A branch whose clock already lies at or before the scan's is reaped:
+        joined at no cost, it frees its slot in ``depth`` (so a far table
+        of another level cannot starve the level being read), and becomes a
+        hit only if the scan reaches it.
+        """
+        region = self._pending.pop(number, None)
+        if region is not None:
+            region.join(strict=False)
+        if region is not None or number in self._ripe:
+            self._ripe.discard(number)
+            self.tables.path.event("prefetch_hit")
+        for other, branch in list(self._pending.items()):
+            if branch.children and max(c.now for c in branch.children) <= branch.parent.now:
+                del self._pending[other]
+                branch.join(strict=False)
+                self._ripe.add(other)
+
+    def _region(self) -> ForkJoinRegion:
+        """A region forked from the scan's clock over the Env's hosts."""
+        assert self.clock is not None  # the schedule runs only with a clock
+        return ForkJoinRegion(self.clock, self.tables.env.clock_hosts())
+
+    def _prime(self, number: int, target: SeekGoal | None) -> None:
+        """Open table ``number`` and, when its stack reads scans ahead, issue
+        the read the scan's first miss in it would issue."""
+        reader = self.tables.get_reader(number)
+        window = reader.stack.scan_window()
+        if window <= 0:
+            return
+        handle = reader.edge_data_handle(target)
+        if handle is not None:
+            self.buffer(reader).fill(handle, window, primed=True)
+
 
 class SequentialStack(BlockStack):
     """One declared-sequential pass over a table (a compaction input).
 
-    Blocks come out of the pass's own eager buffer — one ranged read per
-    ``window`` bytes instead of one per block — parsed and never cached: no
-    cache is looked up or filled and no source counted. ``on_block(name,
-    offset)``, when given, is told of every block served (the persistent
-    store's heat tracker). A block the buffer cannot serve is a short read.
+    Blocks come out of the pass's own window of the file — one ranged read
+    of ``window`` bytes from a block the window does not hold, instead of
+    one read per block — parsed and never cached: no cache is looked up or
+    filled and no source counted. ``fetches`` / ``fetched_bytes`` count the
+    pass's reads. ``on_block(name, offset)``, when given, is told of every
+    block served (the persistent store's heat tracker).
     """
 
-    __slots__ = ("readahead", "on_block")
+    __slots__ = ("window", "on_block", "base", "data", "fetches", "fetched_bytes")
 
     def __init__(
         self,
@@ -472,18 +458,31 @@ class SequentialStack(BlockStack):
         on_block: Callable[[str, int], None] | None = None,
     ) -> None:
         super().__init__(name, file, path)
-        self.readahead = ReadaheadBuffer(file, readahead_bytes=window, eager=True)
+        self.window = window
         self.on_block = on_block
+        self.base = 0
+        self.data = b""
+        self.fetches = 0
+        self.fetched_bytes = 0
 
     def prime(self, handle: BlockHandle) -> None:
         """Issue now the read the pass's first :meth:`block` (of ``handle``)
         would issue: several passes then fetch at once, before any is read."""
-        self.readahead.prime(handle, self.readahead.readahead_bytes)
+        self.data = self.file.read(
+            handle.offset, max(self.window, handle.size + BLOCK_TRAILER_SIZE)
+        )
+        self.base = handle.offset
+        self.fetches += 1
+        self.fetched_bytes += len(self.data)
 
     def block(self, handle: BlockHandle) -> Block:
-        payload = self.readahead.get(handle)
-        if payload is None:
-            raise CorruptionError(f"short block read in a sequential pass of {self.name}")
+        start = handle.offset - self.base
+        end = start + handle.size + BLOCK_TRAILER_SIZE
+        if start < 0 or end > len(self.data):
+            self.prime(handle)
+            start, end = 0, handle.size + BLOCK_TRAILER_SIZE
+            if end > len(self.data):
+                raise CorruptionError(f"short block read in a sequential pass of {self.name}")
         if self.on_block is not None:
             self.on_block(self.name, handle.offset)
-        return Block(payload)
+        return Block(unseal_block(self.data[start:end]))

@@ -489,8 +489,8 @@ class CompactionJob:
             crash_points.reach("compaction.mid_output")
 
         for stack in passes:
-            self.stats.coalesced_fetches += stack.readahead.stats.fetches
-            self.stats.coalesced_fetched_bytes += stack.readahead.stats.fetched_bytes
+            self.stats.coalesced_fetches += stack.fetches
+            self.stats.coalesced_fetched_bytes += stack.fetched_bytes
         return dropped
 
     def _account_blob_drop(

@@ -15,7 +15,7 @@ Extension points used by :mod:`repro.mash`:
 
 * the Env decides where every file lives (local/cloud/hybrid);
 * ``stack_factory`` builds each table's block stack (persistent cache,
-  readahead — see :mod:`repro.lsm.block_cache`);
+  how far a scan reads ahead — see :mod:`repro.lsm.block_cache`);
 * ``listeners`` observe flushes, compactions, and file deletions;
 * the ``_open_wal`` / ``_replay_wal`` / ``_wal_file_names`` trio is
   overridden by the extended-WAL store to shard the log.
@@ -23,7 +23,7 @@ Extension points used by :mod:`repro.mash`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -97,29 +97,6 @@ class WalWriter(Protocol):
     def close(self) -> None: ...
 
 
-class ScanPipeline(Protocol):
-    """Per-scan prefetch state a store variant attaches to a scan.
-
-    Built by ``DB.scan_pipeline_factory`` from the scan's
-    :class:`~repro.lsm.block_cache.ScanReads` when the scan starts (see
-    :class:`repro.mash.prefetch.ScanPrefetcher`), so what it fetches lands
-    in the scan's own buffers. ``target`` is the seek goal every source is
-    seeked to — the scan's ``begin`` — and ``None`` means unbounded.
-    """
-
-    def seek_fanout(self, metas: Sequence[FileMetaData], target: SeekGoal | None) -> None:
-        """:meth:`DB.scan`, before any table source is built:
-        ``metas`` are the tables the merge opens on its first pull."""
-
-    def table_started(
-        self, files: Sequence[FileMetaData], index: int, target: SeekGoal | None
-    ) -> None:
-        """A level source, just before it consumes ``files[index]``."""
-
-    def finish(self) -> None:
-        """:meth:`DB.scan`, when the scan ends or its generator is closed."""
-
-
 class DB:
     """An LSM-tree key–value store over an :class:`Env`."""
 
@@ -131,7 +108,6 @@ class DB:
         *,
         stack_factory: StackFactory = BlockStack,
         event_sink: Callable[[str], None] | None = None,
-        scan_pipeline_factory: Callable[[ScanReads], ScanPipeline] | None = None,
         maintenance_hook: Callable[[], None] | None = None,
         listeners: DBListeners | None = None,
     ) -> None:
@@ -153,10 +129,6 @@ class DB:
         hit counters, the bloom tally and ``event_sink`` — the tracer's
         ``event`` in a traced store, which then sees one event per block
         served and per bloom-probe outcome."""
-        self.scan_pipeline_factory = scan_pipeline_factory
-        """Optional ``(reads) -> pipeline`` building per-scan
-        prefetch state (see :class:`ScanPipeline`). Passed by store variants
-        — the base engine scans without one."""
         self.maintenance_hook = maintenance_hook
         """Optional deferral hook for write-triggered maintenance. When
         set, a write that fills the memtable calls this instead of running
@@ -215,9 +187,8 @@ class DB:
         """Open (recovering) or create a database under ``prefix``.
 
         Extra keyword arguments are forwarded to the (sub)class constructor
-        (``stack_factory``, ``event_sink``, ``scan_pipeline_factory``,
-        ``maintenance_hook``, ``listeners``, the extended-WAL configuration of
-        :class:`MashDB`, ...).
+        (``stack_factory``, ``event_sink``, ``maintenance_hook``,
+        ``listeners``, the extended-WAL configuration of :class:`MashDB`, ...).
         """
         db = cls(env, prefix, options, **subclass_kwargs)
         exists = env.file_exists(f"{prefix}CURRENT")
@@ -719,20 +690,22 @@ class DB:
         the clamp stops consumption at ``end``. Every table read goes through
         one :class:`~repro.lsm.block_cache.ScanReads`, which knows ``end``
         and counts ``limit`` down row by row, so a miss on a cloud table
-        reads no further than the scan can still need. The scan pipeline
-        (when installed) fans out the initial reader opens and prefetches
-        upcoming tables in scan order, into the same buffers.
+        reads no further than the scan can still need. With
+        ``Options.scan_prefetch_depth`` set, the same ``ScanReads`` fans the
+        seek out over the tables the merge opens first and keeps up to that
+        many of each level's next cloud tables opened and primed ahead of
+        the scan, into the same buffers.
         """
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
         target = seek_goal(begin) if begin else None
-        reads = ScanReads(limit, seek_goal(end) if end is not None else None)
-        version = self._pin_version()
-        pipeline = (
-            self.scan_pipeline_factory(reads)
-            if self.scan_pipeline_factory is not None
-            else None
+        reads = ScanReads(
+            self.table_cache,
+            limit,
+            seek_goal(end) if end is not None else None,
+            self.options.scan_prefetch_depth,
         )
+        version = self._pin_version()
         try:
             sources = [self.memtable.entries(target)]
             l0_files = self._files_in_scan_range(version.files[0], begin, end)
@@ -740,18 +713,17 @@ class DB:
                 self._files_in_scan_range(version.files[level], begin, end)
                 for level in range(1, NUM_LEVELS)
             ]
-            if pipeline is not None:
+            if reads.depth:
                 # Seek fan-out: every reader the merge heap opens on its
                 # first pull — all L0 tables plus each level's first
                 # in-range table — opened as parallel branches instead of
                 # a serial chain of cloud round trips.
-                initial = list(l0_files) + [files[0] for files in level_files if files]
-                pipeline.seek_fanout(initial, target)
+                reads.fan_out(l0_files + [files[0] for files in level_files if files], target)
             for meta in l0_files:
                 sources.append(self._table_entries(meta, target, reads))
             for files in level_files:
                 if files:
-                    sources.append(self._level_entries(files, target, reads, pipeline))
+                    sources.append(self._level_entries(files, target, reads))
             rows = clamp_to_range(
                 visible_user_entries(merge_internal(sources), sequence), begin, end
             )
@@ -767,8 +739,7 @@ class DB:
                     if not limit:
                         break
         finally:
-            if pipeline is not None:
-                pipeline.finish()
+            reads.finish()
             # Each buffer refers back to ``reads``: free the bytes now, not
             # at the next cyclic collection.
             reads.buffers.clear()
@@ -801,13 +772,12 @@ class DB:
         files: list[FileMetaData],
         target: SeekGoal | None,
         reads: ScanReads,
-        pipeline: ScanPipeline | None,
     ) -> Iterator[Entry]:
         """One level's disjoint in-range tables as a single sorted source,
         each opened only when the scan reaches it."""
         for index, meta in enumerate(files):
-            if pipeline is not None:
-                pipeline.table_started(files, index, target)
+            if reads.depth:
+                reads.table_started(files, index, target)
             yield from self._table_entries(meta, target, reads)
 
     # -- snapshots ----------------------------------------------------------------------------

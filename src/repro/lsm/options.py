@@ -64,14 +64,15 @@ class Options:
     change."""
 
     scan_prefetch_depth: int = 0
-    """Pipelined scan prefetch: while a range scan consumes one table of a
-    level, speculatively open and readahead-prime up to this many upcoming
-    cloud-resident tables on forked child clocks, so their round trips
+    """Scan prefetch: a range scan opens the tables its merge reads first as
+    parallel branches (the seek fan-out), and while it consumes one table of
+    a level it keeps up to this many of the level's upcoming cloud-resident
+    tables opened and primed on forked child clocks, so their round trips
     overlap consumption of the current table (RocksDB async-iterator-style;
-    see :mod:`repro.mash.prefetch`). 0 disables the pipeline (the default);
-    only store variants that install a ``scan_pipeline_factory`` honor it.
-    Scan *results* are identical at any depth — only simulated timing and
-    request counts change."""
+    the schedule lives in :class:`~repro.lsm.block_cache.ScanReads`). 0 disables
+    both (the default); an Env without a clock ignores it. Scan *results*
+    are identical at any depth — only simulated timing and request counts
+    change."""
 
     max_manifest_file_size: int = 256 << 10
     """Rewrite (compact) the MANIFEST once its edit log exceeds this size;

@@ -46,8 +46,9 @@ class TableCache:
     def has_reader(self, number: int) -> bool:
         """Is a reader for this table already open (no I/O either way)?
 
-        The scan-prefetch pipeline uses this to hand already-open readers
-        off for free instead of speculatively re-opening them.
+        A scan's prefetch schedule (:class:`~repro.lsm.block_cache.ScanReads`)
+        uses this to hand an already-open reader with nothing to prime off
+        for free instead of speculating on it.
         """
         return number in self._readers
 

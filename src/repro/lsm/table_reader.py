@@ -4,7 +4,8 @@ Opens a table through the Env's :class:`RandomAccessFile` — which may sit on
 the local device *or* the cloud store — and serves point lookups and range
 iteration with per-block ranged reads. Every block read goes through the
 table's :class:`~repro.lsm.block_cache.BlockStack`, the ordered list of
-sources (DRAM cache, RocksMash's persistent cache, readahead, the file).
+sources (DRAM cache, RocksMash's persistent cache, the scan's buffers, the
+file).
 A scan hands its :class:`~repro.lsm.block_cache.ScanReads` down with each
 read, and :meth:`TableReader.scan_span` sizes the one ranged read a scan's
 miss on a cloud table issues.
@@ -165,9 +166,9 @@ class TableReader:
     def edge_data_handle(self, goal: SeekGoal | None = None) -> BlockHandle | None:
         """Handle of the first data block :meth:`entries` would read.
 
-        Index-only (no data-block I/O): used by the scan-prefetch pipeline
-        and by compaction to prime a table's opening range ahead of
-        consumption. That is the boundary block of ``goal`` (None when
+        Index-only (no data-block I/O): used by a scan's prefetch schedule
+        (:class:`~repro.lsm.block_cache.ScanReads`) and by compaction to
+        prime a table's opening range ahead of consumption. That is the boundary block of ``goal`` (None when
         every key sorts below it) or the table's first block, read off the
         first index entry alone (no sort keys kept).
         """

@@ -14,13 +14,14 @@ Composition (each piece is a separately tested module):
 
 Block path of a table (:class:`MashBlockStack`)::
 
-    DRAM block cache → persistent cache → primed scan buffer → readahead
+    DRAM block cache → persistent cache → primed scan buffer → scan buffer
     → demand read (a cloud ranged GET, or a local read)
 
-A scan's miss on a cloud table reads through the scan's own buffer of it
+A point get's miss reads its one block. A scan's miss on a cloud table reads
+through the scan's own buffer of it
 (:class:`~repro.lsm.block_cache.ScanBuffer`), one ranged GET sized by the
-scan's ``limit`` and ``end``; a point get's goes through the table's
-readahead detector.
+scan's ``limit`` and ``end``, which the scan's prefetch schedule
+(:class:`~repro.lsm.block_cache.ScanReads`) may have issued ahead of it.
 
 Use :meth:`RocksMashStore.create` for a fresh deployment and
 :meth:`RocksMashStore.reopen` to simulate a restart (optionally after a
@@ -34,15 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import NotFoundError
-from repro.lsm.block_cache import (
-    BlockPath,
-    BlockStack,
-    ReadaheadBuffer,
-    ScanBuffer,
-    ScanReads,
-    SequentialStack,
-)
+from repro.lsm.block_cache import BlockPath, BlockStack, ScanBuffer, SequentialStack
 from repro.lsm.compaction import CompactionEvent
 from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot, WalWriter
 from repro.lsm.format import (
@@ -58,7 +51,6 @@ from repro.facade import StoreFacade
 from repro.mash.layout import BlockHeatTracker, LayoutConfig
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.placement import PlacementConfig, PlacementManager, make_router
-from repro.mash.prefetch import ScanPrefetcher
 from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
@@ -66,7 +58,7 @@ from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
 from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
-from repro.storage.env import CLOUD, CloudEnv, HybridEnv, LocalEnv, RandomAccessFile
+from repro.storage.env import CloudEnv, HybridEnv, LocalEnv, RandomAccessFile
 from repro.storage.local import LocalDevice
 
 if TYPE_CHECKING:
@@ -92,9 +84,9 @@ class StoreConfig:
     local_capacity_bytes: int | None = None
     scan_readahead_bytes: int = 128 << 10
     """The longest ranged read a scan's miss on a cloud-resident table
-    issues (:class:`~repro.lsm.block_cache.ScanBuffer`), and the window a
-    table's point-get readahead grows to
-    (:class:`~repro.lsm.block_cache.ReadaheadBuffer`); 0 disables both."""
+    issues, or its prefetch schedule primes
+    (:class:`~repro.lsm.block_cache.ScanBuffer`); 0: scans read cloud
+    tables block by block. Point gets never read ahead."""
 
     def small(self) -> "StoreConfig":
         """Scaled-down engine thresholds for tests and quick experiments."""
@@ -176,38 +168,32 @@ class MashBlockStack(BlockStack):
     order: heat is recorded before the persistent-cache lookup (a pcache hit
     still heats the block); and a block is admitted to the persistent cache
     only when its own miss read it from the cloud — the rest of a range read
-    with it is not (scan-resistant caching). A scan's miss on a
-    cloud-resident table is served from the scan's buffer of the table
-    (``primed`` when the scan pipeline filled it, ``readahead`` when an
-    earlier miss of the scan did) or fills it with one ranged GET
-    (:meth:`scan_fetch`); a point get's miss goes through the table's own
-    readahead detector, which sees point reads only. The tier is looked up
-    per miss, not per stack: a table can be demoted under a reader a live
+    with it is not (scan-resistant caching). A point get's miss is one
+    block's demand read. A scan's miss on a cloud-resident table is served
+    from the scan's buffer of the table (``primed`` when the scan's prefetch
+    schedule filled it, ``readahead`` when an earlier miss of the scan did)
+    or fills it with one ranged GET (:meth:`scan_fetch`). The tier is looked
+    up per miss, not per stack: a table can be demoted under a reader a live
     iterator still holds.
 
     A compaction's pass (:meth:`sequential`) skips every source but heats
     each block it reads: heat inheritance and pre-warm are planned from it.
     """
 
-    __slots__ = ("store", "_buffer")
+    __slots__ = ("store",)
 
     def __init__(
         self, name: str, file: RandomAccessFile, path: BlockPath, *, store: RocksMashStore
     ) -> None:
         super().__init__(name, file, path)
         self.store = store
-        self._buffer: ReadaheadBuffer | None = None
 
     def fetch(self, handle: BlockHandle) -> bytes:
         store = self.store
         store.heat.record_access(self.name, handle.offset)
         payload = self._pcache(handle)
         if payload is None:
-            cloud = store._is_cloud_file(self.name)
-            if cloud:
-                payload = self._readahead(handle)
-            if payload is None:
-                payload = self._demand(handle, cloud)
+            payload = self._demand(handle, store.env.is_cloud(self.name))
         return payload
 
     def scan_fetch(self, handle: BlockHandle, scan: ScanBuffer) -> bytes:
@@ -215,7 +201,7 @@ class MashBlockStack(BlockStack):
         store.heat.record_access(self.name, handle.offset)
         payload = self._pcache(handle)
         if payload is None:
-            cloud = store._is_cloud_file(self.name)
+            cloud = store.env.is_cloud(self.name)
             window = store.config.scan_readahead_bytes
             if not cloud or window <= 0:
                 return self._demand(handle, cloud)
@@ -235,18 +221,9 @@ class MashBlockStack(BlockStack):
             self.path.event("pcache_hit")
         return payload
 
-    def _readahead(self, handle: BlockHandle) -> bytes | None:
-        buffer = self._buffer
-        if buffer is None:
-            size = self.store.config.scan_readahead_bytes
-            if size <= 0:
-                return None
-            buffer = self._buffer = ReadaheadBuffer(self.file, readahead_bytes=size)
-        payload = buffer.get(handle)
-        if payload is not None:
-            self.path.hits["readahead"] += 1
-            self.path.event("readahead_hit")
-        return payload
+    def scan_window(self) -> int:
+        store = self.store
+        return store.config.scan_readahead_bytes if store.env.is_cloud(self.name) else 0
 
     def _demand(self, handle: BlockHandle, cloud: bool, payload: bytes | None = None) -> bytes:
         """The demand read of ``handle``'s block, or ``payload`` when a
@@ -281,7 +258,7 @@ class MashBlockStack(BlockStack):
             self.path.event("pcache_meta_hit")
             return cached
         payload = self.read(handle)
-        if store._is_cloud_file(self.name):
+        if store.env.is_cloud(self.name):
             self.path.event("cloud_get")
             store.pcache.put_meta(self.name, kind, payload)
         else:
@@ -329,11 +306,6 @@ class RocksMashStore(StoreFacade):
                 config.options,
                 stack_factory=partial(MashBlockStack, store=self),
                 event_sink=self.tracer.event,
-                scan_pipeline_factory=(
-                    self._make_scan_prefetcher
-                    if config.options.scan_prefetch_depth > 0
-                    else None
-                ),
                 maintenance_hook=maintenance_hook,
                 # Event order matters: the heat tracker must see compaction
                 # outputs (and pre-warm from their still-local files) before
@@ -459,39 +431,6 @@ class RocksMashStore(StoreFacade):
                 region.join()
         self.read_latency.record(span.elapsed)
         return results
-
-    # -- pipelined scan prefetch ---------------------------------------------------
-
-    def _make_scan_prefetcher(self, reads: ScanReads) -> ScanPrefetcher:
-        """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook,
-        installed only when ``scan_prefetch_depth > 0``).
-
-        One :class:`ScanPrefetcher` per scan: seek fan-out of the initial
-        reader opens, then up to ``scan_prefetch_depth`` cloud tables
-        speculatively opened ahead of the merge iterator on forked child
-        clocks, each primed with the read the scan's first miss in it would
-        issue, into the scan's own buffers (see :mod:`repro.mash.prefetch`).
-        """
-        return ScanPrefetcher(
-            reads=reads,
-            clock=self.op_clock,
-            hosts=self.env.clock_hosts(),
-            tracer=self.tracer,
-            table_cache=self.db.table_cache,
-            is_cloud=self._is_cloud_file,
-            depth=self.config.options.scan_prefetch_depth,
-            readahead_bytes=self.config.scan_readahead_bytes,
-        )
-
-    # -- block-path support ------------------------------------------------------
-
-    def _is_cloud_file(self, file_name: str) -> bool:
-        # Only "file missing from both tiers" may be treated as not-cloud;
-        # anything else (notably CrashPointFired) must propagate.
-        try:
-            return self.env.tier_of(file_name) == CLOUD
-        except NotFoundError:
-            return False
 
     # -- event handlers -----------------------------------------------------------
 

@@ -154,9 +154,9 @@ class ShardedDB:
                 shard_config = replace(
                     base,
                     db_prefix=f"db/s{index:02d}/",
-                    # A shard never grows its own prefetch pipeline: those
-                    # fork from the store-level clock and would fight the
-                    # router's fan-out branches.
+                    # A shard scans without the prefetch schedule: the
+                    # router's branches already overlap the shards' scans,
+                    # and the node keeps that one level of fan-out.
                     options=replace(base.options, scan_prefetch_depth=0),
                     pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
                 )

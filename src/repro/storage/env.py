@@ -115,6 +115,11 @@ class Env(ABC):
         hosts = self.clock_hosts()
         return hosts[0].clock if hosts else None
 
+    def is_cloud(self, name: str) -> bool:
+        """Does ``name`` live in the cloud? Asked without any I/O, and a
+        file on no tier does not."""
+        return False
+
 
 # --------------------------------------------------------------------------
 # Local tier
@@ -294,6 +299,9 @@ class CloudEnv(Env):
     def clock_hosts(self) -> list[ClockCharged]:
         return [self.store]
 
+    def is_cloud(self, name: str) -> bool:
+        return self.store.exists(name)
+
 
 # --------------------------------------------------------------------------
 # Hybrid tier
@@ -331,6 +339,14 @@ class HybridEnv(Env):
             self._registry[name] = CLOUD
             return CLOUD
         raise NotFoundError(f"file not found on any tier: {name}")
+
+    def is_cloud(self, name: str) -> bool:
+        # Only "missing from both tiers" reads as not-cloud; anything else
+        # (notably CrashPointFired) must propagate.
+        try:
+            return self.tier_of(name) == CLOUD
+        except NotFoundError:
+            return False
 
     def _env(self, tier: str) -> Env:
         if tier == LOCAL:

@@ -2,9 +2,10 @@
 
 Both sites used to catch ``Exception``, which would have swallowed a
 :class:`CrashPointFired` raised from below them — silently turning an
-injected crash into a cache decision (store) or a truncated recovery scan
-(pcache). These tests fire a crash point *through* each site and assert it
-propagates; reprolint rule RL003 guards the same contract statically.
+injected crash into a cache decision (the hybrid Env's tier probe) or a
+truncated recovery scan (pcache). These tests fire a crash point *through*
+each site and assert it propagates; reprolint rule RL003 guards the same
+contract statically.
 """
 
 import pytest
@@ -23,7 +24,8 @@ def store():
 
 
 class TestIsCloudFileSite:
-    """mash/store.py: tier probing must not eat a crash point."""
+    """storage/env.py ``HybridEnv.is_cloud``: tier probing must not eat a
+    crash point."""
 
     def test_crash_point_fired_propagates(self, store, monkeypatch):
         def exploding_tier_of(name):
@@ -31,10 +33,10 @@ class TestIsCloudFileSite:
 
         monkeypatch.setattr(store.env, "tier_of", exploding_tier_of)
         with pytest.raises(CrashPointFired):
-            store._is_cloud_file("000001.sst")
+            store.env.is_cloud("000001.sst")
 
     def test_missing_file_is_not_cloud(self, store):
-        assert store._is_cloud_file("no-such-file.sst") is False
+        assert store.env.is_cloud("no-such-file.sst") is False
 
     def test_crash_point_fired_propagates_through_read_path(
         self, store, monkeypatch
@@ -52,7 +54,7 @@ class TestIsCloudFileSite:
         monkeypatch.setattr(type(store.env), "tier_of", armed_tier_of)
         try:
             with pytest.raises(CrashPointFired):
-                store._is_cloud_file("000001.sst")
+                store.env.is_cloud("000001.sst")
         finally:
             monkeypatch.setattr(type(store.env), "tier_of", original)
 

@@ -1,4 +1,5 @@
-"""Integration tests for scan range pruning and the prefetch pipeline."""
+"""Integration tests for scan range pruning, scan reads of cloud tables and
+scan prefetch."""
 
 from dataclasses import replace
 
@@ -127,10 +128,8 @@ class TestScanPrefetchPipeline:
         assert hits + waste == issued
 
     def test_depth_zero_builds_no_pipeline(self):
-        # At depth 0 the store installs no factory hook, and a scan runs
-        # without any speculation.
+        # At depth 0 a scan runs without any speculation.
         store = cold_cloud_store(depth=0)
-        assert store.db.scan_pipeline_factory is None
         store.scan()
         for label in ("prefetch_issue", "prefetch_hit", "prefetch_waste"):
             assert store.tracer.event_count(label) == 0
@@ -178,7 +177,7 @@ def middle_table(store):
     files = sorted(store.db.versions.current.files[-1], key=lambda meta: meta.smallest)
     meta = files[len(files) // 2]
     name = table_file_name(store.config.db_prefix, meta.number)
-    assert store._is_cloud_file(name)
+    assert store.env.is_cloud(name)
     reader = store.db.table_cache.get_reader(meta.number)  # pinned metadata: no GET
     keys = [make_key(i) for i in range(1500)]
     keys = [k for k in keys if meta.smallest_user_key <= k <= meta.largest_user_key]
@@ -242,6 +241,28 @@ class TestOneReadPerCloudTable:
         assert [key for key, _, _ in gets] == [name]
 
 
+class TestPointGetsReadNoRange:
+    """A point get reads its one block: only a scan reads ahead."""
+
+    def test_ascending_gets_issue_one_block_sized_get_each(self, monkeypatch):
+        store = compacted_cloud_store()
+        meta, name, reader, keys = middle_table(store)
+        first_in_block = {}  # block offset -> (its first key, its handle), ascending
+        for key in keys:
+            handle = reader.edge_data_handle(seek_goal(key))
+            first_in_block.setdefault(handle.offset, (key, handle))
+        assert len(first_in_block) >= 4, "too few blocks to look sequential"
+        readahead = store.metrics()["blocks.readahead"]
+        gets = spy_gets(monkeypatch, store)
+        for key, _ in first_in_block.values():
+            assert store.get(key) is not None
+        assert gets == [
+            (name, handle.offset, handle.size + BLOCK_TRAILER_SIZE)
+            for _, handle in first_in_block.values()
+        ]
+        assert store.metrics()["blocks.readahead"] == readahead
+
+
 class TestPinnedMetadataOpensCloudTables:
     """The fact the single scan path rests on (DESIGN.md §10): with the
     paper's metadata pinning, a cold open of a cloud table costs no cloud
@@ -280,7 +301,7 @@ class TestPinnedMetadataOpensCloudTables:
         opened = []
         for _level, meta in store.db.versions.current.all_files():
             name = table_file_name(store.config.db_prefix, meta.number)
-            if store.db.table_cache.has_reader(meta.number) and store._is_cloud_file(name):
+            if store.db.table_cache.has_reader(meta.number) and store.env.is_cloud(name):
                 opened.append((name, meta, store.db.table_cache.get_reader(meta.number).footer))
         assert opened, "the scan opened no cloud table: the fixture is too small"
         metadata_reads = {(name, meta.file_size - FOOTER_SIZE) for name, meta, _ in opened}

@@ -165,16 +165,15 @@ class TestShardedDB:
         assert all(shard.tracer is node.tracer for shard in node.shards)
 
     def test_shards_never_build_a_prefetch_pipeline(self):
-        # A shard-local pipeline would fork from the store clock and fight
-        # the router's fan-out branches, so the node pins the depth at 0
-        # whatever the base config asks for.
+        # The router's branches already overlap the shards' scans, so the
+        # node pins every shard's depth at 0 whatever the base config asks
+        # for.
         base = StoreConfig().small()
         base = replace(base, options=replace(base.options, scan_prefetch_depth=2))
         node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=400))
         for i in range(400):
             node.put(make_key(i), b"v" * 64)
         assert len(node.scan(make_key(150), make_key(250))) == 100
-        assert all(shard.db.scan_pipeline_factory is None for shard in node.shards)
         assert node.tracer.event_count("seek_fanout") == 0
         assert node.tracer.event_count("prefetch_issue") == 0
 

@@ -5,10 +5,11 @@ import pytest
 
 from repro.lsm.compaction import pick_subcompaction_boundaries
 from repro.lsm.db import DB
-from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, seal_block
+from repro.lsm.format import BlockHandle, seal_block
 from repro.lsm.options import Options
 from repro.lsm.version import FileMetaData
-from repro.lsm.block_cache import ReadaheadBuffer
+from repro.lsm.block import BlockBuilder
+from repro.lsm.block_cache import BlockPath, SequentialStack
 from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel
 from repro.storage.cloud import CloudObjectStore
@@ -150,54 +151,59 @@ class TestPartitionedCompaction:
             parallel.close()
 
 
-def build_cloud_file(num_blocks=40, block_payload=100, rtt=10e-3):
+def build_cloud_file(num_blocks=40, rtt=10e-3):
+    """A cloud table-like object of one-entry blocks, block ``i`` holding
+    ``bytes([i]) * 100``; returns (file, store, handles)."""
     clock = SimClock()
     store = CloudObjectStore(clock, LatencyModel(rtt, rtt, 1e6, 1e6))
     data = bytearray()
     handles = []
     for i in range(num_blocks):
-        sealed = seal_block(bytes([i % 256]) * block_payload)
-        handles.append(BlockHandle(len(data), block_payload))
-        data += sealed
+        builder = BlockBuilder()
+        builder.add(make_internal_key(b"k%04d" % i, 1, TYPE_VALUE), bytes([i % 256]) * 100)
+        payload = builder.finish()
+        handles.append(BlockHandle(len(data), len(payload)))
+        data += seal_block(payload)
     store.put("table.sst", bytes(data))
     file = CloudEnv(store).new_random_access_file("table.sst")
     return file, store, handles
 
 
+def served(stack, handle):
+    [(_key, _trailer, value)] = stack.block(handle)
+    return value
+
+
 class TestEagerReadahead:
+    """A compaction input's pass (``SequentialStack``) reads ahead from its
+    first block on, one ranged read per window."""
+
     def test_serves_from_first_block(self):
         file, store, handles = build_cloud_file()
-        buffer = ReadaheadBuffer(file, readahead_bytes=64 << 10, eager=True)
-        assert buffer.get(handles[0]) == bytes([0]) * 100
-        assert buffer.stats.fetches == 1
+        stack = SequentialStack("table.sst", file, BlockPath(), 64 << 10)
+        assert served(stack, handles[0]) == bytes([0]) * 100
+        assert stack.fetches == 1
 
     def test_one_fetch_covers_many_blocks(self):
         file, store, handles = build_cloud_file()
-        buffer = ReadaheadBuffer(file, readahead_bytes=64 << 10, eager=True)
+        stack = SequentialStack("table.sst", file, BlockPath(), 64 << 10)
         before = store.counters.get("cloud.get_ops")
         for i, handle in enumerate(handles):
-            assert buffer.get(handle) == bytes([i % 256]) * 100
+            assert served(stack, handle) == bytes([i % 256]) * 100
         gets = store.counters.get("cloud.get_ops") - before
-        # 40 blocks fit comfortably in one 64K window (plus the footer read
-        # pattern is not exercised here): far fewer requests than blocks.
+        # 40 blocks fit comfortably in one 64K window: far fewer requests
+        # than blocks.
         assert gets * 2 <= len(handles)
-        assert buffer.stats.sequential_hits >= len(handles) - buffer.stats.fetches
+        assert stack.fetches == gets
 
     def test_jump_restarts_run_instead_of_disabling(self):
         file, store, handles = build_cloud_file()
-        buffer = ReadaheadBuffer(file, readahead_bytes=64 << 10, eager=True)
-        buffer.get(handles[0])
-        buffer.get(handles[1])
-        # A subcompaction-style seek to a later offset: eager mode restarts
-        # the coalesced run there rather than degrading to per-block reads.
-        assert buffer.get(handles[20]) == bytes([20]) * 100
-        assert buffer.get(handles[21]) == bytes([21]) * 100
-        assert buffer.stats.fetches == 2
-
-    def test_lazy_mode_unchanged_by_eager_flag_default(self):
-        file, store, handles = build_cloud_file()
-        buffer = ReadaheadBuffer(file, readahead_bytes=64 << 10)
-        assert buffer.eager is False
-        assert buffer.get(handles[0]) is None
-        assert buffer.get(handles[1]) is None
-        assert buffer.get(handles[2]) is not None
+        window = 4 * (handles[1].offset - handles[0].offset)  # four blocks
+        stack = SequentialStack("table.sst", file, BlockPath(), window)
+        served(stack, handles[0])
+        served(stack, handles[1])
+        # A subcompaction-style seek past the window: the pass restarts its
+        # coalesced run there rather than degrading to per-block reads.
+        assert served(stack, handles[20]) == bytes([20]) * 100
+        assert served(stack, handles[21]) == bytes([21]) * 100
+        assert stack.fetches == 2
