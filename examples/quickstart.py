@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Quickstart: a RocksMash store in ~40 lines.
+"""Quickstart: a RocksMash store in a few dozen lines.
 
 Creates a hybrid store on simulated devices, writes and reads data,
-shows where the bytes ended up (local SSD vs cloud object store), and
-survives a simulated crash.
+shows where the bytes ended up (local SSD vs cloud object store), what the
+operator sees (a snapshot read, ``explain``, ``metrics``, the Prometheus
+dump), and survives a simulated crash.
 
 Run:  python examples/quickstart.py
 """
@@ -42,6 +43,23 @@ def main() -> None:
     print(f"pinned metadata     : {store.pcache.meta_bytes:>10,} bytes "
           f"(index+filter of every cloud table, kept local)")
     print(f"simulated elapsed   : {store.clock.now:>10.3f} s")
+
+    # -- the operator surface ---------------------------------------------------
+    # A snapshot keeps reading the value it saw when it was taken.
+    snap = store.snapshot()
+    store.put(b"event:00000001", b"rewritten")
+    assert store.get(b"event:00000001", snapshot=snap).startswith(b"payload-1")
+    store.release_snapshot(snap)
+
+    # One cold get, layer by layer: which source served it and what it cost.
+    why = store.explain(b"event:00000007")
+    print("\nexplain:", " -> ".join(f"{layer} {outcome}" for layer, outcome in why.path))
+    print(f"  {why.cloud_s * 1e3:.2f} ms cloud, {why.local_s * 1e3:.2f} ms local, "
+          f"{why.bytes_fetched} bytes fetched")
+    metrics = store.metrics()
+    for name in ("flushes", "compaction.compactions", "demotions", "cloud.get_ops", "blocks.pcache"):
+        print(f"  {name:<22} {metrics[name]}")
+    print("\n".join(store.dump_metrics().splitlines()[:4]))
 
     # -- crash and recover ------------------------------------------------------
     store2 = store.reopen(crash=True)

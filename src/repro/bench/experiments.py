@@ -895,7 +895,7 @@ def e19b_write_fault_storm(
     """Table E19b: write throughput under a write-targeted cloud fault storm.
 
     The fault injector's op-prefix filter storms only mutating cloud
-    requests (PUT / multipart / copy) — exactly the demotion path — while
+    requests (PUT / copy) — exactly the demotion path — while
     GETs stay healthy. The graceful-degradation claim: the retry/backoff
     path absorbs every fault (writes slow down, reads stay correct and no
     data is lost), with zero wrong answers at any rate.
@@ -906,7 +906,7 @@ def e19b_write_fault_storm(
         "E19b: write-targeted cloud fault storm (RocksMash, random-order fill)",
         ["error_rate", "fill_Kops/s", "retries", "slowdown", "wrong_or_missing"],
         notes=[
-            "faults hit only cloud.put*/upload_part/complete_multipart/copy;",
+            "faults hit only cloud.put*/copy;",
             "retry policy: 5 attempts, exponential backoff from 10 ms",
         ],
     )
@@ -918,12 +918,7 @@ def e19b_write_fault_storm(
         store.cloud_store.faults = FaultInjector(
             error_rate=rate,
             seed=11,
-            op_prefixes=(
-                "cloud.put",
-                "cloud.upload_part",
-                "cloud.complete_multipart",
-                "cloud.copy",
-            ),
+            op_prefixes=("cloud.put", "cloud.copy"),
         )
         start = store.clock.now
         dbbench.fill_database(store, records)

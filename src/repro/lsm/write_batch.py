@@ -64,10 +64,6 @@ class WriteBatch:
     def __iter__(self) -> Iterator[BatchOp]:
         return iter(self._ops)
 
-    def byte_size(self) -> int:
-        """Approximate payload size (used for WAL sizing decisions)."""
-        return _HEADER_SIZE + sum(len(op.key) + len(op.value) + 6 for op in self._ops)
-
     def encode(self) -> bytes:
         out = bytearray()
         out += encode_fixed64(self.sequence)

@@ -16,12 +16,11 @@ Lifecycle and crash protocol:
   that diverts nothing (:meth:`BlobLog.sync_active`) — so a synced (acked)
   pointer always has a durable record behind it; an unsynced tail is torn
   exactly like a torn WAL tail and truncated at recovery.
-- ``seal``: the active segment is uploaded to the cloud (multipart for
-  bodies above the placement part size), recorded in the MANIFEST as a
-  ``(number, total, dead)`` blob-segment edit, then the local copy is
-  dropped. Flushes seal first, so SSTables only ever reference sealed,
-  MANIFEST-recorded segments; the active segment is referenced only by the
-  WAL/memtable.
+- ``seal``: the active segment is uploaded to the cloud in one PUT,
+  recorded in the MANIFEST as a ``(number, total, dead)`` blob-segment
+  edit, then the local copy is dropped. Flushes seal first, so SSTables
+  only ever reference sealed, MANIFEST-recorded segments; the active
+  segment is referenced only by the WAL/memtable.
 - Compaction reports the bytes of every dropped pointer; those dead-byte
   increments ride the *same* VersionEdit as the drop, so the MANIFEST's GC
   state is exact across crashes.
@@ -30,14 +29,17 @@ Lifecycle and crash protocol:
   that recovery collects); segments past :data:`GC_DEAD_RATIO` get their
   live residue re-put through the front door, which re-diverts the values
   into the current active segment and lets compaction retire the old copies.
-- ``recover``: MANIFEST-unknown segment files with no memtable references
+- ``recover``: while the log replays, a record whose pointer ends past the
+  clean prefix of a MANIFEST-unknown segment is where its xWAL shard's
+  torn tail starts (:meth:`BlobLog.record_is_whole`): the write was never
+  acknowledged, and the record and the rest of the shard are dropped.
+  After replay, MANIFEST-unknown segment files with no memtable references
   are abandoned uploads or GC orphans and are deleted; a referenced one is
   the crashed active segment — its clean record prefix is re-sealed with
   the unreferenced remainder pre-counted dead. The re-seal is itself
   crash-idempotent: the local copy is truncated in place (atomic, synced)
   and kept until the MANIFEST edit commits, so a crash anywhere inside the
-  re-seal (including mid multipart upload) leaves a durable copy for the
-  next recovery to adopt again.
+  re-seal leaves a durable copy for the next recovery to adopt again.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class BlobLog:
         options: Options,
         device: LocalDevice,
         *,
-        part_bytes: int = 8 << 20,
         pcache: "PersistentCache | None" = None,
     ) -> None:
         self.env = env
@@ -106,7 +107,6 @@ class BlobLog:
         self.versions = versions
         self.options = options
         self.device = device
-        self.part_bytes = part_bytes
         self.pcache = pcache
         self.active_number: int | None = None
         self.active_file: WritableFile | None = None
@@ -114,6 +114,9 @@ class BlobLog:
         self.active_unsynced = False
         self._in_gc = False
         self._rewritten: set[int] = set()
+        self._unsealed: dict[int, tuple[bytes, int]] = {}
+        """Recovery's reads of MANIFEST-unknown segments: number ->
+        ``(bytes, clean prefix length)``."""
         # Counters (surfaced via store stats / E23).
         self.bytes_diverted = 0
         self.records_diverted = 0
@@ -121,8 +124,6 @@ class BlobLog:
         self.segments_sealed = 0
         self.segments_deleted = 0
         self.gc_rewrites = 0
-        self.single_put_uploads = 0
-        self.multipart_uploads = 0
         self.resolves = 0
         self.resolve_pcache_hits = 0
 
@@ -238,24 +239,9 @@ class BlobLog:
         self.segments_sealed += 1
 
     def _upload_and_record(self, number: int, name: str, data: bytes, dead: int) -> None:
-        store = self.env.cloud.store
-        if len(data) <= self.part_bytes:
-            # Small-segment fast path (ROADMAP item 1): one request, one
-            # PUT charge — never the multipart initiate/complete overhead.
-            store.put(name, data)
-            self.single_put_uploads += 1
-        else:
-            for offset in range(0, len(data), self.part_bytes):
-                # crash-idempotent: recovery re-seals from the intact local
-                # copy; an abandoned multipart upload is invisible.
-                store.upload_part(name, data[offset : offset + self.part_bytes])
-                # Leave-behind: abandoned multipart upload; the segment is
-                # invisible in the cloud, the local copy intact.
-                crash_points.reach("bloblog.seal_mid_upload")
-            # crash-idempotent: keyed by name; a recovery re-seal overwrites
-            # the same object with identical bytes.
-            store.complete_multipart(name, data)
-            self.multipart_uploads += 1
+        # crash-idempotent: keyed by name; a recovery re-seal overwrites
+        # the same object with identical bytes.
+        self.env.cloud.store.put(name, data)
         self.env.note_tier(name, CLOUD)
         # Leave-behind: segment object visible in the cloud but absent from
         # the MANIFEST; recovery must adopt or discard it by reference count.
@@ -403,6 +389,32 @@ class BlobLog:
 
     # -- recovery -------------------------------------------------------------
 
+    def record_is_whole(self, ops: list[tuple[int, int, bytes, bytes]]) -> bool:
+        """False if a pointer in one replayed xWAL record ends past the clean
+        prefix of its MANIFEST-unknown segment.
+
+        A synced pointer always has a synced blob record behind it, so such
+        a record was written ``sync=False`` and its blob bytes were torn:
+        the record is where its shard's torn tail starts. A segment that is
+        not on disk at all has a clean prefix of zero.
+        """
+        known = self.versions.blob_segments
+        for _sequence, value_type, _key, value in ops:
+            pointer = maybe_pointer(value) if value_type == TYPE_VALUE else None
+            if pointer is None or pointer.segment in known:
+                continue
+            unsealed = self._unsealed.get(pointer.segment)
+            if unsealed is None:
+                name = blob_file_name(self.prefix, pointer.segment)
+                data = b""
+                if self.env.file_exists(name):
+                    data = self.env.read_file(name)
+                unsealed = (data, valid_prefix_length(data))
+                self._unsealed[pointer.segment] = unsealed
+            if pointer.offset + pointer.length > unsealed[1]:
+                return False
+        return True
+
     def recover(self, listing: list[str], entries: list[Entry]) -> None:
         """Reconcile on-disk segment files with the recovered MANIFEST.
 
@@ -433,24 +445,18 @@ class BlobLog:
                 self.delete_segment_file(number)
                 continue
             self._adopt_segment(number, name, wanted)
+        self._unsealed.clear()
 
     def _adopt_segment(
         self, number: int, name: str, wanted: set[tuple[int, int]]
     ) -> None:
-        data = self.env.read_file(name)
-        valid_len = valid_prefix_length(data)
-        max_end = max(offset + length for offset, length in wanted)
-        if max_end > valid_len:
-            # A synced WAL pointer always has a synced blob record behind it;
-            # anything else is real corruption, not a torn tail.
-            raise CorruptionError(
-                f"blob segment {name}: referenced bytes extend past clean "
-                f"prefix ({max_end} > {valid_len})"
-            )
+        # Replay read the segment and kept only records that fit its clean
+        # prefix (record_is_whole).
+        data, valid_len = self._unsealed.pop(number)
+        assert max(offset + length for offset, length in wanted) <= valid_len
         referenced = sum(length for _offset, length in wanted)
         # Keep a durable copy until the MANIFEST edit commits: a crash inside
-        # the re-seal below (e.g. mid multipart upload, where the cloud object
-        # is still invisible) must leave the next recovery something to adopt.
+        # the re-seal below must leave the next recovery something to adopt.
         # Truncate the local file in place (write_file is atomic and synced)
         # rather than deleting it; the upload simply overwrites any partially
         # visible cloud object from an interrupted earlier seal, and
@@ -475,8 +481,6 @@ class BlobLog:
             "bytes_reclaimed": self.bytes_reclaimed,
             "segments_sealed": self.segments_sealed,
             "segments_deleted": self.segments_deleted,
-            "single_put_uploads": self.single_put_uploads,
-            "multipart_uploads": self.multipart_uploads,
             "gc_rewrites": self.gc_rewrites,
             "resolves": self.resolves,
             "resolve_pcache_hits": self.resolve_pcache_hits,

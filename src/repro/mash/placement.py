@@ -60,16 +60,9 @@ class PlacementConfig:
     (up-tiering). Requires ``local_bytes_budget``; promotions only use the
     budget's headroom so they never fight the demotion path."""
 
-    multipart_part_bytes: int = 8 << 20
-    """Demotion uploads larger than one part stream as a multipart upload
-    (parts invisible until completed; a crash abandons them). Tables at or
-    under one part go up as a single atomic PUT."""
-
     def __post_init__(self) -> None:
         if self.cloud_level < 1:
             raise ValueError("cloud_level must be >= 1 (L0 is always local)")
-        if self.multipart_part_bytes < 1:
-            raise ValueError("multipart_part_bytes must be >= 1")
         if self.promotion_enabled and self.local_bytes_budget is None:
             raise ValueError("promotion requires local_bytes_budget")
 
@@ -108,8 +101,6 @@ class PlacementManager:
         self.demotions = 0
         self.budget_demotions = 0
         self.promotions = 0
-        self.single_put_uploads = 0
-        self.multipart_uploads = 0
         db.listeners.on_flush.append(self._on_flush)
         db.listeners.on_compaction.append(self._on_compaction)
 
@@ -175,11 +166,8 @@ class PlacementManager:
     def _demote(self, number: int) -> None:
         """Upload one table to the cloud tier, then drop the local copy.
 
-        Tables above ``multipart_part_bytes`` stream as a multipart upload:
-        parts are durable server-side but the object stays invisible until
-        completion, so a crash mid-upload leaves the local copy authoritative
-        and the abandoned parts reclaimable. Either way the local delete
-        happens only after the cloud object is fully visible.
+        The upload is one PUT, so the object is visible whole or not at all,
+        and the local delete happens only after it is visible.
         ``before_demote`` runs first and the ``demotion`` event is posted
         last, also for a table a later compaction already deleted or one
         that is in the cloud already.
@@ -188,20 +176,7 @@ class PlacementManager:
             self.before_demote(number)
         name = table_file_name(self.db.prefix, number)
         if self.env.file_exists(name) and self.env.tier_of(name) != CLOUD:
-            data = self.env.local.read_file(name)
-            store = self.env.cloud.store
-            part_bytes = self.config.multipart_part_bytes
-            if len(data) <= part_bytes:
-                # Small-table fast path: exactly one PUT request, never the
-                # multipart initiate/complete overhead.
-                store.put(name, data)
-                self.single_put_uploads += 1
-            else:
-                for offset in range(0, len(data), part_bytes):
-                    store.upload_part(name, data[offset : offset + part_bytes])
-                    crash_points.reach("demote.mid_upload")
-                store.complete_multipart(name, data)
-                self.multipart_uploads += 1
+            self.env.cloud.store.put(name, self.env.local.read_file(name))
             self.env.note_tier(name, CLOUD)
             crash_points.reach("demote.before_local_delete")
             self.env.local.delete_file(name)
@@ -304,6 +279,4 @@ class PlacementManager:
             "demotions": self.demotions,
             "budget_demotions": self.budget_demotions,
             "promotions": self.promotions,
-            "single_put_uploads": self.single_put_uploads,
-            "multipart_uploads": self.multipart_uploads,
         }

@@ -105,13 +105,11 @@ class MashDB(DB):
         *args,
         xwal_config: XWalConfig,
         local_device: LocalDevice,
-        placement_config: PlacementConfig | None = None,
         blob_pcache: PersistentCache | None = None,
         **kw: Any,
     ) -> None:
         self._xwal_config = xwal_config
         self._local_device = local_device
-        self._placement_config = placement_config
         self._blob_pcache = blob_pcache
         super().__init__(*args, **kw)
 
@@ -121,18 +119,12 @@ class MashDB(DB):
         # Late import: bloblog imports lsm modules this module also pulls in.
         from repro.mash.bloblog import BlobLog
 
-        part_bytes = (
-            self._placement_config.multipart_part_bytes
-            if self._placement_config is not None
-            else PlacementConfig().multipart_part_bytes
-        )
         return BlobLog(
             self.env,
             self.prefix,
             self.versions,
             self.options,
             self._local_device,
-            part_bytes=part_bytes,
             pcache=self._blob_pcache,
         )
 
@@ -151,7 +143,8 @@ class MashDB(DB):
         replayer = self._replayer()
         max_seq = 0
         applied = 0
-        for seq, value_type, key, value in replayer.replay(number):
+        whole = None if self.blob_store is None else self.blob_store.record_is_whole
+        for seq, value_type, key, value in replayer.replay(number, whole):
             self.memtable.add(seq, value_type, key, value)
             max_seq = max(max_seq, seq)
             applied += 1
@@ -317,7 +310,6 @@ class RocksMashStore(StoreFacade):
                 ),
                 xwal_config=config.xwal,
                 local_device=local_device,
-                placement_config=config.placement,
                 blob_pcache=self.pcache,
             )
             # Recovery's purge may have unpinned orphaned tables, whose file
@@ -370,12 +362,11 @@ class RocksMashStore(StoreFacade):
     ) -> "RocksMashStore":
         """Simulate a restart over the same devices.
 
-        ``crash=True`` drops unsynced local state (power failure) and
-        abandons incomplete cloud multipart uploads; otherwise the store is
-        closed cleanly. ``torn_tail_seed`` (with ``crash=True``) keeps a
-        seeded-random byte prefix of each unsynced tail instead of dropping
-        it whole — half-written log records the recovery path must treat as
-        absent. Returns the new instance — the old one must not be used
+        ``crash=True`` drops unsynced local state (power failure); otherwise
+        the store is closed cleanly. ``torn_tail_seed`` (with ``crash=True``)
+        keeps a seeded-random byte prefix of each unsynced tail instead of
+        dropping it whole — half-written log records the recovery path must
+        treat as absent. Returns the new instance — the old one must not be used
         afterwards. ``last_recovery_seconds`` on the result reports the
         simulated recovery time.
         """
@@ -388,7 +379,6 @@ class RocksMashStore(StoreFacade):
                 )
             else:
                 self.local_device.crash()
-            self.cloud_store.crash()
         else:
             self.close()
         return type(self)(

@@ -27,7 +27,7 @@ Shard record format (framed by :class:`~repro.lsm.wal.LogWriter`)::
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import CorruptionError
@@ -125,11 +125,6 @@ class XWalWriter:
             for shard in range(config.num_shards)
         ]
 
-    @property
-    def offset(self) -> int:
-        """Total bytes across all shards (LogWriter interface parity)."""
-        return sum(writer.offset for writer in self._shards)
-
     def add_record(self, payload: bytes, *, sync: bool = True) -> None:
         """Split a WriteBatch payload across shards and append.
 
@@ -196,12 +191,16 @@ class XWalReplayer:
             for shard in range(self.config.num_shards)
         ]
 
-    def replay(self, number: int) -> Iterator[XWalOp]:
+    def replay(
+        self, number: int, whole: Callable[[list[XWalOp]], bool] | None = None
+    ) -> Iterator[XWalOp]:
         """Yield every op of generation ``number``; clock models parallelism.
 
         Ops are yielded shard-by-shard (not in global sequence order) —
         callers insert into the memtable, where explicit sequence numbers
-        make order irrelevant.
+        make order irrelevant. ``whole`` (the blob log's check that a
+        record's values survived the crash) ends a shard at the first
+        record it rejects, as a torn tail would.
         """
         names = [n for n in self.shard_file_names(number) if self.env.file_exists(n)]
         if not names:
@@ -214,7 +213,11 @@ class XWalReplayer:
                 reader = LogReader(data)
                 shard_ops: list[XWalOp] = []
                 for record in reader:
-                    shard_ops.extend(decode_shard_record(record))
+                    ops = decode_shard_record(record)
+                    if whole is not None and not whole(ops):
+                        reader.tail_corrupt = True
+                        break
+                    shard_ops.extend(ops)
                 apply_cost = self.config.apply_cost_per_record * len(shard_ops)
                 child.advance(apply_cost)
                 tracer = getattr(self.device, "tracer", None)

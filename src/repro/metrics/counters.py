@@ -34,16 +34,5 @@ class CounterSet:
         """Copy of all counters, for reporting."""
         return dict(self._counts)
 
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``numerator / denominator`` with 0/0 defined as 0.0."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
-
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self._counts.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self)
-        return f"CounterSet({inner})"

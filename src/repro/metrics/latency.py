@@ -94,33 +94,3 @@ class LatencyHistogram:
             "p999": self.percentile(99.9),
             "max": self.max_seen if self.count else 0.0,
         }
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same bucketing) into this one.
-
-        Order-independent: ``a.merge(b)`` and ``b.merge(a)`` end in the
-        same state, which equals recording the union of both sample sets.
-        Empty operands are explicit fast paths so the min/max sentinels
-        (``inf`` / ``0.0``) never leak into a populated histogram.
-        """
-        if (other.min_value, other.max_value, other.growth) != (
-            self.min_value,
-            self.max_value,
-            self.growth,
-        ):
-            raise ValueError("cannot merge histograms with different buckets")
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self._counts = list(other._counts)
-            self.count = other.count
-            self.total = other.total
-            self.min_seen = other.min_seen
-            self.max_seen = other.max_seen
-            return
-        for idx, c in enumerate(other._counts):
-            self._counts[idx] += c
-        self.count += other.count
-        self.total += other.total
-        self.min_seen = min(self.min_seen, other.min_seen)
-        self.max_seen = max(self.max_seen, other.max_seen)

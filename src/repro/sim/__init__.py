@@ -2,7 +2,7 @@
 
 from repro.sim.clock import SimClock, StopwatchRegion
 from repro.sim.failure import FaultInjector, RetryPolicy
-from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd, sata_ssd
+from repro.sim.latency import LatencyModel, cloud_object_storage, nvme_ssd
 
 __all__ = [
     "FaultInjector",
@@ -12,5 +12,4 @@ __all__ = [
     "StopwatchRegion",
     "cloud_object_storage",
     "nvme_ssd",
-    "sata_ssd",
 ]

@@ -5,8 +5,8 @@ All device "performance" in this reproduction is virtual time charged to a
 duration of an I/O; experiment harnesses read :attr:`SimClock.now` before and
 after a workload to compute simulated throughput and latency.
 
-Modelled parallelism uses *fork/join*: :meth:`fork` creates child clocks
-that start at the parent's current time and accumulate independently;
+Modelled parallelism uses *fork/join*: :meth:`child` creates a child clock
+that starts at the parent's current time and accumulates independently;
 :meth:`join` advances the parent to the **latest** child time. This is how
 the extended WAL's parallel recovery and concurrent cloud fetches are timed
 without real threads, keeping every figure deterministic.
@@ -33,12 +33,6 @@ class SimClock:
             raise ValueError(f"cannot advance clock by negative {seconds}")
         self.now += seconds
         return self.now
-
-    def fork(self, n: int) -> list["SimClock"]:
-        """Create ``n`` child clocks starting at the current time."""
-        if n < 1:
-            raise ValueError("fork requires at least one child")
-        return [SimClock(now=self.now) for _ in range(n)]
 
     def child(self, start: float | None = None) -> "SimClock":
         """One child clock, optionally starting at a different timestamp.

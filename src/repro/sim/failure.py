@@ -51,8 +51,8 @@ class FaultInjector:
             with one of these prefixes are eligible to fail (both for the
             probabilistic rate and the ``fail_next`` queue). ``None``
             keeps the historical uniform behaviour. Example:
-            ``("cloud.put", "cloud.upload_part")`` storms writes while
-            reads stay healthy.
+            ``("cloud.put", "cloud.copy")`` storms writes while reads stay
+            healthy.
     """
 
     error_rate: float = 0.0
@@ -152,10 +152,6 @@ CRASH_SITES: dict[str, str] = {
         "CURRENT repointed to the new manifest, old manifest not yet deleted "
         "(orphan old manifest)"
     ),
-    "demote.mid_upload": (
-        "some multipart parts of a demotion upload sent, object not visible "
-        "(incomplete multipart dropped by the crash; local copy intact)"
-    ),
     "demote.before_local_delete": (
         "demoted table fully uploaded, local copy not yet deleted "
         "(table temporarily on both tiers)"
@@ -176,11 +172,6 @@ CRASH_SITES: dict[str, str] = {
         "blob record appended to the active segment but not synced, and the "
         "WAL pointer that would reference it never written (torn segment "
         "tail truncated at recovery; the op was never acked)"
-    ),
-    "bloblog.seal_mid_upload": (
-        "some multipart parts of a segment seal sent, object not visible "
-        "(incomplete multipart dropped by the crash; local segment intact "
-        "and re-sealed from the WAL's references at recovery)"
     ),
     "bloblog.seal_before_manifest": (
         "sealed segment object visible in the cloud but absent from the "

@@ -48,16 +48,6 @@ def nvme_ssd() -> LatencyModel:
     )
 
 
-def sata_ssd() -> LatencyModel:
-    """SATA SSD: ~150 µs access, ~500 MB/s."""
-    return LatencyModel(
-        read_latency=150e-6,
-        write_latency=200e-6,
-        read_bandwidth=500e6,
-        write_bandwidth=400e6,
-    )
-
-
 def cloud_object_storage(rtt: float = 15e-3) -> LatencyModel:
     """S3-class object storage: ``rtt`` per request, ~80 MB/s per stream.
 

@@ -5,7 +5,8 @@ model's round-trip latency plus transfer time, and is tallied for the cost
 model (PUT/GET/DELETE request counts, egress bytes). Ranged GETs are
 supported — the table reader and persistent cache fetch individual blocks
 without downloading whole SSTables, which is central to RocksMash's read
-path.
+path. Uploads are whole-object PUTs, so an object is either absent or
+complete, and a client crash leaves the cloud as it was.
 
 Transient failures from the attached :class:`FaultInjector` are retried with
 capped exponential backoff; backoff time is charged to the simulated clock,
@@ -51,10 +52,6 @@ class CloudObjectStore(ClockCharged):
         self.retry = retry or RetryPolicy()
         self.tracer = tracer  # tier attribution; a store facade points it at its own
         self._objects: dict[str, bytes] = {}
-        # In-flight multipart uploads: key -> parts received so far. Parts
-        # are durable server-side but invisible until complete_multipart;
-        # crash() abandons them (S3 would eventually lifecycle them away).
-        self._multiparts: dict[str, list[bytes]] = {}
 
     # -- request plumbing ---------------------------------------------------
 
@@ -136,7 +133,7 @@ class CloudObjectStore(ClockCharged):
         self.counters.inc("cloud.delete_ops")
 
     def copy(self, src: str, dst: str) -> None:
-        """Server-side copy (no egress); used to emulate rename.
+        """Server-side copy (no egress); checkpoints copy tables with it.
 
         Billed as one PUT request whose stored bytes count toward
         ``put_bytes`` — the duplicated object occupies real capacity even
@@ -150,31 +147,6 @@ class CloudObjectStore(ClockCharged):
         self.counters.inc("cloud.put_bytes", len(data))
         self.counters.inc("cloud.copy_bytes", len(data))
 
-    # -- multipart upload ----------------------------------------------------
-
-    def upload_part(self, key: str, data: bytes) -> None:
-        """Upload one part of a multipart upload (charged, not yet visible).
-
-        S3 semantics: parts are durable server-side but the object does not
-        exist until :meth:`complete_multipart`; a crash before completion
-        loses the upload. This is how cloud-backed writable files stream.
-        """
-        self._attempt("cloud.upload_part", key, self.model.write_cost(len(data)))
-        self._multiparts.setdefault(key, []).append(bytes(data))
-        self.counters.inc("cloud.put_ops")
-        self.counters.inc("cloud.put_bytes", len(data))
-
-    def complete_multipart(self, key: str, data: bytes) -> None:
-        """Make a multipart object visible. Parts were charged separately."""
-        self._attempt("cloud.complete_multipart", key, self.model.write_cost(0))
-        self._objects[key] = bytes(data)
-        self._multiparts.pop(key, None)
-        self.counters.inc("cloud.put_ops")
-
-    def pending_multiparts(self) -> list[str]:
-        """Keys with an incomplete multipart upload in flight."""
-        return sorted(self._multiparts)
-
     def list_keys(self, prefix: str = "") -> list[str]:
         """LIST request; charges one round trip per 1000 keys (S3 paging)."""
         keys = sorted(k for k in self._objects if k.startswith(prefix))
@@ -187,17 +159,6 @@ class CloudObjectStore(ClockCharged):
     def used_bytes(self) -> int:
         """Total stored bytes (for the cost model)."""
         return sum(len(v) for v in self._objects.values())
-
-    # -- failure semantics ---------------------------------------------------
-
-    def crash(self) -> None:
-        """Client crash: abandon every incomplete multipart upload.
-
-        Completed objects are unaffected (the cloud is durable); only
-        uploads that never reached :meth:`complete_multipart` vanish, as
-        S3 eventually aborts orphaned multipart uploads.
-        """
-        self._multiparts.clear()
 
     def _require(self, key: str) -> bytes:
         data = self._objects.get(key)

@@ -87,9 +87,6 @@ class Env(ABC):
     def delete_file(self, name: str) -> None: ...
 
     @abstractmethod
-    def rename_file(self, old: str, new: str) -> None: ...
-
-    @abstractmethod
     def file_exists(self, name: str) -> bool: ...
 
     @abstractmethod
@@ -180,9 +177,6 @@ class LocalEnv(Env):
 
     def delete_file(self, name: str) -> None:
         self.device.delete(name)
-
-    def rename_file(self, old: str, new: str) -> None:
-        self.device.rename(old, new)
 
     def file_exists(self, name: str) -> bool:
         return self.device.exists(name)
@@ -281,11 +275,6 @@ class CloudEnv(Env):
         if not self.store.exists(name):
             raise NotFoundError(f"cloud object not found: {name}")
         self.store.delete(name)
-
-    def rename_file(self, old: str, new: str) -> None:
-        # Objects cannot be renamed: server-side copy then delete.
-        self.store.copy(old, new)
-        self.store.delete(old)
 
     def file_exists(self, name: str) -> bool:
         return self.store.exists(name)
@@ -390,12 +379,6 @@ class HybridEnv(Env):
         if not found:
             raise NotFoundError(f"file not found on any tier: {name}")
         self._registry.pop(name, None)
-
-    def rename_file(self, old: str, new: str) -> None:
-        tier = self.tier_of(old)
-        self._env(tier).rename_file(old, new)
-        self._registry.pop(old, None)
-        self._registry[new] = tier
 
     def file_exists(self, name: str) -> bool:
         try:

@@ -137,12 +137,6 @@ class LocalDevice(ClockCharged):
             raise NotFoundError(f"local file not found: {name}")
         del self._files[name]
 
-    def rename(self, old: str, new: str) -> None:
-        state = self._files.pop(old, None)
-        if state is None:
-            raise NotFoundError(f"local file not found: {old}")
-        self._files[new] = state
-
     def list_files(self, prefix: str = "") -> list[str]:
         return sorted(name for name in self._files if name.startswith(prefix))
 

@@ -106,25 +106,6 @@ def seekrandom(store: StoreFacade, n: int, keyspace: int, scan_length: int = 10,
     return _timed_loop(store, f"seekrandom({scan_length})", n, body)
 
 
-def readwhilewriting(
-    store: StoreFacade, n: int, keyspace: int, *, write_every: int = 10, value_size: int = 100, seed: int = 4
-) -> BenchResult:
-    """Reads with a background writer (1 write per ``write_every`` reads)."""
-    from repro.workloads.generator import make_request_generator
-
-    gen = make_request_generator("zipfian", keyspace, seed=seed)
-    rng = random.Random(seed)
-
-    def body(i: int, result: BenchResult) -> None:
-        if i % write_every == write_every - 1:
-            store.put(make_key(rng.randrange(keyspace)), make_value(i, value_size))
-        else:
-            if store.get(make_key(gen.next())) is not None:
-                result.found += 1
-
-    return _timed_loop(store, "readwhilewriting", n, body)
-
-
 def fill_database(store: StoreFacade, n: int, value_size: int = 100, *, seed: int = 1) -> None:
     """Populate a store with n random-order records and flush (setup helper)."""
     rng = random.Random(seed)

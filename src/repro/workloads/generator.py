@@ -32,19 +32,6 @@ class RequestGenerator(Protocol):
     def next(self) -> int: ...
 
 
-class SequentialGenerator:
-    """0, 1, 2, ... (db_bench fillseq)."""
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-        self._next = 0
-
-    def next(self) -> int:
-        value = self._next % self.count
-        self._next += 1
-        return value
-
-
 class UniformGenerator:
     """Uniform over [0, count)."""
 
@@ -131,6 +118,4 @@ def make_request_generator(
         return ScrambledZipfianGenerator(count, theta, seed)
     if distribution == "latest":
         return LatestGenerator(count, theta, seed)
-    if distribution == "sequential":
-        return SequentialGenerator(count)
     raise ValueError(f"unknown distribution {distribution!r}")

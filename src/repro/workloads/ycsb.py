@@ -27,7 +27,6 @@ this stream, so a sharded and an unsharded execution of the same
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -151,18 +150,6 @@ def iter_ops(spec: YCSBSpec, *, seed: int = 42) -> Iterator[Op]:
                 make_value(op_index, spec.value_size // 2),
                 limit=spec.value_size // 2,
             )
-
-
-def ops_digest(spec: YCSBSpec, *, seed: int = 42) -> str:
-    """sha256 over the encoded op stream — two runners consuming the same
-    ``(spec, seed)`` can check they saw byte-identical operations."""
-    hasher = hashlib.sha256()
-    for op in iter_ops(spec, seed=seed):
-        hasher.update(op.kind.encode())
-        hasher.update(op.key)
-        hasher.update(op.value)
-        hasher.update(op.limit.to_bytes(4, "little"))
-    return hasher.hexdigest()
 
 
 def apply_op(store: Any, op: Op) -> Any:

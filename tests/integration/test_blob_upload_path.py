@@ -1,10 +1,9 @@
-"""Small-object upload fast path (ROADMAP item 1).
+"""Every cloud upload is one PUT (ROADMAP item 1).
 
-A sealed blob segment or demoted table at or below one multipart part must
-cost exactly one cloud PUT — never an upload_part/complete_multipart pair,
-whose initiate/complete round trips and request charges are pure overhead
-for small objects. These tests pin the request accounting, not just the
-resulting bytes.
+A sealed blob segment or a demoted table goes up as one whole-object PUT:
+the object is visible whole or not at all, and it costs exactly one
+request. These tests pin the request accounting, not just the resulting
+bytes.
 """
 
 from dataclasses import replace
@@ -12,7 +11,7 @@ from dataclasses import replace
 from repro.mash.store import RocksMashStore, StoreConfig
 
 
-def small_blob_config(part_bytes: int = 8 << 20) -> StoreConfig:
+def small_blob_config() -> StoreConfig:
     config = StoreConfig().small()
     return replace(
         config,
@@ -21,7 +20,6 @@ def small_blob_config(part_bytes: int = 8 << 20) -> StoreConfig:
             blob_value_threshold=64,
             blob_segment_bytes=1 << 10,
         ),
-        placement=replace(config.placement, multipart_part_bytes=part_bytes),
     )
 
 
@@ -34,31 +32,9 @@ class TestSmallSegmentSeal:
             store.put(f"k{i:04d}".encode(), b"v" * 200, sync=True)
         stats = store.db.blob_store.stats()
         assert stats["segments_sealed"] > 0
-        # Every seal (1 KiB << the 8 MiB part size) took the single-PUT
-        # path: one request per segment, zero multipart overhead.
-        assert stats["single_put_uploads"] == stats["segments_sealed"]
-        assert stats["multipart_uploads"] == 0
-        assert (
-            store.counters.get("cloud.put_ops") - puts_before
-            >= stats["segments_sealed"]
-        )
-
-    def test_oversized_segment_streams_as_multipart(self):
-        # Force the part size below the segment size: seals must multipart.
-        store = RocksMashStore.create(small_blob_config(part_bytes=512))
-        puts_before = store.counters.get("cloud.put_ops")
-        for i in range(30):
-            store.put(f"k{i:04d}".encode(), b"v" * 200, sync=True)
-        stats = store.db.blob_store.stats()
-        assert stats["segments_sealed"] > 0
-        assert stats["multipart_uploads"] == stats["segments_sealed"]
-        assert stats["single_put_uploads"] == 0
-        # Each multipart seal costs >= 2 requests (parts + complete), so
-        # the PUT count strictly exceeds one request per segment.
-        assert (
-            store.counters.get("cloud.put_ops") - puts_before
-            > stats["segments_sealed"]
-        )
+        assert store.placement.demotions == 0
+        # Nothing flushed, so the seals are the only uploads.
+        assert store.counters.get("cloud.put_ops") - puts_before == stats["segments_sealed"]
 
 
 class TestSmallTableDemotion:
@@ -68,8 +44,6 @@ class TestSmallTableDemotion:
             store.put(f"k{i:05d}".encode(), b"v" * 64, sync=False)
         store.flush()
         store.compact_range()
-        summary = store.placement.tier_summary()
-        assert summary["demotions"] > 0
-        # .small() tables (4 KiB target) are far below the 8 MiB part size.
-        assert summary["single_put_uploads"] == summary["demotions"]
-        assert summary["multipart_uploads"] == 0
+        demotions = store.placement.tier_summary()["demotions"]
+        assert demotions > 0
+        assert store.counters.get("cloud.put_ops") == demotions

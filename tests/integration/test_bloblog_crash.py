@@ -1,10 +1,9 @@
 """Blob-log crash-protocol regressions.
 
-Four invariants the review of the blob log hardened:
+Five invariants the review of the blob log hardened:
 
 * recovery's re-seal of a crashed active segment is itself crash-idempotent
-  — a second crash anywhere inside it (including mid multipart upload, where
-  the cloud object is still invisible) must leave a durable copy behind;
+  — a second crash anywhere inside it must leave a durable copy behind;
 * a sync=True WAL append makes *every* earlier unsynced WAL record durable,
   so the blob bytes behind pointers from prior sync=False batches must be
   synced first, even by a batch that diverts nothing itself;
@@ -14,7 +13,10 @@ Four invariants the review of the blob log hardened:
 * key-value separation is a store-lifetime choice: the MANIFEST brands
   separated stores at creation and an unbranded store refuses to open with
   separation enabled (a raw value starting with the pointer magic would be
-  misread as a pointer).
+  misread as a pointer);
+* an unsynced put whose xWAL record survived a torn-tail crash but whose
+  blob record did not is the start of its shard's torn tail: recovery drops
+  it and opens.
 """
 
 from dataclasses import replace
@@ -39,8 +41,7 @@ def _clean_registry():
 
 def blob_config() -> StoreConfig:
     """Blob separation on; big buffers/segments so nothing seals or flushes
-    until the test says so; 1 KiB multipart parts so a few diverted values
-    already make the re-seal upload multi-part."""
+    until the test says so."""
     config = StoreConfig().small()
     return replace(
         config,
@@ -50,7 +51,6 @@ def blob_config() -> StoreConfig:
             blob_value_threshold=64,
             blob_segment_bytes=1 << 20,
         ),
-        placement=replace(config.placement, multipart_part_bytes=1 << 10),
         xwal=XWalConfig(num_shards=1),
     )
 
@@ -70,9 +70,7 @@ def reopen_after(store: RocksMashStore) -> RocksMashStore:
 
 
 class TestRecoveryResealCrash:
-    @pytest.mark.parametrize(
-        "site", ["bloblog.seal_mid_upload", "bloblog.seal_before_manifest"]
-    )
+    @pytest.mark.parametrize("site", ["bloblog.seal_before_manifest"])
     def test_crash_inside_recovery_reseal_loses_nothing(self, site):
         """Crash once with the active segment unmanifested, then crash again
         inside the recovery that re-seals it. Every acked value must survive
@@ -81,7 +79,7 @@ class TestRecoveryResealCrash:
         has something to adopt."""
         store = RocksMashStore.create(blob_config())
         expected = {}
-        for i in range(8):  # ~4 KiB of records: multi-part at 1 KiB parts
+        for i in range(8):
             expected[key_of(i)] = big_value(i)
             store.put(key_of(i), expected[key_of(i)], sync=True)
         assert store.db.blob_store.active_offset > 0, "segment must be active"
@@ -229,6 +227,27 @@ class TestSeparationBrand:
         assert store.get(key_of(0)) == big_value(0)
         store = store.reopen(crash=True)
         assert store.db.versions.blob_separation_enabled
+        store.close()
+
+
+class TestTornBlobTail:
+    @pytest.mark.parametrize("seed", [20, 115, 125, 179, 185])
+    def test_pointer_past_the_clean_prefix_starts_the_torn_tail(self, seed):
+        """The torn tail keeps the unsynced put's whole xWAL record but only
+        part of its blob record (these seeds do, with the default four
+        shards). The write was never acknowledged: recovery drops it instead
+        of refusing to open, and the synced put reads back."""
+        config = StoreConfig().small()
+        config = replace(config, options=replace(config.options, blob_value_threshold=128))
+        store = RocksMashStore.create(config)
+        store.put(b"k0", b"v" * 300)
+        store.put(b"k1", b"w" * 300, sync=False)
+        store = store.reopen(crash=True, torn_tail_seed=seed)
+        assert store.get(b"k0") == b"v" * 300
+        assert store.get(b"k1") is None
+        assert store.db.last_recovery_corrupt_shards == 1
+        report = check_db(store.env, store.config.db_prefix, store.config.options)
+        assert report.errors == []
         store.close()
 
 

@@ -280,15 +280,13 @@ RETIRED_RULE_MUTATIONS = [
     pytest.param(
         "mash/bloblog.py",
         [
-            # Commit the segment record first …
+            # Commit the segment record ahead of the seal's one PUT …
             (
-                "        store = self.env.cloud.store\n"
-                "        if len(data) <= self.part_bytes:\n",
-                "        store = self.env.cloud.store\n"
+                "        self.env.cloud.store.put(name, data)\n",
                 "        edit = VersionEdit()\n"
                 "        edit.set_blob_segment(number, len(data), dead)\n"
                 "        self.versions.log_and_apply(edit)\n"
-                "        if len(data) <= self.part_bytes:\n",
+                "        self.env.cloud.store.put(name, data)\n",
             ),
             # … and no longer after the upload.
             (

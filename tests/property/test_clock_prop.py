@@ -24,14 +24,14 @@ class TestForkJoinLaws:
     @given(starts, st.integers(min_value=1, max_value=8))
     def test_join_of_unadvanced_children_is_noop(self, start, n):
         clock = SimClock(now=start)
-        children = clock.fork(n)
+        children = [clock.child() for _ in range(n)]
         assert clock.join(children) == start
         assert clock.now == start
 
     @given(starts, durations)
     def test_join_is_max(self, start, work):
         clock = SimClock(now=start)
-        children = clock.fork(len(work))
+        children = [clock.child() for _ in range(len(work))]
         for child, seconds in zip(children, work):
             child.advance(seconds)
         assert clock.join(children) == pytest.approx(start + max(work))
@@ -39,7 +39,7 @@ class TestForkJoinLaws:
     @given(starts, durations)
     def test_join_idempotent(self, start, work):
         clock = SimClock(now=start)
-        children = clock.fork(len(work))
+        children = [clock.child() for _ in range(len(work))]
         for child, seconds in zip(children, work):
             child.advance(seconds)
         first = clock.join(children)
@@ -51,10 +51,10 @@ class TestForkJoinLaws:
 
         def run() -> float:
             clock = SimClock(now=start)
-            children = clock.fork(len(outer))
+            children = [clock.child() for _ in range(len(outer))]
             for child, seconds in zip(children, outer):
                 child.advance(seconds)
-                grandchildren = child.fork(len(inner))
+                grandchildren = [child.child() for _ in range(len(inner))]
                 for grandchild, nested in zip(grandchildren, inner):
                     grandchild.advance(nested)
                 child.join(grandchildren)
@@ -125,7 +125,7 @@ class TestClockScope:
     @given(starts, durations)
     def test_region_equals_manual_fork_join(self, start, work):
         manual = SimClock(now=start)
-        children = manual.fork(len(work))
+        children = [manual.child() for _ in range(len(work))]
         for child, seconds in zip(children, work):
             child.advance(seconds)
         manual.join(children)

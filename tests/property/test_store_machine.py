@@ -24,9 +24,8 @@ block path — pcache admission and eviction, readahead (or, with it off, one
 GET per block) and demand reads from the cloud — where the roomy caches
 answer nearly everything from DRAM.
 
-The tree is tiny (1 KiB memtable, 256 B blocks, 1 KiB files, 1 KiB multipart
-parts and MANIFEST cap) and the keys are
-few and prefix-heavy, so a run of a few dozen steps has every key in several
+The tree is tiny (1 KiB memtable, 256 B blocks, 1 KiB files, 1 KiB MANIFEST
+cap) and the keys are few and prefix-heavy, so a run of a few dozen steps has every key in several
 versions across the memtable and two or three levels, and block and file
 boundaries fall inside one user key's versions. Seeded by hand it kills an
 off-by-one in the snapshot floor of ``visible_user_entries``, a tombstone
@@ -125,8 +124,7 @@ class StoreMachine(RuleBasedStateMachine):
     )
     def open_store(self, blob, starved=False, readahead=True, prefetch=False, universal=False):
         config = StoreConfig().small()
-        # 1 KiB multipart parts and MANIFEST cap: a table or blob segment of a
-        # few blocks uploads in parts, and a few flushes rewrite the MANIFEST.
+        # 1 KiB MANIFEST cap: a few flushes rewrite the MANIFEST.
         options = replace(
             config.options,
             write_buffer_size=1 << 10,
@@ -141,7 +139,6 @@ class StoreMachine(RuleBasedStateMachine):
         config = replace(
             config,
             options=options,
-            placement=replace(config.placement, multipart_part_bytes=1 << 10),
             scan_readahead_bytes=(128 << 10) if readahead else 0,
         )
         if starved:
@@ -543,13 +540,13 @@ def check_site_fires_and_recovers(site, universal):
     state.flush()
     state.put(key=b"a", value=big)
     # Three versions of every key, two of them pinned by snapshots: the
-    # compaction outputs outgrow one 1 KiB part and are demoted in parts.
+    # compaction writes several outputs, and demotes them.
     state.take_snapshot()
     for r in range(3):
         state.write_batch(ops=[(key, b"%d" % r) for key in KEYS])
         if r < 2:
             state.take_snapshot()
-    # Over a part's worth of blob records: the armed flush seals them in parts.
+    # Blob records for the armed flush to seal.
     for key in (b"aa", b"ab", b"b", b"ba"):
         state.put(key=key, value=big)
     state.crash_at_site(site=site, skip=0)
@@ -572,8 +569,8 @@ def test_the_site_check_catches_a_recovery_that_loses_a_write(monkeypatch):
     holds) loses a write, and the site check says so."""
     replay = XWalReplayer.replay
 
-    def lossy_replay(self, number):
-        yield from list(replay(self, number))[:-1]
+    def lossy_replay(self, number, whole=None):
+        yield from list(replay(self, number, whole))[:-1]
 
     monkeypatch.setattr(XWalReplayer, "replay", lossy_replay)
     with pytest.raises(AssertionError):

@@ -184,45 +184,6 @@ class TestLatencyHistogram:
             h.record(s)
         assert math.isclose(h.mean, sum(samples) / len(samples), rel_tol=1e-9)
 
-    @staticmethod
-    def _state(h):
-        return (h._counts, h.count, h.total, h.min_seen, h.max_seen)
-
-    @given(
-        st.lists(st.floats(min_value=1e-9, max_value=50.0), max_size=120),
-        st.lists(st.floats(min_value=1e-9, max_value=50.0), max_size=120),
-    )
-    def test_merge_is_order_independent_and_matches_union(self, left, right):
-        # Either operand (including an empty one) folded either way must
-        # land on exactly the state of recording the union of samples.
-        a, b, union = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-        for s in left:
-            a.record(s)
-        for s in right:
-            b.record(s)
-        for s in left + right:
-            union.record(s)
-        ab = LatencyHistogram()
-        ab.merge(a)
-        ab.merge(b)
-        ba = LatencyHistogram()
-        ba.merge(b)
-        ba.merge(a)
-        assert self._state(ab) == self._state(ba)
-        assert ab._counts == union._counts
-        assert ab.count == union.count
-        assert ab.min_seen == union.min_seen
-        assert ab.max_seen == union.max_seen
-        assert abs(ab.total - union.total) <= 1e-9 * max(1.0, union.total)
-
-    def test_merge_rejects_different_bucketing(self):
-        import pytest
-
-        a = LatencyHistogram()
-        b = LatencyHistogram(growth=1.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 class TestLRUCache:
     @given(

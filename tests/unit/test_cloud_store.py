@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import IOErrorSim, NotFoundError
+from repro.mash.store import RocksMashStore, StoreConfig
 from repro.sim.clock import SimClock
 from repro.sim.failure import FaultInjector, RetryPolicy
 from repro.storage.cloud import CloudObjectStore
@@ -64,14 +65,6 @@ class TestObjectAPI:
         store.put("a", b"xx")
         store.put("b", b"yyy")
         assert store.used_bytes() == 5
-
-
-class TestMultipart:
-    def test_invisible_until_complete(self, store):
-        store.upload_part("obj", b"part1")
-        assert not store.exists("obj")
-        store.complete_multipart("obj", b"part1part2")
-        assert store.get("obj") == b"part1part2"
 
 
 class TestAccounting:
@@ -174,20 +167,6 @@ class TestMutatingOpAccounting:
         assert store.counters.get("cloud.get_bytes") == 0
         assert store.used_bytes() == 12
 
-    def test_upload_part(self, store):
-        store.upload_part("obj", b"abcd")
-        assert store.counters.get("cloud.put_ops") == 1
-        assert store.counters.get("cloud.put_bytes") == 4
-        assert store.used_bytes() == 0  # invisible until completed
-
-    def test_complete_multipart(self, store):
-        store.upload_part("obj", b"abcd")
-        store.complete_multipart("obj", b"abcdefgh")
-        # Completion is one more request; parts already paid the bytes.
-        assert store.counters.get("cloud.put_ops") == 2
-        assert store.counters.get("cloud.put_bytes") == 4
-        assert store.used_bytes() == 8
-
     def test_head_and_list_are_not_puts(self, store):
         store.put("k", b"xy")
         store.head("k")
@@ -198,27 +177,20 @@ class TestMutatingOpAccounting:
 
 
 class TestCrashSemantics:
-    def test_crash_drops_incomplete_multipart(self, store):
-        store.upload_part("obj", b"part1")
-        assert store.pending_multiparts() == ["obj"]
-        store.crash()
-        assert store.pending_multiparts() == []
-        store.complete_multipart("other", b"x")  # unrelated upload still fine
-        assert not store.exists("obj")
-
-    def test_crash_keeps_completed_objects(self, store):
-        store.put("a", b"1")
-        store.upload_part("b", b"2")
-        store.complete_multipart("b", b"2")
-        store.crash()
-        assert store.get("a") == b"1"
-        assert store.get("b") == b"2"
-
-    def test_completion_clears_pending(self, store):
-        store.upload_part("obj", b"p1")
-        store.upload_part("obj", b"p2")
-        store.complete_multipart("obj", b"p1p2")
-        assert store.pending_multiparts() == []
+    def test_crash_keeps_completed_objects(self):
+        """Uploads are whole-object PUTs, so a client crash has nothing in
+        flight on the cloud side: every object is still there, byte for
+        byte, after the store reopens from a crash."""
+        store = RocksMashStore.create(StoreConfig().small())
+        for i in range(800):
+            store.put(f"k{i:05d}".encode(), b"v" * 64, sync=False)
+        store.flush()
+        store.compact_range()
+        cloud = store.cloud_store
+        before = {key: cloud.get(key) for key in cloud.list_keys()}
+        assert before
+        store.reopen(crash=True)
+        assert {key: cloud.get(key) for key in before} == before
 
 
 class TestOpPrefixFilter:

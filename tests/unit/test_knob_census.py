@@ -51,7 +51,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 70
+TOTAL_FIELDS = 69
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",
@@ -67,10 +67,6 @@ TEST_ONLY = {
     "Options.max_manifest_file_size": (
         "crash-window axis: the only way a small store reaches the two "
         "manifest.rewrite_* crash sites"
-    ),
-    "PlacementConfig.multipart_part_bytes": (
-        "crash-window axis: the only way a small store reaches the "
-        "demote.mid_upload and bloblog.seal_mid_upload crash sites"
     ),
 }
 """Fields set from ``tests`` or ``examples`` and from nowhere in ``src/repro``

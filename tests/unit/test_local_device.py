@@ -40,19 +40,11 @@ class TestBasicIO:
             device.read("nope")
         with pytest.raises(NotFoundError):
             device.delete("nope")
-        with pytest.raises(NotFoundError):
-            device.rename("nope", "x")
 
     def test_write_file_atomic_replace(self, device):
         device.write_file("f", b"v1")
         device.write_file("f", b"v2")
         assert device.read("f") == b"v2"
-
-    def test_rename(self, device):
-        device.write_file("a", b"data")
-        device.rename("a", "b")
-        assert not device.exists("a")
-        assert device.read("b") == b"data"
 
     def test_list_files(self, device):
         for name in ["db/1.sst", "db/2.sst", "wal/1.log"]:

@@ -22,15 +22,15 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_fork_children_start_at_parent(self):
+    def test_child_starts_at_parent(self):
         clock = SimClock()
         clock.advance(3.0)
-        children = clock.fork(4)
+        children = [clock.child() for _ in range(4)]
         assert all(c.now == pytest.approx(3.0) for c in children)
 
     def test_join_takes_max(self):
         clock = SimClock()
-        kids = clock.fork(3)
+        kids = [clock.child() for _ in range(3)]
         kids[0].advance(1.0)
         kids[1].advance(5.0)
         kids[2].advance(2.0)
@@ -44,14 +44,14 @@ class TestSimClock:
 
     def test_join_rewind_rejected(self):
         clock = SimClock()
-        kids = clock.fork(1)
+        kids = [clock.child()]
         clock.advance(10.0)
         with pytest.raises(ValueError):
             clock.join(kids)
 
-    def test_fork_zero_rejected(self):
+    def test_child_before_time_zero_rejected(self):
         with pytest.raises(ValueError):
-            SimClock().fork(0)
+            SimClock().child(start=-1.0)
 
     def test_stopwatch(self):
         clock = SimClock()

@@ -43,12 +43,6 @@ class TestWriteBatch:
         assert len(batch) == 0
         assert batch.sequence == 0
 
-    def test_byte_size_tracks_payload(self):
-        small, big = WriteBatch(), WriteBatch()
-        small.put(b"k", b"v")
-        big.put(b"k", b"v" * 10_000)
-        assert big.byte_size() > small.byte_size()
-
     def test_binary_safe(self):
         batch = WriteBatch()
         batch.put(b"\x00\xff", b"\x00" * 100)

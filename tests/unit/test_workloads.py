@@ -9,7 +9,6 @@ from repro.workloads import dbbench, ycsb
 from repro.workloads.generator import (
     LatestGenerator,
     ScrambledZipfianGenerator,
-    SequentialGenerator,
     UniformGenerator,
     ZipfianGenerator,
     make_key,
@@ -46,10 +45,6 @@ class TestKeyValue:
 
 
 class TestGenerators:
-    def test_sequential(self):
-        gen = SequentialGenerator(5)
-        assert [gen.next() for _ in range(7)] == [0, 1, 2, 3, 4, 0, 1]
-
     def test_uniform_range_and_coverage(self):
         gen = UniformGenerator(100, seed=3)
         samples = [gen.next() for _ in range(5000)]
@@ -91,7 +86,7 @@ class TestGenerators:
         assert max(samples) > 1500
 
     def test_factory(self):
-        for dist in ("uniform", "zipfian", "latest", "sequential"):
+        for dist in ("uniform", "zipfian", "latest"):
             gen = make_request_generator(dist, 10)
             assert 0 <= gen.next() < 10
         with pytest.raises(ValueError):
@@ -201,11 +196,6 @@ class TestOpStream:
         spec = ycsb.WORKLOAD_A.scaled(150, 300)
         assert list(ycsb.iter_ops(spec, seed=1)) != list(ycsb.iter_ops(spec, seed=2))
 
-    def test_ops_digest_stable_and_seed_sensitive(self):
-        spec = ycsb.WORKLOAD_F.scaled(100, 200)
-        assert ycsb.ops_digest(spec, seed=3) == ycsb.ops_digest(spec, seed=3)
-        assert ycsb.ops_digest(spec, seed=3) != ycsb.ops_digest(spec, seed=4)
-
     def test_stream_matches_mix_and_count(self):
         spec = ycsb.WORKLOAD_E.scaled(200, 400)
         ops = list(ycsb.iter_ops(spec, seed=6))
@@ -284,10 +274,3 @@ class TestDbBench:
         dbbench.fill_database(store, 200)
         r = dbbench.seekrandom(store, 20, 200, scan_length=5)
         assert 0 < r.found <= 100
-
-    def test_readwhilewriting_mixes(self):
-        store = make_store()
-        dbbench.fill_database(store, 200)
-        r = dbbench.readwhilewriting(store, 100, 200, write_every=10)
-        assert r.found > 0
-        assert r.elapsed_seconds > 0
