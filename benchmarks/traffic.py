@@ -49,12 +49,13 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 466
+PINNED_WITHOUT_TRAFFIC = 429
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
 
 _ITEM_20 = "item 20: the next census slice deletes it or gives it traffic"
+_BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 
 VERDICTS: dict[str, tuple[str, str]] = {
@@ -71,8 +72,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.bench.__main__:main": (SURFACE, "`--list` and the unknown-id message; CI's bench smoke runs `--list`"),
     "repro.bench.experiments:e15_fault_tolerance": (SAFETY, "counts a wrong answer, which the experiment asserts never happens"),
     "repro.bench.experiments:e19b_write_fault_storm": (SAFETY, "counts a wrong answer, which the experiment asserts never happens"),
-    "repro.bench.experiments:_UserByteCounter.clock": (OPEN, f"{_ITEM_20}: a pass-through of E23's wrapper that YCSB-A never calls"),
-    "repro.bench.experiments:_UserByteCounter.scan": (OPEN, f"{_ITEM_20}: a pass-through of E23's wrapper that YCSB-A never calls"),
     "repro.bench.report:Table.cell": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
     "repro.bench.report:Table.column": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
     "repro.bench.report:Table.row_by": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
@@ -83,7 +82,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.facade:StoreFacade.explain": (SURFACE, "bloom-reject, false-positive and table-open rows; the quickstart's cold get shows the rest"),
     "repro.facade:StoreFacade.close": (SURFACE, "closes a baseline store; the baseline suites call it"),
     # -- engine
-    "repro.lsm.blob:valid_prefix_length": (SAFETY, "the clean prefix of a crashed active blob segment"),
     "repro.lsm.block:BlockBuilder.add": (OPEN, f"{_ITEM_20}: the one-entry form of `fill`, which only tests use"),
     "repro.lsm.block:Block.seek": (SAFETY, "a block with no restart points"),
     "repro.lsm.block:Block.first": (SAFETY, "a goal past the block's last entry"),
@@ -117,7 +115,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.db:DB.write": (SAFETY, "an empty batch"),
     "repro.lsm.db:DB._protected_file_numbers": (SAFETY, "a scan's pinned version keeps the tables a compaction replaced"),
     "repro.lsm.db:DB._purge_deferred_deletes": (SAFETY, "deletes a pinned version held back, once the scan lets go"),
-    "repro.lsm.db:DB.drop_blob_segment": (SAFETY, "a segment delete a pinned version holds back"),
+    "repro.lsm.db:DB.drop_blob_segment": (OPEN, _BLOB_GC),
     "repro.lsm.db:DB._smallest_snapshot": (SURFACE, "a compaction under a held snapshot; the quickstart's snapshot sees none"),
     "repro.lsm.db:DB.compact_range": (OPEN, "items 8 and 10: manual compaction of a universal tree (E17 compacts by policy; item 8 absorbs universal compaction), and blob GC after a manual compaction (the blob log's row)"),
     "repro.lsm.db:DB._run_compaction": (SAFETY, "an input table a pinned version still reads is deleted later"),
@@ -134,6 +132,9 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.table_reader:TableReader.get": (SAFETY, "a bloom false positive on the table reader's own lookup"),
     "repro.lsm.universal:UniversalCompactionPicker.pick": (OPEN, "item 8: a full merge of every run, which E17 does not reach at its size; item 8 absorbs universal compaction"),
     "repro.lsm.universal:UniversalCompactionPicker.manual_compaction": (OPEN, "item 8: `compact_range` on a universal tree; E17 compacts by policy"),
+    "repro.lsm.version:VersionEdit.encode": (OPEN, _BLOB_GC),
+    "repro.lsm.version:VersionEdit.delete_blob_segment": (OPEN, _BLOB_GC),
+    "repro.lsm.version:VersionSet._apply_blob": (OPEN, _BLOB_GC),
     "repro.lsm.version:VersionEdit.decode": (SAFETY, "blob-segment, separation-brand and retired sorted-view tags: only a reopened separated or old store replays them"),
     "repro.lsm.version:Version.overlapping_files": (SAFETY, "an L0 overlap that grows the range again"),
     "repro.lsm.version:Version.is_base_level_for_key": (SAFETY, "a key that a deeper level still holds"),
@@ -144,16 +145,10 @@ VERDICTS: dict[str, tuple[str, str]] = {
     # -- blob log: E23 writes and reads with synced puts, and never restarts,
     # scans, deletes or checkpoints
     "repro.mash.bloblog:BlobLog.should_divert": (SAFETY, "a raw value shaped like a pointer is diverted whatever its size, so reads can trust the magic"),
-    "repro.mash.bloblog:BlobLog.divert_batch": (OPEN, "item 10: a delete in a batch that diverts a value; E23's YCSB-A deletes nothing"),
-    "repro.mash.bloblog:BlobLog._append": (OPEN, "item 10: an unsynced diverted put (every E23 put is synced), and the seal a cloud error interrupted"),
-    "repro.mash.bloblog:BlobLog.sync_active": (OPEN, "item 15: syncs unsynced blob bytes ahead of a synced WAL append; item 15 deletes it with the active segment"),
     "repro.mash.bloblog:BlobLog.fold_dead_into_edit": (SAFETY, "a dropped pointer into a segment the MANIFEST no longer holds"),
-    "repro.mash.bloblog:BlobLog.run_gc": (SAFETY, "a GC pass re-entered from its own re-puts"),
-    "repro.mash.bloblog:BlobLog._rewrite_segment": (OPEN, "item 10: GC of a key deleted since its value was written; E23 deletes nothing"),
-    "repro.mash.bloblog:BlobLog.record_is_whole": (SAFETY, "torn-tail recovery of a separated store (item 1(f)); no experiment crashes one"),
+    "repro.mash.bloblog:BlobLog.run_gc": (OPEN, f"{_BLOB_GC}; and a GC pass re-entered from its own re-puts"),
+    "repro.mash.bloblog:BlobLog.delete_segment_file": (OPEN, f"{_BLOB_GC}; recovery deletes one a crashed seal left"),
     "repro.mash.bloblog:BlobLog.recover": (SAFETY, "segment reconciliation at a separated store's recovery; no experiment restarts one"),
-    "repro.mash.bloblog:BlobLog._adopt_segment": (SAFETY, "re-seals the active segment a crash left behind"),
-    "repro.mash.bloblog:memtable_blob_references": (SAFETY, "the replayed pointers blob recovery keeps segments for"),
     "repro.mash.checkpoint:_checkpoint_blob_key": (OPEN, "item 10: the checkpoint of a separated store; `analytics_clone.py` keeps separation off"),
     "repro.mash.checkpoint:create_checkpoint": (OPEN, "item 10: copies a separated store's blob segments; `analytics_clone.py` keeps separation off"),
     "repro.mash.checkpoint:restore_checkpoint": (OPEN, "item 10: restores a separated store's blob segments"),
@@ -172,12 +167,13 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.placement:PlacementManager._enforce_budget": (SAFETY, "a budget no victim can bring the store under"),
     "repro.mash.placement:PlacementManager._pick_budget_victim": (SAFETY, "no table left to demote"),
     "repro.mash.placement:PlacementManager.maybe_promote": (SAFETY, "promotion without headroom"),
+    "repro.mash.store:MashDB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
     "repro.mash.store:RocksMashStore.reopen": (SAFETY, "torn-tail crash and clean restart; traffic crashes without a torn tail"),
     "repro.mash.store:RocksMashStore._read_local_block": (SAFETY, "a table demoted under the reader"),
     "repro.mash.store:RocksMashStore._pin_metadata": (SAFETY, "a table already gone when demotion pins it"),
-    "repro.mash.xwal:XWalWriter.add_record": (SURFACE, "a multi-shard synced batch and its `xwal.partial_sync` crash site; reached through `StoreFacade.write`"),
+    "repro.mash.xwal:XWalWriter.add_record": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
     "repro.mash.xwal:XWalWriter.sync": (OPEN, f"{_ITEM_20}: the store syncs each record; nothing syncs the writer"),
-    "repro.mash.xwal:XWalReplayer.replay": (SAFETY, "the blob-log torn-tail check, a missing generation and a corrupt shard"),
+    "repro.mash.xwal:XWalReplayer.replay": (SAFETY, "a missing generation and a corrupt shard"),
     # -- metrics, observability
     "repro.metrics.latency:LatencyHistogram.percentile": (SAFETY, "an empty histogram and the extreme percentiles"),
     "repro.obs.prom:_sanitize": (SAFETY, "a metric name starting with a digit"),
@@ -247,6 +243,20 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.sim.clock:SimClock.fork": (DELETED, "every fork/join region uses `child()`"),
     "repro.lsm.write_batch:WriteBatch.byte_size": (DELETED, "only its own test called it"),
     "repro.mash.xwal:XWalWriter.offset": (DELETED, "no reader of the xWAL's total size"),
+    # One log for records and large values: a diverted value is written once,
+    # inside its xWAL record, so the blob log's own active segment goes.
+    "repro.mash.bloblog:BlobLog.divert_batch": (DELETED, "the xWAL writer embeds each diverted value in its record"),
+    "repro.mash.bloblog:BlobLog._append": (DELETED, "the active segment: a value is appended once, inside its xWAL record"),
+    "repro.mash.bloblog:BlobLog.sync_active": (DELETED, "the active segment's sync: the record's one sync covers its value"),
+    "repro.mash.bloblog:BlobLog.on_flush_begin": (DELETED, "a flush seals its generation's log in its own edit"),
+    "repro.mash.bloblog:BlobLog.seal_active": (DELETED, "a flush seals its generation's log in its own edit"),
+    "repro.mash.bloblog:BlobLog.record_is_whole": (DELETED, "one log, one torn-tail rule: a value torn with its record goes with it"),
+    "repro.mash.bloblog:BlobLog._adopt_segment": (DELETED, "recovery deletes a segment the MANIFEST does not know and seals the replayed values again"),
+    "repro.mash.bloblog:memtable_blob_references": (DELETED, "recovery keeps no segment for the memtable"),
+    "repro.lsm.blob:valid_prefix_length": (DELETED, "no segment has a torn tail of its own"),
+    "repro.lsm.blob:iter_blob_records": (DELETED, "a segment is xWAL shard files, walked by `segment_blobs`"),
+    "repro.bench.experiments:_UserByteCounter.clock": (DELETED, "a pass-through of E23's wrapper that YCSB-A never calls"),
+    "repro.bench.experiments:_UserByteCounter.scan": (DELETED, "a pass-through of E23's wrapper that YCSB-A never calls"),
 }
 """Region qualname -> ``(verdict, reason)``.
 

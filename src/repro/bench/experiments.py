@@ -22,7 +22,6 @@ from repro.baselines import RocksDBCloudStore
 from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store
 from repro.facade import StoreFacade
 from repro.mash.store import RocksMashStore
-from repro.sim.clock import SimClock
 from repro.bench.report import Table
 from repro.workloads import dbbench, ycsb
 from repro.workloads.generator import make_key, make_value
@@ -1269,21 +1268,8 @@ class _UserByteCounter:
     def get(self, key: bytes) -> bytes | None:
         return self.store.get(key)
 
-    def scan(
-        self,
-        begin: bytes | None = None,
-        end: bytes | None = None,
-        *,
-        limit: int | None = None,
-    ) -> list[tuple[bytes, bytes]]:
-        return self.store.scan(begin, end, limit=limit)
-
     def flush(self) -> None:
         self.store.flush()
-
-    @property
-    def clock(self) -> SimClock:
-        return self.store.clock
 
 
 def e23_bloblog(
@@ -1295,7 +1281,8 @@ def e23_bloblog(
 
     Update-heavy YCSB-A at each value size, twice per size on the same
     hybrid config: a non-separated baseline and a blob-separated store
-    (128 B threshold, 64 KiB cloud segments). Reported per run:
+    (128 B threshold, one cloud segment per flushed generation). Reported
+    per run:
 
     * ``write_amp`` — engine bytes written (flush outputs + compaction
       outputs + blob appends) over user bytes; separation keeps
@@ -1329,7 +1316,7 @@ def e23_bloblog(
         notes=[
             "write_amp = (flush + compaction + blob-append bytes) / user bytes",
             "digest hashes every read/scan outcome; modes must agree per size",
-            "separated: blob_value_threshold=128 B, 64 KiB segments",
+            "separated: blob_value_threshold=128 B, one segment per flushed generation",
         ],
     )
     for value_size in value_sizes:
@@ -1338,11 +1325,7 @@ def e23_bloblog(
             config = StoreConfig().small()
             config = replace(
                 config,
-                options=replace(
-                    config.options,
-                    blob_value_threshold=threshold,
-                    blob_segment_bytes=64 << 10,
-                ),
+                options=replace(config.options, blob_value_threshold=threshold),
             )
             store = RocksMashStore.create(config)
             engine = {"bytes": 0}

@@ -1,36 +1,39 @@
 """Blob pointer and value-log record codecs (WAL-time key-value separation).
 
-Large values are diverted out of the write batch *before* they reach the
-WAL/memtable and appended to a blob-log segment instead; the LSM stores a
-fixed-size :class:`BlobPointer` in their place (BVLSM / WiscKey lineage).
+Large values never reach the memtable: the xWAL takes each one as its blob
+record, embedded in its key's shard record (:mod:`repro.mash.xwal`), and the
+LSM stores a fixed-size :class:`BlobPointer` in its place (BVLSM / WiscKey
+lineage). At flush, the generation's shard files go up as one cloud object,
+the blob segment (:mod:`repro.mash.bloblog`).
 
 Two wire formats live here, both deliberately self-describing:
 
 Pointer (exactly ``POINTER_SIZE`` bytes, stored as the LSM value)::
 
-    [magic 4B][segment fixed64][offset fixed64][record_len fixed64][value_crc fixed32]
+    [magic 4B][segment fixed64][offset fixed64][record_len fixed64][record_crc fixed32]
 
-``offset``/``record_len`` locate the *full record* inside the segment, so a
-resolve is a single ranged read. ``value_crc`` is the masked CRC of the user
-value alone, letting the reader validate end-to-end integrity independent of
-the record framing. A raw user value that happens to be pointer-shaped (32
-bytes starting with the magic) is always diverted regardless of threshold,
-so the read path can treat "parses as a pointer" as authoritative.
+``segment`` is the xWAL generation that logged the value; ``offset`` and
+``record_len`` locate the *full record* inside the shard file of the
+pointer's key (:func:`repro.mash.xwal.shard_of`), so a resolve is a single
+ranged read. ``record_crc`` is the record's own stored checksum: a resolve
+that reads a record whose checksum verifies and equals it read the record
+the pointer was made for. A raw user value that happens to be
+pointer-shaped (32 bytes starting with the magic) is always diverted
+regardless of threshold, so the read path can treat "parses as a pointer"
+as authoritative.
 
-Blob record (appended to a segment)::
+Blob record (embedded in an xWAL shard record)::
 
     [record_len fixed32][crc fixed32 over everything after it][seq fixed64]
     [klen varint][key][value]
 
 Records carry their own key and sequence so a GC scan or fsck can interpret
-a segment with no LSM context, and a torn tail (crash mid-append) is
-detected by framing/CRC and cleanly truncated at recovery.
+a segment with no LSM context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import CorruptionError
 from repro.util.crc import masked_crc32, verify_masked_crc32
@@ -56,7 +59,8 @@ class BlobPointer:
     offset: int
     length: int
     """Length of the full blob *record* (not just the value)."""
-    value_crc: int
+    record_crc: int
+    """The record's stored checksum."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +70,6 @@ class BlobRecord:
     sequence: int
     key: bytes
     value: bytes
-    length: int
-    """Encoded length of the record, for walking a segment."""
 
 
 def encode_pointer(pointer: BlobPointer) -> bytes:
@@ -76,7 +78,7 @@ def encode_pointer(pointer: BlobPointer) -> bytes:
         + encode_fixed64(pointer.segment)
         + encode_fixed64(pointer.offset)
         + encode_fixed64(pointer.length)
-        + encode_fixed32(pointer.value_crc)
+        + encode_fixed32(pointer.record_crc)
     )
     assert len(out) == POINTER_SIZE
     return out
@@ -89,7 +91,7 @@ def decode_pointer(data: bytes) -> BlobPointer:
         segment=decode_fixed64(data, 4),
         offset=decode_fixed64(data, 12),
         length=decode_fixed64(data, 20),
-        value_crc=decode_fixed32(data, 28),
+        record_crc=decode_fixed32(data, 28),
     )
 
 
@@ -98,6 +100,12 @@ def maybe_pointer(value: bytes) -> BlobPointer | None:
     if len(value) != POINTER_SIZE or value[:4] != BLOB_MAGIC:
         return None
     return decode_pointer(value)
+
+
+def pointer_to(segment: int, offset: int, record: bytes) -> bytes:
+    """The encoded pointer to ``record``, logged at ``offset`` of its key's
+    shard file in generation ``segment``."""
+    return encode_pointer(BlobPointer(segment, offset, len(record), decode_fixed32(record, 4)))
 
 
 def encode_blob_record(sequence: int, key: bytes, value: bytes) -> bytes:
@@ -109,42 +117,18 @@ def encode_blob_record(sequence: int, key: bytes, value: bytes) -> bytes:
     )
 
 
-def decode_blob_record(data: bytes, offset: int = 0) -> BlobRecord:
-    """Decode the record starting at ``offset``; raises on torn/garbled data."""
-    if offset + 8 > len(data):
+def decode_blob_record(data: bytes) -> BlobRecord:
+    """Decode the record ``data`` starts with; raises on torn/garbled data."""
+    if len(data) < 8:
         raise CorruptionError("blob record truncated before header")
-    record_len = decode_fixed32(data, offset)
-    if record_len < _RECORD_HEADER or offset + record_len > len(data):
+    record_len = decode_fixed32(data, 0)
+    if record_len < _RECORD_HEADER or record_len > len(data):
         raise CorruptionError("blob record truncated")
-    stored_crc = decode_fixed32(data, offset + 4)
-    body = data[offset + 8 : offset + record_len]
-    if not verify_masked_crc32(body, stored_crc):
+    body = data[8:record_len]
+    if not verify_masked_crc32(body, decode_fixed32(data, 4)):
         raise CorruptionError("blob record checksum mismatch")
     sequence = decode_fixed64(body, 0)
     klen, pos = decode_varint(body, 8)
     if pos + klen > len(body):
         raise CorruptionError("blob record key overruns body")
-    key = body[pos : pos + klen]
-    value = body[pos + klen :]
-    return BlobRecord(sequence=sequence, key=key, value=value, length=record_len)
-
-
-def iter_blob_records(data: bytes) -> Iterator[tuple[int, BlobRecord]]:
-    """Yield ``(offset, record)`` for every valid record; raises on a bad one."""
-    offset = 0
-    while offset < len(data):
-        record = decode_blob_record(data, offset)
-        yield offset, record
-        offset += record.length
-
-
-def valid_prefix_length(data: bytes) -> int:
-    """Length of the longest clean record prefix (torn-tail truncation point)."""
-    offset = 0
-    while offset < len(data):
-        try:
-            record = decode_blob_record(data, offset)
-        except CorruptionError:
-            break
-        offset += record.length
-    return offset
+    return BlobRecord(sequence=sequence, key=body[pos : pos + klen], value=body[pos + klen :])

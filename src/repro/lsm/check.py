@@ -9,10 +9,11 @@ Walks a database without opening it for writes and verifies:
   index, filter), all block checksums verify, entries are in strictly
   increasing internal-key order inside the recorded [smallest, largest]
   bounds, and the bloom filter matches every stored key;
-* every MANIFEST-recorded blob segment exists, has the recorded size, and
-  every record in it parses with a valid checksum;
-* every blob pointer stored in a live table resolves to a record boundary
-  in a MANIFEST-recorded segment with matching length and value checksum;
+* every MANIFEST-recorded blob segment exists, has the recorded size and
+  shard lengths, and every blob record logged in it parses with a valid
+  checksum;
+* every blob pointer stored in a live table is the pointer to a record its
+  key logged in a MANIFEST-recorded segment;
 * WAL generations scan cleanly (a torn tail is a *warning* — crash-legal —
   mid-log corruption is an error);
 * unreferenced table/manifest/blob files are reported as orphans (warnings).
@@ -26,14 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import CorruptionError, NotFoundError, ReproError
-from repro.lsm.blob import BlobPointer, iter_blob_records, maybe_pointer
+from repro.lsm.blob import BlobPointer, decode_blob_record, maybe_pointer
 from repro.lsm.format import blob_file_name, parse_file_name, table_file_name
 from repro.lsm.options import Options
 from repro.lsm.table_reader import TableReader
 from repro.lsm.version import FileMetaData, VersionSet
 from repro.lsm.wal import LogReader
+from repro.mash.bloblog import segment_blobs
 from repro.storage.env import Env
-from repro.util.crc import masked_crc32
 from repro.util.encoding import SeekGoal, entry_key
 
 
@@ -78,13 +79,13 @@ def check_table(
     report: CheckReport,
     *,
     meta: FileMetaData | None = None,
-    blob_refs: list[tuple[str, BlobPointer]] | None = None,
+    blob_refs: list[tuple[str, bytes, BlobPointer]] | None = None,
 ) -> None:
     """Verify one SSTable file end to end.
 
     When ``blob_refs`` is given, every pointer-shaped value is collected as
-    ``(table_name, pointer)`` for the caller to cross-check against the
-    manifest's blob segments.
+    ``(table_name, user_key, pointer)`` for the caller to cross-check
+    against the manifest's blob segments.
     """
     try:
         reader = TableReader(options, env.new_random_access_file(name))
@@ -108,7 +109,7 @@ def check_table(
             if blob_refs is not None:
                 pointer = maybe_pointer(value)
                 if pointer is not None:
-                    blob_refs.append((name, pointer))
+                    blob_refs.append((name, user_key, pointer))
             prev_key = key
             count += 1
     except CorruptionError as exc:
@@ -139,11 +140,11 @@ def check_blob_segments(
     env: Env,
     prefix: str,
     versions: VersionSet,
-    blob_refs: list[tuple[str, BlobPointer]],
+    blob_refs: list[tuple[str, bytes, BlobPointer]],
     report: CheckReport,
 ) -> None:
     """Verify MANIFEST-recorded blob segments and cross-check table pointers."""
-    records: dict[int, dict[int, tuple[int, int]]] = {}
+    logged: dict[int, set[tuple[bytes, BlobPointer]]] = {}
     for number, (total, dead) in sorted(versions.blob_segments.items()):
         name = blob_file_name(prefix, number)
         if not env.file_exists(name):
@@ -151,6 +152,9 @@ def check_blob_segments(
             continue
         if dead > total:
             report.error(f"{name}: dead bytes {dead} exceed segment total {total}")
+        shards = versions.blob_shards[number]
+        if sum(shards) != total:
+            report.error(f"{name}: shard lengths sum to {sum(shards)}, not {total}")
         try:
             data = env.read_file(name)
         except ReproError as exc:
@@ -159,36 +163,29 @@ def check_blob_segments(
         if len(data) != total:
             report.error(f"{name}: size {len(data)} != manifest's {total}")
             continue
-        boundaries: dict[int, tuple[int, int]] = {}
+        records: set[tuple[bytes, BlobPointer]] = set()
         try:
-            for offset, record in iter_blob_records(data):
-                boundaries[offset] = (record.length, masked_crc32(record.value))
+            for key, pointer, record in segment_blobs(data, number, shards):
+                decode_blob_record(record)
+                records.add((key, pointer))
         except CorruptionError as exc:
             report.error(f"{name}: corrupt blob record: {exc}")
             continue
-        records[number] = boundaries
+        logged[number] = records
         report.blob_segments_checked += 1
 
-    for table_name, pointer in blob_refs:
+    for table_name, key, pointer in blob_refs:
         report.blob_pointers_checked += 1
         if pointer.segment not in versions.blob_segments:
             report.error(
                 f"{table_name}: pointer into segment {pointer.segment}"
                 " which is not in the manifest (dangling)"
             )
-            continue
-        boundaries = records.get(pointer.segment, {})
-        found = boundaries.get(pointer.offset)
-        if found is None:
+        elif (key, pointer) not in logged.get(pointer.segment, ()):
             report.error(
-                f"{table_name}: pointer offset {pointer.offset} is not a record"
-                f" boundary in segment {pointer.segment}"
-            )
-        elif found != (pointer.length, pointer.value_crc):
-            report.error(
-                f"{table_name}: pointer into segment {pointer.segment} at"
-                f" {pointer.offset} disagrees with the stored record"
-                " (length or value checksum mismatch)"
+                f"{table_name}: pointer of {key!r} into segment"
+                f" {pointer.segment} at {pointer.offset} is not one its key"
+                " logged there (offset, length or checksum mismatch)"
             )
 
 
@@ -212,7 +209,7 @@ def check_db(env: Env, prefix: str, options: Options | None = None) -> CheckRepo
         report.error(f"version invariant violated: {exc}")
 
     live_numbers = versions.current.live_file_numbers()
-    blob_refs: list[tuple[str, BlobPointer]] = []
+    blob_refs: list[tuple[str, bytes, BlobPointer]] = []
     for level, meta in versions.current.all_files():
         name = table_file_name(prefix, meta.number)
         if not env.file_exists(name):
@@ -235,8 +232,8 @@ def check_db(env: Env, prefix: str, options: Options | None = None) -> CheckRepo
             report.orphans.append(name)
             report.warn(f"{name}: orphan manifest")
         elif kind == "blob" and number not in versions.blob_segments:
-            # Crash-legal: an active (WAL-referenced) segment or a leftover
-            # local shadow of an uploaded one; recovery reconciles these.
+            # Crash-legal: a flush uploaded it and never committed, or GC
+            # forgot it and never deleted it; recovery deletes it.
             report.orphans.append(name)
             report.warn(f"{name}: orphan blob segment (not in manifest)")
         elif kind in ("log", "xlog"):

@@ -88,9 +88,13 @@ class Snapshot:
 
 
 class WalWriter(Protocol):
-    """Write side of one WAL generation (LogWriter or the sharded xWAL)."""
+    """Write side of one WAL generation (LogWriter or the sharded xWAL).
 
-    def add_record(self, payload: bytes, *, sync: bool = True) -> None: ...
+    ``add_record`` appends one batch. A log that takes large values itself
+    (the xWAL with key-value separation on) returns the batch the memtable
+    applies instead, each such value replaced by a pointer."""
+
+    def add_record(self, payload: bytes, *, sync: bool = True) -> WriteBatch | None: ...
 
     def sync(self) -> None: ...
 
@@ -317,12 +321,9 @@ class DB:
             replayed_max = max(replayed_max, max_seq)
         self.versions.last_sequence = max(self.versions.last_sequence, replayed_max)
         if self.blob_store is not None:
-            # Reconcile blob segment files against the recovered MANIFEST:
-            # referenced-but-unrecorded segments (a crashed active segment or
-            # interrupted seal) are truncated to their clean prefix and
-            # re-sealed; unreferenced ones are abandoned uploads/GC orphans
-            # and are deleted.
-            self.blob_store.recover(listing, list(self.memtable))
+            # Segments the MANIFEST does not know go; the flush below seals
+            # the replayed values again.
+            self.blob_store.recover(listing)
         # Memtable contents re-enter a fresh WAL generation via flush if big
         # enough, otherwise they ride along in the new log's lifetime.
         self._rotate_wal()
@@ -384,13 +385,12 @@ class DB:
         if len(batch) == 0:
             return
         batch.sequence = self.versions.last_sequence + 1
-        if self.blob_store is not None:
-            # Key-value separation happens *before* the WAL append: large
-            # values go to the blob log and the WAL/memtable/SSTables only
-            # ever see fixed-size pointers.
-            batch = self.blob_store.divert_batch(batch, sync=sync)
         assert self._wal is not None
-        self._wal.add_record(batch.encode(), sync=sync)
+        diverted = self._wal.add_record(batch.encode(), sync=sync)
+        if diverted is not None:
+            # Key-value separation: the log holds the large values, and the
+            # memtable and SSTables only ever see fixed-size pointers.
+            batch = diverted
         seq = batch.sequence
         for op in batch:
             self.memtable.add(seq, op.value_type, op.key, op.value)
@@ -413,10 +413,11 @@ class DB:
             self._maybe_compact()
 
     def _flush_memtable(self) -> None:
+        edit = VersionEdit()
         if self.blob_store is not None:
-            # Seal first: the SSTable this flush writes must only reference
-            # durable, MANIFEST-recorded blob segments.
-            self.blob_store.on_flush_begin()
+            # Upload first: the values the memtable points at commit as blob
+            # segments in this flush's edit, with the table pointing at them.
+            self.blob_store.seal(edit)
         number = self.versions.new_file_number()
         name = table_file_name(self.prefix, number)
         builder = TableBuilder(self.options, self.env.new_writable_file(name))
@@ -426,7 +427,8 @@ class DB:
         old_wal_number = self._wal_number
         new_wal_number = self._rotate_wal()
         crash_points.reach("flush.before_manifest")
-        edit = VersionEdit(log_number=new_wal_number, last_sequence=self.versions.last_sequence)
+        edit.log_number = new_wal_number
+        edit.last_sequence = self.versions.last_sequence
         edit.add_file(0, meta)
         self.versions.log_and_apply(edit)
         crash_points.reach("flush.after_manifest")

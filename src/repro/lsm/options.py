@@ -88,9 +88,10 @@ class Options:
 
     # Key-value separation (WAL-time blob log; see repro.mash.bloblog)
     blob_value_threshold: int = 0
-    """Values at least this many bytes are diverted at WAL-append time into
-    an append-only blob log and the LSM stores a fixed 32-byte pointer
-    instead; 0 disables separation. The setting is a store-lifetime choice,
+    """Values at least this many bytes are logged once, as blob records in
+    the xWAL, and the LSM stores a fixed 32-byte pointer instead; a flush
+    seals the generation's log into one cloud segment. 0 disables
+    separation. The setting is a store-lifetime choice,
     unsafe to flip in either direction: once a store has written pointers,
     reopening with separation disabled would return them verbatim, and
     enabling separation on a store created without it could misread a raw
@@ -98,10 +99,6 @@ class Options:
     therefore brands separated stores at creation, and opening an
     unbranded store with a nonzero threshold raises
     ``InvalidArgumentError``."""
-
-    blob_segment_bytes: int = 4 << 20
-    """Seal and upload the active blob segment once it reaches this size
-    (flushes also seal it, so SSTables only reference durable segments)."""
 
     # Caching
     block_cache_bytes: int = 8 << 20
@@ -122,8 +119,6 @@ class Options:
             raise ValueError("scan_prefetch_depth must be >= 0")
         if self.blob_value_threshold < 0:
             raise ValueError("blob_value_threshold must be >= 0")
-        if self.blob_segment_bytes <= 0:
-            raise ValueError("blob_segment_bytes must be positive")
 
     @classmethod
     def small(cls) -> "Options":

@@ -79,10 +79,12 @@ class VersionEdit:
     last_sequence: int | None = None
     deleted_files: set[tuple[int, int]] = field(default_factory=set)  # (level, number)
     new_files: list[tuple[int, FileMetaData]] = field(default_factory=list)
-    blob_segments: list[tuple[int, int, int]] = field(default_factory=list)
-    """Blob-segment upserts: (number, total_bytes, dead_bytes). The GC's
-    dead-byte counters ride the same edit as the compaction that dropped the
-    pointers, so recovery replays them exactly."""
+    blob_segments: list[tuple[int, int, int, tuple[int, ...]]] = field(default_factory=list)
+    """Blob-segment upserts: (number, total_bytes, dead_bytes, shard_lengths).
+    A segment is one xWAL generation's shard files concatenated in shard
+    order, ``shard_lengths`` bytes each. The GC's dead-byte counters ride the
+    same edit as the compaction that dropped the pointers, so recovery
+    replays them exactly."""
     deleted_blob_segments: set[int] = field(default_factory=set)
     blob_separation: bool = False
     """Brands the store as key-value separated. Written once when a store is
@@ -97,8 +99,10 @@ class VersionEdit:
     def delete_file(self, level: int, number: int) -> None:
         self.deleted_files.add((level, number))
 
-    def set_blob_segment(self, number: int, total: int, dead: int) -> None:
-        self.blob_segments.append((number, total, dead))
+    def set_blob_segment(
+        self, number: int, total: int, dead: int, shards: tuple[int, ...]
+    ) -> None:
+        self.blob_segments.append((number, total, dead, shards))
 
     def delete_blob_segment(self, number: int) -> None:
         self.deleted_blob_segments.add(number)
@@ -120,9 +124,12 @@ class VersionEdit:
             out += encode_varint(meta.file_size)
             put_length_prefixed(out, meta.smallest)
             put_length_prefixed(out, meta.largest)
-        for number, total, dead in self.blob_segments:
+        for number, total, dead, shards in self.blob_segments:
             out += encode_varint(_TAG_BLOB_SEGMENT)
             out += encode_varint(number) + encode_varint(total) + encode_varint(dead)
+            out += encode_varint(len(shards))
+            for length in shards:
+                out += encode_varint(length)
         for number in sorted(self.deleted_blob_segments):
             out += encode_varint(_TAG_BLOB_SEGMENT_DELETE) + encode_varint(number)
         if self.blob_separation:
@@ -156,7 +163,12 @@ class VersionEdit:
                 number, pos = decode_varint(data, pos)
                 total, pos = decode_varint(data, pos)
                 dead, pos = decode_varint(data, pos)
-                edit.set_blob_segment(number, total, dead)
+                count, pos = decode_varint(data, pos)
+                shards: list[int] = []
+                for _ in range(count):
+                    length, pos = decode_varint(data, pos)
+                    shards.append(length)
+                edit.set_blob_segment(number, total, dead, tuple(shards))
             elif tag == _TAG_BLOB_SEGMENT_DELETE:
                 number, pos = decode_varint(data, pos)
                 edit.delete_blob_segment(number)
@@ -299,6 +311,11 @@ class VersionSet:
         self.current = Version(NUM_LEVELS)
         self.blob_segments: dict[int, tuple[int, int]] = {}
         """Sealed blob-log segments: number -> (total_bytes, dead_bytes)."""
+        self.blob_shards: dict[int, tuple[int, ...]] = {}
+        """Sealed blob-log segments: number -> the length of each shard
+        file concatenated into it, in shard order. A segment's entry
+        outlives its MANIFEST delete: a pinned reader may resolve into the
+        segment until the blob log deletes its object, and drops the entry."""
         self.blob_separation_enabled = False
         """True once the MANIFEST records that this store was created with
         key-value separation (see :attr:`VersionEdit.blob_separation`)."""
@@ -345,6 +362,7 @@ class VersionSet:
         reader = read_log_file(self.env, name)
         applied = 0
         self.blob_segments = {}
+        self.blob_shards = {}
         self.blob_separation_enabled = False
         for record in reader:
             edit = VersionEdit.decode(record)
@@ -394,8 +412,9 @@ class VersionSet:
         self._apply_blob(edit)
 
     def _apply_blob(self, edit: VersionEdit) -> None:
-        for number, total, dead in edit.blob_segments:
+        for number, total, dead, shards in edit.blob_segments:
             self.blob_segments[number] = (total, dead)
+            self.blob_shards[number] = shards
         for number in edit.deleted_blob_segments:
             self.blob_segments.pop(number, None)
         if edit.blob_separation:
@@ -434,7 +453,7 @@ class VersionSet:
         for level, meta in self.current.all_files():
             snapshot.add_file(level, meta)
         for number, (total, dead) in sorted(self.blob_segments.items()):
-            snapshot.set_blob_segment(number, total, dead)
+            snapshot.set_blob_segment(number, total, dead, self.blob_shards[number])
         snapshot.blob_separation = self.blob_separation_enabled
         writer.add_record(snapshot.encode())
         crash_points.reach("manifest.rewrite_before_current")

@@ -1,70 +1,50 @@
 """Cloud-resident blob value log: WAL-time key-value separation.
 
 Values at least ``Options.blob_value_threshold`` bytes long never enter the
-memtable: :meth:`BlobLog.divert_batch` rewrites the write batch *before* the
-WAL/xWAL append, appending each large value to the active blob segment and
-substituting a fixed 32-byte :class:`~repro.lsm.blob.BlobPointer`. Flushes
-and compactions then move pointers, not payloads — the WiscKey/BVLSM trade
-that keeps cloud PUT bytes and write amplification proportional to keys,
-not values.
+memtable. The xWAL logs each one once, as its blob record inside its key's
+shard record (:mod:`repro.mash.xwal`), and the memtable gets a fixed 32-byte
+:class:`~repro.lsm.blob.BlobPointer` to it: the generation, the record's
+offset in the key's shard file, its length and its checksum. Flushes and
+compactions then move pointers, not payloads — the WiscKey/BVLSM trade that
+keeps cloud PUT bytes and write amplification proportional to keys, not
+values. There is one log, so one sync makes a put durable, value and all.
 
 Lifecycle and crash protocol:
 
-- The *active* segment is a local append-only file. Blob appends are synced
-  before any WAL sync that could make a referencing record durable — both
-  the sync of the diverting batch itself and a later ``sync=True`` batch
-  that diverts nothing (:meth:`BlobLog.sync_active`) — so a synced (acked)
-  pointer always has a durable record behind it; an unsynced tail is torn
-  exactly like a torn WAL tail and truncated at recovery.
-- ``seal``: the active segment is uploaded to the cloud in one PUT,
-  recorded in the MANIFEST as a ``(number, total, dead)`` blob-segment
-  edit, then the local copy is dropped. Flushes seal first, so SSTables
-  only ever reference sealed, MANIFEST-recorded segments; the active
-  segment is referenced only by the WAL/memtable.
+- ``seal``: a flush uploads every generation that holds a value as one
+  object, its shard files concatenated in shard order, and records the
+  segment — with its per-shard lengths, and its non-value bytes already
+  counted dead — in the flush's own VersionEdit. The table that points into
+  the segment and the segment commit together. Until then a pointer
+  resolves from the local shard file; afterwards from the cloud object.
 - Compaction reports the bytes of every dropped pointer; those dead-byte
   increments ride the *same* VersionEdit as the drop, so the MANIFEST's GC
   state is exact across crashes.
 - ``run_gc``: segments whose records are all dead are unlinked (MANIFEST
   delete first, object delete second — a crash in between leaves an orphan
   that recovery collects); segments past :data:`GC_DEAD_RATIO` get their
-  live residue re-put through the front door, which re-diverts the values
-  into the current active segment and lets compaction retire the old copies.
-- ``recover``: while the log replays, a record whose pointer ends past the
-  clean prefix of a MANIFEST-unknown segment is where its xWAL shard's
-  torn tail starts (:meth:`BlobLog.record_is_whole`): the write was never
-  acknowledged, and the record and the rest of the shard are dropped.
-  After replay, MANIFEST-unknown segment files with no memtable references
-  are abandoned uploads or GC orphans and are deleted; a referenced one is
-  the crashed active segment — its clean record prefix is re-sealed with
-  the unreferenced remainder pre-counted dead. The re-seal is itself
-  crash-idempotent: the local copy is truncated in place (atomic, synced)
-  and kept until the MANIFEST edit commits, so a crash anywhere inside the
-  re-seal leaves a durable copy for the next recovery to adopt again.
+  live residue re-put through the front door, which logs the values again
+  and lets compaction retire the old copies.
+- ``recover``: a segment object the MANIFEST does not know is deleted. Its
+  flush never committed, so its values are still in the local xWAL, which
+  replay has just read; the recovery flush seals them again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import CorruptionError, NotFoundError
-from repro.lsm.blob import (
-    BlobPointer,
-    decode_blob_record,
-    encode_blob_record,
-    encode_pointer,
-    iter_blob_records,
-    maybe_pointer,
-    valid_prefix_length,
-)
-from repro.lsm.format import blob_file_name, parse_file_name
+from repro.lsm.blob import BlobPointer, decode_blob_record, maybe_pointer
+from repro.lsm.format import blob_file_name, parse_file_name, xlog_file_name
 from repro.lsm.options import Options
 from repro.lsm.version import VersionEdit, VersionSet
-from repro.lsm.write_batch import WriteBatch
+from repro.mash.xwal import read_shard, shard_of
 from repro.sim.failure import crash_points
-from repro.storage.env import CLOUD, HybridEnv, WritableFile
+from repro.storage.env import CLOUD, HybridEnv
 from repro.storage.local import LocalDevice
-from repro.util.crc import masked_crc32
-from repro.util.encoding import TYPE_VALUE, Entry
+from repro.util.encoding import decode_fixed32
 
 if TYPE_CHECKING:
     from repro.mash.pcache import PersistentCache
@@ -79,6 +59,24 @@ reach this fraction of the segment; 1.0 = only reclaim segments that are
 entirely dead."""
 
 
+def segment_blobs(
+    data: bytes, number: int, shard_lengths: tuple[int, ...]
+) -> Iterator[tuple[bytes, BlobPointer, bytes]]:
+    """``(key, pointer, blob record)`` of every value logged in a sealed
+    segment: generation ``number``'s shard files, concatenated in shard
+    order, ``shard_lengths`` bytes each."""
+    base = 0
+    for length in shard_lengths:
+        part = data[base : base + length]
+        base += length
+        ops, _blob_bytes, _torn = read_shard(part, number)
+        for _seq, _value_type, key, value in ops:
+            # A raw value is never pointer-shaped in a separated store's log.
+            pointer = maybe_pointer(value)
+            if pointer is not None:
+                yield key, pointer, part[pointer.offset : pointer.offset + pointer.length]
+
+
 class BlobHost(Protocol):
     """The slice of :class:`repro.lsm.db.DB` the garbage collector needs."""
 
@@ -90,7 +88,8 @@ class BlobHost(Protocol):
 
 
 class BlobLog:
-    """Append-only, cloud-resident value log for one DB (or one shard)."""
+    """The value half of the xWAL for one DB (or one shard): which values
+    divert, their seal into cloud segments, resolve, and GC."""
 
     def __init__(
         self,
@@ -99,6 +98,7 @@ class BlobLog:
         versions: VersionSet,
         options: Options,
         device: LocalDevice,
+        num_shards: int,
         *,
         pcache: "PersistentCache | None" = None,
     ) -> None:
@@ -107,16 +107,15 @@ class BlobLog:
         self.versions = versions
         self.options = options
         self.device = device
+        self.num_shards = num_shards
+        """The xWAL's shard count: which local shard file holds a key's
+        records before their generation is sealed."""
         self.pcache = pcache
-        self.active_number: int | None = None
-        self.active_file: WritableFile | None = None
-        self.active_offset = 0
-        self.active_unsynced = False
+        self.unsealed: dict[int, int] = {}
+        """xWAL generations holding values and not yet sealed: number ->
+        bytes of their blob records."""
         self._in_gc = False
         self._rewritten: set[int] = set()
-        self._unsealed: dict[int, tuple[bytes, int]] = {}
-        """Recovery's reads of MANIFEST-unknown segments: number ->
-        ``(bytes, clean prefix length)``."""
         # Counters (surfaced via store stats / E23).
         self.bytes_diverted = 0
         self.records_diverted = 0
@@ -137,130 +136,62 @@ class BlobLog:
         threshold = self.options.blob_value_threshold
         return threshold > 0 and len(value) >= threshold
 
-    def divert_batch(self, batch: WriteBatch, *, sync: bool) -> WriteBatch:
-        """Rewrite ``batch`` substituting pointers for large values.
-
-        Must be called after the batch's sequence is assigned and before the
-        WAL append: the returned batch is what the WAL, memtable, and every
-        downstream structure see.
-        """
-        if not any(
-            op.value_type == TYPE_VALUE and self.should_divert(op.value)
-            for op in batch
-        ):
-            if sync:
-                # A sync=True WAL append makes *every* earlier unsynced WAL
-                # record durable, including pointers from prior sync=False
-                # batches — their blob bytes must become durable first.
-                self.sync_active()
-            return batch
-        out = WriteBatch()
-        out.sequence = batch.sequence
-        sequence = batch.sequence
-        for op in batch:
-            if op.value_type == TYPE_VALUE and self.should_divert(op.value):
-                out.put(op.key, self._append(sequence, op.key, op.value, sync=sync))
-            elif op.value_type == TYPE_VALUE:
-                out.put(op.key, op.value)
-            else:
-                out.delete(op.key)
-            sequence += 1
-        return out
-
-    def _append(self, sequence: int, key: bytes, value: bytes, *, sync: bool) -> bytes:
-        if self.active_file is None:
-            if self.active_number is not None:
-                self.seal_active()  # a seal a cloud error interrupted
-            self.active_number = self.versions.new_file_number()
-            name = blob_file_name(self.prefix, self.active_number)
-            self.active_file = self.env.new_writable_file(name)
-            self.active_offset = 0
-        record = encode_blob_record(sequence, key, value)
-        offset = self.active_offset
-        self.active_file.append(record)
-        # Leave-behind: record appended but not yet synced; the WAL pointer
-        # that would reference it is never written.
-        crash_points.reach("bloblog.append")
-        if sync:
-            self.active_file.sync()
-            self.active_unsynced = False
-        else:
-            self.active_unsynced = True
-        self.active_offset += len(record)
-        self.bytes_diverted += len(record)
-        self.records_diverted += 1
-        assert self.active_number is not None
-        pointer = BlobPointer(
-            segment=self.active_number,
-            offset=offset,
-            length=len(record),
-            value_crc=masked_crc32(value),
-        )
-        if self.active_offset >= self.options.blob_segment_bytes:
-            self.seal_active()
-        return encode_pointer(pointer)
-
-    def sync_active(self) -> None:
-        """Make the active segment durable ahead of a WAL sync.
-
-        A sync=False diverted put leaves blob bytes in the device's unsynced
-        tail; the WAL record pointing at them is unsynced too, so the pair is
-        consistently volatile. But the next sync=True WAL append — even one
-        that diverts nothing — syncs the whole WAL file and would durably
-        persist that pointer, so the blob bytes must be synced first.
-        """
-        if self.active_unsynced and self.active_file is not None:
-            self.active_file.sync()
-        self.active_unsynced = False
+    def logged(self, number: int, records: int, nbytes: int) -> None:
+        """The xWAL logged ``records`` blob records, ``nbytes`` bytes in
+        all, into generation ``number``."""
+        self.unsealed[number] = self.unsealed.get(number, 0) + nbytes
+        self.records_diverted += records
+        self.bytes_diverted += nbytes
 
     # -- sealing --------------------------------------------------------------
 
-    def on_flush_begin(self) -> None:
-        """Seal before a memtable flush so the resulting SSTable only
-        references durable, MANIFEST-recorded segments."""
-        if self.active_number is not None and self.active_offset > 0:
-            self.seal_active()
+    def seal(self, edit: VersionEdit) -> None:
+        """Upload each generation a flush is about to retire that holds a
+        value, as one object, and record it in the flush's ``edit``.
 
-    def seal_active(self) -> None:
-        assert self.active_number is not None
-        number = self.active_number
-        name = blob_file_name(self.prefix, number)
-        if self.active_file is not None:
-            self.active_file.sync()
-            self.active_file.close()
-            self.active_file = None
-            self.active_unsynced = False
-        data = self.env.local.read_file(name)
-        # A cloud error here leaves the closed segment active, so the next
-        # seal retries it before the next append or flush.
-        self._upload_and_record(number, name, data, 0)
-        self.active_number = None
-        self.active_offset = 0
-        self.segments_sealed += 1
-
-    def _upload_and_record(self, number: int, name: str, data: bytes, dead: int) -> None:
-        # crash-idempotent: keyed by name; a recovery re-seal overwrites
-        # the same object with identical bytes.
-        self.env.cloud.store.put(name, data)
-        self.env.note_tier(name, CLOUD)
-        # Leave-behind: segment object visible in the cloud but absent from
-        # the MANIFEST; recovery must adopt or discard it by reference count.
-        crash_points.reach("bloblog.seal_before_manifest")
-        edit = VersionEdit()
-        edit.set_blob_segment(number, len(data), dead)
-        self.versions.log_and_apply(edit)
-        if self.env.local.file_exists(name):
-            self.env.local.delete_file(name)
+        A generation the MANIFEST's log number has passed was sealed by an
+        earlier flush. Sealing again after a failed flush overwrites the
+        object it may have left with the same bytes and more.
+        """
+        self.unsealed = {
+            number: nbytes
+            for number, nbytes in self.unsealed.items()
+            if number >= self.versions.log_number
+        }
+        for number, nbytes in sorted(self.unsealed.items()):
+            # A crash drops a shard file no sync ever reached.
+            logs = [xlog_file_name(self.prefix, number, shard) for shard in range(self.num_shards)]
+            parts = [
+                self.env.local.read_file(log) if self.env.local.file_exists(log) else b""
+                for log in logs
+            ]
+            data = b"".join(parts)
+            name = blob_file_name(self.prefix, number)
+            self.env.cloud.store.put(name, data)
+            self.env.note_tier(name, CLOUD)
+            edit.set_blob_segment(
+                number, len(data), len(data) - nbytes, tuple(len(part) for part in parts)
+            )
+            self.segments_sealed += 1
 
     # -- read path ------------------------------------------------------------
 
-    def resolve(self, pointer: BlobPointer, expected_key: bytes | None = None) -> bytes:
-        """Fetch and validate the value a pointer references."""
-        name = blob_file_name(self.prefix, pointer.segment)
+    def resolve(self, pointer: BlobPointer, key: bytes) -> bytes:
+        """Fetch and validate the value ``key``'s pointer references."""
+        shards = self.versions.blob_shards.get(pointer.segment)
+        if shards is None:
+            # Not sealed yet: the record is in the key's local shard file.
+            name = xlog_file_name(
+                self.prefix, pointer.segment, shard_of(key, self.num_shards)
+            )
+            offset = pointer.offset
+        else:
+            name = blob_file_name(self.prefix, pointer.segment)
+            offset = sum(shards[: shard_of(key, len(shards))]) + pointer.offset
         raw: bytes | None = None
         tracer = self.device.tracer
         if self.pcache is not None:
-            raw = self.pcache.get_data(name, pointer.offset)
+            raw = self.pcache.get_data(name, offset)
         if raw is not None:
             self.resolve_pcache_hits += 1
             if tracer is not None:
@@ -268,7 +199,7 @@ class BlobLog:
         else:
             try:
                 file = self.env.new_random_access_file(name)
-                raw = file.read(pointer.offset, pointer.length)
+                raw = file.read(offset, pointer.length)
             except NotFoundError as exc:
                 raise CorruptionError(
                     f"dangling blob pointer: segment {pointer.segment} missing"
@@ -277,7 +208,7 @@ class BlobLog:
             if tracer is not None:
                 tracer.event("blob_cloud_get" if from_cloud else "blob_local_read")
             if from_cloud and self.pcache is not None:
-                self.pcache.put_data(name, pointer.offset, raw)
+                self.pcache.put_data(name, offset, raw)
         if len(raw) != pointer.length:
             raise CorruptionError(
                 f"blob record short read: {len(raw)} != {pointer.length}"
@@ -287,11 +218,11 @@ class BlobLog:
         self.device.clock.advance(cost)
         if tracer is not None:
             tracer.charge("cpu", cost)
-        if masked_crc32(record.value) != pointer.value_crc:
-            raise CorruptionError("blob value checksum mismatch")
-        if expected_key is not None and record.key != expected_key:
+        if decode_fixed32(raw, 4) != pointer.record_crc:
+            raise CorruptionError("blob record checksum mismatch")
+        if record.key != key:
             raise CorruptionError(
-                f"blob pointer key mismatch: {record.key!r} != {expected_key!r}"
+                f"blob pointer key mismatch: {record.key!r} != {key!r}"
             )
         self.resolves += 1
         return record.value
@@ -306,7 +237,12 @@ class BlobLog:
             if state is None:
                 continue
             total, dead = state
-            edit.set_blob_segment(number, total, min(total, dead + drops[number]))
+            edit.set_blob_segment(
+                number,
+                total,
+                min(total, dead + drops[number]),
+                self.versions.blob_shards[number],
+            )
 
     def run_gc(self, host: BlobHost) -> None:
         """Reclaim dead segments; rewrite live residue of mostly-dead ones."""
@@ -350,28 +286,19 @@ class BlobLog:
     def _rewrite_segment(self, number: int, host: BlobHost) -> None:
         """Re-put the live residue of a mostly-dead segment.
 
-        The re-put travels the normal write path, so the values are diverted
-        again into the current active segment; the old records die once
+        The re-put travels the normal write path, so the values are logged
+        again in the current generation; the old records die once
         compaction drops their (now shadowed) pointers, and the segment is
         unlinked by a later fully-dead pass. Snapshot readers keep working
         throughout because the old segment stays until every pointer to it
         is provably dropped.
         """
-        name = blob_file_name(self.prefix, number)
-        data = self.env.read_file(name)
+        data = self.env.read_file(blob_file_name(self.prefix, number))
         live: list[tuple[bytes, bytes]] = []
-        for offset, record in iter_blob_records(data):
-            current = host.stored_value(record.key)
-            if current is None:
-                continue
-            pointer = maybe_pointer(current)
-            if (
-                pointer is None
-                or pointer.segment != number
-                or pointer.offset != offset
-            ):
-                continue
-            live.append((record.key, record.value))
+        for key, pointer, record in segment_blobs(data, number, self.versions.blob_shards[number]):
+            current = host.stored_value(key)
+            if current is not None and maybe_pointer(current) == pointer:
+                live.append((key, decode_blob_record(record).value))
         self._rewritten.add(number)
         self.gc_rewrites += 1
         for key, value in live:
@@ -386,86 +313,21 @@ class BlobLog:
             pass
         if self.pcache is not None:
             self.pcache.drop_file(name)
+        self.versions.blob_shards.pop(number, None)
 
     # -- recovery -------------------------------------------------------------
 
-    def record_is_whole(self, ops: list[tuple[int, int, bytes, bytes]]) -> bool:
-        """False if a pointer in one replayed xWAL record ends past the clean
-        prefix of its MANIFEST-unknown segment.
-
-        A synced pointer always has a synced blob record behind it, so such
-        a record was written ``sync=False`` and its blob bytes were torn:
-        the record is where its shard's torn tail starts. A segment that is
-        not on disk at all has a clean prefix of zero.
-        """
-        known = self.versions.blob_segments
-        for _sequence, value_type, _key, value in ops:
-            pointer = maybe_pointer(value) if value_type == TYPE_VALUE else None
-            if pointer is None or pointer.segment in known:
-                continue
-            unsealed = self._unsealed.get(pointer.segment)
-            if unsealed is None:
-                name = blob_file_name(self.prefix, pointer.segment)
-                data = b""
-                if self.env.file_exists(name):
-                    data = self.env.read_file(name)
-                unsealed = (data, valid_prefix_length(data))
-                self._unsealed[pointer.segment] = unsealed
-            if pointer.offset + pointer.length > unsealed[1]:
-                return False
-        return True
-
-    def recover(self, listing: list[str], entries: list[Entry]) -> None:
-        """Reconcile on-disk segment files with the recovered MANIFEST.
-
-        ``entries`` are the replayed memtable's rows; blob pointers in
-        them are the only live references a
-        MANIFEST-unknown segment can have. MANIFEST-known segments are kept
-        (a leftover local copy of an uploaded segment is dropped); unknown
-        ones are deleted when unreferenced, else truncated to their clean
-        record prefix and immediately re-sealed with the unreferenced
-        remainder counted dead.
-        """
-        references = memtable_blob_references(entries)
-        known = self.versions.blob_segments
+    def recover(self, listing: list[str]) -> None:
+        """Delete every segment object the recovered MANIFEST does not know:
+        a flush uploaded it and crashed before its commit, so its values are
+        still in the local xWAL, or GC forgot it and crashed before the
+        delete."""
         for name in sorted(listing):
             parsed = parse_file_name(self.prefix, name)
             if parsed is None or parsed[0] != "blob":
                 continue
-            number = parsed[1]
-            if number in known:
-                if self.env.cloud.file_exists(name) and self.env.local.file_exists(name):
-                    # Crash between upload and local delete: cloud copy is
-                    # the MANIFEST-recorded one; drop the local shadow.
-                    self.env.local.delete_file(name)
-                    self.env.note_tier(name, CLOUD)
-                continue
-            wanted = references.get(number, set())
-            if not wanted:
-                self.delete_segment_file(number)
-                continue
-            self._adopt_segment(number, name, wanted)
-        self._unsealed.clear()
-
-    def _adopt_segment(
-        self, number: int, name: str, wanted: set[tuple[int, int]]
-    ) -> None:
-        # Replay read the segment and kept only records that fit its clean
-        # prefix (record_is_whole).
-        data, valid_len = self._unsealed.pop(number)
-        assert max(offset + length for offset, length in wanted) <= valid_len
-        referenced = sum(length for _offset, length in wanted)
-        # Keep a durable copy until the MANIFEST edit commits: a crash inside
-        # the re-seal below must leave the next recovery something to adopt.
-        # Truncate the local file in place (write_file is atomic and synced)
-        # rather than deleting it; the upload simply overwrites any partially
-        # visible cloud object from an interrupted earlier seal, and
-        # _upload_and_record drops the local copy only after the MANIFEST
-        # records the segment.
-        if valid_len < len(data) or not self.env.local.file_exists(name):
-            self.env.local.write_file(name, data[:valid_len])
-        self._upload_and_record(number, name, data[:valid_len], valid_len - referenced)
-        self.segments_sealed += 1
+            if parsed[1] not in self.versions.blob_segments:
+                self.delete_segment_file(parsed[1])
 
     # -- introspection --------------------------------------------------------
 
@@ -475,7 +337,6 @@ class BlobLog:
             "live_segments": len(segments),
             "live_bytes": sum(total for total, _dead in segments.values()),
             "dead_bytes": sum(dead for _total, dead in segments.values()),
-            "active_bytes": self.active_offset,
             "bytes_diverted": self.bytes_diverted,
             "records_diverted": self.records_diverted,
             "bytes_reclaimed": self.bytes_reclaimed,
@@ -486,20 +347,3 @@ class BlobLog:
             "resolve_pcache_hits": self.resolve_pcache_hits,
         }
 
-
-def memtable_blob_references(
-    entries: list[Entry],
-) -> dict[int, set[tuple[int, int]]]:
-    """Harvest blob references from replayed memtable entries; only live
-    values that parse as pointers count."""
-    references: dict[int, set[tuple[int, int]]] = {}
-    for _user_key, neg_trailer, value in entries:
-        if -neg_trailer & 0xFF != TYPE_VALUE:
-            continue
-        pointer = maybe_pointer(value)
-        if pointer is None:
-            continue
-        references.setdefault(pointer.segment, set()).add(
-            (pointer.offset, pointer.length)
-        )
-    return references

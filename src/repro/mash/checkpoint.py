@@ -110,18 +110,14 @@ def create_checkpoint(store: RocksMashStore, name: str) -> CheckpointInfo:
         # be invisible to list/restore and harmless to the live store.
         crash_points.reach("checkpoint.mid_copy")
 
-    # Blob segments referenced by the snapshotted tables ride along; the
-    # flush above sealed the active segment, so every live pointer targets
-    # a manifest-recorded (cloud-resident) segment.
-    for number, (seg_total, seg_dead) in sorted(store.db.versions.blob_segments.items()):
-        snapshot.set_blob_segment(number, seg_total, seg_dead)
-        src = blob_file_name(store.db.prefix, number)
-        dst = _checkpoint_blob_key(name, number)
-        if store.env.tier_of(src) == CLOUD:
-            cloud.copy(src, dst)  # server-side, no egress
-        else:
-            cloud.put(dst, store.env.read_file(src))
-            uploaded += seg_total
+    # Blob segments referenced by the snapshotted tables ride along, with
+    # their shard lengths; the flush above sealed the memtable's values, so
+    # every live pointer targets a manifest-recorded (cloud-resident) segment.
+    versions = store.db.versions
+    for number, (seg_total, seg_dead) in sorted(versions.blob_segments.items()):
+        snapshot.set_blob_segment(number, seg_total, seg_dead, versions.blob_shards[number])
+        # A sealed segment is born in the cloud: server-side, no egress.
+        cloud.copy(blob_file_name(store.db.prefix, number), _checkpoint_blob_key(name, number))
         total += seg_total
         crash_points.reach("checkpoint.mid_copy")
 
@@ -190,7 +186,7 @@ def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) 
     # namespace (the snapshot's blob entries make recovery adopt them).
     for _level, meta in snapshot.new_files:
         cloud.copy(_checkpoint_table_key(name, meta.number), table_file_name(prefix, meta.number))
-    for number, _total, _dead in snapshot.blob_segments:
+    for number, _total, _dead, _shards in snapshot.blob_segments:
         cloud.copy(_checkpoint_blob_key(name, number), blob_file_name(prefix, number))
     # Fabricate the metadata chain on the local device.
     manifest_number = snapshot.next_file_number or 1

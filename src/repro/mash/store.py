@@ -125,12 +125,18 @@ class MashDB(DB):
             self.versions,
             self.options,
             self._local_device,
+            self._xwal_config.num_shards,
             pcache=self._blob_pcache,
         )
 
     def _open_wal(self, number: int) -> WalWriter:
         return XWalWriter(
-            self.env, self._local_device, self.prefix, number, self._xwal_config
+            self.env,
+            self._local_device,
+            self.prefix,
+            number,
+            self._xwal_config,
+            blob=self.blob_store,
         )
 
     def _replayer(self) -> XWalReplayer:
@@ -143,12 +149,14 @@ class MashDB(DB):
         replayer = self._replayer()
         max_seq = 0
         applied = 0
-        whole = None if self.blob_store is None else self.blob_store.record_is_whole
-        for seq, value_type, key, value in replayer.replay(number, whole):
+        for seq, value_type, key, value in replayer.replay(number):
             self.memtable.add(seq, value_type, key, value)
             max_seq = max(max_seq, seq)
             applied += 1
         self.last_recovery_corrupt_shards = replayer.corrupt_shards
+        if self.blob_store is not None and replayer.blob_bytes:
+            # The recovery flush seals the values replay found.
+            self.blob_store.unsealed[number] = replayer.blob_bytes
         return max_seq, applied
 
     _WAL_KIND = "xlog"

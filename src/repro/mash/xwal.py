@@ -23,16 +23,26 @@ Shard record format (framed by :class:`~repro.lsm.wal.LogWriter`)::
 
     [count fixed32] repeated: [seq fixed64][type 1B][varint klen][key]
                               ([varint vlen][value] for PUTs)
+
+With key-value separation on, a value the blob log diverts is logged once,
+here: its op has type :data:`TYPE_BLOB` and carries the value's blob record
+(:func:`repro.lsm.blob.encode_blob_record`) in place of the value. The
+memtable gets a pointer to that record — the generation, the record's offset
+in the key's shard file, its length and its checksum — which the writer
+returns and replay rebuilds from the same bytes. A store without separation
+writes the same bytes it always did.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import CorruptionError
+from repro.lsm.blob import encode_blob_record, pointer_to
 from repro.lsm.format import xlog_file_name
-from repro.lsm.wal import LogReader, LogWriter
+from repro.lsm.wal import RECORD_HEADER_SIZE, LogReader, LogWriter
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.clock import ForkJoinRegion
 from repro.sim.failure import crash_points
@@ -40,6 +50,7 @@ from repro.storage.env import Env
 from repro.storage.local import LocalDevice
 from repro.util.crc import crc32
 from repro.util.encoding import (
+    TYPE_DELETION,
     TYPE_VALUE,
     decode_fixed32,
     decode_fixed64,
@@ -47,6 +58,12 @@ from repro.util.encoding import (
     encode_fixed64,
 )
 from repro.util.varint import get_length_prefixed, put_length_prefixed
+
+if TYPE_CHECKING:
+    from repro.mash.bloblog import BlobLog
+
+TYPE_BLOB = 0x2
+"""Shard-record op type of a diverted value: the op carries its blob record."""
 
 
 @dataclass(frozen=True)
@@ -70,19 +87,24 @@ def shard_of(user_key: bytes, num_shards: int) -> int:
 XWalOp = tuple[int, int, bytes, bytes]  # (sequence, type, key, value)
 
 
-def encode_shard_record(ops: list[XWalOp]) -> bytes:
+def encode_shard_record(ops: list[XWalOp], blob_at: dict[int, int] | None = None) -> bytes:
+    """Encode one shard record; ``blob_at`` collects each :data:`TYPE_BLOB`
+    op's sequence -> where its blob record starts in the returned bytes."""
     out = bytearray()
     out += encode_fixed32(len(ops))
     for seq, value_type, key, value in ops:
         out += encode_fixed64(seq)
         out.append(value_type)
         put_length_prefixed(out, key)
-        if value_type == TYPE_VALUE:
+        if value_type != TYPE_DELETION:
             put_length_prefixed(out, value)
+            if value_type == TYPE_BLOB and blob_at is not None:
+                blob_at[seq] = len(out) - len(value)
     return bytes(out)
 
 
-def decode_shard_record(data: bytes) -> list[XWalOp]:
+def decode_shard_record(data: bytes, blob_at: dict[int, int] | None = None) -> list[XWalOp]:
+    """Decode one shard record; ``blob_at`` as in :func:`encode_shard_record`."""
     if len(data) < 4:
         raise CorruptionError("xwal record shorter than header")
     count = decode_fixed32(data, 0)
@@ -96,12 +118,36 @@ def decode_shard_record(data: bytes) -> list[XWalOp]:
         pos += 9
         key, pos = get_length_prefixed(data, pos)
         value = b""
-        if value_type == TYPE_VALUE:
+        if value_type != TYPE_DELETION:
             value, pos = get_length_prefixed(data, pos)
+            if value_type == TYPE_BLOB and blob_at is not None:
+                blob_at[seq] = pos - len(value)
         ops.append((seq, value_type, key, value))
     if pos != len(data):
         raise CorruptionError("trailing bytes after xwal record")
     return ops
+
+
+def read_shard(data: bytes, number: int) -> tuple[list[XWalOp], int, bool]:
+    """Every op of one shard file of generation ``number`` up to its torn
+    tail, the bytes of the blob records among them, and whether the file had
+    a torn tail. A diverted value comes back as a ``TYPE_VALUE`` op holding
+    the pointer to its blob record, as the writer returned it."""
+    reader = LogReader(data)
+    ops: list[XWalOp] = []
+    blob_bytes = 0
+    for payload in reader:
+        blob_at: dict[int, int] = {}
+        record_ops = decode_shard_record(payload, blob_at)
+        if blob_at:
+            start = reader.bytes_read - len(payload)
+            for i, (seq, value_type, key, value) in enumerate(record_ops):
+                if value_type == TYPE_BLOB:
+                    pointer = pointer_to(number, start + blob_at[seq], value)
+                    record_ops[i] = (seq, TYPE_VALUE, key, pointer)
+                    blob_bytes += len(value)
+        ops.extend(record_ops)
+    return ops, blob_bytes, reader.tail_corrupt
 
 
 class XWalWriter:
@@ -114,33 +160,46 @@ class XWalWriter:
         prefix: str,
         number: int,
         config: XWalConfig,
+        *,
+        blob: BlobLog | None = None,
     ) -> None:
         self.env = env
         self.device = device
         self.prefix = prefix
         self.number = number
         self.config = config
+        self.blob = blob
+        """The blob log that decides which values divert; None: none do."""
         self._shards = [
             LogWriter(env.new_writable_file(xlog_file_name(prefix, number, shard)))
             for shard in range(config.num_shards)
         ]
 
-    def add_record(self, payload: bytes, *, sync: bool = True) -> None:
+    def add_record(self, payload: bytes, *, sync: bool = True) -> WriteBatch | None:
         """Split a WriteBatch payload across shards and append.
 
         Syncs of the touched shards are modelled as concurrent (fork/join):
-        a multi-shard batch pays the *max* shard sync, not the sum.
+        a multi-shard batch pays the *max* shard sync, not the sum. When a
+        value diverts, returns the batch the memtable applies instead: each
+        diverted value replaced by the pointer to its logged blob record.
         """
         batch = WriteBatch.decode(payload)
+        blob = self.blob
         per_shard: dict[int, list[XWalOp]] = {}
+        diverted = 0  # blob record bytes
         seq = batch.sequence
         for op in batch:
+            value_type, value = op.value_type, op.value
+            if blob is not None and value_type == TYPE_VALUE and blob.should_divert(value):
+                value_type, value = TYPE_BLOB, encode_blob_record(seq, op.key, value)
+                diverted += len(value)
             shard = shard_of(op.key, self.config.num_shards)
-            per_shard.setdefault(shard, []).append((seq, op.value_type, op.key, op.value))
+            per_shard.setdefault(shard, []).append((seq, value_type, op.key, value))
             seq += 1
         touched = sorted(per_shard)
         if not touched:
-            return
+            return None
+        pointers: dict[int, bytes] | None = {} if diverted else None
         if sync and len(touched) > 1:
             region = ForkJoinRegion(self.device.clock, [self.device])
             for i, shard in enumerate(touched):
@@ -149,15 +208,43 @@ class XWalWriter:
                     # later ones are not — the torn multi-shard write.
                     crash_points.reach("xwal.partial_sync")
                 with region.branch():
-                    self._shards[shard].add_record(
-                        encode_shard_record(per_shard[shard]), sync=True
-                    )
+                    self._append(shard, per_shard[shard], True, pointers)
             region.join()
         else:
             for shard in touched:
-                self._shards[shard].add_record(
-                    encode_shard_record(per_shard[shard]), sync=sync
-                )
+                self._append(shard, per_shard[shard], sync, pointers)
+        if pointers is None:
+            return None
+        assert blob is not None
+        blob.logged(self.number, len(pointers), diverted)
+        out = WriteBatch()
+        out.sequence = seq = batch.sequence
+        for op in batch:
+            if seq in pointers:
+                out.put(op.key, pointers[seq])
+            elif op.value_type == TYPE_VALUE:
+                out.put(op.key, op.value)
+            else:
+                out.delete(op.key)
+            seq += 1
+        return out
+
+    def _append(
+        self, shard: int, ops: list[XWalOp], sync: bool, pointers: dict[int, bytes] | None
+    ) -> None:
+        """Log one shard record; ``pointers`` collects sequence -> the
+        pointer to each blob record in it."""
+        writer = self._shards[shard]
+        if pointers is None:
+            writer.add_record(encode_shard_record(ops), sync=sync)
+            return
+        blob_at: dict[int, int] = {}
+        payload = encode_shard_record(ops, blob_at)
+        start = writer.offset + RECORD_HEADER_SIZE
+        writer.add_record(payload, sync=sync)
+        for seq, _value_type, _key, record in ops:
+            if seq in blob_at:
+                pointers[seq] = pointer_to(self.number, start + blob_at[seq], record)
 
     def sync(self) -> None:
         for writer in self._shards:
@@ -184,6 +271,9 @@ class XWalReplayer:
         self.config = config
         self.corrupt_shards = 0
         self.records_replayed = 0
+        self.blob_bytes = 0
+        """Bytes of the blob records replayed: the values the generation
+        holds, which its seal counts live."""
 
     def shard_file_names(self, number: int) -> list[str]:
         return [
@@ -191,44 +281,33 @@ class XWalReplayer:
             for shard in range(self.config.num_shards)
         ]
 
-    def replay(
-        self, number: int, whole: Callable[[list[XWalOp]], bool] | None = None
-    ) -> Iterator[XWalOp]:
+    def replay(self, number: int) -> Iterator[XWalOp]:
         """Yield every op of generation ``number``; clock models parallelism.
 
         Ops are yielded shard-by-shard (not in global sequence order) —
         callers insert into the memtable, where explicit sequence numbers
-        make order irrelevant. ``whole`` (the blob log's check that a
-        record's values survived the crash) ends a shard at the first
-        record it rejects, as a torn tail would.
+        make order irrelevant. A diverted value comes back as its pointer.
         """
         names = [n for n in self.shard_file_names(number) if self.env.file_exists(n)]
         if not names:
             return
         region = ForkJoinRegion(self.device.clock, [self.device])
-        collected: list[tuple[list[XWalOp], bool]] = []
+        collected: list[tuple[list[XWalOp], int, bool]] = []
         for name in names:
             with region.branch() as child:
-                data = self.env.read_file(name)
-                reader = LogReader(data)
-                shard_ops: list[XWalOp] = []
-                for record in reader:
-                    ops = decode_shard_record(record)
-                    if whole is not None and not whole(ops):
-                        reader.tail_corrupt = True
-                        break
-                    shard_ops.extend(ops)
+                shard_ops, blob_bytes, torn = read_shard(self.env.read_file(name), number)
                 apply_cost = self.config.apply_cost_per_record * len(shard_ops)
                 child.advance(apply_cost)
                 tracer = getattr(self.device, "tracer", None)
                 if tracer is not None:
                     tracer.charge("cpu", apply_cost)
-                collected.append((shard_ops, reader.tail_corrupt))
+                collected.append((shard_ops, blob_bytes, torn))
         region.join()
         # Shared counters fold *after* the join: branches model concurrent
         # readers, and sibling read-modify-write on self would race.
-        for shard_ops, tail_corrupt in collected:
-            if tail_corrupt:
+        for shard_ops, blob_bytes, torn in collected:
+            if torn:
                 self.corrupt_shards += 1
             self.records_replayed += len(shard_ops)
+            self.blob_bytes += blob_bytes
             yield from shard_ops

@@ -154,10 +154,6 @@ class ShardedDB:
                 shard_config = replace(
                     base,
                     db_prefix=f"db/s{index:02d}/",
-                    # A shard scans without the prefetch schedule: the
-                    # router's branches already overlap the shards' scans,
-                    # and the node keeps that one level of fan-out.
-                    options=replace(base.options, scan_prefetch_depth=0),
                     pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
                 )
                 self.shards.append(

@@ -125,8 +125,9 @@ class CrashPointFired(Exception):
 #: the instrumented modules are imported.
 CRASH_SITES: dict[str, str] = {
     "flush.before_manifest": (
-        "L0 table written and WAL rotated, manifest edit not yet committed "
-        "(orphan table; old WAL generation still replayable)"
+        "blob segments uploaded, L0 table written and WAL rotated, manifest "
+        "edit not yet committed (orphan table and segments; old WAL "
+        "generation still replayable)"
     ),
     "flush.after_manifest": (
         "manifest edit committed, old WAL generation not yet deleted "
@@ -167,16 +168,6 @@ CRASH_SITES: dict[str, str] = {
     "checkpoint.before_manifest": (
         "every checkpoint table copied, checkpoint manifest object absent "
         "(same contract as mid_copy)"
-    ),
-    "bloblog.append": (
-        "blob record appended to the active segment but not synced, and the "
-        "WAL pointer that would reference it never written (torn segment "
-        "tail truncated at recovery; the op was never acked)"
-    ),
-    "bloblog.seal_before_manifest": (
-        "sealed segment object visible in the cloud but absent from the "
-        "MANIFEST (recovery adopts it if the replayed memtable references "
-        "it, else deletes the orphan)"
     ),
     "bloblog.gc_before_segment_delete": (
         "MANIFEST blob-segment delete committed, segment object not yet "

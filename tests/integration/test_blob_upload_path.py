@@ -9,32 +9,38 @@ bytes.
 from dataclasses import replace
 
 from repro.mash.store import RocksMashStore, StoreConfig
+from repro.mash.xwal import shard_of
 
 
 def small_blob_config() -> StoreConfig:
     config = StoreConfig().small()
     return replace(
         config,
-        options=replace(
-            config.options,
-            blob_value_threshold=64,
-            blob_segment_bytes=1 << 10,
-        ),
+        options=replace(config.options, write_buffer_size=1 << 20, blob_value_threshold=64),
     )
 
 
 class TestSmallSegmentSeal:
     def test_small_segment_seal_is_exactly_one_put(self):
+        """A flushed generation seals as one object, however many of the
+        xWAL's shard files its values fall in."""
         store = RocksMashStore.create(small_blob_config())
+        keys = [f"k{i:04d}".encode() for i in range(30)]
+        shards = store.config.xwal.num_shards
+        assert {shard_of(key, shards) for key in keys} == set(range(shards))
+        for key in keys:
+            store.put(key, b"v" * 200, sync=True)
         puts_before = store.counters.get("cloud.put_ops")
-        # Enough oversized values to roll (seal) at least one 1 KiB segment.
-        for i in range(30):
-            store.put(f"k{i:04d}".encode(), b"v" * 200, sync=True)
+        store.flush()
         stats = store.db.blob_store.stats()
-        assert stats["segments_sealed"] > 0
+        assert stats["segments_sealed"] == 1
         assert store.placement.demotions == 0
-        # Nothing flushed, so the seals are the only uploads.
-        assert store.counters.get("cloud.put_ops") - puts_before == stats["segments_sealed"]
+        # The seal is the flush's only upload, and it carries all four
+        # shard files.
+        assert store.counters.get("cloud.put_ops") - puts_before == 1
+        (number,) = store.db.versions.blob_segments
+        assert len(store.db.versions.blob_shards[number]) == shards
+        assert all(store.db.versions.blob_shards[number])
 
 
 class TestSmallTableDemotion:

@@ -1,12 +1,15 @@
 """Blob-log crash-protocol regressions.
 
-Five invariants the review of the blob log hardened:
+Six invariants the review of the blob log hardened:
 
-* recovery's re-seal of a crashed active segment is itself crash-idempotent
-  — a second crash anywhere inside it must leave a durable copy behind;
-* a sync=True WAL append makes *every* earlier unsynced WAL record durable,
-  so the blob bytes behind pointers from prior sync=False batches must be
-  synced first, even by a batch that diverts nothing itself;
+* a diverted value is logged once, inside its xWAL record: a synced put of
+  one is one local sync;
+* a flush's segments commit in the flush's own MANIFEST edit — a crash
+  after their upload and before that commit leaves objects the MANIFEST
+  does not know, and recovery deletes them and seals the replayed values
+  again, even when the recovery's own flush crashes there too;
+* a sync=True WAL append makes *every* earlier unsynced record of its shard
+  durable, values included;
 * the MANIFEST only ever records a segment whose object is already in the
   cloud — a commit that ran ahead of its upload would, after a crash in
   between, leave live pointers into a segment that exists nowhere durable;
@@ -14,9 +17,8 @@ Five invariants the review of the blob log hardened:
   separated stores at creation and an unbranded store refuses to open with
   separation enabled (a raw value starting with the pointer magic would be
   misread as a pointer);
-* an unsynced put whose xWAL record survived a torn-tail crash but whose
-  blob record did not is the start of its shard's torn tail: recovery drops
-  it and opens.
+* an unsynced put whose xWAL record a torn-tail crash cut short is the
+  start of its shard's torn tail: recovery drops it and opens.
 """
 
 from dataclasses import replace
@@ -25,7 +27,7 @@ import pytest
 
 from repro.errors import InvalidArgumentError
 from repro.lsm.check import check_db
-from repro.lsm.format import blob_file_name
+from repro.lsm.format import blob_file_name, parse_file_name, xlog_file_name
 from repro.lsm.version import VersionEdit, VersionSet
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.mash.xwal import XWalConfig
@@ -40,17 +42,12 @@ def _clean_registry():
 
 
 def blob_config() -> StoreConfig:
-    """Blob separation on; big buffers/segments so nothing seals or flushes
+    """Blob separation on; a big write buffer so nothing seals or flushes
     until the test says so."""
     config = StoreConfig().small()
     return replace(
         config,
-        options=replace(
-            config.options,
-            write_buffer_size=1 << 20,
-            blob_value_threshold=64,
-            blob_segment_bytes=1 << 20,
-        ),
+        options=replace(config.options, write_buffer_size=1 << 20, blob_value_threshold=64),
         xwal=XWalConfig(num_shards=1),
     )
 
@@ -69,20 +66,74 @@ def reopen_after(store: RocksMashStore) -> RocksMashStore:
     return store.reopen(crash=True)
 
 
+def unknown_segments(store: RocksMashStore) -> list[str]:
+    """Blob segment objects the MANIFEST does not record."""
+    prefix = store.config.db_prefix
+    return [
+        name
+        for name in store.cloud_store.list_keys(prefix)
+        if (parsed := parse_file_name(prefix, name))
+        and parsed[0] == "blob"
+        and parsed[1] not in store.db.versions.blob_segments
+    ]
+
+
+class TestOneLog:
+    def test_a_synced_diverted_put_is_one_local_sync(self):
+        """The value is logged inside its xWAL record, so the record's sync
+        makes the put durable, value and all: no second log to sync first."""
+        store = RocksMashStore.create(blob_config())
+        before = store.counters.get("local.sync_ops")
+        store.put(key_of(0), big_value(0), sync=True)
+        assert store.counters.get("local.sync_ops") - before == 1
+        assert store.db.blob_store.stats()["records_diverted"] == 1
+        store = store.reopen(crash=True)
+        assert store.get(key_of(0)) == big_value(0)
+        store.close()
+
+
+class TestSegmentCommitsWithItsFlush:
+    def test_crash_between_upload_and_commit_recovers_every_key(self):
+        """A crash at ``flush.before_manifest`` finds the flush's segment
+        uploaded but unknown to the MANIFEST. Recovery deletes it, replays
+        the values from the log and seals them again: every acked key reads
+        back and no segment object is left that the MANIFEST does not know."""
+        config = replace(blob_config(), xwal=XWalConfig(num_shards=4))
+        store = RocksMashStore.create(config)
+        expected = {key_of(i): big_value(i) for i in range(8)}
+        for key, value in expected.items():
+            store.put(key, value, sync=True)
+        crash_points.arm("flush.before_manifest")
+        with pytest.raises(CrashPointFired):
+            store.flush()
+        crash_points.disarm()
+        assert store.db.versions.blob_segments == {}
+        assert len(unknown_segments(store)) == 1, "uploaded, not committed"
+
+        store = store.reopen(crash=True)
+        assert unknown_segments(store) == []
+        assert len(store.db.versions.blob_segments) == 1
+        for key, value in expected.items():
+            assert store.get(key) == value
+        report = check_db(store.env, store.config.db_prefix, store.config.options)
+        assert report.errors == []
+        store.close()
+
+
 class TestRecoveryResealCrash:
-    @pytest.mark.parametrize("site", ["bloblog.seal_before_manifest"])
+    @pytest.mark.parametrize("site", ["flush.before_manifest"])
     def test_crash_inside_recovery_reseal_loses_nothing(self, site):
-        """Crash once with the active segment unmanifested, then crash again
-        inside the recovery that re-seals it. Every acked value must survive
-        the double crash: the re-seal keeps a durable (truncated-in-place)
-        local copy until the MANIFEST edit commits, so the third recovery
-        has something to adopt."""
+        """Crash once with the values only in the log, then crash again
+        inside the recovery flush that seals them, after its upload and
+        before its commit. Every acked value must survive the double crash:
+        the log stays until a seal commits, and the next recovery deletes
+        the uncommitted object and seals again."""
         store = RocksMashStore.create(blob_config())
         expected = {}
         for i in range(8):
             expected[key_of(i)] = big_value(i)
             store.put(key_of(i), expected[key_of(i)], sync=True)
-        assert store.db.blob_store.active_offset > 0, "segment must be active"
+        assert store.db.blob_store.unsealed, "values in the log"
         assert store.db.versions.blob_segments == {}, "and unmanifested"
 
         crash_points.arm(site)
@@ -93,14 +144,15 @@ class TestRecoveryResealCrash:
         store = reopen_after(store)  # crash #2, this recovery must complete
         for key, value in expected.items():
             assert store.get(key) == value
+        assert unknown_segments(store) == []
         report = check_db(store.env, store.config.db_prefix, store.config.options)
         assert report.errors == []
         store.close()
 
     def test_reseal_commit_then_local_cleanup(self):
-        """The happy-path re-seal still cleans up: after an uninterrupted
-        recovery the adopted segment is MANIFEST-known, cloud-resident, and
-        the local copy is gone."""
+        """The recovery flush cleans up: after an uninterrupted recovery the
+        replayed generation's segment is MANIFEST-known and cloud-resident,
+        and the generation's local log is gone."""
         store = RocksMashStore.create(blob_config())
         for i in range(8):
             store.put(key_of(i), big_value(i), sync=True)
@@ -110,15 +162,15 @@ class TestRecoveryResealCrash:
         name = blob_file_name(store.config.db_prefix, number)
         assert store.cloud_store.exists(name)
         assert not store.local_device.exists(name)
+        assert not store.local_device.exists(xlog_file_name(store.config.db_prefix, number, 0))
         store.close()
 
 
 class TestUnsyncedBlobBeforeWalSync:
     def test_later_sync_batch_syncs_earlier_blob_bytes(self):
         """A sync=False diverted put followed by a sync=True put that diverts
-        nothing: the WAL sync makes the earlier pointer record durable, so
-        the blob bytes must be made durable first. Pre-fix this crashed
-        recovery with 'referenced bytes extend past clean prefix'."""
+        nothing: the WAL sync makes the earlier record durable, and its
+        value with it, since the value is inside the record."""
         store = RocksMashStore.create(blob_config())
         large = big_value(0)
         store.put(key_of(0), large, sync=False)
@@ -147,17 +199,17 @@ class TestUnsyncedBlobBeforeWalSync:
 class TestSegmentUploadedBeforeManifest:
     def test_every_recorded_segment_is_already_in_the_cloud(self, monkeypatch):
         """Check the order at the commit itself, on every path that records
-        a segment: flush-time seal, recovery's re-seal of a crashed active
-        segment, and the seal of GC-rewritten residue. No crash schedule
+        a segment: a flush's seal, the recovery flush's seal of replayed
+        values, and the seal of GC-rewritten residue. No crash schedule
         sees a reordering (the uninterrupted run ends in the same state),
         so the commit is intercepted instead. Patched on the class because
-        the re-seal commits inside ``reopen``, on a VersionSet the test
-        never holds."""
+        the recovery flush commits inside ``reopen``, on a VersionSet the
+        test never holds."""
         recorded: list[int] = []
         real_log_and_apply = VersionSet.log_and_apply
 
         def checked_log_and_apply(versions: VersionSet, edit: VersionEdit) -> None:
-            for number, _total, _dead in edit.blob_segments:
+            for number, _total, _dead, _shards in edit.blob_segments:
                 name = blob_file_name(versions.prefix, number)
                 assert versions.env.cloud.store.exists(name), (
                     f"MANIFEST edit records blob segment {number} before "
@@ -171,12 +223,12 @@ class TestSegmentUploadedBeforeManifest:
         store = RocksMashStore.create(blob_config())
         for i in range(8):
             store.put(key_of(i), big_value(i), sync=True)
-        store.flush()  # seals the active segment
+        store.flush()  # seals the generation's log
         assert len(set(recorded)) == 1
 
         for i in range(8, 12):
             store.put(key_of(i), big_value(i), sync=True)
-        store = store.reopen(crash=True)  # recovery re-seals the crashed segment
+        store = store.reopen(crash=True)  # the recovery flush seals the replay
         assert len(set(recorded)) == 2
 
         # Kill most of the first segment so GC rewrites its live residue,

@@ -239,28 +239,28 @@ RETIRED_RULE_MUTATIONS = [
         "mash/xwal.py",
         [
             (
-                "                collected.append((shard_ops, reader.tail_corrupt))\n",
-                "                if reader.tail_corrupt:\n"
+                "                collected.append((shard_ops, blob_bytes, torn))\n",
+                "                if torn:\n"
                 "                    self.corrupt_shards += 1\n"
-                "                collected.append((shard_ops, reader.tail_corrupt))\n",
+                "                collected.append((shard_ops, blob_bytes, torn))\n",
             )
         ],
         "tests/unit/test_xwal.py::TestWriteReplay::test_corrupt_shard_tolerated",
         id="rl006-rmw",
     ),
-    # RL007 S1: the blob sync ahead of a sync=True WAL append is deleted.
+    # RL007 S1: a synced diverted put's log record is appended unsynced.
     pytest.param(
-        "mash/bloblog.py",
+        "mash/xwal.py",
         [
             (
-                "                # batches — their blob bytes must become durable first.\n"
-                "                self.sync_active()\n",
-                "                # batches — their blob bytes must become durable first.\n"
-                "                pass\n",
+                "        start = writer.offset + RECORD_HEADER_SIZE\n"
+                "        writer.add_record(payload, sync=sync)\n",
+                "        start = writer.offset + RECORD_HEADER_SIZE\n"
+                "        writer.add_record(payload, sync=False)\n",
             )
         ],
-        "tests/integration/test_bloblog_crash.py::TestUnsyncedBlobBeforeWalSync"
-        "::test_later_sync_batch_syncs_earlier_blob_bytes",
+        "tests/integration/test_bloblog_crash.py::TestOneLog"
+        "::test_a_synced_diverted_put_is_one_local_sync",
         id="rl007-s1-sync",
     ),
     # RL009: the replay region's join() is deleted.
@@ -268,9 +268,9 @@ RETIRED_RULE_MUTATIONS = [
         "mash/xwal.py",
         [
             (
-                "                collected.append((shard_ops, reader.tail_corrupt))\n"
+                "                collected.append((shard_ops, blob_bytes, torn))\n"
                 "        region.join()\n",
-                "                collected.append((shard_ops, reader.tail_corrupt))\n",
+                "                collected.append((shard_ops, blob_bytes, torn))\n",
             )
         ],
         "tests/unit/test_xwal.py::TestParallelTiming::test_more_shards_recover_faster",
@@ -280,21 +280,13 @@ RETIRED_RULE_MUTATIONS = [
     pytest.param(
         "mash/bloblog.py",
         [
-            # Commit the segment record ahead of the seal's one PUT …
+            # Commit the segment record ahead of the seal's one PUT.
             (
-                "        self.env.cloud.store.put(name, data)\n",
-                "        edit = VersionEdit()\n"
-                "        edit.set_blob_segment(number, len(data), dead)\n"
-                "        self.versions.log_and_apply(edit)\n"
-                "        self.env.cloud.store.put(name, data)\n",
-            ),
-            # … and no longer after the upload.
-            (
-                '        crash_points.reach("bloblog.seal_before_manifest")\n'
-                "        edit = VersionEdit()\n"
-                "        edit.set_blob_segment(number, len(data), dead)\n"
-                "        self.versions.log_and_apply(edit)\n",
-                '        crash_points.reach("bloblog.seal_before_manifest")\n',
+                "            self.env.cloud.store.put(name, data)\n",
+                "            early = VersionEdit()\n"
+                "            early.set_blob_segment(number, len(data), 0, (len(data),))\n"
+                "            self.versions.log_and_apply(early)\n"
+                "            self.env.cloud.store.put(name, data)\n",
             ),
         ],
         "tests/integration/test_bloblog_crash.py::TestSegmentUploadedBeforeManifest",

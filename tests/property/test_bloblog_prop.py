@@ -49,12 +49,13 @@ def key_of(i: int) -> bytes:
 
 def build_store(threshold: int, *, error: float = 0.0, seed: int = 0) -> RocksMashStore:
     """Small store; ``threshold=0`` disables separation (the baseline), and
-    ``error > 0`` fails that share of cloud reads (retried internally)."""
+    ``error > 0`` fails that share of cloud reads (retried internally). A
+    1 KiB write buffer flushes, and seals a segment, every few puts."""
     config = StoreConfig().small()
     config = replace(
         config,
         options=replace(
-            config.options, blob_value_threshold=threshold, blob_segment_bytes=1 << 10
+            config.options, blob_value_threshold=threshold, write_buffer_size=1 << 10
         ),
     )
     store = RocksMashStore.create(config)
@@ -105,7 +106,7 @@ def test_equivalence_survives_cloud_fault_storm(ops, seed):
 @settings(max_examples=5, deadline=None)
 @given(ops=ops)
 def test_equivalence_survives_clean_reopen(ops):
-    """Separation plus a restart: recovery re-adopts segments without
+    """Separation plus a restart: recovery seals the logged values without
     changing a single observable byte."""
     store = build_store(48)
     baseline = observe(build_store(0), ops)

@@ -126,7 +126,7 @@ class TestShardedEquivalence:
             options=replace(
                 base.options,
                 blob_value_threshold=16,
-                blob_segment_bytes=1 << 10,
+                write_buffer_size=1 << 10,
             ),
         )
         single = RocksMashStore.create(base)
@@ -191,7 +191,7 @@ class TestShardedEquivalence:
             options=replace(
                 base.options,
                 blob_value_threshold=64,
-                blob_segment_bytes=1 << 10,
+                write_buffer_size=1 << 10,
             ),
         )
         node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=KEY_SPACE))

@@ -93,8 +93,6 @@ batch_ops = st.lists(write_ops, min_size=1, max_size=6)
 torn_tail_seeds = st.one_of(st.none(), st.integers(0, 1 << 16))
 
 BLOB_THRESHOLD = 8
-# Over the blob threshold: a diverted put.
-blob_values = st.one_of(st.binary(min_size=BLOB_THRESHOLD + 1, max_size=40), st.just(b"v" * 300))
 
 # A batch whose keys land on several xWAL shards, for a direct call of
 # ``crash_at_site``; hypothesis draws its own.
@@ -293,16 +291,15 @@ class StoreMachine(RuleBasedStateMachine):
         skip=st.integers(0, 3),
         torn_tail_seed=torn_tail_seeds,
         ops=st.lists(write_ops, min_size=2, max_size=6),
-        value=blob_values,
     )
-    def crash_at_site(self, site, skip, torn_tail_seed=None, ops=MULTI_SHARD_OPS, value=b"v" * 300):
+    def crash_at_site(self, site, skip, torn_tail_seed=None, ops=MULTI_SHARD_OPS):
         """Die at the ``skip + 1``-th reach of ``site`` inside an op that can
         reach it, or after the op when it never gets there: a multi-shard
-        ``write_batch`` for the xWAL, a diverted put for the blob log's
-        append, ``create_checkpoint`` for a checkpoint, and a flush plus a
-        full compaction for every other site (table, MANIFEST, demotion and
-        blob-segment commits). Each key the interrupted write touched holds
-        its old or its new value; an interrupted checkpoint is invisible."""
+        ``write_batch`` for the xWAL, ``create_checkpoint`` for a checkpoint,
+        and a flush plus a full compaction for every other site (table,
+        MANIFEST, demotion and blob-segment commits). Each key the
+        interrupted write touched holds its old or its new value; an
+        interrupted checkpoint is invisible."""
         family = site.partition(".")[0]
         writes = {}
         name = None
@@ -311,9 +308,6 @@ class StoreMachine(RuleBasedStateMachine):
                 if family == "xwal":
                     writes = dict(ops)
                     self.store.write(self._batch(ops))
-                elif site == "bloblog.append":
-                    writes = {ops[0][0]: value}
-                    self.store.put(ops[0][0], value)
                 elif family == "checkpoint":
                     name = f"cp{self.checkpoints}"
                     self.checkpoints += 1
@@ -569,8 +563,8 @@ def test_the_site_check_catches_a_recovery_that_loses_a_write(monkeypatch):
     holds) loses a write, and the site check says so."""
     replay = XWalReplayer.replay
 
-    def lossy_replay(self, number, whole=None):
-        yield from list(replay(self, number, whole))[:-1]
+    def lossy_replay(self, number):
+        yield from list(replay(self, number))[:-1]
 
     monkeypatch.setattr(XWalReplayer, "replay", lossy_replay)
     with pytest.raises(AssertionError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.mash.store import StoreConfig
+from repro.obs.trace import span_conserved
 from repro.serve import (
     FrontendConfig,
     KeyRangeRouter,
@@ -164,18 +165,26 @@ class TestShardedDB:
         assert node.local_device.tracer is node.tracer
         assert all(shard.tracer is node.tracer for shard in node.shards)
 
-    def test_shards_never_build_a_prefetch_pipeline(self):
-        # The router's branches already overlap the shards' scans, so the
-        # node pins every shard's depth at 0 whatever the base config asks
-        # for.
-        base = StoreConfig().small()
-        base = replace(base, options=replace(base.options, scan_prefetch_depth=2))
-        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=400))
-        for i in range(400):
-            node.put(make_key(i), b"v" * 64)
-        assert len(node.scan(make_key(150), make_key(250))) == 100
-        assert node.tracer.event_count("seek_fanout") == 0
-        assert node.tracer.event_count("prefetch_issue") == 0
+    def test_shard_scans_at_prefetch_depth_2_equal_depth_0(self):
+        # Each shard runs the base config's prefetch schedule inside the
+        # router's branch: the same rows as without it, and every span
+        # still attributes exactly its elapsed time.
+        results = {}
+        for depth in (0, 2):
+            base = StoreConfig().small()
+            base = replace(
+                base,
+                options=replace(base.options, scan_prefetch_depth=depth),
+                placement=replace(base.placement, cloud_level=1),
+            )
+            node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=400))
+            for i in range(400):
+                node.put(make_key(i), b"v" * 64)
+            node.flush()
+            results[depth] = [node.scan(make_key(i), limit=40) for i in range(0, 400, 37)]
+            assert (node.tracer.event_count("prefetch_issue") > 0) == (depth > 0)
+            assert all(span_conserved(span) for span in node.tracer.spans)
+        assert results[2] == results[0]
 
     def test_shards_touched(self):
         node = make_node()
