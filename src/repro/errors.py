@@ -36,6 +36,10 @@ class IOErrorSim(ReproError):
     """A (possibly injected) I/O failure from a simulated device."""
 
 
+class DeviceFullError(IOErrorSim):
+    """A local device has no room for an append."""
+
+
 class ClosedError(ReproError):
     """Operation attempted on a closed database, file, or cache."""
 

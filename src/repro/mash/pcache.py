@@ -1,33 +1,38 @@
 """LSM-aware persistent cache on the local device (the paper's core design).
 
-The cache has two regions, both persisted in append-only *slab* files on the
-local device so contents survive restarts:
+The cache has two regions, each persisted in its own append-only *log* of
+segment files on the local device so contents survive restarts:
 
 * **Metadata region** — the index and filter blocks of every cloud-resident
   SSTable, *pinned* until the table is deleted. Payloads are packed
-  back-to-back in the slab (space-efficient: no per-file padding, no whole
-  files — compare the rocksdb-cloud baseline, which keeps entire table
+  back-to-back in the metadata log (space-efficient: no per-file padding, no
+  whole files — compare the rocksdb-cloud baseline, which keeps entire table
   files locally just to have their metadata nearby). With metadata always
   local, a point miss costs at most one cloud round trip instead of three
   (index + filter + data).
 * **Data region** — popular data blocks, LRU-evicted under a byte budget.
   Admission and compaction-aware pre-warming are driven by
-  :mod:`repro.mash.layout`.
+  :mod:`repro.mash.layout`. Admission is best-effort: a full device skips it.
 
-Both regions use one self-describing record format, so a restart rebuilds
-the in-memory index by scanning the slabs (a corrupt/unsynced tail is
-truncated, like a WAL). Logical eviction leaves garbage in the slab; when
-garbage exceeds half the slab the live entries are rewritten ("slab
-compaction").
+Both logs use one self-describing record format, so a restart rebuilds the
+in-memory index by scanning the segments in order (a corrupt/unsynced tail
+ends its segment, like a WAL; appends go on in a fresh one). The index, not
+the logs, decides what is cached: eviction and invalidation only leave
+garbage behind. A log holding more than 1.5× its live bytes (the data log:
+its data budget) is *cleaned* oldest segment first — one sequential
+read, the still-live records copied forward as raw bytes, the file deleted.
+Oldest-first keeps tombstones sound: one is dropped only once every older
+segment, which could hold what it kills, is gone.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
-from repro.errors import CorruptionError, NotFoundError
+from repro.errors import CorruptionError, DeviceFullError
 from repro.storage.local import LocalDevice
 from repro.util.crc import mask, verify_masked_crc32
 from repro.util.varint import decode_varint, encode_varint
@@ -41,8 +46,12 @@ _KIND_TOMB = 0x54  # 'T' — whole-file tombstone
 _META_OFFSETS = {"index": 0, "filter": 1, "footer": 2}
 _META_KINDS = {offset: kind for kind, offset in _META_OFFSETS.items()}
 
-SLAB_GARBAGE_RATIO = 0.5
-"""Rewrite the slab when dead bytes exceed this fraction of it."""
+SLAB_GARBAGE_RATIO = 1 / 3
+"""Clean a log's oldest segment when dead bytes exceed this fraction of it,
+so a log holds at most 1.5× its live bytes (the data log: its budget)."""
+
+SEGMENTS_PER_BUDGET = 4
+"""A segment is sealed once it holds the data budget over this."""
 
 
 @dataclass(frozen=True)
@@ -55,12 +64,12 @@ class PCacheConfig:
     it is small by construction and pinning it is the design point)."""
 
     sync_every_n_appends: int = 16
-    """Fsync cadence for slab appends; a crash loses at most this many
-    unsynced admissions (harmless: it is a cache)."""
+    """Fsync cadence of each log; a crash loses at most this many unsynced
+    appends of each (harmless: it is a cache)."""
 
 
-_Entry = tuple[int, int]
-"""``(offset of the payload within the slab file, payload length)``."""
+_Entry = tuple[str, int, int, int]
+"""``(segment file, payload offset in it, payload length, record length)``."""
 
 
 @dataclass
@@ -71,12 +80,14 @@ class PCacheStats:
     data_misses: int = 0
     admissions: int = 0
     evictions: int = 0
-    slab_compactions: int = 0
+    segment_cleanings: int = 0
+    full_device_skips: int = 0
+    """Data admissions and cleanings skipped because the device was full."""
     recovered_entries: int = 0
 
 
 def _encode_record(kind: int, name: bytes, block_offset: int, payload: bytes) -> tuple[bytes, int]:
-    """Serialize one slab record; returns (record_bytes, payload_pos_in_record).
+    """Serialize one record; returns (record_bytes, payload_pos_in_record).
 
     ``kind · masked crc32(prefix + payload) · prefix · payload`` with prefix =
     ``varint(len(name)) · name · varint(block_offset) · varint(len(payload))``;
@@ -90,106 +101,136 @@ def _encode_record(kind: int, name: bytes, block_offset: int, payload: bytes) ->
     return record, 5 + len(prefix)
 
 
+def _records(data: bytes) -> Iterator[tuple[int, str, int, int, int, int]]:
+    """``(kind, name, block_offset, record start, payload start, end)`` of each
+    whole record of a segment, up to the first torn or corrupt one."""
+    pos = 0
+    n = len(data)
+    while pos + 5 <= n:
+        stored_crc = int.from_bytes(data[pos + 1 : pos + 5], "little")
+        try:
+            name_len, cursor = decode_varint(data, pos + 5)
+            name = data[cursor : cursor + name_len].decode()
+            cursor += name_len
+            block_offset, cursor = decode_varint(data, cursor)
+            payload_len, payload_start = decode_varint(data, cursor)
+            end = payload_start + payload_len
+            if end > n or not verify_masked_crc32(data[pos + 5 : end], stored_crc):
+                return
+        except (CorruptionError, UnicodeDecodeError):
+            # A torn/garbage tail parses as a truncated varint or a
+            # non-UTF-8 name; stop the scan at the last valid record.
+            # Never broader: CrashPointFired must propagate.
+            return
+        yield data[pos], name, block_offset, pos, payload_start, end
+        pos = end
+
+
+@dataclass
+class _Log:
+    """One append-only log: its segment files, oldest first, and their sizes."""
+
+    tag: str
+    segments: dict[str, int] = field(default_factory=dict)
+    size: int = 0  # of all its segments
+    active: str | None = None  # the segment appends go to
+    pending: int = 0  # unsynced appends to it
+
+
 class PersistentCache:
     """The on-device persistent cache. Use :meth:`open` to (re)build one."""
 
-    SLAB = "cache.slab"
+    SLAB = "cache.slab"  # what earlier builds wrote: recovered as the oldest metadata segment
 
     def __init__(self, device: LocalDevice, config: PCacheConfig | None = None) -> None:
         self.device = device
         self.config = config or PCacheConfig()
         self.stats = PCacheStats()
-        self._slab_name = self.config.prefix + self.SLAB
+        self._meta_log = _Log("meta")
+        self._data_log = _Log("data")
+        self._next_segment = 1
+        self._segment_bytes = self.config.data_budget_bytes // SEGMENTS_PER_BUDGET
         self._meta: dict[tuple[str, str], _Entry] = {}
         self._data: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
         self._data_offsets: dict[str, set[int]] = {}  # file -> offsets in _data, for drop_file
-        self._slab_size = 0
-        self._live_bytes = 0
+        self._live: Counter[str] = Counter()  # segment -> record bytes of the entries in it
         self._data_bytes = 0
         self._meta_bytes = 0
-        self._pending_appends = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     @classmethod
     def open(cls, device: LocalDevice, config: PCacheConfig | None = None) -> "PersistentCache":
-        """Create a cache, recovering contents from an existing slab."""
+        """Create a cache, recovering contents from existing segments."""
         cache = cls(device, config)
-        if device.exists(cache._slab_name):
-            cache._recover()
-        else:
-            device.create(cache._slab_name)
-            device.sync(cache._slab_name)
+        cache._recover()
         return cache
 
     def _recover(self) -> None:
-        data = self.device.read(self._slab_name)
-        pos = 0
-        n = len(data)
-        valid_upto = 0
-        dropped: set[str] = set()
-        while pos + 5 <= n:
-            kind = data[pos]
-            stored_crc = int.from_bytes(data[pos + 1 : pos + 5], "little")
-            try:
-                body_start = pos + 5
-                name_len, cursor = decode_varint(data, body_start)
-                name = data[cursor : cursor + name_len].decode()
-                cursor += name_len
-                block_offset, cursor = decode_varint(data, cursor)
-                payload_len, cursor = decode_varint(data, cursor)
-                payload_start = cursor
-                end = payload_start + payload_len
-                if end > n:
-                    break
-                if not verify_masked_crc32(bytes(data[body_start:end]), stored_crc):
-                    break
-            except (CorruptionError, UnicodeDecodeError):
-                # A torn/garbage tail parses as a truncated varint or a
-                # non-UTF-8 name; stop the scan at the last valid record.
-                # Never broader: CrashPointFired must propagate.
-                break
-            if kind == _KIND_TOMB:
-                dropped.add(name)
-                self._forget_file(name)
-            elif kind == _KIND_META:
-                dropped.discard(name)
-                kind_str = _META_KINDS.get(block_offset)
-                if kind_str is not None:
-                    self._index_meta(name, kind_str, (payload_start, payload_len))
-            elif kind == _KIND_DATA:
-                dropped.discard(name)
-                self._index_data(name, block_offset, (payload_start, payload_len))
-            pos = end
-            valid_upto = end
-        self._slab_size = valid_upto
+        prefix = self.config.prefix
+        found: list[tuple[int, int, str]] = []
+        for name in self.device.list_files(prefix):
+            tag, _, number = name[len(prefix) :].partition(".")
+            if name == prefix + self.SLAB:
+                found.append((0, 0, name))
+            elif tag in ("meta", "data"):
+                found.append((1 if tag == "data" else 2, int(number), name))
+                self._next_segment = max(self._next_segment, int(number) + 1)
+        # The oldest file first, then the data log: a metadata tombstone
+        # then also drops the file's blocks, evicted ones included.
+        for rank, _, name in sorted(found):
+            log = self._data_log if rank == 1 else self._meta_log
+            data = self.device.read(name)
+            valid_upto = 0
+            for kind, file_name, block_offset, start, payload_start, valid_upto in _records(data):
+                entry = (name, payload_start, valid_upto - payload_start, valid_upto - start)
+                if kind == _KIND_TOMB:
+                    self._forget_file(file_name)
+                elif kind == _KIND_DATA:
+                    self._index_data(file_name, block_offset, entry)
+                elif block_offset in _META_KINDS:
+                    self._index_meta(file_name, _META_KINDS[block_offset], entry)
+            log.segments[name] = len(data)
+            log.size += len(data)
+            # A torn tail ends its segment: appends go on in a fresh one.
+            log.active = name if valid_upto == len(data) else None
         self.stats.recovered_entries = len(self._meta) + len(self._data)
         self._enforce_budget()
-        # A torn tail means the durable file may extend past valid_upto with
-        # garbage; rewriting the slab restores the clean-append invariant.
-        if valid_upto != n:
-            self._compact_slab()
 
     def close(self) -> None:
         self.sync()
 
     # -- write plumbing ----------------------------------------------------------
 
-    def _append_record(self, kind: int, name: str, block_offset: int, payload: bytes) -> _Entry:
-        record, payload_pos = _encode_record(kind, name.encode(), block_offset, payload)
-        entry = (self._slab_size + payload_pos, len(payload))
-        self.device.append(self._slab_name, record)
-        self._slab_size += len(record)
-        self._pending_appends += 1
-        if self._pending_appends >= self.config.sync_every_n_appends:
-            self.sync()
-        return entry
+    def _append(self, log: _Log, record: bytes, payload_pos: int) -> _Entry:
+        """Append one encoded record to ``log``; a sealed active segment is
+        replaced first, once its appends are synced."""
+        name = log.active
+        if name is None or (log.segments[name] >= self._segment_bytes and not log.pending):
+            name = f"{self.config.prefix}{log.tag}.{self._next_segment:06d}"
+            self.device.create(name)
+            self._next_segment += 1
+            log.segments[name] = 0
+            log.active = name
+        self.device.append(name, record)
+        size = len(record)
+        offset = log.segments[name]
+        log.segments[name] = offset + size
+        log.size += size
+        log.pending += 1
+        if log.pending >= self.config.sync_every_n_appends:
+            self._sync_log(log)
+        return name, offset + payload_pos, size - payload_pos, size
+
+    def _sync_log(self, log: _Log) -> None:
+        if log.pending and log.active is not None:
+            self.device.sync(log.active)
+            log.pending = 0
 
     def sync(self) -> None:
-        """Flush pending slab appends to durable storage."""
-        if self._pending_appends:
-            self.device.sync(self._slab_name)
-            self._pending_appends = 0
+        """Flush pending log appends to durable storage."""
+        self._sync_log(self._meta_log)
+        self._sync_log(self._data_log)
 
     # -- metadata region -------------------------------------------------------------
 
@@ -199,20 +240,20 @@ class PersistentCache:
             raise ValueError(f"unknown metadata kind {kind!r}")
         if (file_name, kind) in self._meta:
             return
-        entry = self._append_record(
-            _KIND_META, file_name, _META_OFFSETS[kind], payload
-        )
+        offset = _META_OFFSETS[kind]
+        record, payload_pos = _encode_record(_KIND_META, file_name.encode(), offset, payload)
+        entry = self._append(self._meta_log, record, payload_pos)
         self._index_meta(file_name, kind, entry)
         self.stats.admissions += 1
 
     def _index_meta(self, file_name: str, kind: str, entry: _Entry) -> None:
         old = self._meta.get((file_name, kind))
         if old is not None:
-            self._live_bytes -= old[1]
-            self._meta_bytes -= old[1]
+            self._meta_bytes -= old[2]
+            self._live[old[0]] -= old[3]
         self._meta[(file_name, kind)] = entry
-        self._live_bytes += entry[1]
-        self._meta_bytes += entry[1]
+        self._meta_bytes += entry[2]
+        self._live[entry[0]] += entry[3]
 
     def get_meta(self, file_name: str, kind: str) -> bytes | None:
         entry = self._meta.get((file_name, kind))
@@ -220,36 +261,41 @@ class PersistentCache:
             self.stats.meta_misses += 1
             return None
         self.stats.meta_hits += 1
-        return self._read_entry(entry)
+        return self.device.read(entry[0], entry[1], entry[2])
 
     # -- data region ------------------------------------------------------------------
 
     def put_data(self, file_name: str, block_offset: int, payload: bytes) -> None:
         """Admit a data block the first time it is offered; may evict LRU
-        victims to stay under budget."""
+        victims to stay under budget. A full device skips the admission."""
         if len(payload) > self.config.data_budget_bytes:
             return
         key = (file_name, block_offset)
         if key in self._data:
             self._data.move_to_end(key)
             return
-        entry = self._append_record(_KIND_DATA, file_name, block_offset, payload)
+        record, payload_pos = _encode_record(_KIND_DATA, file_name.encode(), block_offset, payload)
+        try:
+            entry = self._append(self._data_log, record, payload_pos)
+        except DeviceFullError:
+            self.stats.full_device_skips += 1
+            return
         self._index_data(file_name, block_offset, entry)
         self.stats.admissions += 1
         self._enforce_budget()
-        self._maybe_compact_slab()
+        self._maybe_clean(self._data_log)
 
     def _index_data(self, file_name: str, block_offset: int, entry: _Entry) -> None:
         key = (file_name, block_offset)
         old = self._data.pop(key, None)
         if old is not None:
-            self._live_bytes -= old[1]
-            self._data_bytes -= old[1]
+            self._data_bytes -= old[2]
+            self._live[old[0]] -= old[3]
         else:
             self._data_offsets.setdefault(file_name, set()).add(block_offset)
         self._data[key] = entry
-        self._live_bytes += entry[1]
-        self._data_bytes += entry[1]
+        self._data_bytes += entry[2]
+        self._live[entry[0]] += entry[3]
 
     def get_data(self, file_name: str, block_offset: int) -> bytes | None:
         key = (file_name, block_offset)
@@ -259,87 +305,98 @@ class PersistentCache:
             return None
         self._data.move_to_end(key)
         self.stats.data_hits += 1
-        return self._read_entry(entry)
+        # Unsynced appends are readable too (page cache semantics).
+        return self.device.read(entry[0], entry[1], entry[2])
 
     def contains_data(self, file_name: str, block_offset: int) -> bool:
         """Presence check without touching LRU order or hit counters."""
         return (file_name, block_offset) in self._data
 
-    def _read_entry(self, entry: _Entry) -> bytes:
-        # Unsynced appends are readable too (page cache semantics).
-        return self.device.read(self._slab_name, *entry)
-
     # -- invalidation ------------------------------------------------------------------
 
     def drop_file(self, file_name: str) -> None:
         """Invalidate every block of a deleted SSTable (persistently); a file
-        the cache holds nothing of costs no tombstone."""
-        if file_name not in self._data_offsets and not any(
-            (file_name, kind) in self._meta for kind in _META_OFFSETS
-        ):
+        the cache holds nothing of costs no tombstone. It goes to each log
+        that holds an entry of the file; recovery applies the metadata log's
+        after the data log, so they also drop the file's evicted blocks."""
+        logs = [self._data_log] if file_name in self._data_offsets else []
+        if any((file_name, kind) in self._meta for kind in _META_OFFSETS):
+            logs.append(self._meta_log)
+        if not logs:
             return
-        self._append_record(_KIND_TOMB, file_name, 0, b"")
+        record, payload_pos = _encode_record(_KIND_TOMB, file_name.encode(), 0, b"")
+        for log in logs:
+            self._append(log, record, payload_pos)
         self._forget_file(file_name)
-        self._maybe_compact_slab()
+        self._maybe_clean(self._meta_log)
+        self._maybe_clean(self._data_log)
 
     def _forget_file(self, file_name: str) -> None:
         for kind in _META_OFFSETS:
             entry = self._meta.pop((file_name, kind), None)
             if entry is not None:
-                self._live_bytes -= entry[1]
-                self._meta_bytes -= entry[1]
+                self._meta_bytes -= entry[2]
+                self._live[entry[0]] -= entry[3]
         for block_offset in self._data_offsets.pop(file_name, ()):
-            length = self._data.pop((file_name, block_offset))[1]
-            self._live_bytes -= length
-            self._data_bytes -= length
+            entry = self._data.pop((file_name, block_offset))
+            self._data_bytes -= entry[2]
+            self._live[entry[0]] -= entry[3]
 
-    # -- budget & slab hygiene -------------------------------------------------------------
+    # -- budget & log cleaning -------------------------------------------------------------
 
     def _enforce_budget(self) -> None:
         while self._data_bytes > self.config.data_budget_bytes and self._data:
-            (file_name, block_offset), (_, length) = self._data.popitem(last=False)
+            (file_name, block_offset), entry = self._data.popitem(last=False)
             offsets = self._data_offsets[file_name]
             offsets.discard(block_offset)
             if not offsets:
                 del self._data_offsets[file_name]
-            self._live_bytes -= length
-            self._data_bytes -= length
+            self._data_bytes -= entry[2]
+            self._live[entry[0]] -= entry[3]
             self.stats.evictions += 1
 
-    def _maybe_compact_slab(self) -> None:
-        garbage = self._slab_size - self._live_bytes
-        if self._slab_size < (64 << 10):
-            return
-        if garbage / self._slab_size <= SLAB_GARBAGE_RATIO:
-            return
-        self._compact_slab()
+    def _maybe_clean(self, log: _Log) -> None:
+        bound = SLAB_GARBAGE_RATIO * log.size
+        floor = self.config.data_budget_bytes if log is self._data_log else 0  # of its live bytes
+        if len(log.segments) > 1 and log.size - floor > bound:  # the cheap test first
+            if log.size - sum(self._live[name] for name in log.segments) > bound:
+                self._clean(log)
 
-    def _compact_slab(self) -> None:
-        """Rewrite live entries into a fresh slab, dropping garbage."""
-        self.sync()
-        live_meta = {
-            key: self._read_entry(entry) for key, entry in self._meta.items()
-        }
-        live_data = {
-            key: self._read_entry(entry) for key, entry in self._data.items()
-        }
-        try:
-            self.device.delete(self._slab_name)
-        except NotFoundError:
-            pass
-        self.device.create(self._slab_name)
-        self._slab_size = 0
-        self._live_bytes = self._data_bytes = self._meta_bytes = 0
-        self._meta = {}
-        self._data = OrderedDict()  # refilled in the same (LRU) order
-        for (file_name, kind), payload in live_meta.items():
-            entry = self._append_record(_KIND_META, file_name, _META_OFFSETS[kind], payload)
-            self._index_meta(file_name, kind, entry)
-        for (file_name, block_offset), payload in live_data.items():
-            entry = self._append_record(_KIND_DATA, file_name, block_offset, payload)
-            self._index_data(file_name, block_offset, entry)
-        self.sync()
-        self.stats.slab_compactions += 1
+    def _clean(self, log: _Log) -> None:
+        """Copy the oldest segment's live records forward, then delete it.
+
+        Its tombstones go: every older segment is already gone. A crash
+        before the delete leaves both copies of a record, and the newer one
+        wins at recovery."""
+        name = next(iter(log.segments))
+        if self._live[name]:  # a segment with no live record is deleted unread
+            try:
+                self._copy_live(name, self.device.read(name))
+            except DeviceFullError:
+                self.stats.full_device_skips += 1
+                return
+            self.sync()
+        self.device.delete(name)
+        self._live.pop(name, None)
+        log.size -= log.segments.pop(name)
+        self.stats.segment_cleanings += 1
+
+    def _copy_live(self, name: str, data: bytes) -> None:
+        """Append each record of segment ``name`` the index still points at to
+        its region's log; the entry moves in place, keeping its LRU position."""
+        for kind, file_name, block_offset, start, payload_start, end in _records(data):
+            entry = (name, payload_start, end - payload_start, end - start)
+            data_key = (file_name, block_offset)
+            meta_key = (file_name, _META_KINDS.get(block_offset, ""))
+            record, pos = data[start:end], payload_start - start
+            if kind == _KIND_DATA and self._data.get(data_key) == entry:
+                self._data[data_key] = copy = self._append(self._data_log, record, pos)
+            elif kind == _KIND_META and self._meta.get(meta_key) == entry:
+                self._meta[meta_key] = copy = self._append(self._meta_log, record, pos)
+            else:
+                continue
+            self._live[name] -= entry[3]
+            self._live[copy[0]] += copy[3]
 
     # -- accounting -------------------------------------------------------------------------
 
@@ -354,8 +411,8 @@ class PersistentCache:
 
     @property
     def slab_bytes(self) -> int:
-        """Physical slab footprint on the device (live + garbage)."""
-        return self._slab_size
+        """Device footprint of both logs (live + garbage)."""
+        return self._meta_log.size + self._data_log.size
 
     def __len__(self) -> int:
         return len(self._meta) + len(self._data)

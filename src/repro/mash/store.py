@@ -499,11 +499,13 @@ class RocksMashStore(StoreFacade):
     def metrics(self) -> dict[str, int | float]:
         """:meth:`StoreFacade.metrics` plus the persistent cache
         (``pcache.<PCacheStats field>``, ``pcache.meta_bytes`` /
-        ``data_bytes``), ``demotions`` and ``prewarmed_blocks``."""
+        ``data_bytes`` / ``slab_bytes``), ``demotions`` and
+        ``prewarmed_blocks``."""
         out = super().metrics()
         out.update({f"pcache.{name}": n for name, n in asdict(self.pcache.stats).items()})
         out["pcache.meta_bytes"] = self.pcache.meta_bytes
         out["pcache.data_bytes"] = self.pcache.data_bytes
+        out["pcache.slab_bytes"] = self.pcache.slab_bytes
         out["demotions"] = self.placement.demotions
         out["prewarmed_blocks"] = self.heat.prewarmed_blocks
         return out

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import IOErrorSim, NotFoundError
+from repro.errors import DeviceFullError, IOErrorSim, NotFoundError
 from repro.metrics.counters import CounterSet
 from repro.sim.clock import ClockCharged, SimClock
 from repro.sim.failure import FaultInjector
@@ -41,9 +41,9 @@ class LocalDevice(ClockCharged):
     Args:
         clock: simulated clock charged for every I/O.
         model: latency/bandwidth model (defaults to NVMe-class).
-        capacity_bytes: optional hard capacity; exceeding it raises
-            :class:`IOErrorSim` (placement layers are expected to stay under
-            budget, so hitting this is a bug signal, not flow control).
+        capacity_bytes: optional hard capacity; an append past it raises
+            :class:`DeviceFullError` (an :class:`IOErrorSim`), which the
+            persistent cache's optional writes skip.
         counters: metrics sink (``local.read_ops`` etc.); a private set is
             created when omitted.
         faults: optional fault injector applied to reads/syncs.
@@ -79,7 +79,7 @@ class LocalDevice(ClockCharged):
         """Buffer ``data`` at the end of ``name`` (durable after ``sync``)."""
         state = self._require(name)
         if self.capacity_bytes is not None and self.used_bytes() + len(data) > self.capacity_bytes:
-            raise IOErrorSim(
+            raise DeviceFullError(
                 f"local device over capacity: {self.used_bytes() + len(data)}"
                 f" > {self.capacity_bytes}"
             )

@@ -13,7 +13,7 @@ in an E-series table.
 The second script pins the whole stack below DRAM the same way — persistent
 cache, scan-primed buffers, per-table readahead, demand reads — with both
 caches starved (2 KiB DRAM, 16 KiB pcache) so that admission, eviction and
-slab compaction all fire. Its literals were recorded at the commit *before*
+the persistent cache's reclaim all fire. Its literals were recorded at the commit *before*
 the loader closures became the block stack (``repro.lsm.block_cache``); the
 closures are gone, so the numbers are the oracle.
 
@@ -57,6 +57,17 @@ literals were re-recorded by running both scripts on that change: step 0 of
 each came out equal to the old literals, and the first step of cold point
 reads (step 1 of each) is the first to move (``cloud_get`` 40 → 132 in the
 first script; ``readahead_hit`` 53 → 0 in the stack script).
+
+The stack script moved once more, on purpose, when the persistent cache's
+single slab and its whole-slab compaction became two logs of segment files
+cleaned oldest segment first. Only where cached bytes sit moved, never what
+is cached: on every step the pcache hit, miss, admission and eviction
+counts, ``cloud.get_ops``, every event count and every span checksum came
+out equal to the old literals. The reclaim count (slab compactions, now
+segment cleanings), ``local.read_ops`` / ``read_bytes`` / ``write_bytes`` and
+the clock were re-recorded: a cleaning reads a segment in one read and
+copies only its live records, where a compaction read every live entry
+one by one and rewrote them all.
 """
 
 import dataclasses
@@ -141,7 +152,7 @@ COUNTERS = ("cloud.get_ops", "local.read_ops", "local.read_bytes", "local.write_
 
 def run_stack_script():
     """Per step: (pcache data hits, data misses, meta hits, meta misses,
-    admissions, evictions, slab compactions), COUNTERS, STACK_EVENTS counts,
+    admissions, evictions, segment cleanings), COUNTERS, STACK_EVENTS counts,
     crc32 of the step's ``(op, events)`` span list, and the simulated clock.
     Labelled steps also keep their span list."""
     config = StoreConfig().small()
@@ -165,7 +176,7 @@ def run_stack_script():
         trace.append(
             (
                 (stats.data_hits, stats.data_misses, stats.meta_hits, stats.meta_misses,
-                 stats.admissions, stats.evictions, stats.slab_compactions),
+                 stats.admissions, stats.evictions, stats.segment_cleanings),
                 tuple(store.counters.get(name) for name in COUNTERS),
                 tuple(store.tracer.event_count(event) for event in STACK_EVENTS),
                 zlib.crc32(repr(spans).encode()),
@@ -210,7 +221,7 @@ def run_stack_script():
     snap()
     assert len(store.scan(key(0), key(300))) == 300
     snap()
-    for i in range(2500):  # churn: enough admissions for slab compactions
+    for i in range(2500):  # churn: enough admissions for segment cleanings
         assert store.get(key(i * 611 % 1500)) is not None
     snap()
     store.close()
@@ -219,36 +230,36 @@ def run_stack_script():
 
 # fmt: off
 STACK_EXPECTED = [
-    ((0, 0, 276, 276, 198, 0, 0), (38, 821, 648825, 759166),
-     (0, 0, 0, 142, 0, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 3757877503, 1.3037603096666646),
-    ((223, 277, 351, 285, 419, 194, 3), (259, 1502, 875392, 956479),
-     (0, 223, 0, 204, 221, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1580503153, 4.688618635166635),
-    ((223, 278, 351, 285, 420, 195, 3), (260, 1502, 875392, 958657),
-     (0, 223, 0, 204, 222, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 4.703726687166635),
-    ((223, 278, 351, 285, 420, 195, 3), (260, 1502, 875392, 958657),
-     (1, 223, 0, 204, 222, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 4.703726687166635),
-    ((498, 303, 351, 285, 445, 220, 3), (285, 1777, 1017325, 971585),
-     (1, 498, 0, 204, 247, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 2549497580, 5.101568147333273),
-    ((499, 303, 351, 285, 445, 220, 3), (285, 1778, 1017847, 971585),
-     (1, 499, 0, 204, 247, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 5.101648408333273),
-    ((514, 348, 351, 285, 451, 226, 3), (291, 1796, 1027120, 973688),
-     (1, 514, 36, 207, 253, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 970909070, 5.193466446833272),
-    ((514, 352, 351, 285, 452, 227, 3), (292, 1798, 1028177, 975865),
-     (1, 514, 37, 209, 254, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 2312438077, 5.208740714166606),
-    ((517, 356, 351, 285, 454, 229, 3), (294, 1802, 1030273, 975865),
-     (1, 517, 38, 210, 256, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3594308096, 5.239081549666605),
-    ((523, 380, 351, 285, 475, 250, 3), (315, 1811, 1034843, 986542),
-     (1, 523, 38, 213, 277, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 3722543108, 5.299513574166606),
-    ((523, 380, 450, 351, 681, 356, 6), (336, 2536, 1368101, 1377706),
-     (1, 523, 38, 241, 277, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 5.858742540499936),
-    ((523, 380, 1419, 549, 1411, 577, 11), (504, 5236, 2567779, 2483010),
-     (1, 523, 38, 261, 277, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 9.764116048499943),
-    ((523, 598, 1503, 549, 1629, 764, 14), (722, 5665, 2653393, 2682362),
-     (158, 523, 38, 261, 495, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 936157034, 13.084322494333291),
-    ((523, 642, 1503, 549, 1635, 770, 14), (728, 5665, 2653393, 2686711),
-     (158, 523, 76, 261, 501, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2051873902, 13.174810543666627),
-    ((1927, 1738, 1503, 549, 2731, 1866, 29), (1824, 8800, 3760343, 3694708),
-     (158, 1927, 76, 261, 1597, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 2798003238, 29.945623804167663),
+    ((0, 0, 276, 276, 198, 0, 6), (38, 827, 674969, 773370),
+     (0, 0, 0, 142, 0, 76, 38, 0, 0, 0, 63, 33, 0, 0, 0, 0), 3757877503, 1.307665475666664),
+    ((223, 277, 351, 285, 419, 194, 38), (259, 1222, 984141, 948373),
+     (0, 223, 0, 204, 221, 126, 63, 705, 205, 0, 63, 33, 0, 0, 0, 0), 1580503153, 4.665370230333314),
+    ((223, 278, 351, 285, 420, 195, 38), (260, 1222, 984141, 948373),
+     (0, 223, 0, 204, 222, 126, 63, 707, 206, 0, 63, 33, 0, 0, 0, 0), 296170121, 4.680376830333315),
+    ((223, 278, 351, 285, 420, 195, 38), (260, 1222, 984141, 948373),
+     (1, 223, 0, 204, 222, 126, 63, 709, 207, 0, 63, 33, 0, 0, 0, 0), 1721121936, 4.680376830333315),
+    ((498, 303, 351, 285, 445, 220, 44), (285, 1503, 1154723, 977639),
+     (1, 498, 0, 204, 247, 126, 63, 1009, 207, 0, 63, 33, 0, 0, 0, 0), 2549497580, 5.079723506999954),
+    ((499, 303, 351, 285, 445, 220, 44), (285, 1504, 1155245, 977639),
+     (1, 499, 0, 204, 247, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 1364473233, 5.0798037679999535),
+    ((514, 348, 351, 285, 451, 226, 46), (291, 1524, 1175412, 987363),
+     (1, 514, 36, 207, 253, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 970909070, 5.17219233416662),
+    ((514, 352, 351, 285, 452, 227, 46), (292, 1526, 1176469, 987363),
+     (1, 514, 37, 209, 254, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 2312438077, 5.18736515016662),
+    ((517, 356, 351, 285, 454, 229, 47), (294, 1531, 1184552, 992262),
+     (1, 517, 38, 210, 256, 126, 63, 1010, 207, 0, 63, 33, 0, 0, 0, 0), 3594308096, 5.21809224516662),
+    ((523, 380, 351, 285, 475, 250, 50), (315, 1543, 1203060, 1008782),
+     (1, 523, 38, 213, 277, 126, 63, 1053, 220, 0, 63, 33, 0, 0, 0, 0), 3722543108, 5.278870865499953),
+    ((523, 380, 450, 351, 681, 356, 83), (336, 1963, 1619901, 1395094),
+     (1, 523, 38, 241, 277, 144, 72, 1053, 220, 0, 87, 42, 0, 0, 0, 0), 3271145321, 5.828863306499956),
+    ((523, 380, 1419, 549, 1411, 577, 160), (504, 3946, 3038051, 2515911),
+     (1, 523, 38, 261, 277, 454, 227, 1053, 220, 0, 255, 49, 0, 0, 0, 0), 2678183634, 9.689364841499975),
+    ((523, 598, 1503, 549, 1629, 764, 186), (722, 4030, 3047543, 2631578),
+     (158, 523, 38, 261, 495, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 936157034, 12.972977436333275),
+    ((523, 642, 1503, 549, 1635, 770, 187), (728, 4030, 3047543, 2635927),
+     (158, 523, 76, 261, 501, 510, 255, 1428, 220, 0, 255, 49, 0, 0, 0, 0), 2051873902, 13.063465485666612),
+    ((1927, 1738, 1503, 549, 2731, 1866, 355), (1824, 5547, 4329070, 3440080),
+     (158, 1927, 76, 261, 1597, 510, 255, 3928, 220, 0, 255, 49, 0, 0, 0, 0), 2798003238, 29.674690138667046),
 ]
 
 STACK_SPANS = {

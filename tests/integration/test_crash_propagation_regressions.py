@@ -60,7 +60,7 @@ class TestIsCloudFileSite:
 
 
 class TestPCacheRecoverySite:
-    """mash/pcache.py: the slab-recovery loop must not eat a crash point."""
+    """mash/pcache.py: the segment-recovery loop must not eat a crash point."""
 
     def _device_with_slab(self):
         device = LocalDevice(SimClock())
@@ -98,9 +98,9 @@ class TestPCacheRecoverySite:
         # The narrowed handler still does its real job: a torn/garbage tail
         # ends the scan at the last valid record instead of raising.
         device = self._device_with_slab()
-        slab = PCacheConfig().prefix + PersistentCache.SLAB
-        device.append(slab, b"\x01\xff\xff\xff\xff\xff\xff\xff")
-        device.sync(slab)
+        for segment in device.list_files(PCacheConfig().prefix):  # both logs' active segments
+            device.append(segment, b"\x01\xff\xff\xff\xff\xff\xff\xff")
+            device.sync(segment)
         cache = PersistentCache.open(device)
         assert cache.get_meta("t1.sst", "index") == b"index-bytes"
         assert cache.get_data("t1.sst", 0) == b"block-bytes"

@@ -1,9 +1,11 @@
 """Unit tests for the LSM-aware persistent cache."""
 
 import random
+from operator import itemgetter
 
 import pytest
 
+from repro.errors import DeviceFullError, IOErrorSim
 from repro.mash.pcache import (
     _KIND_DATA,
     _KIND_META,
@@ -11,8 +13,10 @@ from repro.mash.pcache import (
     PCacheConfig,
     PersistentCache,
     _encode_record,
+    _records,
 )
 from repro.sim.clock import SimClock
+from repro.sim.failure import FaultInjector
 from repro.storage.local import LocalDevice
 from repro.util.crc import masked_crc32
 from repro.util.varint import encode_varint
@@ -179,15 +183,31 @@ class TestPersistence:
         assert cache2.get_data("t.sst", 1) is None
 
     def test_torn_tail_truncated(self, device):
-        config = PCacheConfig(data_budget_bytes=10_000, sync_every_n_appends=1)
+        """A torn tail in the active segment ends only that segment: every
+        other segment recovers whole, nothing is rewritten, and appends go on
+        in a fresh segment."""
+        config = PCacheConfig(data_budget_bytes=1000, sync_every_n_appends=1)
         cache = PersistentCache.open(device, config)
-        cache.put_data("t.sst", 0, b"good-entry")
-        cache.sync()
-        # Append garbage directly to the slab to simulate a torn write.
-        device.append(cache._slab_name, b"\x44garbage-torn-record")
-        device.sync(cache._slab_name)
+        cache.put_meta("t.sst", "index", b"index-payload")
+        for i in range(6):
+            cache.put_data("t.sst", i, bytes([i]) * 100)
+        torn = cache._data_log.active
+        assert len(cache._data_log.segments) > 1
+        # Append garbage directly to the active segment to simulate a torn write.
+        device.append(torn, b"\x44garbage-torn-record")
+        device.sync(torn)
+        files = {name: device.read(name) for name in device.list_files()}
         cache2 = PersistentCache.open(device, config)
-        assert cache2.get_data("t.sst", 0) == b"good-entry"
+        assert {name: device.read(name) for name in device.list_files()} == files
+        assert cache2.get_meta("t.sst", "index") == b"index-payload"
+        assert [cache2.get_data("t.sst", i) for i in range(6)] == [bytes([i]) * 100 for i in range(6)]
+        cache2.put_data("t.sst", 6, b"after")
+        assert cache2._data_log.active not in files
+        assert device.read(torn) == files[torn]
+        cache2.sync()
+        cache3 = PersistentCache.open(device, config)
+        assert cache3.get_data("t.sst", 6) == b"after"
+        assert cache3.get_data("t.sst", 5) == bytes([5]) * 100
 
     def test_budget_enforced_after_recovery(self, device):
         big = PCacheConfig(data_budget_bytes=100_000, sync_every_n_appends=1)
@@ -200,8 +220,36 @@ class TestPersistence:
         assert cache2.data_bytes <= 500
 
 
-class TestSlabCompaction:
-    def test_garbage_triggers_compaction(self, device, monkeypatch):
+def appended_records(device, monkeypatch):
+    """Every record appended to ``device`` from now on, decoded, in order."""
+    seen = []
+    append = device.append
+
+    def recording_append(name, data):
+        append(name, data)
+        seen.extend(record[:3] for record in _records(bytes(data)))
+
+    monkeypatch.setattr(device, "append", recording_append)
+    return seen
+
+
+def churn(cache, rng, files=100, blocks=40, size=1000, rounds=3000):
+    """Uniform random reads over ``files × blocks`` blocks, admitting misses;
+    returns the bytes of every record the admissions wrote."""
+    admitted = 0
+    for _ in range(rounds):
+        name, offset = f"t{rng.randrange(files)}.sst", rng.randrange(blocks)
+        if cache.get_data(name, offset) is None:
+            payload = bytes([offset]) * size
+            before = cache.stats.admissions
+            cache.put_data(name, offset, payload)
+            if cache.stats.admissions > before:
+                admitted += len(_encode_record(_KIND_DATA, name.encode(), offset, payload)[0])
+    return admitted
+
+
+class TestSegmentCleaning:
+    def test_garbage_triggers_cleaning(self, device, monkeypatch):
         monkeypatch.setattr("repro.mash.pcache.SLAB_GARBAGE_RATIO", 0.3)
         config = PCacheConfig(data_budget_bytes=100 << 10, sync_every_n_appends=1)
         cache = PersistentCache.open(device, config)
@@ -211,31 +259,112 @@ class TestSlabCompaction:
             for i in range(20):
                 cache.put_data(name, i, bytes(1000))
             cache.drop_file(name)
-        assert cache.stats.slab_compactions > 0
+        assert cache.stats.segment_cleanings > 0
+        assert cache.slab_bytes == sum(device.size(name) for name in device.list_files())
         # Live contents unaffected.
         cache.put_data("live.sst", 0, b"still-here")
         assert cache.get_data("live.sst", 0) == b"still-here"
 
-    def test_compaction_preserves_entries(self, device):
-        config = PCacheConfig(data_budget_bytes=1 << 20, sync_every_n_appends=1)
+    def test_cleaning_preserves_entries(self, device):
+        config = PCacheConfig(data_budget_bytes=4000, sync_every_n_appends=1)
         cache = PersistentCache.open(device, config)
-        for i in range(10):
-            cache.put_data("keep.sst", i, f"payload-{i}".encode())
         cache.put_meta("keep.sst", "index", b"meta")
-        cache._compact_slab()
         for i in range(10):
-            assert cache.get_data("keep.sst", i) == f"payload-{i}".encode()
+            cache.put_data("keep.sst", i, f"payload-{i}".encode() * 20)
+        for i in range(30):  # a dead file's blocks fill segments behind the live ones
+            cache.put_data("dead.sst", i, bytes(150))
+            cache.drop_file("dead.sst")
+            assert cache.get_data("keep.sst", i % 10) is not None  # keep the live ones hot
+        assert cache.stats.segment_cleanings > 0 and cache.stats.evictions == 0
+        first = next(iter(cache._data_log.segments))
+        assert all(segment != first or key[0] != "keep.sst" for key, (segment, *_) in cache._data.items())
+        for i in range(10):
+            assert cache.get_data("keep.sst", i) == f"payload-{i}".encode() * 20
         assert cache.get_meta("keep.sst", "index") == b"meta"
+        cache.sync()
+        reopened = PersistentCache.open(device, config)
+        assert reopened.stats.recovered_entries == 11
+        assert [reopened.get_data("keep.sst", i) for i in range(10)] == [
+            f"payload-{i}".encode() * 20 for i in range(10)
+        ]
 
-    def test_slab_shrinks_after_compaction(self, device):
-        config = PCacheConfig(data_budget_bytes=1 << 20, sync_every_n_appends=1)
+    def test_footprint_shrinks_after_cleaning(self, device):
+        config = PCacheConfig(data_budget_bytes=8000, sync_every_n_appends=1)
         cache = PersistentCache.open(device, config)
-        for i in range(50):
+        for i in range(30):
             cache.put_data("dead.sst", i, bytes(500))
         cache.drop_file("dead.sst")
-        before = cache.slab_bytes
-        cache._compact_slab()
-        assert cache.slab_bytes < before
+        assert cache.stats.segment_cleanings > 0
+        assert cache.slab_bytes < 2 * config.data_budget_bytes
+        assert cache.slab_bytes == sum(device.size(name) for name in device.list_files())
+
+    def test_churn_writes_each_admitted_record_about_once(self, device):
+        config = PCacheConfig(data_budget_bytes=128 << 10)
+        cache = PersistentCache.open(device, config)
+        admitted = churn(cache, random.Random(3))
+        cache.sync()
+        assert cache.stats.evictions > 1000 and cache.stats.segment_cleanings > 10
+        written = device.counters.get("local.write_bytes")
+        assert written <= 1.1 * admitted, written / admitted
+        assert cache.slab_bytes <= 2 * config.data_budget_bytes + (64 << 10)
+
+    def test_data_churn_writes_no_metadata_record(self, device, monkeypatch):
+        cache = PersistentCache.open(device, PCacheConfig(data_budget_bytes=32 << 10))
+        for i in range(20):
+            for kind in ("index", "filter", "footer"):
+                cache.put_meta(f"pinned{i}.sst", kind, kind.encode() * 50)
+        records = appended_records(device, monkeypatch)
+        churn(cache, random.Random(4), rounds=1500)
+        assert cache.stats.segment_cleanings > 0
+        assert {kind for kind, _, _ in records} == {_KIND_DATA}
+
+    def test_a_crash_between_copy_forward_and_delete_recovers_each_entry_once(self, device, monkeypatch):
+        config = PCacheConfig(data_budget_bytes=1000, sync_every_n_appends=1)
+        cache = PersistentCache.open(device, config)
+        cache.put_meta("live.sst", "index", b"index")
+        for name in ("dropped.sst", "live.sst"):
+            for offset in range(2):
+                cache.put_data(name, offset, bytes([offset]) * 100)
+        cache.drop_file("dropped.sst")  # its blocks stay in the oldest segment
+        monkeypatch.setattr(device, "delete", lambda name: (_ for _ in ()).throw(RuntimeError("power cut")))
+        with pytest.raises(RuntimeError, match="power cut"):
+            for i in range(100):  # garbage without evictions, until a cleaning
+                cache.put_data(f"churn{i}.sst", 0, bytes(100))
+                cache.drop_file(f"churn{i}.sst")
+        monkeypatch.undo()
+        oldest = next(iter(cache._data_log.segments))
+        assert {file_name for _, file_name, _ in map(itemgetter(0, 1, 2), _records(device.read(oldest)))} >= {
+            "dropped.sst", "live.sst"
+        }
+        live = {key: cache.get_data(*key) for key in list(cache._data)}
+        device.crash()
+        reopened = PersistentCache.open(device, config)
+        assert reopened.stats.recovered_entries == len(live) + 1 == len(reopened)
+        assert reopened.stats.evictions == 0
+        assert reopened.data_bytes == sum(map(len, live.values()))
+        assert {key: reopened.get_data(*key) for key in live} == live
+        assert reopened.get_meta("live.sst", "index") == b"index"
+        assert reopened.get_data("dropped.sst", 0) is None and reopened.get_data("dropped.sst", 1) is None
+
+
+class TestFullDevice:
+    def test_a_full_device_skips_data_admission(self):
+        device = LocalDevice(SimClock(), capacity_bytes=600)
+        cache = PersistentCache.open(device, PCacheConfig(data_budget_bytes=10_000, sync_every_n_appends=1))
+        cache.put_meta("t.sst", "index", bytes(200))
+        for i in range(5):
+            cache.put_data("t.sst", i, bytes(150))
+        assert cache.stats.full_device_skips == 3 and cache.stats.admissions == 3
+        assert cache.get_data("t.sst", 4) is None and cache.get_data("t.sst", 1) == bytes(150)
+        with pytest.raises(DeviceFullError):  # a pin is not optional
+            cache.put_meta("t.sst", "filter", bytes(200))
+
+    def test_an_injected_fault_is_not_skipped(self, device):
+        cache = PersistentCache.open(device, PCacheConfig(sync_every_n_appends=1))
+        device.faults = FaultInjector(error_rate=1.0, op_prefixes=("local.sync",))
+        with pytest.raises(IOErrorSim):
+            cache.put_data("t.sst", 0, b"block")
+        assert cache.stats.full_device_skips == 0
 
 
 def reference_record(kind, name, block_offset, payload):
