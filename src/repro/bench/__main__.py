@@ -33,11 +33,11 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         # Wall time never feeds a result — every figure in the experiment
-        # tables comes from the simulated clock; this is operator feedback.
-        # reprolint: ignore[RL001] -- host-side progress report only
+        # tables comes from the simulated clock; this is operator feedback
+        # (repro.lint's ALLOWED lists both reads).
         start = time.perf_counter()
         ALL_EXPERIMENTS[name]().show()
-        print(f"[{name}] wall time {time.perf_counter() - start:.1f}s")  # reprolint: ignore[RL001] -- host-side progress report
+        print(f"[{name}] wall time {time.perf_counter() - start:.1f}s")
     return 0
 
 

@@ -864,7 +864,6 @@ def e19a_crash_recovery_shards(
         try:
             store.flush()
             raise AssertionError("flush.before_manifest never fired")
-        # reprolint: ignore[RL003] -- E19 harness consumes the crash by design
         except CrashPointFired:
             pass
         finally:

@@ -211,7 +211,6 @@ class DB:
                 # magic and be misread as a pointer (see _recover).
                 edit = VersionEdit()
                 edit.blob_separation = True
-                # reprolint: ignore[RL003] -- creation-time brand: no acked state precedes it
                 db.versions.log_and_apply(edit)
             db._rotate_wal()
         return db

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.lint
 from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -43,7 +44,7 @@ def tree_copy(tmp_path):
     """A scratch copy of src/repro the mutation tests can deface.
 
     The copy is byte-identical to the tree ``TestRealTree`` proves clean,
-    and the engine memoises per-file analysis on the text, so a test pays
+    and the linter memoises per-file analysis on the text, so a test pays
     for parsing only the file it mutates.
     """
     dst = tmp_path / "repro"
@@ -184,22 +185,11 @@ class TestMutationSelfTests:
         findings = findings_for(tree_copy.parent)
         assert {f.rule for f in findings} == {"RL005"}
 
-    def test_stripping_a_suppression_resurfaces_the_finding(self, tree_copy):
-        # The deliberate wall-time print in the bench runner is only
-        # tolerated because of its annotated suppression.
-        mutate(
-            tree_copy / "bench" / "__main__.py",
-            "  # reprolint: ignore[RL001] -- host-side progress report\n",
-            "\n",
-        )
-        findings = findings_for(tree_copy.parent)
-        assert {f.rule for f in findings} == {"RL001"}
-
 
 class TestInterproceduralMutations:
-    """The two static cases that outlived the interprocedural rules
-    (RL006–RL009, retired — DESIGN.md §7): RL008's coverage check, now
-    RL003's lexical commit-bracket check, and RL010."""
+    """The static case that outlived the interprocedural rules (RL006–RL009,
+    retired — DESIGN.md §7): RL008's coverage check, now RL003's lexical
+    commit-bracket check."""
 
     def test_removing_flush_reach_brackets_fails_rl003(self, tree_copy):
         # Deleting both reach() calls that bracket the flush commit reopens
@@ -216,17 +206,44 @@ class TestInterproceduralMutations:
             for f in findings
         )
 
-    def test_stale_suppression_id_fails_rl010(self, tree_copy):
-        # A suppression naming a rule that does not exist suppresses
-        # nothing — usually a typo or a retired rule id.
-        mutate(
-            tree_copy / "bench" / "__main__.py",
-            "# reprolint: ignore[RL001] -- host-side progress report only",
-            "# reprolint: ignore[RL001, RL008] -- host-side progress report only",
+
+class TestAllowlist:
+    """``repro.lint.ALLOWED`` keeps exactly the findings it names, and every
+    entry must name a real rule and still match (RL010)."""
+
+    def without(self, pkg_path):
+        return tuple(e for e in repro.lint.ALLOWED if e[0] != pkg_path)
+
+    def test_dropped_entry_resurfaces_rl001(self, tree_copy, monkeypatch):
+        # The bench runner's wall-time progress report is tolerated only
+        # because its entry lists it: both reads come back without it.
+        monkeypatch.setattr(repro.lint, "ALLOWED", self.without("bench/__main__.py"))
+        findings = findings_for(tree_copy.parent)
+        assert [(f.rule, f.path, f.qualname) for f in findings] == [
+            ("RL001", "repro/bench/__main__.py", "main")
+        ] * 2
+
+    def test_unknown_rule_entry_fails_rl010(self, tree_copy, monkeypatch):
+        # An entry naming a retired or misspelled rule keeps nothing.
+        monkeypatch.setattr(
+            repro.lint,
+            "ALLOWED",
+            repro.lint.ALLOWED + (("bench/__main__.py", "main", "RL008", "typo"),),
         )
         findings = findings_for(tree_copy.parent)
         assert [f.rule for f in findings] == ["RL010"]
-        assert "RL008" in findings[0].message
+        assert "unknown rule RL008" in findings[0].message
+
+    def test_stale_entry_fails_rl010(self, tree_copy):
+        # The creation-time brand's commit goes away; its entry must too.
+        mutate(
+            tree_copy / "lsm" / "db.py",
+            "                db.versions.log_and_apply(edit)\n",
+            "                pass\n",
+        )
+        findings = findings_for(tree_copy.parent)
+        assert [f.rule for f in findings] == ["RL010"]
+        assert "(lsm/db.py, DB.open, RL003) matches no finding" in findings[0].message
 
 
 #: (file under src/repro, [(old, new), ...], pytest node that must fail).

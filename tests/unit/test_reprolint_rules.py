@@ -1,7 +1,8 @@
-"""Per-rule fixture tests for reprolint (RL001–RL005) plus suppressions.
+"""Fixture tests for reprolint: each rule (RL001–RL005), the allowlist,
+parse errors, the per-file memo and the command line.
 
 Each rule gets at least one violating snippet and one clean snippet. The
-fixtures are miniature trees under ``tmp_path/repro/…`` — the engine keys
+fixtures are miniature trees under ``tmp_path/repro/…`` — the driver keys
 rule scopes on the path below the innermost ``repro`` directory, so these
 behave exactly like files in the real package.
 """
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
-from repro.lint.engine import PARSE_ERROR_RULE
+import repro.lint
+from repro.lint import PARSE_ERROR_RULE, RULES, lint_paths
+from repro.lint.__main__ import main
 
 
 def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -66,6 +68,28 @@ class TestDeterminism:
 
     def test_simclock_advance_clean(self, tmp_path):
         src = "def run(clock):\n    clock.advance(1.0)\n"
+        assert rule_ids(tmp_path, {"bench/x.py": src}) == []
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from time import perf_counter\nperf_counter()\n",
+            "import time as t\nt.time()\n",
+            "from random import random\nrandom()\n",
+            "import random as rnd\nrnd.random()\n",
+            "from os import listdir\nlistdir('d')\n",
+            "from os import urandom as entropy\nentropy(8)\n",
+            "def f():\n    return clock()\nfrom time import monotonic as clock\n",
+        ],
+    )
+    def test_aliased_import_flagged(self, tmp_path, src):
+        assert rule_ids(tmp_path, {"bench/x.py": src}) == ["RL001"]
+
+    def test_aliased_seeded_random_and_sorted_listing_clean(self, tmp_path):
+        src = (
+            "import random as _random\nrng = _random.Random(13)\n"
+            "from os import listdir\nnames = sorted(listdir('d'))\n"
+        )
         assert rule_ids(tmp_path, {"bench/x.py": src}) == []
 
 
@@ -257,12 +281,11 @@ class TestCommitBracket:
         # bench/ and serve/ drive stores; they own no MANIFEST protocol.
         assert rule_ids(tmp_path, {"bench/x.py": self.UNBRACKETED}) == []
 
-    def test_suppressed_commit_clean(self, tmp_path):
-        src = (
-            "def create(db, edit):\n"
-            "    # reprolint: ignore[RL003] -- creation-time brand\n"
-            "    db.versions.log_and_apply(edit)\n"
+    def test_suppressed_commit_clean(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            repro.lint, "ALLOWED", (("lsm/db.py", "create", "RL003", "brand"),)
         )
+        src = "def create(db, edit):\n    db.versions.log_and_apply(edit)\n"
         assert rule_ids(tmp_path, {"lsm/db.py": src}) == []
 
 
@@ -347,38 +370,47 @@ class TestRealIO:
         assert rule_ids(tmp_path, {"bench/x.py": "import os\n"}) == []
 
 
-# -- suppressions and parse errors ------------------------------------------
+# -- the allowlist, parse errors and ordering --------------------------------
 
 
-class TestSuppressions:
-    def test_trailing_marker_suppresses(self, tmp_path):
-        src = "import time\nt = time.time()  # reprolint: ignore[RL001] -- why\n"
-        assert rule_ids(tmp_path, {"bench/x.py": src}) == []
+WALL_CLOCKS = "import time\ndef a():\n    time.time()\ndef b():\n    time.time()\n"
 
-    def test_marker_line_above_suppresses(self, tmp_path):
-        src = (
-            "import time\n"
-            "# reprolint: ignore[RL001] -- wall time is operator feedback\n"
-            "t = time.time()\n"
+
+class TestAllowlist:
+    """An ``ALLOWED`` entry keeps every finding of its rule in its function."""
+
+    def allow(self, monkeypatch, *entries):
+        monkeypatch.setattr(repro.lint, "ALLOWED", entries)
+
+    def test_entry_keeps_only_its_function(self, tmp_path, monkeypatch):
+        self.allow(monkeypatch, ("bench/x.py", "a", "RL001", "why"))
+        findings = lint_paths([make_tree(tmp_path, {"bench/x.py": WALL_CLOCKS})])
+        assert [(f.rule, f.line, f.qualname) for f in findings] == [("RL001", 5, "b")]
+
+    def test_entry_for_another_rule_keeps_the_finding(self, tmp_path, monkeypatch):
+        self.allow(
+            monkeypatch,
+            ("bench/x.py", "a", "RL005", "why"),
+            ("bench/x.py", "b", "RL001", "why"),
         )
+        assert rule_ids(tmp_path, {"bench/x.py": WALL_CLOCKS}) == ["RL001"]
+
+    def test_stale_entry_is_judged_with_the_linter_in_the_tree(
+        self, tmp_path, monkeypatch
+    ):
+        # An unmatched entry fails only when the run linted both its file and
+        # the module that holds ALLOWED: fixtures and subtrees are not judged.
+        self.allow(monkeypatch, ("bench/x.py", "a", "RL005", "why"))
+        files = {"bench/x.py": "x = 1\n", "lint/__init__.py": ""}
+        findings = lint_paths([make_tree(tmp_path, files)])
+        assert [(f.rule, f.path) for f in findings] == [("RL010", "bench/x.py")]
+        assert "matches no finding" in findings[0].message
+        assert lint_paths([tmp_path / "repro" / "bench"]) == []
+
+    def test_method_qualname_includes_its_class(self, tmp_path, monkeypatch):
+        self.allow(monkeypatch, ("bench/x.py", "C.m", "RL001", "why"))
+        src = "import time\nclass C:\n    def m(self):\n        time.sleep(1)\n"
         assert rule_ids(tmp_path, {"bench/x.py": src}) == []
-
-    def test_bare_ignore_suppresses_all_rules(self, tmp_path):
-        src = "import time\nt = time.time()  # reprolint: ignore\n"
-        assert rule_ids(tmp_path, {"bench/x.py": src}) == []
-
-    def test_wrong_rule_id_does_not_suppress(self, tmp_path):
-        src = "import time\nt = time.time()  # reprolint: ignore[RL005]\n"
-        assert rule_ids(tmp_path, {"bench/x.py": src}) == ["RL001"]
-
-    def test_marker_does_not_leak_two_lines_down(self, tmp_path):
-        src = (
-            "import time\n"
-            "# reprolint: ignore[RL001]\n"
-            "x = 1\n"
-            "t = time.time()\n"
-        )
-        assert rule_ids(tmp_path, {"bench/x.py": src}) == ["RL001"]
 
 
 class TestParseErrors:
@@ -388,15 +420,9 @@ class TestParseErrors:
 
 
 class TestRuleSelection:
-    def test_enabled_rules_filters(self, tmp_path):
-        files = {
-            "lsm/x.py": "import os\ndef f():\n    raise RuntimeError('x')\n",
-        }
-        root = make_tree(tmp_path, files)
-        all_ids = {f.rule for f in lint_paths([root])}
-        assert all_ids == {"RL004", "RL005"}
-        only = lint_paths([root], rules=("RL005",))
-        assert {f.rule for f in only} == {"RL005"}
+    def test_rule_ids_skip_the_retired_ones(self):
+        # RL006–RL009 were retired (DESIGN.md §7); ids are not renumbered.
+        assert sorted(RULES) == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL010"]
 
     def test_findings_are_deterministically_ordered(self, tmp_path):
         files = {
@@ -408,3 +434,34 @@ class TestRuleSelection:
         second = [(f.path, f.line, f.rule) for f in lint_paths([root])]
         assert first == second
         assert first == sorted(first)
+
+
+class TestPerFileMemo:
+    def test_same_path_with_new_text_is_reanalysed(self, tmp_path):
+        # The memo is keyed on the text, not the path: rewriting a file in
+        # place must never serve the previous answer.
+        root = make_tree(tmp_path, {"bench/x.py": "import time\nt = time.time()\n"})
+        assert [f.rule for f in lint_paths([root])] == ["RL001"]
+        (root / "bench" / "x.py").write_text("t = 0\n", encoding="utf-8")
+        assert lint_paths([root]) == []
+
+
+# -- python -m repro.lint ------------------------------------------------------
+
+
+class TestExitCodes:
+    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+        root = make_tree(tmp_path, {"bench/x.py": "def f(clock):\n    clock.advance(1.0)\n"})
+        assert main([str(root)]) == 0
+        assert capsys.readouterr().out == "reprolint: clean\n"
+
+    def test_findings_exit_one(self, tmp_path, capsys):
+        root = make_tree(tmp_path, {"bench/x.py": "import time\nt = time.time()\n"})
+        assert main([str(root)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("bench/x.py:2:4: RL001 time.time(): wall-clock read")
+        assert out.endswith("\n1 finding(s) (RL001: 1)\n")
+
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        assert main([str(tmp_path / "nope")]) == 2
+        assert "no such path" in capsys.readouterr().err
