@@ -16,7 +16,7 @@ from repro.lint import lint_paths
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.lint", description=__doc__)
-    parser.add_argument("paths", nargs="*", default=["src"], type=Path)
+    parser.add_argument("paths", nargs="*", default=[Path("src")], type=Path)
     paths: list[Path] = parser.parse_args(argv).paths
     missing = [str(p) for p in paths if not p.exists()]
     if missing:

@@ -1,5 +1,6 @@
 """Fixture tests for reprolint: each rule (RL001–RL005), the allowlist,
-parse errors, the per-file memo and the command line.
+parse errors and the per-file memo (the command line is in
+``test_reprolint_cli.py``).
 
 Each rule gets at least one violating snippet and one clean snippet. The
 fixtures are miniature trees under ``tmp_path/repro/…`` — the driver keys
@@ -13,7 +14,6 @@ import pytest
 
 import repro.lint
 from repro.lint import PARSE_ERROR_RULE, RULES, lint_paths
-from repro.lint.__main__ import main
 
 
 def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -444,24 +444,3 @@ class TestPerFileMemo:
         assert [f.rule for f in lint_paths([root])] == ["RL001"]
         (root / "bench" / "x.py").write_text("t = 0\n", encoding="utf-8")
         assert lint_paths([root]) == []
-
-
-# -- python -m repro.lint ------------------------------------------------------
-
-
-class TestExitCodes:
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"bench/x.py": "def f(clock):\n    clock.advance(1.0)\n"})
-        assert main([str(root)]) == 0
-        assert capsys.readouterr().out == "reprolint: clean\n"
-
-    def test_findings_exit_one(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"bench/x.py": "import time\nt = time.time()\n"})
-        assert main([str(root)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("bench/x.py:2:4: RL001 time.time(): wall-clock read")
-        assert out.endswith("\n1 finding(s) (RL001: 1)\n")
-
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope")]) == 2
-        assert "no such path" in capsys.readouterr().err
