@@ -49,7 +49,7 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 427
+PINNED_WITHOUT_TRAFFIC = 413
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
@@ -59,13 +59,10 @@ _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segment
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 
 VERDICTS: dict[str, tuple[str, str]] = {
-    # -- baselines: the reference systems' own suites drive their restarts
+    # -- baselines
     "repro.baselines.cloud_only:CloudOnlyConfig.small": (SURFACE, "the scaled-down config, like `StoreConfig.small()`"),
-    "repro.baselines.cloud_only:CloudOnlyStore.reopen": (SAFETY, "restart after a crash; the baseline suites check durability"),
     "repro.baselines.local_only:LocalOnlyConfig.small": (SURFACE, "the scaled-down config, like `StoreConfig.small()`"),
-    "repro.baselines.local_only:LocalOnlyStore.reopen": (SAFETY, "restart after a crash; the baseline suites check durability"),
     "repro.baselines.rocksdb_cloud:RocksDBCloudConfig.small": (SURFACE, "the scaled-down config, like `StoreConfig.small()`"),
-    "repro.baselines.rocksdb_cloud:RocksDBCloudStore.reopen": (SAFETY, "restart after a crash; the baseline suites check durability"),
     "repro.baselines.rocksdb_cloud:WholeFileCache._recover": (SAFETY, "re-indexes the file cache after a restart"),
     "repro.baselines.rocksdb_cloud:WholeFileCache.ensure": (SAFETY, "a file larger than the whole cache reads through"),
     # -- bench
@@ -75,12 +72,13 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.bench.report:Table.cell": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
     "repro.bench.report:Table.column": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
     "repro.bench.report:Table.row_by": (SURFACE, "the E-series shape assertions in `benchmarks/test_e*.py` read tables through it"),
-    "repro.bench.report:Table.to_dict": (OPEN, f"{_ITEM_20}: nothing calls it; the artifacts are written by their benchmark files"),
+    "repro.bench.report:Table.to_dict": (SURFACE, "`benchmarks/test_e20`–`e23` write the CI-gated `BENCH_e2x.json` through it"),
     "repro.errors:NotFoundError.__str__": (SAFETY, "the message of a missing-file error"),
     # -- facade
     "repro.facade:StoreFacade.write": (SURFACE, "the atomic multi-key write; workloads and examples put one key at a time"),
     "repro.facade:StoreFacade.explain": (SURFACE, "bloom-reject, false-positive and table-open rows; the quickstart's cold get shows the rest"),
     "repro.facade:StoreFacade.close": (SURFACE, "closes a baseline store; the baseline suites call it"),
+    "repro.facade:StoreFacade.reopen": (SAFETY, "a clean restart; traffic restarts after a crash, and `test_reopen.py` checks both for every system"),
     # -- engine
     "repro.lsm.block:BlockBuilder.add": (OPEN, f"{_ITEM_20}: the one-entry form of `fill`, which only tests use"),
     "repro.lsm.block:Block.seek": (SAFETY, "a block with no restart points"),
@@ -152,7 +150,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.checkpoint:_checkpoint_blob_key": (OPEN, "item 10: the checkpoint of a separated store; `analytics_clone.py` keeps separation off"),
     "repro.mash.checkpoint:create_checkpoint": (OPEN, "item 10: copies a separated store's blob segments; `analytics_clone.py` keeps separation off"),
     "repro.mash.checkpoint:restore_checkpoint": (OPEN, "item 10: restores a separated store's blob segments"),
-    "repro.mash.checkpoint:_LocalFileShim.close": (OPEN, f"{_ITEM_20}: nothing closes the shim"),
     # -- store
     "repro.mash.layout:BlockHeatTracker.heat_of": (OPEN, f"{_ITEM_20}: only tests read one block's heat"),
     "repro.mash.layout:BlockHeatTracker.knows_file": (OPEN, f"{_ITEM_20}: only tests ask"),
@@ -168,7 +165,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.placement:PlacementManager._pick_budget_victim": (SAFETY, "no table left to demote"),
     "repro.mash.placement:PlacementManager.maybe_promote": (SAFETY, "promotion without headroom"),
     "repro.mash.store:MashDB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
-    "repro.mash.store:RocksMashStore.reopen": (SAFETY, "torn-tail crash and clean restart; traffic crashes without a torn tail"),
     "repro.mash.store:RocksMashStore._read_local_block": (SAFETY, "a table demoted under the reader"),
     "repro.mash.store:RocksMashStore._pin_metadata": (SAFETY, "a table already gone when demotion pins it"),
     "repro.mash.xwal:XWalWriter.add_record": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
@@ -261,6 +257,17 @@ VERDICTS: dict[str, tuple[str, str]] = {
     # oldest segment, so the whole-slab rewrite goes.
     "repro.mash.pcache:PersistentCache._compact_slab": (DELETED, "the cache's logs are cleaned oldest segment first"),
     "repro.mash.pcache:PersistentCache._maybe_compact_slab": (DELETED, "the cache's logs are cleaned oldest segment first"),
+    "repro.facade:StoreFacade._init_facade": (DELETED, "the facade's constructor sets the shared fields and wires the tracer"),
+    "repro.facade:StoreFacade.op_clock": (DELETED, "its one reader, the store's multi_get waves, moved into `MashDB.multi_get`"),
+    "repro.mash.store:RocksMashStore.multi_get": (DELETED, "the waves run in `MashDB.multi_get`, so a sharded node's shards get them too"),
+    "repro.mash.store:RocksMashStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
+    "repro.baselines.local_only:LocalOnlyStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
+    "repro.baselines.cloud_only:CloudOnlyStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
+    "repro.baselines.rocksdb_cloud:RocksDBCloudStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
+    "repro.baselines.local_only:LocalOnlyStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
+    "repro.baselines.cloud_only:CloudOnlyStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
+    "repro.baselines.rocksdb_cloud:RocksDBCloudStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
+    "repro.mash.checkpoint:_LocalFileShim": (DELETED, "a restore writes its MANIFEST through `LocalEnv`"),
 }
 """Region qualname -> ``(verdict, reason)``.
 

@@ -15,7 +15,7 @@ from repro.facade import StoreFacade
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
-from repro.sim.clock import SimClock, StopwatchRegion
+from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
@@ -41,26 +41,8 @@ class CloudOnlyStore(StoreFacade):
 
     name = "cloud-only"
 
-    def __init__(
-        self,
-        config: CloudOnlyConfig,
-        *,
-        clock: SimClock,
-        cloud_store: CloudObjectStore,
-        counters: CounterSet,
-    ) -> None:
-        self.config = config
-        self.clock = clock
-        self.cloud_store = cloud_store
-        self.counters = counters
-        self.cost_model = config.cost_model
-        # A zero-byte "local device" only so the facade's occupancy
-        # accounting is uniform; nothing is ever written to it.
-        self.local_device = LocalDevice(clock, counters=counters)
-        self._init_facade()
-        with StopwatchRegion(clock) as sw:
-            self.db = DB.open(CloudEnv(cloud_store), config.db_prefix, config.options)
-        self.last_recovery_seconds = sw.elapsed
+    def _open_db(self) -> DB:
+        return DB.open(CloudEnv(self.cloud_store), self.config.db_prefix, self.config.options)
 
     @classmethod
     def create(
@@ -70,15 +52,9 @@ class CloudOnlyStore(StoreFacade):
         clock = clock or SimClock()
         counters = CounterSet()
         cloud = CloudObjectStore(clock, config.cloud_model, counters=counters)
-        return cls(config, clock=clock, cloud_store=cloud, counters=counters)
-
-    def reopen(self, *, crash: bool = False) -> "CloudOnlyStore":
-        """Restart; cloud objects are durable, so crash == clean stop here."""
-        if not crash:
-            self.close()
-        return type(self)(
-            self.config,
-            clock=self.clock,
-            cloud_store=self.cloud_store,
-            counters=self.counters,
+        # A zero-byte "local device" only so the facade's occupancy
+        # accounting is uniform; nothing is ever written to it.
+        device = LocalDevice(clock, counters=counters)
+        return cls(
+            config, clock=clock, local_device=device, cloud_store=cloud, counters=counters
         )

@@ -13,7 +13,7 @@ from repro.facade import StoreFacade
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
-from repro.sim.clock import SimClock, StopwatchRegion
+from repro.sim.clock import SimClock
 from repro.storage.cost import CostModel
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -36,24 +36,8 @@ class LocalOnlyStore(StoreFacade):
 
     name = "local-only"
 
-    def __init__(
-        self,
-        config: LocalOnlyConfig,
-        *,
-        clock: SimClock,
-        local_device: LocalDevice,
-        counters: CounterSet,
-    ) -> None:
-        self.config = config
-        self.clock = clock
-        self.local_device = local_device
-        self.cloud_store = None
-        self.counters = counters
-        self.cost_model = config.cost_model
-        self._init_facade()
-        with StopwatchRegion(clock) as sw:
-            self.db = DB.open(LocalEnv(local_device), config.db_prefix, config.options)
-        self.last_recovery_seconds = sw.elapsed
+    def _open_db(self) -> DB:
+        return DB.open(LocalEnv(self.local_device), self.config.db_prefix, self.config.options)
 
     @classmethod
     def create(
@@ -63,16 +47,6 @@ class LocalOnlyStore(StoreFacade):
         clock = clock or SimClock()
         counters = CounterSet()
         device = LocalDevice(clock, counters=counters)
-        return cls(config, clock=clock, local_device=device, counters=counters)
-
-    def reopen(self, *, crash: bool = False) -> "LocalOnlyStore":
-        if crash:
-            self.local_device.crash()
-        else:
-            self.close()
-        return type(self)(
-            self.config,
-            clock=self.clock,
-            local_device=self.local_device,
-            counters=self.counters,
+        return cls(
+            config, clock=clock, local_device=device, cloud_store=None, counters=counters
         )

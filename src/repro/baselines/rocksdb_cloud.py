@@ -23,7 +23,7 @@ from repro.lsm.db import DB, DBListeners
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
-from repro.sim.clock import SimClock, StopwatchRegion
+from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
@@ -196,40 +196,22 @@ class RocksDBCloudStore(StoreFacade):
 
     name = "rocksdb-cloud"
 
-    def __init__(
-        self,
-        config: RocksDBCloudConfig,
-        *,
-        clock: SimClock,
-        local_device: LocalDevice,
-        cloud_store: CloudObjectStore,
-        counters: CounterSet,
-    ) -> None:
-        self.config = config
-        self.clock = clock
-        self.local_device = local_device
-        self.cloud_store = cloud_store
-        self.counters = counters
-        self.cost_model = config.cost_model
-        self._init_facade()
+    def _open_db(self) -> DB:
         self.file_cache = WholeFileCache(
-            local_device, cloud_store, config.file_cache_budget_bytes
+            self.local_device, self.cloud_store, self.config.file_cache_budget_bytes
         )
-        env = HybridEnv(
-            LocalEnv(local_device),
-            CloudEnv(cloud_store),
+        self.env = HybridEnv(
+            LocalEnv(self.local_device),
+            CloudEnv(self.cloud_store),
             lambda name: CLOUD if name.endswith(".sst") else LOCAL,
         )
-        self.env = env
-        with StopwatchRegion(clock) as sw:
-            self.db = DB.open(
-                env,
-                config.db_prefix,
-                config.options,
-                stack_factory=partial(FileCacheStack, cache=self.file_cache),
-                listeners=DBListeners(on_table_delete=[self.file_cache.drop]),
-            )
-        self.last_recovery_seconds = sw.elapsed
+        return DB.open(
+            self.env,
+            self.config.db_prefix,
+            self.config.options,
+            stack_factory=partial(FileCacheStack, cache=self.file_cache),
+            listeners=DBListeners(on_table_delete=[self.file_cache.drop]),
+        )
 
     @classmethod
     def create(
@@ -242,17 +224,4 @@ class RocksDBCloudStore(StoreFacade):
         cloud = CloudObjectStore(clock, config.cloud_model, counters=counters)
         return cls(
             config, clock=clock, local_device=device, cloud_store=cloud, counters=counters
-        )
-
-    def reopen(self, *, crash: bool = False) -> "RocksDBCloudStore":
-        if crash:
-            self.local_device.crash()
-        else:
-            self.close()
-        return type(self)(
-            self.config,
-            clock=self.clock,
-            local_device=self.local_device,
-            cloud_store=self.cloud_store,
-            counters=self.counters,
         )

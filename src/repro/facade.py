@@ -13,10 +13,12 @@ breakdown (local/cloud/cpu seconds) that sums to its wall-clock elapsed time.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from typing import Any, TypeVar
 
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
@@ -26,7 +28,7 @@ from repro.metrics.counters import CounterSet
 from repro.metrics.latency import LatencyHistogram
 from repro.obs.prom import render_prometheus
 from repro.obs.trace import Tracer
-from repro.sim.clock import SimClock
+from repro.sim.clock import SimClock, StopwatchRegion
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
@@ -66,42 +68,82 @@ class Explanation:
 
 _DEMAND_TIER = {"cloud_get": "cloud", "local_read": "local", "demand_read": "demand"}
 
+_Store = TypeVar("_Store", bound="StoreFacade")
+
 
 class StoreFacade:
     """KV operations timed on the simulated clock, plus reporting.
 
-    Subclasses must set (typically in ``__init__``): ``db``, ``clock``,
-    ``counters``, ``local_device``, ``cloud_store`` (may be None),
-    ``cost_model``, and a class-level ``name``. ``_init_facade`` must be
-    called after ``clock``/``local_device``/``cloud_store`` exist so the
-    tracer can be wired onto the devices; a store that is one part of a
-    larger node passes the node's ``tracer`` instead of getting its own.
+    One constructor builds every system: it takes the devices ``create``
+    chose (``cloud_store`` is None for a store with no cloud tier), points
+    each at the store's tracer, and times the subclass's one hook,
+    :meth:`_open_db`, into ``last_recovery_seconds``. A store that is one
+    part of a larger node passes the node's ``tracer`` instead of getting
+    its own. ``config`` is the system's own config dataclass; the facade
+    reads only its ``cost_model``.
     """
 
     name = "store"
-    db: DB
-    clock: SimClock
-    counters: CounterSet
-    local_device: LocalDevice
-    cloud_store: CloudObjectStore | None
-    cost_model: CostModel
 
-    def _init_facade(self, tracer: Tracer | None = None) -> None:
+    def __init__(
+        self,
+        config: Any,
+        *,
+        clock: SimClock,
+        local_device: LocalDevice,
+        cloud_store: CloudObjectStore | None,
+        counters: CounterSet,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.config = config
+        self.clock = clock
+        self.local_device = local_device
+        self.cloud_store = cloud_store
+        self.counters = counters
+        self.cost_model: CostModel = config.cost_model
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
-        self._request_clock: SimClock | None = None
-        self.tracer = tracer if tracer is not None else Tracer(self.clock)
-        for dev in (self.local_device, getattr(self, "cloud_store", None)):
-            if dev is not None and hasattr(dev, "tracer"):
-                dev.tracer = self.tracer
+        self.tracer = tracer if tracer is not None else Tracer(clock)
+        self._devices = [dev for dev in (local_device, cloud_store) if dev is not None]
+        for dev in self._devices:
+            dev.tracer = self.tracer
+        with StopwatchRegion(clock) as sw:
+            self.db = self._open_db()
+        self.last_recovery_seconds = sw.elapsed
+
+    def _open_db(self) -> DB:
+        """Build the system's Env and open (recovering) its :class:`DB`."""
+        raise NotImplementedError
+
+    def reopen(
+        self: _Store, *, crash: bool = False, torn_tail_seed: int | None = None
+    ) -> _Store:
+        """Simulate a restart over the same devices; returns the new instance.
+
+        ``crash=True`` drops unsynced local state (power failure); otherwise
+        the store is closed cleanly. ``torn_tail_seed`` (with ``crash=True``)
+        keeps a seeded-random byte prefix of each unsynced tail instead of
+        dropping it whole — half-written log records the recovery path must
+        treat as absent. The old instance is closed either way (a crashed
+        one without any I/O), so using it raises
+        :class:`~repro.errors.ClosedError`. ``last_recovery_seconds`` on the
+        result reports the simulated recovery time.
+        """
+        if crash:
+            rng = None if torn_tail_seed is None else random.Random(torn_tail_seed)
+            self.local_device.crash(torn_tail=rng is not None, rng=rng)
+            self.db.abandon()
+        else:
+            self.close()
+        return type(self)(
+            self.config,
+            clock=self.clock,
+            local_device=self.local_device,
+            cloud_store=self.cloud_store,
+            counters=self.counters,
+        )
 
     # -- per-request clock scoping -----------------------------------------
-
-    @property
-    def op_clock(self) -> SimClock:
-        """The clock timed operations read: the active request's child
-        clock inside a :meth:`request_scope`, the store clock otherwise."""
-        return self._request_clock if self._request_clock is not None else self.clock
 
     @contextmanager
     def request_scope(self, clock: SimClock) -> Iterator[SimClock]:
@@ -109,23 +151,17 @@ class StoreFacade:
 
         The open-loop serving layer (:mod:`repro.serve`) gives every
         in-flight request its own child clock starting at the request's
-        scheduled service time. Inside this scope the storage devices, the
-        tracer (fresh span stack — see :meth:`Tracer.request_scope`), and
-        every facade stopwatch all read that clock, so concurrent requests
-        and background flush/compaction coexist on the fork/join clock
-        without sharing implicit singleton timing state.
+        scheduled service time. Inside this scope the storage devices and
+        the tracer (fresh span stack — see :meth:`Tracer.request_scope`)
+        read that clock, so concurrent requests and background
+        flush/compaction coexist on the fork/join clock without sharing
+        implicit singleton timing state.
         """
         with ExitStack() as stack:
-            for dev in (self.local_device, getattr(self, "cloud_store", None)):
-                if dev is not None and hasattr(dev, "clock_scope"):
-                    stack.enter_context(dev.clock_scope(clock))
+            for dev in self._devices:
+                stack.enter_context(dev.clock_scope(clock))
             stack.enter_context(self.tracer.request_scope(clock))
-            saved = self._request_clock
-            self._request_clock = clock
-            try:
-                yield clock
-            finally:
-                self._request_clock = saved
+            yield clock
 
     # -- KV API -----------------------------------------------------------
 
@@ -202,7 +238,8 @@ class StoreFacade:
     def multi_get(
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
     ) -> dict[bytes, bytes | None]:
-        """Batched point lookups (sequential by default)."""
+        """Batched point lookups; the engine decides which overlap
+        (:meth:`repro.mash.store.MashDB.multi_get` runs them in waves)."""
         with self.tracer.span("multi_get") as span:
             results = self.db.multi_get(keys, snapshot=snapshot)
         self.read_latency.record(span.elapsed)

@@ -224,6 +224,11 @@ class DB:
         self.versions.close()
         self._closed = True
 
+    def abandon(self) -> None:
+        """Refuse every later call, touching no file: after a crash the
+        files belong to the instance that recovers them."""
+        self._closed = True
+
     def _check_open(self) -> None:
         if self._closed:
             raise ClosedError("database is closed")
@@ -663,12 +668,8 @@ class DB:
     def multi_get(
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
     ) -> dict[bytes, bytes | None]:
-        """Batched point lookups.
-
-        The base engine serves them sequentially; the hybrid store
-        overrides the facade-level ``multi_get`` to fetch cloud blocks for
-        different keys concurrently (fork/join on the simulated clock).
-        """
+        """Batched point lookups, served one after another here;
+        :class:`repro.mash.store.MashDB` overlaps them in waves."""
         return {key: self.get(key, snapshot=snapshot) for key in keys}
 
     def scan(

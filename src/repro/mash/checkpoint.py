@@ -34,7 +34,7 @@ from repro.lsm.version import VersionEdit
 from repro.lsm.wal import LogReader, LogWriter
 from repro.sim.failure import crash_points
 from repro.storage.cloud import CloudObjectStore
-from repro.storage.env import CLOUD
+from repro.storage.env import CLOUD, LocalEnv
 from repro.storage.local import LocalDevice
 from repro.util.crc import masked_crc32
 from repro.util.encoding import encode_fixed32
@@ -191,10 +191,8 @@ def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) 
     # Fabricate the metadata chain on the local device.
     manifest_number = snapshot.next_file_number or 1
     snapshot.next_file_number = manifest_number + 1
-    writer = LogWriter(
-        _LocalFileShim(local_device, manifest_file_name(prefix, manifest_number))
-    )
-    writer.add_record(snapshot.encode())
+    manifest = manifest_file_name(prefix, manifest_number)
+    LogWriter(LocalEnv(local_device).new_writable_file(manifest)).add_record(snapshot.encode())
     local_device.write_file(current_file_name(prefix), f"{manifest_number}".encode())
 
     return RocksMashStore(
@@ -207,21 +205,3 @@ def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) 
         # node's, rather than taking it away from the store it came from.
         tracer=cloud.tracer,
     )
-
-
-class _LocalFileShim:
-    """Minimal WritableFile over a LocalDevice (checkpoint-internal)."""
-
-    def __init__(self, device: LocalDevice, name: str) -> None:
-        self.device = device
-        self.name = name
-        device.create(name)
-
-    def append(self, data: bytes) -> None:
-        self.device.append(self.name, data)
-
-    def sync(self) -> None:
-        self.device.sync(self.name)
-
-    def close(self) -> None:
-        self.device.sync(self.name)

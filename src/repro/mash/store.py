@@ -24,8 +24,8 @@ scan's ``limit`` and ``end``, which the scan's prefetch schedule
 (:class:`~repro.lsm.block_cache.ScanReads`) may have issued ahead of it.
 
 Use :meth:`RocksMashStore.create` for a fresh deployment and
-:meth:`RocksMashStore.reopen` to simulate a restart (optionally after a
-crash) over the same simulated devices.
+:meth:`~repro.facade.StoreFacade.reopen` to simulate a restart (optionally
+after a crash) over the same simulated devices.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.mash.placement import PlacementConfig, PlacementManager, make_router
 from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
-from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
+from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.sim.latency import LatencyModel, cloud_object_storage
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
@@ -65,8 +65,9 @@ if TYPE_CHECKING:
     from repro.mash.bloblog import BlobLog
 
 MULTI_GET_WAVE = 8
-"""Keys per :meth:`RocksMashStore.multi_get` wave: their cloud fetches run
-concurrently, and the wave joins on the slowest."""
+"""Keys per :meth:`MashDB.multi_get` wave: their cloud fetches run
+concurrently, and the wave joins on the slowest. The engine runs the waves,
+so a single store and each shard of a serving node batch alike."""
 
 
 @dataclass
@@ -160,6 +161,25 @@ class MashDB(DB):
         return max_seq, applied
 
     _WAL_KIND = "xlog"
+
+    def multi_get(
+        self, keys: list[bytes], *, snapshot: Snapshot | None = None
+    ) -> dict[bytes, bytes | None]:
+        """Batched point lookups with concurrent cloud fetches: waves of
+        :data:`MULTI_GET_WAVE` keys, each key's I/O on a forked child clock
+        and each wave joining on its slowest key. Cache lookups and updates
+        still happen, so warm keys cost nothing extra."""
+        clock = self.env.sim_clock()
+        if len(keys) <= 1 or clock is None:
+            return super().multi_get(keys, snapshot=snapshot)
+        results: dict[bytes, bytes | None] = {}
+        for start in range(0, len(keys), MULTI_GET_WAVE):
+            region = ForkJoinRegion(clock, self.env.clock_hosts())
+            for key in keys[start : start + MULTI_GET_WAVE]:
+                with region.branch():
+                    results[key] = self.get(key, snapshot=snapshot)
+            region.join()
+        return results
 
 
 class MashBlockStack(BlockStack):
@@ -271,6 +291,7 @@ class RocksMashStore(StoreFacade):
     """Public facade over the assembled system."""
 
     name = "rocksmash"
+    cloud_store: CloudObjectStore
 
     def __init__(
         self,
@@ -287,45 +308,21 @@ class RocksMashStore(StoreFacade):
         is the node's when the store is one shard of a serving node, and
         ``maintenance_hook`` the node's deferral of write-triggered
         maintenance (``DB(maintenance_hook=)``)."""
-        self.config = config
-        self.clock = clock
-        self.local_device = local_device
-        self.cloud_store = cloud_store
-        self.counters = counters
-        self.cost_model = config.cost_model
         self.env = HybridEnv(
             LocalEnv(local_device), CloudEnv(cloud_store), make_router(config.db_prefix)
         )
+        # Opened before the facade points the devices at this store's tracer.
         self.pcache = PersistentCache.open(local_device, config.pcache)
         self.heat = BlockHeatTracker(config.layout)
-        self._init_facade(tracer)
-
-        with StopwatchRegion(clock) as sw, self.tracer.span("recovery"):
-            self.db = MashDB.open(
-                self.env,
-                config.db_prefix,
-                config.options,
-                stack_factory=partial(MashBlockStack, store=self),
-                event_sink=self.tracer.event,
-                maintenance_hook=maintenance_hook,
-                # Event order matters: the heat tracker must see compaction
-                # outputs (and pre-warm from their still-local files) before
-                # placement, which appends its hooks later, demotes them.
-                listeners=DBListeners(
-                    on_flush=[self._on_flush],
-                    on_compaction=[self._on_compaction],
-                    on_table_delete=[self._on_table_delete],
-                ),
-                xwal_config=config.xwal,
-                local_device=local_device,
-                blob_pcache=self.pcache,
-            )
-            # Recovery's purge may have unpinned orphaned tables, whose file
-            # numbers were never committed and will be handed out again: a
-            # crash must not bring their pinned footer and index back.
-            self.pcache.sync()
-        self.last_recovery_seconds = sw.elapsed
-
+        self._maintenance_hook = maintenance_hook
+        super().__init__(
+            config,
+            clock=clock,
+            local_device=local_device,
+            cloud_store=cloud_store,
+            counters=counters,
+            tracer=tracer,
+        )
         self.placement = PlacementManager(
             self.db, self.env, config.placement, before_demote=self._before_demote
         )
@@ -339,6 +336,33 @@ class RocksMashStore(StoreFacade):
                     self.tracer.event("promotion")
 
             self.db.listeners.on_version_change.append(_maybe_promote)
+
+    def _open_db(self) -> DB:
+        with self.tracer.span("recovery"):
+            db = MashDB.open(
+                self.env,
+                self.config.db_prefix,
+                self.config.options,
+                stack_factory=partial(MashBlockStack, store=self),
+                event_sink=self.tracer.event,
+                maintenance_hook=self._maintenance_hook,
+                # Event order matters: the heat tracker must see compaction
+                # outputs (and pre-warm from their still-local files) before
+                # placement, which appends its hooks later, demotes them.
+                listeners=DBListeners(
+                    on_flush=[self._on_flush],
+                    on_compaction=[self._on_compaction],
+                    on_table_delete=[self._on_table_delete],
+                ),
+                xwal_config=self.config.xwal,
+                local_device=self.local_device,
+                blob_pcache=self.pcache,
+            )
+            # Recovery's purge may have unpinned orphaned tables, whose file
+            # numbers were never committed and will be handed out again: a
+            # crash must not bring their pinned footer and index back.
+            self.pcache.sync()
+        return db
 
     # -- construction -----------------------------------------------------
 
@@ -365,70 +389,9 @@ class RocksMashStore(StoreFacade):
             counters=counters,
         )
 
-    def reopen(
-        self, *, crash: bool = False, torn_tail_seed: int | None = None
-    ) -> "RocksMashStore":
-        """Simulate a restart over the same devices.
-
-        ``crash=True`` drops unsynced local state (power failure); otherwise
-        the store is closed cleanly. ``torn_tail_seed`` (with ``crash=True``)
-        keeps a seeded-random byte prefix of each unsynced tail instead of
-        dropping it whole — half-written log records the recovery path must
-        treat as absent. Returns the new instance — the old one must not be used
-        afterwards. ``last_recovery_seconds`` on the result reports the
-        simulated recovery time.
-        """
-        if crash:
-            if torn_tail_seed is not None:
-                import random
-
-                self.local_device.crash(
-                    torn_tail=True, rng=random.Random(torn_tail_seed)
-                )
-            else:
-                self.local_device.crash()
-        else:
-            self.close()
-        return type(self)(
-            self.config,
-            clock=self.clock,
-            local_device=self.local_device,
-            cloud_store=self.cloud_store,
-            counters=self.counters,
-        )
-
     def close(self) -> None:
         self.pcache.close()
         self.db.close()
-
-    # -- batched reads with modelled parallel cloud fetches --------------------
-
-    def multi_get(
-        self, keys: list[bytes], *, snapshot: Snapshot | None = None
-    ) -> dict[bytes, bytes | None]:
-        """Batched point lookups with concurrent cloud fetches.
-
-        Keys are served in waves of :data:`MULTI_GET_WAVE`; within a
-        wave each key's I/O is charged to a forked child clock and the
-        wave joins on the slowest key — modelling the parallel ranged GETs
-        a real implementation issues (cache lookups and updates still
-        happen, so warm keys cost nothing extra).
-        """
-        if len(keys) <= 1:
-            return super().multi_get(keys, snapshot=snapshot)
-        results: dict[bytes, bytes | None] = {}
-        with self.tracer.span("multi_get") as span:
-            for start in range(0, len(keys), MULTI_GET_WAVE):
-                wave = keys[start : start + MULTI_GET_WAVE]
-                region = ForkJoinRegion(
-                    self.op_clock, [self.local_device, self.cloud_store]
-                )
-                for key in wave:
-                    with region.branch():
-                        results[key] = self.db.get(key, snapshot=snapshot)
-                region.join()
-        self.read_latency.record(span.elapsed)
-        return results
 
     # -- event handlers -----------------------------------------------------------
 
