@@ -49,13 +49,14 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 413
+PINNED_WITHOUT_TRAFFIC = 401
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
 
 _ITEM_20 = "item 20: the next census slice deletes it or gives it traffic"
 _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
+_NODE_FACADE = "a sharded node is a `StoreFacade`: the facade times, scopes, bills and restarts it, and `ShardEngine` routes"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 
 VERDICTS: dict[str, tuple[str, str]] = {
@@ -186,13 +187,12 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.serve.frontend:ServingResult.throughput": (SAFETY, "a run with no elapsed time"),
     "repro.serve.sharded:KeyRangeRouter.shards_for_range": (OPEN, _SHARD_AXIS),
     "repro.serve.sharded:ShardedDB.shards_touched": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.delete": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.write": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.multi_get": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.scan": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.close": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.local_bytes": (OPEN, _SHARD_AXIS),
-    "repro.serve.sharded:ShardedDB.cloud_bytes": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.delete": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.write": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.multi_get": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.scan": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.close": (OPEN, _SHARD_AXIS),
+    "repro.serve.sharded:ShardEngine.abandon": (OPEN, _SHARD_AXIS),
     # -- simulation and storage
     "repro.sim.clock:SimClock.join": (SAFETY, "a join of no children"),
     "repro.sim.failure:FaultInjector.schedule_failure": (SAFETY, "a scheduled fault; the fault suites use it"),
@@ -268,6 +268,22 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.baselines.cloud_only:CloudOnlyStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
     "repro.baselines.rocksdb_cloud:RocksDBCloudStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
     "repro.mash.checkpoint:_LocalFileShim": (DELETED, "a restore writes its MANIFEST through `LocalEnv`"),
+    "repro.serve.sharded:ShardedDB.__init__": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB._defer_hook": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB._hosts": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.op_clock": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.request_scope": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB._drain_inline": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.put": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.delete": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.write": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.get": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.multi_get": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.scan": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.flush": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.close": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.local_bytes": (DELETED, _NODE_FACADE),
+    "repro.serve.sharded:ShardedDB.cloud_bytes": (DELETED, _NODE_FACADE),
 }
 """Region qualname -> ``(verdict, reason)``.
 

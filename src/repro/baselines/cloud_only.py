@@ -36,7 +36,7 @@ class CloudOnlyConfig:
         return replace(self, options=Options.small())
 
 
-class CloudOnlyStore(StoreFacade):
+class CloudOnlyStore(StoreFacade[DB]):
     """Plain LSM DB on the object store (DRAM block cache only)."""
 
     name = "cloud-only"

@@ -31,7 +31,7 @@ class LocalOnlyConfig:
         return replace(self, options=Options.small())
 
 
-class LocalOnlyStore(StoreFacade):
+class LocalOnlyStore(StoreFacade[DB]):
     """Plain LSM DB on the local device."""
 
     name = "local-only"

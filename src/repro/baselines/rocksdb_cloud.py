@@ -191,7 +191,7 @@ class FileCacheStack(BlockStack):
         return unseal_block(raw)
 
 
-class RocksDBCloudStore(StoreFacade):
+class RocksDBCloudStore(StoreFacade[DB]):
     """WAL/manifest local, SSTs in the cloud, whole-file local cache."""
 
     name = "rocksdb-cloud"

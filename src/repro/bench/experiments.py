@@ -1204,7 +1204,7 @@ def e22_sharded_serving(
             tracer = store.tracer
             target = store
         else:
-            node = ShardedDB(
+            node = ShardedDB.create(
                 ServeConfig(
                     base=rocksmash_config(knobs),
                     num_shards=shards,

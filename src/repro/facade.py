@@ -1,9 +1,9 @@
 """Shared store facade: the uniform surface every system variant exposes.
 
-The benchmark harness compares four systems (RocksMash and three baselines).
-All of them present this facade — timed KV operations against the simulated
-clock, tier occupancy, and a cost report — so experiments treat them
-interchangeably.
+The benchmark harness compares four systems (RocksMash and three baselines),
+and the serving layer's sharded node is a fifth. All of them present this
+facade — timed KV operations against the simulated clock, tier occupancy,
+and a cost report — so experiments treat them interchangeably.
 
 Every timed operation is also recorded as a :class:`~repro.obs.trace.TraceSpan`
 on the facade's :class:`~repro.obs.trace.Tracer`; the storage devices charge
@@ -18,7 +18,7 @@ from collections.abc import Generator, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.db import DB, Snapshot
@@ -32,6 +32,9 @@ from repro.sim.clock import SimClock, StopwatchRegion
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
+
+if TYPE_CHECKING:
+    from repro.serve.sharded import ShardEngine
 
 
 def take_rows(
@@ -68,10 +71,13 @@ class Explanation:
 
 _DEMAND_TIER = {"cloud_get": "cloud", "local_read": "local", "demand_read": "demand"}
 
-_Store = TypeVar("_Store", bound="StoreFacade")
+_Engine = TypeVar("_Engine", bound="DB | ShardEngine")
+"""What the facade's timed methods call: a store's :class:`DB`, or the
+shard router behind a sharded node."""
+_Store = TypeVar("_Store", bound="StoreFacade[Any]")
 
 
-class StoreFacade:
+class StoreFacade(Generic[_Engine]):
     """KV operations timed on the simulated clock, plus reporting.
 
     One constructor builds every system: it takes the devices ``create``
@@ -80,10 +86,13 @@ class StoreFacade:
     :meth:`_open_db`, into ``last_recovery_seconds``. A store that is one
     part of a larger node passes the node's ``tracer`` instead of getting
     its own. ``config`` is the system's own config dataclass; the facade
-    reads only its ``cost_model``.
+    reads only its ``cost_model``. The methods that reach past the KV calls
+    (:meth:`explain`, :meth:`metrics`, snapshots, compaction) are typed for
+    a :class:`DB` engine only.
     """
 
     name = "store"
+    db: _Engine
 
     def __init__(
         self,
@@ -111,8 +120,8 @@ class StoreFacade:
             self.db = self._open_db()
         self.last_recovery_seconds = sw.elapsed
 
-    def _open_db(self) -> DB:
-        """Build the system's Env and open (recovering) its :class:`DB`."""
+    def _open_db(self) -> _Engine:
+        """Build the system's Env and open (recovering) its engine."""
         raise NotImplementedError
 
     def reopen(
@@ -127,7 +136,8 @@ class StoreFacade:
         treat as absent. The old instance is closed either way (a crashed
         one without any I/O), so using it raises
         :class:`~repro.errors.ClosedError`. ``last_recovery_seconds`` on the
-        result reports the simulated recovery time.
+        result reports the simulated recovery time, and its tracer is a
+        fresh one of the old one's capacity.
         """
         if crash:
             rng = None if torn_tail_seed is None else random.Random(torn_tail_seed)
@@ -141,6 +151,7 @@ class StoreFacade:
             local_device=self.local_device,
             cloud_store=self.cloud_store,
             counters=self.counters,
+            tracer=Tracer(self.clock, capacity=self.tracer.capacity),
         )
 
     # -- per-request clock scoping -----------------------------------------
@@ -186,7 +197,7 @@ class StoreFacade:
         self.read_latency.record(span.elapsed)
         return value
 
-    def explain(self, key: bytes) -> Explanation:
+    def explain(self: StoreFacade[DB], key: bytes) -> Explanation:
         """One :meth:`get`, under its own span, as the layers it visited.
 
         Every block source posts its event after counting the block in
@@ -265,14 +276,16 @@ class StoreFacade:
             self.db.flush()
         self.tracer.event("flush")
 
-    def compact_range(self, begin: bytes | None = None, end: bytes | None = None) -> None:
+    def compact_range(
+        self: StoreFacade[DB], begin: bytes | None = None, end: bytes | None = None
+    ) -> None:
         with self.tracer.span("compact_range"):
             self.db.compact_range(begin, end)
 
-    def snapshot(self) -> Snapshot:
+    def snapshot(self: StoreFacade[DB]) -> Snapshot:
         return self.db.snapshot()
 
-    def release_snapshot(self, snap: Snapshot) -> None:
+    def release_snapshot(self: StoreFacade[DB], snap: Snapshot) -> None:
         self.db.release_snapshot(snap)
 
     def close(self) -> None:
@@ -297,7 +310,7 @@ class StoreFacade:
             window_seconds=window_seconds,
         )
 
-    def metrics(self) -> dict[str, int | float]:
+    def metrics(self: StoreFacade[DB]) -> dict[str, int | float]:
         """Every number the store keeps, flat: the counters, the engine's
         :meth:`DB.metrics`, the tracer's event counts (``event.<label>``) and
         busy seconds by tier (``sim.<tier>``)."""
@@ -307,7 +320,7 @@ class StoreFacade:
         out.update({f"sim.{tier}": t for tier, t in self.tracer.totals.as_dict().items()})
         return out
 
-    def dump_metrics(self) -> str:
+    def dump_metrics(self: StoreFacade[DB]) -> str:
         """:meth:`metrics` in Prometheus text exposition format — counters and
         the tracer's totals as counters, every other number as a gauge — plus
         the two latency summaries and the span ring's health."""

@@ -287,7 +287,7 @@ class MashBlockStack(BlockStack):
         return payload
 
 
-class RocksMashStore(StoreFacade):
+class RocksMashStore(StoreFacade[DB]):
     """Public facade over the assembled system."""
 
     name = "rocksmash"

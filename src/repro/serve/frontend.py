@@ -124,7 +124,7 @@ class ServingResult:
     op_counts: dict[str, int] = field(default_factory=dict)
     dropped_counts: dict[str, int] = field(default_factory=dict)
     maintenance_seconds: float = 0.0
-    maintenance_events: int = 0
+    """Simulated seconds of deferred maintenance replayed after responses."""
     outcome_digest: str = ""
 
     @property
@@ -161,8 +161,6 @@ def run_open_loop(
     )
     arrivals = random.Random(config.arrival_seed)
     hasher = hashlib.sha256()
-    maint_seconds_before = float(getattr(server, "maintenance_seconds", 0.0))
-    maint_events_before = int(getattr(server, "maintenance_events", 0))
     start_time = server.clock.now
     arrival = start_time
     busy = [start_time] * server.num_shards
@@ -190,7 +188,7 @@ def run_open_loop(
         # Deferred maintenance runs after the response is sent: it extends
         # the shard's busy timeline (felt by later requests as queueing)
         # but not this request's measured latency.
-        server.run_pending_maintenance(request_clock)
+        result.maintenance_seconds += server.run_pending_maintenance(request_clock)
         for shard in touched:
             busy[shard] = request_clock.now
             outstanding[shard].append(end)
@@ -204,11 +202,5 @@ def run_open_loop(
 
     server.clock.merge([SimClock(now=latest_completion)])
     result.elapsed_seconds = server.clock.now - start_time
-    result.maintenance_seconds = (
-        float(getattr(server, "maintenance_seconds", 0.0)) - maint_seconds_before
-    )
-    result.maintenance_events = (
-        int(getattr(server, "maintenance_events", 0)) - maint_events_before
-    )
     result.outcome_digest = hasher.hexdigest()
     return result

@@ -10,38 +10,40 @@ global key order intact, so a cross-shard scan is the in-order
 concatenation of per-shard scans and a sharded execution returns
 byte-identical results to an unsharded one.
 
-Cross-shard operations (``multi_get``, ``scan``, ``write`` batches,
-``flush``) fan out as :class:`~repro.sim.clock.ForkJoinRegion` branches:
-each shard's I/O accumulates on a forked child clock and the operation
-completes at the slowest shard, exactly like the store's own parallel
-cloud fetches.
+The node is a :class:`~repro.facade.StoreFacade` whose engine,
+:class:`ShardEngine`, routes each call to its shards. Cross-shard operations
+(``multi_get``, ``scan``, ``write`` batches, ``flush``) fan out as
+:class:`~repro.sim.clock.ForkJoinRegion` branches: each shard's I/O
+accumulates on a forked child clock and the operation completes at the
+slowest shard, exactly like the store's own parallel cloud fetches.
 
 Maintenance deferral: each shard's write-triggered flush+compaction is
 *deferred* — the engine's ``maintenance_hook`` marks the shard dirty instead
-of flushing inline — and :meth:`ShardedDB.run_pending_maintenance` replays
-it after the triggering request's response. Under the open-loop front-end
-this puts
-compaction work on the shard's busy timeline where it surfaces as
-*queueing* interference on later requests (the realistic tail-latency
-mechanism) instead of inflating one unlucky request's service time.
+of flushing inline. A request run by :meth:`ShardedDB.execute` leaves it to
+:meth:`ShardedDB.run_pending_maintenance`, which the open-loop front-end
+calls after the response: compaction work lands on the shard's busy
+timeline where it surfaces as *queueing* interference on later requests
+(the realistic tail-latency mechanism) instead of inflating one unlucky
+request's service time. Outside a request the write itself drains it.
 """
 
 from __future__ import annotations
 
 import typing
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator
-from contextlib import ExitStack, contextmanager
+from collections.abc import Generator
 from dataclasses import dataclass, replace
+from functools import partial
 
-from repro.facade import take_rows
+from repro.facade import StoreFacade, take_rows
+from repro.lsm.db import Snapshot
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.metrics.counters import CounterSet
-from repro.metrics.latency import LatencyHistogram
 from repro.obs.trace import Tracer
-from repro.sim.clock import ForkJoinRegion, SimClock, StopwatchRegion
+from repro.sim.clock import ClockCharged, ForkJoinRegion, SimClock
 from repro.storage.cloud import CloudObjectStore
+from repro.storage.cost import CostModel
 from repro.storage.local import LocalDevice
 from repro.util.encoding import TYPE_VALUE
 from repro.workloads.generator import make_key
@@ -110,166 +112,67 @@ class ServeConfig:
     key_space: int = 10_000
     """Key-index space the uniform router splits."""
 
+    @property
+    def cost_model(self) -> CostModel:
+        """The node is billed as one store of its shards' cost model."""
+        return self.base.cost_model
+
 
 TRACE_CAPACITY = 4096
 """Span ring of the node-wide tracer all shards record into (a single
 store's tracer keeps 2048)."""
 
 
-class ShardedDB:
-    """N-way sharded serving facade over RocksMash stores.
+def _no_snapshot(snapshot: Snapshot | None) -> None:
+    if snapshot is not None:
+        raise NotImplementedError("a sharded node reads no snapshot")
 
-    Presents the same timed KV surface as a single store facade (so the
-    YCSB runners drive it unchanged) plus the request-serving hooks the
-    open-loop front-end needs: :meth:`shards_touched`, :meth:`execute`,
-    and :meth:`run_pending_maintenance`.
-    """
 
-    def __init__(self, config: ServeConfig, *, clock: SimClock | None = None) -> None:
-        self.config = config
-        self.clock = clock if clock is not None else SimClock()
-        self.router = KeyRangeRouter.uniform(config.num_shards, config.key_space)
-        self.num_shards = self.router.num_shards
-        self.name = f"rocksmash-x{self.num_shards}"
-        self.counters = CounterSet()
-        self.tracer = Tracer(self.clock, capacity=TRACE_CAPACITY)
-        """One tracer for the whole node, handed to the shared devices and to
-        every shard: each shard's block path, persistent cache and placement
-        post to it from their first instruction."""
-        base = config.base
-        self.local_device = LocalDevice(
-            self.clock,
-            capacity_bytes=base.local_capacity_bytes,
-            counters=self.counters,
-            tracer=self.tracer,
-        )
-        self.cloud_store = CloudObjectStore(
-            self.clock, base.cloud_model, counters=self.counters, tracer=self.tracer
-        )
+class ShardEngine:
+    """The engine behind a :class:`ShardedDB`: routes each call to the
+    shards owning its keys, forking on the shared devices' current clock
+    (the request's inside a request scope) the way
+    :meth:`repro.mash.store.MashDB.multi_get` forks on ``env.sim_clock()``."""
+
+    def __init__(
+        self, router: KeyRangeRouter, hosts: list[ClockCharged], tracer: Tracer
+    ) -> None:
+        self.router = router
+        self.hosts = hosts
+        self.tracer = tracer
         self.shards: list[RocksMashStore] = []
         self._pending: set[int] = set()
-        # Under a span, so that what opening the shards costs is attributed.
-        with self.tracer.span("open"):
-            for index in range(self.num_shards):
-                shard_config = replace(
-                    base,
-                    db_prefix=f"db/s{index:02d}/",
-                    pcache=replace(base.pcache, prefix=f"pcache/s{index:02d}/"),
-                )
-                self.shards.append(
-                    RocksMashStore(
-                        shard_config,
-                        clock=self.clock,
-                        local_device=self.local_device,
-                        cloud_store=self.cloud_store,
-                        counters=self.counters,
-                        tracer=self.tracer,
-                        maintenance_hook=self._defer_hook(index),
-                    )
-                )
         self._in_request = False
-        self._request_clock: SimClock | None = None
-        self.read_latency = LatencyHistogram()
-        self.write_latency = LatencyHistogram()
-        self.maintenance_seconds = 0.0
-        self.maintenance_events = 0
+        """Set while :meth:`ShardedDB.execute` serves a request: dirty shards
+        then wait for :meth:`drain`; otherwise the write drains them (a
+        single store's maintenance is part of its write too)."""
 
-    def _defer_hook(self, index: int) -> Callable[[], None]:
-        def hook() -> None:
-            self._pending.add(index)
+    def _fork(self) -> ForkJoinRegion:
+        return ForkJoinRegion(self.hosts[0].clock, self.hosts)
 
-        return hook
-
-    @property
-    def _hosts(self) -> list[typing.Any]:
-        return [self.local_device, self.cloud_store]
-
-    # -- per-request clock scoping ----------------------------------------
-
-    @property
-    def op_clock(self) -> SimClock:
-        """The clock timed operations read: the active request's child
-        clock inside a :meth:`request_scope`, the node clock otherwise."""
-        return self._request_clock if self._request_clock is not None else self.clock
-
-    @contextmanager
-    def request_scope(self, clock: SimClock) -> Iterator[SimClock]:
-        """Serve operations on a per-request child clock (both shared
-        devices, the tracer's span stack, and every stopwatch follow)."""
-        with ExitStack() as stack:
-            stack.enter_context(self.local_device.clock_scope(clock))
-            stack.enter_context(self.cloud_store.clock_scope(clock))
-            stack.enter_context(self.tracer.request_scope(clock))
-            saved_clock = self._request_clock
-            saved_flag = self._in_request
-            self._request_clock = clock
-            self._in_request = True
-            try:
-                yield clock
-            finally:
-                self._request_clock = saved_clock
-                self._in_request = saved_flag
-
-    # -- serving hooks ----------------------------------------------------
-
-    def shards_touched(self, op: Op) -> tuple[int, ...]:
-        """The shards an op must wait on (scans scatter to every shard at
-        or above their begin key; point ops touch exactly one)."""
-        if op.kind == "scan":
-            return tuple(self.router.shards_for_range(op.key, None))
-        return (self.router.shard_of(op.key),)
-
-    def execute(self, op: Op, clock: SimClock) -> typing.Any:
-        """Run one YCSB op inside a request scope on ``clock``."""
-        with self.request_scope(clock):
-            return apply_op(self, op)
-
-    def run_pending_maintenance(self, clock: SimClock) -> float:
-        """Replay deferred flush/compaction on ``clock``; returns the
-        simulated seconds spent (0.0 when nothing was pending)."""
+    def drain(self) -> float:
+        """Flush every shard a write left dirty, under one ``maintenance``
+        span; returns the simulated seconds it took (0.0 when none was)."""
         if not self._pending:
             return 0.0
         pending = sorted(self._pending)
         self._pending.clear()
-        start = clock.now
-        with self.request_scope(clock), self.tracer.span("maintenance"):
+        with self.tracer.span("maintenance") as span:
             for index in pending:
                 self.shards[index].flush()
-        spent = clock.now - start
-        self.maintenance_seconds += spent
-        self.maintenance_events += len(pending)
-        return spent
+        return span.elapsed
 
-    def _drain_inline(self) -> None:
-        """Closed-loop parity: outside a request scope, deferred
-        maintenance runs right after the op (off its latency) on the node
-        clock, so throughput still pays for every flush."""
-        if self._in_request or not self._pending:
-            return
-        pending = sorted(self._pending)
-        self._pending.clear()
-        start = self.clock.now
-        with self.tracer.span("maintenance"):
-            for index in pending:
-                self.shards[index].flush()
-        self.maintenance_seconds += self.clock.now - start
-        self.maintenance_events += len(pending)
-
-    # -- KV API (facade-compatible) ---------------------------------------
+    def _written(self) -> None:
+        if not self._in_request:
+            self.drain()
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
-        shard = self.shards[self.router.shard_of(key)]
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("put"):
-            shard.db.put(key, value, sync=sync)
-        self.write_latency.record(sw.elapsed)
-        self._drain_inline()
+        self.shards[self.router.shard_of(key)].db.put(key, value, sync=sync)
+        self._written()
 
     def delete(self, key: bytes, *, sync: bool = True) -> None:
-        shard = self.shards[self.router.shard_of(key)]
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("delete"):
-            shard.db.delete(key, sync=sync)
-        self.write_latency.record(sw.elapsed)
-        self._drain_inline()
+        self.shards[self.router.shard_of(key)].db.delete(key, sync=sync)
+        self._written()
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
         """Apply a batch, split by owning shard.
@@ -286,49 +189,47 @@ class ShardedDB:
                 sub.put(bop.key, bop.value)
             else:
                 sub.delete(bop.key)
-        if not groups:
-            return
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("write"):
-            if len(groups) == 1:
-                ((index, sub),) = groups.items()
-                self.shards[index].db.write(sub, sync=sync)
-            else:
-                region = ForkJoinRegion(self.op_clock, self._hosts)
-                for index in sorted(groups):
-                    with region.branch():
-                        self.shards[index].db.write(groups[index], sync=sync)
-                region.join()
-        self.write_latency.record(sw.elapsed)
-        self._drain_inline()
+        if len(groups) == 1:
+            ((index, sub),) = groups.items()
+            self.shards[index].db.write(sub, sync=sync)
+        elif groups:
+            region = self._fork()
+            for index in sorted(groups):
+                with region.branch():
+                    self.shards[index].db.write(groups[index], sync=sync)
+            region.join()
+        self._written()
 
-    def get(self, key: bytes) -> bytes | None:
-        shard = self.shards[self.router.shard_of(key)]
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("get"):
-            value = shard.db.get(key)
-        self.read_latency.record(sw.elapsed)
-        self._drain_inline()
-        return value
+    def get(self, key: bytes, *, snapshot: Snapshot | None = None) -> bytes | None:
+        _no_snapshot(snapshot)
+        return self.shards[self.router.shard_of(key)].db.get(key)
 
-    def multi_get(self, keys: list[bytes]) -> dict[bytes, bytes | None]:
+    def multi_get(
+        self, keys: list[bytes], *, snapshot: Snapshot | None = None
+    ) -> dict[bytes, bytes | None]:
         """Batched point lookups, fanned out one branch per touched shard."""
+        _no_snapshot(snapshot)
         groups: dict[int, list[bytes]] = {}
         for key in keys:
             groups.setdefault(self.router.shard_of(key), []).append(key)
         results: dict[bytes, bytes | None] = {}
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("multi_get"):
-            region = ForkJoinRegion(self.op_clock, self._hosts)
-            for index in sorted(groups):
-                with region.branch():
-                    results.update(self.shards[index].db.multi_get(groups[index]))
-            region.join()
-        self.read_latency.record(sw.elapsed)
-        self._drain_inline()
+        region = self._fork()
+        for index in sorted(groups):
+            with region.branch():
+                results.update(self.shards[index].db.multi_get(groups[index]))
+        region.join()
         return {key: results[key] for key in keys}
 
     def scan(
-        self, begin: bytes | None = None, end: bytes | None = None, limit: int | None = None
-    ) -> list[tuple[bytes, bytes]]:
-        """Ordered range scan, scatter-gathered across the touched shards.
+        self,
+        begin: bytes | None = None,
+        end: bytes | None = None,
+        limit: int | None = None,
+        *,
+        snapshot: Snapshot | None = None,
+    ) -> Generator[tuple[bytes, bytes], None, None]:
+        """Ordered range scan, scatter-gathered across the touched shards
+        when the first row is asked for.
 
         Every touched shard speculatively serves up to the full remaining
         ``limit`` in a parallel branch (the router cannot know how many
@@ -336,43 +237,118 @@ class ShardedDB:
         concatenates in shard order — which *is* global key order under
         range partitioning — and truncates.
         """
-        touched = list(self.router.shards_for_range(begin, end))
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
-            if len(touched) == 1:
-                results = take_rows(self.shards[touched[0]].db.scan(begin, end, limit), limit)
-            else:
-                gathered: dict[int, list[tuple[bytes, bytes]]] = {}
-                region = ForkJoinRegion(self.op_clock, self._hosts)
-                for index in touched:
-                    with region.branch():
-                        rows = self.shards[index].db.scan(begin, end, limit)
-                        gathered[index] = take_rows(rows, limit)
-                region.join()
-                results = [kv for index in touched for kv in gathered[index]]
-                if limit is not None:
-                    results = results[:limit]
-        self.read_latency.record(sw.elapsed)
-        self._drain_inline()
-        return results
+        _no_snapshot(snapshot)
+        touched = self.router.shards_for_range(begin, end)
+        if len(touched) == 1:
+            rows = take_rows(self.shards[touched[0]].db.scan(begin, end, limit), limit)
+        else:
+            gathered: dict[int, list[tuple[bytes, bytes]]] = {}
+            region = self._fork()
+            for index in touched:
+                with region.branch():
+                    shard_rows = self.shards[index].db.scan(begin, end, limit)
+                    gathered[index] = take_rows(shard_rows, limit)
+            region.join()
+            rows = [kv for index in touched for kv in gathered[index]][:limit]
+        yield from rows
 
     def flush(self) -> None:
         """Flush every shard (parallel branches), plus anything deferred."""
         self._pending.clear()  # the full flush below supersedes them
-        with self.tracer.span("flush"):
-            region = ForkJoinRegion(self.op_clock, self._hosts)
-            for shard in self.shards:
-                with region.branch():
-                    shard.db.flush()
-            region.join()
+        region = self._fork()
+        for shard in self.shards:
+            with region.branch():
+                shard.db.flush()
+        region.join()
 
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
 
-    # -- reporting ---------------------------------------------------------
+    def abandon(self) -> None:
+        for shard in self.shards:
+            shard.db.abandon()
 
-    def local_bytes(self) -> int:
-        return self.local_device.used_bytes()
 
-    def cloud_bytes(self) -> int:
-        return self.cloud_store.used_bytes()
+class ShardedDB(StoreFacade[ShardEngine]):
+    """N-way sharded serving node over RocksMash stores.
+
+    The facade's timed KV surface (so the YCSB runners drive it unchanged)
+    over a :class:`ShardEngine`, plus the request-serving hooks the
+    open-loop front-end needs: :meth:`shards_touched`, :meth:`execute`,
+    and :meth:`run_pending_maintenance`.
+    """
+
+    cloud_store: CloudObjectStore
+
+    @classmethod
+    def create(cls, config: ServeConfig, *, clock: SimClock | None = None) -> ShardedDB:
+        """Stand up a node on fresh simulated devices and one node tracer,
+        which every shard posts to from its first instruction."""
+        clock = clock or SimClock()
+        counters = CounterSet()
+        base = config.base
+        return cls(
+            config,
+            clock=clock,
+            local_device=LocalDevice(
+                clock, capacity_bytes=base.local_capacity_bytes, counters=counters
+            ),
+            cloud_store=CloudObjectStore(clock, base.cloud_model, counters=counters),
+            counters=counters,
+            tracer=Tracer(clock, capacity=TRACE_CAPACITY),
+        )
+
+    def _open_db(self) -> ShardEngine:
+        """Open one shard per key range (``db/sNN/``, ``pcache/sNN/``) under
+        an ``open`` span, so that what opening them costs is attributed."""
+        config: ServeConfig = self.config
+        self.router = KeyRangeRouter.uniform(config.num_shards, config.key_space)
+        self.num_shards = self.router.num_shards
+        self.name = f"rocksmash-x{self.num_shards}"
+        engine = ShardEngine(self.router, [self.local_device, self.cloud_store], self.tracer)
+        self.shards = engine.shards
+        with self.tracer.span("open"):
+            for index in range(self.num_shards):
+                shard_config = replace(
+                    config.base,
+                    db_prefix=f"db/s{index:02d}/",
+                    pcache=replace(config.base.pcache, prefix=f"pcache/s{index:02d}/"),
+                )
+                self.shards.append(
+                    RocksMashStore(
+                        shard_config,
+                        clock=self.clock,
+                        local_device=self.local_device,
+                        cloud_store=self.cloud_store,
+                        counters=self.counters,
+                        tracer=self.tracer,
+                        maintenance_hook=partial(engine._pending.add, index),
+                    )
+                )
+        return engine
+
+    # -- serving hooks ----------------------------------------------------
+
+    def shards_touched(self, op: Op) -> tuple[int, ...]:
+        """The shards an op must wait on (scans scatter to every shard at
+        or above their begin key; point ops touch exactly one)."""
+        if op.kind == "scan":
+            return tuple(self.router.shards_for_range(op.key, None))
+        return (self.router.shard_of(op.key),)
+
+    def execute(self, op: Op, clock: SimClock) -> typing.Any:
+        """Run one YCSB op inside a request scope on ``clock``; maintenance
+        its writes trigger waits for :meth:`run_pending_maintenance`."""
+        self.db._in_request = True
+        try:
+            with self.request_scope(clock):
+                return apply_op(self, op)
+        finally:
+            self.db._in_request = False
+
+    def run_pending_maintenance(self, clock: SimClock) -> float:
+        """Replay deferred flush/compaction on ``clock``; returns the
+        simulated seconds spent (0.0 when nothing was pending)."""
+        with self.request_scope(clock):
+            return self.db.drain()

@@ -95,7 +95,7 @@ class TestParallelTiming:
         records = 3000
         keys = [make_key(i) for i in range(0, records, 7)][:64]
         store = make_store("rocksmash", knobs)
-        node = ShardedDB(
+        node = ShardedDB.create(
             ServeConfig(base=rocksmash_config(knobs), num_shards=1, key_space=records)
         )
         seconds, answers = [], []

@@ -18,7 +18,7 @@ KNOBS = HarnessKnobs(cloud_level=1, block_cache_bytes=0, pcache_budget_bytes=4 <
 
 
 def sharded_node(shards):
-    return ShardedDB(
+    return ShardedDB.create(
         ServeConfig(base=rocksmash_config(KNOBS), num_shards=shards, key_space=RECORDS)
     )
 
@@ -43,8 +43,9 @@ class TestShardedReads:
         assert node.counters.get("local.read_ops") > io[1]
 
     def test_block_path_events_reach_the_node_tracer(self):
-        """The shards are built with private tracers and repointed at the
-        node's; the block path has to follow, or its events are lost."""
+        """Every shard is built with the node's tracer, so its block path
+        posts to it from the first instruction; a path posting to any other
+        tracer would lose these events."""
         node = sharded_node(2)
         ycsb.load_phase(node, ycsb.ALL_WORKLOADS["B"].scaled(RECORDS, 1))
         before = dict(node.tracer.event_counts)

@@ -72,7 +72,7 @@ def test_all_spans_conserved(ops, blob_value_threshold, shards):
     if shards == 1:
         store = RocksMashStore.create(config)
     else:
-        store = ShardedDB(ServeConfig(base=config, num_shards=shards, key_space=50))
+        store = ShardedDB.create(ServeConfig(base=config, num_shards=shards, key_space=50))
     for op, i, value in ops:
         if op == "put":
             store.put(key_of(i), value)

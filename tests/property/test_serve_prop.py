@@ -71,7 +71,7 @@ class TestShardedEquivalence:
     )
     def test_sharded_matches_single_store(self, ops, shards):
         single = RocksMashStore.create(StoreConfig().small())
-        node = ShardedDB(
+        node = ShardedDB.create(
             ServeConfig(
                 base=StoreConfig().small(), num_shards=shards, key_space=KEY_SPACE
             )
@@ -106,7 +106,7 @@ class TestShardedEquivalence:
             return hasher.hexdigest()
 
         single = RocksMashStore.create(StoreConfig().small())
-        node = ShardedDB(
+        node = ShardedDB.create(
             ServeConfig(base=StoreConfig().small(), num_shards=shards, key_space=80)
         )
         assert digest(single) == digest(node)
@@ -130,7 +130,7 @@ class TestShardedEquivalence:
             ),
         )
         single = RocksMashStore.create(base)
-        node = ShardedDB(ServeConfig(base=base, num_shards=shards, key_space=KEY_SPACE))
+        node = ShardedDB.create(ServeConfig(base=base, num_shards=shards, key_space=KEY_SPACE))
         for kind, idx, extra in ops:
             assert apply(single, kind, idx, extra) == apply(node, kind, idx, extra), (
                 f"divergence at {kind} {idx}"
@@ -162,7 +162,7 @@ class TestShardedEquivalence:
         )
         keys = 200  # enough that reads miss the small caches and go to the cloud
         single = RocksMashStore.create(base)
-        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=keys))
+        node = ShardedDB.create(ServeConfig(base=base, num_shards=2, key_space=keys))
         node.cloud_store.faults = FaultInjector(
             error_rate=0.1, seed=seed, op_prefixes=("cloud.get",)
         )
@@ -194,14 +194,14 @@ class TestShardedEquivalence:
                 write_buffer_size=1 << 10,
             ),
         )
-        node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=KEY_SPACE))
+        node = ShardedDB.create(ServeConfig(base=base, num_shards=2, key_space=KEY_SPACE))
         live = {}
         for i in range(400):
             key = make_key(i % 16)
             value = f"v{i:04d}-".encode() + b"b" * 150
             live[key] = value
             node.put(key, value)
-        assert node.maintenance_events > 0
+        assert any(span.op == "maintenance" for span in node.tracer.spans)
         deleted = sum(
             shard.db.blob_store.stats()["segments_deleted"] for shard in node.shards
         )
@@ -222,7 +222,7 @@ class TestReentrantConservation:
         maintenance replayed on request clocks) never breaks
         local + cloud + cpu == elapsed on any recorded span."""
         spec = ycsb.WORKLOAD_A.scaled(60, 50)
-        node = ShardedDB(
+        node = ShardedDB.create(
             ServeConfig(base=StoreConfig().small(), num_shards=4, key_space=60)
         )
         ycsb.load_phase(node, spec)

@@ -19,7 +19,7 @@ from repro.workloads.generator import make_key
 
 
 def make_node(shards=4, key_space=200, **kw):
-    return ShardedDB(
+    return ShardedDB.create(
         ServeConfig(
             base=StoreConfig().small(), num_shards=shards, key_space=key_space, **kw
         )
@@ -133,17 +133,17 @@ class TestShardedDB:
         wrote = 0
         # Fill one shard's memtable past its 4 KiB small() budget: with
         # deferral on, the flush must NOT happen inside put().
-        while not node._pending and wrote < 500:
-            node._in_request = True  # suppress the closed-loop drain
+        while not node.db._pending and wrote < 500:
+            node.db._in_request = True  # suppress the closed-loop drain
             node.put(make_key(wrote % 100), b"x" * 64)
             wrote += 1
-        node._in_request = False
-        assert node._pending
-        assert all(len(node.shards[i].db.memtable) > 0 for i in node._pending)
+        node.db._in_request = False
+        assert node.db._pending
+        assert all(len(node.shards[i].db.memtable) > 0 for i in node.db._pending)
         clock = node.clock.child()
         assert node.run_pending_maintenance(clock) > 0
-        assert not node._pending
-        assert node.maintenance_events > 0
+        assert not node.db._pending
+        assert any(span.op == "maintenance" for span in node.tracer.spans)
         # Flush really happened: the dirty shard's memtable was emptied.
         assert node.get(make_key(1)) is not None
 
@@ -152,8 +152,8 @@ class TestShardedDB:
         for i in range(300):
             node.put(make_key(i % 100), b"y" * 64)
         # Closed-loop drains keep pending empty without explicit calls.
-        assert not node._pending
-        assert node.maintenance_events > 0
+        assert not node.db._pending
+        assert any(span.op == "maintenance" for span in node.tracer.spans)
 
     def test_one_tracer_spans_all_shards(self):
         node = make_node()
@@ -177,7 +177,7 @@ class TestShardedDB:
                 options=replace(base.options, scan_prefetch_depth=depth),
                 placement=replace(base.placement, cloud_level=1),
             )
-            node = ShardedDB(ServeConfig(base=base, num_shards=2, key_space=400))
+            node = ShardedDB.create(ServeConfig(base=base, num_shards=2, key_space=400))
             for i in range(400):
                 node.put(make_key(i), b"v" * 64)
             node.flush()
@@ -193,12 +193,12 @@ class TestShardedDB:
 
     def test_flush_clears_pending_everywhere(self):
         node = make_node(shards=2)
-        node._in_request = True
+        node.db._in_request = True
         for i in range(300):
             node.put(make_key(i % 100), b"z" * 64)
-        node._in_request = False
+        node.db._in_request = False
         node.flush()
-        assert not node._pending
+        assert not node.db._pending
         assert all(len(shard.db.memtable) == 0 for shard in node.shards)
 
 
