@@ -49,7 +49,7 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 401
+PINNED_WITHOUT_TRAFFIC = 393
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
@@ -57,6 +57,7 @@ SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
 _ITEM_20 = "item 20: the next census slice deletes it or gives it traffic"
 _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
 _NODE_FACADE = "a sharded node is a `StoreFacade`: the facade times, scopes, bills and restarts it, and `ShardEngine` routes"
+_ONE_CLOCK = "one clock per store: a fork or a request moves its time, nothing re-points a device's clock"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 
 VERDICTS: dict[str, tuple[str, str]] = {
@@ -134,7 +135,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.version:VersionEdit.encode": (OPEN, _BLOB_GC),
     "repro.lsm.version:VersionEdit.delete_blob_segment": (OPEN, _BLOB_GC),
     "repro.lsm.version:VersionSet._apply_blob": (OPEN, _BLOB_GC),
-    "repro.lsm.version:VersionEdit.decode": (SAFETY, "blob-segment, separation-brand and retired sorted-view tags: only a reopened separated or old store replays them"),
+    "repro.lsm.version:VersionEdit.decode": (SAFETY, "blob-segment and separation-brand tags: only a reopened separated store replays them"),
     "repro.lsm.version:Version.overlapping_files": (SAFETY, "an L0 overlap that grows the range again"),
     "repro.lsm.version:Version.is_base_level_for_key": (SAFETY, "a key that a deeper level still holds"),
     "repro.lsm.version:VersionSet.rewrite_manifest": (OPEN, "item 10: the blob segments in a separated store's MANIFEST rewrite; E23 never grows a MANIFEST past its limit"),
@@ -155,7 +156,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.layout:BlockHeatTracker.heat_of": (OPEN, f"{_ITEM_20}: only tests read one block's heat"),
     "repro.mash.layout:BlockHeatTracker.knows_file": (OPEN, f"{_ITEM_20}: only tests ask"),
     "repro.mash.layout:BlockHeatTracker.plan_inheritance": (SAFETY, "cold and unmapped inputs inherit nothing"),
-    "repro.mash.pcache:PersistentCache._recover": (SAFETY, "a torn segment tail, and the single slab earlier builds wrote"),
     "repro.mash.pcache:_records": (SAFETY, "a torn or corrupt segment tail ends the walk"),
     "repro.mash.pcache:PersistentCache.put_meta": (SAFETY, "metadata larger than the whole budget"),
     "repro.mash.pcache:PersistentCache._index_meta": (SAFETY, "metadata replaced in place"),
@@ -179,13 +179,12 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.obs.trace:TraceSpan.from_dict": (SURFACE, "JSONL span import"),
     "repro.obs.trace:summarize_spans": (SURFACE, "per-op span summary for an operator"),
     "repro.obs.trace:Tracer.request_scope": (SAFETY, "a scope with no open span"),
-    "repro.obs.trace:Tracer.clock_scope": (SAFETY, "a scope with no open span"),
+    "repro.obs.trace:Tracer.close_branch": (SAFETY, "a branch closed with no frame open"),
     "repro.obs.trace:Tracer.absorb_join": (SAFETY, "joins outside a span, and joins that take no time"),
     "repro.obs.trace:Tracer.export_jsonl": (SURFACE, "JSONL span export"),
     "repro.obs.trace:Tracer.spans_from_jsonl": (SURFACE, "JSONL span import"),
     # -- serving
     "repro.serve.frontend:ServingResult.throughput": (SAFETY, "a run with no elapsed time"),
-    "repro.serve.sharded:KeyRangeRouter.shards_for_range": (OPEN, _SHARD_AXIS),
     "repro.serve.sharded:ShardedDB.shards_touched": (OPEN, _SHARD_AXIS),
     "repro.serve.sharded:ShardEngine.delete": (OPEN, _SHARD_AXIS),
     "repro.serve.sharded:ShardEngine.write": (OPEN, _SHARD_AXIS),
@@ -194,6 +193,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.serve.sharded:ShardEngine.close": (OPEN, _SHARD_AXIS),
     "repro.serve.sharded:ShardEngine.abandon": (OPEN, _SHARD_AXIS),
     # -- simulation and storage
+    "repro.sim.clock:SimClock.child": (SURFACE, "a child at the parent's own time; the front-end always names the request's start"),
     "repro.sim.clock:SimClock.join": (SAFETY, "a join of no children"),
     "repro.sim.failure:FaultInjector.schedule_failure": (SAFETY, "a scheduled fault; the fault suites use it"),
     "repro.sim.failure:FaultInjector.check": (SAFETY, "a scheduled fault firing"),
@@ -202,7 +202,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.sim.failure:CrashPointRegistry.reach": (SAFETY, "an armed crash site skipping its first reaches"),
     "repro.sim.failure:armed": (SAFETY, "arming a crash site for one block of code"),
     "repro.storage.cost:MonthlyBill.total": (SURFACE, "the bill's total; E7 prints its parts"),
-    "repro.storage.env:Env.clock_hosts": (SAFETY, "the base `Env` default; every environment overrides it"),
     "repro.storage.env:Env.is_cloud": (SAFETY, "the base `Env` default; every environment overrides it"),
     "repro.storage.env:CloudEnv.is_cloud": (SAFETY, "asked only by scan prefetch, which traffic runs on the hybrid env"),
     "repro.storage.env:_CloudWritableFile.close": (SAFETY, "a second close"),
@@ -284,6 +283,17 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.serve.sharded:ShardedDB.close": (DELETED, _NODE_FACADE),
     "repro.serve.sharded:ShardedDB.local_bytes": (DELETED, _NODE_FACADE),
     "repro.serve.sharded:ShardedDB.cloud_bytes": (DELETED, _NODE_FACADE),
+    "repro.sim.clock:ClockCharged": (DELETED, _ONE_CLOCK),
+    "repro.sim.clock:JoinParticipant": (DELETED, _ONE_CLOCK),
+    "repro.sim.clock:SimClock.merge": (DELETED, "a region's `join(strict=False)` is the one overlap-tolerant join"),
+    "repro.obs.trace:Tracer.clock_scope": (DELETED, _ONE_CLOCK),
+    "repro.obs.trace:_Branch": (DELETED, "a region hands its own branch records to `absorb_join`"),
+    "repro.storage.env:Env.clock_hosts": (DELETED, _ONE_CLOCK),
+    "repro.storage.env:LocalEnv.clock_hosts": (DELETED, _ONE_CLOCK),
+    "repro.storage.env:CloudEnv.clock_hosts": (DELETED, _ONE_CLOCK),
+    "repro.storage.env:HybridEnv.clock_hosts": (DELETED, _ONE_CLOCK),
+    "repro.storage.env:Env.sim_clock": (DELETED, "every Env has its device's clock; none is un-clocked"),
+    "repro.mash.placement:PlacementManager._tick_overlap_saved": (DELETED, "the demotion batch ticks the local device's counters itself"),
 }
 """Region qualname -> ``(verdict, reason)``.
 

@@ -6,16 +6,17 @@ facade — timed KV operations against the simulated clock, tier occupancy,
 and a cost report — so experiments treat them interchangeably.
 
 Every timed operation is also recorded as a :class:`~repro.obs.trace.TraceSpan`
-on the facade's :class:`~repro.obs.trace.Tracer`; the storage devices charge
-their simulated-clock costs to the tracer, so each span carries a tier
-breakdown (local/cloud/cpu seconds) that sums to its wall-clock elapsed time.
+on the facade's :class:`~repro.obs.trace.Tracer`, which the facade attaches
+to the store's one clock; every charge to that clock reaches the tracer, so
+each span carries a tier breakdown (local/cloud/cpu seconds) that sums to
+its simulated elapsed time.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Generator, Iterator
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
@@ -80,15 +81,14 @@ _Store = TypeVar("_Store", bound="StoreFacade[Any]")
 class StoreFacade(Generic[_Engine]):
     """KV operations timed on the simulated clock, plus reporting.
 
-    One constructor builds every system: it takes the devices ``create``
-    chose (``cloud_store`` is None for a store with no cloud tier), points
-    each at the store's tracer, and times the subclass's one hook,
-    :meth:`_open_db`, into ``last_recovery_seconds``. A store that is one
-    part of a larger node passes the node's ``tracer`` instead of getting
-    its own. ``config`` is the system's own config dataclass; the facade
-    reads only its ``cost_model``. The methods that reach past the KV calls
-    (:meth:`explain`, :meth:`metrics`, snapshots, compaction) are typed for
-    a :class:`DB` engine only.
+    One constructor builds every system: it takes the clock and the devices
+    ``create`` chose (``cloud_store`` is None for a store with no cloud
+    tier), attaches the store's tracer to the clock, and times the
+    subclass's one hook, :meth:`_open_db`, into ``last_recovery_seconds``.
+    A store that is one part of a larger node passes the node's ``tracer``
+    instead of getting its own. ``config`` is the system's own config
+    dataclass; the facade reads only its ``cost_model``. :meth:`explain`
+    is typed for a :class:`DB` engine; a sharded node overrides it.
     """
 
     name = "store"
@@ -112,10 +112,7 @@ class StoreFacade(Generic[_Engine]):
         self.cost_model: CostModel = config.cost_model
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
-        self.tracer = tracer if tracer is not None else Tracer(clock)
-        self._devices = [dev for dev in (local_device, cloud_store) if dev is not None]
-        for dev in self._devices:
-            dev.tracer = self.tracer
+        self.tracer = clock.tracer = tracer if tracer is not None else Tracer(clock)
         with StopwatchRegion(clock) as sw:
             self.db = self._open_db()
         self.last_recovery_seconds = sw.elapsed
@@ -158,21 +155,19 @@ class StoreFacade(Generic[_Engine]):
 
     @contextmanager
     def request_scope(self, clock: SimClock) -> Iterator[SimClock]:
-        """Serve operations on a per-request child clock.
+        """Serve operations on a request's own timeline.
 
         The open-loop serving layer (:mod:`repro.serve`) gives every
-        in-flight request its own child clock starting at the request's
-        scheduled service time. Inside this scope the storage devices and
-        the tracer (fresh span stack — see :meth:`Tracer.request_scope`)
-        read that clock, so concurrent requests and background
-        flush/compaction coexist on the fork/join clock without sharing
-        implicit singleton timing state.
+        in-flight request its own clock starting at the request's scheduled
+        service time. Inside this scope the store's clock runs on that time
+        (:meth:`SimClock.scope`) and the tracer keeps a fresh span stack
+        (:meth:`Tracer.request_scope`); on exit ``clock`` holds where the
+        request ended and the store's clock has its own time back, so
+        concurrent requests and background flush/compaction coexist on the
+        fork/join timeline without sharing implicit singleton timing state.
         """
-        with ExitStack() as stack:
-            for dev in self._devices:
-                stack.enter_context(dev.clock_scope(clock))
-            stack.enter_context(self.tracer.request_scope(clock))
-            yield clock
+        with self.clock.scope(clock) as own, self.tracer.request_scope():
+            yield own
 
     # -- KV API -----------------------------------------------------------
 
@@ -276,16 +271,14 @@ class StoreFacade(Generic[_Engine]):
             self.db.flush()
         self.tracer.event("flush")
 
-    def compact_range(
-        self: StoreFacade[DB], begin: bytes | None = None, end: bytes | None = None
-    ) -> None:
+    def compact_range(self, begin: bytes | None = None, end: bytes | None = None) -> None:
         with self.tracer.span("compact_range"):
             self.db.compact_range(begin, end)
 
-    def snapshot(self: StoreFacade[DB]) -> Snapshot:
+    def snapshot(self) -> Snapshot:
         return self.db.snapshot()
 
-    def release_snapshot(self: StoreFacade[DB], snap: Snapshot) -> None:
+    def release_snapshot(self, snap: Snapshot) -> None:
         self.db.release_snapshot(snap)
 
     def close(self) -> None:
@@ -310,7 +303,7 @@ class StoreFacade(Generic[_Engine]):
             window_seconds=window_seconds,
         )
 
-    def metrics(self: StoreFacade[DB]) -> dict[str, int | float]:
+    def metrics(self) -> dict[str, int | float]:
         """Every number the store keeps, flat: the counters, the engine's
         :meth:`DB.metrics`, the tracer's event counts (``event.<label>``) and
         busy seconds by tier (``sim.<tier>``)."""
@@ -320,7 +313,7 @@ class StoreFacade(Generic[_Engine]):
         out.update({f"sim.{tier}": t for tier, t in self.tracer.totals.as_dict().items()})
         return out
 
-    def dump_metrics(self: StoreFacade[DB]) -> str:
+    def dump_metrics(self) -> str:
         """:meth:`metrics` in Prometheus text exposition format — counters and
         the tracer's totals as counters, every other number as a gauge — plus
         the two latency summaries and the span ring's health."""

@@ -1,10 +1,11 @@
 """reprolint — the static checks behind the simulated-clock store's invariants.
 
 Every figure this reproduction publishes is simulated time split by tier,
-and rests on three properties a test run can only sample: replay is
-deterministic, every span conserves ``local + cloud + cpu == elapsed``, and
-an injected crash always reaches the harness. The rules below check them
-at commit time. Nothing is imported or executed, so a broken tree lints
+and rests on three properties: replay is deterministic, every span
+conserves ``local + cloud + cpu == elapsed``, and an injected crash always
+reaches the harness. Conservation holds by construction (the simulated
+clock charges its own tracer); a test run can only sample the other two,
+and the rules below check them at commit time. Nothing is imported or executed, so a broken tree lints
 safely. Scopes key on the path below the innermost ``repro`` directory
 (``src/repro/lsm/db.py`` → ``lsm/db.py``), so fixture trees under
 ``tmp/repro/…`` behave like the real package.
@@ -17,9 +18,6 @@ RL001 determinism (everywhere). Bans wall-clock reads (``time.time``,
     ``os.scandir`` not passed straight to ``sorted(...)``. Calls are matched
     after resolving the file's import aliases, so ``from time import
     perf_counter`` and ``import random as rnd`` are seen through.
-RL002 charge attribution (``storage/``, ``mash/``, ``lsm/``). Every
-    ``*.advance(...)`` has a ``*.charge(...)`` within two lines above or six
-    below it: the tracer mirror that keeps tier conservation true.
 RL003 crash-point hygiene. ``CrashPointFired`` is deliberately not a
     ``ReproError``, so nothing may catch and survive it: an ``except`` that
     names it, or catches everything (bare, ``Exception``, ``BaseException``),
@@ -45,8 +43,10 @@ RL000 marks a file that could not be read or parsed.
 
 RL006–RL009 (fork/join races, durability ordering, crash-window
 annotations, resource lifecycle) were retired once tier-1 was shown to
-catch their seeded defects dynamically; DESIGN.md §7 has the audit. The
-ids are not reused.
+catch their seeded defects dynamically; DESIGN.md §7 has the audit. RL002
+(charge attribution: a tracer mirror beside every ``clock.advance``) was
+retired when the clock began charging its own tracer — there is no
+separate mirror call left to forget. The ids are not reused.
 
 Usage: ``python -m repro.lint [PATH ...]`` (default ``src``); exit 0 when
 clean, 1 on any finding, 2 on a missing path.
@@ -61,7 +61,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL010")
+RULES = ("RL001", "RL003", "RL004", "RL005", "RL010")
 PARSE_ERROR_RULE = "RL000"
 
 #: Findings kept on purpose: (package path, qualname, rule, reason).
@@ -91,10 +91,6 @@ BANNED_CALLS: dict[str, str] = {
 }
 ALLOWED_RANDOM_ATTRS = frozenset({"Random"})
 LISTING_CALLS = ("os.listdir", "os.scandir")
-
-#: RL002: scopes, and the window (lines before, after) a charge may sit in.
-CHARGE_SCOPES = ("storage/", "mash/", "lsm/")
-CHARGE_WINDOW = (2, 6)
 
 #: RL003: handlers that catch everything, the commit calls, their scopes.
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -233,8 +229,6 @@ def _check_module(tree: ast.Module, path: str, pkg_path: str) -> tuple[list[Find
     aliases: dict[str, str] = {}  # local name → the module path it binds
     calls: list[tuple[str, ast.Call, str]] = []  # RL001, judged after the walk
     sorted_args: set[int] = set()
-    advances: list[tuple[ast.Call, str]] = []
-    charge_lines: list[int] = []
     tries: list[tuple[ast.Try, str]] = []
     reraised: set[int] = set()  # handlers with a bare raise of their own
     functions: list[_Function] = []
@@ -276,11 +270,7 @@ def _check_module(tree: ast.Module, path: str, pkg_path: str) -> tuple[list[Find
                            "on a simulated path — read through the Env/device "
                            "abstractions")
             elif isinstance(func, ast.Attribute):
-                if func.attr == "advance":
-                    advances.append((node, qual))
-                elif func.attr == "charge":
-                    charge_lines.append(node.lineno)
-                elif func.attr == "reach":
+                if func.attr == "reach":
                     if fn is not None:
                         fn.reaches = True
                     site = _str_const(node.args[0]) if node.args else None
@@ -345,15 +335,6 @@ def _check_module(tree: ast.Module, path: str, pkg_path: str) -> tuple[list[Find
             report("RL001", call, qual, f"{dotted}(): module-level random "
                    "shares hidden global state; use a seeded random.Random "
                    "instance")
-
-    if pkg_path.startswith(CHARGE_SCOPES):
-        before, after = CHARGE_WINDOW
-        for call, qual in advances:
-            if not any(call.lineno - before <= c <= call.lineno + after for c in charge_lines):
-                report("RL002", call, qual, "clock.advance() without a nearby "
-                       "tracer.charge(tier, …) mirror — tier conservation "
-                       "(local+cloud+cpu == elapsed) cannot hold; add the "
-                       "charge or list the function in ALLOWED with a reason")
 
     for try_node, qual in tries:
         crash_safe = False  # an earlier handler re-raised CrashPointFired

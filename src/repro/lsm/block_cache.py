@@ -300,10 +300,9 @@ class ScanReads:
     that issues its reads ahead of it.
 
     The schedule runs when the scan has a prefetch ``depth``
-    (``Options.scan_prefetch_depth``) and its tables' Env a clock. Work runs
-    on branches forked from the Env's clock (the request's clock inside a
-    request scope), so its latency overlaps the scan and only the uncovered
-    remainder reaches the scan's clock:
+    (``Options.scan_prefetch_depth``). Work runs on branches forked from
+    the Env's clock, so its latency overlaps the scan and only the
+    uncovered remainder reaches the scan's time:
 
     * :meth:`fan_out` opens and primes the tables the merge reads on its
       first pull as parallel branches of one region, joined strictly: the
@@ -340,8 +339,8 @@ class ScanReads:
         self.remaining: int | None = limit
         self.end = end
         self.buffers: dict[str, ScanBuffer] = {}
-        self.clock = tables.env.sim_clock() if depth > 0 else None
-        self.depth = depth if self.clock is not None else 0
+        self.clock = tables.env.clock
+        self.depth = depth
         """In-flight prefetches the schedule keeps; 0: it does nothing."""
         self._pending: dict[int, ForkJoinRegion] = {}
         self._ripe: set[int] = set()  # reaped branches the scan has not reached
@@ -414,15 +413,15 @@ class ScanReads:
             self._ripe.discard(number)
             self.tables.path.event("prefetch_hit")
         for other, branch in list(self._pending.items()):
-            if branch.children and max(c.now for c in branch.children) <= branch.parent.now:
+            end = branch.latest_end()
+            if end is not None and end <= self.clock.now:
                 del self._pending[other]
                 branch.join(strict=False)
                 self._ripe.add(other)
 
     def _region(self) -> ForkJoinRegion:
-        """A region forked from the scan's clock over the Env's hosts."""
-        assert self.clock is not None  # the schedule runs only with a clock
-        return ForkJoinRegion(self.clock, self.tables.env.clock_hosts())
+        """A region forked from the scan's clock."""
+        return ForkJoinRegion(self.clock)
 
     def _prime(self, number: int, target: SeekGoal | None) -> None:
         """Open table ``number`` and, when its stack reads scans ahead, issue

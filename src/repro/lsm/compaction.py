@@ -21,7 +21,7 @@ Execution is a **parallel pipeline**:
   :class:`~repro.lsm.options.Options`) partitions the compaction's key
   range at boundaries sampled from input-file fences and index anchors
   (:func:`pick_subcompaction_boundaries`); each partition merges on a
-  forked child of the simulated clock and the compaction joins on the
+  fork/join branch of the simulated clock and the compaction joins on the
   slowest — RocksDB's subcompactions, timed with the same fork/join
   machinery the xWAL's parallel recovery uses. Partitions execute
   sequentially in real time, so outputs, file numbers, and results are
@@ -51,7 +51,7 @@ from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.table_builder import TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData, Version, VersionEdit
-from repro.sim.clock import ForkJoinRegion, SimClock
+from repro.sim.clock import ForkJoinRegion
 from repro.sim.failure import crash_points
 from repro.storage.cloud import REQUEST_SLOTS
 from repro.storage.env import Env
@@ -111,10 +111,10 @@ class CompactionOutput:
     meta: FileMetaData
     properties: TableProperties
     finished_at: float = 0.0
-    """Simulated time the table's builder finished (0.0 when the Env has no
-    clock). An output is ready for upload at this instant, not at the end of
-    the whole compaction — the placement layer back-dates upload clocks to
-    it so cloud PUTs overlap the remaining merge work."""
+    """Simulated time the table's builder finished. An output is ready for
+    upload at this instant, not at the end of the whole compaction — the
+    placement layer back-dates upload branches to it so cloud PUTs overlap
+    the remaining merge work."""
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,6 @@ class CompactionJob:
             return edit
 
         partitions = self._plan_partitions(compaction)
-        clock = self.env.sim_clock()
         outputs: list[CompactionOutput] = []
         merge = partial(
             self._merge_partition,
@@ -318,20 +317,19 @@ class CompactionJob:
             blob_drops=blob_drops,
         )
         dropped = 0
-        if len(partitions) > 1 and clock is not None:
-            # Each partition merges on a forked child clock; real execution
+        if len(partitions) > 1:
+            # Each partition merges on a fork/join branch; real execution
             # stays sequential (deterministic file numbers and bytes), only
             # the *timing* models the partitions as concurrent workers.
-            region = ForkJoinRegion(clock, self.env.clock_hosts())
+            region = ForkJoinRegion(self.env.clock)
             for lo, hi in partitions:
-                with region.branch() as child:
-                    dropped += merge(lo, hi, clock=child)
+                with region.branch():
+                    dropped += merge(lo, hi)
             region.join()
-        else:
-            for lo, hi in partitions:
-                dropped += merge(lo, hi, clock=clock)
-        if len(partitions) > 1:
             self.stats.subcompactions_run += len(partitions)
+        else:
+            ((lo, hi),) = partitions
+            dropped += merge(lo, hi)
 
         for output in outputs:
             edit.add_file(compaction.output_level, output.meta)
@@ -372,7 +370,6 @@ class CompactionJob:
         *,
         smallest_snapshot: int,
         newest_snapshot: int,
-        clock: SimClock | None,
         blob_drops: dict[int, int] | None = None,
     ) -> int:
         """Merge the inputs restricted to user keys in ``[lo, hi)``.
@@ -397,15 +394,15 @@ class CompactionJob:
             first = reader.edge_data_handle(seek_goal(lo) if lo is not None else None)
             if first is not None:
                 primes.append((stack, first))
-        if clock is not None:
-            # The merge's first pull would fetch each input's opening range in
-            # turn; issue those reads first, concurrently. Same requests in the
-            # same order: only the clock sees the overlap.
-            region = ForkJoinRegion(clock, self.env.clock_hosts(), slots=REQUEST_SLOTS)
-            for stack, first in primes:
-                with region.branch():
-                    stack.prime(first)
-            region.join()
+        # The merge's first pull would fetch each input's opening range in
+        # turn; issue those reads first, concurrently. Same requests in the
+        # same order: only the clock sees the overlap.
+        clock = self.env.clock
+        region = ForkJoinRegion(clock, slots=REQUEST_SLOTS)
+        for stack, first in primes:
+            with region.branch():
+                stack.prime(first)
+        region.join()
         merged = merge_internal(sources)
 
         dropped = 0
@@ -482,7 +479,7 @@ class CompactionJob:
             builder.fill(chain((first,), kept), max_file_size)
             props = builder.finish()
             meta = FileMetaData(number, props.file_size, props.smallest_key, props.largest_key)
-            outputs.append(CompactionOutput(meta, props, clock.now if clock is not None else 0.0))
+            outputs.append(CompactionOutput(meta, props, clock.now))
             self.stats.bytes_written += props.file_size
             # One output is fully on disk, later ones not started: the
             # classic partial-compaction crash (orphans, inputs live).

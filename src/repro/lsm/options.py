@@ -58,8 +58,8 @@ class Options:
     """Upper bound on parallel subcompactions per compaction (RocksDB's
     ``max_subcompactions``). The key range of a compaction is partitioned at
     boundaries derived from input-file fences and index anchors; each
-    partition merges on a forked child clock and the compaction joins on
-    the slowest. 1 = fully serial (the default). Output *contents* are
+    partition merges on a fork/join branch of the clock and the compaction
+    joins on the slowest. 1 = fully serial (the default). Output *contents* are
     identical at any setting — only file cut points and simulated timing
     change."""
 
@@ -67,12 +67,11 @@ class Options:
     """Scan prefetch: a range scan opens the tables its merge reads first as
     parallel branches (the seek fan-out), and while it consumes one table of
     a level it keeps up to this many of the level's upcoming cloud-resident
-    tables opened and primed on forked child clocks, so their round trips
+    tables opened and primed on fork/join branches, so their round trips
     overlap consumption of the current table (RocksDB async-iterator-style;
     the schedule lives in :class:`~repro.lsm.block_cache.ScanReads`). 0 disables
-    both (the default); an Env without a clock ignores it. Scan *results*
-    are identical at any depth — only simulated timing and request counts
-    change."""
+    both (the default). Scan *results* are identical at any depth — only
+    simulated timing and request counts change."""
 
     max_manifest_file_size: int = 256 << 10
     """Rewrite (compact) the MANIFEST once its edit log exceeds this size;

@@ -35,9 +35,6 @@ _TAG_NEW_FILE = 5
 _TAG_BLOB_SEGMENT = 6
 _TAG_BLOB_SEGMENT_DELETE = 7
 _TAG_BLOB_SEPARATION = 8
-_TAG_RETIRED_SORTED_VIEW = 9
-"""Once recorded a persisted sorted view; read and discarded so a MANIFEST
-holding it still opens."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +172,6 @@ class VersionEdit:
             elif tag == _TAG_BLOB_SEPARATION:
                 flag, pos = decode_varint(data, pos)
                 edit.blob_separation = bool(flag)
-            elif tag == _TAG_RETIRED_SORTED_VIEW:
-                _stamp, pos = decode_varint(data, pos)
-                _files_crc, pos = decode_varint(data, pos)
             else:
                 raise CorruptionError(f"unknown VersionEdit tag {tag}")
         return edit

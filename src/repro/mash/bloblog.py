@@ -189,7 +189,7 @@ class BlobLog:
             name = blob_file_name(self.prefix, pointer.segment)
             offset = sum(shards[: shard_of(key, len(shards))]) + pointer.offset
         raw: bytes | None = None
-        tracer = self.device.tracer
+        tracer = self.device.clock.tracer
         if self.pcache is not None:
             raw = self.pcache.get_data(name, offset)
         if raw is not None:
@@ -215,9 +215,7 @@ class BlobLog:
             )
         record = decode_blob_record(raw)
         cost = _DECODE_BASE_COST + _DECODE_COST_PER_BYTE * len(raw)
-        self.device.clock.advance(cost)
-        if tracer is not None:
-            tracer.charge("cpu", cost)
+        self.device.clock.advance(cost, "cpu")
         if decode_fixed32(raw, 4) != pointer.record_crc:
             raise CorruptionError("blob record checksum mismatch")
         if record.key != key:

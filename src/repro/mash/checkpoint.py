@@ -201,7 +201,7 @@ def restore_checkpoint(cloud: CloudObjectStore, name: str, config: StoreConfig) 
         local_device=local_device,
         cloud_store=cloud,
         counters=cloud.counters,
-        # Joins the tracer the shared cloud reports to, as a shard joins its
-        # node's, rather than taking it away from the store it came from.
-        tracer=cloud.tracer,
+        # Joins the tracer of the clock it shares with the source, as a
+        # shard joins its node's, rather than taking the clock's away.
+        tracer=cloud.clock.tracer,
     )

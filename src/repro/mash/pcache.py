@@ -140,8 +140,6 @@ class _Log:
 class PersistentCache:
     """The on-device persistent cache. Use :meth:`open` to (re)build one."""
 
-    SLAB = "cache.slab"  # what earlier builds wrote: recovered as the oldest metadata segment
-
     def __init__(self, device: LocalDevice, config: PCacheConfig | None = None) -> None:
         self.device = device
         self.config = config or PCacheConfig()
@@ -171,12 +169,10 @@ class PersistentCache:
         found: list[tuple[int, int, str]] = []
         for name in self.device.list_files(prefix):
             tag, _, number = name[len(prefix) :].partition(".")
-            if name == prefix + self.SLAB:
-                found.append((0, 0, name))
-            elif tag in ("meta", "data"):
+            if tag in ("meta", "data"):
                 found.append((1 if tag == "data" else 2, int(number), name))
                 self._next_segment = max(self._next_segment, int(number) + 1)
-        # The oldest file first, then the data log: a metadata tombstone
+        # The data log first, then the metadata log: a metadata tombstone
         # then also drops the file's blocks, evicted ones included.
         for rank, _, name in sorted(found):
             log = self._data_log if rank == 1 else self._meta_log

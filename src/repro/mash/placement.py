@@ -17,8 +17,8 @@ local tables when the device fills up — this is what experiment E11 sweeps.
 
 Uploads *overlap* the compaction that produced them: each output records
 when its builder finished (``CompactionOutput.finished_at``), and the
-demotion batch replays the uploads on back-dated child clocks through up to
-:data:`~repro.storage.cloud.REQUEST_SLOTS` slots — modelling a real
+demotion batch replays the uploads on back-dated fork/join branches through
+up to :data:`~repro.storage.cloud.REQUEST_SLOTS` slots — modelling a real
 implementation that starts PUTting a finished output while the merge keeps
 producing the next one.
 The simulated time this recovers versus strictly-serial post-compaction
@@ -132,36 +132,32 @@ class PlacementManager:
 
         ``items`` is ``(file number, ready_at)`` where ``ready_at`` is the
         simulated instant the file became uploadable (``None`` = now). Each
-        upload runs on a child clock back-dated to ``max(ready_at, slot
-        free time)`` across the request slots; the parent clock then
-        merges, so fully-overlapped uploads cost no wall time at all.
+        upload runs on a branch back-dated to ``max(ready_at, slot free
+        time)`` across the request slots; the region then joins without
+        rewinding, so fully-overlapped uploads cost no wall time at all.
         The difference versus serially uploading after the barrier is
         ticked as ``compaction.upload_overlap_us_saved``.
         """
-        clock = self.env.sim_clock()
-        if clock is None or len(items) <= 1:
+        if len(items) <= 1:
             for number, _ in items:
                 self._demote(number)
             return
+        clock = self.env.clock
         base_now = clock.now
-        region = ForkJoinRegion(clock, self.env.clock_hosts(), slots=REQUEST_SLOTS)
+        region = ForkJoinRegion(clock, slots=REQUEST_SLOTS)
         serial_cost = 0.0
         for number, ready_at in items:
-            with region.branch(start=ready_at) as child:
-                start = child.now
+            with region.branch(start=ready_at):
+                start = clock.now
                 self._demote(number)
-            serial_cost += child.now - start
+                serial_cost += clock.now - start
         region.join(strict=False)
         saved = (base_now + serial_cost) - clock.now
         if saved > 0:
-            self._tick_overlap_saved(saved)
-
-    def _tick_overlap_saved(self, seconds: float) -> None:
-        hosts = self.env.clock_hosts()
-        counters = getattr(hosts[0], "counters", None) if hosts else None
-        if counters is not None:
             # CounterSet is integer-valued; store as microseconds.
-            counters.inc("compaction.upload_overlap_us_saved", int(seconds * 1e6))
+            self.env.local.device.counters.inc(
+                "compaction.upload_overlap_us_saved", int(saved * 1e6)
+            )
 
     def _demote(self, number: int) -> None:
         """Upload one table to the cloud tier, then drop the local copy.

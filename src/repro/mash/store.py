@@ -166,15 +166,14 @@ class MashDB(DB):
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups with concurrent cloud fetches: waves of
-        :data:`MULTI_GET_WAVE` keys, each key's I/O on a forked child clock
+        :data:`MULTI_GET_WAVE` keys, each key's I/O on a fork/join branch
         and each wave joining on its slowest key. Cache lookups and updates
         still happen, so warm keys cost nothing extra."""
-        clock = self.env.sim_clock()
-        if len(keys) <= 1 or clock is None:
+        if len(keys) <= 1:
             return super().multi_get(keys, snapshot=snapshot)
         results: dict[bytes, bytes | None] = {}
         for start in range(0, len(keys), MULTI_GET_WAVE):
-            region = ForkJoinRegion(clock, self.env.clock_hosts())
+            region = ForkJoinRegion(self.env.clock)
             for key in keys[start : start + MULTI_GET_WAVE]:
                 with region.branch():
                     results[key] = self.get(key, snapshot=snapshot)
@@ -311,7 +310,7 @@ class RocksMashStore(StoreFacade[DB]):
         self.env = HybridEnv(
             LocalEnv(local_device), CloudEnv(cloud_store), make_router(config.db_prefix)
         )
-        # Opened before the facade points the devices at this store's tracer.
+        # Opened before the facade attaches this store's tracer to the clock.
         self.pcache = PersistentCache.open(local_device, config.pcache)
         self.heat = BlockHeatTracker(config.layout)
         self._maintenance_hook = maintenance_hook

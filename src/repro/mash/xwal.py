@@ -201,7 +201,7 @@ class XWalWriter:
             return None
         pointers: dict[int, bytes] | None = {} if diverted else None
         if sync and len(touched) > 1:
-            region = ForkJoinRegion(self.device.clock, [self.device])
+            region = ForkJoinRegion(self.device.clock)
             for i, shard in enumerate(touched):
                 if i > 0:
                     # Earlier shards of this batch are durable, this one and
@@ -291,16 +291,12 @@ class XWalReplayer:
         names = [n for n in self.shard_file_names(number) if self.env.file_exists(n)]
         if not names:
             return
-        region = ForkJoinRegion(self.device.clock, [self.device])
+        region = ForkJoinRegion(self.device.clock)
         collected: list[tuple[list[XWalOp], int, bool]] = []
         for name in names:
-            with region.branch() as child:
+            with region.branch() as clock:
                 shard_ops, blob_bytes, torn = read_shard(self.env.read_file(name), number)
-                apply_cost = self.config.apply_cost_per_record * len(shard_ops)
-                child.advance(apply_cost)
-                tracer = getattr(self.device, "tracer", None)
-                if tracer is not None:
-                    tracer.charge("cpu", apply_cost)
+                clock.advance(self.config.apply_cost_per_record * len(shard_ops), "cpu")
                 collected.append((shard_ops, blob_bytes, torn))
         region.join()
         # Shared counters fold *after* the join: branches model concurrent

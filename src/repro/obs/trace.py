@@ -5,15 +5,14 @@ on the :class:`~repro.sim.clock.SimClock`, and a :class:`TierTimes` vector
 saying where the span's simulated time went: the local device, the cloud,
 or CPU/apply cost. Spans land in a bounded ring buffer with JSONL export.
 
-Attribution works by mirroring every charge site: each ``clock.advance`` in
-the storage backends also calls :meth:`Tracer.charge` with the same seconds
-and a tier label, which accumulates on the innermost open frame. Fork/join
-parallelism (:class:`~repro.sim.clock.ForkJoinRegion`) is handled by the
-tracer participating in branch scopes like any clock-charged host: each
-branch's charges collect on a branch frame, and at join the region reports
-how far the *parent* clock actually advanced. The tracer then attributes
-exactly that delta using the critical-path branch's tier mix — so the
-conservation invariant
+Attribution is by construction: a store's facade attaches its tracer to
+the store's one clock (``clock.tracer``), and every
+``clock.advance(seconds, tier)`` charges the same seconds to the innermost
+open frame. Fork/join parallelism (:class:`~repro.sim.clock.ForkJoinRegion`)
+collects each branch's charges on a branch frame, and at join the region
+hands its branches over with how far the clock actually advanced. The
+tracer then attributes exactly that delta using the critical-path branch's
+tier mix — so the conservation invariant
 
     span.tiers.local + span.tiers.cloud + span.tiers.cpu == span.elapsed
 
@@ -30,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.clock import SimClock
+from repro.sim.clock import Branch, SimClock
 
 TIERS = ("local", "cloud", "cpu")
 
@@ -157,7 +156,7 @@ class _Frame:
     so nothing is copied when it closes.
     """
 
-    __slots__ = ("tracer", "op", "span", "tiers", "cloud_ops", "events", "pending")
+    __slots__ = ("tracer", "op", "span", "tiers", "cloud_ops", "events", "into")
 
     def __init__(self, tracer: "Tracer | None" = None, op: str = "") -> None:
         self.tracer = tracer
@@ -166,7 +165,9 @@ class _Frame:
         self.tiers = TierTimes()
         self.cloud_ops = 0
         self.events: list[str] = []
-        self.pending: list[_Branch] = []
+        self.into: _Frame | None = None
+        """A closed branch frame's enclosing frame: the one its join folds
+        it into (``None`` when it closed outside any frame)."""
 
     def __enter__(self) -> TraceSpan:
         tracer = self.tracer
@@ -209,23 +210,14 @@ class _Frame:
         tracer.spans.append(span)
 
 
-@dataclass
-class _Branch:
-    """A closed branch scope awaiting its region's join."""
-
-    clock: SimClock
-    start: float
-    frame: _Frame
-
-
 class Tracer:
     """Span recorder + tier accountant for one store's simulated clock.
 
-    The tracer exposes ``clock`` and ``clock_scope`` like a clock-charged
-    device, so :class:`~repro.sim.clock.ForkJoinRegion` can swap it onto a
-    branch's child clock — span timestamps taken inside a branch then read
-    the branch's clock, and the branch's charges collect on a private frame
-    until :meth:`absorb_join` folds them back critical-path-scaled.
+    Span timestamps read ``clock``, the store's one clock, which a fork/join
+    branch or a request scope moves (never replaces). Charges arrive from
+    :meth:`SimClock.advance` once the tracer is attached (``clock.tracer``);
+    a branch's charges collect on a private frame until :meth:`absorb_join`
+    folds them back critical-path-scaled.
     """
 
     def __init__(self, clock: SimClock, capacity: int = 2048) -> None:
@@ -240,10 +232,10 @@ class Tracer:
         self._stack: list[_Frame] = []
         self._next_id = 1
 
-    # -- charge sites (called from the storage backends) -------------------
+    # -- charges (from SimClock.advance) -------------------------------------
 
     def charge(self, tier: str, seconds: float) -> None:
-        """Mirror one ``clock.advance(seconds)`` with its tier label."""
+        """Attribute one ``clock.advance(seconds, tier)``."""
         if seconds < 0:
             raise ValueError(f"negative charge {seconds}")
         stack = self._stack
@@ -292,80 +284,75 @@ class Tracer:
     # -- per-request reentrancy --------------------------------------------
 
     @contextmanager
-    def request_scope(self, clock: SimClock) -> Iterator[SimClock]:
-        """Serve one simulated request on its own clock *and* span stack.
+    def request_scope(self) -> Iterator[None]:
+        """Serve one simulated request on its own span stack.
 
         The open-loop serving layer executes many in-flight requests whose
         simulated lifetimes overlap; a single shared frame stack would nest
         their spans into whichever request happened to be executing around
-        them. This scope swaps in a fresh stack (so spans opened inside are
-        roots, parented only to spans of the same request) and points span
-        timestamps at the request's child clock. Totals still accumulate
-        globally; charges made inside with no open span fall back to
-        ``unattributed`` exactly as they do on the shared stack.
+        them. This scope swaps in a fresh stack, so spans opened inside are
+        roots, parented only to spans of the same request (the store's
+        facade moves the clock to the request's time around it). Totals
+        still accumulate globally; charges made inside with no open span
+        fall back to ``unattributed`` exactly as they do on the shared stack.
         """
-        saved_clock = self.clock
         saved_stack = self._stack
-        self.clock = clock
         self._stack = []
         try:
-            yield clock
+            yield
         finally:
             for frame in self._stack:  # only non-empty on exception unwind
                 self.unattributed.merge(frame.tiers)
-            self.clock = saved_clock
             self._stack = saved_stack
 
-    # -- fork/join participation -------------------------------------------
+    # -- fork/join -----------------------------------------------------------
 
-    @contextmanager
-    def clock_scope(self, clock: SimClock) -> Iterator[SimClock]:
-        """Collect charges made inside a fork/join branch on a branch frame."""
-        saved = self.clock
-        self.clock = clock
+    def open_branch(self) -> _Frame:
+        """Collect the charges of a fork/join branch on a frame of its own."""
         frame = _Frame()
-        start = clock.now
         self._stack.append(frame)
-        try:
-            yield clock
-        finally:
-            self._stack.pop()
-            self.clock = saved
-            if self._stack:
-                self._stack[-1].pending.append(_Branch(clock, start, frame))
-            else:
-                self.unattributed.merge(frame.tiers)
+        return frame
 
-    def absorb_join(self, children: list[SimClock], delta: float) -> None:
-        """Fold joined branches into the enclosing frame.
+    def close_branch(self, frame: _Frame) -> None:
+        """End ``frame``'s branch: it waits on the enclosing frame for its
+        region's join, or, with none open, its charges are unattributed."""
+        self._stack.pop()
+        if self._stack:
+            frame.into = self._stack[-1]
+        else:
+            self.unattributed.merge(frame.tiers)
 
-        ``delta`` is how far the parent clock advanced at the join. The
-        wall time a region adds to its parent is set by the critical-path
-        branch, so exactly ``delta`` seconds are attributed using that
-        branch's tier proportions (a branch with no charges — pure queueing
-        — attributes to cpu). Cloud request counts and path events from
-        *every* branch are preserved: the requests really happened even
-        when their latency hid behind the slowest branch.
+    def absorb_join(self, branches: list[Branch], delta: float) -> None:
+        """Fold a region's joined branches into the enclosing frame.
+
+        ``delta`` is how far the clock advanced at the join. The wall time
+        a region adds to its parent is set by the critical-path branch, so
+        exactly ``delta`` seconds are attributed using that branch's tier
+        proportions (a branch with no charges — pure queueing — attributes
+        to cpu). Cloud request counts and path events from *every* branch
+        are preserved: the requests really happened even when their latency
+        hid behind the slowest branch. Only branches that closed into the
+        current frame fold in.
         """
         if not self._stack:
             return
         frame = self._stack[-1]
-        ids = {id(child) for child in children}
-        branches = [b for b in frame.pending if id(b.clock) in ids]
-        if not branches:
+        folded = [
+            (b.end, b.frame) for b in branches if b.frame is not None and b.frame.into is frame
+        ]
+        if not folded:
             if delta > 0:
                 frame.tiers.add("cpu", delta)
             return
-        frame.pending = [b for b in frame.pending if id(b.clock) not in ids]
-        for branch in branches:
-            frame.cloud_ops += branch.frame.cloud_ops
-            frame.events.extend(branch.frame.events)
+        for _, branch in folded:
+            frame.cloud_ops += branch.cloud_ops
+            frame.events.extend(branch.events)
         if delta <= 0:
             return  # fully overlapped: the region cost the parent no time
-        critical = max(branches, key=lambda b: b.clock.now)
-        busy = critical.frame.tiers.total()
+        _, critical = max(folded, key=lambda f: f[0])
+        busy = critical.tiers.total()
         if busy > 0:
-            frame.tiers.merge(critical.frame.tiers, scale=delta / busy)
+            frame.tiers.merge(critical.tiers, scale=delta / busy)
         else:
             frame.tiers.add("cpu", delta)
 

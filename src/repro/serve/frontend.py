@@ -6,8 +6,9 @@ to the store. Real serving does the opposite: clients arrive on their own
 schedule whether the store is keeping up or not. This front-end drives the
 deterministic YCSB op stream (:func:`repro.workloads.ycsb.iter_ops`)
 *open-loop*: arrivals are a Poisson process from a seeded RNG, each
-request is served on its own forked child clock starting at
-``max(arrival, shard busy time)``, and per-op latency decomposes exactly
+request is served on its own timeline (a request scope on the store's
+clock) starting at ``max(arrival, shard busy time)``, and per-op latency
+decomposes exactly
 into
 
     latency = queue_wait + service
@@ -200,7 +201,7 @@ def run_open_loop(
         result.latency.record(end - arrival)
         result.kind_latency[op.kind].record(end - arrival)
 
-    server.clock.merge([SimClock(now=latest_completion)])
+    server.clock.join([SimClock(now=latest_completion)])
     result.elapsed_seconds = server.clock.now - start_time
     result.outcome_digest = hasher.hexdigest()
     return result

@@ -12,10 +12,11 @@ byte-identical results to an unsharded one.
 
 The node is a :class:`~repro.facade.StoreFacade` whose engine,
 :class:`ShardEngine`, routes each call to its shards. Cross-shard operations
-(``multi_get``, ``scan``, ``write`` batches, ``flush``) fan out as
-:class:`~repro.sim.clock.ForkJoinRegion` branches: each shard's I/O
-accumulates on a forked child clock and the operation completes at the
-slowest shard, exactly like the store's own parallel cloud fetches.
+(``multi_get``, ``scan``, ``write`` batches, ``flush``, ``compact_range``)
+fan out as :class:`~repro.sim.clock.ForkJoinRegion` branches on the node's
+one clock: each shard's I/O runs from the operation's start and the
+operation completes at the slowest shard, exactly like the store's own
+parallel cloud fetches.
 
 Maintenance deferral: each shard's write-triggered flush+compaction is
 *deferred* — the engine's ``maintenance_hook`` marks the shard dirty instead
@@ -35,13 +36,13 @@ from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import partial
 
-from repro.facade import StoreFacade, take_rows
+from repro.facade import Explanation, StoreFacade, take_rows
 from repro.lsm.db import Snapshot
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
-from repro.sim.clock import ClockCharged, ForkJoinRegion, SimClock
+from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
 from repro.storage.local import LocalDevice
@@ -123,22 +124,22 @@ TRACE_CAPACITY = 4096
 store's tracer keeps 2048)."""
 
 
+_NO_SNAPSHOT = "a sharded node reads no snapshot"
+
+
 def _no_snapshot(snapshot: Snapshot | None) -> None:
     if snapshot is not None:
-        raise NotImplementedError("a sharded node reads no snapshot")
+        raise NotImplementedError(_NO_SNAPSHOT)
 
 
 class ShardEngine:
     """The engine behind a :class:`ShardedDB`: routes each call to the
-    shards owning its keys, forking on the shared devices' current clock
-    (the request's inside a request scope) the way
-    :meth:`repro.mash.store.MashDB.multi_get` forks on ``env.sim_clock()``."""
+    shards owning its keys, forking on the node's one clock the way
+    :meth:`repro.mash.store.MashDB.multi_get` forks on its Env's."""
 
-    def __init__(
-        self, router: KeyRangeRouter, hosts: list[ClockCharged], tracer: Tracer
-    ) -> None:
+    def __init__(self, router: KeyRangeRouter, clock: SimClock, tracer: Tracer) -> None:
         self.router = router
-        self.hosts = hosts
+        self.clock = clock
         self.tracer = tracer
         self.shards: list[RocksMashStore] = []
         self._pending: set[int] = set()
@@ -148,7 +149,7 @@ class ShardEngine:
         single store's maintenance is part of its write too)."""
 
     def _fork(self) -> ForkJoinRegion:
-        return ForkJoinRegion(self.hosts[0].clock, self.hosts)
+        return ForkJoinRegion(self.clock)
 
     def drain(self) -> float:
         """Flush every shard a write left dirty, under one ``maintenance``
@@ -261,6 +262,29 @@ class ShardEngine:
                 shard.db.flush()
         region.join()
 
+    def compact_range(self, begin: bytes | None = None, end: bytes | None = None) -> None:
+        """Compact ``[begin, end]`` on every shard it touches, one parallel
+        branch per shard."""
+        region = self._fork()
+        for index in self.router.shards_for_range(begin, end):
+            with region.branch():
+                self.shards[index].db.compact_range(begin, end)
+        region.join()
+
+    def snapshot(self) -> Snapshot:
+        raise NotImplementedError(_NO_SNAPSHOT)
+
+    def release_snapshot(self, snap: Snapshot) -> None:
+        raise NotImplementedError(_NO_SNAPSHOT)
+
+    def metrics(self) -> dict[str, int | float]:
+        """Each name of the shards' :meth:`DB.metrics`, summed."""
+        out: dict[str, int | float] = {}
+        for shard in self.shards:
+            for name, value in shard.db.metrics().items():
+                out[name] = out.get(name, 0) + value
+        return out
+
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
@@ -306,7 +330,7 @@ class ShardedDB(StoreFacade[ShardEngine]):
         self.router = KeyRangeRouter.uniform(config.num_shards, config.key_space)
         self.num_shards = self.router.num_shards
         self.name = f"rocksmash-x{self.num_shards}"
-        engine = ShardEngine(self.router, [self.local_device, self.cloud_store], self.tracer)
+        engine = ShardEngine(self.router, self.clock, self.tracer)
         self.shards = engine.shards
         with self.tracer.span("open"):
             for index in range(self.num_shards):
@@ -327,6 +351,10 @@ class ShardedDB(StoreFacade[ShardEngine]):
                     )
                 )
         return engine
+
+    def explain(self, key: bytes) -> Explanation:
+        """:meth:`StoreFacade.explain` on the shard that owns ``key``."""
+        return self.shards[self.router.shard_of(key)].explain(key)
 
     # -- serving hooks ----------------------------------------------------
 

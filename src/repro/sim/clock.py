@@ -2,23 +2,35 @@
 
 All device "performance" in this reproduction is virtual time charged to a
 :class:`SimClock`. Operations call :meth:`SimClock.advance` with the modelled
-duration of an I/O; experiment harnesses read :attr:`SimClock.now` before and
-after a workload to compute simulated throughput and latency.
+duration of an I/O and the tier it was spent on; experiment harnesses read
+:attr:`SimClock.now` before and after a workload to compute simulated
+throughput and latency.
 
-Modelled parallelism uses *fork/join*: :meth:`child` creates a child clock
-that starts at the parent's current time and accumulates independently;
-:meth:`join` advances the parent to the **latest** child time. This is how
-the extended WAL's parallel recovery and concurrent cloud fetches are timed
-without real threads, keeping every figure deterministic.
+Each store (and each sharded node) runs on **one** clock: its devices, its
+tracer and every fork site hold that one object, and nothing re-points a
+``clock`` attribute. The tracer attached to the clock (``clock.tracer``)
+receives every charge, so a span's tier attribution sums to its elapsed
+time by construction.
+
+Modelled parallelism uses *fork/join* on that clock
+(:class:`ForkJoinRegion`): a branch runs from its own start time, records
+where it ended and hands the parent's time back; the join moves the clock
+to the **latest** branch end. A request of the open-loop serving layer runs
+the same way (:meth:`SimClock.scope`). This is how the extended WAL's
+parallel recovery and concurrent cloud fetches are timed without real
+threads, keeping every figure deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from contextlib import AbstractContextManager, ExitStack, contextmanager
-from dataclasses import dataclass
-from typing import Protocol
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer, _Frame
 
 
 @dataclass
@@ -26,24 +38,44 @@ class SimClock:
     """A monotonically advancing virtual clock measured in seconds."""
 
     now: float = 0.0
+    tracer: Tracer | None = field(default=None, repr=False, compare=False)
+    """Receives every charge (:meth:`advance`); a store's facade attaches
+    its own, and ``None`` leaves charges unattributed."""
 
-    def advance(self, seconds: float) -> float:
-        """Advance the clock by a non-negative duration; returns new time."""
+    def advance(self, seconds: float, tier: str) -> float:
+        """Advance the clock by a non-negative duration spent on ``tier``
+        (``"local"``, ``"cloud"`` or ``"cpu"``), charged to the attached
+        tracer; returns the new time."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative {seconds}")
         self.now += seconds
+        if self.tracer is not None:
+            self.tracer.charge(tier, seconds)
         return self.now
+
+    @contextmanager
+    def scope(self, other: "SimClock") -> Iterator["SimClock"]:
+        """Run this clock on ``other``'s time, then hand the time back.
+
+        On entry this clock takes ``other``'s time; on exit (an exception
+        included) ``other`` takes this clock's time and this clock gets its
+        own back. Scopes nest: an inner one restores the outer one's time.
+        """
+        saved = self.now
+        self.now = other.now
+        try:
+            yield self
+        finally:
+            other.now = self.now
+            self.now = saved
 
     def child(self, start: float | None = None) -> "SimClock":
         """One child clock, optionally starting at a different timestamp.
 
-        A *past* ``start`` models work that could have begun earlier and ran
-        concurrently with what the parent was doing since — e.g. uploading a
-        compaction output file while the merge kept producing the next one.
-        A *future* ``start`` models work queued behind a busy slot (an
-        upload waiting for a free connection). Joining via :meth:`merge`
-        keeps the parent monotonic either way; ``start`` itself must be
-        non-negative.
+        ``start`` must be non-negative. A child has no tracer: the serving
+        layer uses one as a request's timeline (:meth:`scope`), starting at
+        the request's service time, and :meth:`join` states the fork/join
+        laws over children that :class:`ForkJoinRegion` keeps on one clock.
         """
         if start is None:
             start = self.now
@@ -65,123 +97,98 @@ class SimClock:
         self.now = latest
         return self.now
 
-    def merge(self, children: list["SimClock"]) -> float:
-        """Overlap-tolerant join: advance to the latest child *if later*.
 
-        Unlike :meth:`join`, children created via :meth:`child` at an
-        earlier timestamp may finish before the parent's current time —
-        their work fully overlapped something already accounted — and the
-        parent simply does not move.
-        """
-        if children:
-            self.now = max(self.now, max(child.now for child in children))
-        return self.now
+@dataclass(slots=True)
+class Branch:
+    """One run branch of a :class:`ForkJoinRegion`: where its clock ended."""
 
-
-class ClockCharged:
-    """Mixin for objects that charge I/O to a swappable ``clock`` attribute.
-
-    :meth:`clock_scope` is the *only* sanctioned way to temporarily charge a
-    device's I/O to a different (forked child) clock. The save/restore is
-    stack-disciplined, so scopes nest arbitrarily (a fork inside a fork
-    restores the intermediate clock, not the root) and an exception inside
-    the scope cannot leave the device stuck on a child clock.
-    """
-
-    clock: SimClock
-
-    @contextmanager
-    def clock_scope(self, clock: SimClock) -> Iterator[SimClock]:
-        saved = self.clock
-        self.clock = clock
-        try:
-            yield clock
-        finally:
-            self.clock = saved
-
-
-class JoinParticipant(Protocol):
-    """Anything that scopes onto branch clocks and folds back at join.
-
-    The tier-attribution :class:`~repro.obs.trace.Tracer` is the canonical
-    implementation; the protocol keeps :mod:`repro.sim` free of an import
-    cycle with :mod:`repro.obs`.
-    """
-
-    def clock_scope(self, clock: SimClock) -> AbstractContextManager[SimClock]: ...
-
-    def absorb_join(self, children: list[SimClock], delta: float) -> None: ...
+    end: float
+    frame: _Frame | None
+    """The tracer's record of the branch's charges (``None`` untraced)."""
 
 
 class ForkJoinRegion:
-    """Structured fork/join over a parent clock and its charged devices.
+    """Structured fork/join on one clock.
 
-    Each :meth:`branch` yields a child clock and, for its duration, points
-    every host (objects with ``clock_scope``, e.g. the local device and the
-    cloud store) at that child, so all I/O inside the branch accumulates on
-    the child. :meth:`join` advances the parent to the slowest child.
+    Each :meth:`branch` sets the clock to the branch's start and yields it,
+    so all I/O inside the branch accumulates from there; when the branch
+    ends, the region records where the clock stood and puts back the
+    parent's time. :meth:`join` moves the clock to the latest branch end.
     Branches run one after another in real execution — determinism — while
     the clock accounting models them as concurrent. Regions nest: a branch
-    may open its own ``ForkJoinRegion`` on the child clock. With ``slots=n``
-    at most ``n`` branches overlap: a branch queues for the earliest free
-    slot, as a client's requests queue for a free connection.
+    may open its own ``ForkJoinRegion``. With ``slots=n`` at most ``n``
+    branches overlap: a branch queues for the earliest free slot, as a
+    client's requests queue for a free connection.
+
+    A tracer attached to the clock collects each branch's charges on a
+    branch frame, and the join folds them back with critical-path
+    attribution (:meth:`repro.obs.trace.Tracer.absorb_join`).
 
     Example::
 
-        region = ForkJoinRegion(clock, [local_device, cloud_store])
+        region = ForkJoinRegion(clock)
         for task in tasks:
             with region.branch():
-                task()          # I/O charged to this branch's child clock
-        region.join()           # parent advances to the slowest branch
+                task()          # I/O charged from the branch's start
+        region.join()           # clock moves to the slowest branch's end
     """
 
-    def __init__(self, parent: SimClock, hosts: list[ClockCharged], *, slots: int = 0) -> None:
-        self.parent = parent
-        self.hosts = hosts
-        self.children: list[SimClock] = []
+    def __init__(self, clock: SimClock, *, slots: int = 0) -> None:
+        self.clock = clock
+        self.branches: list[Branch] = []
         self._free_at = [0.0] * slots  # a min-heap of the slots' free times
-        # Tier-attribution tracers ride along with their devices: any host
-        # carrying a ``tracer`` joins branch scopes too, so charges made
-        # inside a branch collect per-branch and fold back at join with
-        # critical-path attribution (see repro.obs.trace).
-        self._tracers: list[JoinParticipant] = []
-        for host in hosts:
-            tracer = getattr(host, "tracer", None)
-            if tracer is not None and all(tracer is not t for t in self._tracers):
-                self._tracers.append(tracer)
 
     @contextmanager
     def branch(self, start: float | None = None) -> Iterator[SimClock]:
-        """Run one concurrent task; ``start`` may back-date it (see
-        :meth:`SimClock.child`); with ``slots``, it waits for the earliest
-        free slot and holds it until the task ends."""
+        """Run one concurrent task from ``start`` (default: the parent's
+        time). A past ``start`` models work that could have begun earlier
+        and ran alongside what the parent did since — uploading a finished
+        compaction output while the merge goes on. With ``slots``, the task
+        also waits for the earliest free slot and holds it until it ends."""
+        clock = self.clock
+        parent = clock.now
         if self._free_at:
-            start = max(self.parent.now if start is None else start, self._free_at[0])
-        child = self.parent.child(start)
-        self.children.append(child)
-        with ExitStack() as stack:
-            for host in self.hosts:
-                stack.enter_context(host.clock_scope(child))
-            for tracer in self._tracers:
-                stack.enter_context(tracer.clock_scope(child))
-            yield child
+            start = max(parent if start is None else start, self._free_at[0])
+        elif start is None:
+            start = parent
+        if start < 0:
+            raise ValueError(f"a branch cannot start before time zero ({start})")
+        tracer = clock.tracer
+        frame = tracer.open_branch() if tracer is not None else None
+        clock.now = start
+        try:
+            yield clock
+        finally:
+            end = clock.now
+            clock.now = parent
+            if tracer is not None:
+                assert frame is not None
+                tracer.close_branch(frame)
+            self.branches.append(Branch(end, frame))
         if self._free_at:
-            heapq.heapreplace(self._free_at, child.now)
+            heapq.heapreplace(self._free_at, end)
+
+    def latest_end(self) -> float | None:
+        """Where the slowest branch ended; ``None`` before any ran."""
+        return max(branch.end for branch in self.branches) if self.branches else None
 
     def join(self, *, strict: bool = True) -> float:
-        """Advance the parent to the slowest branch.
+        """Move the clock to the slowest branch's end.
 
-        ``strict=False`` uses :meth:`SimClock.merge` semantics for regions
-        with back-dated branches (overlapped work may finish "in the past").
+        ``strict=False`` tolerates back-dated branches that ended before the
+        clock's time (overlapped work may finish "in the past"): the clock
+        then does not move.
         """
-        before = self.parent.now
-        if strict:
-            result = self.parent.join(self.children)
-        else:
-            result = self.parent.merge(self.children)
-        for tracer in self._tracers:
-            tracer.absorb_join(self.children, self.parent.now - before)
-        return result
+        clock = self.clock
+        before = clock.now
+        latest = self.latest_end()
+        if latest is not None:
+            if strict and latest < before:
+                raise ValueError("a branch ended before the parent; clocks cannot rewind")
+            clock.now = max(before, latest)
+        if clock.tracer is not None:
+            clock.tracer.absorb_join(self.branches, clock.now - before)
+        return clock.now
 
 
 class StopwatchRegion:

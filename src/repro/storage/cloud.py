@@ -16,23 +16,18 @@ succeeding.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import IOErrorSim, NotFoundError
 from repro.metrics.counters import CounterSet
-from repro.sim.clock import ClockCharged, SimClock
+from repro.sim.clock import SimClock
 from repro.sim.failure import FaultInjector, RetryPolicy
 from repro.sim.latency import LatencyModel, cloud_object_storage
-
-if TYPE_CHECKING:
-    from repro.obs.trace import Tracer
 
 REQUEST_SLOTS = 4
 """Requests one client keeps in flight (``ForkJoinRegion(..., slots=)``): a
 compaction's input fetches, and a demotion batch's uploads, queue for these."""
 
 
-class CloudObjectStore(ClockCharged):
+class CloudObjectStore:
     """An in-memory object store with S3-like semantics and accounting."""
 
     def __init__(
@@ -43,14 +38,12 @@ class CloudObjectStore(ClockCharged):
         counters: CounterSet | None = None,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.model = model or cloud_object_storage()
         self.counters = counters if counters is not None else CounterSet()
         self.faults = faults
         self.retry = retry or RetryPolicy()
-        self.tracer = tracer  # tier attribution; a store facade points it at its own
         self._objects: dict[str, bytes] = {}
 
     # -- request plumbing ---------------------------------------------------
@@ -63,12 +56,11 @@ class CloudObjectStore(ClockCharged):
         injector sees the request as ``op(key)``, a label built only when
         one is installed.
         """
-        if self.tracer is not None:
-            self.tracer.count_cloud_op()
+        clock = self.clock
+        if clock.tracer is not None:
+            clock.tracer.count_cloud_op()
         for attempt in range(self.retry.max_attempts):
-            self.clock.advance(cost)
-            if self.tracer is not None:
-                self.tracer.charge("cloud", cost)
+            clock.advance(cost, "cloud")
             if self.faults is None:
                 return
             try:
@@ -79,9 +71,7 @@ class CloudObjectStore(ClockCharged):
                 if attempt == self.retry.max_attempts - 1:
                     raise
                 backoff = self.retry.backoff(attempt)
-                self.clock.advance(backoff)
-                if self.tracer is not None:
-                    self.tracer.charge("cloud", backoff)
+                clock.advance(backoff, "cloud")
 
     # -- object API ---------------------------------------------------------
 

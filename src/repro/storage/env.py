@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable
 
 from repro.errors import ClosedError, NotFoundError
-from repro.sim.clock import ClockCharged, SimClock
+from repro.sim.clock import SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.local import LocalDevice
 
@@ -68,7 +68,13 @@ class RandomAccessFile(ABC):
 
 
 class Env(ABC):
-    """Namespace + file factory for one storage tier (or a hybrid)."""
+    """Namespace + file factory for one storage tier (or a hybrid).
+
+    ``clock`` is the clock its device charges: the store's one clock, which
+    fork/join sites (parallel compaction, batched reads) fork on.
+    """
+
+    clock: SimClock
 
     @abstractmethod
     def new_writable_file(self, name: str) -> WritableFile: ...
@@ -94,23 +100,6 @@ class Env(ABC):
 
     @abstractmethod
     def list_files(self, prefix: str = "") -> list[str]: ...
-
-    def clock_hosts(self) -> list[ClockCharged]:
-        """The clock-charged backends behind this Env (device/object store).
-
-        Fork/join sites (parallel compaction, batched reads) discover where
-        simulated time is charged through this hook; every host supports
-        ``clock_scope`` (see :class:`repro.sim.clock.ClockCharged`) and all
-        hosts of one Env share a single parent :class:`SimClock`. An Env
-        with no simulated backends returns ``[]`` and callers fall back to
-        serial accounting.
-        """
-        return []
-
-    def sim_clock(self) -> SimClock | None:
-        """The shared parent clock, or None for an un-clocked Env."""
-        hosts = self.clock_hosts()
-        return hosts[0].clock if hosts else None
 
     def is_cloud(self, name: str) -> bool:
         """Does ``name`` live in the cloud? Asked without any I/O, and a
@@ -162,6 +151,7 @@ class LocalEnv(Env):
 
     def __init__(self, device: LocalDevice) -> None:
         self.device = device
+        self.clock = device.clock
 
     def new_writable_file(self, name: str) -> WritableFile:
         return _LocalWritableFile(self.device, name)
@@ -186,9 +176,6 @@ class LocalEnv(Env):
 
     def list_files(self, prefix: str = "") -> list[str]:
         return self.device.list_files(prefix)
-
-    def clock_hosts(self) -> list[ClockCharged]:
-        return [self.device]
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +245,7 @@ class CloudEnv(Env):
 
     def __init__(self, store: CloudObjectStore) -> None:
         self.store = store
+        self.clock = store.clock
 
     def new_writable_file(self, name: str) -> WritableFile:
         return _CloudWritableFile(self.store, name)
@@ -285,9 +273,6 @@ class CloudEnv(Env):
     def list_files(self, prefix: str = "") -> list[str]:
         return self.store.list_keys(prefix)
 
-    def clock_hosts(self) -> list[ClockCharged]:
-        return [self.store]
-
     def is_cloud(self, name: str) -> bool:
         return self.store.exists(name)
 
@@ -312,6 +297,7 @@ class HybridEnv(Env):
         self.local = local
         self.cloud = cloud
         self.router = router
+        self.clock = local.clock
         self._registry: dict[str, str] = {}
 
     # -- tier resolution -----------------------------------------------------
@@ -393,9 +379,6 @@ class HybridEnv(Env):
     def list_files(self, prefix: str = "") -> list[str]:
         names = set(self.local.list_files(prefix)) | set(self.cloud.list_files(prefix))
         return sorted(names)
-
-    def clock_hosts(self) -> list[ClockCharged]:
-        return [self.local.device, self.cloud.store]
 
     # -- migration -------------------------------------------------------------
 

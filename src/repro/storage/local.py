@@ -8,24 +8,19 @@ tail and moves the mark to the end.
 this to assert that acknowledged (synced) writes survive a crash and
 unacknowledged ones may not.
 
-All costs are charged to a shared :class:`~repro.sim.clock.SimClock`; see
-DESIGN.md §4 for the timing methodology.
+All costs are charged to the store's :class:`~repro.sim.clock.SimClock`
+as ``local`` time; see DESIGN.md §4 for the timing methodology.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 from repro.errors import DeviceFullError, IOErrorSim, NotFoundError
 from repro.metrics.counters import CounterSet
-from repro.sim.clock import ClockCharged, SimClock
+from repro.sim.clock import SimClock
 from repro.sim.failure import FaultInjector
 from repro.sim.latency import LatencyModel, nvme_ssd
-
-if TYPE_CHECKING:
-    from repro.obs.trace import Tracer
 
 
 @dataclass
@@ -35,7 +30,7 @@ class _FileState:
     synced_once: bool = False  # creation itself is durable only after a sync
 
 
-class LocalDevice(ClockCharged):
+class LocalDevice:
     """A named-file byte store with an SSD latency model.
 
     Args:
@@ -57,14 +52,12 @@ class LocalDevice(ClockCharged):
         capacity_bytes: int | None = None,
         counters: CounterSet | None = None,
         faults: FaultInjector | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.model = model or nvme_ssd()
         self.capacity_bytes = capacity_bytes
         self.counters = counters if counters is not None else CounterSet()
         self.faults = faults
-        self.tracer = tracer  # tier attribution; a store facade points it at its own
         self._files: dict[str, _FileState] = {}
 
     # -- write path -------------------------------------------------------
@@ -92,9 +85,7 @@ class LocalDevice(ClockCharged):
         state = self._require(name)
         nbytes = len(state.data) - state.durable_len
         cost = self.model.write_cost(nbytes)
-        self.clock.advance(cost)
-        if self.tracer is not None:
-            self.tracer.charge("local", cost)
+        self.clock.advance(cost, "local")
         self.counters.inc("local.sync_ops")
         self.counters.inc("local.write_bytes", nbytes)
         state.durable_len = len(state.data)
@@ -117,9 +108,7 @@ class LocalDevice(ClockCharged):
         chunk = bytes(memoryview(data)[offset:end])  # copies the range, not the file
         nbytes = len(chunk)
         cost = self.model.read_cost(nbytes)
-        self.clock.advance(cost)
-        if self.tracer is not None:
-            self.tracer.charge("local", cost)
+        self.clock.advance(cost, "local")
         self.counters.inc("local.read_ops")
         self.counters.inc("local.read_bytes", nbytes)
         return chunk

@@ -19,9 +19,10 @@ from repro.storage.local import LocalDevice
 
 
 def charged(tracer, tier, seconds):
-    """Mirror a device charge site: advance + attribute the same seconds."""
-    tracer.clock.advance(seconds)
-    tracer.charge(tier, seconds)
+    """A device charge site: advance the tracer's clock by ``seconds`` spent
+    on ``tier``, with the tracer attached to it."""
+    tracer.clock.tracer = tracer
+    tracer.clock.advance(seconds, tier)
 
 
 class TestTierTimes:
@@ -107,17 +108,13 @@ class TestForkJoinAttribution:
         clock = SimClock()
         device = LocalDevice(clock)
         cloud = CloudObjectStore(clock)
-        tracer = Tracer(clock)
-        device.tracer = tracer
-        cloud.tracer = tracer
+        tracer = clock.tracer = Tracer(clock)
         cloud.put("obj", b"x" * 1000)
-        tracer = Tracer(clock)  # fresh tracer: ignore setup charges
-        device.tracer = tracer
-        cloud.tracer = tracer
+        tracer = clock.tracer = Tracer(clock)  # fresh tracer: ignore setup charges
         device.create("f")
         device.append("f", b"y" * 1000)
         with tracer.span("mixed") as span:
-            region = ForkJoinRegion(clock, [device, cloud])
+            region = ForkJoinRegion(clock)
             with region.branch():
                 cloud.get("obj")  # slow branch: one RTT + transfer
             with region.branch():
@@ -132,16 +129,10 @@ class TestForkJoinAttribution:
         clock = SimClock()
         tracer = Tracer(clock)
 
-        class Host:
-            def __init__(self):
-                self.tracer = tracer
-
-            def clock_scope(self, child):
-                return tracer.clock_scope(child)
-
-        clock.advance(10.0)
+        clock.advance(10.0, "cpu")
+        clock.tracer = tracer
         with tracer.span("op") as span:
-            region = ForkJoinRegion(clock, [Host()])
+            region = ForkJoinRegion(clock)
             with region.branch(start=1.0):  # back-dated, ends in the past
                 charged(tracer, "cloud", 2.0)
             region.join(strict=False)
@@ -153,19 +144,12 @@ class TestForkJoinAttribution:
 
     def test_unchanged_branch_falls_back_to_cpu(self):
         clock = SimClock()
-        tracer = Tracer(clock)
-
-        class Host:
-            def __init__(self):
-                self.tracer = tracer
-
-            def clock_scope(self, child):
-                return tracer.clock_scope(child)
+        tracer = clock.tracer = Tracer(clock)
 
         with tracer.span("op") as span:
-            region = ForkJoinRegion(clock, [Host()])
+            region = ForkJoinRegion(clock)
             with region.branch() as child:
-                child.advance(0.5)  # queueing delay, no device charge
+                child.now += 0.5  # queueing delay, no device charge
             region.join()
         assert span.tiers.cpu == pytest.approx(0.5)
         assert span_conserved(span)

@@ -397,14 +397,14 @@ class TestSlabRecordFormat:
 
     def test_a_slab_of_reference_records_recovers(self, device):
         config = PCacheConfig(data_budget_bytes=1 << 20)
-        name = config.prefix + PersistentCache.SLAB
+        name = config.prefix + "meta.000001"
         device.create(name)
         device.append(name, reference_record(_KIND_META, b"t.sst", 1, b"filter-bytes")[0])
         device.append(name, reference_record(_KIND_DATA, b"t.sst", 4096, b"block" * 40)[0])
         device.append(name, reference_record(_KIND_DATA, b"old.sst", 0, b"stale")[0])
         device.append(name, reference_record(_KIND_TOMB, b"old.sst", 0, b"")[0])
-        # A sorted-view payload (metadata offset 3) that earlier builds
-        # persisted: parsed past, never indexed.
+        # A metadata record of an unknown kind (offset 3, which once held a
+        # sorted view): parsed past, never indexed.
         device.append(name, reference_record(_KIND_META, b"db/view-000042", 3, b"view")[0])
         device.sync(name)
         cache = PersistentCache.open(device, config)

@@ -1,4 +1,4 @@
-"""Fixture tests for reprolint: each rule (RL001–RL005), the allowlist,
+"""Fixture tests for reprolint: each rule (RL001, RL003–RL005), the allowlist,
 parse errors and the per-file memo (the command line is in
 ``test_reprolint_cli.py``).
 
@@ -91,56 +91,6 @@ class TestDeterminism:
             "from os import listdir\nnames = sorted(listdir('d'))\n"
         )
         assert rule_ids(tmp_path, {"bench/x.py": src}) == []
-
-
-# -- RL002: charge attribution ----------------------------------------------
-
-
-UNPAIRED_ADVANCE = (
-    "def sync(self):\n"
-    "    cost = self.model.write_cost(10)\n"
-    "    self.clock.advance(cost)\n"
-    "    self.counters.inc('ops')\n"
-)
-
-PAIRED_ADVANCE = (
-    "def sync(self):\n"
-    "    cost = self.model.write_cost(10)\n"
-    "    self.clock.advance(cost)\n"
-    "    if self.tracer is not None:\n"
-    "        self.tracer.charge('local', cost)\n"
-)
-
-
-class TestChargeAttribution:
-    def test_unpaired_advance_flagged(self, tmp_path):
-        ids = rule_ids(tmp_path, {"storage/dev.py": UNPAIRED_ADVANCE})
-        assert ids == ["RL002"]
-
-    def test_paired_advance_clean(self, tmp_path):
-        assert rule_ids(tmp_path, {"storage/dev.py": PAIRED_ADVANCE}) == []
-
-    def test_charge_before_advance_clean(self, tmp_path):
-        src = (
-            "def sync(self):\n"
-            "    self.tracer.charge('cloud', 1.0)\n"
-            "    self.clock.advance(1.0)\n"
-        )
-        assert rule_ids(tmp_path, {"mash/dev.py": src}) == []
-
-    def test_out_of_scope_advance_ignored(self, tmp_path):
-        # bench/ is not a charge scope: harness code advances clocks freely.
-        assert rule_ids(tmp_path, {"bench/x.py": UNPAIRED_ADVANCE}) == []
-
-    def test_charge_outside_window_flagged(self, tmp_path):
-        filler = "    x = 1\n" * 10
-        src = (
-            "def sync(self):\n"
-            "    self.clock.advance(1.0)\n"
-            + filler
-            + "    self.tracer.charge('local', 1.0)\n"
-        )
-        assert rule_ids(tmp_path, {"lsm/x.py": src}) == ["RL002"]
 
 
 # -- RL003: crash-point hygiene ---------------------------------------------
@@ -421,8 +371,9 @@ class TestParseErrors:
 
 class TestRuleSelection:
     def test_rule_ids_skip_the_retired_ones(self):
-        # RL006–RL009 were retired (DESIGN.md §7); ids are not renumbered.
-        assert sorted(RULES) == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL010"]
+        # RL002 and RL006–RL009 were retired (DESIGN.md §7); ids are not
+        # renumbered.
+        assert sorted(RULES) == ["RL001", "RL003", "RL004", "RL005", "RL010"]
 
     def test_findings_are_deterministically_ordered(self, tmp_path):
         files = {

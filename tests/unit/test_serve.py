@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.lsm.db import Snapshot
 from repro.mash.store import StoreConfig
 from repro.obs.trace import span_conserved
 from repro.serve import (
@@ -162,7 +163,7 @@ class TestShardedDB:
         assert node.get(make_key(150)) == b"b"
         ops = [s.op for s in node.tracer.spans]
         assert "put" in ops and "get" in ops
-        assert node.local_device.tracer is node.tracer
+        assert node.clock.tracer is node.tracer
         assert all(shard.tracer is node.tracer for shard in node.shards)
 
     def test_shard_scans_at_prefetch_depth_2_equal_depth_0(self):
@@ -200,6 +201,60 @@ class TestShardedDB:
         node.flush()
         assert not node.db._pending
         assert all(len(shard.db.memtable) == 0 for shard in node.shards)
+
+
+def filled_node():
+    """A 2-shard node (split at key 100) with flushed tables in both shards."""
+    node = make_node(shards=2)
+    for i in range(0, 200, 2):
+        node.put(make_key(i), b"v%d" % i)
+    node.flush()
+    return node
+
+
+class TestNodeOperatorSurface:
+    """The facade's operator calls on a 2-shard node."""
+
+    def test_metrics_sum_the_shards(self):
+        node = filled_node()
+        metrics = node.metrics()
+        per_shard = [shard.db.metrics() for shard in node.shards]
+        assert metrics["level.0.files"] == sum(m["level.0.files"] for m in per_shard) > 0
+        assert metrics["flushes"] == sum(m["flushes"] for m in per_shard) >= 2
+        assert metrics["local.sync_ops"] == node.counters.get("local.sync_ops")
+        assert metrics["sim.local"] == node.tracer.totals.local
+
+    def test_dump_metrics_renders_the_summed_gauges(self):
+        node = filled_node()
+        files = sum(shard.db.metrics()["level.0.files"] for shard in node.shards)
+        text = node.dump_metrics()
+        assert f"repro_level_0_files {files}\n" in text
+        assert "repro_local_sync_ops_total" in text
+
+    def test_snapshots_are_not_implemented(self):
+        node = filled_node()
+        with pytest.raises(NotImplementedError):
+            node.snapshot()
+        with pytest.raises(NotImplementedError):
+            node.release_snapshot(Snapshot(0))
+
+    def test_compact_range_compacts_only_the_touched_shards(self):
+        node = filled_node()
+        before = node.clock.now
+        node.compact_range(make_key(0), make_key(50))
+        low, high = (shard.db.versions.current for shard in node.shards)
+        assert low.num_files(0) == 0 and low.total_bytes() > 0
+        assert high.num_files(0) > 0
+        assert node.clock.now > before
+        assert any(span.op == "compact_range" for span in node.tracer.spans)
+        assert node.get(make_key(10)) == b"v10" and node.get(make_key(150)) == b"v150"
+
+    def test_explain_asks_the_owning_shard(self):
+        node = filled_node()
+        explanation = node.explain(make_key(150))
+        assert explanation.value == b"v150"
+        assert explanation.path[0] == ("memtable", "miss")
+        assert node.tracer.spans[-1].op == "get"
 
 
 def run_frontend(rate, *, shards=2, capacity=0, operations=150, arrival_seed=7):

@@ -14,26 +14,26 @@ class TestSimClock:
 
     def test_advance(self):
         clock = SimClock()
-        clock.advance(1.5)
-        clock.advance(0.5)
+        clock.advance(1.5, "cpu")
+        clock.advance(0.5, "cpu")
         assert clock.now == pytest.approx(2.0)
 
     def test_advance_negative_rejected(self):
         with pytest.raises(ValueError):
-            SimClock().advance(-1)
+            SimClock().advance(-1, "cpu")
 
     def test_child_starts_at_parent(self):
         clock = SimClock()
-        clock.advance(3.0)
+        clock.advance(3.0, "cpu")
         children = [clock.child() for _ in range(4)]
         assert all(c.now == pytest.approx(3.0) for c in children)
 
     def test_join_takes_max(self):
         clock = SimClock()
         kids = [clock.child() for _ in range(3)]
-        kids[0].advance(1.0)
-        kids[1].advance(5.0)
-        kids[2].advance(2.0)
+        kids[0].advance(1.0, "cpu")
+        kids[1].advance(5.0, "cpu")
+        kids[2].advance(2.0, "cpu")
         clock.join(kids)
         assert clock.now == pytest.approx(5.0)
 
@@ -45,7 +45,7 @@ class TestSimClock:
     def test_join_rewind_rejected(self):
         clock = SimClock()
         kids = [clock.child()]
-        clock.advance(10.0)
+        clock.advance(10.0, "cpu")
         with pytest.raises(ValueError):
             clock.join(kids)
 
@@ -56,7 +56,7 @@ class TestSimClock:
     def test_stopwatch(self):
         clock = SimClock()
         with StopwatchRegion(clock) as sw:
-            clock.advance(0.25)
+            clock.advance(0.25, "cpu")
         assert sw.elapsed == pytest.approx(0.25)
 
 
@@ -79,23 +79,23 @@ class TestSlottedRegion:
     @pytest.mark.parametrize("slots", [1, 2, 4])
     def test_branches_start_where_the_slot_loop_started_them(self, slots):
         clock = SimClock(now=10.0)
-        region = ForkJoinRegion(clock, [], slots=slots)
+        region = ForkJoinRegion(clock, slots=slots)
         starts = []
         for ready_at, duration in self.TASKS:
             with region.branch(start=ready_at) as child:
                 starts.append(child.now)
-                child.advance(duration)
+                child.advance(duration, "cpu")
         region.join(strict=False)
         assert starts == self.old_slot_loop(10.0, slots)
         assert clock.now == max(start + d for start, (_, d) in zip(starts, self.TASKS))
 
     def test_without_slots_every_branch_starts_at_once(self):
         clock = SimClock(now=1.0)
-        region = ForkJoinRegion(clock, [])
+        region = ForkJoinRegion(clock)
         for _ in range(6):
             with region.branch() as child:
                 assert child.now == 1.0
-                child.advance(0.5)
+                child.advance(0.5, "cpu")
         assert region.join() == 1.5
 
 
