@@ -49,7 +49,7 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 393
+PINNED_WITHOUT_TRAFFIC = 392
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
@@ -78,7 +78,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.errors:NotFoundError.__str__": (SAFETY, "the message of a missing-file error"),
     # -- facade
     "repro.facade:StoreFacade.write": (SURFACE, "the atomic multi-key write; workloads and examples put one key at a time"),
-    "repro.facade:StoreFacade.explain": (SURFACE, "bloom-reject, false-positive and table-open rows; the quickstart's cold get shows the rest"),
+    "repro.facade:StoreFacade._explain": (SURFACE, "bloom-reject, false-positive and table-open rows; the quickstart's cold get shows the rest"),
     "repro.facade:StoreFacade.close": (SURFACE, "closes a baseline store; the baseline suites call it"),
     "repro.facade:StoreFacade.reopen": (SAFETY, "a clean restart; traffic restarts after a crash, and `test_reopen.py` checks both for every system"),
     # -- engine
@@ -167,7 +167,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.placement:PlacementManager.maybe_promote": (SAFETY, "promotion without headroom"),
     "repro.mash.store:MashDB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
     "repro.mash.store:RocksMashStore._read_local_block": (SAFETY, "a table demoted under the reader"),
-    "repro.mash.store:RocksMashStore._pin_metadata": (SAFETY, "a table already gone when demotion pins it"),
     "repro.mash.xwal:XWalWriter.add_record": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
     "repro.mash.xwal:XWalWriter.sync": (OPEN, f"{_ITEM_20}: the store syncs each record; nothing syncs the writer"),
     "repro.mash.xwal:XWalReplayer.replay": (SAFETY, "a missing generation and a corrupt shard"),
@@ -219,6 +218,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.workloads.ycsb:run_phase": (SAFETY, "counts a read that found nothing, which the loaded workloads never issue"),
     "repro.workloads.ycsb:outcome_digest_update": (SAFETY, "hashes a scan outcome; the digesting experiments run no scans"),
     # -- deleted for lack of traffic (DESIGN.md §2 ledger)
+    "repro.bench.harness:_disable_metadata_pinning": (DELETED, "ablation 12a is `StoreConfig.pin_metadata`, which a restart keeps"),
     "repro.storage.cloud:CloudObjectStore.upload_part": (DELETED, "multipart uploads: no part is sent at 32 KiB tables and 64 KiB segments"),
     "repro.storage.cloud:CloudObjectStore.complete_multipart": (DELETED, "multipart uploads"),
     "repro.storage.cloud:CloudObjectStore.pending_multiparts": (DELETED, "multipart uploads"),

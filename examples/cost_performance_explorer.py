@@ -10,8 +10,12 @@ printing a cost-performance frontier.
 Run:  python examples/cost_performance_explorer.py
 """
 
-from repro.bench.harness import HarnessKnobs, make_store
+from dataclasses import replace
+
+from repro.bench.harness import HarnessKnobs, make_store, rocksmash_config
 from repro.bench.report import Table
+from repro.facade import StoreFacade
+from repro.mash.store import RocksMashStore
 from repro.workloads import ycsb
 
 RECORDS = 2500
@@ -19,8 +23,8 @@ OPERATIONS = 1200
 TB = 1 << 40
 
 
-def run_system(system: str, knobs: HarnessKnobs | None = None):
-    store = make_store(system, knobs)
+def run_store(store: StoreFacade):
+    """YCSB-B on ``store``: its run-phase result and monthly bill."""
     spec = ycsb.WORKLOAD_B.scaled(RECORDS, OPERATIONS)
     ycsb.load_phase(store, spec)
     store.counters.reset()
@@ -28,7 +32,7 @@ def run_system(system: str, knobs: HarnessKnobs | None = None):
     result = ycsb.run_phase(store, spec)
     window = max(store.clock.now - start, 1e-9)
     bill = store.cost_report(window)
-    return store, result, bill
+    return result, bill
 
 
 def main() -> None:
@@ -43,24 +47,21 @@ def main() -> None:
 
     # The two extremes.
     for system in ("cloud-only", "local-only"):
-        store, result, bill = run_system(system)
+        result, bill = run_store(make_store(system))
         share = 0.0 if system == "cloud-only" else 1.0
         table.add_row(system, result.throughput / 1e3, share * 1024, bill.requests)
 
     # RocksMash across local budgets.
-    probe, _, _ = run_system("rocksmash")
+    probe = make_store("rocksmash")
+    run_store(probe)
     db_bytes = probe.db.approximate_size()
     for pct in (5, 15, 30, 60):
         budget = db_bytes * pct // 100
-        store, result, bill = run_system(
-            "rocksmash",
-            HarnessKnobs(
-                cloud_level=6,
-                local_bytes_budget=budget,
-                # The persistent cache shares the swept local allowance.
-                pcache_budget_bytes=max(budget // 2, 16 << 10),
-            ),
-        )
+        # The persistent cache shares the swept local allowance.
+        config = rocksmash_config(HarnessKnobs(pcache_budget_bytes=max(budget // 2, 16 << 10)))
+        placement = replace(config.placement, cloud_level=6, local_bytes_budget=budget)
+        store = RocksMashStore.create(replace(config, placement=placement))
+        result, bill = run_store(store)
         local = (
             store.placement.local_table_bytes()
             + store.pcache.meta_bytes

@@ -11,8 +11,10 @@ Run:  python examples/hot_cold_cache_study.py
 """
 
 import random
+from dataclasses import replace
 
-from repro.bench.harness import HarnessKnobs, make_store
+from repro.bench.harness import HarnessKnobs, rocksmash_config
+from repro.mash.store import RocksMashStore
 from repro.workloads.generator import make_key, make_request_generator, make_value
 
 RECORDS = 2500
@@ -22,15 +24,11 @@ READS_PER_PHASE = 400
 
 def run(layout_aware: bool) -> list[tuple[float, float]]:
     """Returns per-phase (pcache hit ratio, simulated read seconds)."""
-    store = make_store(
-        "rocksmash",
-        HarnessKnobs(
-            layout_aware=layout_aware,
-            prewarm_heat_threshold=0.5,
-            block_cache_bytes=0,  # isolate the persistent cache
-            pcache_budget_bytes=1 << 20,
-        ),
+    config = rocksmash_config(
+        HarnessKnobs(block_cache_bytes=0, pcache_budget_bytes=1 << 20)  # isolate the pcache
     )
+    layout = replace(config.layout, aware=layout_aware, prewarm_heat_threshold=0.5)
+    store = RocksMashStore.create(replace(config, layout=layout))
     rng = random.Random(42)
     for i in range(RECORDS):
         store.put(make_key(i), make_value(i, 200))

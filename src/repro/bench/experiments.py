@@ -16,12 +16,14 @@ function takes ``records``/``operations`` so a longer run can scale up.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 
 from repro.baselines import RocksDBCloudStore
-from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store
+from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store, rocksmash_config
 from repro.facade import StoreFacade
-from repro.mash.store import RocksMashStore
+from repro.mash.store import RocksMashStore, StoreConfig
 from repro.bench.report import Table
 from repro.workloads import dbbench, ycsb
 from repro.workloads.generator import make_key, make_value
@@ -179,16 +181,21 @@ def e5_metadata_overhead(records: int = 4000, value_size: int = 256) -> Table:
 _RECOVERY_APPLY_COST = 25e-6
 
 
-def _recovery_knobs(shards: int) -> HarnessKnobs:
-    return HarnessKnobs(
-        xwal_shards=shards,
-        xwal_apply_cost=_RECOVERY_APPLY_COST,
-        write_buffer_size=64 << 20,  # keep the whole workload in the WAL
-    )
+def _recovery_store(shards: int) -> RocksMashStore:
+    # A 64 MiB write buffer keeps the whole workload in the WAL.
+    config = rocksmash_config(HarnessKnobs(write_buffer_size=64 << 20))
+    xwal = replace(config.xwal, num_shards=shards, apply_cost_per_record=_RECOVERY_APPLY_COST)
+    return RocksMashStore.create(replace(config, xwal=xwal))
+
+
+def _all_cloud(knobs: HarnessKnobs | None = None) -> StoreConfig:
+    """The harness's RocksMash config with every table below L0 demoted."""
+    config = rocksmash_config(knobs)
+    return replace(config, placement=replace(config.placement, cloud_level=1))
 
 
 def _crash_recovery_seconds(shards: int, records: int) -> float:
-    store = make_store("rocksmash", _recovery_knobs(shards))
+    store = _recovery_store(shards)
     for i in range(records):
         store.put(make_key(i), make_value(i, 256))
     recovered = store.reopen(crash=True)
@@ -332,16 +339,13 @@ def e8_compaction_cache(
     )
     from repro.workloads.generator import make_request_generator
 
+    config = rocksmash_config(
+        HarnessKnobs(block_cache_bytes=0, pcache_budget_bytes=1 << 20)  # isolate the pcache
+    )
+
     def run(aware: bool) -> list[float]:
-        store = make_store(
-            "rocksmash",
-            HarnessKnobs(
-                layout_aware=aware,
-                prewarm_heat_threshold=0.5,
-                block_cache_bytes=0,  # isolate the persistent cache
-                pcache_budget_bytes=1 << 20,
-            ),
-        )
+        layout = replace(config.layout, aware=aware, prewarm_heat_threshold=0.5)
+        store = RocksMashStore.create(replace(config, layout=layout))
         dbbench.fill_database(store, records)
         gen = make_request_generator("zipfian", records, seed=11)
         ratios = []
@@ -446,12 +450,11 @@ def e11_local_capacity(
         ],
     )
     spec = ycsb.WORKLOAD_C.scaled(records, operations)
+    config = rocksmash_config()
     for pct in budgets_pct:
         budget = db_bytes * pct // 100
-        store = make_store(
-            "rocksmash",
-            HarnessKnobs(cloud_level=6, local_bytes_budget=budget),
-        )
+        placement = replace(config.placement, cloud_level=6, local_bytes_budget=budget)
+        store = RocksMashStore.create(replace(config, placement=placement))
         ycsb.load_phase(store, spec)
         result = ycsb.run_phase(store, spec)
         table.add_row(
@@ -479,19 +482,20 @@ def e12_ablations(records: int = 2500, operations: int = 1200) -> Table:
         ["variant", "workload", "Kops/s", "vs_full_%"],
         notes=["full = RocksMash with all mechanisms enabled"],
     )
-    variants: list[tuple[str, str, HarnessKnobs]] = [
-        ("full", "A", HarnessKnobs()),
-        ("no-metadata-pinning", "A", HarnessKnobs(pin_metadata=False)),
-        ("naive-invalidation", "A", HarnessKnobs(layout_aware=False)),
-        ("cloud-level-1 (less local)", "A", HarnessKnobs(cloud_level=1)),
-        ("xwal-1-shard", "A", HarnessKnobs(xwal_shards=1)),
-        ("full", "E", HarnessKnobs()),
-        ("no-scan-readahead", "E", HarnessKnobs(scan_readahead_bytes=0)),
+    full = rocksmash_config()
+    variants: list[tuple[str, str, StoreConfig]] = [
+        ("full", "A", full),
+        ("no-metadata-pinning", "A", replace(full, pin_metadata=False)),
+        ("naive-invalidation", "A", replace(full, layout=replace(full.layout, aware=False))),
+        ("cloud-level-1 (less local)", "A", _all_cloud()),
+        ("xwal-1-shard", "A", replace(full, xwal=replace(full.xwal, num_shards=1))),
+        ("full", "E", full),
+        ("no-scan-readahead", "E", replace(full, scan_readahead_bytes=0)),
     ]
     base: dict[str, float] = {}
-    for label, workload, knobs in variants:
+    for label, workload, config in variants:
         spec = ycsb.ALL_WORKLOADS[workload].scaled(records, operations)
-        store = make_store("rocksmash", knobs)
+        store = RocksMashStore.create(config)
         result = ycsb.run_workload(store, spec)
         kops = result.throughput / 1e3
         base.setdefault(workload, kops)
@@ -645,11 +649,8 @@ def e16_promotion(records: int = 2500, rounds: int = 8, span: int = 150) -> Tabl
     cloud-resident and the persistent cache is too small to hold the hot
     set. With promotion, the hot tables migrate back to the local device.
     """
-    import dataclasses
-
     from repro.mash.pcache import PCacheConfig
     from repro.mash.placement import PlacementConfig
-    from repro.mash.store import RocksMashStore, StoreConfig
 
     table = Table(
         "E16: hot-file promotion ablation (hot-range reads, simulated Kops/s)",
@@ -660,7 +661,7 @@ def e16_promotion(records: int = 2500, rounds: int = 8, span: int = 150) -> Tabl
         ],
     )
     for enabled in (False, True):
-        config = dataclasses.replace(
+        config = replace(
             StoreConfig().small(),
             placement=PlacementConfig(
                 cloud_level=1,
@@ -708,10 +709,8 @@ def e17_compaction_style(records: int = 6000, keyspace: int = 1500, reads: int =
     point reads. Placement maps tiers onto storage naturally: young runs
     stay local, full merges land on the cloud-resident bottom level.
     """
-    import dataclasses
     import random
 
-    from repro.mash.store import RocksMashStore, StoreConfig
     from repro.workloads.generator import make_request_generator
 
     table = Table(
@@ -732,14 +731,14 @@ def e17_compaction_style(records: int = 6000, keyspace: int = 1500, reads: int =
     )
     for style in ("leveled", "universal"):
         base = StoreConfig().small()
-        options = dataclasses.replace(
+        options = replace(
             base.options,
             compaction_style=style,
             target_file_size_base=(
                 (1 << 20) if style == "universal" else base.options.target_file_size_base
             ),
         )
-        store = RocksMashStore.create(dataclasses.replace(base, options=options))
+        store = RocksMashStore.create(replace(base, options=options))
         rng = random.Random(2)
         start = store.clock.now
         for i in range(records):
@@ -856,7 +855,7 @@ def e19a_crash_recovery_shards(
     )
     baseline = None
     for shards in shard_counts:
-        store = make_store("rocksmash", _recovery_knobs(shards))
+        store = _recovery_store(shards)
         for i in range(records):
             store.put(make_key(i), make_value(i, 256))
         crash_points.reset()
@@ -912,7 +911,7 @@ def e19b_write_fault_storm(
     for rate in error_rates:
         # cloud_level=1 demotes every compaction output, so the fill issues
         # a steady stream of cloud writes for the storm to hit.
-        store = make_store("rocksmash", HarnessKnobs(cloud_level=1))
+        store = RocksMashStore.create(_all_cloud())
         store.cloud_store.faults = FaultInjector(
             error_rate=rate,
             seed=11,
@@ -964,7 +963,6 @@ def e20_read_anatomy(records: int = 1800, reads: int = 90) -> Table:
     from the cloud first, ≥3 extra round trips. The ``conserved`` column
     checks local+cloud+cpu == elapsed on every span.
     """
-    from repro.bench.harness import _disable_metadata_pinning  # noqa: F401 (doc)
     from repro.obs.trace import span_conserved
 
     table = Table(
@@ -985,16 +983,17 @@ def e20_read_anatomy(records: int = 1800, reads: int = 90) -> Table:
             "probes that touched the cloud; conserved: local+cloud+cpu == elapsed",
         ],
     )
-    base = HarnessKnobs(block_cache_bytes=0, scan_readahead_bytes=0)
-    configs = [
-        ("rocksmash", "rocksmash", base),
-        ("rocksmash-nopin", "rocksmash", replace(base, pin_metadata=False)),
-        ("rocksdb-cloud", "rocksdb-cloud", base),
-        ("cloud-only", "cloud-only", base),
+    knobs = HarnessKnobs(block_cache_bytes=0)
+    mash = replace(rocksmash_config(knobs), scan_readahead_bytes=0)
+    configs: list[tuple[str, Callable[[], StoreFacade]]] = [
+        ("rocksmash", partial(RocksMashStore.create, mash)),
+        ("rocksmash-nopin", partial(RocksMashStore.create, replace(mash, pin_metadata=False))),
+        ("rocksdb-cloud", partial(make_store, "rocksdb-cloud", knobs)),
+        ("cloud-only", partial(make_store, "cloud-only", knobs)),
     ]
     stride = max(1, records // reads)
-    for label, system, knobs in configs:
-        store = make_store(system, knobs)
+    for label, build in configs:
+        store = build()
         dbbench.fill_database(store, records)
         t0 = store.clock.now
         for i in range(reads):
@@ -1070,12 +1069,9 @@ def e21_scan_pipeline(
     base_long = None
     for depth in (0, 1, 2, 4):
         knobs = HarnessKnobs(
-            scan_prefetch_depth=depth,
-            cloud_level=1,
-            block_cache_bytes=0,
-            pcache_budget_bytes=4 << 10,
+            scan_prefetch_depth=depth, block_cache_bytes=0, pcache_budget_bytes=4 << 10
         )
-        store = make_store("rocksmash", knobs)
+        store = RocksMashStore.create(_all_cloud(knobs))
         dbbench.fill_database(store, records)
         t0 = store.clock.now
         gets0 = store.counters.get("cloud.get_ops")
@@ -1148,7 +1144,6 @@ def e22_sharded_serving(
     never results. ``conserved`` checks local+cloud+cpu == elapsed on
     every span, concurrent in-flight requests included.
     """
-    from repro.bench.harness import rocksmash_config
     from repro.obs.trace import span_conserved
     from repro.serve import (
         FrontendConfig,
@@ -1187,11 +1182,9 @@ def e22_sharded_serving(
     # tiny pcache budget): per-request service is dominated by cloud RTTs
     # at every shard count, so the queueing knee — not per-shard cache
     # capacity — is what shard count moves.
-    knobs = HarnessKnobs(
-        cloud_level=1, block_cache_bytes=0, pcache_budget_bytes=4 << 10
-    )
+    config = _all_cloud(HarnessKnobs(block_cache_bytes=0, pcache_budget_bytes=4 << 10))
 
-    calibration = make_store("rocksmash", knobs)
+    calibration = RocksMashStore.create(config)
     spec_c = ycsb.ALL_WORKLOADS["C"].scaled(records, operations)
     ycsb.load_phase(calibration, spec_c)
     base_rate = ycsb.run_phase(calibration, spec_c).throughput
@@ -1199,14 +1192,14 @@ def e22_sharded_serving(
     def run_row(workload: str, shards: int, mult: float, *, single: bool) -> None:
         spec = ycsb.ALL_WORKLOADS[workload].scaled(records, operations)
         if single:
-            store = make_store("rocksmash", knobs)
+            store = RocksMashStore.create(config)
             server = SingleStoreServer(store)
             tracer = store.tracer
             target = store
         else:
             node = ShardedDB.create(
                 ServeConfig(
-                    base=rocksmash_config(knobs),
+                    base=config,
                     num_shards=shards,
                     key_space=records,
                 )
@@ -1298,8 +1291,6 @@ def e23_bloblog(
     crossover the paper's WiscKey lineage predicts.
     """
     import hashlib
-
-    from repro.mash.store import RocksMashStore, StoreConfig
 
     table = Table(
         "E23: WAL-time key-value separation vs value size (YCSB-A)",

@@ -1,9 +1,13 @@
 """Experiment harness: uniform store construction for the four systems.
 
-Each experiment asks for stores by name with a handful of cross-cutting
-knobs (cloud RTT, cache budgets, placement depth, WAL shards, layout mode).
-All stores come up with the scaled-down engine options so experiments run
-in seconds while preserving LSM shape (multiple levels, real compactions).
+Each experiment asks for stores by name with the knobs every system shares
+(the engine options, cloud RTT and the equal-resource cache budgets). A
+sweep of a RocksMash mechanism (placement, layout, xWAL, readahead,
+metadata pinning) sets that field on :func:`rocksmash_config`'s
+:class:`StoreConfig` with ``dataclasses.replace`` and builds the store with
+``RocksMashStore.create``. All stores come up with the scaled-down engine
+options so experiments run in seconds while preserving LSM shape (multiple
+levels, real compactions).
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from repro.baselines import (
 from repro.lsm.options import Options
 from repro.mash.layout import LayoutConfig
 from repro.mash.pcache import PCacheConfig
-from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig
 from repro.facade import StoreFacade
 from repro.sim.latency import LatencyModel
 
@@ -44,7 +46,8 @@ blocks to keep several blocks per table."""
 
 @dataclass(frozen=True)
 class HarnessKnobs:
-    """Cross-cutting parameters an experiment may sweep."""
+    """What sizes the cross-system comparison: the engine options and cloud
+    RTT every system gets, and each system's cache budget."""
 
     cloud_rtt: float = 15e-3
     block_cache_bytes: int = 32 << 10
@@ -52,16 +55,8 @@ class HarnessKnobs:
     file_cache_budget_bytes: int = 256 << 10
     """Sized so rocksdb-cloud's local resources ≈ RocksMash's local share
     (upper levels + persistent cache) — an equal-resource comparison."""
-    cloud_level: int = 2
-    local_bytes_budget: int | None = None
-    layout_aware: bool = True
-    prewarm_heat_threshold: float = 1.0
-    xwal_shards: int = 4
-    xwal_apply_cost: float = 2e-6
     write_buffer_size: int = 8 << 10
-    scan_readahead_bytes: int = 128 << 10
     compression: str = "none"
-    pin_metadata: bool = True
     max_subcompactions: int = 1
     """Parallel subcompactions per compaction (E18 sweeps 1/2/4/8)."""
     scan_prefetch_depth: int = 0
@@ -93,26 +88,16 @@ def engine_options(knobs: HarnessKnobs) -> Options:
 
 def rocksmash_config(knobs: HarnessKnobs | None = None) -> StoreConfig:
     """The RocksMash :class:`StoreConfig` the harness builds for the given
-    knobs — exposed so the serving layer (:mod:`repro.serve`) can derive
-    per-shard configs from the same experiment parameters."""
+    knobs: the base every mechanism sweep replaces fields of, and the one
+    the serving layer (:mod:`repro.serve`) derives per-shard configs from.
+    Placement, xWAL and readahead keep their defaults; blocks pre-warm at
+    half the default heat threshold."""
     knobs = knobs or HarnessKnobs()
     return StoreConfig(
         options=engine_options(knobs),
         cloud_model=knobs.cloud_model(),
-        placement=PlacementConfig(
-            cloud_level=knobs.cloud_level,
-            local_bytes_budget=knobs.local_bytes_budget,
-        ),
         pcache=PCacheConfig(data_budget_bytes=knobs.pcache_budget_bytes),
-        layout=LayoutConfig(
-            aware=knobs.layout_aware,
-            prewarm_heat_threshold=knobs.prewarm_heat_threshold,
-        ),
-        xwal=XWalConfig(
-            num_shards=knobs.xwal_shards,
-            apply_cost_per_record=knobs.xwal_apply_cost,
-        ),
-        scan_readahead_bytes=knobs.scan_readahead_bytes,
+        layout=LayoutConfig(prewarm_heat_threshold=1.0),
     )
 
 
@@ -136,15 +121,6 @@ def make_store(system: str, knobs: HarnessKnobs | None = None) -> StoreFacade:
             )
         )
     if system == "rocksmash":
-        store = RocksMashStore.create(rocksmash_config(knobs))
-        if not knobs.pin_metadata:
-            _disable_metadata_pinning(store)
-        return store
+        return RocksMashStore.create(rocksmash_config(knobs))
     raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-
-
-def _disable_metadata_pinning(store: RocksMashStore) -> None:
-    """Ablation 12a: RocksMash without the pinned-metadata region."""
-    store.pcache.put_meta = lambda *_a, **_k: None  # type: ignore[method-assign]
-    store._pin_metadata = lambda *_a, **_k: None  # type: ignore[method-assign]
 

@@ -200,7 +200,11 @@ class StoreFacade(Generic[_Engine]):
         beside them tells which source served each block; the simulated
         seconds are the span's, by tier.
         """
-        db = self.db
+        return self._explain(self.db, key)
+
+    def _explain(self, db: DB, key: bytes) -> Explanation:
+        """:meth:`explain` of a :meth:`get` this facade times, served by
+        ``db``, the engine that owns ``key``."""
         block_path = db.block_path
         in_memtable = db.memtable.get(key, db.versions.last_sequence).state != GetResult.ABSENT
         rows = [("memtable", "hit" if in_memtable else "miss")]

@@ -88,6 +88,9 @@ class StoreConfig:
     issues, or its prefetch schedule primes
     (:class:`~repro.lsm.block_cache.ScanBuffer`); 0: scans read cloud
     tables block by block. Point gets never read ahead."""
+    pin_metadata: bool = True
+    """Pin each table's footer, index and filter in the persistent cache
+    before it is demoted, and on a cold cloud open; False is ablation 12a."""
 
     def small(self) -> "StoreConfig":
         """Scaled-down engine thresholds for tests and quick experiments."""
@@ -280,7 +283,8 @@ class MashBlockStack(BlockStack):
         payload = self.read(handle)
         if store.env.is_cloud(self.name):
             self.path.event("cloud_get")
-            store.pcache.put_meta(self.name, kind, payload)
+            if store.config.pin_metadata:
+                store.pcache.put_meta(self.name, kind, payload)
         else:
             self.path.event("local_read")
         return payload
@@ -433,7 +437,7 @@ class RocksMashStore(StoreFacade[DB]):
 
     def _pin_metadata(self, file_name: str) -> None:
         """Pin a table's footer + index + filter blocks from its (local) copy."""
-        if not self.env.file_exists(file_name):
+        if not self.config.pin_metadata or not self.env.file_exists(file_name):
             return
         if (
             self.pcache.get_meta(file_name, "index") is not None

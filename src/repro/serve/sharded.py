@@ -278,11 +278,14 @@ class ShardEngine:
         raise NotImplementedError(_NO_SNAPSHOT)
 
     def metrics(self) -> dict[str, int | float]:
-        """Each name of the shards' :meth:`DB.metrics`, summed."""
+        """Each name of the shards' :meth:`DB.metrics`, summed, except
+        ``last_sequence``: each shard numbers its own writes, so the node
+        reports the largest."""
         out: dict[str, int | float] = {}
         for shard in self.shards:
             for name, value in shard.db.metrics().items():
                 out[name] = out.get(name, 0) + value
+        out["last_sequence"] = max(shard.db.versions.last_sequence for shard in self.shards)
         return out
 
     def close(self) -> None:
@@ -353,8 +356,9 @@ class ShardedDB(StoreFacade[ShardEngine]):
         return engine
 
     def explain(self, key: bytes) -> Explanation:
-        """:meth:`StoreFacade.explain` on the shard that owns ``key``."""
-        return self.shards[self.router.shard_of(key)].explain(key)
+        """:meth:`StoreFacade.explain` of a node ``get``, served by the shard
+        that owns ``key``; its latency sample is the node's."""
+        return self._explain(self.shards[self.router.shard_of(key)].db, key)
 
     # -- serving hooks ----------------------------------------------------
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.harness import HarnessKnobs, make_store
+from repro.bench.harness import HarnessKnobs, rocksmash_config
 from repro.lsm.db import DB
 from repro.lsm.format import BLOCK_TRAILER_SIZE, FOOTER_SIZE, table_file_name
 from repro.lsm.options import Options
@@ -70,14 +70,11 @@ class TestScanRangePruning:
 
 def cold_cloud_store(depth, records=600):
     """RocksMash with everything below L0 cloud-resident and caches cold."""
-    store = make_store(
-        "rocksmash",
-        HarnessKnobs(
-            scan_prefetch_depth=depth,
-            cloud_level=1,
-            block_cache_bytes=0,
-            pcache_budget_bytes=4 << 10,
-        ),
+    config = rocksmash_config(
+        HarnessKnobs(scan_prefetch_depth=depth, block_cache_bytes=0, pcache_budget_bytes=4 << 10)
+    )
+    store = RocksMashStore.create(
+        replace(config, placement=replace(config.placement, cloud_level=1))
     )
     dbbench.fill_database(store, records)
     store.db.table_cache.clear()

@@ -1,7 +1,10 @@
 """End-to-end serving-layer integration: open-loop load against sharded
 and unsharded RocksMash nodes built from the experiment harness config."""
 
-from repro.bench.harness import HarnessKnobs, make_store, rocksmash_config
+from dataclasses import replace
+
+from repro.bench.harness import HarnessKnobs, rocksmash_config
+from repro.mash.store import RocksMashStore
 from repro.obs.trace import span_conserved
 from repro.serve import (
     FrontendConfig,
@@ -14,13 +17,12 @@ from repro.workloads import ycsb
 
 RECORDS = 600
 OPERATIONS = 400
-KNOBS = HarnessKnobs(cloud_level=1, block_cache_bytes=0, pcache_budget_bytes=4 << 10)
+BASE = rocksmash_config(HarnessKnobs(block_cache_bytes=0, pcache_budget_bytes=4 << 10))
+CONFIG = replace(BASE, placement=replace(BASE.placement, cloud_level=1))
 
 
 def sharded_node(shards):
-    return ShardedDB.create(
-        ServeConfig(base=rocksmash_config(KNOBS), num_shards=shards, key_space=RECORDS)
-    )
+    return ShardedDB.create(ServeConfig(base=CONFIG, num_shards=shards, key_space=RECORDS))
 
 
 def serve(server, workload="B", rate=500.0, capacity=0, operations=OPERATIONS):
@@ -61,7 +63,7 @@ class TestShardedReads:
 class TestServingEndToEnd:
     def test_sharded_and_single_agree_under_load(self):
         sharded = serve(sharded_node(4))
-        single = serve(SingleStoreServer(make_store("rocksmash", KNOBS)))
+        single = serve(SingleStoreServer(RocksMashStore.create(CONFIG)))
         assert sharded.dropped == single.dropped == 0
         assert sharded.outcome_digest == single.outcome_digest
         assert sharded.completed == single.completed == OPERATIONS
@@ -88,7 +90,7 @@ class TestServingEndToEnd:
         # slowest *service* time stays well below the inline node's, whose
         # victim writes pay for whole flush+compaction cascades in-op.
         deferring = serve(sharded_node(1), workload="A", rate=30.0)
-        inline_store = make_store("rocksmash", KNOBS)
+        inline_store = RocksMashStore.create(CONFIG)
         inline = serve(SingleStoreServer(inline_store), workload="A", rate=30.0)
         assert deferring.maintenance_seconds > 0
         assert inline.maintenance_seconds == 0  # inline: maintenance is in op latency

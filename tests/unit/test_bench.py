@@ -1,9 +1,13 @@
 """Unit tests for the report table and bench harness."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store
+from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store, rocksmash_config
 from repro.bench.report import Table
+from repro.mash.store import RocksMashStore
+from repro.workloads.generator import make_key, make_value
 
 
 class TestTable:
@@ -56,18 +60,38 @@ class TestHarness:
         assert slow.clock.now > fast.clock.now
 
     def test_pin_metadata_ablation(self):
-        store = make_store("rocksmash", HarnessKnobs(pin_metadata=False))
+        store = RocksMashStore.create(replace(rocksmash_config(), pin_metadata=False))
         for i in range(2000):
             store.put(f"k{i:05d}".encode(), b"v" * 100)
         store.flush()
         assert store.pcache.meta_bytes == 0
 
+    def test_pin_metadata_ablation_survives_reopen(self):
+        """The ablation is the store's own config, so a restarted store
+        (clean or crashed) pins nothing either, even on cold cloud opens."""
+        config = rocksmash_config(HarnessKnobs(block_cache_bytes=0))
+        store = RocksMashStore.create(replace(config, pin_metadata=False))
+        for i in range(1500):
+            store.put(make_key(i), make_value(i, 256))
+        store.flush()
+        for crash in (False, True):
+            store = store.reopen(crash=crash)
+            for i in range(0, 1500, 50):
+                store.db.table_cache.clear()
+                assert store.get(make_key(i)) == make_value(i, 256)
+            events = store.tracer.event_count
+            assert events("cloud_get") > 0  # the cold gets opened cloud tables
+            assert store.pcache.meta_bytes == 0
+            assert events("pcache_meta_hit") == events("pcache_footer_hit") == 0
+
     def test_xwal_shards_knob(self):
-        store = make_store("rocksmash", HarnessKnobs(xwal_shards=7))
+        config = rocksmash_config()
+        store = RocksMashStore.create(replace(config, xwal=replace(config.xwal, num_shards=7)))
         store.put(b"k", b"v")
         xlogs = [n for n in store.env.list_files("db/") if n.endswith(".xlog")]
         assert len(xlogs) == 7
 
     def test_layout_knob(self):
-        naive = make_store("rocksmash", HarnessKnobs(layout_aware=False))
+        config = rocksmash_config()
+        naive = RocksMashStore.create(replace(config, layout=replace(config.layout, aware=False)))
         assert naive.heat.config.aware is False

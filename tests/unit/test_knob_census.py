@@ -51,7 +51,7 @@ CONFIG_CLASSES = {
     "LocalOnlyConfig": "src/repro/baselines/local_only.py",
 }
 
-TOTAL_FIELDS = 68
+TOTAL_FIELDS = 61
 
 EXEMPT = {
     "cost_model": "prices are a deployment setting; E7 reads them",
@@ -287,7 +287,7 @@ def test_the_census_counts_values_not_names():
     forward from an unset field are not traffic; a forward from a set one
     is."""
     source = (
-        "HarnessKnobs(cloud_level=2, cloud_rtt=rtt)\n"
+        "HarnessKnobs(compression=\"none\", cloud_rtt=rtt)\n"
         "StoreConfig(cost_model=CostModel())\n"
         "StoreConfig(scan_readahead_bytes=knobs.scan_readahead_bytes)\n"
         "Options(write_buffer_size=knobs.write_buffer_size)\n"

@@ -224,6 +224,13 @@ class TestNodeOperatorSurface:
         assert metrics["local.sync_ops"] == node.counters.get("local.sync_ops")
         assert metrics["sim.local"] == node.tracer.totals.local
 
+    def test_metrics_report_the_largest_shard_sequence(self):
+        node = filled_node()  # 50 writes in each shard
+        assert [shard.db.metrics()["last_sequence"] for shard in node.shards] == [50, 50]
+        assert node.metrics()["last_sequence"] == 50
+        node.put(make_key(151), b"v151")
+        assert node.metrics()["last_sequence"] == 51
+
     def test_dump_metrics_renders_the_summed_gauges(self):
         node = filled_node()
         files = sum(shard.db.metrics()["level.0.files"] for shard in node.shards)
@@ -255,6 +262,13 @@ class TestNodeOperatorSurface:
         assert explanation.value == b"v150"
         assert explanation.path[0] == ("memtable", "miss")
         assert node.tracer.spans[-1].op == "get"
+
+    def test_explain_records_its_latency_on_the_node(self):
+        node = filled_node()
+        owner = node.shards[1]
+        node.explain(make_key(150))
+        assert node.read_latency.count == 1
+        assert owner.read_latency.count == 0
 
 
 def run_frontend(rate, *, shards=2, capacity=0, operations=150, arrival_seed=7):
