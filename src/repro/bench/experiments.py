@@ -1145,13 +1145,7 @@ def e22_sharded_serving(
     every span, concurrent in-flight requests included.
     """
     from repro.obs.trace import span_conserved
-    from repro.serve import (
-        FrontendConfig,
-        ServeConfig,
-        ShardedDB,
-        SingleStoreServer,
-        run_open_loop,
-    )
+    from repro.serve import FrontendConfig, ServeConfig, ShardedDB, run_open_loop
 
     table = Table(
         "E22: sharded serving — tail latency vs shard count and offered load",
@@ -1189,35 +1183,22 @@ def e22_sharded_serving(
     ycsb.load_phase(calibration, spec_c)
     base_rate = ycsb.run_phase(calibration, spec_c).throughput
 
-    def run_row(workload: str, shards: int, mult: float, *, single: bool) -> None:
+    def node(shards: int) -> ShardedDB:
+        return ShardedDB.create(ServeConfig(base=config, num_shards=shards, key_space=records))
+
+    def run_row(workload: str, mult: float, server: str, store: StoreFacade) -> None:
         spec = ycsb.ALL_WORKLOADS[workload].scaled(records, operations)
-        if single:
-            store = RocksMashStore.create(config)
-            server = SingleStoreServer(store)
-            tracer = store.tracer
-            target = store
-        else:
-            node = ShardedDB.create(
-                ServeConfig(
-                    base=config,
-                    num_shards=shards,
-                    key_space=records,
-                )
-            )
-            server = node
-            tracer = node.tracer
-            target = node
-        ycsb.load_phase(target, spec)
+        ycsb.load_phase(store, spec)
         result = run_open_loop(
-            server,
+            store,
             spec,
             FrontendConfig(arrival_rate=base_rate * mult, queue_capacity=256),
         )
-        conserved = all(span_conserved(s) for s in tracer.spans)
+        conserved = all(span_conserved(s) for s in store.tracer.spans)
         table.add_row(
             workload,
-            "single" if single else "sharded",
-            server.num_shards,
+            server,
+            store.num_shards,
             f"{mult:g}x",
             result.throughput,
             result.latency.percentile(50) * 1e3,
@@ -1232,12 +1213,12 @@ def e22_sharded_serving(
 
     for shards in shard_counts:
         for mult in rate_multipliers:
-            run_row("C", shards, mult, single=False)
+            run_row("C", mult, "sharded", node(shards))
     for mult in rate_multipliers:
-        run_row("C", 1, mult, single=True)
+        run_row("C", mult, "single", RocksMashStore.create(config))
     for workload in ("A", "B"):
         for shards in (1, 4):
-            run_row(workload, shards, 1.0, single=False)
+            run_row(workload, 1.0, "sharded", node(shards))
     return table
 
 

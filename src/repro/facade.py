@@ -3,7 +3,8 @@
 The benchmark harness compares four systems (RocksMash and three baselines),
 and the serving layer's sharded node is a fifth. All of them present this
 facade — timed KV operations against the simulated clock, tier occupancy,
-and a cost report — so experiments treat them interchangeably.
+a cost report, and the request call the open-loop front-end serves through
+(:meth:`StoreFacade.serve`) — so experiments treat them interchangeably.
 
 Every timed operation is also recorded as a :class:`~repro.obs.trace.TraceSpan`
 on the facade's :class:`~repro.obs.trace.Tracer`, which the facade attaches
@@ -33,6 +34,7 @@ from repro.sim.clock import SimClock, StopwatchRegion
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel, MonthlyBill
 from repro.storage.local import LocalDevice
+from repro.workloads.ycsb import Op, apply_op
 
 if TYPE_CHECKING:
     from repro.serve.sharded import ShardEngine
@@ -92,6 +94,8 @@ class StoreFacade(Generic[_Engine]):
     """
 
     name = "store"
+    num_shards = 1
+    """How many independent timelines serve requests: a store is one."""
     db: _Engine
 
     def __init__(
@@ -169,6 +173,22 @@ class StoreFacade(Generic[_Engine]):
         with self.clock.scope(clock) as own, self.tracer.request_scope():
             yield own
 
+    # -- request serving ------------------------------------------------------
+
+    def shards_touched(self, op: Op) -> tuple[int, ...]:
+        """The timelines ``op`` must wait on: a store serves every op on
+        its one."""
+        del op
+        return (0,)
+
+    def serve(self, op: Op, clock: SimClock) -> tuple[Any, float]:
+        """Serve one request on its own timeline ``clock`` (a
+        :meth:`request_scope`); returns the op's outcome and the simulated
+        time its response left. A store's maintenance is part of the write
+        that triggers it, so ``clock`` ends where the response left."""
+        with self.request_scope(clock):
+            return apply_op(self, op), self.clock.now
+
     # -- KV API -----------------------------------------------------------
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
@@ -182,6 +202,8 @@ class StoreFacade(Generic[_Engine]):
         self.write_latency.record(span.elapsed)
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
+        """Apply ``batch`` atomically: after a crash all of it or none is
+        there. A sharded node takes only a batch whose keys one shard owns."""
         with self.tracer.span("write") as span:
             self.db.write(batch, sync=sync)
         self.write_latency.record(span.elapsed)

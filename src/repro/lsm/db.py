@@ -96,8 +96,6 @@ class WalWriter(Protocol):
 
     def add_record(self, payload: bytes, *, sync: bool = True) -> WriteBatch | None: ...
 
-    def sync(self) -> None: ...
-
     def close(self) -> None: ...
 
 

@@ -39,9 +39,6 @@ class LogWriter:
         if sync:
             self._file.sync()
 
-    def sync(self) -> None:
-        self._file.sync()
-
     def close(self) -> None:
         self._file.close()
 

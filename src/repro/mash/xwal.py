@@ -246,10 +246,6 @@ class XWalWriter:
             if seq in blob_at:
                 pointers[seq] = pointer_to(self.number, start + blob_at[seq], record)
 
-    def sync(self) -> None:
-        for writer in self._shards:
-            writer.sync()
-
     def close(self) -> None:
         for writer in self._shards:
             writer.close()

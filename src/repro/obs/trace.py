@@ -42,16 +42,6 @@ class TierTimes:
     cloud: float = 0.0
     cpu: float = 0.0
 
-    def add(self, tier: str, seconds: float) -> None:
-        if tier == "local":
-            self.local += seconds
-        elif tier == "cloud":
-            self.cloud += seconds
-        elif tier == "cpu":
-            self.cpu += seconds
-        else:
-            raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
-
     def merge(self, other: "TierTimes", scale: float = 1.0) -> None:
         self.local += other.local * scale
         self.cloud += other.cloud * scale
@@ -342,7 +332,7 @@ class Tracer:
         ]
         if not folded:
             if delta > 0:
-                frame.tiers.add("cpu", delta)
+                frame.tiers.cpu += delta
             return
         for _, branch in folded:
             frame.cloud_ops += branch.cloud_ops
@@ -354,7 +344,7 @@ class Tracer:
         if busy > 0:
             frame.tiers.merge(critical.tiers, scale=delta / busy)
         else:
-            frame.tiers.add("cpu", delta)
+            frame.tiers.cpu += delta
 
     # -- export -------------------------------------------------------------
 

@@ -31,65 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-import typing
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.facade import StoreFacade
 from repro.metrics.latency import LatencyHistogram
 from repro.sim.clock import SimClock
-from repro.workloads.ycsb import (
-    OP_KINDS,
-    Op,
-    YCSBSpec,
-    apply_op,
-    iter_ops,
-    outcome_digest_update,
-)
-
-
-class RequestServer(typing.Protocol):
-    """What the front-end needs from a serving node.
-
-    :class:`~repro.serve.sharded.ShardedDB` implements it natively;
-    :class:`SingleStoreServer` adapts any single store facade.
-    """
-
-    clock: SimClock
-    name: str
-    num_shards: int
-
-    def shards_touched(self, op: Op) -> tuple[int, ...]: ...
-
-    def execute(self, op: Op, clock: SimClock) -> typing.Any: ...
-
-    def run_pending_maintenance(self, clock: SimClock) -> float: ...
-
-
-class SingleStoreServer:
-    """A single (unsharded) store facade presented as a one-shard server.
-
-    Maintenance stays wherever the store put it (inline, on the triggering
-    op's latency) — this is the baseline the sharded node's deferred
-    maintenance is compared against.
-    """
-
-    def __init__(self, store: typing.Any) -> None:
-        self.store = store
-        self.clock: SimClock = store.clock
-        self.name: str = str(store.name)
-        self.num_shards = 1
-
-    def shards_touched(self, op: Op) -> tuple[int, ...]:
-        del op
-        return (0,)
-
-    def execute(self, op: Op, clock: SimClock) -> typing.Any:
-        with self.store.request_scope(clock):
-            return apply_op(self.store, op)
-
-    def run_pending_maintenance(self, clock: SimClock) -> float:
-        del clock
-        return 0.0
+from repro.workloads.ycsb import OP_KINDS, YCSBSpec, iter_ops, outcome_digest_update
 
 
 @dataclass(frozen=True)
@@ -137,23 +86,25 @@ class ServingResult:
 
 
 def run_open_loop(
-    server: RequestServer, spec: YCSBSpec, config: FrontendConfig
+    store: StoreFacade[Any], spec: YCSBSpec, config: FrontendConfig
 ) -> ServingResult:
     """Drive ``spec``'s op stream at ``config.arrival_rate`` against
-    ``server``; returns latency decomposition, drops, and outcome digest.
+    ``store`` (a store, or a sharded node); returns latency decomposition,
+    drops, and outcome digest.
 
     Requests execute in arrival order (deterministic), each on a child
-    clock; overlap between requests on *different* shards is what the
-    fork/join timeline models as parallel service. With no drops, the
-    outcome digest is independent of shard count and arrival rate — state
-    mutations apply in arrival order either way.
+    clock (:meth:`StoreFacade.serve`); overlap between requests on
+    *different* shards is what the fork/join timeline models as parallel
+    service. With no drops, the outcome digest is independent of shard
+    count and arrival rate — state mutations apply in arrival order either
+    way.
     """
     if config.arrival_rate <= 0:
         raise ValueError(f"arrival rate must be positive, got {config.arrival_rate}")
     result = ServingResult(
         workload=spec.name,
-        store=server.name,
-        shards=server.num_shards,
+        store=store.name,
+        shards=store.num_shards,
         arrival_rate=config.arrival_rate,
         operations=spec.operation_count,
         kind_latency={kind: LatencyHistogram() for kind in OP_KINDS},
@@ -162,15 +113,15 @@ def run_open_loop(
     )
     arrivals = random.Random(config.arrival_seed)
     hasher = hashlib.sha256()
-    start_time = server.clock.now
+    start_time = store.clock.now
     arrival = start_time
-    busy = [start_time] * server.num_shards
-    outstanding: list[deque[float]] = [deque() for _ in range(server.num_shards)]
+    busy = [start_time] * store.num_shards
+    outstanding: list[deque[float]] = [deque() for _ in range(store.num_shards)]
     latest_completion = start_time
 
     for op in iter_ops(spec, seed=config.op_seed):
         arrival += arrivals.expovariate(config.arrival_rate)
-        touched = server.shards_touched(op)
+        touched = store.shards_touched(op)
         for shard in touched:
             queue = outstanding[shard]
             while queue and queue[0] <= arrival:
@@ -182,14 +133,13 @@ def run_open_loop(
             result.dropped_counts[op.kind] += 1
             continue
         start = max(arrival, max(busy[shard] for shard in touched))
-        request_clock = server.clock.child(start)
-        outcome = server.execute(op, request_clock)
-        end = request_clock.now
+        request_clock = store.clock.child(start)
+        outcome, end = store.serve(op, request_clock)
         outcome_digest_update(hasher, op, outcome)
         # Deferred maintenance runs after the response is sent: it extends
         # the shard's busy timeline (felt by later requests as queueing)
         # but not this request's measured latency.
-        result.maintenance_seconds += server.run_pending_maintenance(request_clock)
+        result.maintenance_seconds += request_clock.now - end
         for shard in touched:
             busy[shard] = request_clock.now
             outstanding[shard].append(end)
@@ -201,7 +151,7 @@ def run_open_loop(
         result.latency.record(end - arrival)
         result.kind_latency[op.kind].record(end - arrival)
 
-    server.clock.join([SimClock(now=latest_completion)])
-    result.elapsed_seconds = server.clock.now - start_time
+    store.clock.join([SimClock(now=latest_completion)])
+    result.elapsed_seconds = store.clock.now - start_time
     result.outcome_digest = hasher.hexdigest()
     return result

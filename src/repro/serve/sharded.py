@@ -12,29 +12,31 @@ byte-identical results to an unsharded one.
 
 The node is a :class:`~repro.facade.StoreFacade` whose engine,
 :class:`ShardEngine`, routes each call to its shards. Cross-shard operations
-(``multi_get``, ``scan``, ``write`` batches, ``flush``, ``compact_range``)
-fan out as :class:`~repro.sim.clock.ForkJoinRegion` branches on the node's
-one clock: each shard's I/O runs from the operation's start and the
-operation completes at the slowest shard, exactly like the store's own
-parallel cloud fetches.
+(``multi_get``, ``scan``, ``flush``, ``compact_range``) fan out as
+:class:`~repro.sim.clock.ForkJoinRegion` branches on the node's one clock:
+each shard's I/O runs from the operation's start and the operation
+completes at the slowest shard, exactly like the store's own parallel cloud
+fetches. A ``write`` batch must stay inside one shard: committing one that
+spans shards atomically would take a two-phase commit across their WALs,
+which the node does not have, so it is refused as a snapshot is.
 
-Maintenance deferral: each shard's write-triggered flush+compaction is
-*deferred* — the engine's ``maintenance_hook`` marks the shard dirty instead
-of flushing inline. A request run by :meth:`ShardedDB.execute` leaves it to
-:meth:`ShardedDB.run_pending_maintenance`, which the open-loop front-end
-calls after the response: compaction work lands on the shard's busy
-timeline where it surfaces as *queueing* interference on later requests
-(the realistic tail-latency mechanism) instead of inflating one unlucky
-request's service time. Outside a request the write itself drains it.
+Maintenance deferral: each shard's write-triggered flush+compaction goes
+through the engine's ``maintenance_hook``. While :meth:`ShardedDB.serve`
+serves a request the hook only marks the shard dirty, and the flush runs
+after the response, on the request's timeline: compaction work lands on
+the shard's busy timeline where it surfaces as *queueing* interference on
+later requests (the realistic tail-latency mechanism) instead of inflating
+one unlucky request's service time. Outside a request the hook flushes at
+once, inside the write, as a single store's maintenance is.
 """
 
 from __future__ import annotations
 
-import typing
 from bisect import bisect_left, bisect_right
 from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Any
 
 from repro.facade import Explanation, StoreFacade, take_rows
 from repro.lsm.db import Snapshot
@@ -46,9 +48,8 @@ from repro.sim.clock import ForkJoinRegion, SimClock
 from repro.storage.cloud import CloudObjectStore
 from repro.storage.cost import CostModel
 from repro.storage.local import LocalDevice
-from repro.util.encoding import TYPE_VALUE
 from repro.workloads.generator import make_key
-from repro.workloads.ycsb import Op, apply_op
+from repro.workloads.ycsb import Op
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,7 @@ store's tracer keeps 2048)."""
 
 
 _NO_SNAPSHOT = "a sharded node reads no snapshot"
+_CROSS_SHARD = "a sharded node commits a batch only inside one shard"
 
 
 def _no_snapshot(snapshot: Snapshot | None) -> None:
@@ -143,63 +145,48 @@ class ShardEngine:
         self.tracer = tracer
         self.shards: list[RocksMashStore] = []
         self._pending: set[int] = set()
-        self._in_request = False
-        """Set while :meth:`ShardedDB.execute` serves a request: dirty shards
-        then wait for :meth:`drain`; otherwise the write drains them (a
-        single store's maintenance is part of its write too)."""
+        self.serving = False
+        """Set while :meth:`ShardedDB.serve` serves a request: dirty shards
+        then wait for its :meth:`drain`; otherwise :meth:`maintenance_hook`
+        drains them inside the write (a single store's maintenance is part
+        of its write too)."""
 
     def _fork(self) -> ForkJoinRegion:
         return ForkJoinRegion(self.clock)
 
-    def drain(self) -> float:
+    def drain(self) -> None:
         """Flush every shard a write left dirty, under one ``maintenance``
-        span; returns the simulated seconds it took (0.0 when none was)."""
+        span (none when no shard is dirty)."""
         if not self._pending:
-            return 0.0
+            return
         pending = sorted(self._pending)
         self._pending.clear()
-        with self.tracer.span("maintenance") as span:
+        with self.tracer.span("maintenance"):
             for index in pending:
                 self.shards[index].flush()
-        return span.elapsed
 
-    def _written(self) -> None:
-        if not self._in_request:
+    def maintenance_hook(self, index: int) -> None:
+        """Shard ``index``'s memtable is full: mark it dirty, and flush it now
+        unless a request is being served."""
+        self._pending.add(index)
+        if not self.serving:
             self.drain()
 
     def put(self, key: bytes, value: bytes, *, sync: bool = True) -> None:
         self.shards[self.router.shard_of(key)].db.put(key, value, sync=sync)
-        self._written()
 
     def delete(self, key: bytes, *, sync: bool = True) -> None:
         self.shards[self.router.shard_of(key)].db.delete(key, sync=sync)
-        self._written()
 
     def write(self, batch: WriteBatch, *, sync: bool = True) -> None:
-        """Apply a batch, split by owning shard.
-
-        Atomicity is per shard — each sub-batch commits atomically through
-        its shard's WAL, and cross-shard sub-batches commit as parallel
-        fork/join branches (a real router's two-phase commit is out of
-        scope; no workload in this reproduction observes the difference).
-        """
-        groups: dict[int, WriteBatch] = {}
-        for bop in batch:
-            sub = groups.setdefault(self.router.shard_of(bop.key), WriteBatch())
-            if bop.value_type == TYPE_VALUE:
-                sub.put(bop.key, bop.value)
-            else:
-                sub.delete(bop.key)
-        if len(groups) == 1:
-            ((index, sub),) = groups.items()
-            self.shards[index].db.write(sub, sync=sync)
-        elif groups:
-            region = self._fork()
-            for index in sorted(groups):
-                with region.branch():
-                    self.shards[index].db.write(groups[index], sync=sync)
-            region.join()
-        self._written()
+        """Apply a batch atomically through the WAL of the one shard owning
+        every key in it; a batch spanning shards is refused before any shard
+        logs it."""
+        owners = {self.router.shard_of(bop.key) for bop in batch}
+        if len(owners) > 1:
+            raise NotImplementedError(_CROSS_SHARD)
+        if owners:
+            self.shards[owners.pop()].db.write(batch, sync=sync)
 
     def get(self, key: bytes, *, snapshot: Snapshot | None = None) -> bytes | None:
         _no_snapshot(snapshot)
@@ -300,10 +287,11 @@ class ShardEngine:
 class ShardedDB(StoreFacade[ShardEngine]):
     """N-way sharded serving node over RocksMash stores.
 
-    The facade's timed KV surface (so the YCSB runners drive it unchanged)
-    over a :class:`ShardEngine`, plus the request-serving hooks the
-    open-loop front-end needs: :meth:`shards_touched`, :meth:`execute`,
-    and :meth:`run_pending_maintenance`.
+    The facade's timed KV surface (so the YCSB runners and the open-loop
+    front-end drive it as they drive a store) over a :class:`ShardEngine`;
+    it differs from a store only in routing (:meth:`shards_touched`) and in
+    serving a request's deferred maintenance after its response
+    (:meth:`serve`).
     """
 
     cloud_store: CloudObjectStore
@@ -350,7 +338,7 @@ class ShardedDB(StoreFacade[ShardEngine]):
                         cloud_store=self.cloud_store,
                         counters=self.counters,
                         tracer=self.tracer,
-                        maintenance_hook=partial(engine._pending.add, index),
+                        maintenance_hook=partial(engine.maintenance_hook, index),
                     )
                 )
         return engine
@@ -369,18 +357,17 @@ class ShardedDB(StoreFacade[ShardEngine]):
             return tuple(self.router.shards_for_range(op.key, None))
         return (self.router.shard_of(op.key),)
 
-    def execute(self, op: Op, clock: SimClock) -> typing.Any:
-        """Run one YCSB op inside a request scope on ``clock``; maintenance
-        its writes trigger waits for :meth:`run_pending_maintenance`."""
-        self.db._in_request = True
+    def serve(self, op: Op, clock: SimClock) -> tuple[Any, float]:
+        """:meth:`StoreFacade.serve`, with the flushes the op's writes
+        deferred run after the response left, on the same timeline: its
+        ``maintenance`` span starts at the returned time and ``clock`` ends
+        where the span does."""
+        engine = self.db
+        engine.serving = True
         try:
-            with self.request_scope(clock):
-                return apply_op(self, op)
+            outcome, responded = super().serve(op, clock)
         finally:
-            self.db._in_request = False
-
-    def run_pending_maintenance(self, clock: SimClock) -> float:
-        """Replay deferred flush/compaction on ``clock``; returns the
-        simulated seconds spent (0.0 when nothing was pending)."""
+            engine.serving = False
         with self.request_scope(clock):
-            return self.db.drain()
+            engine.drain()
+        return outcome, responded

@@ -10,11 +10,14 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.metrics.latency import LatencyHistogram
-from repro.facade import StoreFacade
 from repro.sim.clock import StopwatchRegion
 from repro.workloads.generator import make_key, make_value
+
+if TYPE_CHECKING:
+    from repro.facade import StoreFacade
 
 
 @dataclass

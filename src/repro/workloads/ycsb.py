@@ -29,17 +29,19 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.metrics.latency import LatencyHistogram
 from repro.sim.clock import StopwatchRegion
-from repro.facade import StoreFacade
 from repro.workloads.generator import (
     LatestGenerator,
     make_key,
     make_request_generator,
     make_value,
 )
+
+if TYPE_CHECKING:
+    from repro.facade import StoreFacade
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,12 @@
 """End-to-end serving-layer integration: open-loop load against sharded
-and unsharded RocksMash nodes built from the experiment harness config."""
+nodes and bare RocksMash stores built from the experiment harness config."""
 
 from dataclasses import replace
 
 from repro.bench.harness import HarnessKnobs, rocksmash_config
 from repro.mash.store import RocksMashStore
 from repro.obs.trace import span_conserved
-from repro.serve import (
-    FrontendConfig,
-    ServeConfig,
-    ShardedDB,
-    SingleStoreServer,
-    run_open_loop,
-)
+from repro.serve import FrontendConfig, ServeConfig, ShardedDB, run_open_loop
 from repro.workloads import ycsb
 
 RECORDS = 600
@@ -25,11 +19,11 @@ def sharded_node(shards):
     return ShardedDB.create(ServeConfig(base=CONFIG, num_shards=shards, key_space=RECORDS))
 
 
-def serve(server, workload="B", rate=500.0, capacity=0, operations=OPERATIONS):
+def serve(store, workload="B", rate=500.0, capacity=0, operations=OPERATIONS):
     spec = ycsb.ALL_WORKLOADS[workload].scaled(RECORDS, operations)
-    ycsb.load_phase(server if isinstance(server, ShardedDB) else server.store, spec)
+    ycsb.load_phase(store, spec)
     return run_open_loop(
-        server, spec, FrontendConfig(arrival_rate=rate, queue_capacity=capacity)
+        store, spec, FrontendConfig(arrival_rate=rate, queue_capacity=capacity)
     )
 
 
@@ -63,7 +57,7 @@ class TestShardedReads:
 class TestServingEndToEnd:
     def test_sharded_and_single_agree_under_load(self):
         sharded = serve(sharded_node(4))
-        single = serve(SingleStoreServer(RocksMashStore.create(CONFIG)))
+        single = serve(RocksMashStore.create(CONFIG))
         assert sharded.dropped == single.dropped == 0
         assert sharded.outcome_digest == single.outcome_digest
         assert sharded.completed == single.completed == OPERATIONS
@@ -90,8 +84,7 @@ class TestServingEndToEnd:
         # slowest *service* time stays well below the inline node's, whose
         # victim writes pay for whole flush+compaction cascades in-op.
         deferring = serve(sharded_node(1), workload="A", rate=30.0)
-        inline_store = RocksMashStore.create(CONFIG)
-        inline = serve(SingleStoreServer(inline_store), workload="A", rate=30.0)
+        inline = serve(RocksMashStore.create(CONFIG), workload="A", rate=30.0)
         assert deferring.maintenance_seconds > 0
         assert inline.maintenance_seconds == 0  # inline: maintenance is in op latency
         assert deferring.service.max_seen < inline.service.max_seen

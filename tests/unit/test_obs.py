@@ -27,16 +27,17 @@ def charged(tracer, tier, seconds):
 
 class TestTierTimes:
     def test_add_and_total(self):
-        t = TierTimes()
-        t.add("local", 1.0)
-        t.add("cloud", 2.0)
-        t.add("cpu", 0.5)
+        tracer = Tracer(SimClock())
+        charged(tracer, "local", 1.0)
+        charged(tracer, "cloud", 2.0)
+        charged(tracer, "cpu", 0.5)
+        t = tracer.totals
         assert t.total() == pytest.approx(3.5)
         assert t.as_dict() == {"local": 1.0, "cloud": 2.0, "cpu": 0.5}
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError):
-            TierTimes().add("tape", 1.0)
+            charged(Tracer(SimClock()), "tape", 1.0)
 
     def test_merge_scaled(self):
         a, b = TierTimes(local=1.0), TierTimes(local=2.0, cloud=4.0)

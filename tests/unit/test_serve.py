@@ -5,14 +5,14 @@ from dataclasses import replace
 import pytest
 
 from repro.lsm.db import Snapshot
-from repro.mash.store import StoreConfig
+from repro.lsm.write_batch import WriteBatch
+from repro.mash.store import RocksMashStore, StoreConfig
 from repro.obs.trace import span_conserved
 from repro.serve import (
     FrontendConfig,
     KeyRangeRouter,
     ServeConfig,
     ShardedDB,
-    SingleStoreServer,
     run_open_loop,
 )
 from repro.workloads import ycsb
@@ -115,37 +115,65 @@ class TestShardedDB:
         assert results[make_key(60)] == b"v60"
         assert results[make_key(777)] is None
 
-    def test_write_batch_split_by_shard(self):
-        from repro.lsm.write_batch import WriteBatch
-
+    def test_single_shard_batch_applies_atomically(self):
         node = make_node()
         node.put(make_key(199), b"doomed")
+        batch = WriteBatch()
+        batch.put(make_key(160), b"one")
+        batch.put(make_key(180), b"two")
+        batch.delete(make_key(199))
+        owner = node.shards[3].db
+        sequence = owner.versions.last_sequence
+        node.write(batch)
+        # One commit through the owning shard's WAL: consecutive sequence
+        # numbers, every op visible.
+        assert owner.versions.last_sequence == sequence + 3
+        assert node.get(make_key(160)) == b"one"
+        assert node.get(make_key(180)) == b"two"
+        assert node.get(make_key(199)) is None
+
+    def test_cross_shard_batch_refused_before_any_shard_logs(self):
+        node = make_node()
+        node.put(make_key(1), b"kept")
+        node.put(make_key(199), b"kept")
+        before = [
+            (shard.db.versions.last_sequence, shard.scan(None, None)) for shard in node.shards
+        ]
         batch = WriteBatch()
         batch.put(make_key(1), b"one")
         batch.put(make_key(130), b"two")
         batch.delete(make_key(199))
-        node.write(batch)
-        assert node.get(make_key(1)) == b"one"
-        assert node.get(make_key(130)) == b"two"
-        assert node.get(make_key(199)) is None
+        with pytest.raises(NotImplementedError):
+            node.write(batch)
+        after = [
+            (shard.db.versions.last_sequence, shard.scan(None, None)) for shard in node.shards
+        ]
+        assert after == before
 
     def test_deferred_maintenance_runs_off_the_write_path(self):
         node = make_node(shards=2)
-        wrote = 0
-        # Fill one shard's memtable past its 4 KiB small() budget: with
-        # deferral on, the flush must NOT happen inside put().
-        while not node.db._pending and wrote < 500:
-            node.db._in_request = True  # suppress the closed-loop drain
-            node.put(make_key(wrote % 100), b"x" * 64)
-            wrote += 1
-        node.db._in_request = False
-        assert node.db._pending
-        assert all(len(node.shards[i].db.memtable) > 0 for i in node.db._pending)
-        clock = node.clock.child()
-        assert node.run_pending_maintenance(clock) > 0
+        spans = len(node.tracer.spans)
+        # Fill shard 0's memtable past its 4 KiB small() budget with served
+        # requests: the flush must NOT happen inside the put, but after the
+        # response, on the request's timeline.
+        for wrote in range(500):
+            clock = node.clock.child()
+            outcome, responded = node.serve(ycsb.Op("update", make_key(wrote % 100), b"x" * 64), clock)
+            assert outcome is None
+            if clock.now > responded:
+                break
+        served = list(node.tracer.spans)[spans:]
+        maintenance = [span for span in served if span.op == "maintenance"]
+        assert len(maintenance) == 1
+        (span,) = maintenance
+        # The put's span ended at the response; the flush ran after it, as
+        # a root span of its own request scope.
+        assert [s for s in served if s.op == "put"][-1].end == responded
+        assert span.parent_id == 0 and span.start == responded and span.end == clock.now
+        assert any(s.op == "flush" and s.parent_id == span.span_id for s in served)
         assert not node.db._pending
-        assert any(span.op == "maintenance" for span in node.tracer.spans)
         # Flush really happened: the dirty shard's memtable was emptied.
+        assert len(node.shards[0].db.memtable) == 0
         assert node.get(make_key(1)) is not None
 
     def test_inline_drain_outside_request_scope(self):
@@ -194,10 +222,8 @@ class TestShardedDB:
 
     def test_flush_clears_pending_everywhere(self):
         node = make_node(shards=2)
-        node.db._in_request = True
         for i in range(300):
-            node.put(make_key(i % 100), b"z" * 64)
-        node.db._in_request = False
+            node.serve(ycsb.Op("update", make_key(i % 100), b"z" * 64), node.clock.child())
         node.flush()
         assert not node.db._pending
         assert all(len(shard.db.memtable) == 0 for shard in node.shards)
@@ -332,15 +358,14 @@ class TestOpenLoopFrontend:
         with pytest.raises(ValueError):
             run_open_loop(node, ycsb.WORKLOAD_C, FrontendConfig(arrival_rate=0.0))
 
-    def test_single_store_server_adapter(self):
-        from repro.mash.store import RocksMashStore
-
+    def test_drives_a_bare_store(self):
         spec = ycsb.WORKLOAD_C.scaled(100, 80)
         store = RocksMashStore.create(StoreConfig().small())
         ycsb.load_phase(store, spec)
-        server = SingleStoreServer(store)
-        assert server.num_shards == 1
-        assert server.shards_touched(ycsb.Op("scan", b"a", limit=3)) == (0,)
-        result = run_open_loop(server, spec, FrontendConfig(arrival_rate=1000.0))
+        assert store.num_shards == 1
+        assert store.shards_touched(ycsb.Op("scan", b"a", limit=3)) == (0,)
+        result = run_open_loop(store, spec, FrontendConfig(arrival_rate=1000.0))
         assert result.completed == 80
         assert result.store == "rocksmash"
+        assert result.shards == 1
+        assert result.maintenance_seconds == 0.0
