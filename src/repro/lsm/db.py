@@ -2,7 +2,8 @@
 
 A single-process, deterministic engine with RocksDB's structure:
 
-* writes append a :class:`WriteBatch` to the WAL, then apply to the memtable;
+* a write hands its :class:`WriteBatch` to the WAL writer, which encodes it
+  once into the log's own records, then applies it to the memtable;
 * a full memtable flushes to an L0 SSTable and rotates the WAL;
 * compactions run *inline* whenever a level is over target (no background
   threads — determinism is a design goal of the reproduction; the simulated
@@ -49,7 +50,7 @@ from repro.lsm.table_builder import TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
 from repro.lsm.universal import UniversalCompactionPicker
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
-from repro.lsm.wal import LogWriter, read_log_file
+from repro.lsm.wal import BatchLogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
@@ -88,13 +89,15 @@ class Snapshot:
 
 
 class WalWriter(Protocol):
-    """Write side of one WAL generation (LogWriter or the sharded xWAL).
+    """Write side of one WAL generation (the plain WAL or the sharded xWAL).
 
-    ``add_record`` appends one batch. A log that takes large values itself
-    (the xWAL with key-value separation on) returns the batch the memtable
-    applies instead, each such value replaced by a pointer."""
+    ``add_batch`` logs one batch, taking the batch itself: the writer
+    encodes it once into its own record format, and nothing on the write
+    path parses what another layer encoded. A log that takes large values
+    itself (the xWAL with key-value separation on) returns the batch the
+    memtable applies instead, each such value replaced by a pointer."""
 
-    def add_record(self, payload: bytes, *, sync: bool = True) -> WriteBatch | None: ...
+    def add_batch(self, batch: WriteBatch, *, sync: bool = True) -> WriteBatch | None: ...
 
     def close(self) -> None: ...
 
@@ -243,7 +246,7 @@ class DB:
 
     def _open_wal(self, number: int) -> WalWriter:
         """Create the write-side WAL object for log generation ``number``."""
-        return LogWriter(self.env.new_writable_file(log_file_name(self.prefix, number)))
+        return BatchLogWriter(self.env.new_writable_file(log_file_name(self.prefix, number)))
 
     def _wal_file_names(self, number: int) -> list[str]:
         """All physical files belonging to log generation ``number``."""
@@ -388,7 +391,7 @@ class DB:
             return
         batch.sequence = self.versions.last_sequence + 1
         assert self._wal is not None
-        diverted = self._wal.add_record(batch.encode(), sync=sync)
+        diverted = self._wal.add_batch(batch, sync=sync)
         if diverted is not None:
             # Key-value separation: the log holds the large values, and the
             # memtable and SSTables only ever see fixed-size pointers.

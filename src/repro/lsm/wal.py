@@ -1,8 +1,12 @@
 """Write-ahead log: record framing, writer, reader.
 
-Record format (one WriteBatch per record)::
+Record format::
 
     [masked crc32 fixed32][length fixed32][payload]
+
+:class:`LogWriter` frames bytes and is shared with the MANIFEST. The plain
+WAL, :class:`BatchLogWriter`, takes each :class:`WriteBatch` itself and
+encodes it once into one record's payload.
 
 The reader verifies each checksum and — like RocksDB — treats a truncated or
 corrupt record as the end of the log: everything before it is recovered,
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.lsm.write_batch import WriteBatch
 from repro.storage.env import Env, WritableFile
 from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import decode_fixed32, encode_fixed32
@@ -41,6 +46,14 @@ class LogWriter:
 
     def close(self) -> None:
         self._file.close()
+
+
+class BatchLogWriter(LogWriter):
+    """The plain WAL: one encoded :class:`WriteBatch` per record."""
+
+    def add_batch(self, batch: WriteBatch, *, sync: bool = True) -> None:
+        """Log ``batch``; durable on return when ``sync`` is True."""
+        self.add_record(batch.encode(), sync=sync)
 
 
 class LogReader:

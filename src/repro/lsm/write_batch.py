@@ -5,9 +5,10 @@ Serialized layout (LevelDB-compatible in spirit)::
     [sequence fixed64][count fixed32]
     repeated: [type byte][varint klen][key]([varint vlen][value] for PUTs)
 
-The same bytes travel to the WAL and are replayed into the memtable, so a
-single encoder/decoder pair guarantees the write path and the recovery path
-agree byte-for-byte.
+The plain WAL stores these bytes, one batch per record, and its replay
+decodes them into the memtable, so a single encoder/decoder pair guarantees
+the write path and the recovery path agree byte-for-byte. The xWAL never
+sees them: it takes the batch itself and writes its own shard records.
 """
 
 from __future__ import annotations

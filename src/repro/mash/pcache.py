@@ -231,14 +231,19 @@ class PersistentCache:
     # -- metadata region -------------------------------------------------------------
 
     def put_meta(self, file_name: str, kind: str, payload: bytes) -> None:
-        """Pin an "index", "filter", or "footer" payload for a table."""
+        """Pin an "index", "filter", or "footer" payload for a table. A full
+        device skips the pin: the table then opens from its own file."""
         if kind not in _META_OFFSETS:
             raise ValueError(f"unknown metadata kind {kind!r}")
         if (file_name, kind) in self._meta:
             return
         offset = _META_OFFSETS[kind]
         record, payload_pos = _encode_record(_KIND_META, file_name.encode(), offset, payload)
-        entry = self._append(self._meta_log, record, payload_pos)
+        try:
+            entry = self._append(self._meta_log, record, payload_pos)
+        except DeviceFullError:
+            self.stats.full_device_skips += 1
+            return
         self._index_meta(file_name, kind, entry)
         self.stats.admissions += 1
 

@@ -151,7 +151,7 @@ def read_shard(data: bytes, number: int) -> tuple[list[XWalOp], int, bool]:
 
 
 class XWalWriter:
-    """Write side of one xWAL generation (drop-in for LogWriter in DB)."""
+    """Write side of one xWAL generation (the DB's ``WalWriter``)."""
 
     def __init__(
         self,
@@ -175,15 +175,14 @@ class XWalWriter:
             for shard in range(config.num_shards)
         ]
 
-    def add_record(self, payload: bytes, *, sync: bool = True) -> WriteBatch | None:
-        """Split a WriteBatch payload across shards and append.
+    def add_batch(self, batch: WriteBatch, *, sync: bool = True) -> WriteBatch | None:
+        """Split ``batch``'s ops into one record per touched shard and append.
 
         Syncs of the touched shards are modelled as concurrent (fork/join):
         a multi-shard batch pays the *max* shard sync, not the sum. When a
         value diverts, returns the batch the memtable applies instead: each
         diverted value replaced by the pointer to its logged blob record.
         """
-        batch = WriteBatch.decode(payload)
         blob = self.blob
         per_shard: dict[int, list[XWalOp]] = {}
         diverted = 0  # blob record bytes

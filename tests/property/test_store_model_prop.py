@@ -138,7 +138,7 @@ class TestXWalPartitioning:
             batch.sequence = seq
             expected.add((seq, 1, k, v))
             seq += 1
-            writer.add_record(batch.encode())
+            writer.add_batch(batch)
         writer.close()
         replayer = XWalReplayer(env, device, "db/", config)
         assert set(replayer.replay(1)) == expected

@@ -72,7 +72,7 @@ def _write_generation(env, device, batches, *, shards, sync_last):
             s += 1
         seq += len(batch)
         last = i == len(batches) - 1
-        writer.add_record(batch.encode(), sync=sync_last or not last)
+        writer.add_batch(batch, sync=sync_last or not last)
     return config, per_key
 
 

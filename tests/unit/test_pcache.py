@@ -5,7 +5,7 @@ from operator import itemgetter
 
 import pytest
 
-from repro.errors import DeviceFullError, IOErrorSim
+from repro.errors import IOErrorSim
 from repro.mash.pcache import (
     _KIND_DATA,
     _KIND_META,
@@ -356,8 +356,9 @@ class TestFullDevice:
             cache.put_data("t.sst", i, bytes(150))
         assert cache.stats.full_device_skips == 3 and cache.stats.admissions == 3
         assert cache.get_data("t.sst", 4) is None and cache.get_data("t.sst", 1) == bytes(150)
-        with pytest.raises(DeviceFullError):  # a pin is not optional
-            cache.put_meta("t.sst", "filter", bytes(200))
+        cache.put_meta("t.sst", "filter", bytes(200))  # a pin is skipped the same way
+        assert cache.stats.full_device_skips == 4 and cache.stats.admissions == 3
+        assert cache.get_meta("t.sst", "filter") is None and cache.get_meta("t.sst", "index") == bytes(200)
 
     def test_an_injected_fault_is_not_skipped(self, device):
         cache = PersistentCache.open(device, PCacheConfig(sync_every_n_appends=1))

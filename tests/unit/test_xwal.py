@@ -32,7 +32,7 @@ def write_generation(env, device, ops_batches, *, shards=4, number=7):
     config = XWalConfig(num_shards=shards)
     writer = XWalWriter(env, device, "db/", number, config)
     for batch in ops_batches:
-        writer.add_record(batch.encode())
+        writer.add_batch(batch)
     writer.close()
     return config
 
@@ -151,10 +151,10 @@ class TestWriteReplay:
         writer = XWalWriter(env, device, "db/", 7, config)
         b1 = WriteBatch().put(b"durable", b"v")
         b1.sequence = 1
-        writer.add_record(b1.encode(), sync=True)
+        writer.add_batch(b1, sync=True)
         b2 = WriteBatch().put(b"volatile", b"v")
         b2.sequence = 2
-        writer.add_record(b2.encode(), sync=False)
+        writer.add_batch(b2, sync=False)
         device.crash()
         replayer = XWalReplayer(env, device, "db/", config)
         keys = {op[2] for op in replayer.replay(7)}
@@ -174,7 +174,7 @@ class TestParallelTiming:
             batch = WriteBatch().put(f"key-{i:06d}".encode(), b"v" * 100)
             batch.sequence = seq
             seq += 1
-            writer.add_record(batch.encode())
+            writer.add_batch(batch)
         writer.close()
         start = clock.now
         replayer = XWalReplayer(env, device, "db/", config)
@@ -201,7 +201,7 @@ class TestParallelTiming:
             for i in range(64):
                 batch.put(f"key-{i}".encode(), b"v" * 50)
             batch.sequence = 1
-            writer.add_record(batch.encode(), sync=True)
+            writer.add_batch(batch, sync=True)
             return clock.now - start
 
         t1, t8 = fill_time(1), fill_time(8)
