@@ -49,7 +49,7 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 359
+PINNED_WITHOUT_TRAFFIC = 354
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
@@ -57,6 +57,7 @@ SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
 _ITEM_20 = "item 20: the next census slice deletes it or gives it traffic"
 _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
 _NODE_FACADE = "a sharded node is a `StoreFacade`: the facade times, scopes, bills and restarts it, and `ShardEngine` routes"
+_ONE_LOG = "every store logs through the xWAL (`repro.lsm.wal`), the baselines with one shard"
 _ONE_CLOCK = "one clock per store: a fork or a request moves its time, nothing re-points a device's clock"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 _ONE_REQUEST_SURFACE = "the front-end drives any `StoreFacade` through its request call, `serve`"
@@ -110,7 +111,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.compaction:CompactionJob._plan_partitions": (SAFETY, "a subcompaction request with nothing to split"),
     "repro.lsm.compaction:CompactionJob._merge_partition": (SURFACE, "a compaction filter's drop above the base level becomes a tombstone; `session_ttl.py` drops at the base"),
     "repro.lsm.db:DB.close": (SAFETY, "a second close"),
-    "repro.lsm.db:DB._replay_wal": (SAFETY, "a log generation whose file is gone; the crash drill's baseline audit replays one that is there"),
+    "repro.lsm.db:DB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
     "repro.lsm.db:DB._live_wal_numbers": (SAFETY, "a caller without a listing; recovery passes its own"),
     "repro.lsm.db:DB._recover": (SAFETY, "blob-log reconciliation at recovery; no experiment reopens a separated store"),
     "repro.lsm.db:DB._purge_orphans": (SAFETY, "an unparseable file name under the prefix"),
@@ -142,8 +143,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.version:Version.is_base_level_for_key": (SAFETY, "a key that a deeper level still holds"),
     "repro.lsm.version:VersionSet.rewrite_manifest": (OPEN, "item 10: the blob segments in a separated store's MANIFEST rewrite; E23 never grows a MANIFEST past its limit"),
     "repro.lsm.wal:LogReader.__iter__": (SAFETY, "a torn or corrupt log tail"),
-    "repro.lsm.write_batch:WriteBatch.decode": (SAFETY, "a delete replayed from the plain WAL; the crash drill's baseline audit replays puts only"),
-    "repro.lsm.write_batch:WriteBatch.clear": (OPEN, f"{_ITEM_20}: only tests reuse a batch"),
     # -- blob log: E23 writes and reads with synced puts, and never restarts,
     # scans, deletes or checkpoints
     "repro.mash.bloblog:BlobLog.should_divert": (SAFETY, "a raw value shaped like a pointer is diverted whatever its size, so reads can trust the magic"),
@@ -167,10 +166,9 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.placement:PlacementManager._enforce_budget": (SAFETY, "a budget no victim can bring the store under"),
     "repro.mash.placement:PlacementManager._pick_budget_victim": (SAFETY, "no table left to demote"),
     "repro.mash.placement:PlacementManager.maybe_promote": (SAFETY, "promotion without headroom"),
-    "repro.mash.store:MashDB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
     "repro.mash.store:RocksMashStore._read_local_block": (SAFETY, "a table demoted under the reader"),
-    "repro.mash.xwal:XWalWriter.add_batch": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
-    "repro.mash.xwal:XWalReplayer.replay": (SAFETY, "a missing generation and a corrupt shard"),
+    "repro.lsm.wal:XWalWriter.add_batch": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
+    "repro.lsm.wal:XWalReplayer.replay": (SAFETY, "a missing generation and a corrupt shard"),
     # -- metrics, observability
     "repro.metrics.latency:LatencyHistogram.percentile": (SAFETY, "an empty histogram and the extreme percentiles"),
     "repro.obs.prom:_sanitize": (SAFETY, "a metric name starting with a digit"),
@@ -237,8 +235,8 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.metrics.counters:CounterSet.__repr__": (DELETED, "nothing printed a counter set"),
     "repro.sim.clock:SimClock.fork": (DELETED, "every fork/join region uses `child()`"),
     "repro.lsm.write_batch:WriteBatch.byte_size": (DELETED, "only its own test called it"),
-    "repro.mash.xwal:XWalWriter.offset": (DELETED, "no reader of the xWAL's total size"),
-    "repro.mash.xwal:XWalWriter.add_record": (DELETED, "the log takes the batch (`add_batch`): nothing decodes what `DB.write` just encoded"),
+    "repro.lsm.wal:XWalWriter.offset": (DELETED, "no reader of the xWAL's total size"),
+    "repro.lsm.wal:XWalWriter.add_record": (DELETED, "the log takes the batch (`add_batch`): nothing decodes what `DB.write` just encoded"),
     # One log for records and large values: a diverted value is written once,
     # inside its xWAL record, so the blob log's own active segment goes.
     "repro.mash.bloblog:BlobLog.divert_batch": (DELETED, "the xWAL writer embeds each diverted value in its record"),
@@ -299,13 +297,26 @@ VERDICTS: dict[str, tuple[str, str]] = {
     # the facade, and the helpers only tests called go.
     "repro.lsm.db:WalWriter.sync": (DELETED, _RECORD_SYNC),
     "repro.lsm.wal:LogWriter.sync": (DELETED, _RECORD_SYNC),
-    "repro.mash.xwal:XWalWriter.sync": (DELETED, _RECORD_SYNC),
+    "repro.lsm.wal:XWalWriter.sync": (DELETED, _RECORD_SYNC),
     "repro.obs.trace:TierTimes.add": (DELETED, "a second copy of `Tracer.charge`'s per-tier dispatch that only tests called"),
     "repro.serve.frontend:RequestServer": (DELETED, _ONE_REQUEST_SURFACE),
     "repro.serve.frontend:SingleStoreServer": (DELETED, _ONE_REQUEST_SURFACE),
     "repro.serve.sharded:ShardedDB.execute": (DELETED, _ONE_REQUEST_SURFACE),
     "repro.serve.sharded:ShardedDB.run_pending_maintenance": (DELETED, "the node's `serve` drains after the response, on the request's timeline"),
     "repro.serve.sharded:ShardEngine._written": (DELETED, "the shard's `maintenance_hook` flushes at once when no request is served"),
+    # One log: every store logs through the xWAL, and a serial WAL is its
+    # one-shard case.
+    "repro.mash.xwal": (DELETED, _ONE_LOG),
+    "repro.lsm.wal:BatchLogWriter": (DELETED, _ONE_LOG),
+    "repro.lsm.db:WalWriter": (DELETED, "one log, so no seam for a second: `DB` opens, replays and purges the xWAL itself"),
+    "repro.lsm.format:log_file_name": (DELETED, "a log generation is its `xlog` shard files"),
+    "repro.lsm.write_batch:WriteBatch.encode": (DELETED, "the log takes the batch and writes its own shard records"),
+    "repro.lsm.write_batch:WriteBatch.decode": (DELETED, "replay reads shard records straight into the memtable"),
+    "repro.lsm.write_batch:WriteBatch.clear": (DELETED, "only tests reused a batch"),
+    "repro.mash.store:MashDB._open_wal": (DELETED, _ONE_LOG),
+    "repro.mash.store:MashDB._replayer": (DELETED, _ONE_LOG),
+    "repro.mash.store:MashDB._wal_file_names": (DELETED, _ONE_LOG),
+    "repro.mash.store:MashDB._replay_wal": (DELETED, _ONE_LOG),
 }
 """Region qualname -> ``(verdict, reason)``.
 

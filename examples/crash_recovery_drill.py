@@ -3,17 +3,16 @@
 
 Simulates a busy store losing power mid-traffic, then audits that every
 *acknowledged* (synced) write survived and measures how the extended WAL's
-shard count changes recovery time. The same audit then runs on the
-conventional single-file WAL the xWAL replaces (the local-only baseline).
+shard count changes recovery time. The one-shard row is the serial WAL every
+baseline runs.
 
 Run:  python examples/crash_recovery_drill.py
 """
 
-from repro.baselines.local_only import LocalOnlyConfig, LocalOnlyStore
 from repro.facade import StoreFacade
 from repro.lsm.options import Options
+from repro.lsm.wal import XWalConfig
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig
 
 # Large write buffer: keep everything in the WAL so recovery is a pure
 # log-replay exercise.
@@ -61,10 +60,6 @@ def main() -> None:
             f"{shards:>6}  {seconds*1e3:>18.2f}  {baseline/seconds:>7.2f}x"
             f"  {survivors}/{survivors} ✓"
         )
-    # Its replay charges no per-record CPU, unlike the xWAL's, so its
-    # recovery time is not comparable with the rows above: audit only.
-    _, survivors = crash_and_audit(LocalOnlyStore.create(LocalOnlyConfig(options=OPTIONS)))
-    print(f"\nsingle-file WAL (local-only baseline): {survivors}/{survivors} acked survived ✓")
     print(
         "\nEvery synced write survived every crash; unsynced tail writes may"
         "\nbe lost (never corrupted). Recovery parallelizes with shard count."

@@ -7,10 +7,11 @@ The package is layered bottom-up:
 * :mod:`repro.sim` — simulated clock, latency models, fault injection.
 * :mod:`repro.storage` — local device, cloud object store, Env, cost model.
 * :mod:`repro.lsm` — a complete from-scratch LSM-tree engine (memtable,
-  WAL, SSTables, leveled compaction, versioned manifest, iterators).
+  the sharded extended WAL with parallel recovery, SSTables, leveled
+  compaction, versioned manifest, iterators).
 * :mod:`repro.mash` — the paper's contribution: hybrid placement, the
-  LSM-aware persistent cache with compaction-aware layouts, and the
-  sharded extended WAL with parallel recovery.
+  LSM-aware persistent cache with compaction-aware layouts, and the xWAL
+  sharded four ways with large values diverted into it.
 * :mod:`repro.baselines` — local-only, cloud-only, and rocksdb-cloud-like
   comparison systems.
 * :mod:`repro.workloads` / :mod:`repro.bench` — YCSB & db_bench workload

@@ -1,7 +1,7 @@
 """Blob pointer and value-log record codecs (WAL-time key-value separation).
 
 Large values never reach the memtable: the xWAL takes each one as its blob
-record, embedded in its key's shard record (:mod:`repro.mash.xwal`), and the
+record, embedded in its key's shard record (:mod:`repro.lsm.wal`), and the
 LSM stores a fixed-size :class:`BlobPointer` in its place (BVLSM / WiscKey
 lineage). At flush, the generation's shard files go up as one cloud object,
 the blob segment (:mod:`repro.mash.bloblog`).
@@ -14,7 +14,7 @@ Pointer (exactly ``POINTER_SIZE`` bytes, stored as the LSM value)::
 
 ``segment`` is the xWAL generation that logged the value; ``offset`` and
 ``record_len`` locate the *full record* inside the shard file of the
-pointer's key (:func:`repro.mash.xwal.shard_of`), so a resolve is a single
+pointer's key (:func:`repro.lsm.wal.shard_of`), so a resolve is a single
 ranged read. ``record_crc`` is the record's own stored checksum: a resolve
 that reads a record whose checksum verifies and equals it read the record
 the pointer was made for. A raw user value that happens to be

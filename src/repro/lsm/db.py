@@ -2,15 +2,18 @@
 
 A single-process, deterministic engine with RocksDB's structure:
 
-* a write hands its :class:`WriteBatch` to the WAL writer, which encodes it
-  once into the log's own records, then applies it to the memtable;
-* a full memtable flushes to an L0 SSTable and rotates the WAL;
+* a write hands its :class:`WriteBatch` to the log, the xWAL
+  (:class:`~repro.lsm.wal.XWalWriter`, one shard unless ``xwal_config``
+  says more), which encodes it once into its shard records; then it applies
+  the batch to the memtable;
+* a full memtable flushes to an L0 SSTable and rotates the log;
 * compactions run *inline* whenever a level is over target (no background
   threads — determinism is a design goal of the reproduction; the simulated
   clock still accounts their I/O);
 * reads consult memtable → immutable files via the current
   :class:`~repro.lsm.version.Version`;
-* ``open`` on an existing DB replays MANIFEST then the live WAL.
+* ``open`` on an existing DB replays MANIFEST then the live log generations,
+  every shard of one in parallel.
 
 Extension points used by :mod:`repro.mash`:
 
@@ -18,15 +21,14 @@ Extension points used by :mod:`repro.mash`:
 * ``stack_factory`` builds each table's block stack (persistent cache,
   how far a scan reads ahead — see :mod:`repro.lsm.block_cache`);
 * ``listeners`` observe flushes, compactions, and file deletions;
-* the ``_open_wal`` / ``_replay_wal`` / ``_wal_file_names`` trio is
-  overridden by the extended-WAL store to shard the log.
+* ``_open_blob_store`` gives the log a blob store to divert large values to.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterator
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ClosedError, InvalidArgumentError, RecoveryError
 from repro.lsm.blob import maybe_pointer
@@ -38,7 +40,7 @@ from repro.lsm.compaction import (
     CompactionPicker,
     CompactionStats,
 )
-from repro.lsm.format import log_file_name, parse_file_name, table_file_name
+from repro.lsm.format import parse_file_name, table_file_name
 from repro.lsm.iterator import (
     clamp_to_range,
     merge_internal,
@@ -50,7 +52,7 @@ from repro.lsm.table_builder import TableBuilder, TableProperties
 from repro.lsm.table_cache import TableCache
 from repro.lsm.universal import UniversalCompactionPicker
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
-from repro.lsm.wal import BatchLogWriter, read_log_file
+from repro.lsm.wal import XWalConfig, XWalReplayer, XWalWriter, shard_file_names
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
@@ -88,20 +90,6 @@ class Snapshot:
         self.sequence = sequence
 
 
-class WalWriter(Protocol):
-    """Write side of one WAL generation (the plain WAL or the sharded xWAL).
-
-    ``add_batch`` logs one batch, taking the batch itself: the writer
-    encodes it once into its own record format, and nothing on the write
-    path parses what another layer encoded. A log that takes large values
-    itself (the xWAL with key-value separation on) returns the batch the
-    memtable applies instead, each such value replaced by a pointer."""
-
-    def add_batch(self, batch: WriteBatch, *, sync: bool = True) -> WriteBatch | None: ...
-
-    def close(self) -> None: ...
-
-
 class DB:
     """An LSM-tree key–value store over an :class:`Env`."""
 
@@ -115,14 +103,17 @@ class DB:
         event_sink: Callable[[str], None] | None = None,
         maintenance_hook: Callable[[], None] | None = None,
         listeners: DBListeners | None = None,
+        xwal_config: XWalConfig | None = None,
     ) -> None:
         """Use :meth:`DB.open` instead of constructing directly. A store
         variant passes its ``listeners`` here, not after :meth:`open`
         returns: recovery already deletes orphaned tables and flushes the
-        replayed log, and a hook wired later misses those events."""
+        replayed log, and a hook wired later misses those events.
+        ``xwal_config`` shapes the log (default: one shard, a serial WAL)."""
         self.env = env
         self.prefix = prefix
         self.options = options or Options()
+        self.xwal_config = xwal_config or XWalConfig()
         self.listeners = listeners if listeners is not None else DBListeners()
         self.block_cache = (
             LRUBlockCache(self.options.block_cache_bytes)
@@ -163,11 +154,13 @@ class DB:
         )
         self.compaction_stats = CompactionStats()
         self._snapshots: list[Snapshot] = []
-        self._wal: WalWriter | None = None
+        self._wal: XWalWriter | None = None
         self._wal_number = 0
         self._closed = False
         self.flush_count = 0
         self.orphans_purged = 0
+        self.last_recovery_corrupt_shards = 0
+        """Log shards the last recovery found torn (their tails dropped)."""
         self._pinned_versions: list = []
         self._deferred_deletes: set[int] = set()
         self._deferred_blob_deletes: set[int] = set()
@@ -193,7 +186,7 @@ class DB:
 
         Extra keyword arguments are forwarded to the (sub)class constructor
         (``stack_factory``, ``event_sink``, ``maintenance_hook``,
-        ``listeners``, the extended-WAL configuration of :class:`MashDB`, ...).
+        ``listeners``, ``xwal_config``, ...).
         """
         db = cls(env, prefix, options, **subclass_kwargs)
         exists = env.file_exists(f"{prefix}CURRENT")
@@ -242,37 +235,25 @@ class DB:
         """
         return None
 
-    # -- WAL strategy (overridden by the extended-WAL store) -----------------
-
-    def _open_wal(self, number: int) -> WalWriter:
-        """Create the write-side WAL object for log generation ``number``."""
-        return BatchLogWriter(self.env.new_writable_file(log_file_name(self.prefix, number)))
+    # -- the log --------------------------------------------------------------
 
     def _wal_file_names(self, number: int) -> list[str]:
-        """All physical files belonging to log generation ``number``."""
-        return [log_file_name(self.prefix, number)]
+        """Every shard file of log generation ``number``."""
+        return shard_file_names(self.prefix, number, self.xwal_config.num_shards)
 
-    def _replay_wal(self, number: int) -> tuple[int, int]:
-        """Replay one log generation into the memtable.
-
-        Returns ``(max_sequence_seen, records_applied)``.
-        """
+    def _replay_wal(self, number: int) -> int:
+        """Replay one log generation into the memtable, every shard on a
+        parallel branch of the clock; returns the highest sequence seen."""
+        replayer = XWalReplayer(self.env, self.prefix, self.xwal_config)
         max_seq = 0
-        applied = 0
-        for name in self._wal_file_names(number):
-            if not self.env.file_exists(name):
-                continue
-            for payload in read_log_file(self.env, name):
-                batch = WriteBatch.decode(payload)
-                seq = batch.sequence
-                for op in batch:
-                    self.memtable.add(seq, op.value_type, op.key, op.value)
-                    seq += 1
-                max_seq = max(max_seq, seq - 1)
-                applied += 1
-        return max_seq, applied
-
-    _WAL_KIND = "log"
+        for seq, value_type, key, value in replayer.replay(number):
+            self.memtable.add(seq, value_type, key, value)
+            max_seq = max(max_seq, seq)
+        self.last_recovery_corrupt_shards += replayer.corrupt_shards
+        if self.blob_store is not None and replayer.blob_bytes:
+            # The recovery flush seals the values replay found.
+            self.blob_store.unsealed[number] = replayer.blob_bytes
+        return max_seq
 
     def _live_wal_numbers(self, listing: list[str] | None = None) -> list[int]:
         """Log generations on disk that are >= the manifest's log number.
@@ -285,7 +266,7 @@ class DB:
         numbers = set()
         for name in listing:
             parsed = parse_file_name(self.prefix, name)
-            if parsed and parsed[0] == self._WAL_KIND and parsed[1] >= self.versions.log_number:
+            if parsed and parsed[0] == "xlog" and parsed[1] >= self.versions.log_number:
                 numbers.add(parsed[1])
         return sorted(numbers)
 
@@ -294,7 +275,9 @@ class DB:
         if self._wal is not None:
             self._wal.close()
         self._wal_number = self.versions.new_file_number()
-        self._wal = self._open_wal(self._wal_number)
+        self._wal = XWalWriter(
+            self.env, self.prefix, self._wal_number, self.xwal_config, blob=self.blob_store
+        )
         return self._wal_number
 
     # -- recovery -------------------------------------------------------------
@@ -322,8 +305,7 @@ class DB:
         replayed_max = 0
         old_numbers = self._live_wal_numbers(listing)
         for number in old_numbers:
-            max_seq, _ = self._replay_wal(number)
-            replayed_max = max(replayed_max, max_seq)
+            replayed_max = max(replayed_max, self._replay_wal(number))
         self.versions.last_sequence = max(self.versions.last_sequence, replayed_max)
         if self.blob_store is not None:
             # Segments the MANIFEST does not know go; the flush below seals
@@ -358,7 +340,7 @@ class DB:
             doomed = (
                 (kind == "table" and number not in live)
                 or (kind == "manifest" and number != self.versions.manifest_number)
-                or (kind == self._WAL_KIND and number < self.versions.log_number)
+                or (kind == "xlog" and number < self.versions.log_number)
             )
             if doomed and self.env.file_exists(name):
                 self.env.delete_file(name)

@@ -129,10 +129,6 @@ def unseal_block(raw: bytes, *, verify: bool = True) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def log_file_name(prefix: str, number: int) -> str:
-    return f"{prefix}{number:06d}.log"
-
-
 def table_file_name(prefix: str, number: int) -> str:
     return f"{prefix}{number:06d}.sst"
 
@@ -153,13 +149,13 @@ def current_file_name(prefix: str) -> str:
     return f"{prefix}CURRENT"
 
 
-_KIND_OF_SUFFIX = {"log": "log", "xlog": "xlog", "sst": "table", "blob": "blob"}
+_KIND_OF_SUFFIX = {"xlog": "xlog", "sst": "table", "blob": "blob"}
 
 
 def parse_file_name(prefix: str, name: str) -> tuple[str, int] | None:
     """Classify a file name; returns ``(kind, number)`` or None.
 
-    Kinds: ``"log"``, ``"xlog"``, ``"table"``, ``"blob"``, ``"manifest"``,
+    Kinds: ``"xlog"`` (a log shard), ``"table"``, ``"blob"``, ``"manifest"``,
     ``"current"`` (number 0).
     """
     if not name.startswith(prefix):

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.lsm.format import current_file_name, manifest_file_name
@@ -54,6 +55,15 @@ class FileMetaData:
     @cached_property
     def largest_user_key(self) -> bytes:
         return extract_user_key(self.largest)
+
+    # Every edit sorts and checks each level by these: parsed once per file.
+    @cached_property
+    def smallest_order(self) -> tuple[bytes, int]:
+        return internal_order(self.smallest)
+
+    @cached_property
+    def largest_order(self) -> tuple[bytes, int]:
+        return internal_order(self.largest)
 
     def overlaps_user_range(self, begin: bytes | None, end: bytes | None) -> bool:
         """Does [smallest, largest] intersect user-key range [begin, end]?
@@ -195,7 +205,7 @@ class Version:
             files = self.files[level]
             for i in range(1, len(files)):
                 prev, cur = files[i - 1], files[i]
-                if internal_order(prev.largest) >= internal_order(cur.smallest):
+                if prev.largest_order >= cur.smallest_order:
                     raise CorruptionError(
                         f"L{level} files overlap: #{prev.number} and #{cur.number}"
                     )
@@ -284,7 +294,7 @@ class Version:
             if level == 0:
                 keep.sort(key=lambda m: m.number)
             else:
-                keep.sort(key=lambda m: internal_order(m.smallest))
+                keep.sort(key=attrgetter("smallest_order"))
             new.files[level] = keep
         new.check_invariants()
         new._fenced_levels = [

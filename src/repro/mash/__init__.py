@@ -5,7 +5,10 @@
   popular data blocks) on the local device.
 * :mod:`repro.mash.layout` — compaction-aware cache layouts (heat
   inheritance and pre-warming across compactions).
-* :mod:`repro.mash.xwal` — sharded extended WAL with parallel recovery.
+* the sharded extended WAL with parallel recovery — the engine's one log
+  (:mod:`repro.lsm.wal`), which every store runs; RocksMash shards it four
+  ways (:attr:`StoreConfig.xwal`), and :mod:`repro.mash.bloblog` lets it
+  take large values (WAL-time key-value separation).
 * :mod:`repro.mash.store` — :class:`RocksMashStore`, the public facade.
 """
 
@@ -20,7 +23,6 @@ from repro.mash.layout import BlockHeatTracker, LayoutConfig
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.placement import PlacementConfig, PlacementManager
 from repro.mash.store import MashDB, RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 
 __all__ = [
     "BlockHeatTracker",
@@ -37,7 +39,4 @@ __all__ = [
     "PlacementManager",
     "RocksMashStore",
     "StoreConfig",
-    "XWalConfig",
-    "XWalReplayer",
-    "XWalWriter",
 ]

@@ -2,7 +2,7 @@
 
 Values at least ``Options.blob_value_threshold`` bytes long never enter the
 memtable. The xWAL logs each one once, as its blob record inside its key's
-shard record (:mod:`repro.mash.xwal`), and the memtable gets a fixed 32-byte
+shard record (:mod:`repro.lsm.wal`), and the memtable gets a fixed 32-byte
 :class:`~repro.lsm.blob.BlobPointer` to it: the generation, the record's
 offset in the key's shard file, its length and its checksum. Flushes and
 compactions then move pointers, not payloads — the WiscKey/BVLSM trade that
@@ -40,10 +40,9 @@ from repro.lsm.blob import BlobPointer, decode_blob_record, maybe_pointer
 from repro.lsm.format import blob_file_name, parse_file_name, xlog_file_name
 from repro.lsm.options import Options
 from repro.lsm.version import VersionEdit, VersionSet
-from repro.mash.xwal import read_shard, shard_of
+from repro.lsm.wal import read_shard, shard_of
 from repro.sim.failure import crash_points
 from repro.storage.env import CLOUD, HybridEnv
-from repro.storage.local import LocalDevice
 from repro.util.encoding import decode_fixed32
 
 if TYPE_CHECKING:
@@ -97,7 +96,6 @@ class BlobLog:
         prefix: str,
         versions: VersionSet,
         options: Options,
-        device: LocalDevice,
         num_shards: int,
         *,
         pcache: "PersistentCache | None" = None,
@@ -106,7 +104,6 @@ class BlobLog:
         self.prefix = prefix
         self.versions = versions
         self.options = options
-        self.device = device
         self.num_shards = num_shards
         """The xWAL's shard count: which local shard file holds a key's
         records before their generation is sealed."""
@@ -189,7 +186,7 @@ class BlobLog:
             name = blob_file_name(self.prefix, pointer.segment)
             offset = sum(shards[: shard_of(key, len(shards))]) + pointer.offset
         raw: bytes | None = None
-        tracer = self.device.clock.tracer
+        tracer = self.env.clock.tracer
         if self.pcache is not None:
             raw = self.pcache.get_data(name, offset)
         if raw is not None:
@@ -215,7 +212,7 @@ class BlobLog:
             )
         record = decode_blob_record(raw)
         cost = _DECODE_BASE_COST + _DECODE_COST_PER_BYTE * len(raw)
-        self.device.clock.advance(cost, "cpu")
+        self.env.clock.advance(cost, "cpu")
         if decode_fixed32(raw, 4) != pointer.record_crc:
             raise CorruptionError("blob record checksum mismatch")
         if record.key != key:

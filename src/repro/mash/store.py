@@ -2,8 +2,9 @@
 
 Composition (each piece is a separately tested module):
 
-* :class:`MashDB` — the LSM engine with the WAL swapped for the sharded
-  extended WAL (:mod:`repro.mash.xwal`);
+* :class:`MashDB` — the LSM engine plus a blob store for WAL-time
+  key-value separation and batched reads in waves; its log, the extended
+  WAL (:mod:`repro.lsm.wal`), runs four shards (:attr:`StoreConfig.xwal`);
 * :class:`~repro.mash.placement.PlacementManager` — upper levels + all
   logs/manifests local, lower levels demoted to the cloud;
 * :class:`~repro.mash.pcache.PersistentCache` — pinned metadata of
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.lsm.block_cache import BlockPath, BlockStack, ScanBuffer, SequentialStack
 from repro.lsm.compaction import CompactionEvent
-from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot, WalWriter
+from repro.lsm.db import DB, DBListeners, FlushEvent, Snapshot
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
     FOOTER_SIZE,
@@ -47,11 +48,11 @@ from repro.lsm.format import (
     unseal_block,
 )
 from repro.lsm.options import Options
+from repro.lsm.wal import XWalConfig
 from repro.facade import StoreFacade
 from repro.mash.layout import BlockHeatTracker, LayoutConfig
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.placement import PlacementConfig, PlacementManager, make_router
-from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter
 from repro.metrics.counters import CounterSet
 from repro.obs.trace import Tracer
 from repro.sim.clock import ForkJoinRegion, SimClock
@@ -78,7 +79,7 @@ class StoreConfig:
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     pcache: PCacheConfig = field(default_factory=PCacheConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
-    xwal: XWalConfig = field(default_factory=XWalConfig)
+    xwal: XWalConfig = field(default_factory=lambda: XWalConfig(num_shards=4))
     cloud_model: LatencyModel = field(default_factory=cloud_object_storage)
     cost_model: CostModel = field(default_factory=CostModel)
     db_prefix: str = "db/"
@@ -102,18 +103,9 @@ class StoreConfig:
 
 
 class MashDB(DB):
-    """DB with the extended WAL plugged into the WAL strategy hooks."""
+    """DB with a blob store for large values and batched reads in waves."""
 
-    def __init__(
-        self,
-        *args,
-        xwal_config: XWalConfig,
-        local_device: LocalDevice,
-        blob_pcache: PersistentCache | None = None,
-        **kw: Any,
-    ) -> None:
-        self._xwal_config = xwal_config
-        self._local_device = local_device
+    def __init__(self, *args, blob_pcache: PersistentCache | None = None, **kw: Any) -> None:
         self._blob_pcache = blob_pcache
         super().__init__(*args, **kw)
 
@@ -128,42 +120,9 @@ class MashDB(DB):
             self.prefix,
             self.versions,
             self.options,
-            self._local_device,
-            self._xwal_config.num_shards,
+            self.xwal_config.num_shards,
             pcache=self._blob_pcache,
         )
-
-    def _open_wal(self, number: int) -> WalWriter:
-        return XWalWriter(
-            self.env,
-            self._local_device,
-            self.prefix,
-            number,
-            self._xwal_config,
-            blob=self.blob_store,
-        )
-
-    def _replayer(self) -> XWalReplayer:
-        return XWalReplayer(self.env, self._local_device, self.prefix, self._xwal_config)
-
-    def _wal_file_names(self, number: int) -> list[str]:
-        return self._replayer().shard_file_names(number)
-
-    def _replay_wal(self, number: int) -> tuple[int, int]:
-        replayer = self._replayer()
-        max_seq = 0
-        applied = 0
-        for seq, value_type, key, value in replayer.replay(number):
-            self.memtable.add(seq, value_type, key, value)
-            max_seq = max(max_seq, seq)
-            applied += 1
-        self.last_recovery_corrupt_shards = replayer.corrupt_shards
-        if self.blob_store is not None and replayer.blob_bytes:
-            # The recovery flush seals the values replay found.
-            self.blob_store.unsealed[number] = replayer.blob_bytes
-        return max_seq, applied
-
-    _WAL_KIND = "xlog"
 
     def multi_get(
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
@@ -358,7 +317,6 @@ class RocksMashStore(StoreFacade[DB]):
                     on_table_delete=[self._on_table_delete],
                 ),
                 xwal_config=self.config.xwal,
-                local_device=self.local_device,
                 blob_pcache=self.pcache,
             )
             # Recovery's purge may have unpinned orphaned tables, whose file

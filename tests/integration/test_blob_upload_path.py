@@ -8,8 +8,8 @@ bytes.
 
 from dataclasses import replace
 
+from repro.lsm.wal import shard_of
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import shard_of
 
 
 def small_blob_config() -> StoreConfig:

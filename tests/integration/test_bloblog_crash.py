@@ -29,8 +29,8 @@ from repro.errors import InvalidArgumentError
 from repro.lsm.check import check_db
 from repro.lsm.format import blob_file_name, parse_file_name, xlog_file_name
 from repro.lsm.version import VersionEdit, VersionSet
+from repro.lsm.wal import XWalConfig
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig
 from repro.sim.failure import CrashPointFired, crash_points
 
 

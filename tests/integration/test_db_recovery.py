@@ -137,7 +137,7 @@ class TestWalHygiene:
         for i in range(1000):
             db.put(f"k{i:05d}".encode(), b"x" * 50)
         db.flush()
-        logs = [n for n in env.list_files("db/") if n.endswith(".log")]
+        logs = [n for n in env.list_files("db/") if n.endswith(".xlog")]
         assert len(logs) == 1  # only the live generation remains
         db.close()
 

@@ -219,7 +219,7 @@ class TestAllowlist:
 RETIRED_RULE_MUTATIONS = [
     # RL006: a shared counter read-modify-written inside a replay branch.
     pytest.param(
-        "mash/xwal.py",
+        "lsm/wal.py",
         [
             (
                 "                collected.append((shard_ops, blob_bytes, torn))\n",
@@ -233,7 +233,7 @@ RETIRED_RULE_MUTATIONS = [
     ),
     # RL007 S1: a synced diverted put's log record is appended unsynced.
     pytest.param(
-        "mash/xwal.py",
+        "lsm/wal.py",
         [
             (
                 "        start = writer.offset + RECORD_HEADER_SIZE\n"
@@ -248,7 +248,7 @@ RETIRED_RULE_MUTATIONS = [
     ),
     # RL009: the replay region's join() is deleted.
     pytest.param(
-        "mash/xwal.py",
+        "lsm/wal.py",
         [
             (
                 "                collected.append((shard_ops, blob_bytes, torn))\n"
@@ -281,8 +281,8 @@ RETIRED_RULE_MUTATIONS = [
         "mash/bloblog.py",
         [
             (
-                '        self.device.clock.advance(cost, "cpu")\n',
-                "        self.device.clock.now += cost\n",
+                '        self.env.clock.advance(cost, "cpu")\n',
+                "        self.env.clock.now += cost\n",
             )
         ],
         "tests/property/test_obs_conservation_prop.py::test_all_spans_conserved",

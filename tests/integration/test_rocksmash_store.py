@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.lsm.wal import XWalConfig
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.layout import LayoutConfig
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import pytest
 
 from repro.lsm.check import check_db
 from repro.lsm.options import Options
+from repro.lsm.wal import XWalConfig
 from repro.lsm.write_batch import WriteBatch
 from repro.mash import placement
 from repro.mash.checkpoint import create_checkpoint, restore_checkpoint
@@ -20,7 +21,6 @@ from repro.mash.layout import LayoutConfig
 from repro.mash.pcache import PCacheConfig
 from repro.mash.placement import PlacementConfig
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig
 
 
 def everything_on_config(style="leveled"):

@@ -20,9 +20,15 @@ from repro.lsm.format import (
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.version import FileMetaData, VersionEdit
-from repro.lsm.wal import LogReader, RECORD_HEADER_SIZE
+from repro.lsm.wal import (
+    LogReader,
+    XWalConfig,
+    XWalReplayer,
+    XWalWriter,
+    decode_shard_record,
+    encode_shard_record,
+)
 from repro.lsm.write_batch import WriteBatch
-from repro.mash.xwal import decode_shard_record, encode_shard_record
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -437,6 +443,8 @@ batch_ops = st.lists(
 class TestWriteBatch:
     @given(batch_ops, sequences)
     def test_roundtrip(self, ops, seq):
+        """A batch logged by the one-shard log replays op for op, each op
+        at its own sequence number."""
         batch = WriteBatch()
         for kind, k, v in ops:
             if kind == "put":
@@ -444,10 +452,13 @@ class TestWriteBatch:
             else:
                 batch.delete(k)
         batch.sequence = seq
-        decoded = WriteBatch.decode(batch.encode())
-        assert decoded.sequence == seq
-        assert [(o.value_type, o.key, o.value) for o in decoded] == [
-            (TYPE_VALUE if kind == "put" else TYPE_DELETION, k, v) for kind, k, v in ops
+        env = LocalEnv(LocalDevice(SimClock()))
+        writer = XWalWriter(env, "db/", 1, XWalConfig())
+        writer.add_batch(batch)
+        writer.close()
+        assert list(XWalReplayer(env, "db/", XWalConfig()).replay(1)) == [
+            (seq + i, TYPE_VALUE if kind == "put" else TYPE_DELETION, k, v)
+            for i, (kind, k, v) in enumerate(ops)
         ]
 
 

@@ -71,10 +71,10 @@ from hypothesis.stateful import (
 from repro.errors import InvalidArgumentError, IOErrorSim, NotFoundError
 from repro.lsm.block_cache import BLOCK_SOURCES
 from repro.lsm.check import check_db
+from repro.lsm.wal import XWalReplayer
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.checkpoint import create_checkpoint, list_checkpoints, restore_checkpoint
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalReplayer
 from repro.obs.trace import span_conserved
 from repro.sim.failure import CrashPointFired, FaultInjector, armed, crash_points
 

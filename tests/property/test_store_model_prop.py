@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.lsm.db import DB
 from repro.lsm.options import Options
+from repro.lsm.wal import XWalConfig, XWalReplayer, XWalWriter, shard_of
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.pcache import PCacheConfig, PersistentCache
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import XWalConfig, XWalReplayer, XWalWriter, shard_of
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -130,7 +130,7 @@ class TestXWalPartitioning:
         device = LocalDevice(SimClock())
         env = LocalEnv(device)
         config = XWalConfig(num_shards=shards)
-        writer = XWalWriter(env, device, "db/", 1, config)
+        writer = XWalWriter(env, "db/", 1, config)
         seq = 1
         expected = set()
         for k, v in puts:
@@ -140,7 +140,7 @@ class TestXWalPartitioning:
             seq += 1
             writer.add_batch(batch)
         writer.close()
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         assert set(replayer.replay(1)) == expected
 
     @given(small_keys, st.integers(1, 32))

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm.format import xlog_file_name
-from repro.lsm.wal import LogReader
-from repro.lsm.write_batch import WriteBatch
-from repro.mash.xwal import (
+from repro.lsm.wal import (
+    LogReader,
     XWalConfig,
     XWalReplayer,
     XWalWriter,
@@ -30,6 +29,7 @@ from repro.mash.xwal import (
     encode_shard_record,
     shard_of,
 )
+from repro.lsm.write_batch import WriteBatch
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -55,7 +55,7 @@ wal_batches = st.lists(
 def _write_generation(env, device, batches, *, shards, sync_last):
     """Write batches into generation 1; return the per-key op sequences."""
     config = XWalConfig(num_shards=shards)
-    writer = XWalWriter(env, device, "db/", 1, config)
+    writer = XWalWriter(env, "db/", 1, config)
     per_key: dict[bytes, list[tuple[int, int, bytes]]] = {}
     seq = 1
     for i, ops in enumerate(batches):
@@ -109,7 +109,7 @@ def test_torn_shards_keep_per_key_prefix_consistency(batches, shards, fractions)
         if torn.tail_corrupt:
             expected_corrupt += 1
 
-    replayer = XWalReplayer(env, device, "db/", config)
+    replayer = XWalReplayer(env, "db/", config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
     for op_seq, value_type, key, value in replayer.replay(1):
         replayed.setdefault(key, []).append((op_seq, value_type, value))
@@ -133,7 +133,7 @@ def test_untorn_replay_is_complete_and_exact(batches, shards):
     config, per_key = _write_generation(
         env, device, batches, shards=shards, sync_last=True
     )
-    replayer = XWalReplayer(env, device, "db/", config)
+    replayer = XWalReplayer(env, "db/", config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
     for op_seq, value_type, key, value in replayer.replay(1):
         assert shard_of(key, shards) == shard_of(key, shards)
@@ -160,7 +160,7 @@ def test_torn_tail_device_crash_preserves_prefix(batches, shards, crash_seed):
     )
     device.crash(torn_tail=True, rng=random.Random(crash_seed))
 
-    replayer = XWalReplayer(env, device, "db/", config)
+    replayer = XWalReplayer(env, "db/", config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
     for op_seq, value_type, key, value in replayer.replay(1):
         replayed.setdefault(key, []).append((op_seq, value_type, value))

@@ -42,7 +42,7 @@ CONFIG_CLASSES = {
     "PlacementConfig": "src/repro/mash/placement.py",
     "PCacheConfig": "src/repro/mash/pcache.py",
     "LayoutConfig": "src/repro/mash/layout.py",
-    "XWalConfig": "src/repro/mash/xwal.py",
+    "XWalConfig": "src/repro/lsm/wal.py",
     "ServeConfig": "src/repro/serve/sharded.py",
     "FrontendConfig": "src/repro/serve/frontend.py",
     "HarnessKnobs": "src/repro/bench/harness.py",

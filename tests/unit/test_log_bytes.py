@@ -1,22 +1,26 @@
 """Golden log bytes: the write path's log files, byte for byte.
 
-A fixed sequence of writes goes through a RocksMash store (the sharded xWAL,
-blob log on) and through a local-only store (the plain WAL): a single put, a
-synced batch spanning several xWAL shards, an unsynced put, a delete, and a
-value large enough to divert into the xWAL's blob records. The memtable never
-fills, so every byte the sequence wrote is still in the live log files. Their
-digests below were recorded on the commit before the log began taking the
-batch itself instead of its encoded bytes; a change that means to move a log
-format re-records them and says so.
+A fixed sequence of writes goes through a RocksMash store (the xWAL in four
+shards, blob log on) and through a local-only store (the xWAL's one-shard
+case, the serial WAL): a single put, a synced batch spanning several xWAL
+shards, an unsynced put, a delete, and a value large enough to divert into
+the xWAL's blob records. The memtable never fills, so every byte the sequence
+wrote is still in the live log files. The RocksMash digests below were
+recorded on the commit before the log began taking the batch itself instead
+of its encoded bytes. The local-only digest and seconds were re-recorded once,
+when the baselines' own log format was retired for the one-shard xWAL: the
+sequence's two multi-op batches now carry an 8 B sequence number per op after
+the first (1 045 -> 1 125 B). A change that means to move a log format
+re-records them and says so.
 """
 
 import hashlib
 from dataclasses import replace
 
 from repro.baselines.local_only import LocalOnlyConfig, LocalOnlyStore
+from repro.lsm.wal import RECORD_HEADER_SIZE, XWalConfig, shard_of
 from repro.lsm.write_batch import WriteBatch
 from repro.mash.store import RocksMashStore, StoreConfig
-from repro.mash.xwal import shard_of
 
 BLOB_THRESHOLD = 64
 NUM_SHARDS = 4
@@ -28,9 +32,9 @@ XWAL_DIGESTS = {
     "db/000002-03.xlog": "57e8f76658b60770a7374eed7a79176dc2ee9261191808cc0a829f0cd66da2be",
 }
 WAL_DIGESTS = {
-    "db/000002.log": "10d8a7a2e5d694115e615aad005b8fb7e176d0b6ef577de614713bcfa767f0cc",
+    "db/000002-00.xlog": "395f71a930bf62cf14b8e9fd28e2e9e911838a76854326f966fc2002e4bb7906",
 }
-SIM_SECONDS = {"rocksmash": 0.0012212928333333332, "local-only": 0.0008812291666666667}
+SIM_SECONDS = {"rocksmash": 0.0012212928333333332, "local-only": 0.0008813225}
 """Simulated seconds the sequence took: the syncs it paid, multi-shard ones
 concurrent."""
 
@@ -97,8 +101,53 @@ def test_xwal_shard_files_keep_their_bytes():
 def test_plain_wal_file_keeps_its_bytes():
     store = LocalOnlyStore.create(LocalOnlyConfig().small())
     model = drive(store)
-    assert log_digests(store, ".log") == WAL_DIGESTS
+    assert log_digests(store, ".xlog") == WAL_DIGESTS
     assert store.clock.now == SIM_SECONDS["local-only"]
     reopened = store.reopen(crash=True)
     assert {key: reopened.get(key) for key in model} == model
+    reopened.close()
+
+
+SERIAL_WAL = {"bytes": 26_230, "seconds": 0.013710611666666664}
+"""What the single-op sequence below left in the local-only store's serial
+WAL, a ``.log`` file of one encoded batch per record, before that format was
+retired for the one-shard xWAL."""
+
+
+def test_single_op_records_are_as_long_as_the_serial_wal_was():
+    """A put or delete alone is one record of framing, a 4 B op count, the
+    op's 8 B sequence number, its type byte and the length-prefixed key (and
+    value): exactly as long as the serial WAL's record of a one-op batch,
+    whose header held the same count and sequence. Every baseline figure
+    rests on this equality."""
+    config = LocalOnlyConfig().small()
+    config = replace(config, options=replace(config.options, write_buffer_size=1 << 20))
+    store = LocalOnlyStore.create(config)
+    expected = 0
+    for i in range(200):
+        key, value = b"key%05d" % i, bytes([i % 251]) * 100
+        store.put(key, value, sync=i % 3 != 0)
+        expected += RECORD_HEADER_SIZE + 4 + 8 + 1 + 1 + len(key) + 1 + len(value)
+    store.delete(b"key00007")
+    expected += RECORD_HEADER_SIZE + 4 + 8 + 1 + 1 + len(b"key00007")
+    (name,) = [n for n in store.local_device.list_files("db/") if n.endswith(".xlog")]
+    assert len(store.local_device.read(name)) == expected == SERIAL_WAL["bytes"]
+    assert store.clock.now == SERIAL_WAL["seconds"]
+    store.close()
+
+
+def test_baseline_recovery_charges_replay_cpu_per_record():
+    """A baseline replays its log as the xWAL does, at
+    ``apply_cost_per_record`` CPU seconds a record; the serial WAL's replay
+    charged none, so its recovery was its log read alone (0.75 ms here)."""
+    config = LocalOnlyConfig().small()
+    config = replace(config, options=replace(config.options, write_buffer_size=4 << 20))
+    store = LocalOnlyStore.create(config)
+    records = 500
+    for i in range(records):
+        store.put(b"key%05d" % i, b"v" * 32)
+    reopened = store.reopen(crash=True)
+    replay_cpu = records * XWalConfig().apply_cost_per_record
+    assert reopened.last_recovery_seconds >= replay_cpu
+    assert reopened.get(b"key00499") == b"v" * 32
     reopened.close()

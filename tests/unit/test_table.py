@@ -90,7 +90,8 @@ class TestFormatHelpers:
     def test_file_names(self):
         assert table_file_name("db/", 7) == "db/000007.sst"
         assert parse_file_name("db/", "db/000007.sst") == ("table", 7)
-        assert parse_file_name("db/", "db/000003.log") == ("log", 3)
+        assert parse_file_name("db/", "db/000003-01.xlog") == ("xlog", 3)
+        assert parse_file_name("db/", "db/000003.log") is None  # the retired serial WAL
         assert parse_file_name("db/", "db/MANIFEST-000002") == ("manifest", 2)
         assert parse_file_name("db/", "db/CURRENT") == ("current", 0)
         assert parse_file_name("db/", "other/000007.sst") is None

@@ -1,9 +1,23 @@
-"""Unit tests for WriteBatch serialization and WAL framing."""
+"""Unit tests for a WriteBatch's trip through the log, and WAL framing.
+
+A batch has no encoding of its own: the log (the one-shard xWAL here, every
+baseline's log) writes its ops into a shard record, and replay hands them
+back with their sequence numbers.
+"""
 
 import pytest
 
 from repro.errors import CorruptionError
-from repro.lsm.wal import LogReader, LogWriter, read_log_file
+from repro.lsm.wal import (
+    LogReader,
+    LogWriter,
+    XWalConfig,
+    XWalReplayer,
+    XWalWriter,
+    decode_shard_record,
+    encode_shard_record,
+    read_log_file,
+)
 from repro.lsm.write_batch import WriteBatch
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
@@ -16,61 +30,67 @@ def env():
     return LocalEnv(LocalDevice(SimClock()))
 
 
+def logged(env, batch: WriteBatch) -> list[tuple[int, int, bytes, bytes]]:
+    """Log ``batch`` as generation 1 of a one-shard log and replay it."""
+    writer = XWalWriter(env, "db/", 1, XWalConfig())
+    writer.add_batch(batch)
+    writer.close()
+    return list(XWalReplayer(env, "db/", XWalConfig()).replay(1))
+
+
+def record_of(batch: WriteBatch) -> bytes:
+    """The shard record a one-shard log writes for ``batch``."""
+    seq = batch.sequence
+    ops = []
+    for op in batch:
+        ops.append((seq, op.value_type, op.key, op.value))
+        seq += 1
+    return encode_shard_record(ops)
+
+
 class TestWriteBatch:
-    def test_roundtrip(self):
+    def test_roundtrip(self, env):
         batch = WriteBatch()
         batch.put(b"k1", b"v1").put(b"k2", b"").delete(b"k3")
         batch.sequence = 42
-        decoded = WriteBatch.decode(batch.encode())
-        assert decoded.sequence == 42
-        ops = list(decoded)
-        assert [(o.value_type, o.key, o.value) for o in ops] == [
-            (TYPE_VALUE, b"k1", b"v1"),
-            (TYPE_VALUE, b"k2", b""),
-            (TYPE_DELETION, b"k3", b""),
+        assert logged(env, batch) == [
+            (42, TYPE_VALUE, b"k1", b"v1"),
+            (43, TYPE_VALUE, b"k2", b""),
+            (44, TYPE_DELETION, b"k3", b""),
         ]
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, env):
         batch = WriteBatch()
-        decoded = WriteBatch.decode(batch.encode())
-        assert len(decoded) == 0
-
-    def test_clear(self):
-        batch = WriteBatch()
-        batch.put(b"k", b"v")
-        batch.sequence = 9
-        batch.clear()
         assert len(batch) == 0
-        assert batch.sequence == 0
+        assert logged(env, batch) == []
+        assert env.read_file("db/000001-00.xlog") == b""
 
-    def test_binary_safe(self):
+    def test_binary_safe(self, env):
         batch = WriteBatch()
         batch.put(b"\x00\xff", b"\x00" * 100)
-        decoded = WriteBatch.decode(batch.encode())
-        op = next(iter(decoded))
-        assert op.key == b"\x00\xff"
-        assert op.value == b"\x00" * 100
+        batch.sequence = 1
+        assert logged(env, batch) == [(1, TYPE_VALUE, b"\x00\xff", b"\x00" * 100)]
 
     def test_truncated_raises(self):
         batch = WriteBatch()
         batch.put(b"key", b"value")
-        data = batch.encode()
+        data = record_of(batch)
         with pytest.raises(CorruptionError):
-            WriteBatch.decode(data[:-3])
+            decode_shard_record(data[:-3])
 
     def test_trailing_garbage_raises(self):
         batch = WriteBatch()
         batch.put(b"key", b"value")
         with pytest.raises(CorruptionError):
-            WriteBatch.decode(batch.encode() + b"junk")
+            decode_shard_record(record_of(batch) + b"junk")
 
     def test_unknown_type_raises(self):
         batch = WriteBatch()
         batch.put(b"key", b"value")
-        data = bytearray(batch.encode())
+        data = bytearray(record_of(batch))
         data[12] = 0x7E  # corrupt the op type byte
         with pytest.raises(CorruptionError):
-            WriteBatch.decode(bytes(data))
+            decode_shard_record(bytes(data))
 
 
 class TestWal:

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.errors import CorruptionError
-from repro.lsm.write_batch import WriteBatch
-from repro.mash.xwal import (
+from repro.lsm.wal import (
     XWalConfig,
     XWalReplayer,
     XWalWriter,
     decode_shard_record,
     encode_shard_record,
+    shard_file_names,
     shard_of,
 )
+from repro.lsm.write_batch import WriteBatch
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -30,7 +31,7 @@ def env(device):
 
 def write_generation(env, device, ops_batches, *, shards=4, number=7):
     config = XWalConfig(num_shards=shards)
-    writer = XWalWriter(env, device, "db/", number, config)
+    writer = XWalWriter(env, "db/", number, config)
     for batch in ops_batches:
         writer.add_batch(batch)
     writer.close()
@@ -98,7 +99,7 @@ class TestWriteReplay:
             batches.append(batch)
         config = write_generation(env, device, batches)
 
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         ops = list(replayer.replay(7))
         assert replayer.records_replayed == 70
         # Every (seq, key, value) written is recovered exactly once.
@@ -119,14 +120,14 @@ class TestWriteReplay:
         batch2.sequence = 2
         config = write_generation(env, device, [batch1, batch2], shards=4)
         shard = shard_of(b"mykey", 4)
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         names_with_data = [
-            n for n in replayer.shard_file_names(7) if device.exists(n) and device.size(n) > 0
+            n for n in shard_file_names("db/", 7, 4) if device.exists(n) and device.size(n) > 0
         ]
         assert names_with_data == [f"db/000007-{shard:02d}.xlog"]
 
     def test_replay_missing_generation_empty(self, env, device):
-        replayer = XWalReplayer(env, device, "db/", XWalConfig())
+        replayer = XWalReplayer(env, "db/", XWalConfig())
         assert list(replayer.replay(99)) == []
 
     def test_corrupt_shard_tolerated(self, env, device):
@@ -141,14 +142,14 @@ class TestWriteReplay:
         data[-1] ^= 0xFF
         device.delete(victim)
         device.write_file(victim, bytes(data))
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         ops = list(replayer.replay(7))
         assert replayer.corrupt_shards == 1
         assert 0 < len(ops) < 40  # other shards fully recovered
 
     def test_unsynced_batch_lost_on_crash(self, env, device):
         config = XWalConfig(num_shards=2)
-        writer = XWalWriter(env, device, "db/", 7, config)
+        writer = XWalWriter(env, "db/", 7, config)
         b1 = WriteBatch().put(b"durable", b"v")
         b1.sequence = 1
         writer.add_batch(b1, sync=True)
@@ -156,7 +157,7 @@ class TestWriteReplay:
         b2.sequence = 2
         writer.add_batch(b2, sync=False)
         device.crash()
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         keys = {op[2] for op in replayer.replay(7)}
         assert b"durable" in keys
         assert b"volatile" not in keys
@@ -168,7 +169,7 @@ class TestParallelTiming:
         device = LocalDevice(clock)
         env = LocalEnv(device)
         config = XWalConfig(num_shards=shards, apply_cost_per_record=10e-6)
-        writer = XWalWriter(env, device, "db/", 1, config)
+        writer = XWalWriter(env, "db/", 1, config)
         seq = 1
         for i in range(records):
             batch = WriteBatch().put(f"key-{i:06d}".encode(), b"v" * 100)
@@ -177,7 +178,7 @@ class TestParallelTiming:
             writer.add_batch(batch)
         writer.close()
         start = clock.now
-        replayer = XWalReplayer(env, device, "db/", config)
+        replayer = XWalReplayer(env, "db/", config)
         ops = list(replayer.replay(1))
         assert len(ops) == records
         return clock.now - start
@@ -195,7 +196,7 @@ class TestParallelTiming:
             clock = SimClock()
             device = LocalDevice(clock)
             env = LocalEnv(device)
-            writer = XWalWriter(env, device, "db/", 1, XWalConfig(num_shards=shards))
+            writer = XWalWriter(env, "db/", 1, XWalConfig(num_shards=shards))
             start = clock.now
             batch = WriteBatch()
             for i in range(64):
