@@ -58,8 +58,7 @@ def test_block_build_and_seek(benchmark):
 
     def run():
         builder = BlockBuilder(16)
-        for k, v in entries:
-            builder.add(k, v)
+        builder.fill(entries)
         return sum(1 for _ in Block(builder.finish()).seek(seek_goal(b"key000250")))
 
     assert benchmark(run) == 250
@@ -107,8 +106,8 @@ def test_table_point_lookups(benchmark):
     env = LocalEnv(LocalDevice(SimClock()))
     options = Options(block_size=4096, block_cache_bytes=0)
     builder = TableBuilder(options, env.new_writable_file("bench.sst"))
-    for i in range(5000):
-        builder.add(f"key{i:08d}".encode(), -((7 << 8) | TYPE_VALUE), b"v" * 100)
+    neg_trailer = -((7 << 8) | TYPE_VALUE)
+    builder.fill((f"key{i:08d}".encode(), neg_trailer, b"v" * 100) for i in range(5000))
     builder.finish()
     reader = TableReader(options, env.new_random_access_file("bench.sst"))
     probes = [seek_goal(f"key{i:08d}".encode(), 100) for i in range(0, 5000, 50)]

@@ -49,18 +49,18 @@ MEASURED_APART = ("lint",)
 OUTPUT = REPO_ROOT / "TRAFFIC.md"
 PERF_SEED = 42
 
-PINNED_WITHOUT_TRAFFIC = 354
+PINNED_WITHOUT_TRAFFIC = 300
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
 SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
 
-_ITEM_20 = "item 20: the next census slice deletes it or gives it traffic"
 _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
 _NODE_FACADE = "a sharded node is a `StoreFacade`: the facade times, scopes, bills and restarts it, and `ShardEngine` routes"
 _ONE_LOG = "every store logs through the xWAL (`repro.lsm.wal`), the baselines with one shard"
 _ONE_CLOCK = "one clock per store: a fork or a request moves its time, nothing re-points a device's clock"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
 _ONE_REQUEST_SURFACE = "the front-end drives any `StoreFacade` through its request call, `serve`"
+_TESTS_ONLY = "only tests called it"
 _RECORD_SYNC = "durability is an append's `sync=True` (`add_batch`, `add_record`); nothing synced a writer without a record"
 
 VERDICTS: dict[str, tuple[str, str]] = {
@@ -85,26 +85,18 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.facade:StoreFacade.close": (SURFACE, "closes a baseline store; the baseline suites call it"),
     "repro.facade:StoreFacade.reopen": (SAFETY, "a clean restart; traffic restarts after a crash, and `test_reopen.py` checks both for every system"),
     # -- engine
-    "repro.lsm.block:BlockBuilder.add": (OPEN, f"{_ITEM_20}: the one-entry form of `fill`, which only tests use"),
     "repro.lsm.block:Block.seek": (SAFETY, "a block with no restart points"),
     "repro.lsm.block:Block.first": (SAFETY, "a goal past the block's last entry"),
-    "repro.lsm.block:Block.get": (OPEN, f"{_ITEM_20}: a point lookup in one block; reads go through `first`"),
-    "repro.lsm.block_cache:LRUBlockCache.get": (OPEN, f"{_ITEM_20}: the stack inlines the lookup; only tests call `get`"),
-    "repro.lsm.block_cache:LRUBlockCache.put": (OPEN, f"{_ITEM_20}: the oversize and replace branches only tests reach"),
-    "repro.lsm.block_cache:LRUBlockCache.clear": (OPEN, f"{_ITEM_20}: only tests empty the cache"),
-    "repro.lsm.block_cache:LRUBlockCache.hit_ratio": (OPEN, f"{_ITEM_20}: only tests read the ratio; the store reports its counters"),
-    "repro.lsm.block_cache:LRUBlockCache.used_bytes": (OPEN, f"{_ITEM_20}: only tests read the size"),
-    "repro.lsm.block_cache:LRUBlockCache.__len__": (OPEN, f"{_ITEM_20}: only tests count the entries"),
+    "repro.lsm.block_cache:LRUBlockCache.put": (SAFETY, "a block larger than the whole cache, and a key put twice: the stack puts a block only after its miss"),
     "repro.lsm.block_cache:BlockStack.scan_window": (SAFETY, "the base engine's stack, which scans block by block; the store overrides it"),
     "repro.lsm.block_cache:ScanReads.fan_out": (SAFETY, "a seek that opens no table"),
     "repro.lsm.block_cache:ScanReads.table_started": (SAFETY, "a table already seen, or local, is not primed"),
     "repro.lsm.block_cache:SequentialStack.block": (SAFETY, "a block outside the primed window; a compaction pass reads in order"),
-    "repro.lsm.check:CheckReport.ok": (SAFETY, "a report with findings; traffic checks only clean stores"),
     "repro.lsm.check:CheckReport.error": (SAFETY, "records a finding; traffic checks only clean stores"),
     "repro.lsm.check:CheckReport.warn": (SAFETY, "records a warning; traffic checks only clean stores"),
     "repro.lsm.check:CheckReport.summary": (SURFACE, "the report's one-line summary, for an operator"),
-    "repro.lsm.check:check_table": (SAFETY, "a corrupt table's findings; one line collects a separated store's pointers, which `check_blob_segments`' open item covers"),
-    "repro.lsm.check:check_blob_segments": (OPEN, "item 20: the check of a separated store's segments and pointers; traffic checks only stores without separation, and a blob-on `check_db` pass would give it traffic"),
+    "repro.lsm.check:check_table": (SAFETY, "a corrupt table's findings; traffic checks only clean stores"),
+    "repro.lsm.check:check_blob_segments": (SAFETY, "a missing, short or corrupt segment and a dangling pointer; E23 checks only clean separated stores"),
     "repro.lsm.check:check_db": (SAFETY, "missing-file, orphan and torn-WAL findings; traffic checks only clean stores"),
     "repro.lsm.compaction:pick_subcompaction_boundaries": (SAFETY, "no interior boundary to split at"),
     "repro.lsm.compaction:CompactionPicker.pick": (SAFETY, "no seed file for a level over its target"),
@@ -112,8 +104,8 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.compaction:CompactionJob._merge_partition": (SURFACE, "a compaction filter's drop above the base level becomes a tombstone; `session_ttl.py` drops at the base"),
     "repro.lsm.db:DB.close": (SAFETY, "a second close"),
     "repro.lsm.db:DB._replay_wal": (SAFETY, "the values a separated store's replay found, for the recovery flush to seal; no experiment restarts one"),
-    "repro.lsm.db:DB._live_wal_numbers": (SAFETY, "a caller without a listing; recovery passes its own"),
     "repro.lsm.db:DB._recover": (SAFETY, "blob-log reconciliation at recovery; no experiment reopens a separated store"),
+    "repro.lsm.db:DB._check_blob_shards": (SAFETY, "a separated store's recovery refuses a shard past its count; no experiment reopens a separated store"),
     "repro.lsm.db:DB._purge_orphans": (SAFETY, "an unparseable file name under the prefix"),
     "repro.lsm.db:DB.write": (SAFETY, "an empty batch"),
     "repro.lsm.db:DB._protected_file_numbers": (SAFETY, "a scan's pinned version keeps the tables a compaction replaced"),
@@ -130,8 +122,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.lsm.format:parse_file_name": (SAFETY, "a file outside the prefix"),
     "repro.lsm.iterator:visible_user_entries": (SAFETY, "entries newer than a snapshot, shadowed versions and tombstones at a snapshot"),
     "repro.lsm.iterator:clamp_to_range": (SAFETY, "entries before the scan's start"),
-    "repro.lsm.table_builder:TableBuilder.add": (OPEN, f"{_ITEM_20}: the one-entry form of `fill`, which only tests use"),
-    "repro.lsm.table_cache:TableCache.__len__": (OPEN, f"{_ITEM_20}: only tests count the open readers"),
     "repro.lsm.table_reader:TableReader.get": (SAFETY, "a bloom false positive on the table reader's own lookup"),
     "repro.lsm.universal:UniversalCompactionPicker.pick": (OPEN, "item 8: a full merge of every run, which E17 does not reach at its size; item 8 absorbs universal compaction"),
     "repro.lsm.universal:UniversalCompactionPicker.manual_compaction": (OPEN, "item 8: `compact_range` on a universal tree; E17 compacts by policy"),
@@ -154,21 +144,17 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.checkpoint:create_checkpoint": (OPEN, "item 10: copies a separated store's blob segments; `analytics_clone.py` keeps separation off"),
     "repro.mash.checkpoint:restore_checkpoint": (OPEN, "item 10: restores a separated store's blob segments"),
     # -- store
-    "repro.mash.layout:BlockHeatTracker.heat_of": (OPEN, f"{_ITEM_20}: only tests read one block's heat"),
-    "repro.mash.layout:BlockHeatTracker.knows_file": (OPEN, f"{_ITEM_20}: only tests ask"),
     "repro.mash.layout:BlockHeatTracker.plan_inheritance": (SAFETY, "cold and unmapped inputs inherit nothing"),
     "repro.mash.pcache:_records": (SAFETY, "a torn or corrupt segment tail ends the walk"),
     "repro.mash.pcache:PersistentCache.put_meta": (SAFETY, "metadata larger than the whole budget"),
     "repro.mash.pcache:PersistentCache._index_meta": (SAFETY, "metadata replaced in place"),
     "repro.mash.pcache:PersistentCache.put_data": (SAFETY, "a block larger than the budget, and one already cached"),
-    "repro.mash.pcache:PersistentCache.contains_data": (OPEN, f"{_ITEM_20}: only tests ask"),
-    "repro.mash.pcache:PersistentCache.__len__": (OPEN, f"{_ITEM_20}: only tests count entries"),
     "repro.mash.placement:PlacementManager._enforce_budget": (SAFETY, "a budget no victim can bring the store under"),
     "repro.mash.placement:PlacementManager._pick_budget_victim": (SAFETY, "no table left to demote"),
     "repro.mash.placement:PlacementManager.maybe_promote": (SAFETY, "promotion without headroom"),
     "repro.mash.store:RocksMashStore._read_local_block": (SAFETY, "a table demoted under the reader"),
     "repro.lsm.wal:XWalWriter.add_batch": (OPEN, "item 10: a delete in a batch that diverts a value (E23's YCSB-A deletes nothing); and a multi-shard synced batch with its `xwal.partial_sync` crash site, reached through `StoreFacade.write`"),
-    "repro.lsm.wal:XWalReplayer.replay": (SAFETY, "a missing generation and a corrupt shard"),
+    "repro.lsm.wal:XWalReplayer.replay": (SAFETY, "a corrupt shard"),
     # -- metrics, observability
     "repro.metrics.latency:LatencyHistogram.percentile": (SAFETY, "an empty histogram and the extreme percentiles"),
     "repro.obs.prom:_sanitize": (SAFETY, "a metric name starting with a digit"),
@@ -209,7 +195,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.util.bloom:BloomFilterPolicy.key_may_match": (SAFETY, "a degenerate filter, or one with a reserved probe count, matches everything"),
     "repro.util.crc:unmask": (SAFETY, "the inverse of `mask`, for checking a stored checksum by hand"),
     "repro.util.encoding:pack_trailer": (SAFETY, "builds internal keys for tests and rejects a sequence out of range"),
-    "repro.util.encoding:make_internal_key": (OPEN, f"{_ITEM_20}: stored keys are built by the table builder; only tests call it"),
+    "repro.util.encoding:make_internal_key": (SURFACE, "the codec's builder of internal-key bytes, which about 19 test files share; stored keys are built by the table builder, and a copy in each test file would remove no code"),
     # -- workloads
     "repro.workloads.dbbench:BenchResult.ops_per_second": (SAFETY, "a run with no elapsed time"),
     "repro.workloads.ycsb:YCSBResult.throughput": (SAFETY, "a run with no elapsed time"),
@@ -317,6 +303,22 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.mash.store:MashDB._replayer": (DELETED, _ONE_LOG),
     "repro.mash.store:MashDB._wal_file_names": (DELETED, _ONE_LOG),
     "repro.mash.store:MashDB._replay_wal": (DELETED, _ONE_LOG),
+    # One path per lookup: the second copies of a lookup, a builder or a
+    # count that only tests took.
+    "repro.lsm.block_cache:LRUBlockCache.get": (DELETED, "the stack's dram source is the cache's one lookup (`BlockStack.block`)"),
+    "repro.lsm.block_cache:LRUBlockCache.__len__": (DELETED, _TESTS_ONLY),
+    "repro.lsm.block_cache:LRUBlockCache.clear": (DELETED, _TESTS_ONLY),
+    "repro.lsm.block_cache:LRUBlockCache.hit_ratio": (DELETED, "the store reports the `hits` and `misses` counters (`block_cache.*`)"),
+    "repro.lsm.block_cache:LRUBlockCache.used_bytes": (DELETED, _TESTS_ONLY),
+    "repro.lsm.block:Block.get": (DELETED, "a point read in a block is `Block.first` and the table reader's key check"),
+    "repro.lsm.block:BlockBuilder.add": (DELETED, "a one-pair `fill`: `fill` is the one encoding loop"),
+    "repro.lsm.table_builder:TableBuilder.add": (DELETED, "a one-entry `fill`: flush and compaction stream entries"),
+    "repro.lsm.table_cache:TableCache.__len__": (DELETED, _TESTS_ONLY),
+    "repro.mash.layout:BlockHeatTracker.heat_of": (DELETED, "promotion reads `file_heat`, inheritance the per-block heat itself"),
+    "repro.mash.layout:BlockHeatTracker.knows_file": (DELETED, _TESTS_ONLY),
+    "repro.mash.pcache:PersistentCache.contains_data": (DELETED, "reads ask `get_data`, which counts the hit or miss"),
+    "repro.mash.pcache:PersistentCache.__len__": (DELETED, _TESTS_ONLY),
+    "repro.lsm.db:DB._live_wal_numbers": (DELETED, "recovery takes each generation's shard files from its own listing (`DB._live_wal_files`)"),
 }
 """Region qualname -> ``(verdict, reason)``.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.facade import StoreFacade
+from repro.facade import DB_PREFIX, StoreFacade
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
@@ -30,7 +30,6 @@ class CloudOnlyConfig:
     options: Options = field(default_factory=Options)
     cloud_model: LatencyModel = field(default_factory=cloud_object_storage)
     cost_model: CostModel = field(default_factory=CostModel)
-    db_prefix: str = "db/"
 
     def small(self) -> "CloudOnlyConfig":
         return replace(self, options=Options.small())
@@ -42,7 +41,7 @@ class CloudOnlyStore(StoreFacade[DB]):
     name = "cloud-only"
 
     def _open_db(self) -> DB:
-        return DB.open(CloudEnv(self.cloud_store), self.config.db_prefix, self.config.options)
+        return DB.open(CloudEnv(self.cloud_store), DB_PREFIX, self.config.options)
 
     @classmethod
     def create(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.facade import StoreFacade
+from repro.facade import DB_PREFIX, StoreFacade
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.metrics.counters import CounterSet
@@ -25,7 +25,6 @@ class LocalOnlyConfig:
 
     options: Options = field(default_factory=Options)
     cost_model: CostModel = field(default_factory=CostModel)
-    db_prefix: str = "db/"
 
     def small(self) -> "LocalOnlyConfig":
         return replace(self, options=Options.small())
@@ -37,7 +36,7 @@ class LocalOnlyStore(StoreFacade[DB]):
     name = "local-only"
 
     def _open_db(self) -> DB:
-        return DB.open(LocalEnv(self.local_device), self.config.db_prefix, self.config.options)
+        return DB.open(LocalEnv(self.local_device), DB_PREFIX, self.config.options)
 
     @classmethod
     def create(

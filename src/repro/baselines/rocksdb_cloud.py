@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from repro.facade import StoreFacade
+from repro.facade import DB_PREFIX, StoreFacade
 from repro.lsm.block_cache import BlockPath, BlockStack, SequentialStack
 from repro.lsm.db import DB, DBListeners
 from repro.lsm.format import BLOCK_TRAILER_SIZE, BlockHandle, unseal_block
@@ -38,7 +38,6 @@ class RocksDBCloudConfig:
     options: Options = field(default_factory=Options)
     cloud_model: LatencyModel = field(default_factory=cloud_object_storage)
     cost_model: CostModel = field(default_factory=CostModel)
-    db_prefix: str = "db/"
     file_cache_budget_bytes: int = 16 << 20
     """Byte budget of the whole-file local cache."""
 
@@ -207,7 +206,7 @@ class RocksDBCloudStore(StoreFacade[DB]):
         )
         return DB.open(
             self.env,
-            self.config.db_prefix,
+            DB_PREFIX,
             self.config.options,
             stack_factory=partial(FileCacheStack, cache=self.file_cache),
             listeners=DBListeners(on_table_delete=[self.file_cache.drop]),

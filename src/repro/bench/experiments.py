@@ -23,6 +23,7 @@ from functools import partial
 from repro.baselines import RocksDBCloudStore
 from repro.bench.harness import SYSTEMS, HarnessKnobs, make_store, rocksmash_config
 from repro.facade import StoreFacade
+from repro.lsm.check import check_db
 from repro.mash.store import RocksMashStore, StoreConfig
 from repro.bench.report import Table
 from repro.workloads import dbbench, ycsb
@@ -1267,6 +1268,10 @@ def e23_bloblog(
     * ``digest`` — every read/scan outcome hashed; baseline and separated
       must agree at every size (the experiment aborts on divergence).
 
+    Each separated store then passes :func:`repro.lsm.check.check_db` —
+    its segments' records and every pointer its tables hold — or the
+    experiment aborts.
+
     Below the threshold the two modes are byte-identical; above it the
     separated store should win on write-amp and cloud PUT bytes — the
     crossover the paper's WiscKey lineage predicts.
@@ -1338,6 +1343,14 @@ def e23_bloblog(
                 store.cost_report(window).requests,
                 digest,
             )
+            if store.db.blob_store is not None:
+                # After the row's figures: the check's reads move no cell.
+                report = check_db(store.env, store.config.db_prefix, store.config.options)
+                if not report.ok:
+                    raise AssertionError(
+                        f"E23: separated store fails check_db at value_size={value_size}:"
+                        f" {report.errors}"
+                    )
             store.close()
         if digests["baseline"] != digests["separated"]:
             raise AssertionError(

@@ -39,6 +39,10 @@ from repro.workloads.ycsb import Op, apply_op
 if TYPE_CHECKING:
     from repro.serve.sharded import ShardEngine
 
+DB_PREFIX = "db/"
+"""Where a baseline store keeps its database. A RocksMash store reads
+``StoreConfig.db_prefix`` instead, which a sharded node sets per shard."""
+
 
 def take_rows(
     rows: Generator[tuple[bytes, bytes], None, None], limit: int | None

@@ -111,10 +111,6 @@ class BlockBuilder:
             self.size_estimate = size
             self.last_key = last_key
 
-    def add(self, key: bytes, value: bytes) -> None:
-        """Append one entry: a one-pair :meth:`fill`."""
-        self.fill(((key, value),))
-
     def finish(self) -> bytes:
         """Encode restart trailer and return the finished block payload."""
         restarts = self._restarts
@@ -253,8 +249,3 @@ class Block:
             if at < len(run):
                 return run[at]
         return None
-
-    def get(self, goal: SeekGoal) -> bytes | None:
-        """Exact-match lookup (equal sort keys)."""
-        entry = self.first(goal)
-        return entry[2] if entry is not None and entry[:2] == goal else None

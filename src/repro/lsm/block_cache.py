@@ -60,7 +60,12 @@ spelling used by hit counters, ``metrics()`` (``blocks.<source>``),
 
 
 class LRUBlockCache:
-    """Byte-budgeted LRU cache of parsed data blocks."""
+    """Byte-budgeted LRU cache of parsed data blocks.
+
+    The cache's one lookup is :meth:`BlockStack.block`'s ``dram`` source,
+    inline, which counts each ``hits`` / ``misses``; ``_used`` is the bytes
+    charged, never above ``capacity_bytes``.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
@@ -71,23 +76,6 @@ class LRUBlockCache:
         self._used = 0
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    def get(self, file_name: str, offset: int) -> Block | None:
-        key = (file_name, offset)
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
 
     def put(self, file_name: str, offset: int, block: Block) -> None:
         """Insert (or refresh) an entry, evicting LRU victims as needed.
@@ -122,16 +110,6 @@ class LRUBlockCache:
         for offset in offsets:
             self._used -= self._entries.pop((file_name, offset)).size
         return len(offsets)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._offsets.clear()
-        self._used = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 def _no_event(label: str) -> None:
@@ -184,7 +162,7 @@ class BlockStack:
         dram = path.dram
         if dram is None:
             return Block(self.fetch(handle) if scan is None else self.scan_fetch(handle, scan))
-        # LRUBlockCache.get, inlined: the dram source costs no frame of its own.
+        # The dram source, inline: the cache's one lookup costs no frame of its own.
         key = (self.name, handle.offset)
         block = dram._entries.get(key)
         if block is not None:

@@ -241,12 +241,13 @@ class DB:
         """Every shard file of log generation ``number``."""
         return shard_file_names(self.prefix, number, self.xwal_config.num_shards)
 
-    def _replay_wal(self, number: int) -> int:
-        """Replay one log generation into the memtable, every shard on a
-        parallel branch of the clock; returns the highest sequence seen."""
-        replayer = XWalReplayer(self.env, self.prefix, self.xwal_config)
+    def _replay_wal(self, number: int, names: list[str]) -> int:
+        """Replay log generation ``number`` from its shard files ``names``
+        into the memtable, every shard on a parallel branch of the clock;
+        returns the highest sequence seen."""
+        replayer = XWalReplayer(self.env, self.xwal_config)
         max_seq = 0
-        for seq, value_type, key, value in replayer.replay(number):
+        for seq, value_type, key, value in replayer.replay(number, names):
             self.memtable.add(seq, value_type, key, value)
             max_seq = max(max_seq, seq)
         self.last_recovery_corrupt_shards += replayer.corrupt_shards
@@ -255,20 +256,33 @@ class DB:
             self.blob_store.unsealed[number] = replayer.blob_bytes
         return max_seq
 
-    def _live_wal_numbers(self, listing: list[str] | None = None) -> list[int]:
-        """Log generations on disk that are >= the manifest's log number.
+    def _live_wal_files(self, listing: list[str]) -> dict[int, list[str]]:
+        """The shard files in ``listing`` of each log generation at or past
+        the manifest's log number, by generation in ascending order.
 
-        ``listing`` lets recovery reuse one directory listing (a LIST
-        request costs a full round trip on the cloud tier).
+        The files on disk decide, not ``xwal_config.num_shards``: a store
+        reopened with another shard count still replays, and then deletes,
+        every shard its log was written to.
         """
-        if listing is None:
-            listing = self.env.list_files(self.prefix)
-        numbers = set()
-        for name in listing:
+        generations: dict[int, list[str]] = {}
+        for name in sorted(listing):
             parsed = parse_file_name(self.prefix, name)
             if parsed and parsed[0] == "xlog" and parsed[1] >= self.versions.log_number:
-                numbers.add(parsed[1])
-        return sorted(numbers)
+                generations.setdefault(parsed[1], []).append(name)
+        return dict(sorted(generations.items()))
+
+    def _check_blob_shards(self, live_logs: dict[int, list[str]]) -> None:
+        """Refuse a separated store whose live log holds a shard file past
+        the configured count: its pointers and its seal find a key's shard
+        by ``shard_of(key, num_shards)``, so they would miss those values."""
+        for number, names in live_logs.items():
+            extra = set(names).difference(self._wal_file_names(number))
+            if extra:
+                raise InvalidArgumentError(
+                    f"log generation {number} has shard files {sorted(extra)} past "
+                    f"xwal num_shards={self.xwal_config.num_shards}: a store that "
+                    "separates values keeps the shard count it was written with"
+                )
 
     def _rotate_wal(self) -> int:
         """Close the current WAL and start a fresh generation."""
@@ -293,6 +307,9 @@ class DB:
         # One directory listing serves both file-number bumping and WAL
         # discovery (a LIST is a full round trip on the cloud tier).
         listing = self.env.list_files(self.prefix)
+        live_logs = self._live_wal_files(listing)
+        if self.blob_store is not None:
+            self._check_blob_shards(live_logs)
         # Bump past any file physically on disk (the live WAL's number was
         # allocated after the last manifest edit and never persisted).
         max_on_disk = 0
@@ -303,9 +320,8 @@ class DB:
         self.versions.next_file_number = max(self.versions.next_file_number, max_on_disk + 1)
         self._purge_orphans(listing)
         replayed_max = 0
-        old_numbers = self._live_wal_numbers(listing)
-        for number in old_numbers:
-            replayed_max = max(replayed_max, self._replay_wal(number))
+        for number, names in live_logs.items():
+            replayed_max = max(replayed_max, self._replay_wal(number, names))
         self.versions.last_sequence = max(self.versions.last_sequence, replayed_max)
         if self.blob_store is not None:
             # Segments the MANIFEST does not know go; the flush below seals
@@ -316,10 +332,9 @@ class DB:
         self._rotate_wal()
         if len(self.memtable) > 0:
             self._flush_memtable()
-        for number in old_numbers:
-            for name in self._wal_file_names(number):
-                if self.env.file_exists(name):
-                    self.env.delete_file(name)
+        for names in live_logs.values():
+            for name in names:
+                self.env.delete_file(name)
 
     def _purge_orphans(self, listing: list[str]) -> None:
         """Delete files a crash left behind but no version references.

@@ -83,7 +83,7 @@ class TableBuilder:
         in the table.
         """
         if self._finished:
-            raise InvalidArgumentError("add() after finish()")
+            raise InvalidArgumentError("fill() after finish()")
         block = self._data_block
         block_size = self.options.block_size
         room = sys.maxsize if max_file_size is None else max_file_size
@@ -94,10 +94,6 @@ class TableBuilder:
             if self._offset + block.size_estimate >= room:
                 return True
         return False
-
-    def add(self, user_key: bytes, neg_trailer: int, value: bytes) -> None:
-        """Append one entry: a one-entry :meth:`fill`."""
-        self.fill(((user_key, neg_trailer, value),))
 
     def _keyed(self, entries: Iterable[Entry]) -> Iterator[tuple[bytes, bytes]]:
         """``(internal key bytes, value)`` per entry, for the block encoder:

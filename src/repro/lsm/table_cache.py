@@ -58,6 +58,3 @@ class TableCache:
 
     def clear(self) -> None:
         self._readers.clear()
-
-    def __len__(self) -> int:
-        return len(self._readers)

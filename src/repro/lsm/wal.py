@@ -146,6 +146,13 @@ class XWalConfig:
     """Extended-WAL knobs; the default is the serial (one-shard) log."""
 
     num_shards: int = 1
+    """Shard files per log generation. Recovery replays whatever shard files
+    it finds, so a plain store may reopen with another count. For a store
+    that separates values (``Options.blob_value_threshold``) the count is a
+    store-lifetime setting: its pointers and its seal find a key's shard by
+    ``shard_of(key, num_shards)``. Recovery refuses a shard file past the
+    count; a count that grew cannot be seen, since a crash drops a shard file
+    no sync reached."""
     apply_cost_per_record: float = 2e-6
     """Modelled CPU seconds to parse + insert one record during replay."""
 
@@ -220,15 +227,15 @@ def read_shard(data: bytes, number: int) -> tuple[list[XWalOp], int, bool]:
     blob_bytes = 0
     for payload in reader:
         blob_at: dict[int, int] = {}
-        record_ops = decode_shard_record(payload, blob_at)
+        decoded = decode_shard_record(payload, blob_at)
         if blob_at:
             start = reader.bytes_read - len(payload)
-            for i, (seq, value_type, key, value) in enumerate(record_ops):
+            for i, (seq, value_type, key, value) in enumerate(decoded):
                 if value_type == TYPE_BLOB:
                     pointer = pointer_to(number, start + blob_at[seq], value)
-                    record_ops[i] = (seq, TYPE_VALUE, key, pointer)
+                    decoded[i] = (seq, TYPE_VALUE, key, pointer)
                     blob_bytes += len(value)
-        ops.extend(record_ops)
+        ops.extend(decoded)
     return ops, blob_bytes, reader.tail_corrupt
 
 
@@ -334,9 +341,8 @@ class XWalWriter:
 class XWalReplayer:
     """Recovery side: parallel replay of one log generation."""
 
-    def __init__(self, env: Env, prefix: str, config: XWalConfig) -> None:
+    def __init__(self, env: Env, config: XWalConfig) -> None:
         self.env = env
-        self.prefix = prefix
         self.config = config
         self.corrupt_shards = 0
         self.records_replayed = 0
@@ -344,20 +350,15 @@ class XWalReplayer:
         """Bytes of the blob records replayed: the values the generation
         holds, which its seal counts live."""
 
-    def replay(self, number: int) -> Iterator[XWalOp]:
-        """Yield every op of generation ``number``; clock models parallelism.
+    def replay(self, number: int, names: list[str]) -> Iterator[XWalOp]:
+        """Yield every op of generation ``number`` from its shard files
+        ``names`` (the ones a listing found: a crash drops a file no sync
+        reached); clock models parallelism.
 
         Ops are yielded shard-by-shard (not in global sequence order) —
         callers insert into the memtable, where explicit sequence numbers
         make order irrelevant. A diverted value comes back as its pointer.
         """
-        names = [
-            name
-            for name in shard_file_names(self.prefix, number, self.config.num_shards)
-            if self.env.file_exists(name)
-        ]
-        if not names:
-            return
         region = ForkJoinRegion(self.env.clock)
         collected: list[tuple[list[XWalOp], int, bool]] = []
         for name in names:

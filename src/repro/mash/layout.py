@@ -82,9 +82,6 @@ class BlockHeatTracker:
         """Record the block layout of a newly created (or reopened) table."""
         self._files[file_name] = _FileBlocks(list(blocks))
 
-    def knows_file(self, file_name: str) -> bool:
-        return file_name in self._files
-
     def forget_file(self, file_name: str) -> None:
         self._files.pop(file_name, None)
         self._heat.pop(file_name, None)
@@ -94,9 +91,6 @@ class BlockHeatTracker:
     def record_access(self, file_name: str, block_offset: int, weight: float = 1.0) -> None:
         heat = self._heat.setdefault(file_name, {})
         heat[block_offset] = heat.get(block_offset, 0.0) + weight
-
-    def heat_of(self, file_name: str, block_offset: int) -> float:
-        return self._heat.get(file_name, {}).get(block_offset, 0.0)
 
     def file_heat(self, file_name: str) -> float:
         """Total heat across a file's blocks (drives up-tier promotion)."""

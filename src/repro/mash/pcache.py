@@ -309,10 +309,6 @@ class PersistentCache:
         # Unsynced appends are readable too (page cache semantics).
         return self.device.read(entry[0], entry[1], entry[2])
 
-    def contains_data(self, file_name: str, block_offset: int) -> bool:
-        """Presence check without touching LRU order or hit counters."""
-        return (file_name, block_offset) in self._data
-
     # -- invalidation ------------------------------------------------------------------
 
     def drop_file(self, file_name: str) -> None:
@@ -414,6 +410,3 @@ class PersistentCache:
     def slab_bytes(self) -> int:
         """Device footprint of both logs (live + garbage)."""
         return self._meta_log.size + self._data_log.size
-
-    def __len__(self) -> int:
-        return len(self._meta) + len(self._data)

@@ -282,6 +282,42 @@ class TestSeparationBrand:
         store.close()
 
 
+class TestShardCountIsStoreLifetime:
+    def test_reopen_with_fewer_shards_is_refused_before_any_replay(self):
+        """A separated store finds a key's unsealed record by its shard under
+        the configured count, so recovery refuses a log holding a shard file
+        past it, and deletes nothing; reopened with the count it was written
+        with, the store has every synced value."""
+        config = replace(blob_config(), xwal=XWalConfig(num_shards=4))
+        store = RocksMashStore.create(config)
+        for i in range(40):
+            store.put(key_of(i), big_value(i), sync=True)
+        store.local_device.crash()
+        store.db.abandon()
+        before = store.local_device.list_files("db/")
+        with pytest.raises(InvalidArgumentError, match="num_shards=1"):
+            RocksMashStore(
+                replace(config, xwal=XWalConfig(num_shards=1)),
+                clock=store.clock,
+                local_device=store.local_device,
+                cloud_store=store.cloud_store,
+                counters=store.counters,
+            )
+        assert store.local_device.list_files("db/") == before
+        store = RocksMashStore(
+            config,
+            clock=store.clock,
+            local_device=store.local_device,
+            cloud_store=store.cloud_store,
+            counters=store.counters,
+        )
+        for i in range(40):
+            assert store.get(key_of(i)) == big_value(i)
+        report = check_db(store.env, store.config.db_prefix, store.config.options)
+        assert report.errors == []
+        store.close()
+
+
 class TestTornBlobTail:
     @pytest.mark.parametrize("seed", [20, 115, 125, 179, 185])
     def test_pointer_past_the_clean_prefix_starts_the_torn_tail(self, seed):

@@ -83,14 +83,14 @@ def key(i):
 
 
 def run_script():
-    """Per step: (hits, misses, len, used_bytes, dram_hit, pcache_hit, local_read, cloud_get)."""
+    """Per step: (hits, misses, entries, bytes charged, dram_hit, pcache_hit, local_read, cloud_get)."""
     store = RocksMashStore.create(StoreConfig().small())
     cache = store.db.block_cache
     trace = []
 
     def snap():
         trace.append(
-            (cache.hits, cache.misses, len(cache), cache.used_bytes)
+            (cache.hits, cache.misses, len(cache._entries), cache._used)
             + tuple(store.tracer.event_count(event) for event in EVENTS)
         )
 

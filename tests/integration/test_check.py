@@ -113,7 +113,7 @@ class TestCorruptionDetected:
 
         env.delete_file(name)
         builder = TableBuilder(small_options(), env.new_writable_file(name))
-        builder.add(*seek_goal(b"zzz", 1), b"v")
+        builder.fill([(*seek_goal(b"zzz", 1), b"v")])
         builder.finish()
         report = check_db(env, "db/", small_options())
         assert not report.ok

@@ -57,9 +57,10 @@ def test_a_compaction_leaves_the_caches_alone_and_heats_each_input_block_once():
     at_commit = {}
 
     def capture(event):
+        heat = store.heat._heat  # file -> block offset -> heat
         at_commit["heat"] = {
-            name_of(meta): [store.heat.heat_of(name_of(meta), o) for o in offsets_of[name_of(meta)]]
-            for meta in event.input_files
+            name: [heat.get(name, {}).get(o, 0.0) for o in offsets_of[name]]
+            for name in map(name_of, event.input_files)
         }
         at_commit["pcache data bytes"] = store.pcache.data_bytes
 

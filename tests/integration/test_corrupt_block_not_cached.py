@@ -49,19 +49,19 @@ def test_corrupt_block_reaches_every_reader_and_is_never_cached():
     env, name, db = damaged_store()
     cache = db.block_cache
     assert db.get(b"k0399") == b"v" * 40  # a healthy block: cached
-    held = (len(cache), cache.used_bytes)
+    held = (len(cache._entries), cache._used)
     assert held[0] == 1
 
     for attempt in (1, 2):  # the second try misses again: nothing was cached
         with pytest.raises(CorruptionError, match="restart array"):
             db.get(b"k0000")
-        assert (len(cache), cache.used_bytes) == held
+        assert (len(cache._entries), cache._used) == held
         assert cache.misses == 1 + attempt
     with pytest.raises(CorruptionError, match="restart array"):
         list(db.scan())
     with pytest.raises(CorruptionError, match="restart array"):
         list(db.scan(None, b"k0003"))
-    assert (len(cache), cache.used_bytes) == held
+    assert (len(cache._entries), cache._used) == held
     assert db.get(b"k0399") == b"v" * 40
     db.close()
 

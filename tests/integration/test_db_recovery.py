@@ -1,9 +1,12 @@
 """Integration tests for DB recovery: reopen, crash, WAL replay."""
 
+import dataclasses
+
 import pytest
 
 from repro.lsm.db import DB
 from repro.lsm.options import Options
+from repro.lsm.wal import XWalConfig
 from repro.sim.clock import SimClock
 from repro.storage.env import LocalEnv
 from repro.storage.local import LocalDevice
@@ -128,6 +131,30 @@ class TestCrashRecovery:
         db2.compact_range()
         assert db2.get(b"before") == b"1"
         assert db2.get(b"after") == b"2"
+        db2.close()
+
+
+class TestShardCountChange:
+    def test_recovery_replays_and_deletes_every_shard_on_disk(self, device, env):
+        """The files on disk decide what recovery replays, not the shard
+        count the store reopens with: a log written to four shards and
+        reopened with one loses no synced put and leaves no shard behind."""
+        options = dataclasses.replace(small_options(), write_buffer_size=1 << 20)
+        db = DB.open(env, "db/", options, xwal_config=XWalConfig(num_shards=4))
+        for i in range(100):
+            db.put(f"k{i:04d}".encode(), f"v{i}".encode(), sync=True)
+        live = db._wal_number
+        assert {n for n in env.list_files("db/") if n.endswith(".xlog")} == {
+            f"db/{live:06d}-{shard:02d}.xlog" for shard in range(4)
+        }
+        device.crash()
+        db2 = DB.open(env, "db/", options)
+        assert db2.xwal_config.num_shards == 1
+        for i in range(100):
+            assert db2.get(f"k{i:04d}".encode()) == f"v{i}".encode()
+        assert [n for n in env.list_files("db/") if n.endswith(".xlog")] == [
+            f"db/{db2._wal_number:06d}-00.xlog"
+        ]
         db2.close()
 
 

@@ -109,8 +109,7 @@ class TestRestartAndCrash:
         for i in range(0, 3000, 11):
             store.get(f"key{i:06d}".encode())
         store.pcache.sync()
-        warm = len(store.pcache)
-        assert warm > 0
+        assert store.pcache.data_bytes > 0
         store2 = store.reopen()
         assert store2.pcache.stats.recovered_entries > 0
 

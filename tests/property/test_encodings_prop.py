@@ -160,8 +160,7 @@ class TestBlockCodec:
             (make_internal_key(key, 5, TYPE_VALUE), data.draw(block_values)) for key in sorted_keys
         ]
         builder = BlockBuilder(restart_interval)
-        for key, value in entries:
-            builder.add(key, value)
+        builder.fill(entries)
         assert builder.size_estimate == len(builder.finish())
         encoded = builder.finish()
         assert varint_only_decode(encoded) == entries
@@ -172,9 +171,9 @@ class TestBlockCodec:
         user_key = data.draw(st.one_of(st.sampled_from(sorted_keys), st.binary(max_size=150)))
         sequence = data.draw(st.sampled_from([4, 5, 6]))
         target = seek_goal(user_key, sequence)
-        assert list(block.seek(target)) == [e for e in split if e[:2] >= target]
-        found = dict(zip(sorted_keys, (value for _, value in entries))).get(user_key)
-        assert block.get(target) == (found if sequence == 5 else None)
+        expected = [e for e in split if e[:2] >= target]
+        assert list(block.seek(target)) == expected
+        assert block.first(target) == (expected[0] if expected else None)
 
 
 # Sorted entries as a flush or a merge hands them over: user keys that prefix
@@ -217,9 +216,9 @@ def restart_trailer(restarts):
 
 def reference_data_blocks(entries, options, max_file_size):
     """``(data block payloads, entries taken, stopped by size)`` by the entry-at-a-time logic
-    the stream builder replaced, straight-line: ``BlockBuilder.add`` with every
-    length a varint, ``TableBuilder.add``'s cut at ``block_size`` and the
-    merge loop's stop at ``max_file_size``."""
+    the stream builder replaced, straight-line: the block encoder with every
+    length a varint, the table's cut at ``block_size`` and the merge loop's
+    stop at ``max_file_size``."""
     blocks, offset, taken, stopped = [], 0, 0, False
     buffer, restarts, last_key, count = bytearray(), [0], b"", 0
     for user_key, neg_trailer, value in entries:
@@ -248,7 +247,8 @@ def reference_data_blocks(entries, options, max_file_size):
 
 
 class TestTableStream:
-    """``TableBuilder.fill`` writes the bytes ``add`` per entry wrote."""
+    """``TableBuilder.fill`` writes the same bytes whether it takes the
+    stream whole, one entry per call or in chunks."""
 
     @staticmethod
     def table(options, feed):
@@ -277,9 +277,9 @@ class TestTableStream:
             # Stopped by the size, the stream is on the next entry not taken.
             assert list(stream) == entries[taken:]
 
-        def add_each(builder):
+        def fill_each(builder):
             for entry in entries[:taken]:
-                builder.add(*entry)
+                assert not builder.fill([entry])
 
         cuts = sorted(data.draw(st.lists(st.integers(0, len(entries)), max_size=4)))
 
@@ -289,7 +289,7 @@ class TestTableStream:
                     break
 
         file_bytes, props = self.table(options, one_fill)
-        assert self.table(options, add_each) == (file_bytes, props)
+        assert self.table(options, fill_each) == (file_bytes, props)
         assert self.table(options, chunked_fill) == (file_bytes, props)
 
         assert props.num_entries == taken
@@ -456,7 +456,7 @@ class TestWriteBatch:
         writer = XWalWriter(env, "db/", 1, XWalConfig())
         writer.add_batch(batch)
         writer.close()
-        assert list(XWalReplayer(env, "db/", XWalConfig()).replay(1)) == [
+        assert list(XWalReplayer(env, XWalConfig()).replay(1, env.list_files("db/000001-"))) == [
             (seq + i, TYPE_VALUE if kind == "put" else TYPE_DELETION, k, v)
             for i, (kind, k, v) in enumerate(ops)
         ]

@@ -563,8 +563,8 @@ def test_the_site_check_catches_a_recovery_that_loses_a_write(monkeypatch):
     holds) loses a write, and the site check says so."""
     replay = XWalReplayer.replay
 
-    def lossy_replay(self, number):
-        yield from list(replay(self, number))[:-1]
+    def lossy_replay(self, number, names):
+        yield from list(replay(self, number, names))[:-1]
 
     monkeypatch.setattr(XWalReplayer, "replay", lossy_replay)
     with pytest.raises(AssertionError):

@@ -1,11 +1,14 @@
 """Property-based tests for core data structures (bloom, block, table,
 memtable, histogram, cache)."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.block import Block, BlockBuilder
-from repro.lsm.block_cache import LRUBlockCache
+from repro.lsm.block_cache import BlockPath, BlockStack, LRUBlockCache
+from repro.lsm.format import BlockHandle, seal_block
 from repro.lsm.memtable import GetResult, MemTable
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
@@ -53,8 +56,7 @@ class TestBlock:
     def test_roundtrip_sorted(self, entries, restart_interval):
         items = sorted(entries.items())
         builder = BlockBuilder(restart_interval)
-        for k, v in items:
-            builder.add(ik(k), v)
+        builder.fill((ik(k), v) for k, v in items)
         block = Block(builder.finish())
         assert list(block) == rows(items)
 
@@ -66,8 +68,7 @@ class TestBlock:
     def test_seek_matches_reference(self, entries, target, restart_interval):
         items = sorted(entries.items())
         builder = BlockBuilder(restart_interval)
-        for k, v in items:
-            builder.add(ik(k), v)
+        builder.fill((ik(k), v) for k, v in items)
         block = Block(builder.finish())
         expected = rows((k, v) for k, v in items if k >= target)
         assert list(block.seek(seek_goal(target))) == expected
@@ -88,8 +89,7 @@ class TestTable:
         options = Options(block_size=block_size, block_cache_bytes=0)
         items = rows(sorted(entries.items()), seq=7)
         builder = TableBuilder(options, env.new_writable_file("t.sst"))
-        for item in items:
-            builder.add(*item)
+        builder.fill(items)
         builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
         assert list(reader.entries()) == items
@@ -185,30 +185,52 @@ class TestLatencyHistogram:
         assert math.isclose(h.mean, sum(samples) / len(samples), rel_tol=1e-9)
 
 
+class TableOfBlocks:
+    """A table file whose block at offset ``i`` is ``payloads[i]``, sealed."""
+
+    def __init__(self, payloads):
+        self.sealed = [seal_block(payload) for payload in payloads]
+
+    def read(self, offset, length):
+        return self.sealed[offset][:length]
+
+
 class TestLRUCache:
     @given(
-        st.lists(
-            st.tuples(st.integers(0, 20), st.binary(min_size=1, max_size=30)),
-            max_size=100,
-        ),
+        st.lists(st.binary(min_size=1, max_size=30), min_size=21, max_size=21),
+        st.lists(st.integers(0, 20), max_size=100),
         st.integers(16, 200),
     )
-    def test_never_exceeds_budget_and_serves_exact_bytes(self, ops, budget):
+    def test_never_exceeds_budget_and_serves_exact_bytes(self, values, reads, budget):
+        """``BlockStack.block`` over one table, against a model LRU of
+        ``(offset, charge)``: a read hits exactly when the model holds its
+        block and then serves the very block it admitted; the cache holds
+        the model's blocks in the model's order, within the budget. A block
+        larger than the budget is read every time and never admitted."""
         key = make_internal_key(b"k", 1, TYPE_VALUE)
-        cache = LRUBlockCache(budget)
-        shadow: dict[int, tuple[Block, bytes]] = {}
-        for offset, value in ops:
+        payloads = []
+        for value in values:
             builder = BlockBuilder()
-            builder.add(key, value)
-            block = Block(builder.finish())
-            cache.put("f", offset, block)
-            if block.size <= budget:
-                shadow[offset] = (block, value)
-            # An oversized block is not admitted and must not disturb an
-            # existing entry (real blocks are immutable, so a conflicting
-            # payload at the same offset cannot occur in practice).
-            assert cache.used_bytes <= budget
-            got = cache.get("f", offset)
-            if got is not None:
-                assert got is shadow[offset][0]
-                assert list(got) == [(*internal_order(key), shadow[offset][1])]
+            builder.fill([(key, value)])
+            payloads.append(builder.finish())
+        cache = LRUBlockCache(budget)
+        stack = BlockStack("f", TableOfBlocks(payloads), BlockPath(cache))
+        model: OrderedDict[int, int] = OrderedDict()
+        held: dict[int, Block] = {}
+        for offset in reads:
+            hits = cache.hits
+            block = stack.block(BlockHandle(offset, len(payloads[offset])))
+            assert list(block) == [(*internal_order(key), values[offset])]
+            if offset in model:
+                assert cache.hits == hits + 1 and block is held[offset]
+                model.move_to_end(offset)
+            else:
+                assert cache.hits == hits
+                if block.size <= budget:
+                    model[offset] = block.size
+                    held[offset] = block
+                    while sum(model.values()) > budget:
+                        model.popitem(last=False)
+            assert list(cache._entries) == [("f", offset) for offset in model]
+            assert cache._used == sum(model.values()) <= budget
+        assert cache.hits + cache.misses == len(reads)

@@ -178,8 +178,7 @@ def build_readers(table, block_size):
     env = LocalEnv(LocalDevice(SimClock()))
     options = Options(block_size=block_size, block_cache_bytes=0)
     builder = TableBuilder(options, env.new_writable_file("t.sst"))
-    for ikey, value in entries:
-        builder.add(*internal_order(ikey), value)
+    builder.fill((*internal_order(ikey), value) for ikey, value in entries)
     builder.finish()
     reader, reference = (
         TableReader(options, env.new_random_access_file("t.sst")) for _ in range(2)

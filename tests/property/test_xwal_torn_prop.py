@@ -109,9 +109,9 @@ def test_torn_shards_keep_per_key_prefix_consistency(batches, shards, fractions)
         if torn.tail_corrupt:
             expected_corrupt += 1
 
-    replayer = XWalReplayer(env, "db/", config)
+    replayer = XWalReplayer(env, config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
-    for op_seq, value_type, key, value in replayer.replay(1):
+    for op_seq, value_type, key, value in replayer.replay(1, env.list_files("db/000001-")):
         replayed.setdefault(key, []).append((op_seq, value_type, value))
 
     assert replayer.corrupt_shards == expected_corrupt
@@ -133,9 +133,9 @@ def test_untorn_replay_is_complete_and_exact(batches, shards):
     config, per_key = _write_generation(
         env, device, batches, shards=shards, sync_last=True
     )
-    replayer = XWalReplayer(env, "db/", config)
+    replayer = XWalReplayer(env, config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
-    for op_seq, value_type, key, value in replayer.replay(1):
+    for op_seq, value_type, key, value in replayer.replay(1, env.list_files("db/000001-")):
         assert shard_of(key, shards) == shard_of(key, shards)
         replayed.setdefault(key, []).append((op_seq, value_type, value))
     assert replayer.corrupt_shards == 0
@@ -160,9 +160,9 @@ def test_torn_tail_device_crash_preserves_prefix(batches, shards, crash_seed):
     )
     device.crash(torn_tail=True, rng=random.Random(crash_seed))
 
-    replayer = XWalReplayer(env, "db/", config)
+    replayer = XWalReplayer(env, config)
     replayed: dict[bytes, list[tuple[int, int, bytes]]] = {}
-    for op_seq, value_type, key, value in replayer.replay(1):
+    for op_seq, value_type, key, value in replayer.replay(1, env.list_files("db/000001-")):
         replayed.setdefault(key, []).append((op_seq, value_type, value))
     for key, got in replayed.items():
         got.sort()

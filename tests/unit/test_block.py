@@ -61,8 +61,7 @@ def reference_encode(entries, restart_interval=16):
 
 def build(entries, restart_interval=16):
     builder = BlockBuilder(restart_interval)
-    for k, v in entries:
-        builder.add(ik(k), v)
+    builder.fill((ik(k), v) for k, v in entries)
     return Block(builder.finish())
 
 
@@ -75,15 +74,15 @@ class TestBlockBuilder:
     def test_size_estimate_grows(self):
         builder = BlockBuilder()
         before = builder.size_estimate
-        builder.add(b"key", b"value")
+        builder.fill([(b"key", b"value")])
         assert builder.size_estimate > before
 
     def test_reset(self):
         builder = BlockBuilder()
-        builder.add(ik(b"a"), b"1")
+        builder.fill([(ik(b"a"), b"1")])
         builder.reset()
         assert builder.num_entries == 0
-        builder.add(ik(b"b"), b"2")
+        builder.fill([(ik(b"b"), b"2")])
         block = Block(builder.finish())
         assert list(block) == rows([(b"b", b"2")])
 
@@ -95,11 +94,9 @@ class TestBlockBuilder:
         shared = [(f"commonprefix/{i:06d}".encode(), b"v") for i in range(100)]
         unique = [(f"{i:06d}/suffix-unrelated".encode(), b"v") for i in range(100)]
         b_shared = BlockBuilder(16)
-        for k, v in shared:
-            b_shared.add(k, v)
+        b_shared.fill(shared)
         b_unique = BlockBuilder(16)
-        for k, v in unique:
-            b_unique.add(k, v)
+        b_unique.fill(unique)
         assert len(b_shared.finish()) < len(b_unique.finish())
 
 
@@ -125,8 +122,7 @@ class TestBlockRead:
             make_internal_key(b"a", 3, 0),
             make_internal_key(b"ab", 1 << 55, TYPE_VALUE),
         ]
-        for n, key in enumerate(keys):
-            builder.add(key, b"v%d" % n)
+        builder.fill((key, b"v%d" % n) for n, key in enumerate(keys))
         got = list(Block(builder.finish()))
         assert got == [
             (b"a", -(9 << 8), b"v0"),
@@ -139,16 +135,18 @@ class TestBlockRead:
     def test_get_exact(self):
         entries = [(f"k{i:04d}".encode(), f"v{i}".encode()) for i in range(100)]
         block = build(entries)
-        assert block.get(at(b"k0042")) == b"v42"
-        assert block.get(at(b"k0000")) == b"v0"
-        assert block.get(at(b"k0099")) == b"v99"
-        assert block.get(at(b"k0042", seq=2)) is None  # same user key, another entry
+        assert block.first(at(b"k0042")) == (*at(b"k0042"), b"v42")
+        assert block.first(at(b"k0000")) == (*at(b"k0000"), b"v0")
+        assert block.first(at(b"k0099")) == (*at(b"k0099"), b"v99")
+        # A newer goal of the same user key lands on its older entry, which
+        # a point get's key check then rejects.
+        assert block.first(at(b"k0042", seq=2)) == (*at(b"k0042"), b"v42")
 
     def test_get_missing(self):
         block = build([(b"b", b"1"), (b"d", b"2")])
-        assert block.get(at(b"a")) is None
-        assert block.get(at(b"c")) is None
-        assert block.get(at(b"e")) is None
+        assert block.first(at(b"a")) == (*at(b"b"), b"1")
+        assert block.first(at(b"c")) == (*at(b"d"), b"2")
+        assert block.first(at(b"e")) is None
 
     def test_seek(self):
         entries = [(f"k{i:02d}".encode(), b"v") for i in range(0, 20, 2)]
@@ -160,9 +158,8 @@ class TestBlockRead:
     def test_seek_within_a_user_key(self):
         """A goal names a snapshot boundary inside a user key's versions."""
         builder = BlockBuilder(2)
-        for seq in (9, 7, 5, 3):
-            builder.add(ik(b"k", seq), b"v%d" % seq)
-        builder.add(ik(b"l", 1), b"other")
+        versions = [(ik(b"k", seq), b"v%d" % seq) for seq in (9, 7, 5, 3)]
+        builder.fill([*versions, (ik(b"l", 1), b"other")])
         block = Block(builder.finish())
 
         def values_from(goal):
@@ -193,7 +190,7 @@ class TestBlockRead:
 
     def test_corrupt_truncated_entry(self):
         builder = BlockBuilder()
-        builder.add(ik(b"key"), b"value" * 100)
+        builder.fill([(ik(b"key"), b"value" * 100)])
         data = builder.finish()
         # Chop bytes from the middle of the entry body, keep trailer intact.
         bad = data[:18] + data[-8:]
@@ -232,8 +229,7 @@ class TestOneByteLengthFastPath:
         )
         assert len(encoded[1][0]) - shared == (non_shared or 8)
         builder = BlockBuilder()
-        for key, value in encoded:
-            builder.add(key, value)
+        builder.fill(encoded)
         assert builder.size_estimate == len(reference_encode(encoded))
         data = builder.finish()
         assert data == reference_encode(encoded)
@@ -243,7 +239,7 @@ class TestOneByteLengthFastPath:
         for i, (key, value) in enumerate(entries):
             first_equal = 0 if entries[0][0] == key else i  # seek lands on the first equal key
             assert list(block.seek(at(key))) == rows(entries[first_equal:])
-            assert block.get(at(key)) == entries[first_equal][1]
+            assert block.first(at(key)) == rows(entries[first_equal:])[0]
 
     @pytest.mark.parametrize("restart_interval", [1, 2, 16])
     def test_mixed_paths_across_restart_runs(self, restart_interval):
@@ -253,8 +249,7 @@ class TestOneByteLengthFastPath:
         ]
         encoded = [(ik(key), value) for key, value in entries]
         builder = BlockBuilder(restart_interval)
-        for key, value in encoded:
-            builder.add(key, value)
+        builder.fill(encoded)
         data = builder.finish()
         assert data == reference_encode(encoded, restart_interval)
         block = Block(data)
@@ -264,7 +259,7 @@ class TestOneByteLengthFastPath:
             assert list(block.seek(seek_goal(key))) == rows(entries[i:])
             assert list(block.seek(at(key, seq=0))) == rows(entries[i + 1 :])  # an older one
             assert list(block.seek(seek_goal(key + b"\x00"))) == rows(entries[i + 1 :])
-            assert block.get(at(key)) == value
+            assert block.first(at(key)) == (*at(key), value)
 
     def test_seek_is_lazy_past_the_run_it_needs(self):
         """A lookup decodes one restart run: damage in a later run is not
@@ -274,7 +269,7 @@ class TestOneByteLengthFastPath:
         second_run = int.from_bytes(data[-8:-4], "little")
         data[second_run + 15] = 99  # k05 claims 99 bytes of the 11-byte k04
         block = Block(bytes(data))
-        assert block.get(at(b"k01")) == b"v"
+        assert block.first(at(b"k01")) == (*at(b"k01"), b"v")
         assert next(block.seek(at(b"k02"))) == (*at(b"k02"), b"v")
         with pytest.raises(CorruptionError):
             list(block)
@@ -292,7 +287,7 @@ class TestOneByteLengthFastPath:
         data[third_run + 1] = 120  # k08, a restart entry, claims a 120-byte key
         block = Block(bytes(data))
         with pytest.raises(CorruptionError):
-            block.get(at(b"k01"))
+            block.first(at(b"k01"))
         with pytest.raises(CorruptionError):
             list(block)
 
@@ -304,10 +299,10 @@ class TestOneByteLengthFastPath:
         monkeypatch.setattr(
             Block, "_decode", lambda self, at, stop: decoded.append(at) or plain(self, at, stop)
         )
-        assert block.get(at(b"k05")) == b"v"
+        assert block.first(at(b"k05")) == (*at(b"k05"), b"v")
         first_seek = len(decoded)
-        assert block.get(at(b"k05")) == b"v"
-        assert block.get(at(b"k09")) == b"v"
+        assert block.first(at(b"k05")) == (*at(b"k05"), b"v")
+        assert block.first(at(b"k09")) == (*at(b"k09"), b"v")
         # Later seeks decode the one run they need, nothing else.
         assert len(decoded) == first_seek + 2
         assert first_seek == 2 + 1  # restart keys of runs two and three, then k05's run
@@ -315,7 +310,7 @@ class TestOneByteLengthFastPath:
     def test_empty_block_seeks_to_nothing(self):
         block = Block(BlockBuilder().finish())
         assert list(block.seek(seek_goal(b""))) == []
-        assert block.get(at(b"k")) is None
+        assert block.first(at(b"k")) is None
 
 
 def corrupt_body(body):
@@ -366,7 +361,7 @@ class TestCorruptEntries:
         with pytest.raises(CorruptionError, match=message):
             list(block.seek(seek_goal(b"")))
         with pytest.raises(CorruptionError, match=message):
-            block.get(at(b"x"))
+            block.first(at(b"x"))
 
     def test_restart_point_outside_the_entry_area(self):
         data = bytes((0, 1, 1)) + b"kv" + encode_fixed32(0) + encode_fixed32(6) + encode_fixed32(2)

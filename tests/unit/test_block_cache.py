@@ -20,7 +20,7 @@ KEY = make_internal_key(b"k", 1, TYPE_VALUE)
 def payload_of(size: int, fill: bytes = b"x") -> bytes:
     """A one-entry data-block payload of exactly ``size`` encoded bytes."""
     builder = BlockBuilder()
-    builder.add(KEY, fill * (size - 20))  # 3 B entry header + 9 B key + 8 B trailer
+    builder.fill([(KEY, fill * (size - 20))])  # 3 B entry header + 9 B key + 8 B trailer
     payload = builder.finish()
     assert len(payload) == size
     return payload
@@ -29,90 +29,6 @@ def payload_of(size: int, fill: bytes = b"x") -> bytes:
 def block(size: int, fill: bytes = b"x") -> Block:
     """The parsed block the cache holds, charged ``size`` bytes."""
     return Block(payload_of(size, fill))
-
-
-class TestLRUBlockCache:
-    def test_miss_then_hit(self):
-        cache = LRUBlockCache(1000)
-        assert cache.get("f", 0) is None
-        stored = block(27)
-        cache.put("f", 0, stored)
-        assert cache.get("f", 0) is stored
-        assert cache.used_bytes == 27  # the payload length, not the parsed size
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_ratio == pytest.approx(0.5)
-
-    def test_eviction_lru_order(self):
-        cache = LRUBlockCache(90)
-        cache.put("f", 0, block(30))
-        cache.put("f", 1, block(30))
-        cache.put("f", 2, block(30))
-        cache.get("f", 0)  # refresh 0
-        cache.put("f", 3, block(30))  # evicts 1 (LRU)
-        assert cache.get("f", 0) is not None
-        assert cache.get("f", 1) is None
-        assert cache.get("f", 3) is not None
-
-    def test_oversized_entry_not_cached(self):
-        cache = LRUBlockCache(30)
-        cache.put("f", 0, block(120))
-        assert cache.get("f", 0) is None
-        assert cache.used_bytes == 0
-
-    def test_replace_same_key(self):
-        cache = LRUBlockCache(100)
-        cache.put("f", 0, block(30, b"a"))
-        newer = block(40, b"b")
-        cache.put("f", 0, newer)
-        assert cache.get("f", 0) is newer
-        assert cache.used_bytes == 40
-
-    def test_evict_file(self):
-        cache = LRUBlockCache(1000)
-        cache.put("f1", 0, block(20))
-        cache.put("f1", 10, block(21))
-        kept = block(22)
-        cache.put("f2", 0, kept)
-        assert cache.evict_file("f1") == 2
-        assert cache.get("f1", 0) is None
-        assert cache.get("f2", 0) is kept
-        assert cache.used_bytes == 22
-
-    def test_evict_file_leaves_the_lru_order_of_the_rest(self):
-        cache = LRUBlockCache(100)
-        for name, offset in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("b", 1)]:
-            cache.put(name, offset, block(20))
-        cache.get("b", 0)  # order now: a0 a1 c0 b1 b0
-        assert cache.evict_file("a") == 2
-        assert cache.evict_file("a") == 0
-        assert list(cache._entries) == [("c", 0), ("b", 1), ("b", 0)]
-        assert cache._offsets == {"b": {0, 1}, "c": {0}}
-        cache.put("d", 0, block(20))
-        cache.put("d", 1, block(20))
-        cache.put("d", 2, block(20))  # over budget: evicts c0, the oldest
-        assert list(cache._entries) == [("b", 1), ("b", 0), ("d", 0), ("d", 1), ("d", 2)]
-        assert cache._offsets == {"b": {0, 1}, "d": {0, 1, 2}}  # no empty set left for c
-        assert cache.used_bytes == 100
-
-    def test_clear(self):
-        cache = LRUBlockCache(1000)
-        cache.put("f", 0, block(20))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.used_bytes == 0
-        assert cache.evict_file("f") == 0
-
-    def test_budget_respected(self):
-        cache = LRUBlockCache(250)
-        for i in range(50):
-            cache.put("f", i, block(25))
-        assert cache.used_bytes <= 250
-        assert len(cache) <= 10
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUBlockCache(-1)
 
 
 class FakeFile:
@@ -127,6 +43,90 @@ class FakeFile:
     def read(self, offset, length):
         self.reads.append((offset, length))
         return self.raw[:length]
+
+
+def read(cache, name, offset, size=30, fill=b"x"):
+    """Read the ``size``-byte block at ``offset`` of table ``name`` the way
+    every read does, through its :class:`BlockStack`: the block, and whether
+    the DRAM cache served it (the file was not read)."""
+    file = FakeFile(payload_of(size, fill))
+    got = BlockStack(name, file, BlockPath(cache)).block(BlockHandle(offset, size))
+    return got, not file.reads
+
+
+class TestLRUBlockCache:
+    """The DRAM cache as the stack's ``dram`` source reads and fills it."""
+
+    def test_miss_then_hit(self):
+        cache = LRUBlockCache(1000)
+        stored, hit = read(cache, "f", 0, 27)
+        assert not hit
+        again, hit = read(cache, "f", 0, 27)
+        assert hit and again is stored
+        assert cache._used == 27  # the payload length, not the parsed size
+        assert cache.hits == 1
+        assert cache.misses == 1
+
+    def test_eviction_lru_order(self):
+        cache = LRUBlockCache(90)
+        for offset in (0, 1, 2):
+            read(cache, "f", offset)
+        assert read(cache, "f", 0)[1]  # a hit refreshes 0
+        read(cache, "f", 3)  # evicts 1 (LRU)
+        assert list(cache._entries) == [("f", 2), ("f", 0), ("f", 3)]
+        assert (cache.hits, cache.misses) == (1, 4)
+
+    def test_oversized_entry_not_cached(self):
+        cache = LRUBlockCache(30)
+        assert not read(cache, "f", 0, 120)[1]
+        assert not read(cache, "f", 0, 120)[1]  # read from the file again
+        assert (len(cache._entries), cache._used, cache.misses) == (0, 0, 2)
+
+    def test_replace_same_key(self):
+        """The stack puts a block only after a miss; ``put`` of a key the
+        cache holds still charges the newer block alone."""
+        cache = LRUBlockCache(100)
+        cache.put("f", 0, block(30, b"a"))
+        newer = block(40, b"b")
+        cache.put("f", 0, newer)
+        assert read(cache, "f", 0, 40) == (newer, True)
+        assert cache._used == 40
+
+    def test_evict_file(self):
+        cache = LRUBlockCache(1000)
+        read(cache, "f1", 0, 20)
+        read(cache, "f1", 10, 21)
+        kept, _ = read(cache, "f2", 0, 22)
+        assert cache.evict_file("f1") == 2
+        assert list(cache._entries) == [("f2", 0)]
+        assert read(cache, "f2", 0, 22) == (kept, True)
+        assert cache._used == 22
+
+    def test_evict_file_leaves_the_lru_order_of_the_rest(self):
+        cache = LRUBlockCache(100)
+        for name, offset in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("b", 1)]:
+            read(cache, name, offset, 20)
+        assert read(cache, "b", 0, 20)[1]  # order now: a0 a1 c0 b1 b0
+        assert cache.evict_file("a") == 2
+        assert cache.evict_file("a") == 0
+        assert list(cache._entries) == [("c", 0), ("b", 1), ("b", 0)]
+        assert cache._offsets == {"b": {0, 1}, "c": {0}}
+        for offset in (0, 1, 2):  # over budget at d2: evicts c0, the oldest
+            read(cache, "d", offset, 20)
+        assert list(cache._entries) == [("b", 1), ("b", 0), ("d", 0), ("d", 1), ("d", 2)]
+        assert cache._offsets == {"b": {0, 1}, "d": {0, 1, 2}}  # no empty set left for c
+        assert cache._used == 100
+
+    def test_budget_respected(self):
+        cache = LRUBlockCache(250)
+        for i in range(50):
+            read(cache, "f", i, 25)
+        assert cache._used <= 250
+        assert len(cache._entries) <= 10
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            LRUBlockCache(-1)
 
 
 class TestLoadDataBlock:
@@ -144,7 +144,7 @@ class TestLoadDataBlock:
         stack, file, events = self.stack(cache)
         first = stack.block(self.HANDLE)
         assert list(first) == [(*internal_order(KEY), b"x" * 10)]
-        assert (len(cache), cache.used_bytes, events) == (1, 30, ["demand_read"])
+        assert (len(cache._entries), cache._used, events) == (1, 30, ["demand_read"])
         assert stack.block(self.HANDLE) is first
         assert file.reads == [(64, 30 + BLOCK_TRAILER_SIZE)]
         assert events == ["demand_read", "dram_hit"]
@@ -185,7 +185,7 @@ class TestLoadDataBlock:
         handle = BlockHandle(0, len(payload))
         with pytest.raises(CorruptionError):
             stack.block(handle)
-        assert (len(cache), cache.used_bytes) == (1, 25)
+        assert (len(cache._entries), cache._used) == (1, 25)
         # and again: nothing was cached, so the file is read a second time
         with pytest.raises(CorruptionError):
             stack.block(handle)
@@ -197,7 +197,7 @@ class TestLoadDataBlock:
         file.raw = file.raw[:-1] + bytes([file.raw[-1] ^ 1])
         with pytest.raises(CorruptionError, match="checksum"):
             stack.block(self.HANDLE)
-        assert len(cache) == 0
+        assert not cache._entries
 
     def test_a_sequential_pass_reads_its_buffer_and_caches_nothing(self):
         cache = LRUBlockCache(1000)
@@ -205,7 +205,7 @@ class TestLoadDataBlock:
         pass_stack = stack.sequential(4096)
         assert list(pass_stack.block(self.HANDLE)) == [(*internal_order(KEY), b"x" * 10)]
         assert file.reads == [(64, 4096)]  # one window, from the first block on
-        assert (len(cache), cache.hits, cache.misses, events) == (0, 0, 0, [])
+        assert (len(cache._entries), cache.hits, cache.misses, events) == (0, 0, 0, [])
         assert not any(stack.path.hits.values())
 
     def test_a_sequential_pass_reports_every_block_it_serves(self):
@@ -223,4 +223,4 @@ class TestLoadDataBlock:
         file.raw = file.raw[:-1]
         with pytest.raises(CorruptionError, match="short block read"):
             stack.sequential(4096).block(self.HANDLE)
-        assert len(cache) == 0
+        assert not cache._entries

@@ -74,8 +74,7 @@ class TestCompressedTables:
             (f"key{i:06d}".encode(), -((7 << 8) | TYPE_VALUE), b"repetitive " * 20)
             for i in range(500)
         ]
-        for entry in entries:
-            builder.add(*entry)
+        builder.fill(entries)
         props = builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
         return props, reader, entries

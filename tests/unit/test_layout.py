@@ -46,17 +46,24 @@ class TestHeatTracking:
         tracker = BlockHeatTracker()
         tracker.record_access("f.sst", 0)
         tracker.record_access("f.sst", 0, weight=2.5)
-        assert tracker.heat_of("f.sst", 0) == pytest.approx(3.5)
-        assert tracker.heat_of("f.sst", 100) == 0.0
+        assert tracker.file_heat("f.sst") == pytest.approx(3.5)
+        tracker.record_access("f.sst", 100)
+        assert tracker.file_heat("f.sst") == pytest.approx(4.5)
 
     def test_register_and_forget(self):
-        tracker = BlockHeatTracker()
-        tracker.register_file("f.sst", [block(b"a", b"m", 0)])
-        assert tracker.knows_file("f.sst")
-        tracker.record_access("f.sst", 0)
-        tracker.forget_file("f.sst")
-        assert not tracker.knows_file("f.sst")
-        assert tracker.heat_of("f.sst", 0) == 0.0
+        """A registered input hands its heat on at a compaction; a forgotten
+        one keeps no heat and, read again, hands none on."""
+        tracker = BlockHeatTracker(LayoutConfig(prewarm_heat_threshold=0.1))
+        tracker.register_file(NAME_OF(1), [block(b"a", b"m", 0)])
+        tracker.record_access(NAME_OF(1), 0)
+        out = [block(b"a", b"m", 0)]
+        tracker.register_file(NAME_OF(9), out)
+        event = compaction_event([fmd(1, b"a", b"m")], [output_of(9, out)])
+        assert len(tracker.plan_inheritance(event, NAME_OF)) == 1
+        tracker.forget_file(NAME_OF(1))
+        assert tracker.file_heat(NAME_OF(1)) == 0.0
+        tracker.record_access(NAME_OF(1), 0)
+        assert tracker.plan_inheritance(event, NAME_OF) == []
 
 
     def test_file_heat_sums_one_file(self):
@@ -90,8 +97,6 @@ class TestUnregisteredFileHeat:
 
     def test_kept_and_counted(self):
         tracker = self._tracker()
-        assert not tracker.knows_file(NAME_OF(1))
-        assert tracker.heat_of(NAME_OF(1), 0) == 10.0
         assert tracker.file_heat(NAME_OF(1)) == 10.0
 
     def test_ignored_by_inheritance(self):
@@ -100,7 +105,7 @@ class TestUnregisteredFileHeat:
         tracker.register_file(NAME_OF(9), out)
         event = compaction_event([fmd(1, b"a", b"f")], [output_of(9, out)])
         assert tracker.plan_inheritance(event, NAME_OF) == []
-        assert tracker.heat_of(NAME_OF(9), 0) == 0.0
+        assert tracker.file_heat(NAME_OF(9)) == 0.0
 
     def test_survives_late_registration(self):
         tracker = self._tracker()
@@ -113,7 +118,6 @@ class TestUnregisteredFileHeat:
     def test_dropped_by_forget(self):
         tracker = self._tracker()
         tracker.forget_file(NAME_OF(1))
-        assert tracker.heat_of(NAME_OF(1), 0) == 0.0
         assert tracker.file_heat(NAME_OF(1)) == 0.0
 
 
@@ -201,7 +205,7 @@ class TestInheritance:
         tracker.register_file(NAME_OF(9), out)
         event = compaction_event([fmd(1, b"a", b"p")], [output_of(9, out)])
         tracker.plan_inheritance(event, NAME_OF)
-        assert tracker.heat_of(NAME_OF(9), 0) > 0
+        assert tracker.file_heat(NAME_OF(9)) > 0
 
     def test_user_key_spanning_block_boundaries(self):
         """Versions of one user key may end one block and start the next, in

@@ -73,7 +73,7 @@ def log_digests(store, suffix: str) -> dict[str, str]:
     device = store.local_device
     return {
         name: hashlib.sha256(device.read(name)).hexdigest()
-        for name in device.list_files(store.config.db_prefix)
+        for name in device.list_files("db/")  # every store here keeps its database there
         if name.endswith(suffix)
     }
 

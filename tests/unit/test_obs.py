@@ -298,9 +298,15 @@ class TestStoreSurfaces:
         for i in range(50):
             store.put(b"key%03d" % i, b"v" * 64)
         store.flush()
+        for _ in range(2):
+            for i in range(0, 50, 7):
+                assert store.get(b"key%03d" % i) == b"v" * 64
+            assert len(list(store.scan(b"key010", b"key030"))) == 20
         metrics = store.db.metrics()
         assert metrics["last_sequence"] == 50 and metrics["flushes"] >= 1
         assert metrics["block_cache.hits"] == store.db.block_cache.hits
+        # One DRAM hit, one count: the stack's dram source raises both.
+        assert metrics["block_cache.hits"] == metrics["blocks.dram"] > 0
         assert sum(metrics[f"level.{n}.files"] for n in range(NUM_LEVELS)) >= 1
         text = store.dump_metrics()
         for name in ("last_sequence", "flushes", "compaction.compactions", "level.0.bytes"):

@@ -85,8 +85,7 @@ class TestDataRegion:
         cache.get_data("t.sst", 0)  # refresh the oldest
         cache.put_data("t.sst", 100, bytes(100))  # evicts offset 1, not 0
         assert cache.get_data("t.sst", 0) is not None
-        assert cache.contains_data("t.sst", 0)
-        assert not cache.contains_data("t.sst", 1)
+        assert cache.get_data("t.sst", 1) is None
 
     def test_oversized_block_not_admitted(self, cache):
         cache.put_data("t.sst", 0, bytes(5000))
@@ -98,11 +97,14 @@ class TestDataRegion:
         cache.put_data("t.sst", 0, b"abc")
         assert cache.slab_bytes == before
 
-    def test_contains_does_not_count_hit(self, cache):
+    def test_get_data_counts_each_hit_and_miss(self, cache):
         cache.put_data("t.sst", 0, b"abc")
-        hits = cache.stats.data_hits
-        assert cache.contains_data("t.sst", 0)
-        assert cache.stats.data_hits == hits
+        stats = cache.stats
+        before = (stats.data_hits, stats.data_misses)
+        assert cache.get_data("t.sst", 0) == b"abc"
+        assert cache.get_data("t.sst", 1) is None
+        assert cache.get_data("t.sst", 0) == b"abc"
+        assert (stats.data_hits, stats.data_misses) == (before[0] + 2, before[1] + 1)
 
 
 class TestInvalidation:
@@ -132,11 +134,11 @@ class TestInvalidation:
         assert cache.slab_bytes > size and cache.get_meta("m.sst", "filter") is None
         size = cache.slab_bytes
         cache.drop_file("big.sst")  # held by a data block alone
-        assert cache.slab_bytes > size and not cache.contains_data("big.sst", 0)
+        assert cache.slab_bytes > size and cache.get_data("big.sst", 0) is None
         size = cache.slab_bytes
         cache.drop_file("big.sst")  # already forgotten
         assert cache.slab_bytes == size
-        assert (len(cache), cache.data_bytes, cache.meta_bytes) == (0, 0, 0)
+        assert (cache._meta, cache._data, cache.data_bytes, cache.meta_bytes) == ({}, {}, 0, 0)
 
     def test_drop_file_leaves_the_eviction_order_of_the_rest(self, cache):
         for name, offset in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("b", 1)]:
@@ -339,7 +341,8 @@ class TestSegmentCleaning:
         live = {key: cache.get_data(*key) for key in list(cache._data)}
         device.crash()
         reopened = PersistentCache.open(device, config)
-        assert reopened.stats.recovered_entries == len(live) + 1 == len(reopened)
+        entries = len(reopened._meta) + len(reopened._data)
+        assert reopened.stats.recovered_entries == len(live) + 1 == entries
         assert reopened.stats.evictions == 0
         assert reopened.data_bytes == sum(map(len, live.values()))
         assert {key: reopened.get_data(*key) for key in live} == live

@@ -25,7 +25,8 @@ def build_file(num_blocks=50, value_size=100, rtt=10e-3):
     handles = []
     for i in range(num_blocks):
         builder = BlockBuilder()
-        builder.add(make_internal_key(b"k%04d" % i, 1, TYPE_VALUE), value(i, value_size))
+        key = make_internal_key(b"k%04d" % i, 1, TYPE_VALUE)
+        builder.fill([(key, value(i, value_size))])
         payload = builder.finish()
         handles.append(BlockHandle(len(data), len(payload)))
         data += seal_block(payload)

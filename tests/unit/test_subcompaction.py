@@ -160,7 +160,8 @@ def build_cloud_file(num_blocks=40, rtt=10e-3):
     handles = []
     for i in range(num_blocks):
         builder = BlockBuilder()
-        builder.add(make_internal_key(b"k%04d" % i, 1, TYPE_VALUE), bytes([i % 256]) * 100)
+        key = make_internal_key(b"k%04d" % i, 1, TYPE_VALUE)
+        builder.fill([(key, bytes([i % 256]) * 100)])
         payload = builder.finish()
         handles.append(BlockHandle(len(data), len(payload)))
         data += seal_block(payload)

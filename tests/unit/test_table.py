@@ -42,8 +42,7 @@ def env():
 def build_table(env, entries, options=None, name="000007.sst"):
     options = options or Options()
     builder = TableBuilder(options, env.new_writable_file(name))
-    for ikey, value in entries:
-        builder.add(*internal_order(ikey), value)
+    builder.fill((*internal_order(ikey), value) for ikey, value in entries)
     props = builder.finish()
     reader = TableReader(options, env.new_random_access_file(name))
     return props, reader
@@ -119,35 +118,35 @@ class TestTableBuilder:
     def test_out_of_order_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
         newest = -((9 << 8) | TYPE_VALUE)
-        builder.add(b"b", newest, b"v")
+        builder.fill([(b"b", newest, b"v")])
         for user_key, neg_trailer in [
             (b"a", newest),  # smaller user key
             (b"b", newest - 1),  # newer entry of the last user key
             (b"b", newest),  # the last entry over again: the pair, never the value
         ]:
             with pytest.raises(InvalidArgumentError, match="out of order"):
-                builder.add(user_key, neg_trailer, b"w")
-        builder.add(b"b", newest + 1, b"")  # an older entry of the same key is in order
+                builder.fill([(user_key, neg_trailer, b"w")])
+        builder.fill([(b"b", newest + 1, b"")])  # an older entry of the same key is in order
         assert builder.finish().num_entries == 2
 
     @pytest.mark.parametrize("neg_trailer", [1, 1 << 56, -(1 << 64), -(1 << 70)])
     def test_trailer_out_of_range_is_the_callers_error(self, env, neg_trailer):
-        """A bad entry handed to ``add`` is an argument bug on the write side,
+        """A bad entry handed to ``fill`` is an argument bug on the write side,
         not damaged bytes on the read side."""
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
         with pytest.raises(InvalidArgumentError, match="neg_trailer") as raised:
-            builder.add(b"k", neg_trailer, b"v")
+            builder.fill([(b"k", neg_trailer, b"v")])
         assert not isinstance(raised.value, CorruptionError)
-        builder.add(b"k", 0, b"v")  # both ends of the range are entries
-        builder.add(b"l", -(1 << 64) + 1, b"v")
+        builder.fill([(b"k", 0, b"v")])  # both ends of the range are entries
+        builder.fill([(b"l", -(1 << 64) + 1, b"v")])
         assert builder.finish().num_entries == 2
 
     def test_add_after_finish_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
-        builder.add(b"a", -((1 << 8) | TYPE_VALUE), b"v")
+        builder.fill([(b"a", -((1 << 8) | TYPE_VALUE), b"v")])
         builder.finish()
-        with pytest.raises(InvalidArgumentError, match=r"add\(\) after finish\(\)"):
-            builder.add(b"b", -((1 << 8) | TYPE_VALUE), b"v")
+        with pytest.raises(InvalidArgumentError, match=r"fill\(\) after finish\(\)"):
+            builder.fill([(b"b", -((1 << 8) | TYPE_VALUE), b"v")])
 
     def test_empty_table_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
@@ -156,7 +155,7 @@ class TestTableBuilder:
 
     def test_double_finish_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
-        builder.add(b"a", -((1 << 8) | TYPE_VALUE), b"v")
+        builder.fill([(b"a", -((1 << 8) | TYPE_VALUE), b"v")])
         builder.finish()
         with pytest.raises(InvalidArgumentError):
             builder.finish()

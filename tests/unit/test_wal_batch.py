@@ -35,7 +35,7 @@ def logged(env, batch: WriteBatch) -> list[tuple[int, int, bytes, bytes]]:
     writer = XWalWriter(env, "db/", 1, XWalConfig())
     writer.add_batch(batch)
     writer.close()
-    return list(XWalReplayer(env, "db/", XWalConfig()).replay(1))
+    return list(XWalReplayer(env, XWalConfig()).replay(1, env.list_files("db/000001-")))
 
 
 def record_of(batch: WriteBatch) -> bytes:

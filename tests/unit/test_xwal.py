@@ -99,8 +99,8 @@ class TestWriteReplay:
             batches.append(batch)
         config = write_generation(env, device, batches)
 
-        replayer = XWalReplayer(env, "db/", config)
-        ops = list(replayer.replay(7))
+        replayer = XWalReplayer(env, config)
+        ops = list(replayer.replay(7, env.list_files("db/000007-")))
         assert replayer.records_replayed == 70
         # Every (seq, key, value) written is recovered exactly once.
         expected = set()
@@ -120,15 +120,15 @@ class TestWriteReplay:
         batch2.sequence = 2
         config = write_generation(env, device, [batch1, batch2], shards=4)
         shard = shard_of(b"mykey", 4)
-        replayer = XWalReplayer(env, "db/", config)
+        replayer = XWalReplayer(env, config)
         names_with_data = [
             n for n in shard_file_names("db/", 7, 4) if device.exists(n) and device.size(n) > 0
         ]
         assert names_with_data == [f"db/000007-{shard:02d}.xlog"]
 
     def test_replay_missing_generation_empty(self, env, device):
-        replayer = XWalReplayer(env, "db/", XWalConfig())
-        assert list(replayer.replay(99)) == []
+        replayer = XWalReplayer(env, XWalConfig())
+        assert list(replayer.replay(99, env.list_files("db/000099-"))) == []
 
     def test_corrupt_shard_tolerated(self, env, device):
         batch = WriteBatch()
@@ -142,8 +142,8 @@ class TestWriteReplay:
         data[-1] ^= 0xFF
         device.delete(victim)
         device.write_file(victim, bytes(data))
-        replayer = XWalReplayer(env, "db/", config)
-        ops = list(replayer.replay(7))
+        replayer = XWalReplayer(env, config)
+        ops = list(replayer.replay(7, env.list_files("db/000007-")))
         assert replayer.corrupt_shards == 1
         assert 0 < len(ops) < 40  # other shards fully recovered
 
@@ -157,8 +157,8 @@ class TestWriteReplay:
         b2.sequence = 2
         writer.add_batch(b2, sync=False)
         device.crash()
-        replayer = XWalReplayer(env, "db/", config)
-        keys = {op[2] for op in replayer.replay(7)}
+        replayer = XWalReplayer(env, config)
+        keys = {op[2] for op in replayer.replay(7, env.list_files("db/000007-"))}
         assert b"durable" in keys
         assert b"volatile" not in keys
 
@@ -178,8 +178,8 @@ class TestParallelTiming:
             writer.add_batch(batch)
         writer.close()
         start = clock.now
-        replayer = XWalReplayer(env, "db/", config)
-        ops = list(replayer.replay(1))
+        replayer = XWalReplayer(env, config)
+        ops = list(replayer.replay(1, env.list_files("db/000001-")))
         assert len(ops) == records
         return clock.now - start
 
