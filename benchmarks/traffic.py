@@ -23,9 +23,9 @@ carries one verdict from :data:`VERDICTS`. ``repro.lint`` is measured
 apart: CI's lint job is its traffic.
 
 ``--check`` fails when the non-exempt lines without traffic exceed
-:data:`PINNED_WITHOUT_TRAFFIC`, when a region has no verdict or a verdict
-no region, or when a qualname marked ``deleted`` is back. Lower the pin
-when a change lowers the count; never raise it.
+:data:`PINNED_WITHOUT_TRAFFIC`, or when a region has no verdict or a
+verdict no region. Lower the pin when a change lowers the count; never
+raise it. ``benchmarks/retired.py`` keeps what was deleted deleted.
 """
 
 from __future__ import annotations
@@ -52,16 +52,10 @@ PERF_SEED = 42
 PINNED_WITHOUT_TRAFFIC = 300
 """Non-exempt lines no traffic reaches (tests only, or nothing at all)."""
 
-SAFETY, SURFACE, OPEN, DELETED = "safety", "surface", "open", "deleted"
+SAFETY, SURFACE, OPEN = "safety", "surface", "open"
 
 _BLOB_GC = "item 10: deleting a segment all of whose records died; E23's segments, one per flushed generation, never die whole in its run"
-_NODE_FACADE = "a sharded node is a `StoreFacade`: the facade times, scopes, bills and restarts it, and `ShardEngine` routes"
-_ONE_LOG = "every store logs through the xWAL (`repro.lsm.wal`), the baselines with one shard"
-_ONE_CLOCK = "one clock per store: a fork or a request moves its time, nothing re-points a device's clock"
 _SHARD_AXIS = "item 1(b): E22 issues only YCSB A/B/C point ops; the store machine's planned shard axis exercises it"
-_ONE_REQUEST_SURFACE = "the front-end drives any `StoreFacade` through its request call, `serve`"
-_TESTS_ONLY = "only tests called it"
-_RECORD_SYNC = "durability is an append's `sync=True` (`add_batch`, `add_record`); nothing synced a writer without a record"
 
 VERDICTS: dict[str, tuple[str, str]] = {
     # -- baselines
@@ -201,138 +195,19 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.workloads.ycsb:YCSBResult.throughput": (SAFETY, "a run with no elapsed time"),
     "repro.workloads.ycsb:run_phase": (SAFETY, "counts a read that found nothing, which the loaded workloads never issue"),
     "repro.workloads.ycsb:outcome_digest_update": (SAFETY, "hashes a scan outcome; the digesting experiments run no scans"),
-    # -- deleted for lack of traffic (DESIGN.md §2 ledger)
-    "repro.bench.harness:_disable_metadata_pinning": (DELETED, "ablation 12a is `StoreConfig.pin_metadata`, which a restart keeps"),
-    "repro.storage.cloud:CloudObjectStore.upload_part": (DELETED, "multipart uploads: no part is sent at 32 KiB tables and 64 KiB segments"),
-    "repro.storage.cloud:CloudObjectStore.complete_multipart": (DELETED, "multipart uploads"),
-    "repro.storage.cloud:CloudObjectStore.pending_multiparts": (DELETED, "multipart uploads"),
-    "repro.storage.cloud:CloudObjectStore.crash": (DELETED, "it only dropped incomplete multipart uploads"),
-    "repro.storage.env:Env.rename_file": (DELETED, "no caller in `src/repro`"),
-    "repro.storage.env:LocalEnv.rename_file": (DELETED, "no caller in `src/repro`"),
-    "repro.storage.env:CloudEnv.rename_file": (DELETED, "no caller in `src/repro`"),
-    "repro.storage.env:HybridEnv.rename_file": (DELETED, "no caller in `src/repro`"),
-    "repro.storage.local:LocalDevice.rename": (DELETED, "no caller in `src/repro`"),
-    "repro.metrics.latency:LatencyHistogram.merge": (DELETED, "only its own tests called it"),
-    "repro.sim.latency:sata_ssd": (DELETED, "no device uses it"),
-    "repro.workloads.generator:SequentialGenerator": (DELETED, "no workload draws a sequential distribution"),
-    "repro.workloads.dbbench:readwhilewriting": (DELETED, "no experiment runs it"),
-    "repro.workloads.ycsb:ops_digest": (DELETED, "only its own test called it"),
-    "repro.metrics.counters:CounterSet.ratio": (DELETED, "only its own test called it"),
-    "repro.metrics.counters:CounterSet.__repr__": (DELETED, "nothing printed a counter set"),
-    "repro.sim.clock:SimClock.fork": (DELETED, "every fork/join region uses `child()`"),
-    "repro.lsm.write_batch:WriteBatch.byte_size": (DELETED, "only its own test called it"),
-    "repro.lsm.wal:XWalWriter.offset": (DELETED, "no reader of the xWAL's total size"),
-    "repro.lsm.wal:XWalWriter.add_record": (DELETED, "the log takes the batch (`add_batch`): nothing decodes what `DB.write` just encoded"),
-    # One log for records and large values: a diverted value is written once,
-    # inside its xWAL record, so the blob log's own active segment goes.
-    "repro.mash.bloblog:BlobLog.divert_batch": (DELETED, "the xWAL writer embeds each diverted value in its record"),
-    "repro.mash.bloblog:BlobLog._append": (DELETED, "the active segment: a value is appended once, inside its xWAL record"),
-    "repro.mash.bloblog:BlobLog.sync_active": (DELETED, "the active segment's sync: the record's one sync covers its value"),
-    "repro.mash.bloblog:BlobLog.on_flush_begin": (DELETED, "a flush seals its generation's log in its own edit"),
-    "repro.mash.bloblog:BlobLog.seal_active": (DELETED, "a flush seals its generation's log in its own edit"),
-    "repro.mash.bloblog:BlobLog.record_is_whole": (DELETED, "one log, one torn-tail rule: a value torn with its record goes with it"),
-    "repro.mash.bloblog:BlobLog._adopt_segment": (DELETED, "recovery deletes a segment the MANIFEST does not know and seals the replayed values again"),
-    "repro.mash.bloblog:memtable_blob_references": (DELETED, "recovery keeps no segment for the memtable"),
-    "repro.lsm.blob:valid_prefix_length": (DELETED, "no segment has a torn tail of its own"),
-    "repro.lsm.blob:iter_blob_records": (DELETED, "a segment is xWAL shard files, walked by `segment_blobs`"),
-    "repro.bench.experiments:_UserByteCounter.clock": (DELETED, "a pass-through of E23's wrapper that YCSB-A never calls"),
-    "repro.bench.experiments:_UserByteCounter.scan": (DELETED, "a pass-through of E23's wrapper that YCSB-A never calls"),
-    # The persistent cache keeps two logs of segment files and cleans the
-    # oldest segment, so the whole-slab rewrite goes.
-    "repro.mash.pcache:PersistentCache._compact_slab": (DELETED, "the cache's logs are cleaned oldest segment first"),
-    "repro.mash.pcache:PersistentCache._maybe_compact_slab": (DELETED, "the cache's logs are cleaned oldest segment first"),
-    "repro.facade:StoreFacade._init_facade": (DELETED, "the facade's constructor sets the shared fields and wires the tracer"),
-    "repro.facade:StoreFacade.op_clock": (DELETED, "its one reader, the store's multi_get waves, moved into `MashDB.multi_get`"),
-    "repro.mash.store:RocksMashStore.multi_get": (DELETED, "the waves run in `MashDB.multi_get`, so a sharded node's shards get them too"),
-    "repro.mash.store:RocksMashStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
-    "repro.baselines.local_only:LocalOnlyStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
-    "repro.baselines.cloud_only:CloudOnlyStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
-    "repro.baselines.rocksdb_cloud:RocksDBCloudStore.reopen": (DELETED, "one restart for every system, `StoreFacade.reopen`"),
-    "repro.baselines.local_only:LocalOnlyStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
-    "repro.baselines.cloud_only:CloudOnlyStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
-    "repro.baselines.rocksdb_cloud:RocksDBCloudStore.__init__": (DELETED, "the facade's constructor; the store keeps only `_open_db`"),
-    "repro.mash.checkpoint:_LocalFileShim": (DELETED, "a restore writes its MANIFEST through `LocalEnv`"),
-    "repro.serve.sharded:ShardedDB.__init__": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB._defer_hook": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB._hosts": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.op_clock": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.request_scope": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB._drain_inline": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.put": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.delete": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.write": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.get": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.multi_get": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.scan": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.flush": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.close": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.local_bytes": (DELETED, _NODE_FACADE),
-    "repro.serve.sharded:ShardedDB.cloud_bytes": (DELETED, _NODE_FACADE),
-    "repro.sim.clock:ClockCharged": (DELETED, _ONE_CLOCK),
-    "repro.sim.clock:JoinParticipant": (DELETED, _ONE_CLOCK),
-    "repro.sim.clock:SimClock.merge": (DELETED, "a region's `join(strict=False)` is the one overlap-tolerant join"),
-    "repro.obs.trace:Tracer.clock_scope": (DELETED, _ONE_CLOCK),
-    "repro.obs.trace:_Branch": (DELETED, "a region hands its own branch records to `absorb_join`"),
-    "repro.storage.env:Env.clock_hosts": (DELETED, _ONE_CLOCK),
-    "repro.storage.env:LocalEnv.clock_hosts": (DELETED, _ONE_CLOCK),
-    "repro.storage.env:CloudEnv.clock_hosts": (DELETED, _ONE_CLOCK),
-    "repro.storage.env:HybridEnv.clock_hosts": (DELETED, _ONE_CLOCK),
-    "repro.storage.env:Env.sim_clock": (DELETED, "every Env has its device's clock; none is un-clocked"),
-    "repro.mash.placement:PlacementManager._tick_overlap_saved": (DELETED, "the demotion batch ticks the local device's counters itself"),
-    # One request surface: the front-end drives a store or a node through
-    # the facade, and the helpers only tests called go.
-    "repro.lsm.db:WalWriter.sync": (DELETED, _RECORD_SYNC),
-    "repro.lsm.wal:LogWriter.sync": (DELETED, _RECORD_SYNC),
-    "repro.lsm.wal:XWalWriter.sync": (DELETED, _RECORD_SYNC),
-    "repro.obs.trace:TierTimes.add": (DELETED, "a second copy of `Tracer.charge`'s per-tier dispatch that only tests called"),
-    "repro.serve.frontend:RequestServer": (DELETED, _ONE_REQUEST_SURFACE),
-    "repro.serve.frontend:SingleStoreServer": (DELETED, _ONE_REQUEST_SURFACE),
-    "repro.serve.sharded:ShardedDB.execute": (DELETED, _ONE_REQUEST_SURFACE),
-    "repro.serve.sharded:ShardedDB.run_pending_maintenance": (DELETED, "the node's `serve` drains after the response, on the request's timeline"),
-    "repro.serve.sharded:ShardEngine._written": (DELETED, "the shard's `maintenance_hook` flushes at once when no request is served"),
-    # One log: every store logs through the xWAL, and a serial WAL is its
-    # one-shard case.
-    "repro.mash.xwal": (DELETED, _ONE_LOG),
-    "repro.lsm.wal:BatchLogWriter": (DELETED, _ONE_LOG),
-    "repro.lsm.db:WalWriter": (DELETED, "one log, so no seam for a second: `DB` opens, replays and purges the xWAL itself"),
-    "repro.lsm.format:log_file_name": (DELETED, "a log generation is its `xlog` shard files"),
-    "repro.lsm.write_batch:WriteBatch.encode": (DELETED, "the log takes the batch and writes its own shard records"),
-    "repro.lsm.write_batch:WriteBatch.decode": (DELETED, "replay reads shard records straight into the memtable"),
-    "repro.lsm.write_batch:WriteBatch.clear": (DELETED, "only tests reused a batch"),
-    "repro.mash.store:MashDB._open_wal": (DELETED, _ONE_LOG),
-    "repro.mash.store:MashDB._replayer": (DELETED, _ONE_LOG),
-    "repro.mash.store:MashDB._wal_file_names": (DELETED, _ONE_LOG),
-    "repro.mash.store:MashDB._replay_wal": (DELETED, _ONE_LOG),
-    # One path per lookup: the second copies of a lookup, a builder or a
-    # count that only tests took.
-    "repro.lsm.block_cache:LRUBlockCache.get": (DELETED, "the stack's dram source is the cache's one lookup (`BlockStack.block`)"),
-    "repro.lsm.block_cache:LRUBlockCache.__len__": (DELETED, _TESTS_ONLY),
-    "repro.lsm.block_cache:LRUBlockCache.clear": (DELETED, _TESTS_ONLY),
-    "repro.lsm.block_cache:LRUBlockCache.hit_ratio": (DELETED, "the store reports the `hits` and `misses` counters (`block_cache.*`)"),
-    "repro.lsm.block_cache:LRUBlockCache.used_bytes": (DELETED, _TESTS_ONLY),
-    "repro.lsm.block:Block.get": (DELETED, "a point read in a block is `Block.first` and the table reader's key check"),
-    "repro.lsm.block:BlockBuilder.add": (DELETED, "a one-pair `fill`: `fill` is the one encoding loop"),
-    "repro.lsm.table_builder:TableBuilder.add": (DELETED, "a one-entry `fill`: flush and compaction stream entries"),
-    "repro.lsm.table_cache:TableCache.__len__": (DELETED, _TESTS_ONLY),
-    "repro.mash.layout:BlockHeatTracker.heat_of": (DELETED, "promotion reads `file_heat`, inheritance the per-block heat itself"),
-    "repro.mash.layout:BlockHeatTracker.knows_file": (DELETED, _TESTS_ONLY),
-    "repro.mash.pcache:PersistentCache.contains_data": (DELETED, "reads ask `get_data`, which counts the hit or miss"),
-    "repro.mash.pcache:PersistentCache.__len__": (DELETED, _TESTS_ONLY),
-    "repro.lsm.db:DB._live_wal_numbers": (DELETED, "recovery takes each generation's shard files from its own listing (`DB._live_wal_files`)"),
 }
 """Region qualname -> ``(verdict, reason)``.
 
 A key is a region: ``module:Class.method``, ``module:function``,
 ``module:Class`` (its class body) or ``module:<module>``. A key covers
 that region alone, so new code without traffic always needs a verdict of
-its own; only a deleted key may name a whole class.
+its own.
 
 * **safety**: a corruption check, a crash path or an argument check that
   no correct caller trips;
 * **surface**: operator API that real use reaches and traffic does not
   yet;
-* **open**: a decision a ROADMAP item owns; the reason names the item;
-* **deleted**: removed for lack of traffic; the qualname must stay gone.
+* **open**: a decision a ROADMAP item owns; the reason names the item.
 """
 
 
@@ -348,8 +223,8 @@ class Module:
     headers: dict[int, tuple[int, ...]] = field(default_factory=dict)
     """Counted line -> every line of its statement's header."""
     exempt: set[int] = field(default_factory=set)
-    qualnames: set[str] = field(default_factory=set)
-    """Every class, function and method a region can be keyed by."""
+    qualnames: dict[str, int] = field(default_factory=dict)
+    """Every class, function and method a region can be keyed by -> its first line."""
 
 
 def code_lines(code: CodeType) -> set[int]:
@@ -382,8 +257,8 @@ def _is_type_checking(test: ast.expr) -> bool:
 
 
 def scan_module(name: str, path: Path) -> Module:
-    source = path.read_text(encoding="utf-8")
-    has_code = code_lines(compile(source, str(path), "exec"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    has_code = code_lines(compile(tree, str(path), "exec"))
     module = Module(name, path)
 
     def visit(body: list[ast.stmt], region: str, scope: str | None, exempt: bool) -> None:
@@ -401,7 +276,7 @@ def scan_module(name: str, path: Path) -> Module:
             inner_region, inner_scope = region, scope
             if scope is not None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualname = f"{scope}.{node.name}" if scope else node.name
-                module.qualnames.add(f"{name}:{qualname}")
+                module.qualnames.setdefault(f"{name}:{qualname}", node.lineno)
                 inner_region = f"{name}:{qualname}"
                 inner_scope = qualname if isinstance(node, ast.ClassDef) else None
             if isinstance(node, ast.If) and _is_type_checking(node.test):
@@ -417,7 +292,7 @@ def scan_module(name: str, path: Path) -> Module:
             for case in getattr(node, "cases", []):
                 visit(case.body, inner_region, inner_scope, own_exempt)
 
-    visit(ast.parse(source).body, f"{name}:<module>", "", False)
+    visit(tree.body, f"{name}:<module>", "", False)
     return module
 
 
@@ -533,8 +408,6 @@ class Census:
     """``(module, counted, traffic, tests only, nothing, exempt unreached)``."""
     regions: dict[str, list[int]] = field(default_factory=dict)
     """Region -> ``[tests only, nothing]`` over its lines without traffic."""
-    qualnames: set[str] = field(default_factory=set)
-    module_names: set[str] = field(default_factory=set)
 
     @property
     def without_traffic(self) -> int:
@@ -555,13 +428,10 @@ class Census:
             if region not in VERDICTS:
                 found.append(f"{region}: no verdict")
         for key, (verdict, reason) in sorted(VERDICTS.items()):
-            if verdict not in (SAFETY, SURFACE, OPEN, DELETED):
+            if verdict not in (SAFETY, SURFACE, OPEN):
                 found.append(f"{key}: unknown verdict {verdict!r}")
             elif verdict == OPEN and "item" not in reason:
                 found.append(f"{key}: an open verdict names its ROADMAP item")
-            elif verdict == DELETED:
-                if key in self.qualnames or key in self.module_names:
-                    found.append(f"{key}: marked deleted, but it is back")
             elif key not in self.regions:
                 found.append(f"{key}: verdict for a region with traffic, or one that is gone")
         return found
@@ -570,8 +440,6 @@ class Census:
 def take_census(modules: list[Module], traffic: LineTracer, tests: LineTracer | None) -> Census:
     census = Census()
     for module in modules:
-        census.qualnames |= module.qualnames
-        census.module_names.add(module.name)
         by_traffic = traffic.reached(module)
         by_tests = tests.reached(module) if tests is not None else set()
         tests_only = nothing = exempt_unreached = 0
@@ -630,16 +498,12 @@ def render(census: Census, tests_status: int) -> str:
     for region, (tests_only, nothing) in sorted(census.regions.items()):
         verdict, reason = VERDICTS.get(region, ("**none**", ""))
         out.append(f"| `{region}` | {tests_only} | {nothing} | {verdict} | {reason} |")
-    deleted = sorted((k, r) for k, (v, r) in VERDICTS.items() if v == DELETED)
-    if deleted:
-        out += ["", "## Deleted for lack of traffic", "", "| qualname | reason |", "|---|---|"]
-        out += [f"| `{key}` | {reason} |" for key, reason in deleted]
     return "\n".join(out) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.traffic", description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="trace traffic only; fail if the count rose")
+    parser.add_argument("--check", action="store_true", help="trace traffic only; fail if the count rose or a verdict and its region disagree")
     args = parser.parse_args(argv)
     modules = census_modules()
     traffic = trace_traffic(modules)

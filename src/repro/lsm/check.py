@@ -236,7 +236,7 @@ def check_db(env: Env, prefix: str, options: Options | None = None) -> CheckRepo
             # forgot it and never deleted it; recovery deletes it.
             report.orphans.append(name)
             report.warn(f"{name}: orphan blob segment (not in manifest)")
-        elif kind in ("log", "xlog"):
+        elif kind == "xlog":
             reader = LogReader(env.read_file(name))
             records = sum(1 for _ in reader)
             report.wal_files_checked += 1

@@ -5,7 +5,7 @@ The traced half (``python -m benchmarks.traffic --check``) runs the examples,
 the perf workloads and every experiment, so it lives in CI's long job.
 """
 
-from benchmarks.traffic import DELETED, OPEN, SAFETY, SURFACE, VERDICTS, Census, census_modules, scan_module
+from benchmarks.traffic import OPEN, SAFETY, SURFACE, VERDICTS, Census, scan_module
 
 SOURCE = '''\
 from typing import TYPE_CHECKING
@@ -79,32 +79,26 @@ def test_regions_are_functions_and_nested_functions_fold_in(tmp_path):
     assert module.regions[line_of("    return value")] == "repro.sample:check"
     assert module.regions[line_of("    size = 1")] == "repro.sample:Box"
     assert module.regions[line_of("            return 2")] == "repro.sample:Box.grow"
-    assert module.qualnames == {"repro.sample:check", "repro.sample:Box", "repro.sample:Box.grow"}
+    lines = {"repro.sample:check": "def check(n):", "repro.sample:Box": "class Box:", "repro.sample:Box.grow": "    def grow(self):"}
+    assert module.qualnames == {qualname: line_of(text) for qualname, text in lines.items()}
 
 
 def test_a_verdict_covers_its_own_region_only(monkeypatch):
     table = {
         "repro.a:C": (SURFACE, "operator API"),
         "repro.a:f": (OPEN, "item 20: next deletion"),
-        "repro.b:gone": (DELETED, "no traffic"),
     }
     monkeypatch.setattr("benchmarks.traffic.VERDICTS", table)
-    census = Census(regions={"repro.a:C.method": [1, 0], "repro.a:f": [0, 2]}, qualnames={"repro.b:gone"})
+    census = Census(regions={"repro.a:C.method": [1, 0], "repro.a:f": [0, 2]})
     assert census.problems() == [
         "repro.a:C.method: no verdict",
         "repro.a:C: verdict for a region with traffic, or one that is gone",
-        "repro.b:gone: marked deleted, but it is back",
     ]
 
 
-def test_every_verdict_is_well_formed_and_deleted_paths_stay_gone():
-    names = set()
-    for module in census_modules():
-        names |= module.qualnames | {module.name}
+def test_every_verdict_is_well_formed():
     for key, (verdict, reason) in VERDICTS.items():
-        assert verdict in (SAFETY, SURFACE, OPEN, DELETED), key
+        assert verdict in (SAFETY, SURFACE, OPEN), key
         assert reason, key
         if verdict == OPEN:
             assert "item" in reason, f"{key}: an open verdict names its ROADMAP item"
-        if verdict == DELETED:
-            assert key not in names, f"{key} was deleted for lack of traffic and is back"
