@@ -133,6 +133,10 @@ RETIRED: tuple[Retired, ...] = (
     Retired("fork-join-defs", QUALNAME, ("repro.sim.clock:SimClock.fork", "repro.sim.clock:SimClock.merge", "repro.obs.trace:_Branch",
                                          "repro.mash.placement:PlacementManager._tick_overlap_saved"), REPRO,
             "one fork/join model, `child()`, `join(strict=False)` and `Tracer.absorb_join` (DESIGN.md §4, \"Parallelism model\")"),
+    Retired("scan-defs", QUALNAME, ("repro.lsm.iterator:visible_user_entries", "repro.lsm.iterator:clamp_to_range", "repro.lsm.db:DB._table_entries",
+                                    "repro.lsm.db:DB._level_entries", "repro.lsm.db:DB._resolve_entries", "repro.lsm.db:DB._files_in_scan_range",
+                                    "repro.lsm.table_reader:TableReader.entries"), REPRO,
+            'one scan loop: sources yield block lists, `merge_runs` merges them a run at a time and `DB.scan` runs one row loop (DESIGN.md, "Scan path")'),
     Retired("tests-only-defs", QUALNAME, ("repro.lsm.block_cache:LRUBlockCache.get", "repro.storage.cloud:CloudObjectStore.crash",
                                           "repro.storage.local:LocalDevice.rename", "repro.metrics.latency:LatencyHistogram.merge",
                                           "repro.metrics.counters:CounterSet.ratio", "repro.metrics.counters:CounterSet.__repr__",

@@ -151,6 +151,9 @@ class Block:
         state of every block but one the DRAM cache holds — keeps nothing: a
         block read once (a compaction input, an index walk) must not leave
         its entries behind."""
+        self._rows: list[Entry] | None = None
+        """The whole decoded list :meth:`rows` keeps, on a block that keeps
+        :attr:`runs`."""
 
     def _decode(self, offset: int, stop: int) -> list[Entry]:
         """Decode the entries that start in ``[offset, stop)``.
@@ -189,6 +192,16 @@ class Block:
     def __iter__(self) -> Iterator[Entry]:
         """All entries in key order."""
         return iter(self._decode(0, self._restart_base))
+
+    def rows(self) -> list[Entry]:
+        """All entries in key order, as one list — what a scan merges. A
+        block the DRAM cache holds keeps it, as it keeps :attr:`runs`."""
+        rows = self._rows
+        if rows is None:
+            rows = self._decode(0, self._restart_base)
+            if self.runs is not None:
+                self._rows = rows
+        return rows
 
     def head(self) -> Entry | None:
         """The first entry, decoding none after it (None for an empty block)."""

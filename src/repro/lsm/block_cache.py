@@ -81,8 +81,9 @@ class LRUBlockCache:
         """Insert (or refresh) an entry, evicting LRU victims as needed.
 
         Blocks whose payload exceeds the whole budget are not cached at all.
-        A block the cache holds keeps the runs its seeks decode
-        (:attr:`Block.runs`): a hit does not decode again.
+        A block the cache holds keeps the runs its seeks decode and the list
+        a scan reads (:attr:`Block.runs`, :meth:`Block.rows`): a hit does
+        not decode again.
         """
         if block.size > self.capacity_bytes:
             return

@@ -25,6 +25,7 @@ Used by tests, by the reliability experiments, and as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import CorruptionError, NotFoundError, ReproError
 from repro.lsm.blob import BlobPointer, decode_blob_record, maybe_pointer
@@ -96,7 +97,7 @@ def check_table(
     first_key: SeekGoal | None = None
     count = 0
     try:
-        for user_key, neg_trailer, value in reader.entries():
+        for user_key, neg_trailer, value in chain.from_iterable(reader.block_lists()):
             key = (user_key, neg_trailer)
             if prev_key is None:
                 first_key = key

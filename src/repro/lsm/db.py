@@ -26,7 +26,7 @@ Extension points used by :mod:`repro.mash`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -41,11 +41,7 @@ from repro.lsm.compaction import (
     CompactionStats,
 )
 from repro.lsm.format import parse_file_name, table_file_name
-from repro.lsm.iterator import (
-    clamp_to_range,
-    merge_internal,
-    visible_user_entries,
-)
+from repro.lsm.iterator import merge_runs
 from repro.lsm.memtable import GetResult, MemTable
 from repro.lsm.options import NUM_LEVELS, Options
 from repro.lsm.table_builder import TableBuilder, TableProperties
@@ -652,17 +648,6 @@ class DB:
             return value
         return self.blob_store.resolve(pointer, key)
 
-    def _resolve_entries(
-        self, entries: Iterator[tuple[bytes, bytes]]
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Lazily resolve blob pointers in a scan's (key, value) stream."""
-        assert self.blob_store is not None
-        for key, value in entries:
-            pointer = maybe_pointer(value)
-            if pointer is not None:
-                value = self.blob_store.resolve(pointer, key)
-            yield key, value
-
     def multi_get(
         self, keys: list[bytes], *, snapshot: Snapshot | None = None
     ) -> dict[bytes, bytes | None]:
@@ -685,18 +670,23 @@ class DB:
         that run while the caller consumes the scan defer deleting the
         pinned files, so live iterators are never broken.
 
-        Every source is seeked to ``begin`` and yields ascending; one
-        merge → visibility → clamp → blob-resolve chain consumes them, and
-        the clamp stops consumption at ``end``. Every table read goes through
-        one :class:`~repro.lsm.block_cache.ScanReads`, which knows ``end``
-        and counts ``limit`` down row by row, so a miss on a cloud table
-        reads no further than the scan can still need. With
+        Every source is seeked to ``begin`` and yields sorted lists (the
+        memtable's rows; a table's, one list per block); :func:`merge_runs`
+        merges them a run at a time, and one loop over each run keeps the
+        newest entry per user key visible at the snapshot, drops
+        tombstones, stops at the first live row at or past ``end``,
+        resolves blob pointers and counts ``limit`` down. Every table read
+        goes through one :class:`~repro.lsm.block_cache.ScanReads`, which
+        knows ``end`` and the rows the scan may still yield, so a miss on a
+        cloud table reads no further than the scan can still need. With
         ``Options.scan_prefetch_depth`` set, the same ``ScanReads`` fans the
         seek out over the tables the merge opens first and keeps up to that
         many of each level's next cloud tables opened and primed ahead of
         the scan, into the same buffers.
         """
         self._check_open()
+        if limit is not None and limit <= 0:
+            return
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
         target = seek_goal(begin) if begin else None
         reads = ScanReads(
@@ -707,37 +697,44 @@ class DB:
         )
         version = self._pin_version()
         try:
-            sources = [self.memtable.entries(target)]
-            l0_files = self._files_in_scan_range(version.files[0], begin, end)
-            level_files = [
-                self._files_in_scan_range(version.files[level], begin, end)
-                for level in range(1, NUM_LEVELS)
-            ]
+            l0_files, level_files = version.scan_files(begin, end)
             if reads.depth:
                 # Seek fan-out: every reader the merge heap opens on its
                 # first pull — all L0 tables plus each level's first
                 # in-range table — opened as parallel branches instead of
                 # a serial chain of cloud round trips.
-                reads.fan_out(l0_files + [files[0] for files in level_files if files], target)
-            for meta in l0_files:
-                sources.append(self._table_entries(meta, target, reads))
-            for files in level_files:
-                if files:
-                    sources.append(self._level_entries(files, target, reads))
-            rows = clamp_to_range(
-                visible_user_entries(merge_internal(sources), sequence), begin, end
-            )
-            if self.blob_store is not None:
-                rows = self._resolve_entries(rows)
-            if limit is None:
-                yield from rows
-            elif limit > 0:
-                for row in rows:
+                reads.fan_out(l0_files + [files[0] for files in level_files], target)
+            tables = self.table_cache
+            sources: list[Iterable[list[Entry]]] = [[self.memtable.entries(target)]]
+            sources += [tables.get_reader(meta.number).block_lists(target, reads) for meta in l0_files]
+            sources += [self._level_lists(files, target, reads) for files in level_files]
+            blobs = self.blob_store
+            newest_visible = -((sequence << 8) | 0xFF)
+            current = None
+            for run in merge_runs(sources):
+                for user_key, neg_trailer, value in run:
+                    # Internal order puts a key's newest entry first: the
+                    # first one visible at the snapshot wins, a tombstone
+                    # hides the key.
+                    if neg_trailer < newest_visible or user_key == current:
+                        continue
+                    current = user_key
+                    if -neg_trailer & 0xFF == TYPE_DELETION:
+                        continue
+                    if end is not None and user_key >= end:
+                        return
+                    if blobs is not None:
+                        pointer = maybe_pointer(value)
+                        if pointer is not None:
+                            value = blobs.resolve(pointer, user_key)
+                    if limit is None:
+                        yield user_key, value
+                        continue
                     limit -= 1
                     reads.remaining = limit
-                    yield row
+                    yield user_key, value
                     if not limit:
-                        break
+                        return
         finally:
             reads.finish()
             # Each buffer refers back to ``reads``: free the bytes now, not
@@ -745,40 +742,15 @@ class DB:
             reads.buffers.clear()
             self._unpin_version(version)
 
-    @staticmethod
-    def _files_in_scan_range(
-        files: list[FileMetaData], begin: bytes | None, end: bytes | None
-    ) -> list[FileMetaData]:
-        """Files whose key range intersects the half-open scan [begin, end).
-
-        Unlike :meth:`FileMetaData.overlaps_user_range` (inclusive end,
-        used by compaction), a file whose smallest key equals ``end`` is
-        disjoint from the scan and must not be opened.
-        """
-        return [
-            meta
-            for meta in files
-            if not (begin is not None and meta.largest_user_key < begin)
-            and not (end is not None and meta.smallest_user_key >= end)
-        ]
-
-    def _table_entries(
-        self, meta: FileMetaData, target: SeekGoal | None, reads: ScanReads
-    ) -> Iterator[Entry]:
-        return self.table_cache.get_reader(meta.number).entries(target, reads)
-
-    def _level_entries(
-        self,
-        files: list[FileMetaData],
-        target: SeekGoal | None,
-        reads: ScanReads,
-    ) -> Iterator[Entry]:
-        """One level's disjoint in-range tables as a single sorted source,
-        each opened only when the scan reaches it."""
+    def _level_lists(
+        self, files: list[FileMetaData], target: SeekGoal | None, reads: ScanReads
+    ) -> Iterator[list[Entry]]:
+        """One level's disjoint in-range tables as a single source of block
+        lists, each table opened only when the scan reaches it."""
         for index, meta in enumerate(files):
             if reads.depth:
                 reads.table_started(files, index, target)
-            yield from self._table_entries(meta, target, reads)
+            yield from self.table_cache.get_reader(meta.number).block_lists(target, reads)
 
     # -- snapshots ----------------------------------------------------------------------------
 

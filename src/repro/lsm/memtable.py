@@ -69,15 +69,14 @@ class MemTable:
 
     def __iter__(self) -> Iterator[Entry]:
         """Entries in internal-key order."""
-        return self.entries()
+        return iter(self.entries())
 
-    def entries(self, goal: SeekGoal | None = None) -> Iterator[Entry]:
+    def entries(self, goal: SeekGoal | None = None) -> list[Entry]:
         """Entries at or after ``goal``, ascending (``None``: every entry).
 
-        The rows are copied (a write-buffer-bounded slice): a scan is a
-        generator its caller interleaves with writes, and an index into a
-        list that ``add`` shifts would skip or repeat rows.
+        A copy (a write-buffer-bounded slice): a scan is a generator its
+        caller interleaves with writes, and an index into a list that
+        ``add`` shifts would skip or repeat rows.
         """
         rows = self._rows
-        at = bisect_left(rows, goal) if goal is not None else 0
-        return iter(rows[at:])
+        return rows[bisect_left(rows, goal) :] if goal is not None else rows[:]

@@ -164,7 +164,7 @@ class TableReader:
     # -- iteration ----------------------------------------------------------
 
     def edge_data_handle(self, goal: SeekGoal | None = None) -> BlockHandle | None:
-        """Handle of the first data block :meth:`entries` would read.
+        """Handle of the first data block :meth:`block_lists` would read.
 
         Index-only (no data-block I/O): used by a scan's prefetch schedule
         (:class:`~repro.lsm.block_cache.ScanReads`) and by compaction to
@@ -211,18 +211,22 @@ class TableReader:
             length = min(length, block + rows * data_bytes // self.num_entries)
         return max(length, block)
 
-    def entries(
+    def block_lists(
         self, goal: SeekGoal | None = None, reads: ScanReads | None = None
-    ) -> Iterator[Entry]:
-        """Entries at or after ``goal``, ascending, one lazily fetched
-        block at a time. ``None`` means no bound: the whole table.
-        ``reads`` is the asking scan's, when a scan asks."""
+    ) -> Iterator[list[Entry]]:
+        """Entries at or after ``goal``, ascending, one list per data block,
+        each block fetched when its list is asked for: the first block's list
+        starts at ``goal``, the rest are whole (``None``: the whole table).
+        ``reads`` is the asking scan's, when a scan asks. The lists may be a
+        cached block's own: never mutate one."""
         load = self.stack.block
         scan = reads.buffer(self) if reads is not None else None
         for handle in self._handles_from(goal):
-            block = load(handle, scan)
-            yield from block.seek(goal) if goal is not None else block
-            goal = None  # the seek applies to the first block only
+            rows = load(handle, scan).rows()
+            if goal is not None:
+                rows = rows[bisect_left(rows, goal) :]
+                goal = None  # the seek applies to the first block only
+            yield rows
 
     # -- compaction support -------------------------------------------------
 

@@ -192,9 +192,10 @@ class Version:
 
     def __init__(self, num_levels: int) -> None:
         self.files: list[list[FileMetaData]] = [[] for _ in range(num_levels)]
-        # Point-lookup routing, built once by ``apply`` (a version never
-        # changes afterwards): ``(level, files, fences)`` per populated level
-        # below L0, a fence being a file's largest user key.
+        # Routing, built once by ``apply`` (a version never changes
+        # afterwards): ``(level, files, fences)`` per populated level below
+        # L0, a fence being a file's largest user key. Point lookups, scans
+        # and the tombstone check bisect them.
         self._fenced_levels: list[tuple[int, list[FileMetaData], list[bytes]]] = []
 
     # -- invariants & queries -----------------------------------------------
@@ -246,6 +247,38 @@ class Version:
                 yield level, files[idx]
                 idx += 1
 
+    def scan_files(
+        self, begin: bytes | None, end: bytes | None
+    ) -> tuple[list[FileMetaData], list[list[FileMetaData]]]:
+        """The files whose key range meets the half-open scan [begin, end):
+        L0's, and one list per deeper level that has any, in level order.
+        ``None`` bounds are infinite.
+
+        Unlike :meth:`FileMetaData.overlaps_user_range` (inclusive end, used
+        by compaction), a file whose smallest key equals ``end`` is disjoint
+        from the scan and must not be opened. L0's files overlap and are
+        filtered one by one; a deeper level's are sorted and disjoint, so
+        two bisects over its fences bound one slice: past the first file
+        whose largest key reaches ``end``, no file starts before ``end``.
+        """
+        l0_files = [
+            meta
+            for meta in self.files[0]
+            if (begin is None or meta.largest_user_key >= begin)
+            and (end is None or meta.smallest_user_key < end)
+        ]
+        levels = []
+        for _, files, fences in self._fenced_levels:
+            lo = bisect_left(fences, begin) if begin is not None else 0
+            hi = len(files)
+            if end is not None:
+                hi = bisect_left(fences, end)
+                if hi < len(files) and files[hi].smallest_user_key < end:
+                    hi += 1
+            if lo < hi:
+                levels.append(files[lo:hi])
+        return l0_files, levels
+
     def overlapping_files(
         self, level: int, begin: bytes | None, end: bytes | None
     ) -> list[FileMetaData]:
@@ -273,9 +306,12 @@ class Version:
         Compaction may drop tombstones only when this holds for the output
         level — otherwise a buried older value would resurface.
         """
-        for deeper in range(level + 1, len(self.files)):
-            for meta in self.files[deeper]:
-                if meta.smallest_user_key <= user_key <= meta.largest_user_key:
+        for deeper, files, fences in self._fenced_levels:
+            if deeper > level:
+                # The first file whose largest key reaches ``user_key`` is
+                # the only one of its level that can hold it.
+                at = bisect_left(fences, user_key)
+                if at < len(files) and files[at].smallest_user_key <= user_key:
                     return False
         return True
 

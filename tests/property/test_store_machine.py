@@ -28,7 +28,7 @@ The tree is tiny (1 KiB memtable, 256 B blocks, 1 KiB files, 1 KiB MANIFEST
 cap) and the keys are few and prefix-heavy, so a run of a few dozen steps has every key in several
 versions across the memtable and two or three levels, and block and file
 boundaries fall inside one user key's versions. Seeded by hand it kills an
-off-by-one in the snapshot floor of ``visible_user_entries``, a tombstone
+off-by-one in the snapshot floor of ``DB.scan``'s row loop, a tombstone
 read off the wrong byte of the trailer, and a ``MemTable.get`` that bisects
 on ``(user_key,)`` alone.
 

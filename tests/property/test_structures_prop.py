@@ -2,6 +2,7 @@
 memtable, histogram, cache)."""
 
 from collections import OrderedDict
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,7 +93,7 @@ class TestTable:
         builder.fill(items)
         builder.finish()
         reader = TableReader(options, env.new_random_access_file("t.sst"))
-        assert list(reader.entries()) == items
+        assert list(chain.from_iterable(reader.block_lists())) == items
         for user_key, v in entries.items():
             assert reader.get(seek_goal(user_key, 100)) == (user_key, -((7 << 8) | TYPE_VALUE), v)
 

@@ -159,6 +159,7 @@ class TestLoadDataBlock:
         assert a is not b and list(a) == list(b)
         assert len(file.reads) == 2
         assert a.runs is None  # nothing holds the block: it keeps no decoded runs
+        assert a.rows() == list(a) and a.rows() is not a.rows()  # nor the list a scan reads
 
     def test_a_held_block_decodes_a_run_once(self):
         stack, _, _ = self.stack(LRUBlockCache(1000))
@@ -169,6 +170,12 @@ class TestLoadDataBlock:
         (run,) = block.runs.values()
         assert next(block.seek(goal)) is run[0]  # the kept run, not a second decode
         assert list(block) == run and block.runs == {1: run}  # a walk keeps nothing more
+
+    def test_a_held_block_keeps_the_list_a_scan_reads(self):
+        stack, _, _ = self.stack(LRUBlockCache(1000))
+        rows = stack.block(self.HANDLE).rows()
+        assert rows == [(*internal_order(KEY), b"x" * 10)]
+        assert stack.block(self.HANDLE).rows() is rows  # a hit does not decode again
 
     @pytest.mark.parametrize(
         "payload",

@@ -1,5 +1,7 @@
 """Unit tests for block compression."""
 
+from itertools import chain
+
 import pytest
 
 from repro.errors import CorruptionError
@@ -86,7 +88,7 @@ class TestCompressedTables:
 
     def test_reads_transparent(self):
         _, reader, entries = self.build("zlib")
-        assert list(reader.entries()) == entries
+        assert list(chain.from_iterable(reader.block_lists())) == entries
         assert reader.get(seek_goal(b"key000123", 100)) == entries[123]
 
     def test_invalid_option_rejected(self):

@@ -80,7 +80,7 @@ class TestMemTable:
         mt = MemTable()
         for i, key in enumerate([b"b", b"d", b"f", b"h"]):
             mt.add(i + 1, TYPE_VALUE, key, b"v")
-        live, sought = mt.entries(), mt.entries(seek_goal(b"d", 2**50))
+        live, sought = iter(mt.entries()), iter(mt.entries(seek_goal(b"d", 2**50)))
         rest_live = list(mt.entries())[2:]
         rest_sought = list(mt.entries(seek_goal(b"d", 2**50)))[2:]
         for it in (live, sought):

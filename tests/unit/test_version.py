@@ -1,6 +1,8 @@
 """Unit tests for versions, edits, and the manifest."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.lsm.options import Options
@@ -219,6 +221,77 @@ class TestVersion:
         assert v1.level_bytes(1) == 100
         assert v1.total_bytes() == 300
         assert v1.live_file_numbers() == {1, 2}
+
+
+KEYS = [b"a", b"c", b"e", b"g", b"i"]
+# Every file bound, and a key between each two, as a scan bound or a probe.
+BOUNDS = [None, *KEYS, *(key + b"\x00" for key in KEYS)]
+
+
+@st.composite
+def versions(draw):
+    """A version over ``KEYS``: overlapping L0 files, and sorted, disjoint
+    files below with their user keys cut across neighbours at random (a
+    file's largest user key equal to the next one's smallest). Sequence
+    numbers fall along a level, so each level sorts by internal key."""
+    edit = VersionEdit()
+    number = 0
+    for level in range(7):
+        if level == 0:
+            ranges = [sorted(pair) for pair in draw(st.lists(st.lists(st.sampled_from(KEYS), min_size=2, max_size=2), max_size=4))]
+        else:
+            bounds = sorted(draw(st.lists(st.sampled_from(KEYS), max_size=8)))
+            ranges = [bounds[at : at + 2] for at in range(0, len(bounds) - 1, 2)]
+        for index, (lo, hi) in enumerate(ranges):
+            number += 1
+            seq = 1000 - 2 * index
+            edit.add_file(level, FileMetaData(number, 1000, ikey(lo, seq), ikey(hi, seq - 1)))
+    return Version(7).apply(edit)
+
+
+class TestFences:
+    @given(versions())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_files_is_the_linear_half_open_filter(self, v):
+        for begin in BOUNDS:
+            for end in BOUNDS:
+                l0_files, *levels = [
+                    [
+                        f
+                        for f in files
+                        if not (begin is not None and f.largest_user_key < begin)
+                        and not (end is not None and f.smallest_user_key >= end)
+                    ]
+                    for files in v.files
+                ]
+                linear = (l0_files, [files for files in levels if files])
+                assert v.scan_files(begin, end) == linear, (begin, end)
+
+    @given(versions())
+    @settings(max_examples=150, deadline=None)
+    def test_is_base_level_for_key_is_the_linear_walk(self, v):
+        for level in range(7):
+            for user_key in BOUNDS[1:]:
+                linear = not any(
+                    f.smallest_user_key <= user_key <= f.largest_user_key
+                    for files in v.files[level + 1 :]
+                    for f in files
+                )
+                assert v.is_base_level_for_key(level, user_key) == linear, (level, user_key)
+
+    def test_a_file_starting_at_end_or_ending_at_begin(self):
+        edit = VersionEdit()
+        edit.add_file(1, fmd(1, b"a", b"c"))
+        edit.add_file(1, fmd(2, b"e", b"g"))
+        v = Version(7).apply(edit)
+
+        def numbers(begin, end):
+            return [[f.number for f in files] for files in v.scan_files(begin, end)[1]]
+
+        assert numbers(None, b"e") == [[1]]  # end is exclusive
+        assert numbers(b"c", None) == [[1, 2]]  # begin is inclusive
+        assert numbers(b"c", b"e") == [[1]]
+        assert numbers(b"d", b"e") == []
 
 
 class TestVersionSet:
